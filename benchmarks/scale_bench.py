@@ -49,7 +49,7 @@ import numpy as np  # noqa: E402
 
 from repro.algorithms import build_strategy  # noqa: E402
 from repro.algorithms.base import OptimizerSpec  # noqa: E402
-from repro.data import make_image_dataset  # noqa: E402
+from repro.data import make_image_dataset, train_test_split  # noqa: E402
 from repro.nn import LeNetCNN  # noqa: E402
 from repro.runtime import FederatedSimulator  # noqa: E402
 from repro.runtime.export import history_to_json  # noqa: E402
@@ -79,13 +79,14 @@ def model_fn():
 
 
 def build_sim(num_clients: int, clients_per_round: int, population: str | None):
-    pool = make_image_dataset(
-        num_samples=POOL_SAMPLES, num_classes=NUM_CLASSES, channels=1,
-        image_size=8, seed=5,
+    # Pool and test set come from ONE generated dataset: two generator
+    # seeds give disjoint class prototypes and a chance-level accuracy.
+    data = make_image_dataset(
+        num_samples=POOL_SAMPLES + TEST_SAMPLES, num_classes=NUM_CLASSES,
+        channels=1, image_size=8, seed=5,
     )
-    test = make_image_dataset(
-        num_samples=TEST_SAMPLES, num_classes=NUM_CLASSES, channels=1,
-        image_size=8, seed=6,
+    pool, test = train_test_split(
+        data, test_fraction=TEST_SAMPLES / (POOL_SAMPLES + TEST_SAMPLES), seed=6
     )
     return FederatedSimulator(
         model_fn=model_fn,
@@ -131,6 +132,7 @@ def run_phase(args) -> dict:
         "seconds_per_round": run_seconds / args.rounds,
         "peak_rss_bytes": peak_rss_bytes(),
         "resident_clients": resident,
+        "final_accuracy": history.final_accuracy,
         "history_sha256": digest,
     }
 

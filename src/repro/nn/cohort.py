@@ -17,7 +17,10 @@ Implementation notes
   because numpy's einsum cannot dispatch batch contractions to BLAS. The
   handful of einsums the cohort path does retain (masked per-member loss
   reductions) go through the shared plan LRU in
-  :mod:`repro.nn.einsum_cache`, like the serial conv layer.
+  :mod:`repro.nn.einsum_cache`.
+* Conv and max-pool layers run the serial layers' kernels
+  (``F.im2col`` / ``F.col2im`` / ``F.maxpool2d``) with the member axis
+  folded into the batch axis; only the GEMM operand shapes differ.
 * Ragged batches are handled by padding to the widest member batch and
   masking: padded rows carry exactly-zero loss gradients, so they
   contribute zeros to every parameter gradient.
@@ -144,8 +147,9 @@ class CConv2d(_CohortLayer):
     """Batched conv: the member axis folds into the im2col GEMMs.
 
     Input ``(C, N, ch, H, W)`` is flattened to ``(C·N, ch, H, W)`` for the
-    (elementwise) im2col gather, then the filter bank contraction runs as
-    one broadcast-batched matmul ``(C, 1, F, K) @ (C, N, K, L)``.
+    (elementwise) im2col copy, then the filter bank contraction runs as
+    one broadcast-batched matmul ``(C, 1, F, K) @ (C, N, K, L)``; dX folds
+    the projected columns back with the same ``col2im`` as the serial layer.
     """
 
     def __init__(self, prefix: str, ref: Conv2d, cohort_size: int) -> None:
@@ -162,11 +166,10 @@ class CConv2d(_CohortLayer):
             if ref.bias is not None
             else None
         )
-        self._indices = None
-        self._geom: tuple[int, int] | None = None
-        self._dx_indices = None
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
+        self._padded: np.ndarray | None = None
+        self._cols_buf: np.ndarray | None = None
 
     def params(self) -> list[CohortParameter]:
         return [self.weight] + ([self.bias] if self.bias is not None else [])
@@ -175,19 +178,28 @@ class CConv2d(_CohortLayer):
         c = self.weight.data.shape[0]
         return self.weight.data.reshape(c, self.out_channels, -1)  # (C, F, K)
 
+    def _im2col(self, x: np.ndarray) -> np.ndarray:
+        """``F.im2col`` into buffers kept across steps: the stacked columns
+        run to megabytes, and allocated per step glibc trims them off the
+        heap after every backward and faults them in again on the next
+        forward (a quarter of the CNN cohort step)."""
+        n, ch, h, w = x.shape
+        k, p = self.kernel_size, self.padding
+        shape = (n, ch, h + 2 * p, w + 2 * p)
+        if self._padded is None or self._padded.shape != shape:
+            self._padded = np.zeros(shape, dtype=x.dtype)
+            self._cols_buf = None
+        self._padded[:, :, p : p + h, p : p + w] = x
+        self._cols_buf = F.im2col(self._padded, k, k, self.stride, 0, out=self._cols_buf)
+        return self._cols_buf
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         c, n, ch, h, w = x.shape
         if ch != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {ch}")
-        if self._geom != (h, w):
-            self._indices = F.im2col_indices(
-                ch, h, w, self.kernel_size, self.kernel_size,
-                self.stride, self.padding,
-            )
-            self._dx_indices = None
-            self._geom = (h, w)
-        _, _, _, out_h, out_w = self._indices
-        cols = F.im2col(x.reshape(c * n, ch, h, w), self._indices, self.padding)
+        k = self.kernel_size
+        out_h, out_w = F.conv_output_size(h, w, k, k, self.stride, self.padding)
+        cols = self._im2col(x.reshape(c * n, ch, h, w))
         cols = cols.reshape(c, n, cols.shape[1], cols.shape[2])  # (C, N, K, L)
         self._cols = cols
         self._x_shape = x.shape
@@ -201,8 +213,7 @@ class CConv2d(_CohortLayer):
     def backward(self, g: np.ndarray) -> np.ndarray:
         if self._cols is None:
             raise RuntimeError("CConv2d.backward called before forward")
-        cols = self._cols
-        self._cols = None
+        cols, self._cols = self._cols, None
         c, n = g.shape[0], g.shape[1]
         gf = g.reshape(c, n, self.out_channels, -1)  # (C, N, F, L)
         dw = np.matmul(gf, cols.transpose(0, 1, 3, 2)).sum(axis=1)  # (C, F, K)
@@ -212,55 +223,27 @@ class CConv2d(_CohortLayer):
         if not self.compute_dx:
             return g  # first layer: input gradient has no consumer
         cc, nn_, ch, h, w = self._x_shape
-        if self.stride == 1 and self.padding <= self.kernel_size - 1:
-            # dX as a *transposed convolution* — an im2col gather over the
-            # output gradient contracted with the 180°-rotated filters. One
-            # gather + one batched GEMM instead of the ``np.add.at`` scatter
-            # of ``col2im``, which is an order of magnitude slower (python-
-            # level per-element accumulation). Both compute the same sum,
-            # in a different association order (float tolerance).
-            k = self.kernel_size
-            _, _, _, out_h, out_w = self._indices
-            pad_g = k - 1 - self.padding
-            if self._dx_indices is None:
-                self._dx_indices = F.im2col_indices(
-                    self.out_channels, out_h, out_w, k, k, 1, pad_g
-                )
-            g_cols = F.im2col(
-                g.reshape(c * n, self.out_channels, out_h, out_w),
-                self._dx_indices,
-                pad_g,
-            )
-            g_cols = g_cols.reshape(c, n, g_cols.shape[1], g_cols.shape[2])
-            # w_hat[c_in, f·k·k]: filters flipped in both spatial dims.
-            w_hat = (
-                self.weight.data[:, :, :, ::-1, ::-1]
-                .transpose(0, 2, 1, 3, 4)
-                .reshape(c, ch, -1)
-            )
-            dx = np.matmul(w_hat[:, None], g_cols)  # (C, N, ch, H·W)
-            return dx.reshape(c, n, ch, h, w)
+        k = self.kernel_size
         dcols = np.matmul(self._w_mat().transpose(0, 2, 1)[:, None], gf)
         dx = F.col2im(
             dcols.reshape(cc * nn_, dcols.shape[2], dcols.shape[3]),
             (cc * nn_, ch, h, w),
-            self._indices,
-            self.padding,
+            k, k, self.stride, self.padding,
         )
         return dx.reshape(self._x_shape)
 
 
 class CReLU(_CohortLayer):
     def __init__(self) -> None:
-        self._x: np.ndarray | None = None
+        self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        self._mask = x > 0.0
         return F.relu(x)
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        x, self._x = self._x, None
-        return F.relu_grad(x, g)
+        mask, self._mask = self._mask, None
+        return g * mask
 
 
 class CTanh(_CohortLayer):
@@ -340,57 +323,22 @@ class CDropout(_CohortLayer):
 
 
 class CMaxPool2d(_CohortLayer):
-    """Batched non-overlapping max pooling with tie-splitting backward.
-
-    Implemented over ``k²`` strided slices (``x[..., i::k, j::k]``) rather
-    than the serial layer's 7-D window view: the slice reductions are an
-    order of magnitude faster on the stacked ``(C, N, …)`` tensors because
-    each ``np.maximum`` runs over large contiguous-ish blocks instead of a
-    doubly-strided axis pair. The arithmetic (max, tie counting, gradient
-    split ``g / ties``) is identical to the serial layer's.
-    """
+    """Batched non-overlapping max pooling with tie-splitting backward —
+    the serial layer's rank-agnostic kernel over ``(C, N, ch, H, W)``."""
 
     def __init__(self, ref: MaxPool2d) -> None:
         self.kernel_size = ref.kernel_size
-        self._masks: list[np.ndarray] | None = None
-        self._tie_counts = None
+        self._mask: tuple[list[np.ndarray], np.ndarray] | None = None
         self._x_shape: tuple[int, ...] | None = None
-        self._trunc: tuple[int, int] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        c, n, ch, h, w = x.shape
-        th, tw = (h // k) * k, (w // k) * k
         self._x_shape = x.shape
-        self._trunc = (th, tw)
-        xt = x[:, :, :, :th, :tw]
-        slices = [xt[..., i::k, j::k] for i in range(k) for j in range(k)]
-        out = slices[0]
-        for s in slices[1:]:
-            out = np.maximum(out, s)
-        self._masks = [s == out for s in slices]
-        ties = self._masks[0].astype(np.int64)
-        for m in self._masks[1:]:
-            ties += m
-        self._tie_counts = ties
+        out, self._mask = F.maxpool2d(x, self.kernel_size)
         return out
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        th, tw = self._trunc
-        # Same float promotion as serial: float32 grad / int64 ties → float64,
-        # cast back to the grad dtype on assignment.
-        gs = g / self._tie_counts
-        masks, self._masks = self._masks, None
-        self._tie_counts = None
-        grad = np.zeros(self._x_shape, dtype=g.dtype)
-        sub = grad[:, :, :, :th, :tw]
-        idx = 0
-        for i in range(k):
-            for j in range(k):
-                sub[..., i::k, j::k] = np.where(masks[idx], gs, 0.0)
-                idx += 1
-        return grad
+        ctx, self._mask = self._mask, None
+        return F.maxpool2d_backward(g, ctx, self._x_shape, self.kernel_size)
 
 
 class CAvgPool2d(_CohortLayer):
@@ -878,8 +826,8 @@ class CohortSGD:
                 v *= self.momentum
                 v += grad
                 grad = v
-            if active is None:
-                p.data -= self.lr * grad
+            if active is None or active.all():
+                p.data -= self.lr * grad  # == lr * grad * 1.0, one pass fewer
             else:
                 mask = active.astype(np.float32).reshape(
                     (-1,) + (1,) * (p.data.ndim - 1)

@@ -1,4 +1,4 @@
-"""2-D convolution via cached im2col + single GEMM."""
+"""2-D convolution via im2col + batched GEMM."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 
 from . import functional as F
 from . import init
-from .einsum_cache import einsum_path_for
 from .module import Module
 from .parameter import Parameter
 
@@ -14,12 +13,13 @@ __all__ = ["Conv2d"]
 
 
 class Conv2d(Module):
-    """Convolution over ``(N, C, H, W)`` inputs.
+    """Convolution over ``(N, C, H, W)`` inputs: one strided-view im2col
+    copy plus one batched GEMM per pass (:mod:`repro.nn.functional`)."""
 
-    The im2col gather indices depend only on the input geometry, so they are
-    computed on the first forward for a given ``(H, W)`` and reused for every
-    subsequent batch — the per-iteration cost is one gather plus one GEMM.
-    """
+    #: Set False on a model's first layer: nothing consumes its input
+    #: gradient, so ``backward`` skips dX and returns ``None``. Parameter
+    #: gradients are unaffected.
+    compute_dx: bool = True
 
     def __init__(
         self,
@@ -46,64 +46,43 @@ class Conv2d(Module):
             )
         )
         self.bias = Parameter(init.zeros((out_channels,))) if bias else None
-        self._indices = None
-        self._geom: tuple[int, int] | None = None
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, int, int, int] | None = None
-
-    def _ensure_indices(self, h: int, w: int) -> None:
-        if self._geom != (h, w):
-            self._indices = F.im2col_indices(
-                self.in_channels, h, w, self.kernel_size, self.kernel_size,
-                self.stride, self.padding,
-            )
-            self._geom = (h, w)
-
-    def _paths(self, n: int, l: int) -> tuple:
-        """Contraction paths for the three einsums, resolved through the
-        process-wide LRU plan cache (:mod:`repro.nn.einsum_cache`) — planned
-        once per ``(batch, spatial)`` geometry across *all* conv instances,
-        and bounded so long-lived layers cycling through many geometries
-        cannot grow an unbounded plan table."""
-        k = self.in_channels * self.kernel_size * self.kernel_size
-        f = self.out_channels
-        fwd = einsum_path_for("fk,nkl->nfl", (f, k), (n, k, l))
-        dw = einsum_path_for("nfl,nkl->fk", (n, f, l), (n, k, l))
-        dcols = einsum_path_for("fk,nfl->nkl", (f, k), (n, f, l))
-        return fwd, dw, dcols
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
-        self._ensure_indices(h, w)
-        _, _, _, out_h, out_w = self._indices
-        cols = F.im2col(x, self._indices, self.padding)  # (N, C*k*k, L)
-        self._cols = cols
+        k = self.kernel_size
+        out_h, out_w = F.conv_output_size(h, w, k, k, self.stride, self.padding)
+        cols = F.im2col(x, k, k, self.stride, self.padding)  # (N, C*k*k, L)
+        # The im2col buffer is the largest per-layer allocation (~k*k times
+        # the input); an eval-mode forward has no backward to feed.
+        self._cols = cols if self.training else None
         self._x_shape = x.shape
-        fwd_path, _, _ = self._paths(n, cols.shape[2])
         w_mat = self.weight.data.reshape(self.out_channels, -1)  # (F, C*k*k)
-        out = np.einsum("fk,nkl->nfl", w_mat, cols, optimize=fwd_path)
+        out = np.matmul(w_mat, cols)  # (N, F, L), C-contiguous
         if self.bias is not None:
             out += self.bias.data[None, :, None]
         return out.reshape(n, self.out_channels, out_h, out_w)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         if self._cols is None:
             raise RuntimeError("Conv2d.backward called before forward")
+        # Free the im2col buffer eagerly rather than holding it until the
+        # next forward.
+        cols, self._cols = self._cols, None
         n = grad_out.shape[0]
         grad_flat = grad_out.reshape(n, self.out_channels, -1)  # (N, F, L)
-        _, dw_path, dcols_path = self._paths(n, grad_flat.shape[2])
-        # dW: sum over batch and spatial positions.
-        dw = np.einsum("nfl,nkl->fk", grad_flat, self._cols, optimize=dw_path)
+        # dW: per-sample (F, L) @ (L, K), then summed over the batch.
+        dw = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
         self.weight.grad += dw.reshape(self.weight.data.shape)
         if self.bias is not None:
             self.bias.grad += grad_flat.sum(axis=(0, 2))
+        if not self.compute_dx:
+            return None
         # dX: project back through the filter bank then fold columns.
         w_mat = self.weight.data.reshape(self.out_channels, -1)
-        dcols = np.einsum("fk,nfl->nkl", w_mat, grad_flat, optimize=dcols_path)
-        # The im2col buffer is the largest per-layer allocation; once the
-        # gradients are folded it is dead weight, so free it eagerly rather
-        # than holding ~k*k times the input until the next forward.
-        self._cols = None
-        return F.col2im(dcols, self._x_shape, self._indices, self.padding)
+        dcols = np.matmul(w_mat.T, grad_flat)  # (N, C*k*k, L)
+        k = self.kernel_size
+        return F.col2im(dcols, self._x_shape, k, k, self.stride, self.padding)

@@ -1,15 +1,16 @@
 """Shared bounded cache of ``np.einsum_path`` contraction plans.
 
 Planning a contraction path with ``optimize="optimal"`` is a search over
-operand orderings — cheap once, wasteful per call, and previously each
-:class:`~repro.nn.conv.Conv2d` instance memoised exactly one geometry and
-re-planned whenever the batch or spatial size changed (while a long-lived
-layer that cycled through distinct geometries grew a fresh plan each time
-with nothing ever evicted). This module centralises planning behind a
-small process-wide LRU keyed on ``(subscripts, operand shapes)``: the
-serial conv layer, the server-side stacked-update aggregation and the
-cohort executor's batched plans all share it, so any geometry seen by any
-consumer is planned exactly once until evicted.
+operand orderings — cheap once, wasteful per call. This module centralises
+planning behind a small process-wide LRU keyed on ``(subscripts, operand
+shapes)``, so any geometry seen by any consumer is planned exactly once
+until evicted. Today the one consumer is the cohort executor's masked
+per-member loss reduction. The conv layers are not: even with the plan
+cached, ``np.einsum(optimize=path)`` re-parses the subscripts and re-walks
+the path in Python on every call, which cost more than the contraction
+itself at this repo's sizes, so they call ``np.matmul`` directly; the
+server-side aggregation deliberately keeps an unplanned einsum (a planned
+path would change its float64 reduction order).
 
 The cache stores only *paths* (tiny lists of tuples), never operands, and
 a path is a pure function of the key — eviction can change speed, never

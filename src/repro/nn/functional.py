@@ -9,6 +9,7 @@ for a single large GEMM, the standard CPU strategy for small convnets).
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "relu",
@@ -17,9 +18,11 @@ __all__ = [
     "tanh",
     "softmax",
     "log_softmax",
-    "im2col_indices",
+    "conv_output_size",
     "im2col",
     "col2im",
+    "maxpool2d",
+    "maxpool2d_backward",
 ]
 
 
@@ -65,16 +68,10 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 # ----------------------------------------------------------------------
 # im2col / col2im
 # ----------------------------------------------------------------------
-def im2col_indices(
-    c: int, h: int, w: int, kh: int, kw: int, stride: int, pad: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Precompute gather indices for :func:`im2col`.
-
-    Returns ``(k, i, j, out_h, out_w)`` where fancy-indexing a padded input
-    of shape ``(N, C, H+2p, W+2p)`` with ``[:, k, i, j]`` yields the column
-    tensor of shape ``(N, C*kh*kw, out_h*out_w)``. The index triple only
-    depends on geometry, so callers cache it per layer.
-    """
+def conv_output_size(
+    h: int, w: int, kh: int, kw: int, stride: int, pad: int
+) -> tuple[int, int]:
+    """Spatial output size ``(out_h, out_w)`` of a ``kh×kw`` convolution."""
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w + 2 * pad - kw) // stride + 1
     if out_h <= 0 or out_w <= 0:
@@ -82,47 +79,109 @@ def im2col_indices(
             f"conv geometry yields empty output: input {h}x{w}, kernel {kh}x{kw}, "
             f"stride {stride}, pad {pad}"
         )
-
-    i0 = np.repeat(np.arange(kh), kw)
-    i0 = np.tile(i0, c)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * c)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)  # (C*kh*kw, out_h*out_w)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(c), kh * kw).reshape(-1, 1)
-    return k, i, j, out_h, out_w
+    return out_h, out_w
 
 
 def im2col(
-    x: np.ndarray,
-    indices: tuple[np.ndarray, np.ndarray, np.ndarray, int, int],
-    pad: int,
+    x: np.ndarray, kh: int, kw: int, stride: int, pad: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Unfold ``(N, C, H, W)`` into columns ``(N, C*kh*kw, out_h*out_w)``."""
-    k, i, j, _, _ = indices
+    """Unfold ``(N, C, H, W)`` into columns ``(N, C*kh*kw, out_h*out_w)``.
+
+    One strided window view ``(N, C, kh, kw, out_h, out_w)`` over the
+    zero-padded input, copied once into a C-contiguous array: ``out`` if
+    given, else a fresh one (never a view of ``x``, so layers may hold it
+    across the caller's next step).
+    """
+    n, c, h, w = x.shape
+    out_h, out_w = conv_output_size(h, w, kh, kw, stride, pad)
     if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
-    return x[:, k, i, j]
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad:-pad, pad:-pad] = x
+        x = padded
+    sn, sc, sh, sw = x.strides
+    windows = as_strided(
+        x,
+        shape=(n, c, kh, kw, out_h, out_w),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    )
+    if out is None:
+        out = np.empty((n, c * kh * kw, out_h * out_w), dtype=x.dtype)
+    out.reshape(n, c, kh, kw, out_h, out_w)[...] = windows
+    return out
 
 
 def col2im(
-    cols: np.ndarray,
-    x_shape: tuple[int, int, int, int],
-    indices: tuple[np.ndarray, np.ndarray, np.ndarray, int, int],
-    pad: int,
+    cols: np.ndarray, x_shape: tuple[int, int, int, int], kh: int, kw: int, stride: int, pad: int
 ) -> np.ndarray:
     """Fold columns back into an input-shaped gradient, summing overlaps.
 
     This is the adjoint of :func:`im2col` — exactly what the conv backward
-    pass needs for the input gradient.
+    pass needs for the input gradient. Kernel offset ``(a, b)`` touches each
+    padded cell at most once, so ``kh*kw`` strided-slice adds in ascending
+    ``(a, b)`` order accumulate every cell in the same order as an
+    element-wise scatter-add over the column rows.
     """
     n, c, h, w = x_shape
-    k, i, j, _, _ = indices
+    out_h, out_w = conv_output_size(h, w, kh, kw, stride, pad)
     padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    # Scatter-add: duplicate (k,i,j) triples (overlapping windows) must sum.
-    np.add.at(padded, (slice(None), k, i, j), cols)
+    windows = cols.reshape(n, c, kh, kw, out_h, out_w)
+    h_span = stride * (out_h - 1) + 1
+    w_span = stride * (out_w - 1) + 1
+    for a in range(kh):
+        for b in range(kw):
+            padded[:, :, a : a + h_span : stride, b : b + w_span : stride] += (
+                windows[:, :, a, b]
+            )
     if pad > 0:
         return padded[:, :, pad:-pad, pad:-pad]
     return padded
+
+
+# ----------------------------------------------------------------------
+# Non-overlapping max pooling over the last two axes (leading axes free)
+# ----------------------------------------------------------------------
+def maxpool2d(
+    x: np.ndarray, k: int, *, need_grad: bool = True
+) -> tuple[np.ndarray, tuple[list[np.ndarray], np.ndarray] | None]:
+    """``k×k`` max pooling of ``(..., H, W)``, floor-truncating ragged edges.
+
+    Works on the ``k²`` strided slices ``x[..., i::k, j::k]`` rather than
+    reducing a doubly strided axis pair. Returns ``(out, ctx)``; ``ctx``
+    (``None`` unless ``need_grad``) holds the per-slice masks of positions
+    equal to the window max and the per-window tie counts. The counts are
+    float32, so a float32 gradient is split by one float32 division — the
+    same bits as dividing in float64 and rounding back (DESIGN.md §17).
+    """
+    h, w = x.shape[-2:]
+    xt = x[..., : (h // k) * k, : (w // k) * k]
+    slices = [xt[..., i::k, j::k] for i in range(k) for j in range(k)]
+    out = slices[0].copy()
+    for s in slices[1:]:
+        np.maximum(out, s, out=out)
+    if not need_grad:
+        return out, None
+    masks = [s == out for s in slices]
+    ties = masks[0].astype(np.float32)
+    for m in masks[1:]:
+        ties += m
+    return out, (masks, ties)
+
+
+def maxpool2d_backward(
+    grad_out: np.ndarray,
+    ctx: tuple[list[np.ndarray], np.ndarray],
+    x_shape: tuple[int, ...],
+    k: int,
+) -> np.ndarray:
+    """Input gradient of :func:`maxpool2d`: the upstream gradient split
+    evenly among tied maxima, so the pooled gradient sum is conserved."""
+    masks, ties = ctx
+    h, w = x_shape[-2:]
+    g = grad_out / ties
+    grad = np.zeros(x_shape, dtype=grad_out.dtype)
+    sub = grad[..., : (h // k) * k, : (w // k) * k]
+    for idx, mask in enumerate(masks):
+        i, j = divmod(idx, k)
+        sub[..., i::k, j::k] = mask * g
+    return grad

@@ -19,6 +19,10 @@ class Linear(Module):
     ``fc2.weight`` match the layer names quoted in the paper's figures.
     """
 
+    #: Set False on a model's first layer: nothing consumes its input
+    #: gradient, so ``backward`` skips dX and returns ``None``.
+    compute_dx: bool = True
+
     def __init__(
         self,
         in_features: int,
@@ -38,13 +42,13 @@ class Linear(Module):
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        self._x = x if self.training else None
         out = x @ self.weight.data.T
         if self.bias is not None:
             out += self.bias.data
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         x = self._x
         if x is None:
             raise RuntimeError("Linear.backward called before forward")
@@ -52,21 +56,26 @@ class Linear(Module):
         self.weight.grad += grad_out.T @ x
         if self.bias is not None:
             self.bias.grad += grad_out.sum(axis=0)
+        if not self.compute_dx:
+            return None
         return grad_out @ self.weight.data
 
 
 class ReLU(Module):
     def __init__(self) -> None:
         super().__init__()
-        self._x: np.ndarray | None = None
+        self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        # The boolean mask is a quarter of the bytes of the float32 input.
+        self._mask = x > 0.0 if self.training else None
         return F.relu(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, self._x = self._x, None
-        return F.relu_grad(x, grad_out)
+        if self._mask is None:
+            raise RuntimeError("ReLU.backward called before forward")
+        mask, self._mask = self._mask, None
+        return grad_out * mask
 
 
 class Tanh(Module):

@@ -35,6 +35,7 @@ class LeNetCNN(Module):
         rng = rng or np.random.default_rng()
         c1, c2 = conv_channels
         self.conv1 = Conv2d(in_channels, c1, 3, padding=1, rng=rng)
+        self.conv1.compute_dx = False  # nothing consumes the image gradient
         self.relu1 = ReLU()
         self.pool1 = MaxPool2d(2)
         self.conv2 = Conv2d(c1, c2, 3, padding=1, rng=rng)

@@ -101,6 +101,7 @@ class WideResNet(Module):
         widths = [base_width, base_width * widen_factor,
                   2 * base_width * widen_factor, 4 * base_width * widen_factor]
         self.conv1 = Conv2d(in_channels, widths[0], 3, padding=1, bias=False, rng=rng)
+        self.conv1.compute_dx = False  # nothing consumes the image gradient
         self.conv2 = self._make_group(widths[0], widths[1], n, stride=1, dropout=dropout, norm=norm, rng=rng)
         self.conv3 = self._make_group(widths[1], widths[2], n, stride=2, dropout=dropout, norm=norm, rng=rng)
         self.conv4 = self._make_group(widths[2], widths[3], n, stride=2, dropout=dropout, norm=norm, rng=rng)

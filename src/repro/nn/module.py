@@ -28,6 +28,13 @@ __all__ = ["Module"]
 class Module:
     """Base layer with parameter registration and mode switching."""
 
+    #: Replaced whenever any module registers a Parameter or submodule. A
+    #: module cannot see registrations on its descendants, so every cached
+    #: :meth:`parameters` list is stamped with this token and rebuilt once
+    #: stale (an ``object()``, not a counter, so a stamp that went through
+    #: pickle or deepcopy never matches).
+    _structure_token = object()
+
     def __init__(self) -> None:
         # OrderedDicts keep parameter order deterministic, which matters for
         # flattened-update comparisons in tests and for reproducible
@@ -36,21 +43,25 @@ class Module:
         object.__setattr__(self, "_buffers", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
         object.__setattr__(self, "training", True)
+        object.__setattr__(self, "_param_cache", None)
 
     # ------------------------------------------------------------------
     # Registration via attribute assignment
     # ------------------------------------------------------------------
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
-            self._parameters[name] = value
-        elif isinstance(value, Module):
+            self.register_parameter(name, value)
+            return
+        if isinstance(value, Module):
             self._modules[name] = value
+            Module._structure_token = object()
         object.__setattr__(self, name, value)
 
     def register_parameter(self, name: str, param: Parameter) -> None:
         """Register a parameter under a name that is not a valid attribute
         (e.g. ``weight_ih_l0`` lives in a dict inside :class:`LSTM`)."""
         self._parameters[name] = param
+        Module._structure_token = object()
         object.__setattr__(self, name, param)
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
@@ -81,8 +92,16 @@ class Module:
             yield from module.named_parameters(prefix=f"{prefix}{name}.")
 
     def parameters(self) -> list[Parameter]:
-        """All parameters, depth-first (matching ``named_parameters``)."""
-        return [p for _, p in self.named_parameters()]
+        """All parameters, depth-first (matching ``named_parameters``).
+
+        The list is cached until the next registration anywhere; treat it
+        as read-only.
+        """
+        cache = self._param_cache
+        if cache is None or cache[0] is not Module._structure_token:
+            cache = (Module._structure_token, [p for _, p in self.named_parameters()])
+            object.__setattr__(self, "_param_cache", cache)
+        return cache[1]
 
     def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
         """Yield ``(dotted_name, array)`` for every registered buffer."""

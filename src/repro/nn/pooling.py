@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import functional as F
 from .module import Module
 
 __all__ = ["MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
@@ -12,10 +13,9 @@ __all__ = ["MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
 class MaxPool2d(Module):
     """Non-overlapping max pooling (``stride == kernel_size``).
 
-    The forward reshapes ``(N, C, H, W)`` into pooling windows with a view
-    (no copy) and records the argmax mask for the backward scatter.
     Inputs whose spatial dims are not multiples of the kernel are truncated,
-    matching torch's floor-mode behaviour.
+    matching torch's floor-mode behaviour. Ties propagate gradient to every
+    maximal element, split evenly (:func:`repro.nn.functional.maxpool2d`).
     """
 
     def __init__(self, kernel_size: int) -> None:
@@ -23,39 +23,19 @@ class MaxPool2d(Module):
         if kernel_size < 1:
             raise ValueError("kernel_size must be >= 1")
         self.kernel_size = kernel_size
-        self._mask: np.ndarray | None = None
+        self._mask: tuple[list[np.ndarray], np.ndarray] | None = None
         self._x_shape: tuple[int, ...] | None = None
-        self._trunc: tuple[int, int] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        n, c, h, w = x.shape
-        th, tw = (h // k) * k, (w // k) * k
         self._x_shape = x.shape
-        self._trunc = (th, tw)
-        xt = x[:, :, :th, :tw]
-        windows = xt.reshape(n, c, th // k, k, tw // k, k)
-        out = windows.max(axis=(3, 5))
-        # Mask marks, within each window, the positions equal to the max.
-        # Ties propagate gradient to every maximal element; acceptable for
-        # training and keeps the backward a pure broadcast.
-        self._mask = windows == out[:, :, :, None, :, None]
-        self._tie_counts = self._mask.sum(axis=(3, 5))
+        out, self._mask = F.maxpool2d(x, self.kernel_size, need_grad=self.training)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        n, c, h, w = self._x_shape
-        th, tw = self._trunc
-        # Split gradient evenly among tied maxima so the pooled gradient sum
-        # is conserved (an invariant the property tests check).
-        g = grad_out / self._tie_counts
-        grad_windows = self._mask * g[:, :, :, None, :, None]
-        self._mask = None
-        self._tie_counts = None
-        grad = np.zeros(self._x_shape, dtype=grad_out.dtype)
-        grad[:, :, :th, :tw] = grad_windows.reshape(n, c, th, tw)
-        return grad
+        if self._mask is None:
+            raise RuntimeError("MaxPool2d.backward called before forward")
+        ctx, self._mask = self._mask, None
+        return F.maxpool2d_backward(grad_out, ctx, self._x_shape, self.kernel_size)
 
 
 class AvgPool2d(Module):

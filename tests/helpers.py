@@ -85,3 +85,71 @@ def assert_grads_close(
             param_grads[name], num, rtol=rtol, atol=atol,
             err_msg=f"parameter gradient mismatch for {name}",
         )
+
+
+# ----------------------------------------------------------------------
+# Reference conv/pool kernels: the gather / scatter-add / window-view
+# formulations `repro.nn.functional` replaced. Tests require the shipped
+# kernels to be bytes-equal to these.
+# ----------------------------------------------------------------------
+def im2col_indices(
+    c: int, h: int, w: int, kh: int, kw: int, stride: int, pad: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather indices ``(k, i, j)``: fancy-indexing a padded input of shape
+    ``(N, C, H+2p, W+2p)`` with ``[:, k, i, j]`` yields the column tensor of
+    shape ``(N, C*kh*kw, out_h*out_w)``."""
+    out_h = (h + 2 * pad - kh) // stride + 1
+    out_w = (w + 2 * pad - kw) // stride + 1
+    i0 = np.tile(np.repeat(np.arange(kh), kw), c)
+    i1 = stride * np.repeat(np.arange(out_h), out_w)
+    j0 = np.tile(np.arange(kw), kh * c)
+    j1 = stride * np.tile(np.arange(out_w), out_h)
+    i = i0.reshape(-1, 1) + i1.reshape(1, -1)  # (C*kh*kw, out_h*out_w)
+    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
+    k = np.repeat(np.arange(c), kh * kw).reshape(-1, 1)
+    return k, i, j
+
+
+def im2col_reference(
+    x: np.ndarray, kh: int, kw: int, stride: int, pad: int
+) -> np.ndarray:
+    """``np.pad`` + fancy-index gather."""
+    k, i, j = im2col_indices(x.shape[1], x.shape[2], x.shape[3], kh, kw, stride, pad)
+    if pad > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
+    return x[:, k, i, j]
+
+
+def col2im_reference(
+    cols: np.ndarray,
+    x_shape: tuple[int, int, int, int],
+    kh: int,
+    kw: int,
+    stride: int,
+    pad: int,
+) -> np.ndarray:
+    """``np.add.at`` scatter-add over the gather indices."""
+    n, c, h, w = x_shape
+    k, i, j = im2col_indices(c, h, w, kh, kw, stride, pad)
+    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    np.add.at(padded, (slice(None), k, i, j), cols)
+    if pad > 0:
+        return padded[:, :, pad:-pad, pad:-pad]
+    return padded
+
+
+def maxpool_reference(
+    x: np.ndarray, k: int, grad_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(out, grad_in)`` of non-overlapping max pooling through a 6-D
+    window view: ``windows.max(axis=(3, 5))``, equality mask, tie counts by
+    ``mask.sum``, gradient split ``g / ties`` broadcast through the mask."""
+    n, c, h, w = x.shape
+    th, tw = (h // k) * k, (w // k) * k
+    windows = x[:, :, :th, :tw].reshape(n, c, th // k, k, tw // k, k)
+    out = windows.max(axis=(3, 5))
+    mask = windows == out[:, :, :, None, :, None]
+    g = grad_out / mask.sum(axis=(3, 5))
+    grad = np.zeros(x.shape, dtype=grad_out.dtype)
+    grad[:, :, :th, :tw] = (mask * g[:, :, :, None, :, None]).reshape(n, c, th, tw)
+    return out, grad

@@ -142,12 +142,9 @@ class TestCohortLayers:
     def test_conv_property_matches_serial(
         self, in_ch, out_ch, k, stride, pad_frac, hw, batch, cohort, seed
     ):
-        """Forward/backward parity over random conv geometries.
-
-        ``stride == 1`` with ``padding <= k - 1`` exercises the
-        transposed-convolution input-gradient path; everything else falls
-        back to the col2im scatter.  Both must match the serial layer.
-        """
+        """Forward/backward parity over random conv geometries (the cohort
+        layer folds the member axis into the serial layer's im2col /
+        col2im helpers and batched GEMMs)."""
         pad = min(pad_frac, k - 1)
         rng = np.random.default_rng(seed)
         serial = [
@@ -177,6 +174,31 @@ class TestCohortLayers:
                 layer.bias.grad[i], m.bias.grad, rtol=1e-3, atol=1e-4
             )
 
+    def test_conv_reuses_its_column_buffers_across_steps(self):
+        """The cohort conv keeps its padded and column buffers between
+        steps: a second batch, and then a different batch width, must not
+        see anything of the previous one."""
+        rng = np.random.default_rng(11)
+        serial = Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(1))
+        layer = CConv2d("", serial, 1)
+        layer.weight.data[0] = serial.weight.data
+        layer.bias.data[0] = serial.bias.data
+        seen = []
+        for batch in (4, 4, 2):
+            x = rng.normal(size=(1, batch, 2, 5, 5)).astype(np.float32)
+            out = layer.forward(x)
+            seen.append((layer._padded, layer._cols_buf))
+            g = rng.normal(size=out.shape).astype(np.float32)
+            dx = layer.backward(g)
+            layer.weight.zero_grad()
+            serial.zero_grad()
+            ref_out = serial.forward(x[0])
+            ref_dx = serial.backward(g[0])
+            np.testing.assert_allclose(out[0], ref_out, rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(dx[0], ref_dx, rtol=1e-5, atol=1e-6)
+        assert seen[0][0] is seen[1][0] and seen[0][1] is seen[1][1]
+        assert seen[2][0] is not seen[1][0] and seen[2][1] is not seen[1][1]
+
     def test_maxpool_tie_splitting_matches_serial(self):
         from repro.nn.cohort import CMaxPool2d
 
@@ -194,6 +216,25 @@ class TestCohortLayers:
             ref_dx = serial.backward(g[i])
             np.testing.assert_allclose(out[i], ref_out, rtol=0, atol=0)
             np.testing.assert_allclose(dx[i], ref_dx, rtol=RTOL, atol=ATOL)
+
+    def test_maxpool_width_one_is_bytes_equal_to_serial(self):
+        """Both classes run ``F.maxpool2d`` / ``F.maxpool2d_backward``; a
+        width-1 cohort is the serial layer with one more leading axis."""
+        from repro.nn.cohort import CMaxPool2d
+
+        rng = np.random.default_rng(5)
+        for k, hw in [(2, 8), (2, 7), (3, 10)]:
+            serial = MaxPool2d(k)
+            layer = CMaxPool2d(serial)
+            x = rng.integers(0, 4, size=(3, 4, hw, hw)).astype(np.float32)
+            ref_out = serial.forward(x)
+            g = rng.normal(size=ref_out.shape).astype(np.float32)
+            ref_dx = serial.backward(g)
+            out = layer.forward(x[None])
+            dx = layer.backward(g[None])
+            assert out.shape == (1,) + ref_out.shape and dx.shape == (1,) + x.shape
+            assert out.tobytes() == ref_out.tobytes()
+            assert dx.tobytes() == ref_dx.tobytes()
 
     def test_loss_matches_serial_with_ragged_counts(self):
         rng = np.random.default_rng(2)
@@ -292,6 +333,25 @@ class TestCohortModel:
             if not np.array_equal(p.data[0], before[name]):
                 moved += 1
         assert frozen > 0 and moved > 0
+
+    def test_all_active_mask_steps_like_the_masked_formula(self):
+        """With every member active the step skips the mask multiply;
+        ``lr * grad * 1.0`` is ``lr * grad`` exactly, so the bytes match."""
+        c = 3
+        members = clone_members(model_fn, c)
+        cohort = build_cohort_model(members[0], c)
+        cohort.load_global(members[0].state_dict())
+        rng = np.random.default_rng(3)
+        for p in cohort.params.values():
+            p.grad[...] = rng.normal(size=p.grad.shape)
+        lr, wd = 0.1, 0.01
+        expected = {}
+        for name, p in cohort.params.items():
+            mask = np.ones((c,) + (1,) * (p.data.ndim - 1), dtype=np.float32)
+            expected[name] = p.data - lr * (p.grad + wd * p.data) * mask
+        CohortSGD(cohort, lr, weight_decay=wd).step(np.ones(c, dtype=bool))
+        for name, p in cohort.params.items():
+            assert p.data.tobytes() == expected[name].tobytes(), name
 
     def test_dropout_draws_member_rngs(self):
         """A model with Dropout must consume each member's own serial RNG

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import functional as F
+
+from .helpers import col2im_reference, im2col_reference
 
 RNG = np.random.default_rng(3)
 
@@ -58,41 +62,88 @@ class TestSoftmax:
 
 class TestIm2Col:
     def test_geometry(self):
-        k, i, j, oh, ow = F.im2col_indices(3, 8, 8, 3, 3, 1, 1)
-        assert (oh, ow) == (8, 8)
-        assert k.shape == (3 * 9, 1)
-        assert i.shape == (27, 64)
+        assert F.conv_output_size(8, 8, 3, 3, 1, 1) == (8, 8)
+        cols = F.im2col(np.zeros((2, 3, 8, 8), dtype=np.float32), 3, 3, 1, 1)
+        assert cols.shape == (2, 3 * 9, 64)
+        assert cols.flags.c_contiguous
 
     def test_stride_geometry(self):
-        _, _, _, oh, ow = F.im2col_indices(1, 8, 8, 3, 3, 2, 1)
-        assert (oh, ow) == (4, 4)
+        assert F.conv_output_size(8, 8, 3, 3, 2, 1) == (4, 4)
 
     def test_empty_output_raises(self):
         with pytest.raises(ValueError):
-            F.im2col_indices(1, 2, 2, 5, 5, 1, 0)
+            F.conv_output_size(2, 2, 5, 5, 1, 0)
+        with pytest.raises(ValueError):
+            F.im2col(np.zeros((1, 1, 2, 2)), 5, 5, 1, 0)
 
     def test_im2col_extracts_patches(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        idx = F.im2col_indices(1, 4, 4, 2, 2, 1, 0)
-        cols = F.im2col(x, idx, 0)
+        cols = F.im2col(x, 2, 2, 1, 0)
         # First column is the top-left 2x2 patch.
         np.testing.assert_array_equal(cols[0, :, 0], [0, 1, 4, 5])
         # Last column is the bottom-right patch.
         np.testing.assert_array_equal(cols[0, :, -1], [10, 11, 14, 15])
 
+    def test_im2col_never_aliases_its_input(self):
+        # k=1, stride=1, pad=0 is a pure reshape; layers hold the columns
+        # until backward, so they must still be a copy.
+        x = RNG.normal(size=(2, 3, 4, 4))
+        cols = F.im2col(x, 1, 1, 1, 0)
+        assert not np.shares_memory(cols, x)
+
     def test_col2im_accumulates_overlaps(self):
         # All-ones columns: each input position receives one contribution per
         # window that covers it.
-        idx = F.im2col_indices(1, 3, 3, 2, 2, 1, 0)
         cols = np.ones((1, 4, 4))
-        out = F.col2im(cols, (1, 1, 3, 3), idx, 0)
+        out = F.col2im(cols, (1, 1, 3, 3), 2, 2, 1, 0)
         np.testing.assert_array_equal(
             out[0, 0], [[1, 2, 1], [2, 4, 2], [1, 2, 1]]
         )
 
     def test_padding_roundtrip_shape(self):
         x = RNG.normal(size=(2, 2, 5, 5))
-        idx = F.im2col_indices(2, 5, 5, 3, 3, 1, 1)
-        cols = F.im2col(x, idx, 1)
-        back = F.col2im(cols, x.shape, idx, 1)
+        cols = F.im2col(x, 3, 3, 1, 1)
+        back = F.col2im(cols, x.shape, 3, 3, 1, 1)
         assert back.shape == x.shape
+
+    @given(
+        n=st.integers(1, 3),
+        c=st.integers(1, 3),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        k=st.integers(1, 5),
+        stride=st.integers(1, 3),
+        pad=st.integers(0, 2),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_bytes_equal_to_gather_and_scatter_add_reference(
+        self, n, c, h, w, k, stride, pad, seed
+    ):
+        """The strided-view ``im2col`` is pure data movement, and the
+        slice-accumulate ``col2im`` adds into every cell in the order
+        ``np.add.at`` does — so both are bytes-equal to the reference
+        formulations in float32, not merely close."""
+        if h + 2 * pad < k or w + 2 * pad < k:
+            return
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+        cols = F.im2col(x, k, k, stride, pad)
+        ref_cols = im2col_reference(x, k, k, stride, pad)
+        assert cols.dtype == ref_cols.dtype and cols.shape == ref_cols.shape
+        assert cols.tobytes() == ref_cols.tobytes()
+        # Wide-magnitude columns make any change of summation order visible.
+        y = rng.normal(size=cols.shape) * 10.0 ** rng.integers(-3, 4, size=cols.shape)
+        y = y.astype(np.float32)
+        back = F.col2im(y, x.shape, k, k, stride, pad)
+        ref_back = col2im_reference(y, x.shape, k, k, stride, pad)
+        assert back.dtype == ref_back.dtype and back.shape == ref_back.shape
+        assert back.tobytes() == ref_back.tobytes()
+
+    def test_non_square_kernel(self):
+        x = RNG.normal(size=(2, 2, 5, 7)).astype(np.float32)
+        cols = F.im2col(x, 2, 3, 1, 1)
+        assert cols.tobytes() == im2col_reference(x, 2, 3, 1, 1).tobytes()
+        y = RNG.normal(size=cols.shape).astype(np.float32)
+        back = F.col2im(y, x.shape, 2, 3, 1, 1)
+        assert back.tobytes() == col2im_reference(y, x.shape, 2, 3, 1, 1).tobytes()

@@ -21,7 +21,12 @@ from repro.nn import (
     Tanh,
 )
 
-from .helpers import assert_grads_close
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.nn import BatchNorm2d, LeNetCNN, WideResNet
+
+from .helpers import assert_grads_close, maxpool_reference
 
 RNG = np.random.default_rng(0)
 
@@ -117,6 +122,37 @@ class TestModule:
         m.zero_grad()
         assert all(np.all(p.grad == 0) for p in m.parameters())
 
+    def test_parameters_list_is_cached_and_matches_named_parameters(self):
+        model = Sequential(Linear(4, 3, rng=RNG), ReLU(), Linear(3, 2, rng=RNG))
+        first = model.parameters()
+        assert model.parameters() is first
+        assert [id(p) for p in first] == [id(p) for _, p in model.named_parameters()]
+        assert [p.name for p in first] == ["0.weight", "0.bias", "2.weight", "2.bias"]
+
+    def test_parameters_cache_sees_registration_on_a_descendant(self):
+        inner = Sequential(Linear(4, 3, rng=RNG))
+        model = Sequential(inner)
+        assert len(model.parameters()) == 2
+        # Neither assignment touches `model` itself.
+        inner.extra = Linear(3, 2, rng=RNG)
+        assert len(model.parameters()) == 4
+        replacement = Parameter(np.zeros((3, 4), dtype=np.float32))
+        inner._modules["0"].weight = replacement
+        assert model.parameters()[0] is replacement
+        inner._modules["0"].register_parameter("scale", Parameter(np.ones(1)))
+        assert len(model.parameters()) == 5
+
+    def test_parameters_cache_does_not_survive_deepcopy_stale(self):
+        import copy
+
+        model = Sequential(Linear(4, 3, rng=RNG))
+        model.parameters()
+        clone = copy.deepcopy(model)
+        assert [id(p) for p in clone.parameters()] == [
+            id(p) for _, p in clone.named_parameters()
+        ]
+        assert clone.parameters()[0] is not model.parameters()[0]
+
 
 # ----------------------------------------------------------------------
 # Linear
@@ -132,6 +168,17 @@ class TestLinear:
         m = Linear(4, 3, bias=False, rng=RNG)
         assert m.bias is None
         assert [n for n, _ in m.named_parameters()] == ["weight"]
+
+    def test_compute_dx_false_leaves_parameter_grads_bytes_equal(self):
+        x = randn(5, 4)
+        grads = {}
+        for compute_dx in (True, False):
+            m = Linear(4, 3, rng=np.random.default_rng(2))
+            m.compute_dx = compute_dx
+            dx = m.backward(np.ones_like(m(x)))
+            assert (dx is None) == (not compute_dx)
+            grads[compute_dx] = [p.grad.tobytes() for p in m.parameters()]
+        assert grads[True] == grads[False]
 
     def test_gradcheck(self):
         assert_grads_close(Linear(4, 3, rng=RNG), randn(5, 4))
@@ -265,6 +312,123 @@ class TestConv2d:
         with pytest.raises(ValueError):
             m(randn(1, 1, 3, 3))
 
+    @given(
+        n=st.integers(1, 4),
+        c=st.integers(1, 4),
+        f=st.integers(1, 5),
+        hw=st.integers(3, 9),
+        k=st.integers(1, 3),
+        stride=st.integers(1, 2),
+        pad=st.integers(0, 1),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_float64_einsum_reference(self, n, c, f, hw, k, stride, pad, seed):
+        """The three GEMMs against a float64 einsum over explicit windows:
+        out, dW, db, dX within 1e-5 of the reference's scale, and the output
+        C-contiguous (the planned einsum returned an (N, L, F)-strided one)."""
+        rng = np.random.default_rng(seed)
+        m = Conv2d(c, f, k, stride=stride, padding=pad, rng=rng)
+        m.bias.data[...] = rng.normal(size=f)
+        x = rng.normal(size=(n, c, hw, hw)).astype(np.float32)
+        out = m(x)
+        assert out.flags.c_contiguous and out.dtype == np.float32
+        g = rng.normal(size=out.shape).astype(np.float32)
+        dx = m.backward(g)
+
+        oh, ow = out.shape[2:]
+        xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        win = np.empty((n, c, k, k, oh, ow))
+        for a in range(k):
+            for b in range(k):
+                win[:, :, a, b] = xp[
+                    :, :, a : a + stride * oh : stride, b : b + stride * ow : stride
+                ]
+        w64, g64 = m.weight.data.astype(np.float64), g.astype(np.float64)
+        ref_out = np.einsum("fcab,ncabyx->nfyx", w64, win) + m.bias.data[None, :, None, None]
+        ref_dw = np.einsum("nfyx,ncabyx->fcab", g64, win)
+        dwin = np.einsum("fcab,nfyx->ncabyx", w64, g64)
+        ref_dxp = np.zeros_like(xp)
+        for a in range(k):
+            for b in range(k):
+                ref_dxp[
+                    :, :, a : a + stride * oh : stride, b : b + stride * ow : stride
+                ] += dwin[:, :, a, b]
+        ref_dx = ref_dxp[:, :, pad : pad + hw, pad : pad + hw]
+
+        def close(got, ref):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-5 * max(1.0, np.abs(ref).max()))
+
+        close(out, ref_out)
+        close(m.weight.grad, ref_dw)
+        close(m.bias.grad, g64.sum(axis=(0, 2, 3)))
+        close(dx, ref_dx)
+
+    def test_compute_dx_false_leaves_parameter_grads_bytes_equal(self):
+        x = randn(4, 3, 8, 8)
+        grads = {}
+        for compute_dx in (True, False):
+            m = Conv2d(3, 5, 3, stride=2, padding=1, rng=np.random.default_rng(4))
+            m.compute_dx = compute_dx
+            out = m(x)
+            dx = m.backward(np.ones_like(out))
+            assert (dx is None) == (not compute_dx)
+            grads[compute_dx] = [p.grad.tobytes() for p in m.parameters()]
+        assert grads[True] == grads[False]
+
+    def test_models_skip_dx_on_their_first_layer_only(self):
+        for model in (LeNetCNN(rng=RNG), WideResNet(rng=RNG)):
+            skipping = [
+                name for name, mod in model.named_modules()
+                if not getattr(mod, "compute_dx", True)
+            ]
+            assert skipping == ["conv1"]
+
+    def test_model_grads_bytes_equal_with_and_without_first_layer_dx(self):
+        x = randn(4, 3, 12, 12)
+        grads = {}
+        for compute_dx in (True, False):
+            model = LeNetCNN(rng=np.random.default_rng(9))
+            model.conv1.compute_dx = compute_dx
+            out = model(x)
+            model.backward(np.ones_like(out))
+            grads[compute_dx] = [p.grad.tobytes() for p in model.parameters()]
+        assert grads[True] == grads[False]
+
+
+class TestEvalModeRetainsNothing:
+    """An eval-mode forward has no backward to feed: layers must not pin
+    their activations (the test-set batch is the largest the model sees)."""
+
+    @pytest.mark.parametrize(
+        "layer,shape,attr",
+        [
+            (Conv2d(2, 3, 3, padding=1, rng=RNG), (2, 2, 6, 6), "_cols"),
+            (Linear(4, 3, rng=RNG), (5, 4), "_x"),
+            (ReLU(), (3, 4), "_mask"),
+            (MaxPool2d(2), (1, 2, 4, 4), "_mask"),
+        ],
+    )
+    def test_forward_keeps_nothing_and_backward_raises(self, layer, shape, attr):
+        x = randn(*shape)
+        expected = layer(x)
+        assert getattr(layer, attr) is not None
+        layer.backward(np.ones_like(expected))
+        layer.eval()
+        out = layer(x)
+        assert out.tobytes() == expected.tobytes()
+        assert getattr(layer, attr) is None
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            layer.backward(np.ones_like(out))
+
+    def test_batchnorm_keeps_nothing(self):
+        m = BatchNorm2d(2)
+        m(randn(4, 2, 3, 3))
+        assert m._cache is not None
+        m.eval()
+        m(randn(4, 2, 3, 3))
+        assert m._cache is None
+
 
 # ----------------------------------------------------------------------
 # Pooling
@@ -294,6 +458,48 @@ class TestPooling:
         m = MaxPool2d(2)
         out = m(randn(1, 1, 5, 5))
         assert out.shape == (1, 1, 2, 2)
+
+    @given(
+        n=st.integers(1, 3),
+        c=st.integers(1, 3),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        k=st.integers(1, 3),
+        levels=st.sampled_from([2, 3, 0]),  # few levels => many ties; 0 => none
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_maxpool_bytes_equal_to_window_view_reference(
+        self, n, c, h, w, k, levels, seed
+    ):
+        """Max and integer tie counts are exact, so the k² strided-slice
+        kernel is bytes-equal to the 6-D window-view formulation it
+        replaced — ties and truncated (non-multiple) inputs included."""
+        if h < k or w < k:
+            return
+        rng = np.random.default_rng(seed)
+        if levels:
+            x = rng.integers(0, levels, size=(n, c, h, w)).astype(np.float32)
+        else:
+            x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+        m = MaxPool2d(k)
+        out = m(x)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        grad = m.backward(g)
+        ref_out, ref_grad = maxpool_reference(x, k, g)
+        assert out.shape == ref_out.shape and out.dtype == ref_out.dtype
+        assert out.tobytes() == ref_out.tobytes()
+        assert grad.shape == x.shape and grad.dtype == ref_grad.dtype
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert not np.shares_memory(out, x)
+        assert m._mask is None  # consumed by backward
+
+    def test_maxpool_declares_its_state(self):
+        assert vars(MaxPool2d(2)).keys() >= {"_mask", "_x_shape"}
+        m = MaxPool2d(2)
+        declared = set(vars(m))
+        m.backward(np.ones_like(m(randn(1, 1, 4, 4))))
+        assert set(vars(m)) == declared
 
     def test_avgpool_forward(self):
         m = AvgPool2d(2)
