@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .progress import statistical_progress
+from .progress import progress_curve
 from .sampling import LayerSampler
 
 __all__ = ["ProfiledCurves", "AnchorRecorder", "is_anchor_round"]
@@ -116,27 +116,15 @@ class AnchorRecorder:
         if not self._snapshots:
             raise RuntimeError("no snapshots recorded for this anchor round")
         k = len(self._snapshots)
-        final = self._snapshots[-1]
         layer_names = list(self.sampler.indices.keys())
 
-        layer_curves: dict[str, np.ndarray] = {}
-        for name in layer_names:
-            g_k = final[name]
-            layer_curves[name] = np.array(
-                [statistical_progress(s[name], g_k) for s in self._snapshots],
-                dtype=np.float64,
-            )
-
+        layer_curves = {
+            name: progress_curve([s[name] for s in self._snapshots])
+            for name in layer_names
+        }
         # Whole-model curve: progress of the concatenated sampled vector.
-        g_k_all = np.concatenate([final[n] for n in layer_names])
-        model_curve = np.array(
-            [
-                statistical_progress(
-                    np.concatenate([s[n] for n in layer_names]), g_k_all
-                )
-                for s in self._snapshots
-            ],
-            dtype=np.float64,
+        model_curve = progress_curve(
+            [np.concatenate([s[n] for n in layer_names]) for s in self._snapshots]
         )
         curves = ProfiledCurves(
             round_index=round_index,

@@ -13,12 +13,6 @@ from .cohort import (
     cohort_supported,
 )
 from .conv import Conv2d
-from .einsum_cache import (
-    clear_path_cache,
-    einsum_path_for,
-    path_cache_info,
-    planned_einsum,
-)
 from .layers import Dropout, Flatten, Identity, Linear, ReLU, Sequential, Tanh
 from .loss import accuracy, softmax_cross_entropy
 from .models import LeNetCNN, LSTMClassifier, ResidualBlock, WideResNet, build_model
@@ -47,5 +41,4 @@ __all__ = [
     "CheckpointFormatError",
     "CohortModel", "CohortSGD", "CohortUnsupportedModel",
     "build_cohort_model", "cohort_supported", "cohort_softmax_cross_entropy",
-    "einsum_path_for", "planned_einsum", "path_cache_info", "clear_path_cache",
 ]

@@ -14,13 +14,10 @@ Implementation notes
 * Contractions use broadcast-batched ``np.matmul`` rather than folded
   ``einsum`` subscripts (``"fk,nkl->nfl"`` → ``"cfk,cnkl->cnfl"``): on this
   substrate a planned batched einsum runs 2–5× slower than ``matmul``
-  because numpy's einsum cannot dispatch batch contractions to BLAS. The
-  handful of einsums the cohort path does retain (masked per-member loss
-  reductions) go through the shared plan LRU in
-  :mod:`repro.nn.einsum_cache`.
-* Conv and max-pool layers run the serial layers' kernels
-  (``F.im2col`` / ``F.col2im`` / ``F.maxpool2d``) with the member axis
-  folded into the batch axis; only the GEMM operand shapes differ.
+  because numpy's einsum cannot dispatch batch contractions to BLAS.
+* Conv, max-pool and LSTM layers run the serial layers' kernels
+  (``F.im2col`` / ``F.col2im`` / ``F.maxpool2d`` / ``F.lstm_layer_*``)
+  over the extra member axis; only the GEMM operand shapes differ.
 * Ragged batches are handled by padding to the widest member batch and
   masking: padded rows carry exactly-zero loss gradients, so they
   contribute zeros to every parameter gradient.
@@ -42,12 +39,11 @@ import numpy as np
 
 from . import functional as F
 from .conv import Conv2d
-from .einsum_cache import planned_einsum
 from .layers import Dropout, Flatten, Identity, Linear, ReLU, Sequential, Tanh
 from .module import Module
 from .norm import GroupNorm2d
 from .pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
-from .rnn import LSTM
+from .rnn import LSTM, lstm_stack_backward, lstm_stack_forward
 
 __all__ = [
     "CohortUnsupportedModel",
@@ -433,122 +429,32 @@ class CGroupNorm2d(_CohortLayer):
 
 
 class CLSTM(_CohortLayer):
-    """Batched stacked LSTM: the python time loop is kept (it is inherently
-    sequential) but each timestep's gate matmuls advance all M clients in
-    one batched GEMM per operand."""
+    """Batched stacked LSTM: the serial layer's kernels over
+    ``(C, N, T, D)``, so each GEMM in or around the (inherently sequential)
+    time loop advances all M clients."""
 
     def __init__(self, prefix: str, ref: LSTM, cohort_size: int) -> None:
-        self.input_size = ref.input_size
-        self.hidden_size = ref.hidden_size
-        self.num_layers = ref.num_layers
-        self._p: list[tuple[CohortParameter, ...]] = []
-        for layer in range(ref.num_layers):
-            names = (
-                f"weight_ih_l{layer}", f"weight_hh_l{layer}",
-                f"bias_ih_l{layer}", f"bias_hh_l{layer}",
+        self._p: list[tuple[CohortParameter, ...]] = [
+            tuple(
+                CohortParameter(f"{prefix}{n}", cohort_size, ref._parameters[n].data.shape)
+                for n in quad
             )
-            self._p.append(
-                tuple(
-                    CohortParameter(
-                        f"{prefix}{n}", cohort_size, ref._parameters[n].data.shape
-                    )
-                    for n in names
-                )
-            )
-        self._cache: list[list[dict]] | None = None
-        self._x_shape: tuple[int, ...] | None = None
+            for quad in ref.layer_param_names()
+        ]
+        self._cache: list[tuple] | None = None
 
     def params(self) -> list[CohortParameter]:
         return [p for quad in self._p for p in quad]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        c, n, t_steps, d = x.shape
-        if d != self.input_size:
-            raise ValueError(f"expected input size {self.input_size}, got {d}")
-        h_dim = self.hidden_size
-        self._x_shape = x.shape
-        self._cache = []
-        layer_input = x
-        for layer in range(self.num_layers):
-            w_ih, w_hh, b_ih, b_hh = self._p[layer]
-            w_ih_t = w_ih.data.transpose(0, 2, 1)
-            w_hh_t = w_hh.data.transpose(0, 2, 1)
-            bias = (b_ih.data + b_hh.data)[:, None, :]
-            h = np.zeros((c, n, h_dim), dtype=np.float32)
-            cc = np.zeros((c, n, h_dim), dtype=np.float32)
-            steps: list[dict] = []
-            outputs = np.empty((c, n, t_steps, h_dim), dtype=np.float32)
-            for t in range(t_steps):
-                x_t = layer_input[:, :, t, :]
-                z = np.matmul(x_t, w_ih_t) + np.matmul(h, w_hh_t) + bias
-                i_g = F.sigmoid(z[..., :h_dim])
-                f_g = F.sigmoid(z[..., h_dim : 2 * h_dim])
-                g_g = np.tanh(z[..., 2 * h_dim : 3 * h_dim])
-                o_g = F.sigmoid(z[..., 3 * h_dim :])
-                c_new = f_g * cc + i_g * g_g
-                tanh_c = np.tanh(c_new)
-                h_new = o_g * tanh_c
-                steps.append(
-                    {
-                        "x": x_t, "h_prev": h, "c_prev": cc,
-                        "i": i_g, "f": f_g, "g": g_g, "o": o_g, "tanh_c": tanh_c,
-                    }
-                )
-                h, cc = h_new, c_new
-                outputs[:, :, t, :] = h_new
-            self._cache.append(steps)
-            layer_input = outputs
-        return layer_input[:, :, -1, :]
+        out, self._cache = lstm_stack_forward(x, self._p)
+        return out
 
-    def backward(self, grad_h_last: np.ndarray) -> np.ndarray:
+    def backward(self, grad_h_last: np.ndarray) -> np.ndarray | None:
         if self._cache is None:
             raise RuntimeError("CLSTM.backward called before forward")
-        c, n, t_steps, _ = self._x_shape
-        h_dim = self.hidden_size
-        dh_seq = np.zeros((c, n, t_steps, h_dim), dtype=np.float32)
-        dh_seq[:, :, -1, :] = grad_h_last
-        dx_seq: np.ndarray | None = None
-        for layer in range(self.num_layers - 1, -1, -1):
-            w_ih, w_hh, b_ih, b_hh = self._p[layer]
-            steps = self._cache[layer]
-            in_dim = self.input_size if layer == 0 else h_dim
-            # Stack layer 0's input gradient is the whole module's input
-            # gradient — skip the per-timestep dx matmuls when no earlier
-            # layer consumes it.
-            want_dx = layer > 0 or self.compute_dx
-            dx_seq = np.zeros((c, n, t_steps, in_dim), dtype=np.float32)
-            dh_next = np.zeros((c, n, h_dim), dtype=np.float32)
-            dc_next = np.zeros((c, n, h_dim), dtype=np.float32)
-            for t in range(t_steps - 1, -1, -1):
-                s = steps[t]
-                dh = dh_seq[:, :, t, :] + dh_next
-                do = dh * s["tanh_c"]
-                dc = dh * s["o"] * (1.0 - s["tanh_c"] ** 2) + dc_next
-                di = dc * s["g"]
-                df = dc * s["c_prev"]
-                dg = dc * s["i"]
-                dz = np.concatenate(
-                    [
-                        di * s["i"] * (1.0 - s["i"]),
-                        df * s["f"] * (1.0 - s["f"]),
-                        dg * (1.0 - s["g"] ** 2),
-                        do * s["o"] * (1.0 - s["o"]),
-                    ],
-                    axis=2,
-                )
-                dz_t = dz.transpose(0, 2, 1)  # (C, 4H, N)
-                w_ih.grad += np.matmul(dz_t, s["x"])
-                w_hh.grad += np.matmul(dz_t, s["h_prev"])
-                dbias = dz.sum(axis=1)
-                b_ih.grad += dbias
-                b_hh.grad += dbias
-                if want_dx:
-                    dx_seq[:, :, t, :] = np.matmul(dz, w_ih.data)
-                dh_next = np.matmul(dz, w_hh.data)
-                dc_next = dc * s["f"]
-            dh_seq = dx_seq
-        self._cache = None
-        return dx_seq
+        ctxs, self._cache = self._cache, None
+        return lstm_stack_backward(grad_h_last, ctxs, self._p, self.compute_dx)
 
 
 # ----------------------------------------------------------------------
@@ -769,8 +675,7 @@ def cohort_softmax_cross_entropy(
     ci = np.arange(c)[:, None]
     bi = np.arange(b)[None, :]
     picked = log_probs[ci, bi, labels]  # (C, B)
-    # Masked per-member reduction through the shared einsum-plan cache.
-    loss = -planned_einsum("cb,cb->c", picked.astype(np.float64), valid.astype(np.float64)) / safe
+    loss = -(picked.astype(np.float64) * valid).sum(axis=1) / safe
 
     grad = F.softmax(logits, axis=2)
     grad[ci, bi, labels] -= 1.0

@@ -23,6 +23,8 @@ __all__ = [
     "col2im",
     "maxpool2d",
     "maxpool2d_backward",
+    "lstm_layer_forward",
+    "lstm_layer_backward",
 ]
 
 
@@ -36,15 +38,21 @@ def relu_grad(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * (x > 0.0)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
-    # Split by sign to stay overflow-free in float32.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic sigmoid, written to ``out`` if given.
+
+    With ``e = exp(-|x|)`` (never overflows) the two branches of the stable
+    form share a denominator: ``1 / (1 + e)`` for ``x ≥ 0``, ``e / (1 + e)``
+    for ``x < 0``. ``sign(x)`` is ``1 ≥ e`` on the first branch (``±0`` at
+    zero, where ``e = 1``) and ``-1 < e`` on the second, so
+    ``maximum(e, sign(x))`` selects the numerator without a boolean mask —
+    each element sees the same float ops as a masked gather/scatter would
+    apply (DESIGN.md §18).
+    """
+    e = np.exp(-np.abs(x))
+    num = np.maximum(e, np.sign(x))
+    e += 1.0
+    return np.divide(num, e, out=out)
 
 
 def tanh(x: np.ndarray) -> np.ndarray:
@@ -185,3 +193,124 @@ def maxpool2d_backward(
         i, j = divmod(idx, k)
         sub[..., i::k, j::k] = mask * g
     return grad
+
+
+# ----------------------------------------------------------------------
+# One LSTM layer over ``(*lead, T, n, ·)`` rows (leading axes free:
+# ``lead = ()`` for the scalar layer, ``(C,)`` for a cohort)
+# ----------------------------------------------------------------------
+def _gate_blocks(w: np.ndarray, h_dim: int) -> np.ndarray:
+    """The ``i, f, g, o`` blocks of a ``(*lead, 4H, k)`` weight as a
+    ``(4, *lead, H, k)`` view."""
+    return np.moveaxis(w.reshape(w.shape[:-2] + (4, h_dim, w.shape[-1])), -3, 0)
+
+
+def lstm_layer_forward(
+    x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, b_ih: np.ndarray, b_hh: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Run one LSTM layer from zero state over time-before-batch rows.
+
+    ``x`` is ``(*lead, T, n, D)``; weights are torch-shaped with the same
+    leading axes (``w_ih (*lead, 4H, D)``, ``w_hh (*lead, 4H, H)``, biases
+    ``(*lead, 4H)``). Returns ``(h, ctx)``: ``h`` is ``(*lead, T+1, n, H)``
+    with the zero initial state at index 0, so ``h[..., 1:, :, :]`` is the
+    next layer's ``x``; ``ctx`` feeds :func:`lstm_layer_backward`.
+
+    The input projection and both biases are hoisted into one GEMM of
+    ``T·n`` rows per member. The time loop then works gate-major — ``z`` and
+    the gates are ``(T, 4, *lead, n, H)``, the recurrent weight is split
+    once into contiguous ``(4, *lead, H, H)`` blocks — so every per-step
+    operand is a whole contiguous slab rather than a ``H``-of-``4H`` slice of
+    the last axis (DESIGN.md §18).
+    """
+    lead = x.shape[:-3]
+    t_steps, n, d = x.shape[-3:]
+    h_dim = w_hh.shape[-1]
+    zx = np.matmul(x.reshape(lead + (t_steps * n, d)), np.swapaxes(w_ih, -1, -2))
+    zx = np.moveaxis(zx.reshape(lead + (t_steps, n, 4, h_dim)), (-4, -2), (0, 1))
+    bias = np.moveaxis((b_ih + b_hh).reshape(lead + (4, 1, h_dim)), -3, 0)
+    w_rec = np.ascontiguousarray(np.swapaxes(_gate_blocks(w_hh, h_dim), -1, -2))
+
+    slab = lead + (n, h_dim)
+    # Explicit C-order outputs: a ufunc given only the transposed ``zx``
+    # would allocate its result in ``zx``'s memory order, not gate-major.
+    z = np.add(zx, bias, out=np.empty((t_steps, 4) + slab, dtype=zx.dtype))
+    gates = np.empty_like(z)
+    h = np.zeros(lead + (t_steps + 1, n, h_dim), dtype=z.dtype)
+    c = np.zeros((t_steps + 1,) + slab, dtype=z.dtype)
+    tanh_c = np.empty((t_steps,) + slab, dtype=z.dtype)
+    rec = np.empty((4,) + slab, dtype=z.dtype)
+    ig = np.empty(slab, dtype=z.dtype)
+    for t in range(t_steps):
+        z_t, g_t = z[t], gates[t]
+        np.matmul(h[..., t, :, :], w_rec, out=rec)
+        z_t += rec
+        sigmoid(z_t, out=g_t)
+        np.tanh(z_t[2], out=g_t[2])
+        np.multiply(g_t[1], c[t], out=c[t + 1])
+        np.multiply(g_t[0], g_t[2], out=ig)
+        c[t + 1] += ig
+        np.tanh(c[t + 1], out=tanh_c[t])
+        np.multiply(g_t[3], tanh_c[t], out=h[..., t + 1, :, :])
+    return h, (x, h, gates, c, tanh_c)
+
+
+def lstm_layer_backward(
+    dh_seq: np.ndarray,
+    ctx: tuple[np.ndarray, ...],
+    w_ih: np.ndarray,
+    w_hh: np.ndarray,
+    need_dx: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
+    """Full BPTT through one :func:`lstm_layer_forward` call.
+
+    ``dh_seq`` is ``(*lead, T, n, H)``, the gradient into every timestep's
+    hidden output. Returns ``(dx, dw_ih, dw_hh, db)`` — ``dx`` shaped like
+    the forward ``x`` (``None`` unless ``need_dx``), ``db`` the gradient of
+    either bias.
+
+    Every factor that does not depend on the recurrence (the activation
+    derivatives and their products with the cached gates and cell states)
+    is formed once over all ``T``; the loop carries only ``dc``/``dh``
+    through ``dz[t]`` and the recurrent GEMM. The weight, bias and input
+    gradients are then three GEMMs and one reduction over all ``T·n`` rows.
+    """
+    x, h, gates, c, tanh_c = ctx
+    lead = x.shape[:-3]
+    t_steps, n, h_dim = tanh_c.shape[0], tanh_c.shape[-2], tanh_c.shape[-1]
+    i_g, f_g, g_g, o_g = (gates[:, k] for k in range(4))
+    # coef[t, k] = d z_k / d (its upstream): dc for i, f, g and dh for o.
+    coef = gates * (1.0 - gates)
+    np.subtract(1.0, g_g * g_g, out=coef[:, 2])
+    coef[:, 0] *= g_g
+    coef[:, 1] *= c[:-1]
+    coef[:, 2] *= i_g
+    coef[:, 3] *= tanh_c
+    dc_dh = o_g * (1.0 - tanh_c * tanh_c)
+    w_rec = _gate_blocks(w_hh, h_dim)
+
+    slab = lead + (n, h_dim)
+    dz = np.empty_like(gates)
+    dh = np.empty(slab, dtype=dz.dtype)
+    dc = np.empty(slab, dtype=dz.dtype)
+    dh_next = np.zeros(slab, dtype=dz.dtype)
+    dc_next = np.zeros(slab, dtype=dz.dtype)
+    back = np.empty((4,) + slab, dtype=dz.dtype)
+    for t in range(t_steps - 1, -1, -1):
+        np.add(dh_seq[..., t, :, :], dh_next, out=dh)
+        np.multiply(dh, dc_dh[t], out=dc)
+        dc += dc_next
+        np.multiply(coef[t, :3], dc, out=dz[t, :3])
+        np.multiply(coef[t, 3], dh, out=dz[t, 3])
+        np.matmul(dz[t], w_rec, out=back)
+        np.add.reduce(back, axis=0, out=dh_next)
+        np.multiply(dc, f_g[t], out=dc_next)
+
+    rows = lead + (t_steps * n, -1)
+    dz_rows = np.ascontiguousarray(np.moveaxis(dz, (0, 1), (-4, -2))).reshape(rows)
+    dz_cols = np.swapaxes(dz_rows, -1, -2)
+    dw_ih = np.matmul(dz_cols, x.reshape(rows))
+    dw_hh = np.matmul(dz_cols, h[..., :-1, :, :].reshape(rows))
+    db = dz_rows.sum(axis=-2)
+    dx = np.matmul(dz_rows, w_ih).reshape(x.shape) if need_dx else None
+    return dx, dw_ih, dw_hh, db

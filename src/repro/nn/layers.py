@@ -84,10 +84,13 @@ class Tanh(Module):
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
+        out = np.tanh(x)
+        self._out = out if self.training else None
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        if self._out is None:
+            raise RuntimeError("Tanh.backward called before forward")
         out, self._out = self._out, None
         return grad_out * (1.0 - out**2)
 

@@ -31,6 +31,7 @@ class LSTMClassifier(Module):
         super().__init__()
         rng = rng or np.random.default_rng()
         self.rnn = LSTM(input_size, hidden_size, num_layers, rng=rng)
+        self.rnn.compute_dx = False  # nothing consumes the sequence gradient
         self.fc = Linear(hidden_size, num_classes, rng=rng)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -39,6 +40,6 @@ class LSTMClassifier(Module):
         h = self.rnn(x)
         return self.fc(h)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         grad_h = self.fc.backward(grad_out)
         return self.rnn.backward(grad_h)

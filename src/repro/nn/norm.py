@@ -113,7 +113,7 @@ class GroupNorm2d(Module):
         var = grouped.var(axis=(2, 3, 4), keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = ((grouped - mean) * inv_std).reshape(n, c, h, w)
-        self._cache = (x_hat, inv_std, (n, c, h, w))
+        self._cache = (x_hat, inv_std, (n, c, h, w)) if self.training else None
         return self.weight.data[None, :, None, None] * x_hat + self.bias.data[None, :, None, None]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

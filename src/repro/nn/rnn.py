@@ -4,6 +4,12 @@ Parameter naming follows torch (``weight_ih_l0``, ``weight_hh_l0``,
 ``bias_ih_l0``, ``bias_hh_l0``, …) because the paper's per-layer figures
 refer to names like ``rnn.weight_hh_l0`` and ``rnn.bias_ih_l1``.
 Gate layout inside the stacked ``4H`` dimension is torch's ``i, f, g, o``.
+
+All gate arithmetic lives in ``functional.lstm_layer_forward`` /
+``lstm_layer_backward``; :func:`lstm_stack_forward` and
+:func:`lstm_stack_backward` chain those kernels through the layers for any
+number of leading axes, so :class:`LSTM` and the cohort engine's ``CLSTM``
+are the same program over ``(N, T, D)`` and ``(C, N, T, D)``.
 """
 
 from __future__ import annotations
@@ -15,7 +21,44 @@ from . import init
 from .module import Module
 from .parameter import Parameter
 
-__all__ = ["LSTM"]
+__all__ = ["LSTM", "lstm_stack_forward", "lstm_stack_backward"]
+
+
+def lstm_stack_forward(x: np.ndarray, layers: list[tuple]) -> tuple[np.ndarray, list[tuple]]:
+    """Stacked LSTM over ``(*lead, n, T, D)``; ``layers`` holds each layer's
+    ``(w_ih, w_hh, b_ih, b_hh)`` parameters (anything with ``.data``).
+    Returns the top layer's final hidden state ``(*lead, n, H)`` and the
+    per-layer kernel contexts."""
+    input_size = layers[0][0].data.shape[-1]
+    if x.shape[-1] != input_size:
+        raise ValueError(f"expected input size {input_size}, got {x.shape[-1]}")
+    rows = np.ascontiguousarray(np.swapaxes(x, -3, -2))
+    ctxs = []
+    for quad in layers:
+        h, ctx = F.lstm_layer_forward(rows, *(p.data for p in quad))
+        ctxs.append(ctx)
+        rows = h[..., 1:, :, :]
+    return h[..., -1, :, :], ctxs
+
+
+def lstm_stack_backward(
+    grad_h_last: np.ndarray, ctxs: list[tuple], layers: list[tuple], compute_dx: bool
+) -> np.ndarray | None:
+    """Accumulate every layer's parameter gradients into ``.grad`` and
+    return the input gradient ``(*lead, n, T, D)`` — ``None`` when
+    ``compute_dx`` is False, which skips layer 0's ``dz @ W_ih``."""
+    dh_seq = np.zeros_like(ctxs[-1][1][..., 1:, :, :])
+    dh_seq[..., -1, :, :] = grad_h_last
+    for layer in range(len(layers) - 1, -1, -1):
+        w_ih, w_hh, b_ih, b_hh = layers[layer]
+        dh_seq, dw_ih, dw_hh, db = F.lstm_layer_backward(
+            dh_seq, ctxs[layer], w_ih.data, w_hh.data, need_dx=layer > 0 or compute_dx
+        )
+        w_ih.grad += dw_ih
+        w_hh.grad += dw_hh
+        b_ih.grad += db
+        b_hh.grad += db
+    return None if dh_seq is None else np.swapaxes(dh_seq, -3, -2)
 
 
 class LSTM(Module):
@@ -25,6 +68,10 @@ class LSTM(Module):
     Classification models feed that hidden state to a linear head, which is
     exactly the KWS workload shape used in the paper.
     """
+
+    #: Set False when nothing consumes the input gradient (the model's first
+    #: layer): ``backward`` skips layer 0's dX and returns ``None``.
+    compute_dx: bool = True
 
     def __init__(
         self,
@@ -42,117 +89,34 @@ class LSTM(Module):
         self.hidden_size = hidden_size
         self.num_layers = num_layers
         h = hidden_size
-        for layer in range(num_layers):
-            in_dim = input_size if layer == 0 else hidden_size
-            self.register_parameter(
-                f"weight_ih_l{layer}", Parameter(init.lstm_uniform((4 * h, in_dim), h, rng))
-            )
-            self.register_parameter(
-                f"weight_hh_l{layer}", Parameter(init.lstm_uniform((4 * h, h), h, rng))
-            )
-            self.register_parameter(
-                f"bias_ih_l{layer}", Parameter(init.lstm_uniform((4 * h,), h, rng))
-            )
-            self.register_parameter(
-                f"bias_hh_l{layer}", Parameter(init.lstm_uniform((4 * h,), h, rng))
-            )
-        self._cache: list[list[dict]] | None = None
-        self._x_shape: tuple[int, int, int] | None = None
+        for layer, names in enumerate(self.layer_param_names()):
+            in_dim = input_size if layer == 0 else h
+            shapes = ((4 * h, in_dim), (4 * h, h), (4 * h,), (4 * h,))
+            for name, shape in zip(names, shapes):
+                self.register_parameter(name, Parameter(init.lstm_uniform(shape, h, rng)))
+        self._cache: list[tuple] | None = None
 
-    # ------------------------------------------------------------------
-    def _params(self, layer: int) -> tuple[Parameter, Parameter, Parameter, Parameter]:
-        return (
-            self._parameters[f"weight_ih_l{layer}"],
-            self._parameters[f"weight_hh_l{layer}"],
-            self._parameters[f"bias_ih_l{layer}"],
-            self._parameters[f"bias_hh_l{layer}"],
-        )
+    def layer_param_names(self) -> list[tuple[str, ...]]:
+        """Each layer's ``(w_ih, w_hh, b_ih, b_hh)`` parameter names."""
+        return [
+            tuple(f"{kind}_l{layer}" for kind in ("weight_ih", "weight_hh", "bias_ih", "bias_hh"))
+            for layer in range(self.num_layers)
+        ]
+
+    def _layers(self) -> list[tuple[Parameter, ...]]:
+        return [
+            tuple(self._parameters[n] for n in quad) for quad in self.layer_param_names()
+        ]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, t_steps, d = x.shape
-        if d != self.input_size:
-            raise ValueError(f"expected input size {self.input_size}, got {d}")
-        h_dim = self.hidden_size
-        self._x_shape = x.shape
-        self._cache = []
-        layer_input = x
-        for layer in range(self.num_layers):
-            w_ih, w_hh, b_ih, b_hh = self._params(layer)
-            h = np.zeros((n, h_dim), dtype=np.float32)
-            c = np.zeros((n, h_dim), dtype=np.float32)
-            steps: list[dict] = []
-            outputs = np.empty((n, t_steps, h_dim), dtype=np.float32)
-            for t in range(t_steps):
-                x_t = layer_input[:, t, :]
-                z = (
-                    x_t @ w_ih.data.T
-                    + h @ w_hh.data.T
-                    + b_ih.data
-                    + b_hh.data
-                )
-                i_g = F.sigmoid(z[:, :h_dim])
-                f_g = F.sigmoid(z[:, h_dim : 2 * h_dim])
-                g_g = np.tanh(z[:, 2 * h_dim : 3 * h_dim])
-                o_g = F.sigmoid(z[:, 3 * h_dim :])
-                c_new = f_g * c + i_g * g_g
-                tanh_c = np.tanh(c_new)
-                h_new = o_g * tanh_c
-                steps.append(
-                    {
-                        "x": x_t, "h_prev": h, "c_prev": c,
-                        "i": i_g, "f": f_g, "g": g_g, "o": o_g, "tanh_c": tanh_c,
-                    }
-                )
-                h, c = h_new, c_new
-                outputs[:, t, :] = h_new
-            self._cache.append(steps)
-            layer_input = outputs
-        return layer_input[:, -1, :]
+        out, ctxs = lstm_stack_forward(x, self._layers())
+        # The stacked gate cache holds O(T * layers) activations — by far
+        # the largest retained state; keep it only when backward will run.
+        self._cache = ctxs if self.training else None
+        return out
 
-    def backward(self, grad_h_last: np.ndarray) -> np.ndarray:
+    def backward(self, grad_h_last: np.ndarray) -> np.ndarray | None:
         if self._cache is None:
-            raise RuntimeError("LSTM.backward called before forward")
-        n, t_steps, _ = self._x_shape
-        h_dim = self.hidden_size
-        # Gradient flowing into each timestep's hidden output of the layer
-        # currently being processed (from the layer above, or the loss).
-        dh_seq = np.zeros((n, t_steps, h_dim), dtype=np.float32)
-        dh_seq[:, -1, :] = grad_h_last
-        dx_seq: np.ndarray | None = None
-        for layer in range(self.num_layers - 1, -1, -1):
-            w_ih, w_hh, b_ih, b_hh = self._params(layer)
-            steps = self._cache[layer]
-            in_dim = self.input_size if layer == 0 else h_dim
-            dx_seq = np.zeros((n, t_steps, in_dim), dtype=np.float32)
-            dh_next = np.zeros((n, h_dim), dtype=np.float32)
-            dc_next = np.zeros((n, h_dim), dtype=np.float32)
-            for t in range(t_steps - 1, -1, -1):
-                s = steps[t]
-                dh = dh_seq[:, t, :] + dh_next
-                do = dh * s["tanh_c"]
-                dc = dh * s["o"] * (1.0 - s["tanh_c"] ** 2) + dc_next
-                di = dc * s["g"]
-                df = dc * s["c_prev"]
-                dg = dc * s["i"]
-                dz = np.concatenate(
-                    [
-                        di * s["i"] * (1.0 - s["i"]),
-                        df * s["f"] * (1.0 - s["f"]),
-                        dg * (1.0 - s["g"] ** 2),
-                        do * s["o"] * (1.0 - s["o"]),
-                    ],
-                    axis=1,
-                )
-                w_ih.grad += dz.T @ s["x"]
-                w_hh.grad += dz.T @ s["h_prev"]
-                dbias = dz.sum(axis=0)
-                b_ih.grad += dbias
-                b_hh.grad += dbias
-                dx_seq[:, t, :] = dz @ w_ih.data
-                dh_next = dz @ w_hh.data
-                dc_next = dc * s["f"]
-            dh_seq = dx_seq  # feeds the layer below
-        # The per-step gate cache holds O(T * layers) activations — by far
-        # the largest retained state; drop it once consumed.
-        self._cache = None
-        return dx_seq
+            raise RuntimeError("LSTM.backward called before a training-mode forward")
+        ctxs, self._cache = self._cache, None
+        return lstm_stack_backward(grad_h_last, ctxs, self._layers(), self.compute_dx)

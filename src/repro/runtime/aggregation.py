@@ -75,8 +75,7 @@ def _weighted_average(
         stacked = np.stack(
             [np.asarray(getattr(r, attr)[name], dtype=np.float64) for r in results]
         )
-        # NOTE: deliberately *not* routed through the shared einsum-path
-        # cache (repro.nn.einsum_cache): an optimized path changes the
+        # NOTE: deliberately an unplanned einsum: ``optimize=`` changes the
         # float64 reduction order here, which would break the bitwise
         # identity of histories against pre-existing runs.
         out[name] = np.einsum("c,c...->...", weights, stacked).astype(np.float32)

@@ -153,3 +153,117 @@ def maxpool_reference(
     grad = np.zeros(x.shape, dtype=grad_out.dtype)
     grad[:, :, :th, :tw] = (mask * g[:, :, :, None, :, None]).reshape(n, c, th, tw)
     return out, grad
+
+
+# ----------------------------------------------------------------------
+# Reference recurrent kernels: the masked sigmoid and the per-timestep
+# LSTM forward / backward `repro.nn` ran before `functional.lstm_layer_*`.
+# The shipped sigmoid must be bytes-equal to the masked one; the shipped
+# LSTM matches the per-timestep one to float32 rounding (DESIGN.md §18).
+# ----------------------------------------------------------------------
+def sigmoid_reference(x: np.ndarray) -> np.ndarray:
+    """Sign-split logistic: boolean mask, gather, two branches, scatter."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def lstm_reference(
+    x: np.ndarray, weights: list[tuple[np.ndarray, ...]], grad_h_last: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, ...]]]:
+    """Stacked LSTM over ``(N, T, D)``, one timestep at a time.
+
+    ``weights[l]`` is layer ``l``'s ``(w_ih, w_hh, b_ih, b_hh)``. Returns
+    ``(h_last, dx, grads)`` — the final hidden state, the input gradient of
+    ``sum(h_last * grad_h_last)`` and per-layer
+    ``(dw_ih, dw_hh, db_ih, db_hh)``, all in the weights' dtype (float64
+    weights give a float64 oracle).
+    """
+    n, t_steps, _ = x.shape
+    dtype = weights[0][0].dtype
+    h_dim = weights[0][1].shape[1]
+    cache = []
+    layer_input = x.astype(dtype)
+    for w_ih, w_hh, b_ih, b_hh in weights:
+        h = np.zeros((n, h_dim), dtype=dtype)
+        c = np.zeros((n, h_dim), dtype=dtype)
+        steps = []
+        outputs = np.empty((n, t_steps, h_dim), dtype=dtype)
+        for t in range(t_steps):
+            x_t = layer_input[:, t, :]
+            z = x_t @ w_ih.T + h @ w_hh.T + b_ih + b_hh
+            i_g = sigmoid_reference(z[:, :h_dim])
+            f_g = sigmoid_reference(z[:, h_dim : 2 * h_dim])
+            g_g = np.tanh(z[:, 2 * h_dim : 3 * h_dim])
+            o_g = sigmoid_reference(z[:, 3 * h_dim :])
+            c_new = f_g * c + i_g * g_g
+            tanh_c = np.tanh(c_new)
+            h_new = o_g * tanh_c
+            steps.append(
+                {
+                    "x": x_t, "h_prev": h, "c_prev": c,
+                    "i": i_g, "f": f_g, "g": g_g, "o": o_g, "tanh_c": tanh_c,
+                }
+            )
+            h, c = h_new, c_new
+            outputs[:, t, :] = h_new
+        cache.append(steps)
+        layer_input = outputs
+    h_last = layer_input[:, -1, :]
+
+    dh_seq = np.zeros((n, t_steps, h_dim), dtype=dtype)
+    dh_seq[:, -1, :] = grad_h_last
+    grads = []
+    for (w_ih, w_hh, b_ih, b_hh), steps in zip(reversed(weights), reversed(cache)):
+        dw_ih, dw_hh, db = np.zeros_like(w_ih), np.zeros_like(w_hh), np.zeros_like(b_ih)
+        dx_seq = np.zeros((n, t_steps, w_ih.shape[1]), dtype=dtype)
+        dh_next = np.zeros((n, h_dim), dtype=dtype)
+        dc_next = np.zeros((n, h_dim), dtype=dtype)
+        for t in range(t_steps - 1, -1, -1):
+            s = steps[t]
+            dh = dh_seq[:, t, :] + dh_next
+            do = dh * s["tanh_c"]
+            dc = dh * s["o"] * (1.0 - s["tanh_c"] ** 2) + dc_next
+            di = dc * s["g"]
+            df = dc * s["c_prev"]
+            dg = dc * s["i"]
+            dz = np.concatenate(
+                [
+                    di * s["i"] * (1.0 - s["i"]),
+                    df * s["f"] * (1.0 - s["f"]),
+                    dg * (1.0 - s["g"] ** 2),
+                    do * s["o"] * (1.0 - s["o"]),
+                ],
+                axis=1,
+            )
+            dw_ih += dz.T @ s["x"]
+            dw_hh += dz.T @ s["h_prev"]
+            db += dz.sum(axis=0)
+            dx_seq[:, t, :] = dz @ w_ih
+            dh_next = dz @ w_hh
+            dc_next = dc * s["f"]
+        grads.append((dw_ih, dw_hh, db, db.copy()))
+        dh_seq = dx_seq
+    return h_last, dh_seq, grads[::-1]
+
+
+# ----------------------------------------------------------------------
+# Reference Eq. 1: the per-call form `repro.core.progress` must stay
+# bytes-equal to.
+# ----------------------------------------------------------------------
+def progress_reference(g_i: np.ndarray, g_k: np.ndarray) -> float:
+    """Eq. 1 as written before ``progress_curve`` hoisted ``‖G_K‖``:
+    ``np.linalg.norm`` on both vectors per call, scalar ``np.clip``."""
+    g_i = np.asarray(g_i, dtype=np.float64).ravel()
+    g_k = np.asarray(g_k, dtype=np.float64).ravel()
+    ni = float(np.linalg.norm(g_i))
+    nk = float(np.linalg.norm(g_k))
+    if ni < 1e-12 and nk < 1e-12:
+        return 1.0
+    if ni < 1e-12 or nk < 1e-12:
+        return 0.0
+    cos = float(np.clip(np.dot(g_i, g_k) / (ni * nk), -1.0, 1.0))
+    return cos * (min(ni, nk) / max(ni, nk))

@@ -37,11 +37,8 @@ from repro.nn import (
     ReLU,
     Sequential,
     build_cohort_model,
-    clear_path_cache,
     cohort_softmax_cross_entropy,
     cohort_supported,
-    path_cache_info,
-    planned_einsum,
     softmax_cross_entropy,
 )
 from repro.nn.cohort import CConv2d, CLinear
@@ -582,35 +579,3 @@ class TestEndToEnd:
         assert serial_stops, "expected at least one early stop in 4 rounds"
         assert cohort_stops == serial_stops
         assert cohort_evals == serial_evals
-
-
-# ----------------------------------------------------------------------
-# Shared einsum-plan cache
-# ----------------------------------------------------------------------
-class TestEinsumPathCache:
-    def setup_method(self):
-        clear_path_cache()
-
-    def test_planned_einsum_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(5, 6))
-        b = rng.normal(size=(5, 6))
-        np.testing.assert_allclose(
-            planned_einsum("cb,cb->c", a, b), np.einsum("cb,cb->c", a, b)
-        )
-
-    def test_cache_hits_on_repeat_shapes(self):
-        a = np.ones((4, 3))
-        planned_einsum("ij,ij->i", a, a)
-        before = path_cache_info()
-        planned_einsum("ij,ij->i", a, a)
-        after = path_cache_info()
-        assert after["hits"] == before["hits"] + 1
-        assert after["size"] == before["size"]
-
-    def test_cache_is_bounded(self):
-        for n in range(1, 101):
-            planned_einsum("ij,ij->i", np.ones((n, 2)), np.ones((n, 2)))
-        info = path_cache_info()
-        assert info["size"] <= 64
-        assert info["misses"] >= 100

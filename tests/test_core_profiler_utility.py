@@ -20,6 +20,8 @@ from repro.core import (
     net_benefit,
 )
 
+from .helpers import progress_reference
+
 
 def make_curves(model_curve, layer_curves=None, round_index=0):
     model_curve = np.asarray(model_curve, dtype=np.float64)
@@ -74,6 +76,28 @@ class TestAnchorRecorder:
         # Linear accumulation -> P_i = i/K for every layer and the model.
         np.testing.assert_allclose(curves.model_curve, [0.2, 0.4, 0.6, 0.8, 1.0], rtol=1e-5)
         np.testing.assert_allclose(curves.layer_curves["w"], [0.2, 0.4, 0.6, 0.8, 1.0], rtol=1e-5)
+
+    def test_finalize_is_bytes_equal_to_per_snapshot_progress(self):
+        """``finalize`` takes ``‖G_K‖`` once per curve; every curve must
+        still hold exactly the per-snapshot Eq. 1 values."""
+        sampler = self._sampler()
+        rec = AnchorRecorder(sampler)
+        rng = np.random.default_rng(4)
+        anchor = {"w": np.zeros(20, np.float32), "b": np.zeros(4, np.float32)}
+        snaps = []
+        params = {k: v.copy() for k, v in anchor.items()}
+        for _ in range(7):
+            params["w"] += rng.normal(size=20).astype(np.float32)  # "b" never moves
+            rec.record(params, anchor)
+            snaps.append(sampler.extract_delta(params, anchor))
+        curves = rec.finalize(0)
+        for name in ("w", "b"):
+            want = [progress_reference(s[name], snaps[-1][name]) for s in snaps]
+            assert curves.layer_curves[name].tobytes() == np.array(want).tobytes()
+        flat = [np.concatenate([s["w"], s["b"]]) for s in snaps]
+        want = [progress_reference(f, flat[-1]) for f in flat]
+        assert curves.model_curve.tobytes() == np.array(want).tobytes()
+        assert (curves.layer_curves["b"] == 1.0).all()  # zero vs zero
 
     def test_finalize_clears_snapshots(self):
         sampler = self._sampler()

@@ -15,6 +15,8 @@ from repro.core import (
     statistical_progress,
 )
 
+from .helpers import progress_reference
+
 
 class TestCosineSimilarity:
     def test_identical(self):
@@ -88,7 +90,41 @@ class TestStatisticalProgress:
             statistical_progress(np.ones(2), np.ones(3))
 
 
+def _snapshot_families() -> dict[str, list[np.ndarray]]:
+    rng = np.random.default_rng(11)
+    walk = np.cumsum(rng.normal(size=(12, 37)), axis=0).astype(np.float32)
+    mixed = walk * np.logspace(-20, 20, 37).astype(np.float32)
+    return {
+        "zero": [np.zeros(5, dtype=np.float32)] * 4,
+        "zero_then_moving": [np.zeros(9, dtype=np.float32), *walk[:3, :9]],
+        "tiny": list(walk * np.float32(1e-30)),
+        "below_eps": list(walk.astype(np.float64) * 1e-14),
+        "mixed_magnitude": list(mixed),
+        "overshoot": list(walk[::-1].copy()),
+        "matrix_shaped": [w.reshape(1, 37) for w in walk],
+    }
+
+
 class TestProgressCurve:
+    @pytest.mark.parametrize("family", sorted(_snapshot_families()))
+    def test_bytes_equal_to_per_call_reference(self, family):
+        snaps = _snapshot_families()[family]
+        want = np.array([progress_reference(g, snaps[-1]) for g in snaps])
+        got = progress_curve(snaps)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        per_call = np.array([statistical_progress(g, snaps[-1]) for g in snaps])
+        assert per_call.tobytes() == want.tobytes()
+
+    def test_nan_propagates_like_clip(self):
+        snaps = [np.array([1.0, np.nan]), np.array([1.0, 2.0])]
+        assert np.isnan(progress_curve(snaps)[0])
+        assert np.isnan(progress_reference(snaps[0], snaps[1]))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            progress_curve([np.ones(2), np.ones(3)])
+
     def test_final_point_is_one(self):
         snaps = [np.array([0.5, 0.0]), np.array([0.8, 0.1]), np.array([1.0, 0.2])]
         curve = progress_curve(snaps)

@@ -113,34 +113,38 @@ class TestConfigs:
 
     def test_evaluate_leaves_no_activation_pinned(self):
         """``evaluate()`` pushes the whole test set through in one batch; a
-        layer that kept its im2col buffer / input / mask from that forward
-        would hold the run's largest arrays until the next evaluation."""
-        cfg = get_workload("wrn")
-        sim = make_environment(
-            cfg, __import__("repro").build_strategy("fedavg", cfg.optimizer_spec())
-        )
+        layer that kept its im2col buffer / input / mask / gate cache from
+        that forward would hold the run's largest arrays until the next
+        evaluation."""
 
         def arrays(value):
             if isinstance(value, np.ndarray):
                 yield value
+            elif isinstance(value, dict):
+                yield from arrays(list(value.values()))
             elif isinstance(value, (tuple, list)):
                 for item in value:
                     yield from arrays(item)
 
-        sim.evaluate()
-        for name, layer in sim.global_model.named_modules():
-            own = {id(p.data) for p in layer._parameters.values()}
-            own |= {id(p.grad) for p in layer._parameters.values()}
-            own |= {id(b) for b in layer._buffers.values()}
-            held = sum(
-                a.nbytes
-                for value in vars(layer).values()
-                for a in arrays(value)
-                if id(a) not in own
+        for preset in ("wrn", "lstm"):
+            cfg = get_workload(preset)
+            sim = make_environment(
+                cfg, __import__("repro").build_strategy("fedavg", cfg.optimizer_spec())
             )
-            param_bytes = sum(p.nbytes for p in layer._parameters.values())
-            assert held <= param_bytes, (name, type(layer).__name__, held)
-        assert sim.global_model.training  # evaluate() restores train mode
+            sim.evaluate()
+            for name, layer in sim.global_model.named_modules():
+                own = {id(p.data) for p in layer._parameters.values()}
+                own |= {id(p.grad) for p in layer._parameters.values()}
+                own |= {id(b) for b in layer._buffers.values()}
+                held = sum(
+                    a.nbytes
+                    for value in vars(layer).values()
+                    for a in arrays(value)
+                    if id(a) not in own
+                )
+                param_bytes = sum(p.nbytes for p in layer._parameters.values())
+                assert held <= param_bytes, (preset, name, type(layer).__name__, held)
+            assert sim.global_model.training  # evaluate() restores train mode
 
 
 class TestProbe:
