@@ -1,6 +1,6 @@
 """``repro.algorithms`` — FedAvg, FedProx, FedAda and FedCA strategies."""
 
-from .base import OptimizerSpec, Strategy, run_local_iterations
+from .base import OptimizerSpec, RoundMember, Strategy
 from .compressed import CompressedFedAvg, fedavg_quantized, fedavg_topk
 from .deadline_stop import DeadlineStop
 from .extensions import FedCAAdaptiveBatch
@@ -13,7 +13,7 @@ from .registry import STRATEGY_NAMES, build_strategy
 __all__ = [
     "Strategy",
     "OptimizerSpec",
-    "run_local_iterations",
+    "RoundMember",
     "FedAvg",
     "FedProx",
     "FedAda",

@@ -5,61 +5,171 @@ A strategy owns two responsibilities:
 * ``prepare_round`` — server-side, before broadcast: may assign per-client
   iteration budgets (FedAda's workload adjustment). Autonomous schemes
   return ``None``.
-* ``client_round`` — the client-side execution of one round, returning a
-  :class:`~repro.runtime.round.ClientRoundResult` with both the statistical
-  payload (the update) and the simulated-time system outcome.
-
-The helper :func:`run_local_iterations` implements the common timed SGD
-loop; FedCA replaces it with its hook-instrumented variant.
+* ``begin`` — the client side of one round, written once per scheme as a
+  :class:`RoundMember` step machine. The two drivers on :class:`Strategy`
+  feed it: :meth:`Strategy.client_round` one member from a
+  :class:`~repro.runtime.client.SimClient`, :meth:`Strategy.cohort_round`
+  M members from a :class:`~repro.runtime.cohort.CohortEngine`. No scheme
+  overrides either driver (DESIGN.md §12).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..nn import SGD
+from ..nn import SGD, ProxSGD
 from ..runtime.client import SimClient
 from ..runtime.round import ClientRoundResult, RoundContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..runtime.cohort import CohortEngine
     from ..runtime.simulator import FederatedSimulator
     from ..runtime.wire import WireLayer
 
-__all__ = ["Strategy", "OptimizerSpec", "run_local_iterations"]
+__all__ = ["Strategy", "OptimizerSpec", "RoundMember"]
 
 
 class OptimizerSpec:
-    """Workload-level optimiser settings (paper §5.1: SGD + weight decay)."""
+    """Workload-level optimiser settings (paper §5.1: SGD + weight decay).
 
-    def __init__(self, lr: float, weight_decay: float = 0.0, momentum: float = 0.0) -> None:
+    ``mu`` is FedProx's proximal coefficient; both engines build their
+    optimiser from this one spec (``build`` here,
+    :meth:`~repro.runtime.cohort.CohortEngine.build_optimizer` there).
+    """
+
+    def __init__(
+        self,
+        lr: float,
+        weight_decay: float = 0.0,
+        momentum: float = 0.0,
+        mu: float = 0.0,
+    ) -> None:
         self.lr = lr
         self.weight_decay = weight_decay
         self.momentum = momentum
+        self.mu = mu
 
-    def build(self, model) -> SGD:
-        return SGD(
-            model, self.lr, weight_decay=self.weight_decay, momentum=self.momentum
+    def build(self, model, global_state: dict[str, np.ndarray] | None = None) -> SGD:
+        """Scalar optimiser for ``model``; ``global_state`` is the proximal
+        anchor and only read when ``mu`` is set."""
+        if not self.mu:
+            return SGD(
+                model, self.lr, weight_decay=self.weight_decay, momentum=self.momentum
+            )
+        if global_state is None:
+            raise ValueError("a proximal optimiser (mu > 0) needs the global state")
+        opt = ProxSGD(
+            model,
+            self.lr,
+            mu=self.mu,
+            weight_decay=self.weight_decay,
+            momentum=self.momentum,
         )
+        opt.set_anchor(global_state)
+        return opt
 
 
-def run_local_iterations(
-    client: SimClient,
-    optimizer,
-    iterations: int,
-    compute_start: float,
-) -> tuple[float, float]:
-    """Run ``iterations`` timed SGD steps; returns ``(finish_time, mean_loss)``."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    t = compute_start
-    total_loss = 0.0
-    for _ in range(iterations):
-        total_loss += client.train_step(optimizer)
-        t = client.trace.iteration_finish_time(t, 1)
-    return t, total_loss / iterations
+class RoundMember:
+    """One client's round as a step machine — the only place a scheme's
+    per-client logic lives.
+
+    A member owns the client's simulated clock (``t``), its uplink, its
+    decision-event buffer and its decisions; it never touches a model or an
+    optimiser. A driver runs up to :attr:`budget` training steps, asking
+    :meth:`next_batch` before each and calling :meth:`after_step` after
+    each (``False`` ends the member's round), then hands the accumulated
+    update to :meth:`finish`.
+    """
+
+    def __init__(
+        self, strategy: "Strategy", client: SimClient, ctx: RoundContext, budget: int
+    ) -> None:
+        self.strategy = strategy
+        self.client = client
+        self.ctx = ctx
+        #: Most local iterations the driver may run for this member.
+        self.budget = budget
+        self.compute_start = ctx.round_start + client.link.download_seconds(
+            client.model_bytes
+        )
+        self.t = self.compute_start
+        self.total_loss = 0.0
+        self.iterations_run = 0
+        # Decision events ride back on the result and are merged into the
+        # parent recorder (works identically inside parallel workers).
+        self.trace: list[dict] | None = [] if ctx.trace_enabled else None
+
+    def next_batch(self) -> int | None:
+        """Minibatch size of the next step (``None``: the stream's own)."""
+        return None
+
+    def after_step(self, tau: int, loss: float) -> bool:
+        """Account for local iteration ``tau``; returns whether the member
+        keeps training."""
+        self.tick(tau, loss)
+        return True
+
+    def finish(self, update: dict[str, np.ndarray]) -> ClientRoundResult:
+        """Upload ``update`` (``w_local − w_global``) and report the round."""
+        raise NotImplementedError
+
+    # -- helpers for subclasses ----------------------------------------
+    def tick(self, tau: int, loss: float, work: float = 1) -> None:
+        """Advance the clock past iteration ``tau``, which cost ``work``
+        base iterations of compute."""
+        self.total_loss += loss
+        self.t = self.client.trace.iteration_finish_time(self.t, work)
+        self.iterations_run = tau
+
+    def emit(self, kind: str, fields: dict) -> None:
+        """Buffer one decision event at the member's current clock."""
+        if self.trace is not None:
+            self.trace.append({"kind": kind, "sim_time": self.t, "fields": fields})
+
+    def upload_full(
+        self, update: dict[str, np.ndarray], nbytes: int, events: dict
+    ) -> ClientRoundResult:
+        """Single end-of-round upload of the whole update, then the result."""
+        client = self.client
+        wire = self.strategy.wire
+        if wire is not None:
+            # Compressed transport: the server aggregates the decoded
+            # (lossy) update, and the *wire* byte count drives the uplink
+            # timeline below. The raw counterfactual is kept for the
+            # repro_wire_bytes_total{variant} accounting.
+            raw_nbytes = nbytes
+            update, nbytes = wire.encode(client.client_id, update)
+            events["wire"] = {"raw_bytes": raw_nbytes, "wire_bytes": nbytes}
+        client.uplink.reset(self.compute_start)
+        upload_finish = client.uplink.submit(self.t, nbytes, label="full").finish_time
+        return self.result(update, upload_finish, nbytes, events)
+
+    def result(
+        self,
+        update: dict[str, np.ndarray],
+        upload_finish: float,
+        nbytes: int,
+        events: dict,
+    ) -> ClientRoundResult:
+        """The round's report, from the member's clock and loss totals."""
+        client = self.client
+        return ClientRoundResult(
+            client_id=client.client_id,
+            update=update,
+            num_samples=client.num_samples,
+            iterations_run=self.iterations_run,
+            compute_start_time=self.compute_start,
+            compute_finish_time=self.t,
+            upload_finish_time=upload_finish,
+            bytes_uploaded=nbytes,
+            mean_loss=self.total_loss / max(1, self.iterations_run),
+            events=events,
+            buffers=client.model.buffer_dict(),
+            trace=self.trace or [],
+        )
 
 
 class Strategy(ABC):
@@ -67,6 +177,10 @@ class Strategy(ABC):
 
     #: Human-readable scheme name used in reports and benches.
     name: str = "base"
+
+    #: Local optimiser settings; every scheme's ``__init__`` sets it and
+    #: both drivers build their optimiser from it.
+    optimizer: OptimizerSpec
 
     #: Optional compressed wire transport (see :mod:`repro.runtime.wire`).
     #: ``None`` (raw) keeps every upload byte-identical to the pre-wire
@@ -96,33 +210,83 @@ class Strategy(ABC):
         return None
 
     @abstractmethod
+    def begin(
+        self,
+        client: SimClient,
+        global_state: dict[str, np.ndarray],
+        ctx: RoundContext,
+        params: dict[str, np.ndarray],
+    ) -> RoundMember:
+        """Start one client's round: the scheme's :class:`RoundMember`.
+
+        ``params`` is the member's live ``{layer: array}`` view — the
+        replica's parameters under the serial driver, zero-copy rows of the
+        stacked tensors under the cohort driver — already holding the
+        broadcast ``global_state`` and updated in place by every step.
+        """
+
     def client_round(
         self,
         client: SimClient,
         global_state: dict[str, np.ndarray],
         ctx: RoundContext,
     ) -> ClientRoundResult:
-        """Execute one client's round."""
+        """Serial driver: one member fed from the client's own replica."""
+        client.load_global(global_state)
+        opt = self.optimizer.build(client.model, global_state)
+        params = {name: p.data for name, p in client.model.named_parameters()}
+        member = self.begin(client, global_state, ctx, params)
+        if member.budget < 1:
+            raise ValueError("iterations must be >= 1")
+        for tau in range(1, member.budget + 1):
+            loss = client.train_step(opt, member.next_batch())
+            if not member.after_step(tau, loss):
+                break
+        return member.finish(client.local_update(global_state))
 
     def cohort_round(
         self,
-        engine,
+        engine: "CohortEngine",
         jobs: list[tuple[int, RoundContext]],
         global_state: dict[str, np.ndarray],
-    ) -> list[ClientRoundResult] | None:
-        """Batched variant of :meth:`client_round` for the cohort executor.
+    ) -> list[ClientRoundResult]:
+        """Cohort driver: M members fed from one stacked tensor program.
 
-        ``engine`` is a :class:`~repro.runtime.cohort.CohortEngine` whose
-        member slot ``i`` is bound to ``jobs[i]``'s client. Implementations
-        must return results in job order and reproduce every *scalar*
-        outcome of the serial path exactly (simulated times, uplink
-        schedules, decisions, trace events) — only tensor arithmetic may
-        differ, at float tolerance. Returning ``None`` (the default, and
-        the right answer whenever a subclass overrides hooks the batched
-        path cannot honour) makes the executor fall back to serial
-        per-client rounds for the chunk.
+        ``engine`` member slot ``i`` is bound to ``jobs[i]``'s client;
+        results come back in job order. Every *scalar* outcome (simulated
+        times, uplink schedules, decisions, trace events) is the member's
+        own and therefore exactly what :meth:`client_round` produces —
+        only the tensor arithmetic differs, at float tolerance. A member
+        whose :meth:`RoundMember.after_step` returns ``False``, or whose
+        budget is spent, leaves through the activity mask: its parameters
+        freeze and its data stream stops drawing while the batched program
+        keeps advancing the others.
         """
-        return None
+        engine.load_global(global_state)
+        opt = engine.build_optimizer(self.optimizer, global_state)
+        members = [
+            self.begin(client, global_state, ctx, engine.member_params(i))
+            for i, (client, (_, ctx)) in enumerate(zip(engine.clients, jobs))
+        ]
+        budgets = np.asarray([m.budget for m in members])
+        if budgets.min() < 1:
+            raise ValueError("iterations must be >= 1")
+        active = np.ones(engine.size, dtype=bool)
+        for tau in range(1, int(budgets.max()) + 1):
+            mask = active & (tau <= budgets)
+            if not mask.any():
+                break
+            sizes = [m.next_batch() if on else None for m, on in zip(members, mask)]
+            losses = engine.train_step(opt, mask, sizes)
+            for i in np.flatnonzero(mask):
+                if not members[i].after_step(tau, float(losses[i])):
+                    active[i] = False
+        stacked = engine.stacked_update(global_state)
+        engine.write_back()
+        return [
+            member.finish(engine.member_update(stacked, i))
+            for i, member in enumerate(members)
+        ]
 
     # ------------------------------------------------------------------
     # Checkpoint/resume hooks (see repro.persist). Strategies that keep
@@ -205,13 +369,3 @@ class Strategy(ABC):
 
     def _release_client_states(self, client_ids: list[int]) -> None:
         """Drop scheme-specific caches for ``client_ids`` (default: no-op)."""
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _finish_upload(
-        client: SimClient, compute_start: float, compute_finish: float
-    ) -> tuple[float, int]:
-        """Default end-of-round full-model upload on the client uplink."""
-        client.uplink.reset(compute_start)
-        tx = client.uplink.submit(compute_finish, client.model_bytes, label="full")
-        return tx.finish_time, client.model_bytes

@@ -15,9 +15,34 @@ import numpy as np
 
 from ..runtime.client import SimClient
 from ..runtime.round import ClientRoundResult, RoundContext
-from .base import OptimizerSpec, Strategy
+from .base import OptimizerSpec, RoundMember, Strategy
 
 __all__ = ["DeadlineStop"]
+
+
+class _DeadlineMember(RoundMember):
+    """Train until K iterations or the deadline, whichever first."""
+
+    stopped_early = False
+
+    def after_step(self, tau: int, loss: float) -> bool:
+        self.tick(tau, loss)
+        ctx = self.ctx
+        if tau < ctx.iterations and (self.t - self.compute_start) >= ctx.deadline:
+            self.stopped_early = True
+        return not self.stopped_early
+
+    def finish(self, update: dict[str, np.ndarray]) -> ClientRoundResult:
+        return self.upload_full(
+            update,
+            self.client.model_bytes,
+            {
+                "iterations_run": self.iterations_run,
+                "early_stop_iteration": (
+                    self.iterations_run if self.stopped_early else None
+                ),
+            },
+        )
 
 
 class DeadlineStop(Strategy):
@@ -28,43 +53,11 @@ class DeadlineStop(Strategy):
     def __init__(self, optimizer: OptimizerSpec) -> None:
         self.optimizer = optimizer
 
-    def client_round(
+    def begin(
         self,
         client: SimClient,
         global_state: dict[str, np.ndarray],
         ctx: RoundContext,
-    ) -> ClientRoundResult:
-        """Train until K iterations or the deadline, whichever first."""
-        compute_start = ctx.round_start + client.link.download_seconds(
-            client.model_bytes
-        )
-        client.load_global(global_state)
-        opt = self.optimizer.build(client.model)
-        t = compute_start
-        total_loss = 0.0
-        iterations_run = 0
-        stopped_early = False
-        for tau in range(1, ctx.iterations + 1):
-            total_loss += client.train_step(opt)
-            t = client.trace.iteration_finish_time(t, 1)
-            iterations_run = tau
-            if tau < ctx.iterations and (t - compute_start) >= ctx.deadline:
-                stopped_early = True
-                break
-        upload_finish, nbytes = self._finish_upload(client, compute_start, t)
-        return ClientRoundResult(
-            client_id=client.client_id,
-            update=client.local_update(global_state),
-            num_samples=client.num_samples,
-            iterations_run=iterations_run,
-            compute_start_time=compute_start,
-            compute_finish_time=t,
-            upload_finish_time=upload_finish,
-            bytes_uploaded=nbytes,
-            mean_loss=total_loss / max(1, iterations_run),
-            events={
-                "iterations_run": iterations_run,
-                "early_stop_iteration": iterations_run if stopped_early else None,
-            },
-            buffers=client.model.buffer_dict(),
-        )
+        params: dict[str, np.ndarray],
+    ) -> RoundMember:
+        return _DeadlineMember(self, client, ctx, ctx.iterations)

@@ -47,7 +47,7 @@ class FedCAAdaptiveBatch(FedCA):
         self.slowdown_trigger = slowdown_trigger
         self.min_batch_fraction = min_batch_fraction
 
-    def _run_iteration(self, client: SimClient, opt, t: float) -> tuple[float, float]:
+    def step_plan(self, client: SimClient, t: float) -> tuple[int | None, float]:
         slowdown = client.trace.slowdown_at(t)
         base_batch = client.stream.batch_size
         if slowdown >= self.slowdown_trigger:
@@ -56,6 +56,5 @@ class FedCAAdaptiveBatch(FedCA):
         else:
             fraction = 1.0
         batch = max(1, int(round(base_batch * fraction)))
-        loss = client.train_step(opt, batch_size=batch)
         # Compute cost scales with the actual batch processed.
-        return loss, client.trace.iteration_finish_time(t, batch / base_batch)
+        return batch, batch / base_batch

@@ -11,9 +11,20 @@ import numpy as np
 
 from ..runtime.client import SimClient
 from ..runtime.round import ClientRoundResult, RoundContext
-from .base import OptimizerSpec, Strategy, run_local_iterations
+from .base import OptimizerSpec, RoundMember, Strategy
 
 __all__ = ["FedAvg"]
+
+
+class _FedAvgMember(RoundMember):
+    """K local iterations (or the server-assigned budget — FedAda's arrive
+    as ``effective_iterations``), then a single end-of-round upload."""
+
+    def finish(self, update: dict[str, np.ndarray]) -> ClientRoundResult:
+        update, nbytes = self.strategy._encode_update(self.client, update)
+        return self.upload_full(
+            update, nbytes, {"iterations_run": self.iterations_run}
+        )
 
 
 class FedAvg(Strategy):
@@ -24,126 +35,14 @@ class FedAvg(Strategy):
     def __init__(self, optimizer: OptimizerSpec) -> None:
         self.optimizer = optimizer
 
-    def client_round(
+    def begin(
         self,
         client: SimClient,
         global_state: dict[str, np.ndarray],
         ctx: RoundContext,
-    ) -> ClientRoundResult:
-        """Download → K local iterations → single end-of-round upload."""
-        compute_start = ctx.round_start + client.link.download_seconds(
-            client.model_bytes
-        )
-        client.load_global(global_state)
-        opt = self._build_optimizer(client, global_state)
-        iterations = ctx.effective_iterations
-        compute_finish, mean_loss = run_local_iterations(
-            client, opt, iterations, compute_start
-        )
-        update, nbytes = self._encode_update(
-            client, client.local_update(global_state)
-        )
-        events: dict = {"iterations_run": iterations}
-        if self._wire is not None:
-            # Compressed transport: the server aggregates the decoded
-            # (lossy) update, and the *wire* byte count drives the uplink
-            # timeline below. The raw counterfactual is kept for the
-            # repro_wire_bytes_total{variant} accounting.
-            raw_nbytes = nbytes
-            update, nbytes = self._wire.encode(client.client_id, update)
-            events["wire"] = {"raw_bytes": raw_nbytes, "wire_bytes": nbytes}
-        client.uplink.reset(compute_start)
-        upload_finish = client.uplink.submit(
-            compute_finish, nbytes, label="full"
-        ).finish_time
-        return ClientRoundResult(
-            client_id=client.client_id,
-            update=update,
-            num_samples=client.num_samples,
-            iterations_run=iterations,
-            compute_start_time=compute_start,
-            compute_finish_time=compute_finish,
-            upload_finish_time=upload_finish,
-            bytes_uploaded=nbytes,
-            mean_loss=mean_loss,
-            events=events,
-            buffers=client.model.buffer_dict(),
-        )
-
-    # ------------------------------------------------------------------
-    def cohort_round(
-        self,
-        engine,
-        jobs: list[tuple[int, RoundContext]],
-        global_state: dict[str, np.ndarray],
-    ) -> list[ClientRoundResult] | None:
-        """Batched FedAvg: one stacked SGD program advances every member.
-
-        Only safe when the subclass didn't override the serial hooks —
-        FedProx's proximal optimiser and the compressed baselines' encoders
-        have no batched twin, so those subclasses fall back to serial.
-        (FedAda stays eligible: it customises ``prepare_round`` only, and
-        its per-client budgets arrive here as ``effective_iterations``,
-        realised as prefix-length activity masks.)
-        """
-        cls = type(self)
-        if (
-            cls.client_round is not FedAvg.client_round
-            or cls._build_optimizer is not FedAvg._build_optimizer
-            or cls._encode_update is not FedAvg._encode_update
-            # Wire codecs are stateful per client with no batched twin;
-            # the serial fallback keeps their encode order exact.
-            or self._wire is not None
-        ):
-            return None
-        clients = engine.clients
-        compute_start = [
-            ctx.round_start + c.link.download_seconds(c.model_bytes)
-            for c, (_, ctx) in zip(clients, jobs)
-        ]
-        iterations = [ctx.effective_iterations for _, ctx in jobs]
-        if min(iterations) < 1:
-            raise ValueError("iterations must be >= 1")
-        engine.load_global(global_state)
-        opt = engine.build_optimizer(self.optimizer)
-        t = list(compute_start)
-        totals = [0.0] * engine.size
-        budgets = np.asarray(iterations)
-        for step in range(1, int(budgets.max()) + 1):
-            active = step <= budgets
-            losses = engine.train_step(opt, active)
-            for i in np.flatnonzero(active):
-                totals[i] += float(losses[i])
-                t[i] = clients[i].trace.iteration_finish_time(t[i], 1)
-        stacked = engine.stacked_update(global_state)
-        engine.write_back()
-        results = []
-        for i, (cid, ctx) in enumerate(jobs):
-            client = clients[i]
-            client.uplink.reset(compute_start[i])
-            upload_finish = client.uplink.submit(
-                t[i], client.model_bytes, label="full"
-            ).finish_time
-            results.append(
-                ClientRoundResult(
-                    client_id=cid,
-                    update=engine.member_update(stacked, i),
-                    num_samples=client.num_samples,
-                    iterations_run=iterations[i],
-                    compute_start_time=compute_start[i],
-                    compute_finish_time=t[i],
-                    upload_finish_time=upload_finish,
-                    bytes_uploaded=client.model_bytes,
-                    mean_loss=totals[i] / iterations[i],
-                    events={"iterations_run": iterations[i]},
-                    buffers=client.model.buffer_dict(),
-                )
-            )
-        return results
-
-    # Hook for FedProx to swap in the proximal optimiser.
-    def _build_optimizer(self, client: SimClient, global_state):
-        return self.optimizer.build(client.model)
+        params: dict[str, np.ndarray],
+    ) -> RoundMember:
+        return _FedAvgMember(self, client, ctx, ctx.effective_iterations)
 
     # Hook for compressed variants: returns the update *as the server will
     # receive it* (possibly lossy) and its wire size in bytes.

@@ -36,9 +36,190 @@ from ..core import (
 )
 from ..runtime.client import SimClient
 from ..runtime.round import ClientRoundResult, RoundContext
-from .base import OptimizerSpec, Strategy
+from .base import OptimizerSpec, RoundMember, Strategy
 
 __all__ = ["FedCA"]
+
+
+class _AnchorMember(RoundMember):
+    """Anchor round: the full K iterations with no optimisations, recording
+    the sampled accumulated update after every one."""
+
+    def __init__(self, strategy, client, global_state, ctx, params) -> None:
+        super().__init__(strategy, client, ctx, ctx.iterations)
+        self.recorder = AnchorRecorder(strategy._sampler_for(client))
+        self.params = params
+        self.global_state = global_state
+
+    def after_step(self, tau: int, loss: float) -> bool:
+        self.tick(tau, loss)
+        self.recorder.record(self.params, self.global_state)
+        return True
+
+    def finish(self, update: dict[str, np.ndarray]) -> ClientRoundResult:
+        recorder = self.recorder
+        profiling_bytes = recorder.memory_bytes()
+        # stats() must read the recorder before finalize clears it.
+        self.emit("fedca.anchor", recorder.stats())
+        self.strategy._curves[self.client.client_id] = recorder.finalize(
+            self.ctx.round_index
+        )
+        return self.upload_full(
+            update,
+            self.client.model_bytes,
+            {
+                "anchor": True,
+                "iterations_run": self.iterations_run,
+                "early_stop_iteration": None,
+                "eager": {},
+                "retransmitted": [],
+                "profiling_bytes": profiling_bytes,
+            },
+        )
+
+
+class _OptimizedMember(RoundMember):
+    """Optimised round: TryEagerTransmit and TryEarlyStop after every
+    iteration, TryRetransmit and the tail upload at round end."""
+
+    def __init__(self, strategy, client, global_state, ctx, params) -> None:
+        super().__init__(strategy, client, ctx, ctx.iterations)
+        cfg = strategy.config
+        curves = strategy._curves[client.client_id]
+        self.stopper = EarlyStopPolicy(curves, cfg)
+        self.schedule = (
+            EagerSchedule(curves, cfg.eager_threshold)
+            if cfg.enable_eager_transmit
+            else None
+        )
+        client.uplink.reset(self.compute_start)
+        self.params = params
+        self.global_state = global_state
+        self.work: float = 1
+        self.transmitted: dict[str, np.ndarray] = {}
+        self.eager_iter: dict[str, int] = {}
+        self.raw_eager_bytes = 0
+        self.stop_reason: str | None = None
+
+    def next_batch(self) -> int | None:
+        batch, self.work = self.strategy.step_plan(self.client, self.t)
+        return batch
+
+    def after_step(self, tau: int, loss: float) -> bool:
+        self.tick(tau, loss, self.work)
+        client, wire = self.client, self.strategy.wire
+        if self.schedule is not None:
+            for layer in self.schedule.due(tau):
+                # TryEagerTransmit: snapshot the layer's update as of now
+                # and queue it on the uplink, overlapping with compute.
+                value = (self.params[layer] - self.global_state[layer]).copy()
+                send_bytes = client.layer_bytes[layer]
+                self.raw_eager_bytes += send_bytes
+                if wire is not None:
+                    value, send_bytes = wire.encode_layer(
+                        client.client_id, layer, value
+                    )
+                self.emit(
+                    "fedca.eager",
+                    {
+                        "layer": layer,
+                        "tau": tau,
+                        "trigger": self.schedule.triggers[layer],
+                        "bytes": send_bytes,
+                    },
+                )
+                self.transmitted[layer] = value
+                client.uplink.submit(self.t, send_bytes, label=f"eager:{layer}")
+                self.eager_iter[layer] = tau
+        if tau == self.ctx.iterations:
+            return True
+        elapsed = self.t - self.compute_start
+        decision = self.stopper.decide(tau, elapsed, self.ctx.deadline)
+        self.emit(
+            "fedca.earlystop.eval",
+            {
+                "tau": decision.tau,
+                "b": decision.benefit,
+                "c": decision.cost,
+                "n": decision.net,
+                "elapsed": elapsed,
+                "stop": decision.stop,
+                "reason": decision.reason,
+            },
+        )
+        if decision.stop:
+            self.stop_reason = decision.reason
+        return not decision.stop
+
+    def finish(self, update: dict[str, np.ndarray]) -> ClientRoundResult:
+        cfg = self.strategy.config
+        client, wire = self.client, self.strategy.wire
+        transmitted = self.transmitted
+        stopped_early = self.stop_reason is not None
+        self.emit(
+            "fedca.earlystop.stop",
+            {
+                "tau": self.iterations_run,
+                "reason": self.stop_reason or "completed",
+                "early": stopped_early,
+            },
+        )
+        retrans: list[str] = []
+        if cfg.enable_retransmit and transmitted:
+            retrans = deviated_layers(
+                update,
+                transmitted,
+                cfg.retransmit_threshold,
+                sink=None if self.trace is None else self._retransmit_event,
+            )
+        tail_layers = [
+            name for name in client.layer_bytes if name not in transmitted
+        ] + retrans
+        raw_tail_bytes = sum(client.layer_bytes[name] for name in tail_layers)
+        # What the server receives: stale eager values unless retransmitted.
+        received = dict(update)
+        tail_bytes = raw_tail_bytes
+        if wire is not None and tail_layers:
+            # Retransmitted layers ride the tail, so their decoded values
+            # overwrite the stale eager ones.
+            tail_updates, tail_bytes = wire.encode(
+                client.client_id, {name: update[name] for name in tail_layers}
+            )
+            received.update(tail_updates)
+        if tail_bytes > 0:
+            upload_finish = client.uplink.submit(
+                self.t, tail_bytes, label="tail"
+            ).finish_time
+        else:
+            upload_finish = max(self.t, client.uplink.busy_until)
+        for name, value in transmitted.items():
+            if name not in retrans:
+                received[name] = value
+
+        events: dict = {
+            "anchor": False,
+            "iterations_run": self.iterations_run,
+            "early_stop_iteration": self.iterations_run if stopped_early else None,
+            "eager": self.eager_iter,
+            "retransmitted": retrans,
+        }
+        if wire is not None:
+            events["wire"] = {
+                "raw_bytes": self.raw_eager_bytes + raw_tail_bytes,
+                "wire_bytes": client.uplink.total_bytes,
+            }
+        return self.result(received, upload_finish, client.uplink.total_bytes, events)
+
+    def _retransmit_event(self, layer: str, cos: float, deviated: bool) -> None:
+        self.emit(
+            "fedca.retransmit",
+            {
+                "layer": layer,
+                "cosine": float(cos),
+                "deviated": bool(deviated),
+                "bytes": self.client.layer_bytes[layer],
+            },
+        )
 
 
 class FedCA(Strategy):
@@ -124,612 +305,26 @@ class FedCA(Strategy):
             self._samplers.pop(cid, None)
 
     # ------------------------------------------------------------------
-    def client_round(
+    def begin(
         self,
         client: SimClient,
         global_state: dict[str, np.ndarray],
         ctx: RoundContext,
-    ) -> ClientRoundResult:
-        """Dispatch to an anchor (profiling) or optimised round."""
+        params: dict[str, np.ndarray],
+    ) -> RoundMember:
+        """An anchor (profiling) or an optimised member; both kinds may
+        share one cohort."""
         anchor = (
             is_anchor_round(ctx.round_index, self.config.profile_every)
             or client.client_id not in self._curves
         )
-        compute_start = ctx.round_start + client.link.download_seconds(
-            client.model_bytes
-        )
-        client.load_global(global_state)
-        opt = self.optimizer.build(client.model)
-        # Decision-event buffer, forwarded on the result and merged into the
-        # parent recorder (works identically inside parallel workers).
-        trace: list[dict] | None = [] if ctx.trace_enabled else None
-        if anchor:
-            return self._anchor_round(
-                client, global_state, ctx, opt, compute_start, trace
-            )
-        return self._optimized_round(
-            client, global_state, ctx, opt, compute_start, trace
-        )
+        member = _AnchorMember if anchor else _OptimizedMember
+        return member(self, client, global_state, ctx, params)
 
-    # ------------------------------------------------------------------
-    def cohort_round(
-        self,
-        engine,
-        jobs: list[tuple[int, RoundContext]],
-        global_state: dict[str, np.ndarray],
-    ) -> list[ClientRoundResult] | None:
-        """Batched FedCA: tensor work is stacked, *decisions* stay serial.
-
-        Every per-client scalar flow — iteration timing, anchor sampling,
-        eager-transmit scheduling, the Eq. 4 early-stop evaluation,
-        retransmission checks, uplink submissions and trace events — runs
-        per member in plain Python in exactly the serial order, against
-        zero-copy views of the stacked parameters. A member whose early-stop
-        decision fires leaves the cohort via the activity mask (its
-        parameters freeze and its data stream stops drawing); the batched
-        program keeps advancing the survivors. Anchor and optimised members
-        may share one cohort.
-
-        Subclasses that override the per-iteration hook (the intra-round
-        batch-adaptation extension) or the whole round fall back to serial.
-        """
-        cls = type(self)
-        if (
-            cls.client_round is not FedCA.client_round
-            or cls._run_iteration is not FedCA._run_iteration
-            or cls._anchor_round is not FedCA._anchor_round
-            or cls._optimized_round is not FedCA._optimized_round
-            # Wire codecs are stateful per client with no batched twin;
-            # the serial fallback keeps their encode order exact.
-            or self._wire is not None
-        ):
-            return None
-        cfg = self.config
-        clients = engine.clients
-        size = engine.size
-        ctxs = [ctx for _, ctx in jobs]
-        anchor = [
-            is_anchor_round(ctx.round_index, cfg.profile_every)
-            or cid not in self._curves
-            for cid, ctx in jobs
-        ]
-        compute_start = [
-            ctx.round_start + c.link.download_seconds(c.model_bytes)
-            for c, ctx in zip(clients, ctxs)
-        ]
-        engine.load_global(global_state)
-        opt = engine.build_optimizer(self.optimizer)
-        traces: list[list[dict] | None] = [
-            [] if ctx.trace_enabled else None for ctx in ctxs
-        ]
-        member_params = [engine.member_params(i) for i in range(size)]
-        t = list(compute_start)
-
-        recorders: dict[int, AnchorRecorder] = {}
-        stoppers: dict[int, EarlyStopPolicy] = {}
-        schedules: dict[int, EagerSchedule | None] = {}
-        transmitted: list[dict[str, np.ndarray]] = [{} for _ in range(size)]
-        eager_iter: list[dict[str, int]] = [{} for _ in range(size)]
-
-        def make_eager_sink(i: int):
-            trace = traces[i]
-            if trace is None:
-                return None
-            client = clients[i]
-
-            def sink(layer: str, trigger: int, fired: int) -> None:
-                trace.append(
-                    {
-                        "kind": "fedca.eager",
-                        "sim_time": t[i],
-                        "fields": {
-                            "layer": layer,
-                            "tau": fired,
-                            "trigger": trigger,
-                            "bytes": client.layer_bytes[layer],
-                        },
-                    }
-                )
-
-            return sink
-
-        for i, (cid, ctx) in enumerate(jobs):
-            if anchor[i]:
-                recorders[i] = AnchorRecorder(self._sampler_for(clients[i]))
-            else:
-                curves = self._curves[cid]
-                stoppers[i] = EarlyStopPolicy(curves, cfg)
-                schedules[i] = (
-                    EagerSchedule(
-                        curves, cfg.eager_threshold, sink=make_eager_sink(i)
-                    )
-                    if cfg.enable_eager_transmit
-                    else None
-                )
-                clients[i].uplink.reset(compute_start[i])
-
-        totals = [0.0] * size
-        iterations_run = [0] * size
-        stopped_early = [False] * size
-        stop_reason = ["completed"] * size
-        active = np.ones(size, dtype=bool)
-        budgets = np.asarray([ctx.iterations for ctx in ctxs])
-        for tau in range(1, int(budgets.max()) + 1):
-            mask = active & (tau <= budgets)
-            if not mask.any():
-                break
-            losses = engine.train_step(opt, mask)
-            for i in np.flatnonzero(mask):
-                client = clients[i]
-                totals[i] += float(losses[i])
-                t[i] = client.trace.iteration_finish_time(t[i], 1)
-                iterations_run[i] = tau
-                if anchor[i]:
-                    recorders[i].record(member_params[i], global_state)
-                    continue
-                schedule = schedules[i]
-                if schedule is not None:
-                    for layer in schedule.due(tau):
-                        transmitted[i][layer] = (
-                            member_params[i][layer] - global_state[layer]
-                        ).copy()
-                        client.uplink.submit(
-                            t[i], client.layer_bytes[layer], label=f"eager:{layer}"
-                        )
-                        eager_iter[i][layer] = tau
-                if tau < ctxs[i].iterations:
-                    decision = stoppers[i].decide(
-                        tau, t[i] - compute_start[i], ctxs[i].deadline
-                    )
-                    if traces[i] is not None:
-                        traces[i].append(
-                            {
-                                "kind": "fedca.earlystop.eval",
-                                "sim_time": t[i],
-                                "fields": {
-                                    "tau": decision.tau,
-                                    "b": decision.benefit,
-                                    "c": decision.cost,
-                                    "n": decision.net,
-                                    "elapsed": t[i] - compute_start[i],
-                                    "stop": decision.stop,
-                                    "reason": decision.reason,
-                                },
-                            }
-                        )
-                    if decision.stop:
-                        stopped_early[i] = True
-                        stop_reason[i] = decision.reason
-                        active[i] = False
-
-        stacked = engine.stacked_update(global_state)
-        engine.write_back()
-        results: list[ClientRoundResult] = []
-        for i, (cid, ctx) in enumerate(jobs):
-            client = clients[i]
-            if anchor[i]:
-                results.append(
-                    self._finish_cohort_anchor(
-                        client, engine.member_update(stacked, i), ctx,
-                        recorders[i], compute_start[i], t[i],
-                        totals[i], traces[i],
-                    )
-                )
-            else:
-                results.append(
-                    self._finish_cohort_optimized(
-                        client, engine.member_update(stacked, i), ctx,
-                        compute_start[i], t[i], totals[i],
-                        iterations_run[i], stopped_early[i], stop_reason[i],
-                        transmitted[i], eager_iter[i], traces[i],
-                    )
-                )
-        return results
-
-    def _finish_cohort_anchor(
-        self,
-        client: SimClient,
-        update: dict[str, np.ndarray],
-        ctx: RoundContext,
-        recorder: AnchorRecorder,
-        compute_start: float,
-        compute_finish: float,
-        total_loss: float,
-        trace: list[dict] | None,
-    ) -> ClientRoundResult:
-        """Anchor-member tail, mirroring :meth:`_anchor_round` post-loop."""
-        profiling_bytes = recorder.memory_bytes()
-        if trace is not None:
-            trace.append(
-                {
-                    "kind": "fedca.anchor",
-                    "sim_time": compute_finish,
-                    "fields": recorder.stats(),
-                }
-            )
-        self._curves[client.client_id] = recorder.finalize(ctx.round_index)
-        upload_finish, nbytes = self._finish_upload(
-            client, compute_start, compute_finish
-        )
-        return ClientRoundResult(
-            client_id=client.client_id,
-            update=update,
-            num_samples=client.num_samples,
-            iterations_run=ctx.iterations,
-            compute_start_time=compute_start,
-            compute_finish_time=compute_finish,
-            upload_finish_time=upload_finish,
-            bytes_uploaded=nbytes,
-            mean_loss=total_loss / ctx.iterations,
-            events={
-                "anchor": True,
-                "iterations_run": ctx.iterations,
-                "early_stop_iteration": None,
-                "eager": {},
-                "retransmitted": [],
-                "profiling_bytes": profiling_bytes,
-            },
-            buffers=client.model.buffer_dict(),
-            trace=trace or [],
-        )
-
-    def _finish_cohort_optimized(
-        self,
-        client: SimClient,
-        final_updates: dict[str, np.ndarray],
-        ctx: RoundContext,
-        compute_start: float,
-        compute_finish: float,
-        total_loss: float,
-        iterations_run: int,
-        stopped_early: bool,
-        stop_reason: str,
-        transmitted: dict[str, np.ndarray],
-        eager_iter: dict[str, int],
-        trace: list[dict] | None,
-    ) -> ClientRoundResult:
-        """Optimised-member tail, mirroring :meth:`_optimized_round` after
-        its iteration loop (retransmit check, tail upload, received dict)."""
-        cfg = self.config
-        if trace is not None:
-            trace.append(
-                {
-                    "kind": "fedca.earlystop.stop",
-                    "sim_time": compute_finish,
-                    "fields": {
-                        "tau": iterations_run,
-                        "reason": stop_reason,
-                        "early": stopped_early,
-                    },
-                }
-            )
-        retrans: list[str] = []
-        if cfg.enable_retransmit and transmitted:
-            retrans_sink = None
-            if trace is not None:
-                def retrans_sink(layer: str, cos: float, deviated: bool) -> None:
-                    trace.append(
-                        {
-                            "kind": "fedca.retransmit",
-                            "sim_time": compute_finish,
-                            "fields": {
-                                "layer": layer,
-                                "cosine": float(cos),
-                                "deviated": bool(deviated),
-                                "bytes": client.layer_bytes[layer],
-                            },
-                        }
-                    )
-            retrans = deviated_layers(
-                final_updates,
-                transmitted,
-                cfg.retransmit_threshold,
-                sink=retrans_sink,
-            )
-        tail_layers = [
-            name for name in client.layer_bytes if name not in transmitted
-        ] + retrans
-        tail_bytes = sum(client.layer_bytes[name] for name in tail_layers)
-        if tail_bytes > 0:
-            upload_finish = client.uplink.submit(
-                compute_finish, tail_bytes, label="tail"
-            ).finish_time
-        else:
-            upload_finish = max(compute_finish, client.uplink.busy_until)
-
-        received = dict(final_updates)
-        retrans_set = set(retrans)
-        for name, value in transmitted.items():
-            if name not in retrans_set:
-                received[name] = value
-
-        return ClientRoundResult(
-            client_id=client.client_id,
-            update=received,
-            num_samples=client.num_samples,
-            iterations_run=iterations_run,
-            compute_start_time=compute_start,
-            compute_finish_time=compute_finish,
-            upload_finish_time=upload_finish,
-            bytes_uploaded=client.uplink.total_bytes,
-            mean_loss=total_loss / max(1, iterations_run),
-            events={
-                "anchor": False,
-                "iterations_run": iterations_run,
-                "early_stop_iteration": iterations_run if stopped_early else None,
-                "eager": eager_iter,
-                "retransmitted": retrans,
-            },
-            buffers=client.model.buffer_dict(),
-            trace=trace or [],
-        )
-
-    # ------------------------------------------------------------------
-    def _anchor_round(
-        self,
-        client: SimClient,
-        global_state: dict[str, np.ndarray],
-        ctx: RoundContext,
-        opt,
-        compute_start: float,
-        trace: list[dict] | None = None,
-    ) -> ClientRoundResult:
-        sampler = self._sampler_for(client)
-        recorder = AnchorRecorder(sampler)
-        params = {name: p.data for name, p in client.model.named_parameters()}
-        t = compute_start
-        total_loss = 0.0
-        for _ in range(ctx.iterations):
-            total_loss += client.train_step(opt)
-            t = client.trace.iteration_finish_time(t, 1)
-            recorder.record(params, global_state)
-        profiling_bytes = recorder.memory_bytes()
-        if trace is not None:
-            # stats() must read the recorder before finalize clears it.
-            trace.append(
-                {"kind": "fedca.anchor", "sim_time": t, "fields": recorder.stats()}
-            )
-        self._curves[client.client_id] = recorder.finalize(ctx.round_index)
-        update = client.local_update(global_state)
-        events: dict = {
-            "anchor": True,
-            "iterations_run": ctx.iterations,
-            "early_stop_iteration": None,
-            "eager": {},
-            "retransmitted": [],
-            "profiling_bytes": profiling_bytes,
-        }
-        if self._wire is None:
-            upload_finish, nbytes = self._finish_upload(client, compute_start, t)
-        else:
-            # Anchor rounds upload the full update through the wire codec;
-            # the wire byte count drives the uplink timeline.
-            update, nbytes = self._wire.encode(client.client_id, update)
-            client.uplink.reset(compute_start)
-            upload_finish = client.uplink.submit(t, nbytes, label="full").finish_time
-            events["wire"] = {
-                "raw_bytes": client.model_bytes,
-                "wire_bytes": nbytes,
-            }
-        return ClientRoundResult(
-            client_id=client.client_id,
-            update=update,
-            num_samples=client.num_samples,
-            iterations_run=ctx.iterations,
-            compute_start_time=compute_start,
-            compute_finish_time=t,
-            upload_finish_time=upload_finish,
-            bytes_uploaded=nbytes,
-            mean_loss=total_loss / ctx.iterations,
-            events=events,
-            buffers=client.model.buffer_dict(),
-            trace=trace or [],
-        )
-
-    # ------------------------------------------------------------------
-    def _run_iteration(self, client: SimClient, opt, t: float) -> tuple[float, float]:
-        """One timed local iteration; hook for the intra-round
-        hyperparameter-adaptation extensions (§6 future work)."""
-        loss = client.train_step(opt)
-        return loss, client.trace.iteration_finish_time(t, 1)
-
-    # ------------------------------------------------------------------
-    def _optimized_round(
-        self,
-        client: SimClient,
-        global_state: dict[str, np.ndarray],
-        ctx: RoundContext,
-        opt,
-        compute_start: float,
-        trace: list[dict] | None = None,
-    ) -> ClientRoundResult:
-        cfg = self.config
-        curves = self._curves[client.client_id]
-        stopper = EarlyStopPolicy(curves, cfg)
-        t = compute_start
-
-        eager_sink = None
-        if trace is not None and self._wire is None:
-            def eager_sink(layer: str, trigger: int, fired: int) -> None:
-                # ``t`` reads the enclosing loop's current iteration finish.
-                trace.append(
-                    {
-                        "kind": "fedca.eager",
-                        "sim_time": t,
-                        "fields": {
-                            "layer": layer,
-                            "tau": fired,
-                            "trigger": trigger,
-                            "bytes": client.layer_bytes[layer],
-                        },
-                    }
-                )
-        # With a wire layer the eager bytes are only known after encoding,
-        # so the trace event is emitted in the loop below instead of by the
-        # schedule's sink. ``due()`` fires layers in the same insertion
-        # order it returns them, so the event order is unchanged.
-
-        schedule = (
-            EagerSchedule(curves, cfg.eager_threshold, sink=eager_sink)
-            if cfg.enable_eager_transmit
-            else None
-        )
-        client.uplink.reset(compute_start)
-
-        params = {name: p.data for name, p in client.model.named_parameters()}
-        transmitted: dict[str, np.ndarray] = {}
-        eager_iter: dict[str, int] = {}
-        raw_eager_bytes = 0
-        total_loss = 0.0
-        stopped_early = False
-        stop_reason = "completed"
-        iterations_run = 0
-        for tau in range(1, ctx.iterations + 1):
-            loss, t = self._run_iteration(client, opt, t)
-            total_loss += loss
-            iterations_run = tau
-            if schedule is not None:
-                for layer in schedule.due(tau):
-                    # TryEagerTransmit: snapshot the layer's update as of now
-                    # and queue it on the uplink, overlapping with compute.
-                    value = (params[layer] - global_state[layer]).copy()
-                    send_bytes = client.layer_bytes[layer]
-                    if self._wire is not None:
-                        value, send_bytes = self._wire.encode_layer(
-                            client.client_id, layer, value
-                        )
-                        raw_eager_bytes += client.layer_bytes[layer]
-                        if trace is not None:
-                            trace.append(
-                                {
-                                    "kind": "fedca.eager",
-                                    "sim_time": t,
-                                    "fields": {
-                                        "layer": layer,
-                                        "tau": tau,
-                                        "trigger": schedule.triggers[layer],
-                                        "bytes": send_bytes,
-                                    },
-                                }
-                            )
-                    transmitted[layer] = value
-                    client.uplink.submit(t, send_bytes, label=f"eager:{layer}")
-                    eager_iter[layer] = tau
-            if tau < ctx.iterations:
-                decision = stopper.decide(tau, t - compute_start, ctx.deadline)
-                if trace is not None:
-                    trace.append(
-                        {
-                            "kind": "fedca.earlystop.eval",
-                            "sim_time": t,
-                            "fields": {
-                                "tau": decision.tau,
-                                "b": decision.benefit,
-                                "c": decision.cost,
-                                "n": decision.net,
-                                "elapsed": t - compute_start,
-                                "stop": decision.stop,
-                                "reason": decision.reason,
-                            },
-                        }
-                    )
-                if decision.stop:
-                    stopped_early = True
-                    stop_reason = decision.reason
-                    break
-        compute_finish = t
-        if trace is not None:
-            trace.append(
-                {
-                    "kind": "fedca.earlystop.stop",
-                    "sim_time": compute_finish,
-                    "fields": {
-                        "tau": iterations_run,
-                        "reason": stop_reason,
-                        "early": stopped_early,
-                    },
-                }
-            )
-
-        final_updates = client.local_update(global_state)
-        retrans: list[str] = []
-        if cfg.enable_retransmit and transmitted:
-            retrans_sink = None
-            if trace is not None:
-                def retrans_sink(layer: str, cos: float, deviated: bool) -> None:
-                    trace.append(
-                        {
-                            "kind": "fedca.retransmit",
-                            "sim_time": compute_finish,
-                            "fields": {
-                                "layer": layer,
-                                "cosine": float(cos),
-                                "deviated": bool(deviated),
-                                "bytes": client.layer_bytes[layer],
-                            },
-                        }
-                    )
-            retrans = deviated_layers(
-                final_updates,
-                transmitted,
-                cfg.retransmit_threshold,
-                sink=retrans_sink,
-            )
-        tail_layers = [
-            name for name in client.layer_bytes if name not in transmitted
-        ] + retrans
-        raw_tail_bytes = sum(client.layer_bytes[name] for name in tail_layers)
-        tail_updates: dict[str, np.ndarray] | None = None
-        if self._wire is None:
-            tail_bytes = raw_tail_bytes
-        elif tail_layers:
-            # Retransmitted layers ride the tail, so their decoded values
-            # below overwrite the stale eager ones.
-            tail_updates, tail_bytes = self._wire.encode(
-                client.client_id,
-                {name: final_updates[name] for name in tail_layers},
-            )
-        else:
-            tail_bytes = 0
-        if tail_bytes > 0:
-            upload_finish = client.uplink.submit(
-                compute_finish, tail_bytes, label="tail"
-            ).finish_time
-        else:
-            upload_finish = max(compute_finish, client.uplink.busy_until)
-
-        # What the server receives: stale eager values unless retransmitted.
-        received = dict(final_updates)
-        if tail_updates is not None:
-            received.update(tail_updates)
-        retrans_set = set(retrans)
-        for name, value in transmitted.items():
-            if name not in retrans_set:
-                received[name] = value
-
-        events: dict = {
-            "anchor": False,
-            "iterations_run": iterations_run,
-            "early_stop_iteration": iterations_run if stopped_early else None,
-            "eager": eager_iter,
-            "retransmitted": retrans,
-        }
-        if self._wire is not None:
-            events["wire"] = {
-                "raw_bytes": raw_eager_bytes + raw_tail_bytes,
-                "wire_bytes": client.uplink.total_bytes,
-            }
-        return ClientRoundResult(
-            client_id=client.client_id,
-            update=received,
-            num_samples=client.num_samples,
-            iterations_run=iterations_run,
-            compute_start_time=compute_start,
-            compute_finish_time=compute_finish,
-            upload_finish_time=upload_finish,
-            bytes_uploaded=client.uplink.total_bytes,
-            mean_loss=total_loss / max(1, iterations_run),
-            events=events,
-            buffers=client.model.buffer_dict(),
-            trace=trace or [],
-        )
+    def step_plan(self, client: SimClient, t: float) -> tuple[int | None, float]:
+        """``(batch_size, work_fraction)`` of the optimised-round iteration
+        about to start at simulated time ``t``: the minibatch to draw
+        (``None``: the stream's own) and its compute cost in base
+        iterations. Hook for the intra-round hyperparameter-adaptation
+        extensions (§6 future work)."""
+        return None, 1

@@ -1,13 +1,13 @@
 """FedProx (Li et al.) — FedAvg plus a proximal term μ‖w − w_global‖².
 
-Identical round structure to FedAvg; only the local objective changes. The
+Identical round structure to FedAvg; only the local objective changes, so
+the scheme is FedAvg with a ``mu``-bearing optimiser spec (see
+:class:`~repro.nn.ProxSGD` and the cohort engine's ``CohortSGD``). The
 paper uses the recommended μ = 0.01.
 """
 
 from __future__ import annotations
 
-from ..nn import ProxSGD
-from ..runtime.client import SimClient
 from .base import OptimizerSpec
 from .fedavg import FedAvg
 
@@ -20,18 +20,11 @@ class FedProx(FedAvg):
     name = "FedProx"
 
     def __init__(self, optimizer: OptimizerSpec, *, mu: float = 0.01) -> None:
-        super().__init__(optimizer)
         if mu < 0:
             raise ValueError("mu must be non-negative")
-        self.mu = mu
-
-    def _build_optimizer(self, client: SimClient, global_state):
-        opt = ProxSGD(
-            client.model,
-            self.optimizer.lr,
-            mu=self.mu,
-            weight_decay=self.optimizer.weight_decay,
-            momentum=self.optimizer.momentum,
+        super().__init__(
+            OptimizerSpec(
+                optimizer.lr, optimizer.weight_decay, optimizer.momentum, mu=mu
+            )
         )
-        opt.set_anchor(global_state)
-        return opt
+        self.mu = mu

@@ -688,7 +688,11 @@ class CohortSGD:
     mask: a masked member's parameters do not move at all — the *entire*
     effective step (including the weight-decay component, which is nonzero
     even at zero loss gradient) is multiplied by the mask, exactly
-    reproducing a serial client that simply stopped calling ``step()``."""
+    reproducing a serial client that simply stopped calling ``step()``.
+
+    ``mu > 0`` adds FedProx's proximal pull ``mu * (w − anchor)`` toward
+    ``anchor``, the round-start global state every member was broadcast —
+    the stacked form of :class:`~repro.nn.optim.ProxSGD`."""
 
     def __init__(
         self,
@@ -697,6 +701,8 @@ class CohortSGD:
         *,
         weight_decay: float = 0.0,
         momentum: float = 0.0,
+        mu: float = 0.0,
+        anchor: dict[str, np.ndarray] | None = None,
     ) -> None:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
@@ -704,10 +710,21 @@ class CohortSGD:
             raise ValueError("weight_decay must be non-negative")
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
+        if mu < 0:
+            raise ValueError("mu must be non-negative")
         self.model = model
         self.lr = lr
         self.weight_decay = weight_decay
         self.momentum = momentum
+        self.mu = mu
+        self._anchor: dict[str, np.ndarray] | None = None
+        if mu:
+            if anchor is None:
+                raise ValueError("a proximal step (mu > 0) needs the anchor state")
+            self._anchor = {
+                name: np.asarray(anchor[name], dtype=np.float32)[None]
+                for name in model.params
+            }
         self._velocity: dict[str, np.ndarray] | None = (
             {name: np.zeros_like(p.data) for name, p in model.params.items()}
             if momentum > 0.0
@@ -726,6 +743,8 @@ class CohortSGD:
             grad = p.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * p.data
+            if self._anchor is not None:
+                grad = grad + self.mu * (p.data - self._anchor[name])
             if self._velocity is not None:
                 v = self._velocity[name]
                 v *= self.momentum

@@ -40,6 +40,7 @@ class SimClient:
         self.trace = trace
         self.link = link
         self.uplink = UplinkScheduler(link)
+        self._staged_buffers: dict[str, np.ndarray] | None = None
         # Cache per-layer byte sizes once; they drive all transmission times.
         self.layer_bytes: dict[str, int] = {
             name: p.nbytes for name, p in self.model.named_parameters()
@@ -61,9 +62,8 @@ class SimClient:
     def load_global(self, state: dict[str, np.ndarray]) -> None:
         """Install the broadcast global model into the local replica."""
         self.model.load_state_dict(state)
-        staged = getattr(self, "_staged_buffers", None)
-        if staged is not None:
-            self.model.load_buffer_dict(staged)
+        if self._staged_buffers is not None:
+            self.model.load_buffer_dict(self._staged_buffers)
         self.model.train(True)
 
     def train_step(self, optimizer, batch_size: int | None = None) -> float:

@@ -17,11 +17,12 @@ Chunking: jobs are split into consecutive chunks of at most
 **tail chunk trains the remainder** (selected=5 at M=4 → chunks of 4 and
 1), so no client is ever dropped.
 
-Fallback: models without a batched expression (WideResNet's residual
-topology, BatchNorm2d's running statistics) and strategies without a
-``cohort_round`` implementation (or subclasses that override hooks the
-batched path cannot honour) fall back to the serial per-client path with a
-single warning — results are then bitwise-identical to serial.
+Fallback: exactly one — a model without a batched expression
+(WideResNet's residual topology, BatchNorm2d's running statistics) runs
+the serial per-client path with a single warning, and results are then
+bitwise-identical to serial. Every strategy runs batched:
+``Strategy.cohort_round`` is a driver over the same per-client step
+machine the serial ``client_round`` feeds (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -84,25 +85,38 @@ class CohortEngine:
         """Member ``i``'s live parameter views (zero-copy into the stack)."""
         return self.model.member_params(i)
 
-    def build_optimizer(self, spec) -> CohortSGD:
-        """Batched optimizer from an :class:`~repro.algorithms.base.OptimizerSpec`."""
+    def build_optimizer(
+        self, spec, global_state: dict[str, np.ndarray]
+    ) -> CohortSGD:
+        """Batched optimizer from an :class:`~repro.algorithms.base.OptimizerSpec`;
+        ``global_state`` is the proximal anchor (read only when ``spec.mu``)."""
         return CohortSGD(
             self.model,
             spec.lr,
             weight_decay=spec.weight_decay,
             momentum=spec.momentum,
+            mu=spec.mu,
+            anchor=global_state,
         )
 
     # ------------------------------------------------------------------
-    def train_step(self, optimizer: CohortSGD, active: np.ndarray) -> np.ndarray:
+    def train_step(
+        self,
+        optimizer: CohortSGD,
+        active: np.ndarray,
+        batch_sizes: Sequence[int | None] | None = None,
+    ) -> np.ndarray:
         """One batched SGD iteration over the active members.
 
         Draws the next minibatch from each **active** member's own stream
         (inactive members consume no data and no RNG draws, leaving their
         cross-round stream state exactly where a serial run would), pads the
         batches to a common width, and runs forward/backward/step as one
-        stacked program. Returns per-member losses, shape ``(C,)`` — entries
-        of inactive members are 0.0 and must be ignored by the caller.
+        stacked program. ``batch_sizes[i]`` overrides member ``i``'s stream
+        batch size for this step (the intra-round batch-adaptation
+        extension); the padding absorbs the ragged widths. Returns
+        per-member losses, shape ``(C,)`` — entries of inactive members are
+        0.0 and must be ignored by the caller.
         """
         c = self.size
         counts = np.zeros(c, dtype=np.int64)
@@ -110,7 +124,9 @@ class CohortEngine:
         for i in range(c):
             if not active[i]:
                 continue
-            x, y = self.clients[i].stream.next_batch()
+            x, y = self.clients[i].stream.next_batch(
+                None if batch_sizes is None else batch_sizes[i]
+            )
             batches.append((i, x, y))
             counts[i] = x.shape[0]
         if not batches:
@@ -164,14 +180,12 @@ class CohortExecutor(Executor):
         if size < 1:
             raise ValueError(f"cohort size must be >= 1, got {size}")
         self.cohort_size = size
-        self._clients: Sequence["SimClient"] | None = None
-        self._strategy: "Strategy" | None = None
         self._recorder = None
         #: Stacked models cached per chunk width — selection changes the
         #: membership every round but rarely the widths (full chunks of M
         #: plus one tail width), so the (C, *shape) stacks are reused.
         self._models: dict[int, CohortModel] = {}
-        self._model_supported: bool | None = None
+        #: Why the bound model has no stacked expression (``None``: it has).
         self._fallback_reason: str | None = None
         self._warned_fallback = False
         self._steps = 0
@@ -189,36 +203,10 @@ class CohortExecutor(Executor):
             from ..nn.cohort import cohort_supported
 
             ok, reason = cohort_supported(clients[0].model)
-            self._model_supported = ok
-            if not ok:
-                self._fallback_reason = reason
+            self._fallback_reason = None if ok else reason
 
     def set_recorder(self, recorder) -> None:
         self._recorder = recorder
-
-    # ------------------------------------------------------------------
-    def _warn_fallback(self, reason: str) -> None:
-        if not self._warned_fallback:
-            warnings.warn(
-                f"cohort executor falling back to serial per-client rounds: "
-                f"{reason}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self._warned_fallback = True
-
-    def _serial_chunk(
-        self,
-        global_state: dict[str, np.ndarray],
-        global_buffers: dict[str, np.ndarray],
-        chunk: list[tuple[int, RoundContext]],
-    ) -> list[ClientRoundResult]:
-        results = []
-        for cid, ctx in chunk:
-            client = self._clients[cid]
-            client.stage_buffers(global_buffers)
-            results.append(self._strategy.client_round(client, global_state, ctx))
-        return results
 
     def _model_for(self, template, width: int) -> CohortModel:
         model = self._models.get(width)
@@ -255,21 +243,27 @@ class CohortExecutor(Executor):
         global_buffers: dict[str, np.ndarray],
         chunk: list[tuple[int, RoundContext]],
     ) -> list[ClientRoundResult]:
-        if self._model_supported is False:
-            self._warn_fallback(self._fallback_reason or "unsupported model")
-            return self._serial_chunk(global_state, global_buffers, chunk)
         clients = [self._clients[cid] for cid, _ in chunk]
         for client in clients:
             client.stage_buffers(global_buffers)
+        if self._fallback_reason is not None:
+            # The one fallback: no stacked expression for this model.
+            if not self._warned_fallback:
+                warnings.warn(
+                    f"cohort executor falling back to serial per-client rounds: "
+                    f"{self._fallback_reason}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                self._warned_fallback = True
+            return [
+                self._strategy.client_round(client, global_state, ctx)
+                for client, (_, ctx) in zip(clients, chunk)
+            ]
         engine = CohortEngine(
             self._model_for(clients[0].model, len(clients)), clients
         )
         out = self._strategy.cohort_round(engine, chunk, global_state)
-        if out is None:
-            self._warn_fallback(
-                f"strategy {self._strategy.name!r} has no batched cohort round"
-            )
-            return self._serial_chunk(global_state, global_buffers, chunk)
         self._steps += engine.steps
         self._member_steps += engine.member_steps
         return out
@@ -311,16 +305,4 @@ class CohortExecutor(Executor):
         }
 
     def capture_run_state(self) -> dict:
-        if self._clients is None or self._strategy is None:
-            raise RuntimeError(
-                "executor not bound; construct it via FederatedSimulator"
-            )
-        if hasattr(self._clients, "capture_run_state"):
-            # Lazy population: snapshot only the clients that have diverged
-            # from their deterministic initial state.
-            return self._clients.capture_run_state(self._strategy)
-        client_ids = [c.client_id for c in self._clients]
-        return {
-            "clients": {c.client_id: c.capture_state() for c in self._clients},
-            "strategy": self._strategy.capture_client_states(client_ids),
-        }
+        return self._capture_local_state()

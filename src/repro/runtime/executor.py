@@ -51,6 +51,10 @@ class Executor(ABC):
     #: in a live one). Class attribute so engines need no __init__ hook.
     _profiler = NULL_PROFILER
 
+    #: What :meth:`bind` attached; ``None`` until then.
+    _clients: "Sequence[SimClient] | None" = None
+    _strategy: "Strategy | None" = None
+
     @abstractmethod
     def bind(self, clients: Sequence["SimClient"], strategy: "Strategy") -> None:
         """Attach the simulator's client replicas and strategy."""
@@ -130,6 +134,22 @@ class Executor(ABC):
             f"executor {self.name!r} does not support checkpointing"
         )
 
+    def _capture_local_state(self) -> dict:
+        """:meth:`capture_run_state` for state that lives in this process:
+        the bound client replicas and strategy."""
+        if self._clients is None or self._strategy is None:
+            raise RuntimeError("executor not bound; construct it via FederatedSimulator")
+        if hasattr(self._clients, "capture_run_state"):
+            # Lazy population: it knows which clients have diverged from
+            # their (seed, cid)-deterministic initial state; iterating it
+            # here would materialise all of them.
+            return self._clients.capture_run_state(self._strategy)
+        client_ids = [c.client_id for c in self._clients]
+        return {
+            "clients": {c.client_id: c.capture_state() for c in self._clients},
+            "strategy": self._strategy.capture_client_states(client_ids),
+        }
+
     # Context-manager sugar so ad-hoc scripts don't leak worker processes.
     def __enter__(self) -> "Executor":
         return self
@@ -142,10 +162,6 @@ class SerialExecutor(Executor):
     """The default single-process engine (exactly the historical behavior)."""
 
     name = "serial"
-
-    def __init__(self) -> None:
-        self._clients: Sequence["SimClient"] | None = None
-        self._strategy: "Strategy" | None = None
 
     def bind(self, clients: Sequence["SimClient"], strategy: "Strategy") -> None:
         self._clients = clients
@@ -170,18 +186,7 @@ class SerialExecutor(Executor):
         return results
 
     def capture_run_state(self) -> dict:
-        if self._clients is None or self._strategy is None:
-            raise RuntimeError("executor not bound; construct it via FederatedSimulator")
-        if hasattr(self._clients, "capture_run_state"):
-            # Lazy population: it knows which clients have diverged from
-            # their (seed, cid)-deterministic initial state; iterating it
-            # here would materialise all of them.
-            return self._clients.capture_run_state(self._strategy)
-        client_ids = [c.client_id for c in self._clients]
-        return {
-            "clients": {c.client_id: c.capture_state() for c in self._clients},
-            "strategy": self._strategy.capture_client_states(client_ids),
-        }
+        return self._capture_local_state()
 
 
 def resolve_executor(spec: "Executor | str | None") -> Executor:

@@ -240,8 +240,6 @@ class ParallelExecutor(Executor):
         self._shard_plan = None
         self._transport_impl: Transport | None = None
         self._recorder: "Recorder | None" = None
-        self._clients: Sequence["SimClient"] | None = None
-        self._strategy: "Strategy" | None = None
         self._procs: list[mp.process.BaseProcess] = []
         self._conns: list = []
         self._started = False
@@ -561,9 +559,7 @@ class ParallelExecutor(Executor):
             return self._fallback.capture_run_state()
         if not self._started:
             # No round has run yet — the initial state still lives here.
-            serial = SerialExecutor()
-            serial.bind(self._clients, self._strategy)
-            return serial.capture_run_state()
+            return self._capture_local_state()
         transport = self._transport_impl
         for conn in self._conns:
             try:

@@ -1,6 +1,7 @@
 """Tests for the cohort executor: batched layer/model equivalence against the
 serial oracle, ragged-cohort masking, FedCA early-stop parity via the JSONL
-trace, executor-spec parsing, fallbacks, and the shared einsum-plan cache.
+trace, executor-spec parsing, the one model fallback, and the one round body
+per scheme that both ``Strategy`` drivers feed.
 
 The serial executor is the bitwise oracle; the cohort path is allowed to
 deviate in *tensor* compute only, within the pinned tolerance below.  All
@@ -18,9 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import FedAvg, OptimizerSpec, build_strategy
+from repro.algorithms import (
+    STRATEGY_NAMES,
+    FedAvg,
+    FedCAAdaptiveBatch,
+    OptimizerSpec,
+    Strategy,
+    build_strategy,
+    fedavg_topk,
+)
 from repro.data import Dataset
-from repro.experiments.configs import get_workload
+from repro.experiments.configs import get_workload, make_environment
 from repro.experiments.runner import run_scheme
 from repro.nn import (
     SGD,
@@ -34,8 +43,10 @@ from repro.nn import (
     Linear,
     LSTMClassifier,
     MaxPool2d,
+    ProxSGD,
     ReLU,
     Sequential,
+    WideResNet,
     build_cohort_model,
     cohort_softmax_cross_entropy,
     cohort_supported,
@@ -350,6 +361,48 @@ class TestCohortModel:
         for name, p in cohort.params.items():
             assert p.data.tobytes() == expected[name].tobytes(), name
 
+    def test_masked_prox_step_matches_per_member_prox_sgd(self):
+        """``CohortSGD(mu > 0)`` is ``ProxSGD`` per member: the proximal pull
+        toward the broadcast state follows weight decay, and a masked member
+        does not move."""
+        c, steps = 3, 4
+        lr, wd, momentum, mu = 0.05, 1e-3, 0.9, 0.5
+        members = clone_members(model_fn, c)
+        anchor = members[0].state_dict()
+        cohort = build_cohort_model(members[0], c)
+        cohort.load_global(anchor)
+        opt = CohortSGD(
+            cohort, lr, weight_decay=wd, momentum=momentum, mu=mu, anchor=anchor
+        )
+        refs = []
+        for m in members:
+            ref = ProxSGD(m, lr, mu=mu, weight_decay=wd, momentum=momentum)
+            ref.set_anchor(anchor)
+            refs.append(ref)
+        rng = np.random.default_rng(13)
+        # Member 2 stops after two steps (budgets are prefixes).
+        masks = [np.array([True, True, t < 2]) for t in range(steps)]
+        for mask in masks:
+            for p in cohort.params.values():
+                p.grad[...] = rng.normal(size=p.grad.shape)
+            for i, m in enumerate(members):
+                if mask[i]:
+                    for name, p in m.named_parameters():
+                        p.grad[...] = cohort.params[name].grad[i]
+                    refs[i].step()
+            opt.step(mask)
+        moved = 0
+        for i, m in enumerate(members):
+            got = cohort.member_params(i)
+            for name, p in m.named_parameters():
+                np.testing.assert_allclose(
+                    got[name], p.data, rtol=RTOL, atol=ATOL, err_msg=f"{i}:{name}"
+                )
+                moved += not np.array_equal(p.data, anchor[name])
+        assert moved
+        with pytest.raises(ValueError):
+            CohortSGD(cohort, lr, mu=mu)
+
     def test_dropout_draws_member_rngs(self):
         """A model with Dropout must consume each member's own serial RNG
         stream, so cohort training stays equivalent to serial training."""
@@ -477,24 +530,39 @@ class TestCohortExecutor:
                     rc.update[name], rs.update[name], rtol=RTOL, atol=ATOL
                 )
 
-    def test_unbatchable_strategy_falls_back_serially(self):
-        strategy = build_strategy("fedprox", OPT)
-        clients = [make_client(i) for i in range(3)]
-        jobs = [(i, ctx()) for i in range(3)]
-        executor = CohortExecutor(4)
-        executor.bind(clients, strategy)
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            results = executor.run_round(model_fn().state_dict(), {}, jobs)
-        assert len(results) == 3
+    def test_unbatchable_model_falls_back_serially(self):
+        """The one remaining fallback: a model with no stacked expression
+        (WideResNet / BatchNorm) runs the serial per-client path — one
+        warning for the whole run, results bitwise-serial."""
+        def wrn_fn():
+            return WideResNet(rng=np.random.default_rng(3))
 
-        serial_clients = [make_client(i) for i in range(3)]
-        serial, _ = run_executor(
-            SerialExecutor(), serial_clients, build_strategy("fedprox", OPT), jobs
-        )
-        for rs, rc in zip(serial, results):
+        jobs = [(i, ctx(iterations=2)) for i in range(3)]
+        state = wrn_fn().state_dict()
+        buffers = wrn_fn().buffer_dict()
+        executor = CohortExecutor(2)
+        executor.bind([make_client(i, model=wrn_fn) for i in range(3)], FedAvg(OPT))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = executor.run_round(state, buffers, jobs)
+            executor.run_round(state, buffers, jobs)
+        fallbacks = [w for w in caught if "falling back to serial" in str(w.message)]
+        assert len(fallbacks) == 1
+        assert issubclass(fallbacks[0].category, RuntimeWarning)
+        assert "BatchNorm2d" in str(fallbacks[0].message)
+        assert executor.occupancy()["steps"] == 0.0
+
+        serial = SerialExecutor()
+        serial.bind([make_client(i, model=wrn_fn) for i in range(3)], FedAvg(OPT))
+        expected = serial.run_round(state, buffers, jobs)
+        assert len(results) == 3
+        for rs, rc in zip(expected, results):
             assert rc.upload_finish_time == rs.upload_finish_time
+            assert rc.mean_loss == rs.mean_loss
             for name in rs.update:
                 np.testing.assert_array_equal(rc.update[name], rs.update[name])
+            for name in rs.buffers:
+                np.testing.assert_array_equal(rc.buffers[name], rs.buffers[name])
 
     def test_metrics_mirrored_into_recorder(self):
         recorder = TraceRecorder()
@@ -579,3 +647,135 @@ class TestEndToEnd:
         assert serial_stops, "expected at least one early stop in 4 rounds"
         assert cohort_stops == serial_stops
         assert cohort_evals == serial_evals
+
+
+
+# ----------------------------------------------------------------------
+# One client-round body per scheme, two drivers on Strategy
+# ----------------------------------------------------------------------
+def _adaptive_batch(opt, cfg):
+    from repro.core import FedCAConfig
+
+    return FedCAAdaptiveBatch(
+        opt, config=FedCAConfig(profile_every=cfg.fedca_profile_every)
+    )
+
+
+#: id -> (strategy factory ``(optimizer_spec, cfg)``, wire spec).
+ROUND_BODY_CASES = {
+    "fedprox": (lambda opt, cfg: build_strategy("fedprox", opt), None),
+    "deadline-stop": (lambda opt, cfg: build_strategy("deadline-stop", opt), None),
+    "fedca-v1": ("fedca-v1", None),
+    "fedca-v2": ("fedca-v2", None),
+    "fedca+ab": (_adaptive_batch, None),
+    "fedavg-topk-codec": (lambda opt, cfg: fedavg_topk(opt), None),
+    "fedavg-quant8": ("fedavg", "quant8"),
+    "fedavg-topk": ("fedavg", "topk:0.1"),
+    "fedca-quant8": ("fedca", "quant8"),
+    "fedca-topk": ("fedca", "topk:0.1"),
+}
+
+
+class TestOneRoundBody:
+    @pytest.mark.parametrize(
+        "name", [*STRATEGY_NAMES, "FedCAAdaptiveBatch", "CompressedFedAvg"]
+    )
+    def test_no_scheme_overrides_the_drivers(self, name):
+        extra = {"FedCAAdaptiveBatch": FedCAAdaptiveBatch, "CompressedFedAvg": fedavg_topk}
+        strategy = extra[name](OPT) if name in extra else build_strategy(name, OPT)
+        assert type(strategy).client_round is Strategy.client_round
+        assert type(strategy).cohort_round is Strategy.cohort_round
+
+    @pytest.mark.parametrize("scheme", ["fedprox", "deadline-stop", "fedca+ab"])
+    def test_formerly_serial_schemes_match_serial_tensors(self, scheme):
+        """Executor level, two rounds (for FedCA+AB an anchor then an
+        optimised round on always-slowed clients, so batches do shrink):
+        timelines, bytes, iterations and events exactly equal, update
+        tensors within the pinned tolerance."""
+        def build():
+            opt = OptimizerSpec(lr=0.05, weight_decay=0.01)
+            if scheme == "fedca+ab":
+                return FedCAAdaptiveBatch(opt, slowdown_trigger=2.0)
+            return build_strategy(scheme, opt)
+
+        def slowed_client(cid):
+            client = make_client(cid, n=24 if cid else 5)
+            client.trace = SpeedTrace(
+                0.01 * (1 + cid), seed=cid, dynamic=True,
+                gamma_fast=(2.0, 1e-6), gamma_slow=(2.0, 1e9),
+                slowdown_range=(3.0, 3.0),
+            )
+            return client
+
+        def run(executor):
+            executor.bind([slowed_client(i) for i in range(3)], build())
+            state = model_fn().state_dict()
+            out = []
+            for r in range(2):
+                jobs = [(i, ctx(round_index=r, deadline=0.12)) for i in range(3)]
+                out.append(executor.run_round(state, {}, jobs))
+            return out
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cohort = run(CohortExecutor(4))
+        serial = run(SerialExecutor())
+        shrunk = False
+        for round_s, round_c in zip(serial, cohort):
+            for rs, rc in zip(round_s, round_c):
+                assert rc.iterations_run == rs.iterations_run
+                assert rc.compute_finish_time == rs.compute_finish_time
+                assert rc.upload_finish_time == rs.upload_finish_time
+                assert rc.bytes_uploaded == rs.bytes_uploaded
+                assert rc.events == rs.events
+                for name in rs.update:
+                    np.testing.assert_allclose(
+                        rc.update[name], rs.update[name], rtol=RTOL, atol=ATOL
+                    )
+                full = rs.iterations_run * 0.01 * (1 + rs.client_id) * 3.0
+                shrunk |= rs.compute_finish_time - rs.compute_start_time < 0.9 * full
+        if scheme == "deadline-stop":
+            assert any(r.events["early_stop_iteration"] for r in serial[0])
+        if scheme == "fedca+ab":
+            assert shrunk and not serial[1][0].events["anchor"]
+
+    @pytest.mark.parametrize("workload", ["cnn", "lstm"])
+    @pytest.mark.parametrize("case", list(ROUND_BODY_CASES))
+    def test_every_scheme_runs_batched_and_matches_serial(self, workload, case):
+        """Schemes, extensions and wire formats that used to degrade to
+        serial under the cohort engine now run batched: no fallback
+        warning, every scalar outcome exactly serial-equal."""
+        scheme, wire = ROUND_BODY_CASES[case]
+        cfg = micro_cfg(workload)
+
+        def run(executor):
+            if isinstance(scheme, str):
+                return run_scheme(
+                    cfg, scheme, rounds=3, stop_at_target=False, seed=0,
+                    wire=wire, executor=executor,
+                ).history
+            sim = make_environment(
+                cfg, scheme(cfg.optimizer_spec(), cfg), seed=0, executor=executor
+            )
+            try:
+                return sim.run(3)
+            finally:
+                sim.close()
+
+        hs = run("serial")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            hc = run("cohort:4")
+        assert not [w for w in caught if "falling back" in str(w.message)]
+        assert [r.end_time for r in hc.records] == [r.end_time for r in hs.records]
+        assert [r.collected_clients for r in hc.records] == [
+            r.collected_clients for r in hs.records
+        ]
+        assert [r.total_bytes for r in hc.records] == [r.total_bytes for r in hs.records]
+        for rc, rs in zip(hc.records, hs.records):
+            assert {
+                cid: ev["iterations_run"] for cid, ev in rc.client_events.items()
+            } == {cid: ev["iterations_run"] for cid, ev in rs.client_events.items()}
+        np.testing.assert_allclose(
+            hc.accuracy_series(), hs.accuracy_series(), atol=0.02
+        )

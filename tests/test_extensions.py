@@ -46,7 +46,9 @@ class TestFedCAAdaptiveBatch:
     def test_full_batch_at_full_speed(self):
         strat = FedCAAdaptiveBatch(OPT)
         client = make_client(trace=SpeedTrace(0.1, seed=0, dynamic=False))
-        loss, t = strat._run_iteration(client, OPT.build(client.model), 0.0)
+        batch, work = strat.step_plan(client, 0.0)
+        assert batch == 8
+        t = client.trace.iteration_finish_time(0.0, work)
         assert t == pytest.approx(0.1)
 
     def test_shrinks_batch_under_slowdown(self):
@@ -61,7 +63,9 @@ class TestFedCAAdaptiveBatch:
         # Start inside the (enormous) slow segment.
         start = trace.iteration_finish_time(0.0, 1)  # past the tiny fast lead-in
         assert trace.slowdown_at(start + 1.0) == 4.0
-        _, t = strat._run_iteration(client, OPT.build(client.model), start + 1.0)
+        batch, work = strat.step_plan(client, start + 1.0)
+        assert batch == 2
+        t = trace.iteration_finish_time(start + 1.0, work)
         # Quarter batch at 4x slowdown ~ one base-iteration wall time.
         wall = t - (start + 1.0)
         assert wall == pytest.approx(0.1, rel=0.3)
@@ -75,7 +79,9 @@ class TestFedCAAdaptiveBatch:
         )
         client = make_client(trace=trace)
         start = trace.iteration_finish_time(0.0, 1) + 1.0
-        _, t = strat._run_iteration(client, OPT.build(client.model), start)
+        batch, work = strat.step_plan(client, start)
+        assert batch == 4
+        t = trace.iteration_finish_time(start, work)
         # Floor 0.5 batch at 5x slowdown => 0.25s, not 0.1s.
         assert (t - start) == pytest.approx(0.5 * 0.1 * 5.0, rel=0.3)
 

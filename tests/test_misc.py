@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import repro
-from repro.algorithms import OptimizerSpec
-from repro.algorithms.base import run_local_iterations
+from repro.algorithms import FedAvg, OptimizerSpec
 from repro.experiments import get_workload
 from repro.nn import LeNetCNN, Linear, ReLU, Sequential
+from repro.runtime import RoundContext
 
 
 class TestModuleTraversal:
@@ -33,6 +33,8 @@ class TestModuleTraversal:
 
 
 class TestRunLocalIterations:
+    """The timed SGD loop every scheme shares: ``Strategy.client_round``."""
+
     def _client(self):
         from repro.data import Dataset
         from repro.runtime.client import SimClient
@@ -56,16 +58,27 @@ class TestRunLocalIterations:
 
     def test_returns_finish_time_and_loss(self):
         client = self._client()
-        opt = OptimizerSpec(lr=0.05).build(client.model)
-        finish, loss = run_local_iterations(client, opt, 4, 10.0)
-        assert finish == pytest.approx(12.0)
-        assert loss > 0
+        res = FedAvg(OptimizerSpec(lr=0.05)).client_round(
+            client, client.current_state(), RoundContext(0, 10.0, 4, deadline=100.0)
+        )
+        assert res.compute_finish_time - res.compute_start_time == pytest.approx(2.0)
+        assert res.compute_start_time == pytest.approx(
+            10.0 + client.link.download_seconds(client.model_bytes)
+        )
+        assert res.mean_loss > 0
 
     def test_validates_iterations(self):
+        class ZeroBudget(FedAvg):
+            def begin(self, client, global_state, ctx, params):
+                member = super().begin(client, global_state, ctx, params)
+                member.budget = 0
+                return member
+
         client = self._client()
-        opt = OptimizerSpec(lr=0.05).build(client.model)
         with pytest.raises(ValueError):
-            run_local_iterations(client, opt, 0, 0.0)
+            ZeroBudget(OptimizerSpec(lr=0.05)).client_round(
+                client, client.current_state(), RoundContext(0, 0.0, 4, deadline=100.0)
+            )
 
 
 class TestSmallScalePreset:
