@@ -40,13 +40,16 @@ from repro.experiments.configs import get_workload, make_environment  # noqa: E4
 
 
 def bench_config(workload: str, num_clients: int):
-    """Micro workload resized to ``num_clients`` (shards stay non-tiny)."""
+    """Micro workload resized to ``num_clients`` (shards stay non-tiny).
+    ``wrn`` is the group-norm WideResNet: the BatchNorm one is the cohort
+    engine's one serial fallback, so there would be nothing to compare."""
     cfg = get_workload(workload, "micro")
     return replace(
         cfg,
         num_clients=num_clients,
         num_samples=max(cfg.num_samples, num_clients * 100),
         local_iterations=10,
+        model_kwargs={"norm": "group"} if workload == "wrn" else cfg.model_kwargs,
     )
 
 
@@ -92,7 +95,7 @@ def max_accuracy_diff(a, b):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workloads", nargs="+", default=["cnn", "lstm"],
-                        choices=["cnn", "lstm"])
+                        choices=["cnn", "lstm", "wrn"])
     parser.add_argument("--clients", type=int, nargs="+", default=[32])
     parser.add_argument("--cohort-sizes", type=int, nargs="+", default=[8, 32])
     parser.add_argument("--rounds", type=int, default=3)

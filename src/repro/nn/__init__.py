@@ -8,9 +8,9 @@ from .cohort import (
     CohortModel,
     CohortSGD,
     CohortUnsupportedModel,
-    build_cohort_model,
     cohort_softmax_cross_entropy,
     cohort_supported,
+    stack_module,
 )
 from .conv import Conv2d
 from .layers import Dropout, Flatten, Identity, Linear, ReLU, Sequential, Tanh
@@ -40,5 +40,5 @@ __all__ = [
     "save_model", "load_model", "state_to_bytes", "state_from_bytes",
     "CheckpointFormatError",
     "CohortModel", "CohortSGD", "CohortUnsupportedModel",
-    "build_cohort_model", "cohort_supported", "cohort_softmax_cross_entropy",
+    "stack_module", "cohort_supported", "cohort_softmax_cross_entropy",
 ]

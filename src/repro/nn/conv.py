@@ -13,8 +13,9 @@ __all__ = ["Conv2d"]
 
 
 class Conv2d(Module):
-    """Convolution over ``(N, C, H, W)`` inputs: one strided-view im2col
-    copy plus one batched GEMM per pass (:mod:`repro.nn.functional`)."""
+    """Convolution over ``(*lead, N, C, H, W)`` inputs: one strided-view
+    im2col copy plus one batched GEMM per pass (:mod:`repro.nn.functional`),
+    the filter bank broadcast over ``N``."""
 
     #: Set False on a model's first layer: nothing consumes its input
     #: gradient, so ``backward`` skips dX and returns ``None``. Parameter
@@ -47,24 +48,47 @@ class Conv2d(Module):
         )
         self.bias = Parameter(init.zeros((out_channels,))) if bias else None
         self._cols: np.ndarray | None = None
-        self._x_shape: tuple[int, int, int, int] | None = None
+        self._x_shape: tuple[int, ...] | None = None
+        self._padded: np.ndarray | None = None
+        self._cols_buf: np.ndarray | None = None
+
+    def _w_mat(self) -> np.ndarray:
+        """The filter bank as ``(*lead, 1, F, C*k*k)``."""
+        return self.weight.data.reshape(self.lead + (1, self.out_channels, -1))
+
+    def _im2col(self, x: np.ndarray) -> np.ndarray:
+        k, p = self.kernel_size, self.padding
+        if not self.lead:
+            return F.im2col(x, k, k, self.stride, p)
+        # A stack's columns run to megabytes; allocated per step, glibc
+        # trims them off the heap after every backward and faults them in
+        # again on the next forward (a quarter of the CNN cohort step). One
+        # stack serves a whole run, so it keeps its padded and column
+        # buffers across steps; a replica per client does not.
+        h, w = x.shape[-2:]
+        shape = x.shape[:-2] + (h + 2 * p, w + 2 * p)
+        if self._padded is None or self._padded.shape != shape:
+            self._padded = np.zeros(shape, dtype=x.dtype)
+            self._cols_buf = None
+        self._padded[..., p : p + h, p : p + w] = x
+        self._cols_buf = F.im2col(self._padded, k, k, self.stride, 0, out=self._cols_buf)
+        return self._cols_buf
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
+        c, h, w = x.shape[-3:]
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
         k = self.kernel_size
         out_h, out_w = F.conv_output_size(h, w, k, k, self.stride, self.padding)
-        cols = F.im2col(x, k, k, self.stride, self.padding)  # (N, C*k*k, L)
+        cols = self._im2col(x)  # (*lead, N, C*k*k, L)
         # The im2col buffer is the largest per-layer allocation (~k*k times
         # the input); an eval-mode forward has no backward to feed.
         self._cols = cols if self.training else None
         self._x_shape = x.shape
-        w_mat = self.weight.data.reshape(self.out_channels, -1)  # (F, C*k*k)
-        out = np.matmul(w_mat, cols)  # (N, F, L), C-contiguous
+        out = np.matmul(self._w_mat(), cols)  # (*lead, N, F, L), C-contiguous
         if self.bias is not None:
-            out += self.bias.data[None, :, None]
-        return out.reshape(n, self.out_channels, out_h, out_w)
+            out += self.bias.data[..., None, :, None]
+        return out.reshape(x.shape[:-3] + (self.out_channels, out_h, out_w))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         if self._cols is None:
@@ -72,17 +96,15 @@ class Conv2d(Module):
         # Free the im2col buffer eagerly rather than holding it until the
         # next forward.
         cols, self._cols = self._cols, None
-        n = grad_out.shape[0]
-        grad_flat = grad_out.reshape(n, self.out_channels, -1)  # (N, F, L)
+        grad_flat = grad_out.reshape(grad_out.shape[:-2] + (-1,))  # (*lead, N, F, L)
         # dW: per-sample (F, L) @ (L, K), then summed over the batch.
-        dw = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
+        dw = np.matmul(grad_flat, cols.swapaxes(-1, -2)).sum(axis=-3)
         self.weight.grad += dw.reshape(self.weight.data.shape)
         if self.bias is not None:
-            self.bias.grad += grad_flat.sum(axis=(0, 2))
+            self.bias.grad += grad_flat.sum(axis=(-3, -1))
         if not self.compute_dx:
             return None
         # dX: project back through the filter bank then fold columns.
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
-        dcols = np.matmul(w_mat.T, grad_flat)  # (N, C*k*k, L)
+        dcols = np.matmul(self._w_mat().swapaxes(-1, -2), grad_flat)  # (*lead, N, C*k*k, L)
         k = self.kernel_size
         return F.col2im(dcols, self._x_shape, k, k, self.stride, self.padding)

@@ -93,34 +93,35 @@ def conv_output_size(
 def im2col(
     x: np.ndarray, kh: int, kw: int, stride: int, pad: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Unfold ``(N, C, H, W)`` into columns ``(N, C*kh*kw, out_h*out_w)``.
+    """Unfold ``(*lead, C, H, W)`` into columns ``(*lead, C*kh*kw, out_h*out_w)``.
 
-    One strided window view ``(N, C, kh, kw, out_h, out_w)`` over the
+    One strided window view ``(*lead, C, kh, kw, out_h, out_w)`` over the
     zero-padded input, copied once into a C-contiguous array: ``out`` if
     given, else a fresh one (never a view of ``x``, so layers may hold it
     across the caller's next step).
     """
-    n, c, h, w = x.shape
+    lead = x.shape[:-3]
+    c, h, w = x.shape[-3:]
     out_h, out_w = conv_output_size(h, w, kh, kw, stride, pad)
     if pad > 0:
-        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        padded[:, :, pad:-pad, pad:-pad] = x
+        padded = np.zeros(lead + (c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[..., pad:-pad, pad:-pad] = x
         x = padded
-    sn, sc, sh, sw = x.strides
+    sc, sh, sw = x.strides[-3:]
     windows = as_strided(
         x,
-        shape=(n, c, kh, kw, out_h, out_w),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+        shape=lead + (c, kh, kw, out_h, out_w),
+        strides=x.strides[:-3] + (sc, sh, sw, sh * stride, sw * stride),
         writeable=False,
     )
     if out is None:
-        out = np.empty((n, c * kh * kw, out_h * out_w), dtype=x.dtype)
-    out.reshape(n, c, kh, kw, out_h, out_w)[...] = windows
+        out = np.empty(lead + (c * kh * kw, out_h * out_w), dtype=x.dtype)
+    out.reshape(windows.shape)[...] = windows
     return out
 
 
 def col2im(
-    cols: np.ndarray, x_shape: tuple[int, int, int, int], kh: int, kw: int, stride: int, pad: int
+    cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int, stride: int, pad: int
 ) -> np.ndarray:
     """Fold columns back into an input-shaped gradient, summing overlaps.
 
@@ -130,19 +131,20 @@ def col2im(
     ``(a, b)`` order accumulate every cell in the same order as an
     element-wise scatter-add over the column rows.
     """
-    n, c, h, w = x_shape
+    lead = x_shape[:-2]
+    h, w = x_shape[-2:]
     out_h, out_w = conv_output_size(h, w, kh, kw, stride, pad)
-    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    windows = cols.reshape(n, c, kh, kw, out_h, out_w)
+    padded = np.zeros(lead + (h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    windows = cols.reshape(lead + (kh, kw, out_h, out_w))
     h_span = stride * (out_h - 1) + 1
     w_span = stride * (out_w - 1) + 1
     for a in range(kh):
         for b in range(kw):
-            padded[:, :, a : a + h_span : stride, b : b + w_span : stride] += (
-                windows[:, :, a, b]
+            padded[..., a : a + h_span : stride, b : b + w_span : stride] += (
+                windows[..., a, b, :, :]
             )
     if pad > 0:
-        return padded[:, :, pad:-pad, pad:-pad]
+        return padded[..., pad:-pad, pad:-pad]
     return padded
 
 

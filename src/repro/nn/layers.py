@@ -13,7 +13,8 @@ __all__ = ["Linear", "ReLU", "Tanh", "Flatten", "Dropout", "Sequential", "Identi
 
 
 class Linear(Module):
-    """Affine map ``y = x @ W.T + b`` with torch-compatible naming.
+    """Affine map ``y = x @ W.T + b`` over ``(*lead, N, in_features)``,
+    with torch-compatible naming.
 
     ``weight`` has shape ``(out_features, in_features)`` so dotted names like
     ``fc2.weight`` match the layer names quoted in the paper's figures.
@@ -43,9 +44,9 @@ class Linear(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x if self.training else None
-        out = x @ self.weight.data.T
+        out = np.matmul(x, self.weight.data.swapaxes(-1, -2))
         if self.bias is not None:
-            out += self.bias.data
+            out += self.bias.data[..., None, :]
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
@@ -53,12 +54,12 @@ class Linear(Module):
         if x is None:
             raise RuntimeError("Linear.backward called before forward")
         self._x = None
-        self.weight.grad += grad_out.T @ x
+        self.weight.grad += np.matmul(grad_out.swapaxes(-1, -2), x)
         if self.bias is not None:
-            self.bias.grad += grad_out.sum(axis=0)
+            self.bias.grad += grad_out.sum(axis=-2)
         if not self.compute_dx:
             return None
-        return grad_out @ self.weight.data
+        return np.matmul(grad_out, self.weight.data)
 
 
 class ReLU(Module):
@@ -96,7 +97,7 @@ class Tanh(Module):
 
 
 class Flatten(Module):
-    """Collapse all non-batch dimensions."""
+    """Collapse every axis after ``(*lead, N)``."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -104,7 +105,7 @@ class Flatten(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[: len(self.lead) + 1] + (-1,))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return grad_out.reshape(self._shape)
@@ -115,7 +116,16 @@ class Dropout(Module):
 
     The mask RNG is local to the layer so that two clients training the same
     architecture do not share dropout randomness unless explicitly seeded.
+    Over a stack the layer therefore draws nothing from its own RNG: member
+    ``i``'s rows come from ``members[i]`` — that client's own replica of
+    this layer — in member order, ``rows[i]`` of them (its valid batch rows;
+    0 for a member that sits this step out), so every client's stream
+    advances exactly as it does when the client trains alone.
     """
+
+    #: Set on a stacked layer by ``CohortModel``: per chunk, per step.
+    members: "list[Dropout] | None" = None
+    rows: np.ndarray | None = None
 
     def __init__(self, p: float = 0.5, rng: np.random.Generator | None = None) -> None:
         super().__init__()
@@ -125,12 +135,21 @@ class Dropout(Module):
         self._rng = rng or np.random.default_rng()
         self._mask: np.ndarray | None = None
 
+    def _draw(self, shape: tuple[int, ...]) -> np.ndarray:
+        keep = 1.0 - self.p
+        return (self._rng.random(shape) < keep).astype(np.float32) / keep
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not self.training or self.p == 0.0:
             self._mask = None
             return x
-        keep = 1.0 - self.p
-        self._mask = (self._rng.random(x.shape) < keep).astype(np.float32) / keep
+        if not self.lead:
+            self._mask = self._draw(x.shape)
+        else:
+            self._mask = np.zeros_like(x, dtype=np.float32)
+            for i, (member, b) in enumerate(zip(self.members, self.rows)):
+                if b:
+                    self._mask[i, :b] = member._draw((int(b),) + x.shape[2:])
         return x * self._mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

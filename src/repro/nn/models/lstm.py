@@ -35,8 +35,11 @@ class LSTMClassifier(Module):
         self.fc = Linear(hidden_size, num_classes, rng=rng)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 3:
-            raise ValueError(f"LSTMClassifier expects (N, T, D) input, got shape {x.shape}")
+        if x.ndim != len(self.lead) + 3:
+            raise ValueError(
+                f"LSTMClassifier expects (*lead, N, T, D) input with lead={self.lead}, "
+                f"got shape {x.shape}"
+            )
         h = self.rnn(x)
         return self.fc(h)
 

@@ -11,6 +11,12 @@ during :meth:`forward` and consumes the cache in :meth:`backward`. A module
 is therefore single-flight — one forward must be followed by its backward
 before the next forward. The FL client loop (one batch per local iteration)
 satisfies this by construction.
+
+Every layer is written once over ``(*lead, N, …)`` inputs and
+``(*lead, *shape)`` parameters: ``lead`` is ``()`` for a client's own
+replica and ``(C,)`` for a cohort of ``C`` clients stacked along a leading
+member axis (:func:`repro.nn.cohort.stack_module`). Layers index from the
+trailing axes, so the same ``forward``/``backward`` serves both.
 """
 
 from __future__ import annotations
@@ -34,6 +40,14 @@ class Module:
     #: stale (an ``object()``, not a counter, so a stamp that went through
     #: pickle or deepcopy never matches).
     _structure_token = object()
+
+    #: Leading member axes of this module's parameters and inputs: ``()``
+    #: for a replica, ``(C,)`` once :func:`repro.nn.cohort.stack_module`
+    #: re-pointed the parameters at ``(C, *shape)`` stacks.
+    lead: tuple[int, ...] = ()
+
+    #: Why this layer cannot run over a stack (``None``: it can).
+    unstackable: str | None = None
 
     def __init__(self) -> None:
         # OrderedDicts keep parameter order deterministic, which matters for

@@ -25,6 +25,11 @@ class BatchNorm2d(Module):
     client-local running stats at the small batch sizes used here.
     """
 
+    unstackable = (
+        "its batch statistics would absorb the zero-padded rows of ragged "
+        "member batches"
+    )
+
     def __init__(self, num_features: int, *, eps: float = 1e-5, momentum: float = 0.1) -> None:
         super().__init__()
         self.num_features = num_features
@@ -80,7 +85,7 @@ class BatchNorm2d(Module):
 
 
 class GroupNorm2d(Module):
-    """Group normalisation over ``(N, C, H, W)``.
+    """Group normalisation over ``(*lead, N, C, H, W)``.
 
     Statistics are computed per sample per channel-group, so behaviour is
     identical in train and eval mode and nothing needs federated
@@ -104,30 +109,37 @@ class GroupNorm2d(Module):
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[1] != self.num_channels:
-            raise ValueError(f"expected {self.num_channels} channels, got {x.shape[1]}")
-        n, c, h, w = x.shape
+        c, h, w = x.shape[-3:]
+        if c != self.num_channels:
+            raise ValueError(f"expected {self.num_channels} channels, got {c}")
         g = self.num_groups
-        grouped = x.reshape(n, g, c // g, h, w)
-        mean = grouped.mean(axis=(2, 3, 4), keepdims=True)
-        var = grouped.var(axis=(2, 3, 4), keepdims=True)
+        grouped = x.reshape(x.shape[:-3] + (g, c // g, h, w))
+        mean = grouped.mean(axis=(-3, -2, -1), keepdims=True)
+        var = grouped.var(axis=(-3, -2, -1), keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = ((grouped - mean) * inv_std).reshape(n, c, h, w)
-        self._cache = (x_hat, inv_std, (n, c, h, w)) if self.training else None
-        return self.weight.data[None, :, None, None] * x_hat + self.bias.data[None, :, None, None]
+        x_hat = ((grouped - mean) * inv_std).reshape(x.shape)
+        self._cache = (x_hat, inv_std) if self.training else None
+        return self._per_channel(self.weight.data) * x_hat + self._per_channel(self.bias.data)
+
+    @staticmethod
+    def _per_channel(p: np.ndarray) -> np.ndarray:
+        """``(*lead, C)`` broadcast against ``(*lead, N, C, H, W)``."""
+        return p[..., None, :, None, None]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("GroupNorm2d.backward called before forward")
-        x_hat, inv_std, (n, c, h, w) = self._cache
+        x_hat, inv_std = self._cache
         self._cache = None
+        c, h, w = x_hat.shape[-3:]
         g = self.num_groups
         m = (c // g) * h * w  # elements per group per sample
-        self.weight.grad += (grad_out * x_hat).sum(axis=(0, 2, 3))
-        self.bias.grad += grad_out.sum(axis=(0, 2, 3))
-        gy = (grad_out * self.weight.data[None, :, None, None]).reshape(n, g, c // g, h, w)
-        xh = x_hat.reshape(n, g, c // g, h, w)
-        sum_gy = gy.sum(axis=(2, 3, 4), keepdims=True)
-        sum_gyxh = (gy * xh).sum(axis=(2, 3, 4), keepdims=True)
+        self.weight.grad += (grad_out * x_hat).sum(axis=(-4, -2, -1))
+        self.bias.grad += grad_out.sum(axis=(-4, -2, -1))
+        grouped = x_hat.shape[:-3] + (g, c // g, h, w)
+        gy = (grad_out * self._per_channel(self.weight.data)).reshape(grouped)
+        xh = x_hat.reshape(grouped)
+        sum_gy = gy.sum(axis=(-3, -2, -1), keepdims=True)
+        sum_gyxh = (gy * xh).sum(axis=(-3, -2, -1), keepdims=True)
         dx = (inv_std / m) * (m * gy - sum_gy - xh * sum_gyxh)
-        return dx.reshape(n, c, h, w)
+        return dx.reshape(x_hat.shape)

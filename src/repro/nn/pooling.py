@@ -1,4 +1,5 @@
-"""Spatial pooling layers."""
+"""Spatial pooling layers over ``(..., H, W)``: every leading axis (member,
+batch, channel) is free."""
 
 from __future__ import annotations
 
@@ -51,28 +52,28 @@ class AvgPool2d(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         k = self.kernel_size
-        n, c, h, w = x.shape
+        h, w = x.shape[-2:]
         th, tw = (h // k) * k, (w // k) * k
         self._x_shape = x.shape
         self._trunc = (th, tw)
-        windows = x[:, :, :th, :tw].reshape(n, c, th // k, k, tw // k, k)
-        return windows.mean(axis=(3, 5))
+        windows = x[..., :th, :tw].reshape(x.shape[:-2] + (th // k, k, tw // k, k))
+        return windows.mean(axis=(-3, -1))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         k = self.kernel_size
-        n, c, h, w = self._x_shape
+        lead = self._x_shape[:-2]
         th, tw = self._trunc
         g = grad_out / (k * k)
         grad = np.zeros(self._x_shape, dtype=grad_out.dtype)
         expanded = np.broadcast_to(
-            g[:, :, :, None, :, None], (n, c, th // k, k, tw // k, k)
+            g[..., :, None, :, None], lead + (th // k, k, tw // k, k)
         )
-        grad[:, :, :th, :tw] = expanded.reshape(n, c, th, tw)
+        grad[..., :th, :tw] = expanded.reshape(lead + (th, tw))
         return grad
 
 
 class GlobalAvgPool2d(Module):
-    """Average over all spatial positions, yielding ``(N, C)``."""
+    """Average over all spatial positions, yielding ``(*lead, N, C)``."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -80,11 +81,12 @@ class GlobalAvgPool2d(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x_shape = x.shape
-        return x.mean(axis=(2, 3))
+        return x.mean(axis=(-2, -1))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        n, c, h, w = self._x_shape
+        h, w = self._x_shape[-2:]
         g = grad_out / (h * w)
-        return np.broadcast_to(g[:, :, None, None], self._x_shape).astype(
-            grad_out.dtype
-        ).copy()
+        # One materialisation: ``astype`` copies, C-ordered and writable.
+        return np.broadcast_to(g[..., None, None], self._x_shape).astype(
+            grad_out.dtype, order="C"
+        )

@@ -8,8 +8,8 @@ Gate layout inside the stacked ``4H`` dimension is torch's ``i, f, g, o``.
 All gate arithmetic lives in ``functional.lstm_layer_forward`` /
 ``lstm_layer_backward``; :func:`lstm_stack_forward` and
 :func:`lstm_stack_backward` chain those kernels through the layers for any
-number of leading axes, so :class:`LSTM` and the cohort engine's ``CLSTM``
-are the same program over ``(N, T, D)`` and ``(C, N, T, D)``.
+number of leading axes, so one :class:`LSTM` serves a client replica over
+``(N, T, D)`` and a cohort stack over ``(C, N, T, D)``.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def lstm_stack_backward(
 
 
 class LSTM(Module):
-    """Stacked LSTM over ``(N, T, D)`` input; returns the top layer's final
-    hidden state ``(N, H)``.
+    """Stacked LSTM over ``(*lead, N, T, D)`` input; returns the top layer's
+    final hidden state ``(*lead, N, H)``.
 
     Classification models feed that hidden state to a linear head, which is
     exactly the KWS workload shape used in the paper.

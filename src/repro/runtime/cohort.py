@@ -1,5 +1,5 @@
 """Cohort executor: trains M same-architecture clients as one batched
-tensor program (see :mod:`repro.nn.cohort` for the layer library).
+tensor program (see :mod:`repro.nn.cohort` for how a model is stacked).
 
 Where the serial executor runs M clients' rounds one after another and the
 parallel executor runs them in M processes (pure overhead on a 1-core
@@ -17,10 +17,11 @@ Chunking: jobs are split into consecutive chunks of at most
 **tail chunk trains the remainder** (selected=5 at M=4 → chunks of 4 and
 1), so no client is ever dropped.
 
-Fallback: exactly one — a model without a batched expression
-(WideResNet's residual topology, BatchNorm2d's running statistics) runs
-the serial per-client path with a single warning, and results are then
-bitwise-identical to serial. Every strategy runs batched:
+Fallback: exactly one, and it is a fact a layer declares, not a topology —
+a model containing an unstackable layer (only ``BatchNorm2d``: its batch
+statistics would absorb the padded rows of ragged member batches) runs the
+serial per-client path with a single warning naming that layer, and
+results are then bitwise-identical to serial. Every strategy runs batched:
 ``Strategy.cohort_round`` is a driver over the same per-client step
 machine the serial ``client_round`` feeds (DESIGN.md §12).
 """
@@ -35,8 +36,8 @@ import numpy as np
 from ..nn.cohort import (
     CohortModel,
     CohortSGD,
-    build_cohort_model,
     cohort_softmax_cross_entropy,
+    cohort_supported,
 )
 from .executor import Executor
 from .round import ClientRoundResult, RoundContext
@@ -138,7 +139,7 @@ class CohortEngine:
         for i, x, y in batches:
             x_pad[i, : x.shape[0]] = x
             y_pad[i, : y.shape[0]] = y
-        self.model.set_step_masks(active, counts)
+        self.model.set_member_rows(counts)
         logits = self.model.forward(x_pad)
         loss, grad = cohort_softmax_cross_entropy(logits, y_pad, counts)
         self.model.zero_grad()
@@ -185,7 +186,7 @@ class CohortExecutor(Executor):
         #: membership every round but rarely the widths (full chunks of M
         #: plus one tail width), so the (C, *shape) stacks are reused.
         self._models: dict[int, CohortModel] = {}
-        #: Why the bound model has no stacked expression (``None``: it has).
+        #: Which layer of the bound model is unstackable (``None``: none is).
         self._fallback_reason: str | None = None
         self._warned_fallback = False
         self._steps = 0
@@ -198,10 +199,6 @@ class CohortExecutor(Executor):
         self._clients = clients
         self._strategy = strategy
         if clients:
-            # Probe once whether the architecture has a batched expression;
-            # the probe exercises the full chain extraction.
-            from ..nn.cohort import cohort_supported
-
             ok, reason = cohort_supported(clients[0].model)
             self._fallback_reason = None if ok else reason
 
@@ -211,7 +208,7 @@ class CohortExecutor(Executor):
     def _model_for(self, template, width: int) -> CohortModel:
         model = self._models.get(width)
         if model is None:
-            model = build_cohort_model(template, width)
+            model = CohortModel(template, width)
             self._models[width] = model
         return model
 
@@ -247,7 +244,7 @@ class CohortExecutor(Executor):
         for client in clients:
             client.stage_buffers(global_buffers)
         if self._fallback_reason is not None:
-            # The one fallback: no stacked expression for this model.
+            # The one fallback: the model holds an unstackable layer.
             if not self._warned_fallback:
                 warnings.warn(
                     f"cohort executor falling back to serial per-client rounds: "

@@ -33,26 +33,32 @@ from repro.experiments.configs import get_workload, make_environment
 from repro.experiments.runner import run_scheme
 from repro.nn import (
     SGD,
+    AvgPool2d,
     BatchNorm2d,
+    CohortModel,
     CohortSGD,
     CohortUnsupportedModel,
     Conv2d,
     Dropout,
     Flatten,
+    GlobalAvgPool2d,
+    GroupNorm2d,
+    Identity,
     LeNetCNN,
     Linear,
     LSTMClassifier,
     MaxPool2d,
+    Module,
     ProxSGD,
     ReLU,
     Sequential,
+    Tanh,
     WideResNet,
-    build_cohort_model,
     cohort_softmax_cross_entropy,
     cohort_supported,
     softmax_cross_entropy,
+    stack_module,
 )
-from repro.nn.cohort import CConv2d, CLinear
 from repro.obs import TraceRecorder
 from repro.runtime import CohortExecutor, RoundContext, SerialExecutor, resolve_executor
 from repro.runtime.client import SimClient
@@ -102,38 +108,79 @@ def ctx(round_index=0, iterations=6, deadline=100.0, assigned=None):
 OPT = OptimizerSpec(lr=0.05, weight_decay=0.0)
 
 
+def _all_subclasses(cls):
+    out = set()
+    for sub in cls.__subclasses__():
+        out |= {sub} | _all_subclasses(sub)
+    return out
+
+
 def clone_members(template_fn, c):
     """c independent serial models sharing the template's init weights."""
     return [template_fn() for _ in range(c)]
 
 
 # ----------------------------------------------------------------------
-# Layer-level equivalence
+# Layer-level equivalence: a stack of C independently initialised serial
+# layers equals those C layers run one by one
 # ----------------------------------------------------------------------
+def stack_of(layers):
+    """One stacked layer holding the given serial layers' parameters."""
+    stacked = stack_module(layers[0], len(layers))
+    for i, m in enumerate(layers):
+        for (_, p), (_, q) in zip(stacked.named_parameters(), m.named_parameters()):
+            p.data[i] = q.data
+    return stacked
+
+
+def assert_same(got, want, *, exact, what, rtol=RTOL, atol=ATOL):
+    if exact:
+        assert got.shape == want.shape, what
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), what
+    else:
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=atol, err_msg=what)
+
+
+def assert_stack_matches_members(layers, x, seed, *, exact, rtol=RTOL, atol=ATOL):
+    """Forward, dX and every parameter gradient of the stack, member by
+    member, against the serial layers — bytes-equal when ``exact`` (always
+    demanded of a width-1 stack: it is the serial program with one more
+    leading axis). Returns the stacked layer."""
+    exact = exact or len(layers) == 1
+    stacked = stack_of(layers)
+    assert type(stacked) is type(layers[0]) and stacked.lead == (len(layers),)
+    out = stacked.forward(x)
+    g = np.random.default_rng(seed).normal(size=out.shape).astype(np.float32)
+    dx = stacked.backward(g)
+    for i, m in enumerate(layers):
+        ref_out = m.forward(x[i])
+        ref_dx = m.backward(g[i])
+        kw = dict(exact=exact, rtol=rtol, atol=atol)
+        assert_same(out[i], ref_out, what=f"out[{i}]", **kw)
+        assert_same(dx[i], ref_dx, what=f"dx[{i}]", **kw)
+        for (name, p), (_, q) in zip(stacked.named_parameters(), m.named_parameters()):
+            assert_same(p.grad[i], q.grad, what=f"{name}.grad[{i}]", **kw)
+    return stacked
+
+
+COHORT = st.integers(1, 3)
+SEED = st.integers(0, 10_000)
+
+
 class TestCohortLayers:
-    def test_linear_matches_serial(self):
-        rng = np.random.default_rng(0)
-        c, b, fin, fout = 3, 5, 7, 4
-        serial = [Linear(fin, fout, rng=np.random.default_rng(s)) for s in range(c)]
-        layer = CLinear("", serial[0], c)
-        for i, m in enumerate(serial):
-            layer.weight.data[i] = m.weight.data
-            layer.bias.data[i] = m.bias.data
-        x = rng.normal(size=(c, b, fin)).astype(np.float32)
-        g = rng.normal(size=(c, b, fout)).astype(np.float32)
-        out = layer.forward(x)
-        dx = layer.backward(g)
-        for i, m in enumerate(serial):
-            ref_out = m.forward(x[i])
-            ref_dx = m.backward(g[i])
-            np.testing.assert_allclose(out[i], ref_out, rtol=RTOL, atol=ATOL)
-            np.testing.assert_allclose(dx[i], ref_dx, rtol=RTOL, atol=ATOL)
-            np.testing.assert_allclose(
-                layer.weight.grad[i], m.weight.grad, rtol=RTOL, atol=ATOL
-            )
-            np.testing.assert_allclose(
-                layer.bias.grad[i], m.bias.grad, rtol=RTOL, atol=ATOL
-            )
+    @settings(max_examples=25, deadline=None)
+    @given(
+        fin=st.integers(1, 9), fout=st.integers(1, 6), batch=st.integers(1, 5),
+        bias=st.booleans(), cohort=COHORT, seed=SEED,
+    )
+    def test_linear_matches_serial(self, fin, fout, batch, bias, cohort, seed):
+        rng = np.random.default_rng(seed)
+        serial = [
+            Linear(fin, fout, bias=bias, rng=np.random.default_rng(seed + s))
+            for s in range(cohort)
+        ]
+        x = rng.normal(size=(cohort, batch, fin)).astype(np.float32)
+        assert_stack_matches_members(serial, x, seed, exact=False)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -144,53 +191,35 @@ class TestCohortLayers:
         pad_frac=st.integers(0, 2),
         hw=st.integers(4, 9),
         batch=st.integers(1, 4),
-        cohort=st.integers(1, 3),
-        seed=st.integers(0, 10_000),
+        bias=st.booleans(),
+        cohort=COHORT,
+        seed=SEED,
     )
     def test_conv_property_matches_serial(
-        self, in_ch, out_ch, k, stride, pad_frac, hw, batch, cohort, seed
+        self, in_ch, out_ch, k, stride, pad_frac, hw, batch, bias, cohort, seed
     ):
-        """Forward/backward parity over random conv geometries (the cohort
-        layer folds the member axis into the serial layer's im2col /
-        col2im helpers and batched GEMMs)."""
+        """Forward/backward parity over random conv geometries (the member
+        axis rides through ``F.im2col`` / ``F.col2im`` and broadcasts in the
+        GEMMs)."""
         pad = min(pad_frac, k - 1)
         rng = np.random.default_rng(seed)
         serial = [
             Conv2d(
-                in_ch, out_ch, k, stride=stride, padding=pad,
+                in_ch, out_ch, k, stride=stride, padding=pad, bias=bias,
                 rng=np.random.default_rng(seed + s),
             )
             for s in range(cohort)
         ]
-        layer = CConv2d("", serial[0], cohort)
-        for i, m in enumerate(serial):
-            layer.weight.data[i] = m.weight.data
-            layer.bias.data[i] = m.bias.data
         x = rng.normal(size=(cohort, batch, in_ch, hw, hw)).astype(np.float32)
-        out = layer.forward(x)
-        g = rng.normal(size=out.shape).astype(np.float32)
-        dx = layer.backward(g)
-        for i, m in enumerate(serial):
-            ref_out = m.forward(x[i])
-            ref_dx = m.backward(g[i])
-            np.testing.assert_allclose(out[i], ref_out, rtol=1e-3, atol=1e-4)
-            np.testing.assert_allclose(dx[i], ref_dx, rtol=1e-3, atol=1e-4)
-            np.testing.assert_allclose(
-                layer.weight.grad[i], m.weight.grad, rtol=1e-3, atol=1e-4
-            )
-            np.testing.assert_allclose(
-                layer.bias.grad[i], m.bias.grad, rtol=1e-3, atol=1e-4
-            )
+        assert_stack_matches_members(serial, x, seed, exact=False)
 
     def test_conv_reuses_its_column_buffers_across_steps(self):
-        """The cohort conv keeps its padded and column buffers between
+        """A stacked conv keeps its padded and column buffers between
         steps: a second batch, and then a different batch width, must not
-        see anything of the previous one."""
+        see anything of the previous one. A replica keeps none."""
         rng = np.random.default_rng(11)
         serial = Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(1))
-        layer = CConv2d("", serial, 1)
-        layer.weight.data[0] = serial.weight.data
-        layer.bias.data[0] = serial.bias.data
+        layer = stack_of([serial])
         seen = []
         for batch in (4, 4, 2):
             x = rng.normal(size=(1, batch, 2, 5, 5)).astype(np.float32)
@@ -198,51 +227,112 @@ class TestCohortLayers:
             seen.append((layer._padded, layer._cols_buf))
             g = rng.normal(size=out.shape).astype(np.float32)
             dx = layer.backward(g)
-            layer.weight.zero_grad()
+            layer.zero_grad()
             serial.zero_grad()
             ref_out = serial.forward(x[0])
             ref_dx = serial.backward(g[0])
-            np.testing.assert_allclose(out[0], ref_out, rtol=1e-5, atol=1e-6)
-            np.testing.assert_allclose(dx[0], ref_dx, rtol=1e-5, atol=1e-6)
+            assert out[0].tobytes() == ref_out.tobytes()
+            assert dx[0].tobytes() == np.ascontiguousarray(ref_dx).tobytes()
         assert seen[0][0] is seen[1][0] and seen[0][1] is seen[1][1]
         assert seen[2][0] is not seen[1][0] and seen[2][1] is not seen[1][1]
+        assert serial._padded is None and serial._cols_buf is None
 
-    def test_maxpool_tie_splitting_matches_serial(self):
-        from repro.nn.cohort import CMaxPool2d
+    @pytest.mark.parametrize("layer_type", [ReLU, Tanh, Identity, Flatten])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+        cohort=COHORT, seed=SEED,
+    )
+    def test_elementwise_layers_are_bytes_equal(self, layer_type, shape, cohort, seed):
+        x = np.random.default_rng(seed).normal(size=(cohort, *shape)).astype(np.float32)
+        x.flat[0] = 0.0  # ReLU's boundary
+        stacked = assert_stack_matches_members(
+            [layer_type() for _ in range(cohort)], x, seed, exact=True
+        )
+        if layer_type is Flatten:
+            assert stacked.forward(x).shape == (cohort, shape[0], int(np.prod(shape[1:])))
 
-        c, b = 2, 3
-        serial = MaxPool2d(2)
-        layer = CMaxPool2d(serial)
-        rng = np.random.default_rng(1)
-        # Quantised values force frequent ties inside pooling windows.
-        x = rng.integers(0, 3, size=(c, b, 4, 8, 8)).astype(np.float32)
-        g = rng.normal(size=(c, b, 4, 4, 4)).astype(np.float32)
-        out = layer.forward(x)
-        dx = layer.backward(g)
-        for i in range(c):
-            ref_out = serial.forward(x[i])
-            ref_dx = serial.backward(g[i])
-            np.testing.assert_allclose(out[i], ref_out, rtol=0, atol=0)
-            np.testing.assert_allclose(dx[i], ref_dx, rtol=RTOL, atol=ATOL)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(1, 3), hw=st.integers(3, 9), batch=st.integers(1, 3),
+        ch=st.integers(1, 3), levels=st.integers(2, 4), cohort=COHORT, seed=SEED,
+    )
+    def test_maxpool_tie_splitting_matches_serial(
+        self, k, hw, batch, ch, levels, cohort, seed
+    ):
+        """Quantised values force frequent ties inside pooling windows;
+        ragged edges are floor-truncated. Both sides run ``F.maxpool2d``."""
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, levels, size=(cohort, batch, ch, hw, hw)).astype(np.float32)
+        assert_stack_matches_members(
+            [MaxPool2d(k) for _ in range(cohort)], x, seed, exact=True
+        )
 
     def test_maxpool_width_one_is_bytes_equal_to_serial(self):
-        """Both classes run ``F.maxpool2d`` / ``F.maxpool2d_backward``; a
-        width-1 cohort is the serial layer with one more leading axis."""
-        from repro.nn.cohort import CMaxPool2d
-
+        """A width-1 stack is the serial layer with one more leading axis."""
         rng = np.random.default_rng(5)
         for k, hw in [(2, 8), (2, 7), (3, 10)]:
-            serial = MaxPool2d(k)
-            layer = CMaxPool2d(serial)
-            x = rng.integers(0, 4, size=(3, 4, hw, hw)).astype(np.float32)
-            ref_out = serial.forward(x)
-            g = rng.normal(size=ref_out.shape).astype(np.float32)
-            ref_dx = serial.backward(g)
-            out = layer.forward(x[None])
-            dx = layer.backward(g[None])
-            assert out.shape == (1,) + ref_out.shape and dx.shape == (1,) + x.shape
-            assert out.tobytes() == ref_out.tobytes()
-            assert dx.tobytes() == ref_dx.tobytes()
+            x = rng.integers(0, 4, size=(1, 3, 4, hw, hw)).astype(np.float32)
+            stacked = assert_stack_matches_members([MaxPool2d(k)], x, 5, exact=True)
+            assert stacked.forward(x).shape == (1, 3, 4, hw // k, hw // k)
+
+    @pytest.mark.parametrize("layer_fn", [lambda k: AvgPool2d(k), lambda k: GlobalAvgPool2d()],
+                             ids=["avg", "global-avg"])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        k=st.integers(1, 3), hw=st.integers(3, 9), batch=st.integers(1, 3),
+        ch=st.integers(1, 3), cohort=COHORT, seed=SEED,
+    )
+    def test_average_pools_are_bytes_equal(self, layer_fn, k, hw, batch, ch, cohort, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(cohort, batch, ch, hw, hw)).astype(np.float32)
+        assert_stack_matches_members(
+            [layer_fn(k) for _ in range(cohort)], x, seed, exact=True
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        groups=st.integers(1, 3), per_group=st.integers(1, 3), hw=st.integers(1, 5),
+        batch=st.integers(1, 4), cohort=COHORT, seed=SEED,
+    )
+    def test_groupnorm_matches_serial(self, groups, per_group, hw, batch, cohort, seed):
+        rng = np.random.default_rng(seed)
+        ch = groups * per_group
+        serial = [GroupNorm2d(groups, ch) for _ in range(cohort)]
+        for m in serial:
+            m.weight.data[...] = rng.normal(size=ch)
+            m.bias.data[...] = rng.normal(size=ch)
+        x = rng.normal(size=(cohort, batch, ch, hw, hw)).astype(np.float32)
+        assert_stack_matches_members(serial, x, seed, exact=False)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        p=st.sampled_from([0.0, 0.25, 0.5]),
+        rows=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+        feat=st.integers(1, 5), seed=SEED,
+    )
+    def test_dropout_draws_each_members_own_stream(self, p, rows, feat, seed):
+        """Member ``i``'s mask rows come from its own serial layer's RNG, in
+        member order, exactly ``rows[i]`` of them; a member with no rows
+        (inactive this step) draws nothing, and padded rows are zeroed."""
+        c, width = len(rows), max(max(rows), 1)
+        members = [Dropout(p, rng=np.random.default_rng(seed + i)) for i in range(c)]
+        twins = [Dropout(p, rng=np.random.default_rng(seed + i)) for i in range(c)]
+        stacked = stack_module(members[0], c)
+        stacked.members, stacked.rows = members, np.array(rows)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(c, width, feat)).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        out = stacked.forward(x)
+        dx = stacked.backward(g)
+        for i, (twin, b) in enumerate(zip(twins, rows)):
+            if b:
+                assert out[i, :b].tobytes() == twin.forward(x[i, :b]).tobytes()
+                assert dx[i, :b].tobytes() == twin.backward(g[i, :b]).tobytes()
+            if p:
+                assert not out[i, b:].any() and not dx[i, b:].any()
+            # Same stream position as the twin that trained alone.
+            assert members[i]._rng.random() == twin._rng.random()
 
     def test_loss_matches_serial_with_ragged_counts(self):
         rng = np.random.default_rng(2)
@@ -290,7 +380,7 @@ class TestCohortModel:
         lr, wd, momentum = 0.05, 1e-4, 0.9
         rng = np.random.default_rng(7)
         members = clone_members(template_fn, c)
-        cohort = build_cohort_model(members[0], c)
+        cohort = CohortModel(members[0], c)
         cohort.load_global(members[0].state_dict())
         cohort.bind_member_models(members)
         opt = CohortSGD(cohort, lr, weight_decay=wd, momentum=momentum)
@@ -300,7 +390,7 @@ class TestCohortModel:
         active = np.ones(c, dtype=bool)
         counts = np.full(c, xshape[0])
         for t in range(steps):
-            cohort.set_step_masks(active, counts)
+            cohort.set_member_rows(counts)
             logits = cohort.forward(xs[t])
             _, grad = cohort_softmax_cross_entropy(logits, ys[t], counts)
             cohort.zero_grad()
@@ -327,7 +417,7 @@ class TestCohortModel:
         weight-decay component, which is nonzero even at zero gradient."""
         c = 2
         members = clone_members(model_fn, c)
-        cohort = build_cohort_model(members[0], c)
+        cohort = CohortModel(members[0], c)
         cohort.load_global(members[0].state_dict())
         before = {n: p.data[1].copy() for n, p in cohort.params.items()}
         opt = CohortSGD(cohort, 0.1, weight_decay=0.01, momentum=0.9)
@@ -347,7 +437,7 @@ class TestCohortModel:
         ``lr * grad * 1.0`` is ``lr * grad`` exactly, so the bytes match."""
         c = 3
         members = clone_members(model_fn, c)
-        cohort = build_cohort_model(members[0], c)
+        cohort = CohortModel(members[0], c)
         cohort.load_global(members[0].state_dict())
         rng = np.random.default_rng(3)
         for p in cohort.params.values():
@@ -369,7 +459,7 @@ class TestCohortModel:
         lr, wd, momentum, mu = 0.05, 1e-3, 0.9, 0.5
         members = clone_members(model_fn, c)
         anchor = members[0].state_dict()
-        cohort = build_cohort_model(members[0], c)
+        cohort = CohortModel(members[0], c)
         cohort.load_global(anchor)
         opt = CohortSGD(
             cohort, lr, weight_decay=wd, momentum=momentum, mu=mu, anchor=anchor
@@ -418,7 +508,7 @@ class TestCohortModel:
         c, steps, b = 2, 4, 6
         members = clone_members(template_fn, c)
         refs = clone_members(template_fn, c)
-        cohort = build_cohort_model(members[0], c)
+        cohort = CohortModel(members[0], c)
         cohort.load_global(members[0].state_dict())
         cohort.bind_member_models(members)
         opt = CohortSGD(cohort, 0.05)
@@ -427,7 +517,7 @@ class TestCohortModel:
         ys = rng.integers(0, 4, size=(steps, c, b)).astype(np.int64)
         counts = np.full(c, b)
         for t in range(steps):
-            cohort.set_step_masks(np.ones(c, dtype=bool), counts)
+            cohort.set_member_rows(counts)
             logits = cohort.forward(xs[t])
             _, grad = cohort_softmax_cross_entropy(logits, ys[t], counts)
             cohort.zero_grad()
@@ -455,8 +545,54 @@ class TestCohortModel:
         ok, reason = cohort_supported(model)
         assert not ok
         assert "BatchNorm2d" in reason
-        with pytest.raises(CohortUnsupportedModel):
-            build_cohort_model(model, 2)
+        with pytest.raises(CohortUnsupportedModel, match="BatchNorm2d"):
+            stack_module(model, 2)
+
+    def test_stacked_model_reuses_template_classes(self):
+        """A cohort is the template's own ``Module`` tree over stacked
+        parameters: same classes, same names, and ``repro.nn.cohort`` holds
+        no layer library of its own."""
+        import repro.nn.cohort as cohort_module
+
+        template = model_fn()
+        stacked = CohortModel(template, 3).module
+        assert type(stacked) is LeNetCNN and type(stacked.conv1) is Conv2d
+        assert [(n, type(m)) for n, m in stacked.named_modules()] == [
+            (n, type(m)) for n, m in template.named_modules()
+        ]
+        for (name, p), (ref_name, q) in zip(
+            stacked.named_parameters(), template.named_parameters()
+        ):
+            assert name == ref_name
+            assert p.data.shape == p.grad.shape == (3,) + q.data.shape
+        assert stacked.conv1.compute_dx is False and template.lead == ()
+        layer_names = {cls.__name__ for cls in _all_subclasses(Module)}
+        for name, obj in vars(cohort_module).items():
+            if isinstance(obj, type) and obj.__module__ == cohort_module.__name__:
+                assert not issubclass(obj, Module), name
+                assert name.removeprefix("C") not in layer_names, name
+                if obj is not CohortModel:
+                    assert not {"forward", "backward"} & set(vars(obj)), name
+
+    def test_rank_guards_are_relative_to_the_lead(self):
+        """The same classes serve both ``lead`` values: the LSTM classifier
+        still rejects a mis-shaped ``(N, T)`` batch, and a stack rejects a
+        replica-shaped one."""
+        rng = np.random.default_rng(0)
+        serial = LSTMClassifier(rng=np.random.default_rng(3))
+        stacked = stack_module(serial, 2)
+        x = rng.normal(size=(2, 4, 12, 8)).astype(np.float32)
+        assert serial(x[0]).shape == (4, 10) and stacked(x).shape == (2, 4, 10)
+        with pytest.raises(ValueError, match="LSTMClassifier expects"):
+            serial(x[0, :, :, 0])
+        with pytest.raises(ValueError, match="LSTMClassifier expects"):
+            serial(x)
+        with pytest.raises(ValueError, match="LSTMClassifier expects"):
+            stacked(x[0])
+        flat, flat2 = Flatten(), stack_module(Flatten(), 2)
+        assert flat(x[0]).shape == (4, 96) and flat2(x).shape == (2, 4, 96)
+        assert flat.backward(flat(x[0])).shape == x[0].shape
+        assert flat2.backward(flat2(x)).shape == x.shape
 
 
 # ----------------------------------------------------------------------
@@ -531,9 +667,10 @@ class TestCohortExecutor:
                 )
 
     def test_unbatchable_model_falls_back_serially(self):
-        """The one remaining fallback: a model with no stacked expression
-        (WideResNet / BatchNorm) runs the serial per-client path — one
-        warning for the whole run, results bitwise-serial."""
+        """The one remaining fallback: a model holding an unstackable layer
+        (the default WideResNet's ``BatchNorm2d``) runs the serial
+        per-client path — one warning for the whole run naming that layer,
+        results bitwise-serial."""
         def wrn_fn():
             return WideResNet(rng=np.random.default_rng(3))
 
@@ -613,6 +750,43 @@ class TestEndToEnd:
         np.testing.assert_allclose(
             hc.accuracy_series(), hs.accuracy_series(), atol=0.02
         )
+
+    @pytest.mark.parametrize("scheme", ["fedavg", "fedca"])
+    def test_group_norm_wrn_trains_batched(self, scheme):
+        """Residual topologies are not a fallback: the model's own
+        ``forward`` runs over the stacks. Every scalar outcome exactly
+        serial-equal, the global model within the pinned tolerance, and not
+        one warning."""
+        cfg = dataclasses.replace(micro_cfg("wrn"), model_kwargs={"norm": "group"})
+
+        def run(executor):
+            strategy = build_strategy(scheme, cfg.optimizer_spec())
+            sim = make_environment(cfg, strategy, seed=0, executor=executor)
+            try:
+                history = sim.run(3)
+                return history, sim.global_state, sim.executor
+            finally:
+                sim.close()
+
+        hs, state_s, _ = run("serial")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hc, state_c, executor = run("cohort:4")
+        assert executor.occupancy()["steps"] > 0
+        assert [r.end_time for r in hc.records] == [r.end_time for r in hs.records]
+        assert [r.collected_clients for r in hc.records] == [
+            r.collected_clients for r in hs.records
+        ]
+        assert [r.total_bytes for r in hc.records] == [r.total_bytes for r in hs.records]
+        for rc, rs in zip(hc.records, hs.records):
+            assert {
+                cid: ev["iterations_run"] for cid, ev in rc.client_events.items()
+            } == {cid: ev["iterations_run"] for cid, ev in rs.client_events.items()}
+        assert any("shortcut" in name for name in state_s)  # it is residual
+        for name, value in state_s.items():
+            np.testing.assert_allclose(
+                state_c[name], value, rtol=RTOL, atol=ATOL, err_msg=name
+            )
 
     def test_fedca_early_stop_decisions_match_serial_in_trace(self, tmp_path):
         """Acceptance gate: per-client early-stop decisions (stop round,

@@ -517,6 +517,19 @@ class TestPooling:
     def test_global_avgpool_gradcheck(self):
         assert_grads_close(GlobalAvgPool2d(), randn(2, 3, 4, 4))
 
+    def test_global_avgpool_backward_is_one_owned_copy(self):
+        """The spread gradient is materialised once (``astype`` already
+        copies the broadcast view): writable, C-contiguous, owning its
+        memory, and the bytes of the former copy-of-a-copy."""
+        m = GlobalAvgPool2d()
+        x, g = randn(2, 3, 4, 5), randn(2, 3)
+        m(x)
+        dx = m.backward(g)
+        want = np.broadcast_to((g / 20)[:, :, None, None], x.shape).astype(g.dtype).copy()
+        assert dx.flags.writeable and dx.flags.c_contiguous and dx.flags.owndata
+        assert dx.dtype == g.dtype and dx.tobytes() == want.tobytes()
+        dx += 1.0  # a residual branch may accumulate into it
+
     def test_kernel_validation(self):
         with pytest.raises(ValueError):
             MaxPool2d(0)

@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import LSTM, LSTMClassifier
+from repro.nn import LSTM, LSTMClassifier, stack_module
 from repro.nn import functional as F
-from repro.nn.cohort import CLSTM
 from repro.nn.rnn import lstm_stack_backward, lstm_stack_forward
 
 from .helpers import lstm_reference, sigmoid_reference
@@ -130,21 +129,61 @@ class TestKernelAgainstPerTimestepReference:
 
 
 # ----------------------------------------------------------------------
-def _cohort_of(refs: list[LSTM]) -> CLSTM:
-    layer = CLSTM("", refs[0], len(refs))
+def _stack_of(refs: list[LSTM]) -> LSTM:
+    """One stacked ``LSTM`` holding the given serial layers' parameters."""
+    layer = stack_module(refs[0], len(refs))
     for i, ref in enumerate(refs):
-        for p, (_, q) in zip(layer.params(), ref.named_parameters()):
+        for p, q in zip(layer.parameters(), ref.parameters()):
             p.data[i] = q.data
     return layer
 
 
 class TestCohortTwin:
+    @given(
+        t=st.integers(1, 5),
+        h=st.integers(1, 6),
+        layers=st.integers(1, 3),
+        n=st.integers(1, 4),
+        d=st.integers(1, 5),
+        cohort=st.integers(1, 3),
+        compute_dx=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stack_is_bytes_equal_to_its_members(
+        self, t, h, layers, n, d, cohort, compute_dx, seed
+    ):
+        """A stack of C independently initialised ``LSTM``s is those C
+        layers run one by one: every member's GEMMs keep their serial
+        shapes, so forward, dX and every parameter gradient are bytes-equal."""
+        rng = np.random.default_rng(seed)
+        refs = [LSTM(d, h, num_layers=layers, rng=rng) for _ in range(cohort)]
+        for ref in refs:
+            ref.compute_dx = compute_dx
+        layer = _stack_of(refs)
+        assert type(layer) is LSTM and layer.compute_dx is compute_dx
+        x = rng.normal(size=(cohort, n, t, d)).astype(np.float32)
+        g = rng.normal(size=(cohort, n, h)).astype(np.float32)
+        out = layer(x)
+        dx = layer.backward(g)
+        assert (dx is None) is (not compute_dx)
+        for i, ref in enumerate(refs):
+            assert out[i].tobytes() == ref(x[i]).tobytes()
+            ref_dx = ref.backward(g[i])
+            if compute_dx:
+                assert (
+                    np.ascontiguousarray(dx[i]).tobytes()
+                    == np.ascontiguousarray(ref_dx).tobytes()
+                )
+            for (name, p), q in zip(layer.named_parameters(), ref.parameters()):
+                assert p.grad[i].tobytes() == q.grad.tobytes(), name
+
     def test_width_one_is_bytes_equal_to_scalar(self):
-        """``CLSTM`` is ``LSTM``'s program with one more leading axis; at
-        width 1 every GEMM has the same shape, so nothing may differ."""
+        """A width-1 stack is ``LSTM``'s program with one more leading
+        axis; every GEMM has the same shape, so nothing may differ."""
         rng = np.random.default_rng(5)
         m = LSTM(5, 7, num_layers=2, rng=rng)
-        layer = _cohort_of([m])
+        layer = _stack_of([m])
         x = rng.normal(size=(4, 6, 5)).astype(np.float32)
         g = rng.normal(size=(4, 7)).astype(np.float32)
         out = m(x)
@@ -153,7 +192,7 @@ class TestCohortTwin:
         c_dx = layer.backward(g[None])
         assert c_out[0].tobytes() == out.tobytes()
         assert np.ascontiguousarray(c_dx[0]).tobytes() == np.ascontiguousarray(dx).tobytes()
-        for p, (name, q) in zip(layer.params(), m.named_parameters()):
+        for (name, p), q in zip(layer.named_parameters(), m.parameters()):
             assert p.grad[0].tobytes() == q.grad.tobytes(), name
 
     def test_padded_rows_contribute_exactly_zero_weight_gradient(self):
@@ -167,10 +206,10 @@ class TestCohortTwin:
         g[0, 3:] = 0.0  # member 0 has 3 valid rows, member 1 all 5
 
         def grads(x_in):
-            layer = _cohort_of(refs)
+            layer = _stack_of(refs)
             layer.forward(x_in)
             layer.backward(g)
-            return [p.grad for p in layer.params()]
+            return [p.grad for p in layer.parameters()]
 
         garbage = x.copy()
         garbage[0, 3:] = 1e3 * rng.normal(size=(2, 4, 3))
@@ -217,4 +256,4 @@ class TestModuleSurface:
         with pytest.raises(RuntimeError):  # the cache is consumed
             m.backward(g)
         with pytest.raises(RuntimeError):
-            CLSTM("", m, 2).backward(g[None])
+            stack_module(m, 2).backward(np.stack([g, g]))
