@@ -8,14 +8,10 @@
 
 from __future__ import annotations
 
-from repro.algorithms import (
-    FedCAAdaptiveBatch,
-    build_strategy,
-    fedavg_quantized,
-    fedavg_topk,
-)
+from repro.algorithms import FedCAAdaptiveBatch, build_strategy
 from repro.core import FedCAConfig
 from repro.experiments import format_table, get_workload, make_environment
+from repro.runtime import parse_wire_spec
 
 
 def test_communication_baselines(once):
@@ -24,17 +20,19 @@ def test_communication_baselines(once):
 
     def run_all():
         out = {}
-        for strategy in (
-            build_strategy("fedavg", opt),
-            fedavg_quantized(opt, bits=8),
-            fedavg_topk(opt, fraction=0.1),
-            build_strategy(
-                "fedca", opt,
-                fedca_config=FedCAConfig(profile_every=cfg.fedca_profile_every),
-            ),
+        for label, scheme, wire in (
+            ("FedAvg", "fedavg", "raw"),
+            ("FedAvg+Q8", "fedavg", "quant8"),
+            ("FedAvg+Top10%", "fedavg", "topk:0.1"),
+            ("FedCA", "fedca", "raw"),
         ):
+            strategy = build_strategy(
+                scheme, opt,
+                fedca_config=FedCAConfig(profile_every=cfg.fedca_profile_every),
+            )
+            strategy.set_wire(parse_wire_spec(wire))
             sim = make_environment(cfg, strategy, seed=11)
-            out[strategy.name] = sim.run(12)
+            out[label] = sim.run(12)
         return out
 
     results = once(run_all)
@@ -58,7 +56,7 @@ def test_communication_baselines(once):
         for name, hist in results.items()
     }
     # Codecs must shrink traffic dramatically vs plain FedAvg.
-    assert bytes_of["FedAvg+Q8"] < bytes_of["FedAvg"] * 0.5
+    assert bytes_of["FedAvg+Q8"] <= bytes_of["FedAvg"] * 0.3
     assert bytes_of["FedAvg+Top10%"] < bytes_of["FedAvg"] * 0.5
     # But codecs do not fix stragglers: FedCA's rounds stay the cheapest.
     per_round = {n: h.mean_round_time() for n, h in results.items()}

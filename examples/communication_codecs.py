@@ -17,33 +17,38 @@ Run:  python examples/communication_codecs.py
 
 from __future__ import annotations
 
-from repro.algorithms import build_strategy, fedavg_quantized, fedavg_topk
+from repro.algorithms import build_strategy
 from repro.core import FedCAConfig
 from repro.experiments import get_workload, make_environment
+from repro.runtime import parse_wire_spec
 
 
 def main() -> None:
     cfg = get_workload("cnn", scale="micro")
     opt = cfg.optimizer_spec()
+    # (label, scheme, wire format) — compression is a wire format any
+    # scheme can transmit through, not a scheme of its own.
     contenders = [
-        build_strategy("fedavg", opt),
-        fedavg_quantized(opt, bits=8),
-        fedavg_topk(opt, fraction=0.1),
-        build_strategy(
-            "fedca", opt,
-            fedca_config=FedCAConfig(profile_every=cfg.fedca_profile_every),
-        ),
+        ("FedAvg", "fedavg", "raw"),
+        ("FedAvg+Q8", "fedavg", "quant8"),
+        ("FedAvg+Top10%", "fedavg", "topk:0.1"),
+        ("FedCA", "fedca", "raw"),
     ]
 
     print(f"{'scheme':14s} {'round(s)':>9s} {'MB sent':>8s} {'target hit':>18s}")
-    for strategy in contenders:
+    for label, scheme, wire in contenders:
+        strategy = build_strategy(
+            scheme, opt,
+            fedca_config=FedCAConfig(profile_every=cfg.fedca_profile_every),
+        )
+        strategy.set_wire(parse_wire_spec(wire))
         sim = make_environment(cfg, strategy, seed=11)
         hist = sim.run(cfg.default_rounds, target_accuracy=cfg.target_accuracy)
         total_mb = sum(r.total_bytes for r in hist.records) / 1e6
         tta = hist.time_to_accuracy(cfg.target_accuracy)
         hit = f"{tta[0]:7.1f}s / {tta[1]:3d} rounds" if tta else "not reached"
         print(
-            f"{strategy.name:14s} {hist.mean_round_time():9.2f} "
+            f"{label:14s} {hist.mean_round_time():9.2f} "
             f"{total_mb:8.2f} {hit:>18s}"
         )
 

@@ -1,7 +1,6 @@
 """``repro.algorithms`` — FedAvg, FedProx, FedAda and FedCA strategies."""
 
 from .base import OptimizerSpec, RoundMember, Strategy
-from .compressed import CompressedFedAvg, fedavg_quantized, fedavg_topk
 from .deadline_stop import DeadlineStop
 from .extensions import FedCAAdaptiveBatch
 from .fedada import FedAda, fedada_budget
@@ -19,11 +18,8 @@ __all__ = [
     "FedAda",
     "fedada_budget",
     "FedCA",
-    "CompressedFedAvg",
     "FedCAAdaptiveBatch",
     "DeadlineStop",
-    "fedavg_quantized",
-    "fedavg_topk",
     "build_strategy",
     "STRATEGY_NAMES",
 ]

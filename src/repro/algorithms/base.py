@@ -290,9 +290,9 @@ class Strategy(ABC):
 
     # ------------------------------------------------------------------
     # Checkpoint/resume hooks (see repro.persist). Strategies that keep
-    # per-client state across rounds — FedCA's anchor-profiled curves, the
-    # compressed baselines' error-feedback residuals — override both so
-    # that a resumed run is indistinguishable from an uninterrupted one.
+    # per-client state across rounds — FedCA's anchor-profiled curves —
+    # override both so that a resumed run is indistinguishable from an
+    # uninterrupted one (the wire layer's codec residuals ride along).
     # Snapshots must be JSON-safe apart from numpy arrays, and are keyed by
     # client id so ParallelExecutor can merge per-worker captures.
     # ------------------------------------------------------------------

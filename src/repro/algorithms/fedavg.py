@@ -21,9 +21,8 @@ class _FedAvgMember(RoundMember):
     as ``effective_iterations``), then a single end-of-round upload."""
 
     def finish(self, update: dict[str, np.ndarray]) -> ClientRoundResult:
-        update, nbytes = self.strategy._encode_update(self.client, update)
         return self.upload_full(
-            update, nbytes, {"iterations_run": self.iterations_run}
+            update, self.client.model_bytes, {"iterations_run": self.iterations_run}
         )
 
 
@@ -43,10 +42,3 @@ class FedAvg(Strategy):
         params: dict[str, np.ndarray],
     ) -> RoundMember:
         return _FedAvgMember(self, client, ctx, ctx.effective_iterations)
-
-    # Hook for compressed variants: returns the update *as the server will
-    # receive it* (possibly lossy) and its wire size in bytes.
-    def _encode_update(
-        self, client: SimClient, update: dict[str, np.ndarray]
-    ) -> tuple[dict[str, np.ndarray], int]:
-        return update, client.model_bytes

@@ -227,51 +227,28 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _engine_spec(value: str) -> str:
+    from .runtime import resolve_executor
+
+    try:
+        resolve_executor(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return value
+
+
 def _add_executor(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--executor", default="serial", choices=["serial", "parallel", "cohort"],
-        help="client-execution engine; 'parallel' uses persistent worker "
-             "processes (same results, lower wall-clock); 'cohort' batches "
-             "M clients into one stacked tensor program (float-tolerance "
+        "--executor", type=_engine_spec, default="serial", metavar="SPEC",
+        help="client-execution engine: 'serial' (default); "
+             "'parallel[:N][+shards=S]' — N persistent worker processes "
+             "(default: usable cores) exchanging models through shared "
+             "memory, same results at lower wall-clock, and with +shards=S "
+             "the model is reduced as S parameter-range shards inside the "
+             "workers (byte-identical histories, no full layers×clients "
+             "stack in any one process); 'cohort[:M]' — M clients (default "
+             "32) batched into one stacked tensor program (float-tolerance "
              "equivalent, multiplicative single-core speedups)")
-    parser.add_argument(
-        "--workers", type=_positive_int, default=None, metavar="N",
-        help="worker count for --executor parallel (default: usable cores)")
-    parser.add_argument(
-        "--transport", default="auto", choices=["auto", "shm", "pipe"],
-        help="IPC transport for --executor parallel: 'shm' broadcasts the "
-             "model once through a shared-memory arena, 'pipe' serialises "
-             "it per worker; 'auto' (default) picks shm where available "
-             "and falls back to pipe with a logged reason")
-    parser.add_argument(
-        "--cohort-size", type=_positive_int, default=None, metavar="M",
-        help="clients per batched tensor program for --executor cohort "
-             "(default: 32)")
-    parser.add_argument(
-        "--shards", type=_positive_int, default=None, metavar="S",
-        help="sharded tree-reduction aggregation for --executor parallel "
-             "(shm transport only): partition the model into S parameter-"
-             "range shards and reduce each in its owning worker — "
-             "byte-identical histories, no full layers×clients stack in "
-             "any one process")
-
-
-def _executor_spec(args: argparse.Namespace) -> str:
-    if args.executor == "parallel":
-        spec = "parallel"
-        if args.workers is not None:
-            spec += f":{args.workers}"
-        if args.transport != "auto":
-            spec += f"@{args.transport}"
-        if args.shards is not None:
-            spec += f"+shards={args.shards}"
-        return spec
-    if args.executor == "cohort":
-        spec = "cohort"
-        if args.cohort_size is not None:
-            spec += f":{args.cohort_size}"
-        return spec
-    return args.executor
 
 
 def _wire_spec(value: str) -> str:
@@ -416,7 +393,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 stop_at_target=not args.no_target_stop,
                 seed=args.seed,
                 wire=args.wire,
-                executor=_executor_spec(args),
+                executor=args.executor,
                 population=args.population,
                 spill_client_events=args.spill_client_events,
                 recorder=recorder,
@@ -458,7 +435,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     try:
         results = compare_schemes(
             cfg, args.schemes, rounds=args.rounds, seed=args.seed,
-            wire=args.wire, executor=_executor_spec(args),
+            wire=args.wire, executor=args.executor,
             population=args.population,
             spill_client_events=args.spill_client_events,
             recorder=recorder, profiler=profiler, cache=_make_cache(args),

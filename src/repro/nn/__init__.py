@@ -26,8 +26,6 @@ from .serialize import (
     CheckpointFormatError,
     load_model,
     save_model,
-    state_from_bytes,
-    state_to_bytes,
 )
 
 __all__ = [
@@ -37,8 +35,7 @@ __all__ = [
     "GroupNorm2d", "LSTM", "SGD", "ProxSGD",
     "softmax_cross_entropy", "accuracy",
     "LeNetCNN", "LSTMClassifier", "WideResNet", "ResidualBlock", "build_model",
-    "save_model", "load_model", "state_to_bytes", "state_from_bytes",
-    "CheckpointFormatError",
+    "save_model", "load_model", "CheckpointFormatError",
     "CohortModel", "CohortSGD", "CohortUnsupportedModel",
     "stack_module", "cohort_supported", "cohort_softmax_cross_entropy",
 ]

@@ -18,7 +18,6 @@ determinism guarantee relies on.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from pathlib import Path
@@ -31,8 +30,6 @@ __all__ = [
     "CheckpointFormatError",
     "save_model",
     "load_model",
-    "state_to_bytes",
-    "state_from_bytes",
     "packed_state_nbytes",
     "pack_state",
     "unpack_state",
@@ -133,19 +130,6 @@ def load_model(model: Module, path: str | Path) -> None:
     if buffers or model.buffer_dict():
         _validate_arrays("buffer", dict(model.named_buffers()), buffers)
         model.load_buffer_dict(buffers)
-
-
-def state_to_bytes(state: dict[str, np.ndarray]) -> bytes:
-    """Serialise a plain state dict (e.g. the simulator's global state)."""
-    buf = io.BytesIO()
-    np.savez(buf, **state)
-    return buf.getvalue()
-
-
-def state_from_bytes(blob: bytes) -> dict[str, np.ndarray]:
-    """Inverse of :func:`state_to_bytes`."""
-    with np.load(io.BytesIO(blob)) as archive:
-        return {name: archive[name] for name in archive.files}
 
 
 # ----------------------------------------------------------------------

@@ -18,13 +18,7 @@ from .export import (
 from .history import RoundRecord, RunHistory
 from .parallel import ParallelExecutor
 from .round import ClientRoundResult, RoundContext
-from .transport import (
-    PipeTransport,
-    ShmTransport,
-    Transport,
-    resolve_transport,
-    shm_available,
-)
+from .transport import ShmTransport, shm_available
 from .selection import select_clients
 from .shard import ShardPlan, ShardSegment, plan_shards, weighted_segment_sum
 from .simulator import FederatedSimulator
@@ -39,10 +33,7 @@ __all__ = [
     "CohortExecutor",
     "CohortEngine",
     "resolve_executor",
-    "Transport",
-    "PipeTransport",
     "ShmTransport",
-    "resolve_transport",
     "shm_available",
     "RoundContext",
     "ClientRoundResult",

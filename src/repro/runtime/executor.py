@@ -193,12 +193,12 @@ def resolve_executor(spec: "Executor | str | None") -> Executor:
     """Turn an executor spec into an engine instance.
 
     ``None``/``"serial"`` → :class:`SerialExecutor`;
-    ``"parallel[:N][@transport][+shards=S]"`` →
-    :class:`~repro.runtime.parallel.ParallelExecutor` with N workers,
-    the given IPC transport (``auto``/``shm``/``pipe``, see
-    :mod:`repro.runtime.transport`) and, with ``+shards=S``, the sharded
-    tree-reduction aggregation engine (see :mod:`repro.runtime.shard`) —
-    e.g. ``"parallel:4@shm+shards=2"``;
+    ``"parallel[:N][+shards=S]"`` →
+    :class:`~repro.runtime.parallel.ParallelExecutor` with N workers and,
+    with ``+shards=S``, the sharded tree-reduction aggregation engine (see
+    :mod:`repro.runtime.shard`) — e.g. ``"parallel:4+shards=2"``. Shared
+    memory is the only IPC transport, so ``parallel:4@shm`` is accepted
+    as a redundant spelling; the removed ``@pipe`` / ``@auto`` raise;
     ``"cohort[:M]"`` → :class:`~repro.runtime.cohort.CohortExecutor`
     batching M clients per stacked tensor program — e.g. ``"cohort:32"``;
     an :class:`Executor` instance passes through.
@@ -215,7 +215,6 @@ def resolve_executor(spec: "Executor | str | None") -> Executor:
             ("parallel:", "parallel@", "parallel+")
         ):
             from .parallel import ParallelExecutor
-            from .transport import TRANSPORT_CHOICES
 
             shards = None
             if "+" in key:
@@ -233,13 +232,14 @@ def resolve_executor(spec: "Executor | str | None") -> Executor:
                         raise ValueError(
                             f"bad shard count in executor spec {spec!r}"
                         )
-            transport = "auto"
             if "@" in key:
                 key, transport = key.split("@", 1)
-                if transport not in TRANSPORT_CHOICES:
+                if transport != "shm":
                     raise ValueError(
-                        f"bad transport in executor spec {spec!r}; expected "
-                        f"one of {TRANSPORT_CHOICES}"
+                        f"bad transport {transport!r} in executor spec "
+                        f"{spec!r}: shared memory is the only transport "
+                        "(the 'pipe' and 'auto' choices were removed); "
+                        "drop the '@...' token"
                     )
             workers = None
             if ":" in key:
@@ -247,9 +247,7 @@ def resolve_executor(spec: "Executor | str | None") -> Executor:
                     workers = int(key.split(":", 1)[1])
                 except ValueError:
                     raise ValueError(f"bad worker count in executor spec {spec!r}")
-            return ParallelExecutor(
-                workers=workers, transport=transport, shards=shards
-            )
+            return ParallelExecutor(workers=workers, shards=shards)
         if key == "cohort" or key.startswith("cohort:"):
             from .cohort import CohortExecutor
 
@@ -262,6 +260,6 @@ def resolve_executor(spec: "Executor | str | None") -> Executor:
             return CohortExecutor(cohort_size=size)
     raise ValueError(
         f"unknown executor spec {spec!r}; expected 'serial', "
-        "'parallel[:N][@transport][+shards=S]', 'cohort[:M]' or an "
+        "'parallel[:N][+shards=S]', 'cohort[:M]' or an "
         "Executor instance"
     )

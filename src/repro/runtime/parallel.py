@@ -6,17 +6,12 @@ initialised client replicas *and* a replica of the strategy, and keeps them
 resident for the whole run — there is no per-round pickling of clients,
 models or data shards.
 
-How the per-round data moves is pluggable (see
-:mod:`repro.runtime.transport`):
-
-* ``shm`` (default where available): the global model is written **once**
-  into a shared-memory arena all workers map read-only and zero-copy, and
-  each worker returns its result arrays through its own result arena.
-  Pipes carry only small control messages (job lists, scalar stats, trace
-  events, generation counters).
-* ``pipe`` (fallback, PR 1's protocol): the broadcast is serialised once
-  through the ``.npz`` codec and pickled down every worker pipe; results
-  are pickled back whole.
+The per-round bulk data moves through shared memory (see
+:mod:`repro.runtime.transport`): the global model is written **once** into
+an arena all workers map read-only and zero-copy, and each worker returns
+its result arrays through its own result arena. Pipes carry only small
+control messages (job lists, scalar stats, trace events, generation
+counters).
 
 Control messages are framed as explicit ``pickle`` blobs over
 ``send_bytes``/``recv_bytes`` so every pipe byte is metered exactly; the
@@ -32,8 +27,8 @@ routing), so every stateful per-client object — the cyclic
 :class:`~repro.sysmodel.speed.SpeedTrace`, FedCA's per-client profiled
 curves — evolves in exactly one process, in exactly the order it would have
 evolved serially. Results are reassembled in the simulator's job order
-(sorted client ids). Serial, ``parallel:N@pipe`` and ``parallel:N@shm``
-runs therefore produce **bitwise-identical**
+(sorted client ids). Serial and ``parallel:N`` runs therefore produce
+**bitwise-identical**
 :class:`~repro.runtime.history.RunHistory` objects *and* telemetry traces;
 ``tests/test_executor.py`` asserts both for FedAvg and FedCA.
 
@@ -42,15 +37,16 @@ see :mod:`repro.obs`) ride back on the ``trace`` field of each
 :class:`~repro.runtime.round.ClientRoundResult` — simulated-time-keyed
 dicts, no live recorder handles cross the process boundary. The simulator
 merges them into the parent recorder in job order, so the trace stream is
-byte-identical to a serial run's regardless of the transport.
+byte-identical to a serial run's.
 
 Fallback
 --------
-* Platforms without the ``fork`` start method get a transparent
-  :class:`~repro.runtime.executor.SerialExecutor` delegate (still
-  deterministic, just not parallel).
-* Platforms without working POSIX shared memory resolve ``transport="auto"``
-  to ``pipe`` with a logged reason; requesting ``shm`` explicitly raises.
+* Anything that keeps the pool from starting — no ``fork`` start method,
+  no usable shared memory, ``/dev/shm`` too small for the arenas — emits
+  one ``RuntimeWarning`` naming the reason and runs everything through a
+  :class:`~repro.runtime.executor.SerialExecutor` on the parent replicas.
+  No round has run yet, so the history is bitwise the serial one and the
+  run stays checkpointable.
 * If a worker process dies mid-run, the pool (and its arenas) is torn down
   and the unfinished jobs of that round — and every later round — run
   serially on the parent's replicas. The run completes, but because the
@@ -72,12 +68,7 @@ import numpy as np
 
 from .executor import ClientJob, Executor, SerialExecutor
 from .round import ClientRoundResult
-from .transport import (
-    Transport,
-    ipc_bytes_counter,
-    make_transport,
-    resolve_transport,
-)
+from .transport import ShmTransport, ipc_bytes_counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..algorithms.base import Strategy
@@ -163,7 +154,7 @@ def _worker_main(pairs, clients, strategy, owned_ids, transport, worker_index) -
             if msg[0] == "reduce":
                 # Sharded aggregation: this worker owns some shards of the
                 # model fingerprint; reduce them over the collected
-                # clients' arena slices (see Transport.reduce_shards).
+                # clients' arena slices (see ShmTransport.reduce_shards).
                 _, shard_indices, weights, refs = msg
                 try:
                     written = transport.reduce_shards(shard_indices, weights, refs)
@@ -202,43 +193,26 @@ class ParallelExecutor(Executor):
         Pool size; defaults to the usable core count. One worker reproduces
         the serial schedule in a child process (useful for isolating
         fork-related issues from parallelism issues).
-    transport:
-        IPC backend for the bulk payloads: ``"auto"`` (default — shared
-        memory where available, else pipes), ``"shm"`` or ``"pipe"``. See
-        :mod:`repro.runtime.transport`.
     shards:
         Enable the sharded tree-reduction aggregation engine with S
-        parameter-range shards (see :mod:`repro.runtime.shard`). Requires
-        the shm transport (shard owners read each other's result arenas);
-        ``auto`` resolving to pipe disables sharding with a warning,
-        requesting ``pipe`` explicitly raises. The reduced update is
-        bitwise-identical to the serial oracle's at any shard count.
+        parameter-range shards (see :mod:`repro.runtime.shard`). The
+        reduced update is bitwise-identical to the serial oracle's at any
+        shard count.
     """
 
     name = "parallel"
 
     def __init__(
-        self,
-        workers: int | None = None,
-        *,
-        transport: str = "auto",
-        shards: int | None = None,
+        self, workers: int | None = None, *, shards: int | None = None
     ) -> None:
         if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ValueError(f"workers must be >= 1, got {workers}")
         if shards is not None and shards < 1:
-            raise ValueError("shards must be >= 1")
-        if shards is not None and transport == "pipe":
-            raise ValueError(
-                "sharded aggregation requires the shm transport (shard "
-                "owners reduce over shm result arenas; pipe has none)"
-            )
+            raise ValueError(f"shards must be >= 1, got {shards}")
         self.workers = workers or default_workers()
         self.shards = shards
-        self.transport_spec = transport
-        self.transport: str | None = None  # resolved at bind time
         self._shard_plan = None
-        self._transport_impl: Transport | None = None
+        self._transport_impl: ShmTransport | None = None
         self._recorder: "Recorder | None" = None
         self._procs: list[mp.process.BaseProcess] = []
         self._conns: list = []
@@ -250,23 +224,6 @@ class ParallelExecutor(Executor):
     def bind(self, clients: Sequence["SimClient"], strategy: "Strategy") -> None:
         self._clients = clients
         self._strategy = strategy
-        self.transport = resolve_transport(self.transport_spec)
-        if self.shards is not None and self.transport == "pipe":
-            warnings.warn(
-                "sharded aggregation requires the shm transport; 'auto' "
-                "resolved to pipe, so shards are disabled for this run",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.shards = None
-        if not fork_available():
-            warnings.warn(
-                "platform lacks the 'fork' start method; "
-                "ParallelExecutor falling back to serial execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self._degrade()
 
     def set_recorder(self, recorder: "Recorder | None") -> None:
         self._recorder = recorder
@@ -296,7 +253,9 @@ class ParallelExecutor(Executor):
     ) -> None:
         """Allocate the transport and fork the pool. Must happen before any
         round has run, so the children inherit the clients in their initial
-        (seeded) state — and the transport's arenas by the same fork."""
+        (seeded) state — and the transport's arenas by the same fork. If
+        the pool cannot start, warn once and degrade to serial: the parent
+        replicas are still pristine, so nothing about the run changes."""
         # Client ids are list indices by construction, so ownership routing
         # needs no client objects — indexing a lazy population here would
         # materialise every client in the parent before the fork.
@@ -304,34 +263,32 @@ class ParallelExecutor(Executor):
             [cid for cid in range(len(self._clients)) if cid % self.workers == w]
             for w in range(self.workers)
         ]
-        transport = make_transport(self.transport)
+        transport = ShmTransport()
         shard_plan = None
-        if self.shards is not None and self.transport == "shm":
+        if self.shards is not None:
             from .shard import plan_shards
 
             shard_plan = plan_shards(global_state, self.shards)
-        try:
-            transport.setup(
-                global_state,
-                global_buffers,
-                [len(o) for o in owned_per_worker],
-                shard_plan=shard_plan,
-            )
-        except Exception as exc:
-            if self.transport == "pipe":
-                raise
+        reason = None if fork_available() else "no 'fork' start method"
+        if reason is None:
+            try:
+                transport.setup(
+                    global_state,
+                    global_buffers,
+                    [len(o) for o in owned_per_worker],
+                    shard_plan=shard_plan,
+                )
+            except Exception as exc:  # setup() has already unlinked its arenas
+                reason = f"shared-memory setup failed: {exc!r}"
+        if reason is not None:
             warnings.warn(
-                f"{self.transport} transport setup failed ({exc!r}); "
-                "falling back to the pipe transport"
-                + (" (shards disabled)" if shard_plan is not None else ""),
+                f"cannot start the parallel worker pool ({reason}); "
+                "running serially on the parent replicas",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            transport.close()
-            self.transport = "pipe"
-            self.shards = None
-            shard_plan = None
-            transport = make_transport("pipe")
+            self._degrade()
+            return
         self._shard_plan = shard_plan
         transport.set_recorder(self._recorder)
         transport.set_profiler(self._profiler)
@@ -379,12 +336,12 @@ class ParallelExecutor(Executor):
         global_buffers: dict[str, np.ndarray],
         jobs: list[ClientJob],
     ) -> list[ClientRoundResult]:
-        if self._fallback is not None:
-            return self._fallback.run_round(global_state, global_buffers, jobs)
         if self._clients is None or self._strategy is None:
             raise RuntimeError("executor not bound; construct it via FederatedSimulator")
-        if not self._started:
+        if self._fallback is None and not self._started:
             self._start(global_state, global_buffers)
+        if self._fallback is not None:
+            return self._fallback.run_round(global_state, global_buffers, jobs)
         transport = self._transport_impl
 
         per_worker: dict[int, list[ClientJob]] = {}

@@ -1,4 +1,4 @@
-"""IPC transports for the parallel executor.
+"""The parallel executor's IPC transport.
 
 :class:`~repro.runtime.parallel.ParallelExecutor` moves three kinds of data
 between the parent and its persistent workers every round:
@@ -10,46 +10,47 @@ between the parent and its persistent workers every round:
 3. control traffic (job lists, scalar stats, trace events, generation
    counters) — small.
 
-A :class:`Transport` decides where 1 and 2 travel; 3 always rides the
-worker pipes. Two backends ship:
+:class:`ShmTransport` carries 1 and 2; 3 rides the worker pipes. The
+broadcast is written **once** into a ``multiprocessing.shared_memory``
+arena (versioned header + per-layer offset table, see
+:func:`repro.nn.serialize.pack_state`) that all workers map read-only and
+zero-copy, and each worker returns its result arrays through its own
+result arena sized from the model fingerprint. One memcpy per round,
+whatever the worker count.
 
-* :class:`PipeTransport` — PR 1's behavior: the broadcast is serialised
-  once through the ``.npz`` codec and pickled down every worker pipe;
-  results are pickled back whole. Works everywhere.
-* :class:`ShmTransport` — the broadcast is written **once** into a
-  ``multiprocessing.shared_memory`` arena (versioned header + per-layer
-  offset table, see :func:`repro.nn.serialize.pack_state`) that all
-  workers map read-only and zero-copy, and each worker returns its result
-  arrays through its own result arena sized from the model fingerprint.
-  Pipes carry only control messages. One memcpy per round instead of N
-  pipe serialisations.
+Every arena reserves its pages at creation (see :class:`_Arena`), so a
+``/dev/shm`` that cannot hold the pool fails :meth:`ShmTransport.setup`
+with ``OSError(ENOSPC)`` — before any fork — and the executor degrades to
+serial. Without the reservation tmpfs hands out sparse segments and the
+shortfall surfaces later as a SIGBUS inside ``pack_state``.
 
 Byte accounting
 ---------------
-Both backends meter traffic into ``stats`` under Prometheus-style names
+Traffic is metered into ``stats`` under Prometheus-style names
 ``repro_ipc_bytes_total{transport=...,direction=...}`` where ``transport``
-is the channel the bytes moved through (``pipe`` or ``shm``) and
-``direction`` is ``broadcast`` (parent→worker) or ``results``
-(worker→parent). ``repro_ipc_broadcast_seconds`` accumulates the parent's
-wall-clock cost of staging each round's broadcast. When a recorder is
-attached (see :meth:`Transport.set_recorder`) the same names are mirrored
-as recorder counters; counters never enter the JSONL event trace, so
-serial / ``pipe`` / ``shm`` traces stay byte-identical.
+is the channel the bytes moved through (``pipe`` for control messages,
+``shm`` for the arenas) and ``direction`` is ``broadcast``
+(parent→worker) or ``results`` (worker→parent).
+``repro_ipc_broadcast_seconds`` accumulates the parent's wall-clock cost
+of staging each round's broadcast. When a recorder is attached (see
+:meth:`ShmTransport.set_recorder`) the same names are mirrored as recorder
+counters; counters never enter the JSONL event trace, so serial and
+parallel traces stay byte-identical.
 
 Cleanup invariants
 ------------------
 Shared-memory segments are unlinked on pool shutdown, worker death (the
-executor tears the pool down before degrading) and interpreter exit
-(``atexit``); only the creating process ever unlinks. A SIGKILLed parent
-is covered by Python's ``multiprocessing.resource_tracker``, which reaps
-registered segments once every process holding them has died — so
-crash-resume CI leaves ``/dev/shm`` clean.
+executor tears the pool down before degrading), a failed ``setup`` and
+interpreter exit (``atexit``); only the creating process ever unlinks. A
+SIGKILLed parent is covered by Python's
+``multiprocessing.resource_tracker``, which reaps registered segments once
+every process holding them has died — so crash-resume CI leaves
+``/dev/shm`` clean.
 """
 
 from __future__ import annotations
 
 import atexit
-import logging
 import os
 import pickle
 import secrets
@@ -63,8 +64,6 @@ from ..nn.serialize import (
     arena_entries,
     pack_state,
     packed_state_nbytes,
-    state_from_bytes,
-    state_to_bytes,
     unpack_state,
 )
 from ..obs.profile import NULL_PROFILER
@@ -76,22 +75,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .shard import ShardPlan
 
 __all__ = [
-    "Transport",
-    "PipeTransport",
     "ShmTransport",
     "shm_available",
-    "resolve_transport",
-    "make_transport",
     "ipc_bytes_counter",
     "BROADCAST_SECONDS",
-    "TRANSPORT_CHOICES",
     "SEGMENT_PREFIX",
 ]
-
-logger = logging.getLogger("repro.runtime.transport")
-
-#: CLI/spec-level transport names (``auto`` resolves at bind time).
-TRANSPORT_CHOICES = ("auto", "shm", "pipe")
 
 #: ``/dev/shm`` name prefix for every segment this module creates — lets
 #: tests (and CI) assert no segments leak.
@@ -118,9 +107,10 @@ def ipc_bytes_counter(transport: str, direction: str) -> str:
 def shm_available() -> tuple[bool, str]:
     """Whether POSIX shared memory actually works here, with the reason.
 
-    Checks the import (Python ≥ 3.8 semantics) and probes a real segment:
-    containers without a usable ``/dev/shm`` fail the probe, not the
-    import.
+    A skip helper for tests and benches only — the engine does not probe;
+    :meth:`ShmTransport.setup` failing is its probe. Checks the import
+    (Python ≥ 3.8 semantics) and creates a real segment: containers
+    without a usable ``/dev/shm`` fail the latter, not the import.
     """
     try:
         from multiprocessing import shared_memory
@@ -137,68 +127,103 @@ def shm_available() -> tuple[bool, str]:
     return True, ""
 
 
-def resolve_transport(spec: str) -> str:
-    """Resolve a transport spec to an effective backend name.
+class _Arena:
+    """A named shared-memory segment plus the bookkeeping to clean it up.
 
-    ``pipe`` is always honoured; ``shm`` raises if the platform can't do
-    it; ``auto`` picks ``shm`` where available and logs the fallback
-    reason otherwise.
+    Creation reserves the segment's pages. ``SharedMemory(create=True)``
+    only ``ftruncate``s, which on tmpfs is sparse — a segment far larger
+    than ``/dev/shm`` "succeeds" and the shortfall arrives as a SIGBUS on
+    first write. ``posix_fallocate`` turns it into ``OSError(ENOSPC)``
+    here, where the caller can still degrade.
     """
-    if spec not in TRANSPORT_CHOICES:
-        raise ValueError(
-            f"unknown transport {spec!r}; expected one of {TRANSPORT_CHOICES}"
-        )
-    if spec == "pipe":
-        return "pipe"
-    ok, reason = shm_available()
-    if spec == "shm":
-        if not ok:
-            raise RuntimeError(f"shm transport requested but unavailable: {reason}")
-        return "shm"
-    if ok:
-        return "shm"
-    logger.warning(
-        "shared-memory transport unavailable (%s); falling back to pipe", reason
-    )
-    return "pipe"
+
+    def __init__(self, name: str, size: int) -> None:
+        from multiprocessing import shared_memory
+
+        self.shm = shared_memory.SharedMemory(create=True, name=name, size=size)
+        self.name = name
+        self.size = self.shm.size
+        fd = getattr(self.shm, "_fd", -1)
+        if fd >= 0 and hasattr(os, "posix_fallocate"):
+            try:
+                os.posix_fallocate(fd, 0, self.size)
+            except OSError:
+                self.destroy()
+                raise
+
+    @property
+    def buf(self):
+        return self.shm.buf
+
+    def destroy(self) -> None:
+        try:
+            self.shm.close()
+        except BufferError:  # pragma: no cover - exported views still alive
+            pass
+        try:
+            self.shm.unlink()
+        except FileNotFoundError:
+            pass
 
 
-def make_transport(effective: str) -> "Transport":
-    """Instantiate the backend for an already-resolved transport name."""
-    if effective == "shm":
-        return ShmTransport()
-    if effective == "pipe":
-        return PipeTransport()
-    raise ValueError(f"unresolved transport name {effective!r}")
+class ShmTransport:
+    """Shared-memory arenas for the bulk payloads; pipes for control only.
 
-
-class Transport:
-    """Backend interface; one instance is shared (via fork) by the parent
-    and every worker.
-
+    One instance is shared (via fork) by the parent and every worker.
     Parent lifecycle: :meth:`setup` once before the pool forks (the
-    workers must inherit any arenas), :meth:`broadcast` /
+    workers must inherit the arenas), :meth:`broadcast` /
     :meth:`decode_results` / :meth:`decode_capture` per round, and
     :meth:`close` on pool shutdown. Workers call :meth:`worker_init` first
-    thing and then only the ``read_broadcast`` / ``encode_*`` half.
+    thing and then only the ``read_broadcast`` / ``encode_*`` /
+    ``reduce_shards`` half.
+
+    Layout per pool:
+
+    * one *broadcast arena*: ``[magic|version|generation]`` preamble, then
+      the packed global state block and (if the model has buffers) the
+      packed buffer block. The parent rewrites it once per round and bumps
+      the generation counter; workers verify the generation from the round
+      message before mapping the blocks zero-copy and read-only.
+    * one *result arena per worker*, sized from the model fingerprint
+      (every owned client can return at most one full update + buffer
+      delta per round). Workers pack result arrays sequentially and send
+      only ``(offset, offset)`` references down the pipe; a result that
+      ever outgrows the arena (e.g. a strategy returning extra payloads)
+      falls back to inline pickling for just that result.
+
+    Checkpoint captures ride the same arenas: the worker pickles its
+    snapshot into its result arena and pipes back just the length.
     """
 
-    name = "base"
+    #: Per-block headroom over the model-fingerprint estimate, so header
+    #: growth (longer names, dtype changes) never forces the inline path.
+    _SLACK = 4096
 
     def __init__(self) -> None:
         self.stats: dict[str, float] = {}
         self._recorder: "Recorder | None" = None
         self._profiler = NULL_PROFILER
         self._worker_index: int | None = None
+        self._broadcast: _Arena | None = None
+        self._results: list[_Arena] = []
+        self._shards: list[_Arena] = []
+        self._shard_plan: "ShardPlan | None" = None
+        #: ``{client_id: (worker, update_offset)}`` for results whose
+        #: update payloads were left in the worker arenas this round
+        #: (sharded-aggregation mode only).
+        self._pending_updates: dict[int, tuple[int, int]] = {}
+        self._generation = 0
+        self._creator_pid = os.getpid()
+        self._closed = False
+        self._atexit_registered = False
 
     # -- accounting ----------------------------------------------------
     def set_recorder(self, recorder: "Recorder | None") -> None:
         self._recorder = recorder if recorder is not None and recorder.enabled else None
 
     def set_profiler(self, profiler) -> None:
-        """Attach the parent's phase profiler (transports time their
-        broadcast ``pack`` as a sub-span under the executor's
-        ``broadcast`` phase)."""
+        """Attach the parent's phase profiler (the broadcast ``pack`` is
+        timed as a sub-span under the executor's ``broadcast`` phase)."""
         self._profiler = profiler
 
     def count(self, name: str, inc: float, *, mirror: bool = True) -> None:
@@ -234,199 +259,53 @@ class Transport:
         owned_counts: list[int],
         shard_plan: "ShardPlan | None" = None,
     ) -> None:
-        """Allocate per-pool resources before the workers fork.
+        """Allocate (and reserve) the pool's arenas before the workers fork.
 
         ``owned_counts[w]`` is the number of clients worker ``w`` owns —
-        the upper bound on results it can return per round.
-        ``shard_plan`` (shm only) switches the transport into sharded-
-        aggregation mode: per-shard reduce arenas are allocated and
-        result updates are left in the worker arenas for the shard
-        owners to reduce in place (see :mod:`repro.runtime.shard`)."""
-
-    def broadcast(
-        self, state: dict[str, np.ndarray], buffers: dict[str, np.ndarray]
-    ) -> Any:
-        """Stage one round's global model; returns the (small) extra that
-        rides the round control message to every worker."""
-        raise NotImplementedError
-
-    def decode_results(self, worker: int, payload: Any) -> "list[ClientRoundResult]":
-        """Recover a worker's result batch from its reply payload."""
-        raise NotImplementedError
-
-    def decode_capture(self, worker: int, payload: Any) -> Any:
-        """Recover a worker's checkpoint snapshot from its reply payload."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release transport resources (unlink arenas). Idempotent; only
-        meaningful in the creating process."""
-
-    # -- worker half ---------------------------------------------------
-    def worker_init(self, worker: int) -> None:
-        """Called first thing inside the forked worker."""
-        self._worker_index = worker
-        self._recorder = None  # the parent's recorder must not be touched
-        self._profiler = NULL_PROFILER  # ditto for the parent's profiler
-
-    def read_broadcast(
-        self, extra: Any
-    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """Recover the round's global (state, buffers) in the worker."""
-        raise NotImplementedError
-
-    def encode_results(self, results: "list[ClientRoundResult]") -> Any:
-        """Stage a worker's result batch; returns the reply payload."""
-        raise NotImplementedError
-
-    def encode_capture(self, snapshot: Any) -> Any:
-        """Stage a worker's checkpoint snapshot; returns the reply payload."""
-        raise NotImplementedError
-
-
-class PipeTransport(Transport):
-    """Everything through the worker pipes (PR 1's protocol).
-
-    The broadcast is serialised once per round via the ``.npz`` codec;
-    the same blobs are pickled into every worker's round message. Results
-    and capture snapshots travel back as pickled payloads. The executor's
-    pipe metering therefore captures the full byte cost — this backend
-    adds no accounting of its own.
-    """
-
-    name = "pipe"
-
-    def broadcast(self, state, buffers):
-        t0 = time.perf_counter()
-        with self._profiler.phase("pack"):
-            extra = (
-                state_to_bytes(state),
-                state_to_bytes(buffers) if buffers else None,
-            )
-        self.add_broadcast_seconds(time.perf_counter() - t0)
-        return extra
-
-    def decode_results(self, worker, payload):
-        return payload
-
-    def decode_capture(self, worker, payload):
-        return payload
-
-    def read_broadcast(self, extra):
-        state_blob, buffers_blob = extra
-        state = state_from_bytes(state_blob)
-        buffers = {} if buffers_blob is None else state_from_bytes(buffers_blob)
-        return state, buffers
-
-    def encode_results(self, results):
-        return results
-
-    def encode_capture(self, snapshot):
-        return snapshot
-
-
-class _Arena:
-    """A named shared-memory segment plus the bookkeeping to clean it up."""
-
-    def __init__(self, name: str, size: int) -> None:
-        from multiprocessing import shared_memory
-
-        self.shm = shared_memory.SharedMemory(create=True, name=name, size=size)
-        self.name = name
-        self.size = self.shm.size
-
-    @property
-    def buf(self):
-        return self.shm.buf
-
-    def destroy(self) -> None:
-        try:
-            self.shm.close()
-        except BufferError:  # pragma: no cover - exported views still alive
-            pass
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:
-            pass
-
-
-class ShmTransport(Transport):
-    """Shared-memory arenas for the bulk payloads; pipes for control only.
-
-    Layout per pool:
-
-    * one *broadcast arena*: ``[magic|version|generation]`` preamble, then
-      the packed global state block and (if the model has buffers) the
-      packed buffer block. The parent rewrites it once per round and bumps
-      the generation counter; workers verify the generation from the round
-      message before mapping the blocks zero-copy and read-only.
-    * one *result arena per worker*, sized from the model fingerprint
-      (every owned client can return at most one full update + buffer
-      delta per round). Workers pack result arrays sequentially and send
-      only ``(offset, offset)`` references down the pipe; a result that
-      ever outgrows the arena (e.g. a strategy returning extra payloads)
-      falls back to inline pickling for just that result.
-
-    Checkpoint captures ride the same arenas: the worker pickles its
-    snapshot into its result arena and pipes back just the length.
-    """
-
-    name = "shm"
-
-    #: Per-block headroom over the model-fingerprint estimate, so header
-    #: growth (longer names, dtype changes) never forces the inline path.
-    _SLACK = 4096
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._broadcast: _Arena | None = None
-        self._results: list[_Arena] = []
-        self._shards: list[_Arena] = []
-        self._shard_plan: "ShardPlan | None" = None
-        #: ``{client_id: (worker, update_offset)}`` for results whose
-        #: update payloads were left in the worker arenas this round
-        #: (sharded-aggregation mode only).
-        self._pending_updates: dict[int, tuple[int, int]] = {}
-        self._generation = 0
-        self._creator_pid = os.getpid()
-        self._closed = False
-        self._atexit_registered = False
-
-    # -- parent half ---------------------------------------------------
-    def setup(self, state, buffers, owned_counts, shard_plan=None):
+        the upper bound on results it can return per round. ``shard_plan``
+        switches on sharded-aggregation mode: per-shard reduce arenas are
+        allocated and result updates are left in the worker arenas for the
+        shard owners to reduce in place (see :mod:`repro.runtime.shard`).
+        Raises whatever arena creation raises (``OSError(ENOSPC)`` when
+        ``/dev/shm`` cannot hold the pool) with every segment created so
+        far already unlinked.
+        """
         token = secrets.token_hex(4)
+        prefix = f"{SEGMENT_PREFIX}-{os.getpid()}-{token}"
         state_nbytes = packed_state_nbytes(state)
         buffers_nbytes = packed_state_nbytes(buffers) if buffers else 0
         bsize = _ARENA_DATA_OFFSET + state_nbytes + buffers_nbytes + self._SLACK
-        self._broadcast = _Arena(
-            f"{SEGMENT_PREFIX}-{os.getpid()}-{token}-b", bsize
-        )
-        hdr = self._broadcast.buf
-        _SHM_HEADER.pack_into(hdr, 0, _SHM_MAGIC, _SHM_VERSION, 0, 0)
         per_result = state_nbytes + buffers_nbytes + 512
-        for w, owned in enumerate(owned_counts):
-            rsize = max(1, owned) * per_result + self._SLACK
-            self._results.append(
-                _Arena(f"{SEGMENT_PREFIX}-{os.getpid()}-{token}-r{w}", rsize)
-            )
         self._shard_plan = shard_plan
-        if shard_plan is not None:
-            # Per-shard reduce arenas, created pre-fork like everything
-            # else so every worker inherits mappings to all of them
-            # (shard owners read slices from *other* workers' result
-            # arenas and write into their own shard arenas).
-            for k in range(shard_plan.num_shards):
-                self._shards.append(
-                    _Arena(
-                        f"{SEGMENT_PREFIX}-{os.getpid()}-{token}-s{k}",
-                        max(1, shard_plan.shard_nbytes(k)),
+        try:
+            self._broadcast = _Arena(f"{prefix}-b", bsize)
+            _SHM_HEADER.pack_into(
+                self._broadcast.buf, 0, _SHM_MAGIC, _SHM_VERSION, 0, 0
+            )
+            for w, owned in enumerate(owned_counts):
+                rsize = max(1, owned) * per_result + self._SLACK
+                self._results.append(_Arena(f"{prefix}-r{w}", rsize))
+            if shard_plan is not None:
+                # Per-shard reduce arenas, created pre-fork like everything
+                # else so every worker inherits mappings to all of them
+                # (shard owners read slices from *other* workers' result
+                # arenas and write into their own shard arenas).
+                for k in range(shard_plan.num_shards):
+                    self._shards.append(
+                        _Arena(f"{prefix}-s{k}", max(1, shard_plan.shard_nbytes(k)))
                     )
-                )
+        except BaseException:
+            self.close()
+            raise
         if not self._atexit_registered:
             atexit.register(self.close)
             self._atexit_registered = True
 
-    def broadcast(self, state, buffers):
+    def broadcast(
+        self, state: dict[str, np.ndarray], buffers: dict[str, np.ndarray]
+    ) -> tuple[int, int, "int | None"]:
+        """Stage one round's global model; returns the (small) extra that
+        rides the round control message to every worker."""
         assert self._broadcast is not None, "setup() must run before broadcast()"
         t0 = time.perf_counter()
         self._pending_updates = {}  # last round's refs are now stale
@@ -446,7 +325,8 @@ class ShmTransport(Transport):
         self.count(ipc_bytes_counter("shm", "broadcast"), total)
         return (self._generation, state_off, buffers_off)
 
-    def decode_results(self, worker, payload):
+    def decode_results(self, worker: int, payload: Any) -> "list[ClientRoundResult]":
+        """Recover a worker's result batch from its reply payload."""
         arena = self._results[worker]
         results = []
         shm_bytes = 0
@@ -528,7 +408,8 @@ class ShmTransport(Transport):
             del shard_views  # release exported arena buffers
         return update
 
-    def decode_capture(self, worker, payload):
+    def decode_capture(self, worker: int, payload: Any) -> Any:
+        """Recover a worker's checkpoint snapshot from its reply payload."""
         kind, ref = payload
         if kind == "inline":
             return ref
@@ -536,7 +417,7 @@ class ShmTransport(Transport):
         arena = self._results[worker]
         snapshot = pickle.loads(bytes(arena.buf[:nbytes]))
         # Capture traffic depends on checkpoint cadence, so it must not
-        # mirror into the recorder counters (see Transport.count).
+        # mirror into the recorder counters (see count()).
         self.count(ipc_bytes_counter("shm", "capture"), nbytes, mirror=False)
         return snapshot
 
@@ -549,6 +430,8 @@ class ShmTransport(Transport):
         return names
 
     def close(self) -> None:
+        """Unlink the arenas. Idempotent; a no-op outside the creating
+        process."""
         if self._closed or os.getpid() != self._creator_pid:
             # Workers (and any other inheritor) must never unlink the
             # creator's segments; their mappings die with the process.
@@ -571,7 +454,16 @@ class ShmTransport(Transport):
             pass
 
     # -- worker half ---------------------------------------------------
-    def read_broadcast(self, extra):
+    def worker_init(self, worker: int) -> None:
+        """Called first thing inside the forked worker."""
+        self._worker_index = worker
+        self._recorder = None  # the parent's recorder must not be touched
+        self._profiler = NULL_PROFILER  # ditto for the parent's profiler
+
+    def read_broadcast(
+        self, extra: tuple[int, int, "int | None"]
+    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Recover the round's global (state, buffers) in the worker."""
         generation, state_off, buffers_off = extra
         assert self._broadcast is not None
         magic, version, _, written = _SHM_HEADER.unpack_from(self._broadcast.buf, 0)
@@ -592,7 +484,8 @@ class ShmTransport(Transport):
         )
         return state, buffers
 
-    def encode_results(self, results):
+    def encode_results(self, results: "list[ClientRoundResult]") -> Any:
+        """Stage a worker's result batch; returns the reply payload."""
         import dataclasses
 
         assert self._worker_index is not None
@@ -621,7 +514,8 @@ class ShmTransport(Transport):
             )
         return payload
 
-    def encode_capture(self, snapshot):
+    def encode_capture(self, snapshot: Any) -> Any:
+        """Stage a worker's checkpoint snapshot; returns the reply payload."""
         assert self._worker_index is not None
         arena = self._results[self._worker_index]
         blob = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)

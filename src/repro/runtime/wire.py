@@ -41,9 +41,8 @@ __all__ = ["WireLayer", "parse_wire_spec", "WIRE_CHOICES_HELP", "WIRE_SEED_BASE"
 #: CLI help string for the ``--wire`` option.
 WIRE_CHOICES_HELP = "raw (default), quant8, quant4, topk:F (e.g. topk:0.05)"
 
-#: Per-client quantization RNG seed base. Deliberately distinct from
-#: CompressedFedAvg's ``1000 + cid`` so stacking a wire layer on top of a
-#: compressed strategy never correlates their random streams.
+#: Per-client quantization RNG seed base (client ``cid`` draws from
+#: ``WIRE_SEED_BASE + cid``).
 WIRE_SEED_BASE = 7919
 
 

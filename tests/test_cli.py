@@ -29,10 +29,9 @@ class TestParser:
     def test_executor_flags(self):
         args = build_parser().parse_args(
             ["run", "--workload", "cnn", "--scheme", "fedavg",
-             "--executor", "parallel", "--workers", "2"]
+             "--executor", "parallel:2"]
         )
-        assert args.executor == "parallel"
-        assert args.workers == 2
+        assert args.executor == "parallel:2"
         # Default stays serial so existing workflows are unchanged.
         args = build_parser().parse_args(
             ["compare", "--workload", "cnn"]
@@ -49,7 +48,7 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(
                     ["run", "--workload", "cnn", "--scheme", "fedavg",
-                     "--executor", "parallel", "--workers", bad]
+                     "--executor", f"parallel:{bad}"]
                 )
 
     def test_reproduce_artifact_choices(self):
@@ -92,7 +91,7 @@ class TestCommands:
             [
                 "run", "--workload", "cnn", "--scheme", "fedavg",
                 "--rounds", "2", "--no-target-stop",
-                "--executor", "parallel", "--workers", "2",
+                "--executor", "parallel:2",
             ]
         )
         assert rc == 0

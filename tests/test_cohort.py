@@ -26,7 +26,6 @@ from repro.algorithms import (
     OptimizerSpec,
     Strategy,
     build_strategy,
-    fedavg_topk,
 )
 from repro.data import Dataset
 from repro.experiments.configs import get_workload, make_environment
@@ -842,7 +841,6 @@ ROUND_BODY_CASES = {
     "fedca-v1": ("fedca-v1", None),
     "fedca-v2": ("fedca-v2", None),
     "fedca+ab": (_adaptive_batch, None),
-    "fedavg-topk-codec": (lambda opt, cfg: fedavg_topk(opt), None),
     "fedavg-quant8": ("fedavg", "quant8"),
     "fedavg-topk": ("fedavg", "topk:0.1"),
     "fedca-quant8": ("fedca", "quant8"),
@@ -851,12 +849,13 @@ ROUND_BODY_CASES = {
 
 
 class TestOneRoundBody:
-    @pytest.mark.parametrize(
-        "name", [*STRATEGY_NAMES, "FedCAAdaptiveBatch", "CompressedFedAvg"]
-    )
+    @pytest.mark.parametrize("name", [*STRATEGY_NAMES, "FedCAAdaptiveBatch"])
     def test_no_scheme_overrides_the_drivers(self, name):
-        extra = {"FedCAAdaptiveBatch": FedCAAdaptiveBatch, "CompressedFedAvg": fedavg_topk}
-        strategy = extra[name](OPT) if name in extra else build_strategy(name, OPT)
+        strategy = (
+            FedCAAdaptiveBatch(OPT)
+            if name == "FedCAAdaptiveBatch"
+            else build_strategy(name, OPT)
+        )
         assert type(strategy).client_round is Strategy.client_round
         assert type(strategy).cohort_round is Strategy.cohort_round
 

@@ -192,9 +192,19 @@ class TestCodecs:
             TopKCodec(fraction=0.0)
 
 
-class TestCompressedFedAvg:
+def _fedavg_over(wire_spec, opt):
+    """FedAvg whose uploads pass through the given wire format."""
+    from repro.algorithms import FedAvg
+    from repro.runtime import parse_wire_spec
+
+    strategy = FedAvg(opt)
+    strategy.set_wire(parse_wire_spec(wire_spec))
+    return strategy
+
+
+class TestFedAvgOverLossyWire:
     def test_quantized_strategy_learns_and_saves_bytes(self):
-        from repro.algorithms import OptimizerSpec, fedavg_quantized, FedAvg
+        from repro.algorithms import OptimizerSpec
         from repro.data import dirichlet_partition, make_workload_data
         from repro.nn import LeNetCNN
         from repro.runtime import FederatedSimulator
@@ -217,16 +227,16 @@ class TestCompressedFedAvg:
             )
 
         opt = OptimizerSpec(lr=0.05, weight_decay=0.01)
-        plain = sim_for(FedAvg(opt)).run(10)
-        quant = sim_for(fedavg_quantized(opt, bits=8)).run(10)
+        plain = sim_for(_fedavg_over("raw", opt)).run(10)
+        quant = sim_for(_fedavg_over("quant8", opt)).run(10)
         # Quantization noise slows convergence but must not break it.
         assert quant.best_accuracy() > 0.15
         assert quant.best_accuracy() > plain.best_accuracy() - 0.3
         # And it must actually shrink the wire traffic (~4x at 8 bits).
-        assert quant.records[-1].total_bytes < plain.records[-1].total_bytes * 0.5
+        assert quant.records[-1].total_bytes <= plain.records[-1].total_bytes * 0.3
 
     def test_topk_strategy_round_bytes(self):
-        from repro.algorithms import OptimizerSpec, fedavg_topk
+        from repro.algorithms import OptimizerSpec
         from repro.data import dirichlet_partition, make_workload_data
         from repro.nn import LeNetCNN
         from repro.runtime import FederatedSimulator
@@ -235,7 +245,7 @@ class TestCompressedFedAvg:
         parts = dirichlet_partition(train, 3, alpha=1.0, seed=4, min_samples=8)
         sim = FederatedSimulator(
             model_fn=lambda: LeNetCNN(rng=np.random.default_rng(7)),
-            strategy=fedavg_topk(OptimizerSpec(lr=0.05), fraction=0.05),
+            strategy=_fedavg_over("topk:0.05", OptimizerSpec(lr=0.05)),
             shards=[train.subset(p) for p in parts],
             test_set=test,
             base_iteration_times=[0.01] * 3,

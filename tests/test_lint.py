@@ -728,9 +728,8 @@ class TestSanitizer:
 # ----------------------------------------------------------------------
 EXECUTOR_FLAGS = {
     "serial": [],
-    "parallel": ["--executor", "parallel", "--workers", "2",
-                 "--transport", "shm"],
-    "cohort": ["--executor", "cohort", "--cohort-size", "4"],
+    "parallel": ["--executor", "parallel:2"],
+    "cohort": ["--executor", "cohort:4"],
 }
 
 

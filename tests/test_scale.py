@@ -257,23 +257,27 @@ class TestLazyClientPopulation:
         assert_state_equal(tight[0].capture_state(), roomy[0].capture_state())
 
     def test_strategy_state_round_trips_through_eviction(self, env_data):
-        # CompressedFedAvg codecs carry evolving RNG/residual state — the
-        # capture-before-release contract must preserve it bit-exactly.
-        from repro.algorithms.compressed import fedavg_quantized
+        # Wire codecs carry evolving state (quant8: RNG position; top-k:
+        # error-feedback residuals) — the capture-before-release contract
+        # must preserve it bit-exactly.
+        from repro.runtime import parse_wire_spec
 
         factory = make_factory(env_data)
-        strategy = fedavg_quantized(OPT, bits=8)
-        codec = strategy._codec_for(0)
-        codec.encode({"w": np.linspace(-1.0, 1.0, 32, dtype=np.float32)})
-        before = strategy.capture_client_states([0])[0]
+        for spec in ("quant8", "topk:0.1"):
+            strategy = build_strategy("fedavg", OPT)
+            strategy.set_wire(parse_wire_spec(spec))
+            strategy.wire.encode(
+                0, {"w": np.linspace(-1.0, 1.0, 32, dtype=np.float32)}
+            )
+            before = strategy.capture_client_states([0])[0]
 
-        pop = LazyClientPopulation(factory, capacity=1)
-        pop.bind_strategy(strategy)
-        pop.cache.acquire(0)
-        pop.cache.acquire(1)  # evicts 0, capturing + releasing its codec
-        assert 0 not in strategy._codecs
-        pop.cache.acquire(0)  # rehydrates client and codec
-        assert_state_equal(strategy.capture_client_states([0])[0], before)
+            pop = LazyClientPopulation(factory, capacity=1)
+            pop.bind_strategy(strategy)
+            pop.cache.acquire(0)
+            pop.cache.acquire(1)  # evicts 0, capturing + releasing its codec
+            assert strategy.wire.capture_client_states([0]) == {}
+            pop.cache.acquire(0)  # rehydrates client and codec
+            assert_state_equal(strategy.capture_client_states([0])[0], before)
 
     def test_capture_run_state_merges_resident_and_evicted(self, env_data):
         pop = LazyClientPopulation(make_factory(env_data), capacity=1)

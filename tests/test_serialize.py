@@ -11,8 +11,6 @@ from repro.nn import (
     WideResNet,
     load_model,
     save_model,
-    state_from_bytes,
-    state_to_bytes,
 )
 
 
@@ -48,15 +46,6 @@ class TestSaveLoad:
         with pytest.raises((KeyError, ValueError)):
             load_model(b, path)
 
-    def test_state_bytes_roundtrip(self):
-        state = {
-            "w": np.arange(6, dtype=np.float32).reshape(2, 3),
-            "b": np.ones(3, dtype=np.float32),
-        }
-        back = state_from_bytes(state_to_bytes(state))
-        assert set(back) == {"w", "b"}
-        np.testing.assert_array_equal(back["w"], state["w"])
-
     def test_simulator_global_state_checkpoint(self, tmp_path):
         from repro.algorithms import OptimizerSpec, build_strategy
         from repro.data import dirichlet_partition, make_workload_data
@@ -75,8 +64,11 @@ class TestSaveLoad:
             seed=0,
         )
         sim.run(2)
-        blob = state_to_bytes(sim.global_state)
-        restored = state_from_bytes(blob)
+        from repro.nn.serialize import pack_state, packed_state_nbytes, unpack_state
+
+        blob = bytearray(packed_state_nbytes(sim.global_state))
+        pack_state(blob, sim.global_state)
+        restored = unpack_state(blob)
         for k in sim.global_state:
             np.testing.assert_array_equal(restored[k], sim.global_state[k])
 

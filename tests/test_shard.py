@@ -185,7 +185,6 @@ class TestShardSpecs:
         ex = resolve_executor("parallel:4@shm+shards=8")
         assert isinstance(ex, ParallelExecutor)
         assert ex.workers == 4
-        assert ex.transport_spec == "shm"
         assert ex.shards == 8
         assert resolve_executor("parallel+shards=2").shards == 2
 
@@ -196,10 +195,6 @@ class TestShardSpecs:
             resolve_executor("parallel+shards=zero")
         with pytest.raises(ValueError, match="shards must be >= 1"):
             resolve_executor("parallel+shards=0")
-
-    def test_shards_require_shm(self):
-        with pytest.raises(ValueError, match="requires the shm transport"):
-            ParallelExecutor(workers=2, transport="pipe", shards=2)
 
 
 # ----------------------------------------------------------------------
@@ -251,28 +246,12 @@ class TestShardedReduceEquivalence:
     def test_reduce_traffic_is_counted(self, env_data):
         from repro.runtime.transport import ipc_bytes_counter
 
-        executor = ParallelExecutor(workers=2, transport="shm", shards=2)
+        executor = ParallelExecutor(workers=2, shards=2)
         with make_sim(env_data, "fedavg", executor=executor) as sim:
             sim.run(2)
             stats = executor.ipc_stats()
         assert stats[ipc_bytes_counter("shm", "reduce")] > 0
         assert stats[ipc_bytes_counter("pipe", "reduce")] > 0
-
-    @needs_fork
-    def test_auto_transport_resolving_to_pipe_disables_shards(
-        self, env_data, monkeypatch
-    ):
-        monkeypatch.setattr(
-            "repro.runtime.parallel.resolve_transport",
-            lambda requested: "pipe",
-        )
-        executor = ParallelExecutor(workers=2, transport="auto", shards=2)
-        with pytest.warns(RuntimeWarning, match="shards are disabled"):
-            sim = make_sim(env_data, "fedavg", executor=executor)
-        with sim:
-            hist = sim.run(2)
-        ref = make_sim(env_data, "fedavg", executor="serial").run(2)
-        assert history_fingerprint(hist) == history_fingerprint(ref)
 
 
 class TestShardedLifecycle:
@@ -281,7 +260,7 @@ class TestShardedLifecycle:
     def test_shard_arenas_exist_and_unlink_on_close(self, env_data):
         from pathlib import Path
 
-        executor = ParallelExecutor(workers=2, transport="shm", shards=3)
+        executor = ParallelExecutor(workers=2, shards=3)
         sim = make_sim(env_data, "fedavg", executor=executor)
         sim.run_round()
         names = executor._transport_impl.segment_names()
@@ -297,7 +276,7 @@ class TestShardedLifecycle:
     def test_worker_death_mid_run_falls_back_serially(self, env_data):
         from pathlib import Path
 
-        executor = ParallelExecutor(workers=2, transport="shm", shards=2)
+        executor = ParallelExecutor(workers=2, shards=2)
         with make_sim(env_data, "fedca", executor=executor) as sim:
             sim.run_round()
             names = executor._transport_impl.segment_names()
