@@ -10,7 +10,10 @@ Two measurements, written to ``BENCH_scale.json``:
 * **Large** lazy-only run (default 100 000 clients, 0.1 % participation):
   demonstrates flat memory — peak RSS is gated by ``--rss-ceiling-mb``
   (CI pins a ceiling far below what an eager population of that size
-  would need).
+  would need) — and that paging builds no models: the run fails if
+  ``model_fn`` ran more than ``resident_clients + 2`` times (one replica
+  per cache slot, the global model, one spare) however many clients it
+  created.
 
 Each measurement runs in a **child process** (``--phase`` mode) that
 reports its own ``ru_maxrss``: peak RSS is a high-watermark per process,
@@ -53,6 +56,7 @@ from repro.data import make_image_dataset, train_test_split  # noqa: E402
 from repro.nn import LeNetCNN  # noqa: E402
 from repro.runtime import FederatedSimulator  # noqa: E402
 from repro.runtime.export import history_to_json  # noqa: E402
+from repro.runtime.parallel import default_workers  # noqa: E402
 from repro.scale import SubsampledShards  # noqa: E402
 from repro.sysmodel import iteration_time_for  # noqa: E402
 
@@ -78,7 +82,9 @@ def model_fn():
     )
 
 
-def build_sim(num_clients: int, clients_per_round: int, population: str | None):
+def build_sim(
+    num_clients: int, clients_per_round: int, population: str | None, model_fn=model_fn
+):
     # Pool and test set come from ONE generated dataset: two generator
     # seeds give disjoint class prototypes and a chance-level accuracy.
     data = make_image_dataset(
@@ -107,8 +113,16 @@ def build_sim(num_clients: int, clients_per_round: int, population: str | None):
 
 def run_phase(args) -> dict:
     """Child-process body: one measured run, JSON report on stdout."""
+    models_built = []
+
+    def counting_model_fn():
+        models_built.append(1)
+        return model_fn()
+
     t0 = time.perf_counter()  # reprolint: allow[DET002] benchmark measures wall-clock by design
-    sim = build_sim(args.clients, args.clients_per_round, args.population)
+    sim = build_sim(
+        args.clients, args.clients_per_round, args.population, counting_model_fn
+    )
     setup_seconds = time.perf_counter() - t0  # reprolint: allow[DET002] benchmark measures wall-clock by design
     try:
         t1 = time.perf_counter()  # reprolint: allow[DET002] benchmark measures wall-clock by design
@@ -117,9 +131,7 @@ def run_phase(args) -> dict:
         digest = hashlib.sha256(
             history_to_json(history).encode()
         ).hexdigest()
-        resident = (
-            len(sim.population.cache) if sim.population is not None else None
-        )
+        cache = sim.population.cache if sim.population is not None else None
     finally:
         sim.close()
     return {
@@ -131,7 +143,10 @@ def run_phase(args) -> dict:
         "run_seconds": run_seconds,
         "seconds_per_round": run_seconds / args.rounds,
         "peak_rss_bytes": peak_rss_bytes(),
-        "resident_clients": resident,
+        "resident_clients": None if cache is None else len(cache),
+        "creations": None if cache is None else cache.creations,
+        "models_built": len(models_built),
+        "usable_cores": default_workers(),
         "final_accuracy": history.final_accuracy,
         "history_sha256": digest,
     }
@@ -206,11 +221,14 @@ def main() -> int:
         for row in (eager, lazy):
             print(
                 f"  {row['population']:>5}: setup {row['setup_seconds']:.2f}s, "
-                f"{row['seconds_per_round']:.2f}s/round, "
+                f"{row['seconds_per_round']:.4f}s/round, "
+                f"{row['models_built']} models built, "
                 f"peak RSS {row['peak_rss_bytes'] / 2**20:.1f} MiB"
             )
         print(f"  histories identical: "
               f"{eager['history_sha256'] == lazy['history_sha256']}")
+        print("  lazy/eager s/round (reported, not gated): "
+              f"{lazy['seconds_per_round'] / eager['seconds_per_round']:.2f}x")
 
     if args.large_clients:
         per_round = max(1, round(args.large_clients * args.large_participation))
@@ -221,8 +239,16 @@ def main() -> int:
             f"large lazy @ {args.large_clients} clients, {per_round}/round: "
             f"setup {large['setup_seconds']:.2f}s, "
             f"{large['seconds_per_round']:.2f}s/round, "
+            f"{large['creations']} creations, "
+            f"{large['models_built']} models built, "
             f"peak RSS {rss_mib:.1f} MiB"
         )
+        if large["models_built"] > large["resident_clients"] + 2:
+            failures.append(
+                f"large lazy run built {large['models_built']} models for "
+                f"{large['resident_clients']} resident clients: page-ins are "
+                "building replicas instead of taking the emptied slot's"
+            )
         if args.rss_ceiling_mb is not None:
             report["rss_ceiling_mb"] = args.rss_ceiling_mb
             if rss_mib > args.rss_ceiling_mb:

@@ -135,6 +135,9 @@ class Dropout(Module):
         self._rng = rng or np.random.default_rng()
         self._mask: np.ndarray | None = None
 
+    def _layer_rng(self) -> np.random.Generator | None:
+        return self._rng if self.p > 0.0 else None
+
     def _draw(self, shape: tuple[int, ...]) -> np.ndarray:
         keep = 1.0 - self.p
         return (self._rng.random(shape) < keep).astype(np.float32) / keep

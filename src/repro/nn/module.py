@@ -22,7 +22,7 @@ trailing axes, so the same ``forward``/``backward`` serves both.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator
+from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,14 +31,26 @@ from .parameter import Parameter
 __all__ = ["Module"]
 
 
+class _Walk(NamedTuple):
+    """One depth-first walk of a module tree. A buffer slot is ``(dotted_name,
+    owner, local_name)`` — the owning module, not the array, so a container
+    never holds a descendant's tensors."""
+
+    stamp: object
+    named_parameters: list[tuple[str, Parameter]]
+    parameters: list[Parameter]
+    buffer_slots: list[tuple[str, "Module", str]]
+    modules: list["Module"]
+
+
 class Module:
     """Base layer with parameter registration and mode switching."""
 
-    #: Replaced whenever any module registers a Parameter or submodule. A
-    #: module cannot see registrations on its descendants, so every cached
-    #: :meth:`parameters` list is stamped with this token and rebuilt once
-    #: stale (an ``object()``, not a counter, so a stamp that went through
-    #: pickle or deepcopy never matches).
+    #: Replaced whenever any module registers a Parameter, buffer or
+    #: submodule. A module cannot see registrations on its descendants, so
+    #: every cached tree walk (:meth:`_walk`) is stamped with this token and
+    #: rebuilt once stale (an ``object()``, not a counter, so a stamp that
+    #: went through pickle or deepcopy never matches).
     _structure_token = object()
 
     #: Leading member axes of this module's parameters and inputs: ``()``
@@ -57,7 +69,7 @@ class Module:
         object.__setattr__(self, "_buffers", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
         object.__setattr__(self, "training", True)
-        object.__setattr__(self, "_param_cache", None)
+        object.__setattr__(self, "_walk_cache", None)
 
     # ------------------------------------------------------------------
     # Registration via attribute assignment
@@ -85,25 +97,52 @@ class Module:
         the accumulated-update math; mutate them in place only."""
         arr = np.ascontiguousarray(value, dtype=np.float32)
         self._buffers[name] = arr
+        Module._structure_token = object()
         object.__setattr__(self, name, arr)
 
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
-        """Yield ``(dotted_name, Parameter)`` pairs, depth-first.
+    def _walk(self) -> _Walk:
+        """This tree's walk, cached until the next registration anywhere."""
+        cache = self._walk_cache
+        if cache is None or cache.stamp is not Module._structure_token:
+            named = list(self._iter_named_parameters(""))
+            cache = _Walk(
+                Module._structure_token,
+                named,
+                [p for _, p in named],
+                list(self._iter_buffer_slots("")),
+                [m for _, m in self.named_modules()],
+            )
+            object.__setattr__(self, "_walk_cache", cache)
+        return cache
 
-        Also stamps each parameter's ``.name`` so that error messages and
-        the FedCA profiler can identify buffers without carrying the module
-        tree around.
-        """
+    def _iter_named_parameters(self, prefix: str) -> Iterator[tuple[str, Parameter]]:
         for name, param in self._parameters.items():
             full = f"{prefix}{name}"
             if not param.name:
                 param.name = full
             yield full, param
         for name, module in self._modules.items():
-            yield from module.named_parameters(prefix=f"{prefix}{name}.")
+            yield from module._iter_named_parameters(f"{prefix}{name}.")
+
+    def _iter_buffer_slots(self, prefix: str) -> Iterator[tuple[str, "Module", str]]:
+        for name in self._buffers:
+            yield f"{prefix}{name}", self, name
+        for name, module in self._modules.items():
+            yield from module._iter_buffer_slots(f"{prefix}{name}.")
+
+    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
+        """Yield ``(dotted_name, Parameter)`` pairs, depth-first.
+
+        Also stamps each parameter's ``.name`` so that error messages and
+        the FedCA profiler can identify buffers without carrying the module
+        tree around. Without a prefix the pairs come from the cached walk.
+        """
+        if prefix:
+            return self._iter_named_parameters(prefix)
+        return iter(self._walk().named_parameters)
 
     def parameters(self) -> list[Parameter]:
         """All parameters, depth-first (matching ``named_parameters``).
@@ -111,24 +150,23 @@ class Module:
         The list is cached until the next registration anywhere; treat it
         as read-only.
         """
-        cache = self._param_cache
-        if cache is None or cache[0] is not Module._structure_token:
-            cache = (Module._structure_token, [p for _, p in self.named_parameters()])
-            object.__setattr__(self, "_param_cache", cache)
-        return cache[1]
+        return self._walk().parameters
 
     def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
         """Yield ``(dotted_name, array)`` for every registered buffer."""
-        for name, buf in self._buffers.items():
-            yield f"{prefix}{name}", buf
-        for name, module in self._modules.items():
-            yield from module.named_buffers(prefix=f"{prefix}{name}.")
+        slots = self._iter_buffer_slots(prefix) if prefix else self._walk().buffer_slots
+        return ((full, owner._buffers[name]) for full, owner, name in slots)
 
     def named_modules(self, prefix: str = "") -> Iterator[tuple[str, "Module"]]:
         """Yield ``(dotted_name, module)`` for this module and descendants."""
         yield prefix.rstrip("."), self
         for name, module in self._modules.items():
             yield from module.named_modules(prefix=f"{prefix}{name}.")
+
+    def layer_bytes(self) -> dict[str, int]:
+        """Per-layer parameter bytes by dotted name — what every simulated
+        transmission time is computed from."""
+        return {name: p.nbytes for name, p in self._walk().named_parameters}
 
     def num_parameters(self) -> int:
         """Total scalar parameter count (paper quotes 60K/50K/36M)."""
@@ -156,6 +194,39 @@ class Module:
         """Reset every parameter's accumulated gradient."""
         for p in self.parameters():
             p.zero_grad()
+
+    # ------------------------------------------------------------------
+    # Layer RNG (dropout masks): the one piece of a replica that neither
+    # ``load_state_dict`` nor ``load_buffer_dict`` overwrites
+    # ------------------------------------------------------------------
+    def _layer_rng(self) -> np.random.Generator | None:
+        """The generator this layer draws from while training, if any."""
+        return None
+
+    def _tree_rngs(self) -> list[np.random.Generator]:
+        """Distinct generators of the tree, in ``named_modules()`` order
+        (by identity: WideResNet's dropouts share one)."""
+        found: dict[int, np.random.Generator] = {}
+        for module in self._walk().modules:
+            rng = module._layer_rng()
+            if rng is not None:
+                found.setdefault(id(rng), rng)
+        return list(found.values())
+
+    def rng_state(self) -> list[dict[str, Any]]:
+        """Bit-generator state of every generator a layer draws from; empty
+        for a model that draws nothing."""
+        return [rng.bit_generator.state for rng in self._tree_rngs()]
+
+    def load_rng_state(self, states: list[dict[str, Any]]) -> None:
+        """Inverse of :meth:`rng_state`."""
+        rngs = self._tree_rngs()
+        if len(states) != len(rngs):
+            raise ValueError(
+                f"rng state for {len(states)} generators, model has {len(rngs)}"
+            )
+        for rng, state in zip(rngs, states):
+            rng.bit_generator.state = state
 
     # ------------------------------------------------------------------
     # State round-trips (model broadcast / aggregation)

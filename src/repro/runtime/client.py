@@ -42,9 +42,7 @@ class SimClient:
         self.uplink = UplinkScheduler(link)
         self._staged_buffers: dict[str, np.ndarray] | None = None
         # Cache per-layer byte sizes once; they drive all transmission times.
-        self.layer_bytes: dict[str, int] = {
-            name: p.nbytes for name, p in self.model.named_parameters()
-        }
+        self.layer_bytes: dict[str, int] = self.model.layer_bytes()
         self.model_bytes: int = sum(self.layer_bytes.values())
 
     @property
@@ -86,20 +84,28 @@ class SimClient:
     def capture_state(self) -> dict:
         """Everything about this client that persists *across* rounds.
 
-        The model replica, optimiser and uplink queue are rebuilt from the
-        broadcast state at every round start, so the cross-round mutable
-        state is exactly the cyclic batch stream and the speed trace (both
-        RNG-bearing). Used by :mod:`repro.persist` checkpoint/resume.
+        The replica's parameters and buffers, the optimiser and the uplink
+        queue are rebuilt from the broadcast state at every round start, so
+        the cross-round mutable state is the cyclic batch stream, the speed
+        trace and — only for a model whose layers draw (dropout), so every
+        other snapshot keeps its bytes — the replica's layer RNG. Used by
+        :mod:`repro.persist` checkpoint/resume and the lazy pager.
         """
-        return {
+        state = {
             "stream": self.stream.snapshot_state(),
             "trace": self.trace.snapshot_state(),
         }
+        model_rng = self.model.rng_state()
+        if model_rng:
+            state["model_rng"] = model_rng
+        return state
 
     def restore_state(self, snapshot: dict) -> None:
         """Inverse of :meth:`capture_state`."""
         self.stream.restore_state(snapshot["stream"])
         self.trace.restore_state(snapshot["trace"])
+        if "model_rng" in snapshot:
+            self.model.load_rng_state(snapshot["model_rng"])
 
     def local_update(self, global_state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Accumulated update ``w_local − w_global`` per layer."""

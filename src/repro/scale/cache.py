@@ -8,13 +8,18 @@ and behind that interface a :class:`ResidentClientCache` keeps at most
 Eviction must not lose state, so it follows a capture-before-release
 protocol built entirely from existing snapshot codecs:
 
-1. ``client.capture_state()`` — batch-stream + speed-trace RNG state
-   (the only cross-round mutable state a client carries; model/optimizer
-   are rebuilt from the broadcast every round);
+1. ``client.capture_state()`` — batch-stream + speed-trace RNG state, plus
+   the replica's layer RNG when the model has dropout (the only cross-round
+   mutable state a client carries; parameters, buffers and optimizer are
+   rebuilt from the broadcast every round);
 2. ``strategy.capture_client_states([cid])`` — per-client strategy state
    (FedCA profiled curves, compression codec residuals/RNG);
 3. ``strategy.release_client_states([cid])`` — drop the strategy's own
-   per-client caches so evicted clients cost nothing anywhere.
+   per-client caches so evicted clients cost nothing anywhere;
+4. ``factory.release(client)`` — the slot, not the client, owns the model
+   replica: the ``create`` that refills the slot takes it instead of
+   building one, so a run builds at most ``capacity`` + 1 replicas however
+   many clients it pages (the evicted client object is dead afterwards).
 
 Rehydration inverts it: ``factory.create(cid)`` rebuilds the initial
 client bit-identically from ``(seed, cid)``, then the stored snapshot is
@@ -136,6 +141,7 @@ class ResidentClientCache:
             "client": client.capture_state(),
             "strategy": strategy_state,
         }
+        self.factory.release(client)
         self.evictions += 1
 
     # ------------------------------------------------------------------
@@ -144,7 +150,9 @@ class ResidentClientCache:
     def seed_snapshot(self, cid: int, client_state: dict[str, Any]) -> None:
         """Install a checkpointed client snapshot without materialising the
         client (strategy state is restored globally by the checkpoint)."""
-        self._residents.pop(cid, None)
+        client = self._residents.pop(cid, None)
+        if client is not None:
+            self.factory.release(client)
         self._snapshots[cid] = {"client": client_state, "strategy": None}
 
     def capture_run_state(

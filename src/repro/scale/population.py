@@ -54,6 +54,10 @@ __all__ = [
 #: Domain-separation tag for :class:`SubsampledShards` per-cid draws.
 _SUBSAMPLE_SEED_TAG = 0x5D
 
+#: Bound on :meth:`ClientFactory.base_pace`'s memo of a callable pace — a
+#: round's selection is asked twice (deadline estimate, then ``create``).
+_PACE_MEMO_MAX = 1024
+
 
 @runtime_checkable
 class ShardProvider(Protocol):
@@ -252,11 +256,23 @@ class PopulationSpec:
 
 class ClientFactory:
     """Rebuilds any :class:`~repro.runtime.client.SimClient` on demand,
-    bit-identical to the one the eager constructor loop produces."""
+    bit-identical to the one the eager constructor loop produces.
+
+    A model replica is scratch space a cache slot owns, not client state:
+    ``load_global`` overwrites every parameter and buffer and sets the mode
+    before the first step, and the one thing it leaves — the layer RNG — is
+    carried by ``capture_state``. So ``create`` calls ``model_fn`` only when
+    no emptied slot has handed a replica back (:meth:`release`); rewound to a
+    fresh replica's layer RNG, a handed-off one *is* a fresh ``model_fn()``.
+    Eager populations never release: one model per client, as before.
+    """
 
     def __init__(self, spec: PopulationSpec) -> None:
         self.spec = spec
         self._layer_bytes: dict[str, int] | None = None
+        self._fresh_rng: list[dict] = []
+        self._spare_models: list[Module] = []
+        self._pace_memo: dict[int, float] = {}
 
     @property
     def num_clients(self) -> int:
@@ -269,9 +285,14 @@ class ClientFactory:
     def base_pace(self, cid: int) -> float:
         """Client ``cid``'s static fast-mode seconds per iteration."""
         pace = self.spec.pace
-        if callable(pace):
-            return float(pace(cid))
-        return float(pace[cid])
+        if not callable(pace):
+            return float(pace[cid])
+        value = self._pace_memo.get(cid)
+        if value is None:
+            if len(self._pace_memo) >= _PACE_MEMO_MAX:
+                self._pace_memo.clear()
+            value = self._pace_memo[cid] = float(pace(cid))
+        return value
 
     def client_seeds(self, cid: int) -> tuple[int, int]:
         """``(speed-trace seed, batch-stream seed)`` for client ``cid``.
@@ -304,12 +325,29 @@ class ClientFactory:
         return SimClient(
             cid,
             spec.shards.shard(cid),
-            model_fn=spec.model_fn,
+            model_fn=self._replica,
             batch_size=spec.batch_size,
             trace=trace,
             link=spec.link_fn(cid),
             seed=stream_seed,
         )
+
+    def _replica(self) -> Module:
+        """The next client's model: a released replica, else a new one."""
+        self._ensure_template()
+        if not self._spare_models:
+            return self.spec.model_fn()
+        model = self._spare_models.pop()
+        if self._fresh_rng:
+            model.load_rng_state(self._fresh_rng)
+        return model
+
+    def release(self, client: SimClient) -> None:
+        """Take back the replica of a client whose cache slot is emptied.
+        The client is dead afterwards: a stale reference to it must fail
+        rather than train the next owner's model."""
+        self._spare_models.append(client.model)
+        del client.model
 
     # ------------------------------------------------------------------
     # Population-wide metadata without materialising clients: drives the
@@ -318,15 +356,20 @@ class ClientFactory:
     def shard_size(self, cid: int) -> int:
         return self.spec.shards.shard_size(cid)
 
-    @property
-    def layer_bytes(self) -> dict[str, int]:
-        """Per-layer parameter bytes; one template model, built lazily —
-        every client shares the architecture."""
+    def _ensure_template(self) -> None:
+        """One template model, built lazily — every client shares the
+        architecture. It measures ``layer_bytes``, fixes what a fresh
+        replica's layer RNG looks like, and is the first replica handed out."""
         if self._layer_bytes is None:
             template = self.spec.model_fn()
-            self._layer_bytes = {
-                name: p.nbytes for name, p in template.named_parameters()
-            }
+            self._layer_bytes = template.layer_bytes()
+            self._fresh_rng = template.rng_state()
+            self._spare_models.append(template)
+
+    @property
+    def layer_bytes(self) -> dict[str, int]:
+        """Per-layer parameter bytes."""
+        self._ensure_template()
         return self._layer_bytes
 
     @property

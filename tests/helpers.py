@@ -7,6 +7,30 @@ import numpy as np
 from repro.nn import Module
 
 
+def held_array_bytes(layer: Module) -> int:
+    """Bytes of ndarrays ``layer`` holds — directly or through dicts, tuples
+    and lists — that are not its own parameters, gradients or buffers: what a
+    forward left cached."""
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, dict):
+            yield from arrays(list(value.values()))
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+
+    own = {id(a) for p in layer._parameters.values() for a in (p.data, p.grad)}
+    own |= {id(b) for b in layer._buffers.values()}
+    return sum(
+        a.nbytes
+        for value in vars(layer).values()
+        for a in arrays(value)
+        if id(a) not in own
+    )
+
+
 def numeric_grad_wrt_input(
     module: Module, x: np.ndarray, loss_weights: np.ndarray, eps: float = 1e-3
 ) -> np.ndarray:

@@ -23,6 +23,8 @@ from repro.experiments import (
 from repro.experiments.configs import WorkloadConfig
 from repro.nn import LeNetCNN
 
+from .helpers import held_array_bytes
+
 
 class TestReport:
     def test_format_table_alignment(self):
@@ -116,16 +118,6 @@ class TestConfigs:
         layer that kept its im2col buffer / input / mask / gate cache from
         that forward would hold the run's largest arrays until the next
         evaluation."""
-
-        def arrays(value):
-            if isinstance(value, np.ndarray):
-                yield value
-            elif isinstance(value, dict):
-                yield from arrays(list(value.values()))
-            elif isinstance(value, (tuple, list)):
-                for item in value:
-                    yield from arrays(item)
-
         for preset in ("wrn", "lstm"):
             cfg = get_workload(preset)
             sim = make_environment(
@@ -133,15 +125,7 @@ class TestConfigs:
             )
             sim.evaluate()
             for name, layer in sim.global_model.named_modules():
-                own = {id(p.data) for p in layer._parameters.values()}
-                own |= {id(p.grad) for p in layer._parameters.values()}
-                own |= {id(b) for b in layer._buffers.values()}
-                held = sum(
-                    a.nbytes
-                    for value in vars(layer).values()
-                    for a in arrays(value)
-                    if id(a) not in own
-                )
+                held = held_array_bytes(layer)
                 param_bytes = sum(p.nbytes for p in layer._parameters.values())
                 assert held <= param_bytes, (preset, name, type(layer).__name__, held)
             assert sim.global_model.training  # evaluate() restores train mode

@@ -153,6 +153,72 @@ class TestModule:
         ]
         assert clone.parameters()[0] is not model.parameters()[0]
 
+    def test_named_walks_see_late_registration_on_a_descendant(self):
+        """``named_parameters()`` / ``named_buffers()`` serve one cached
+        walk; every kind of registration, anywhere below, must retire it."""
+        leaf = BatchNorm2d(2)
+        inner = Sequential(leaf)
+        model = Sequential(inner)
+
+        def names():
+            return (
+                [n for n, _ in model.named_parameters()],
+                [n for n, _ in model.named_buffers()],
+            )
+
+        assert names() == (
+            ["0.0.weight", "0.0.bias"], ["0.0.running_mean", "0.0.running_var"]
+        )
+        leaf.register_parameter("scale", Parameter(np.ones(1, dtype=np.float32)))
+        assert names()[0] == ["0.0.weight", "0.0.bias", "0.0.scale"]
+        leaf.register_buffer("steps", np.zeros(1))
+        assert names()[1] == ["0.0.running_mean", "0.0.running_var", "0.0.steps"]
+        assert list(model.buffer_dict()) == names()[1]
+        inner.extra = BatchNorm2d(3)
+        assert names()[0][-2:] == ["0.extra.weight", "0.extra.bias"]
+        assert names()[1][-2:] == ["0.extra.running_mean", "0.extra.running_var"]
+        # The walk is by name, never by array: a re-registered buffer is seen.
+        leaf.register_buffer("steps", np.ones(1))
+        assert dict(model.named_buffers())["0.0.steps"] is leaf.steps
+        # A prefixed walk (what a parent's recursion asks for) matches.
+        assert [n for n, _ in inner.named_parameters("0.")] == names()[0]
+        assert [n for n, _ in inner.named_buffers("0.")] == names()[1]
+
+    def test_named_walks_do_not_survive_deepcopy_stale(self):
+        import copy
+        import pickle
+
+        model = Sequential(Sequential(BatchNorm2d(2)))
+        list(model.named_parameters()), list(model.named_buffers())
+        for clone in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            assert clone._walk_cache.stamp is not Module._structure_token
+            own = clone._modules["0"]._modules["0"]
+            assert dict(clone.named_parameters())["0.0.weight"] is own.weight
+            assert dict(clone.named_buffers())["0.0.running_mean"] is own.running_mean
+            assert own.weight is not model._modules["0"]._modules["0"].weight
+
+    def test_rng_state_round_trips_distinct_generators_that_draw(self):
+        shared = np.random.default_rng(3)
+        model = Sequential(
+            Dropout(0.5, rng=shared),
+            Sequential(Dropout(0.2, rng=shared)),       # same generator: once
+            Dropout(0.0, rng=np.random.default_rng(4)),  # never draws: skipped
+            Dropout(0.3, rng=np.random.default_rng(5)),
+        )
+        state = model.rng_state()
+        assert [s["state"] for s in state] == [
+            np.random.default_rng(3).bit_generator.state["state"],
+            np.random.default_rng(5).bit_generator.state["state"],
+        ]
+        x = np.ones((4, 6), dtype=np.float32)
+        first = model(x)
+        assert model.rng_state() != state
+        model.load_rng_state(state)
+        np.testing.assert_array_equal(model(x), first)
+        with pytest.raises(ValueError):
+            model.load_rng_state(state[:1])
+        assert Linear(3, 2, rng=RNG).rng_state() == []
+
 
 # ----------------------------------------------------------------------
 # Linear

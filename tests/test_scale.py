@@ -22,7 +22,7 @@ from repro.data import (
     dirichlet_shard_sizes,
     make_workload_data,
 )
-from repro.nn import LeNetCNN
+from repro.nn import Dropout, LeNetCNN, WideResNet
 from repro.obs import TraceRecorder, events_to_jsonl
 from repro.runtime import FederatedSimulator, RunHistory, shm_available
 from repro.runtime.export import history_to_json
@@ -40,6 +40,8 @@ from repro.scale import (
     parse_population_spec,
 )
 from repro.sysmodel import LinkModel, iteration_time_for
+
+from .helpers import held_array_bytes
 
 OPT = OptimizerSpec(lr=0.05, weight_decay=0.01)
 NUM_CLIENTS = 5
@@ -61,14 +63,27 @@ def env_data():
     return train, [train.subset(p) for p in parts], test
 
 
-def make_factory(env_data, *, seed=1):
+def lenet():
+    return LeNetCNN(rng=np.random.default_rng(7))
+
+
+def micro_wrn(dropout=0.3, norm="group"):
+    """Micro WideResNet whose dropout layers share the init generator —
+    the one model family with cross-round layer-RNG state."""
+    return WideResNet(
+        depth=10, widen_factor=1, num_classes=10, dropout=dropout, norm=norm,
+        rng=np.random.default_rng(7),
+    )
+
+
+def make_factory(env_data, *, seed=1, model_fn=lenet, pace=PACE):
     _, shards, _ = env_data
     return ClientFactory(
         PopulationSpec(
             shards=as_shard_provider(shards),
-            model_fn=lambda: LeNetCNN(rng=np.random.default_rng(7)),
+            model_fn=model_fn,
             batch_size=8,
-            pace=PACE,
+            pace=pace,
             link_fn=lambda _cid: LinkModel(),
             seed=seed,
         )
@@ -186,9 +201,81 @@ class TestClientFactory:
             assert factory.base_pace(cid) == PACE[cid]
         assert factory.model_bytes == factory.create(0).model_bytes
 
+    def test_model_rng_entry_only_for_models_that_draw(self, env_data):
+        plain = make_factory(env_data).create(0)
+        assert set(plain.capture_state()) == {"stream", "trace"}
+        no_drop = make_factory(env_data, model_fn=lambda: micro_wrn(dropout=0.0))
+        assert set(no_drop.create(0).capture_state()) == {"stream", "trace"}
+
+        client = make_factory(env_data, model_fn=micro_wrn).create(0)
+        snapshot = client.capture_state()
+        draw_masks(client, 3)
+        assert client.model.rng_state() != snapshot["model_rng"]
+        # A checkpoint written before the entry existed still restores.
+        client.restore_state({k: v for k, v in snapshot.items() if k != "model_rng"})
+        assert client.model.rng_state() != snapshot["model_rng"]
+        client.restore_state(snapshot)
+        assert client.model.rng_state() == snapshot["model_rng"]
+
     def test_create_out_of_range(self, env_data):
         with pytest.raises(IndexError):
             make_factory(env_data).create(NUM_CLIENTS)
+
+    def test_base_pace_memo_is_exact_and_bounded(self, env_data):
+        from repro.scale.population import _PACE_MEMO_MAX
+
+        calls = []
+
+        def pace(cid):
+            calls.append(cid)
+            return iteration_time_for(cid, 0.01, seed=3)
+
+        factory = make_factory(env_data, pace=pace)
+        assert factory.base_pace(4) == pace(4) == factory.base_pace(4)
+        assert calls == [4, 4]  # the factory asked once for two reads
+        for cid in range(3 * _PACE_MEMO_MAX):
+            assert factory.base_pace(cid) == iteration_time_for(cid, 0.01, seed=3)
+            assert len(factory._pace_memo) <= _PACE_MEMO_MAX
+
+    @pytest.mark.parametrize("norm", ["batch", "group"])
+    def test_handed_off_replica_equals_fresh_after_load_global(self, env_data, norm):
+        """A replica whose previous owner trained is, once the next round's
+        broadcast is loaded, the model a fresh ``model_fn()`` would be."""
+        from repro.nn import SGD
+
+        model_fn = lambda: micro_wrn(norm=norm)  # noqa: E731
+        reference = model_fn()
+        state, buffers = reference.state_dict(), reference.buffer_dict()
+
+        def start_round(client):
+            client.stage_buffers(buffers)
+            client.load_global(state)
+            return client
+
+        factory = make_factory(env_data, model_fn=model_fn)
+        owner = start_round(factory.create(0))
+        for _ in range(2):
+            owner.train_step(SGD(owner.model, lr=0.1))
+        used = owner.model
+        factory.release(owner)
+        assert not hasattr(owner, "model")  # a stale reference cannot train it
+        recycled = start_round(factory.create(1))
+        assert recycled.model is used
+        fresh = start_round(
+            make_factory(env_data, model_fn=model_fn).create(1)
+        )
+        assert fresh.model is not used
+        assert_state_equal(recycled.model.state_dict(), fresh.model.state_dict())
+        assert_state_equal(recycled.model.buffer_dict(), fresh.model.buffer_dict())
+        assert_state_equal(recycled.capture_state(), fresh.capture_state())
+        for name, layer in recycled.model.named_modules():
+            assert layer.training, name
+            assert held_array_bytes(layer) == 0, name  # no activation cached
+        # ... and it trains to the same bytes, dropout masks included.
+        for client in (recycled, fresh):
+            client.train_step(SGD(client.model, lr=0.1))
+        assert_state_equal(recycled.model.state_dict(), fresh.model.state_dict())
+        assert_state_equal(recycled.model.buffer_dict(), fresh.model.buffer_dict())
 
 
 # ----------------------------------------------------------------------
@@ -289,30 +376,51 @@ class TestLazyClientPopulation:
         assert 2 not in state["clients"]
 
 
+def draw_masks(client, n):
+    """Advance the replica's layer RNG the way ``n`` training forwards do."""
+    dropouts = [m for _, m in client.model.named_modules() if isinstance(m, Dropout)]
+    for i in range(n):
+        dropouts[i % len(dropouts)].forward(np.ones((2, 3), dtype=np.float32))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     cid=st.integers(min_value=0, max_value=NUM_CLIENTS - 1),
     batches=st.integers(min_value=0, max_value=7),
     trace_iters=st.integers(min_value=0, max_value=9),
+    masks=st.integers(min_value=0, max_value=5),
     churn=st.lists(
         st.integers(min_value=0, max_value=NUM_CLIENTS - 1),
         min_size=1, max_size=6,
     ),
 )
 def test_evict_rehydrate_round_trip_property(
-    precomputed_env, cid, batches, trace_iters, churn
+    precomputed_env, cid, batches, trace_iters, masks, churn
 ):
-    """Any mutation sequence survives any eviction churn bit-exactly."""
-    pop = LazyClientPopulation(make_factory(precomputed_env), capacity=1)
+    """Any mutation sequence survives any eviction churn bit-exactly —
+    including the layer RNG of the one replica every client here shares."""
+    pop = LazyClientPopulation(
+        make_factory(precomputed_env, model_fn=micro_wrn), capacity=1
+    )
+    fresh_rng = micro_wrn().rng_state()
     client = pop[cid]
+    assert client.model.rng_state() == fresh_rng
     for _ in range(batches):
         client.stream.next_batch()
     if trace_iters:
         client.trace.iteration_finish_time(0.0, trace_iters)
+    draw_masks(client, masks)
     before = client.capture_state()
+    assert len(before["model_rng"]) == 1  # WRN's dropouts share one generator
+    seen = {cid}
     for other in churn:
         if other != cid:
-            pop[other].stream.next_batch()
+            visitor = pop[other]
+            if other not in seen:  # a never-seen cid gets a fresh replica's RNG
+                assert visitor.model.rng_state() == fresh_rng
+                seen.add(other)
+            visitor.stream.next_batch()
+            draw_masks(visitor, 1 + masks)
     assert_state_equal(pop[cid].capture_state(), before)
 
 
@@ -325,12 +433,12 @@ def precomputed_env(env_data):
 # ----------------------------------------------------------------------
 # Lazy ↔ eager bitwise run identity (history JSON + JSONL trace)
 # ----------------------------------------------------------------------
-def run_traced(env_data, scheme, *, executor, population):
+def run_traced(env_data, scheme, *, executor, population, model_fn=lenet):
     _, shards, test = env_data
     fedca_cfg = FedCAConfig(profile_every=2) if scheme.startswith("fedca") else None
     rec = TraceRecorder()
     sim = FederatedSimulator(
-        model_fn=lambda: LeNetCNN(rng=np.random.default_rng(7)),
+        model_fn=model_fn,
         strategy=build_strategy(scheme, OPT, fedca_config=fedca_cfg),
         shards=shards,
         test_set=test,
@@ -359,29 +467,75 @@ ENGINES = [
 
 
 @pytest.mark.parametrize("executor", ENGINES)
-@pytest.mark.parametrize("scheme", ["fedavg", "fedca"])
-def test_lazy_matches_eager_bitwise(env_data, scheme, executor):
+@pytest.mark.parametrize(
+    "scheme, model_fn",
+    [("fedavg", lenet), ("fedca", lenet), ("fedavg", micro_wrn)],
+    ids=["fedavg", "fedca", "fedavg-dropout"],
+)
+def test_lazy_matches_eager_bitwise(env_data, scheme, model_fn, executor):
     hist_eager, trace_eager = run_traced(
-        env_data, scheme, executor=executor, population=None
+        env_data, scheme, executor=executor, population=None, model_fn=model_fn
     )
     # cache=2 < both the 4-client selection and the cohort chunk: constant
-    # eviction pressure (reserve() lifts it to the engine's floor).
+    # eviction pressure (reserve() lifts it to the engine's floor). With
+    # dropout the replica's layer RNG is client state that must survive it.
     hist_lazy, trace_lazy = run_traced(
-        env_data, scheme, executor=executor, population="lazy:cache=2"
+        env_data, scheme, executor=executor, population="lazy:cache=2",
+        model_fn=model_fn,
     )
     assert hist_lazy == hist_eager
     assert trace_lazy == trace_eager
 
 
-def test_lazy_checkpoint_resume_matches_uninterrupted(env_data, tmp_path):
+@pytest.mark.parametrize("executor", ["serial", "cohort:4"])
+def test_page_in_builds_no_model(env_data, executor):
+    """A cache slot owns its replica: over a whole lazy run ``model_fn``
+    runs for the global model, once per slot, and at most once more."""
+    train, _, test = env_data
+    built = []
+
+    def counting_model_fn():
+        built.append(1)
+        return lenet()
+
+    sim = FederatedSimulator(
+        model_fn=counting_model_fn,
+        strategy=build_strategy("fedavg", OPT),
+        shards=SubsampledShards(train, 12, 16, seed=2),
+        test_set=test,
+        base_iteration_times=lambda cid: iteration_time_for(cid, 0.01, seed=2),
+        batch_size=8,
+        local_iterations=2,
+        clients_per_round=12,
+        seed=1,
+        executor=executor,
+        population="lazy:cache=4",
+    )
+    with sim:
+        sim.run(5)
+        cache = sim.population.cache
+    assert cache.creations >= 5 * 12 - cache.capacity  # every round pages
+    assert len(built) <= 1 + cache.capacity + 1
+
+
+def test_lazy_checkpoint_resume_matches_uninterrupted(env_data):
+    check_resume_matches_uninterrupted(env_data, "fedca", lenet, "serial")
+
+
+@pytest.mark.parametrize("executor", ENGINES)
+def test_checkpoint_resume_with_dropout_matches_uninterrupted(env_data, executor):
+    check_resume_matches_uninterrupted(env_data, "fedavg", micro_wrn, executor)
+
+
+def check_resume_matches_uninterrupted(env_data, scheme, model_fn, executor):
     from repro.persist import RunCheckpoint
 
     _, shards, test = env_data
 
     def build(population):
         return FederatedSimulator(
-            model_fn=lambda: LeNetCNN(rng=np.random.default_rng(7)),
-            strategy=build_strategy("fedca", OPT,
+            model_fn=model_fn,
+            strategy=build_strategy(scheme, OPT,
                                     fedca_config=FedCAConfig(profile_every=2)),
             shards=shards,
             test_set=test,
@@ -389,6 +543,7 @@ def test_lazy_checkpoint_resume_matches_uninterrupted(env_data, tmp_path):
             batch_size=8,
             local_iterations=ITERS,
             seed=1,
+            executor=executor,
             population=population,
         )
 
@@ -409,6 +564,16 @@ def test_lazy_checkpoint_resume_matches_uninterrupted(env_data, tmp_path):
         ckpt.restore_into(eager)
         eager.run(2)
         assert history_to_json(eager.history) == full
+
+    # Eager checkpoint → eager resume: with dropout this is the same hole
+    # (a rebuilt replica rewinds its layer RNG) without any paging.
+    with build(None) as sim:
+        sim.run(2)
+        eager_ckpt = RunCheckpoint.from_simulator(sim)
+    with build(None) as resumed:
+        eager_ckpt.restore_into(resumed)
+        resumed.run(2)
+        assert history_to_json(resumed.history) == full
 
 
 # ----------------------------------------------------------------------
