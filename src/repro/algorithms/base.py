@@ -11,6 +11,11 @@ A strategy owns two responsibilities:
   :class:`~repro.runtime.client.SimClient`, :meth:`Strategy.cohort_round`
   M members from a :class:`~repro.runtime.cohort.CohortEngine`. No scheme
   overrides either driver (DESIGN.md §12).
+
+A strategy holds nothing per client: what a scheme remembers about one
+client between its rounds (FedCA's curves, the wire layer's codec) it keeps
+on the client (:meth:`~repro.runtime.client.SimClient.keep`), so it is
+checkpointed, evicted and captured from a worker with the client.
 """
 
 from __future__ import annotations
@@ -141,7 +146,7 @@ class RoundMember:
             # timeline below. The raw counterfactual is kept for the
             # repro_wire_bytes_total{variant} accounting.
             raw_nbytes = nbytes
-            update, nbytes = wire.encode(client.client_id, update)
+            update, nbytes = wire.encode(client, update)
             events["wire"] = {"raw_bytes": raw_nbytes, "wire_bytes": nbytes}
         client.uplink.reset(self.compute_start)
         upload_finish = client.uplink.submit(self.t, nbytes, label="full").finish_time
@@ -287,85 +292,3 @@ class Strategy(ABC):
             member.finish(engine.member_update(stacked, i))
             for i, member in enumerate(members)
         ]
-
-    # ------------------------------------------------------------------
-    # Checkpoint/resume hooks (see repro.persist). Strategies that keep
-    # per-client state across rounds — FedCA's anchor-profiled curves —
-    # override both so that a resumed run is indistinguishable from an
-    # uninterrupted one (the wire layer's codec residuals ride along).
-    # Snapshots must be JSON-safe apart from numpy arrays, and are keyed by
-    # client id so ParallelExecutor can merge per-worker captures.
-    # ------------------------------------------------------------------
-    def capture_client_states(
-        self, client_ids: list[int] | None = None
-    ) -> dict[int, dict]:
-        """Per-client cross-round state, keyed by client id.
-
-        Template method: subclasses override :meth:`_capture_client_states`
-        (scheme state only); this wrapper merges in the attached wire
-        layer's codec state (error-feedback residuals, quantization RNG
-        position) so checkpoints, lazy-population eviction and parallel
-        worker capture carry it automatically. Without a wire layer the
-        snapshot shape is exactly the subclass's — existing checkpoints
-        stay valid.
-        """
-        states = self._capture_client_states(client_ids)
-        wire = self._wire
-        if wire is None:
-            return states
-        wire_states = wire.capture_client_states(client_ids)
-        return {
-            cid: {
-                "strategy": states.get(cid),
-                "wire": wire_states.get(cid),
-            }
-            for cid in sorted(states.keys() | wire_states.keys())
-        }
-
-    def restore_client_states(self, states: dict[int, dict]) -> None:
-        """Inverse of :meth:`capture_client_states`."""
-        wire = self._wire
-        if wire is None:
-            self._restore_client_states(states)
-            return
-        strategy_states: dict[int, dict] = {}
-        wire_states: dict[int, dict] = {}
-        for cid, payload in states.items():
-            cid = int(cid)
-            if payload.get("strategy") is not None:
-                strategy_states[cid] = payload["strategy"]
-            if payload.get("wire") is not None:
-                wire_states[cid] = payload["wire"]
-        if strategy_states:
-            self._restore_client_states(strategy_states)
-        if wire_states:
-            wire.restore_client_states(wire_states)
-
-    def release_client_states(self, client_ids: list[int]) -> None:
-        """Drop any per-client caches for ``client_ids``.
-
-        Paging hook for the lazy population (see :mod:`repro.scale`): when a
-        client is evicted from the resident cache, the cache first calls
-        :meth:`capture_client_states` for the ids, then this, so the
-        strategy's memory footprint also stays bounded by the resident set.
-        A later :meth:`restore_client_states` with the captured snapshot
-        must leave the strategy exactly as if the release never happened
-        (capture-before-release contract). The wrapper releases the wire
-        layer's codecs alongside the subclass state.
-        """
-        self._release_client_states(client_ids)
-        if self._wire is not None:
-            self._wire.release_client_states(client_ids)
-
-    # -- subclass halves of the template methods above ------------------
-    def _capture_client_states(
-        self, client_ids: list[int] | None = None
-    ) -> dict[int, dict]:
-        """Scheme-specific per-client state (default: none)."""
-        return {}
-
-    def _restore_client_states(self, states: dict[int, dict]) -> None:
-        """Inverse of :meth:`_capture_client_states` (default: no-op)."""
-
-    def _release_client_states(self, client_ids: list[int]) -> None:
-        """Drop scheme-specific caches for ``client_ids`` (default: no-op)."""

@@ -6,7 +6,8 @@ Round types:
   client runs the full K iterations with *no* optimisations, recording the
   sampled accumulated update after every iteration; at round end the
   snapshots become the statistical-progress curves used until the next
-  anchor.
+  anchor. They are client-held state (:class:`ClientProfile`, kept on the
+  :class:`~repro.runtime.client.SimClient`), not the strategy's.
 * **Optimised rounds**: after every local iteration the client calls the
   equivalents of the paper's ``TryEagerTransmit()`` (Eq. 5 — layers whose
   profiled progress crossed ``T_e`` are pushed onto the uplink immediately,
@@ -38,16 +39,67 @@ from ..runtime.client import SimClient
 from ..runtime.round import ClientRoundResult, RoundContext
 from .base import OptimizerSpec, RoundMember, Strategy
 
-__all__ = ["FedCA"]
+__all__ = ["FedCA", "ClientProfile"]
+
+
+class ClientProfile:
+    """What FedCA remembers about one client between its rounds, kept on
+    the client (:meth:`SimClient.keep`): the curves of its latest anchor
+    round — ``None`` until it has run one — and its layer sampler. The
+    sampler draws its indices once at construction from ``sampler_seed +
+    cid``, so a rebuilt one is identical and it is never snapshot."""
+
+    def __init__(self, config: FedCAConfig, seed: int) -> None:
+        self.curves: ProfiledCurves | None = None
+        self._config = config
+        self._seed = seed
+        self._sampler: LayerSampler | None = None
+
+    def sampler(self, model) -> LayerSampler:
+        if self._sampler is None:
+            self._sampler = LayerSampler.for_model(
+                model,
+                fraction=self._config.sample_fraction,
+                cap=self._config.sample_cap,
+                seed=self._seed,
+            )
+        return self._sampler
+
+    def snapshot_state(self) -> dict:
+        """The anchor-profiled curves (the only FedCA state that survives a
+        round); empty before the first anchor."""
+        curves = self.curves
+        if curves is None:
+            return {}
+        return {
+            "round_index": curves.round_index,
+            "num_iterations": curves.num_iterations,
+            "model_curve": curves.model_curve.copy(),
+            "layer_curves": {
+                name: arr.copy() for name, arr in curves.layer_curves.items()
+            },
+        }
+
+    def restore_state(self, payload: dict) -> None:
+        self.curves = ProfiledCurves(
+            round_index=int(payload["round_index"]),
+            num_iterations=int(payload["num_iterations"]),
+            layer_curves={
+                name: np.asarray(arr, dtype=np.float64)
+                for name, arr in payload["layer_curves"].items()
+            },
+            model_curve=np.asarray(payload["model_curve"], dtype=np.float64),
+        )
 
 
 class _AnchorMember(RoundMember):
     """Anchor round: the full K iterations with no optimisations, recording
     the sampled accumulated update after every one."""
 
-    def __init__(self, strategy, client, global_state, ctx, params) -> None:
+    def __init__(self, strategy, client, profile, global_state, ctx, params) -> None:
         super().__init__(strategy, client, ctx, ctx.iterations)
-        self.recorder = AnchorRecorder(strategy._sampler_for(client))
+        self.profile = profile
+        self.recorder = AnchorRecorder(profile.sampler(client.model))
         self.params = params
         self.global_state = global_state
 
@@ -61,9 +113,7 @@ class _AnchorMember(RoundMember):
         profiling_bytes = recorder.memory_bytes()
         # stats() must read the recorder before finalize clears it.
         self.emit("fedca.anchor", recorder.stats())
-        self.strategy._curves[self.client.client_id] = recorder.finalize(
-            self.ctx.round_index
-        )
+        self.profile.curves = recorder.finalize(self.ctx.round_index)
         return self.upload_full(
             update,
             self.client.model_bytes,
@@ -82,10 +132,10 @@ class _OptimizedMember(RoundMember):
     """Optimised round: TryEagerTransmit and TryEarlyStop after every
     iteration, TryRetransmit and the tail upload at round end."""
 
-    def __init__(self, strategy, client, global_state, ctx, params) -> None:
+    def __init__(self, strategy, client, profile, global_state, ctx, params) -> None:
         super().__init__(strategy, client, ctx, ctx.iterations)
         cfg = strategy.config
-        curves = strategy._curves[client.client_id]
+        curves = profile.curves
         self.stopper = EarlyStopPolicy(curves, cfg)
         self.schedule = (
             EagerSchedule(curves, cfg.eager_threshold)
@@ -116,9 +166,7 @@ class _OptimizedMember(RoundMember):
                 send_bytes = client.layer_bytes[layer]
                 self.raw_eager_bytes += send_bytes
                 if wire is not None:
-                    value, send_bytes = wire.encode_layer(
-                        client.client_id, layer, value
-                    )
+                    value, send_bytes = wire.encode_layer(client, layer, value)
                 self.emit(
                     "fedca.eager",
                     {
@@ -183,7 +231,7 @@ class _OptimizedMember(RoundMember):
             # Retransmitted layers ride the tail, so their decoded values
             # overwrite the stale eager ones.
             tail_updates, tail_bytes = wire.encode(
-                client.client_id, {name: update[name] for name in tail_layers}
+                client, {name: update[name] for name in tail_layers}
             )
             received.update(tail_updates)
         if tail_bytes > 0:
@@ -237,72 +285,13 @@ class FedCA(Strategy):
         self.optimizer = optimizer
         self.config = config or FedCAConfig()
         self.sampler_seed = sampler_seed
-        self._samplers: dict[int, LayerSampler] = {}
-        self._curves: dict[int, ProfiledCurves] = {}
 
-    # ------------------------------------------------------------------
-    def curves_for(self, client_id: int) -> ProfiledCurves | None:
-        """Most recently profiled curves for a client (None before its first
-        anchor round)."""
-        return self._curves.get(client_id)
-
-    def _sampler_for(self, client: SimClient) -> LayerSampler:
-        sampler = self._samplers.get(client.client_id)
-        if sampler is None:
-            sampler = LayerSampler.for_model(
-                client.model,
-                fraction=self.config.sample_fraction,
-                cap=self.config.sample_cap,
-                seed=self.sampler_seed + client.client_id,
-            )
-            self._samplers[client.client_id] = sampler
-        return sampler
-
-    # ------------------------------------------------------------------
-    def _capture_client_states(
-        self, client_ids: list[int] | None = None
-    ) -> dict[int, dict]:
-        """Anchor-profiled curves per client (the only FedCA state that
-        survives a round). Samplers are deterministic in ``sampler_seed``
-        and rebuilt lazily, so they need no capture."""
-        ids = (
-            sorted(self._curves)
-            if client_ids is None
-            else [cid for cid in client_ids if cid in self._curves]
+    def profile(self, client: SimClient) -> ClientProfile:
+        """``client``'s FedCA profile, created on its first round."""
+        return client.keep(
+            "fedca",
+            lambda: ClientProfile(self.config, self.sampler_seed + client.client_id),
         )
-        out: dict[int, dict] = {}
-        for cid in ids:
-            curves = self._curves[cid]
-            out[cid] = {
-                "round_index": curves.round_index,
-                "num_iterations": curves.num_iterations,
-                "model_curve": curves.model_curve.copy(),
-                "layer_curves": {
-                    name: arr.copy() for name, arr in curves.layer_curves.items()
-                },
-            }
-        return out
-
-    def _restore_client_states(self, states: dict[int, dict]) -> None:
-        for cid, payload in states.items():
-            self._curves[int(cid)] = ProfiledCurves(
-                round_index=int(payload["round_index"]),
-                num_iterations=int(payload["num_iterations"]),
-                layer_curves={
-                    name: np.asarray(arr, dtype=np.float64)
-                    for name, arr in payload["layer_curves"].items()
-                },
-                model_curve=np.asarray(payload["model_curve"], dtype=np.float64),
-            )
-
-    def _release_client_states(self, client_ids: list[int]) -> None:
-        """Evict per-client caches (lazy-population paging). Curves are
-        captured beforehand per the contract; samplers draw their indices
-        once at construction from ``sampler_seed + cid``, so a rebuilt
-        sampler is identical and they need no snapshot at all."""
-        for cid in client_ids:
-            self._curves.pop(cid, None)
-            self._samplers.pop(cid, None)
 
     # ------------------------------------------------------------------
     def begin(
@@ -314,12 +303,13 @@ class FedCA(Strategy):
     ) -> RoundMember:
         """An anchor (profiling) or an optimised member; both kinds may
         share one cohort."""
+        profile = self.profile(client)
         anchor = (
             is_anchor_round(ctx.round_index, self.config.profile_every)
-            or client.client_id not in self._curves
+            or profile.curves is None
         )
         member = _AnchorMember if anchor else _OptimizedMember
-        return member(self, client, global_state, ctx, params)
+        return member(self, client, profile, global_state, ctx, params)
 
     def step_plan(self, client: SimClient, t: float) -> tuple[int | None, float]:
         """``(batch_size, work_fraction)`` of the optimised-round iteration

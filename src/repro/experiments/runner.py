@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 
 from ..algorithms import build_strategy
 from ..core import FedCAConfig
-from ..runtime import RunHistory
+from ..runtime import RunHistory, resolve_executor
 from ..runtime.export import history_from_dict, history_to_dict
 from ..runtime.wire import parse_wire_spec
 from .configs import WorkloadConfig, make_environment
@@ -117,6 +117,9 @@ def run_scheme(
         fedca_config = FedCAConfig(profile_every=cfg.fedca_profile_every)
     effective_rounds = rounds or cfg.default_rounds
 
+    # Resolved once, up front: the cohort engine matches the others at float
+    # tolerance only, so it is the one engine the cache keys on.
+    engine = resolve_executor(executor)
     cache_key = None
     if cache is not None:
         cache_key = cache.key(
@@ -128,6 +131,9 @@ def run_scheme(
             dynamic=dynamic,
             fedca_config=fedca_config,
             wire=wire,
+            engine=(
+                f"cohort:{engine.cohort_size}" if engine.name == "cohort" else None
+            ),
         )
         payload = cache.get(cache_key)
         if recorder is not None and recorder.enabled:
@@ -159,7 +165,7 @@ def run_scheme(
         # original run's start/client_meta events, and attaching the sink
         # naively ("w") would truncate the first half of the stream.
         sim = make_environment(
-            cfg, strategy, seed=seed, dynamic=dynamic, executor=executor,
+            cfg, strategy, seed=seed, dynamic=dynamic, executor=engine,
             population=population, spill_client_events=spill_client_events,
             recorder=None, profiler=profiler,
         )
@@ -184,7 +190,7 @@ def run_scheme(
                 executor=str(executor or "serial"),
             )
         sim = make_environment(
-            cfg, strategy, seed=seed, dynamic=dynamic, executor=executor,
+            cfg, strategy, seed=seed, dynamic=dynamic, executor=engine,
             population=population, spill_client_events=spill_client_events,
             recorder=recorder, profiler=profiler,
         )

@@ -6,10 +6,13 @@ scheme, the effective round budget and stopping rule, the seed, the
 dynamicity flag, the FedCA config, and a schema version (bumped whenever
 the simulation semantics change, invalidating every old cell at once).
 
-Deliberately **excluded** from the key: the executor (serial and
-``parallel:N`` produce bitwise-identical histories — PR 1's guarantee — so
-their results are interchangeable) and telemetry settings (observability
-never affects the simulation).
+The execution engine joins the key only where it changes the bytes: serial
+and ``parallel:N`` produce bitwise-identical histories (PR 1's guarantee),
+so they share cells and their key carries no engine entry, while
+``cohort:M`` equals them at float tolerance only and is keyed as
+``"engine": "cohort:M"`` — a cohort run is never handed a serial history
+nor the other way round. Deliberately **excluded**: telemetry settings
+(observability never affects the simulation).
 
 Cells hold plain JSON payloads (``history_to_dict`` output plus the result
 metadata); the experiment runner rebuilds its ``SchemeResult`` from them.
@@ -71,14 +74,17 @@ class ResultCache:
         dynamic: bool,
         fedca_config: "FedCAConfig | None",
         wire: "str | None" = None,
+        engine: "str | None" = None,
     ) -> str:
         """Deterministic cell key. ``rounds`` must be the *effective*
         budget (config default already applied) and ``fedca_config`` the
         *effective* config (scheme default already applied) — the caller
         resolves both so that explicit-default and implied-default runs
         share a cell. ``wire`` joins the document only when it actually
-        changes the trajectory (anything but raw), so every cell written
-        before the wire feature existed stays valid."""
+        changes the trajectory (anything but raw), and ``engine`` only when
+        the caller names one whose histories are not bitwise the serial
+        ones (``"cohort:M"``), so every cell written before either existed
+        stays valid."""
         document = {
             "schema": CACHE_SCHEMA_VERSION,
             "workload": dataclasses.asdict(cfg),
@@ -95,6 +101,8 @@ class ResultCache:
         }
         if wire is not None and wire.strip().lower() not in ("", "raw"):
             document["wire"] = wire.strip().lower()
+        if engine is not None:
+            document["engine"] = engine
         blob = json.dumps(document, sort_keys=True, default=_jsonify)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -123,7 +131,9 @@ class ResultCache:
         path = self.path_for(key)
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            # Insertion order, not sort_keys: a hit must re-export
+            # byte-identically to the run that filled the cell.
+            json.dump(payload, fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

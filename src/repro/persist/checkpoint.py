@@ -6,9 +6,12 @@ evolves across rounds:
 * the global model state and buffers (bit-exact arrays),
 * the simulated clock and server-side pace estimates,
 * the full :class:`~repro.runtime.history.RunHistory`,
-* per-client cross-round state via the executor's ``capture_run_state``
-  (batch-stream RNG/order/cursor, speed-trace RNG and segments),
-* per-client strategy state (FedCA anchor profiles, codec residuals/RNG),
+* per-client cross-round state — one
+  :meth:`SimClient.capture_state <repro.runtime.client.SimClient.capture_state>`
+  snapshot per touched client, via the executor's ``capture_run_state``:
+  batch-stream RNG/order/cursor, speed-trace RNG and segments, layer RNG,
+  and what the strategy and the wire layer keep on the client (FedCA
+  anchor profiles, codec residuals/RNG),
 * the trace recorder's counters, sequence state and sink byte offset.
 
 Everything else the simulator touches is either reconstructed
@@ -72,7 +75,6 @@ class RunCheckpoint:
     global_state: dict[str, np.ndarray]
     global_buffers: dict[str, np.ndarray]
     clients: dict[str, dict] = field(default_factory=dict)
-    strategy_states: dict[str, dict] = field(default_factory=dict)
     recorder: dict | None = None
 
     # ------------------------------------------------------------------
@@ -92,9 +94,9 @@ class RunCheckpoint:
             },
         }
         # Wire spec joins the fingerprint only when a layer is attached, so
-        # raw runs keep accepting checkpoints written before the wire
-        # feature existed — while resuming a quant/topk run under any
-        # other wire (whose codec state the snapshot carries) fails loudly.
+        # a raw run's fingerprint keeps its bytes — while resuming a
+        # quant/topk run under any other wire (whose codec state the client
+        # snapshots carry) fails loudly.
         wire = getattr(sim.strategy, "wire", None)
         if wire is not None:
             out["wire"] = wire.spec
@@ -105,7 +107,7 @@ class RunCheckpoint:
         """Snapshot ``sim`` between rounds (call only between ``run_round``
         invocations). Pulls per-client state from wherever it actually
         lives — the parallel executor fetches it from its workers."""
-        run_state = sim.executor.capture_run_state()
+        clients = sim.executor.capture_run_state()
         recorder_snapshot = None
         if hasattr(sim.recorder, "snapshot_state"):
             recorder_snapshot = sim.recorder.snapshot_state()
@@ -118,10 +120,7 @@ class RunCheckpoint:
             history=history_to_dict(sim.history),
             global_state=_copy_arrays(sim.global_state),
             global_buffers=_copy_arrays(sim.global_buffers),
-            clients={str(cid): snap for cid, snap in run_state["clients"].items()},
-            strategy_states={
-                str(cid): snap for cid, snap in run_state["strategy"].items()
-            },
+            clients={str(cid): snap for cid, snap in clients.items()},
             recorder=recorder_snapshot,
         )
 
@@ -174,10 +173,6 @@ class RunCheckpoint:
         else:
             for cid, snapshot in self.clients.items():
                 sim.clients[int(cid)].restore_state(snapshot)
-        if self.strategy_states:
-            sim.strategy.restore_client_states(
-                {int(cid): snap for cid, snap in self.strategy_states.items()}
-            )
 
     # ------------------------------------------------------------------
     def save(self, path: str) -> None:
@@ -194,7 +189,6 @@ class RunCheckpoint:
                 "global_state": self.global_state,
                 "global_buffers": self.global_buffers,
                 "clients": self.clients,
-                "strategy_states": self.strategy_states,
                 "recorder": self.recorder,
             },
         )
@@ -215,7 +209,6 @@ class RunCheckpoint:
                 global_state=tree["global_state"],
                 global_buffers=tree["global_buffers"],
                 clients=tree["clients"],
-                strategy_states=tree["strategy_states"],
                 recorder=tree["recorder"],
             )
         except (KeyError, TypeError) as exc:

@@ -49,8 +49,11 @@ __all__ = [
 ]
 
 #: Bump on any incompatible change to the container layout or the
-#: checkpoint tree schema. Readers reject other versions outright.
-CHECKPOINT_VERSION = 1
+#: checkpoint tree schema. Readers reject other versions outright: a
+#: checkpoint is a crash-recovery artefact of one run, so there are no
+#: compatibility loaders. (2: no per-client strategy section — scheme and
+#: codec state ride in each client's snapshot.)
+CHECKPOINT_VERSION = 2
 
 MANIFEST_SUFFIX = ".manifest.json"
 

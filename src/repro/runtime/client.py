@@ -1,8 +1,9 @@
-"""Simulated FL client: local data, local model replica, device and link."""
+"""Simulated FL client: local data, local model replica, device and link —
+and the one home of everything remembered about it between rounds."""
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -41,6 +42,10 @@ class SimClient:
         self.link = link
         self.uplink = UplinkScheduler(link)
         self._staged_buffers: dict[str, np.ndarray] | None = None
+        # Live kept objects by owner key, and restored snapshots whose owner
+        # has not asked for its object yet (see keep()).
+        self._kept: dict[str, Any] = {}
+        self._pending: dict[str, dict] = {}
         # Cache per-layer byte sizes once; they drive all transmission times.
         self.layer_bytes: dict[str, int] = self.model.layer_bytes()
         self.model_bytes: int = sum(self.layer_bytes.values())
@@ -81,15 +86,31 @@ class SimClient:
         return self.model.state_dict()
 
     # ------------------------------------------------------------------
+    def keep(self, key: str, factory: Callable[[], Any]) -> Any:
+        """The object owner ``key`` (a strategy, the wire layer) keeps about
+        this client across rounds: built by ``factory()`` on first use,
+        starting from the snapshot for ``key`` if the client was restored
+        with one. It speaks ``snapshot_state()`` / ``restore_state()`` like
+        the stream and the trace, and travels in :meth:`capture_state`."""
+        obj = self._kept.get(key)
+        if obj is None:
+            obj = self._kept[key] = factory()
+            pending = self._pending.pop(key, None)
+            if pending is not None:
+                obj.restore_state(pending)
+        return obj
+
     def capture_state(self) -> dict:
         """Everything about this client that persists *across* rounds.
 
         The replica's parameters and buffers, the optimiser and the uplink
         queue are rebuilt from the broadcast state at every round start, so
         the cross-round mutable state is the cyclic batch stream, the speed
-        trace and — only for a model whose layers draw (dropout), so every
-        other snapshot keeps its bytes — the replica's layer RNG. Used by
-        :mod:`repro.persist` checkpoint/resume and the lazy pager.
+        trace and two entries that exist only when non-empty, so every other
+        snapshot keeps its bytes: the replica's layer RNG (a model whose
+        layers draw — dropout) and ``"kept"``, the snapshots of what owners
+        :meth:`keep` here (not-yet-adopted ones are carried verbatim). Used
+        by :mod:`repro.persist` checkpoint/resume and the lazy pager.
         """
         state = {
             "stream": self.stream.snapshot_state(),
@@ -98,6 +119,15 @@ class SimClient:
         model_rng = self.model.rng_state()
         if model_rng:
             state["model_rng"] = model_rng
+        kept = dict(self._pending)
+        for key, obj in self._kept.items():
+            snapshot = obj.snapshot_state()
+            if snapshot:
+                kept[key] = snapshot
+        if kept:
+            # Key order is canonical, not adoption order: a resumed run's
+            # snapshots serialise like the uninterrupted run's.
+            state["kept"] = dict(sorted(kept.items()))
         return state
 
     def restore_state(self, snapshot: dict) -> None:
@@ -106,6 +136,8 @@ class SimClient:
         self.trace.restore_state(snapshot["trace"])
         if "model_rng" in snapshot:
             self.model.load_rng_state(snapshot["model_rng"])
+        self._kept = {}
+        self._pending = dict(snapshot.get("kept", {}))
 
     def local_update(self, global_state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Accumulated update ``w_local − w_global`` per layer."""

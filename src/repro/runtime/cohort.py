@@ -301,5 +301,5 @@ class CohortExecutor(Executor):
             "occupancy": self._member_steps / (self._steps * self.cohort_size),
         }
 
-    def capture_run_state(self) -> dict:
+    def capture_run_state(self) -> dict[int, dict]:
         return self._capture_local_state()

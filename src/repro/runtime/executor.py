@@ -36,6 +36,21 @@ __all__ = ["Executor", "SerialExecutor", "ClientJob", "resolve_executor"]
 ClientJob = tuple[int, RoundContext]
 
 
+def capture_clients(
+    clients: "Sequence[SimClient]", ids: "Sequence[int] | None" = None
+) -> dict[int, dict]:
+    """``{cid: client.capture_state()}`` for the clients living in this
+    process — all of them, or only ``ids`` (a parallel worker's owned
+    slice). A client's snapshot is its whole cross-round state."""
+    if hasattr(clients, "capture_run_state"):
+        # Lazy population: it knows which clients have diverged from their
+        # initial state; indexing it here would materialise all of them.
+        return clients.capture_run_state(ids)
+    if ids is None:
+        ids = range(len(clients))
+    return {cid: clients[cid].capture_state() for cid in ids}
+
+
 class Executor(ABC):
     """Engine that executes one round's client workload.
 
@@ -117,15 +132,14 @@ class Executor(ABC):
         """
         return 1
 
-    def capture_run_state(self) -> dict:
-        """Snapshot the evolved per-client and per-client-strategy state
-        for checkpointing (see :mod:`repro.persist`).
+    def capture_run_state(self) -> dict[int, dict]:
+        """Snapshot the evolved per-client state, ``{cid: snapshot}``, for
+        checkpointing (see :mod:`repro.persist`).
 
         The engine owns this because the state lives wherever the client
         rounds actually execute — in the parent for :class:`SerialExecutor`,
         inside the persistent workers for
-        :class:`~repro.runtime.parallel.ParallelExecutor`. Returns
-        ``{"clients": {cid: snapshot}, "strategy": {cid: snapshot}}``.
+        :class:`~repro.runtime.parallel.ParallelExecutor`.
         Restore needs no engine hook: checkpoints are restored into a
         freshly constructed simulator *before* any round runs, so parallel
         workers fork from the already-restored parent replicas.
@@ -134,21 +148,12 @@ class Executor(ABC):
             f"executor {self.name!r} does not support checkpointing"
         )
 
-    def _capture_local_state(self) -> dict:
+    def _capture_local_state(self) -> dict[int, dict]:
         """:meth:`capture_run_state` for state that lives in this process:
-        the bound client replicas and strategy."""
-        if self._clients is None or self._strategy is None:
+        the bound client replicas."""
+        if self._clients is None:
             raise RuntimeError("executor not bound; construct it via FederatedSimulator")
-        if hasattr(self._clients, "capture_run_state"):
-            # Lazy population: it knows which clients have diverged from
-            # their (seed, cid)-deterministic initial state; iterating it
-            # here would materialise all of them.
-            return self._clients.capture_run_state(self._strategy)
-        client_ids = [c.client_id for c in self._clients]
-        return {
-            "clients": {c.client_id: c.capture_state() for c in self._clients},
-            "strategy": self._strategy.capture_client_states(client_ids),
-        }
+        return capture_clients(self._clients)
 
     # Context-manager sugar so ad-hoc scripts don't leak worker processes.
     def __enter__(self) -> "Executor":
@@ -185,7 +190,7 @@ class SerialExecutor(Executor):
                 )
         return results
 
-    def capture_run_state(self) -> dict:
+    def capture_run_state(self) -> dict[int, dict]:
         return self._capture_local_state()
 
 

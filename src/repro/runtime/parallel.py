@@ -24,9 +24,9 @@ Determinism
 Client ``cid`` is permanently owned by worker ``cid % workers`` (sticky
 routing), so every stateful per-client object — the cyclic
 :class:`~repro.data.loader.BatchStream`, the lazily extended
-:class:`~repro.sysmodel.speed.SpeedTrace`, FedCA's per-client profiled
-curves — evolves in exactly one process, in exactly the order it would have
-evolved serially. Results are reassembled in the simulator's job order
+:class:`~repro.sysmodel.speed.SpeedTrace`, and what FedCA and the wire
+layer keep on the client (profiled curves, codec) — evolves in exactly one
+process, in exactly the order it would have evolved serially. Results are reassembled in the simulator's job order
 (sorted client ids). Serial and ``parallel:N`` runs therefore produce
 **bitwise-identical**
 :class:`~repro.runtime.history.RunHistory` objects *and* telemetry traces;
@@ -66,7 +66,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from .executor import ClientJob, Executor, SerialExecutor
+from .executor import ClientJob, Executor, SerialExecutor, capture_clients
 from .round import ClientRoundResult
 from .transport import ShmTransport, ipc_bytes_counter
 
@@ -112,7 +112,8 @@ def _worker_main(pairs, clients, strategy, owned_ids, transport, worker_index) -
     """Worker loop: resident clients, one recv/send pair per round.
 
     Runs in the forked child. ``clients``/``strategy``/``transport`` arrive
-    by fork inheritance (never pickled); ``owned_ids`` is informational.
+    by fork inheritance (never pickled); ``owned_ids`` is the slice of
+    clients a state capture snapshots.
     ``pairs`` is every worker's ``(parent_conn, child_conn)`` — this worker
     keeps only its own child end and closes the rest, so a dead parent
     reliably turns into EOF here rather than a forever-blocked recv.
@@ -131,22 +132,10 @@ def _worker_main(pairs, clients, strategy, owned_ids, transport, worker_index) -
                 return
             if msg[0] == "capture":
                 # Checkpoint support: the evolved cross-round state of the
-                # owned clients (and the strategy replica's view of them)
-                # lives only in this process — snapshot and ship it back
-                # through the transport's result path.
+                # owned clients lives only in this process — snapshot it
+                # and ship it back through the transport's result path.
                 try:
-                    if hasattr(clients, "capture_run_state"):
-                        # Lazy population (fork-inherited, paging locally in
-                        # this worker): snapshot only its owned slice.
-                        captured = clients.capture_run_state(
-                            strategy, list(owned_ids)
-                        )
-                        snapshot = (captured["clients"], captured["strategy"])
-                    else:
-                        snapshot = (
-                            {cid: clients[cid].capture_state() for cid in owned_ids},
-                            strategy.capture_client_states(list(owned_ids)),
-                        )
+                    snapshot = capture_clients(clients, owned_ids)
                     _send(conn, ("ok", transport.encode_capture(snapshot)))
                 except Exception:
                     _send(conn, ("err", traceback.format_exc()))
@@ -500,7 +489,7 @@ class ParallelExecutor(Executor):
         return transport.assemble_reduced()
 
     # ------------------------------------------------------------------
-    def capture_run_state(self) -> dict:
+    def capture_run_state(self) -> dict[int, dict]:
         if self._clients is None or self._strategy is None:
             raise RuntimeError("executor not bound; construct it via FederatedSimulator")
         if self._fallback is not None:
@@ -527,8 +516,7 @@ class ParallelExecutor(Executor):
                 transport.count_pipe("capture", sent, mirror=False)
             except (BrokenPipeError, OSError) as exc:
                 raise WorkerCrash("worker died during state capture") from exc
-        clients: dict = {}
-        strategy: dict = {}
+        clients: dict[int, dict] = {}
         for w, conn in enumerate(self._conns):
             try:
                 (tag, payload), received = _recv(conn)
@@ -537,10 +525,8 @@ class ParallelExecutor(Executor):
             transport.count_pipe("capture", received, mirror=False)
             if tag == "err":
                 raise RuntimeError(f"state capture failed in worker {w}:\n{payload}")
-            worker_clients, worker_strategy = transport.decode_capture(w, payload)
-            clients.update(worker_clients)
-            strategy.update(worker_strategy)
-        return {"clients": clients, "strategy": strategy}
+            clients.update(transport.decode_capture(w, payload))
+        return clients
 
     # ------------------------------------------------------------------
     def _shutdown_pool(self) -> None:

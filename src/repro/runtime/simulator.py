@@ -198,7 +198,6 @@ class FederatedSimulator:
         if mode == "lazy":
             assert cache_capacity is not None
             self.population = LazyClientPopulation(self._factory, cache_capacity)
-            self.population.bind_strategy(strategy)
             self.clients: "Sequence[SimClient]" = self.population
         else:
             self.population = None

@@ -15,11 +15,13 @@ per-client :class:`~repro.compression.codecs.UpdateCodec`:
 The server aggregates what it *received* (the decoded, lossy update),
 and all uplink timestamps — and therefore ``collect_earliest`` and
 FedCA's eager-upload timeline — are driven by the **wire** byte counts,
-not the raw ones. Codec state (RNG position, residuals) rides the
-standard :class:`~repro.algorithms.base.Strategy` snapshot/restore/
-release hooks, so checkpoints, lazy-population eviction and parallel
-worker capture all preserve error feedback exactly; see
-:meth:`Strategy.capture_client_states`.
+not the raw ones. A codec is state *about one client* (RNG position,
+residuals), so the layer keeps it on that client
+(:meth:`SimClient.keep <repro.runtime.client.SimClient.keep>`) and holds
+nothing per client itself: the codec travels in the client's
+``capture_state()``, which is all that checkpoints, lazy-population
+eviction and parallel worker capture move — error feedback is preserved
+exactly with no protocol of its own.
 
 Byte accounting: strategies report ``events["wire"] = {"raw_bytes",
 "wire_bytes"}`` per client round, which the simulator mirrors as the
@@ -30,11 +32,14 @@ actually moved (and what ``repro_bytes_uploaded_total`` now reflects).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from ..compression.codecs import QuantizationCodec, TopKCodec, UpdateCodec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .client import SimClient
 
 __all__ = ["WireLayer", "parse_wire_spec", "WIRE_CHOICES_HELP", "WIRE_SEED_BASE"]
 
@@ -52,8 +57,8 @@ class WireLayer:
     Strategies call :meth:`encode` (whole update) or :meth:`encode_layer`
     (FedCA's per-layer eager uploads) at transmission time; both return
     the decoded payload the server will aggregate plus the wire bytes
-    that drive the uplink timeline. Codecs are created lazily per client
-    and live as long as the strategy replica that owns them.
+    that drive the uplink timeline. A client's codec is created on its
+    first transmission and kept on the client, not here.
     """
 
     def __init__(
@@ -61,45 +66,22 @@ class WireLayer:
     ) -> None:
         self.spec = spec
         self._factory = codec_factory
-        self._codecs: dict[int, UpdateCodec] = {}
 
-    def codec_for(self, client_id: int) -> UpdateCodec:
-        codec = self._codecs.get(client_id)
-        if codec is None:
-            codec = self._codecs[client_id] = self._factory(client_id)
-        return codec
+    def codec_for(self, client: "SimClient") -> UpdateCodec:
+        return client.keep("wire", lambda: self._factory(client.client_id))
 
     def encode(
-        self, client_id: int, update: dict[str, np.ndarray]
+        self, client: "SimClient", update: dict[str, np.ndarray]
     ) -> tuple[dict[str, np.ndarray], int]:
         """Encode a whole update; returns ``(decoded_update, wire_bytes)``."""
-        return self.codec_for(client_id).encode(update)
+        return self.codec_for(client).encode(update)
 
     def encode_layer(
-        self, client_id: int, name: str, value: np.ndarray
+        self, client: "SimClient", name: str, value: np.ndarray
     ) -> tuple[np.ndarray, int]:
         """Encode one layer (FedCA eager transmission)."""
-        received, nbytes = self.codec_for(client_id).encode({name: value})
+        received, nbytes = self.codec_for(client).encode({name: value})
         return received[name], nbytes
-
-    # -- per-client state lifecycle (mirrors Strategy's hooks) ---------
-    def capture_client_states(
-        self, client_ids: list[int] | None = None
-    ) -> dict[int, dict]:
-        ids = client_ids if client_ids is not None else sorted(self._codecs)
-        return {
-            cid: self._codecs[cid].snapshot_state()
-            for cid in ids
-            if cid in self._codecs
-        }
-
-    def restore_client_states(self, states: dict[int, dict]) -> None:
-        for cid, snapshot in states.items():
-            self.codec_for(int(cid)).restore_state(snapshot)
-
-    def release_client_states(self, client_ids: list[int]) -> None:
-        for cid in client_ids:
-            self._codecs.pop(cid, None)
 
 
 def parse_wire_spec(spec: "str | None") -> "WireLayer | None":

@@ -5,18 +5,16 @@ eager ``list[SimClient]``: executors index it by cid and call ``len()``,
 and behind that interface a :class:`ResidentClientCache` keeps at most
 ``capacity`` live :class:`~repro.runtime.client.SimClient` objects.
 
-Eviction must not lose state, so it follows a capture-before-release
-protocol built entirely from existing snapshot codecs:
+Eviction must not lose state, so it is capture-before-release, in two
+steps:
 
-1. ``client.capture_state()`` — batch-stream + speed-trace RNG state, plus
-   the replica's layer RNG when the model has dropout (the only cross-round
-   mutable state a client carries; parameters, buffers and optimizer are
-   rebuilt from the broadcast every round);
-2. ``strategy.capture_client_states([cid])`` — per-client strategy state
-   (FedCA profiled curves, compression codec residuals/RNG);
-3. ``strategy.release_client_states([cid])`` — drop the strategy's own
-   per-client caches so evicted clients cost nothing anywhere;
-4. ``factory.release(client)`` — the slot, not the client, owns the model
+1. ``client.capture_state()`` — batch-stream + speed-trace RNG state, the
+   replica's layer RNG when the model has dropout, and what a strategy or
+   the wire layer keeps on the client (FedCA profiled curves, compression
+   codec residuals/RNG). The client is the one home of cross-round state
+   about it — parameters, buffers and optimizer are rebuilt from the
+   broadcast every round — so dropping it drops all of that with it;
+2. ``factory.release(client)`` — the slot, not the client, owns the model
    replica: the ``create`` that refills the slot takes it instead of
    building one, so a run builds at most ``capacity`` + 1 replicas however
    many clients it pages (the evicted client object is dead afterwards).
@@ -25,7 +23,9 @@ Rehydration inverts it: ``factory.create(cid)`` rebuilds the initial
 client bit-identically from ``(seed, cid)``, then the stored snapshot is
 restored on top. A client that was never evicted and one that round-tripped
 through eviction are therefore indistinguishable — byte-for-byte — which is
-what keeps lazy histories identical to eager ones.
+what keeps lazy histories identical to eager ones. A checkpoint resumes
+through the same door (:meth:`ResidentClientCache.seed_snapshot`), so the
+``capacity`` bound holds right after a resume too.
 
 Every resident is treated as dirty: the simulator only indexes clients it
 is about to run, so an acquire implies mutation and eviction always
@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Any, Iterable
 from ..runtime.client import SimClient
 
 if TYPE_CHECKING:
-    from ..algorithms.base import Strategy
     from ..obs.recorder import Recorder
     from .population import ClientFactory
 
@@ -74,10 +73,10 @@ def _process_rss_bytes() -> int:
 class ResidentClientCache:
     """LRU cache of live clients keyed by cid, with snapshot spill.
 
-    ``_snapshots[cid]`` holds ``{"client": ..., "strategy": ...}`` for every
-    client that has state but is not resident; a cid in neither map is still
-    in its initial (round-zero) state and needs no snapshot at all — this is
-    what keeps memory flat in total-client count.
+    ``_snapshots[cid]`` holds the ``capture_state()`` of every client that
+    has state but is not resident; a cid in neither map is still in its
+    initial (round-zero) state and needs no snapshot at all — this is what
+    keeps memory flat in total-client count.
     """
 
     def __init__(self, factory: "ClientFactory", capacity: int) -> None:
@@ -85,15 +84,11 @@ class ResidentClientCache:
             raise ValueError("capacity must be >= 1")
         self.factory = factory
         self.capacity = capacity
-        self._strategy: "Strategy | None" = None
         self._residents: OrderedDict[int, SimClient] = OrderedDict()
         self._snapshots: dict[int, dict[str, Any]] = {}
         self.evictions = 0
         self.rehydrations = 0
         self.creations = 0
-
-    def bind_strategy(self, strategy: "Strategy") -> None:
-        self._strategy = strategy
 
     def reserve(self, n: int) -> None:
         """Grow capacity to at least ``n`` resident clients.
@@ -123,70 +118,47 @@ class ResidentClientCache:
         self.creations += 1
         snapshot = self._snapshots.pop(cid, None)
         if snapshot is not None:
-            client.restore_state(snapshot["client"])
-            strategy_state = snapshot["strategy"]
-            if strategy_state is not None and self._strategy is not None:
-                self._strategy.restore_client_states({cid: strategy_state})
+            client.restore_state(snapshot)
             self.rehydrations += 1
         self._residents[cid] = client
         return client
 
     def _evict_one(self) -> None:
         cid, client = self._residents.popitem(last=False)
-        strategy_state = None
-        if self._strategy is not None:
-            strategy_state = self._strategy.capture_client_states([cid]).get(cid)
-            self._strategy.release_client_states([cid])
-        self._snapshots[cid] = {
-            "client": client.capture_state(),
-            "strategy": strategy_state,
-        }
+        self._snapshots[cid] = client.capture_state()
         self.factory.release(client)
         self.evictions += 1
 
     # ------------------------------------------------------------------
     # Checkpoint integration
     # ------------------------------------------------------------------
-    def seed_snapshot(self, cid: int, client_state: dict[str, Any]) -> None:
+    def seed_snapshot(self, cid: int, snapshot: dict[str, Any]) -> None:
         """Install a checkpointed client snapshot without materialising the
-        client (strategy state is restored globally by the checkpoint)."""
+        client; it is applied when (and if) the client pages in."""
         client = self._residents.pop(cid, None)
         if client is not None:
             self.factory.release(client)
-        self._snapshots[cid] = {"client": client_state, "strategy": None}
+        self._snapshots[cid] = snapshot
 
     def capture_run_state(
-        self,
-        strategy: "Strategy | None" = None,
-        client_ids: "Iterable[int] | None" = None,
-    ) -> dict[str, Any]:
-        """Snapshot every client that has diverged from its initial state.
+        self, client_ids: "Iterable[int] | None" = None
+    ) -> dict[int, dict[str, Any]]:
+        """``{cid: snapshot}`` of every client (among ``client_ids``, when
+        given) that has diverged from its initial state.
 
-        Returns ``{"clients": {cid: client_state}, "strategy": {cid: ...}}``
-        in the shape executors' ``capture_run_state`` produces: residents are
-        captured live, evicted clients come from their stored snapshots.
-        Untouched clients are deterministic from ``(seed, cid)`` and need no
-        entry.
+        Residents are captured live, evicted clients come from their stored
+        snapshots. Untouched clients are deterministic from ``(seed, cid)``
+        and need no entry.
         """
-        strategy = strategy if strategy is not None else self._strategy
         touched = set(self._residents) | set(self._snapshots)
         if client_ids is not None:
             touched &= set(client_ids)
-        ids = sorted(touched)
-        clients: dict[int, dict[str, Any]] = {}
-        strategy_states: dict[int, dict[str, Any]] = {}
-        resident_ids = [cid for cid in ids if cid in self._residents]
-        if strategy is not None and resident_ids:
-            strategy_states.update(strategy.capture_client_states(resident_ids))
-        for cid in ids:
-            if cid in self._residents:
-                clients[cid] = self._residents[cid].capture_state()
-            else:
-                snapshot = self._snapshots[cid]
-                clients[cid] = snapshot["client"]
-                if snapshot["strategy"] is not None:
-                    strategy_states[cid] = snapshot["strategy"]
-        return {"clients": clients, "strategy": strategy_states}
+        return {
+            cid: self._residents[cid].capture_state()
+            if cid in self._residents
+            else self._snapshots[cid]
+            for cid in sorted(touched)
+        }
 
 
 class LazyClientPopulation:
@@ -224,21 +196,16 @@ class LazyClientPopulation:
         )
 
     # ------------------------------------------------------------------
-    def bind_strategy(self, strategy: "Strategy") -> None:
-        self.cache.bind_strategy(strategy)
-
     def reserve(self, n: int) -> None:
         self.cache.reserve(n)
 
     def capture_run_state(
-        self,
-        strategy: "Strategy | None" = None,
-        client_ids: "Iterable[int] | None" = None,
-    ) -> dict[str, Any]:
-        return self.cache.capture_run_state(strategy, client_ids)
+        self, client_ids: "Iterable[int] | None" = None
+    ) -> dict[int, dict[str, Any]]:
+        return self.cache.capture_run_state(client_ids)
 
-    def restore_client_state(self, cid: int, client_state: dict[str, Any]) -> None:
-        self.cache.seed_snapshot(cid, client_state)
+    def restore_client_state(self, cid: int, snapshot: dict[str, Any]) -> None:
+        self.cache.seed_snapshot(cid, snapshot)
 
     # ------------------------------------------------------------------
     def mirror_metrics(self, recorder: "Recorder") -> None:

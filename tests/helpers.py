@@ -31,6 +31,30 @@ def held_array_bytes(layer: Module) -> int:
     )
 
 
+def per_client_holdings(owner) -> list[str]:
+    """Names of ``owner``'s attributes that hold per-client state: a non-empty
+    dict keyed by client id, or anything holding a codec, a FedCA profile or
+    its parts. A strategy and its wire layer must have none — what they
+    remember about a client lives on the client (``SimClient.keep``)."""
+    from repro.algorithms.fedca import ClientProfile
+    from repro.compression.codecs import UpdateCodec
+    from repro.core import LayerSampler, ProfiledCurves
+
+    per_client = (UpdateCodec, ClientProfile, ProfiledCurves, LayerSampler)
+
+    def holds(value) -> bool:
+        if isinstance(value, dict):
+            return any(
+                isinstance(key, (int, np.integer)) and not isinstance(key, bool)
+                for key in value
+            ) or holds(list(value.values()))
+        if isinstance(value, (list, tuple, set, frozenset)):
+            return any(holds(item) for item in value)
+        return isinstance(value, per_client)
+
+    return [name for name, value in vars(owner).items() if holds(value)]
+
+
 def numeric_grad_wrt_input(
     module: Module, x: np.ndarray, loss_weights: np.ndarray, eps: float = 1e-3
 ) -> np.ndarray:

@@ -158,13 +158,13 @@ class TestFedCARounds:
         res = strat.client_round(client, model_fn().state_dict(), ctx(round_index=0))
         assert res.events["anchor"]
         assert res.iterations_run == 6
-        assert strat.curves_for(0) is not None
+        assert strat.profile(client).curves is not None
 
     def test_anchor_curve_properties(self):
         strat = self._strategy()
         client = make_client()
         strat.client_round(client, model_fn().state_dict(), ctx(round_index=0))
-        curves = strat.curves_for(0)
+        curves = strat.profile(client).curves
         assert curves.num_iterations == 6
         assert curves.model_curve[-1] == pytest.approx(1.0)
         assert np.all(curves.model_curve <= 1.0 + 1e-9)

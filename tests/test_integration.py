@@ -158,9 +158,9 @@ class TestFedCAIntegration:
         strat = FedCA(OPT, config=cfg)
         sim = make_sim(tiny_data, strat)
         sim.run(2)
-        first = strat.curves_for(0)
+        first = strat.profile(sim.clients[0]).curves
         sim.run_round()  # round 2 = anchor again
-        second = strat.curves_for(0)
+        second = strat.profile(sim.clients[0]).curves
         assert second.round_index > first.round_index
 
     def test_eager_bytes_accounted(self, tiny_data):
@@ -210,7 +210,7 @@ class TestFailureModes:
         for rec in hist.records:
             for cid, ev in rec.client_events.items():
                 if not ev["anchor"]:
-                    assert strat.curves_for(cid) is not None
+                    assert strat.profile(sim.clients[cid]).curves is not None
 
     def test_mismatched_shards_and_speeds(self, tiny_data):
         shards, test = tiny_data

@@ -253,6 +253,14 @@ class TestCorruptionDetection:
         json.dump(manifest, open(bad + ".manifest.json", "w"))
         with pytest.raises(CheckpointFormatError, match="version"):
             RunCheckpoint.load(bad)
+        # A checkpoint of the previous format (version 1 kept per-client
+        # strategy state in its own section) is refused by version, naming
+        # both, before the payload is even hashed.
+        manifest["version"] = 1
+        manifest["sha256"] = "not checked"
+        json.dump(manifest, open(bad + ".manifest.json", "w"))
+        with pytest.raises(CheckpointFormatError, match=r"version 1\b.*version 2\b"):
+            RunCheckpoint.load(bad)
 
     def test_corrupt_is_a_format_error(self):
         # One except-clause catches the whole "unusable checkpoint" family.
@@ -436,6 +444,38 @@ class TestResultCache:
         assert second.scheme == first.scheme
         assert second.target_accuracy == first.target_accuracy
 
+    def test_cohort_engine_keys_its_own_cells(self, tmp_path):
+        # serial and parallel:N are bitwise-equal and share a cell; the
+        # cohort engine matches them at float tolerance only, so it must
+        # neither be served their history nor serve them its own.
+        cache = ResultCache(str(tmp_path / "cache"))
+        serial = _run("fedca", rounds=3, cache=cache)
+        assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
+        cohort = _run("fedca", rounds=3, cache=cache, executor="cohort:4")
+        assert (cache.hits, cache.misses, len(cache)) == (0, 2, 2)
+        assert history_to_json(cohort.history) != history_to_json(serial.history)
+        parallel = _run("fedca", rounds=3, cache=cache, executor="parallel:2")
+        assert (cache.hits, cache.misses, len(cache)) == (1, 2, 2)
+        assert history_to_json(parallel.history) == history_to_json(serial.history)
+        # The default cohort size is filled in: "cohort" is "cohort:32".
+        _run("fedca", rounds=3, cache=cache, executor="cohort")
+        _run("fedca", rounds=3, cache=cache, executor="cohort:32")
+        assert (cache.hits, cache.misses, len(cache)) == (2, 3, 3)
+
+    def test_hit_is_byte_identical_to_its_miss(self, tmp_path):
+        # Twelve clients: sorted as strings, ids 10 and 11 would jump ahead
+        # of 2, and every client-event dict would be reordered.
+        cfg = dataclasses.replace(CFG, num_clients=12)
+        cache = ResultCache(str(tmp_path / "cache"))
+        runs = [
+            run_scheme(cfg, "fedca", rounds=3, stop_at_target=False, seed=3,
+                       cache=cache)
+            for _ in range(2)
+        ]
+        assert (cache.hits, cache.misses) == (1, 1)
+        miss, hit = (history_to_json(r.history) for r in runs)
+        assert hit == miss
+
     def test_key_sensitivity(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         base = dict(
@@ -448,6 +488,8 @@ class TestResultCache:
         assert cache.key(CFG, "fedavg", **{**base, "rounds": 4}) != k
         other_cfg = dataclasses.replace(CFG, lr=CFG.lr * 2)
         assert cache.key(other_cfg, "fedavg", **base) != k
+        assert cache.key(CFG, "fedavg", **base, engine=None) == k
+        assert cache.key(CFG, "fedavg", **base, engine="cohort:4") != k
 
     def test_unreadable_cell_counts_as_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))

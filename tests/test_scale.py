@@ -41,7 +41,7 @@ from repro.scale import (
 )
 from repro.sysmodel import LinkModel, iteration_time_for
 
-from .helpers import held_array_bytes
+from .helpers import held_array_bytes, per_client_holdings
 
 OPT = OptimizerSpec(lr=0.05, weight_decay=0.01)
 NUM_CLIENTS = 5
@@ -345,35 +345,48 @@ class TestLazyClientPopulation:
 
     def test_strategy_state_round_trips_through_eviction(self, env_data):
         # Wire codecs carry evolving state (quant8: RNG position; top-k:
-        # error-feedback residuals) — the capture-before-release contract
-        # must preserve it bit-exactly.
+        # error-feedback residuals). It is kept on the client, so the
+        # client's own snapshot must carry it through eviction bit-exactly.
         from repro.runtime import parse_wire_spec
 
-        factory = make_factory(env_data)
+        update = {"w": np.linspace(-1.0, 1.0, 32, dtype=np.float32)}
         for spec in ("quant8", "topk:0.1"):
             strategy = build_strategy("fedavg", OPT)
             strategy.set_wire(parse_wire_spec(spec))
-            strategy.wire.encode(
-                0, {"w": np.linspace(-1.0, 1.0, 32, dtype=np.float32)}
-            )
-            before = strategy.capture_client_states([0])[0]
+            pop = LazyClientPopulation(make_factory(env_data), capacity=1)
+            strategy.wire.encode(pop[0], update)
+            before = pop[0].capture_state()["kept"]["wire"]
 
-            pop = LazyClientPopulation(factory, capacity=1)
-            pop.bind_strategy(strategy)
-            pop.cache.acquire(0)
-            pop.cache.acquire(1)  # evicts 0, capturing + releasing its codec
-            assert strategy.wire.capture_client_states([0]) == {}
-            pop.cache.acquire(0)  # rehydrates client and codec
-            assert_state_equal(strategy.capture_client_states([0])[0], before)
+            pop.cache.acquire(1)  # evicts 0; its codec leaves with it
+            assert pop.cache.resident_ids() == [1]
+            # The evicted client's state exists nowhere but in the pager's
+            # snapshot: the strategy and its wire layer hold nothing.
+            assert_state_equal(pop.cache._snapshots[0]["kept"]["wire"], before)
+            assert per_client_holdings(strategy) == []
+            assert per_client_holdings(strategy.wire) == []
+            client = pop.cache.acquire(0)  # rehydrates client and codec
+            assert_state_equal(client.capture_state()["kept"]["wire"], before)
+            # ...and the rehydrated codec continues where the evicted one
+            # stopped, exactly like one that never left.
+            twin = LazyClientPopulation(make_factory(env_data), capacity=2)
+            strategy.wire.encode(twin[0], update)
+            got, _ = strategy.wire.encode(client, update)
+            want, _ = strategy.wire.encode(twin[0], update)
+            np.testing.assert_array_equal(got["w"], want["w"])
 
     def test_capture_run_state_merges_resident_and_evicted(self, env_data):
         pop = LazyClientPopulation(make_factory(env_data), capacity=1)
         pop[0].stream.next_batch()
         pop[1].stream.next_batch()  # 0 evicted with advanced state
         state = pop.capture_run_state()
-        assert sorted(state["clients"]) == [0, 1]
+        assert sorted(state) == [0, 1]
         # Untouched clients need no entry: they are (seed, cid)-determined.
-        assert 2 not in state["clients"]
+        assert 2 not in state
+        # The evicted client's entry is the pager's snapshot itself, the
+        # resident's a live capture; a slice returns only what it names.
+        assert state[0] is pop.cache._snapshots[0]
+        assert_state_equal(state[1], pop[1].capture_state())
+        assert sorted(pop.capture_run_state([1, 3])) == [1]
 
 
 def draw_masks(client, n):
@@ -383,25 +396,54 @@ def draw_masks(client, n):
         dropouts[i % len(dropouts)].forward(np.ones((2, 3), dtype=np.float32))
 
 
+def fedca_with_wire():
+    from repro.runtime import parse_wire_spec
+
+    strategy = build_strategy("fedca", OPT, fedca_config=FedCAConfig(profile_every=2))
+    strategy.set_wire(parse_wire_spec("topk:0.25"))
+    return strategy
+
+
+def run_anchor(strategy, client, steps):
+    """Profile ``client`` the way an anchor round of ``steps`` iterations
+    does, without training: drifted parameters stand in for SGD."""
+    from repro.core import AnchorRecorder
+
+    anchor = client.model.state_dict()
+    profile = strategy.profile(client)
+    recorder = AnchorRecorder(profile.sampler(client.model))
+    for tau in range(1, steps + 1):
+        drifted = {
+            name: arr + 0.01 * tau * (1 + np.abs(arr)) for name, arr in anchor.items()
+        }
+        recorder.record(drifted, anchor)
+    profile.curves = recorder.finalize(round_index=0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     cid=st.integers(min_value=0, max_value=NUM_CLIENTS - 1),
     batches=st.integers(min_value=0, max_value=7),
     trace_iters=st.integers(min_value=0, max_value=9),
     masks=st.integers(min_value=0, max_value=5),
+    encodes=st.integers(min_value=0, max_value=3),
+    anchor_steps=st.sampled_from([0, 3]),
     churn=st.lists(
         st.integers(min_value=0, max_value=NUM_CLIENTS - 1),
         min_size=1, max_size=6,
     ),
 )
 def test_evict_rehydrate_round_trip_property(
-    precomputed_env, cid, batches, trace_iters, masks, churn
+    precomputed_env, cid, batches, trace_iters, masks, encodes, anchor_steps, churn
 ):
     """Any mutation sequence survives any eviction churn bit-exactly —
-    including the layer RNG of the one replica every client here shares."""
+    including the layer RNG of the one replica every client here shares and
+    whatever the strategy and the wire layer keep on the client."""
     pop = LazyClientPopulation(
         make_factory(precomputed_env, model_fn=micro_wrn), capacity=1
     )
+    strategy = fedca_with_wire()
+    update = {"w": np.linspace(-1.0, 1.0, 16, dtype=np.float32)}
     fresh_rng = micro_wrn().rng_state()
     client = pop[cid]
     assert client.model.rng_state() == fresh_rng
@@ -410,8 +452,14 @@ def test_evict_rehydrate_round_trip_property(
     if trace_iters:
         client.trace.iteration_finish_time(0.0, trace_iters)
     draw_masks(client, masks)
+    for i in range(encodes):
+        strategy.wire.encode(client, {"w": update["w"] * (i + 1)})
+    if anchor_steps:
+        run_anchor(strategy, client, anchor_steps)
     before = client.capture_state()
     assert len(before["model_rng"]) == 1  # WRN's dropouts share one generator
+    owners = ["fedca"] * bool(anchor_steps) + ["wire"] * bool(encodes)
+    assert list(before.get("kept", {})) == owners
     seen = {cid}
     for other in churn:
         if other != cid:
@@ -421,7 +469,19 @@ def test_evict_rehydrate_round_trip_property(
                 seen.add(other)
             visitor.stream.next_batch()
             draw_masks(visitor, 1 + masks)
-    assert_state_equal(pop[cid].capture_state(), before)
+            strategy.wire.encode(visitor, update)
+    # Rehydrated but not yet touched by any owner: pending snapshots are
+    # carried; once the owners adopt them, the live objects say the same.
+    client = pop[cid]
+    assert_state_equal(client.capture_state(), before)
+    strategy.profile(client)  # an empty profile adds no entry
+    if encodes:
+        strategy.wire.codec_for(client)
+    assert_state_equal(client.capture_state(), before)
+    # restore_state(s) → capture_state() is the identity with no owner around.
+    other = make_factory(precomputed_env, model_fn=micro_wrn).create(cid)
+    other.restore_state(before)
+    assert_state_equal(other.capture_state(), before)
 
 
 @pytest.fixture(scope="module")
@@ -573,6 +633,58 @@ def check_resume_matches_uninterrupted(env_data, scheme, model_fn, executor):
     with build(None) as resumed:
         eager_ckpt.restore_into(resumed)
         resumed.run(2)
+        assert history_to_json(resumed.history) == full
+
+
+def build_fedca_topk(env_data, population):
+    train, _, test = env_data
+    return FederatedSimulator(
+        model_fn=lenet,
+        strategy=fedca_with_wire(),
+        shards=SubsampledShards(train, 12, 16, seed=2),
+        test_set=test,
+        base_iteration_times=lambda cid: iteration_time_for(cid, 0.01, seed=2),
+        batch_size=8,
+        local_iterations=ITERS,
+        seed=1,
+        population=population,
+    )
+
+
+def test_no_strategy_side_per_client_state(env_data):
+    """Structural guard: whatever a scheme or the wire layer remembers about
+    a client lives on that client, never in a dict on the strategy side."""
+    with build_fedca_topk(env_data, None) as sim:
+        sim.run(3)
+        assert per_client_holdings(sim.strategy) == []
+        assert per_client_holdings(sim.strategy.wire) == []
+        # ...and it does exist: every client was profiled and transmitted.
+        for client in sim.clients:
+            assert list(client.capture_state()["kept"]) == ["fedca", "wire"]
+
+
+def test_resume_keeps_the_residency_bound(env_data, tmp_path):
+    """``cache=N`` holds across a resume: the checkpoint seeds snapshots into
+    the pager and materialises no client, curve set or codec."""
+    from repro.persist import find_latest_checkpoint, save_run_checkpoint
+
+    with build_fedca_topk(env_data, "lazy:cache=2") as sim:
+        sim.run(3)
+        save_run_checkpoint(sim, str(tmp_path))
+        sim.run(1)
+        full = history_to_json(sim.history)
+
+    with build_fedca_topk(env_data, "lazy:cache=2") as resumed:
+        resumed.resume(find_latest_checkpoint(str(tmp_path)))
+        cache = resumed.population.cache
+        assert len(cache) == 0 and cache.creations == 0
+        assert sorted(cache._snapshots) == list(range(12))
+        assert per_client_holdings(resumed.strategy) == []
+        assert per_client_holdings(resumed.strategy.wire) == []
+        resumed.run(1)
+        assert len(cache) <= 2
+        assert per_client_holdings(resumed.strategy) == []
+        assert per_client_holdings(resumed.strategy.wire) == []
         assert history_to_json(resumed.history) == full
 
 

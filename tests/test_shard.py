@@ -9,8 +9,8 @@ Tentpole invariants:
 * ``--wire raw`` is the identity: byte-identical to runs that predate
   the wire feature. Lossy wires (quant8/quant4/topk:F) stay within a
   pinned accuracy tolerance and always shrink the uplink byte count.
-* Wire codec state (error-feedback residuals, RNG positions) rides the
-  Strategy snapshot/restore/release hooks, so checkpoint resume and
+* Wire codec state (error-feedback residuals, RNG positions) is kept on
+  the client and rides its ``capture_state()``, so checkpoint resume and
   lazy-population evict/rehydrate reproduce uninterrupted runs exactly.
 """
 
@@ -35,6 +35,8 @@ from repro.runtime import (
     weighted_segment_sum,
 )
 from repro.runtime.parallel import fork_available
+
+from .helpers import per_client_holdings
 
 OPT = OptimizerSpec(lr=0.05, weight_decay=0.01)
 NUM_CLIENTS = 5
@@ -318,17 +320,28 @@ class TestWireSpecs:
         with pytest.raises(ValueError, match="fraction must be in"):
             parse_wire_spec("topk:1.5")
 
-    def test_codecs_are_per_client_and_releasable(self):
-        layer = parse_wire_spec("topk:0.5")
+    def test_codecs_are_per_client_and_releasable(self, env_data):
+        sim = make_sim(env_data, "fedavg", executor="serial", wire="topk:0.5")
+        layer, (a, b) = sim.strategy.wire, sim.clients[3:5]
         update = {"w": np.arange(8, dtype=np.float32)}
-        layer.encode(3, update)
-        layer.encode(4, update)
-        states = layer.capture_client_states()
-        assert sorted(states) == [3, 4]
-        layer.release_client_states([3])
-        assert sorted(layer.capture_client_states()) == [4]
-        layer.restore_client_states({3: states[3]})
-        assert sorted(layer.capture_client_states()) == [3, 4]
+        layer.encode(a, update)
+        layer.encode(b, {"w": -update["w"]})
+        assert layer.codec_for(a) is not layer.codec_for(b)
+        residual_a = a.capture_state()["kept"]["wire"]["residuals"]["w"]
+        residual_b = b.capture_state()["kept"]["wire"]["residuals"]["w"]
+        np.testing.assert_array_equal(residual_a, -residual_b)
+        assert residual_a.any()
+        # The codec leaves in the client's snapshot and comes back on a
+        # fresh client; the layer itself holds nothing to release.
+        snapshot = a.capture_state()
+        fresh = make_sim(env_data, "fedavg", executor="serial").clients[3]
+        assert "kept" not in fresh.capture_state()
+        fresh.restore_state(snapshot)
+        got, got_bytes = layer.encode(fresh, update)
+        want, want_bytes = layer.encode(a, update)
+        np.testing.assert_array_equal(got["w"], want["w"])
+        assert got_bytes == want_bytes
+        assert per_client_holdings(layer) == []
 
 
 class TestWireRuns:
@@ -448,19 +461,32 @@ class TestWireStateLifecycle:
         assert history_fingerprint(hist) == history_fingerprint(ref)
 
     def test_wrapped_snapshot_shape(self, env_data):
-        # With a wire attached, capture wraps both halves; without one the
-        # snapshot shape is exactly the legacy scheme-only dict.
-        shards, test = env_data
-        strategy = build_strategy("fedca", OPT, fedca_config=FedCAConfig())
-        bare = strategy.capture_client_states()
-        assert bare == {}
-        strategy.set_wire(parse_wire_spec("topk:0.5"))
-        strategy.wire.encode(7, {"w": np.ones(4, dtype=np.float32)})
-        wrapped = strategy.capture_client_states()
-        assert set(wrapped) == {7}
-        assert set(wrapped[7]) == {"strategy", "wire"}
-        assert wrapped[7]["strategy"] is None
-        strategy.release_client_states([7])
-        assert strategy.capture_client_states() == {}
-        strategy.restore_client_states(wrapped)
-        assert set(strategy.capture_client_states()) == {7}
+        # One snapshot per client, no envelope: a FedAvg/raw client's is
+        # exactly the stream and the trace, and "kept" appears only once an
+        # owner keeps something non-empty there — one entry per owner.
+        update = {"w": np.ones(4, dtype=np.float32)}
+        plain = make_sim(env_data, "fedavg", executor="serial")
+        plain.run(1)
+        assert set(plain.clients[0].capture_state()) == {"stream", "trace"}
+
+        sim = make_sim(env_data, "fedca", executor="serial", wire="topk:0.5")
+        client, fedca = sim.clients[2], sim.strategy
+        assert fedca.profile(client).curves is None
+        # An un-profiled FedCA client has an empty profile: no entry.
+        assert set(client.capture_state()) == {"stream", "trace"}
+        fedca.wire.encode(client, update)
+        assert set(client.capture_state()["kept"]) == {"wire"}
+        sim.run(1)  # the anchor round profiles every client
+        snapshot = client.capture_state()
+        assert set(snapshot) == {"stream", "trace", "kept"}
+        assert set(snapshot["kept"]) == {"fedca", "wire"}
+        assert set(snapshot["kept"]["fedca"]) == {
+            "round_index", "num_iterations", "model_curve", "layer_curves",
+        }
+        assert set(snapshot["kept"]["wire"]) == {"residuals"}
+        # A restored-but-untouched client carries its snapshots verbatim.
+        fresh = make_sim(env_data, "fedca", executor="serial").clients[2]
+        fresh.restore_state(snapshot)
+        carried = fresh.capture_state()["kept"]
+        assert list(carried) == ["fedca", "wire"]
+        assert all(carried[key] is snapshot["kept"][key] for key in carried)
