@@ -1,7 +1,7 @@
 """Wall-clock benchmark: serial vs cohort (batched tensor program) rounds.
 
-Measures the time to run ``--rounds`` communication rounds of the micro CNN
-and LSTM workloads under the :class:`SerialExecutor` and the
+Measures the time to run ``--rounds`` communication rounds of the micro CNN,
+LSTM and (BatchNorm) WRN workloads under the :class:`SerialExecutor` and the
 :class:`CohortExecutor` at several cohort sizes, on one process and one
 core.  Unlike the parallel bench, the speedup here comes from arithmetic
 intensity — M clients' forward/backward/optimizer steps fused into single
@@ -10,7 +10,10 @@ stacked GEMMs — not from extra cores.
 A/B equivalence is asserted on every row: the simulated timeline, byte
 counts and collected-client sets must be *exactly* equal to serial (all
 scalar bookkeeping runs per-member), and evaluation accuracy must agree
-within a small tolerance (tensor compute is reordered, see DESIGN.md §12).
+within a small tolerance (a client whose shard is smaller than a batch is
+zero-padded, which BLAS may round differently, see DESIGN.md §12);
+``histories_identical`` records whether the row was serial's to the last
+bit of ``mean_loss`` on the machine that ran it.
 
 Acceptance gate: no row may be slower than serial — every
 (workload, clients, cohort size) must reach ``--min-speedup`` (default
@@ -44,15 +47,15 @@ from repro.runtime.parallel import default_workers  # noqa: E402
 
 def bench_config(workload: str, num_clients: int):
     """Micro workload resized to ``num_clients`` (shards stay non-tiny).
-    ``wrn`` is the group-norm WideResNet: the BatchNorm one is the cohort
-    engine's one serial fallback, so there would be nothing to compare."""
-    cfg = get_workload(workload, "micro")
+    ``wrn`` is the preset's BatchNorm WideResNet, ``wrn-gn`` its group-norm
+    variant."""
+    cfg = get_workload(workload.removesuffix("-gn"), "micro")
     return replace(
         cfg,
         num_clients=num_clients,
         num_samples=max(cfg.num_samples, num_clients * 100),
         local_iterations=10,
-        model_kwargs={"norm": "group"} if workload == "wrn" else cfg.model_kwargs,
+        model_kwargs={"norm": "group"} if workload == "wrn-gn" else cfg.model_kwargs,
     )
 
 
@@ -83,7 +86,8 @@ def timeline(history):
 
 def fingerprint(history):
     return [
-        (r.round_index, r.end_time, r.accuracy, r.collected_clients, r.total_bytes)
+        (r.round_index, r.end_time, r.accuracy, r.mean_loss, r.collected_clients,
+         r.total_bytes)
         for r in history.records
     ]
 
@@ -97,8 +101,8 @@ def max_accuracy_diff(a, b):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workloads", nargs="+", default=["cnn", "lstm"],
-                        choices=["cnn", "lstm", "wrn"])
+    parser.add_argument("--workloads", nargs="+", default=["cnn", "lstm", "wrn"],
+                        choices=["cnn", "lstm", "wrn", "wrn-gn"])
     parser.add_argument("--clients", type=int, nargs="+", default=[32])
     parser.add_argument("--cohort-sizes", type=int, nargs="+", default=[8, 32])
     parser.add_argument("--rounds", type=int, default=3)
@@ -115,7 +119,7 @@ def main(argv=None) -> int:
 
     report = {
         "benchmark": "serial vs cohort batched rounds "
-                     f"({args.scheme}, micro cnn/lstm, single core)",
+                     f"({args.scheme}, micro {'/'.join(args.workloads)}, single core)",
         "rounds": args.rounds,
         "cpu_count": os.cpu_count(),
         "usable_cores": default_workers(),
@@ -155,7 +159,7 @@ def main(argv=None) -> int:
                     }
                 )
                 print(
-                    f"{workload:4s} clients={n:3d}  serial={serial_s:7.3f}s  "
+                    f"{workload:6s} clients={n:3d}  serial={serial_s:7.3f}s  "
                     f"cohort:{m:<3d}={cohort_s:7.3f}s  speedup={speedup:5.2f}x  "
                     f"occupancy={occ['occupancy'] if occ else 0:.3f}  "
                     f"equivalent={equivalent}"

@@ -4,7 +4,8 @@ Measures the time to run ``--rounds`` communication rounds of the micro CNN
 workload at several client counts under the :class:`SerialExecutor` and the
 :class:`ParallelExecutor`, recording bytes moved per round on each IPC
 channel (control pipes vs shared-memory arenas) next to the wall-clock
-numbers — verifies all histories are identical, and writes the measurements
+numbers, and the mean width of the stacked chunks the workers trained —
+verifies all histories are identical, and writes the measurements
 to ``BENCH_parallel.json`` so later PRs have a perf trajectory to compare
 against. Control-pipe traffic must stay at or below 1 % of the arena bytes
 per round; the bench exits non-zero otherwise. (``benchmarks/e2e`` owns the
@@ -16,8 +17,9 @@ Regenerate with::
     PYTHONPATH=src python benchmarks/parallel_bench.py \
         --clients 8 16 32 --rounds 3 --out BENCH_parallel.json
 
-Speedup scales with usable cores (the JSON records ``cpu_count``); on a
-single-core machine parallel ≈ serial plus IPC overhead, by design.
+Speedup scales with usable cores (the JSON records ``usable_cores``) and
+with how wide a worker's chunk is; on a single-core machine what is left is
+the batching gain minus IPC overhead.
 
 Telemetry modes (PR 2):
 
@@ -95,6 +97,12 @@ def run_once(cfg, executor, rounds: int, seed: int, *, scheme="fedavg",
         history = sim.run(rounds)
         elapsed = time.perf_counter() - start  # reprolint: allow[DET002] benchmark measures wall-clock by design
         ipc = sim.executor.ipc_stats()
+        if executor != "serial":
+            # Mean width of the stacked chunks the workers trained.
+            occupancy = sim.executor.occupancy()
+            ipc["worker_chunk_width"] = occupancy["slot_steps"] / max(
+                occupancy["steps"], 1.0
+            )
     finally:
         sim.close()
     return elapsed, history, ipc
@@ -377,6 +385,7 @@ def main(argv=None) -> int:
                 "serial_s": round(serial_s, 4),
                 "parallel_s": round(parallel_s, 4),
                 "speedup": round(speedup, 3),
+                "worker_chunk_width": round(ipc["worker_chunk_width"], 2),
                 "pipe_bytes_per_round": round(pipe_bytes),
                 "shm_bytes_per_round": round(shm_bytes),
                 "broadcast_seconds": round(ipc.get(BROADCAST_SECONDS, 0.0), 4),

@@ -260,8 +260,8 @@ class Strategy(ABC):
         ``engine`` member slot ``i`` is bound to ``jobs[i]``'s client;
         results come back in job order. Every *scalar* outcome (simulated
         times, uplink schedules, decisions, trace events) is the member's
-        own and therefore exactly what :meth:`client_round` produces —
-        only the tensor arithmetic differs, at float tolerance. A member
+        own and therefore exactly what :meth:`client_round` produces, and
+        the stacked tensor program keeps each member's bytes. A member
         whose :meth:`RoundMember.after_step` returns ``False``, or whose
         budget is spent, leaves through the activity mask: its parameters
         freeze and its data stream stops drawing while the batched program

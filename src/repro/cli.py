@@ -247,8 +247,9 @@ def _add_executor(parser: argparse.ArgumentParser) -> None:
              "the model is reduced as S parameter-range shards inside the "
              "workers (byte-identical histories, no full layers×clients "
              "stack in any one process); 'cohort[:M]' — M clients (default "
-             "32) batched into one stacked tensor program (float-tolerance "
-             "equivalent, multiplicative single-core speedups)")
+             "32) batched into one stacked tensor program (byte-identical "
+             "histories unless a shard is smaller than a batch, "
+             "multiplicative single-core speedups)")
 
 
 def _wire_spec(value: str) -> str:

@@ -117,8 +117,8 @@ def run_scheme(
         fedca_config = FedCAConfig(profile_every=cfg.fedca_profile_every)
     effective_rounds = rounds or cfg.default_rounds
 
-    # Resolved once, up front: the cohort engine matches the others at float
-    # tolerance only, so it is the one engine the cache keys on.
+    # Resolved once, up front: the cohort engine pads short batches, which
+    # can move bytes (DESIGN.md §12), so it is the one engine the cache keys on.
     engine = resolve_executor(executor)
     cache_key = None
     if cache is not None:
@@ -132,7 +132,9 @@ def run_scheme(
             fedca_config=fedca_config,
             wire=wire,
             engine=(
-                f"cohort:{engine.cohort_size}" if engine.name == "cohort" else None
+                f"cohort:{engine.cohort_size}"
+                if engine.name == "cohort" and engine.pad
+                else None
             ),
         )
         payload = cache.get(cache_key)

@@ -7,9 +7,7 @@ three workload models (CNN / LSTM / WideResNet), all in vectorised NumPy.
 from .cohort import (
     CohortModel,
     CohortSGD,
-    CohortUnsupportedModel,
     cohort_softmax_cross_entropy,
-    cohort_supported,
     stack_module,
 )
 from .conv import Conv2d
@@ -36,6 +34,5 @@ __all__ = [
     "softmax_cross_entropy", "accuracy",
     "LeNetCNN", "LSTMClassifier", "WideResNet", "ResidualBlock", "build_model",
     "save_model", "load_model", "CheckpointFormatError",
-    "CohortModel", "CohortSGD", "CohortUnsupportedModel",
-    "stack_module", "cohort_supported", "cohort_softmax_cross_entropy",
+    "CohortModel", "CohortSGD", "stack_module", "cohort_softmax_cross_entropy",
 ]

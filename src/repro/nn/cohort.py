@@ -26,19 +26,23 @@ Implementation notes
   because numpy's einsum cannot dispatch batch contractions to BLAS.
 * Ragged batches are handled by padding to the widest member batch and
   masking: padded rows carry exactly-zero loss gradients, so they
-  contribute zeros to every parameter gradient. That is also the one thing
-  a layer can declare itself unable to survive (``Module.unstackable``):
-  ``BatchNorm2d``'s batch statistics would absorb the padded rows.
+  contribute zeros to every parameter gradient. A layer that reduces over
+  the batch axis (``BatchNorm2d``) reads the per-member valid row counts
+  (:meth:`CohortModel.set_member_rows`) and reduces a ragged member over
+  its own slice.
 * Per-client early stopping (FedCA Eq. 2–4) and per-client iteration
   budgets (FedAda) drop members out of the cohort via the *active mask*
   passed to :meth:`CohortSGD.step` — a masked member's parameters are
   frozen bitwise (the whole step, including weight decay, is multiplied by
   the mask), and the caller stops drawing its batches so the member's data
   RNG stream stays exactly where a serial run would leave it.
-* The serial executor remains the bitwise oracle. A cohort member's floats
-  may differ from its serial twin at reduction-order level (different GEMM
-  blocking), which is why equivalence is pinned to a documented tolerance
-  (see ``tests/test_cohort.py`` and ``DESIGN.md`` §12) rather than bitwise.
+* The serial executor remains the oracle, and a full-width cohort member
+  equals its serial twin in bytes: the leading axis only batches per-member
+  BLAS calls and elementwise passes, zero rows add exact zeros, and the
+  loss is the serial expression per member. A padded member's products run
+  at the padded row count, where BLAS promises no bits; the engine decides
+  who is ever padded (``runtime/cohort.py``, ``tests/test_cohort.py``,
+  ``DESIGN.md`` §12).
 """
 
 from __future__ import annotations
@@ -52,42 +56,27 @@ from .layers import Dropout
 from .module import Module
 
 __all__ = [
-    "CohortUnsupportedModel",
     "CohortModel",
     "CohortSGD",
-    "cohort_supported",
     "cohort_softmax_cross_entropy",
     "stack_module",
 ]
 
 
-class CohortUnsupportedModel(ValueError):
-    """Raised when a model contains a layer that declares itself
-    unstackable (``Module.unstackable``; only ``BatchNorm2d`` does)."""
-
-
-def cohort_supported(model: Module) -> tuple[bool, str]:
-    """Whether every layer of the model runs over a stack; ``(ok, reason)``."""
-    for _, module in model.named_modules():
-        if module.unstackable is not None:
-            return False, f"{type(module).__name__} is not stackable: {module.unstackable}"
-    return True, ""
-
-
 def stack_module(template: Module, cohort_size: int) -> Module:
     """A copy of the template's own ``Module`` tree with every ``Parameter``
-    re-pointed at a zeroed ``(C, *shape)`` stack and ``lead = (C,)`` on
-    every module, in training mode. Raises :class:`CohortUnsupportedModel`
-    when a layer declares itself unstackable."""
-    ok, reason = cohort_supported(template)
-    if not ok:
-        raise CohortUnsupportedModel(reason)
+    and buffer re-pointed at a zeroed ``(C, *shape)`` stack, and
+    ``lead = (C,)`` and one shared ``rows`` array on every module, in
+    training mode."""
     stacked = copy.deepcopy(template)
     for p in stacked.parameters():
         p.data = np.zeros((cohort_size,) + p.data.shape, dtype=np.float32)
         p.grad = np.zeros_like(p.data)
+    rows = np.zeros(cohort_size, dtype=np.int64)
     for _, module in stacked.named_modules():
-        module.lead = (cohort_size,)
+        module.lead, module.rows = (cohort_size,), rows
+        for name, buf in list(module._buffers.items()):
+            module.register_buffer(name, np.zeros((cohort_size,) + buf.shape))
     return stacked.train()
 
 
@@ -107,6 +96,7 @@ class CohortModel:
         self.cohort_size = cohort_size
         self.module = stack_module(template, cohort_size)
         self.params = dict(self.module.named_parameters())
+        self.buffers = dict(self.module.named_buffers())
         self._dropouts = [
             (name, m) for name, m in self.module.named_modules() if isinstance(m, Dropout)
         ]
@@ -124,13 +114,14 @@ class CohortModel:
 
     def set_member_rows(self, rows: np.ndarray) -> None:
         """Publish this step's per-member valid row counts (0 for a member
-        that sits the step out) to the layers that draw per member."""
-        for _, dropout in self._dropouts:
-            dropout.rows = rows
+        that sits the step out) into the ``rows`` the whole tree shares."""
+        self.module.rows[...] = rows
 
     # ------------------------------------------------------------------
-    def load_global(self, state: dict[str, np.ndarray]) -> None:
-        """Broadcast the server state into every member slot."""
+    def load_global(
+        self, state: dict[str, np.ndarray], buffers: dict[str, np.ndarray]
+    ) -> None:
+        """Broadcast the server state and buffers into every member slot."""
         own = set(self.params)
         if own != set(state):
             missing = sorted(own - set(state))
@@ -140,6 +131,8 @@ class CohortModel:
             )
         for name, p in self.params.items():
             p.data[...] = np.asarray(state[name], dtype=np.float32)
+        for name, b in self.buffers.items():
+            b[...] = np.asarray(buffers[name], dtype=np.float32)
 
     def member_params(self, i: int) -> dict[str, np.ndarray]:
         """Member ``i``'s parameter views (zero-copy)."""
@@ -159,11 +152,14 @@ class CohortModel:
 
     def write_back(self, models: list[Module]) -> None:
         """Copy each member's trained slot into its serial replica, leaving
-        the replicas exactly as a serial round would (cheap insurance for
-        anything that inspects ``client.model`` between rounds)."""
+        the replicas exactly as a serial round would: a round's result
+        reports the replica's buffers, and anything may inspect
+        ``client.model`` between rounds."""
         for i, model in enumerate(models):
             for name, p in model.named_parameters():
                 p.data[...] = self.params[name].data[i]
+            for name, b in model.named_buffers():
+                b[...] = self.buffers[name][i]
 
     # ------------------------------------------------------------------
     def zero_grad(self) -> None:
@@ -179,18 +175,28 @@ class CohortModel:
 # ----------------------------------------------------------------------
 # Loss and optimizer
 # ----------------------------------------------------------------------
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=-1)`` — the same pairwise reduce and float32 divide —
+    without its Python wrapper, which costs more than summing a handful of
+    rows."""
+    return np.add.reduce(a, axis=-1) / np.float32(a.shape[-1])
+
+
 def cohort_softmax_cross_entropy(
     logits: np.ndarray,
     labels: np.ndarray,
     counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Masked per-member softmax cross-entropy over padded ``(C, B, K)``
-    logits.
+    """Per-member softmax cross-entropy over padded ``(C, B, K)`` logits.
 
     ``counts[i]`` is member ``i``'s number of valid rows (0 for masked-out
     members); rows at or beyond a member's count carry exactly-zero
-    gradient, and each member's loss/gradient is normalised by its *own*
-    count — matching what a serial per-client loss computes.
+    gradient, and each member's loss and gradient are the bytes
+    :func:`~repro.nn.loss.softmax_cross_entropy` returns for its valid rows
+    alone: a float32 mean over them and ``grad / n``. Full-width members
+    share one vectorised pass; a ragged member's mean is taken over its own
+    slice, because a pairwise sum over a padded row count rounds
+    differently.
 
     Returns ``(loss, grad)`` with ``loss`` shape ``(C,)`` (``0.0`` for
     members with no valid rows) and ``grad`` shaped like ``logits``.
@@ -201,19 +207,19 @@ def cohort_softmax_cross_entropy(
             f"labels shape {labels.shape} incompatible with logits {logits.shape}"
         )
     counts = np.asarray(counts)
-    valid = (np.arange(b)[None, :] < counts[:, None]).astype(np.float32)  # (C, B)
-    safe = np.maximum(counts, 1).astype(np.float64)
-
-    log_probs = F.log_softmax(logits, axis=2)
     ci = np.arange(c)[:, None]
     bi = np.arange(b)[None, :]
-    picked = log_probs[ci, bi, labels]  # (C, B)
-    loss = -(picked.astype(np.float64) * valid).sum(axis=1) / safe
-
+    picked = F.log_softmax(logits, axis=2)[ci, bi, labels]  # (C, B)
+    loss = (-_row_mean(picked)).astype(np.float64)
     grad = F.softmax(logits, axis=2)
     grad[ci, bi, labels] -= 1.0
-    grad *= (valid / safe[:, None].astype(np.float32))[:, :, None]
-    return loss, grad.astype(np.float32)
+    grad /= np.maximum(counts, 1).astype(np.float32)[:, None, None]
+    if counts.min() < b:
+        for i, n in enumerate(counts.tolist()):
+            if n < b:
+                loss[i] = -_row_mean(picked[i, :n]) if n else 0.0
+                grad[i, n:] = 0.0
+    return loss, grad.astype(np.float32, copy=False)
 
 
 class CohortSGD:

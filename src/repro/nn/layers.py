@@ -123,9 +123,8 @@ class Dropout(Module):
     advances exactly as it does when the client trains alone.
     """
 
-    #: Set on a stacked layer by ``CohortModel``: per chunk, per step.
+    #: Set on a stacked layer by ``CohortModel``, per chunk.
     members: "list[Dropout] | None" = None
-    rows: np.ndarray | None = None
 
     def __init__(self, p: float = 0.5, rng: np.random.Generator | None = None) -> None:
         super().__init__()

@@ -58,8 +58,11 @@ class Module:
     #: re-pointed the parameters at ``(C, *shape)`` stacks.
     lead: tuple[int, ...] = ()
 
-    #: Why this layer cannot run over a stack (``None``: it can).
-    unstackable: str | None = None
+    #: On a stack, each member's valid batch rows this step (0: it sits the
+    #: step out): one ``(C,)`` array every module of the tree shares,
+    #: rewritten by ``CohortModel.set_member_rows`` and read by the layers
+    #: whose result depends on which rows are real.
+    rows: np.ndarray | None = None
 
     def __init__(self) -> None:
         # OrderedDicts keep parameter order deterministic, which matters for

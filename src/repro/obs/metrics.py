@@ -45,8 +45,9 @@ KNOWN_COUNTERS: frozenset[str] = frozenset(
         "repro_result_cache_misses_total",
         # flight-recorder pipeline (obs.sinks)
         "repro_trace_dropped_total",
-        # cohort executor
+        # batched chunks (the cohort executor's, or a parallel worker's)
         "repro_cohort_steps_total",
+        "repro_cohort_slot_steps_total",
         "repro_cohort_member_steps_total",
         # lazy population paging (repro.scale): cache evictions and
         # snapshot-backed rehydrations. Deterministic per engine but

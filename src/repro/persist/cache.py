@@ -6,13 +6,16 @@ scheme, the effective round budget and stopping rule, the seed, the
 dynamicity flag, the FedCA config, and a schema version (bumped whenever
 the simulation semantics change, invalidating every old cell at once).
 
-The execution engine joins the key only where it changes the bytes: serial
-and ``parallel:N`` produce bitwise-identical histories (PR 1's guarantee),
-so they share cells and their key carries no engine entry, while
-``cohort:M`` equals them at float tolerance only and is keyed as
-``"engine": "cohort:M"`` — a cohort run is never handed a serial history
-nor the other way round. Deliberately **excluded**: telemetry settings
-(observability never affects the simulation).
+The execution engine joins the key only where it can change the bytes:
+serial and ``parallel:N`` produce bitwise-identical histories by
+construction (PR 1's guarantee; a worker's stacked programs never pad), so
+they share cells and their key carries no engine entry, while ``cohort:M``
+zero-pads a client whose shard is smaller than a batch, which keeps the
+serial bytes only where BLAS rounds a row independently of the row count
+(DESIGN.md §12), and is keyed as ``"engine": "cohort:M"`` — a cohort run
+is never handed a serial history nor the other way round. Deliberately
+**excluded**: telemetry settings (observability never affects the
+simulation).
 
 Cells hold plain JSON payloads (``history_to_dict`` output plus the result
 metadata); the experiment runner rebuilds its ``SchemeResult`` from them.

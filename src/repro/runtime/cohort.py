@@ -1,44 +1,37 @@
 """Cohort executor: trains M same-architecture clients as one batched
 tensor program (see :mod:`repro.nn.cohort` for how a model is stacked).
 
-Where the serial executor runs M clients' rounds one after another and the
-parallel executor runs them in M processes (pure overhead on a 1-core
-box — BENCH_parallel.json measured 0.82–1.0×), the cohort executor stacks
-the M client replicas along a leading tensor axis so every layer's
-forward/backward and the optimizer step advance all M clients with one
-BLAS call. The *simulation* is unchanged: per-client simulated time,
-uplink scheduling, FedCA decision logic and trace events all run
-per-member in plain Python, exactly as the serial path computes them —
-only the numerical tensor work is batched (and therefore float-tolerance
-rather than bitwise relative to serial; see DESIGN.md §12).
+Where the serial executor runs M clients' rounds one after another, the
+cohort executor stacks the M client replicas along a leading tensor axis so
+every layer's forward/backward and the optimizer step advance all M clients
+with one BLAS call. The *simulation* is unchanged: per-client simulated
+time, uplink scheduling, FedCA decision logic and trace events all run
+per-member in plain Python, exactly as the serial path computes them, and
+the batched tensor work keeps the bytes of every member whose products have
+serial's operand shapes (DESIGN.md §12): all of them unpadded — how the
+parallel executor's workers each drive one of these over their share of a
+round (:mod:`repro.runtime.parallel`) — and under ``cohort[:M]`` all but a
+client whose shard is smaller than a batch, which is zero-padded into its
+chunk's program rather than given one of its own.
 
 Chunking: jobs are split into consecutive chunks of at most
 ``cohort_size``; when M does not divide the number of selected clients the
 **tail chunk trains the remainder** (selected=5 at M=4 → chunks of 4 and
-1), so no client is ever dropped.
+1), so no client is ever dropped. Unpadded, a chunk is further split into
+one stacked program per batch width in it.
 
-Fallback: exactly one, and it is a fact a layer declares, not a topology —
-a model containing an unstackable layer (only ``BatchNorm2d``: its batch
-statistics would absorb the padded rows of ragged member batches) runs the
-serial per-client path with a single warning naming that layer, and
-results are then bitwise-identical to serial. Every strategy runs batched:
-``Strategy.cohort_round`` is a driver over the same per-client step
-machine the serial ``client_round`` feeds (DESIGN.md §12).
+There is no fallback: every layer runs over a stack and every strategy
+runs batched — ``Strategy.cohort_round`` is a driver over the same
+per-client step machine the serial ``client_round`` feeds (DESIGN.md §12).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..nn.cohort import (
-    CohortModel,
-    CohortSGD,
-    cohort_softmax_cross_entropy,
-    cohort_supported,
-)
+from ..nn.cohort import CohortModel, CohortSGD, cohort_softmax_cross_entropy
 from .executor import Executor
 from .round import ClientRoundResult, RoundContext
 
@@ -46,24 +39,77 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..algorithms.base import Strategy
     from .client import SimClient
 
-__all__ = ["CohortEngine", "CohortExecutor"]
+__all__ = ["CohortEngine", "CohortExecutor", "StepCounts"]
 
 #: Default cohort width; the bench's headline configuration.
 DEFAULT_COHORT_SIZE = 32
+
+
+class StepCounts:
+    """Cumulative batched steps, slot-steps (a step of a chunk of width
+    ``w`` offers ``w`` slots) and member-steps (slots a live member filled),
+    wherever the chunks ran: a cohort executor counts its own, a parallel
+    executor adds what its workers report."""
+
+    _COUNTERS = (
+        "repro_cohort_steps_total",
+        "repro_cohort_slot_steps_total",
+        "repro_cohort_member_steps_total",
+    )
+
+    def __init__(self) -> None:
+        self.totals = [0, 0, 0]
+        self._taken = [0, 0, 0]
+
+    def add(self, steps: int, slot_steps: int, member_steps: int) -> None:
+        for k, n in enumerate((steps, slot_steps, member_steps)):
+            self.totals[k] += n
+
+    def take(self) -> tuple[int, ...]:
+        """What was added since the last take."""
+        delta = tuple(t - s for t, s in zip(self.totals, self._taken))
+        self._taken = list(self.totals)
+        return delta
+
+    def publish(self, recorder) -> None:
+        """Mirror the untaken part into the recorder's counters (never the
+        event trace, so trace determinism holds)."""
+        if recorder is not None and getattr(recorder, "enabled", False):
+            for name, delta in zip(self._COUNTERS, self.take()):
+                recorder.counter(name, delta)
+
+    def occupancy(self) -> dict[str, float]:
+        """Realized occupancy for benches: fraction of offered member slots
+        live across all batched steps (1.0 = no masking ever happened)."""
+        steps, slot_steps, member_steps = map(float, self.totals)
+        return {
+            "steps": steps,
+            "slot_steps": slot_steps,
+            "member_steps": member_steps,
+            "occupancy": member_steps / slot_steps if slot_steps else 0.0,
+        }
 
 
 class CohortEngine:
     """One chunk's batched training facade handed to ``Strategy.cohort_round``.
 
     Wraps the stacked :class:`~repro.nn.cohort.CohortModel` (slot ``i`` is
-    ``clients[i]``, in job order) plus the padded-minibatch assembly that
-    turns M heterogeneous client shards into one ``(C, B, …)`` tensor per
-    step. Strategies drive it like a multi-client ``SimClient``:
-    :meth:`load_global` → repeated :meth:`train_step` with an active mask →
-    :meth:`stacked_update` / :meth:`write_back`.
+    ``clients[i]``, in job order) plus the minibatch assembly that turns M
+    client shards into one ``(C, B, …)`` tensor per step. Strategies drive
+    it like a multi-client ``SimClient``: :meth:`load_global` → repeated
+    :meth:`train_step` with an active mask → :meth:`stacked_update` /
+    :meth:`write_back`. ``pad`` is the executor's (see
+    :class:`CohortExecutor`).
     """
 
-    def __init__(self, model: CohortModel, clients: Sequence["SimClient"]) -> None:
+    def __init__(
+        self,
+        model: CohortModel,
+        clients: Sequence["SimClient"],
+        buffers: dict[str, np.ndarray],
+        *,
+        pad: bool = True,
+    ) -> None:
         if len(clients) != model.cohort_size:
             raise ValueError(
                 f"cohort model has {model.cohort_size} slots, got "
@@ -72,6 +118,8 @@ class CohortEngine:
         self.model = model
         self.clients = list(clients)
         self.size = len(clients)
+        self._buffers = buffers
+        self.pad = pad
         model.bind_member_models([c.model for c in self.clients])
         #: Batched step / member-step counters (telemetry: realized occupancy).
         self.steps = 0
@@ -79,8 +127,9 @@ class CohortEngine:
 
     # ------------------------------------------------------------------
     def load_global(self, state: dict[str, np.ndarray]) -> None:
-        """Broadcast the server model into every member slot."""
-        self.model.load_global(state)
+        """Broadcast the server model (and the round's buffers) into every
+        member slot."""
+        self.model.load_global(state, self._buffers)
 
     def member_params(self, i: int) -> dict[str, np.ndarray]:
         """Member ``i``'s live parameter views (zero-copy into the stack)."""
@@ -111,13 +160,16 @@ class CohortEngine:
 
         Draws the next minibatch from each **active** member's own stream
         (inactive members consume no data and no RNG draws, leaving their
-        cross-round stream state exactly where a serial run would), pads the
-        batches to a common width, and runs forward/backward/step as one
-        stacked program. ``batch_sizes[i]`` overrides member ``i``'s stream
-        batch size for this step (the intra-round batch-adaptation
-        extension); the padding absorbs the ragged widths. Returns
-        per-member losses, shape ``(C,)`` — entries of inactive members are
-        0.0 and must be ignored by the caller.
+        cross-round stream state exactly where a serial run would) and runs
+        forward/backward/step as one stacked program. ``batch_sizes[i]``
+        overrides member ``i``'s stream batch size for this step (the
+        intra-round batch-adaptation extension). Members that drew fewer
+        rows than the widest are zero-padded to its width; unpadded, the
+        step instead takes one forward/backward pass per distinct row
+        count, the other members sitting that pass out (all-zero rows and
+        loss gradient: exact zeros onto the gradients their own pass
+        accumulates). Returns per-member losses, shape ``(C,)`` — entries of
+        inactive members are 0.0 and must be ignored by the caller.
         """
         c = self.size
         counts = np.zeros(c, dtype=np.int64)
@@ -130,20 +182,26 @@ class CohortEngine:
             )
             batches.append((i, x, y))
             counts[i] = x.shape[0]
+        loss = np.zeros(c, dtype=np.float64)
         if not batches:
-            return np.zeros(c, dtype=np.float64)
-        width = int(counts.max())
+            return loss
         feat = batches[0][1].shape[1:]
-        x_pad = np.zeros((c, width) + feat, dtype=np.float32)
-        y_pad = np.zeros((c, width), dtype=np.int64)
-        for i, x, y in batches:
-            x_pad[i, : x.shape[0]] = x
-            y_pad[i, : y.shape[0]] = y
-        self.model.set_member_rows(counts)
-        logits = self.model.forward(x_pad)
-        loss, grad = cohort_softmax_cross_entropy(logits, y_pad, counts)
+        widths = (
+            [int(counts.max())] if self.pad else np.unique(counts[counts > 0]).tolist()
+        )
         self.model.zero_grad()
-        self.model.backward(grad)
+        for width in widths:
+            rows = counts if self.pad else np.where(counts == width, counts, 0)
+            x_pad = np.zeros((c, width) + feat, dtype=np.float32)
+            y_pad = np.zeros((c, width), dtype=np.int64)
+            for i, x, y in batches:
+                if rows[i]:
+                    x_pad[i, : rows[i]], y_pad[i, : rows[i]] = x, y
+            self.model.set_member_rows(rows)
+            logits = self.model.forward(x_pad)
+            member_loss, grad = cohort_softmax_cross_entropy(logits, y_pad, rows)
+            self.model.backward(grad)
+            loss += member_loss
         optimizer.step(active)
         self.steps += 1
         self.member_steps += int(np.count_nonzero(active))
@@ -166,50 +224,54 @@ class CohortEngine:
         return {name: arr[i] for name, arr in stacked.items()}
 
     def write_back(self) -> None:
-        """Copy trained member slots back into the serial model replicas so
-        ``client.model`` is left exactly as a serial round would leave it."""
+        """Copy trained member slots (parameters and buffers) back into the
+        serial model replicas so ``client.model`` is left exactly as a
+        serial round would leave it."""
         self.model.write_back([c.model for c in self.clients])
 
 
 class CohortExecutor(Executor):
-    """Single-process engine that batches chunks of M clients per round."""
+    """Single-process engine that batches chunks of M clients per round.
+
+    ``pad`` decides what shares a stacked program. Padded (``cohort[:M]``),
+    a chunk is one program and a member that draws fewer rows than the
+    widest is zero-padded: full-width members keep serial's bytes by
+    construction, a padded one only where BLAS rounds a product's rows
+    independently of its row count (DESIGN.md §12). Unpadded (what a
+    ``parallel`` worker runs), members share a program only at equal batch
+    widths and a step only at equal row counts, so every GEMM has serial's
+    operand shapes and every member serial's bytes — at one more program
+    per distinct width.
+    """
 
     name = "cohort"
 
-    def __init__(self, cohort_size: int | None = None) -> None:
+    def __init__(self, cohort_size: int | None = None, *, pad: bool = True) -> None:
         size = DEFAULT_COHORT_SIZE if cohort_size is None else cohort_size
         if size < 1:
             raise ValueError(f"cohort size must be >= 1, got {size}")
         self.cohort_size = size
+        self.pad = pad
         self._recorder = None
-        #: Stacked models cached per chunk width — selection changes the
-        #: membership every round but rarely the widths (full chunks of M
-        #: plus one tail width), so the (C, *shape) stacks are reused.
+        #: Stacked models by width, most recently used last — selection
+        #: changes the membership every round but rarely the widths, so the
+        #: (C, *shape) stacks are reused; never more than 2M slots' worth.
         self._models: dict[int, CohortModel] = {}
-        #: Which layer of the bound model is unstackable (``None``: none is).
-        self._fallback_reason: str | None = None
-        self._warned_fallback = False
-        self._steps = 0
-        self._member_steps = 0
-        self._mirrored_steps = 0
-        self._mirrored_member_steps = 0
+        self.counts = StepCounts()
 
     # ------------------------------------------------------------------
     def bind(self, clients: Sequence["SimClient"], strategy: "Strategy") -> None:
         self._clients = clients
         self._strategy = strategy
-        if clients:
-            ok, reason = cohort_supported(clients[0].model)
-            self._fallback_reason = None if ok else reason
 
     def set_recorder(self, recorder) -> None:
         self._recorder = recorder
 
     def _model_for(self, template, width: int) -> CohortModel:
-        model = self._models.get(width)
-        if model is None:
-            model = CohortModel(template, width)
-            self._models[width] = model
+        model = self._models.pop(width, None) or CohortModel(template, width)
+        self._models[width] = model
+        while sum(self._models) > 2 * self.cohort_size:
+            del self._models[next(iter(self._models))]
         return model
 
     # ------------------------------------------------------------------
@@ -241,46 +303,39 @@ class CohortExecutor(Executor):
         chunk: list[tuple[int, RoundContext]],
     ) -> list[ClientRoundResult]:
         clients = [self._clients[cid] for cid, _ in chunk]
-        for client in clients:
-            client.stage_buffers(global_buffers)
-        if self._fallback_reason is not None:
-            # The one fallback: the model holds an unstackable layer.
-            if not self._warned_fallback:
-                warnings.warn(
-                    f"cohort executor falling back to serial per-client rounds: "
-                    f"{self._fallback_reason}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self._warned_fallback = True
-            return [
-                self._strategy.client_round(client, global_state, ctx)
-                for client, (_, ctx) in zip(clients, chunk)
-            ]
-        engine = CohortEngine(
-            self._model_for(clients[0].model, len(clients)), clients
-        )
-        out = self._strategy.cohort_round(engine, chunk, global_state)
-        self._steps += engine.steps
-        self._member_steps += engine.member_steps
+        # One stacked program for the chunk — or, unpadded, one per batch
+        # width in it (a client whose shard is smaller than a batch draws
+        # fewer rows every step).
+        programs: dict[int, list[int]] = {}
+        for k, client in enumerate(clients):
+            programs.setdefault(
+                0 if self.pad else client.stream.batch_size, []
+            ).append(k)
+        out: list[ClientRoundResult | None] = [None] * len(chunk)
+        for slots in programs.values():
+            members = [clients[k] for k in slots]
+            engine = CohortEngine(
+                self._model_for(members[0].model, len(members)),
+                members,
+                global_buffers,
+                pad=self.pad,
+            )
+            results = self._strategy.cohort_round(
+                engine, [chunk[k] for k in slots], global_state
+            )
+            for k, result in zip(slots, results):
+                out[k] = result
+            self.counts.add(
+                engine.steps, engine.steps * engine.size, engine.member_steps
+            )
         return out
 
     def _mirror_metrics(self) -> None:
-        """Publish occupancy metrics through the recorder's metric
-        registries (never the event trace, so trace determinism holds)."""
+        """Publish the width gauge and the step counters."""
         rec = self._recorder
-        if rec is None or not getattr(rec, "enabled", False):
-            return
-        rec.gauge("repro_cohort_size", float(self.cohort_size))
-        # Counters are cumulative adds; publish only the delta since the
-        # last mirror so one call per round stays idempotent.
-        rec.counter("repro_cohort_steps_total", self._steps - self._mirrored_steps)
-        rec.counter(
-            "repro_cohort_member_steps_total",
-            self._member_steps - self._mirrored_member_steps,
-        )
-        self._mirrored_steps = self._steps
-        self._mirrored_member_steps = self._member_steps
+        if rec is not None and getattr(rec, "enabled", False):
+            rec.gauge("repro_cohort_size", float(self.cohort_size))
+            self.counts.publish(rec)
 
     # ------------------------------------------------------------------
     def min_resident_clients(self) -> int:
@@ -291,15 +346,7 @@ class CohortExecutor(Executor):
 
     # ------------------------------------------------------------------
     def occupancy(self) -> dict[str, float]:
-        """Realized cohort occupancy for benches: fraction of member slots
-        live across all batched steps (1.0 = no masking ever happened)."""
-        if self._steps == 0:
-            return {"steps": 0.0, "member_steps": 0.0, "occupancy": 0.0}
-        return {
-            "steps": float(self._steps),
-            "member_steps": float(self._member_steps),
-            "occupancy": self._member_steps / (self._steps * self.cohort_size),
-        }
+        return self.counts.occupancy()
 
     def capture_run_state(self) -> dict[int, dict]:
         return self._capture_local_state()

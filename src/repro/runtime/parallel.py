@@ -4,7 +4,17 @@
 round runs. Each worker inherits (via ``fork``) the simulator's fully
 initialised client replicas *and* a replica of the strategy, and keeps them
 resident for the whole run — there is no per-round pickling of clients,
-models or data shards.
+models or data shards. A worker binds one unpadded
+:class:`~repro.runtime.cohort.CohortExecutor` to what it inherited and
+trains its share of each round through it, as stacked chunks: clients share
+a program only at equal batch width and a step only at equal row counts, so
+every product keeps the per-client loop's operand shapes and every client
+its bytes (DESIGN.md §12) at a fraction of the loop's per-call overhead —
+a client whose shard is smaller than a batch trains in a program of its own
+width. The chunk width is
+:data:`~repro.runtime.cohort.DEFAULT_COHORT_SIZE`, capped by a lazy
+population's resident capacity so ``lazy:cache=N`` holds per worker; there
+is nothing to configure.
 
 The per-round bulk data moves through shared memory (see
 :mod:`repro.runtime.transport`): the global model is written **once** into
@@ -26,9 +36,9 @@ routing), so every stateful per-client object — the cyclic
 :class:`~repro.data.loader.BatchStream`, the lazily extended
 :class:`~repro.sysmodel.speed.SpeedTrace`, and what FedCA and the wire
 layer keep on the client (profiled curves, codec) — evolves in exactly one
-process, in exactly the order it would have evolved serially. Results are reassembled in the simulator's job order
-(sorted client ids). Serial and ``parallel:N`` runs therefore produce
-**bitwise-identical**
+process, in exactly the order it would have evolved serially. Results are
+reassembled in the simulator's job order (sorted client ids). Serial and
+``parallel:N`` runs therefore produce **bitwise-identical**
 :class:`~repro.runtime.history.RunHistory` objects *and* telemetry traces;
 ``tests/test_executor.py`` asserts both for FedAvg and FedCA.
 
@@ -66,6 +76,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
+from .cohort import DEFAULT_COHORT_SIZE, CohortExecutor, StepCounts
 from .executor import ClientJob, Executor, SerialExecutor, capture_clients
 from .round import ClientRoundResult
 from .transport import ShmTransport, ipc_bytes_counter
@@ -109,7 +120,8 @@ def _recv(conn) -> tuple[Any, int]:
 
 
 def _worker_main(pairs, clients, strategy, owned_ids, transport, worker_index) -> None:
-    """Worker loop: resident clients, one recv/send pair per round.
+    """Worker loop: resident clients, one recv/send pair per round, each
+    round's jobs trained by one bound cohort engine.
 
     Runs in the forked child. ``clients``/``strategy``/``transport`` arrive
     by fork inheritance (never pickled); ``owned_ids`` is the slice of
@@ -124,6 +136,12 @@ def _worker_main(pairs, clients, strategy, owned_ids, transport, worker_index) -
         if w != worker_index:
             child_conn.close()
     transport.worker_init(worker_index)
+    # A chunk is live at once: never wider than a lazy population may hold
+    # (a plain list is eager and holds everyone). Unpadded: only what keeps
+    # serial's operand shapes shares a stacked program.
+    capacity = getattr(clients, "resident_capacity", None)
+    engine = CohortExecutor(min(DEFAULT_COHORT_SIZE, capacity or DEFAULT_COHORT_SIZE), pad=False)
+    engine.bind(clients, strategy)
     state = buffers = None
     try:
         while True:
@@ -154,12 +172,8 @@ def _worker_main(pairs, clients, strategy, owned_ids, transport, worker_index) -
             _, extra, jobs = msg
             try:
                 state, buffers = transport.read_broadcast(extra)
-                out: list[ClientRoundResult] = []
-                for cid, ctx in jobs:
-                    client = clients[cid]
-                    client.stage_buffers(buffers)
-                    out.append(strategy.client_round(client, state, ctx))
-                _send(conn, ("ok", transport.encode_results(out)))
+                out = engine.run_round(state, buffers, jobs)
+                _send(conn, ("ok", (transport.encode_results(out), engine.counts.take())))
             except Exception:
                 _send(conn, ("err", traceback.format_exc()))
             finally:
@@ -179,9 +193,9 @@ class ParallelExecutor(Executor):
     Parameters
     ----------
     workers:
-        Pool size; defaults to the usable core count. One worker reproduces
-        the serial schedule in a child process (useful for isolating
-        fork-related issues from parallelism issues).
+        Pool size; defaults to the usable core count. One worker runs the
+        whole round as cohort chunks in a child process (useful for
+        isolating fork- and transport-related issues from scheduling ones).
     shards:
         Enable the sharded tree-reduction aggregation engine with S
         parameter-range shards (see :mod:`repro.runtime.shard`). The
@@ -208,6 +222,7 @@ class ParallelExecutor(Executor):
         self._started = False
         self._fallback: SerialExecutor | None = None
         self._degraded_after_start = False
+        self._counts = StepCounts()
 
     # ------------------------------------------------------------------
     def bind(self, clients: Sequence["SimClient"], strategy: "Strategy") -> None:
@@ -311,6 +326,10 @@ class ParallelExecutor(Executor):
         self._started = True
 
     # ------------------------------------------------------------------
+    def occupancy(self) -> dict[str, float]:
+        """Realized occupancy of the chunks the workers trained."""
+        return self._counts.occupancy()
+
     def ipc_stats(self) -> dict[str, float]:
         """Cumulative transport metrics (bytes per channel/direction and
         broadcast staging seconds) for benches and reports."""
@@ -372,9 +391,12 @@ class ParallelExecutor(Executor):
                     raise RuntimeError(
                         f"client round failed in worker {w}:\n{payload}"
                     )
+                encoded, step_counts = payload
+                self._counts.add(*step_counts)
                 with prof.phase("collect"):
-                    for result in transport.decode_results(w, payload):
+                    for result in transport.decode_results(w, encoded):
                         by_cid[result.client_id] = result
+            self._counts.publish(self._recorder)
 
         if crashed:
             warnings.warn(

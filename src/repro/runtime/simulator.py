@@ -75,9 +75,10 @@ class FederatedSimulator:
         only change wall-clock time: parallel histories are bitwise
         identical to serial (see :mod:`repro.runtime.parallel`); the
         cohort engine batches M clients into one stacked tensor program
-        and keeps timelines/decisions exact while relaxing tensor values
-        to a documented float tolerance (see :mod:`repro.runtime.cohort`
-        and DESIGN.md §12).
+        and is too, except that a client whose shard is smaller than a
+        batch is zero-padded, which can move its tensor values at
+        rounding level (see :mod:`repro.runtime.cohort` and DESIGN.md
+        §12).
     recorder:
         Telemetry sink (see :mod:`repro.obs`). ``None`` (default) means
         the shared :data:`~repro.obs.NULL_RECORDER`: every hook is a

@@ -196,6 +196,12 @@ class LazyClientPopulation:
         )
 
     # ------------------------------------------------------------------
+    @property
+    def resident_capacity(self) -> int:
+        """How many clients are live at once; an engine that holds several
+        (a parallel worker's chunk) sizes itself to this."""
+        return self.cache.capacity
+
     def reserve(self, n: int) -> None:
         self.cache.reserve(n)
 

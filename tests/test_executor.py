@@ -131,6 +131,31 @@ class TestSerialParallelEquivalence:
         assert history_fingerprint(hist) == history_fingerprint(ref)
 
     @needs_fork
+    @pytest.mark.parametrize("scheme", ["fedavg", "fedca"])
+    def test_shards_smaller_than_a_paper_batch_keep_serial_bytes(self, env_data, scheme):
+        """The ``--scale paper`` shape: batches of 50 and, under Dirichlet
+        0.1, many shards of 25 rows or fewer. Each worker owns a full-width
+        and a small client; stacked into one program the small one would be
+        zero-padded to 50 rows, and LeNet's ``(N, 144) @ (144, 48)`` does
+        not round 21 rows of 50 the way it rounds 21 of 21. A worker pads
+        nobody, so history and global model are serial's bytes."""
+        shards, test = env_data
+        big = shards[0].subset(np.arange(60))
+        paper = [big, big, big.subset(np.arange(21)), big.subset(np.arange(13))]
+
+        def run(executor):
+            with make_sim(
+                (paper, test), scheme, executor=executor, batch_size=50,
+                local_iterations=4, base_iteration_times=[0.01, 0.012, 0.015, 0.02],
+            ) as sim:
+                return history_fingerprint(sim.run(3)), sim.global_state
+
+        (ref, ref_state), (hist, state) = run("serial"), run("parallel:2")
+        assert hist == ref
+        for name in ref_state:
+            assert state[name].tobytes() == ref_state[name].tobytes(), name
+
+    @needs_fork
     def test_partial_participation_equivalence(self, env_data):
         ref = make_sim(
             env_data, "fedca", executor="serial", clients_per_round=3
@@ -255,6 +280,62 @@ class TestParallelLifecycle:
             assert sim.history.num_rounds == 3
             assert rec.end_time > rec.start_time
             assert executor._fallback is not None
+
+    @needs_fork
+    def test_workers_train_stacked_chunks_and_report_them(self, env_data):
+        """A worker hands its share of a round to one bound cohort engine
+        and returns that engine's step counts with the reply: five clients
+        on two workers are chunks of three and two, and FedAvg masks nobody,
+        so every offered slot was live."""
+        from repro.obs import TraceRecorder
+
+        rec = TraceRecorder()
+        executor = ParallelExecutor(workers=2)
+        with make_sim(env_data, "fedavg", executor=executor, recorder=rec) as sim:
+            sim.run(2)
+        assert executor.occupancy() == {
+            "steps": 2.0 * 2 * ITERS,
+            "slot_steps": 2.0 * NUM_CLIENTS * ITERS,
+            "member_steps": 2.0 * NUM_CLIENTS * ITERS,
+            "occupancy": 1.0,
+        }
+        assert rec.counters["repro_cohort_steps_total"] == 2 * 2 * ITERS
+        assert rec.counters["repro_cohort_slot_steps_total"] == 2 * NUM_CLIENTS * ITERS
+
+    @needs_fork
+    def test_worker_death_mid_chunk_falls_back_to_serial(self, env_data):
+        """A worker that dies *inside* a stacked chunk — the stack is
+        loaded and its first member's round has begun — is the same
+        documented degradation: one warning, the round's unfinished jobs
+        and the rest of the run go serial on the parent replicas, no
+        checkpoint."""
+        import os
+
+        from repro.algorithms import FedAvg
+
+        parent = os.getpid()
+
+        class DiesInWorker(FedAvg):
+            def begin(self, client, global_state, ctx, params):
+                if ctx.round_index == 1 and client.client_id == 2 and os.getpid() != parent:
+                    os._exit(1)
+                return super().begin(client, global_state, ctx, params)
+
+        executor = ParallelExecutor(workers=2)
+        with make_sim(
+            env_data, "fedavg", executor=executor, strategy=DiesInWorker(OPT)
+        ) as sim:
+            sim.run_round()
+            with pytest.warns(RuntimeWarning, match="worker died"):
+                record = sim.run_round()
+            assert executor._fallback is not None
+            assert sorted(
+                record.collected_clients + record.straggler_clients
+            ) == list(range(NUM_CLIENTS))
+            with pytest.raises(RuntimeError, match="worker-crash fallback"):
+                executor.capture_run_state()
+            sim.run_round()
+            assert sim.history.num_rounds == 3
 
     @needs_fork
     def test_client_exception_propagates(self, env_data):

@@ -24,7 +24,12 @@ from repro.data import (
 )
 from repro.nn import Dropout, LeNetCNN, WideResNet
 from repro.obs import TraceRecorder, events_to_jsonl
-from repro.runtime import FederatedSimulator, RunHistory, shm_available
+from repro.runtime import (
+    FederatedSimulator,
+    RunHistory,
+    resolve_executor,
+    shm_available,
+)
 from repro.runtime.export import history_to_json
 from repro.runtime.history import RoundRecord
 from repro.runtime.parallel import fork_available
@@ -493,11 +498,11 @@ def precomputed_env(env_data):
 # ----------------------------------------------------------------------
 # Lazy ↔ eager bitwise run identity (history JSON + JSONL trace)
 # ----------------------------------------------------------------------
-def run_traced(env_data, scheme, *, executor, population, model_fn=lenet):
+def run_traced(env_data, scheme, *, executor, population, model_fn=lenet, **overrides):
     _, shards, test = env_data
     fedca_cfg = FedCAConfig(profile_every=2) if scheme.startswith("fedca") else None
     rec = TraceRecorder()
-    sim = FederatedSimulator(
+    kwargs = dict(
         model_fn=model_fn,
         strategy=build_strategy(scheme, OPT, fedca_config=fedca_cfg),
         shards=shards,
@@ -511,6 +516,7 @@ def run_traced(env_data, scheme, *, executor, population, model_fn=lenet):
         recorder=rec,
         population=population,
     )
+    sim = FederatedSimulator(**{**kwargs, **overrides})
     try:
         hist = sim.run(4)
     finally:
@@ -545,6 +551,31 @@ def test_lazy_matches_eager_bitwise(env_data, scheme, model_fn, executor):
     )
     assert hist_lazy == hist_eager
     assert trace_lazy == trace_eager
+
+
+@needs_fork
+@needs_shm
+def test_parallel_workers_chunk_within_the_residency_bound(env_data):
+    """A worker trains its jobs as stacked chunks, but never wider than
+    ``cache=N``: each of two workers takes its six clients two at a time,
+    ``parallel`` does not raise the bound, and the run is the eager serial
+    one (a chunk wider than the cache would evict a member mid-program and
+    snapshot stale state)."""
+    executor = resolve_executor("parallel:2")
+    twelve = dict(
+        shards=SubsampledShards(env_data[0], 12, 16, seed=2),
+        base_iteration_times=lambda cid: iteration_time_for(cid, 0.01, seed=2),
+    )
+    lazy = run_traced(
+        env_data, "fedca", executor=executor, population="lazy:cache=2", **twelve
+    )
+    assert lazy == run_traced(
+        env_data, "fedca", executor="serial", population=None, **twelve
+    )
+    assert executor._clients.resident_capacity == 2
+    # Every chunk was two wide: two slots offered per batched step.
+    occupancy = executor.occupancy()
+    assert occupancy["slot_steps"] == 2 * occupancy["steps"] > 0
 
 
 @pytest.mark.parametrize("executor", ["serial", "cohort:4"])

@@ -487,9 +487,8 @@ class TestEngineTraceDeterminismWithBufferedSink:
         assert par == sync
 
     def test_cohort_buffered_matches_sync_cohort(self, env_data, tmp_path):
-        # Cohort numerics are float-tolerance vs serial (DESIGN.md §12), so
-        # the byte-identity contract here is within-engine: swapping the
-        # synchronous sink for a BufferedSink must not change one byte.
+        # Within-engine: swapping the synchronous sink for a BufferedSink
+        # must not change one byte of the cohort engine's trace.
         sync = self.run_traced(
             env_data, "cohort:8", tmp_path / "sync.jsonl", buffered=False
         )
