@@ -14,6 +14,14 @@ Two measurements, written to ``BENCH_scale.json``:
   ``model_fn`` ran more than ``resident_clients + 2`` times (one replica
   per cache slot, the global model, one spare) however many clients it
   created.
+* **Long** lazy run (``--long-rounds``, default 200 rounds of 100 out of
+  20 000 clients at ``lazy:cache=64``, a checkpoint every 50 rounds):
+  memory must stay flat in *rounds* too. Most of the population ends up
+  parked in the pager, so the run fails if peak RSS after the last round
+  exceeds peak RSS after round 20 by more than ``--long-rss-growth-mb``
+  (the parked clients are a few hundred bytes each — see
+  ``snapshot_bytes`` in the report), or if loading its last checkpoint
+  back takes longer than ``--long-load-seconds``.
 
 Each measurement runs in a **child process** (``--phase`` mode) that
 reports its own ``ru_maxrss``: peak RSS is a high-watermark per process,
@@ -43,6 +51,7 @@ import json
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -54,6 +63,7 @@ from repro.algorithms import build_strategy  # noqa: E402
 from repro.algorithms.base import OptimizerSpec  # noqa: E402
 from repro.data import make_image_dataset, train_test_split  # noqa: E402
 from repro.nn import LeNetCNN  # noqa: E402
+from repro.persist import RunCheckpoint, list_checkpoints, save_run_checkpoint  # noqa: E402
 from repro.runtime import FederatedSimulator  # noqa: E402
 from repro.runtime.export import history_to_json  # noqa: E402
 from repro.runtime.parallel import default_workers  # noqa: E402
@@ -64,6 +74,18 @@ POOL_SAMPLES = 2048
 TEST_SAMPLES = 128
 SHARD_SIZE = 16
 NUM_CLASSES = 4
+
+#: The long lazy run: population, selection, and the round whose peak RSS
+#: the final one is compared with (past warm-up: the cache is full, the
+#: first checkpoint is not yet written).
+LONG_CLIENTS = 20_000
+LONG_CLIENTS_PER_ROUND = 100
+LONG_RSS_MARK_ROUND = 20
+LONG_CHECKPOINT_EVERY = 50
+
+
+def _clock() -> float:
+    return time.perf_counter()  # reprolint: allow[DET002] benchmark measures wall-clock by design
 
 
 def peak_rss_bytes() -> int:
@@ -83,7 +105,11 @@ def model_fn():
 
 
 def build_sim(
-    num_clients: int, clients_per_round: int, population: str | None, model_fn=model_fn
+    num_clients: int,
+    clients_per_round: int,
+    population: str | None,
+    model_fn=model_fn,
+    spill_client_events: bool = False,
 ):
     # Pool and test set come from ONE generated dataset: two generator
     # seeds give disjoint class prototypes and a chance-level accuracy.
@@ -108,6 +134,7 @@ def build_sim(
         clients_per_round=clients_per_round,
         seed=1,
         population=population,
+        spill_client_events=spill_client_events,
     )
 
 
@@ -119,22 +146,47 @@ def run_phase(args) -> dict:
         models_built.append(1)
         return model_fn()
 
-    t0 = time.perf_counter()  # reprolint: allow[DET002] benchmark measures wall-clock by design
+    t0 = _clock()
+    # The long run measures the pager, so the other per-round consumer of
+    # RAM — per-client event dicts in the history — is spilled (§15).
     sim = build_sim(
-        args.clients, args.clients_per_round, args.population, counting_model_fn
+        args.clients, args.clients_per_round, args.population, counting_model_fn,
+        spill_client_events=bool(args.checkpoint_every),
     )
-    setup_seconds = time.perf_counter() - t0  # reprolint: allow[DET002] benchmark measures wall-clock by design
+    setup_seconds = _clock() - t0
+    long_run: dict = {}
     try:
-        t1 = time.perf_counter()  # reprolint: allow[DET002] benchmark measures wall-clock by design
-        history = sim.run(args.rounds)
-        run_seconds = time.perf_counter() - t1  # reprolint: allow[DET002] benchmark measures wall-clock by design
+        t1 = _clock()
+        if args.checkpoint_every:
+            with tempfile.TemporaryDirectory(prefix="scale-bench-ckpt-") as ckpt_dir:
+                history = sim.run(
+                    args.rounds,
+                    progress=lambda record: _after_long_round(
+                        sim, record.round_index + 1, args, ckpt_dir, long_run
+                    ),
+                )
+                run_seconds = _clock() - t1
+                long_run["peak_rss_bytes_after_run"] = peak_rss_bytes()
+                _, last = list_checkpoints(ckpt_dir)[-1]
+                t2 = _clock()
+                loaded = RunCheckpoint.load(last)
+                long_run["checkpoint_load_seconds"] = _clock() - t2
+                long_run["checkpoint_bytes"] = Path(last).stat().st_size
+                long_run["checkpoint_clients"] = len(loaded.clients)
+        else:
+            history = sim.run(args.rounds)
+            run_seconds = _clock() - t1
         digest = hashlib.sha256(
             history_to_json(history).encode()
         ).hexdigest()
         cache = sim.population.cache if sim.population is not None else None
     finally:
         sim.close()
+    if long_run:
+        long_run["parked_clients"] = cache.parked_clients
+        long_run["snapshot_bytes"] = cache.snapshot_bytes
     return {
+        **long_run,
         "population": args.population or "eager",
         "clients": args.clients,
         "clients_per_round": args.clients_per_round,
@@ -152,8 +204,23 @@ def run_phase(args) -> dict:
     }
 
 
+def _after_long_round(sim, rounds_done: int, args, ckpt_dir: str, out: dict) -> None:
+    """Long-run bookkeeping between rounds: the two RSS marks, and a
+    checkpoint every ``--checkpoint-every`` rounds."""
+    if rounds_done % args.checkpoint_every == 0:
+        t0 = _clock()
+        save_run_checkpoint(sim, ckpt_dir)
+        out["checkpoint_save_seconds"] = _clock() - t0
+    if rounds_done == LONG_RSS_MARK_ROUND:
+        out["peak_rss_bytes_at_mark"] = peak_rss_bytes()
+
+
 def spawn_phase(
-    clients: int, clients_per_round: int, rounds: int, population: str | None
+    clients: int,
+    clients_per_round: int,
+    rounds: int,
+    population: str | None,
+    checkpoint_every: int = 0,
 ) -> dict:
     """Run one measurement in a fresh process so ru_maxrss is per-phase."""
     cmd = [
@@ -161,6 +228,7 @@ def spawn_phase(
         "--clients", str(clients),
         "--clients-per-round", str(clients_per_round),
         "--rounds", str(rounds),
+        "--checkpoint-every", str(checkpoint_every),
     ]
     if population:
         cmd += ["--population", population]
@@ -183,6 +251,9 @@ def main() -> int:
     parser.add_argument("--clients-per-round", type=int, default=20,
                         help="selected clients per round for --phase")
     parser.add_argument("--rounds", type=int, default=2)
+    parser.add_argument("--checkpoint-every", type=int, default=0,
+                        help="for --phase: checkpoint every N rounds, mark "
+                             "RSS, time the last checkpoint's load")
     parser.add_argument("--ab-clients", type=int, default=2000,
                         help="population size for the eager-vs-lazy A/B "
                              "(0 skips the A/B)")
@@ -194,6 +265,16 @@ def main() -> int:
     parser.add_argument("--rss-ceiling-mb", type=float, default=None,
                         help="fail if the large lazy run's peak RSS exceeds "
                              "this many MiB")
+    parser.add_argument("--long-rounds", type=int, default=200,
+                        help="rounds of the long lazy:cache=64 run with a "
+                             f"checkpoint every {LONG_CHECKPOINT_EVERY} (0 skips it)")
+    parser.add_argument("--long-rss-growth-mb", type=float, default=None,
+                        help="fail if the long run's peak RSS after its last "
+                             f"round exceeds that after round {LONG_RSS_MARK_ROUND} "
+                             "by more than this many MiB")
+    parser.add_argument("--long-load-seconds", type=float, default=None,
+                        help="fail if loading the long run's last checkpoint "
+                             "takes longer than this")
     parser.add_argument("--out", default="BENCH_scale.json")
     args = parser.parse_args()
 
@@ -259,6 +340,47 @@ def main() -> int:
             else:
                 print(f"  RSS gate: {rss_mib:.1f} <= {args.rss_ceiling_mb:.1f} "
                       "MiB ceiling")
+
+    if args.long_rounds:
+        long = spawn_phase(
+            LONG_CLIENTS, LONG_CLIENTS_PER_ROUND, args.long_rounds,
+            "lazy:cache=64", checkpoint_every=LONG_CHECKPOINT_EVERY,
+        )
+        report["long"] = long
+        growth_mib = (
+            long["peak_rss_bytes_after_run"] - long["peak_rss_bytes_at_mark"]
+        ) / 2**20
+        long["rss_growth_mib"] = growth_mib
+        print(
+            f"long lazy:cache=64 @ {LONG_CLIENTS} clients, "
+            f"{LONG_CLIENTS_PER_ROUND}/round, {args.long_rounds} rounds: "
+            f"{long['seconds_per_round']:.3f}s/round, peak RSS "
+            f"{long['peak_rss_bytes_at_mark'] / 2**20:.1f} MiB after round "
+            f"{LONG_RSS_MARK_ROUND} -> {long['peak_rss_bytes_after_run'] / 2**20:.1f} MiB "
+            f"after round {args.long_rounds} (+{growth_mib:.1f}); "
+            f"{long['parked_clients']} parked clients in "
+            f"{long['snapshot_bytes'] / 2**20:.2f} MiB "
+            f"({long['snapshot_bytes'] / max(1, long['parked_clients']):.0f} B each); "
+            f"last checkpoint {long['checkpoint_bytes'] / 2**20:.2f} MiB, "
+            f"save {long['checkpoint_save_seconds']:.3f}s, "
+            f"load {long['checkpoint_load_seconds']:.3f}s"
+        )
+        if args.long_rss_growth_mb is not None:
+            report["long_rss_growth_mb"] = args.long_rss_growth_mb
+            if growth_mib > args.long_rss_growth_mb:
+                failures.append(
+                    f"long lazy run grew {growth_mib:.1f} MiB of peak RSS between "
+                    f"round {LONG_RSS_MARK_ROUND} and round {args.long_rounds}, "
+                    f"over the {args.long_rss_growth_mb:.1f} MiB bound"
+                )
+        if args.long_load_seconds is not None:
+            report["long_load_seconds"] = args.long_load_seconds
+            if long["checkpoint_load_seconds"] > args.long_load_seconds:
+                failures.append(
+                    f"loading the long run's last checkpoint took "
+                    f"{long['checkpoint_load_seconds']:.3f}s, over the "
+                    f"{args.long_load_seconds:.3f}s bound"
+                )
 
     report["failures"] = failures
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")

@@ -97,6 +97,9 @@ class RoundMember:
         self.ctx = ctx
         #: Most local iterations the driver may run for this member.
         self.budget = budget
+        # Round starts are the one clock that never runs backwards for a
+        # client, so this is where its speed trace may forget its past.
+        client.trace.forget_before(ctx.round_start)
         self.compute_start = ctx.round_start + client.link.download_seconds(
             client.model_bytes
         )

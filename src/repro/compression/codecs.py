@@ -12,6 +12,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from ..rngstate import rng_state_bytes, set_rng_state
 from .quantization import dequantize, quantize, quantized_nbytes
 from .sparsification import (
     ResidualStore,
@@ -85,10 +86,10 @@ class QuantizationCodec(UpdateCodec):
         )
 
     def snapshot_state(self) -> dict:
-        return {"rng": self._rng.bit_generator.state}
+        return {"rng": rng_state_bytes(self._rng)}
 
     def restore_state(self, snapshot: dict) -> None:
-        self._rng.bit_generator.state = snapshot["rng"]
+        set_rng_state(self._rng, snapshot["rng"])
 
 
 class TopKCodec(UpdateCodec):

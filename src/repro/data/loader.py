@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..rngstate import rng_state_bytes, set_rng_state
 from .synthetic import Dataset
 
 __all__ = ["BatchStream"]
@@ -60,7 +61,7 @@ class BatchStream:
         :meth:`next_batch` produce exactly the batches an uninterrupted
         stream would (used by :mod:`repro.persist` checkpoint/resume)."""
         return {
-            "rng": self._rng.bit_generator.state,
+            "rng": rng_state_bytes(self._rng),
             "order": self._order.copy(),
             "cursor": int(self._cursor),
         }
@@ -73,7 +74,7 @@ class BatchStream:
                 f"stream snapshot order length {order.shape} does not match "
                 f"dataset size {len(self.dataset)}"
             )
-        self._rng.bit_generator.state = snapshot["rng"]
+        set_rng_state(self._rng, snapshot["rng"])
         self._order = order
         self._cursor = int(snapshot["cursor"])
 

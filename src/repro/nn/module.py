@@ -22,10 +22,11 @@ trailing axes, so the same ``forward``/``backward`` serves both.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from ..rngstate import rng_state_bytes, set_rng_state
 from .parameter import Parameter
 
 __all__ = ["Module"]
@@ -34,13 +35,16 @@ __all__ = ["Module"]
 class _Walk(NamedTuple):
     """One depth-first walk of a module tree. A buffer slot is ``(dotted_name,
     owner, local_name)`` — the owning module, not the array, so a container
-    never holds a descendant's tensors."""
+    never holds a descendant's tensors. ``rngs`` are the distinct generators
+    the tree's layers draw from, in ``named_modules()`` order (by identity:
+    WideResNet's dropouts share one); a layer picks its generator when it is
+    built, so the list is as stable as the tree."""
 
     stamp: object
     named_parameters: list[tuple[str, Parameter]]
     parameters: list[Parameter]
     buffer_slots: list[tuple[str, "Module", str]]
-    modules: list["Module"]
+    rngs: list[np.random.Generator]
 
 
 class Module:
@@ -116,7 +120,7 @@ class Module:
                 named,
                 [p for _, p in named],
                 list(self._iter_buffer_slots("")),
-                [m for _, m in self.named_modules()],
+                self._tree_rngs(),
             )
             object.__setattr__(self, "_walk_cache", cache)
         return cache
@@ -207,29 +211,27 @@ class Module:
         return None
 
     def _tree_rngs(self) -> list[np.random.Generator]:
-        """Distinct generators of the tree, in ``named_modules()`` order
-        (by identity: WideResNet's dropouts share one)."""
         found: dict[int, np.random.Generator] = {}
-        for module in self._walk().modules:
+        for _, module in self.named_modules():
             rng = module._layer_rng()
             if rng is not None:
                 found.setdefault(id(rng), rng)
         return list(found.values())
 
-    def rng_state(self) -> list[dict[str, Any]]:
-        """Bit-generator state of every generator a layer draws from; empty
-        for a model that draws nothing."""
-        return [rng.bit_generator.state for rng in self._tree_rngs()]
+    def rng_state(self) -> list[bytes]:
+        """Stream position of every generator a layer draws from; empty —
+        without a walk — for a model that draws nothing."""
+        return [rng_state_bytes(rng) for rng in self._walk().rngs]
 
-    def load_rng_state(self, states: list[dict[str, Any]]) -> None:
+    def load_rng_state(self, states: list[bytes]) -> None:
         """Inverse of :meth:`rng_state`."""
-        rngs = self._tree_rngs()
+        rngs = self._walk().rngs
         if len(states) != len(rngs):
             raise ValueError(
                 f"rng state for {len(states)} generators, model has {len(rngs)}"
             )
         for rng, state in zip(rngs, states):
-            rng.bit_generator.state = state
+            set_rng_state(rng, state)
 
     # ------------------------------------------------------------------
     # State round-trips (model broadcast / aggregation)

@@ -70,9 +70,12 @@ KNOWN_GAUGES: frozenset[str] = frozenset(
         "repro_round_accuracy",
         "repro_round_mean_loss",
         "repro_cohort_size",
-        # lazy population paging: live clients in the resident cache, and
-        # the process peak RSS (an OS measurement, hence a gauge).
+        # lazy population paging: live clients in the resident cache, the
+        # clients parked as encoded snapshots and what those weigh, and the
+        # process peak RSS (an OS measurement, hence a gauge).
         "repro_resident_clients",
+        "repro_population_parked_clients",
+        "repro_population_snapshot_bytes",
         "repro_population_rss_bytes",
         # wall-clock mirrors — gauges by decree (resume oracle)
         "repro_ipc_broadcast_seconds",

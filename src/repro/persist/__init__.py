@@ -12,6 +12,10 @@ Two pillars (see DESIGN.md §10):
 * :class:`ResultCache` — content-addressed storage of finished
   ``run_scheme`` results, keyed on the full run configuration, so sweeps
   (``compare_schemes``, ``run_multiseed``) skip already-computed cells.
+
+Under both sits :mod:`repro.persist.snapshot`, the data-only codec that
+turns one client's cross-round state into one byte string — the form the
+lazy pager parks it in and a checkpoint stores it in.
 """
 
 from .cache import CACHE_SCHEMA_VERSION, ResultCache

@@ -9,9 +9,11 @@ evolves across rounds:
 * per-client cross-round state — one
   :meth:`SimClient.capture_state <repro.runtime.client.SimClient.capture_state>`
   snapshot per touched client, via the executor's ``capture_run_state``:
-  batch-stream RNG/order/cursor, speed-trace RNG and segments, layer RNG,
-  and what the strategy and the wire layer keep on the client (FedCA
-  anchor profiles, codec residuals/RNG),
+  batch-stream RNG/order/cursor, speed-trace RNG and live segments, layer
+  RNG, and what the strategy and the wire layer keep on the client (FedCA
+  anchor profiles, codec residuals/RNG). Each arrives as one
+  :mod:`~repro.persist.snapshot` blob and is written, read and — into a
+  lazy population — restored without being decoded,
 * the trace recorder's counters, sequence state and sink byte offset.
 
 Everything else the simulator touches is either reconstructed
@@ -38,7 +40,13 @@ import numpy as np
 
 from ..runtime.export import history_from_dict, history_to_dict
 from .container import CHECKPOINT_VERSION, manifest_path, read_payload, write_payload
-from .errors import CheckpointFormatError, CheckpointNotFoundError, PersistError
+from .errors import (
+    CheckpointCorruptError,
+    CheckpointFormatError,
+    CheckpointNotFoundError,
+    PersistError,
+)
+from .snapshot import decode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.simulator import FederatedSimulator
@@ -62,6 +70,35 @@ def _copy_arrays(state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {name: np.array(arr, copy=True) for name, arr in state.items()}
 
 
+def _join_blobs(clients: dict[str, bytes]) -> dict[str, np.ndarray]:
+    """Every client blob as three archive members, however many clients:
+    their ids, each blob's end offset, and the blobs back to back."""
+    return {
+        "cids": np.array([int(cid) for cid in clients], dtype=np.int64),
+        "ends": np.cumsum([len(blob) for blob in clients.values()], dtype=np.int64),
+        "blob": np.frombuffer(b"".join(clients.values()), dtype=np.uint8),
+    }
+
+
+def _split_blobs(section: dict[str, np.ndarray]) -> dict[str, bytes]:
+    """Inverse of :func:`_join_blobs`; the slices stay encoded."""
+    cids, ends, blob = section["cids"], section["ends"], section["blob"]
+    if not (
+        (cids.dtype, ends.dtype, blob.dtype) == (np.int64, np.int64, np.uint8)
+        and cids.ndim == ends.ndim == blob.ndim == 1
+        and cids.shape == ends.shape
+    ):
+        raise CheckpointCorruptError("client snapshot index is not three flat arrays")
+    bounds = [0] + ends.tolist()
+    if bounds[-1] != blob.size or any(a > b for a, b in zip(bounds, bounds[1:])):
+        raise CheckpointCorruptError("client snapshot index does not match its blobs")
+    data = memoryview(blob)
+    return {
+        str(cid): data[start:end].tobytes()
+        for cid, start, end in zip(cids.tolist(), bounds, bounds[1:])
+    }
+
+
 @dataclass
 class RunCheckpoint:
     """Complete, restorable snapshot of a simulator between rounds."""
@@ -74,7 +111,7 @@ class RunCheckpoint:
     history: dict[str, Any]
     global_state: dict[str, np.ndarray]
     global_buffers: dict[str, np.ndarray]
-    clients: dict[str, dict] = field(default_factory=dict)
+    clients: dict[str, bytes] = field(default_factory=dict)
     recorder: dict | None = None
 
     # ------------------------------------------------------------------
@@ -120,7 +157,7 @@ class RunCheckpoint:
             history=history_to_dict(sim.history),
             global_state=_copy_arrays(sim.global_state),
             global_buffers=_copy_arrays(sim.global_buffers),
-            clients={str(cid): snap for cid, snap in clients.items()},
+            clients={str(cid): blob for cid, blob in clients.items()},
             recorder=recorder_snapshot,
         )
 
@@ -166,13 +203,14 @@ class RunCheckpoint:
         sim.history.retain_client_events = retain_client_events
         population = getattr(sim, "population", None)
         if population is not None:
-            # Lazy population: stage snapshots without materialising the
-            # clients; each is applied when (and if) its client pages in.
-            for cid, snapshot in self.clients.items():
-                population.restore_client_state(int(cid), snapshot)
+            # Lazy population: stage the blobs without decoding them or
+            # materialising the clients; each is applied when (and if) its
+            # client pages in.
+            for cid, blob in self.clients.items():
+                population.restore_client_state(int(cid), blob)
         else:
-            for cid, snapshot in self.clients.items():
-                sim.clients[int(cid)].restore_state(snapshot)
+            for cid, blob in self.clients.items():
+                sim.clients[int(cid)].restore_state(decode(blob))
 
     # ------------------------------------------------------------------
     def save(self, path: str) -> None:
@@ -188,7 +226,7 @@ class RunCheckpoint:
                 "history": self.history,
                 "global_state": self.global_state,
                 "global_buffers": self.global_buffers,
-                "clients": self.clients,
+                "clients": _join_blobs(self.clients),
                 "recorder": self.recorder,
             },
         )
@@ -208,10 +246,10 @@ class RunCheckpoint:
                 history=tree["history"],
                 global_state=tree["global_state"],
                 global_buffers=tree["global_buffers"],
-                clients=tree["clients"],
+                clients=_split_blobs(tree["clients"]),
                 recorder=tree["recorder"],
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:
             raise CheckpointFormatError(
                 f"checkpoint {path} is missing required sections: {exc}"
             )

@@ -8,7 +8,12 @@ A checkpoint is a pair of files written as a unit:
   ``uint8`` array holding the UTF-8 bytes of a canonical JSON document (the
   *tree*); every ndarray in the tree is replaced by an ``{"__array__":
   "aN"}`` placeholder and stored as archive member ``aN`` at full fidelity
-  (dtype and shape preserved bit-for-bit).
+  (dtype and shape preserved bit-for-bit). The tree is the run-level
+  state — a few dozen arrays. Per-client snapshots are *not* subtrees of
+  it: :class:`~repro.persist.checkpoint.RunCheckpoint` hands them over as
+  three arrays (ids, end offsets, and every client's
+  :mod:`~repro.persist.snapshot` blob back to back), so the member count
+  does not grow with the number of clients.
 * ``<path>.manifest.json`` — sidecar with the container version, payload
   byte size and SHA-256 digest. :func:`read_payload` verifies both before
   deserialising anything, so a truncated or bit-flipped payload raises
@@ -17,9 +22,10 @@ A checkpoint is a pair of files written as a unit:
 
 Atomicity
 ---------
-:func:`write_payload` writes payload and manifest to temporary names in the
-target directory, ``fsync``\\ s both, then ``os.replace``\\ s them into place
-(payload first, manifest last) and fsyncs the directory. A crash mid-save
+:func:`write_payload` streams the archive into one temporary name in the
+target directory and writes the manifest to another, ``fsync``\\ s both,
+then ``os.replace``\\ s them into place (payload first, manifest last) and
+fsyncs the directory. A crash mid-save
 can therefore leave at most an orphaned temp file or a payload without a
 manifest — never a manifest that blesses a half-written payload. Callers
 that keep multiple checkpoints (``round-NNNNNN.ckpt`` per save) treat a
@@ -29,7 +35,6 @@ payload/manifest pair as complete only when both files exist.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import zipfile
@@ -52,8 +57,9 @@ __all__ = [
 #: checkpoint tree schema. Readers reject other versions outright: a
 #: checkpoint is a crash-recovery artefact of one run, so there are no
 #: compatibility loaders. (2: no per-client strategy section — scheme and
-#: codec state ride in each client's snapshot.)
-CHECKPOINT_VERSION = 2
+#: codec state ride in each client's snapshot. 3: client snapshots are
+#: :mod:`~repro.persist.snapshot` blobs in three members, not two per client.)
+CHECKPOINT_VERSION = 3
 
 MANIFEST_SUFFIX = ".manifest.json"
 
@@ -153,10 +159,8 @@ def write_payload(path: str, tree: Any) -> None:
     tmp_payload = path + ".tmp"
     tmp_manifest = manifest_path(path) + ".tmp"
 
-    buf = io.BytesIO()
-    np.savez(buf, **members)
     with open(tmp_payload, "wb") as fh:
-        fh.write(buf.getvalue())
+        np.savez(fh, **members)
         fh.flush()
         os.fsync(fh.fileno())
 

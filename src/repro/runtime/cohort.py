@@ -348,5 +348,5 @@ class CohortExecutor(Executor):
     def occupancy(self) -> dict[str, float]:
         return self.counts.occupancy()
 
-    def capture_run_state(self) -> dict[int, dict]:
+    def capture_run_state(self) -> dict[int, bytes]:
         return self._capture_local_state()

@@ -38,17 +38,23 @@ ClientJob = tuple[int, RoundContext]
 
 def capture_clients(
     clients: "Sequence[SimClient]", ids: "Sequence[int] | None" = None
-) -> dict[int, dict]:
-    """``{cid: client.capture_state()}`` for the clients living in this
-    process — all of them, or only ``ids`` (a parallel worker's owned
-    slice). A client's snapshot is its whole cross-round state."""
+) -> dict[int, bytes]:
+    """``{cid: encoded client.capture_state()}`` for the clients living in
+    this process — all of them, or only ``ids`` (a parallel worker's owned
+    slice). A client's snapshot is its whole cross-round state, and one
+    :mod:`~repro.persist.snapshot` blob is the only form it travels in."""
     if hasattr(clients, "capture_run_state"):
         # Lazy population: it knows which clients have diverged from their
-        # initial state; indexing it here would materialise all of them.
+        # initial state (and holds the evicted ones encoded already);
+        # indexing it here would materialise all of them.
         return clients.capture_run_state(ids)
+    # Imported at capture time: the runtime layer has no import-time
+    # dependency on the persistence subsystem.
+    from ..persist.snapshot import encode
+
     if ids is None:
         ids = range(len(clients))
-    return {cid: clients[cid].capture_state() for cid in ids}
+    return {cid: encode(clients[cid].capture_state()) for cid in ids}
 
 
 class Executor(ABC):
@@ -132,9 +138,9 @@ class Executor(ABC):
         """
         return 1
 
-    def capture_run_state(self) -> dict[int, dict]:
-        """Snapshot the evolved per-client state, ``{cid: snapshot}``, for
-        checkpointing (see :mod:`repro.persist`).
+    def capture_run_state(self) -> dict[int, bytes]:
+        """Snapshot the evolved per-client state, ``{cid: encoded
+        snapshot}``, for checkpointing (see :mod:`repro.persist`).
 
         The engine owns this because the state lives wherever the client
         rounds actually execute — in the parent for :class:`SerialExecutor`,
@@ -148,7 +154,7 @@ class Executor(ABC):
             f"executor {self.name!r} does not support checkpointing"
         )
 
-    def _capture_local_state(self) -> dict[int, dict]:
+    def _capture_local_state(self) -> dict[int, bytes]:
         """:meth:`capture_run_state` for state that lives in this process:
         the bound client replicas."""
         if self._clients is None:
@@ -190,7 +196,7 @@ class SerialExecutor(Executor):
                 )
         return results
 
-    def capture_run_state(self) -> dict[int, dict]:
+    def capture_run_state(self) -> dict[int, bytes]:
         return self._capture_local_state()
 
 

@@ -511,7 +511,7 @@ class ParallelExecutor(Executor):
         return transport.assemble_reduced()
 
     # ------------------------------------------------------------------
-    def capture_run_state(self) -> dict[int, dict]:
+    def capture_run_state(self) -> dict[int, bytes]:
         if self._clients is None or self._strategy is None:
             raise RuntimeError("executor not bound; construct it via FederatedSimulator")
         if self._fallback is not None:
@@ -538,7 +538,7 @@ class ParallelExecutor(Executor):
                 transport.count_pipe("capture", sent, mirror=False)
             except (BrokenPipeError, OSError) as exc:
                 raise WorkerCrash("worker died during state capture") from exc
-        clients: dict[int, dict] = {}
+        clients: dict[int, bytes] = {}
         for w, conn in enumerate(self._conns):
             try:
                 (tag, payload), received = _recv(conn)

@@ -191,8 +191,10 @@ class ShmTransport:
       ever outgrows the arena (e.g. a strategy returning extra payloads)
       falls back to inline pickling for just that result.
 
-    Checkpoint captures ride the same arenas: the worker pickles its
-    snapshot into its result arena and pipes back just the length.
+    Checkpoint captures ride the same arenas: the worker's ``{cid: blob}``
+    map — each client already one :mod:`~repro.persist.snapshot` byte
+    string, never a dict tree — goes into its result arena and just the
+    length comes back down the pipe.
     """
 
     #: Per-block headroom over the model-fingerprint estimate, so header

@@ -8,24 +8,33 @@ and behind that interface a :class:`ResidentClientCache` keeps at most
 Eviction must not lose state, so it is capture-before-release, in two
 steps:
 
-1. ``client.capture_state()`` — batch-stream + speed-trace RNG state, the
-   replica's layer RNG when the model has dropout, and what a strategy or
-   the wire layer keeps on the client (FedCA profiled curves, compression
-   codec residuals/RNG). The client is the one home of cross-round state
-   about it — parameters, buffers and optimizer are rebuilt from the
-   broadcast every round — so dropping it drops all of that with it;
+1. ``encode(client.capture_state())`` — batch-stream + speed-trace RNG
+   state, the replica's layer RNG when the model has dropout, and what a
+   strategy or the wire layer keeps on the client (FedCA profiled curves,
+   compression codec residuals/RNG), as one
+   :mod:`~repro.persist.snapshot` blob. The client is the one home of
+   cross-round state about it — parameters, buffers and optimizer are
+   rebuilt from the broadcast every round — so dropping it drops all of
+   that with it;
 2. ``factory.release(client)`` — the slot, not the client, owns the model
    replica: the ``create`` that refills the slot takes it instead of
    building one, so a run builds at most ``capacity`` + 1 replicas however
    many clients it pages (the evicted client object is dead afterwards).
 
-Rehydration inverts it: ``factory.create(cid)`` rebuilds the initial
-client bit-identically from ``(seed, cid)``, then the stored snapshot is
+A parked client is that one ``bytes`` object and nothing else — about
+400 B for a FedAvg client over a 16-sample shard, where the dict tree it
+encodes is ~4 KB of Python objects — and most of a large population that
+has been touched at all is parked, so this is what ``cache=N`` costs in
+the long run (``snapshot_bytes``; DESIGN.md §15). The blob is never
+re-expanded while the client is away: a checkpoint writes it as it is and
+a resume seeds it back as it is (:meth:`ResidentClientCache.seed_snapshot`
+— so the ``capacity`` bound holds right after a resume too).
+
+Rehydration inverts eviction: ``factory.create(cid)`` rebuilds the initial
+client bit-identically from ``(seed, cid)``, then the decoded snapshot is
 restored on top. A client that was never evicted and one that round-tripped
 through eviction are therefore indistinguishable — byte-for-byte — which is
-what keeps lazy histories identical to eager ones. A checkpoint resumes
-through the same door (:meth:`ResidentClientCache.seed_snapshot`), so the
-``capacity`` bound holds right after a resume too.
+what keeps lazy histories identical to eager ones.
 
 Every resident is treated as dirty: the simulator only indexes clients it
 is about to run, so an acquire implies mutation and eviction always
@@ -40,6 +49,7 @@ import sys
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Iterable
 
+from ..persist.snapshot import decode, encode
 from ..runtime.client import SimClient
 
 if TYPE_CHECKING:
@@ -73,8 +83,9 @@ def _process_rss_bytes() -> int:
 class ResidentClientCache:
     """LRU cache of live clients keyed by cid, with snapshot spill.
 
-    ``_snapshots[cid]`` holds the ``capture_state()`` of every client that
-    has state but is not resident; a cid in neither map is still in its
+    ``_snapshots[cid]`` holds the encoded ``capture_state()`` of every
+    client that has state but is not resident — one ``bytes`` object each,
+    ``snapshot_bytes`` in total; a cid in neither map is still in its
     initial (round-zero) state and needs no snapshot at all — this is what
     keeps memory flat in total-client count.
     """
@@ -85,7 +96,8 @@ class ResidentClientCache:
         self.factory = factory
         self.capacity = capacity
         self._residents: OrderedDict[int, SimClient] = OrderedDict()
-        self._snapshots: dict[int, dict[str, Any]] = {}
+        self._snapshots: dict[int, bytes] = {}
+        self.snapshot_bytes = 0
         self.evictions = 0
         self.rehydrations = 0
         self.creations = 0
@@ -106,6 +118,11 @@ class ResidentClientCache:
     def resident_ids(self) -> list[int]:
         return sorted(self._residents)
 
+    @property
+    def parked_clients(self) -> int:
+        """Clients held as a snapshot rather than live."""
+        return len(self._snapshots)
+
     def acquire(self, cid: int) -> SimClient:
         """Return the live client for ``cid``, paging it in if needed."""
         client = self._residents.get(cid)
@@ -116,45 +133,51 @@ class ResidentClientCache:
             self._evict_one()
         client = self.factory.create(cid)
         self.creations += 1
-        snapshot = self._snapshots.pop(cid, None)
-        if snapshot is not None:
-            client.restore_state(snapshot)
+        blob = self._snapshots.pop(cid, None)
+        if blob is not None:
+            self.snapshot_bytes -= len(blob)
+            client.restore_state(decode(blob))
             self.rehydrations += 1
         self._residents[cid] = client
         return client
 
     def _evict_one(self) -> None:
         cid, client = self._residents.popitem(last=False)
-        self._snapshots[cid] = client.capture_state()
+        self._park(cid, encode(client.capture_state()))
         self.factory.release(client)
         self.evictions += 1
+
+    def _park(self, cid: int, blob: bytes) -> None:
+        self.snapshot_bytes += len(blob) - len(self._snapshots.get(cid, b""))
+        self._snapshots[cid] = blob
 
     # ------------------------------------------------------------------
     # Checkpoint integration
     # ------------------------------------------------------------------
-    def seed_snapshot(self, cid: int, snapshot: dict[str, Any]) -> None:
-        """Install a checkpointed client snapshot without materialising the
-        client; it is applied when (and if) the client pages in."""
+    def seed_snapshot(self, cid: int, blob: bytes) -> None:
+        """Install a checkpointed client snapshot — still encoded — without
+        materialising the client; it is decoded and applied when (and if)
+        the client pages in."""
         client = self._residents.pop(cid, None)
         if client is not None:
             self.factory.release(client)
-        self._snapshots[cid] = snapshot
+        self._park(cid, blob)
 
     def capture_run_state(
         self, client_ids: "Iterable[int] | None" = None
-    ) -> dict[int, dict[str, Any]]:
-        """``{cid: snapshot}`` of every client (among ``client_ids``, when
-        given) that has diverged from its initial state.
+    ) -> dict[int, bytes]:
+        """``{cid: encoded snapshot}`` of every client (among ``client_ids``,
+        when given) that has diverged from its initial state.
 
-        Residents are captured live, evicted clients come from their stored
-        snapshots. Untouched clients are deterministic from ``(seed, cid)``
-        and need no entry.
+        Residents are captured and encoded live; an evicted client's entry
+        is the pager's own blob, passed through undecoded. Untouched clients
+        are deterministic from ``(seed, cid)`` and need no entry.
         """
         touched = set(self._residents) | set(self._snapshots)
         if client_ids is not None:
             touched &= set(client_ids)
         return {
-            cid: self._residents[cid].capture_state()
+            cid: encode(self._residents[cid].capture_state())
             if cid in self._residents
             else self._snapshots[cid]
             for cid in sorted(touched)
@@ -207,11 +230,11 @@ class LazyClientPopulation:
 
     def capture_run_state(
         self, client_ids: "Iterable[int] | None" = None
-    ) -> dict[int, dict[str, Any]]:
+    ) -> dict[int, bytes]:
         return self.cache.capture_run_state(client_ids)
 
-    def restore_client_state(self, cid: int, snapshot: dict[str, Any]) -> None:
-        self.cache.seed_snapshot(cid, snapshot)
+    def restore_client_state(self, cid: int, blob: bytes) -> None:
+        self.cache.seed_snapshot(cid, blob)
 
     # ------------------------------------------------------------------
     def mirror_metrics(self, recorder: "Recorder") -> None:
@@ -235,4 +258,10 @@ class LazyClientPopulation:
             )
             self._mirrored_rehydrations = self.cache.rehydrations
         recorder.gauge("repro_resident_clients", float(len(self.cache)))
+        recorder.gauge(
+            "repro_population_parked_clients", float(self.cache.parked_clients)
+        )
+        recorder.gauge(
+            "repro_population_snapshot_bytes", float(self.cache.snapshot_bytes)
+        )
         recorder.gauge("repro_population_rss_bytes", float(_process_rss_bytes()))

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..rngstate import rng_state_bytes, set_rng_state
+
 __all__ = ["SpeedTrace", "GAMMA_FAST", "GAMMA_SLOW", "SLOWDOWN_RANGE"]
 
 # Paper §5.1: Γ(shape=2, scale=40) fast periods, Γ(2, 6) slow periods,
@@ -91,6 +93,10 @@ class SpeedTrace:
 
     def _segment_at(self, t: float) -> _Segment:
         self._extend_to(t)
+        if t < self._segments[0].start:
+            raise ValueError(
+                f"time {t} precedes what forget_before left of this trace"
+            )
         # Binary search over segment starts; traces are append-only so the
         # list is sorted by construction.
         lo, hi = 0, len(self._segments) - 1
@@ -101,6 +107,26 @@ class SpeedTrace:
             else:
                 hi = mid
         return self._segments[lo]
+
+    def forget_before(self, t: float) -> None:
+        """Promise that no query will come below ``t``: the trace is
+        generated up to ``t`` and every segment that ends by then is
+        dropped, so it and its snapshot stop growing with simulated time.
+        A client's own latest query is *not* such a bound — a straggler is
+        asked past the end of a round and its next round starts earlier —
+        the round start is; a query that breaks the promise raises
+        ``ValueError`` rather than answer from the wrong segment."""
+        if t < 0:
+            raise ValueError("time must be non-negative")
+        if not self.dynamic:
+            return
+        self._extend_to(t)
+        segments = self._segments
+        drop = 0
+        while segments[drop].end <= t:
+            drop += 1
+        if drop:
+            del segments[:drop]
 
     # ------------------------------------------------------------------
     def slowdown_at(self, t: float) -> float:
@@ -148,8 +174,9 @@ class SpeedTrace:
 
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
-        """Capture every mutable field: the lazily generated mode segments,
-        the generation horizon/phase, and the exact RNG stream position.
+        """Capture every mutable field: the mode segments generated and not
+        yet forgotten, the generation horizon/phase, and the exact RNG
+        stream position.
 
         A trace restored from this snapshot continues generating the same
         segment sequence an uninterrupted trace would — the checkpoint/
@@ -162,7 +189,7 @@ class SpeedTrace:
             dtype=np.float64,
         ).reshape(-1, 3)
         return {
-            "rng": self._rng.bit_generator.state,
+            "rng": rng_state_bytes(self._rng),
             "segments": segments,
             "horizon": float(self._horizon),
             "next_fast": bool(self._next_fast),
@@ -170,7 +197,7 @@ class SpeedTrace:
 
     def restore_state(self, snapshot: dict) -> None:
         """Inverse of :meth:`snapshot_state` (static config is untouched)."""
-        self._rng.bit_generator.state = snapshot["rng"]
+        set_rng_state(self._rng, snapshot["rng"])
         segments = np.asarray(snapshot["segments"], dtype=np.float64).reshape(-1, 3)
         self._segments = [
             _Segment(float(s), float(e), float(d)) for s, e, d in segments

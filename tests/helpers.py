@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from repro.nn import Module
@@ -31,11 +33,31 @@ def held_array_bytes(layer: Module) -> int:
     )
 
 
-def per_client_holdings(owner) -> list[str]:
+def same_tree(a, b) -> bool:
+    """Leaf-for-leaf equality of snapshot trees, with types: ``1``, ``1.0``
+    and ``True`` differ, floats compare by bits (NaN equals itself, ``0.0``
+    is not ``-0.0``) and arrays by dtype, shape and bytes."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_tree(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_tree, a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+def per_client_holdings(owner, at_rest: tuple[type, ...] = ()) -> list[str]:
     """Names of ``owner``'s attributes that hold per-client state: a non-empty
     dict keyed by client id, or anything holding a codec, a FedCA profile or
     its parts. A strategy and its wire layer must have none — what they
-    remember about a client lives on the client (``SimClient.keep``)."""
+    remember about a client lives on the client (``SimClient.keep``). The
+    pager is what does hold clients; with ``at_rest=(bytes,)`` a dict keyed
+    by client id whose every value is exactly one such object — nothing
+    further reachable from it — is not counted."""
     from repro.algorithms.fedca import ClientProfile
     from repro.compression.codecs import UpdateCodec
     from repro.core import LayerSampler, ProfiledCurves
@@ -44,10 +66,13 @@ def per_client_holdings(owner) -> list[str]:
 
     def holds(value) -> bool:
         if isinstance(value, dict):
-            return any(
+            keyed = any(
                 isinstance(key, (int, np.integer)) and not isinstance(key, bool)
                 for key in value
-            ) or holds(list(value.values()))
+            )
+            if keyed and all(type(item) in at_rest for item in value.values()):
+                return False
+            return keyed or holds(list(value.values()))
         if isinstance(value, (list, tuple, set, frozenset)):
             return any(holds(item) for item in value)
         return isinstance(value, per_client)

@@ -211,6 +211,80 @@ class TestContainer:
         assert list(read_payload(path)["events"]) == ["2", "10", "1"]
 
 
+class TestClientBlobSection:
+    """Per-client snapshots are three archive members however many clients
+    there are, and pass through save → load → restore still encoded."""
+
+    @staticmethod
+    def _members(path):
+        with np.load(path) as archive:
+            return sorted(archive.files)
+
+    def test_checkpoint_archive_members_do_not_scale_with_clients(self, tmp_path):
+        members = []
+        for num_clients in (2, 6):
+            cfg = dataclasses.replace(CFG, num_clients=num_clients)
+            ckdir = tmp_path / f"ck{num_clients}"
+            run_scheme(cfg, "fedca", rounds=2, stop_at_target=False, seed=3,
+                       checkpoint_dir=str(ckdir), checkpoint_every=2)
+            path = find_latest_checkpoint(str(ckdir))
+            assert len(RunCheckpoint.load(path).clients) == num_clients
+            members.append(self._members(path))
+        assert members[0] == members[1]
+        # __meta__, the global model's layers, and cids / ends / blob.
+        layers = len(RunCheckpoint.load(path).global_state)
+        assert len(members[0]) == 1 + layers + 3
+
+    def test_blobs_pass_through_undecoded(self, saved_checkpoint):
+        from repro.persist.snapshot import decode
+
+        path, _ = saved_checkpoint
+        ckpt = RunCheckpoint.load(path)
+        assert sorted(ckpt.clients) == ["0", "1", "2", "3"]
+        assert all(type(blob) is bytes for blob in ckpt.clients.values())
+        assert set(decode(ckpt.clients["0"])) == {"stream", "trace"}
+        # A lazy population is handed the very objects the file was cut into.
+        from repro.algorithms import build_strategy
+        from repro.experiments.configs import make_environment
+
+        lazy = make_environment(
+            CFG, build_strategy("fedavg", CFG.optimizer_spec()), seed=3,
+            population="lazy:cache=2",
+        )
+        with lazy:
+            ckpt.restore_into(lazy)
+            cache = lazy.population.cache
+            assert len(cache) == 0 and cache.creations == 0
+            assert all(cache._snapshots[int(cid)] is blob
+                       for cid, blob in ckpt.clients.items())
+            assert cache.snapshot_bytes == sum(map(len, ckpt.clients.values()))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda s: s.update(ends=s["ends"][::-1].copy()),
+            lambda s: s.update(ends=s["ends"] + 1),
+            lambda s: s.update(cids=s["cids"][:-1]),
+            lambda s: s.update(blob=s["blob"][:-1]),
+            lambda s: s.update(blob=s["blob"].astype(np.int8)),
+            lambda s: s.update(ends=s["ends"].astype(np.float64)),
+        ],
+        ids=["unordered", "past-end", "short-cids", "short-blob", "blob-dtype",
+             "ends-dtype"],
+    )
+    def test_inconsistent_blob_index_is_corrupt(self, damage):
+        from repro.persist.checkpoint import _join_blobs, _split_blobs
+
+        clients = {"3": b"abc", "10": b"", "4": b"defgh"}
+        section = _join_blobs(clients)
+        assert _split_blobs(section) == clients
+        assert list(_split_blobs(section)) == ["3", "10", "4"]
+        assert _split_blobs(_join_blobs({})) == {}
+        damage(section)
+        with pytest.raises(CheckpointCorruptError, match="client snapshot index"):
+            _split_blobs(section)
+
+
 class TestCorruptionDetection:
     """A damaged checkpoint must raise a typed error before any state is
     touched — never a partial restore, never a numpy broadcast error."""
@@ -253,14 +327,18 @@ class TestCorruptionDetection:
         json.dump(manifest, open(bad + ".manifest.json", "w"))
         with pytest.raises(CheckpointFormatError, match="version"):
             RunCheckpoint.load(bad)
-        # A checkpoint of the previous format (version 1 kept per-client
-        # strategy state in its own section) is refused by version, naming
-        # both, before the payload is even hashed.
-        manifest["version"] = 1
+        # A checkpoint of an earlier format (version 1 kept per-client
+        # strategy state in its own section, version 2 two archive members
+        # per client) is refused by version, naming both, before the payload
+        # is even hashed.
         manifest["sha256"] = "not checked"
-        json.dump(manifest, open(bad + ".manifest.json", "w"))
-        with pytest.raises(CheckpointFormatError, match=r"version 1\b.*version 2\b"):
-            RunCheckpoint.load(bad)
+        for old in (1, 2):
+            manifest["version"] = old
+            json.dump(manifest, open(bad + ".manifest.json", "w"))
+            with pytest.raises(
+                CheckpointFormatError, match=rf"version {old}\b.*version 3\b"
+            ):
+                RunCheckpoint.load(bad)
 
     def test_corrupt_is_a_format_error(self):
         # One except-clause catches the whole "unusable checkpoint" family.

@@ -24,6 +24,7 @@ from repro.data import (
 )
 from repro.nn import Dropout, LeNetCNN, WideResNet
 from repro.obs import TraceRecorder, events_to_jsonl
+from repro.persist.snapshot import decode, encode
 from repro.runtime import (
     FederatedSimulator,
     RunHistory,
@@ -46,7 +47,7 @@ from repro.scale import (
 )
 from repro.sysmodel import LinkModel, iteration_time_for
 
-from .helpers import held_array_bytes, per_client_holdings
+from .helpers import held_array_bytes, per_client_holdings, same_tree
 
 OPT = OptimizerSpec(lr=0.05, weight_decay=0.01)
 NUM_CLIENTS = 5
@@ -366,7 +367,7 @@ class TestLazyClientPopulation:
             assert pop.cache.resident_ids() == [1]
             # The evicted client's state exists nowhere but in the pager's
             # snapshot: the strategy and its wire layer hold nothing.
-            assert_state_equal(pop.cache._snapshots[0]["kept"]["wire"], before)
+            assert_state_equal(decode(pop.cache._snapshots[0])["kept"]["wire"], before)
             assert per_client_holdings(strategy) == []
             assert per_client_holdings(strategy.wire) == []
             client = pop.cache.acquire(0)  # rehydrates client and codec
@@ -387,10 +388,10 @@ class TestLazyClientPopulation:
         assert sorted(state) == [0, 1]
         # Untouched clients need no entry: they are (seed, cid)-determined.
         assert 2 not in state
-        # The evicted client's entry is the pager's snapshot itself, the
-        # resident's a live capture; a slice returns only what it names.
+        # The evicted client's entry is the pager's blob itself, undecoded,
+        # the resident's a live capture; a slice returns only what it names.
         assert state[0] is pop.cache._snapshots[0]
-        assert_state_equal(state[1], pop[1].capture_state())
+        assert_state_equal(decode(state[1]), pop[1].capture_state())
         assert sorted(pop.capture_run_state([1, 3])) == [1]
 
 
@@ -489,6 +490,117 @@ def test_evict_rehydrate_round_trip_property(
     assert_state_equal(other.capture_state(), before)
 
 
+def _mutate_fedavg_raw(strategy, client):
+    pass
+
+
+def _mutate_fedca_curves(strategy, client):
+    run_anchor(strategy, client, 3)
+
+
+def _mutate_topk_residuals(strategy, client):
+    strategy.wire.encode(client, {"w": np.linspace(-1.0, 1.0, 32, dtype=np.float32)})
+
+
+def _mutate_dropout_rng(strategy, client):
+    draw_masks(client, 3)
+
+
+@pytest.mark.parametrize(
+    "model_fn, wire, mutate, entries",
+    [
+        (lenet, None, _mutate_fedavg_raw, {"stream", "trace"}),
+        (lenet, None, _mutate_fedca_curves, {"stream", "trace", "kept"}),
+        (lenet, "topk:0.1", _mutate_topk_residuals, {"stream", "trace", "kept"}),
+        (micro_wrn, None, _mutate_dropout_rng, {"stream", "trace", "model_rng"}),
+    ],
+    ids=["fedavg-raw", "fedca-curves", "topk-residuals", "dropout-rng"],
+)
+def test_parked_client_equals_never_evicted(env_data, model_fn, wire, mutate, entries):
+    """A client that sat in the pager as a blob is the client that never
+    left: same captured state, same next batches, same next compute times."""
+    from repro.runtime import parse_wire_spec
+
+    strategy = build_strategy("fedca", OPT, fedca_config=FedCAConfig(profile_every=2))
+    if wire:
+        strategy.set_wire(parse_wire_spec(wire))
+    roomy = LazyClientPopulation(make_factory(env_data, model_fn=model_fn), capacity=5)
+    tight = LazyClientPopulation(make_factory(env_data, model_fn=model_fn), capacity=1)
+    for pop in (roomy, tight):
+        client = pop[2]
+        client.stream.next_batch()
+        client.trace.forget_before(30.0)
+        client.trace.iteration_finish_time(31.0, 40)
+        mutate(strategy, client)
+        pop[3].stream.next_batch()  # parks client 2 in the tight cache only
+    assert tight.cache.resident_ids() == [3] and type(tight.cache._snapshots[2]) is bytes
+    assert roomy.cache.evictions == 0
+    parked, live = tight[2], roomy[2]
+    assert tight.cache.rehydrations == 1
+    assert set(live.capture_state()) == entries
+    assert_state_equal(parked.capture_state(), live.capture_state())
+    for _ in range(3):
+        for got, want in zip(parked.stream.next_batch(), live.stream.next_batch()):
+            np.testing.assert_array_equal(got, want)
+    t = 35.0
+    for _ in range(3):
+        t = live.trace.iteration_finish_time(t, 50)
+        assert parked.trace.iteration_finish_time(t - 1.0, 50) == \
+            live.trace.iteration_finish_time(t - 1.0, 50)
+    assert_state_equal(parked.capture_state(), live.capture_state())
+
+
+# ----------------------------------------------------------------------
+# Damage to a real client's blob
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def client_blob(env_data):
+    """The encoded state of a client that drew batches, compute times and
+    dropout masks and holds FedCA curves and top-k residuals."""
+    client = make_factory(env_data, model_fn=micro_wrn).create(0)
+    strategy = fedca_with_wire()
+    client.stream.next_batch()
+    client.trace.iteration_finish_time(0.0, 4)
+    draw_masks(client, 2)
+    strategy.wire.encode(client, {"w": np.linspace(-1, 1, 16, dtype=np.float32)})
+    run_anchor(strategy, client, 3)
+    state = client.capture_state()
+    assert set(state) == {"stream", "trace", "model_rng", "kept"}
+    return encode(state)
+
+
+def test_every_proper_prefix_of_a_blob_is_corrupt(client_blob):
+    from repro.persist import CheckpointCorruptError
+
+    for cut in range(len(client_blob)):
+        with pytest.raises(CheckpointCorruptError):
+            decode(client_blob[:cut])
+    with pytest.raises(CheckpointCorruptError, match="trailing"):
+        decode(client_blob + b"\x00")
+
+
+def test_every_single_byte_corruption_is_caught_or_differs(client_blob):
+    # Only CheckpointCorruptError may escape (a struct.error or IndexError
+    # fails the test); a blob that still decodes must say something else.
+    from repro.persist import CheckpointCorruptError
+
+    original = decode(client_blob)
+    rng = np.random.default_rng(0)
+    raised = 0
+    for pos in range(len(client_blob)):
+        for value in {0x00, 0xFF, client_blob[pos] ^ 0x01, int(rng.integers(256))}:
+            if value == client_blob[pos]:
+                continue
+            damaged = client_blob[:pos] + bytes((value,)) + client_blob[pos + 1 :]
+            try:
+                tree = decode(damaged)
+            except CheckpointCorruptError:
+                raised += 1
+            else:
+                assert not same_tree(tree, original), f"byte {pos} -> {value:#x} unnoticed"
+    assert raised > 100  # tags, lengths, keys, dtype codes: the structure
+
+
 @pytest.fixture(scope="module")
 def precomputed_env(env_data):
     # hypothesis forbids function-scoped fixtures; reuse the module data.
@@ -521,7 +633,17 @@ def run_traced(env_data, scheme, *, executor, population, model_fn=lenet, **over
         hist = sim.run(4)
     finally:
         sim.close()
-    return history_to_json(hist), events_to_jsonl(rec.events())
+    # The pager's gauges exist exactly when there is a pager, and (being
+    # gauges) are in neither byte stream the identity tests compare.
+    pager_gauges = {
+        "repro_population_snapshot_bytes",
+        "repro_population_parked_clients",
+        "repro_population_rss_bytes",
+    }
+    assert (pager_gauges <= set(rec.gauges)) == (population is not None)
+    hist_json, trace_jsonl = history_to_json(hist), events_to_jsonl(rec.events())
+    assert "repro_population" not in hist_json + trace_jsonl
+    return hist_json, trace_jsonl
 
 
 ENGINES = [
@@ -849,6 +971,46 @@ def test_as_shard_provider_passthrough(env_data):
     assert as_shard_provider(wrapped) is wrapped
     provider = SubsampledShards(train, 10, 8, seed=0)
     assert as_shard_provider(provider) is provider
+
+
+def test_parked_clients_are_small_flat_blobs():
+    """200 rounds over 300 clients at ``cache=4``: what the pager holds per
+    parked client is one ``bytes`` object of a few hundred bytes — no dict,
+    list or array is reachable from ``_snapshots`` — and the running total
+    it reports is their exact sum."""
+    from repro.data import make_image_dataset, train_test_split
+
+    pool = make_image_dataset(
+        num_samples=400, num_classes=4, channels=1, image_size=8, seed=5
+    )
+    train, test = train_test_split(pool, test_fraction=0.2, seed=6)
+    rec = TraceRecorder()
+    sim = FederatedSimulator(
+        model_fn=lambda: LeNetCNN(
+            in_channels=1, image_size=8, num_classes=4, conv_channels=(2, 2),
+            fc_sizes=(8, 8), rng=np.random.default_rng(7),
+        ),
+        strategy=build_strategy("fedavg", OPT),
+        shards=SubsampledShards(train, 300, 16, alpha=0.5, seed=2),
+        test_set=test,
+        base_iteration_times=lambda cid: iteration_time_for(cid, 0.5, seed=2),
+        batch_size=8,
+        local_iterations=2,
+        clients_per_round=4,
+        seed=1,
+        population="lazy:cache=4",
+        recorder=rec,
+    )
+    with sim:
+        sim.run(200)
+        cache = sim.population.cache
+    parked = cache.parked_clients
+    assert parked > 200 and sim.time > 200.0  # most of the population, many modes
+    assert per_client_holdings(cache, at_rest=(bytes,)) == ["_residents"]
+    assert cache.snapshot_bytes == sum(map(len, cache._snapshots.values()))
+    assert cache.snapshot_bytes / parked <= 450
+    assert rec.gauges["repro_population_snapshot_bytes"] == cache.snapshot_bytes
+    assert rec.gauges["repro_population_parked_clients"] == parked
 
 
 def test_lazy_run_bounds_materialisation(env_data):

@@ -131,19 +131,94 @@ class TestSpeedTraceSnapshot:
         assert snapshot["horizon"] == horizon  # snapshot unaffected
 
     def test_snapshot_roundtrips_through_json(self):
-        # Checkpoints persist the RNG state as JSON; the 128-bit PCG64
-        # state ints must survive the round trip exactly.
-        import json
+        # Checkpoints once persisted the RNG state as JSON ints; it is 37
+        # bytes inside a snapshot blob now, and the 128-bit PCG64 state
+        # must survive that round trip exactly.
+        from repro.persist.snapshot import decode, encode
 
         tr = SpeedTrace(0.1, seed=4)
         tr.slowdown_at(100.0)
         snap = tr.snapshot_state()
-        snap_json = {**snap, "segments": snap["segments"].tolist()}
-        back = json.loads(json.dumps(snap_json))
+        assert len(snap["rng"]) == 37
+        back = decode(encode(snap))
         restored = SpeedTrace(0.1, seed=99)
         restored.restore_state(back)
         assert restored.iteration_finish_time(0.0, 30) == tr.iteration_finish_time(0.0, 30)
         assert restored.slowdown_at(400.0) == tr.slowdown_at(400.0)
+
+
+class TestSpeedTraceForgetting:
+    """``forget_before(t)`` is a promise about future queries, not a change
+    of answers: a pruned trace equals the never-pruned one bit for bit."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**16),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["forget", "query", "restore"]),
+                st.floats(0.0, 150.0, allow_nan=False),
+                st.floats(0.0, 120.0, allow_nan=False),
+                st.integers(0, 400),
+            ),
+            min_size=1, max_size=14,
+        ),
+    )
+    def test_pruned_trace_matches_never_pruned(self, seed, steps):
+        ref = SpeedTrace(0.1, seed=seed)
+        live = SpeedTrace(0.1, seed=seed)
+        floor = 0.0  # the round-start clock: it only moves forward
+        for op, advance, ahead, iterations in steps:
+            if op == "forget":
+                floor += advance
+                live.forget_before(floor)
+                assert all(seg.end > floor for seg in live._segments)
+            elif op == "query":
+                # Anywhere at or above the floor — and, like a straggler's
+                # next round, possibly below this trace's own last query.
+                start = floor + ahead
+                assert live.iteration_finish_time(start, iterations) == \
+                    ref.iteration_finish_time(start, iterations)
+                assert live.slowdown_at(start) == ref.slowdown_at(start)
+            else:
+                from repro.persist.snapshot import decode, encode
+
+                restored = SpeedTrace(0.1, seed=seed + 1)
+                restored.restore_state(decode(encode(live.snapshot_state())))
+                live = restored
+
+    def test_the_past_is_gone_and_says_so(self):
+        tr = SpeedTrace(0.1, seed=2)
+        tr.iteration_finish_time(0.0, 20_000)  # ~2 000 s: dozens of segments
+        grown = len(tr._segments)
+        assert grown > 20
+        tr.forget_before(1500.0)
+        assert len(tr._segments) < grown // 2
+        assert tr._segments[0].start <= 1500.0 < tr._segments[0].end
+        assert len(tr.snapshot_state()["segments"]) == len(tr._segments)
+        with pytest.raises(ValueError, match="forget_before"):
+            tr.slowdown_at(tr._segments[0].start - 1.0)
+        with pytest.raises(ValueError, match="forget_before"):
+            tr.iteration_finish_time(10.0, 5)
+        tr.forget_before(100.0)  # a lower mark than before forgets nothing more
+        assert tr._segments[0].start <= 1500.0 < tr._segments[0].end
+        with pytest.raises(ValueError):
+            tr.forget_before(-1.0)
+
+    def test_forgetting_ahead_of_the_horizon_generates_then_drops(self):
+        # A client first selected late: nothing before its round start is
+        # kept, and what follows is what an unpruned trace generates.
+        ref, tr = SpeedTrace(0.1, seed=9), SpeedTrace(0.1, seed=9)
+        tr.forget_before(5000.0)
+        assert len(tr._segments) == 1 and tr._segments[0].end > 5000.0
+        assert tr.iteration_finish_time(5000.0, 300) == ref.iteration_finish_time(5000.0, 300)
+
+    def test_static_trace_has_nothing_to_forget(self):
+        tr = SpeedTrace(0.5, seed=0, dynamic=False)
+        before = tr.snapshot_state()
+        tr.forget_before(1e6)
+        assert tr.snapshot_state()["rng"] == before["rng"]
+        assert tr.iteration_finish_time(0.0, 10) == pytest.approx(5.0)
 
 
 class TestHeterogeneity:
