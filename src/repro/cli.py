@@ -244,8 +244,8 @@ def _add_executor(parser: argparse.ArgumentParser) -> None:
              "'parallel[:N][+shards=S]' — N persistent worker processes "
              "(default: usable cores) exchanging models through shared "
              "memory, same results at lower wall-clock, and with +shards=S "
-             "the model is reduced as S parameter-range shards inside the "
-             "workers (byte-identical histories, no full layers×clients "
+             "the flat parameter vector is reduced as S index ranges inside "
+             "the workers (byte-identical histories, no full clients×params "
              "stack in any one process); 'cohort[:M]' — M clients (default "
              "32) batched into one stacked tensor program (byte-identical "
              "histories unless a shard is smaller than a batch, "

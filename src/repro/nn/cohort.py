@@ -14,9 +14,12 @@ step.
 There is no second layer library. Every layer in ``nn/{layers,conv,
 pooling,norm,rnn}.py`` is written over ``(*lead, N, …)`` inputs and
 ``(*lead, *shape)`` parameters; :func:`stack_module` copies the template's
-``Module`` tree, re-points each ``Parameter`` at a ``(C, *shape)`` stack and
-sets ``lead = (C,)``. Residual topologies (WideResNet with group norm) need
-nothing more — the model's own ``forward`` runs.
+``Module`` tree, sets ``lead = (C,)`` and lays it out as one ``(C, P)``
+parameter arena (and ``(C, P)`` gradients, ``(C, B)`` buffers): member
+``i``'s parameters are row ``i``, and each ``Parameter`` is a
+``(C, *shape)`` strided view across the rows. Residual topologies
+(WideResNet with group norm) need nothing more — the model's own
+``forward`` runs.
 
 Implementation notes
 --------------------
@@ -34,8 +37,9 @@ Implementation notes
   budgets (FedAda) drop members out of the cohort via the *active mask*
   passed to :meth:`CohortSGD.step` — a masked member's parameters are
   frozen bitwise (the whole step, including weight decay, is multiplied by
-  the mask), and the caller stops drawing its batches so the member's data
-  RNG stream stays exactly where a serial run would leave it.
+  its row of the ``(C, 1)`` mask), and the caller stops drawing its
+  batches so the member's data RNG stream stays exactly where a serial
+  run would leave it.
 * The serial executor remains the oracle, and a full-width cohort member
   equals its serial twin in bytes: the leading axis only batches per-member
   BLAS calls and elementwise passes, zero rows add exact zeros, and the
@@ -64,19 +68,25 @@ __all__ = [
 
 
 def stack_module(template: Module, cohort_size: int) -> Module:
-    """A copy of the template's own ``Module`` tree with every ``Parameter``
-    and buffer re-pointed at a zeroed ``(C, *shape)`` stack, and
-    ``lead = (C,)`` and one shared ``rows`` array on every module, in
-    training mode."""
+    """A copy of the template's own ``Module`` tree laid out as zeroed
+    ``(C, P)`` / ``(C, B)`` arenas, with ``lead = (C,)`` and one shared
+    ``rows`` array on every module, in training mode."""
     stacked = copy.deepcopy(template)
-    for p in stacked.parameters():
-        p.data = np.zeros((cohort_size,) + p.data.shape, dtype=np.float32)
-        p.grad = np.zeros_like(p.data)
+    lead = (cohort_size,)
     rows = np.zeros(cohort_size, dtype=np.int64)
+
+    def zeros(shape: tuple[int, ...]) -> np.ndarray:
+        # A read-only stand-in until the walk below lays out the arenas
+        # and re-points everything into them.
+        return np.broadcast_to(np.float32(0), lead + shape)
+
     for _, module in stacked.named_modules():
-        module.lead, module.rows = (cohort_size,), rows
-        for name, buf in list(module._buffers.items()):
-            module.register_buffer(name, np.zeros((cohort_size,) + buf.shape))
+        module.lead, module.rows = lead, rows
+        for p in module._parameters.values():
+            p.data = p.grad = zeros(p.data.shape)
+        for name, buf in module._buffers.items():
+            module._set_buffer(name, zeros(buf.shape))
+    stacked.arena()
     return stacked.train()
 
 
@@ -121,45 +131,38 @@ class CohortModel:
     def load_global(
         self, state: dict[str, np.ndarray], buffers: dict[str, np.ndarray]
     ) -> None:
-        """Broadcast the server state and buffers into every member slot."""
-        own = set(self.params)
-        if own != set(state):
-            missing = sorted(own - set(state))
-            extra = sorted(set(state) - own)
-            raise KeyError(
-                f"state_dict mismatch: missing={missing} extra={extra}"
-            )
-        for name, p in self.params.items():
-            p.data[...] = np.asarray(state[name], dtype=np.float32)
-        for name, b in self.buffers.items():
-            b[...] = np.asarray(buffers[name], dtype=np.float32)
+        """Broadcast the server state and buffers into every member row."""
+        arena = self.module.arena()
+        arena.values[...] = arena.layout.flatten(state)
+        arena.buffers[...] = arena.buffer_layout.flatten(buffers, what="buffer_dict")
 
     def member_params(self, i: int) -> dict[str, np.ndarray]:
         """Member ``i``'s parameter views (zero-copy)."""
-        return {name: p.data[i] for name, p in self.params.items()}
+        arena = self.module.arena()
+        return arena.layout.views(arena.values[i])
 
-    def stacked_update(
-        self, global_state: dict[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
-        """Accumulated updates for the whole cohort, one vectorised subtract
-        per layer: ``update[name][i]`` is member ``i``'s ``w_local − w_global``.
-        Per-member result dicts are zero-copy views into these stacks, so
-        aggregation consumes the batched tensor without an unstack pass."""
-        return {
-            name: p.data - np.asarray(global_state[name], dtype=np.float32)[None]
-            for name, p in self.params.items()
-        }
+    def stacked_update(self, global_state: dict[str, np.ndarray]) -> np.ndarray:
+        """Accumulated updates for the whole cohort in one subtract: row
+        ``i`` of the ``(C, P)`` result is member ``i``'s ``w_local −
+        w_global``. Per-member result dicts are zero-copy views into it
+        (:meth:`member_update`), so nothing is unstacked."""
+        arena = self.module.arena()
+        return arena.values - arena.layout.flatten(global_state)
+
+    def member_update(self, stacked: np.ndarray, i: int) -> dict[str, np.ndarray]:
+        """Member ``i``'s update dict as views into :meth:`stacked_update`."""
+        return self.module.arena().layout.views(stacked[i])
 
     def write_back(self, models: list[Module]) -> None:
-        """Copy each member's trained slot into its serial replica, leaving
+        """Copy each member's trained row into its serial replica, leaving
         the replicas exactly as a serial round would: a round's result
         reports the replica's buffers, and anything may inspect
         ``client.model`` between rounds."""
+        arena = self.module.arena()
         for i, model in enumerate(models):
-            for name, p in model.named_parameters():
-                p.data[...] = self.params[name].data[i]
-            for name, b in model.named_buffers():
-                b[...] = self.buffers[name][i]
+            own = model.arena()
+            own.values[...] = arena.values[i]
+            own.buffers[...] = arena.buffers[i]
 
     # ------------------------------------------------------------------
     def zero_grad(self) -> None:
@@ -256,46 +259,39 @@ class CohortSGD:
         self.weight_decay = weight_decay
         self.momentum = momentum
         self.mu = mu
-        self._anchor: dict[str, np.ndarray] | None = None
+        arena = model.module.arena()
+        self._anchor: np.ndarray | None = None
         if mu:
             if anchor is None:
                 raise ValueError("a proximal step (mu > 0) needs the anchor state")
-            self._anchor = {
-                name: np.asarray(anchor[name], dtype=np.float32)[None]
-                for name in model.params
-            }
-        self._velocity: dict[str, np.ndarray] | None = (
-            {name: np.zeros_like(p.data) for name, p in model.params.items()}
-            if momentum > 0.0
-            else None
+            self._anchor = arena.layout.flatten(anchor)
+        self._velocity: np.ndarray | None = (
+            np.zeros_like(arena.values) if momentum > 0.0 else None
         )
 
     def step(self, active: np.ndarray | None = None) -> None:
-        """One masked update for every stacked parameter.
+        """One masked update of the whole ``(C, P)`` arena.
 
         ``active`` is a ``(C,)`` boolean mask; ``None`` means all members
-        step. Velocity slots of inactive members are updated-but-unused:
+        step. Velocity rows of inactive members are updated-but-unused:
         within one round a member never re-activates (stops are terminal
         and budgets are prefixes), and optimizers never outlive a round.
         """
-        for name, p in self.model.params.items():
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self._anchor is not None:
-                grad = grad + self.mu * (p.data - self._anchor[name])
-            if self._velocity is not None:
-                v = self._velocity[name]
-                v *= self.momentum
-                v += grad
-                grad = v
-            if active is None or active.all():
-                p.data -= self.lr * grad  # == lr * grad * 1.0, one pass fewer
-            else:
-                mask = active.astype(np.float32).reshape(
-                    (-1,) + (1,) * (p.data.ndim - 1)
-                )
-                p.data -= self.lr * grad * mask
+        arena = self.model.module.arena()
+        data, grad = arena.values, arena.grads
+        if self.weight_decay:
+            grad = grad + self.weight_decay * data
+        if self._anchor is not None:
+            grad = grad + self.mu * (data - self._anchor)
+        if self._velocity is not None:
+            v = self._velocity
+            v *= self.momentum
+            v += grad
+            grad = v
+        if active is None or active.all():
+            data -= self.lr * grad  # == lr * grad * 1.0, one pass fewer
+        else:
+            data -= self.lr * grad * active.astype(np.float32)[:, None]
 
     def zero_grad(self) -> None:
         self.model.zero_grad()

@@ -17,34 +17,99 @@ Every layer is written once over ``(*lead, N, …)`` inputs and
 replica and ``(C,)`` for a cohort of ``C`` clients stacked along a leading
 member axis (:func:`repro.nn.cohort.stack_module`). Layers index from the
 trailing axes, so the same ``forward``/``backward`` serves both.
+
+Storage is flat: every ``Parameter.data`` and ``.grad`` is a view into one
+``(*lead, P)`` float32 vector each, and every buffer into one
+``(*lead, B)`` vector, laid out by the tree's two
+:class:`~repro.nn.layout.Layout` tables (:meth:`Module.arena`). Whatever
+operates on the whole model — ``zero_grad``, the optimisers, state loads
+and copies — is one vector operation.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from ..rngstate import rng_state_bytes, set_rng_state
+from .layout import Layout
 from .parameter import Parameter
 
 __all__ = ["Module"]
 
 
 class _Walk(NamedTuple):
-    """One depth-first walk of a module tree. A buffer slot is ``(dotted_name,
-    owner, local_name)`` — the owning module, not the array, so a container
-    never holds a descendant's tensors. ``rngs`` are the distinct generators
-    the tree's layers draw from, in ``named_modules()`` order (by identity:
-    WideResNet's dropouts share one); a layer picks its generator when it is
-    built, so the list is as stable as the tree."""
+    """One depth-first walk of a module tree and the arena it lays out. A
+    buffer slot is ``(dotted_name, owner, local_name)`` — the owning module,
+    not the array, so a container never holds a descendant's tensors.
+    ``rngs`` are the distinct generators the tree's layers draw from, in
+    ``named_modules()`` order (by identity: WideResNet's dropouts share
+    one); a layer picks its generator when it is built, so the list is as
+    stable as the tree. ``values``/``grads`` (``(*lead, P)``) and
+    ``buffers`` (``(*lead, B)``) are the vectors every parameter, gradient
+    and buffer is a view of, at the offsets ``layout`` and
+    ``buffer_layout`` give."""
 
     stamp: object
     named_parameters: list[tuple[str, Parameter]]
     parameters: list[Parameter]
     buffer_slots: list[tuple[str, "Module", str]]
     rngs: list[np.random.Generator]
+    layout: Layout
+    buffer_layout: Layout
+    values: np.ndarray
+    grads: np.ndarray
+    buffers: np.ndarray
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _arena_of(
+    arrays: list[np.ndarray], layout: Layout, lead: tuple[int, ...]
+) -> np.ndarray | None:
+    """The ``(*lead, size)`` vector ``arrays`` already are views of at
+    ``layout``'s offsets — a whole arena, or a descendant's run inside an
+    ancestor's — else ``None``."""
+    if not arrays:
+        return None
+    base = arrays[0].base
+    if (
+        not isinstance(base, np.ndarray)
+        or base.dtype != np.float32
+        or base.shape[:-1] != lead
+        or not base.flags.c_contiguous
+    ):
+        return None
+    origin = _address(arrays[0])
+    start = (origin - _address(base)) // 4
+    for a, (_, offset, shape) in zip(arrays, layout.entries):
+        if (
+            a.base is not base
+            or a.shape != lead + shape
+            or a.strides[: len(lead)] != base.strides[:-1]
+            or _address(a) != origin + 4 * offset
+        ):
+            return None
+    return base[..., start : start + layout.size]
+
+
+def _place(
+    arrays: list[np.ndarray], layout: Layout, lead: tuple[int, ...]
+) -> tuple[np.ndarray, list[np.ndarray] | None]:
+    """``(vector, None)`` when ``arrays`` already live in one; else a new
+    vector holding their values and the views to re-point them at."""
+    arena = _arena_of(arrays, layout, lead)
+    if arena is not None:
+        return arena, None
+    arena = np.zeros(lead + (layout.size,), dtype=np.float32)
+    views = list(layout.views(arena).values())
+    for view, a in zip(views, arrays):
+        np.copyto(view, a)
+    return arena, views
 
 
 class Module:
@@ -102,28 +167,73 @@ class Module:
         statistics). Buffers are synchronised between server and clients
         alongside parameters, but never receive gradients and never enter
         the accumulated-update math; mutate them in place only."""
-        arr = np.ascontiguousarray(value, dtype=np.float32)
-        self._buffers[name] = arr
+        self._set_buffer(name, np.ascontiguousarray(value, dtype=np.float32))
         Module._structure_token = object()
+
+    def _set_buffer(self, name: str, arr: np.ndarray) -> None:
+        self._buffers[name] = arr
         object.__setattr__(self, name, arr)
 
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
     def _walk(self) -> _Walk:
-        """This tree's walk, cached until the next registration anywhere."""
+        """This tree's walk, cached until the next registration anywhere.
+
+        Rebuilding it adopts the vectors the tensors already are views of;
+        only a tree whose tensors are not laid out yet (just built, grown,
+        copied) gets new vectors, and its parameters, gradients and
+        buffers are re-pointed into them. Re-pointing retires every other
+        cached walk too — a walked descendant then adopts its run of this
+        arena instead of keeping one of its own."""
         cache = self._walk_cache
         if cache is None or cache.stamp is not Module._structure_token:
+            lead = self.lead
             named = list(self._iter_named_parameters(""))
+            params = [p for _, p in named]
+            slots = list(self._iter_buffer_slots(""))
+            owned = [owner._buffers[local] for _, owner, local in slots]
+            layout = Layout.of(
+                tuple((name, p.data.shape[len(lead):]) for name, p in named)
+            )
+            buffer_layout = Layout.of(
+                tuple((name, b.shape[len(lead):]) for (name, _, _), b in zip(slots, owned))
+            )
+            values, value_views = _place([p.data for p in params], layout, lead)
+            grads, grad_views = _place([p.grad for p in params], layout, lead)
+            buffers, buffer_views = _place(owned, buffer_layout, lead)
+            if value_views is not None:
+                for p, view in zip(params, value_views):
+                    p.data = view
+            if grad_views is not None:
+                for p, view in zip(params, grad_views):
+                    p.grad = view
+            if buffer_views is not None:
+                for (_, owner, local), view in zip(slots, buffer_views):
+                    owner._set_buffer(local, view)
+            if value_views or grad_views or buffer_views:
+                Module._structure_token = object()
             cache = _Walk(
                 Module._structure_token,
                 named,
-                [p for _, p in named],
-                list(self._iter_buffer_slots("")),
+                params,
+                slots,
                 self._tree_rngs(),
+                layout,
+                buffer_layout,
+                values,
+                grads,
+                buffers,
             )
             object.__setattr__(self, "_walk_cache", cache)
         return cache
+
+    def arena(self) -> _Walk:
+        """The flat storage: ``layout`` and ``buffer_layout`` (the two
+        tables), the ``(*lead, P)`` ``values`` and ``grads`` and the
+        ``(*lead, B)`` ``buffers`` vectors every parameter, gradient and
+        buffer of the tree is a view of."""
+        return self._walk()
 
     def _iter_named_parameters(self, prefix: str) -> Iterator[tuple[str, Parameter]]:
         for name, param in self._parameters.items():
@@ -170,18 +280,19 @@ class Module:
         for name, module in self._modules.items():
             yield from module.named_modules(prefix=f"{prefix}{name}.")
 
-    def layer_bytes(self) -> dict[str, int]:
+    def layer_bytes(self) -> Mapping[str, int]:
         """Per-layer parameter bytes by dotted name — what every simulated
-        transmission time is computed from."""
-        return {name: p.nbytes for name, p in self._walk().named_parameters}
+        transmission time is computed from. One read-only mapping shared
+        by every replica of the architecture."""
+        return self._walk().layout.layer_bytes
 
     def num_parameters(self) -> int:
-        """Total scalar parameter count (paper quotes 60K/50K/36M)."""
-        return sum(p.size for p in self.parameters())
+        """Scalar parameter count of one replica (paper quotes 60K/50K/36M)."""
+        return self._walk().layout.size
 
     def nbytes(self) -> int:
-        """Total transmission size of the model in bytes."""
-        return sum(p.nbytes for p in self.parameters())
+        """Transmission size of one replica in bytes."""
+        return 4 * self._walk().layout.size
 
     # ------------------------------------------------------------------
     # Modes and gradients
@@ -199,8 +310,7 @@ class Module:
 
     def zero_grad(self) -> None:
         """Reset every parameter's accumulated gradient."""
-        for p in self.parameters():
-            p.zero_grad()
+        self._walk().grads[...] = 0.0
 
     # ------------------------------------------------------------------
     # Layer RNG (dropout masks): the one piece of a replica that neither
@@ -237,47 +347,27 @@ class Module:
     # State round-trips (model broadcast / aggregation)
     # ------------------------------------------------------------------
     def state_dict(self) -> "OrderedDict[str, np.ndarray]":
-        """Copy of every parameter value keyed by dotted name."""
-        return OrderedDict((name, p.data.copy()) for name, p in self.named_parameters())
+        """Copy of every parameter value keyed by dotted name (views into
+        one fresh copy of the parameter vector)."""
+        walk = self._walk()
+        return OrderedDict(walk.layout.views(walk.values.copy()))
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Load values in place. Every model parameter must be present and
         shape-compatible; extra keys are an error (they indicate a model
         mismatch between server and client)."""
-        own = dict(self.named_parameters())
-        missing = own.keys() - state.keys()
-        extra = state.keys() - own.keys()
-        if missing or extra:
-            raise KeyError(
-                f"state_dict mismatch: missing={sorted(missing)} extra={sorted(extra)}"
-            )
-        for name, param in own.items():
-            value = np.asarray(state[name], dtype=np.float32)
-            if value.shape != param.data.shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: model {param.data.shape}, "
-                    f"state {value.shape}"
-                )
-            param.data[...] = value
+        walk = self._walk()
+        walk.layout.flatten(state, out=walk.values)
 
     def buffer_dict(self) -> "OrderedDict[str, np.ndarray]":
         """Copy of every buffer value keyed by dotted name (may be empty)."""
-        return OrderedDict((name, b.copy()) for name, b in self.named_buffers())
+        walk = self._walk()
+        return OrderedDict(walk.buffer_layout.views(walk.buffers.copy()))
 
     def load_buffer_dict(self, buffers: dict[str, np.ndarray]) -> None:
         """Load buffer values in place; every model buffer must be present."""
-        own = dict(self.named_buffers())
-        missing = own.keys() - buffers.keys()
-        extra = buffers.keys() - own.keys()
-        if missing or extra:
-            raise KeyError(
-                f"buffer_dict mismatch: missing={sorted(missing)} extra={sorted(extra)}"
-            )
-        for name, buf in own.items():
-            value = np.asarray(buffers[name], dtype=np.float32)
-            if value.shape != buf.shape:
-                raise ValueError(f"shape mismatch for buffer {name}")
-            buf[...] = value
+        walk = self._walk()
+        walk.buffer_layout.flatten(buffers, out=walk.buffers, what="buffer_dict")
 
     # ------------------------------------------------------------------
     # Interface expected from subclasses

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .module import Module
-from .parameter import Parameter
 
 __all__ = ["SGD", "ProxSGD"]
 
@@ -22,7 +21,10 @@ class SGD:
     decay and optional momentum.
 
     ``weight_decay`` is added to the gradient before the step, matching
-    ``torch.optim.SGD`` semantics used in the paper's setup.
+    ``torch.optim.SGD`` semantics used in the paper's setup. The step is a
+    handful of operations over the model's whole parameter vector
+    (:meth:`~repro.nn.module.Module.arena`) — elementwise, so each scalar
+    sees exactly the arithmetic a per-parameter loop would give it.
     """
 
     def __init__(
@@ -43,28 +45,26 @@ class SGD:
         self.lr = lr
         self.weight_decay = weight_decay
         self.momentum = momentum
-        self._velocity: dict[int, np.ndarray] | None = (
-            {id(p): np.zeros_like(p.data) for p in model.parameters()}
-            if momentum > 0.0
-            else None
+        self._velocity: np.ndarray | None = (
+            np.zeros_like(model.arena().values) if momentum > 0.0 else None
         )
 
-    def _effective_grad(self, p: Parameter) -> np.ndarray:
-        grad = p.grad
+    def _effective_grad(self, values: np.ndarray, grads: np.ndarray) -> np.ndarray:
         if self.weight_decay:
-            grad = grad + self.weight_decay * p.data
-        return grad
+            grads = grads + self.weight_decay * values
+        return grads
 
     def step(self) -> None:
         """Apply one update to every parameter from its accumulated grad."""
-        for p in self.model.parameters():
-            grad = self._effective_grad(p)
-            if self._velocity is not None:
-                v = self._velocity[id(p)]
-                v *= self.momentum
-                v += grad
-                grad = v
-            p.data -= self.lr * grad
+        arena = self.model.arena()
+        values = arena.values
+        grad = self._effective_grad(values, arena.grads)
+        if self._velocity is not None:
+            v = self._velocity
+            v *= self.momentum
+            v += grad
+            grad = v
+        values -= self.lr * grad
 
     def zero_grad(self) -> None:
         """Reset all parameter gradients (delegates to the model)."""
@@ -75,7 +75,8 @@ class ProxSGD(SGD):
     """SGD with a FedProx proximal pull toward the round-start global model.
 
     The anchor (``global_state``) must be set at the start of every round via
-    :meth:`set_anchor`; it is the model broadcast by the server.
+    :meth:`set_anchor`; it is the model broadcast by the server, gathered
+    into one vector at the first step.
     """
 
     def __init__(
@@ -91,17 +92,20 @@ class ProxSGD(SGD):
         if mu < 0:
             raise ValueError("mu must be non-negative")
         self.mu = mu
-        self._anchor: dict[str, np.ndarray] | None = None
+        self._anchor_state: dict[str, np.ndarray] | None = None
+        self._anchor: np.ndarray | None = None
 
     def set_anchor(self, global_state: dict[str, np.ndarray]) -> None:
         """Install the round-start global model the proximal term pulls to."""
-        self._anchor = {k: np.asarray(v, dtype=np.float32) for k, v in global_state.items()}
+        self._anchor_state = global_state
+        self._anchor = None
 
-    def _effective_grad(self, p: Parameter) -> np.ndarray:
-        grad = super()._effective_grad(p)
-        if self.mu and self._anchor is not None:
-            anchor = self._anchor.get(p.name)
-            if anchor is None:
-                raise KeyError(f"ProxSGD anchor missing parameter {p.name!r}")
-            grad = grad + self.mu * (p.data - anchor)
-        return grad
+    def _effective_grad(self, values: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        grads = super()._effective_grad(values, grads)
+        if self.mu and self._anchor_state is not None:
+            if self._anchor is None:
+                self._anchor = self.model.arena().layout.flatten(
+                    self._anchor_state, what="ProxSGD anchor"
+                )
+            grads = grads + self.mu * (values - self._anchor)
+        return grads

@@ -2,8 +2,9 @@
 
 The FedCA reproduction does not use autograd: every layer computes its own
 backward pass and *accumulates* gradients into :class:`Parameter.grad`.
-Keeping the container minimal (two ndarrays and a name) keeps the hot path —
-SGD updates over a handful of contiguous float32 buffers — allocation-free.
+The container is minimal (two ndarrays and a name); once its module is
+walked both arrays are views into the model's flat float32 vectors
+(:meth:`repro.nn.module.Module.arena`), so SGD updates one vector.
 """
 
 from __future__ import annotations

@@ -5,9 +5,8 @@ The observability substrate every layer reports through (DESIGN.md §9, §13):
 * :class:`Recorder` / :class:`NullRecorder` / :class:`TraceRecorder` —
   the sink protocol, the zero-overhead default, and the bounded-ring
   implementation with a pluggable streaming sink.
-* :mod:`repro.obs.sinks` — the flight-recorder pipeline: JSONL, compact
-  binary, rotating-file, and background-flushed buffered sinks with
-  explicit backpressure policies.
+* :mod:`repro.obs.sinks` — the flight-recorder pipeline: a JSONL sink and
+  a background-flushed buffered sink with explicit backpressure policies.
 * :mod:`repro.obs.profile` — hierarchical wall-clock phase profiler with
   per-round percent breakdowns and ``repro_phase_seconds`` gauges.
 * :mod:`repro.obs.server` — opt-in live HTTP endpoint (``/metrics`` +
@@ -47,13 +46,10 @@ from .server import MetricsServer
 from .sinks import (
     BACKPRESSURE_POLICIES,
     TRACE_DROPPED_TOTAL,
-    BinarySink,
     BufferedSink,
     JsonlSink,
-    RotatingFileSink,
     Sink,
     SinkError,
-    read_binary_trace,
 )
 
 __all__ = [
@@ -65,11 +61,8 @@ __all__ = [
     "EVENT_KINDS",
     "Sink",
     "JsonlSink",
-    "BinarySink",
-    "RotatingFileSink",
     "BufferedSink",
     "SinkError",
-    "read_binary_trace",
     "BACKPRESSURE_POLICIES",
     "TRACE_DROPPED_TOTAL",
     "PhaseProfiler",

@@ -124,7 +124,7 @@ class TraceRecorder(Recorder):
         :class:`~repro.obs.sinks.BufferedSink` when ``buffered=True``).
     sink:
         An explicit :class:`~repro.obs.sinks.Sink` instead of
-        ``trace_path`` — binary, rotating, buffered, or custom pipelines
+        ``trace_path`` — a buffered or custom pipeline
         (see :mod:`repro.obs.sinks`). Mutually exclusive with
         ``trace_path``.
     buffered:

@@ -10,12 +10,6 @@ pluggable pipeline (DESIGN.md §13):
   must write them in that same order.
 * :class:`JsonlSink` — the synchronous baseline: one sorted-key JSON
   object per line, byte-identical to the pre-pipeline recorder output.
-* :class:`BinarySink` — compact length-prefixed binary records
-  (``RPROBIN1``); :func:`read_binary_trace` recovers the exact
-  ``as_dict`` forms, so a binary trace re-serialises to the byte-identical
-  JSONL text.
-* :class:`RotatingFileSink` — size- and/or round-based segment rotation
-  (JSONL or binary). Records never split across segments.
 * :class:`BufferedSink` — the flight recorder: events land in a bounded
   in-memory queue and a background flusher thread drains them into any
   inner sink in batches. The producer pays one deque append instead of a
@@ -44,10 +38,9 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import threading
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .events import TraceEvent
@@ -55,13 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Sink",
     "JsonlSink",
-    "BinarySink",
-    "RotatingFileSink",
     "BufferedSink",
     "SinkError",
     "encode_jsonl",
-    "encode_binary",
-    "read_binary_trace",
     "BACKPRESSURE_POLICIES",
     "TRACE_DROPPED_TOTAL",
 ]
@@ -86,80 +75,6 @@ def encode_jsonl(event: "TraceEvent") -> bytes:
     return (
         json.dumps(event.as_dict(drop_wall_clock=False), sort_keys=True) + "\n"
     ).encode("utf-8")
-
-
-# Binary record: magic-less per-record header (the file carries one magic
-# preamble), fixed fields packed little-endian, then kind + compact-JSON
-# fields payloads. ``round``/``client`` are never negative, so -1 encodes
-# None; bit 0 of ``flags`` marks a trailing wall_time f64.
-_BIN_MAGIC = b"RPROBIN1"
-_BIN_RECORD = struct.Struct("<QdiiBHI")  # seq, sim_time, round, client,
-#                                          flags, kind_len, fields_len
-
-
-def encode_binary(event: "TraceEvent") -> bytes:
-    kind = event.kind.encode("utf-8")
-    fields = json.dumps(
-        event.fields, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    flags = 1 if event.wall_time is not None else 0
-    head = _BIN_RECORD.pack(
-        event.seq,
-        event.sim_time,
-        -1 if event.round_index is None else event.round_index,
-        -1 if event.client_id is None else event.client_id,
-        flags,
-        len(kind),
-        len(fields),
-    )
-    tail = struct.pack("<d", event.wall_time) if flags else b""
-    return head + kind + fields + tail
-
-
-def _iter_binary_records(blob: bytes) -> Iterator[dict[str, Any]]:
-    if blob[: len(_BIN_MAGIC)] != _BIN_MAGIC:
-        raise ValueError(
-            f"not a {_BIN_MAGIC.decode()} binary trace "
-            f"(magic={blob[:8]!r})"
-        )
-    off = len(_BIN_MAGIC)
-    while off < len(blob):
-        if off + _BIN_RECORD.size > len(blob):
-            raise ValueError(f"truncated binary trace record at offset {off}")
-        seq, sim_time, rnd, cid, flags, kind_len, fields_len = (
-            _BIN_RECORD.unpack_from(blob, off)
-        )
-        off += _BIN_RECORD.size
-        end = off + kind_len + fields_len + (8 if flags & 1 else 0)
-        if end > len(blob):
-            raise ValueError(f"truncated binary trace record at offset {off}")
-        kind = blob[off : off + kind_len].decode("utf-8")
-        off += kind_len
-        fields = json.loads(blob[off : off + fields_len].decode("utf-8"))
-        off += fields_len
-        out: dict[str, Any] = {
-            "seq": seq,
-            "kind": kind,
-            "sim_time": sim_time,
-            "round": None if rnd < 0 else rnd,
-            "client": None if cid < 0 else cid,
-            "fields": fields,
-        }
-        if flags & 1:
-            (out["wall_time"],) = struct.unpack_from("<d", blob, off)
-            off += 8
-        yield out
-
-
-def read_binary_trace(path: str) -> list[dict[str, Any]]:
-    """Decode a :class:`BinarySink` file back to event ``as_dict`` forms.
-
-    The round-trip is exact: re-serialising the returned dicts as
-    sorted-key JSONL reproduces the byte-identical :class:`JsonlSink`
-    output of the same run (``tests/test_sinks.py`` pins this).
-    """
-    with open(path, "rb") as fh:
-        return list(_iter_binary_records(fh.read()))
 
 
 class Sink:
@@ -194,11 +109,8 @@ class Sink:
         self.close()
 
 
-class _FileSink(Sink):
-    """Shared single-file plumbing for the JSONL and binary sinks."""
-
-    #: Bytes written before any event record (file magic).
-    preamble: bytes = b""
+class JsonlSink(Sink):
+    """Synchronous one-JSON-object-per-line sink (the determinism baseline)."""
 
     def __init__(self, path: str, *, resume_offset: int | None = None) -> None:
         self.path = path
@@ -212,14 +124,9 @@ class _FileSink(Sink):
             self._fh.truncate()
         else:
             self._fh = open(path, "wb")
-            if self.preamble:
-                self._fh.write(self.preamble)
-
-    def encode(self, event: "TraceEvent") -> bytes:
-        raise NotImplementedError
 
     def write(self, event: "TraceEvent") -> None:
-        self._fh.write(self.encode(event))
+        self._fh.write(encode_jsonl(event))
 
     def flush(self) -> None:
         if not self._closed:
@@ -231,128 +138,6 @@ class _FileSink(Sink):
         self._fh.flush()
         os.fsync(self._fh.fileno())
         return self._fh.tell()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._fh.flush()
-        self._fh.close()
-
-
-class JsonlSink(_FileSink):
-    """Synchronous one-JSON-object-per-line sink (the determinism baseline)."""
-
-    def encode(self, event: "TraceEvent") -> bytes:
-        return encode_jsonl(event)
-
-
-class BinarySink(_FileSink):
-    """Compact binary records behind an ``RPROBIN1`` preamble.
-
-    Roughly 2× smaller than JSONL for typical events and cheaper to encode;
-    :func:`read_binary_trace` converts back losslessly.
-    """
-
-    preamble = _BIN_MAGIC
-
-    def encode(self, event: "TraceEvent") -> bytes:
-        return encode_binary(event)
-
-
-class RotatingFileSink(Sink):
-    """Segment-rotating file sink, size- and/or round-based.
-
-    Parameters
-    ----------
-    path:
-        Base path; segments are written next to it as
-        ``<stem>.NNNN<suffix>`` (``trace.jsonl`` → ``trace.0000.jsonl``).
-    max_bytes:
-        Rotate before a record would push the current segment past this
-        size. A single record larger than ``max_bytes`` still lands whole
-        (records never split across segments).
-    max_rounds:
-        Rotate after this many ``round.end`` events land in a segment, so
-        each segment holds a whole number of rounds.
-    binary:
-        Use the compact binary encoding instead of JSONL.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        *,
-        max_bytes: int | None = None,
-        max_rounds: int | None = None,
-        binary: bool = False,
-    ) -> None:
-        if max_bytes is None and max_rounds is None:
-            raise ValueError("need max_bytes and/or max_rounds to rotate on")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1")
-        if max_rounds is not None and max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        self.path = path
-        self.max_bytes = max_bytes
-        self.max_rounds = max_rounds
-        self._encode = encode_binary if binary else encode_jsonl
-        self._preamble = _BIN_MAGIC if binary else b""
-        self._paths: list[str] = []
-        self._fh = None
-        self._index = 0
-        self._size = 0
-        self._rounds = 0
-        self._rotate_pending = False
-        self._closed = False
-        self._open_segment()
-
-    def _segment_path(self, index: int) -> str:
-        root, ext = os.path.splitext(self.path)
-        return f"{root}.{index:04d}{ext}"
-
-    def _open_segment(self) -> None:
-        path = self._segment_path(self._index)
-        self._fh = open(path, "wb")
-        if self._preamble:
-            self._fh.write(self._preamble)
-        self._paths.append(path)
-        self._size = len(self._preamble)
-        self._rounds = 0
-        self._index += 1
-
-    def _rotate(self) -> None:
-        self._fh.flush()
-        self._fh.close()
-        self._open_segment()
-
-    def paths(self) -> list[str]:
-        """Segment paths in write order (the active segment last)."""
-        return list(self._paths)
-
-    def write(self, event: "TraceEvent") -> None:
-        blob = self._encode(event)
-        # Round rotation is lazy — deferred to the next write — so a run
-        # whose last event is a round.end never leaves an empty segment.
-        if self._rotate_pending:
-            self._rotate()
-            self._rotate_pending = False
-        if (
-            self.max_bytes is not None
-            and self._size > len(self._preamble)
-            and self._size + len(blob) > self.max_bytes
-        ):
-            self._rotate()
-        self._fh.write(blob)
-        self._size += len(blob)
-        if self.max_rounds is not None and event.kind == "round.end":
-            self._rounds += 1
-            if self._rounds >= self.max_rounds:
-                self._rotate_pending = True
-
-    def flush(self) -> None:
-        if not self._closed:
-            self._fh.flush()
 
     def close(self) -> None:
         if self._closed:

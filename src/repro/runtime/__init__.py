@@ -20,7 +20,7 @@ from .parallel import ParallelExecutor
 from .round import ClientRoundResult, RoundContext
 from .transport import ShmTransport, shm_available
 from .selection import select_clients
-from .shard import ShardPlan, ShardSegment, plan_shards, weighted_segment_sum
+from .shard import shard_bounds, weighted_segment_sum
 from .simulator import FederatedSimulator
 from .wire import WireLayer, parse_wire_spec
 
@@ -43,9 +43,7 @@ __all__ = [
     "aggregate_buffers",
     "apply_update",
     "collect_earliest",
-    "ShardPlan",
-    "ShardSegment",
-    "plan_shards",
+    "shard_bounds",
     "weighted_segment_sum",
     "WireLayer",
     "parse_wire_spec",

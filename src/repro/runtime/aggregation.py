@@ -1,10 +1,11 @@
 """Server-side update collection and FedAvg aggregation.
 
-The weighted averages here are the server's per-round hot path at scale
-(layers × clients arrays): key sets are validated **once per client**, and
-the accumulation is a single vectorized contraction per layer
-(``np.stack`` + ``einsum``) instead of a Python double loop. Accumulation
-stays in float64 and is cast back to float32 at the end, as before.
+A weighted average is one contraction over flat rows: each collected
+client's update (or buffer dict) is gathered into one float64 row through
+the dict's :class:`~repro.nn.layout.Layout`, and
+:func:`~repro.runtime.shard.weighted_segment_sum` reduces the ``(n, P)``
+rows — the serial case of the sharded reduce, which runs the same function
+over index ranges of the same rows. Key sets are validated once per client.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import math
 
 import numpy as np
 
+from ..nn.layout import Layout
 from .round import ClientRoundResult
+from .shard import weighted_segment_sum
 
 __all__ = [
     "collect_earliest",
@@ -68,18 +71,14 @@ def _check_keys(results: list[ClientRoundResult], attr: str) -> None:
 def _weighted_average(
     results: list[ClientRoundResult], attr: str, total: float
 ) -> dict[str, np.ndarray]:
-    """Vectorized sample-weighted mean of ``results[i].<attr>`` per layer."""
+    """Sample-weighted mean of ``results[i].<attr>``, as views into one
+    reduced vector."""
+    layout = Layout.of_arrays(getattr(results[0], attr))
+    rows = np.empty((len(results), layout.size), dtype=np.float64)
+    for row, r in zip(rows, results):
+        layout.flatten(getattr(r, attr), out=row)
     weights = np.array([r.num_samples for r in results], dtype=np.float64) / total
-    out: dict[str, np.ndarray] = {}
-    for name in getattr(results[0], attr):
-        stacked = np.stack(
-            [np.asarray(getattr(r, attr)[name], dtype=np.float64) for r in results]
-        )
-        # NOTE: deliberately an unplanned einsum: ``optimize=`` changes the
-        # float64 reduction order here, which would break the bitwise
-        # identity of histories against pre-existing runs.
-        out[name] = np.einsum("c,c...->...", weights, stacked).astype(np.float32)
-    return out
+    return layout.views(weighted_segment_sum(weights, rows))
 
 
 def aggregate_updates(
@@ -119,4 +118,7 @@ def apply_update(
     """Return the refined global state ``w ← w + Δ``."""
     if global_state.keys() != update.keys():
         raise KeyError("update layers do not match global state")
-    return {name: global_state[name] + update[name] for name in global_state}
+    layout = Layout.of_arrays(global_state)
+    refined = layout.flatten(global_state)
+    refined += layout.flatten(update)
+    return layout.views(refined)

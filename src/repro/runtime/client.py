@@ -3,7 +3,7 @@ and the one home of everything remembered about it between rounds."""
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -46,9 +46,10 @@ class SimClient:
         # has not asked for its object yet (see keep()).
         self._kept: dict[str, Any] = {}
         self._pending: dict[str, dict] = {}
-        # Cache per-layer byte sizes once; they drive all transmission times.
-        self.layer_bytes: dict[str, int] = self.model.layer_bytes()
-        self.model_bytes: int = sum(self.layer_bytes.values())
+        # Per-layer byte sizes drive all transmission times: the one
+        # read-only mapping every replica of the architecture shares.
+        self.layer_bytes: Mapping[str, int] = self.model.layer_bytes()
+        self.model_bytes: int = self.model.nbytes()
 
     @property
     def num_samples(self) -> int:
@@ -140,8 +141,9 @@ class SimClient:
         self._pending = dict(snapshot.get("kept", {}))
 
     def local_update(self, global_state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Accumulated update ``w_local − w_global`` per layer."""
-        return {
-            name: p.data - global_state[name]
-            for name, p in self.model.named_parameters()
-        }
+        """Accumulated update ``w_local − w_global`` per layer: one subtract
+        over the parameter vector, returned as views into the result."""
+        arena = self.model.arena()
+        update = arena.layout.flatten(global_state)
+        np.subtract(arena.values, update, out=update)
+        return arena.layout.views(update)

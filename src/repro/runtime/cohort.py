@@ -208,20 +208,16 @@ class CohortEngine:
         return loss
 
     # ------------------------------------------------------------------
-    def stacked_update(
-        self, global_state: dict[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
-        """Whole-cohort update tensor ``{layer: (C, *shape)}``; one
-        vectorised subtract per layer. Per-member result dicts should be
-        zero-copy row views of these stacks so aggregation consumes the
-        batched tensor without an unstack pass."""
+    def stacked_update(self, global_state: dict[str, np.ndarray]) -> np.ndarray:
+        """Whole-cohort ``(C, P)`` update in one subtract; row ``i`` is
+        member ``i``'s. Per-member result dicts are zero-copy views of its
+        rows (:meth:`member_update`), so aggregation consumes the batched
+        tensor without an unstack pass."""
         return self.model.stacked_update(global_state)
 
-    def member_update(
-        self, stacked: dict[str, np.ndarray], i: int
-    ) -> dict[str, np.ndarray]:
+    def member_update(self, stacked: np.ndarray, i: int) -> dict[str, np.ndarray]:
         """Member ``i``'s update dict as views into :meth:`stacked_update`."""
-        return {name: arr[i] for name, arr in stacked.items()}
+        return self.model.member_update(stacked, i)
 
     def write_back(self) -> None:
         """Copy trained member slots (parameters and buffers) back into the

@@ -206,8 +206,10 @@ def resolve_executor(spec: "Executor | str | None") -> Executor:
     ``None``/``"serial"`` → :class:`SerialExecutor`;
     ``"parallel[:N][+shards=S]"`` →
     :class:`~repro.runtime.parallel.ParallelExecutor` with N workers and,
-    with ``+shards=S``, the sharded tree-reduction aggregation engine (see
-    :mod:`repro.runtime.shard`) — e.g. ``"parallel:4+shards=2"``. Shared
+    with ``+shards=S``, the sharded tree-reduction aggregation engine,
+    which cuts the flat parameter vector into S index ranges reduced
+    inside the workers (see :mod:`repro.runtime.shard`) — e.g.
+    ``"parallel:4+shards=2"``. Shared
     memory is the only IPC transport, so ``parallel:4@shm`` is accepted
     as a redundant spelling; the removed ``@pipe`` / ``@auto`` raise;
     ``"cohort[:M]"`` → :class:`~repro.runtime.cohort.CohortExecutor`

@@ -198,9 +198,9 @@ class ParallelExecutor(Executor):
         isolating fork- and transport-related issues from scheduling ones).
     shards:
         Enable the sharded tree-reduction aggregation engine with S
-        parameter-range shards (see :mod:`repro.runtime.shard`). The
-        reduced update is bitwise-identical to the serial oracle's at any
-        shard count.
+        index-range shards of the flat parameter vector (see
+        :mod:`repro.runtime.shard`). The reduced update is
+        bitwise-identical to the serial oracle's at any shard count.
     """
 
     name = "parallel"
@@ -214,7 +214,6 @@ class ParallelExecutor(Executor):
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.workers = workers or default_workers()
         self.shards = shards
-        self._shard_plan = None
         self._transport_impl: ShmTransport | None = None
         self._recorder: "Recorder | None" = None
         self._procs: list[mp.process.BaseProcess] = []
@@ -268,11 +267,6 @@ class ParallelExecutor(Executor):
             for w in range(self.workers)
         ]
         transport = ShmTransport()
-        shard_plan = None
-        if self.shards is not None:
-            from .shard import plan_shards
-
-            shard_plan = plan_shards(global_state, self.shards)
         reason = None if fork_available() else "no 'fork' start method"
         if reason is None:
             try:
@@ -280,7 +274,7 @@ class ParallelExecutor(Executor):
                     global_state,
                     global_buffers,
                     [len(o) for o in owned_per_worker],
-                    shard_plan=shard_plan,
+                    shards=self.shards,
                 )
             except Exception as exc:  # setup() has already unlinked its arenas
                 reason = f"shared-memory setup failed: {exc!r}"
@@ -293,7 +287,6 @@ class ParallelExecutor(Executor):
             )
             self._degrade()
             return
-        self._shard_plan = shard_plan
         transport.set_recorder(self._recorder)
         transport.set_profiler(self._profiler)
         self._transport_impl = transport
@@ -406,7 +399,7 @@ class ParallelExecutor(Executor):
                 RuntimeWarning,
                 stacklevel=2,
             )
-            if self._shard_plan is not None:
+            if self.shards is not None:
                 # Deferred updates still live in the (about to be
                 # unlinked) arenas; copy them out so serial aggregation
                 # can run on the surviving results.
@@ -427,49 +420,29 @@ class ParallelExecutor(Executor):
         """Sharded tree-reduction of the collected updates (see
         :mod:`repro.runtime.shard`).
 
-        Returns ``None`` — deferring to the serial oracle — whenever the
-        sharded path cannot run: sharding off, pool degraded, or a result
-        that came back inline (arena overflow). Validation (positive
-        total weight, matching key sets) mirrors
-        :func:`~repro.runtime.aggregation.aggregate_updates` exactly, so
-        failures raise the same errors either way.
+        Returns ``None`` — deferring to the serial oracle — when sharding
+        is off or the pool is not running. Every collected update sits in
+        a worker's arena in the one layout its encode validated, so the
+        only check left is the serial oracle's positive total weight.
         """
         if (
-            self._shard_plan is None
+            self.shards is None
             or self._fallback is not None
             or not self._started
             or not collected
         ):
             return None
         transport = self._transport_impl
-        plan = self._shard_plan
-        refs = transport.pending_update_refs()
-        if any(r.client_id not in refs or r.update for r in collected):
-            # At least one collected result bypassed the arenas (inline
-            # fallback); materialize the rest and reduce serially.
-            transport.hydrate_updates(collected)
-            return None
         total = float(sum(r.num_samples for r in collected))
         if total <= 0:
             raise ValueError("aggregate weight must be positive")
-        first_names = set(transport.update_names(collected[0].client_id))
-        for r in collected[1:]:
-            if set(transport.update_names(r.client_id)) != first_names:
-                raise KeyError(
-                    f"client {r.client_id} update layers differ from client "
-                    f"{collected[0].client_id}"
-                )
-        if first_names != set(plan.layer_names):
-            # A strategy returned layers the fingerprint plan doesn't
-            # cover; the serial path handles arbitrary key sets.
-            transport.hydrate_updates(collected)
-            return None
         weights = (
             np.array([r.num_samples for r in collected], dtype=np.float64) / total
         )
+        refs = transport.pending_update_refs()
         ordered_refs = [refs[r.client_id] for r in collected]
         per_worker: dict[int, list[int]] = {}
-        for k in range(plan.num_shards):
+        for k in range(self.shards):
             per_worker.setdefault(k % self.workers, []).append(k)
         crashed = False
         reduced_bytes = 0
@@ -508,7 +481,7 @@ class ParallelExecutor(Executor):
             self._degraded_after_start = True
             return None
         transport.count(ipc_bytes_counter("shm", "reduce"), reduced_bytes)
-        return transport.assemble_reduced()
+        return transport.reduced_update()
 
     # ------------------------------------------------------------------
     def capture_run_state(self) -> dict[int, bytes]:

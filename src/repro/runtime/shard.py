@@ -1,165 +1,59 @@
-"""Shard planning for the parallel tree-reduction aggregation engine.
+"""Shards of the flat parameter vector for the parallel tree reduction.
 
-The serial reduce in :mod:`repro.runtime.aggregation` materializes the
-full layers × clients stack in one process. Sharded aggregation instead
-partitions the model fingerprint into ``S`` contiguous parameter-range
-shards — whole layers where possible, oversized layers split by flat
-offset — and hands each shard to one persistent worker, which reduces
-*its* parameter slice over all collected clients. No process ever holds
-more than (its shard size) × clients floats.
-
-The reduction forms a two-level tree:
-
-* **leaves** — each client's packed update slice, living in the
-  per-worker shm result arenas written during the round;
-* **level 1** — each shard owner stacks its slice across clients (in
-  collected order) and contracts it with the float64 weight vector,
-  writing the float32 result into that shard's own shm arena;
-* **root** — the parent concatenates the reduced shards back into layer
-  tensors in fingerprint order.
+The weighted average of one round's updates is a contraction over ``(n,
+P)`` rows — ``n`` collected clients, ``P`` the model's parameter count
+(:mod:`repro.runtime.aggregation`). Sharded aggregation cuts the ``P`` axis
+into ``S`` contiguous index ranges, :func:`shard_bounds` — boundaries fall
+wherever the arithmetic puts them, inside layers as readily as between —
+and hands each range to one persistent worker, which reduces *its* slice of
+every collected client's row, in place in the per-worker shm result arenas
+the round wrote, into the same slice of one shared output vector. No
+process ever holds more than its range × clients floats, and the parent
+reads the reduced vector back with one copy.
 
 Bitwise identity with the serial oracle is pinned by
 :func:`weighted_segment_sum`: for IEEE-754 elementwise ops, slicing an
-``einsum("c,cn->n")`` operand along ``n`` commutes with slicing its
-output (each output scalar is the same length-``c`` dot product either
-way), so per-segment reduction + concatenation reproduces the serial
-per-layer contraction bit for bit.
+``einsum("c,cn->n")`` operand along ``n`` commutes with slicing its output
+(each output scalar is the same length-``c`` dot product either way), so
+the serial reduce is simply the one-shard case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["ShardSegment", "ShardPlan", "plan_shards", "weighted_segment_sum"]
+__all__ = ["shard_bounds", "weighted_segment_sum"]
 
 
-@dataclass(frozen=True)
-class ShardSegment:
-    """A contiguous flat parameter range of one layer inside one shard."""
-
-    layer: str
-    #: Flat scalar range ``[start, stop)`` within the layer.
-    start: int
-    stop: int
-    #: Flat float32 scalar offset of this segment in its shard's arena.
-    shard_offset: int
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """Deterministic partition of a model fingerprint into ``S`` shards."""
-
-    #: ``(name, shape, flat_size)`` per layer, in fingerprint order.
-    layers: tuple[tuple[str, tuple[int, ...], int], ...]
-    #: Segments per shard; segments appear in fingerprint order.
-    shards: tuple[tuple[ShardSegment, ...], ...]
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-    @property
-    def layer_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _, _ in self.layers)
-
-    def shard_scalars(self, shard: int) -> int:
-        return sum(seg.size for seg in self.shards[shard])
-
-    def shard_nbytes(self, shard: int) -> int:
-        """float32 bytes the shard's result arena must hold."""
-        return self.shard_scalars(shard) * 4
-
-    def segments_by_layer(self) -> dict[str, list[tuple[int, ShardSegment]]]:
-        """``{layer: [(shard_index, segment), ...]}`` in flat-offset order.
-
-        Used by the root of the tree to stitch reduced shards back into
-        layer tensors.
-        """
-        by_layer: dict[str, list[tuple[int, ShardSegment]]] = {
-            name: [] for name, _, _ in self.layers
-        }
-        for k, segments in enumerate(self.shards):
-            for seg in segments:
-                by_layer[seg.layer].append((k, seg))
-        for pieces in by_layer.values():
-            pieces.sort(key=lambda item: item[1].start)
-        return by_layer
-
-
-def plan_shards(
-    state: dict[str, np.ndarray], num_shards: int
-) -> ShardPlan:
-    """Partition ``state``'s fingerprint into ``num_shards`` shards.
-
-    Layers are walked in fingerprint (insertion) order and greedily
-    packed whole into the current shard; a layer that does not fit the
-    shard's remaining budget is split by flat offset, so every shard is
-    a contiguous slice of the flat concatenation of all layers. Budgets
-    are recomputed as ``ceil(remaining_scalars / remaining_shards)``,
-    which keeps shards balanced and guarantees the plan is a pure
-    function of (fingerprint, num_shards).
-
-    Shards may come out empty when ``num_shards`` exceeds the total
-    scalar count; that is harmless (their owners simply have no work).
-    """
+def shard_bounds(size: int, num_shards: int) -> list[int]:
+    """``num_shards + 1`` boundaries cutting ``[0, size)`` the way
+    ``np.array_split`` does: the first ``size % num_shards`` ranges hold one
+    more index, and ranges past the end are empty."""
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
-    layers = tuple(
-        (name, tuple(np.asarray(value).shape), int(np.asarray(value).size))
-        for name, value in state.items()
-    )
-    total = sum(size for _, _, size in layers)
-    shards: list[list[ShardSegment]] = [[] for _ in range(num_shards)]
-    shard = 0
-    filled = 0  # scalars already placed in the current shard
-    placed = 0  # scalars placed overall
-    for name, _, size in layers:
-        start = 0
-        while start < size:
-            if shard < num_shards - 1:
-                budget = -(-(total - placed) // (num_shards - shard))
-                room = budget - filled
-                if room <= 0:
-                    shard += 1
-                    filled = 0
-                    continue
-            else:
-                room = size - start  # last shard takes everything left
-            take = min(size - start, room)
-            shards[shard].append(
-                ShardSegment(
-                    layer=name,
-                    start=start,
-                    stop=start + take,
-                    shard_offset=filled,
-                )
-            )
-            start += take
-            filled += take
-            placed += take
-    return ShardPlan(
-        layers=layers,
-        shards=tuple(tuple(segments) for segments in shards),
-    )
+    q, r = divmod(size, num_shards)
+    return [k * q + min(k, r) for k in range(num_shards + 1)]
 
 
 def weighted_segment_sum(
-    weights: np.ndarray, slices: list[np.ndarray]
+    weights: np.ndarray, rows: "np.ndarray | Sequence[np.ndarray]"
 ) -> np.ndarray:
-    """Weighted sum of one segment across clients, float64-accumulated.
+    """Weighted sum over clients of one index range, float64-accumulated.
 
-    ``slices`` holds one flat float32 view per collected client, in
-    collected order. The accumulation order is pinned to the serial
-    oracle's: float64 upcast per client, ``np.stack``, one einsum
-    contraction over the client axis, float32 downcast. Do **not**
-    replace this with a running sum or a dot-product variant — the
-    float64 reduction order is part of the bitwise-identity contract.
+    ``rows`` holds one flat row per collected client, in collected order.
+    The accumulation order is pinned to the serial oracle's: float64 upcast
+    per client, one einsum contraction over the client axis, float32
+    downcast. Do **not** replace this with a running sum or a dot-product
+    variant — the float64 reduction order is part of the bitwise-identity
+    contract.
     """
-    stacked = np.stack([np.asarray(s, dtype=np.float64) for s in slices])
+    stacked = np.asarray(rows, dtype=np.float64)
+    if stacked.shape[-1] == 1:
+        # numpy contracts a one-column operand with its reduction loop,
+        # which sums the clients in another order; a zero second column
+        # keeps the column-wise loop every wider range runs.
+        stacked = np.pad(stacked, ((0, 0), (0, 1)))
+        return np.einsum("c,cn->n", weights, stacked)[:1].astype(np.float32)
     return np.einsum("c,cn->n", weights, stacked).astype(np.float32)

@@ -6,23 +6,26 @@ between the parent and its persistent workers every round:
 1. the global model broadcast (params + buffers) — large, identical for
    every worker;
 2. the per-client :class:`~repro.runtime.round.ClientRoundResult` payloads
-   (per-layer updates, buffer deltas) — large, one batch per worker;
+   (updates, buffers) — large, one batch per worker;
 3. control traffic (job lists, scalar stats, trace events, generation
    counters) — small.
 
-:class:`ShmTransport` carries 1 and 2; 3 rides the worker pipes. The
+:class:`ShmTransport` carries 1 and 2; 3 rides the worker pipes. Both
+bulk payloads are flat: the parameter and buffer
+:class:`~repro.nn.layout.Layout` tables are fixed at :meth:`ShmTransport.setup`
+(before the fork, so every worker holds them), and a broadcast or a result
+is then the ``P`` parameter floats followed by the ``B`` buffer floats —
+one gather into the arena, no per-message header or offset table. The
 broadcast is written **once** into a ``multiprocessing.shared_memory``
-arena (versioned header + per-layer offset table, see
-:func:`repro.nn.serialize.pack_state`) that all workers map read-only and
-zero-copy, and each worker returns its result arrays through its own
-result arena sized from the model fingerprint. One memcpy per round,
-whatever the worker count.
+arena behind a magic/version/generation preamble that all workers map
+read-only and zero-copy; each worker returns its results through its own
+arena of ``P + B``-float slots, one per client it owns.
 
 Every arena reserves its pages at creation (see :class:`_Arena`), so a
 ``/dev/shm`` that cannot hold the pool fails :meth:`ShmTransport.setup`
 with ``OSError(ENOSPC)`` — before any fork — and the executor degrades to
 serial. Without the reservation tmpfs hands out sparse segments and the
-shortfall surfaces later as a SIGBUS inside ``pack_state``.
+shortfall surfaces later as a SIGBUS inside :meth:`ShmTransport.broadcast`.
 
 Byte accounting
 ---------------
@@ -60,19 +63,13 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..nn.serialize import (
-    arena_entries,
-    pack_state,
-    packed_state_nbytes,
-    unpack_state,
-)
+from ..nn.layout import Layout
 from ..obs.profile import NULL_PROFILER
-from .shard import weighted_segment_sum
+from .shard import shard_bounds, weighted_segment_sum
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Recorder
     from .round import ClientRoundResult
-    from .shard import ShardPlan
 
 __all__ = [
     "ShmTransport",
@@ -89,9 +86,9 @@ SEGMENT_PREFIX = "repro-ipc"
 BROADCAST_SECONDS = "repro_ipc_broadcast_seconds"
 
 #: Broadcast-arena preamble: magic(8) + version(u32) + pad(u32) +
-#: generation(u64). The packed state blocks start at _ARENA_DATA_OFFSET.
+#: generation(u64). The flat payload starts at _ARENA_DATA_OFFSET.
 _SHM_MAGIC = b"RPROSHM1"
-_SHM_VERSION = 1
+_SHM_VERSION = 2
 _SHM_HEADER = struct.Struct("<8sIIQ")
 _ARENA_DATA_OFFSET = 64
 
@@ -171,7 +168,7 @@ class ShmTransport:
 
     One instance is shared (via fork) by the parent and every worker.
     Parent lifecycle: :meth:`setup` once before the pool forks (the
-    workers must inherit the arenas), :meth:`broadcast` /
+    workers must inherit the arenas and the layouts), :meth:`broadcast` /
     :meth:`decode_results` / :meth:`decode_capture` per round, and
     :meth:`close` on pool shutdown. Workers call :meth:`worker_init` first
     thing and then only the ``read_broadcast`` / ``encode_*`` /
@@ -180,39 +177,37 @@ class ShmTransport:
     Layout per pool:
 
     * one *broadcast arena*: ``[magic|version|generation]`` preamble, then
-      the packed global state block and (if the model has buffers) the
-      packed buffer block. The parent rewrites it once per round and bumps
-      the generation counter; workers verify the generation from the round
-      message before mapping the blocks zero-copy and read-only.
-    * one *result arena per worker*, sized from the model fingerprint
-      (every owned client can return at most one full update + buffer
-      delta per round). Workers pack result arrays sequentially and send
-      only ``(offset, offset)`` references down the pipe; a result that
-      ever outgrows the arena (e.g. a strategy returning extra payloads)
-      falls back to inline pickling for just that result.
+      the ``P + B`` floats of the global parameters and buffers. The
+      parent rewrites it once per round and bumps the generation counter;
+      workers verify the generation from the round message before mapping
+      it zero-copy and read-only.
+    * one *result arena per worker*: a ``P + B``-float slot per owned
+      client (every owned client returns at most one result per round).
+      Result ``k`` of a reply sits in slot ``k``; only the stripped
+      scalars go down the pipe.
+    * with ``shards``, one *reduce arena* of ``P`` floats: each shard
+      owner writes its index range of the weighted average there (see
+      :mod:`repro.runtime.shard`).
 
-    Checkpoint captures ride the same arenas: the worker's ``{cid: blob}``
-    map — each client already one :mod:`~repro.persist.snapshot` byte
-    string, never a dict tree — goes into its result arena and just the
-    length comes back down the pipe.
+    Checkpoint captures ride the result arenas: the worker's ``{cid:
+    blob}`` map — each client already one :mod:`~repro.persist.snapshot`
+    byte string, never a dict tree — goes into its result arena and just
+    the length comes back down the pipe.
     """
-
-    #: Per-block headroom over the model-fingerprint estimate, so header
-    #: growth (longer names, dtype changes) never forces the inline path.
-    _SLACK = 4096
 
     def __init__(self) -> None:
         self.stats: dict[str, float] = {}
         self._recorder: "Recorder | None" = None
         self._profiler = NULL_PROFILER
         self._worker_index: int | None = None
+        self._layout = self._buffer_layout = Layout.of(())
         self._broadcast: _Arena | None = None
         self._results: list[_Arena] = []
-        self._shards: list[_Arena] = []
-        self._shard_plan: "ShardPlan | None" = None
-        #: ``{client_id: (worker, update_offset)}`` for results whose
-        #: update payloads were left in the worker arenas this round
-        #: (sharded-aggregation mode only).
+        self._capacity: list[int] = []
+        self._reduce: _Arena | None = None
+        self._shards: int | None = None
+        #: ``{client_id: (worker, slot)}`` for results whose updates were
+        #: left in the worker arenas this round (sharded mode only).
         self._pending_updates: dict[int, tuple[int, int]] = {}
         self._generation = 0
         self._creator_pid = os.getpid()
@@ -253,49 +248,71 @@ class ShmTransport:
         if self._recorder is not None:
             self._recorder.gauge(BROADCAST_SECONDS, self.stats[BROADCAST_SECONDS])
 
+    # -- flat views over the arenas -----------------------------------
+    @property
+    def _slot_floats(self) -> int:
+        return self._layout.size + self._buffer_layout.size
+
+    def _payload(self) -> np.ndarray:
+        """The broadcast arena's ``(P + B,)`` payload."""
+        return np.ndarray(
+            (self._slot_floats,),
+            dtype=np.float32,
+            buffer=self._broadcast.buf,
+            offset=_ARENA_DATA_OFFSET,
+        )
+
+    def _slots(self, worker: int) -> np.ndarray:
+        """Worker ``worker``'s result arena as ``(owned, P + B)`` rows."""
+        return np.ndarray(
+            (self._capacity[worker], self._slot_floats),
+            dtype=np.float32,
+            buffer=self._results[worker].buf,
+        )
+
+    def _split(self, flat: np.ndarray) -> tuple[dict, dict]:
+        """``(parameters, buffers)`` view dicts over one ``P + B`` slot."""
+        p = self._layout.size
+        return self._layout.views(flat[:p]), self._buffer_layout.views(flat[p:])
+
     # -- parent half ---------------------------------------------------
     def setup(
         self,
         state: dict[str, np.ndarray],
         buffers: dict[str, np.ndarray],
         owned_counts: list[int],
-        shard_plan: "ShardPlan | None" = None,
+        shards: int | None = None,
     ) -> None:
-        """Allocate (and reserve) the pool's arenas before the workers fork.
+        """Fix the layouts and allocate (and reserve) the pool's arenas
+        before the workers fork.
 
         ``owned_counts[w]`` is the number of clients worker ``w`` owns —
-        the upper bound on results it can return per round. ``shard_plan``
-        switches on sharded-aggregation mode: per-shard reduce arenas are
-        allocated and result updates are left in the worker arenas for the
-        shard owners to reduce in place (see :mod:`repro.runtime.shard`).
+        the upper bound on results it can return per round. ``shards``
+        switches on sharded-aggregation mode: a reduce arena is allocated
+        and result updates are left in the worker arenas for the shard
+        owners to reduce in place (see :mod:`repro.runtime.shard`).
         Raises whatever arena creation raises (``OSError(ENOSPC)`` when
         ``/dev/shm`` cannot hold the pool) with every segment created so
         far already unlinked.
         """
         token = secrets.token_hex(4)
         prefix = f"{SEGMENT_PREFIX}-{os.getpid()}-{token}"
-        state_nbytes = packed_state_nbytes(state)
-        buffers_nbytes = packed_state_nbytes(buffers) if buffers else 0
-        bsize = _ARENA_DATA_OFFSET + state_nbytes + buffers_nbytes + self._SLACK
-        per_result = state_nbytes + buffers_nbytes + 512
-        self._shard_plan = shard_plan
+        self._layout = Layout.of_arrays(state)
+        self._buffer_layout = Layout.of_arrays(buffers)
+        slot_bytes = 4 * self._slot_floats
+        self._shards = shards
         try:
-            self._broadcast = _Arena(f"{prefix}-b", bsize)
+            self._broadcast = _Arena(f"{prefix}-b", _ARENA_DATA_OFFSET + slot_bytes)
             _SHM_HEADER.pack_into(
                 self._broadcast.buf, 0, _SHM_MAGIC, _SHM_VERSION, 0, 0
             )
-            for w, owned in enumerate(owned_counts):
-                rsize = max(1, owned) * per_result + self._SLACK
-                self._results.append(_Arena(f"{prefix}-r{w}", rsize))
-            if shard_plan is not None:
-                # Per-shard reduce arenas, created pre-fork like everything
-                # else so every worker inherits mappings to all of them
-                # (shard owners read slices from *other* workers' result
-                # arenas and write into their own shard arenas).
-                for k in range(shard_plan.num_shards):
-                    self._shards.append(
-                        _Arena(f"{prefix}-s{k}", max(1, shard_plan.shard_nbytes(k)))
-                    )
+            self._capacity = [max(1, owned) for owned in owned_counts]
+            for w, slots in enumerate(self._capacity):
+                self._results.append(_Arena(f"{prefix}-r{w}", max(1, slots * slot_bytes)))
+            if shards is not None:
+                # Created pre-fork like everything else, so every shard
+                # owner inherits it (and every worker's result arena).
+                self._reduce = _Arena(f"{prefix}-s", max(1, 4 * self._layout.size))
         except BaseException:
             self.close()
             raise
@@ -305,110 +322,70 @@ class ShmTransport:
 
     def broadcast(
         self, state: dict[str, np.ndarray], buffers: dict[str, np.ndarray]
-    ) -> tuple[int, int, "int | None"]:
-        """Stage one round's global model; returns the (small) extra that
-        rides the round control message to every worker."""
+    ) -> int:
+        """Stage one round's global model; returns the generation, the
+        (small) extra that rides the round control message to every
+        worker."""
         assert self._broadcast is not None, "setup() must run before broadcast()"
         t0 = time.perf_counter()
         self._pending_updates = {}  # last round's refs are now stale
         with self._profiler.phase("pack"):
             self._generation += 1
-            state_off = _ARENA_DATA_OFFSET
-            nbytes = pack_state(self._broadcast.buf, state, state_off)
-            buffers_off = None
-            total = nbytes
-            if buffers:
-                buffers_off = state_off + nbytes
-                total += pack_state(self._broadcast.buf, buffers, buffers_off)
+            payload = self._payload()
+            p = self._layout.size
+            self._layout.flatten(state, out=payload[:p])
+            self._buffer_layout.flatten(buffers, out=payload[p:], what="buffer_dict")
+            del payload  # release the exported buffer so the arena can be unmapped
             _SHM_HEADER.pack_into(
                 self._broadcast.buf, 0, _SHM_MAGIC, _SHM_VERSION, 0, self._generation
             )
         self.add_broadcast_seconds(time.perf_counter() - t0)
-        self.count(ipc_bytes_counter("shm", "broadcast"), total)
-        return (self._generation, state_off, buffers_off)
+        self.count(ipc_bytes_counter("shm", "broadcast"), 4 * self._slot_floats)
+        return self._generation
 
     def decode_results(self, worker: int, payload: Any) -> "list[ClientRoundResult]":
-        """Recover a worker's result batch from its reply payload."""
-        arena = self._results[worker]
-        results = []
-        shm_bytes = 0
-        for kind, stripped, ref in payload:
-            if kind == "inline":
-                results.append(stripped)
-                continue
-            update_off, buffers_off, nbytes = ref
-            if self._shard_plan is not None:
-                # Sharded mode: leave the update where the worker packed
-                # it — the shard owners will reduce it in place. Buffers
-                # still come out eagerly (they aggregate serially in the
-                # parent and are tiny next to the update).
-                self._pending_updates[stripped.client_id] = (worker, update_off)
+        """Recover a worker's result batch from its reply payload: result
+        ``k`` is the stripped scalars plus slot ``k`` of its arena."""
+        slots = self._slots(worker)
+        p = self._layout.size
+        for k, result in enumerate(payload):
+            if self._shards is not None:
+                # Sharded mode: leave the update where the worker wrote it
+                # — the shard owners reduce it in place. Buffers still come
+                # out here (they aggregate serially in the parent).
+                self._pending_updates[result.client_id] = (worker, k)
+                result.buffers = self._buffer_layout.views(slots[k, p:].copy())
             else:
-                stripped.update = unpack_state(arena.buf, update_off, copy=True)
-            if buffers_off is not None:
-                stripped.buffers = unpack_state(arena.buf, buffers_off, copy=True)
-            shm_bytes += nbytes
-            results.append(stripped)
-        if shm_bytes:
-            self.count(ipc_bytes_counter("shm", "results"), shm_bytes)
-        return results
+                result.update, result.buffers = self._split(slots[k].copy())
+        del slots
+        if payload:
+            self.count(
+                ipc_bytes_counter("shm", "results"), 4 * self._slot_floats * len(payload)
+            )
+        return payload
 
     # -- sharded aggregation (parent half) -----------------------------
     def pending_update_refs(self) -> dict[int, tuple[int, int]]:
         """This round's deferred update locations (sharded mode only)."""
         return self._pending_updates
 
-    def update_names(self, client_id: int) -> list[str]:
-        """Layer names of a deferred update, read from its arena header
-        (no payload copied) — mirrors the serial key-set validation."""
-        worker, update_off = self._pending_updates[client_id]
-        return [
-            name
-            for name, _, _, _, _ in arena_entries(
-                self._results[worker].buf, update_off
-            )
-        ]
-
     def hydrate_updates(self, results: "list[ClientRoundResult]") -> None:
-        """Materialize deferred updates back onto their results.
-
-        The serial-fallback path: when the sharded reduce cannot run
-        (inline result, degraded pool, worker crash), the parent copies
-        the updates out of the arenas and aggregation proceeds exactly
-        as in non-sharded mode."""
+        """Copy deferred updates out of the arenas onto their results — for
+        when the sharded reduce cannot run (a worker died) and the serial
+        oracle aggregates instead."""
         for result in results:
             ref = self._pending_updates.get(result.client_id)
             if ref is not None and not result.update:
-                worker, update_off = ref
-                result.update = unpack_state(
-                    self._results[worker].buf, update_off, copy=True
-                )
+                worker, k = ref
+                result.update, _ = self._split(self._slots(worker)[k].copy())
 
-    def assemble_reduced(self) -> dict[str, np.ndarray]:
-        """Root of the reduction tree: concatenate the reduced shards
-        back into layer tensors, in fingerprint order."""
-        plan = self._shard_plan
-        assert plan is not None
-        shard_views = []
-        for k, arena in enumerate(self._shards):
-            shard_views.append(
-                np.ndarray(
-                    (plan.shard_scalars(k),), dtype=np.float32, buffer=arena.buf
-                )
-            )
-        update: dict[str, np.ndarray] = {}
-        by_layer = plan.segments_by_layer()
-        try:
-            for name, shape, size in plan.layers:
-                flat = np.empty((size,), dtype=np.float32)
-                for k, seg in by_layer[name]:
-                    flat[seg.start : seg.stop] = shard_views[k][
-                        seg.shard_offset : seg.shard_offset + seg.size
-                    ]
-                update[name] = flat.reshape(shape)
-        finally:
-            del shard_views  # release exported arena buffers
-        return update
+    def reduced_update(self) -> dict[str, np.ndarray]:
+        """Root of the reduction tree: the shard owners wrote every index
+        range of the weighted average into one vector — copy it out."""
+        reduced = np.ndarray(
+            (self._layout.size,), dtype=np.float32, buffer=self._reduce.buf
+        ).copy()
+        return self._layout.views(reduced)
 
     def decode_capture(self, worker: int, payload: Any) -> Any:
         """Recover a worker's checkpoint snapshot from its reply payload."""
@@ -425,11 +402,8 @@ class ShmTransport:
 
     def segment_names(self) -> list[str]:
         """The ``/dev/shm`` names this pool owns (for leak checks)."""
-        names = [a.name for a in self._results]
-        names.extend(a.name for a in self._shards)
-        if self._broadcast is not None:
-            names.append(self._broadcast.name)
-        return names
+        arenas = [*self._results, self._reduce, self._broadcast]
+        return [a.name for a in arenas if a is not None]
 
     def close(self) -> None:
         """Unlink the arenas. Idempotent; a no-op outside the creating
@@ -439,14 +413,12 @@ class ShmTransport:
             # creator's segments; their mappings die with the process.
             return
         self._closed = True
-        for arena in self._results:
-            arena.destroy()
-        for arena in self._shards:
-            arena.destroy()
-        if self._broadcast is not None:
-            self._broadcast.destroy()
+        for arena in [*self._results, self._reduce, self._broadcast]:
+            if arena is not None:
+                arena.destroy()
         self._results = []
-        self._shards = []
+        self._capacity = []
+        self._reduce = None
         self._broadcast = None
 
     def __del__(self) -> None:  # pragma: no cover - GC-order dependent
@@ -463,10 +435,10 @@ class ShmTransport:
         self._profiler = NULL_PROFILER  # ditto for the parent's profiler
 
     def read_broadcast(
-        self, extra: tuple[int, int, "int | None"]
+        self, generation: int
     ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """Recover the round's global (state, buffers) in the worker."""
-        generation, state_off, buffers_off = extra
+        """Recover the round's global (state, buffers) in the worker, as
+        read-only views into the broadcast arena."""
         assert self._broadcast is not None
         magic, version, _, written = _SHM_HEADER.unpack_from(self._broadcast.buf, 0)
         if magic != _SHM_MAGIC or version != _SHM_VERSION:
@@ -478,42 +450,28 @@ class ShmTransport:
                 f"broadcast generation mismatch: arena has {written}, "
                 f"round message says {generation}"
             )
-        state = unpack_state(self._broadcast.buf, state_off, copy=False)
-        buffers = (
-            {}
-            if buffers_off is None
-            else unpack_state(self._broadcast.buf, buffers_off, copy=False)
-        )
-        return state, buffers
+        payload = self._payload()
+        payload.flags.writeable = False
+        return self._split(payload)
 
     def encode_results(self, results: "list[ClientRoundResult]") -> Any:
-        """Stage a worker's result batch; returns the reply payload."""
+        """Stage a worker's result batch — result ``k`` into slot ``k`` —
+        and return the stripped results, the reply payload."""
         import dataclasses
 
         assert self._worker_index is not None
-        arena = self._results[self._worker_index]
-        payload = []
-        cursor = 0
-        for result in results:
-            need = packed_state_nbytes(result.update)
-            buf_need = packed_state_nbytes(result.buffers) if result.buffers else 0
-            if cursor + need + buf_need > arena.size:
-                # Shouldn't happen with fingerprint sizing, but a strategy
-                # returning oversized payloads degrades gracefully to the
-                # pipe for this result only.
-                payload.append(("inline", result, None))
-                continue
-            update_off = cursor
-            nbytes = pack_state(arena.buf, result.update, update_off)
-            cursor = update_off + nbytes
-            buffers_off = None
-            if result.buffers:
-                buffers_off = cursor
-                cursor += pack_state(arena.buf, result.buffers, buffers_off)
-            stripped = dataclasses.replace(result, update={}, buffers={})
-            payload.append(
-                ("shm", stripped, (update_off, buffers_off, cursor - update_off))
+        slots = self._slots(self._worker_index)
+        if len(results) > len(slots):
+            raise RuntimeError(
+                f"{len(results)} results for {len(slots)} owned-client slots"
             )
+        p = self._layout.size
+        payload = []
+        for slot, result in zip(slots, results):
+            self._layout.flatten(result.update, out=slot[:p])
+            self._buffer_layout.flatten(result.buffers, out=slot[p:], what="buffer_dict")
+            payload.append(dataclasses.replace(result, update={}, buffers={}))
+        del slots
         return payload
 
     def encode_capture(self, snapshot: Any) -> Any:
@@ -534,42 +492,25 @@ class ShmTransport:
     ) -> int:
         """Level 1 of the reduction tree, run inside a shard owner.
 
-        ``refs`` locates each collected client's packed update —
-        ``(worker, update_offset)`` in **collected order**, which with
-        the float64 pinning in :func:`~repro.runtime.shard.
-        weighted_segment_sum` is what keeps the result bitwise equal to
-        the serial reduce. Returns the float32 bytes written into this
-        owner's shard arenas.
+        ``refs`` locates each collected client's update — ``(worker,
+        slot)`` in **collected order**, which with the float64 pinning in
+        :func:`~repro.runtime.shard.weighted_segment_sum` is what keeps the
+        result bitwise equal to the serial reduce. Each owned shard's index
+        range is reduced into the same range of the reduce arena. Returns
+        the float32 bytes written.
         """
-        plan = self._shard_plan
-        assert plan is not None
-        # One zero-copy flat view per (client, layer); every worker
-        # inherited mappings to all result arenas pre-fork.
-        flats = []
-        for worker, update_off in refs:
-            views = unpack_state(
-                self._results[worker].buf, update_off, copy=False
-            )
-            flats.append({name: arr.reshape(-1) for name, arr in views.items()})
+        bounds = shard_bounds(self._layout.size, self._shards)
+        # Zero-copy rows; every worker inherited all result arenas pre-fork.
+        slots = [self._slots(w) for w in range(len(self._results))]
+        out = np.ndarray((self._layout.size,), dtype=np.float32, buffer=self._reduce.buf)
         written = 0
         try:
             for k in shard_indices:
-                out = np.ndarray(
-                    (plan.shard_scalars(k),),
-                    dtype=np.float32,
-                    buffer=self._shards[k].buf,
+                lo, hi = bounds[k], bounds[k + 1]
+                out[lo:hi] = weighted_segment_sum(
+                    weights, [slots[w][slot, lo:hi] for w, slot in refs]
                 )
-                try:
-                    for seg in plan.shards[k]:
-                        out[seg.shard_offset : seg.shard_offset + seg.size] = (
-                            weighted_segment_sum(
-                                weights,
-                                [f[seg.layer][seg.start : seg.stop] for f in flats],
-                            )
-                        )
-                finally:
-                    del out  # release the exported shard-arena buffer
-                written += plan.shard_nbytes(k)
+                written += 4 * (hi - lo)
         finally:
-            flats = None  # drop the result-arena views before returning
+            del out, slots  # release the exported arena buffers
         return written

@@ -269,8 +269,8 @@ class ClientFactory:
 
     def __init__(self, spec: PopulationSpec) -> None:
         self.spec = spec
-        self._layer_bytes: dict[str, int] | None = None
-        self._fresh_rng: list[dict] = []
+        self._fresh_rng: list[bytes] | None = None
+        self._model_bytes = 0
         self._spare_models: list[Module] = []
         self._pace_memo: dict[int, float] = {}
 
@@ -358,20 +358,16 @@ class ClientFactory:
 
     def _ensure_template(self) -> None:
         """One template model, built lazily — every client shares the
-        architecture. It measures ``layer_bytes``, fixes what a fresh
+        architecture. It measures the model's bytes, fixes what a fresh
         replica's layer RNG looks like, and is the first replica handed out."""
-        if self._layer_bytes is None:
+        if self._fresh_rng is None:
             template = self.spec.model_fn()
-            self._layer_bytes = template.layer_bytes()
             self._fresh_rng = template.rng_state()
+            self._model_bytes = template.nbytes()
             self._spare_models.append(template)
 
     @property
-    def layer_bytes(self) -> dict[str, int]:
-        """Per-layer parameter bytes."""
-        self._ensure_template()
-        return self._layer_bytes
-
-    @property
     def model_bytes(self) -> int:
-        return sum(self.layer_bytes.values())
+        """Bytes of one model replica."""
+        self._ensure_template()
+        return self._model_bytes

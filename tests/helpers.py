@@ -11,8 +11,8 @@ from repro.nn import Module
 
 def held_array_bytes(layer: Module) -> int:
     """Bytes of ndarrays ``layer`` holds — directly or through dicts, tuples
-    and lists — that are not its own parameters, gradients or buffers: what a
-    forward left cached."""
+    and lists — that are not its own parameters, gradients or buffers (nor
+    the arena vectors they are views of): what a forward left cached."""
 
     def arrays(value):
         if isinstance(value, np.ndarray):
@@ -27,7 +27,8 @@ def held_array_bytes(layer: Module) -> int:
     own |= {id(b) for b in layer._buffers.values()}
     return sum(
         a.nbytes
-        for value in vars(layer).values()
+        for key, value in vars(layer).items()
+        if key != "_walk_cache"
         for a in arrays(value)
         if id(a) not in own
     )

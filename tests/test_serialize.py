@@ -64,13 +64,21 @@ class TestSaveLoad:
             seed=0,
         )
         sim.run(2)
-        from repro.nn.serialize import pack_state, packed_state_nbytes, unpack_state
+        from repro.nn.layout import Layout
 
-        blob = bytearray(packed_state_nbytes(sim.global_state))
-        pack_state(blob, sim.global_state)
-        restored = unpack_state(blob)
+        # The refined global model is one flat vector behind a dict of
+        # views; it round-trips through its layout and through .npz.
+        layout = Layout.of_arrays(sim.global_state)
+        flat = layout.flatten(sim.global_state)
+        restored = layout.views(flat)
         for k in sim.global_state:
             np.testing.assert_array_equal(restored[k], sim.global_state[k])
+        model = LeNetCNN(rng=np.random.default_rng(3))
+        model.load_state_dict(restored)
+        save_model(model, tmp_path / "global.npz")
+        fresh = LeNetCNN(rng=np.random.default_rng(4))
+        load_model(fresh, tmp_path / "global.npz")
+        assert np.array_equal(fresh.arena().values, flat)
 
 
 class TestLoadValidation:
@@ -139,7 +147,9 @@ class TestLoadValidation:
 
 
 class TestArenaCodec:
-    """The fixed-offset codec behind the shared-memory transport."""
+    """The flat layout behind every model arena and the shared-memory
+    transport: ``views`` and ``flatten`` invert each other, and a broadcast
+    arena with a damaged or stale header is refused."""
 
     @staticmethod
     def sample_state():
@@ -147,67 +157,94 @@ class TestArenaCodec:
             "conv.weight": np.arange(24, dtype=np.float32).reshape(2, 3, 2, 2),
             "conv.bias": np.zeros(2, dtype=np.float32),
             "scalar": np.float32(3.5).reshape(()),
-            "empty": np.empty((0, 4), dtype=np.float64),
-            "ints": np.arange(5, dtype=np.int64),
+            "empty": np.empty((0, 4), dtype=np.float32),
+            "tail": np.arange(5, dtype=np.float32),
         }
 
     def test_roundtrip_copy(self):
-        from repro.nn.serialize import pack_state, packed_state_nbytes, unpack_state
+        from repro.nn.layout import Layout
 
         state = self.sample_state()
-        buf = bytearray(packed_state_nbytes(state))
-        end = pack_state(buf, state)
-        assert end <= len(buf)
-        back = unpack_state(buf)
+        layout = Layout.of_arrays(state)
+        assert layout.size == 24 + 2 + 1 + 0 + 5
+        flat = layout.flatten(state)
+        back = layout.views(flat.copy())
         assert list(back) == list(state)  # insertion order preserved
         for name in state:
             np.testing.assert_array_equal(back[name], state[name])
-            assert back[name].dtype == state[name].dtype
+            assert back[name].shape == state[name].shape
+            assert back[name].dtype == np.float32
 
     def test_zero_copy_views_are_read_only(self):
-        from repro.nn.serialize import pack_state, packed_state_nbytes, unpack_state
+        from repro.nn.layout import Layout
 
         state = self.sample_state()
-        buf = bytearray(packed_state_nbytes(state))
-        pack_state(buf, state)
-        views = unpack_state(buf, copy=False)
+        layout = Layout.of_arrays(state)
+        flat = layout.flatten(state)
+        flat.flags.writeable = False
+        views = layout.views(flat)
         for name, arr in views.items():
+            assert np.shares_memory(arr, flat) or arr.size == 0
             if arr.size:
-                np.testing.assert_array_equal(arr, state[name])
                 with pytest.raises(ValueError):
                     arr[...] = 0
-        # The views alias the buffer: rewriting it changes what they see.
-        state2 = {k: v + 1 if v.dtype.kind == "f" else v for k, v in state.items()}
-        pack_state(buf, state2)
-        np.testing.assert_array_equal(views["conv.weight"], state2["conv.weight"])
-        del views  # release buffer exports before the bytearray dies
+        # The views alias the vector: rewriting it changes what they see.
+        flat.flags.writeable = True
+        flat += 1
+        np.testing.assert_array_equal(views["conv.weight"], state["conv.weight"] + 1)
 
     def test_pack_at_offset(self):
-        from repro.nn.serialize import pack_state, packed_state_nbytes, unpack_state
+        from repro.nn.layout import Layout
 
         state = self.sample_state()
+        layout = Layout.of_arrays(state)
         offset = 128
-        buf = bytearray(offset + packed_state_nbytes(state))
-        pack_state(buf, state, offset)
-        back = unpack_state(buf, offset)
-        np.testing.assert_array_equal(back["ints"], state["ints"])
+        buf = bytearray(offset + 4 * layout.size)
+        flat = np.ndarray((layout.size,), dtype=np.float32, buffer=buf, offset=offset)
+        layout.flatten(state, out=flat)
+        back = layout.views(flat)
+        np.testing.assert_array_equal(back["tail"], state["tail"])
+        assert bytes(buf[:offset]) == bytes(offset)  # nothing before the offset
+        del flat, back  # release buffer exports before the bytearray dies
 
+    @pytest.mark.skipif(
+        not __import__("repro.runtime", fromlist=["shm_available"]).shm_available()[0],
+        reason="platform lacks POSIX shared memory",
+    )
     def test_truncated_and_corrupt_buffers_rejected(self):
-        from repro.nn.serialize import pack_state, packed_state_nbytes, unpack_state
+        from repro.nn.layout import Layout
+        from repro.runtime import ShmTransport
 
         state = self.sample_state()
-        buf = bytearray(packed_state_nbytes(state))
-        end = pack_state(buf, state)
-        with pytest.raises(CheckpointFormatError):
-            unpack_state(buf[: end // 2])
-        bad = bytearray(buf)
-        bad[:4] = b"XXXX"
-        with pytest.raises(CheckpointFormatError, match="magic"):
-            unpack_state(bad)
+        layout = Layout.of_arrays(state)
+        with pytest.raises(ValueError):
+            layout.flatten(state, out=np.empty(layout.size - 1, dtype=np.float32))
+        bad = dict(state, tail=np.zeros(6, dtype=np.float32))
+        with pytest.raises(ValueError, match="shape mismatch for tail"):
+            layout.flatten(bad)
+        with pytest.raises(KeyError, match="missing=\\['tail'\\]"):
+            layout.flatten({k: v for k, v in state.items() if k != "tail"})
+
+        transport = ShmTransport()
+        transport.setup(state, {}, [1])
+        try:
+            generation = transport.broadcast(state, {})
+            got, buffers = transport.read_broadcast(generation)
+            assert buffers == {}
+            np.testing.assert_array_equal(got["conv.weight"], state["conv.weight"])
+            del got
+            with pytest.raises(RuntimeError, match="generation mismatch"):
+                transport.read_broadcast(generation - 1)
+            transport._broadcast.buf[:4] = b"XXXX"
+            with pytest.raises(RuntimeError, match="corrupt"):
+                transport.read_broadcast(generation)
+        finally:
+            transport.close()
 
     def test_empty_state(self):
-        from repro.nn.serialize import pack_state, packed_state_nbytes, unpack_state
+        from repro.nn.layout import Layout
 
-        buf = bytearray(packed_state_nbytes({}))
-        pack_state(buf, {})
-        assert unpack_state(buf) == {}
+        layout = Layout.of_arrays({})
+        assert layout.size == 0
+        assert layout.flatten({}).shape == (0,)
+        assert layout.views(np.empty(0, dtype=np.float32)) == {}

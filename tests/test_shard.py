@@ -23,17 +23,20 @@ from repro.algorithms import OptimizerSpec, build_strategy
 from repro.core import FedCAConfig
 from repro.data import dirichlet_partition, make_workload_data
 from repro.nn import LeNetCNN
+from repro.nn.layout import Layout
 from repro.runtime import (
     FederatedSimulator,
     ParallelExecutor,
     RunHistory,
     WireLayer,
+    aggregate_updates,
     parse_wire_spec,
-    plan_shards,
     resolve_executor,
+    shard_bounds,
     shm_available,
     weighted_segment_sum,
 )
+from repro.runtime.round import ClientRoundResult
 from repro.runtime.parallel import fork_available
 
 from .helpers import per_client_holdings
@@ -110,7 +113,7 @@ def run_traced(env_data, scheme, executor, *, wire=None):
 
 
 # ----------------------------------------------------------------------
-# Shard planning
+# Shard planning: a shard is an index range of the flat parameter vector
 # ----------------------------------------------------------------------
 class TestShardPlan:
     @staticmethod
@@ -123,50 +126,33 @@ class TestShardPlan:
 
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 4, 7, 25, 40])
     def test_plan_covers_every_scalar_once_in_order(self, num_shards):
-        state = self.toy_state()
-        plan = plan_shards(state, num_shards)
-        assert plan.num_shards == num_shards
-        # Walking the shards in order must visit every (layer, offset)
-        # range exactly once, in fingerprint order.
-        walk = [
-            (seg.layer, seg.start, seg.stop)
-            for segs in plan.shards
-            for seg in segs
-        ]
-        expected = []
-        for name, arr in state.items():
-            covered = 0
-            for layer, start, stop in walk:
-                if layer != name:
-                    continue
-                assert start == covered, f"gap in {name}"
-                assert stop > start
-                covered = stop
-            assert covered == arr.size, f"{name} not fully covered"
-            expected.append(name)
-        assert plan.layer_names == tuple(expected)
-        assert sum(plan.shard_scalars(k) for k in range(num_shards)) == 25
+        layout = Layout.of_arrays(self.toy_state())
+        bounds = shard_bounds(layout.size, num_shards)
+        assert len(bounds) == num_shards + 1
+        assert bounds[0] == 0 and bounds[-1] == layout.size == 25
+        sizes = np.diff(bounds)
+        # Contiguous, in order, balanced to within one scalar — exactly
+        # np.array_split's partition of the flat vector.
+        assert (sizes >= 0).all() and sizes.max() - sizes.min() <= 1
+        flat = np.arange(layout.size, dtype=np.float32)
+        pieces = np.array_split(flat, num_shards)
+        assert [p.size for p in pieces] == sizes.tolist()
+        assert np.array_equal(
+            np.concatenate([flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]),
+            flat,
+        )
 
     def test_single_shard_is_whole_model(self):
-        plan = plan_shards(self.toy_state(), 1)
-        assert plan.shard_scalars(0) == 25
-        assert [seg.layer for seg in plan.shards[0]] == ["a", "b", "c"]
+        assert shard_bounds(25, 1) == [0, 25]
 
     def test_oversized_layer_splits_by_flat_offset(self):
-        state = {"big": np.zeros((100,), dtype=np.float32)}
-        plan = plan_shards(state, 4)
-        assert [s.size for s in (seg for segs in plan.shards for seg in segs)] == [
-            25,
-            25,
-            25,
-            25,
-        ]
+        assert shard_bounds(100, 4) == [0, 25, 50, 75, 100]
 
     def test_more_shards_than_scalars_leaves_empties(self):
-        state = {"t": np.zeros((2,), dtype=np.float32)}
-        plan = plan_shards(state, 5)
-        assert sum(plan.shard_scalars(k) for k in range(5)) == 2
-        assert any(plan.shard_scalars(k) == 0 for k in range(5))
+        bounds = shard_bounds(2, 5)
+        assert np.diff(bounds).tolist() == [1, 1, 0, 0, 0]
+        with pytest.raises(ValueError):
+            shard_bounds(2, 0)
 
     def test_weighted_segment_sum_matches_serial_slices(self):
         rng = np.random.default_rng(0)
@@ -174,9 +160,69 @@ class TestShardPlan:
         w = rng.random(6)
         w = w / w.sum()
         full = np.einsum("c,cn->n", w, stack.astype(np.float64)).astype(np.float32)
-        for lo, hi in [(0, 37), (0, 10), (10, 30), (30, 37)]:
+        assert np.array_equal(weighted_segment_sum(w, stack), full)
+        for lo, hi in [(0, 37), (0, 10), (10, 30), (30, 37), (37, 37)]:
             out = weighted_segment_sum(w, [row[lo:hi] for row in stack])
             assert np.array_equal(out, full[lo:hi])
+
+
+@needs_shm
+class TestShardedReduceInTransport:
+    """The shard owners' reduce, run in-process over real arenas, equals
+    the serial oracle in bytes at every shard count — boundaries inside
+    layers, between them and past the end of the vector."""
+
+    @staticmethod
+    def updates(num_clients=5):
+        model = LeNetCNN(rng=np.random.default_rng(7))
+        rng = np.random.default_rng(11)
+        results = []
+        for cid in range(num_clients):
+            update = {
+                name: (rng.normal(size=p.data.shape) * 1e-2).astype(np.float32)
+                for name, p in model.named_parameters()
+            }
+            results.append(
+                ClientRoundResult(
+                    client_id=cid,
+                    update=update,
+                    num_samples=int(rng.integers(5, 40)),
+                    iterations_run=1,
+                    compute_start_time=0.0,
+                    compute_finish_time=1.0,
+                    upload_finish_time=1.0 + cid,
+                    bytes_uploaded=0,
+                    mean_loss=0.0,
+                )
+            )
+        return model, results
+
+    def test_sharded_equals_serial_in_bytes(self):
+        from repro.runtime import ShmTransport
+
+        model, results = self.updates()
+        serial = aggregate_updates(results)
+        size = model.num_parameters()
+        for shards in (1, 2, 3, 7, size + 1):
+            transport = ShmTransport()
+            transport.setup(model.state_dict(), {}, [len(results)], shards=shards)
+            try:
+                transport.worker_init(0)
+                payload = transport.encode_results(results)
+                collected = transport.decode_results(0, payload)
+                refs = transport.pending_update_refs()
+                total = float(sum(r.num_samples for r in collected))
+                weights = np.array([r.num_samples for r in collected]) / total
+                written = transport.reduce_shards(
+                    list(range(shards)), weights, [refs[r.client_id] for r in collected]
+                )
+                assert written == 4 * size
+                sharded = transport.reduced_update()
+            finally:
+                transport.close()
+            assert list(sharded) == list(serial)
+            for name in serial:
+                assert sharded[name].tobytes() == serial[name].tobytes(), (shards, name)
 
 
 # ----------------------------------------------------------------------
@@ -266,9 +312,10 @@ class TestShardedLifecycle:
         sim = make_sim(env_data, "fedavg", executor=executor)
         sim.run_round()
         names = executor._transport_impl.segment_names()
-        # broadcast + 2 result arenas + 3 shard arenas
-        assert len(names) == 6
-        assert sum("-s" in n for n in names) == 3
+        # broadcast + 2 result arenas + the one reduce arena every shard
+        # owner writes its index range into
+        assert len(names) == 4
+        assert sum("-s" in n for n in names) == 1
         assert all((Path("/dev/shm") / n).exists() for n in names)
         sim.close()
         assert all(not (Path("/dev/shm") / n).exists() for n in names)

@@ -1,6 +1,6 @@
 """Flight-recorder sink-layer tests: backpressure policies (exact drop
-counts, ``block`` never loses events), rotation boundaries, binary↔JSONL
-round-trip equality, recorder integration (crash-flush, drop counters) and
+counts, ``block`` never loses events), JSONL resume truncation, recorder
+integration (crash-flush, drop counters) and
 byte-identical traces across serial / parallel@shm / cohort engines with a
 ``BufferedSink`` (DESIGN.md §13)."""
 
@@ -18,16 +18,13 @@ from repro.data import dirichlet_partition, make_workload_data
 from repro.nn import LeNetCNN
 from repro.obs import (
     TRACE_DROPPED_TOTAL,
-    BinarySink,
     BufferedSink,
     JsonlSink,
-    RotatingFileSink,
     SinkError,
     TraceEvent,
     TraceRecorder,
     TruncatedTraceError,
     client_iteration_counts,
-    read_binary_trace,
 )
 from repro.obs.sinks import encode_jsonl
 from repro.runtime import FederatedSimulator, shm_available
@@ -81,114 +78,6 @@ class TestFileSinks:
         with JsonlSink(str(path), resume_offset=offset) as sink2:
             sink2.write(events[3])
         assert path.read_bytes() == jsonl_bytes([events[0], events[1], events[3]])
-
-    def test_binary_roundtrip_reserializes_to_identical_jsonl(self, tmp_path):
-        events = [
-            ev(0, "run.start", scheme="fedca", nested={"a": [1, 2]}),
-            TraceEvent(1, "client.round", 2.5, 0, 3, {"loss": 0.25}),
-            TraceEvent(2, "tick", 3.0, None, None, {}, wall_time=123.456),
-        ]
-        bpath = tmp_path / "t.bin"
-        with BinarySink(str(bpath)) as sink:
-            for e in events:
-                sink.write(e)
-        decoded = read_binary_trace(str(bpath))
-        # Lossless: re-serialising the decoded dicts as sorted-key JSONL
-        # reproduces the JsonlSink bytes exactly.
-        rebuilt = b"".join(
-            (json.dumps(d, sort_keys=True) + "\n").encode() for d in decoded
-        )
-        expected = b"".join(
-            (
-                json.dumps(e.as_dict(drop_wall_clock=False), sort_keys=True)
-                + "\n"
-            ).encode()
-            for e in events
-        )
-        assert rebuilt == expected
-        assert decoded[1]["round"] == 0 and decoded[1]["client"] == 3
-        assert decoded[0]["round"] is None
-        assert decoded[2]["wall_time"] == pytest.approx(123.456)
-
-    def test_binary_reader_rejects_garbage_and_truncation(self, tmp_path):
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
-            read_binary_trace(str(bad))
-        good = tmp_path / "good.bin"
-        with BinarySink(str(good)) as sink:
-            sink.write(ev(0))
-        blob = good.read_bytes()
-        torn = tmp_path / "torn.bin"
-        torn.write_bytes(blob[:-3])
-        with pytest.raises(ValueError, match="truncated"):
-            read_binary_trace(str(torn))
-
-
-# ----------------------------------------------------------------------
-class TestRotatingFileSink:
-    def test_requires_a_rotation_criterion(self, tmp_path):
-        with pytest.raises(ValueError):
-            RotatingFileSink(str(tmp_path / "t.jsonl"))
-
-    def test_size_rotation_keeps_records_whole(self, tmp_path):
-        events = [ev(i, x=i) for i in range(20)]
-        line = len(encode_jsonl(events[0]))
-        max_bytes = int(line * 3.5)  # 3 whole records per segment
-        sink = RotatingFileSink(str(tmp_path / "t.jsonl"), max_bytes=max_bytes)
-        for e in events:
-            sink.write(e)
-        sink.close()
-        paths = sink.paths()
-        assert len(paths) > 1
-        blob = b""
-        for p in paths:
-            seg = open(p, "rb").read()
-            assert len(seg) <= max_bytes
-            assert seg.endswith(b"\n")  # no record split across segments
-            blob += seg
-        assert blob == jsonl_bytes(events)  # nothing lost, order kept
-
-    def test_oversize_record_lands_whole(self, tmp_path):
-        small, big = ev(0), ev(1, blob="x" * 500)
-        sink = RotatingFileSink(str(tmp_path / "t.jsonl"), max_bytes=64)
-        sink.write(small)
-        sink.write(big)
-        sink.write(ev(2))
-        sink.close()
-        segments = [open(p, "rb").read() for p in sink.paths()]
-        assert b"".join(segments) == jsonl_bytes([small, big, ev(2)])
-        assert any(len(s) > 64 for s in segments)  # the whale got its own
-
-    def test_round_rotation_boundaries(self, tmp_path):
-        sink = RotatingFileSink(str(tmp_path / "t.jsonl"), max_rounds=2)
-        events = []
-        for r in range(5):
-            events.append(ev(2 * r, "round.start"))
-            events.append(ev(2 * r + 1, "round.end"))
-        for e in events:
-            sink.write(e)
-        sink.close()
-        paths = sink.paths()
-        assert len(paths) == 3  # ceil(5 rounds / 2 per segment)
-        for p in paths[:-1]:
-            text = open(p).read()
-            assert text.count('"round.end"') == 2  # whole rounds per segment
-        assert b"".join(open(p, "rb").read() for p in paths) == jsonl_bytes(
-            events
-        )
-
-    def test_binary_segments_decode(self, tmp_path):
-        sink = RotatingFileSink(
-            str(tmp_path / "t.bin"), max_rounds=1, binary=True
-        )
-        events = [ev(0, "round.end"), ev(1, "round.end")]
-        for e in events:
-            sink.write(e)
-        sink.close()
-        assert len(sink.paths()) == 2
-        decoded = [d for p in sink.paths() for d in read_binary_trace(p)]
-        assert [d["seq"] for d in decoded] == [0, 1]
 
 
 # ----------------------------------------------------------------------
@@ -344,14 +233,6 @@ class TestRecorderSinkIntegration:
         assert rec.counters[TRACE_DROPPED_TOTAL] == 3
         assert rec.sink_dropped_events == 3
         rec.close()
-
-    def test_rotating_sink_through_recorder(self, tmp_path):
-        sink = RotatingFileSink(str(tmp_path / "t.jsonl"), max_rounds=1)
-        rec = TraceRecorder(sink=sink)
-        for i in range(3):
-            rec.emit("round.end", sim_time=float(i), round_index=i)
-        rec.close()
-        assert len(sink.paths()) == 3
 
     def test_run_exception_still_flushes_trace(self, tmp_path):
         # Satellite fix: a mid-run exception must not lose the trace —
