@@ -3,9 +3,11 @@
 Measures the time to run ``--rounds`` communication rounds of the micro CNN,
 LSTM and (BatchNorm) WRN workloads under the :class:`SerialExecutor` and the
 :class:`CohortExecutor` at several cohort sizes, on one process and one
-core.  Unlike the parallel bench, the speedup here comes from arithmetic
-intensity — M clients' forward/backward/optimizer steps fused into single
-stacked GEMMs — not from extra cores.
+core.  The baseline is the per-client reference loop, built as an instance:
+the ``serial`` spec is itself a batched engine, against which ``cohort:M``
+would read about 1.0x.  Unlike the parallel bench, the speedup here comes
+from arithmetic intensity — M clients' forward/backward/optimizer steps
+fused into single stacked GEMMs — not from extra cores.
 
 A/B equivalence is asserted on every row: the simulated timeline, byte
 counts and collected-client sets must be *exactly* equal to serial (all
@@ -42,6 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.algorithms import build_strategy  # noqa: E402
 from repro.experiments.configs import get_workload, make_environment  # noqa: E402
+from repro.runtime import SerialExecutor  # noqa: E402
 from repro.runtime.parallel import default_workers  # noqa: E402
 
 
@@ -132,7 +135,7 @@ def main(argv=None) -> int:
         for n in args.clients:
             cfg = bench_config(workload, n)
             serial_s, hist_serial, _ = run_once(
-                cfg, "serial", args.rounds, args.seed, scheme=args.scheme
+                cfg, SerialExecutor(), args.rounds, args.seed, scheme=args.scheme
             )
             for m in args.cohort_sizes:
                 cohort_s, hist_cohort, occ = run_once(

@@ -1,12 +1,13 @@
 """Wall-clock benchmark: serial vs parallel round execution.
 
 Measures the time to run ``--rounds`` communication rounds of the micro CNN
-workload at several client counts under the :class:`SerialExecutor` and the
-:class:`ParallelExecutor`, recording bytes moved per round on each IPC
-channel (control pipes vs shared-memory arenas) next to the wall-clock
-numbers, and the mean width of the stacked chunks the workers trained —
-verifies all histories are identical, and writes the measurements
-to ``BENCH_parallel.json`` so later PRs have a perf trajectory to compare
+workload at several client counts under the :class:`SerialExecutor` (the
+per-client reference loop, built as an instance — the ``serial`` spec is a
+batched engine) and the :class:`ParallelExecutor`, recording bytes moved
+per round on each IPC channel (control pipes vs shared-memory arenas) next
+to the wall-clock numbers, and the mean width of the stacked chunks the
+workers trained — verifies all histories are identical, and writes the
+measurements to ``BENCH_parallel.json`` so later PRs have a perf trajectory to compare
 against. Control-pipe traffic must stay at or below 1 % of the arena bytes
 per round; the bench exits non-zero otherwise. (``benchmarks/e2e`` owns the
 end-to-end timings; this bench keeps the gates it cannot express: history
@@ -26,9 +27,9 @@ Telemetry modes (PR 2):
 * ``--recorder trace [--trace-out PATH]`` runs every measurement with a
   :class:`~repro.obs.TraceRecorder` attached (JSONL streamed to PATH), so
   the bench doubles as an instrumented-run cost probe.
-* ``--telemetry-check`` runs the FedCA micro config serially twice —
-  ``NullRecorder`` vs ``TraceRecorder`` with a live JSONL sink — best-of
-  ``--repeats`` each, and exits non-zero if enabled-tracing overhead
+* ``--telemetry-check`` runs the FedCA micro config on the default engine —
+  ``NullRecorder`` vs ``TraceRecorder`` with a live JSONL sink, alternating —
+  best-of ``--repeats`` each, and exits non-zero if enabled-tracing overhead
   exceeds ``--max-overhead`` (default 10 %). CI runs this and uploads the
   trace artifact.
 
@@ -56,6 +57,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.algorithms import build_strategy  # noqa: E402
 from repro.experiments.configs import get_workload, make_environment  # noqa: E402
 from repro.obs import PhaseProfiler, TraceRecorder  # noqa: E402
+from repro.runtime import SerialExecutor  # noqa: E402
 from repro.runtime.parallel import default_workers, fork_available  # noqa: E402
 from repro.runtime.transport import (  # noqa: E402
     BROADCAST_SECONDS,
@@ -88,8 +90,9 @@ def run_once(cfg, executor, rounds: int, seed: int, *, scheme="fedavg",
     sim = make_environment(
         cfg, strategy, seed=seed, executor=executor, recorder=recorder
     )
+    parallel = sim.executor.name == "parallel"
     try:
-        if executor != "serial":
+        if parallel:
             # Fork the pool (and pay its one-off startup) before timing:
             # steady-state round throughput is what the bench tracks.
             sim.executor.run_round(sim.global_state, sim.global_buffers, [])
@@ -97,7 +100,7 @@ def run_once(cfg, executor, rounds: int, seed: int, *, scheme="fedavg",
         history = sim.run(rounds)
         elapsed = time.perf_counter() - start  # reprolint: allow[DET002] benchmark measures wall-clock by design
         ipc = sim.executor.ipc_stats()
-        if executor != "serial":
+        if parallel:
             # Mean width of the stacked chunks the workers trained.
             occupancy = sim.executor.occupancy()
             ipc["worker_chunk_width"] = occupancy["slot_steps"] / max(
@@ -111,29 +114,28 @@ def run_once(cfg, executor, rounds: int, seed: int, *, scheme="fedavg",
 def telemetry_check(args) -> int:
     """NullRecorder vs TraceRecorder overhead gate (CI smoke job).
 
-    Best-of-``repeats`` timing absorbs scheduler noise; the trace run
+    Best-of-``repeats`` timing absorbs scheduler noise, and the two sides
+    alternate so a slow stretch of the host lands on both; the trace run
     streams JSONL to ``--trace-out`` on every repeat so sink I/O is part
     of the measured cost — that is the overhead contract (DESIGN.md §9).
     """
     cfg = bench_config(args.clients[0])
     rounds, seed = args.rounds, args.seed
 
-    def best_of(recorder_factory):
-        times = []
-        for _ in range(args.repeats):
-            rec = recorder_factory()
-            elapsed, history, _ = run_once(
-                cfg, "serial", rounds, seed, scheme="fedca", recorder=rec
-            )
-            if rec is not None:
-                rec.close()
-            times.append(elapsed)
-        return min(times), history
+    def timed(rec):
+        elapsed, history, _ = run_once(
+            cfg, "serial", rounds, seed, scheme="fedca", recorder=rec
+        )
+        if rec is not None:
+            rec.close()
+        return elapsed, history
 
-    null_s, hist_null = best_of(lambda: None)
-    trace_s, hist_trace = best_of(
-        lambda: TraceRecorder(trace_path=args.trace_out)
-    )
+    null_runs, trace_runs = [], []
+    for _ in range(args.repeats):
+        null_runs.append(timed(None))
+        trace_runs.append(timed(TraceRecorder(trace_path=args.trace_out)))
+    null_s, hist_null = min(null_runs, key=lambda run: run[0])
+    trace_s, hist_trace = min(trace_runs, key=lambda run: run[0])
     if fingerprint(hist_null) != fingerprint(hist_trace):
         print("ERROR: tracing changed the simulated history", file=sys.stderr)
         return 1
@@ -230,7 +232,7 @@ def shard_wire_matrix(args, workers: int) -> tuple[list[dict], int]:
     refs = {}
     for wire in ["raw", "quant8"]:
         hist, aggregate_s, wire_bytes, raw_bytes = run_profiled(
-            cfg, "serial", rounds, seed, wire=wire
+            cfg, SerialExecutor(), rounds, seed, wire=wire
         )
         refs[wire] = fingerprint(hist)
         rows.append(
@@ -359,7 +361,7 @@ def main(argv=None) -> int:
         rec = make_recorder()
         try:
             serial_s, hist_serial, _ = run_once(
-                cfg, "serial", args.rounds, args.seed, recorder=rec
+                cfg, SerialExecutor(), args.rounds, args.seed, recorder=rec
             )
         finally:
             if rec is not None:

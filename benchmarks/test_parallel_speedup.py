@@ -20,6 +20,7 @@ from parallel_bench import (
     fingerprint,
     run_once,
 )
+from repro.runtime import SerialExecutor
 from repro.runtime.parallel import default_workers, fork_available
 from repro.runtime.transport import shm_available
 
@@ -39,7 +40,7 @@ def test_parallel_smoke_two_workers(once):
     cfg = bench_config(8)
 
     def run_pair():
-        serial_s, hist_serial, _ = run_once(cfg, "serial", rounds=2, seed=0)
+        serial_s, hist_serial, _ = run_once(cfg, SerialExecutor(), rounds=2, seed=0)
         parallel_s, hist_parallel, ipc = run_once(
             cfg, "parallel:2", rounds=2, seed=0
         )
@@ -66,7 +67,7 @@ def test_parallel_speedup_16_clients(once):
     cfg = bench_config(16)
 
     def run_pair():
-        serial_s, hist_serial, _ = run_once(cfg, "serial", rounds=3, seed=0)
+        serial_s, hist_serial, _ = run_once(cfg, SerialExecutor(), rounds=3, seed=0)
         parallel_s, hist_parallel, _ = run_once(
             cfg, "parallel:4", rounds=3, seed=0
         )

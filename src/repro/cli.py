@@ -240,16 +240,19 @@ def _engine_spec(value: str) -> str:
 def _add_executor(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor", type=_engine_spec, default="serial", metavar="SPEC",
-        help="client-execution engine: 'serial' (default); "
+        help="client-execution engine: 'serial' (default) — one process, "
+             "each round trained as stacked programs of clients with equal "
+             "batch width (the per-client loop's bytes; never wider than "
+             "--population lazy:cache=N); "
              "'parallel[:N][+shards=S]' — N persistent worker processes "
              "(default: usable cores) exchanging models through shared "
              "memory, same results at lower wall-clock, and with +shards=S "
              "the flat parameter vector is reduced as S index ranges inside "
              "the workers (byte-identical histories, no full clients×params "
              "stack in any one process); 'cohort[:M]' — M clients (default "
-             "32) batched into one stacked tensor program (byte-identical "
-             "histories unless a shard is smaller than a batch, "
-             "multiplicative single-core speedups)")
+             "32) batched into one stacked tensor program, short batches "
+             "zero-padded (byte-identical histories unless a shard is "
+             "smaller than a batch)")
 
 
 def _wire_spec(value: str) -> str:

@@ -117,8 +117,11 @@ def run_scheme(
         fedca_config = FedCAConfig(profile_every=cfg.fedca_profile_every)
     effective_rounds = rounds or cfg.default_rounds
 
-    # Resolved once, up front: the cohort engine pads short batches, which
-    # can move bytes (DESIGN.md §12), so it is the one engine the cache keys on.
+    # Resolved once, up front: padded ``cohort[:M]`` pads short batches,
+    # which can move bytes (DESIGN.md §12), so it is the one engine the
+    # cache keys on. Everything labelled ``serial`` — the default batched
+    # engine and the reference loop it reproduces — and ``parallel`` share
+    # one cell.
     engine = resolve_executor(executor)
     cache_key = None
     if cache is not None:
@@ -132,9 +135,7 @@ def run_scheme(
             fedca_config=fedca_config,
             wire=wire,
             engine=(
-                f"cohort:{engine.cohort_size}"
-                if engine.name == "cohort" and engine.pad
-                else None
+                f"cohort:{engine.cohort_size}" if engine.name == "cohort" else None
             ),
         )
         payload = cache.get(cache_key)
@@ -189,7 +190,8 @@ def run_scheme(
                 workload=cfg.name,
                 scale=cfg.scale,
                 seed=seed,
-                executor=str(executor or "serial"),
+                # An instance is spelled by its label, not its address.
+                executor=executor if isinstance(executor, str) else engine.name,
             )
         sim = make_environment(
             cfg, strategy, seed=seed, dynamic=dynamic, executor=engine,

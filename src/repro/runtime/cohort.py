@@ -1,18 +1,19 @@
 """Cohort executor: trains M same-architecture clients as one batched
 tensor program (see :mod:`repro.nn.cohort` for how a model is stacked).
 
-Where the serial executor runs M clients' rounds one after another, the
-cohort executor stacks the M client replicas along a leading tensor axis so
-every layer's forward/backward and the optimizer step advance all M clients
-with one BLAS call. The *simulation* is unchanged: per-client simulated
-time, uplink scheduling, FedCA decision logic and trace events all run
-per-member in plain Python, exactly as the serial path computes them, and
-the batched tensor work keeps the bytes of every member whose products have
-serial's operand shapes (DESIGN.md §12): all of them unpadded — how the
-parallel executor's workers each drive one of these over their share of a
-round (:mod:`repro.runtime.parallel`) — and under ``cohort[:M]`` all but a
-client whose shard is smaller than a batch, which is zero-padded into its
-chunk's program rather than given one of its own.
+Where the reference :class:`~repro.runtime.executor.SerialExecutor` runs M
+clients' rounds one after another, the cohort executor stacks the M client
+replicas along a leading tensor axis so every layer's forward/backward and
+the optimizer step advance all M clients with one BLAS call. The
+*simulation* is unchanged: per-client simulated time, uplink scheduling,
+FedCA decision logic and trace events all run per-member in plain Python,
+exactly as the per-client loop computes them, and the batched tensor work
+keeps the bytes of every member whose products have the loop's operand
+shapes (DESIGN.md §12): all of them unpadded — the default ``serial``
+engine, and what each parallel worker drives over its share of a round
+(:mod:`repro.runtime.parallel`) — and under ``cohort[:M]`` all but a client
+whose shard is smaller than a batch, which is zero-padded into its chunk's
+program rather than given one of its own.
 
 Chunking: jobs are split into consecutive chunks of at most
 ``cohort_size``; when M does not divide the number of selected clients the
@@ -41,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["CohortEngine", "CohortExecutor", "StepCounts"]
 
-#: Default cohort width; the bench's headline configuration.
+#: Default cohort width: ``cohort``'s, and the cap of an engine sized at bind.
 DEFAULT_COHORT_SIZE = 32
 
 
@@ -186,8 +187,9 @@ class CohortEngine:
         if not batches:
             return loss
         feat = batches[0][1].shape[1:]
+        # Ascending, as np.unique — which would import numpy.ma (~1 MiB).
         widths = (
-            [int(counts.max())] if self.pad else np.unique(counts[counts > 0]).tolist()
+            [int(counts.max())] if self.pad else sorted(set(counts[counts > 0].tolist()))
         )
         self.model.zero_grad()
         for width in widths:
@@ -229,24 +231,27 @@ class CohortEngine:
 class CohortExecutor(Executor):
     """Single-process engine that batches chunks of M clients per round.
 
-    ``pad`` decides what shares a stacked program. Padded (``cohort[:M]``),
-    a chunk is one program and a member that draws fewer rows than the
-    widest is zero-padded: full-width members keep serial's bytes by
-    construction, a padded one only where BLAS rounds a product's rows
-    independently of its row count (DESIGN.md §12). Unpadded (what a
-    ``parallel`` worker runs), members share a program only at equal batch
-    widths and a step only at equal row counts, so every GEMM has serial's
-    operand shapes and every member serial's bytes — at one more program
-    per distinct width.
+    ``pad`` decides what shares a stacked program. Unpadded (the default
+    ``serial`` engine, and what a ``parallel`` worker runs), members share
+    a program only at equal batch widths and a step only at equal row
+    counts, so every GEMM has the per-client loop's operand shapes and every
+    member its bytes — at one more program per distinct width. Padded
+    (``cohort[:M]``), a chunk is one program and a member that draws fewer
+    rows than the widest is zero-padded: full-width members keep the loop's
+    bytes by construction, a padded one only where BLAS rounds a product's
+    rows independently of its row count (DESIGN.md §12).
+
+    ``cohort_size=None`` sizes the engine at :meth:`bind`:
+    :data:`DEFAULT_COHORT_SIZE`, capped by a lazy population's resident
+    capacity, because a chunk is live at once — so such an engine never
+    raises ``cache=N``.
     """
 
-    name = "cohort"
-
     def __init__(self, cohort_size: int | None = None, *, pad: bool = True) -> None:
-        size = DEFAULT_COHORT_SIZE if cohort_size is None else cohort_size
-        if size < 1:
-            raise ValueError(f"cohort size must be >= 1, got {size}")
-        self.cohort_size = size
+        if cohort_size is not None and cohort_size < 1:
+            raise ValueError(f"cohort size must be >= 1, got {cohort_size}")
+        self._sized_at_bind = cohort_size is None
+        self.cohort_size = DEFAULT_COHORT_SIZE if cohort_size is None else cohort_size
         self.pad = pad
         self._recorder = None
         #: Stacked models by width, most recently used last — selection
@@ -255,10 +260,20 @@ class CohortExecutor(Executor):
         self._models: dict[int, CohortModel] = {}
         self.counts = StepCounts()
 
+    @property
+    def name(self) -> str:  # type: ignore[override]
+        """``"serial"`` unpadded: runs, phase gauges and result-cache cells
+        keep the label of the per-client loop whose bytes it reproduces."""
+        return "cohort" if self.pad else "serial"
+
     # ------------------------------------------------------------------
     def bind(self, clients: Sequence["SimClient"], strategy: "Strategy") -> None:
         self._clients = clients
         self._strategy = strategy
+        if self._sized_at_bind:
+            # A plain list is eager and holds everyone.
+            capacity = getattr(clients, "resident_capacity", None)
+            self.cohort_size = min(DEFAULT_COHORT_SIZE, capacity or DEFAULT_COHORT_SIZE)
 
     def set_recorder(self, recorder) -> None:
         self._recorder = recorder
@@ -337,7 +352,8 @@ class CohortExecutor(Executor):
     def min_resident_clients(self) -> int:
         """A full chunk of M clients is live during each batched program, so
         a lazy population must keep at least M residents (see
-        :meth:`Executor.min_resident_clients`)."""
+        :meth:`Executor.min_resident_clients`); an engine sized at bind
+        already fits."""
         return self.cohort_size
 
     # ------------------------------------------------------------------

@@ -1,19 +1,29 @@
 """Pluggable client-execution engines for the federated simulator.
 
-The simulator delegates the per-round client loop — "run ``client_round``
-for every surviving selected client" — to an :class:`Executor`. Two engines
-ship:
+The simulator delegates the per-round client work — "train every surviving
+selected client" — to an :class:`Executor`. A spec selects one of:
 
-* :class:`SerialExecutor` (default): the historical in-process loop, one
-  client after another.
-* :class:`~repro.runtime.parallel.ParallelExecutor`: persistent worker
-  processes with resident client replicas; see :mod:`repro.runtime.parallel`.
+* ``serial`` (default): an unpadded
+  :class:`~repro.runtime.cohort.CohortExecutor` in this process, training
+  each round as stacked programs of equal batch width — the per-client
+  loop's operand shapes, so its bytes, at a fraction of its per-call
+  overhead. Its width is sized at bind and never exceeds a lazy
+  population's ``cache=N``.
+* ``cohort[:M]``: the same engine padded, M clients per program; see
+  :mod:`repro.runtime.cohort`.
+* ``parallel[:N]``: persistent worker processes, each driving the
+  ``serial`` engine over the clients it owns; see
+  :mod:`repro.runtime.parallel`.
 
-Both engines receive the jobs in deterministic client-id order (the
+:class:`SerialExecutor` — ``Strategy.client_round`` for one client after
+another — is the reference every engine is held to. Tests and benches
+build it as an instance; no spec reaches it.
+
+Every engine receives the jobs in deterministic client-id order (the
 simulator's ``survivors`` list is sorted) and must return results in that
 same order, so downstream collection/aggregation — and therefore the whole
 :class:`~repro.runtime.history.RunHistory` — is identical regardless of the
-engine. Parallelism changes wall-clock time only, never the simulation.
+engine. Engines change wall-clock time only, never the simulation.
 """
 
 from __future__ import annotations
@@ -132,9 +142,10 @@ class Executor(ABC):
         """Largest number of clients the engine holds live at one moment.
 
         A lazy population (see :mod:`repro.scale`) sizes its resident cache
-        to at least this, so an engine can never have an in-use client
-        evicted from under it mid-round. Serial engines touch one client at
-        a time; the cohort engine overrides this with its chunk size.
+        to at least this once the engine is bound, so an engine can never
+        have an in-use client evicted from under it mid-round. The
+        reference loop touches one client at a time; the cohort engine
+        overrides this with its chunk width.
         """
         return 1
 
@@ -143,7 +154,7 @@ class Executor(ABC):
         snapshot}``, for checkpointing (see :mod:`repro.persist`).
 
         The engine owns this because the state lives wherever the client
-        rounds actually execute — in the parent for :class:`SerialExecutor`,
+        rounds actually execute — in the parent for the in-process engines,
         inside the persistent workers for
         :class:`~repro.runtime.parallel.ParallelExecutor`.
         Restore needs no engine hook: checkpoints are restored into a
@@ -170,7 +181,10 @@ class Executor(ABC):
 
 
 class SerialExecutor(Executor):
-    """The default single-process engine (exactly the historical behavior)."""
+    """The reference engine: ``Strategy.client_round`` for one client after
+    another, in this process. Every engine's history and trace are held to
+    this one's bytes; ``serial`` resolves to the batched engine that
+    reproduces them (:func:`resolve_executor`)."""
 
     name = "serial"
 
@@ -203,7 +217,9 @@ class SerialExecutor(Executor):
 def resolve_executor(spec: "Executor | str | None") -> Executor:
     """Turn an executor spec into an engine instance.
 
-    ``None``/``"serial"`` → :class:`SerialExecutor`;
+    ``None``/``"serial"`` → an unpadded
+    :class:`~repro.runtime.cohort.CohortExecutor` sized at bind (labelled
+    ``serial``: it is :class:`SerialExecutor`'s bytes, batched);
     ``"parallel[:N][+shards=S]"`` →
     :class:`~repro.runtime.parallel.ParallelExecutor` with N workers and,
     with ``+shards=S``, the sharded tree-reduction aggregation engine,
@@ -212,18 +228,19 @@ def resolve_executor(spec: "Executor | str | None") -> Executor:
     ``"parallel:4+shards=2"``. Shared
     memory is the only IPC transport, so ``parallel:4@shm`` is accepted
     as a redundant spelling; the removed ``@pipe`` / ``@auto`` raise;
-    ``"cohort[:M]"`` → :class:`~repro.runtime.cohort.CohortExecutor`
-    batching M clients per stacked tensor program — e.g. ``"cohort:32"``;
-    an :class:`Executor` instance passes through.
+    ``"cohort[:M]"`` → a padded :class:`~repro.runtime.cohort.CohortExecutor`
+    batching M (default 32) clients per stacked tensor program — e.g.
+    ``"cohort:32"``; an :class:`Executor` instance passes through (the one
+    way to run :class:`SerialExecutor`).
     """
-    if spec is None:
-        return SerialExecutor()
     if isinstance(spec, Executor):
         return spec
-    if isinstance(spec, str):
-        key = spec.strip().lower()
+    if spec is None or isinstance(spec, str):
+        key = "serial" if spec is None else spec.strip().lower()
         if key == "serial":
-            return SerialExecutor()
+            from .cohort import CohortExecutor
+
+            return CohortExecutor(pad=False)
         if key == "parallel" or key.startswith(
             ("parallel:", "parallel@", "parallel+")
         ):
@@ -262,9 +279,9 @@ def resolve_executor(spec: "Executor | str | None") -> Executor:
                     raise ValueError(f"bad worker count in executor spec {spec!r}")
             return ParallelExecutor(workers=workers, shards=shards)
         if key == "cohort" or key.startswith("cohort:"):
-            from .cohort import CohortExecutor
+            from .cohort import DEFAULT_COHORT_SIZE, CohortExecutor
 
-            size = None
+            size = DEFAULT_COHORT_SIZE
             if ":" in key:
                 try:
                     size = int(key.split(":", 1)[1])

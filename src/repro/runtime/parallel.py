@@ -4,14 +4,14 @@
 round runs. Each worker inherits (via ``fork``) the simulator's fully
 initialised client replicas *and* a replica of the strategy, and keeps them
 resident for the whole run — there is no per-round pickling of clients,
-models or data shards. A worker binds one unpadded
-:class:`~repro.runtime.cohort.CohortExecutor` to what it inherited and
-trains its share of each round through it, as stacked chunks: clients share
-a program only at equal batch width and a step only at equal row counts, so
-every product keeps the per-client loop's operand shapes and every client
-its bytes (DESIGN.md §12) at a fraction of the loop's per-call overhead —
-a client whose shard is smaller than a batch trains in a program of its own
-width. The chunk width is
+models or data shards. A worker binds the default ``serial`` engine — an
+unpadded :class:`~repro.runtime.cohort.CohortExecutor` — to what it
+inherited and trains its share of each round through it, as stacked
+chunks: clients share a program only at equal batch width and a step only
+at equal row counts, so every product keeps the per-client loop's operand
+shapes and every client its bytes (DESIGN.md §12) at a fraction of the
+loop's per-call overhead — a client whose shard is smaller than a batch
+trains in a program of its own width. The engine sizes itself at bind:
 :data:`~repro.runtime.cohort.DEFAULT_COHORT_SIZE`, capped by a lazy
 population's resident capacity so ``lazy:cache=N`` holds per worker; there
 is nothing to configure.
@@ -37,8 +37,9 @@ routing), so every stateful per-client object — the cyclic
 :class:`~repro.sysmodel.speed.SpeedTrace`, and what FedCA and the wire
 layer keep on the client (profiled curves, codec) — evolves in exactly one
 process, in exactly the order it would have evolved serially. Results are
-reassembled in the simulator's job order (sorted client ids). Serial and
-``parallel:N`` runs therefore produce **bitwise-identical**
+reassembled in the simulator's job order (sorted client ids). The
+reference loop, ``serial`` and ``parallel:N`` runs therefore produce
+**bitwise-identical**
 :class:`~repro.runtime.history.RunHistory` objects *and* telemetry traces;
 ``tests/test_executor.py`` asserts both for FedAvg and FedCA.
 
@@ -53,16 +54,16 @@ Fallback
 --------
 * Anything that keeps the pool from starting — no ``fork`` start method,
   no usable shared memory, ``/dev/shm`` too small for the arenas — emits
-  one ``RuntimeWarning`` naming the reason and runs everything through a
-  :class:`~repro.runtime.executor.SerialExecutor` on the parent replicas.
+  one ``RuntimeWarning`` naming the reason and runs everything through the
+  default ``serial`` engine on the parent replicas, sized as a worker's.
   No round has run yet, so the history is bitwise the serial one and the
   run stays checkpointable.
 * If a worker process dies mid-run, the pool (and its arenas) is torn down
   and the unfinished jobs of that round — and every later round — run
-  serially on the parent's replicas. The run completes, but because the
-  parent replicas did not observe the rounds the dead pool executed, the
-  bitwise-determinism guarantee is void from the crash onward (a warning
-  says so, and checkpointing refuses).
+  through that same engine on the parent's replicas. The run completes,
+  but because the parent replicas did not observe the rounds the dead pool
+  executed, the bitwise-determinism guarantee is void from the crash
+  onward (a warning says so, and checkpointing refuses).
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from .cohort import DEFAULT_COHORT_SIZE, CohortExecutor, StepCounts
-from .executor import ClientJob, Executor, SerialExecutor, capture_clients
+from .cohort import CohortExecutor, StepCounts
+from .executor import ClientJob, Executor, capture_clients
 from .round import ClientRoundResult
 from .transport import ShmTransport, ipc_bytes_counter
 
@@ -136,11 +137,8 @@ def _worker_main(pairs, clients, strategy, owned_ids, transport, worker_index) -
         if w != worker_index:
             child_conn.close()
     transport.worker_init(worker_index)
-    # A chunk is live at once: never wider than a lazy population may hold
-    # (a plain list is eager and holds everyone). Unpadded: only what keeps
-    # serial's operand shapes shares a stacked program.
-    capacity = getattr(clients, "resident_capacity", None)
-    engine = CohortExecutor(min(DEFAULT_COHORT_SIZE, capacity or DEFAULT_COHORT_SIZE), pad=False)
+    # The default engine, sized at bind to what a lazy population may hold.
+    engine = CohortExecutor(pad=False)
     engine.bind(clients, strategy)
     state = buffers = None
     try:
@@ -219,7 +217,7 @@ class ParallelExecutor(Executor):
         self._procs: list[mp.process.BaseProcess] = []
         self._conns: list = []
         self._started = False
-        self._fallback: SerialExecutor | None = None
+        self._fallback: CohortExecutor | None = None
         self._degraded_after_start = False
         self._counts = StepCounts()
 
@@ -232,6 +230,8 @@ class ParallelExecutor(Executor):
         self._recorder = recorder
         if self._transport_impl is not None:
             self._transport_impl.set_recorder(recorder)
+        if self._fallback is not None:
+            self._fallback.set_recorder(recorder)
 
     def set_profiler(self, profiler) -> None:
         self._profiler = profiler
@@ -241,11 +241,12 @@ class ParallelExecutor(Executor):
             self._fallback.set_profiler(profiler)
 
     def _degrade(self) -> None:
-        """Route all remaining work through a serial engine on the parent
-        replicas."""
+        """Route all remaining work through the default engine on the
+        parent replicas — the one a worker runs, sized the same way."""
         assert self._clients is not None and self._strategy is not None
-        self._fallback = SerialExecutor()
+        self._fallback = CohortExecutor(pad=False)
         self._fallback.bind(self._clients, self._strategy)
+        self._fallback.set_recorder(self._recorder)
         self._fallback.set_profiler(self._profiler)
 
     # ------------------------------------------------------------------

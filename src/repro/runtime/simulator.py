@@ -72,13 +72,15 @@ class FederatedSimulator:
         Client-execution engine: ``None``/``"serial"`` (default),
         ``"parallel"``/``"parallel:N"``, ``"cohort"``/``"cohort:M"``, or
         an :class:`~repro.runtime.executor.Executor` instance. Engines
-        only change wall-clock time: parallel histories are bitwise
-        identical to serial (see :mod:`repro.runtime.parallel`); the
-        cohort engine batches M clients into one stacked tensor program
-        and is too, except that a client whose shard is smaller than a
-        batch is zero-padded, which can move its tensor values at
-        rounding level (see :mod:`repro.runtime.cohort` and DESIGN.md
-        §12).
+        only change wall-clock time: ``serial`` trains each round as
+        stacked programs of equal batch width and ``parallel`` runs that
+        engine in worker processes, both bitwise identical to the
+        per-client reference loop
+        (:class:`~repro.runtime.executor.SerialExecutor`); ``cohort``
+        batches M clients into one stacked tensor program and is too,
+        except that a client whose shard is smaller than a batch is
+        zero-padded, which can move its tensor values at rounding level
+        (see :mod:`repro.runtime.cohort` and DESIGN.md §12).
     recorder:
         Telemetry sink (see :mod:`repro.obs`). ``None`` (default) means
         the shared :data:`~repro.obs.NULL_RECORDER`: every hook is a
@@ -227,11 +229,12 @@ class FederatedSimulator:
         # The executor must bind while the clients are still in their
         # initial seeded state (ParallelExecutor forks replicas from here).
         self.executor = resolve_executor(executor)
+        self.executor.bind(self.clients, self.strategy)
         if self.population is not None:
             # Executors that hold several clients live at once (a cohort
-            # chunk) must never see a member evicted mid-round.
+            # chunk) must never see a member evicted mid-round; one sized
+            # at bind already fits the cache.
             self.population.reserve(self.executor.min_resident_clients())
-        self.executor.bind(self.clients, self.strategy)
         self.executor.set_recorder(self.recorder)
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.profiler.set_executor_label(self.executor.name)
@@ -320,13 +323,13 @@ class FederatedSimulator:
                 round_index=round_index,
                 seed=self.seed,
             )
-            # FedBalancer-style compute deadline from current pace estimates.
-            est_compute = [
-                self.local_iterations * self.pace_estimate(cid)
-                for cid in selected
-            ]
+            # FedBalancer-style compute deadline from current pace estimates,
+            # drawn inside the search that consumes them so a profile of it
+            # sees their cost (a never-observed client's pace is a fresh
+            # seeded draw).
             deadline = select_deadline(
-                est_compute, min_fraction=self.deadline_min_fraction
+                (self.local_iterations * self.pace_estimate(cid) for cid in selected),
+                min_fraction=self.deadline_min_fraction,
             )
             budgets = self.strategy.prepare_round(
                 self, selected, deadline, round_index

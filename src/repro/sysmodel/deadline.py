@@ -10,7 +10,7 @@ the sorted estimates.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -18,7 +18,7 @@ __all__ = ["select_deadline"]
 
 
 def select_deadline(
-    estimated_completion_times: Sequence[float],
+    estimated_completion_times: Iterable[float],
     *,
     min_fraction: float = 0.0,
 ) -> float:

@@ -831,7 +831,7 @@ class TestCohortExecutor:
             return history, events_to_jsonl(recorder.events()), sim.executor
 
         for scheme, dropout in [("fedavg", 0.0), ("fedca", 0.3)]:
-            ref_history, ref_trace, _ = run(scheme, dropout, "serial")
+            ref_history, ref_trace, _ = run(scheme, dropout, SerialExecutor())
             for engine in ("cohort:4", CohortExecutor(4, pad=False)):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
@@ -895,7 +895,7 @@ class TestEndToEnd:
     def test_accuracy_and_timeline_match_serial(self, workload, scheme):
         cfg = micro_cfg(workload)
         hs = run_scheme(
-            cfg, scheme, rounds=3, stop_at_target=False, seed=0, executor="serial"
+            cfg, scheme, rounds=3, stop_at_target=False, seed=0, executor=SerialExecutor()
         ).history
         hc = run_scheme(
             cfg, scheme, rounds=3, stop_at_target=False, seed=0, executor="cohort:4"
@@ -914,7 +914,7 @@ class TestEndToEnd:
             run_scheme(
                 cfg, "fedca", rounds=6, stop_at_target=False, seed=10, executor=engine
             ).history
-            for engine in ("serial", "cohort:8", CohortExecutor(8, pad=False))
+            for engine in (SerialExecutor(), "cohort:8", CohortExecutor(8, pad=False))
         )
         # cohort:8 pads the small shards: the serial timeline, values close.
         assert_history_is_serial(hc, hs, padded=True)
@@ -937,7 +937,7 @@ class TestEndToEnd:
             finally:
                 sim.close()
 
-        hs, state_s, _ = run("serial")
+        hs, state_s, _ = run(SerialExecutor())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             hc, state_c, executor = run("cohort:4")
@@ -969,7 +969,7 @@ class TestEndToEnd:
             return stops, evals
 
         paths = {}
-        for name, spec in [("serial", "serial"), ("cohort", "cohort:4")]:
+        for name, spec in [("serial", SerialExecutor()), ("cohort", "cohort:4")]:
             path = tmp_path / f"{name}.jsonl"
             recorder = TraceRecorder(trace_path=str(path))
             run_scheme(
@@ -1101,7 +1101,7 @@ class TestOneRoundBody:
             finally:
                 sim.close()
 
-        hs = run("serial")
+        hs = run(SerialExecutor())
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             hc = run("cohort:4")

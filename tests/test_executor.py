@@ -11,6 +11,7 @@ from repro.core import FedCAConfig
 from repro.data import dirichlet_partition, make_workload_data
 from repro.nn import LeNetCNN
 from repro.runtime import (
+    CohortExecutor,
     FederatedSimulator,
     ParallelExecutor,
     RunHistory,
@@ -18,6 +19,7 @@ from repro.runtime import (
     resolve_executor,
     shm_available,
 )
+from repro.runtime.cohort import DEFAULT_COHORT_SIZE
 from repro.runtime.parallel import fork_available
 from repro.runtime.transport import ipc_bytes_counter
 
@@ -84,7 +86,7 @@ class TestSerialParallelEquivalence:
     @needs_fork
     @pytest.mark.parametrize("scheme", ["fedavg", "fedca"])
     def test_bitwise_identical_histories(self, env_data, scheme):
-        ref = make_sim(env_data, scheme, executor="serial").run(4)
+        ref = make_sim(env_data, scheme, executor=SerialExecutor()).run(4)
         for executor in (ParallelExecutor(workers=1), ParallelExecutor(workers=4)):
             with make_sim(env_data, scheme, executor=executor) as sim:
                 hist = sim.run(4)
@@ -92,7 +94,7 @@ class TestSerialParallelEquivalence:
 
     @needs_fork
     def test_global_state_bitwise_identical(self, env_data):
-        sim_s = make_sim(env_data, "fedavg", executor="serial")
+        sim_s = make_sim(env_data, "fedavg", executor=SerialExecutor())
         sim_s.run(3)
         with make_sim(env_data, "fedavg", executor="parallel:3") as sim_p:
             sim_p.run(3)
@@ -125,7 +127,7 @@ class TestSerialParallelEquivalence:
                 executor=executor,
             )
 
-        ref = build("serial").run(3)
+        ref = build(SerialExecutor()).run(3)
         with build("parallel:2") as sim:
             hist = sim.run(3)
         assert history_fingerprint(hist) == history_fingerprint(ref)
@@ -150,7 +152,7 @@ class TestSerialParallelEquivalence:
             ) as sim:
                 return history_fingerprint(sim.run(3)), sim.global_state
 
-        (ref, ref_state), (hist, state) = run("serial"), run("parallel:2")
+        (ref, ref_state), (hist, state) = run(SerialExecutor()), run("parallel:2")
         assert hist == ref
         for name in ref_state:
             assert state[name].tobytes() == ref_state[name].tobytes(), name
@@ -158,7 +160,7 @@ class TestSerialParallelEquivalence:
     @needs_fork
     def test_partial_participation_equivalence(self, env_data):
         ref = make_sim(
-            env_data, "fedca", executor="serial", clients_per_round=3
+            env_data, "fedca", executor=SerialExecutor(), clients_per_round=3
         ).run(4)
         with make_sim(
             env_data, "fedca", executor="parallel:2", clients_per_round=3
@@ -188,7 +190,7 @@ class TestTraceDeterminism:
     @needs_fork
     @pytest.mark.parametrize("scheme", ["fedavg", "fedca"])
     def test_identical_jsonl_streams(self, env_data, scheme):
-        hist_s, jsonl_s, _ = self.run_traced(env_data, scheme, "serial")
+        hist_s, jsonl_s, _ = self.run_traced(env_data, scheme, SerialExecutor())
         hist_p, jsonl_p, _ = self.run_traced(env_data, scheme, "parallel:4")
         assert history_fingerprint(hist_s) == history_fingerprint(hist_p)
         assert jsonl_s == jsonl_p
@@ -201,7 +203,7 @@ class TestTraceDeterminism:
         import json
 
         _, _, rec_s = self.run_traced(
-            env_data, "fedca", "serial", wall_clock=True
+            env_data, "fedca", SerialExecutor(), wall_clock=True
         )
         _, _, rec_p = self.run_traced(
             env_data, "fedca", "parallel:4", wall_clock=True
@@ -275,11 +277,11 @@ class TestParallelLifecycle:
             executor._procs[0].join()
             with pytest.warns(RuntimeWarning, match="worker died"):
                 sim.run_round()
-            # Run continues (now serial) and history stays coherent.
+            # Run continues (on the default engine) and history stays coherent.
             rec = sim.run_round()
             assert sim.history.num_rounds == 3
             assert rec.end_time > rec.start_time
-            assert executor._fallback is not None
+            assert type(executor._fallback) is CohortExecutor
 
     @needs_fork
     def test_workers_train_stacked_chunks_and_report_them(self, env_data):
@@ -307,8 +309,10 @@ class TestParallelLifecycle:
         """A worker that dies *inside* a stacked chunk — the stack is
         loaded and its first member's round has begun — is the same
         documented degradation: one warning, the round's unfinished jobs
-        and the rest of the run go serial on the parent replicas, no
-        checkpoint."""
+        and the rest of the run go to the default engine on the parent
+        replicas, no checkpoint. It dies in worker 0's first round, before
+        the parent consumed any result, so the replicas it falls back to
+        are pristine and the run is the reference loop's bytes."""
         import os
 
         from repro.algorithms import FedAvg
@@ -317,7 +321,7 @@ class TestParallelLifecycle:
 
         class DiesInWorker(FedAvg):
             def begin(self, client, global_state, ctx, params):
-                if ctx.round_index == 1 and client.client_id == 2 and os.getpid() != parent:
+                if ctx.round_index == 0 and client.client_id == 2 and os.getpid() != parent:
                     os._exit(1)
                 return super().begin(client, global_state, ctx, params)
 
@@ -325,17 +329,22 @@ class TestParallelLifecycle:
         with make_sim(
             env_data, "fedavg", executor=executor, strategy=DiesInWorker(OPT)
         ) as sim:
-            sim.run_round()
             with pytest.warns(RuntimeWarning, match="worker died"):
                 record = sim.run_round()
-            assert executor._fallback is not None
+            fallback = executor._fallback
+            assert type(fallback) is CohortExecutor and not fallback.pad
+            assert fallback.cohort_size == DEFAULT_COHORT_SIZE
             assert sorted(
                 record.collected_clients + record.straggler_clients
             ) == list(range(NUM_CLIENTS))
             with pytest.raises(RuntimeError, match="worker-crash fallback"):
                 executor.capture_run_state()
-            sim.run_round()
-            assert sim.history.num_rounds == 3
+            sim.run(2)
+            assert fallback.occupancy()["steps"] == 3 * ITERS  # one chunk a round
+        ref = make_sim(
+            env_data, "fedavg", executor=SerialExecutor(), strategy=DiesInWorker(OPT)
+        ).run(3)
+        assert history_fingerprint(sim.history) == history_fingerprint(ref)
 
     @needs_fork
     def test_client_exception_propagates(self, env_data):
@@ -364,7 +373,7 @@ class TestFallbackWithoutFork:
         with pytest.warns(RuntimeWarning, match="cannot start.*'fork'"):
             hist = sim.run(2)
         assert sim.executor._fallback is not None
-        ref = make_sim(env_data, "fedavg", executor="serial").run(2)
+        ref = make_sim(env_data, "fedavg", executor=SerialExecutor()).run(2)
         assert history_fingerprint(hist) == history_fingerprint(ref)
 
 
@@ -390,7 +399,7 @@ class TestTransportMatrix:
     @pytest.mark.parametrize("scheme", ["fedavg", "fedca"])
     def test_bitwise_identical_histories_and_traces(self, env_data, scheme):
         ref_hist, ref_jsonl, _ = TestTraceDeterminism.run_traced(
-            env_data, scheme, "serial"
+            env_data, scheme, SerialExecutor()
         )
         assert ref_jsonl  # non-vacuous baseline
         for spec in ("parallel:1", "parallel:2", "parallel:2+shards=2"):
@@ -505,8 +514,9 @@ class TestShmLifecycle:
         self, env_data, tmp_path, monkeypatch, failure
     ):
         """Whatever keeps the pool from starting, the outcome is the same:
-        one RuntimeWarning, the serial run's exact history and trace, a
-        checkpointable simulator and a clean /dev/shm."""
+        one RuntimeWarning, the default engine on the parent replicas with
+        the reference loop's exact history and trace, a checkpointable
+        simulator and a clean /dev/shm."""
         import warnings
 
         from repro.obs import TraceRecorder, events_to_jsonl
@@ -522,16 +532,20 @@ class TestShmLifecycle:
             rec.close()
             return history_fingerprint(hist), events_to_jsonl(rec.events())
 
-        ref = run("serial")
+        ref = run(SerialExecutor())
         before = _shm_segments()
         START_FAILURES[failure](monkeypatch)
+        pool = ParallelExecutor(workers=2, shards=2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            degraded = run("parallel:2+shards=2")
+            degraded = run(pool)
         monkeypatch.undo()
         messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
         assert len(messages) == 1, messages
         assert "cannot start the parallel worker pool" in messages[0]
+        fallback = pool._fallback
+        assert type(fallback) is CohortExecutor and not fallback.pad
+        assert fallback.occupancy()["steps"] > 0
         assert degraded == ref
         assert _shm_segments() == before
 
@@ -595,10 +609,168 @@ class TestSpecGrammar:
         assert re.search(token, capsys.readouterr().err)
 
 
+@pytest.fixture(scope="module")
+def model_data():
+    """``(shards, test)`` per model family, built once: four clients, one
+    of them holding fewer samples than a batch (so the default engine gives
+    it a program of its own width)."""
+    built = {}
+
+    def get(workload):
+        if workload not in built:
+            train, test = make_workload_data(
+                workload, num_samples=240, num_classes=8, seed=3
+            )
+            parts = dirichlet_partition(train, 4, alpha=0.5, seed=4, min_samples=8)
+            parts[1] = parts[1][:5]
+            built[workload] = [train.subset(p) for p in parts], test
+        return built[workload]
+
+    return get
+
+
+def _strategy(scheme):
+    """A fresh strategy for a matrix case; FedCA variants profile every
+    second round, so three rounds hold anchor and optimised ones."""
+    from repro.algorithms import FedCAAdaptiveBatch
+
+    fedca_cfg = FedCAConfig(profile_every=2)
+    if scheme == "fedca+ab":
+        return FedCAAdaptiveBatch(OPT, config=fedca_cfg)
+    return build_strategy(
+        scheme, OPT, fedca_config=fedca_cfg if scheme == "fedca" else None
+    )
+
+
+#: Every client always slowed 3×: FedCA+AB shrinks its batches, so a step's
+#: members draw different row counts, and the deadline stops members early.
+SLOWED = dict(gamma_fast=(2.0, 1e-6), gamma_slow=(2.0, 1e9), slowdown_range=(3.0, 3.0))
+
+#: case id -> (model family, scheme, population, model kwargs, simulator kwargs)
+REFERENCE_CASES = {
+    f"{workload}-{scheme}-{pop_id}": (workload, scheme, population, {}, {})
+    for workload in ("cnn", "lstm", "wrn")
+    for scheme in ("fedavg", "fedca")
+    for pop_id, population in (("eager", None), ("lazy2", "lazy:cache=2"))
+}
+REFERENCE_CASES.update(
+    {
+        "cnn-fedprox-eager": ("cnn", "fedprox", None, {}, {}),
+        "cnn-deadline-stop-lazy2": ("cnn", "deadline-stop", "lazy:cache=2", {}, SLOWED),
+        "cnn-fedca+ab-eager": ("cnn", "fedca+ab", None, {}, SLOWED),
+        "wrn-dropout-fedca-lazy2": (
+            "wrn", "fedca", "lazy:cache=2", {"dropout": 0.3}, {}
+        ),
+    }
+)
+
+
+class TestDefaultEngineIsTheReference:
+    """``serial`` trains batched; :class:`SerialExecutor`, the per-client
+    loop, is what it is held to: history JSON and the whole JSONL trace
+    byte-equal, on every model family, scheme and population the engine
+    splits programs for — and not one ``RuntimeWarning``. Six iterations
+    a round, so FedCA and the deadline stop members mid-program."""
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_history_and_trace_are_the_reference(self, model_data, case):
+        import warnings
+
+        from repro.nn import build_model
+        from repro.obs import TraceRecorder, events_to_jsonl
+        from repro.runtime.export import history_to_json
+
+        workload, scheme, population, model_kwargs, sim_kwargs = REFERENCE_CASES[case]
+        shards, test = model_data(workload)
+
+        def run(executor):
+            rec = TraceRecorder()
+            sim = FederatedSimulator(
+                model_fn=lambda: build_model(
+                    workload, rng=np.random.default_rng(7), **model_kwargs
+                ),
+                strategy=_strategy(scheme),
+                shards=shards,
+                test_set=test,
+                base_iteration_times=[0.01, 0.012, 0.015, 0.02],
+                batch_size=8,
+                local_iterations=6,
+                aggregation_fraction=0.75,
+                seed=1,
+                executor=executor,
+                recorder=rec,
+                population=population,
+                **sim_kwargs,
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with sim:
+                    hist = sim.run(3)
+            rec.close()
+            return history_to_json(hist), events_to_jsonl(rec.events()), sim.executor
+
+        ref_json, ref_trace, _ = run(SerialExecutor())
+        got_json, got_trace, engine = run(None)
+        assert type(engine) is CohortExecutor and engine.occupancy()["steps"] > 0
+        assert ref_trace
+        assert got_json == ref_json
+        assert got_trace == ref_trace
+
+    @pytest.mark.parametrize("cache", [None, 1, 3, 64])
+    def test_lazy_cache_bounds_the_width(self, env_data, cache):
+        """``lazy:cache=N`` keeps capacity N: the engine sizes itself to
+        ``min(32, N)`` at bind, and no program it runs is wider."""
+        population = None if cache is None else f"lazy:cache={cache}"
+        with make_sim(env_data, "fedavg", executor=None, population=population) as sim:
+            sim.run(2)
+        width = min(DEFAULT_COHORT_SIZE, cache or DEFAULT_COHORT_SIZE)
+        assert sim.executor.cohort_size == width
+        assert max(sim.executor._models) <= width
+        if cache is not None:
+            assert sim.population.resident_capacity == cache
+            assert len(sim.population.cache) <= cache
+
+    def test_default_engine_hits_the_reference_cell(self, env_data, tmp_path):
+        """One label, one result-cache cell: the default engine is served
+        what :class:`SerialExecutor` wrote, without simulating."""
+        import dataclasses
+
+        from repro.experiments import get_workload
+        from repro.experiments.runner import run_scheme
+        from repro.obs import TraceRecorder
+        from repro.persist import ResultCache
+        from repro.runtime.export import history_to_json
+
+        cfg = dataclasses.replace(
+            get_workload("cnn", "micro"), num_samples=400, num_clients=4,
+            local_iterations=3, batch_size=8,
+        )
+        cache = ResultCache(str(tmp_path / "cache"))
+
+        def run(executor, recorder=None):
+            return run_scheme(
+                cfg, "fedavg", rounds=2, stop_at_target=False, seed=3,
+                executor=executor, cache=cache, recorder=recorder,
+            )
+
+        ref = run(SerialExecutor())
+        rec = TraceRecorder()
+        hit = run(None, rec)
+        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
+        assert rec.counters["repro_result_cache_hits_total"] == 1
+        assert history_to_json(hit.history) == history_to_json(ref.history)
+
+
 class TestResolveExecutor:
     def test_default_is_serial(self):
-        assert isinstance(resolve_executor(None), SerialExecutor)
-        assert isinstance(resolve_executor("serial"), SerialExecutor)
+        """``serial`` names the per-client loop's bytes, and the batched
+        engine is what produces them: no spec reaches the reference."""
+        for spec in (None, "serial", " Serial "):
+            ex = resolve_executor(spec)
+            assert type(ex) is CohortExecutor and not ex.pad, spec
+            assert ex.name == "serial"
+        assert resolve_executor("cohort").name == "cohort"
+        assert resolve_executor("cohort").cohort_size == DEFAULT_COHORT_SIZE
 
     def test_parallel_specs(self):
         ex = resolve_executor("parallel:3")

@@ -28,6 +28,7 @@ from repro.persist.snapshot import decode, encode
 from repro.runtime import (
     FederatedSimulator,
     RunHistory,
+    SerialExecutor,
     resolve_executor,
     shm_available,
 )
@@ -692,7 +693,7 @@ def test_parallel_workers_chunk_within_the_residency_bound(env_data):
         env_data, "fedca", executor=executor, population="lazy:cache=2", **twelve
     )
     assert lazy == run_traced(
-        env_data, "fedca", executor="serial", population=None, **twelve
+        env_data, "fedca", executor=SerialExecutor(), population=None, **twelve
     )
     assert executor._clients.resident_capacity == 2
     # Every chunk was two wide: two slots offered per batched step.
