@@ -40,6 +40,27 @@ def test_local_iteration(benchmark, name, factory, shape):
     benchmark(_train_step, model, x, y, opt)
 
 
+@pytest.mark.parametrize(
+    "name,x_shape,k,stride,pad",
+    [
+        # (members, batch, C, H, W) as the default engine stacks them.
+        ("lenet_conv2", (12, 8, 6, 6, 6), 3, 1, 1),
+        ("wrn_12x12", (10, 8, 4, 12, 12), 3, 1, 1),
+        ("wrn_stride2", (10, 8, 4, 12, 12), 3, 2, 1),
+        ("lazy_lenet_conv2", (32, 8, 2, 4, 4), 3, 1, 1),
+    ],
+)
+def test_col2im_stacked(benchmark, name, x_shape, k, stride, pad):
+    from repro.nn import functional as F
+
+    out_h, out_w = F.conv_output_size(*x_shape[-2:], k, k, stride, pad)
+    rng = np.random.default_rng(3)
+    cols_shape = x_shape[:-3] + (x_shape[-3] * k * k, out_h * out_w)
+    cols = rng.normal(size=cols_shape).astype(np.float32)
+    out = benchmark(F.col2im, cols, x_shape, k, k, stride, pad)
+    assert out.shape == x_shape and out.flags.c_contiguous
+
+
 def test_statistical_progress_metric(benchmark):
     rng = np.random.default_rng(1)
     g_i = rng.normal(size=10_000)

@@ -128,24 +128,25 @@ def col2im(
     This is the adjoint of :func:`im2col` — exactly what the conv backward
     pass needs for the input gradient. Kernel offset ``(a, b)`` touches each
     padded cell at most once, so ``kh*kw`` strided-slice adds in ascending
-    ``(a, b)`` order accumulate every cell in the same order as an
-    element-wise scatter-add over the column rows.
+    ``(a, b)`` order into a ``+0.0`` buffer accumulate every cell in the
+    same order as an element-wise scatter-add over the column rows. The
+    buffer is batch-innermost (``B`` = all leading axes) and reads ``cols``
+    through a transposed view, so each add walks ``B``-long runs; the result
+    is copied out C-ordered, since downstream reductions round by memory
+    order (DESIGN.md §17).
     """
-    lead = x_shape[:-2]
-    h, w = x_shape[-2:]
+    lead = x_shape[:-3]
+    c, h, w = x_shape[-3:]
     out_h, out_w = conv_output_size(h, w, kh, kw, stride, pad)
-    padded = np.zeros(lead + (h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    windows = cols.reshape(lead + (kh, kw, out_h, out_w))
+    windows = cols.reshape((-1, c, kh, kw, out_h, out_w)).transpose(1, 2, 3, 4, 5, 0)
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad, windows.shape[-1]), dtype=cols.dtype)
     h_span = stride * (out_h - 1) + 1
     w_span = stride * (out_w - 1) + 1
     for a in range(kh):
         for b in range(kw):
-            padded[..., a : a + h_span : stride, b : b + w_span : stride] += (
-                windows[..., a, b, :, :]
-            )
-    if pad > 0:
-        return padded[..., pad:-pad, pad:-pad]
-    return padded
+            padded[:, a : a + h_span : stride, b : b + w_span : stride] += windows[:, a, b]
+    interior = padded[:, pad : pad + h, pad : pad + w].transpose(3, 0, 1, 2)
+    return np.ascontiguousarray(interior).reshape(lead + (c, h, w))
 
 
 # ----------------------------------------------------------------------
@@ -203,8 +204,11 @@ def maxpool2d_backward(
 # ----------------------------------------------------------------------
 def _gate_blocks(w: np.ndarray, h_dim: int) -> np.ndarray:
     """The ``i, f, g, o`` blocks of a ``(*lead, 4H, k)`` weight as a
-    ``(4, *lead, H, k)`` view."""
-    return np.moveaxis(w.reshape(w.shape[:-2] + (4, h_dim, w.shape[-1])), -3, 0)
+    ``(4, *lead, H, k)`` view. The kernels spell every axis shuffle as a
+    fixed ``.transpose``: ``np.moveaxis`` costs ~20× as much per call."""
+    nl = w.ndim - 2
+    blocks = w.reshape(w.shape[:-2] + (4, h_dim, w.shape[-1]))
+    return blocks.transpose(nl, *range(nl), nl + 1, nl + 2)
 
 
 def lstm_layer_forward(
@@ -226,12 +230,14 @@ def lstm_layer_forward(
     the last axis (DESIGN.md §18).
     """
     lead = x.shape[:-3]
+    nl = len(lead)
     t_steps, n, d = x.shape[-3:]
     h_dim = w_hh.shape[-1]
-    zx = np.matmul(x.reshape(lead + (t_steps * n, d)), np.swapaxes(w_ih, -1, -2))
-    zx = np.moveaxis(zx.reshape(lead + (t_steps, n, 4, h_dim)), (-4, -2), (0, 1))
-    bias = np.moveaxis((b_ih + b_hh).reshape(lead + (4, 1, h_dim)), -3, 0)
-    w_rec = np.ascontiguousarray(np.swapaxes(_gate_blocks(w_hh, h_dim), -1, -2))
+    zx = np.matmul(x.reshape(lead + (t_steps * n, d)), w_ih.swapaxes(-1, -2))
+    zx = zx.reshape(lead + (t_steps, n, 4, h_dim))
+    zx = zx.transpose(nl, nl + 2, *range(nl), nl + 1, nl + 3)  # (T, 4, *lead, n, H)
+    bias = _gate_blocks((b_ih + b_hh)[..., None], h_dim).swapaxes(-1, -2)
+    w_rec = np.ascontiguousarray(_gate_blocks(w_hh, h_dim).swapaxes(-1, -2))
 
     slab = lead + (n, h_dim)
     # Explicit C-order outputs: a ufunc given only the transposed ``zx``
@@ -308,9 +314,11 @@ def lstm_layer_backward(
         np.add.reduce(back, axis=0, out=dh_next)
         np.multiply(dc, f_g[t], out=dc_next)
 
-    rows = lead + (t_steps * n, -1)
-    dz_rows = np.ascontiguousarray(np.moveaxis(dz, (0, 1), (-4, -2))).reshape(rows)
-    dz_cols = np.swapaxes(dz_rows, -1, -2)
+    rows, nl = lead + (t_steps * n, -1), len(lead)
+    # (T, 4, *lead, n, H) -> (*lead, T, n, 4, H)
+    dz_rows = dz.transpose(*range(2, 2 + nl), 0, 2 + nl, 1, 3 + nl)
+    dz_rows = np.ascontiguousarray(dz_rows).reshape(rows)
+    dz_cols = dz_rows.swapaxes(-1, -2)
     dw_ih = np.matmul(dz_cols, x.reshape(rows))
     dw_hh = np.matmul(dz_cols, h[..., :-1, :, :].reshape(rows))
     db = dz_rows.sum(axis=-2)

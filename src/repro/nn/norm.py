@@ -27,6 +27,12 @@ def _per_channel(p: np.ndarray) -> np.ndarray:
     return p[..., None, :, None, None]
 
 
+def _mean_square(d: np.ndarray) -> np.ndarray:
+    """Per-channel ``mean(d²)`` of centred values: ``np.var``'s steps after
+    its own centring, so its bytes without a second mean pass."""
+    return np.add.reduce(d * d, axis=_AXES) / (d.shape[-4] * d.shape[-2] * d.shape[-1])
+
+
 class BatchNorm2d(Module):
     """Per-channel batch norm over ``(*lead, N, C, H, W)``.
 
@@ -70,11 +76,14 @@ class BatchNorm2d(Module):
         if self.training:
             ragged = self._ragged(x.shape[-4])
             mean = x.mean(axis=_AXES)
-            var = x.var(axis=_AXES)
             for i, r in ragged:
                 if r:
                     mean[i] = x[i, :r].mean(axis=_AXES)
-                    var[i] = x[i, :r].var(axis=_AXES)
+            d = x - _per_channel(mean)
+            var = _mean_square(d)
+            for i, r in ragged:
+                if r:
+                    var[i] = _mean_square(d[i, :r])
             # Members that sat the step out keep their running statistics;
             # the assignments write through the registered buffer objects.
             live = self.rows > 0 if ragged else ...
@@ -82,10 +91,10 @@ class BatchNorm2d(Module):
             self.running_mean[live] = self.running_mean[live] * (1 - m) + m * mean[live]
             self.running_var[live] = self.running_var[live] * (1 - m) + m * var[live]
         else:
-            mean = self.running_mean
+            d = x - _per_channel(self.running_mean)
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - _per_channel(mean)) * _per_channel(inv_std)
+        x_hat = np.multiply(d, _per_channel(inv_std), out=d)
         self._cache = (x_hat, inv_std, ragged) if self.training else None
         return _per_channel(self.weight.data) * x_hat + _per_channel(self.bias.data)
 

@@ -32,7 +32,7 @@ def lstm_stack_forward(x: np.ndarray, layers: list[tuple]) -> tuple[np.ndarray, 
     input_size = layers[0][0].data.shape[-1]
     if x.shape[-1] != input_size:
         raise ValueError(f"expected input size {input_size}, got {x.shape[-1]}")
-    rows = np.ascontiguousarray(np.swapaxes(x, -3, -2))
+    rows = np.ascontiguousarray(x.swapaxes(-3, -2))
     ctxs = []
     for quad in layers:
         h, ctx = F.lstm_layer_forward(rows, *(p.data for p in quad))
@@ -58,7 +58,7 @@ def lstm_stack_backward(
         w_hh.grad += dw_hh
         b_ih.grad += db
         b_hh.grad += db
-    return None if dh_seq is None else np.swapaxes(dh_seq, -3, -2)
+    return None if dh_seq is None else dh_seq.swapaxes(-3, -2)
 
 
 class LSTM(Module):

@@ -140,6 +140,43 @@ class TestIm2Col:
         assert back.dtype == ref_back.dtype and back.shape == ref_back.shape
         assert back.tobytes() == ref_back.tobytes()
 
+    @given(
+        c=st.integers(1, 4),
+        n=st.integers(1, 3),
+        ch=st.integers(1, 3),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        kh=st.integers(1, 5),
+        kw=st.integers(1, 5),
+        stride=st.integers(1, 3),
+        pad=st.integers(0, 2),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_stacked_fold_is_reference_bytes_in_c_order(
+        self, c, n, ch, h, w, kh, kw, stride, pad, seed
+    ):
+        """Over a stack ``(C, N, ch, h, w)`` the batch-innermost fold adds
+        into every cell in the scatter-add's order, and hands back a
+        C-ordered array: a transposed result would pass its memory order on
+        to every elementwise result downstream, and BatchNorm's reductions
+        round by memory order."""
+        if h + 2 * pad < kh or w + 2 * pad < kw:
+            return
+        out_h, out_w = F.conv_output_size(h, w, kh, kw, stride, pad)
+        rng = np.random.default_rng(seed)
+        shape = (c, n, ch * kh * kw, out_h * out_w)
+        y = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        y = y.astype(np.float32)
+        back = F.col2im(y, (c, n, ch, h, w), kh, kw, stride, pad)
+        ref = col2im_reference(
+            y.reshape((c * n,) + shape[2:]), (c * n, ch, h, w), kh, kw, stride, pad
+        )
+        assert back.dtype == ref.dtype and back.shape == (c, n, ch, h, w)
+        assert back.tobytes() == ref.tobytes()
+        strides = [s for s, d in zip(back.strides, back.shape) if d > 1]
+        assert strides == sorted(strides, reverse=True), back.strides
+
     def test_non_square_kernel(self):
         x = RNG.normal(size=(2, 2, 5, 7)).astype(np.float32)
         cols = F.im2col(x, 2, 3, 1, 1)

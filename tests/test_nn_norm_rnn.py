@@ -83,6 +83,61 @@ class TestBatchNorm2d:
         np.testing.assert_allclose(per_channel, 0.0, atol=1e-3)
 
 
+class _TwoPassBatchNorm(BatchNorm2d):
+    """The training forward as it was written before the layer centred its
+    input once: ``x.mean``, then ``x.var`` (which centres again), then
+    ``(x - mean) * inv_std``."""
+
+    def forward(self, x):
+        axes = (-4, -2, -1)
+        ragged = self._ragged(x.shape[-4])
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+        for i, r in ragged:
+            if r:
+                mean[i], var[i] = x[i, :r].mean(axis=axes), x[i, :r].var(axis=axes)
+        live = self.rows > 0 if ragged else ...
+        m = self.momentum
+        self.running_mean[live] = self.running_mean[live] * (1 - m) + m * mean[live]
+        self.running_var[live] = self.running_var[live] * (1 - m) + m * var[live]
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        x_hat = (x - mean[..., None, :, None, None]) * inv_std[..., None, :, None, None]
+        self._cache = (x_hat, inv_std, ragged)
+        w, b = self.weight.data, self.bias.data
+        return w[..., None, :, None, None] * x_hat + b[..., None, :, None, None]
+
+
+class TestBatchNormCentresOnce:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("ch,hw", [(4, 12), (8, 6), (16, 3)])  # the WRN maps
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_bytes_equal_to_the_two_pass_formula(self, stacked, ch, hw, seed):
+        """Output, dx, dγ, dβ and both running statistics are the two-pass
+        layer's bytes — over one replica and over a ``cohort:4`` stack whose
+        member 1 is padded (5 of 8 rows) and member 2 sat the step out."""
+        from repro.nn.cohort import stack_module
+
+        rng = np.random.default_rng(seed)
+        layers = [BatchNorm2d(ch), _TwoPassBatchNorm(ch)]
+        shape = (8, ch, hw, hw)
+        if stacked:
+            layers = [stack_module(m, 4) for m in layers]
+            for m in layers:
+                m.rows = np.array([8, 5, 0, 8])
+            shape = (4,) + shape
+        scale = 10.0 ** rng.integers(-3, 4, size=shape[:-4] + (1, ch, 1, 1))
+        x = (rng.normal(size=shape) * scale + rng.normal(size=scale.shape)).astype(np.float32)
+        g = rng.normal(size=shape).astype(np.float32)
+        if stacked:
+            g[1, 5:] = g[2] = 0.0  # what the stacked loss hands back for padded rows
+        new, old = (
+            (m.forward(x), m.backward(g), m.weight.grad, m.bias.grad,
+             m.running_mean, m.running_var)
+            for m in layers
+        )
+        for what, a, b in zip(("out", "dx", "dγ", "dβ", "running_mean", "running_var"), new, old):
+            assert a.tobytes() == b.tobytes(), what
+
+
 class TestLSTM:
     def test_output_shape(self):
         m = LSTM(5, 7, num_layers=2, rng=RNG)
