@@ -33,13 +33,13 @@ Telemetry modes (PR 2):
   exceeds ``--max-overhead`` (default 10 %). CI runs this and uploads the
   trace artifact.
 
-Shard×wire matrix (PR 10): unless ``--skip-shard-matrix`` is given, the
-bench also A/Bs ``parallel+shards={1,2,4}`` against the serial
-oracle under ``--wire {raw,quant8}``, recording aggregate-phase seconds
-(PR-7 profiler) and raw-vs-wire bytes per round into the JSON. Gates:
-raw sharded histories must match the oracle bitwise, quant8 must move at
-most ``--wire-gate`` (0.3×) of the raw bytes per round, and no
-``repro-ipc*`` shard arena may remain in /dev/shm afterwards.
+Wire matrix: unless ``--skip-wire-matrix`` is given, the bench also runs
+``{serial, parallel:N} × --wire {raw, quant8}``, recording aggregate-phase
+seconds (phase profiler) and raw-vs-wire bytes per round into the JSON.
+Gates: every parallel history must match the reference loop's under the
+same wire bitwise, quant8 must move at most ``--wire-gate`` (0.3×) of the
+raw bytes per round, and no ``repro-ipc*`` arena may remain in /dev/shm
+afterwards.
 """
 
 from __future__ import annotations
@@ -213,20 +213,20 @@ def run_profiled(cfg, executor, rounds: int, seed: int, *, wire=None,
     return history, aggregate_s, wire_bytes, raw_bytes
 
 
-def shard_wire_matrix(args, workers: int) -> tuple[list[dict], int]:
-    """Shard×wire A/B grid (the PR-10 acceptance matrix).
+def wire_matrix(args, workers: int) -> tuple[list[dict], int]:
+    """``{serial, parallel:N} × {raw, quant8}`` A/B grid.
 
-    Rows record aggregate-phase seconds (PR-7 profiler) and raw-vs-wire
-    bytes per round. Gates: every ``raw`` sharded history must match the
-    serial oracle bitwise, and quant8 must move ≤ ``--wire-gate`` (0.3×)
-    of the raw bytes per round.
+    Rows record aggregate-phase seconds (phase profiler) and raw-vs-wire
+    bytes per round. Gates: every parallel history must match the
+    reference loop's under the same wire bitwise, and quant8 must move ≤
+    ``--wire-gate`` (0.3×) of the raw bytes per round.
     """
     cfg = bench_config(args.clients[0])
     rounds, seed = args.rounds, args.seed
     shm_ok, shm_reason = shm_available()
     rows: list[dict] = []
     if not (fork_available() and shm_ok):
-        print(f"shard matrix skipped (fork/shm unavailable: {shm_reason})")
+        print(f"wire matrix skipped (fork/shm unavailable: {shm_reason})")
         return rows, 0
 
     refs = {}
@@ -238,7 +238,6 @@ def shard_wire_matrix(args, workers: int) -> tuple[list[dict], int]:
         rows.append(
             {
                 "executor": "serial",
-                "shards": None,
                 "wire": wire,
                 "aggregate_s": round(aggregate_s, 4),
                 "wire_bytes_per_round": round(wire_bytes / rounds),
@@ -261,41 +260,39 @@ def shard_wire_matrix(args, workers: int) -> tuple[list[dict], int]:
                 )
                 return rows, 1
 
-    for shards in [1, 2, 4]:
-        for wire in ["raw", "quant8"]:
-            spec = f"parallel:{workers}+shards={shards}"
-            hist, aggregate_s, wire_bytes, raw_bytes = run_profiled(
-                cfg, spec, rounds, seed, wire=wire
-            )
-            identical = fingerprint(hist) == refs[wire]
-            rows.append(
-                {
-                    "executor": spec,
-                    "shards": shards,
-                    "wire": wire,
-                    "aggregate_s": round(aggregate_s, 4),
-                    "wire_bytes_per_round": round(wire_bytes / rounds),
-                    "raw_bytes_per_round": round(raw_bytes / rounds),
-                    "histories_identical": identical,
-                }
-            )
+    spec = f"parallel:{workers}"
+    for wire in ["raw", "quant8"]:
+        hist, aggregate_s, wire_bytes, raw_bytes = run_profiled(
+            cfg, spec, rounds, seed, wire=wire
+        )
+        identical = fingerprint(hist) == refs[wire]
+        rows.append(
+            {
+                "executor": spec,
+                "wire": wire,
+                "aggregate_s": round(aggregate_s, 4),
+                "wire_bytes_per_round": round(wire_bytes / rounds),
+                "raw_bytes_per_round": round(raw_bytes / rounds),
+                "histories_identical": identical,
+            }
+        )
+        print(
+            f"{spec}  wire={wire:6s}  aggregate={aggregate_s:7.4f}s  "
+            f"wire_bytes={wire_bytes / rounds / 1024:8.1f}KiB/round  "
+            f"identical={identical}"
+        )
+        if not identical:
             print(
-                f"shards={shards}  wire={wire:6s}  aggregate={aggregate_s:7.4f}s  "
-                f"wire_bytes={wire_bytes / rounds / 1024:8.1f}KiB/round  "
-                f"identical={identical}"
+                f"ERROR: {spec} wire={wire} history diverged from the "
+                "reference loop's",
+                file=sys.stderr,
             )
-            if not identical:
-                print(
-                    f"ERROR: {spec} wire={wire} history diverged from the "
-                    "serial oracle",
-                    file=sys.stderr,
-                )
-                return rows, 1
+            return rows, 1
 
     leaked = leaked_shm_segments()
     if leaked:
         print(
-            f"ERROR: leaked shm segments after the shard matrix: {leaked}",
+            f"ERROR: leaked shm segments after the wire matrix: {leaked}",
             file=sys.stderr,
         )
         return rows, 1
@@ -322,8 +319,9 @@ def main(argv=None) -> int:
                              "(fraction, default 0.10)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="--telemetry-check best-of repeat count")
-    parser.add_argument("--skip-shard-matrix", action="store_true",
-                        help="skip the shard×wire A/B matrix (PR-10 gates)")
+    parser.add_argument("--skip-wire-matrix", action="store_true",
+                        help="skip the {serial, parallel} × {raw, quant8} "
+                             "wire matrix and its gates")
     parser.add_argument("--wire-gate", type=float, default=0.3,
                         help="max quant8 wire/raw bytes-per-round ratio "
                              "(default 0.3)")
@@ -412,9 +410,9 @@ def main(argv=None) -> int:
             )
             return 1
 
-    if not args.skip_shard_matrix:
-        rows, rc = shard_wire_matrix(args, workers)
-        report["shard_wire"] = rows
+    if not args.skip_wire_matrix:
+        rows, rc = wire_matrix(args, workers)
+        report["wire"] = rows
         if rc != 0:
             return rc
 

@@ -244,12 +244,11 @@ def _add_executor(parser: argparse.ArgumentParser) -> None:
              "each round trained as stacked programs of clients with equal "
              "batch width (the per-client loop's bytes; never wider than "
              "--population lazy:cache=N); "
-             "'parallel[:N][+shards=S]' — N persistent worker processes "
+             "'parallel[:N]' — N persistent worker processes "
              "(default: usable cores) exchanging models through shared "
-             "memory, same results at lower wall-clock, and with +shards=S "
-             "the flat parameter vector is reduced as S index ranges inside "
-             "the workers (byte-identical histories, no full clients×params "
-             "stack in any one process); 'cohort[:M]' — M clients (default "
+             "memory, same results at lower wall-clock (a trailing "
+             "'@shm' or '+shards=S' is accepted and changes nothing); "
+             "'cohort[:M]' — M clients (default "
              "32) batched into one stacked tensor program, short batches "
              "zero-padded (byte-identical histories unless a shard is "
              "smaller than a batch)")

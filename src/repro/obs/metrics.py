@@ -57,6 +57,9 @@ KNOWN_COUNTERS: frozenset[str] = frozenset(
         "repro_population_rehydrations_total",
         # IPC transports (labelled: {transport=...,direction=...})
         "repro_ipc_bytes_total",
+        # parallel engine degraded to the in-process default engine
+        # (labelled: {reason="pool_start"|"worker_died"})
+        "repro_engine_fallbacks_total",
         # compressed wire transport (labelled: {variant="raw"|"wire"} —
         # raw is the counterfactual uncompressed cost, wire what moved)
         "repro_wire_bytes_total",

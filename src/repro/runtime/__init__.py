@@ -5,6 +5,7 @@ from .aggregation import (
     aggregate_updates,
     apply_update,
     collect_earliest,
+    weighted_segment_sum,
 )
 from .client import SimClient
 from .cohort import CohortEngine, CohortExecutor
@@ -20,7 +21,6 @@ from .parallel import ParallelExecutor
 from .round import ClientRoundResult, RoundContext
 from .transport import ShmTransport, shm_available
 from .selection import select_clients
-from .shard import shard_bounds, weighted_segment_sum
 from .simulator import FederatedSimulator
 from .wire import WireLayer, parse_wire_spec
 
@@ -43,7 +43,6 @@ __all__ = [
     "aggregate_buffers",
     "apply_update",
     "collect_earliest",
-    "shard_bounds",
     "weighted_segment_sum",
     "WireLayer",
     "parse_wire_spec",

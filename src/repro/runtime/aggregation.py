@@ -3,27 +3,27 @@
 A weighted average is one contraction over flat rows: each collected
 client's update (or buffer dict) is gathered into one float64 row through
 the dict's :class:`~repro.nn.layout.Layout`, and
-:func:`~repro.runtime.shard.weighted_segment_sum` reduces the ``(n, P)``
-rows — the serial case of the sharded reduce, which runs the same function
-over index ranges of the same rows. Key sets are validated once per client.
+:func:`weighted_segment_sum` reduces the ``(n, P)`` rows. Key sets are
+validated once per client. Every engine's round ends here, in the parent.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from typing import Sequence
 
 import numpy as np
 
 from ..nn.layout import Layout
 from .round import ClientRoundResult
-from .shard import weighted_segment_sum
 
 __all__ = [
     "collect_earliest",
     "aggregate_updates",
     "aggregate_buffers",
     "apply_update",
+    "weighted_segment_sum",
 ]
 
 
@@ -66,6 +66,27 @@ def _check_keys(results: list[ClientRoundResult], attr: str) -> None:
                 f"client {r.client_id} {kind} differ from client "
                 f"{results[0].client_id}"
             )
+
+
+def weighted_segment_sum(
+    weights: np.ndarray, rows: "np.ndarray | Sequence[np.ndarray]"
+) -> np.ndarray:
+    """Weighted sum over clients of ``(n, P)`` rows, float64-accumulated.
+
+    ``rows`` holds one flat row per collected client, in collected order.
+    The accumulation order is pinned: float64 upcast per client, one
+    einsum contraction over the client axis, float32 downcast. Do **not**
+    replace this with a running sum or a dot-product variant — the float64
+    reduction order is part of the bitwise-identity contract.
+    """
+    stacked = np.asarray(rows, dtype=np.float64)
+    if stacked.shape[-1] == 1:
+        # numpy contracts a one-column operand with its reduction loop,
+        # which sums the clients in another order; a zero second column
+        # keeps the column-wise loop every wider input runs.
+        stacked = np.pad(stacked, ((0, 0), (0, 1)))
+        return np.einsum("c,cn->n", weights, stacked)[:1].astype(np.float32)
+    return np.einsum("c,cn->n", weights, stacked).astype(np.float32)
 
 
 def _weighted_average(

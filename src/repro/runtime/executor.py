@@ -127,15 +127,11 @@ class Executor(ABC):
     def aggregate_round(
         self, collected: list[ClientRoundResult]
     ) -> "dict[str, np.ndarray] | None":
-        """Optionally aggregate the collected updates inside the engine.
-
-        Returns the weighted-average update dict, or ``None`` to make the
-        simulator fall back to the serial
-        :func:`~repro.runtime.aggregation.aggregate_updates` oracle. Only
-        the sharded parallel engine overrides this; any engine that does
-        must stay bitwise-identical to the serial reduce (buffers always
-        aggregate serially in the parent — they are tiny).
-        """
+        """Unused stub: nothing calls it. Every engine's round is reduced
+        by :func:`~repro.runtime.aggregation.aggregate_updates` in the
+        simulator. It stays only because the frozen benchmark harness
+        (``benchmarks/e2e/layers.py``) wraps it by name; it goes with
+        ROADMAP item 1's harness re-spelling."""
         return None
 
     def min_resident_clients(self) -> int:
@@ -220,14 +216,12 @@ def resolve_executor(spec: "Executor | str | None") -> Executor:
     ``None``/``"serial"`` → an unpadded
     :class:`~repro.runtime.cohort.CohortExecutor` sized at bind (labelled
     ``serial``: it is :class:`SerialExecutor`'s bytes, batched);
-    ``"parallel[:N][+shards=S]"`` →
-    :class:`~repro.runtime.parallel.ParallelExecutor` with N workers and,
-    with ``+shards=S``, the sharded tree-reduction aggregation engine,
-    which cuts the flat parameter vector into S index ranges reduced
-    inside the workers (see :mod:`repro.runtime.shard`) — e.g.
-    ``"parallel:4+shards=2"``. Shared
-    memory is the only IPC transport, so ``parallel:4@shm`` is accepted
-    as a redundant spelling; the removed ``@pipe`` / ``@auto`` raise;
+    ``"parallel[:N]"`` →
+    :class:`~repro.runtime.parallel.ParallelExecutor` with N workers.
+    Shared memory is the only IPC transport, so ``parallel:4@shm`` is
+    accepted as a redundant spelling; the removed ``@pipe`` / ``@auto``
+    raise. The parent reduces every round, so ``+shards=S`` (a positive
+    integer S) is accepted the same way and changes nothing;
     ``"cohort[:M]"`` → a padded :class:`~repro.runtime.cohort.CohortExecutor`
     batching M (default 32) clients per stacked tensor program — e.g.
     ``"cohort:32"``; an :class:`Executor` instance passes through (the one
@@ -246,7 +240,6 @@ def resolve_executor(spec: "Executor | str | None") -> Executor:
         ):
             from .parallel import ParallelExecutor
 
-            shards = None
             if "+" in key:
                 key, _, opts = key.partition("+")
                 for opt in opts.split("+"):
@@ -256,11 +249,10 @@ def resolve_executor(spec: "Executor | str | None") -> Executor:
                             f"bad option {opt!r} in executor spec {spec!r}; "
                             "expected '+shards=S'"
                         )
-                    try:
-                        shards = int(opt_value)
-                    except ValueError:
+                    if not opt_value.isdigit() or int(opt_value) < 1:
                         raise ValueError(
-                            f"bad shard count in executor spec {spec!r}"
+                            f"bad shard count {opt_value!r} in executor spec "
+                            f"{spec!r}; shards must be >= 1"
                         )
             if "@" in key:
                 key, transport = key.split("@", 1)
@@ -277,7 +269,7 @@ def resolve_executor(spec: "Executor | str | None") -> Executor:
                     workers = int(key.split(":", 1)[1])
                 except ValueError:
                     raise ValueError(f"bad worker count in executor spec {spec!r}")
-            return ParallelExecutor(workers=workers, shards=shards)
+            return ParallelExecutor(workers=workers)
         if key == "cohort" or key.startswith("cohort:"):
             from .cohort import DEFAULT_COHORT_SIZE, CohortExecutor
 
@@ -290,6 +282,6 @@ def resolve_executor(spec: "Executor | str | None") -> Executor:
             return CohortExecutor(cohort_size=size)
     raise ValueError(
         f"unknown executor spec {spec!r}; expected 'serial', "
-        "'parallel[:N][+shards=S]', 'cohort[:M]' or an "
+        "'parallel[:N]', 'cohort[:M]' or an "
         "Executor instance"
     )

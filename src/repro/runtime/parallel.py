@@ -19,9 +19,10 @@ is nothing to configure.
 The per-round bulk data moves through shared memory (see
 :mod:`repro.runtime.transport`): the global model is written **once** into
 an arena all workers map read-only and zero-copy, and each worker returns
-its result arrays through its own result arena. Pipes carry only small
-control messages (job lists, scalar stats, trace events, generation
-counters).
+its result arrays through its own result arena, which the parent's
+:func:`~repro.runtime.aggregation.aggregate_updates` reads in place. Pipes
+carry only small control messages (job lists, scalar stats, trace events,
+generation counters).
 
 Control messages are framed as explicit ``pickle`` blobs over
 ``send_bytes``/``recv_bytes`` so every pipe byte is metered exactly; the
@@ -63,7 +64,12 @@ Fallback
   through that same engine on the parent's replicas. The run completes,
   but because the parent replicas did not observe the rounds the dead pool
   executed, the bitwise-determinism guarantee is void from the crash
-  onward (a warning says so, and checkpointing refuses).
+  onward (a warning says so, and checkpointing refuses). Results the dead
+  round already decoded are copied out of the arenas before they go.
+
+Either fallback also bumps the recorder counter
+``repro_engine_fallbacks_total{reason="pool_start"|"worker_died"}``;
+counters never enter the trace.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ import numpy as np
 from .cohort import CohortExecutor, StepCounts
 from .executor import ClientJob, Executor, capture_clients
 from .round import ClientRoundResult
-from .transport import ShmTransport, ipc_bytes_counter
+from .transport import ShmTransport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..algorithms.base import Strategy
@@ -156,17 +162,6 @@ def _worker_main(pairs, clients, strategy, owned_ids, transport, worker_index) -
                 except Exception:
                     _send(conn, ("err", traceback.format_exc()))
                 continue
-            if msg[0] == "reduce":
-                # Sharded aggregation: this worker owns some shards of the
-                # model fingerprint; reduce them over the collected
-                # clients' arena slices (see ShmTransport.reduce_shards).
-                _, shard_indices, weights, refs = msg
-                try:
-                    written = transport.reduce_shards(shard_indices, weights, refs)
-                    _send(conn, ("ok", written))
-                except Exception:
-                    _send(conn, ("err", traceback.format_exc()))
-                continue
             _, extra, jobs = msg
             try:
                 state, buffers = transport.read_broadcast(extra)
@@ -194,24 +189,14 @@ class ParallelExecutor(Executor):
         Pool size; defaults to the usable core count. One worker runs the
         whole round as cohort chunks in a child process (useful for
         isolating fork- and transport-related issues from scheduling ones).
-    shards:
-        Enable the sharded tree-reduction aggregation engine with S
-        index-range shards of the flat parameter vector (see
-        :mod:`repro.runtime.shard`). The reduced update is
-        bitwise-identical to the serial oracle's at any shard count.
     """
 
     name = "parallel"
 
-    def __init__(
-        self, workers: int | None = None, *, shards: int | None = None
-    ) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self.workers = workers or default_workers()
-        self.shards = shards
         self._transport_impl: ShmTransport | None = None
         self._recorder: "Recorder | None" = None
         self._procs: list[mp.process.BaseProcess] = []
@@ -240,9 +225,13 @@ class ParallelExecutor(Executor):
         if self._fallback is not None:
             self._fallback.set_profiler(profiler)
 
-    def _degrade(self) -> None:
-        """Route all remaining work through the default engine on the
-        parent replicas — the one a worker runs, sized the same way."""
+    def _degrade(self, reason: str, message: str) -> None:
+        """Warn, count ``repro_engine_fallbacks_total{reason}`` and route
+        all remaining work through the default engine on the parent
+        replicas — the one a worker runs, sized the same way."""
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
+        if self._recorder is not None:
+            self._recorder.counter(f'repro_engine_fallbacks_total{{reason="{reason}"}}')
         assert self._clients is not None and self._strategy is not None
         self._fallback = CohortExecutor(pad=False)
         self._fallback.bind(self._clients, self._strategy)
@@ -275,18 +264,15 @@ class ParallelExecutor(Executor):
                     global_state,
                     global_buffers,
                     [len(o) for o in owned_per_worker],
-                    shards=self.shards,
                 )
             except Exception as exc:  # setup() has already unlinked its arenas
                 reason = f"shared-memory setup failed: {exc!r}"
         if reason is not None:
-            warnings.warn(
+            self._degrade(
+                "pool_start",
                 f"cannot start the parallel worker pool ({reason}); "
                 "running serially on the parent replicas",
-                RuntimeWarning,
-                stacklevel=2,
             )
-            self._degrade()
             return
         transport.set_recorder(self._recorder)
         transport.set_profiler(self._profiler)
@@ -393,20 +379,16 @@ class ParallelExecutor(Executor):
             self._counts.publish(self._recorder)
 
         if crashed:
-            warnings.warn(
+            # The surviving results view arenas about to be unlinked: copy
+            # them out before the pool goes.
+            transport.detach(list(by_cid.values()))
+            self._shutdown_pool()
+            self._degrade(
+                "worker_died",
                 "a parallel worker died; finishing the run serially — "
                 "bitwise determinism vs a pure-serial run is no longer "
                 "guaranteed from this round on",
-                RuntimeWarning,
-                stacklevel=2,
             )
-            if self.shards is not None:
-                # Deferred updates still live in the (about to be
-                # unlinked) arenas; copy them out so serial aggregation
-                # can run on the surviving results.
-                transport.hydrate_updates(list(by_cid.values()))
-            self._shutdown_pool()
-            self._degrade()
             self._degraded_after_start = True
             remaining = [(cid, ctx) for cid, ctx in jobs if cid not in by_cid]
             for result in self._fallback.run_round(
@@ -415,74 +397,6 @@ class ParallelExecutor(Executor):
                 by_cid[result.client_id] = result
 
         return [by_cid[cid] for cid, _ in jobs]
-
-    # ------------------------------------------------------------------
-    def aggregate_round(self, collected):
-        """Sharded tree-reduction of the collected updates (see
-        :mod:`repro.runtime.shard`).
-
-        Returns ``None`` — deferring to the serial oracle — when sharding
-        is off or the pool is not running. Every collected update sits in
-        a worker's arena in the one layout its encode validated, so the
-        only check left is the serial oracle's positive total weight.
-        """
-        if (
-            self.shards is None
-            or self._fallback is not None
-            or not self._started
-            or not collected
-        ):
-            return None
-        transport = self._transport_impl
-        total = float(sum(r.num_samples for r in collected))
-        if total <= 0:
-            raise ValueError("aggregate weight must be positive")
-        weights = (
-            np.array([r.num_samples for r in collected], dtype=np.float64) / total
-        )
-        refs = transport.pending_update_refs()
-        ordered_refs = [refs[r.client_id] for r in collected]
-        per_worker: dict[int, list[int]] = {}
-        for k in range(self.shards):
-            per_worker.setdefault(k % self.workers, []).append(k)
-        crashed = False
-        reduced_bytes = 0
-        try:
-            for w, shard_indices in per_worker.items():
-                sent = _send(
-                    self._conns[w],
-                    ("reduce", shard_indices, weights, ordered_refs),
-                )
-                transport.count_pipe("reduce", sent)
-            for w in per_worker:
-                (tag, payload), received = _recv(self._conns[w])
-                transport.count_pipe("reduce", received)
-                if tag == "err":
-                    # Deterministic reduce-side exception: it would have
-                    # surfaced serially too, so propagate.
-                    raise RuntimeError(
-                        f"shard reduce failed in worker {w}:\n{payload}"
-                    )
-                reduced_bytes += payload
-        except (BrokenPipeError, EOFError, OSError):
-            crashed = True
-        if crashed:
-            warnings.warn(
-                "a parallel worker died during the shard reduce; finishing "
-                "the run serially — bitwise determinism vs a pure-serial "
-                "run is no longer guaranteed from this round on",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            # The arenas are still mapped here: recover the updates, then
-            # tear the pool down and let the serial oracle aggregate.
-            transport.hydrate_updates(collected)
-            self._shutdown_pool()
-            self._degrade()
-            self._degraded_after_start = True
-            return None
-        transport.count(ipc_bytes_counter("shm", "reduce"), reduced_bytes)
-        return transport.reduced_update()
 
     # ------------------------------------------------------------------
     def capture_run_state(self) -> dict[int, bytes]:

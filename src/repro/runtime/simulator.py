@@ -411,12 +411,7 @@ class FederatedSimulator:
                 results, self.aggregation_fraction
             )
         with prof.phase("aggregate"):
-            # Engines may own the reduce (sharded tree-reduction over shm
-            # arenas, bitwise-identical by contract); None falls back to
-            # the serial oracle. Buffers always aggregate here.
-            update = self.executor.aggregate_round(collected)
-            if update is None:
-                update = aggregate_updates(collected)
+            update = aggregate_updates(collected)
             self.global_state = apply_update(self.global_state, update)
             new_buffers = aggregate_buffers(collected)
             if new_buffers:

@@ -19,7 +19,9 @@ one gather into the arena, no per-message header or offset table. The
 broadcast is written **once** into a ``multiprocessing.shared_memory``
 arena behind a magic/version/generation preamble that all workers map
 read-only and zero-copy; each worker returns its results through its own
-arena of ``P + B``-float slots, one per client it owns.
+arena of ``P + B``-float slots, one per client it owns, and the parent
+reads every decoded result in place — read-only views of its slot, valid
+until the next round's broadcast.
 
 Every arena reserves its pages at creation (see :class:`_Arena`), so a
 ``/dev/shm`` that cannot hold the pool fails :meth:`ShmTransport.setup`
@@ -65,7 +67,6 @@ import numpy as np
 
 from ..nn.layout import Layout
 from ..obs.profile import NULL_PROFILER
-from .shard import shard_bounds, weighted_segment_sum
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Recorder
@@ -171,8 +172,7 @@ class ShmTransport:
     workers must inherit the arenas and the layouts), :meth:`broadcast` /
     :meth:`decode_results` / :meth:`decode_capture` per round, and
     :meth:`close` on pool shutdown. Workers call :meth:`worker_init` first
-    thing and then only the ``read_broadcast`` / ``encode_*`` /
-    ``reduce_shards`` half.
+    thing and then only the ``read_broadcast`` / ``encode_*`` half.
 
     Layout per pool:
 
@@ -184,10 +184,8 @@ class ShmTransport:
     * one *result arena per worker*: a ``P + B``-float slot per owned
       client (every owned client returns at most one result per round).
       Result ``k`` of a reply sits in slot ``k``; only the stripped
-      scalars go down the pipe.
-    * with ``shards``, one *reduce arena* of ``P`` floats: each shard
-      owner writes its index range of the weighted average there (see
-      :mod:`repro.runtime.shard`).
+      scalars go down the pipe, and the parent aggregates straight out of
+      the slots.
 
     Checkpoint captures ride the result arenas: the worker's ``{cid:
     blob}`` map — each client already one :mod:`~repro.persist.snapshot`
@@ -204,11 +202,6 @@ class ShmTransport:
         self._broadcast: _Arena | None = None
         self._results: list[_Arena] = []
         self._capacity: list[int] = []
-        self._reduce: _Arena | None = None
-        self._shards: int | None = None
-        #: ``{client_id: (worker, slot)}`` for results whose updates were
-        #: left in the worker arenas this round (sharded mode only).
-        self._pending_updates: dict[int, tuple[int, int]] = {}
         self._generation = 0
         self._creator_pid = os.getpid()
         self._closed = False
@@ -281,17 +274,13 @@ class ShmTransport:
         state: dict[str, np.ndarray],
         buffers: dict[str, np.ndarray],
         owned_counts: list[int],
-        shards: int | None = None,
     ) -> None:
         """Fix the layouts and allocate (and reserve) the pool's arenas
         before the workers fork.
 
         ``owned_counts[w]`` is the number of clients worker ``w`` owns —
-        the upper bound on results it can return per round. ``shards``
-        switches on sharded-aggregation mode: a reduce arena is allocated
-        and result updates are left in the worker arenas for the shard
-        owners to reduce in place (see :mod:`repro.runtime.shard`).
-        Raises whatever arena creation raises (``OSError(ENOSPC)`` when
+        the upper bound on results it can return per round. Raises
+        whatever arena creation raises (``OSError(ENOSPC)`` when
         ``/dev/shm`` cannot hold the pool) with every segment created so
         far already unlinked.
         """
@@ -300,7 +289,6 @@ class ShmTransport:
         self._layout = Layout.of_arrays(state)
         self._buffer_layout = Layout.of_arrays(buffers)
         slot_bytes = 4 * self._slot_floats
-        self._shards = shards
         try:
             self._broadcast = _Arena(f"{prefix}-b", _ARENA_DATA_OFFSET + slot_bytes)
             _SHM_HEADER.pack_into(
@@ -309,10 +297,6 @@ class ShmTransport:
             self._capacity = [max(1, owned) for owned in owned_counts]
             for w, slots in enumerate(self._capacity):
                 self._results.append(_Arena(f"{prefix}-r{w}", max(1, slots * slot_bytes)))
-            if shards is not None:
-                # Created pre-fork like everything else, so every shard
-                # owner inherits it (and every worker's result arena).
-                self._reduce = _Arena(f"{prefix}-s", max(1, 4 * self._layout.size))
         except BaseException:
             self.close()
             raise
@@ -328,7 +312,6 @@ class ShmTransport:
         worker."""
         assert self._broadcast is not None, "setup() must run before broadcast()"
         t0 = time.perf_counter()
-        self._pending_updates = {}  # last round's refs are now stale
         with self._profiler.phase("pack"):
             self._generation += 1
             payload = self._payload()
@@ -345,47 +328,29 @@ class ShmTransport:
 
     def decode_results(self, worker: int, payload: Any) -> "list[ClientRoundResult]":
         """Recover a worker's result batch from its reply payload: result
-        ``k`` is the stripped scalars plus slot ``k`` of its arena."""
+        ``k`` is the stripped scalars plus read-only views of slot ``k`` of
+        its arena, not a copy. The views hold until the next
+        :meth:`broadcast`, after which the worker rewrites its slots;
+        :meth:`detach` copies results out when the arenas go first."""
         slots = self._slots(worker)
-        p = self._layout.size
+        slots.flags.writeable = False
         for k, result in enumerate(payload):
-            if self._shards is not None:
-                # Sharded mode: leave the update where the worker wrote it
-                # — the shard owners reduce it in place. Buffers still come
-                # out here (they aggregate serially in the parent).
-                self._pending_updates[result.client_id] = (worker, k)
-                result.buffers = self._buffer_layout.views(slots[k, p:].copy())
-            else:
-                result.update, result.buffers = self._split(slots[k].copy())
-        del slots
+            result.update, result.buffers = self._split(slots[k])
         if payload:
             self.count(
                 ipc_bytes_counter("shm", "results"), 4 * self._slot_floats * len(payload)
             )
         return payload
 
-    # -- sharded aggregation (parent half) -----------------------------
-    def pending_update_refs(self) -> dict[int, tuple[int, int]]:
-        """This round's deferred update locations (sharded mode only)."""
-        return self._pending_updates
-
-    def hydrate_updates(self, results: "list[ClientRoundResult]") -> None:
-        """Copy deferred updates out of the arenas onto their results — for
-        when the sharded reduce cannot run (a worker died) and the serial
-        oracle aggregates instead."""
+    def detach(self, results: "list[ClientRoundResult]") -> None:
+        """Copy decoded results out of their arena slots — for when the
+        pool, and its arenas, is torn down before the parent aggregates
+        them (a worker died mid-round)."""
         for result in results:
-            ref = self._pending_updates.get(result.client_id)
-            if ref is not None and not result.update:
-                worker, k = ref
-                result.update, _ = self._split(self._slots(worker)[k].copy())
-
-    def reduced_update(self) -> dict[str, np.ndarray]:
-        """Root of the reduction tree: the shard owners wrote every index
-        range of the weighted average into one vector — copy it out."""
-        reduced = np.ndarray(
-            (self._layout.size,), dtype=np.float32, buffer=self._reduce.buf
-        ).copy()
-        return self._layout.views(reduced)
+            result.update = self._layout.views(self._layout.flatten(result.update))
+            result.buffers = self._buffer_layout.views(
+                self._buffer_layout.flatten(result.buffers, what="buffer_dict")
+            )
 
     def decode_capture(self, worker: int, payload: Any) -> Any:
         """Recover a worker's checkpoint snapshot from its reply payload."""
@@ -402,7 +367,7 @@ class ShmTransport:
 
     def segment_names(self) -> list[str]:
         """The ``/dev/shm`` names this pool owns (for leak checks)."""
-        arenas = [*self._results, self._reduce, self._broadcast]
+        arenas = [*self._results, self._broadcast]
         return [a.name for a in arenas if a is not None]
 
     def close(self) -> None:
@@ -413,12 +378,11 @@ class ShmTransport:
             # creator's segments; their mappings die with the process.
             return
         self._closed = True
-        for arena in [*self._results, self._reduce, self._broadcast]:
+        for arena in [*self._results, self._broadcast]:
             if arena is not None:
                 arena.destroy()
         self._results = []
         self._capacity = []
-        self._reduce = None
         self._broadcast = None
 
     def __del__(self) -> None:  # pragma: no cover - GC-order dependent
@@ -483,34 +447,3 @@ class ShmTransport:
             return ("inline", snapshot)
         arena.buf[: len(blob)] = blob
         return ("shm_pickle", len(blob))
-
-    def reduce_shards(
-        self,
-        shard_indices: list[int],
-        weights: np.ndarray,
-        refs: list[tuple[int, int]],
-    ) -> int:
-        """Level 1 of the reduction tree, run inside a shard owner.
-
-        ``refs`` locates each collected client's update — ``(worker,
-        slot)`` in **collected order**, which with the float64 pinning in
-        :func:`~repro.runtime.shard.weighted_segment_sum` is what keeps the
-        result bitwise equal to the serial reduce. Each owned shard's index
-        range is reduced into the same range of the reduce arena. Returns
-        the float32 bytes written.
-        """
-        bounds = shard_bounds(self._layout.size, self._shards)
-        # Zero-copy rows; every worker inherited all result arenas pre-fork.
-        slots = [self._slots(w) for w in range(len(self._results))]
-        out = np.ndarray((self._layout.size,), dtype=np.float32, buffer=self._reduce.buf)
-        written = 0
-        try:
-            for k in shard_indices:
-                lo, hi = bounds[k], bounds[k + 1]
-                out[lo:hi] = weighted_segment_sum(
-                    weights, [slots[w][slot, lo:hi] for w, slot in refs]
-                )
-                written += 4 * (hi - lo)
-        finally:
-            del out, slots  # release the exported arena buffers
-        return written

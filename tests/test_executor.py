@@ -305,32 +305,51 @@ class TestParallelLifecycle:
         assert rec.counters["repro_cohort_slot_steps_total"] == 2 * NUM_CLIENTS * ITERS
 
     @needs_fork
-    def test_worker_death_mid_chunk_falls_back_to_serial(self, env_data):
+    def test_worker_death_mid_chunk_falls_back_to_serial(self, env_data, monkeypatch):
         """A worker that dies *inside* a stacked chunk — the stack is
         loaded and its first member's round has begun — is the same
-        documented degradation: one warning, the round's unfinished jobs
-        and the rest of the run go to the default engine on the parent
-        replicas, no checkpoint. It dies in worker 0's first round, before
-        the parent consumed any result, so the replicas it falls back to
-        are pristine and the run is the reference loop's bytes."""
+        documented degradation: one warning, one counted fallback, the
+        round's unfinished jobs and the rest of the run go to the default
+        engine on the parent replicas, no checkpoint. Worker 1 dies in its
+        first round after worker 0 replied, so worker 0's three results
+        were decoded as read-only views of an arena about to be unlinked:
+        they are copied out first, and the crash round is the reference
+        loop's bytes. (Later rounds are not: the parent replicas of worker
+        0's clients never saw round 0.)"""
         import os
 
         from repro.algorithms import FedAvg
+        from repro.obs import TraceRecorder
+        from repro.runtime.transport import ShmTransport
 
         parent = os.getpid()
 
         class DiesInWorker(FedAvg):
             def begin(self, client, global_state, ctx, params):
-                if ctx.round_index == 0 and client.client_id == 2 and os.getpid() != parent:
+                if ctx.round_index == 0 and client.client_id == 3 and os.getpid() != parent:
                     os._exit(1)
                 return super().begin(client, global_state, ctx, params)
 
+        detached = []
+        real_detach = ShmTransport.detach
+
+        def detach(self, results):
+            assert all(not r.update[k].flags.writeable for r in results for k in r.update)
+            real_detach(self, results)
+            assert all(r.update[k].flags.writeable for r in results for k in r.update)
+            detached.extend(r.client_id for r in results)
+
+        monkeypatch.setattr(ShmTransport, "detach", detach)
+        rec = TraceRecorder()
         executor = ParallelExecutor(workers=2)
         with make_sim(
-            env_data, "fedavg", executor=executor, strategy=DiesInWorker(OPT)
+            env_data, "fedavg", executor=executor, strategy=DiesInWorker(OPT),
+            recorder=rec,
         ) as sim:
             with pytest.warns(RuntimeWarning, match="worker died"):
                 record = sim.run_round()
+            assert detached == [0, 2, 4]
+            crash_state = {k: v.copy() for k, v in sim.global_state.items()}
             fallback = executor._fallback
             assert type(fallback) is CohortExecutor and not fallback.pad
             assert fallback.cohort_size == DEFAULT_COHORT_SIZE
@@ -341,10 +360,15 @@ class TestParallelLifecycle:
                 executor.capture_run_state()
             sim.run(2)
             assert fallback.occupancy()["steps"] == 3 * ITERS  # one chunk a round
+        rec.close()
+        assert rec.counters[FALLBACK_COUNTER.format("worker_died")] == 1
         ref = make_sim(
             env_data, "fedavg", executor=SerialExecutor(), strategy=DiesInWorker(OPT)
-        ).run(3)
-        assert history_fingerprint(sim.history) == history_fingerprint(ref)
+        )
+        ref.run(1)
+        assert history_fingerprint(sim.history)[:1] == history_fingerprint(ref.history)
+        for name, value in ref.global_state.items():
+            assert crash_state[name].tobytes() == value.tobytes(), name
 
     @needs_fork
     def test_client_exception_propagates(self, env_data):
@@ -390,8 +414,8 @@ class TestTransportMatrix:
 
     Histories AND JSONL traces must come out byte-identical whether a round
     runs serially or through the worker pool's shared-memory arenas — at 1
-    and 2 workers, with and without the sharded reduce, for the stateless
-    (FedAvg) and stateful (FedCA) paths.
+    and 2 workers, and under the inert ``+shards=S`` spelling, for the
+    stateless (FedAvg) and stateful (FedCA) paths.
     """
 
     @needs_fork
@@ -459,6 +483,9 @@ def _setup_raises(monkeypatch):
 
     monkeypatch.setattr(ShmTransport, "setup", boom)
 
+
+#: The recorder counter every engine fallback bumps, by reason.
+FALLBACK_COUNTER = 'repro_engine_fallbacks_total{{reason="{}"}}'
 
 #: How the pool can fail to start; each lands on the one serial degrade.
 START_FAILURES = {
@@ -530,15 +557,15 @@ class TestShmLifecycle:
                 sim.save_checkpoint(ckpt)
                 hist = sim.run(2)
             rec.close()
-            return history_fingerprint(hist), events_to_jsonl(rec.events())
+            return history_fingerprint(hist), events_to_jsonl(rec.events()), rec.counters
 
-        ref = run(SerialExecutor())
+        ref_hist, ref_trace, ref_counters = run(SerialExecutor())
         before = _shm_segments()
         START_FAILURES[failure](monkeypatch)
-        pool = ParallelExecutor(workers=2, shards=2)
+        pool = ParallelExecutor(workers=2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            degraded = run(pool)
+            hist, trace, counters = run(pool)
         monkeypatch.undo()
         messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
         assert len(messages) == 1, messages
@@ -546,22 +573,26 @@ class TestShmLifecycle:
         fallback = pool._fallback
         assert type(fallback) is CohortExecutor and not fallback.pad
         assert fallback.occupancy()["steps"] > 0
-        assert degraded == ref
+        assert (hist, trace) == (ref_hist, ref_trace)
+        # The fallback is counted once; counters stay out of the trace.
+        assert counters[FALLBACK_COUNTER.format("pool_start")] == 1
+        assert not any("fallbacks" in name for name in ref_counters)
         assert _shm_segments() == before
 
         # The checkpoint a degraded run wrote resumes into the same history.
         with make_sim(env_data, "fedca", executor="parallel:2+shards=2") as resumed:
             resumed.resume(ckpt)
-            assert history_fingerprint(resumed.run(2)) == ref[0]
+            assert history_fingerprint(resumed.run(2)) == ref_hist
 
 
-#: spec -> (engine type name, attributes the spec must have set)
+#: spec -> (engine type name, attributes the spec must have set). ``@shm``
+#: and ``+shards=S`` are accepted spellings that change nothing.
 GOOD_SPECS = {
-    "parallel": ("ParallelExecutor", {"shards": None}),
-    "parallel:2": ("ParallelExecutor", {"workers": 2, "shards": None}),
-    "parallel:2@shm": ("ParallelExecutor", {"workers": 2, "shards": None}),
-    "parallel+shards=2": ("ParallelExecutor", {"shards": 2}),
-    "parallel:2@shm+shards=2": ("ParallelExecutor", {"workers": 2, "shards": 2}),
+    "parallel": ("ParallelExecutor", {}),
+    "parallel:2": ("ParallelExecutor", {"workers": 2}),
+    "parallel:2@shm": ("ParallelExecutor", {"workers": 2}),
+    "parallel+shards=2": ("ParallelExecutor", {}),
+    "parallel:2@shm+shards=2": ("ParallelExecutor", {"workers": 2}),
     "cohort:8": ("CohortExecutor", {"cohort_size": 8}),
 }
 
@@ -571,6 +602,8 @@ BAD_SPECS = {
     "parallel@auto": "auto",
     "parallel:0": "0",
     "parallel+shard=2": "shard=2",
+    "parallel+shards=0": "'0'",
+    "parallel+shards=zero": "zero",
     "threads": "threads",
 }
 
@@ -586,6 +619,7 @@ class TestSpecGrammar:
         ex = resolve_executor(spec)
         assert type(ex).__name__ == kind
         assert {name: getattr(ex, name) for name in attrs} == attrs
+        assert not hasattr(ex, "shards")
         args = build_parser().parse_args(
             ["run", "--workload", "cnn", "--scheme", "fedavg", "--executor", spec]
         )

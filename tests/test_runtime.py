@@ -14,6 +14,7 @@ from repro.runtime import (
     apply_update,
     collect_earliest,
     select_clients,
+    weighted_segment_sum,
 )
 
 
@@ -150,6 +151,28 @@ class TestAggregation:
         rs = [result(i, float(i + 1), update=dict(upd), samples=(i + 1) * 7) for i in range(5)]
         agg = aggregate_updates(rs)
         np.testing.assert_allclose(agg["w"], upd["w"], rtol=1e-6)
+
+    def test_weighted_segment_sum_matches_serial_slices(self):
+        """Slicing the column axis commutes with the reduce — down to one
+        column, where the zero-column pad keeps numpy off its reduction
+        loop (which sums the clients in another order)."""
+        rng = np.random.default_rng(0)
+        stack = rng.normal(size=(6, 37)).astype(np.float32)
+        w = rng.random(6)
+        w = w / w.sum()
+        full = np.einsum("c,cn->n", w, stack.astype(np.float64)).astype(np.float32)
+        assert np.array_equal(weighted_segment_sum(w, stack), full)
+        for lo, hi in [(0, 37), (0, 10), (10, 30), (0, 1), (20, 21), (36, 37), (37, 37)]:
+            out = weighted_segment_sum(w, [row[lo:hi] for row in stack])
+            assert out.tobytes() == full[lo:hi].tobytes(), (lo, hi)
+        # A column whose float32 result depends on the summation order:
+        # 2⁻⁵³ + 2⁻⁵³ + (1 + 2⁻²⁴) lands just above a float32 midpoint
+        # summed in client order, exactly on it summed the other way.
+        w = np.array([1.0, 1.0, 1.0 + 2.0**-24])
+        rows = np.array([[2.0**-53, 0.0], [2.0**-53, 0.0], [1.0, 0.0]], np.float32)
+        one_column = weighted_segment_sum(w, rows[:, :1])
+        assert one_column.tobytes() == weighted_segment_sum(w, rows)[:1].tobytes()
+        assert one_column[0] > 1.0
 
 
 class TestSelection:

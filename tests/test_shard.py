@@ -1,11 +1,14 @@
-"""Sharded tree-reduction aggregation + compressed wire transport tests.
+"""Parent-side reduce over the worker arenas + compressed wire transport
+tests.
 
-Tentpole invariants:
+Invariants:
 
-* ``parallel[:N]@shm+shards=S`` histories AND JSONL traces are
-  byte-identical to the serial oracle at every tested shard count —
-  sharding parallelises the *parameter* axis of the weighted sum without
-  changing a single accumulation order.
+* The parent reduces every round, reading collected updates in place as
+  read-only views of the worker result arenas. ``+shards=S`` — once an
+  in-worker tree reduce — is an accepted spelling that changes nothing:
+  ``parallel[:N]@shm+shards=S`` histories AND JSONL traces are
+  byte-identical to ``parallel[:N]`` and to the reference loop, and the
+  pool owns no segment beyond its broadcast and result arenas.
 * ``--wire raw`` is the identity: byte-identical to runs that predate
   the wire feature. Lossy wires (quant8/quant4/topk:F) stay within a
   pinned accuracy tolerance and always shrink the uplink byte count.
@@ -23,18 +26,17 @@ from repro.algorithms import OptimizerSpec, build_strategy
 from repro.core import FedCAConfig
 from repro.data import dirichlet_partition, make_workload_data
 from repro.nn import LeNetCNN
-from repro.nn.layout import Layout
 from repro.runtime import (
     FederatedSimulator,
     ParallelExecutor,
     RunHistory,
+    SerialExecutor,
+    ShmTransport,
     WireLayer,
     aggregate_updates,
     parse_wire_spec,
     resolve_executor,
-    shard_bounds,
     shm_available,
-    weighted_segment_sum,
 )
 from repro.runtime.round import ClientRoundResult
 from repro.runtime.parallel import fork_available
@@ -113,132 +115,78 @@ def run_traced(env_data, scheme, executor, *, wire=None):
 
 
 # ----------------------------------------------------------------------
-# Shard planning: a shard is an index range of the flat parameter vector
+# The parent reads collected updates in place from the worker arenas
 # ----------------------------------------------------------------------
-class TestShardPlan:
-    @staticmethod
-    def toy_state():
-        return {
-            "a": np.zeros((3, 4), dtype=np.float32),  # 12 scalars
-            "b": np.zeros((5,), dtype=np.float32),  # 5
-            "c": np.zeros((2, 2, 2), dtype=np.float32),  # 8
+def sample_results(num_clients=5):
+    model = LeNetCNN(rng=np.random.default_rng(7))
+    rng = np.random.default_rng(11)
+    results = []
+    for cid in range(num_clients):
+        update = {
+            name: (rng.normal(size=p.data.shape) * 1e-2).astype(np.float32)
+            for name, p in model.named_parameters()
         }
-
-    @pytest.mark.parametrize("num_shards", [1, 2, 3, 4, 7, 25, 40])
-    def test_plan_covers_every_scalar_once_in_order(self, num_shards):
-        layout = Layout.of_arrays(self.toy_state())
-        bounds = shard_bounds(layout.size, num_shards)
-        assert len(bounds) == num_shards + 1
-        assert bounds[0] == 0 and bounds[-1] == layout.size == 25
-        sizes = np.diff(bounds)
-        # Contiguous, in order, balanced to within one scalar — exactly
-        # np.array_split's partition of the flat vector.
-        assert (sizes >= 0).all() and sizes.max() - sizes.min() <= 1
-        flat = np.arange(layout.size, dtype=np.float32)
-        pieces = np.array_split(flat, num_shards)
-        assert [p.size for p in pieces] == sizes.tolist()
-        assert np.array_equal(
-            np.concatenate([flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]),
-            flat,
+        results.append(
+            ClientRoundResult(
+                client_id=cid,
+                update=update,
+                num_samples=int(rng.integers(5, 40)),
+                iterations_run=1,
+                compute_start_time=0.0,
+                compute_finish_time=1.0,
+                upload_finish_time=1.0 + cid,
+                bytes_uploaded=0,
+                mean_loss=0.0,
+            )
         )
-
-    def test_single_shard_is_whole_model(self):
-        assert shard_bounds(25, 1) == [0, 25]
-
-    def test_oversized_layer_splits_by_flat_offset(self):
-        assert shard_bounds(100, 4) == [0, 25, 50, 75, 100]
-
-    def test_more_shards_than_scalars_leaves_empties(self):
-        bounds = shard_bounds(2, 5)
-        assert np.diff(bounds).tolist() == [1, 1, 0, 0, 0]
-        with pytest.raises(ValueError):
-            shard_bounds(2, 0)
-
-    def test_weighted_segment_sum_matches_serial_slices(self):
-        rng = np.random.default_rng(0)
-        stack = rng.normal(size=(6, 37)).astype(np.float32)
-        w = rng.random(6)
-        w = w / w.sum()
-        full = np.einsum("c,cn->n", w, stack.astype(np.float64)).astype(np.float32)
-        assert np.array_equal(weighted_segment_sum(w, stack), full)
-        for lo, hi in [(0, 37), (0, 10), (10, 30), (30, 37), (37, 37)]:
-            out = weighted_segment_sum(w, [row[lo:hi] for row in stack])
-            assert np.array_equal(out, full[lo:hi])
+    return model, results
 
 
 @needs_shm
-class TestShardedReduceInTransport:
-    """The shard owners' reduce, run in-process over real arenas, equals
-    the serial oracle in bytes at every shard count — boundaries inside
-    layers, between them and past the end of the vector."""
-
-    @staticmethod
-    def updates(num_clients=5):
-        model = LeNetCNN(rng=np.random.default_rng(7))
-        rng = np.random.default_rng(11)
-        results = []
-        for cid in range(num_clients):
-            update = {
-                name: (rng.normal(size=p.data.shape) * 1e-2).astype(np.float32)
-                for name, p in model.named_parameters()
-            }
-            results.append(
-                ClientRoundResult(
-                    client_id=cid,
-                    update=update,
-                    num_samples=int(rng.integers(5, 40)),
-                    iterations_run=1,
-                    compute_start_time=0.0,
-                    compute_finish_time=1.0,
-                    upload_finish_time=1.0 + cid,
-                    bytes_uploaded=0,
-                    mean_loss=0.0,
-                )
-            )
-        return model, results
-
-    def test_sharded_equals_serial_in_bytes(self):
-        from repro.runtime import ShmTransport
-
-        model, results = self.updates()
-        serial = aggregate_updates(results)
-        size = model.num_parameters()
-        for shards in (1, 2, 3, 7, size + 1):
-            transport = ShmTransport()
-            transport.setup(model.state_dict(), {}, [len(results)], shards=shards)
-            try:
-                transport.worker_init(0)
-                payload = transport.encode_results(results)
-                collected = transport.decode_results(0, payload)
-                refs = transport.pending_update_refs()
-                total = float(sum(r.num_samples for r in collected))
-                weights = np.array([r.num_samples for r in collected]) / total
-                written = transport.reduce_shards(
-                    list(range(shards)), weights, [refs[r.client_id] for r in collected]
-                )
-                assert written == 4 * size
-                sharded = transport.reduced_update()
-            finally:
-                transport.close()
-            assert list(sharded) == list(serial)
-            for name in serial:
-                assert sharded[name].tobytes() == serial[name].tobytes(), (shards, name)
+class TestDecodedResultsAreArenaViews:
+    def test_decoded_updates_are_read_only_views_until_detached(self):
+        model, results = sample_results()
+        reference = aggregate_updates(results)
+        transport = ShmTransport()
+        transport.setup(model.state_dict(), {}, [len(results)])
+        try:
+            transport.worker_init(0)
+            decoded = transport.decode_results(0, transport.encode_results(results))
+            update = decoded[0].update
+            name = next(iter(update))
+            # No copy: the update is the arena slot, and writing into it
+            # (which would corrupt the worker's reply) raises.
+            assert not update[name].flags.owndata
+            with pytest.raises(ValueError, match="read-only"):
+                update[name][...] = 0.0
+            del update  # the arena cannot unmap under a live view
+            in_place = aggregate_updates(decoded)
+            transport.detach(decoded)
+            assert decoded[0].update[name].flags.writeable
+            detached = aggregate_updates(decoded)
+        finally:
+            transport.close()
+        for layer, value in reference.items():
+            assert in_place[layer].tobytes() == value.tobytes(), layer
+            assert detached[layer].tobytes() == value.tobytes(), layer
 
 
 # ----------------------------------------------------------------------
-# Executor-spec grammar
+# Executor-spec grammar: ``+shards=S`` is validated and changes nothing
 # ----------------------------------------------------------------------
 class TestShardSpecs:
     def test_shard_specs_parse(self):
         ex = resolve_executor("parallel:4@shm+shards=8")
         assert isinstance(ex, ParallelExecutor)
         assert ex.workers == 4
-        assert ex.shards == 8
-        assert resolve_executor("parallel+shards=2").shards == 2
+        assert not hasattr(ex, "shards")
+        assert type(resolve_executor("parallel+shards=2")) is ParallelExecutor
 
     def test_bad_shard_specs(self):
         with pytest.raises(ValueError, match="bad option"):
             resolve_executor("parallel+chunks=2")
+        with pytest.raises(ValueError, match="bad option"):
+            resolve_executor("parallel+shard=2")
         with pytest.raises(ValueError, match="shard count"):
             resolve_executor("parallel+shards=zero")
         with pytest.raises(ValueError, match="shards must be >= 1"):
@@ -246,23 +194,40 @@ class TestShardSpecs:
 
 
 # ----------------------------------------------------------------------
-# Sharded reduce == serial oracle (the tentpole bitwise invariant)
+# ``+shards=S`` runs the one parent reduce: the same bytes at any S
 # ----------------------------------------------------------------------
 class TestShardedReduceEquivalence:
     @needs_fork
     @needs_shm
     @pytest.mark.parametrize("scheme", ["fedavg", "fedca"])
     def test_bitwise_identical_histories_and_traces(self, env_data, scheme):
-        ref_hist, ref_jsonl, _ = run_traced(env_data, scheme, "serial")
-        assert ref_jsonl
-        for workers in (2, 4):
-            for shards in (1, 2, 4):
-                spec = f"parallel:{workers}@shm+shards={shards}"
-                hist, jsonl, _ = run_traced(env_data, scheme, spec)
-                assert history_fingerprint(hist) == history_fingerprint(
-                    ref_hist
-                ), spec
-                assert jsonl == ref_jsonl, spec
+        """``parallel:2+shards=3`` is ``parallel:2`` is the reference
+        loop, history JSON and trace, while its pool owns exactly one
+        broadcast arena plus one result arena per worker."""
+        from pathlib import Path
+
+        from repro.obs import TraceRecorder, events_to_jsonl
+        from repro.runtime.export import history_to_json
+        from repro.runtime.transport import SEGMENT_PREFIX
+
+        def run(executor):
+            rec = TraceRecorder()
+            with make_sim(env_data, scheme, executor=executor, recorder=rec) as sim:
+                sim.run(4)
+                if sim.executor.name == "parallel":
+                    names = sim.executor._transport_impl.segment_names()
+                    assert len(names) == sim.executor.workers + 1
+                    live = {p.name for p in Path("/dev/shm").glob(f"{SEGMENT_PREFIX}*")}
+                    assert set(names) <= live
+            rec.close()
+            return history_to_json(sim.history), events_to_jsonl(rec.events())
+
+        ref_json, ref_trace = run(SerialExecutor())
+        assert ref_trace
+        for spec in ("parallel:2", "parallel:2+shards=3"):
+            got_json, got_trace = run(spec)
+            assert got_json == ref_json, spec
+            assert got_trace == ref_trace, spec
 
     @needs_fork
     @needs_shm
@@ -281,25 +246,13 @@ class TestShardedReduceEquivalence:
     @needs_fork
     @needs_shm
     def test_more_shards_than_workers(self, env_data):
-        # Shards round-robin onto workers (k % W): 7 shards on 2 workers.
+        # A shard count above the worker count is as inert as any other.
         ref = make_sim(env_data, "fedca", executor="serial").run(4)
         with make_sim(
             env_data, "fedca", executor="parallel:2@shm+shards=7"
         ) as sim:
             hist = sim.run(4)
         assert history_fingerprint(hist) == history_fingerprint(ref)
-
-    @needs_fork
-    @needs_shm
-    def test_reduce_traffic_is_counted(self, env_data):
-        from repro.runtime.transport import ipc_bytes_counter
-
-        executor = ParallelExecutor(workers=2, shards=2)
-        with make_sim(env_data, "fedavg", executor=executor) as sim:
-            sim.run(2)
-            stats = executor.ipc_stats()
-        assert stats[ipc_bytes_counter("shm", "reduce")] > 0
-        assert stats[ipc_bytes_counter("pipe", "reduce")] > 0
 
 
 class TestShardedLifecycle:
@@ -308,14 +261,12 @@ class TestShardedLifecycle:
     def test_shard_arenas_exist_and_unlink_on_close(self, env_data):
         from pathlib import Path
 
-        executor = ParallelExecutor(workers=2, shards=3)
+        executor = resolve_executor("parallel:2+shards=3")
         sim = make_sim(env_data, "fedavg", executor=executor)
         sim.run_round()
         names = executor._transport_impl.segment_names()
-        # broadcast + 2 result arenas + the one reduce arena every shard
-        # owner writes its index range into
-        assert len(names) == 4
-        assert sum("-s" in n for n in names) == 1
+        # broadcast + 2 result arenas; the spelling allocates nothing more
+        assert len(names) == 3
         assert all((Path("/dev/shm") / n).exists() for n in names)
         sim.close()
         assert all(not (Path("/dev/shm") / n).exists() for n in names)
@@ -325,7 +276,7 @@ class TestShardedLifecycle:
     def test_worker_death_mid_run_falls_back_serially(self, env_data):
         from pathlib import Path
 
-        executor = ParallelExecutor(workers=2, shards=2)
+        executor = resolve_executor("parallel:2+shards=2")
         with make_sim(env_data, "fedca", executor=executor) as sim:
             sim.run_round()
             names = executor._transport_impl.segment_names()
@@ -335,9 +286,8 @@ class TestShardedLifecycle:
                 rec = sim.run_round()
             assert executor._fallback is not None
             assert all(not (Path("/dev/shm") / n).exists() for n in names)
-            # The crash round still aggregated real updates: deferred
-            # decode hydrates them from the arenas *before* teardown, so
-            # the round record is coherent (not zeros / not an error).
+            # The crash round still aggregated real updates, so the round
+            # record is coherent (not zeros / not an error).
             assert rec.end_time > rec.start_time
             assert np.isfinite(rec.mean_loss)
             sim.run_round()
@@ -400,10 +350,8 @@ class TestWireRuns:
         hist, jsonl, _ = run_traced(env_data, scheme, "serial", wire="raw")
         assert history_fingerprint(hist) == history_fingerprint(ref_hist)
         assert jsonl == ref_jsonl
-        # ...and the raw sharded run still matches the oracle bitwise.
-        hist_p, jsonl_p, _ = run_traced(
-            env_data, scheme, "parallel:2@shm+shards=2", wire="raw"
-        )
+        # ...and the raw parallel run still matches the oracle bitwise.
+        hist_p, jsonl_p, _ = run_traced(env_data, scheme, "parallel:2", wire="raw")
         assert history_fingerprint(hist_p) == history_fingerprint(ref_hist)
         assert jsonl_p == ref_jsonl
 
@@ -424,19 +372,14 @@ class TestWireRuns:
 
     @needs_fork
     def test_wire_is_engine_independent(self, env_data):
-        # Stateful codecs follow sticky worker routing: serial, parallel
-        # and sharded runs of the same lossy wire agree bitwise.
+        # Stateful codecs follow sticky worker routing: serial and parallel
+        # runs of the same lossy wire agree bitwise.
         ref_hist, ref_jsonl, _ = run_traced(
             env_data, "fedca", "serial", wire="quant8"
         )
-        for spec in ["parallel:2", "parallel:2@shm+shards=2"]:
-            if "shm" in spec and not shm_available()[0]:
-                continue
-            hist, jsonl, _ = run_traced(env_data, "fedca", spec, wire="quant8")
-            assert history_fingerprint(hist) == history_fingerprint(
-                ref_hist
-            ), spec
-            assert jsonl == ref_jsonl, spec
+        hist, jsonl, _ = run_traced(env_data, "fedca", "parallel:2", wire="quant8")
+        assert history_fingerprint(hist) == history_fingerprint(ref_hist)
+        assert jsonl == ref_jsonl
 
     def test_wire_byte_counters_mirror_events(self, env_data):
         hist, _, rec = run_traced(env_data, "fedavg", "serial", wire="quant8")
