@@ -95,7 +95,8 @@ def run_once(cfg, executor, rounds: int, seed: int, *, scheme="fedavg",
         if parallel:
             # Fork the pool (and pay its one-off startup) before timing:
             # steady-state round throughput is what the bench tracks.
-            sim.executor.run_round(sim.global_state, sim.global_buffers, [])
+            arena = sim.global_model.arena()
+            sim.executor.run_round(arena.values, arena.buffers, [])
         start = time.perf_counter()  # reprolint: allow[DET002] benchmark measures wall-clock by design
         history = sim.run(rounds)
         elapsed = time.perf_counter() - start  # reprolint: allow[DET002] benchmark measures wall-clock by design

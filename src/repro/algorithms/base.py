@@ -57,14 +57,15 @@ class OptimizerSpec:
         self.momentum = momentum
         self.mu = mu
 
-    def build(self, model, global_state: dict[str, np.ndarray] | None = None) -> SGD:
-        """Scalar optimiser for ``model``; ``global_state`` is the proximal
-        anchor and only read when ``mu`` is set."""
+    def build(self, model, params: np.ndarray | None = None) -> SGD:
+        """Scalar optimiser for ``model``; ``params``, the round-start
+        ``(P,)`` global parameter vector, is the proximal anchor and only
+        read when ``mu`` is set."""
         if not self.mu:
             return SGD(
                 model, self.lr, weight_decay=self.weight_decay, momentum=self.momentum
             )
-        if global_state is None:
+        if params is None:
             raise ValueError("a proximal optimiser (mu > 0) needs the global state")
         opt = ProxSGD(
             model,
@@ -73,7 +74,7 @@ class OptimizerSpec:
             weight_decay=self.weight_decay,
             momentum=self.momentum,
         )
-        opt.set_anchor(global_state)
+        opt.set_anchor(params)
         return opt
 
 
@@ -227,38 +228,49 @@ class Strategy(ABC):
     ) -> RoundMember:
         """Start one client's round: the scheme's :class:`RoundMember`.
 
-        ``params`` is the member's live ``{layer: array}`` view — the
-        replica's parameters under the serial driver, zero-copy rows of the
-        stacked tensors under the cohort driver — already holding the
-        broadcast ``global_state`` and updated in place by every step.
+        ``global_state`` is the round-start global model as ``{layer:
+        view}`` of the server's parameter vector (read only); ``params`` is
+        the member's live ``{layer: array}`` view — the replica's parameters
+        under the serial driver, zero-copy rows of the stacked tensors under
+        the cohort driver — already holding the broadcast and updated in
+        place by every step.
         """
 
     def client_round(
         self,
         client: SimClient,
-        global_state: dict[str, np.ndarray],
+        params: np.ndarray,
+        buffers: np.ndarray,
         ctx: RoundContext,
     ) -> ClientRoundResult:
-        """Serial driver: one member fed from the client's own replica."""
-        client.load_global(global_state)
-        opt = self.optimizer.build(client.model, global_state)
-        params = {name: p.data for name, p in client.model.named_parameters()}
-        member = self.begin(client, global_state, ctx, params)
+        """Serial driver: one member fed from the client's own replica.
+        ``params``/``buffers`` are the round-start global model's ``(P,)``
+        and ``(B,)`` vectors."""
+        client.load_global(params, buffers)
+        opt = self.optimizer.build(client.model, params)
+        arena = client.model.arena()
+        member = self.begin(
+            client,
+            arena.layout.views(params),
+            ctx,
+            arena.layout.views(arena.values),
+        )
         if member.budget < 1:
             raise ValueError("iterations must be >= 1")
         for tau in range(1, member.budget + 1):
             loss = client.train_step(opt, member.next_batch())
             if not member.after_step(tau, loss):
                 break
-        return member.finish(client.local_update(global_state))
+        return member.finish(client.local_update(params))
 
     def cohort_round(
         self,
         engine: "CohortEngine",
         jobs: list[tuple[int, RoundContext]],
-        global_state: dict[str, np.ndarray],
+        params: np.ndarray,
     ) -> list[ClientRoundResult]:
-        """Cohort driver: M members fed from one stacked tensor program.
+        """Cohort driver: M members fed from one stacked tensor program,
+        against the round-start ``(P,)`` global parameter vector ``params``.
 
         ``engine`` member slot ``i`` is bound to ``jobs[i]``'s client;
         results come back in job order. Every *scalar* outcome (simulated
@@ -270,8 +282,9 @@ class Strategy(ABC):
         freeze and its data stream stops drawing while the batched program
         keeps advancing the others.
         """
-        engine.load_global(global_state)
-        opt = engine.build_optimizer(self.optimizer, global_state)
+        engine.load_global(params)
+        opt = engine.build_optimizer(self.optimizer, params)
+        global_state = engine.model.module.arena().layout.views(params)
         members = [
             self.begin(client, global_state, ctx, engine.member_params(i))
             for i, (client, (_, ctx)) in enumerate(zip(engine.clients, jobs))
@@ -289,7 +302,7 @@ class Strategy(ABC):
             for i in np.flatnonzero(mask):
                 if not members[i].after_step(tau, float(losses[i])):
                     active[i] = False
-        stacked = engine.stacked_update(global_state)
+        stacked = engine.stacked_update(params)
         engine.write_back()
         return [
             member.finish(engine.member_update(stacked, i))

@@ -18,8 +18,7 @@ Telemetry: ``--trace-file`` streams the deterministic JSONL event trace
 (``--trace-sink buffered`` moves the write cost off the hot path without
 changing a byte), ``--metrics-file`` dumps Prometheus-style counters/gauges,
 and either flag also prints the per-run summary table (see
-:mod:`repro.obs`). ``--metrics-port N`` serves the live registry over HTTP
-mid-run (``/metrics`` + ``/status``); ``--profile`` prints the wall-clock
+:mod:`repro.obs`); ``--profile`` prints the wall-clock
 phase breakdown after the run. Telemetry outputs are finalised in a
 ``finally`` block, so traces, metrics dumps and profile reports survive
 mid-run exceptions. All output goes through the ``repro.*`` logging
@@ -129,11 +128,6 @@ def _add_telemetry(parser: argparse.ArgumentParser) -> None:
         "--metrics-file", metavar="PATH", default=None,
         help="write Prometheus-style text metrics to PATH after the run")
     parser.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve the live metrics registry on 127.0.0.1:PORT while the "
-             "run executes: Prometheus text at /metrics, a JSON run-status "
-             "document at /status (0 picks a free port, which is logged)")
-    parser.add_argument(
         "--profile", action="store_true",
         help="measure wall-clock phase spans (select/broadcast/client.train/"
              "collect/aggregate/evaluate/telemetry/checkpoint + transport "
@@ -152,11 +146,7 @@ def _make_recorder(
     with ``"w"`` would wipe the pre-crash half of the stream. The resume
     path restores the recorder state from the checkpoint and attaches the
     sink at the checkpointed byte offset (see :mod:`repro.persist`)."""
-    if (
-        args.trace_file is None
-        and args.metrics_file is None
-        and args.metrics_port is None
-    ):
+    if args.trace_file is None and args.metrics_file is None:
         return None
     return TraceRecorder(
         trace_path=args.trace_file,
@@ -174,32 +164,15 @@ def _make_profiler(args: argparse.Namespace):
     return None
 
 
-def _start_metrics_server(recorder, args: argparse.Namespace):
-    """Start the live HTTP endpoint when --metrics-port is set."""
-    if getattr(args, "metrics_port", None) is None or recorder is None:
-        return None
-    from .obs import MetricsServer
-
-    server = MetricsServer(recorder, port=args.metrics_port).start()
-    logger.info(
-        "metrics endpoint live at %s/metrics (run status at /status)",
-        server.url,
-    )
-    return server
-
-
 def _finish_telemetry(
     recorder: TraceRecorder | None,
     args: argparse.Namespace,
     *,
     profiler=None,
-    server=None,
 ) -> None:
-    """Stop the endpoint, close the sink, write the metrics dump, print the
-    summary table and the profile report. Runs in a ``finally`` so every
-    telemetry output survives a mid-run exception."""
-    if server is not None:
-        server.close()
+    """Close the sink, write the metrics dump, print the summary table and
+    the profile report. Runs in a ``finally`` so every telemetry output
+    survives a mid-run exception."""
     if profiler is not None:
         report = profiler.report()
         logger.info("%s", report)
@@ -384,7 +357,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = get_workload(args.workload, args.scale)
     recorder = _make_recorder(args, resuming=args.resume)
     profiler = _make_profiler(args)
-    server = _start_metrics_server(recorder, args)
     from .persist import CheckpointNotFoundError
 
     try:
@@ -426,7 +398,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             logger.info("history written to %s", args.json)
         return 0
     finally:
-        _finish_telemetry(recorder, args, profiler=profiler, server=server)
+        _finish_telemetry(recorder, args, profiler=profiler)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -434,7 +406,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cfg = get_workload(args.workload, args.scale)
     recorder = _make_recorder(args)
     profiler = _make_profiler(args)
-    server = _start_metrics_server(recorder, args)
     try:
         results = compare_schemes(
             cfg, args.schemes, rounds=args.rounds, seed=args.seed,
@@ -467,7 +438,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         return 0
     finally:
-        _finish_telemetry(recorder, args, profiler=profiler, server=server)
+        _finish_telemetry(recorder, args, profiler=profiler)
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:

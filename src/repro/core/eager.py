@@ -50,10 +50,6 @@ class EagerSchedule:
                 self.sink(name, self.triggers[name], tau)
         return out
 
-    @property
-    def sent_layers(self) -> set[str]:
-        return set(self._sent)
-
     def pending_layers(self, all_layers: list[str]) -> list[str]:
         """Layers that were never eagerly transmitted (tail upload)."""
         return [name for name in all_layers if name not in self._sent]

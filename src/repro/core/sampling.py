@@ -92,11 +92,6 @@ class LayerSampler:
         return out
 
     # ------------------------------------------------------------------
-    def per_layer_counts(self) -> dict[str, int]:
-        """Sampled-scalar count per layer (telemetry: the ``fedca.anchor``
-        event reports these alongside the §5.5 totals)."""
-        return {name: int(idx.size) for name, idx in self.indices.items()}
-
     def total_sampled(self) -> int:
         """Total sampled scalars across layers (paper §5.5 reports 618 / 905
         / 9974 for CNN / LSTM / WRN)."""

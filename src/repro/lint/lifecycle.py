@@ -34,9 +34,9 @@ _THREADING_PRIMITIVES = frozenset(
 )
 
 #: modules audited for fork interaction — the only places allowed to
-#: start threads (daemon flushers/servers with documented fork
-#: behaviour; see DESIGN.md §14).
-_THREAD_ALLOWLIST = ("repro/obs/sinks.py", "repro/obs/server.py")
+#: start threads (the daemon flusher with documented fork behaviour; see
+#: DESIGN.md §14).
+_THREAD_ALLOWLIST = ("repro/obs/sinks.py",)
 
 
 @register
@@ -46,7 +46,7 @@ class ForkDisciplineChecker(Checker):
     code = "FORK001"
     name = (
         "no threading.Thread/Lock creation at import time, and thread "
-        "starts only in fork-audited modules (obs/sinks.py, obs/server.py)"
+        "starts only in fork-audited modules (obs/sinks.py)"
     )
     severity = Severity.ERROR
     repro_src_only = True

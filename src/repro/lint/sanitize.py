@@ -87,7 +87,7 @@ _NP_LEGACY_FNS = (
 
 #: Threads allowed to be alive when a worker pool forks: the obs layer's
 #: audited daemon helpers (children never touch their state).
-_ALLOWED_THREAD_PREFIXES = ("repro-trace-flusher", "repro-metrics-server")
+_ALLOWED_THREAD_PREFIXES = ("repro-trace-flusher",)
 
 
 @dataclass

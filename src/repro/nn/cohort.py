@@ -128,26 +128,25 @@ class CohortModel:
         self.module.rows[...] = rows
 
     # ------------------------------------------------------------------
-    def load_global(
-        self, state: dict[str, np.ndarray], buffers: dict[str, np.ndarray]
-    ) -> None:
-        """Broadcast the server state and buffers into every member row."""
+    def load_global(self, params: np.ndarray, buffers: np.ndarray) -> None:
+        """Broadcast the server's ``(P,)`` parameters and ``(B,)`` buffers
+        into every member row."""
         arena = self.module.arena()
-        arena.values[...] = arena.layout.flatten(state)
-        arena.buffers[...] = arena.buffer_layout.flatten(buffers, what="buffer_dict")
+        arena.values[...] = params
+        arena.buffers[...] = buffers
 
     def member_params(self, i: int) -> dict[str, np.ndarray]:
         """Member ``i``'s parameter views (zero-copy)."""
         arena = self.module.arena()
         return arena.layout.views(arena.values[i])
 
-    def stacked_update(self, global_state: dict[str, np.ndarray]) -> np.ndarray:
-        """Accumulated updates for the whole cohort in one subtract: row
-        ``i`` of the ``(C, P)`` result is member ``i``'s ``w_local −
-        w_global``. Per-member result dicts are zero-copy views into it
+    def stacked_update(self, params: np.ndarray) -> np.ndarray:
+        """Accumulated updates for the whole cohort in one subtract against
+        the round-start ``(P,)`` global parameters: row ``i`` of the
+        ``(C, P)`` result is member ``i``'s ``w_local − w_global``.
+        Per-member result dicts are zero-copy views into it
         (:meth:`member_update`), so nothing is unstacked."""
-        arena = self.module.arena()
-        return arena.values - arena.layout.flatten(global_state)
+        return self.module.arena().values - params
 
     def member_update(self, stacked: np.ndarray, i: int) -> dict[str, np.ndarray]:
         """Member ``i``'s update dict as views into :meth:`stacked_update`."""
@@ -233,8 +232,9 @@ class CohortSGD:
     reproducing a serial client that simply stopped calling ``step()``.
 
     ``mu > 0`` adds FedProx's proximal pull ``mu * (w − anchor)`` toward
-    ``anchor``, the round-start global state every member was broadcast —
-    the stacked form of :class:`~repro.nn.optim.ProxSGD`."""
+    ``anchor``, the round-start ``(P,)`` global parameter vector every
+    member was broadcast — the stacked form of
+    :class:`~repro.nn.optim.ProxSGD`."""
 
     def __init__(
         self,
@@ -244,7 +244,7 @@ class CohortSGD:
         weight_decay: float = 0.0,
         momentum: float = 0.0,
         mu: float = 0.0,
-        anchor: dict[str, np.ndarray] | None = None,
+        anchor: np.ndarray | None = None,
     ) -> None:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
@@ -259,14 +259,11 @@ class CohortSGD:
         self.weight_decay = weight_decay
         self.momentum = momentum
         self.mu = mu
-        arena = model.module.arena()
-        self._anchor: np.ndarray | None = None
-        if mu:
-            if anchor is None:
-                raise ValueError("a proximal step (mu > 0) needs the anchor state")
-            self._anchor = arena.layout.flatten(anchor)
+        if mu and anchor is None:
+            raise ValueError("a proximal step (mu > 0) needs the anchor state")
+        self._anchor = anchor if mu else None
         self._velocity: np.ndarray | None = (
-            np.zeros_like(arena.values) if momentum > 0.0 else None
+            np.zeros_like(model.module.arena().values) if momentum > 0.0 else None
         )
 
     def step(self, active: np.ndarray | None = None) -> None:

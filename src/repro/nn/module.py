@@ -94,6 +94,8 @@ def _arena_of(
             or _address(a) != origin + 4 * offset
         ):
             return None
+    if start == 0 and base.shape[-1] == layout.size:
+        return base  # the whole arena: hand back the vector itself
     return base[..., start : start + layout.size]
 
 

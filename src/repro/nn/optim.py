@@ -74,9 +74,9 @@ class SGD:
 class ProxSGD(SGD):
     """SGD with a FedProx proximal pull toward the round-start global model.
 
-    The anchor (``global_state``) must be set at the start of every round via
-    :meth:`set_anchor`; it is the model broadcast by the server, gathered
-    into one vector at the first step.
+    The anchor must be set at the start of every round via
+    :meth:`set_anchor`: the ``(P,)`` parameter vector of the model the
+    server broadcast, read as it is.
     """
 
     def __init__(
@@ -92,20 +92,20 @@ class ProxSGD(SGD):
         if mu < 0:
             raise ValueError("mu must be non-negative")
         self.mu = mu
-        self._anchor_state: dict[str, np.ndarray] | None = None
         self._anchor: np.ndarray | None = None
 
-    def set_anchor(self, global_state: dict[str, np.ndarray]) -> None:
-        """Install the round-start global model the proximal term pulls to."""
-        self._anchor_state = global_state
-        self._anchor = None
+    def set_anchor(self, params: np.ndarray) -> None:
+        """Install the round-start global parameter vector the proximal
+        term pulls to."""
+        expected = self.model.arena().values.shape
+        if params.shape != expected:
+            raise ValueError(
+                f"ProxSGD anchor has shape {params.shape}, model parameters {expected}"
+            )
+        self._anchor = params
 
     def _effective_grad(self, values: np.ndarray, grads: np.ndarray) -> np.ndarray:
         grads = super()._effective_grad(values, grads)
-        if self.mu and self._anchor_state is not None:
-            if self._anchor is None:
-                self._anchor = self.model.arena().layout.flatten(
-                    self._anchor_state, what="ProxSGD anchor"
-                )
+        if self.mu and self._anchor is not None:
             grads = grads + self.mu * (values - self._anchor)
         return grads

@@ -9,8 +9,6 @@ The observability substrate every layer reports through (DESIGN.md §9, §13):
   a background-flushed buffered sink with explicit backpressure policies.
 * :mod:`repro.obs.profile` — hierarchical wall-clock phase profiler with
   per-round percent breakdowns and ``repro_phase_seconds`` gauges.
-* :mod:`repro.obs.server` — opt-in live HTTP endpoint (``/metrics`` +
-  ``/status``) for watching long runs.
 * :mod:`repro.obs.events` — the deterministic, simulated-time event schema.
 * :mod:`repro.obs.export` — JSONL / Prometheus-text / summary-table dumps.
 * :mod:`repro.obs.analysis` — Fig. 8-style reconstructions from a trace
@@ -42,7 +40,6 @@ from .profile import (
     phase_gauge_name,
 )
 from .recorder import NULL_RECORDER, NullRecorder, Recorder, TraceRecorder
-from .server import MetricsServer
 from .sinks import (
     BACKPRESSURE_POLICIES,
     TRACE_DROPPED_TOTAL,
@@ -70,7 +67,6 @@ __all__ = [
     "NULL_PROFILER",
     "PHASE_SECONDS",
     "phase_gauge_name",
-    "MetricsServer",
     "events_to_jsonl",
     "write_trace_jsonl",
     "metrics_to_text",

@@ -66,10 +66,6 @@ _CKPT_RE = re.compile(r"^round-(\d{6})\.ckpt$")
 KEEP_CHECKPOINTS = 2
 
 
-def _copy_arrays(state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: np.array(arr, copy=True) for name, arr in state.items()}
-
-
 def _join_blobs(clients: dict[str, bytes]) -> dict[str, np.ndarray]:
     """Every client blob as three archive members, however many clients:
     their ids, each blob's end offset, and the blobs back to back."""
@@ -126,8 +122,8 @@ class RunCheckpoint:
             "seed": int(sim.seed),
             "local_iterations": int(sim.local_iterations),
             "layers": {
-                name: [list(arr.shape), str(arr.dtype)]
-                for name, arr in sim.global_state.items()
+                name: [list(shape), "float32"]
+                for name, _, shape in sim.global_model.arena().layout.entries
             },
         }
         # Wire spec joins the fingerprint only when a layer is attached, so
@@ -155,8 +151,8 @@ class RunCheckpoint:
             sim_time=float(sim.time),
             est_pace={str(cid): float(p) for cid, p in sim.est_pace.items()},
             history=history_to_dict(sim.history),
-            global_state=_copy_arrays(sim.global_state),
-            global_buffers=_copy_arrays(sim.global_buffers),
+            global_state=sim.global_state,
+            global_buffers=sim.global_buffers,
             clients={str(cid): blob for cid, blob in clients.items()},
             recorder=recorder_snapshot,
         )
@@ -192,8 +188,15 @@ class RunCheckpoint:
                 "scheme/seed/workload the checkpoint was written from"
             )
 
-        sim.global_state = _copy_arrays(self.global_state)
-        sim.global_buffers = _copy_arrays(self.global_buffers)
+        try:
+            # The loads check every layer's presence and shape before they
+            # write anything; the payload is outside input.
+            sim.global_model.load_state_dict(self.global_state)
+            sim.global_model.load_buffer_dict(self.global_buffers)
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+            raise CheckpointFormatError(
+                f"checkpoint global model does not fit this run's model: {exc}"
+            ) from None
         sim.time = float(self.sim_time)
         sim.est_pace = {int(cid): float(p) for cid, p in self.est_pace.items()}
         retain_client_events = sim.history.retain_client_events

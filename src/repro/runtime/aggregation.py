@@ -3,8 +3,12 @@
 A weighted average is one contraction over flat rows: each collected
 client's update (or buffer dict) is gathered into one float64 row through
 the dict's :class:`~repro.nn.layout.Layout`, and
-:func:`weighted_segment_sum` reduces the ``(n, P)`` rows. Key sets are
-validated once per client. Every engine's round ends here, in the parent.
+:func:`weighted_segment_sum` reduces the ``(n, P)`` rows into one float32
+vector in that layout. Key sets are validated once per client. Every
+engine's round ends here, in the parent: the simulator adds the averaged
+update into the server model's parameter vector in place
+(:func:`apply_update`) and writes the averaged buffers over its buffer
+vector.
 """
 
 from __future__ import annotations
@@ -91,21 +95,20 @@ def weighted_segment_sum(
 
 def _weighted_average(
     results: list[ClientRoundResult], attr: str, total: float
-) -> dict[str, np.ndarray]:
-    """Sample-weighted mean of ``results[i].<attr>``, as views into one
-    reduced vector."""
+) -> np.ndarray:
+    """Sample-weighted mean of ``results[i].<attr>`` as one float32 vector
+    in the layout of the first result's dict."""
     layout = Layout.of_arrays(getattr(results[0], attr))
     rows = np.empty((len(results), layout.size), dtype=np.float64)
     for row, r in zip(rows, results):
         layout.flatten(getattr(r, attr), out=row)
     weights = np.array([r.num_samples for r in results], dtype=np.float64) / total
-    return layout.views(weighted_segment_sum(weights, rows))
+    return weighted_segment_sum(weights, rows)
 
 
-def aggregate_updates(
-    results: list[ClientRoundResult],
-) -> dict[str, np.ndarray]:
-    """Sample-count-weighted average of client updates (FedAvg)."""
+def aggregate_updates(results: list[ClientRoundResult]) -> np.ndarray:
+    """Sample-count-weighted average of client updates (FedAvg), as one
+    ``(P,)`` float32 vector."""
     if not results:
         raise ValueError("cannot aggregate zero updates")
     total = float(sum(r.num_samples for r in results))
@@ -115,11 +118,10 @@ def aggregate_updates(
     return _weighted_average(results, "update", total)
 
 
-def aggregate_buffers(
-    results: list[ClientRoundResult],
-) -> dict[str, np.ndarray]:
+def aggregate_buffers(results: list[ClientRoundResult]) -> np.ndarray:
     """Sample-count-weighted average of reported non-trainable buffers
-    (BatchNorm running statistics). Returns ``{}`` for buffer-free models.
+    (BatchNorm running statistics), as one ``(B,)`` float32 vector — empty
+    for buffer-free models.
 
     Buffers are direct values, not deltas, so the aggregate replaces the
     server's buffer state rather than being added to it.
@@ -127,19 +129,17 @@ def aggregate_buffers(
     if not results:
         raise ValueError("cannot aggregate zero results")
     if not results[0].buffers:
-        return {}
+        return np.empty(0, dtype=np.float32)
     total = float(sum(r.num_samples for r in results))
     _check_keys(results, "buffers")
     return _weighted_average(results, "buffers", total)
 
 
-def apply_update(
-    global_state: dict[str, np.ndarray], update: dict[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """Return the refined global state ``w ← w + Δ``."""
-    if global_state.keys() != update.keys():
-        raise KeyError("update layers do not match global state")
-    layout = Layout.of_arrays(global_state)
-    refined = layout.flatten(global_state)
-    refined += layout.flatten(update)
-    return layout.views(refined)
+def apply_update(values: np.ndarray, update: np.ndarray) -> None:
+    """Refine the global parameter vector in place, ``w ← w + Δ``: one
+    float32 add of the ``(P,)`` aggregate."""
+    if update.shape != values.shape:
+        raise ValueError(
+            f"update has shape {update.shape}, global parameters {values.shape}"
+        )
+    values += update

@@ -41,7 +41,6 @@ class SimClient:
         self.trace = trace
         self.link = link
         self.uplink = UplinkScheduler(link)
-        self._staged_buffers: dict[str, np.ndarray] | None = None
         # Live kept objects by owner key, and restored snapshots whose owner
         # has not asked for its object yet (see keep()).
         self._kept: dict[str, Any] = {}
@@ -56,18 +55,12 @@ class SimClient:
         return len(self.shard)
 
     # ------------------------------------------------------------------
-    def stage_buffers(self, buffers: dict[str, np.ndarray] | None) -> None:
-        """Store the server's broadcast buffer state (BatchNorm running
-        statistics etc.) for the next :meth:`load_global`. The simulator
-        stages these before handing the client to a strategy so strategies
-        stay buffer-agnostic."""
-        self._staged_buffers = None if buffers is None else dict(buffers)
-
-    def load_global(self, state: dict[str, np.ndarray]) -> None:
-        """Install the broadcast global model into the local replica."""
-        self.model.load_state_dict(state)
-        if self._staged_buffers is not None:
-            self.model.load_buffer_dict(self._staged_buffers)
+    def load_global(self, params: np.ndarray, buffers: np.ndarray) -> None:
+        """Install the broadcast global model — its ``(P,)`` parameter and
+        ``(B,)`` buffer vectors — into the local replica: two copies."""
+        arena = self.model.arena()
+        arena.values[...] = params
+        arena.buffers[...] = buffers
         self.model.train(True)
 
     def train_step(self, optimizer, batch_size: int | None = None) -> float:
@@ -82,9 +75,6 @@ class SimClient:
         self.model.backward(grad)
         optimizer.step()
         return loss
-
-    def current_state(self) -> dict[str, np.ndarray]:
-        return self.model.state_dict()
 
     # ------------------------------------------------------------------
     def keep(self, key: str, factory: Callable[[], Any]) -> Any:
@@ -140,10 +130,9 @@ class SimClient:
         self._kept = {}
         self._pending = dict(snapshot.get("kept", {}))
 
-    def local_update(self, global_state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Accumulated update ``w_local − w_global`` per layer: one subtract
-        over the parameter vector, returned as views into the result."""
+    def local_update(self, params: np.ndarray) -> dict[str, np.ndarray]:
+        """Accumulated update ``w_local − w_global`` per layer against the
+        round-start ``(P,)`` global parameters: one subtract, returned as
+        views into the result."""
         arena = self.model.arena()
-        update = arena.layout.flatten(global_state)
-        np.subtract(arena.values, update, out=update)
-        return arena.layout.views(update)
+        return arena.layout.views(arena.values - params)

@@ -38,6 +38,7 @@ from .round import ClientRoundResult, RoundContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..algorithms.base import Strategy
+    from ..nn.layout import Layout
     from .client import SimClient
 
 __all__ = ["CohortEngine", "CohortExecutor", "StepCounts"]
@@ -99,15 +100,15 @@ class CohortEngine:
     client shards into one ``(C, B, …)`` tensor per step. Strategies drive
     it like a multi-client ``SimClient``: :meth:`load_global` → repeated
     :meth:`train_step` with an active mask → :meth:`stacked_update` /
-    :meth:`write_back`. ``pad`` is the executor's (see
-    :class:`CohortExecutor`).
+    :meth:`write_back`. ``buffers`` is the round's ``(B,)`` global buffer
+    vector; ``pad`` is the executor's (see :class:`CohortExecutor`).
     """
 
     def __init__(
         self,
         model: CohortModel,
         clients: Sequence["SimClient"],
-        buffers: dict[str, np.ndarray],
+        buffers: np.ndarray,
         *,
         pad: bool = True,
     ) -> None:
@@ -127,27 +128,25 @@ class CohortEngine:
         self.member_steps = 0
 
     # ------------------------------------------------------------------
-    def load_global(self, state: dict[str, np.ndarray]) -> None:
-        """Broadcast the server model (and the round's buffers) into every
-        member slot."""
-        self.model.load_global(state, self._buffers)
+    def load_global(self, params: np.ndarray) -> None:
+        """Broadcast the server's ``(P,)`` parameters (and the round's
+        buffers) into every member slot."""
+        self.model.load_global(params, self._buffers)
 
     def member_params(self, i: int) -> dict[str, np.ndarray]:
         """Member ``i``'s live parameter views (zero-copy into the stack)."""
         return self.model.member_params(i)
 
-    def build_optimizer(
-        self, spec, global_state: dict[str, np.ndarray]
-    ) -> CohortSGD:
+    def build_optimizer(self, spec, params: np.ndarray) -> CohortSGD:
         """Batched optimizer from an :class:`~repro.algorithms.base.OptimizerSpec`;
-        ``global_state`` is the proximal anchor (read only when ``spec.mu``)."""
+        ``params`` is the proximal anchor (read only when ``spec.mu``)."""
         return CohortSGD(
             self.model,
             spec.lr,
             weight_decay=spec.weight_decay,
             momentum=spec.momentum,
             mu=spec.mu,
-            anchor=global_state,
+            anchor=params,
         )
 
     # ------------------------------------------------------------------
@@ -210,12 +209,12 @@ class CohortEngine:
         return loss
 
     # ------------------------------------------------------------------
-    def stacked_update(self, global_state: dict[str, np.ndarray]) -> np.ndarray:
+    def stacked_update(self, params: np.ndarray) -> np.ndarray:
         """Whole-cohort ``(C, P)`` update in one subtract; row ``i`` is
         member ``i``'s. Per-member result dicts are zero-copy views of its
         rows (:meth:`member_update`), so aggregation consumes the batched
         tensor without an unstack pass."""
-        return self.model.stacked_update(global_state)
+        return self.model.stacked_update(params)
 
     def member_update(self, stacked: np.ndarray, i: int) -> dict[str, np.ndarray]:
         """Member ``i``'s update dict as views into :meth:`stacked_update`."""
@@ -267,9 +266,13 @@ class CohortExecutor(Executor):
         return "cohort" if self.pad else "serial"
 
     # ------------------------------------------------------------------
-    def bind(self, clients: Sequence["SimClient"], strategy: "Strategy") -> None:
-        self._clients = clients
-        self._strategy = strategy
+    def bind(
+        self,
+        clients: Sequence["SimClient"],
+        strategy: "Strategy",
+        layouts: "tuple[Layout, Layout] | None" = None,
+    ) -> None:
+        super().bind(clients, strategy, layouts)
         if self._sized_at_bind:
             # A plain list is eager and holds everyone.
             capacity = getattr(clients, "resident_capacity", None)
@@ -288,8 +291,8 @@ class CohortExecutor(Executor):
     # ------------------------------------------------------------------
     def run_round(
         self,
-        global_state: dict[str, np.ndarray],
-        global_buffers: dict[str, np.ndarray],
+        params: np.ndarray,
+        buffers: np.ndarray,
         jobs: list[tuple[int, RoundContext]],
     ) -> list[ClientRoundResult]:
         if self._clients is None or self._strategy is None:
@@ -301,16 +304,14 @@ class CohortExecutor(Executor):
         with self._profiler.phase("client.train"):
             for start in range(0, len(jobs), self.cohort_size):
                 chunk = jobs[start : start + self.cohort_size]
-                results.extend(
-                    self._run_chunk(global_state, global_buffers, chunk)
-                )
+                results.extend(self._run_chunk(params, buffers, chunk))
         self._mirror_metrics()
         return results
 
     def _run_chunk(
         self,
-        global_state: dict[str, np.ndarray],
-        global_buffers: dict[str, np.ndarray],
+        params: np.ndarray,
+        buffers: np.ndarray,
         chunk: list[tuple[int, RoundContext]],
     ) -> list[ClientRoundResult]:
         clients = [self._clients[cid] for cid, _ in chunk]
@@ -328,11 +329,11 @@ class CohortExecutor(Executor):
             engine = CohortEngine(
                 self._model_for(members[0].model, len(members)),
                 members,
-                global_buffers,
+                buffers,
                 pad=self.pad,
             )
             results = self._strategy.cohort_round(
-                engine, [chunk[k] for k in slots], global_state
+                engine, [chunk[k] for k in slots], params
             )
             for k, result in zip(slots, results):
                 out[k] = result

@@ -38,6 +38,7 @@ from .round import ClientRoundResult, RoundContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..algorithms.base import Strategy
+    from ..nn.layout import Layout
     from .client import SimClient
 
 __all__ = ["Executor", "SerialExecutor", "ClientJob", "resolve_executor"]
@@ -85,19 +86,33 @@ class Executor(ABC):
     #: What :meth:`bind` attached; ``None`` until then.
     _clients: "Sequence[SimClient] | None" = None
     _strategy: "Strategy | None" = None
+    _layouts: "tuple[Layout, Layout] | None" = None
 
-    @abstractmethod
-    def bind(self, clients: Sequence["SimClient"], strategy: "Strategy") -> None:
-        """Attach the simulator's client replicas and strategy."""
+    def bind(
+        self,
+        clients: Sequence["SimClient"],
+        strategy: "Strategy",
+        layouts: "tuple[Layout, Layout] | None" = None,
+    ) -> None:
+        """Attach the simulator's client replicas and strategy, and the
+        server model's parameter and buffer :class:`~repro.nn.layout.Layout`
+        tables: the layouts of the two vectors :meth:`run_round` receives
+        (only the parallel engine, which ships them across processes,
+        reads them)."""
+        self._clients = clients
+        self._strategy = strategy
+        self._layouts = layouts
 
     @abstractmethod
     def run_round(
         self,
-        global_state: dict[str, np.ndarray],
-        global_buffers: dict[str, np.ndarray],
+        params: np.ndarray,
+        buffers: np.ndarray,
         jobs: list[ClientJob],
     ) -> list[ClientRoundResult]:
-        """Execute every job and return results in job order."""
+        """Execute every job against the round-start global model — its
+        ``(P,)`` parameter and ``(B,)`` buffer vectors, read only — and
+        return results in job order."""
 
     def close(self) -> None:
         """Release any engine resources (processes, pipes, shared-memory
@@ -184,27 +199,19 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def bind(self, clients: Sequence["SimClient"], strategy: "Strategy") -> None:
-        self._clients = clients
-        self._strategy = strategy
-
     def run_round(
         self,
-        global_state: dict[str, np.ndarray],
-        global_buffers: dict[str, np.ndarray],
+        params: np.ndarray,
+        buffers: np.ndarray,
         jobs: list[ClientJob],
     ) -> list[ClientRoundResult]:
         if self._clients is None or self._strategy is None:
             raise RuntimeError("executor not bound; construct it via FederatedSimulator")
-        results: list[ClientRoundResult] = []
         with self._profiler.phase("client.train"):
-            for cid, ctx in jobs:
-                client = self._clients[cid]
-                client.stage_buffers(global_buffers)
-                results.append(
-                    self._strategy.client_round(client, global_state, ctx)
-                )
-        return results
+            return [
+                self._strategy.client_round(self._clients[cid], params, buffers, ctx)
+                for cid, ctx in jobs
+            ]
 
     def capture_run_state(self) -> dict[int, bytes]:
         return self._capture_local_state()

@@ -79,7 +79,7 @@ import os
 import pickle
 import traceback
 import warnings
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -89,9 +89,7 @@ from .round import ClientRoundResult
 from .transport import ShmTransport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..algorithms.base import Strategy
     from ..obs import Recorder
-    from .client import SimClient
 
 __all__ = ["ParallelExecutor", "WorkerCrash", "fork_available", "default_workers"]
 
@@ -146,7 +144,7 @@ def _worker_main(pairs, clients, strategy, owned_ids, transport, worker_index) -
     # The default engine, sized at bind to what a lazy population may hold.
     engine = CohortExecutor(pad=False)
     engine.bind(clients, strategy)
-    state = buffers = None
+    params = buffers = None
     try:
         while True:
             msg, _ = _recv(conn)
@@ -164,8 +162,8 @@ def _worker_main(pairs, clients, strategy, owned_ids, transport, worker_index) -
                 continue
             _, extra, jobs = msg
             try:
-                state, buffers = transport.read_broadcast(extra)
-                out = engine.run_round(state, buffers, jobs)
+                params, buffers = transport.read_broadcast(extra)
+                out = engine.run_round(params, buffers, jobs)
                 _send(conn, ("ok", (transport.encode_results(out), engine.counts.take())))
             except Exception:
                 _send(conn, ("err", traceback.format_exc()))
@@ -173,7 +171,7 @@ def _worker_main(pairs, clients, strategy, owned_ids, transport, worker_index) -
                 # Drop any zero-copy views into the broadcast arena before
                 # the next round overwrites it (and before process exit
                 # unmaps it under live exports).
-                state = buffers = None
+                params = buffers = None
     except (EOFError, KeyboardInterrupt, BrokenPipeError):  # parent went away
         pass
     finally:
@@ -207,10 +205,6 @@ class ParallelExecutor(Executor):
         self._counts = StepCounts()
 
     # ------------------------------------------------------------------
-    def bind(self, clients: Sequence["SimClient"], strategy: "Strategy") -> None:
-        self._clients = clients
-        self._strategy = strategy
-
     def set_recorder(self, recorder: "Recorder | None") -> None:
         self._recorder = recorder
         if self._transport_impl is not None:
@@ -239,11 +233,7 @@ class ParallelExecutor(Executor):
         self._fallback.set_profiler(self._profiler)
 
     # ------------------------------------------------------------------
-    def _start(
-        self,
-        global_state: dict[str, np.ndarray],
-        global_buffers: dict[str, np.ndarray],
-    ) -> None:
+    def _start(self) -> None:
         """Allocate the transport and fork the pool. Must happen before any
         round has run, so the children inherit the clients in their initial
         (seeded) state — and the transport's arenas by the same fork. If
@@ -256,15 +246,16 @@ class ParallelExecutor(Executor):
             [cid for cid in range(len(self._clients)) if cid % self.workers == w]
             for w in range(self.workers)
         ]
+        if self._layouts is None:
+            raise RuntimeError(
+                "the parallel executor needs the server model's layouts; "
+                "construct it via FederatedSimulator"
+            )
         transport = ShmTransport()
         reason = None if fork_available() else "no 'fork' start method"
         if reason is None:
             try:
-                transport.setup(
-                    global_state,
-                    global_buffers,
-                    [len(o) for o in owned_per_worker],
-                )
+                transport.setup(*self._layouts, [len(o) for o in owned_per_worker])
             except Exception as exc:  # setup() has already unlinked its arenas
                 reason = f"shared-memory setup failed: {exc!r}"
         if reason is not None:
@@ -320,16 +311,16 @@ class ParallelExecutor(Executor):
     # ------------------------------------------------------------------
     def run_round(
         self,
-        global_state: dict[str, np.ndarray],
-        global_buffers: dict[str, np.ndarray],
+        params: np.ndarray,
+        buffers: np.ndarray,
         jobs: list[ClientJob],
     ) -> list[ClientRoundResult]:
         if self._clients is None or self._strategy is None:
             raise RuntimeError("executor not bound; construct it via FederatedSimulator")
         if self._fallback is None and not self._started:
-            self._start(global_state, global_buffers)
+            self._start()
         if self._fallback is not None:
-            return self._fallback.run_round(global_state, global_buffers, jobs)
+            return self._fallback.run_round(params, buffers, jobs)
         transport = self._transport_impl
 
         per_worker: dict[int, list[ClientJob]] = {}
@@ -340,10 +331,10 @@ class ParallelExecutor(Executor):
 
         prof = self._profiler
         with prof.phase("broadcast"):
-            # Stage the broadcast once: one codec/memcpy pass regardless of
+            # Stage the broadcast once: two slice copies regardless of
             # client/worker count (the transport times its own "pack"
             # sub-span).
-            extra = transport.broadcast(global_state, global_buffers)
+            extra = transport.broadcast(params, buffers)
 
             crashed = False
             for w, wjobs in per_worker.items():
@@ -391,9 +382,7 @@ class ParallelExecutor(Executor):
             )
             self._degraded_after_start = True
             remaining = [(cid, ctx) for cid, ctx in jobs if cid not in by_cid]
-            for result in self._fallback.run_round(
-                global_state, global_buffers, remaining
-            ):
+            for result in self._fallback.run_round(params, buffers, remaining):
                 by_cid[result.client_id] = result
 
         return [by_cid[cid] for cid, _ in jobs]

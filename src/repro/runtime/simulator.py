@@ -162,9 +162,10 @@ class FederatedSimulator:
         self.eval_batch = eval_batch
         self.test_set = test_set
 
+        # The server model is the global state: its (P,) parameter and (B,)
+        # buffer vectors are what every engine receives and what each
+        # round's aggregate is written into, in place.
         self.global_model = model_fn()
-        self.global_state = self.global_model.state_dict()
-        self.global_buffers = self.global_model.buffer_dict()
 
         link_fn = link_fn or (lambda _cid: LinkModel())
         from ..scale import (
@@ -229,7 +230,10 @@ class FederatedSimulator:
         # The executor must bind while the clients are still in their
         # initial seeded state (ParallelExecutor forks replicas from here).
         self.executor = resolve_executor(executor)
-        self.executor.bind(self.clients, self.strategy)
+        arena = self.global_model.arena()
+        self.executor.bind(
+            self.clients, self.strategy, (arena.layout, arena.buffer_layout)
+        )
         if self.population is not None:
             # Executors that hold several clients live at once (a cohort
             # chunk) must never see a member evicted mid-round; one sized
@@ -239,6 +243,18 @@ class FederatedSimulator:
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.profiler.set_executor_label(self.executor.name)
         self.executor.set_profiler(self.profiler)
+
+    # ------------------------------------------------------------------
+    @property
+    def global_state(self) -> dict[str, np.ndarray]:
+        """A copy of the global model's parameters by layer name; writing
+        into it leaves the run unchanged."""
+        return self.global_model.state_dict()
+
+    @property
+    def global_buffers(self) -> dict[str, np.ndarray]:
+        """A copy of the global model's buffers by name (may be empty)."""
+        return self.global_model.buffer_dict()
 
     # ------------------------------------------------------------------
     # Checkpoint/resume (see repro.persist — imported lazily so the
@@ -296,9 +312,6 @@ class FederatedSimulator:
     # ------------------------------------------------------------------
     def evaluate(self) -> float:
         """Global-model top-1 accuracy on the held-out test set."""
-        self.global_model.load_state_dict(self.global_state)
-        if self.global_buffers:
-            self.global_model.load_buffer_dict(self.global_buffers)
         self.global_model.eval()
         correct = 0
         n = len(self.test_set)
@@ -402,20 +415,16 @@ class FederatedSimulator:
             )
             for cid in survivors
         ]
-        results = self.executor.run_round(
-            self.global_state, self.global_buffers, jobs
-        )
+        arena = self.global_model.arena()
+        results = self.executor.run_round(arena.values, arena.buffers, jobs)
 
         with prof.phase("collect"):
             collected, round_end = collect_earliest(
                 results, self.aggregation_fraction
             )
         with prof.phase("aggregate"):
-            update = aggregate_updates(collected)
-            self.global_state = apply_update(self.global_state, update)
-            new_buffers = aggregate_buffers(collected)
-            if new_buffers:
-                self.global_buffers = new_buffers
+            apply_update(arena.values, aggregate_updates(collected))
+            arena.buffers[...] = aggregate_buffers(collected)
 
         # Pace estimates refresh from every client that ran, collected or not.
         for r in results:

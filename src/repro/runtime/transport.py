@@ -14,14 +14,14 @@ between the parent and its persistent workers every round:
 bulk payloads are flat: the parameter and buffer
 :class:`~repro.nn.layout.Layout` tables are fixed at :meth:`ShmTransport.setup`
 (before the fork, so every worker holds them), and a broadcast or a result
-is then the ``P`` parameter floats followed by the ``B`` buffer floats —
-one gather into the arena, no per-message header or offset table. The
-broadcast is written **once** into a ``multiprocessing.shared_memory``
-arena behind a magic/version/generation preamble that all workers map
-read-only and zero-copy; each worker returns its results through its own
-arena of ``P + B``-float slots, one per client it owns, and the parent
-reads every decoded result in place — read-only views of its slot, valid
-until the next round's broadcast.
+is then the ``P`` parameter floats followed by the ``B`` buffer floats,
+with no per-message header or offset table. The broadcast is the server
+model's two vectors copied **once** into a ``multiprocessing.shared_memory``
+arena behind a magic/version/generation preamble — two slice copies — that
+all workers map read-only and zero-copy; each worker returns its results
+through its own arena of ``P + B``-float slots, one per client it owns, and
+the parent reads every decoded result in place — read-only views of its
+slot, valid until the next round's broadcast.
 
 Every arena reserves its pages at creation (see :class:`_Arena`), so a
 ``/dev/shm`` that cannot hold the pool fails :meth:`ShmTransport.setup`
@@ -270,13 +270,10 @@ class ShmTransport:
 
     # -- parent half ---------------------------------------------------
     def setup(
-        self,
-        state: dict[str, np.ndarray],
-        buffers: dict[str, np.ndarray],
-        owned_counts: list[int],
+        self, layout: Layout, buffer_layout: Layout, owned_counts: list[int]
     ) -> None:
-        """Fix the layouts and allocate (and reserve) the pool's arenas
-        before the workers fork.
+        """Fix the server model's parameter and buffer layouts and allocate
+        (and reserve) the pool's arenas before the workers fork.
 
         ``owned_counts[w]`` is the number of clients worker ``w`` owns —
         the upper bound on results it can return per round. Raises
@@ -286,8 +283,7 @@ class ShmTransport:
         """
         token = secrets.token_hex(4)
         prefix = f"{SEGMENT_PREFIX}-{os.getpid()}-{token}"
-        self._layout = Layout.of_arrays(state)
-        self._buffer_layout = Layout.of_arrays(buffers)
+        self._layout, self._buffer_layout = layout, buffer_layout
         slot_bytes = 4 * self._slot_floats
         try:
             self._broadcast = _Arena(f"{prefix}-b", _ARENA_DATA_OFFSET + slot_bytes)
@@ -304,11 +300,10 @@ class ShmTransport:
             atexit.register(self.close)
             self._atexit_registered = True
 
-    def broadcast(
-        self, state: dict[str, np.ndarray], buffers: dict[str, np.ndarray]
-    ) -> int:
-        """Stage one round's global model; returns the generation, the
-        (small) extra that rides the round control message to every
+    def broadcast(self, params: np.ndarray, buffers: np.ndarray) -> int:
+        """Stage one round's global model — its ``(P,)`` parameter and
+        ``(B,)`` buffer vectors, two slice copies; returns the generation,
+        the (small) extra that rides the round control message to every
         worker."""
         assert self._broadcast is not None, "setup() must run before broadcast()"
         t0 = time.perf_counter()
@@ -316,8 +311,8 @@ class ShmTransport:
             self._generation += 1
             payload = self._payload()
             p = self._layout.size
-            self._layout.flatten(state, out=payload[:p])
-            self._buffer_layout.flatten(buffers, out=payload[p:], what="buffer_dict")
+            payload[:p] = params
+            payload[p:] = buffers
             del payload  # release the exported buffer so the arena can be unmapped
             _SHM_HEADER.pack_into(
                 self._broadcast.buf, 0, _SHM_MAGIC, _SHM_VERSION, 0, self._generation
@@ -398,11 +393,10 @@ class ShmTransport:
         self._recorder = None  # the parent's recorder must not be touched
         self._profiler = NULL_PROFILER  # ditto for the parent's profiler
 
-    def read_broadcast(
-        self, generation: int
-    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """Recover the round's global (state, buffers) in the worker, as
-        read-only views into the broadcast arena."""
+    def read_broadcast(self, generation: int) -> tuple[np.ndarray, np.ndarray]:
+        """Recover the round's global ``(P,)`` parameter and ``(B,)`` buffer
+        vectors in the worker, as read-only views into the broadcast
+        arena."""
         assert self._broadcast is not None
         magic, version, _, written = _SHM_HEADER.unpack_from(self._broadcast.buf, 0)
         if magic != _SHM_MAGIC or version != _SHM_VERSION:
@@ -416,7 +410,8 @@ class ShmTransport:
             )
         payload = self._payload()
         payload.flags.writeable = False
-        return self._split(payload)
+        p = self._layout.size
+        return payload[:p], payload[p:]
 
     def encode_results(self, results: "list[ClientRoundResult]") -> Any:
         """Stage a worker's result batch — result ``k`` into slot ``k`` —

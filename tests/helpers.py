@@ -341,3 +341,10 @@ def progress_reference(g_i: np.ndarray, g_k: np.ndarray) -> float:
         return 0.0
     cos = float(np.clip(np.dot(g_i, g_k) / (ni * nk), -1.0, 1.0))
     return cos * (min(ni, nk) / max(ni, nk))
+
+
+def global_vectors(model: Module) -> tuple[np.ndarray, np.ndarray]:
+    """A copy of ``model``'s ``(P,)`` parameter and ``(B,)`` buffer vectors:
+    the round-start global model a strategy driver or an engine takes."""
+    arena = model.arena()
+    return arena.values.copy(), arena.buffers.copy()

@@ -22,6 +22,8 @@ from repro.runtime import FederatedSimulator, RoundContext
 from repro.runtime.client import SimClient
 from repro.sysmodel import LinkModel, SpeedTrace
 
+from .helpers import global_vectors
+
 
 def tiny_shard(n=24, seed=0):
     rng = np.random.default_rng(seed)
@@ -61,51 +63,52 @@ OPT = OptimizerSpec(lr=0.05, weight_decay=0.0)
 
 class TestFedAvgClientRound:
     def test_runs_full_iterations(self):
-        res = FedAvg(OPT).client_round(make_client(), model_fn().state_dict(), ctx())
+        res = FedAvg(OPT).client_round(make_client(), *global_vectors(model_fn()), ctx())
         assert res.iterations_run == 6
         assert res.events["iterations_run"] == 6
 
     def test_update_equals_local_minus_global(self):
         client = make_client()
-        global_state = model_fn().state_dict()
-        res = FedAvg(OPT).client_round(client, global_state, ctx())
+        params, buffers = global_vectors(model_fn())
+        res = FedAvg(OPT).client_round(client, params, buffers, ctx())
+        global_state = client.model.arena().layout.views(params)
         for name, p in client.model.named_parameters():
             np.testing.assert_allclose(
                 res.update[name], p.data - global_state[name], rtol=1e-6
             )
 
     def test_timeline_ordering(self):
-        res = FedAvg(OPT).client_round(make_client(), model_fn().state_dict(), ctx())
+        res = FedAvg(OPT).client_round(make_client(), *global_vectors(model_fn()), ctx())
         assert res.compute_start_time > 0  # download time
         assert res.compute_finish_time > res.compute_start_time
         assert res.upload_finish_time > res.compute_finish_time
 
     def test_static_compute_time_exact(self):
         client = make_client(base_time=0.5)
-        res = FedAvg(OPT).client_round(client, model_fn().state_dict(), ctx())
+        res = FedAvg(OPT).client_round(client, *global_vectors(model_fn()), ctx())
         assert res.compute_finish_time - res.compute_start_time == pytest.approx(3.0)
 
     def test_upload_bytes_full_model(self):
         client = make_client()
-        res = FedAvg(OPT).client_round(client, model_fn().state_dict(), ctx())
+        res = FedAvg(OPT).client_round(client, *global_vectors(model_fn()), ctx())
         assert res.bytes_uploaded == client.model_bytes
 
     def test_assigned_iterations_respected(self):
         res = FedAvg(OPT).client_round(
-            make_client(), model_fn().state_dict(), ctx(assigned=3)
+            make_client(), *global_vectors(model_fn()), ctx(assigned=3)
         )
         assert res.iterations_run == 3
 
     def test_update_changes_model(self):
-        res = FedAvg(OPT).client_round(make_client(), model_fn().state_dict(), ctx())
+        res = FedAvg(OPT).client_round(make_client(), *global_vectors(model_fn()), ctx())
         assert any(np.abs(v).max() > 0 for v in res.update.values())
 
 
 class TestFedProx:
     def test_prox_shrinks_drift(self):
-        global_state = model_fn().state_dict()
-        plain = FedAvg(OPT).client_round(make_client(), global_state, ctx(iterations=10))
-        prox = FedProx(OPT, mu=1.0).client_round(make_client(), global_state, ctx(iterations=10))
+        global_state = global_vectors(model_fn())
+        plain = FedAvg(OPT).client_round(make_client(), *global_state, ctx(iterations=10))
+        prox = FedProx(OPT, mu=1.0).client_round(make_client(), *global_state, ctx(iterations=10))
         norm = lambda upd: np.sqrt(sum(float((v**2).sum()) for v in upd.values()))
         assert norm(prox.update) < norm(plain.update)
 
@@ -155,7 +158,7 @@ class TestFedCARounds:
     def test_first_round_is_anchor(self):
         strat = self._strategy()
         client = make_client()
-        res = strat.client_round(client, model_fn().state_dict(), ctx(round_index=0))
+        res = strat.client_round(client, *global_vectors(model_fn()), ctx(round_index=0))
         assert res.events["anchor"]
         assert res.iterations_run == 6
         assert strat.profile(client).curves is not None
@@ -163,7 +166,7 @@ class TestFedCARounds:
     def test_anchor_curve_properties(self):
         strat = self._strategy()
         client = make_client()
-        strat.client_round(client, model_fn().state_dict(), ctx(round_index=0))
+        strat.client_round(client, *global_vectors(model_fn()), ctx(round_index=0))
         curves = strat.profile(client).curves
         assert curves.num_iterations == 6
         assert curves.model_curve[-1] == pytest.approx(1.0)
@@ -172,24 +175,24 @@ class TestFedCARounds:
     def test_unprofiled_client_gets_anchor_even_mid_schedule(self):
         strat = self._strategy()
         client = make_client()
-        res = strat.client_round(client, model_fn().state_dict(), ctx(round_index=5))
+        res = strat.client_round(client, *global_vectors(model_fn()), ctx(round_index=5))
         assert res.events["anchor"]
 
     def test_optimized_round_after_anchor(self):
         strat = self._strategy()
         client = make_client()
-        state = model_fn().state_dict()
-        strat.client_round(client, state, ctx(round_index=0))
-        res = strat.client_round(client, state, ctx(round_index=1))
+        state = global_vectors(model_fn())
+        strat.client_round(client, *state, ctx(round_index=0))
+        res = strat.client_round(client, *state, ctx(round_index=1))
         assert not res.events["anchor"]
 
     def test_early_stop_with_tight_deadline(self):
         strat = self._strategy()
         client = make_client(base_time=1.0)  # 1s per iteration
-        state = model_fn().state_dict()
-        strat.client_round(client, state, ctx(round_index=0, iterations=8))
+        state = global_vectors(model_fn())
+        strat.client_round(client, *state, ctx(round_index=0, iterations=8))
         res = strat.client_round(
-            client, state, ctx(round_index=1, iterations=8, deadline=2.5)
+            client, *state, ctx(round_index=1, iterations=8, deadline=2.5)
         )
         assert res.events["early_stop_iteration"] is not None
         assert res.iterations_run < 8
@@ -197,10 +200,10 @@ class TestFedCARounds:
     def test_no_early_stop_with_loose_deadline_and_flat_cost(self):
         strat = self._strategy(beta=0.001)
         client = make_client(base_time=0.001)
-        state = model_fn().state_dict()
-        strat.client_round(client, state, ctx(round_index=0, iterations=4))
+        state = global_vectors(model_fn())
+        strat.client_round(client, *state, ctx(round_index=0, iterations=4))
         res = strat.client_round(
-            client, state, ctx(round_index=1, iterations=4, deadline=1e6)
+            client, *state, ctx(round_index=1, iterations=4, deadline=1e6)
         )
         # Cost is ~0; only a fully-flat benefit could stop before K.
         assert res.iterations_run >= 1
@@ -208,9 +211,9 @@ class TestFedCARounds:
     def test_eager_transmission_records_events(self):
         strat = self._strategy(eager_threshold=0.5)
         client = make_client()
-        state = model_fn().state_dict()
-        strat.client_round(client, state, ctx(round_index=0, iterations=8))
-        res = strat.client_round(client, state, ctx(round_index=1, iterations=8))
+        state = global_vectors(model_fn())
+        strat.client_round(client, *state, ctx(round_index=0, iterations=8))
+        res = strat.client_round(client, *state, ctx(round_index=1, iterations=8))
         assert len(res.events["eager"]) > 0
         for layer, tau in res.events["eager"].items():
             assert 1 <= tau <= res.iterations_run
@@ -219,18 +222,18 @@ class TestFedCARounds:
     def test_eager_disabled_in_v1(self):
         strat = FedCA(OPT, config=FedCAConfig.v1())
         client = make_client()
-        state = model_fn().state_dict()
-        strat.client_round(client, state, ctx(round_index=0))
-        res = strat.client_round(client, state, ctx(round_index=1))
+        state = global_vectors(model_fn())
+        strat.client_round(client, *state, ctx(round_index=0))
+        res = strat.client_round(client, *state, ctx(round_index=1))
         assert res.events["eager"] == {}
 
     def test_server_receives_stale_value_without_retransmit(self):
         strat = FedCA(OPT, config=FedCAConfig.v2(eager_threshold=0.3))
         client = make_client()
-        state = model_fn().state_dict()
-        strat.client_round(client, state, ctx(round_index=0, iterations=10))
-        res = strat.client_round(client, state, ctx(round_index=1, iterations=10))
-        final = client.local_update(state)
+        state = global_vectors(model_fn())
+        strat.client_round(client, *state, ctx(round_index=0, iterations=10))
+        res = strat.client_round(client, *state, ctx(round_index=1, iterations=10))
+        final = client.local_update(state[0])
         eager_layers = set(res.events["eager"])
         assert eager_layers
         early = [l for l, t in res.events["eager"].items() if t < res.iterations_run]
@@ -243,10 +246,10 @@ class TestFedCARounds:
         # Force retransmission of everything: threshold above any cosine.
         strat = self._strategy(eager_threshold=0.3, retransmit_threshold=1.0)
         client = make_client()
-        state = model_fn().state_dict()
-        strat.client_round(client, state, ctx(round_index=0, iterations=8))
-        res = strat.client_round(client, state, ctx(round_index=1, iterations=8))
-        final = client.local_update(state)
+        state = global_vectors(model_fn())
+        strat.client_round(client, *state, ctx(round_index=0, iterations=8))
+        res = strat.client_round(client, *state, ctx(round_index=1, iterations=8))
+        final = client.local_update(state[0])
         assert set(res.events["retransmitted"]) == set(res.events["eager"])
         for name in res.update:
             np.testing.assert_allclose(res.update[name], final[name], rtol=1e-6)
@@ -254,27 +257,27 @@ class TestFedCARounds:
     def test_retransmission_costs_extra_bytes(self):
         strat = self._strategy(eager_threshold=0.3, retransmit_threshold=1.0)
         client = make_client()
-        state = model_fn().state_dict()
-        strat.client_round(client, state, ctx(round_index=0, iterations=8))
-        res = strat.client_round(client, state, ctx(round_index=1, iterations=8))
+        state = global_vectors(model_fn())
+        strat.client_round(client, *state, ctx(round_index=0, iterations=8))
+        res = strat.client_round(client, *state, ctx(round_index=1, iterations=8))
         assert res.bytes_uploaded > client.model_bytes
 
     def test_anchor_round_single_full_upload(self):
         strat = self._strategy()
         client = make_client()
-        res = strat.client_round(client, model_fn().state_dict(), ctx(round_index=0))
+        res = strat.client_round(client, *global_vectors(model_fn()), ctx(round_index=0))
         assert res.bytes_uploaded == client.model_bytes
 
     def test_eager_overlap_reduces_upload_finish(self):
         # Slow link + compute-heavy round: eager should beat a pure tail upload.
-        state = model_fn().state_dict()
+        state = global_vectors(model_fn())
 
         def run(variant_cfg):
             strat = FedCA(OPT, config=variant_cfg)
             client = make_client(mbps=0.05, base_time=0.3)
-            strat.client_round(client, state, ctx(round_index=0, iterations=10, deadline=1e5))
+            strat.client_round(client, *state, ctx(round_index=0, iterations=10, deadline=1e5))
             res = strat.client_round(
-                client, state, ctx(round_index=1, iterations=10, deadline=1e5)
+                client, *state, ctx(round_index=1, iterations=10, deadline=1e5)
             )
             return res
 
@@ -344,7 +347,7 @@ class TestDeadlineStop:
         strat = DeadlineStop(OPT)
         client = make_client(base_time=1.0)  # 1 s per iteration
         res = strat.client_round(
-            client, model_fn().state_dict(), ctx(iterations=10, deadline=3.5)
+            client, *global_vectors(model_fn()), ctx(iterations=10, deadline=3.5)
         )
         assert res.iterations_run == 4  # crosses 3.5 s after the 4th iteration
         assert res.events["early_stop_iteration"] == 4
@@ -355,7 +358,7 @@ class TestDeadlineStop:
         strat = DeadlineStop(OPT)
         client = make_client(base_time=0.01)
         res = strat.client_round(
-            client, model_fn().state_dict(), ctx(iterations=6, deadline=100.0)
+            client, *global_vectors(model_fn()), ctx(iterations=6, deadline=100.0)
         )
         assert res.iterations_run == 6
         assert res.events["early_stop_iteration"] is None

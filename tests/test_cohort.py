@@ -66,6 +66,7 @@ from repro.runtime import CohortExecutor, RoundContext, SerialExecutor, resolve_
 from repro.runtime.client import SimClient
 from repro.sysmodel import LinkModel, SpeedTrace
 
+from .helpers import global_vectors
 from .test_executor import history_fingerprint
 
 
@@ -458,7 +459,7 @@ class TestCohortModel:
         rng = np.random.default_rng(7)
         members = clone_members(template_fn, c)
         cohort = CohortModel(members[0], c)
-        cohort.load_global(members[0].state_dict(), {})
+        cohort.load_global(*global_vectors(members[0]))
         cohort.bind_member_models(members)
         opt = CohortSGD(cohort, lr, weight_decay=wd, momentum=momentum)
         xs = rng.normal(size=(steps, c) + xshape).astype(np.float32)
@@ -493,7 +494,7 @@ class TestCohortModel:
         c = 2
         members = clone_members(model_fn, c)
         cohort = CohortModel(members[0], c)
-        cohort.load_global(members[0].state_dict(), {})
+        cohort.load_global(*global_vectors(members[0]))
         before = {n: p.data[1].copy() for n, p in cohort.params.items()}
         opt = CohortSGD(cohort, 0.1, weight_decay=0.01, momentum=0.9)
         for p in cohort.params.values():
@@ -513,7 +514,7 @@ class TestCohortModel:
         c = 3
         members = clone_members(model_fn, c)
         cohort = CohortModel(members[0], c)
-        cohort.load_global(members[0].state_dict(), {})
+        cohort.load_global(*global_vectors(members[0]))
         rng = np.random.default_rng(3)
         for p in cohort.params.values():
             p.grad[...] = rng.normal(size=p.grad.shape)
@@ -533,9 +534,9 @@ class TestCohortModel:
         c, steps = 3, 4
         lr, wd, momentum, mu = 0.05, 1e-3, 0.9, 0.5
         members = clone_members(model_fn, c)
-        anchor = members[0].state_dict()
+        anchor, buffers = global_vectors(members[0])
         cohort = CohortModel(members[0], c)
-        cohort.load_global(anchor, {})
+        cohort.load_global(anchor, buffers)
         opt = CohortSGD(
             cohort, lr, weight_decay=wd, momentum=momentum, mu=mu, anchor=anchor
         )
@@ -557,11 +558,12 @@ class TestCohortModel:
                     refs[i].step()
             opt.step(mask)
         moved = 0
+        start = members[0].arena().layout.views(anchor)
         for i, m in enumerate(members):
             got = cohort.member_params(i)
             for name, p in m.named_parameters():
                 assert_same(got[name], p.data, f"{i}:{name}")
-                moved += not np.array_equal(p.data, anchor[name])
+                moved += not np.array_equal(p.data, start[name])
         assert moved
         with pytest.raises(ValueError):
             CohortSGD(cohort, lr, mu=mu)
@@ -582,7 +584,7 @@ class TestCohortModel:
         members = clone_members(template_fn, c)
         refs = clone_members(template_fn, c)
         cohort = CohortModel(members[0], c)
-        cohort.load_global(members[0].state_dict(), {})
+        cohort.load_global(*global_vectors(members[0]))
         cohort.bind_member_models(members)
         opt = CohortSGD(cohort, 0.05)
         rng = np.random.default_rng(11)
@@ -625,7 +627,7 @@ class TestCohortModel:
             cohort.module.named_buffers(), members[0].named_buffers()
         ):
             assert buf.shape == (c,) + q.shape, name
-        cohort.load_global(members[0].state_dict(), members[0].buffer_dict())
+        cohort.load_global(*global_vectors(members[0]))
         cohort.bind_member_models(members)
         opt = CohortSGD(cohort, 0.05, weight_decay=1e-3)
         rng = np.random.default_rng(11)
@@ -731,8 +733,8 @@ class TestResolveExecutor:
 # ----------------------------------------------------------------------
 def run_executor(executor, clients, strategy, jobs):
     executor.bind(clients, strategy)
-    global_state = model_fn().state_dict()
-    return executor.run_round(global_state, {}, jobs), global_state
+    global_state = global_vectors(model_fn())
+    return executor.run_round(*global_state, jobs), global_state
 
 
 class TestCohortExecutor:
@@ -847,7 +849,7 @@ class TestCohortExecutor:
         executor = CohortExecutor(2)
         executor.bind(clients, strategy)
         executor.set_recorder(recorder)
-        executor.run_round(model_fn().state_dict(), {}, [(i, ctx()) for i in range(3)])
+        executor.run_round(*global_vectors(model_fn()), [(i, ctx()) for i in range(3)])
         assert recorder.gauges["repro_cohort_size"] == 2.0
         # FedAvg never masks: chunks of 2 and 1 over six steps each.
         assert recorder.counters["repro_cohort_steps_total"] == 12
@@ -863,9 +865,9 @@ class TestCohortExecutor:
         least recently used first out."""
         executor = CohortExecutor(4)
         executor.bind([make_client(i) for i in range(4)], FedAvg(OPT))
-        state = model_fn().state_dict()
+        state = global_vectors(model_fn())
         for n in (4, 3, 2, 1, 3):
-            executor.run_round(state, {}, [(i, ctx(iterations=1)) for i in range(n)])
+            executor.run_round(*state, [(i, ctx(iterations=1)) for i in range(n)])
         assert list(executor._models) == [2, 1, 3]
 
     def test_occupancy_divides_by_the_realised_width(self):
@@ -1048,11 +1050,11 @@ class TestOneRoundBody:
 
         def run(executor):
             executor.bind([slowed_client(i) for i in range(3)], build())
-            state = model_fn().state_dict()
+            state = global_vectors(model_fn())
             out = []
             for r in range(2):
                 jobs = [(i, ctx(round_index=r, deadline=0.12)) for i in range(3)]
-                out.append(executor.run_round(state, {}, jobs))
+                out.append(executor.run_round(*state, jobs))
             return out
 
         serial = run(SerialExecutor())

@@ -372,20 +372,21 @@ class TestParallelLifecycle:
 
     @needs_fork
     def test_client_exception_propagates(self, env_data):
-        # A deterministic error inside client_round (here: a broadcast state
-        # with a missing layer) must surface in the parent, not degrade the
-        # pool — it would fail identically under the serial engine.
+        # A deterministic error inside the client round (here: a job for a
+        # client the run does not have) must surface in the parent, not
+        # degrade the pool — it would fail identically under the serial
+        # engine.
         executor = ParallelExecutor(workers=2)
         with make_sim(env_data, "fedavg", executor=executor) as sim:
-            bad_state = dict(sim.global_state)
-            bad_state.pop(next(iter(bad_state)))
             from repro.runtime.round import RoundContext
 
             ctx = RoundContext(
                 round_index=0, round_start=0.0, iterations=1, deadline=1.0
             )
+            arena = sim.global_model.arena()
+            missing = len(sim.clients)
             with pytest.raises(RuntimeError, match="client round failed"):
-                executor.run_round(bad_state, {}, [(0, ctx)])
+                executor.run_round(arena.values, arena.buffers, [(missing, ctx)])
 
 
 class TestFallbackWithoutFork:
@@ -829,6 +830,173 @@ class TestResolveExecutor:
 
         ctx = RoundContext(round_index=0, round_start=0.0, iterations=1, deadline=1.0)
         with pytest.raises(RuntimeError):
-            SerialExecutor().run_round({}, {}, [(0, ctx)])
+            SerialExecutor().run_round(np.zeros(1), np.zeros(0), [(0, ctx)])
         with pytest.raises(RuntimeError):
-            ParallelExecutor(workers=1).run_round({}, {}, [(0, ctx)])
+            ParallelExecutor(workers=1).run_round(np.zeros(1), np.zeros(0), [(0, ctx)])
+
+
+# ----------------------------------------------------------------------
+# The server model's arena is the global state
+# ----------------------------------------------------------------------
+def bn_wrn():
+    """A micro WideResNet with BatchNorm: both global vectors non-empty."""
+    from repro.nn import WideResNet
+
+    return WideResNet(
+        depth=10, widen_factor=1, num_classes=10, norm="batch",
+        rng=np.random.default_rng(7),
+    )
+
+
+SERVER_ENGINES = {
+    "default": lambda: None,
+    "cohort:4": lambda: "cohort:4",
+    "parallel:2": lambda: ParallelExecutor(workers=2),
+    "reference": SerialExecutor,
+}
+
+
+class TestServerModelIsTheGlobalState:
+    """Every engine receives the server model's own ``(P,)``/``(B,)``
+    vectors, ``evaluate`` reads the model as aggregation left it, and the
+    ``global_state`` dict a caller reads is a copy."""
+
+    ROUNDS = 3
+
+    def run(self, env_data, engine, monkeypatch, *, scribble=False):
+        from repro.nn import Module
+        from repro.runtime import ShmTransport
+
+        sim = make_sim(
+            env_data, "fedca", executor=SERVER_ENGINES[engine](), model_fn=bn_wrn
+        )
+        seen = {
+            "run_round": 0, "driver": 0, "consumers": 0, "broadcast": 0,
+            "loads_in_eval": [],
+        }
+
+        def is_server_arena(params, buffers) -> bool:
+            arena = sim.global_model.arena()
+            return params is arena.values and buffers is arena.buffers
+
+        real_run_round = sim.executor.run_round
+
+        def run_round(params, buffers, jobs):
+            assert is_server_arena(params, buffers)
+            seen["run_round"] += 1
+            return real_run_round(params, buffers, jobs)
+
+        monkeypatch.setattr(sim.executor, "run_round", run_round)
+        strategy = sim.strategy
+        real_cohort_round, real_client_round = strategy.cohort_round, strategy.client_round
+
+        def cohort_round(cohort, jobs, params):
+            assert params is sim.global_model.arena().values
+            assert cohort._buffers is sim.global_model.arena().buffers
+            seen["driver"] += 1
+            return real_cohort_round(cohort, jobs, params)
+
+        def client_round(client, params, buffers, ctx):
+            assert is_server_arena(params, buffers)
+            seen["driver"] += 1
+            return real_client_round(client, params, buffers, ctx)
+
+        if not engine.startswith("parallel"):
+            # (A worker's drivers read the broadcast, checked below.)
+            monkeypatch.setattr(strategy, "cohort_round", cohort_round)
+            monkeypatch.setattr(strategy, "client_round", client_round)
+            # ... and every consumer under a driver gets the vector, too.
+            from repro.nn.cohort import CohortModel
+            from repro.runtime import SimClient
+
+            for owner, name in (
+                (CohortModel, "load_global"),
+                (CohortModel, "stacked_update"),
+                (SimClient, "load_global"),
+                (SimClient, "local_update"),
+            ):
+                real = getattr(owner, name)
+
+                def consumer(obj, params, *rest, _real=real):
+                    assert params is sim.global_model.arena().values
+                    seen["consumers"] += 1
+                    return _real(obj, params, *rest)
+
+                monkeypatch.setattr(owner, name, consumer)
+        real_broadcast = ShmTransport.broadcast
+
+        def broadcast(transport, params, buffers):
+            assert is_server_arena(params, buffers)
+            generation = real_broadcast(transport, params, buffers)
+            sent = np.concatenate([params, buffers])
+            assert transport._payload().tobytes() == sent.tobytes()
+            seen["broadcast"] += 1
+            return generation
+
+        monkeypatch.setattr(ShmTransport, "broadcast", broadcast)
+        in_eval = [False]
+        real_evaluate = sim.evaluate
+
+        def evaluate():
+            in_eval[0] = True
+            try:
+                return real_evaluate()
+            finally:
+                in_eval[0] = False
+
+        monkeypatch.setattr(sim, "evaluate", evaluate)
+        for name in ("load_state_dict", "load_buffer_dict"):
+            real_load = getattr(Module, name)
+
+            def spy(module, state, _real=real_load, _name=name):
+                if in_eval[0]:
+                    seen["loads_in_eval"].append(_name)
+                return _real(module, state)
+
+            monkeypatch.setattr(Module, name, spy)
+        with sim:
+            for _ in range(self.ROUNDS):
+                sim.run_round()
+                if scribble:
+                    for copy in (sim.global_state, sim.global_buffers):
+                        for value in copy.values():
+                            value[...] = 7.0
+            final = (sim.global_state, sim.global_buffers)
+        monkeypatch.undo()
+        return sim.history, final, seen
+
+    @pytest.mark.parametrize("engine", list(SERVER_ENGINES))
+    def test_engines_receive_the_server_arena(self, env_data, engine, monkeypatch):
+        if engine.startswith("parallel") and not (fork_available() and shm_available()[0]):
+            pytest.skip("the worker pool needs fork and POSIX shared memory")
+        hist, (state, buffers), seen = self.run(env_data, engine, monkeypatch)
+        assert state and buffers  # BatchNorm: both vectors are non-empty
+        assert seen["run_round"] == self.ROUNDS
+        assert seen["loads_in_eval"] == []
+        if engine.startswith("parallel"):
+            assert seen["broadcast"] == self.ROUNDS and seen["driver"] == 0
+        else:
+            assert seen["broadcast"] == 0 and seen["driver"] >= self.ROUNDS
+            # load + update per program (cohort) or per client (reference)
+            assert seen["consumers"] == 2 * seen["driver"]
+        ref_hist, (ref_state, ref_buffers), _ = self.run(
+            env_data, "reference", monkeypatch
+        )
+        assert history_fingerprint(hist) == history_fingerprint(ref_hist)
+        for got, want in ((state, ref_state), (buffers, ref_buffers)):
+            assert list(got) == list(want)
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_writing_into_global_state_copies_changes_nothing(
+        self, env_data, monkeypatch
+    ):
+        hist, (state, buffers), _ = self.run(env_data, "default", monkeypatch)
+        hist2, (state2, buffers2), _ = self.run(
+            env_data, "default", monkeypatch, scribble=True
+        )
+        assert history_fingerprint(hist2) == history_fingerprint(hist)
+        for name in state:
+            assert state2[name].tobytes() == state[name].tobytes(), name
+        for name in buffers:
+            assert buffers2[name].tobytes() == buffers[name].tobytes(), name

@@ -12,6 +12,8 @@ from repro.runtime import FederatedSimulator, RoundContext
 from repro.runtime.client import SimClient
 from repro.sysmodel import LinkModel, SpeedTrace
 
+from .helpers import global_vectors
+
 OPT = OptimizerSpec(lr=0.05, weight_decay=0.01)
 
 
@@ -110,7 +112,7 @@ class TestFedCAAdaptiveBatch:
         iteration instead of waiting)."""
         from repro.algorithms import FedCA
 
-        state = LeNetCNN(rng=np.random.default_rng(3)).state_dict()
+        state = global_vectors(LeNetCNN(rng=np.random.default_rng(3)))
 
         def compute_span(strategy_cls, **kwargs):
             strat = strategy_cls(OPT, **kwargs)
@@ -121,9 +123,9 @@ class TestFedCAAdaptiveBatch:
             )
             client = make_client(trace=trace)
             ctx0 = RoundContext(0, 0.0, 10, deadline=1e6)
-            strat.client_round(client, state, ctx0)
+            strat.client_round(client, *state, ctx0)
             ctx1 = RoundContext(1, 0.0, 10, deadline=1e6)
-            res = strat.client_round(client, state, ctx1)
+            res = strat.client_round(client, *state, ctx1)
             return (res.compute_finish_time - res.compute_start_time, res.iterations_run)
 
         plain_span, plain_iters = compute_span(FedCA)

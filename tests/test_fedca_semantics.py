@@ -14,6 +14,8 @@ from repro.runtime import RoundContext
 from repro.runtime.client import SimClient
 from repro.sysmodel import LinkModel, SpeedTrace
 
+from .helpers import global_vectors
+
 OPT = OptimizerSpec(lr=0.05, weight_decay=0.0)
 
 
@@ -48,9 +50,9 @@ def ctx(round_index, iterations=8, deadline=1e6):
 
 
 def run_two_rounds(strategy, cl, iterations=8, deadline=1e6):
-    state = LeNetCNN(rng=np.random.default_rng(3)).state_dict()
-    strategy.client_round(cl, state, ctx(0, iterations, deadline))
-    return strategy.client_round(cl, state, ctx(1, iterations, deadline)), state
+    state = global_vectors(LeNetCNN(rng=np.random.default_rng(3)))
+    strategy.client_round(cl, *state, ctx(0, iterations, deadline))
+    return strategy.client_round(cl, *state, ctx(1, iterations, deadline)), state
 
 
 class TestUplinkAccounting:
@@ -126,7 +128,7 @@ class TestVariantEdges:
         assert res.events["eager"] == {}
         assert res.bytes_uploaded == cl.model_bytes
         # Server receives exactly the local update.
-        final = cl.local_update(state)
+        final = cl.local_update(state[0])
         for name in final:
             np.testing.assert_allclose(res.update[name], final[name], rtol=1e-6)
 
@@ -140,9 +142,9 @@ class TestVariantEdges:
     def test_profile_every_one_always_anchors(self):
         strat = FedCA(OPT, config=FedCAConfig(profile_every=1))
         cl = client()
-        state = LeNetCNN(rng=np.random.default_rng(3)).state_dict()
+        state = global_vectors(LeNetCNN(rng=np.random.default_rng(3)))
         for r in range(3):
-            res = strat.client_round(cl, state, ctx(r))
+            res = strat.client_round(cl, *state, ctx(r))
             assert res.events["anchor"], f"round {r} should anchor"
 
 

@@ -12,6 +12,8 @@ from repro.experiments import get_workload
 from repro.nn import LeNetCNN, Linear, ReLU, Sequential
 from repro.runtime import RoundContext
 
+from .helpers import global_vectors
+
 
 class TestModuleTraversal:
     def test_named_modules_depth_first(self):
@@ -59,7 +61,7 @@ class TestRunLocalIterations:
     def test_returns_finish_time_and_loss(self):
         client = self._client()
         res = FedAvg(OptimizerSpec(lr=0.05)).client_round(
-            client, client.current_state(), RoundContext(0, 10.0, 4, deadline=100.0)
+            client, *global_vectors(client.model), RoundContext(0, 10.0, 4, deadline=100.0)
         )
         assert res.compute_finish_time - res.compute_start_time == pytest.approx(2.0)
         assert res.compute_start_time == pytest.approx(
@@ -77,7 +79,7 @@ class TestRunLocalIterations:
         client = self._client()
         with pytest.raises(ValueError):
             ZeroBudget(OptimizerSpec(lr=0.05)).client_round(
-                client, client.current_state(), RoundContext(0, 0.0, 4, deadline=100.0)
+                client, *global_vectors(client.model), RoundContext(0, 0.0, 4, deadline=100.0)
             )
 
 
@@ -126,6 +128,25 @@ class TestPackageSurface:
             assert mod.__doc__, f"{mod.__name__} lacks a module docstring"
             for name in mod.__all__:
                 assert hasattr(mod, name), f"{mod.__name__}.{name} missing"
+
+    def test_run_path_imports_no_http_stack(self):
+        """A run imports no HTTP server: nothing on the runtime, persistence
+        or scale path pulls in ``http.server`` (and ``ssl`` with it)."""
+        import os
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro.runtime, repro.persist, repro.scale; "
+            "print(sorted({'ssl', 'http.server'} & set(sys.modules)))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_optimizer_spec_builds_sgd(self):
         model = LeNetCNN(rng=np.random.default_rng(0))

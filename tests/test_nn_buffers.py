@@ -85,12 +85,14 @@ class TestBufferAggregation:
 
     def test_weighted_mean(self):
         agg = aggregate_buffers([self._result(0, 30, 1.0), self._result(1, 10, 5.0)])
-        np.testing.assert_allclose(agg["bn.running_mean"], 2.0, rtol=1e-6)
+        np.testing.assert_allclose(agg, 2.0, rtol=1e-6)
+        assert agg.shape == (2,) and agg.dtype == np.float32
 
     def test_empty_buffers_return_empty(self):
         r = self._result(0, 10, 1.0)
         r.buffers = {}
-        assert aggregate_buffers([r]) == {}
+        agg = aggregate_buffers([r])
+        assert agg.shape == (0,) and agg.dtype == np.float32
 
     def test_key_mismatch_raises(self):
         a = self._result(0, 10, 1.0)

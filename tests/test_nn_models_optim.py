@@ -122,7 +122,7 @@ class TestSGD:
 class TestProxSGD:
     def test_prox_pulls_toward_anchor(self):
         m = LeNetCNN(rng=np.random.default_rng(3))
-        anchor = m.state_dict()
+        anchor = m.arena().values.copy()
         opt = ProxSGD(m, lr=0.1, mu=1.0)
         opt.set_anchor(anchor)
         # Drift a parameter away, then step with zero task gradient.
@@ -137,7 +137,7 @@ class TestProxSGD:
     def test_anchor_at_current_is_plain_sgd(self):
         m = LeNetCNN(rng=np.random.default_rng(3))
         opt = ProxSGD(m, lr=0.1, mu=10.0)
-        opt.set_anchor(m.state_dict())
+        opt.set_anchor(m.arena().values.copy())
         p = m.parameters()[0]
         p.grad[...] = 2.0
         before = p.data.copy()
@@ -148,10 +148,11 @@ class TestProxSGD:
         m = LeNetCNN(rng=RNG)
         list(m.named_parameters())  # stamp names
         opt = ProxSGD(m, lr=0.1, mu=0.1)
-        opt.set_anchor({"bogus": np.zeros(1)})
-        m.parameters()[0].grad[...] = 1.0
-        with pytest.raises(KeyError):
-            opt.step()
+        # The anchor is the global parameter vector; one missing a layer
+        # is short, and is refused before it can pull anything.
+        short = m.arena().values[: -m.parameters()[-1].data.size]
+        with pytest.raises(ValueError, match="anchor"):
+            opt.set_anchor(short)
 
     def test_mu_validation(self):
         with pytest.raises(ValueError):

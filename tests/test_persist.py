@@ -417,7 +417,7 @@ class TestDiscoveryAndGuards:
             executor="parallel:2",
         )
         # fork before any round
-        sim.executor._start(sim.global_state, sim.global_buffers)
+        sim.executor._start()
         with pytest.raises(PersistError, match="fork"):
             sim.resume(path)
         sim.close()
@@ -432,6 +432,34 @@ class TestDiscoveryAndGuards:
         )
         with pytest.raises(CheckpointFormatError, match="seed"):
             sim.resume(path)
+        sim.close()
+
+    @pytest.mark.parametrize("damage", ["missing_layer", "wrong_shape"])
+    def test_global_state_that_does_not_fit_is_rejected_at_restore(
+        self, tmp_path, saved_checkpoint, damage
+    ):
+        """The saved global model is outside input: a payload whose
+        ``global_state`` lacks a layer or has a wrong shape — written with a
+        valid manifest digest, so only the restore can catch it — fails the
+        restore, not the first round."""
+        from repro.algorithms import build_strategy
+        from repro.experiments.configs import make_environment
+
+        ckpt = RunCheckpoint.load(saved_checkpoint[0])
+        state = dict(ckpt.global_state)
+        name = next(iter(state))
+        if damage == "missing_layer":
+            del state[name]
+        else:
+            state[name] = np.zeros(state[name].size + 1, dtype=np.float32)
+        path = str(tmp_path / "damaged.ckpt")
+        dataclasses.replace(ckpt, global_state=state).save(path)
+        loaded = RunCheckpoint.load(path)  # the digest checks out
+        sim = make_environment(
+            CFG, build_strategy("fedavg", CFG.optimizer_spec()), seed=3
+        )
+        with pytest.raises(CheckpointFormatError, match="global model"):
+            sim.resume(loaded)
         sim.close()
 
     @needs_fork

@@ -1,12 +1,8 @@
-"""Phase-profiler and metrics-endpoint tests (DESIGN.md §13): nested span
-accounting, per-round percentages summing to 100±1%, gauge-only mirroring,
-profiler wiring through the runtime, and the live HTTP endpoint."""
+"""Phase-profiler tests (DESIGN.md §13): nested span accounting, per-round
+percentages summing to 100±1%, gauge-only mirroring and profiler wiring
+through the runtime."""
 
 from __future__ import annotations
-
-import json
-import urllib.error
-import urllib.request
 
 import numpy as np
 import pytest
@@ -16,7 +12,6 @@ from repro.data import dirichlet_partition, make_workload_data
 from repro.nn import LeNetCNN
 from repro.obs import (
     NULL_PROFILER,
-    MetricsServer,
     NullPhaseProfiler,
     PhaseProfiler,
     TraceRecorder,
@@ -206,77 +201,3 @@ class TestExecutorLabels:
         prof, rec = run_profiled(rounds=2, executor="cohort:2")
         assert prof.executor_label == "cohort"
         assert phase_gauge_name("client.train", "cohort") in rec.gauges
-
-
-# ----------------------------------------------------------------------
-def http_get(url: str):
-    with urllib.request.urlopen(url, timeout=5) as resp:
-        return resp.status, resp.headers.get("Content-Type"), resp.read()
-
-
-class TestMetricsServer:
-    @pytest.fixture()
-    def live(self):
-        rec = TraceRecorder()
-        rec.counter("repro_rounds_total", 4)
-        rec.gauge("repro_sim_time_seconds", 12.5)
-        rec.emit("round.end", sim_time=12.5, round_index=3, accuracy=0.5)
-        with MetricsServer(rec, port=0) as server:
-            yield rec, server
-
-    def test_metrics_endpoint_serves_prometheus_text(self, live):
-        rec, server = live
-        status, ctype, body = http_get(server.url + "/metrics")
-        assert status == 200
-        assert ctype.startswith("text/plain")
-        text = body.decode()
-        assert "repro_rounds_total 4" in text
-        assert "repro_sim_time_seconds 12.5" in text
-
-    def test_status_endpoint_reports_run_state(self, live):
-        rec, server = live
-        status, ctype, body = http_get(server.url + "/status")
-        assert status == 200 and ctype == "application/json"
-        doc = json.loads(body)
-        assert doc["round"] == 4
-        assert doc["sim_time_seconds"] == 12.5
-        assert doc["trace_events"] == 1
-        assert doc["ring_dropped_events"] == 0
-        assert doc["sink_dropped_events"] == 0
-        assert doc["counters"]["repro_rounds_total"] == 4
-        assert doc["uptime_seconds"] >= 0
-        # Root path serves the same document.
-        _, _, root = http_get(server.url + "/")
-        assert json.loads(root)["round"] == 4
-
-    def test_unknown_path_is_404_with_hint(self, live):
-        _rec, server = live
-        with pytest.raises(urllib.error.HTTPError) as err:
-            http_get(server.url + "/nope")
-        assert err.value.code == 404
-
-    def test_events_per_sec_window_advances(self, live):
-        rec, server = live
-        server.status()  # establish a sample point
-        for i in range(10):
-            rec.emit("round.end", sim_time=20.0 + i, round_index=4 + i)
-        doc = server.status()
-        assert doc["trace_events"] == 11
-        assert doc["events_per_sec"] > 0
-
-    def test_close_stops_serving(self):
-        rec = TraceRecorder()
-        server = MetricsServer(rec, port=0).start()
-        url = server.url
-        server.close()
-        server.close()  # idempotent
-        with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):
-            http_get(url + "/metrics")
-
-    def test_endpoint_never_mutates_the_run(self, live):
-        rec, server = live
-        before = (rec.num_events, dict(rec.counters), dict(rec.gauges))
-        http_get(server.url + "/metrics")
-        http_get(server.url + "/status")
-        after = (rec.num_events, dict(rec.counters), dict(rec.gauges))
-        assert before == after

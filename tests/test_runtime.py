@@ -117,11 +117,12 @@ class TestAggregation:
         a = result(0, 1.0, update={"w": np.array([1.0, 1.0], np.float32)}, samples=30)
         b = result(1, 2.0, update={"w": np.array([4.0, 4.0], np.float32)}, samples=10)
         agg = aggregate_updates([a, b])
-        np.testing.assert_allclose(agg["w"], [1.75, 1.75], rtol=1e-6)
+        np.testing.assert_allclose(agg, [1.75, 1.75], rtol=1e-6)
+        assert agg.dtype == np.float32
 
     def test_single_client_identity(self):
         a = result(0, 1.0, update={"w": np.array([2.0], np.float32)})
-        np.testing.assert_allclose(aggregate_updates([a])["w"], [2.0])
+        np.testing.assert_allclose(aggregate_updates([a]), [2.0])
 
     def test_layer_mismatch_raises(self):
         a = result(0, 1.0, update={"w": np.ones(2, np.float32)})
@@ -134,23 +135,27 @@ class TestAggregation:
             aggregate_updates([])
 
     def test_apply_update(self):
-        state = {"w": np.array([1.0, 2.0], np.float32)}
-        update = {"w": np.array([0.5, -0.5], np.float32)}
-        new = apply_update(state, update)
-        np.testing.assert_allclose(new["w"], [1.5, 1.5])
-        # Original untouched.
-        np.testing.assert_allclose(state["w"], [1.0, 2.0])
+        values = np.array([1.0, 2.0], np.float32)
+        update = np.array([0.5, -0.5], np.float32)
+        held = values
+        assert apply_update(values, update) is None
+        # In place: the vector itself is refined, the update untouched.
+        assert held is values
+        np.testing.assert_allclose(values, [1.5, 1.5])
+        np.testing.assert_allclose(update, [0.5, -0.5])
 
     def test_apply_update_key_mismatch(self):
-        with pytest.raises(KeyError):
-            apply_update({"w": np.zeros(1)}, {"v": np.zeros(1)})
+        values = np.zeros(2, np.float32)
+        with pytest.raises(ValueError, match="shape"):
+            apply_update(values, np.zeros(3, np.float32))
+        np.testing.assert_array_equal(values, 0.0)
 
     def test_aggregation_preserves_mean_property(self):
         # Aggregate of identical updates is that update, regardless of weights.
         upd = {"w": np.array([3.0, -1.0], np.float32)}
         rs = [result(i, float(i + 1), update=dict(upd), samples=(i + 1) * 7) for i in range(5)]
         agg = aggregate_updates(rs)
-        np.testing.assert_allclose(agg["w"], upd["w"], rtol=1e-6)
+        np.testing.assert_allclose(agg, upd["w"], rtol=1e-6)
 
     def test_weighted_segment_sum_matches_serial_slices(self):
         """Slicing the column axis commutes with the reduce — down to one

@@ -252,11 +252,10 @@ class TestClientFactory:
 
         model_fn = lambda: micro_wrn(norm=norm)  # noqa: E731
         reference = model_fn()
-        state, buffers = reference.state_dict(), reference.buffer_dict()
+        params, buffers = reference.arena().values, reference.arena().buffers
 
         def start_round(client):
-            client.stage_buffers(buffers)
-            client.load_global(state)
+            client.load_global(params, buffers)
             return client
 
         factory = make_factory(env_data, model_fn=model_fn)

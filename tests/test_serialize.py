@@ -226,13 +226,18 @@ class TestArenaCodec:
             layout.flatten({k: v for k, v in state.items() if k != "tail"})
 
         transport = ShmTransport()
-        transport.setup(state, {}, [1])
+        transport.setup(layout, Layout.of(()), [1])
         try:
-            generation = transport.broadcast(state, {})
+            params = layout.flatten(state)
+            generation = transport.broadcast(params, np.empty(0, np.float32))
             got, buffers = transport.read_broadcast(generation)
-            assert buffers == {}
-            np.testing.assert_array_equal(got["conv.weight"], state["conv.weight"])
-            del got
+            assert buffers.shape == (0,)
+            assert not got.flags.writeable
+            np.testing.assert_array_equal(got, params)
+            np.testing.assert_array_equal(
+                layout.views(got)["conv.weight"], state["conv.weight"]
+            )
+            del got, buffers
             with pytest.raises(RuntimeError, match="generation mismatch"):
                 transport.read_broadcast(generation - 1)
             transport._broadcast.buf[:4] = b"XXXX"

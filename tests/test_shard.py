@@ -148,7 +148,8 @@ class TestDecodedResultsAreArenaViews:
         model, results = sample_results()
         reference = aggregate_updates(results)
         transport = ShmTransport()
-        transport.setup(model.state_dict(), {}, [len(results)])
+        arena = model.arena()
+        transport.setup(arena.layout, arena.buffer_layout, [len(results)])
         try:
             transport.worker_init(0)
             decoded = transport.decode_results(0, transport.encode_results(results))
@@ -166,9 +167,8 @@ class TestDecodedResultsAreArenaViews:
             detached = aggregate_updates(decoded)
         finally:
             transport.close()
-        for layer, value in reference.items():
-            assert in_place[layer].tobytes() == value.tobytes(), layer
-            assert detached[layer].tobytes() == value.tobytes(), layer
+        assert in_place.tobytes() == reference.tobytes()
+        assert detached.tobytes() == reference.tobytes()
 
 
 # ----------------------------------------------------------------------
