@@ -1,23 +1,24 @@
-"""Flight-recorder pipeline benchmark: sink throughput and run overhead.
+"""Trace writer benchmark: producer-side cost and run overhead.
 
 Two measurements, written to ``BENCH_obs.json`` (DESIGN.md §13):
 
-1. **Hot-path ingest rate** — sustained ``Sink.write`` events/sec on the
-   producer thread for (a) the synchronous :class:`~repro.obs.JsonlSink`
-   (encode + file write per event, the pre-§13 recorder hot path) and
-   (b) a :class:`~repro.obs.BufferedSink` wrapping the same file sink
-   (one deque append; serialisation happens on the flusher thread). The
-   buffered ingest rate must be at least ``--min-speedup`` (default 10×)
-   higher; the bench exits non-zero otherwise. Queue-drain time is
-   reported separately (``drain_s``) — total bytes on disk are identical
-   either way; what the pipeline buys is taking the encode+write cost off
-   the simulation thread. ``recorder_events_per_sec`` rows give the same
-   A/B through the full :class:`~repro.obs.TraceRecorder.emit` path
-   (event construction + ring append included) for context.
+1. **Hot-path ingest rate** — sustained events/sec on the producer
+   thread for (a) encoding each event inline in this bench's own loop
+   (:func:`~repro.obs.sinks.encode_jsonl` plus a buffered file write per
+   event, what a thread-free writer would cost the simulation thread) and
+   (b) :meth:`~repro.obs.TraceWriter.write` (one deque append; encoding
+   and I/O happen on the flusher thread). The writer's ingest rate must be
+   at least ``--min-speedup`` (default 10×) higher; the bench exits
+   non-zero otherwise, or if the two files differ by a byte. Queue-drain
+   time is reported separately (``drain_s``) — what the writer buys is
+   taking the encode+write cost off the simulation thread. The
+   ``recorder_events_per_sec`` row gives the full
+   :meth:`~repro.obs.TraceRecorder.emit` path into a trace file (event
+   construction included) for context.
 
 2. **End-to-end overhead** — wall-clock for the FedCA micro-CNN run with
-   telemetry disabled vs a buffered JSONL trace attached, best-of
-   ``--repeats``. Overhead above ``--max-overhead`` (default 5 %) fails
+   telemetry disabled vs a JSONL trace file attached, best-of
+   ``--repeats`` alternating pairs. Overhead above ``--max-overhead`` (default 5 %) fails
    the bench; histories must be fingerprint-identical.
 
 Regenerate with::
@@ -39,7 +40,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.algorithms import build_strategy  # noqa: E402
 from repro.experiments.configs import get_workload, make_environment  # noqa: E402
-from repro.obs import BufferedSink, JsonlSink, TraceEvent, TraceRecorder  # noqa: E402
+from repro.obs import TraceEvent, TraceRecorder, TraceWriter  # noqa: E402
+from repro.obs.sinks import QUEUE_CAPACITY, encode_jsonl  # noqa: E402
 
 
 def fingerprint(history):
@@ -50,7 +52,7 @@ def fingerprint(history):
 
 
 # ----------------------------------------------------------------------
-# 1. Hot-path ingest rate: sync vs buffered sink
+# 1. Hot-path ingest rate: inline encoding vs the trace writer
 # ----------------------------------------------------------------------
 def make_events(n: int) -> list:
     return [
@@ -66,26 +68,27 @@ def make_events(n: int) -> list:
     ]
 
 
-def ingest_rate(path: str, events: list, *, buffered: bool) -> dict:
+def ingest_rate(path: str, events: list, *, writer: bool) -> dict:
     """Time the producer-side write loop, then the drain.
 
-    The buffered queue capacity covers the whole burst, so the timed
+    ``--events`` stays under the writer's queue capacity, so the timed
     section measures pure producer cost — the steady-state regime of a
     real run, where the flusher drains between rounds.
     """
-    inner = JsonlSink(path)
-    sink = (
-        BufferedSink(inner, capacity=len(events) + 1) if buffered else inner
-    )
+    sink = TraceWriter(path) if writer else open(path, "wb")
     start = time.perf_counter()  # reprolint: allow[DET002] benchmark measures wall-clock by design
-    for event in events:
-        sink.write(event)
+    if writer:
+        for event in events:
+            sink.write(event)
+    else:
+        for event in events:
+            sink.write(encode_jsonl(event))
     emit_s = time.perf_counter() - start  # reprolint: allow[DET002] benchmark measures wall-clock by design
     start = time.perf_counter()  # reprolint: allow[DET002] benchmark measures wall-clock by design
     sink.close()
     drain_s = time.perf_counter() - start  # reprolint: allow[DET002] benchmark measures wall-clock by design
     return {
-        "sink": "buffered" if buffered else "sync",
+        "path": "writer" if writer else "inline",
         "events": len(events),
         "emit_s": round(emit_s, 4),
         "drain_s": round(drain_s, 4),
@@ -94,9 +97,9 @@ def ingest_rate(path: str, events: list, *, buffered: bool) -> dict:
     }
 
 
-def recorder_rate(path: str, *, events: int, buffered: bool) -> float:
-    """Full-path ``TraceRecorder.emit`` events/sec (context row)."""
-    rec = TraceRecorder(trace_path=path, buffered=buffered)
+def recorder_rate(path: str, *, events: int) -> float:
+    """Full-path ``TraceRecorder.emit`` events/sec into a trace file."""
+    rec = TraceRecorder(trace_path=path)
     start = time.perf_counter()  # reprolint: allow[DET002] benchmark measures wall-clock by design
     for i in range(events):
         rec.emit(
@@ -113,42 +116,45 @@ def recorder_rate(path: str, *, events: int, buffered: bool) -> float:
 
 
 def throughput_check(args, report) -> int:
+    if args.events > QUEUE_CAPACITY:
+        print(
+            f"ERROR: --events {args.events} exceeds the writer's queue "
+            f"capacity {QUEUE_CAPACITY}; the producer would block",
+            file=sys.stderr,
+        )
+        return 1
     tmp = Path(args.scratch)
     events = make_events(args.events)
     best = {}
-    for buffered in (False, True):
-        key = "buffered" if buffered else "sync"
+    for writer in (False, True):
+        key = "writer" if writer else "inline"
         rows = [
-            ingest_rate(
-                str(tmp / f"ingest_{key}_{r}.jsonl"),
-                events,
-                buffered=buffered,
-            )
+            ingest_rate(str(tmp / f"ingest_{key}_{r}.jsonl"), events, writer=writer)
             for r in range(args.repeats)
         ]
         best[key] = max(rows, key=lambda row: row["events_per_sec"])
-        best[key]["recorder_events_per_sec"] = recorder_rate(
-            str(tmp / f"ingest_rec_{key}.jsonl"),
-            events=args.events,
-            buffered=buffered,
-        )
-    if best["sync"]["trace_bytes"] != best["buffered"]["trace_bytes"]:
-        print("ERROR: buffered trace size diverged from sync", file=sys.stderr)
+    best["writer"]["recorder_events_per_sec"] = recorder_rate(
+        str(tmp / "ingest_recorder.jsonl"), events=args.events
+    )
+    inline_bytes = (tmp / "ingest_inline_0.jsonl").read_bytes()
+    if (tmp / "ingest_writer_0.jsonl").read_bytes() != inline_bytes:
+        print("ERROR: the writer's trace differs from inline encoding",
+              file=sys.stderr)
         return 1
-    speedup = best["buffered"]["events_per_sec"] / best["sync"]["events_per_sec"]
+    speedup = best["writer"]["events_per_sec"] / best["inline"]["events_per_sec"]
     report["ingest"] = {
-        "sync": best["sync"],
-        "buffered": best["buffered"],
+        "inline": best["inline"],
+        "writer": best["writer"],
         "ingest_speedup": round(speedup, 2),
     }
     print(
-        f"ingest: sync={best['sync']['events_per_sec']:,} ev/s  "
-        f"buffered={best['buffered']['events_per_sec']:,} ev/s  "
+        f"ingest: inline={best['inline']['events_per_sec']:,} ev/s  "
+        f"writer={best['writer']['events_per_sec']:,} ev/s  "
         f"speedup={speedup:.1f}x (floor {args.min_speedup:.0f}x)"
     )
     if speedup < args.min_speedup:
         print(
-            f"ERROR: buffered ingest only {speedup:.1f}x sync "
+            f"ERROR: writer ingest only {speedup:.1f}x inline encoding "
             f"(acceptance floor is {args.min_speedup:.0f}x)",
             file=sys.stderr,
         )
@@ -179,40 +185,41 @@ def overhead_check(args, report) -> int:
         local_iterations=10,
     )
 
-    def best_of(recorder_factory):
-        times, history = [], None
-        for _ in range(args.repeats):
-            rec = recorder_factory()
-            elapsed, history = run_once(cfg, args.rounds, args.seed, rec)
+    trace_path = str(Path(args.scratch) / "overhead_trace.jsonl")
+    factories = {
+        "disabled": lambda: None,
+        "traced": lambda: TraceRecorder(trace_path=trace_path),
+    }
+    times = {key: [] for key in factories}
+    histories = {}
+    # Alternate which side runs first, so neither always pays a cold start.
+    for r in range(args.repeats):
+        for key in sorted(factories, reverse=bool(r % 2)):
+            rec = factories[key]()
+            elapsed, histories[key] = run_once(cfg, args.rounds, args.seed, rec)
             if rec is not None:
                 rec.close()
-            times.append(elapsed)
-        return min(times), history
-
-    trace_path = str(Path(args.scratch) / "overhead_trace.jsonl")
-    null_s, hist_null = best_of(lambda: None)
-    buf_s, hist_buf = best_of(
-        lambda: TraceRecorder(trace_path=trace_path, buffered=True)
-    )
-    if fingerprint(hist_null) != fingerprint(hist_buf):
-        print("ERROR: buffered tracing changed the history", file=sys.stderr)
+            times[key].append(elapsed)
+    null_s, traced_s = min(times["disabled"]), min(times["traced"])
+    if fingerprint(histories["disabled"]) != fingerprint(histories["traced"]):
+        print("ERROR: tracing changed the history", file=sys.stderr)
         return 1
-    overhead = (buf_s - null_s) / null_s
+    overhead = (traced_s - null_s) / null_s
     report["overhead"] = {
         "clients": args.clients,
         "rounds": args.rounds,
         "disabled_s": round(null_s, 4),
-        "buffered_trace_s": round(buf_s, 4),
+        "traced_s": round(traced_s, 4),
         "overhead_fraction": round(overhead, 4),
         "trace_bytes": os.path.getsize(trace_path),
     }
     print(
-        f"overhead: disabled={null_s:.3f}s buffered-trace={buf_s:.3f}s "
+        f"overhead: disabled={null_s:.3f}s traced={traced_s:.3f}s "
         f"overhead={overhead * 100:+.1f}% (limit {args.max_overhead * 100:.0f}%)"
     )
     if overhead > args.max_overhead:
         print(
-            f"ERROR: buffered-sink overhead {overhead * 100:.1f}% exceeds "
+            f"ERROR: trace-writer overhead {overhead * 100:.1f}% exceeds "
             f"{args.max_overhead * 100:.0f}% budget",
             file=sys.stderr,
         )
@@ -231,7 +238,7 @@ def main(argv=None) -> int:
                         help="best-of repeat count per measurement")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--min-speedup", type=float, default=10.0,
-                        help="buffered-vs-sync ingest floor (default 10x)")
+                        help="writer-vs-inline ingest floor (default 10x)")
     parser.add_argument("--max-overhead", type=float, default=0.05,
                         help="end-to-end overhead budget (default 0.05)")
     parser.add_argument("--scratch", default="/tmp",
@@ -243,8 +250,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     report = {
-        "benchmark": "flight-recorder sink throughput and run overhead",
+        "benchmark": "trace writer producer cost and run overhead",
         "cpu_count": os.cpu_count(),
+        "usable_cores": len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
         "repeats": args.repeats,
     }
     rc = throughput_check(args, report) or overhead_check(args, report)

@@ -15,8 +15,8 @@ Table-1-style rows; ``reproduce`` regenerates one named paper artefact;
 ``overhead`` prints the §5.5 profiling-memory accounting.
 
 Telemetry: ``--trace-file`` streams the deterministic JSONL event trace
-(``--trace-sink buffered`` moves the write cost off the hot path without
-changing a byte), ``--metrics-file`` dumps Prometheus-style counters/gauges,
+(a background flusher thread encodes and writes it, off the run's hot
+path), ``--metrics-file`` dumps Prometheus-style counters/gauges,
 and either flag also prints the per-run summary table (see
 :mod:`repro.obs`); ``--profile`` prints the wall-clock
 phase breakdown after the run. Telemetry outputs are finalised in a
@@ -62,6 +62,7 @@ from .experiments import (
 from .experiments.runner import compare_schemes, run_scheme
 from .obs import (
     LOG_LEVELS,
+    SinkError,
     TraceRecorder,
     configure_logging,
     metrics_to_text,
@@ -119,12 +120,6 @@ def _add_telemetry(parser: argparse.ArgumentParser) -> None:
         help="stream the structured telemetry trace to PATH as JSONL "
              "(deterministic, simulated-time-keyed events)")
     parser.add_argument(
-        "--trace-sink", default="sync", choices=["sync", "buffered"],
-        help="how --trace-file is written: 'sync' (default) writes each "
-             "event inline; 'buffered' batches events through a background "
-             "flusher thread with block backpressure — same bytes, the "
-             "write cost moves off the hot path")
-    parser.add_argument(
         "--metrics-file", metavar="PATH", default=None,
         help="write Prometheus-style text metrics to PATH after the run")
     parser.add_argument(
@@ -142,17 +137,13 @@ def _make_recorder(
 ) -> TraceRecorder | None:
     """A TraceRecorder when any telemetry flag is set, else None.
 
-    When resuming, the sink stays closed here: opening the trace file
-    with ``"w"`` would wipe the pre-crash half of the stream. The resume
-    path restores the recorder state from the checkpoint and attaches the
-    sink at the checkpointed byte offset (see :mod:`repro.persist`)."""
+    When resuming, the trace file stays closed here: opening it fresh
+    would wipe the pre-crash half of the stream. The resume path restores
+    the recorder state from the checkpoint and opens the file at the
+    checkpointed byte offset (see :mod:`repro.persist`)."""
     if args.trace_file is None and args.metrics_file is None:
         return None
-    return TraceRecorder(
-        trace_path=args.trace_file,
-        buffered=args.trace_sink == "buffered",
-        defer_sink=resuming,
-    )
+    return TraceRecorder(trace_path=args.trace_file, defer_sink=resuming)
 
 
 def _make_profiler(args: argparse.Namespace):
@@ -170,9 +161,9 @@ def _finish_telemetry(
     *,
     profiler=None,
 ) -> None:
-    """Close the sink, write the metrics dump, print the summary table and
-    the profile report. Runs in a ``finally`` so every telemetry output
-    survives a mid-run exception."""
+    """Close the trace file, write the metrics dump, print the summary
+    table and the profile report. Runs in a ``finally`` so every telemetry
+    output survives a mid-run exception."""
     if profiler is not None:
         report = profiler.report()
         logger.info("%s", report)
@@ -381,6 +372,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         except CheckpointNotFoundError as exc:
             logger.error("cannot resume: %s", exc)
+            return 2
+        except SinkError as exc:
+            logger.error("%s", exc)
             return 2
         hist = result.history
         tta = hist.time_to_accuracy(cfg.target_accuracy)

@@ -49,7 +49,3 @@ class EagerSchedule:
             if self.sink is not None:
                 self.sink(name, self.triggers[name], tau)
         return out
-
-    def pending_layers(self, all_layers: list[str]) -> list[str]:
-        """Layers that were never eagerly transmitted (tail upload)."""
-        return [name for name in all_layers if name not in self._sent]

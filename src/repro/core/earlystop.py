@@ -71,8 +71,3 @@ class EarlyStopPolicy:
             stop, tau, b, c, n,
             "net_benefit_negative" if stop else "net_benefit_positive",
         )
-
-    def should_stop(self, tau: int, elapsed: float, deadline: float) -> bool:
-        """True if the round should terminate after completing iteration τ
-        (the boolean view of :meth:`decide`)."""
-        return self.decide(tau, elapsed, deadline).stop

@@ -256,7 +256,7 @@ def make_environment(
     ``population`` the client-materialisation policy (``"eager"`` default,
     ``"lazy[:cache=N]"`` for the bounded-memory pager — see
     :mod:`repro.scale`); ``spill_client_events`` drops per-client event
-    dicts from the in-RAM history (they still stream to the trace sink);
+    dicts from the in-RAM history (they still stream to the trace file);
     ``recorder`` an optional :class:`~repro.obs.Recorder` telemetry sink;
     ``profiler`` an optional :class:`~repro.obs.PhaseProfiler` for
     wall-clock phase breakdowns.

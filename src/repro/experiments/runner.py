@@ -165,8 +165,8 @@ def run_scheme(
 
         ckpt_path = find_latest_checkpoint(checkpoint_dir)
         # Build with recorder=None: the restored trace already holds the
-        # original run's start/client_meta events, and attaching the sink
-        # naively ("w") would truncate the first half of the stream.
+        # original run's start/client_meta events, and opening the trace
+        # file fresh would truncate the first half of the stream.
         sim = make_environment(
             cfg, strategy, seed=seed, dynamic=dynamic, executor=engine,
             population=population, spill_client_events=spill_client_events,

@@ -4,7 +4,7 @@ SHM001 (shared-memory create/unlink pairing).
 The parallel executor forks persistent workers (PR 1); a thread — or a
 lock held by one — that exists when the pool forks is silently copied
 into every child in whatever state it happened to be in (the
-BufferedSink-flusher × fork-pool hazard, PR 7).  Shared-memory arenas
+trace-writer-flusher × fork-pool hazard).  Shared-memory arenas
 (PR 4) are kernel objects that outlive the process unless explicitly
 unlinked, so every ``SharedMemory(create=True)`` site must live in a
 module that also closes, unlinks, and registers exit-time cleanup.
@@ -34,8 +34,8 @@ _THREADING_PRIMITIVES = frozenset(
 )
 
 #: modules audited for fork interaction — the only places allowed to
-#: start threads (the daemon flusher with documented fork behaviour; see
-#: DESIGN.md §14).
+#: start threads (the trace writer's daemon flusher, whose fork behaviour
+#: is documented in DESIGN.md §14).
 _THREAD_ALLOWLIST = ("repro/obs/sinks.py",)
 
 

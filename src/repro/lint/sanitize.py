@@ -11,7 +11,7 @@ trace are byte-identical to an unsanitized one (asserted in
    Seeded :class:`numpy.random.Generator` instances are untouched.
 2. **Fork hygiene** — an ``os.register_at_fork`` *before* hook records a
    violation whenever a non-allowlisted thread is alive at fork time
-   (the BufferedSink-flusher × fork-pool hazard, FORK001's dynamic
+   (the trace-writer-flusher × fork-pool hazard, FORK001's dynamic
    twin).  Violations are collected, printed to stderr, and reported at
    exit; :func:`fork_violations` exposes them to tests.  The hook never
    raises — CPython swallows at-fork exceptions as unraisable, so
@@ -85,8 +85,8 @@ _NP_LEGACY_FNS = (
     "poisson",
 )
 
-#: Threads allowed to be alive when a worker pool forks: the obs layer's
-#: audited daemon helpers (children never touch their state).
+#: Threads allowed to be alive when a worker pool forks: the trace
+#: writer's daemon flusher (children never touch its state).
 _ALLOWED_THREAD_PREFIXES = ("repro-trace-flusher",)
 
 

@@ -20,11 +20,7 @@ from .optim import SGD, ProxSGD
 from .parameter import Parameter
 from .pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from .rnn import LSTM
-from .serialize import (
-    CheckpointFormatError,
-    load_model,
-    save_model,
-)
+from .serialize import CheckpointFormatError
 
 __all__ = [
     "Parameter", "Module", "Sequential", "Linear", "ReLU", "Tanh", "Flatten",
@@ -33,6 +29,6 @@ __all__ = [
     "GroupNorm2d", "LSTM", "SGD", "ProxSGD",
     "softmax_cross_entropy", "accuracy",
     "LeNetCNN", "LSTMClassifier", "WideResNet", "ResidualBlock", "build_model",
-    "save_model", "load_model", "CheckpointFormatError",
+    "CheckpointFormatError",
     "CohortModel", "CohortSGD", "stack_module", "cohort_softmax_cross_entropy",
 ]

@@ -57,9 +57,5 @@ class Parameter:
         """Reset the accumulated gradient in place (no reallocation)."""
         self.grad[...] = 0.0
 
-    def copy_data(self) -> np.ndarray:
-        """Snapshot of the current value (used for round-start anchors)."""
-        return self.data.copy()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter(name={self.name!r}, shape={self.data.shape})"

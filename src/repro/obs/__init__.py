@@ -3,10 +3,11 @@
 The observability substrate every layer reports through (DESIGN.md §9, §13):
 
 * :class:`Recorder` / :class:`NullRecorder` / :class:`TraceRecorder` —
-  the sink protocol, the zero-overhead default, and the bounded-ring
-  implementation with a pluggable streaming sink.
-* :mod:`repro.obs.sinks` — the flight-recorder pipeline: a JSONL sink and
-  a background-flushed buffered sink with explicit backpressure policies.
+  the recorder protocol, the zero-overhead default, and the recorder that
+  writes a trace file (or, without one, keeps a bounded ring).
+* :mod:`repro.obs.sinks` — :class:`TraceWriter`, the one place a trace
+  event is written: a bounded queue drained into the JSONL file by a
+  background flusher thread, with blocking backpressure.
 * :mod:`repro.obs.profile` — hierarchical wall-clock phase profiler with
   per-round percent breakdowns and ``repro_phase_seconds`` gauges.
 * :mod:`repro.obs.events` — the deterministic, simulated-time event schema.
@@ -23,13 +24,7 @@ from .analysis import (
     early_stop_iterations,
 )
 from .events import EVENT_KINDS, TraceEvent
-from .export import (
-    events_to_jsonl,
-    metrics_to_text,
-    summary_table,
-    write_metrics_text,
-    write_trace_jsonl,
-)
+from .export import events_to_jsonl, metrics_to_text, summary_table
 from .logsetup import LOG_LEVELS, configure_logging
 from .metrics import KNOWN_COUNTERS, KNOWN_GAUGES, metric_base_name
 from .profile import (
@@ -40,14 +35,7 @@ from .profile import (
     phase_gauge_name,
 )
 from .recorder import NULL_RECORDER, NullRecorder, Recorder, TraceRecorder
-from .sinks import (
-    BACKPRESSURE_POLICIES,
-    TRACE_DROPPED_TOTAL,
-    BufferedSink,
-    JsonlSink,
-    Sink,
-    SinkError,
-)
+from .sinks import SinkError, TraceWriter
 
 __all__ = [
     "Recorder",
@@ -56,21 +44,15 @@ __all__ = [
     "NULL_RECORDER",
     "TraceEvent",
     "EVENT_KINDS",
-    "Sink",
-    "JsonlSink",
-    "BufferedSink",
+    "TraceWriter",
     "SinkError",
-    "BACKPRESSURE_POLICIES",
-    "TRACE_DROPPED_TOTAL",
     "PhaseProfiler",
     "NullPhaseProfiler",
     "NULL_PROFILER",
     "PHASE_SECONDS",
     "phase_gauge_name",
     "events_to_jsonl",
-    "write_trace_jsonl",
     "metrics_to_text",
-    "write_metrics_text",
     "summary_table",
     "early_stop_iterations",
     "eager_iterations",

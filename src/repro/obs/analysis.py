@@ -9,10 +9,9 @@ end-of-round summaries.
 
 Every reconstruction first validates the trace for overflow: events carry
 monotone sequence numbers, so a ring that wrapped (``TraceRecorder``
-``dropped_events``) or a lossy buffered sink (``drop_oldest`` backpressure)
-leaves gaps. Computing a CDF from a silently truncated trace would be
-quietly wrong, so these helpers raise :class:`TruncatedTraceError` with a
-remediation hint instead.
+``dropped_events``) or a damaged trace file leaves gaps. Computing a CDF
+from a silently truncated trace would be quietly wrong, so these helpers
+raise :class:`TruncatedTraceError` with a remediation hint instead.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ __all__ = [
 
 
 class TruncatedTraceError(ValueError):
-    """The trace lost events (ring wrap or lossy sink backpressure).
+    """The trace lost events (ring wrap or a damaged trace file).
 
     Raised by the analysis helpers instead of silently computing a
     distribution from a partial trace.
@@ -45,8 +44,8 @@ def validate_trace_complete(dicts: list[dict[str, Any]]) -> None:
 
     A complete trace starts at ``seq == 0`` and is gap-free. A nonzero
     first seq means the recorder ring wrapped (events fell off the front);
-    an interior gap means a lossy sink (``BufferedSink`` with
-    ``drop_oldest``) discarded events under backpressure. Events without a
+    an interior gap means lines are missing from a trace file (the writer
+    never drops an event, so the file was cut or edited). Events without a
     ``seq`` field (e.g. hand-built dicts in unit tests) are not checked.
     """
     seqs = sorted(
@@ -59,16 +58,15 @@ def validate_trace_complete(dicts: list[dict[str, Any]]) -> None:
             f"trace is truncated: first event has seq={seqs[0]}, so "
             f"{seqs[0]} earlier events were dropped (recorder ring "
             "overflow). Re-run with a larger TraceRecorder capacity= or "
-            "stream the full run to disk with trace_path=/a streaming sink."
+            "write the full run to disk with trace_path=."
         )
     for prev, cur in zip(seqs, seqs[1:]):
         if cur > prev + 1:
             raise TruncatedTraceError(
                 f"trace has a gap: seq jumps {prev} -> {cur} "
-                f"({cur - prev - 1} events missing — lossy sink "
-                "backpressure, see repro_trace_dropped_total). Use "
-                'BufferedSink(policy="block") or a larger sink capacity= '
-                "to keep the trace lossless."
+                f"({cur - prev - 1} events missing). The trace writer never "
+                "drops an event, so lines were cut from the trace file; "
+                "re-run, or resume from a checkpoint, to regenerate it."
             )
 
 

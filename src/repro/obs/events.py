@@ -4,9 +4,6 @@ Every event is keyed on **simulated time** (the federated clock the
 simulator advances), never wall-clock, so a trace is a deterministic
 function of the run configuration: serial and parallel executors produce
 byte-identical event streams (``tests/test_executor.py`` asserts this).
-Wall-clock capture is opt-in (:class:`~repro.obs.recorder.TraceRecorder`
-``wall_clock=True``) and lands in the separate ``wall_time`` field so
-deterministic comparisons can simply drop it.
 
 Event kinds (``fields`` payload in parentheses):
 
@@ -81,13 +78,11 @@ class TraceEvent:
     round_index: int | None
     client_id: int | None
     fields: dict[str, Any]
-    wall_time: float | None = None
 
-    def as_dict(self, *, drop_wall_clock: bool = True) -> dict[str, Any]:
-        """Plain-data form used by the JSONL exporter and determinism
-        tests. ``drop_wall_clock=True`` (default) omits ``wall_time`` so
-        two traces of the same run compare equal."""
-        out: dict[str, Any] = {
+    def as_dict(self) -> dict[str, Any]:
+        """Plain-data form used by the JSONL encoders and determinism
+        tests."""
+        return {
             "seq": self.seq,
             "kind": self.kind,
             "sim_time": self.sim_time,
@@ -95,6 +90,3 @@ class TraceEvent:
             "client": self.client_id,
             "fields": self.fields,
         }
-        if not drop_wall_clock and self.wall_time is not None:
-            out["wall_time"] = self.wall_time
-        return out

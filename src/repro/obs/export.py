@@ -1,23 +1,22 @@
 """Trace/metrics exporters: JSONL, Prometheus-style text, summary table.
 
-The JSONL sink streams during the run (see
-:class:`~repro.obs.recorder.TraceRecorder`); the functions here export a
+The trace writer streams a file during the run (see
+:class:`~repro.obs.sinks.TraceWriter`); the functions here export a
 finished recorder's state after the fact — CI jobs and the CLI use them.
 """
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING
+
+from .sinks import encode_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .recorder import TraceRecorder
 
 __all__ = [
     "events_to_jsonl",
-    "write_trace_jsonl",
     "metrics_to_text",
-    "write_metrics_text",
     "summary_table",
 ]
 
@@ -25,22 +24,15 @@ __all__ = [
 _COUNTER_SUFFIX = "_total"
 
 
-def events_to_jsonl(recorder, *, drop_wall_clock: bool = True) -> str:
-    """The ring's events as one JSON object per line (oldest first).
+def events_to_jsonl(recorder) -> str:
+    """The ring's events as one JSON object per line (oldest first), the
+    same bytes the trace writer puts in a file.
 
     Accepts a :class:`~repro.obs.recorder.TraceRecorder` or any iterable
     of :class:`~repro.obs.events.TraceEvent`.
     """
     events = recorder.events() if hasattr(recorder, "events") else recorder
-    return "".join(
-        json.dumps(e.as_dict(drop_wall_clock=drop_wall_clock), sort_keys=True) + "\n"
-        for e in events
-    )
-
-
-def write_trace_jsonl(recorder: "TraceRecorder", path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(events_to_jsonl(recorder))
+    return b"".join(encode_jsonl(e) for e in events).decode("utf-8")
 
 
 def metrics_to_text(recorder: "TraceRecorder") -> str:
@@ -71,11 +63,6 @@ def metrics_to_text(recorder: "TraceRecorder") -> str:
 
 def _fmt(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(float(value))
-
-
-def write_metrics_text(recorder: "TraceRecorder", path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(metrics_to_text(recorder))
 
 
 def summary_table(recorder: "TraceRecorder") -> str:

@@ -43,8 +43,6 @@ KNOWN_COUNTERS: frozenset[str] = frozenset(
         # result cache (experiments.runner)
         "repro_result_cache_hits_total",
         "repro_result_cache_misses_total",
-        # flight-recorder pipeline (obs.sinks)
-        "repro_trace_dropped_total",
         # batched chunks (the cohort executor's, or a parallel worker's)
         "repro_cohort_steps_total",
         "repro_cohort_slot_steps_total",

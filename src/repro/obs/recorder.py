@@ -4,9 +4,10 @@
   ``enabled`` is False, so instrumentation sites cost one attribute check
   (or one no-op call) per event; ``run()`` histories are bitwise identical
   to an uninstrumented build.
-* :class:`TraceRecorder` — bounded in-memory ring of
-  :class:`~repro.obs.events.TraceEvent` plus a counters/gauges registry,
-  with an optional streaming JSONL sink.
+* :class:`TraceRecorder` — a counters/gauges registry plus the event
+  stream: a JSONL trace file written by
+  :class:`~repro.obs.sinks.TraceWriter`, or, without a file, a bounded
+  in-memory ring of :class:`~repro.obs.events.TraceEvent`.
 
 Determinism contract
 --------------------
@@ -22,12 +23,11 @@ for serial and parallel executions of the same run.
 from __future__ import annotations
 
 import atexit
-import time
 from collections import deque
 from typing import Any, Iterable
 
 from .events import TraceEvent
-from .sinks import TRACE_DROPPED_TOTAL, BufferedSink, JsonlSink, Sink
+from .sinks import TraceWriter
 
 __all__ = ["Recorder", "NullRecorder", "TraceRecorder", "NULL_RECORDER"]
 
@@ -110,42 +110,32 @@ NULL_RECORDER = NullRecorder()
 
 
 class TraceRecorder(Recorder):
-    """In-memory ring buffer + metrics registry + optional streaming sink.
+    """Metrics registry plus the event stream: a trace file or a ring.
 
     Parameters
     ----------
     capacity:
-        Ring size; the oldest events fall off first (``dropped_events``
-        counts them). The streaming sink, if any, still receives every
-        event.
+        Ring size for a recorder without ``trace_path``; the oldest events
+        fall off first (``dropped_events`` counts them).
     trace_path:
-        Stream every event to this file as one JSON object per line
-        (a :class:`~repro.obs.sinks.JsonlSink`; wrapped in a
-        :class:`~repro.obs.sinks.BufferedSink` when ``buffered=True``).
-    sink:
-        An explicit :class:`~repro.obs.sinks.Sink` instead of
-        ``trace_path`` — a buffered or custom pipeline
-        (see :mod:`repro.obs.sinks`). Mutually exclusive with
-        ``trace_path``.
+        Write every event to this file as one JSON object per line through
+        a :class:`~repro.obs.sinks.TraceWriter`. Such a recorder keeps no
+        ring: the file is the one copy of the events, and :meth:`events`
+        raises.
     buffered:
-        Wrap the ``trace_path`` sink in a background-flushed
-        :class:`~repro.obs.sinks.BufferedSink` (``block`` policy, so the
-        written stream stays byte-identical to the synchronous one).
-    wall_clock:
-        Also stamp events with ``time.monotonic()``. Off by default so
-        traces are reproducible byte-for-byte; determinism tests compare
-        with wall-clock fields dropped.
+        Accepted and ignored (``benchmarks/e2e`` still passes it); every
+        trace file goes through the writer.
     defer_sink:
         Do not open ``trace_path`` yet. Used by checkpoint resume
-        (:mod:`repro.persist`): opening with ``"w"`` would truncate the
+        (:mod:`repro.persist`): opening the file fresh would truncate the
         first half of the trace, so the resume path restores the recorder
         state first and then calls :meth:`attach_sink` with the
         checkpointed byte offset.
 
     Crash safety
     ------------
-    A recorder with a sink registers an ``atexit`` hook that flushes and
-    closes it, and the simulator's run loop flushes the recorder in a
+    A recorder with a trace file registers an ``atexit`` hook that flushes
+    and closes it, and the simulator's run loop flushes the recorder in a
     ``finally`` block — so the trace written so far (and therefore any
     post-mortem ``--metrics-file`` dump the CLI emits from its own
     ``finally``) survives exceptions and normal interpreter death. Only a
@@ -160,53 +150,25 @@ class TraceRecorder(Recorder):
         *,
         capacity: int = 100_000,
         trace_path: str | None = None,
-        sink: Sink | None = None,
         buffered: bool = False,
-        wall_clock: bool = False,
         defer_sink: bool = False,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if sink is not None and trace_path is not None:
-            raise ValueError("pass trace_path or sink, not both")
         self.capacity = capacity
-        self.wall_clock = wall_clock
-        self._ring: deque[TraceEvent] = deque(maxlen=capacity)
+        self._trace_path = trace_path or None
+        self._ring: deque[TraceEvent] | None = (
+            None if self._trace_path else deque(maxlen=capacity)
+        )
         self._seq = 0
         self.dropped_events = 0
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
-        self._trace_path = trace_path
-        self._buffered = buffered
-        self._sink: Sink | None = None
+        self._writer: TraceWriter | None = None
         self._closed = False
         self._atexit_registered = False
-        if sink is not None:
-            self._adopt_sink(sink)
-        elif trace_path and not defer_sink:
-            self._adopt_sink(self._build_path_sink(trace_path))
-
-    # ------------------------------------------------------------------
-    def _build_path_sink(self, path: str, *, offset: int | None = None) -> Sink:
-        inner: Sink = JsonlSink(path, resume_offset=offset)
-        if self._buffered:
-            inner = BufferedSink(inner)
-        return inner
-
-    def _adopt_sink(self, sink: Sink) -> None:
-        self._sink = sink
-        # Lossy buffered sinks account their drops in the metrics registry
-        # (and the registry shows a zero until something actually drops).
-        if isinstance(sink, BufferedSink):
-            if sink.on_drop is None:
-                sink.on_drop = lambda n: self.counter(TRACE_DROPPED_TOTAL, n)
-            if sink.policy == "drop_oldest":
-                self.counters.setdefault(TRACE_DROPPED_TOTAL, 0)
-        if not self._atexit_registered:
-            # Crash safety: flush+close the sink even if nobody calls
-            # close() before the interpreter exits (unregistered on close).
-            atexit.register(self.close)
-            self._atexit_registered = True
+        if self._trace_path and not defer_sink:
+            self.attach_sink()
 
     # ------------------------------------------------------------------
     def _record(
@@ -224,17 +186,14 @@ class TraceRecorder(Recorder):
             round_index=round_index,
             client_id=client_id,
             fields=fields,
-            # Opt-in wall stamps live in a separate field the deterministic
-            # byte stream drops (TraceEvent.as_dict); they never touch
-            # simulated time.
-            wall_time=time.monotonic() if self.wall_clock else None,  # reprolint: allow[DET002] opt-in wall_clock stamp, dropped from the deterministic stream
         )
         self._seq += 1
-        if len(self._ring) == self.capacity:
-            self.dropped_events += 1
-        self._ring.append(event)
-        if self._sink is not None:
-            self._sink.write(event)
+        if self._writer is not None:
+            self._writer.write(event)
+        elif self._ring is not None:
+            if len(self._ring) == self.capacity:
+                self.dropped_events += 1
+            self._ring.append(event)
 
     def emit(
         self,
@@ -292,16 +251,19 @@ class TraceRecorder(Recorder):
 
     @property
     def sink_dropped_events(self) -> int:
-        """Events a lossy buffered sink discarded (0 for other sinks)."""
-        return int(getattr(self._sink, "dropped_events", 0))
-
-    @property
-    def sink(self) -> Sink | None:
-        """The attached streaming sink, if any."""
-        return self._sink
+        """Always 0: the trace writer never drops an event."""
+        return 0
 
     def events(self, kind: str | None = None) -> list[TraceEvent]:
-        """Events currently in the ring, optionally filtered by kind."""
+        """Events currently in the ring, optionally filtered by kind.
+
+        A recorder with a trace file keeps no ring; read the file instead.
+        """
+        if self._ring is None:
+            raise RuntimeError(
+                "this recorder keeps no events in memory; they are in "
+                f"its trace file {self._trace_path}"
+            )
         if kind is None:
             return list(self._ring)
         return [e for e in self._ring if e.kind == kind]
@@ -324,10 +286,8 @@ class TraceRecorder(Recorder):
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
         }
-        if self._sink is not None:
-            offset = self._sink.sync()
-            if offset is not None:
-                snapshot["sink_offset"] = offset
+        if self._writer is not None:
+            snapshot["sink_offset"] = self._writer.sync()
         return snapshot
 
     def restore_state(self, snapshot: dict) -> None:
@@ -339,22 +299,29 @@ class TraceRecorder(Recorder):
         self.gauges = {k: float(v) for k, v in snapshot["gauges"].items()}
 
     def attach_sink(self, *, offset: int | None = None) -> None:
-        """Open a sink deferred at construction (``defer_sink=True``).
+        """Open the trace file (deferred at construction by ``defer_sink``).
 
-        With ``offset`` and an existing file, the file is truncated to the
-        checkpointed position first — discarding any events a crashed
-        process managed to flush past its last checkpoint — and appending
-        resumes from there. Otherwise the file is created fresh. No-op if
-        no ``trace_path`` was configured or a sink is already open.
+        With ``offset`` the existing file is truncated to the checkpointed
+        position first — discarding any events a crashed process managed
+        to flush past its last checkpoint — and appending resumes from
+        there; a file shorter than ``offset`` raises
+        :class:`~repro.obs.sinks.SinkError`. Otherwise the file is created
+        fresh. No-op if no ``trace_path`` was configured or the file is
+        already open.
         """
-        if self._trace_path is None or self._sink is not None:
+        if self._trace_path is None or self._writer is not None:
             return
-        self._adopt_sink(self._build_path_sink(self._trace_path, offset=offset))
+        self._writer = TraceWriter(self._trace_path, resume_offset=offset)
+        if not self._atexit_registered:
+            # Crash safety: flush+close the file even if nobody calls
+            # close() before the interpreter exits (unregistered on close).
+            atexit.register(self.close)
+            self._atexit_registered = True
 
     # ------------------------------------------------------------------
     def flush(self) -> None:
-        if self._sink is not None:
-            self._sink.flush()
+        if self._writer is not None:
+            self._writer.flush()
 
     def close(self) -> None:
         if self._closed:
@@ -366,9 +333,9 @@ class TraceRecorder(Recorder):
                 atexit.unregister(self.close)
             except Exception:  # pragma: no cover - interpreter teardown
                 pass
-        if self._sink is not None:
-            self._sink.close()
-            self._sink = None
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
 
     def __del__(self) -> None:  # pragma: no cover - GC-order dependent
         try:

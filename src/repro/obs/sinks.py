@@ -1,37 +1,21 @@
-"""Trace sinks: where the flight-recorder pipeline writes its events.
+"""The trace writer: where every traced event is written, once.
 
-The :class:`~repro.obs.recorder.TraceRecorder` used to write one JSONL line
-per event synchronously on the hot path. This module turns that into a
-pluggable pipeline (DESIGN.md §13):
+A :class:`TraceWriter` owns the trace file (DESIGN.md §13). The producer
+side of :meth:`TraceWriter.write` is one deque append — no serialisation,
+no I/O — and a daemon flusher thread (``repro-trace-flusher``) wakes every
+:data:`FLUSH_INTERVAL` seconds to encode whatever accumulated as canonical
+JSONL lines (:func:`encode_jsonl`) and write them, flushing the file after
+each batch so a crash loses at most one interval of events.
 
-* :class:`Sink` — the protocol. A sink receives whole
-  :class:`~repro.obs.events.TraceEvent` objects (serialisation is the
-  sink's job, so it can happen off the hot path) in emission order and
-  must write them in that same order.
-* :class:`JsonlSink` — the synchronous baseline: one sorted-key JSON
-  object per line, byte-identical to the pre-pipeline recorder output.
-* :class:`BufferedSink` — the flight recorder: events land in a bounded
-  in-memory queue and a background flusher thread drains them into any
-  inner sink in batches. The producer pays one deque append instead of a
-  serialise+write, which is what keeps telemetry viable at million-event
-  scale.
+Backpressure blocks: once :data:`QUEUE_CAPACITY` events wait, the producer
+stalls until the flusher makes room. No event is ever lost, so the file
+holds exactly the bytes of encoding every event inline, in emission order —
+the serial/parallel/cohort byte-identical-trace contract. The flusher and
+any foreground ``flush``/``sync``/``close`` serialise on one lock, so
+batches reach the file in emission order whichever thread drains.
 
-Backpressure (``BufferedSink``)
--------------------------------
-When the queue is full the configured policy decides:
-
-* ``"block"`` (default): the producer waits for the flusher — **no event
-  is ever lost** and the drained byte stream is identical to a
-  synchronous sink's, so the serial/parallel/cohort byte-identical-trace
-  contract survives buffering.
-* ``"drop_oldest"``: the oldest queued event is discarded and counted
-  (``dropped_events``; surfaced as the ``repro_trace_dropped_total``
-  counter by the recorder). Lossy by design — overflow detection in
-  :mod:`repro.obs.analysis` refuses to compute from such a trace.
-
-Ordering is single-consumer by construction: the flusher and any
-foreground ``flush()``/``sync()`` call serialise on one lock, so inner
-writes always happen in emission order regardless of which thread drains.
+A flusher failure (disk full) is re-raised on the producer as
+:class:`SinkError` by the next ``write``/``flush``/``sync``/``close``.
 """
 
 from __future__ import annotations
@@ -40,199 +24,87 @@ import json
 import os
 import threading
 from collections import deque
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .events import TraceEvent
 
 __all__ = [
-    "Sink",
-    "JsonlSink",
-    "BufferedSink",
+    "TraceWriter",
     "SinkError",
     "encode_jsonl",
-    "BACKPRESSURE_POLICIES",
-    "TRACE_DROPPED_TOTAL",
+    "QUEUE_CAPACITY",
+    "FLUSH_INTERVAL",
 ]
 
-#: Recorder counter fed by ``BufferedSink(policy="drop_oldest")`` drops.
-TRACE_DROPPED_TOTAL = "repro_trace_dropped_total"
+#: Events the queue holds before the producer blocks.
+QUEUE_CAPACITY = 65536
 
-BACKPRESSURE_POLICIES = ("block", "drop_oldest")
+#: Seconds between flusher sweeps.
+FLUSH_INTERVAL = 0.05
 
 
 class SinkError(RuntimeError):
-    """A background flusher failure, re-raised on the producer thread."""
+    """The trace cannot be written: a background flusher failure,
+    re-raised on the producer thread, or a resume offset past the end of
+    the trace file."""
 
 
 def encode_jsonl(event: "TraceEvent") -> bytes:
-    """One event as its canonical JSONL line (sorted keys, ``\\n``).
+    """One event as its canonical JSONL line (sorted keys, ``\\n``)."""
+    return (json.dumps(event.as_dict(), sort_keys=True) + "\n").encode("utf-8")
 
-    ``drop_wall_clock=False`` keeps the opt-in ``wall_time`` field when
-    the recorder captured it and omits it otherwise — exactly the
-    pre-pipeline synchronous behaviour, byte for byte.
+
+class TraceWriter:
+    """Owns one JSONL trace file, written by a background flusher thread.
+
+    ``resume_offset`` (checkpoint resume) truncates an existing file to that
+    byte offset — discarding whatever a crashed process flushed past its
+    last checkpoint — and appends from there; :class:`SinkError` is raised,
+    before anything is written, if the file is shorter than the offset.
+    Without it the file is created fresh.
     """
-    return (
-        json.dumps(event.as_dict(drop_wall_clock=False), sort_keys=True) + "\n"
-    ).encode("utf-8")
-
-
-class Sink:
-    """Where serialised trace events go. Single-producer, order-preserving.
-
-    Implementations receive events via :meth:`write` in emission order and
-    must persist them in that order. ``flush``/``close`` are idempotent;
-    :meth:`sync` additionally makes the written prefix durable (fsync) and
-    returns its byte offset when the sink supports checkpoint/resume
-    truncation (see :meth:`repro.obs.recorder.TraceRecorder.snapshot_state`),
-    else ``None``.
-    """
-
-    def write(self, event: "TraceEvent") -> None:
-        raise NotImplementedError
-
-    def flush(self) -> None:
-        """Push buffered output down to the OS."""
-
-    def sync(self) -> int | None:
-        """Flush + fsync; returns the durable byte offset or ``None``."""
-        self.flush()
-        return None
-
-    def close(self) -> None:
-        """Flush and release resources. Idempotent."""
-
-    def __enter__(self) -> "Sink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class JsonlSink(Sink):
-    """Synchronous one-JSON-object-per-line sink (the determinism baseline)."""
 
     def __init__(self, path: str, *, resume_offset: int | None = None) -> None:
-        self.path = path
-        self._closed = False
-        if resume_offset is not None and os.path.exists(path):
-            # Checkpoint resume: discard whatever a crashed process flushed
-            # past its last checkpoint, then append (see TraceRecorder
-            # .attach_sink).
+        if resume_offset:
+            size = os.path.getsize(path) if os.path.exists(path) else 0
+            if resume_offset > size:
+                raise SinkError(
+                    f"cannot resume the trace {path}: it holds {size} bytes, "
+                    f"but the checkpoint was taken at byte {resume_offset}"
+                )
             self._fh = open(path, "r+b")
-            self._fh.seek(int(resume_offset))
+            self._fh.seek(resume_offset)
             self._fh.truncate()
         else:
             self._fh = open(path, "wb")
-
-    def write(self, event: "TraceEvent") -> None:
-        self._fh.write(encode_jsonl(event))
-
-    def flush(self) -> None:
-        if not self._closed:
-            self._fh.flush()
-
-    def sync(self) -> int | None:
-        if self._closed:
-            return None
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        return self._fh.tell()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._fh.flush()
-        self._fh.close()
-
-
-class BufferedSink(Sink):
-    """Bounded-queue sink drained by a background flusher thread.
-
-    The producer-side :meth:`write` appends the (immutable) event to a
-    deque — no serialisation, no I/O — and the flusher wakes every
-    ``flush_interval`` seconds to drain whatever accumulated into the
-    ``inner`` sink, flushing it after each batch so a crash loses at most
-    one interval of events. See the module docstring for the backpressure
-    policies and the determinism contract.
-
-    ``autostart=False`` leaves the flusher unstarted (tests use this to
-    make drop accounting exactly reproducible); call :meth:`start` or rely
-    on ``flush``/``close``, which drain on the calling thread regardless.
-    """
-
-    def __init__(
-        self,
-        inner: Sink,
-        *,
-        capacity: int = 65536,
-        policy: str = "block",
-        flush_interval: float = 0.05,
-        autostart: bool = True,
-        on_drop: Callable[[int], None] | None = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if policy not in BACKPRESSURE_POLICIES:
-            raise ValueError(
-                f"unknown backpressure policy {policy!r}; "
-                f"expected one of {BACKPRESSURE_POLICIES}"
-            )
-        self.inner = inner
-        self.capacity = capacity
-        self.policy = policy
-        self.flush_interval = flush_interval
-        self.on_drop = on_drop
-        self.dropped_events = 0
         self._queue: deque["TraceEvent"] = deque()
-        # One lock serialises every consumer (flusher thread, foreground
-        # flush/sync/close) so inner writes keep emission order; the
-        # condition wakes blocked producers when the flusher makes room.
+        # The condition wakes a blocked producer when a drain makes room.
         self._lock = threading.Lock()
         self._space = threading.Condition(self._lock)
         self._stop = threading.Event()
         self._error: BaseException | None = None
-        self._thread: threading.Thread | None = None
         self._closed = False
-        if autostart:
-            self.start()
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Start the background flusher (idempotent)."""
-        if self._thread is None and not self._closed:
-            self._thread = threading.Thread(
-                target=self._run, name="repro-trace-flusher", daemon=True
-            )
-            self._thread.start()
+        self._thread = threading.Thread(
+            target=self._run, name="repro-trace-flusher", daemon=True
+        )
+        self._thread.start()
 
     def _run(self) -> None:
-        while not self._stop.wait(self.flush_interval):
+        while not self._stop.wait(FLUSH_INTERVAL):
             self._drain()
-        self._drain()  # final sweep before the thread exits
 
     def _drain(self) -> None:
-        """Move every queued event into the inner sink (any thread)."""
+        """Encode and write every queued event (any thread)."""
         with self._lock:
-            wrote = False
-            while True:
+            lines = []
+            while self._queue:
+                lines.append(encode_jsonl(self._queue.popleft()))
+            if lines and self._error is None:
                 try:
-                    event = self._queue.popleft()
-                except IndexError:
-                    break
-                try:
-                    self.inner.write(event)
-                    wrote = True
-                except BaseException as exc:  # surface on the producer side
-                    if self._error is None:
-                        self._error = exc
-                    self._stop.set()
-                    break
-            if wrote and self._error is None:
-                try:
-                    self.inner.flush()
-                except BaseException as exc:
+                    self._fh.write(b"".join(lines))
+                    self._fh.flush()
+                except Exception as exc:  # surfaces on the producer
                     self._error = exc
                     self._stop.set()
             self._space.notify_all()
@@ -243,57 +115,43 @@ class BufferedSink(Sink):
                 f"trace flusher failed: {self._error!r}"
             ) from self._error
 
-    # ------------------------------------------------------------------
     def write(self, event: "TraceEvent") -> None:
+        """Queue one event; blocks while the queue is full."""
         self._raise_pending()
-        if len(self._queue) >= self.capacity:
-            if self.policy == "drop_oldest":
-                try:
-                    self._queue.popleft()
-                except IndexError:  # pragma: no cover - flusher raced us
-                    pass
-                else:
-                    self.dropped_events += 1
-                    if self.on_drop is not None:
-                        self.on_drop(1)
-            else:  # block
-                flusher_alive = (
-                    self._thread is not None and self._thread.is_alive()
-                )
-                if not flusher_alive:
-                    # No one else will make room — drain here rather than
-                    # deadlocking the producer.
-                    self._drain()
-                    self._raise_pending()
-                else:
-                    with self._space:
-                        while (
-                            len(self._queue) >= self.capacity
-                            and self._error is None
-                            and not self._stop.is_set()
-                        ):
-                            self._space.wait(timeout=0.5)
-                    self._raise_pending()
+        if len(self._queue) >= QUEUE_CAPACITY:
+            if not self._thread.is_alive():
+                self._drain()  # no flusher (forked child): make room here
+            with self._space:
+                while len(self._queue) >= QUEUE_CAPACITY and self._error is None:
+                    self._space.wait(timeout=0.5)
+            self._raise_pending()
         self._queue.append(event)
 
-    # ------------------------------------------------------------------
     def flush(self) -> None:
-        """Drain the queue on the calling thread and flush the inner sink."""
+        """Write every queued event on the calling thread."""
         self._drain()
         self._raise_pending()
 
-    def sync(self) -> int | None:
-        self._drain()
-        self._raise_pending()
-        return self.inner.sync()
+    def sync(self) -> int:
+        """Flush and fsync; returns the durable byte offset, which
+        ``resume_offset`` accepts."""
+        self.flush()
+        with self._lock:
+            os.fsync(self._fh.fileno())
+            return self._fh.tell()
 
     def close(self) -> None:
+        """Stop the flusher, write what is queued and close the file.
+        Idempotent."""
         if self._closed:
             return
         self._closed = True
         self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
+        self._thread.join(timeout=10.0)
         self._drain()
-        self.inner.close()
+        try:
+            self._fh.close()
+        except OSError as exc:  # the last flush failed
+            if self._error is None:
+                self._error = exc
         self._raise_pending()

@@ -141,14 +141,6 @@ class ResultCache:
             os.fsync(fh.fileno())
         os.replace(tmp, path)
 
-    def evict(self, key: str) -> bool:
-        """Remove one cell; True if it existed."""
-        try:
-            os.remove(self.path_for(key))
-            return True
-        except FileNotFoundError:
-            return False
-
     def __len__(self) -> int:
         return sum(
             1 for entry in os.listdir(self.directory) if entry.endswith(".json")

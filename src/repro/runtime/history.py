@@ -37,7 +37,7 @@ class RunHistory:
     accumulates, so on long or large-population runs they dominate its
     footprint and grow without bound. With ``retain_client_events=False``
     each appended record keeps an empty dict — the same information still
-    streams to the trace sink (``client.round`` spans, FedCA decision
+    streams to the trace file (``client.round`` spans, FedCA decision
     events), but the post-hoc helpers that read retained events
     (:meth:`early_stop_iterations`, :meth:`eager_iterations`) will see
     nothing. Round summaries (times, accuracy, collected/straggler ids)

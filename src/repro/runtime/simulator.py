@@ -110,7 +110,7 @@ class FederatedSimulator:
     spill_client_events:
         Drop each round's per-client event dicts from the in-RAM
         :class:`~repro.runtime.history.RunHistory` once the round record
-        is appended. The same information still streams to the trace sink
+        is appended. The same information still streams to the trace file
         (``client.round`` spans and FedCA decision events), bounding run
         memory for long runs at the cost of post-hoc helpers that read
         ``record.client_events``.
@@ -260,15 +260,6 @@ class FederatedSimulator:
     # Checkpoint/resume (see repro.persist — imported lazily so the
     # runtime layer has no hard dependency on the persistence subsystem).
     # ------------------------------------------------------------------
-    def save_checkpoint(self, path: str) -> None:
-        """Atomically snapshot the full run state between rounds.
-
-        Under a parallel executor this pulls the evolved per-client state
-        from the worker processes, so it is safe (and exact) mid-run."""
-        from ..persist import RunCheckpoint
-
-        RunCheckpoint.from_simulator(self).save(path)
-
     def resume(self, source) -> "RunCheckpoint":
         """Restore a checkpoint into this *freshly constructed* simulator.
 
@@ -554,10 +545,10 @@ class FederatedSimulator:
         """Run up to ``num_rounds`` rounds, stopping early if
         ``target_accuracy`` is reached.
 
-        Crash safety: the loop always flushes the recorder's sink and
+        Crash safety: the loop always flushes the recorder's trace and
         closes the profiler's open round lap in a ``finally`` — so the
         trace streamed so far survives a mid-round exception (the recorder
-        additionally closes its sink via ``atexit``; see
+        additionally closes its trace file via ``atexit``; see
         :class:`~repro.obs.TraceRecorder`)."""
         if num_rounds < 1:
             raise ValueError("num_rounds must be >= 1")

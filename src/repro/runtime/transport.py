@@ -360,11 +360,6 @@ class ShmTransport:
         self.count(ipc_bytes_counter("shm", "capture"), nbytes, mirror=False)
         return snapshot
 
-    def segment_names(self) -> list[str]:
-        """The ``/dev/shm`` names this pool owns (for leak checks)."""
-        arenas = [*self._results, self._broadcast]
-        return [a.name for a in arenas if a is not None]
-
     def close(self) -> None:
         """Unlink the arenas. Idempotent; a no-op outside the creating
         process."""

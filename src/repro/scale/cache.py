@@ -115,9 +115,6 @@ class ResidentClientCache:
     def __len__(self) -> int:
         return len(self._residents)
 
-    def resident_ids(self) -> list[int]:
-        return sorted(self._residents)
-
     @property
     def parked_clients(self) -> int:
         """Clients held as a snapshot rather than live."""

@@ -204,11 +204,3 @@ class SpeedTrace:
         ]
         self._horizon = float(snapshot["horizon"])
         self._next_fast = bool(snapshot["next_fast"])
-
-    def average_iteration_time(self, start: float, iterations: int) -> float:
-        """Mean wall-clock seconds per iteration over a window (used by
-        clients to estimate their own pace when reporting to the server)."""
-        if iterations <= 0:
-            raise ValueError("iterations must be positive")
-        finish = self.iteration_finish_time(start, iterations)
-        return (finish - start) / iterations

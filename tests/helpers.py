@@ -348,3 +348,11 @@ def global_vectors(model: Module) -> tuple[np.ndarray, np.ndarray]:
     the round-start global model a strategy driver or an engine takes."""
     arena = model.arena()
     return arena.values.copy(), arena.buffers.copy()
+
+
+def shm_segment_names(executor) -> list[str]:
+    """The ``/dev/shm`` names a parallel executor's pool owns: its broadcast
+    arena and one result arena per worker (for leak checks)."""
+    transport = executor._transport_impl
+    arenas = [*transport._results, transport._broadcast]
+    return [a.name for a in arenas if a is not None]

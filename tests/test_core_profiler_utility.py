@@ -221,37 +221,37 @@ class TestEarlyStopPolicy:
         # Benefit at tau=3 is tiny; post-deadline cost is huge.
         curves = make_curves([0.9, 0.98, 0.99, 1.0])
         policy = EarlyStopPolicy(curves, FedCAConfig())
-        assert policy.should_stop(3, elapsed=20.0, deadline=10.0)
+        assert policy.decide(3, elapsed=20.0, deadline=10.0).stop
 
     def test_keeps_going_pre_deadline_with_benefit(self):
         curves = make_curves([0.3, 0.6, 0.9, 1.0])
         policy = EarlyStopPolicy(curves, FedCAConfig())
-        assert not policy.should_stop(2, elapsed=1.0, deadline=10.0)
+        assert not policy.decide(2, elapsed=1.0, deadline=10.0).stop
 
     def test_disabled_never_stops(self):
         curves = make_curves([0.99, 0.995, 1.0])
         cfg = FedCAConfig(enable_early_stop=False, enable_eager_transmit=False,
                           enable_retransmit=False)
         policy = EarlyStopPolicy(curves, cfg)
-        assert not policy.should_stop(2, elapsed=100.0, deadline=1.0)
+        assert not policy.decide(2, elapsed=100.0, deadline=1.0).stop
 
     def test_min_iterations_respected(self):
         curves = make_curves([0.99, 0.995, 0.999, 1.0])
         cfg = FedCAConfig(min_local_iterations=3)
         policy = EarlyStopPolicy(curves, cfg)
-        assert not policy.should_stop(2, elapsed=100.0, deadline=1.0)
-        assert policy.should_stop(3, elapsed=100.0, deadline=1.0)
+        assert not policy.decide(2, elapsed=100.0, deadline=1.0).stop
+        assert policy.decide(3, elapsed=100.0, deadline=1.0).stop
 
     def test_beyond_profiled_k_stops(self):
         curves = make_curves([0.5, 1.0])
         policy = EarlyStopPolicy(curves, FedCAConfig())
-        assert policy.should_stop(2, elapsed=0.1, deadline=10.0)
+        assert policy.decide(2, elapsed=0.1, deadline=10.0).stop
 
     def test_tau_validation(self):
         curves = make_curves([0.5, 1.0])
         policy = EarlyStopPolicy(curves, FedCAConfig())
         with pytest.raises(ValueError):
-            policy.should_stop(0, 1.0, 1.0)
+            policy.decide(0, 1.0, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -279,12 +279,6 @@ class TestEagerSchedule:
         sched = EagerSchedule(curves, 0.95)
         # Caller first asks at tau=2: both layers due.
         assert set(sched.due(2)) == {"early", "later"}
-
-    def test_pending_layers(self):
-        curves = make_curves([0.5, 1.0], {"a": [0.2, 1.0], "b": [0.96, 1.0]})
-        sched = EagerSchedule(curves, 0.95)
-        sched.due(1)  # sends b
-        assert sched.pending_layers(["a", "b"]) == ["a"]
 
     def test_never_converged_layer_absent(self):
         curves = make_curves([0.5, 0.9], {"l": [0.5, 0.9]})

@@ -23,6 +23,8 @@ from repro.runtime.cohort import DEFAULT_COHORT_SIZE
 from repro.runtime.parallel import fork_available
 from repro.runtime.transport import ipc_bytes_counter
 
+from .helpers import shm_segment_names
+
 OPT = OptimizerSpec(lr=0.05, weight_decay=0.01)
 NUM_CLIENTS = 5
 ITERS = 6
@@ -178,10 +180,10 @@ class TestTraceDeterminism:
     """
 
     @staticmethod
-    def run_traced(env_data, scheme, executor, *, wall_clock=False):
+    def run_traced(env_data, scheme, executor):
         from repro.obs import TraceRecorder, events_to_jsonl
 
-        rec = TraceRecorder(wall_clock=wall_clock)
+        rec = TraceRecorder()
         with make_sim(env_data, scheme, executor=executor, recorder=rec) as sim:
             hist = sim.run(4)
         rec.close()
@@ -197,27 +199,21 @@ class TestTraceDeterminism:
         assert jsonl_s  # non-vacuous: the trace actually has events
 
     @needs_fork
-    def test_identical_modulo_wall_clock(self, env_data):
-        # With wall-clock stamping on, the streams still match once the
-        # (engine-dependent) wall_time field is dropped.
-        import json
+    def test_identical_modulo_wall_clock(self, env_data, tmp_path):
+        # Events carry no wall-clock field, so the trace files the writer
+        # leaves are plain byte-identical.
+        from repro.obs import TraceRecorder
 
-        _, _, rec_s = self.run_traced(
-            env_data, "fedca", SerialExecutor(), wall_clock=True
-        )
-        _, _, rec_p = self.run_traced(
-            env_data, "fedca", "parallel:4", wall_clock=True
-        )
+        def trace_file(executor, name):
+            path = tmp_path / name
+            rec = TraceRecorder(trace_path=str(path))
+            with make_sim(env_data, "fedca", executor=executor, recorder=rec) as sim:
+                sim.run(4)
+            rec.close()
+            return path.read_bytes()
 
-        def stripped(rec):
-            rows = []
-            for ev in rec.events():
-                d = ev.as_dict(drop_wall_clock=False)
-                assert d.pop("wall_time", None) is not None
-                rows.append(json.dumps(d, sort_keys=True))
-            return rows
-
-        assert stripped(rec_s) == stripped(rec_p)
+        serial = trace_file(SerialExecutor(), "serial.jsonl")
+        assert serial and trace_file("parallel:4", "parallel.jsonl") == serial
 
     def test_tracing_leaves_history_bitwise_identical(self, env_data):
         from repro.obs import TraceRecorder
@@ -506,7 +502,7 @@ class TestShmLifecycle:
         executor = ParallelExecutor(workers=2)
         sim = make_sim(env_data, "fedavg", executor=executor)
         sim.run_round()
-        names = executor._transport_impl.segment_names()
+        names = shm_segment_names(executor)
         assert len(names) == 3  # broadcast arena + one result arena per worker
         assert all((Path("/dev/shm") / n).exists() for n in names)
         sim.close()
@@ -520,7 +516,7 @@ class TestShmLifecycle:
         executor = ParallelExecutor(workers=2)
         with make_sim(env_data, "fedavg", executor=executor) as sim:
             sim.run_round()
-            names = executor._transport_impl.segment_names()
+            names = shm_segment_names(executor)
             executor._procs[0].terminate()
             executor._procs[0].join()
             with pytest.warns(RuntimeWarning, match="worker died"):
@@ -548,6 +544,7 @@ class TestShmLifecycle:
         import warnings
 
         from repro.obs import TraceRecorder, events_to_jsonl
+        from repro.persist import RunCheckpoint
 
         ckpt = str(tmp_path / "mid.ckpt")
 
@@ -555,7 +552,7 @@ class TestShmLifecycle:
             rec = TraceRecorder()
             with make_sim(env_data, "fedca", executor=executor, recorder=rec) as sim:
                 sim.run(2)
-                sim.save_checkpoint(ckpt)
+                RunCheckpoint.from_simulator(sim).save(ckpt)
                 hist = sim.run(2)
             rec.close()
             return history_fingerprint(hist), events_to_jsonl(rec.events()), rec.counters

@@ -57,12 +57,6 @@ class TestParameter:
         assert p.nbytes == 5 * 7 * 4
         assert p.size == 35
 
-    def test_copy_data_is_independent(self):
-        p = Parameter(randn(4))
-        snap = p.copy_data()
-        p.data += 1.0
-        assert not np.allclose(snap, p.data)
-
 
 class TestModule:
     def test_named_parameters_dotted_paths(self):

@@ -136,7 +136,7 @@ class TestResumeBitwiseOracle:
         )
         half.run(2)
         path = tmp_path / "mid.ckpt"
-        half.save_checkpoint(str(path))
+        RunCheckpoint.from_simulator(half).save(str(path))
         half.close()
 
         fresh = make_environment(
@@ -481,7 +481,7 @@ class TestDiscoveryAndGuards:
         # The dead pool took client-state evolution with it; a checkpoint
         # here would silently violate resume determinism.
         with pytest.raises(RuntimeError, match="worker-crash fallback"):
-            sim.save_checkpoint(str(tmp_path / "bad.ckpt"))
+            RunCheckpoint.from_simulator(sim).save(str(tmp_path / "bad.ckpt"))
         sim.close()
 
 
@@ -525,7 +525,7 @@ class TestResultCache:
             dynamic=True,
             fedca_config=FedCAConfig(profile_every=CFG.fedca_profile_every),
         )
-        assert cache.evict(key)
+        os.remove(cache.path_for(key))
         rerun = ResultCache(cache.directory)
         self._grid(rerun)
         assert rerun.misses == 1
@@ -642,3 +642,21 @@ class TestCLIPersistence:
         assert rc == 2
         out = capsys.readouterr()
         assert "cannot resume" in out.out + out.err
+
+    def test_resume_past_the_end_of_the_trace_exits_2(self, tmp_path, capsys):
+        # A trace shorter than the checkpoint's offset is refused before a
+        # byte is written, instead of being padded with NULs up to it.
+        from repro.cli import main
+
+        trace = tmp_path / "t.jsonl"
+        common = [
+            "run", "--workload", "cnn", "--scheme", "fedavg",
+            "--no-target-stop", "--log-level", "error",
+            "--checkpoint-dir", str(tmp_path / "ck"), "--trace-file", str(trace),
+        ]
+        assert main([*common, "--rounds", "2", "--checkpoint-every", "1"]) == 0
+        trace.write_bytes(b"")
+        assert main([*common, "--rounds", "3", "--resume"]) == 2
+        assert trace.read_bytes() == b""
+        out = capsys.readouterr()
+        assert f"cannot resume the trace {trace}: it holds 0 bytes" in out.out + out.err

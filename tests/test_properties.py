@@ -350,14 +350,15 @@ class TestEagerScheduleProperties:
     @given(monotone_curve())
     @settings(max_examples=30, deadline=None)
     def test_due_partitions_layers(self, curves):
-        """Draining due() across all iterations plus pending_layers() covers
-        every layer exactly once."""
+        """Draining due() across all iterations sends exactly the layers
+        that have a trigger; with the never-triggered ones that covers every
+        layer exactly once."""
         from repro.core import EagerSchedule
 
         sched = EagerSchedule(curves, 0.9)
         sent = []
         for tau in range(1, curves.num_iterations + 1):
             sent.extend(sched.due(tau))
-        pending = sched.pending_layers(list(curves.layer_curves))
+        pending = [n for n in curves.layer_curves if n not in sched.triggers]
         assert sorted(sent + pending) == sorted(curves.layer_curves)
         assert len(set(sent)) == len(sent)

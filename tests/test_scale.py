@@ -307,14 +307,14 @@ class TestLazyClientPopulation:
         cache = pop.cache
         cache.acquire(0)
         cache.acquire(1)
-        assert cache.resident_ids() == [0, 1]
+        assert sorted(cache._residents) == [0, 1]
         assert cache.evictions == 0
         cache.acquire(2)  # evicts 0 (least recent)
-        assert cache.resident_ids() == [1, 2]
+        assert sorted(cache._residents) == [1, 2]
         assert cache.evictions == 1
         cache.acquire(1)  # hit refreshes recency
         cache.acquire(3)  # now evicts 2, not 1
-        assert cache.resident_ids() == [1, 3]
+        assert sorted(cache._residents) == [1, 3]
         cache.acquire(0)  # snapshot-backed rehydration
         assert cache.rehydrations == 1
 
@@ -332,7 +332,7 @@ class TestLazyClientPopulation:
         client.trace.iteration_finish_time(0.0, 5)
         before = client.capture_state()
         pop.cache.acquire(1)  # evicts 0
-        assert pop.cache.resident_ids() == [1]
+        assert sorted(pop.cache._residents) == [1]
         after = pop[0].capture_state()
         assert_state_equal(after, before)
 
@@ -364,7 +364,7 @@ class TestLazyClientPopulation:
             before = pop[0].capture_state()["kept"]["wire"]
 
             pop.cache.acquire(1)  # evicts 0; its codec leaves with it
-            assert pop.cache.resident_ids() == [1]
+            assert sorted(pop.cache._residents) == [1]
             # The evicted client's state exists nowhere but in the pager's
             # snapshot: the strategy and its wire layer hold nothing.
             assert_state_equal(decode(pop.cache._snapshots[0])["kept"]["wire"], before)
@@ -533,7 +533,7 @@ def test_parked_client_equals_never_evicted(env_data, model_fn, wire, mutate, en
         client.trace.iteration_finish_time(31.0, 40)
         mutate(strategy, client)
         pop[3].stream.next_batch()  # parks client 2 in the tight cache only
-    assert tight.cache.resident_ids() == [3] and type(tight.cache._snapshots[2]) is bytes
+    assert sorted(tight.cache._residents) == [3] and type(tight.cache._snapshots[2]) is bytes
     assert roomy.cache.evictions == 0
     parked, live = tight[2], roomy[2]
     assert tight.cache.rehydrations == 1

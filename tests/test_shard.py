@@ -41,7 +41,7 @@ from repro.runtime import (
 from repro.runtime.round import ClientRoundResult
 from repro.runtime.parallel import fork_available
 
-from .helpers import per_client_holdings
+from .helpers import per_client_holdings, shm_segment_names
 
 OPT = OptimizerSpec(lr=0.05, weight_decay=0.01)
 NUM_CLIENTS = 5
@@ -215,7 +215,7 @@ class TestShardedReduceEquivalence:
             with make_sim(env_data, scheme, executor=executor, recorder=rec) as sim:
                 sim.run(4)
                 if sim.executor.name == "parallel":
-                    names = sim.executor._transport_impl.segment_names()
+                    names = shm_segment_names(sim.executor)
                     assert len(names) == sim.executor.workers + 1
                     live = {p.name for p in Path("/dev/shm").glob(f"{SEGMENT_PREFIX}*")}
                     assert set(names) <= live
@@ -264,7 +264,7 @@ class TestShardedLifecycle:
         executor = resolve_executor("parallel:2+shards=3")
         sim = make_sim(env_data, "fedavg", executor=executor)
         sim.run_round()
-        names = executor._transport_impl.segment_names()
+        names = shm_segment_names(executor)
         # broadcast + 2 result arenas; the spelling allocates nothing more
         assert len(names) == 3
         assert all((Path("/dev/shm") / n).exists() for n in names)
@@ -279,7 +279,7 @@ class TestShardedLifecycle:
         executor = resolve_executor("parallel:2+shards=2")
         with make_sim(env_data, "fedca", executor=executor) as sim:
             sim.run_round()
-            names = executor._transport_impl.segment_names()
+            names = shm_segment_names(executor)
             executor._procs[0].terminate()
             executor._procs[0].join()
             with pytest.warns(RuntimeWarning, match="worker died"):

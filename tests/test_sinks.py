@@ -1,14 +1,14 @@
-"""Flight-recorder sink-layer tests: backpressure policies (exact drop
-counts, ``block`` never loses events), JSONL resume truncation, recorder
-integration (crash-flush, drop counters) and
-byte-identical traces across serial / parallel@shm / cohort engines with a
-``BufferedSink`` (DESIGN.md §13)."""
+"""Trace-writer tests: canonical JSONL bytes, blocking backpressure,
+resume truncation and its bounds check, flusher failures surfacing on the
+producer, a file-backed recorder holding no events in memory, and trace
+files byte-equal to the in-memory trace on every engine (DESIGN.md §13)."""
 
 from __future__ import annotations
 
 import json
-import threading
-import time
+import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,15 +17,15 @@ from repro.algorithms import OptimizerSpec, build_strategy
 from repro.data import dirichlet_partition, make_workload_data
 from repro.nn import LeNetCNN
 from repro.obs import (
-    TRACE_DROPPED_TOTAL,
-    BufferedSink,
-    JsonlSink,
     SinkError,
     TraceEvent,
     TraceRecorder,
+    TraceWriter,
     TruncatedTraceError,
     client_iteration_counts,
+    events_to_jsonl,
 )
+from repro.obs import sinks
 from repro.obs.sinks import encode_jsonl
 from repro.runtime import FederatedSimulator, shm_available
 from repro.runtime.parallel import fork_available
@@ -53,186 +53,178 @@ def jsonl_bytes(events) -> bytes:
     return b"".join(encode_jsonl(e) for e in events)
 
 
+def write_all(path, events, **kwargs) -> TraceWriter:
+    writer = TraceWriter(str(path), **kwargs)
+    for e in events:
+        writer.write(e)
+    return writer
+
+
 # ----------------------------------------------------------------------
 class TestFileSinks:
     def test_jsonl_sink_matches_canonical_encoding(self, tmp_path):
         events = [ev(i, x=i * 0.5) for i in range(5)]
         path = tmp_path / "t.jsonl"
-        with JsonlSink(str(path)) as sink:
-            for e in events:
-                sink.write(e)
+        write_all(path, events).close()
         assert path.read_bytes() == jsonl_bytes(events)
+        assert path.read_text() == events_to_jsonl(events)
 
     def test_sync_returns_durable_offset_and_resume_truncates(self, tmp_path):
         path = tmp_path / "t.jsonl"
         events = [ev(i) for i in range(4)]
-        sink = JsonlSink(str(path))
-        sink.write(events[0])
-        sink.write(events[1])
-        offset = sink.sync()
+        writer = write_all(path, events[:2])
+        offset = writer.sync()
         assert offset == len(jsonl_bytes(events[:2]))
-        sink.write(events[2])
-        sink.close()
+        writer.write(events[2])
+        writer.close()
         # Resume at the synced offset: the un-checkpointed tail (events[2])
         # is discarded and appending continues seamlessly.
-        with JsonlSink(str(path), resume_offset=offset) as sink2:
-            sink2.write(events[3])
+        write_all(path, events[3:], resume_offset=offset).close()
         assert path.read_bytes() == jsonl_bytes([events[0], events[1], events[3]])
+
+    def test_resume_past_the_end_of_the_file_is_refused(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"x" * 10)
+        with pytest.raises(SinkError, match=f"{path}.*10 bytes.*byte 11"):
+            TraceWriter(str(path), resume_offset=11)
+        assert path.read_bytes() == b"x" * 10  # nothing written
+        with pytest.raises(SinkError, match="0 bytes"):
+            TraceWriter(str(tmp_path / "missing.jsonl"), resume_offset=1)
+        assert not (tmp_path / "missing.jsonl").exists()
 
 
 # ----------------------------------------------------------------------
-class _ListSink:
-    """In-memory inner sink for buffered-sink unit tests."""
-
-    def __init__(self, *, write_delay: float = 0.0, fail_after: int | None = None):
-        self.events: list[TraceEvent] = []
-        self.flushes = 0
-        self.closed = False
-        self.write_delay = write_delay
-        self.fail_after = fail_after
-
-    def write(self, event):
-        if self.fail_after is not None and len(self.events) >= self.fail_after:
-            raise OSError("disk full")
-        if self.write_delay:
-            time.sleep(self.write_delay)
-        self.events.append(event)
-
-    def flush(self):
-        self.flushes += 1
-
-    def sync(self):
-        return None
-
-    def close(self):
-        self.closed = True
-
-
 class TestBufferedSink:
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            BufferedSink(_ListSink(), capacity=0)
-        with pytest.raises(ValueError, match="policy"):
-            BufferedSink(_ListSink(), policy="yolo")
+    """The writer's queue: producer-side appends drained by the flusher."""
 
-    def test_drop_oldest_counts_are_exact(self):
-        inner = _ListSink()
-        drops: list[int] = []
-        # autostart=False: no flusher races the producer, so the drop
-        # accounting is exactly reproducible.
-        sink = BufferedSink(
-            inner,
-            capacity=4,
-            policy="drop_oldest",
-            autostart=False,
-            on_drop=drops.append,
-        )
-        for i in range(10):
-            sink.write(ev(i))
-        assert sink.dropped_events == 6
-        assert sum(drops) == 6
-        sink.close()
-        # The newest `capacity` events survive, in order.
-        assert [e.seq for e in inner.events] == [6, 7, 8, 9]
+    def test_block_policy_never_loses_events(self, tmp_path, monkeypatch):
+        # A tiny queue forces the producer to wait for the flusher; block
+        # backpressure stalls it instead of dropping.
+        monkeypatch.setattr(sinks, "QUEUE_CAPACITY", 8)
+        monkeypatch.setattr(sinks, "FLUSH_INTERVAL", 0.001)
+        events = [ev(i) for i in range(200)]
+        path = tmp_path / "t.jsonl"
+        write_all(path, events).close()
+        assert path.read_bytes() == jsonl_bytes(events)
 
-    def test_block_policy_never_loses_events(self):
-        # A slow inner sink forces the queue to fill; block backpressure
-        # stalls the producer instead of dropping.
-        inner = _ListSink(write_delay=0.001)
-        sink = BufferedSink(
-            inner, capacity=8, policy="block", flush_interval=0.005
-        )
-        n = 200
-        for i in range(n):
-            sink.write(ev(i))
-        sink.close()
-        assert sink.dropped_events == 0
-        assert [e.seq for e in inner.events] == list(range(n))
+    def test_block_without_flusher_drains_inline(self, tmp_path, monkeypatch):
+        # With its flusher gone (stopped, or not copied into a forked
+        # child) a full queue must not hang the producer: it drains on the
+        # calling thread, in order.
+        monkeypatch.setattr(sinks, "QUEUE_CAPACITY", 2)
+        path = tmp_path / "t.jsonl"
+        writer = TraceWriter(str(path))
+        writer._stop.set()
+        writer._thread.join(timeout=10.0)
+        assert not writer._thread.is_alive()
+        events = [ev(i) for i in range(7)]
+        for e in events:
+            writer.write(e)
+            assert len(writer._queue) <= 2
+        writer.flush()
+        assert path.read_bytes() == jsonl_bytes(events)
+        writer.close()
 
-    def test_block_without_flusher_drains_inline(self):
-        inner = _ListSink()
-        sink = BufferedSink(inner, capacity=2, policy="block", autostart=False)
-        for i in range(7):  # > capacity: producer must self-drain, not hang
-            sink.write(ev(i))
-        sink.close()
-        assert [e.seq for e in inner.events] == list(range(7))
-
-    def test_byte_identical_to_synchronous_jsonl(self, tmp_path):
-        events = [ev(i, x=i) for i in range(50)]
-        sync_path, buf_path = tmp_path / "sync.jsonl", tmp_path / "buf.jsonl"
-        with JsonlSink(str(sync_path)) as sink:
+    def test_byte_identical_to_synchronous_jsonl(self, tmp_path, monkeypatch):
+        # The flusher's batches, whatever their boundaries, add up to the
+        # bytes of encoding and writing every event inline — with threads
+        # switching as often as the interpreter allows and a queue that
+        # keeps the producer waiting on the flusher.
+        monkeypatch.setattr(sinks, "FLUSH_INTERVAL", 0.0005)
+        monkeypatch.setattr(sinks, "QUEUE_CAPACITY", 16)
+        events = [ev(i, x=i) for i in range(2000)]
+        sync_path = tmp_path / "sync.jsonl"
+        with open(sync_path, "wb") as fh:
             for e in events:
-                sink.write(e)
-        with BufferedSink(JsonlSink(str(buf_path)), flush_interval=0.002) as sink:
-            for e in events:
-                sink.write(e)
-        assert buf_path.read_bytes() == sync_path.read_bytes()
+                fh.write(encode_jsonl(e))
+        path = tmp_path / "t.jsonl"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            write_all(path, events).close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert path.read_bytes() == sync_path.read_bytes()
 
+    @pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="needs /dev/full"
+    )
     def test_flusher_failure_surfaces_on_producer(self):
-        inner = _ListSink(fail_after=2)
-        sink = BufferedSink(inner, capacity=100, autostart=False)
-        for i in range(5):
-            sink.write(ev(i))
-        with pytest.raises(SinkError, match="disk full"):
-            sink.flush()
+        writer = write_all("/dev/full", [ev(i) for i in range(5)])
+        with pytest.raises(SinkError, match="No space left"):
+            writer.flush()
         with pytest.raises(SinkError):
-            sink.write(ev(5))  # sink is dead; later writes refuse too
+            writer.write(ev(5))  # the writer is dead; later writes refuse too
+        with pytest.raises(SinkError):
+            writer.close()
 
     def test_sync_drains_then_reports_inner_offset(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        sink = BufferedSink(JsonlSink(str(path)), autostart=False)
         events = [ev(i) for i in range(3)]
-        for e in events:
-            sink.write(e)
-        assert sink.sync() == len(jsonl_bytes(events))
-        sink.close()
+        writer = write_all(tmp_path / "t.jsonl", events)
+        assert writer.sync() == len(jsonl_bytes(events))
+        writer.close()
 
-    def test_close_is_idempotent_and_closes_inner(self):
-        inner = _ListSink()
-        sink = BufferedSink(inner)
-        sink.write(ev(0))
-        sink.close()
-        sink.close()
-        assert inner.closed and [e.seq for e in inner.events] == [0]
+    def test_close_is_idempotent_and_closes_inner(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        writer = write_all(path, [ev(0)])
+        writer.close()
+        writer.close()
+        assert not writer._thread.is_alive()
+        assert path.read_bytes() == jsonl_bytes([ev(0)])
 
 
 # ----------------------------------------------------------------------
 class TestRecorderSinkIntegration:
-    def test_trace_path_and_explicit_sink_are_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            TraceRecorder(
-                trace_path=str(tmp_path / "a.jsonl"),
-                sink=JsonlSink(str(tmp_path / "b.jsonl")),
-            )
-
     def test_buffered_recorder_stream_is_byte_identical(self, tmp_path):
+        # ``buffered=`` is accepted and ignored: the same writer either way.
         def emit_all(rec):
             rec.emit("round.start", sim_time=0.0, round_index=0, selected=[1])
             rec.span("client.round", sim_start=0.0, sim_end=2.0, client_id=1)
             rec.emit("round.end", sim_time=2.0, round_index=0, accuracy=0.5)
             rec.close()
 
-        sync_path = tmp_path / "sync.jsonl"
+        plain_path = tmp_path / "plain.jsonl"
         buf_path = tmp_path / "buf.jsonl"
-        emit_all(TraceRecorder(trace_path=str(sync_path)))
+        emit_all(TraceRecorder(trace_path=str(plain_path)))
         emit_all(TraceRecorder(trace_path=str(buf_path), buffered=True))
-        assert buf_path.read_bytes() == sync_path.read_bytes()
+        assert buf_path.read_bytes() == plain_path.read_bytes()
+        assert plain_path.read_bytes().count(b"\n") == 3
 
-    def test_lossy_sink_drops_mirror_into_counter(self, tmp_path):
-        inner = JsonlSink(str(tmp_path / "t.jsonl"))
-        rec = TraceRecorder(
-            sink=BufferedSink(
-                inner, capacity=2, policy="drop_oldest", autostart=False
-            )
-        )
-        # The counter pre-registers at 0 so dashboards see the series
-        # before anything drops.
-        assert rec.counters[TRACE_DROPPED_TOTAL] == 0
+    def test_file_recorder_holds_no_events_in_memory(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        rec = TraceRecorder(trace_path=str(path))
+        tracemalloc.start()
+        try:
+            for i in range(50_000):
+                rec.emit("round.end", sim_time=float(i), round_index=i)
+            rec.flush()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rec.close()
+        assert held < 1 << 20, f"{held} bytes still held after flush()"
+        assert rec.num_events == 50_000
+        assert path.read_bytes().count(b"\n") == 50_000
+        with pytest.raises(RuntimeError, match=str(path)):
+            rec.events()
+
+    def test_resume_past_the_end_of_the_trace_never_pads_it(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        rec = TraceRecorder(trace_path=str(path))
         for i in range(5):
             rec.emit("round.end", sim_time=float(i), round_index=i)
-        assert rec.counters[TRACE_DROPPED_TOTAL] == 3
-        assert rec.sink_dropped_events == 3
+        state = rec.snapshot_state()
         rec.close()
+        assert state["sink_offset"] == path.stat().st_size
+        path.write_bytes(b"")  # the trace was replaced after the checkpoint
+
+        resumed = TraceRecorder(trace_path=str(path), defer_sink=True)
+        resumed.restore_state(state)
+        with pytest.raises(SinkError, match="0 bytes"):
+            resumed.attach_sink(offset=state["sink_offset"])
+        resumed.emit("round.end", sim_time=5.0, round_index=5)
+        resumed.close()
+        assert path.read_bytes() == b""
 
     def test_run_exception_still_flushes_trace(self, tmp_path):
         # Satellite fix: a mid-run exception must not lose the trace —
@@ -289,7 +281,7 @@ class TestAnalysisOverflowDetection:
         ]
         for d in dicts:
             d["client"] = 0
-        with pytest.raises(TruncatedTraceError, match="block"):
+        with pytest.raises(TruncatedTraceError, match="lines were cut"):
             client_iteration_counts(dicts)
 
     def test_complete_trace_passes(self):
@@ -313,9 +305,9 @@ class TestAnalysisOverflowDetection:
 
 
 # ----------------------------------------------------------------------
-class TestEngineTraceDeterminismWithBufferedSink:
-    """The acceptance check: buffered/parallel/cohort traces must be
-    byte-identical to the serial synchronous-sink trace."""
+class TestTraceFileEqualsMemory:
+    """A trace file holds exactly the bytes of the in-memory trace of the
+    same run, on every engine."""
 
     @pytest.fixture(scope="class")
     def env_data(self):
@@ -324,9 +316,8 @@ class TestEngineTraceDeterminismWithBufferedSink:
         return [train.subset(p) for p in parts], test
 
     @staticmethod
-    def run_traced(env_data, executor, path, *, buffered):
+    def run_traced(env_data, executor, rec):
         shards, test = env_data
-        rec = TraceRecorder(trace_path=str(path), buffered=buffered)
         sim = FederatedSimulator(
             model_fn=lambda: LeNetCNN(rng=np.random.default_rng(7)),
             strategy=build_strategy("fedca", OptimizerSpec(lr=0.05)),
@@ -345,35 +336,20 @@ class TestEngineTraceDeterminismWithBufferedSink:
         finally:
             sim.close()
             rec.close()
-        return path.read_bytes()
 
-    def test_buffered_serial_matches_sync_serial(self, env_data, tmp_path):
-        sync = self.run_traced(
-            env_data, "serial", tmp_path / "sync.jsonl", buffered=False
-        )
-        buf = self.run_traced(
-            env_data, "serial", tmp_path / "buf.jsonl", buffered=True
-        )
-        assert sync and buf == sync
-
-    @needs_fork
-    @needs_shm
-    def test_parallel_shm_buffered_matches_sync_serial(self, env_data, tmp_path):
-        sync = self.run_traced(
-            env_data, "serial", tmp_path / "sync.jsonl", buffered=False
-        )
-        par = self.run_traced(
-            env_data, "parallel:2@shm", tmp_path / "par.jsonl", buffered=True
-        )
-        assert par == sync
-
-    def test_cohort_buffered_matches_sync_cohort(self, env_data, tmp_path):
-        # Within-engine: swapping the synchronous sink for a BufferedSink
-        # must not change one byte of the cohort engine's trace.
-        sync = self.run_traced(
-            env_data, "cohort:8", tmp_path / "sync.jsonl", buffered=False
-        )
-        coh = self.run_traced(
-            env_data, "cohort:8", tmp_path / "coh.jsonl", buffered=True
-        )
-        assert sync and coh == sync
+    @pytest.mark.parametrize(
+        "executor",
+        [
+            "serial",
+            pytest.param("parallel:2", marks=[needs_fork, needs_shm]),
+            "cohort:4",
+        ],
+    )
+    def test_trace_file_equals_in_memory_trace(self, env_data, tmp_path, executor):
+        path = tmp_path / "t.jsonl"
+        self.run_traced(env_data, executor, TraceRecorder(trace_path=str(path)))
+        memory = TraceRecorder()
+        self.run_traced(env_data, executor, memory)
+        text = events_to_jsonl(memory)
+        assert '"kind": "fedca.earlystop.eval"' in text  # non-vacuous
+        assert path.read_text() == text
