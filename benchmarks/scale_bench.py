@@ -8,7 +8,10 @@ Two measurements, written to ``BENCH_scale.json``:
   identical (the lazy path's bitwise oracle) and recording setup time,
   per-round time and peak RSS for both.
 * **Large** lazy-only run (default 100 000 clients, 0.1 % participation):
-  demonstrates flat memory — peak RSS is gated by ``--rss-ceiling-mb``
+  reports microseconds per client creation (``us_per_creation``: time
+  inside ``ClientFactory.create`` and ``derive``, less the model replicas
+  the first page-ins build, over ``cache.creations``)
+  and demonstrates flat memory — peak RSS is gated by ``--rss-ceiling-mb``
   (CI pins a ceiling far below what an eager population of that size
   would need) — and that paging builds no models: the run fails if
   ``model_fn`` ran more than ``resident_clients + 2`` times (one replica
@@ -141,6 +144,7 @@ def build_sim(
 def run_phase(args) -> dict:
     """Child-process body: one measured run, JSON report on stdout."""
     models_built = []
+    model_seconds = [0.0, False]
 
     def counting_model_fn():
         models_built.append(1)
@@ -150,11 +154,20 @@ def run_phase(args) -> dict:
     # The long run measures the pager, so the other per-round consumer of
     # RAM — per-client event dicts in the history — is spilled (§15).
     sim = build_sim(
-        args.clients, args.clients_per_round, args.population, counting_model_fn,
+        args.clients, args.clients_per_round, args.population,
+        _timed(counting_model_fn, model_seconds),
         spill_client_events=bool(args.checkpoint_every),
     )
     setup_seconds = _clock() - t0
     long_run: dict = {}
+    paging_seconds = [0.0, False]
+    if sim.population is not None:
+        # Time every creation, batched seed derivation included; the model
+        # replicas the first page-ins build are timed apart and left out.
+        model_seconds[0] = 0.0
+        factory = sim.population.factory
+        for name in ("create", "derive"):
+            setattr(factory, name, _timed(getattr(factory, name), paging_seconds))
     try:
         t1 = _clock()
         if args.checkpoint_every:
@@ -197,11 +210,34 @@ def run_phase(args) -> dict:
         "peak_rss_bytes": peak_rss_bytes(),
         "resident_clients": None if cache is None else len(cache),
         "creations": None if cache is None else cache.creations,
+        "us_per_creation": (
+            (paging_seconds[0] - model_seconds[0]) / cache.creations * 1e6
+            if cache is not None and cache.creations
+            else None
+        ),
         "models_built": len(models_built),
         "usable_cores": default_workers(),
         "final_accuracy": history.final_accuracy,
         "history_sha256": digest,
     }
+
+
+def _timed(fn, total: list):
+    """``fn`` adding its wall time to ``total[0]`` (not again when one timed
+    callable calls another: ``create`` derives a batch of one itself)."""
+
+    def timed(*args, **kwargs):
+        if total[1]:
+            return fn(*args, **kwargs)
+        total[1] = True
+        t0 = _clock()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            total[0] += _clock() - t0
+            total[1] = False
+
+    return timed
 
 
 def _after_long_round(sim, rounds_done: int, args, ckpt_dir: str, out: dict) -> None:
@@ -320,7 +356,8 @@ def main() -> int:
             f"large lazy @ {args.large_clients} clients, {per_round}/round: "
             f"setup {large['setup_seconds']:.2f}s, "
             f"{large['seconds_per_round']:.2f}s/round, "
-            f"{large['creations']} creations, "
+            f"{large['creations']} creations "
+            f"({large['us_per_creation']:.0f} us each without model builds), "
             f"{large['models_built']} models built, "
             f"peak RSS {rss_mib:.1f} MiB"
         )

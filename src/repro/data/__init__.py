@@ -3,7 +3,7 @@
 from .datasets import WORKLOAD_NAMES, make_workload_data, train_test_split
 from .loader import BatchStream
 from .partition import (
-    dirichlet_client_indices,
+    dirichlet_clients_indices,
     dirichlet_partition,
     dirichlet_shard_sizes,
     iid_partition,
@@ -15,7 +15,7 @@ __all__ = [
     "make_image_dataset",
     "make_sequence_dataset",
     "dirichlet_partition",
-    "dirichlet_client_indices",
+    "dirichlet_clients_indices",
     "dirichlet_shard_sizes",
     "iid_partition",
     "BatchStream",

@@ -20,7 +20,9 @@ __all__ = ["BatchStream"]
 class BatchStream:
     """Cyclic shuffled minibatch stream over one client's shard."""
 
-    def __init__(self, dataset: Dataset, batch_size: int, *, seed: int = 0) -> None:
+    def __init__(
+        self, dataset: Dataset, batch_size: int, *, seed: int | np.random.SeedSequence = 0
+    ) -> None:
         if len(dataset) == 0:
             raise ValueError("cannot stream batches from an empty dataset")
         if batch_size < 1:

@@ -7,13 +7,15 @@ from Dir(α·1) and its local dataset follows that composition.
 
 from __future__ import annotations
 
+from typing import Collection
+
 import numpy as np
 
 from .synthetic import Dataset
 
 __all__ = [
     "dirichlet_partition",
-    "dirichlet_client_indices",
+    "dirichlet_clients_indices",
     "dirichlet_shard_sizes",
     "iid_partition",
 ]
@@ -38,87 +40,35 @@ def dirichlet_partition(
 
     Returns a list of ``num_clients`` index arrays into ``dataset``.
     """
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if len(dataset) < num_clients * min_samples:
-        raise ValueError(
-            f"dataset of {len(dataset)} samples cannot give {num_clients} clients "
-            f">= {min_samples} samples each"
-        )
-    rng = np.random.default_rng(seed)
-    labels = dataset.y
-    class_indices = [np.flatnonzero(labels == c) for c in range(dataset.num_classes)]
-
-    for _ in range(max_retries):
-        shards: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
-        for idx in class_indices:
-            if idx.size == 0:
-                continue
-            perm = rng.permutation(idx)
-            props = rng.dirichlet(np.full(num_clients, alpha))
-            # Cumulative split points; np.split handles zero-width shards.
-            cuts = (np.cumsum(props)[:-1] * idx.size).astype(int)
-            for client, chunk in enumerate(np.split(perm, cuts)):
-                if chunk.size:
-                    shards[client].append(chunk)
-        result = [
-            np.sort(np.concatenate(s)) if s else np.array([], dtype=np.int64)
-            for s in shards
-        ]
-        if min(r.size for r in result) >= min_samples:
-            return result
-    raise RuntimeError(
-        f"could not satisfy min_samples={min_samples} for {num_clients} clients "
-        f"after {max_retries} Dirichlet draws; increase dataset size or alpha"
+    shards = dirichlet_clients_indices(
+        dataset,
+        num_clients,
+        range(num_clients),
+        alpha=alpha,
+        min_samples=min_samples,
+        seed=seed,
+        max_retries=max_retries,
     )
+    return list(shards.values())
 
 
 def _dirichlet_replay(
-    rng: np.random.Generator,
-    class_indices: list[np.ndarray],
-    num_clients: int,
-    alpha: float,
-    collect: int | None,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One Dirichlet assignment pass, consuming ``rng`` in exactly the order
-    :func:`dirichlet_partition` does (per class: permutation, then Dirichlet
-    draw) so both walks see identical cut points.
-
-    Returns per-client shard sizes and, when ``collect`` names a client, that
-    client's per-class index chunks — the other clients' chunks are never
-    materialised.
-    """
-    sizes = np.zeros(num_clients, dtype=np.int64)
-    chunks: list[np.ndarray] = []
-    for idx in class_indices:
-        if idx.size == 0:
-            continue
-        perm = rng.permutation(idx)
-        props = rng.dirichlet(np.full(num_clients, alpha))
-        cuts = (np.cumsum(props)[:-1] * idx.size).astype(int)
-        bounds = np.concatenate(([0], cuts, [idx.size]))
-        sizes += np.diff(bounds)
-        if collect is not None:
-            chunk = perm[bounds[collect] : bounds[collect + 1]]
-            if chunk.size:
-                chunks.append(chunk)
-    return sizes, chunks
-
-
-def _dirichlet_lazy(
     dataset: Dataset,
     num_clients: int,
-    collect: int | None,
+    collect: "Collection[int]",
     *,
     alpha: float,
     min_samples: int,
     seed: int,
     max_retries: int,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Replay the accepted :func:`dirichlet_partition` draw (including its
-    rejected retries) without building all shards."""
+) -> tuple[np.ndarray, dict[int, list[np.ndarray]]]:
+    """The accepted Dirichlet draw: every client's shard size, and the
+    per-class index chunks of the clients in ``collect`` only.
+
+    A pass draws, per class, a permutation and then a Dirichlet vector whose
+    cumulative cut points split the permutation between clients; a pass that
+    leaves a client below ``min_samples`` is redrawn.
+    """
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
     if alpha <= 0:
@@ -132,9 +82,20 @@ def _dirichlet_lazy(
     labels = dataset.y
     class_indices = [np.flatnonzero(labels == c) for c in range(dataset.num_classes)]
     for _ in range(max_retries):
-        sizes, chunks = _dirichlet_replay(
-            rng, class_indices, num_clients, alpha, collect
-        )
+        sizes = np.zeros(num_clients, dtype=np.int64)
+        chunks: dict[int, list[np.ndarray]] = {cid: [] for cid in collect}
+        for idx in class_indices:
+            if idx.size == 0:
+                continue
+            perm = rng.permutation(idx)
+            props = rng.dirichlet(np.full(num_clients, alpha))
+            cuts = (np.cumsum(props)[:-1] * idx.size).astype(int)
+            bounds = np.concatenate(([0], cuts, [idx.size]))
+            sizes += np.diff(bounds)
+            for cid, kept in chunks.items():
+                chunk = perm[bounds[cid] : bounds[cid + 1]]
+                if chunk.size:
+                    kept.append(chunk)
         if int(sizes.min()) >= min_samples:
             return sizes, chunks
     raise RuntimeError(
@@ -143,39 +104,41 @@ def _dirichlet_lazy(
     )
 
 
-def dirichlet_client_indices(
+def dirichlet_clients_indices(
     dataset: Dataset,
     num_clients: int,
-    cid: int,
+    cids: "Collection[int]",
     *,
     alpha: float = 0.1,
     min_samples: int = 2,
     seed: int = 0,
     max_retries: int = 100,
-) -> np.ndarray:
-    """One client's shard, bit-identical to ``dirichlet_partition(...)[cid]``,
-    without materialising the other ``num_clients − 1`` shards.
+) -> dict[int, np.ndarray]:
+    """``{cid: dirichlet_partition(...)[cid]}`` for a batch of clients, in
+    ``cids`` order.
 
-    The full partition's RNG stream is replayed (permutation + Dirichlet draw
-    per class, rejected retries included) but only the target client's index
-    chunks are kept, so the work is O(num_samples) and the stored result
-    O(shard size) — the lazy-population scale path (:mod:`repro.scale`)
-    depends on this to page single clients in from ``(seed, cid)``.
+    The whole partition's RNG stream is drawn (permutation + Dirichlet draw
+    per class, rejected retries included) but only the batch's index chunks
+    are kept, so the work is O(num_samples) per batch and the stored result
+    O(shard sizes) — the lazy-population scale path (:mod:`repro.scale`)
+    depends on this to page clients in from ``(seed, cid)``.
     """
-    if not 0 <= cid < num_clients:
-        raise ValueError(f"cid {cid} out of range for {num_clients} clients")
-    _, chunks = _dirichlet_lazy(
+    for cid in cids:
+        if not 0 <= cid < num_clients:
+            raise ValueError(f"cid {cid} out of range for {num_clients} clients")
+    _, chunks = _dirichlet_replay(
         dataset,
         num_clients,
-        cid,
+        cids,
         alpha=alpha,
         min_samples=min_samples,
         seed=seed,
         max_retries=max_retries,
     )
-    if not chunks:
-        return np.array([], dtype=np.int64)
-    return np.sort(np.concatenate(chunks))
+    return {
+        cid: np.sort(np.concatenate(kept)) if kept else np.array([], dtype=np.int64)
+        for cid, kept in chunks.items()
+    }
 
 
 def dirichlet_shard_sizes(
@@ -190,10 +153,10 @@ def dirichlet_shard_sizes(
     """All clients' shard sizes for the accepted Dirichlet draw, in one
     O(num_samples) pass (no shard materialisation). Matches
     ``[len(s) for s in dirichlet_partition(...)]`` exactly."""
-    sizes, _ = _dirichlet_lazy(
+    sizes, _ = _dirichlet_replay(
         dataset,
         num_clients,
-        None,
+        (),
         alpha=alpha,
         min_samples=min_samples,
         seed=seed,

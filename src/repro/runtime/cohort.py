@@ -314,7 +314,9 @@ class CohortExecutor(Executor):
         buffers: np.ndarray,
         chunk: list[tuple[int, RoundContext]],
     ) -> list[ClientRoundResult]:
-        clients = [self._clients[cid] for cid, _ in chunk]
+        cids = [cid for cid, _ in chunk]
+        acquire_chunk = getattr(self._clients, "acquire_chunk", None)
+        clients = acquire_chunk(cids) if acquire_chunk else [self._clients[c] for c in cids]
         # One stacked program for the chunk — or, unpadded, one per batch
         # width in it (a client whose shard is smaller than a batch draws
         # fewer rows every step).

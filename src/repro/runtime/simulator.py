@@ -205,6 +205,7 @@ class FederatedSimulator:
             self.clients: "Sequence[SimClient]" = self.population
         else:
             self.population = None
+            self._factory.derive(range(num_clients))
             self.clients = [
                 self._factory.create(cid) for cid in range(num_clients)
             ]

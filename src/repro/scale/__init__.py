@@ -19,6 +19,7 @@ from .population import (
     LazyDirichletShards,
     MaterializedShards,
     PopulationSpec,
+    SeedDerivationError,
     ShardProvider,
     SubsampledShards,
     as_shard_provider,
@@ -32,6 +33,7 @@ __all__ = [
     "MaterializedShards",
     "PopulationSpec",
     "ResidentClientCache",
+    "SeedDerivationError",
     "ShardProvider",
     "SubsampledShards",
     "as_shard_provider",

@@ -47,7 +47,7 @@ from __future__ import annotations
 import resource
 import sys
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..persist.snapshot import decode, encode
 from ..runtime.client import SimClient
@@ -138,6 +138,20 @@ class ResidentClientCache:
         self._residents[cid] = client
         return client
 
+    def acquire_chunk(self, cids: Sequence[int]) -> list[SimClient]:
+        """Page a whole chunk in: touch its residents first — so the misses'
+        evictions, least recent first, never reach a member while the cache
+        holds the chunk — derive the misses' seeds in one pass, then
+        :meth:`acquire` each."""
+        misses = []
+        for cid in cids:
+            if cid in self._residents:
+                self._residents.move_to_end(cid)
+            else:
+                misses.append(cid)
+        self.factory.derive(misses)
+        return [self.acquire(cid) for cid in cids]
+
     def _evict_one(self) -> None:
         cid, client = self._residents.popitem(last=False)
         self._park(cid, encode(client.capture_state()))
@@ -208,6 +222,11 @@ class LazyClientPopulation:
         if not 0 <= cid < self.factory.num_clients:
             raise IndexError(f"cid {cid} out of range")
         return self.cache.acquire(cid)
+
+    def acquire_chunk(self, cids: Sequence[int]) -> list[SimClient]:
+        """The clients of one engine chunk, paged in together
+        (:meth:`ResidentClientCache.acquire_chunk`)."""
+        return self.cache.acquire_chunk(cids)
 
     def __iter__(self) -> Any:
         raise TypeError(

@@ -43,8 +43,8 @@ class SpeedTrace:
         client's *static* heterogeneity (see
         :mod:`repro.sysmodel.heterogeneity`).
     seed:
-        Trace randomness; two clients with different seeds toggle
-        independently.
+        Trace randomness (anything ``np.random.default_rng`` takes); two
+        clients with different seeds toggle independently.
     dynamic:
         When ``False`` the client never slows down (used for the
         homogeneous-resource ablations).
@@ -54,7 +54,7 @@ class SpeedTrace:
         self,
         base_iteration_time: float,
         *,
-        seed: int = 0,
+        seed: int | np.random.SeedSequence = 0,
         dynamic: bool = True,
         gamma_fast: tuple[float, float] = GAMMA_FAST,
         gamma_slow: tuple[float, float] = GAMMA_SLOW,

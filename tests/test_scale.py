@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.algorithms import OptimizerSpec, build_strategy
 from repro.core import FedCAConfig
 from repro.data import (
-    dirichlet_client_indices,
+    dirichlet_clients_indices,
     dirichlet_partition,
     dirichlet_shard_sizes,
     make_workload_data,
@@ -42,11 +42,19 @@ from repro.scale import (
     LazyDirichletShards,
     MaterializedShards,
     PopulationSpec,
+    SeedDerivationError,
     SubsampledShards,
     as_shard_provider,
     parse_population_spec,
 )
-from repro.sysmodel import LinkModel, iteration_time_for
+from repro.scale.population import (
+    _SUBSAMPLE_SEED_TAG,
+    _Words,
+    entropy_words,
+    seed_states,
+)
+from repro.runtime.client import SimClient
+from repro.sysmodel import LinkModel, SpeedTrace, iteration_time_for
 
 from .helpers import held_array_bytes, per_client_holdings, same_tree
 
@@ -118,20 +126,50 @@ def assert_state_equal(a, b, path="state"):
 # ----------------------------------------------------------------------
 # Lazy shard slicing vs the full-partition oracle
 # ----------------------------------------------------------------------
+def reference_dirichlet_partition(
+    dataset, num_clients, *, alpha, min_samples, seed, max_retries=100
+):
+    """``dirichlet_partition`` as it was written before it became the batch
+    replay over every cid — kept as the independent oracle of that replay."""
+    rng = np.random.default_rng(seed)
+    labels = dataset.y
+    class_indices = [np.flatnonzero(labels == c) for c in range(dataset.num_classes)]
+
+    for _ in range(max_retries):
+        shards = [[] for _ in range(num_clients)]
+        for idx in class_indices:
+            if idx.size == 0:
+                continue
+            perm = rng.permutation(idx)
+            props = rng.dirichlet(np.full(num_clients, alpha))
+            # Cumulative split points; np.split handles zero-width shards.
+            cuts = (np.cumsum(props)[:-1] * idx.size).astype(int)
+            for client, chunk in enumerate(np.split(perm, cuts)):
+                if chunk.size:
+                    shards[client].append(chunk)
+        result = [
+            np.sort(np.concatenate(s)) if s else np.array([], dtype=np.int64)
+            for s in shards
+        ]
+        if min(r.size for r in result) >= min_samples:
+            return result
+    raise RuntimeError("reference partition exhausted its retries")
+
+
 class TestDirichletReplay:
     def test_client_indices_match_full_partition(self, env_data):
         train, _, _ = env_data
-        full = dirichlet_partition(train, NUM_CLIENTS, alpha=0.5, seed=4,
-                                   min_samples=8)
+        full = reference_dirichlet_partition(train, NUM_CLIENTS, alpha=0.5, seed=4,
+                                             min_samples=8)
         for cid in range(NUM_CLIENTS):
-            lazy = dirichlet_client_indices(train, NUM_CLIENTS, cid, alpha=0.5,
-                                            seed=4, min_samples=8)
+            lazy = dirichlet_clients_indices(train, NUM_CLIENTS, [cid], alpha=0.5,
+                                             seed=4, min_samples=8)[cid]
             np.testing.assert_array_equal(lazy, full[cid])
 
     def test_shard_sizes_match_full_partition(self, env_data):
         train, _, _ = env_data
-        full = dirichlet_partition(train, NUM_CLIENTS, alpha=0.5, seed=4,
-                                   min_samples=8)
+        full = reference_dirichlet_partition(train, NUM_CLIENTS, alpha=0.5, seed=4,
+                                             min_samples=8)
         sizes = dirichlet_shard_sizes(train, NUM_CLIENTS, alpha=0.5, seed=4,
                                       min_samples=8)
         assert [int(s) for s in sizes] == [len(p) for p in full]
@@ -140,17 +178,37 @@ class TestDirichletReplay:
         # alpha small enough that the first draw usually violates
         # min_samples — the replay must consume rejected draws identically.
         train, _, _ = env_data
-        full = dirichlet_partition(train, NUM_CLIENTS, alpha=0.1, seed=11,
-                                   min_samples=8)
+        full = reference_dirichlet_partition(train, NUM_CLIENTS, alpha=0.1, seed=11,
+                                             min_samples=8)
         for cid in (0, NUM_CLIENTS - 1):
-            lazy = dirichlet_client_indices(train, NUM_CLIENTS, cid, alpha=0.1,
-                                            seed=11, min_samples=8)
+            lazy = dirichlet_clients_indices(train, NUM_CLIENTS, [cid], alpha=0.1,
+                                             seed=11, min_samples=8)[cid]
             np.testing.assert_array_equal(lazy, full[cid])
 
     def test_cid_out_of_range(self, env_data):
         train, _, _ = env_data
         with pytest.raises(ValueError, match="out of range"):
-            dirichlet_client_indices(train, NUM_CLIENTS, NUM_CLIENTS)
+            dirichlet_clients_indices(train, NUM_CLIENTS, [0, NUM_CLIENTS])
+
+    @pytest.mark.parametrize(
+        "alpha, min_samples, seed", [(0.5, 8, 4), (0.1, 8, 11)]  # 11: retried draws
+    )
+    def test_batch_replay_matches_full_partition(self, env_data, alpha, min_samples, seed):
+        train, _, _ = env_data
+        kwargs = dict(alpha=alpha, min_samples=min_samples, seed=seed)
+        full = reference_dirichlet_partition(train, NUM_CLIENTS, **kwargs)
+        for got, want in zip(dirichlet_partition(train, NUM_CLIENTS, **kwargs), full):
+            np.testing.assert_array_equal(got, want)
+        batch = dirichlet_clients_indices(train, NUM_CLIENTS, [3, 0, 4], **kwargs)
+        assert sorted(batch) == [0, 3, 4]
+        for cid, idx in batch.items():
+            np.testing.assert_array_equal(idx, full[cid])
+        provider = LazyDirichletShards(train, NUM_CLIENTS, **kwargs)
+        provider.page(range(NUM_CLIENTS))
+        for cid in range(NUM_CLIENTS):
+            np.testing.assert_array_equal(provider.shard(cid).y, train.y[full[cid]])
+        assert provider._paged == {}  # a paged shard is handed out once
+        np.testing.assert_array_equal(provider.shard(2).x, train.x[full[2]])
 
     def test_lazy_dirichlet_shards_provider(self, env_data):
         train, shards, _ = env_data
@@ -167,7 +225,157 @@ class TestDirichletReplay:
 # ----------------------------------------------------------------------
 # Factory reconstruction vs the eager constructor loop
 # ----------------------------------------------------------------------
+def reference_shard(shards, cid):
+    """A provider's shard as the per-client code drew it before the batched
+    seed pass — one ``default_rng(SeedSequence(...))`` and ``rng.choice(p=)``
+    for a subsampled draw, the full partition for a Dirichlet one."""
+    if isinstance(shards, SubsampledShards):
+        self = shards
+        rng = np.random.default_rng(
+            np.random.SeedSequence([self.seed, cid, _SUBSAMPLE_SEED_TAG])
+        )
+        if self.alpha is None:
+            idx = rng.integers(0, len(self.dataset), size=self._shard_size)
+        else:
+            num_classes = self.dataset.num_classes
+            composition = rng.dirichlet(np.full(num_classes, self.alpha))
+            classes = rng.choice(num_classes, size=self._shard_size, p=composition)
+            within = (rng.random(self._shard_size) * self._pool_lens[classes]).astype(
+                np.int64
+            )
+            idx = self._pool_flat[self._pool_offsets[classes] + within]
+        return self.dataset.subset(np.sort(idx))
+    if isinstance(shards, LazyDirichletShards):
+        full = reference_dirichlet_partition(
+            shards.dataset, shards.num_clients, alpha=shards.alpha,
+            min_samples=shards.min_samples, seed=shards.seed,
+            max_retries=shards.max_retries,
+        )
+        return shards.dataset.subset(full[cid])
+    return shards.shard(cid)
+
+
+def reference_create(factory, cid):
+    """``ClientFactory.create`` as one client at a time built it: a
+    ``SeedSequence`` and a ``default_rng`` per stream."""
+    child = np.random.default_rng(
+        np.random.SeedSequence(factory.spec.seed, spawn_key=(cid,))
+    )
+    trace_seed, stream_seed = int(child.integers(2**31)), int(child.integers(2**31))
+    spec = factory.spec
+    trace = SpeedTrace(
+        factory.base_pace(cid),
+        seed=trace_seed,
+        dynamic=spec.dynamic,
+        gamma_fast=spec.gamma_fast,
+        gamma_slow=spec.gamma_slow,
+        slowdown_range=spec.slowdown_range,
+    )
+    return SimClient(
+        cid,
+        reference_shard(spec.shards, cid),
+        model_fn=spec.model_fn,
+        batch_size=spec.batch_size,
+        trace=trace,
+        link=spec.link_fn(cid),
+        seed=stream_seed,
+    )
+
+
+def assert_same_client(built, reference):
+    np.testing.assert_array_equal(built.shard.x, reference.shard.x)
+    np.testing.assert_array_equal(built.shard.y, reference.shard.y)
+    assert encode(built.capture_state()) == encode(reference.capture_state())
+
+
+_entropy_word = st.one_of(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2**32, max_value=2**80),  # hashes as several words
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seeds=st.lists(
+        st.tuples(
+            st.lists(_entropy_word, min_size=1, max_size=8),
+            st.lists(_entropy_word, max_size=2),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_seed_pass_matches_numpy_seed_sequence(seeds):
+    """One vectorised pass over any mix of rows equals NumPy's
+    ``SeedSequence(...).generate_state(4, np.uint64)`` row by row, and a
+    generator built from the words is ``default_rng`` of that sequence."""
+    rows = [entropy_words(entropy, spawn_key) for entropy, spawn_key in seeds]
+    words = seed_states(rows)
+    for (entropy, spawn_key), got in zip(seeds, words):
+        sequence = np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key))
+        np.testing.assert_array_equal(got, sequence.generate_state(4, np.uint64))
+        built = np.random.Generator(np.random.PCG64(_Words(got)))
+        reference = np.random.default_rng(sequence)
+        assert built.bit_generator.state == reference.bit_generator.state
+        assert built.random() == reference.random()
+    # A one-word int seed hashes like the same int given as a sequence.
+    entropy, spawn_key = seeds[0]
+    np.testing.assert_array_equal(
+        seed_states([entropy_words(entropy[0])])[0],
+        np.random.SeedSequence(entropy[0]).generate_state(4, np.uint64),
+    )
+
+
 class TestClientFactory:
+    @pytest.mark.parametrize(
+        "provider", ["materialized", "dirichlet", "subsampled", "subsampled-uniform"]
+    )
+    def test_batched_creation_matches_per_client_reference(self, env_data, provider):
+        train, shards, _ = env_data
+        provider = {
+            "materialized": lambda: as_shard_provider(shards),
+            "dirichlet": lambda: LazyDirichletShards(
+                train, NUM_CLIENTS, alpha=0.5, seed=4, min_samples=8
+            ),
+            "subsampled": lambda: SubsampledShards(train, 300, 16, alpha=0.5, seed=2),
+            "subsampled-uniform": lambda: SubsampledShards(
+                train, 300, 16, alpha=None, seed=2
+            ),
+        }[provider]()
+        factory = ClientFactory(
+            PopulationSpec(
+                shards=provider,
+                model_fn=lenet,
+                batch_size=8,
+                pace=lambda cid: iteration_time_for(cid, 0.01, seed=3),
+                link_fn=lambda _cid: LinkModel(),
+                seed=5,
+            )
+        )
+        cids = [4, 0, 2, 1] if len(provider) == NUM_CLIENTS else [299, 0, 7, 150]
+        factory.derive(cids[:3])
+        built = [factory.create(cid) for cid in cids]  # the last, a batch of one
+        assert factory._derived == {}
+        for cid, client in zip(cids, built):
+            reference = reference_create(factory, cid)
+            assert_same_client(client, reference)
+            for _ in range(5):
+                for a, b in zip(client.stream.next_batch(), reference.stream.next_batch()):
+                    np.testing.assert_array_equal(a, b)
+            assert client.trace.work_finish_time(3.0, 250.0) == (
+                reference.trace.work_finish_time(3.0, 250.0)
+            )
+            assert_same_client(client, reference)
+
+    def test_seed_pass_self_check_raises_on_drift(self, env_data, monkeypatch):
+        import repro.scale.population as population
+
+        make_factory(env_data)
+        real = population.seed_states
+        monkeypatch.setattr(population, "seed_states", lambda rows: real(rows) ^ np.uint64(1))
+        with pytest.raises(SeedDerivationError, match="numpy"):
+            make_factory(env_data)
+
     def test_seed_derivation_matches_spawn(self, env_data):
         factory = make_factory(env_data)
         ss = np.random.SeedSequence(1)
@@ -175,7 +383,7 @@ class TestClientFactory:
         for cid in range(NUM_CLIENTS):
             rng = np.random.default_rng(children[cid])
             expected = (int(rng.integers(2**31)), int(rng.integers(2**31)))
-            assert factory.client_seeds(cid) == expected
+            assert factory.client_seeds([cid]) == [expected]
 
     def test_created_client_matches_eager(self, env_data):
         _, shards, test = env_data
@@ -317,6 +525,26 @@ class TestLazyClientPopulation:
         assert sorted(cache._residents) == [1, 3]
         cache.acquire(0)  # snapshot-backed rehydration
         assert cache.rehydrations == 1
+
+    def test_a_chunk_never_evicts_its_own_members(self, env_data):
+        """Paging a chunk's misses evicts only non-members: residents
+        a b c d (a least recent) then chunk [x, a] evict b alone — paged one
+        cid at a time, x would evict a and a would evict b to come back."""
+        population = LazyClientPopulation(make_factory(env_data), capacity=4)
+        cache = population.cache
+        for cid in (0, 1, 2, 3):
+            population[cid].stream.next_batch()
+            assert len(cache._residents) <= cache.capacity
+        x, a = 4, 0
+        chunk = population.acquire_chunk([x, a])
+        assert [c.client_id for c in chunk] == [x, a]
+        assert len(cache._residents) <= cache.capacity
+        assert (cache.evictions, cache.rehydrations) == (1, 0)
+        assert list(cache._residents) == [2, 3, x, a]
+        assert list(cache._snapshots) == [1]
+        population.acquire_chunk([1, 2])  # a parked member pages back in
+        assert len(cache._residents) <= cache.capacity
+        assert (cache.evictions, cache.rehydrations) == (2, 1)
 
     def test_reserve_grows_capacity(self, env_data):
         pop = LazyClientPopulation(make_factory(env_data), capacity=1)
@@ -908,6 +1136,17 @@ class TestSubsampledShards:
         train, _, _ = env_data
         provider = SubsampledShards(train, 10, 8, alpha=None, seed=9)
         assert len(provider.shard(3)) == 8
+
+    @pytest.mark.parametrize("alpha", [0.5, None])
+    def test_draws_equal_the_per_client_reference(self, env_data, alpha):
+        """The vectorised seed and the checks-free class draw give the
+        shards ``default_rng(SeedSequence(...))`` + ``choice(p=)`` gave."""
+        train, _, _ = env_data
+        provider = SubsampledShards(train, 300, 16, alpha=alpha, seed=9)
+        for cid in range(300):
+            np.testing.assert_array_equal(
+                provider.shard(cid).y, reference_shard(provider, cid).y
+            )
 
     def test_validation(self, env_data):
         train, _, _ = env_data
