@@ -10,7 +10,9 @@ Two measurements, written to ``BENCH_scale.json``:
 * **Large** lazy-only run (default 100 000 clients, 0.1 % participation):
   reports microseconds per client creation (``us_per_creation``: time
   inside ``ClientFactory.create`` and ``derive``, less the model replicas
-  the first page-ins build, over ``cache.creations``)
+  the first page-ins build, over ``cache.creations``) and per eviction
+  (``us_per_eviction``: capture, encode and replica release, over
+  ``cache.evictions``)
   and demonstrates flat memory — peak RSS is gated by ``--rss-ceiling-mb``
   (CI pins a ceiling far below what an eager population of that size
   would need) — and that paging builds no models: the run fails if
@@ -161,13 +163,17 @@ def run_phase(args) -> dict:
     setup_seconds = _clock() - t0
     long_run: dict = {}
     paging_seconds = [0.0, False]
+    eviction_seconds = [0.0, False]
     if sim.population is not None:
         # Time every creation, batched seed derivation included; the model
         # replicas the first page-ins build are timed apart and left out.
+        # An eviction is timed whole: capture, encode, replica release.
         model_seconds[0] = 0.0
         factory = sim.population.factory
         for name in ("create", "derive"):
             setattr(factory, name, _timed(getattr(factory, name), paging_seconds))
+        cache = sim.population.cache
+        cache._evict_one = _timed(cache._evict_one, eviction_seconds)
     try:
         t1 = _clock()
         if args.checkpoint_every:
@@ -213,6 +219,11 @@ def run_phase(args) -> dict:
         "us_per_creation": (
             (paging_seconds[0] - model_seconds[0]) / cache.creations * 1e6
             if cache is not None and cache.creations
+            else None
+        ),
+        "us_per_eviction": (
+            eviction_seconds[0] / cache.evictions * 1e6
+            if cache is not None and cache.evictions
             else None
         ),
         "models_built": len(models_built),
@@ -358,6 +369,7 @@ def main() -> int:
             f"{large['seconds_per_round']:.2f}s/round, "
             f"{large['creations']} creations "
             f"({large['us_per_creation']:.0f} us each without model builds), "
+            f"{large['us_per_eviction']:.0f} us per eviction, "
             f"{large['models_built']} models built, "
             f"peak RSS {rss_mib:.1f} MiB"
         )

@@ -102,3 +102,73 @@ def test_simulated_fedavg_round(benchmark):
         seed=0,
     )
     benchmark.pedantic(sim.run_round, rounds=3, iterations=1, warmup_rounds=1)
+
+
+def _lazy_lenet():
+    """The ``lazy_fedavg_obs`` model: a micro LeNet over 1×8×8 inputs."""
+    return LeNetCNN(
+        in_channels=1, image_size=8, num_classes=4, conv_channels=(2, 2),
+        fc_sizes=(8, 8), rng=np.random.default_rng(7),
+    )
+
+
+def test_page_chunk(benchmark):
+    """Page one 25-client chunk of a 20 000-client subsampled population in:
+    one ``derive`` (seed passes and the shard page) and 25 ``create``s, the
+    replicas handed back as an evicting pager does."""
+    from repro.data import make_image_dataset
+    from repro.scale import ClientFactory, PopulationSpec, SubsampledShards
+    from repro.sysmodel import LinkModel
+
+    pool = make_image_dataset(
+        num_samples=2048, num_classes=4, channels=1, image_size=8, seed=5
+    )
+    factory = ClientFactory(
+        PopulationSpec(
+            shards=SubsampledShards(pool, 20_000, 16, alpha=0.5, seed=1),
+            model_fn=_lazy_lenet,
+            batch_size=8,
+            pace=lambda cid: 0.01,
+            link_fn=lambda cid: LinkModel(),
+            seed=1,
+        )
+    )
+    cids = np.random.default_rng(0).choice(20_000, 25, replace=False).tolist()
+
+    def page():
+        factory.derive(cids)
+        clients = [factory.create(cid) for cid in cids]
+        for client in clients:
+            factory.release(client)
+        return clients
+
+    clients = benchmark(page)
+    assert [c.client_id for c in clients] == cids
+    assert all(c.num_samples == 16 for c in clients)
+
+
+def test_member_views(benchmark):
+    """Every member's parameter and update views of a 25-wide stack — the
+    per-member dicts a cohort round hands its strategy."""
+    from repro.nn.cohort import CohortModel
+    from repro.runtime import CohortEngine
+
+    class _Member:
+        model = None
+
+    width = 25
+    template = _lazy_lenet()
+    cohort = CohortModel(template, width)
+    params = template.arena().values
+    engine = CohortEngine(cohort, [_Member()] * width, template.arena().buffers)
+    engine.load_global(params)
+
+    def views():
+        stacked = engine.stacked_update(params)
+        return [
+            (engine.member_params(i), engine.member_update(stacked, i))
+            for i in range(width)
+        ]
+
+    out = benchmark(views)
+    assert len(out) == width and out[0][0].keys() == out[0][1].keys()

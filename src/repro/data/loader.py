@@ -69,16 +69,24 @@ class BatchStream:
         }
 
     def restore_state(self, snapshot: dict) -> None:
-        """Inverse of :meth:`snapshot_state`."""
+        """Inverse of :meth:`snapshot_state`. The position is outside input:
+        an ``order`` that is not a permutation of ``range(n)``, or a cursor
+        outside ``[0, n)``, is refused here rather than trained on."""
+        n = len(self.dataset)
         order = np.asarray(snapshot["order"], dtype=np.int64)
-        if order.shape != (len(self.dataset),):
+        cursor = int(snapshot["cursor"])
+        if order.shape != (n,):
             raise ValueError(
                 f"stream snapshot order length {order.shape} does not match "
-                f"dataset size {len(self.dataset)}"
+                f"dataset size {n}"
             )
+        if not 0 <= cursor < n:
+            raise ValueError(f"stream snapshot cursor {cursor} is outside [0, {n})")
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError(f"stream snapshot order is not a permutation of range({n})")
         set_rng_state(self._rng, snapshot["rng"])
         self._order = order
-        self._cursor = int(snapshot["cursor"])
+        self._cursor = cursor
 
     def __iter__(self):
         while True:

@@ -49,7 +49,11 @@ class Dataset:
         return int(self.x.shape[0])
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.x[indices], self.y[indices], self.num_classes)
+        """The samples at ``indices``. Integer indexing into labels already
+        checked cannot leave ``[0, num_classes)``, so they are not re-checked."""
+        sub = object.__new__(Dataset)
+        sub.__dict__.update(x=self.x[indices], y=self.y[indices], num_classes=self.num_classes)
+        return sub
 
 
 def _smooth_field(

@@ -110,6 +110,7 @@ class CohortModel:
         self._dropouts = [
             (name, m) for name, m in self.module.named_modules() if isinstance(m, Dropout)
         ]
+        self._param_views: tuple[np.ndarray | None, dict[str, np.ndarray]] = (None, {})
 
     # ------------------------------------------------------------------
     def bind_member_models(self, models: list[Module]) -> None:
@@ -136,21 +137,24 @@ class CohortModel:
         arena.buffers[...] = buffers
 
     def member_params(self, i: int) -> dict[str, np.ndarray]:
-        """Member ``i``'s parameter views (zero-copy)."""
-        arena = self.module.arena()
-        return arena.layout.views(arena.values[i])
+        """Member ``i``'s parameter views (zero-copy): row ``i`` of the
+        arena's ``(C, *shape)`` views, which are built once per arena."""
+        values = self.module.arena().values
+        if self._param_views[0] is not values:
+            self._param_views = (values, self.stack_views(values))
+        return {name: view[i] for name, view in self._param_views[1].items()}
+
+    def stack_views(self, stacked: np.ndarray) -> dict[str, np.ndarray]:
+        """``{name: (C, *shape) view}`` into a ``(C, P)`` stack."""
+        return self.module.arena().layout.views(stacked)
 
     def stacked_update(self, params: np.ndarray) -> np.ndarray:
         """Accumulated updates for the whole cohort in one subtract against
         the round-start ``(P,)`` global parameters: row ``i`` of the
         ``(C, P)`` result is member ``i``'s ``w_local − w_global``.
         Per-member result dicts are zero-copy views into it
-        (:meth:`member_update`), so nothing is unstacked."""
+        (``CohortEngine.member_update``), so nothing is unstacked."""
         return self.module.arena().values - params
-
-    def member_update(self, stacked: np.ndarray, i: int) -> dict[str, np.ndarray]:
-        """Member ``i``'s update dict as views into :meth:`stacked_update`."""
-        return self.module.arena().layout.views(stacked[i])
 
     def write_back(self, models: list[Module]) -> None:
         """Copy each member's trained row into its serial replica, leaving

@@ -123,6 +123,7 @@ class CohortEngine:
         self._buffers = buffers
         self.pad = pad
         model.bind_member_models([c.model for c in self.clients])
+        self._update_views: tuple[np.ndarray | None, dict[str, np.ndarray]] = (None, {})
         #: Batched step / member-step counters (telemetry: realized occupancy).
         self.steps = 0
         self.member_steps = 0
@@ -217,8 +218,13 @@ class CohortEngine:
         return self.model.stacked_update(params)
 
     def member_update(self, stacked: np.ndarray, i: int) -> dict[str, np.ndarray]:
-        """Member ``i``'s update dict as views into :meth:`stacked_update`."""
-        return self.model.member_update(stacked, i)
+        """Member ``i``'s update dict as views into :meth:`stacked_update`:
+        row ``i`` of its ``(C, *shape)`` views, built once per stack. The
+        engine, not the model, holds them — the model outlives the round and
+        would keep the ``(C, P)`` update alive with them."""
+        if self._update_views[0] is not stacked:
+            self._update_views = (stacked, self.model.stack_views(stacked))
+        return {name: view[i] for name, view in self._update_views[1].items()}
 
     def write_back(self) -> None:
         """Copy trained member slots (parameters and buffers) back into the

@@ -33,16 +33,17 @@ subsampled shard   ``([seed, cid, 0x5D])`` (:class:`SubsampledShards`)
 
 (The pace draw, ``[seed, cid, 0x9A]``, is the ``pace`` callable's own.)
 :meth:`ClientFactory.derive` derives a batch's seeds in two vectorised
-uint32 passes that reproduce ``SeedSequence``'s mixing (:func:`seed_states`):
-the spawn-key rows, then the rest — entropy of at most four words hashes
-exactly like its zero-padded four-word form, so those rows share one pass.
-Generators are built from the words through NumPy's public
-``ISeedSequence`` interface (~3 µs against ~15 µs for ``default_rng(int)``);
-``create(cid)`` is the batch of one. A factory checks its first row
-against NumPy when built and raises :class:`SeedDerivationError` if a NumPy
-release changed the mixing. Traced on ``lazy_fedavg_obs`` (seed 0), one
-creation (``scale.create_s`` per creation) went from 128 µs to 44 µs; the
-chunk's seed pass adds ~16 µs per creation outside ``create``.
+uint32 passes that reproduce ``SeedSequence``'s mixing (:func:`seed_states`)
+over entropy rows built as arrays from the cid vector: the spawn-key rows,
+then the rest — entropy of at most four words hashes exactly like its
+zero-padded four-word form, so those rows share one pass. It hands a
+:class:`SubsampledShards` its rows' words, and the provider pages the
+whole batch in as arrays (:meth:`SubsampledShards.page`). Generators are
+built from the words through NumPy's public ``ISeedSequence`` interface
+(~3 µs against ~15 µs for ``default_rng(int)``); ``create(cid)`` is the
+batch of one. A factory checks its first row against NumPy when built and
+raises :class:`SeedDerivationError` if a NumPy release changed the mixing.
+DESIGN.md §15 has the per-client page-cycle budget.
 """
 
 from __future__ import annotations
@@ -122,23 +123,28 @@ def entropy_words(entropy: "int | Sequence[int]", spawn_key: Sequence[int] = ())
     return run + [0] * (4 - len(run)) + _uint32_words(spawn_key)  # NumPy pads to 4 here
 
 
-def seed_states(rows: Sequence[Sequence[int]]) -> np.ndarray:
+def seed_states(rows: "np.ndarray | Sequence[Sequence[int]]") -> np.ndarray:
     """``SeedSequence``'s ``generate_state(4, np.uint64)`` for every row of
-    :func:`entropy_words`, as one ``(len(rows), 4)`` array — one vectorised
-    pass when every row has at most four words or all have the same length
-    (a row of fewer than four hashes like its zero-padded form), else one
-    pass per length."""
-    width = max(map(len, rows), default=0)
-    if width > 4 and min(map(len, rows)) != width:
-        out = np.empty((len(rows), 4), dtype=np.uint64)
-        for length in sorted({max(4, len(row)) for row in rows}):
-            index = [i for i, row in enumerate(rows) if max(4, len(row)) == length]
-            out[index] = seed_states([rows[i] for i in index])
-        return out
+    :func:`entropy_words`, as one ``(len(rows), 4)`` array. A ``(n, w)``
+    uint32 array is one vectorised pass; so is a list of rows that all have
+    at most four words or the same length (a row of fewer than four hashes
+    like its zero-padded form) — else one pass per length."""
+    if isinstance(rows, np.ndarray):
+        width, entropy = rows.shape[1], rows.T.astype(np.uint32)
+    else:
+        width = max(map(len, rows), default=0)
+        if width > 4 and min(map(len, rows)) != width:
+            out = np.empty((len(rows), 4), dtype=np.uint64)
+            for length in sorted({max(4, len(row)) for row in rows}):
+                index = [i for i, row in enumerate(rows) if max(4, len(row)) == length]
+                out[index] = seed_states([rows[i] for i in index])
+            return out
+        entropy = np.array(list(zip_longest(*rows, fillvalue=0)), dtype=np.uint32)
+        entropy = entropy.reshape(width, len(rows))
     if width > 64:
         raise ValueError("seed entropy longer than 64 words")
-    entropy = np.zeros((max(width, 4), len(rows)), dtype=np.uint32)
-    entropy[:width] = list(zip_longest(*rows, fillvalue=0))
+    if width < 4:
+        entropy = np.concatenate((entropy, np.zeros((4 - width, entropy.shape[1]), np.uint32)))
     pool = _hashmix(entropy[:4], 0, 4)
     k = 4
     for src in range(4):
@@ -151,6 +157,13 @@ def seed_states(rows: Sequence[Sequence[int]]) -> np.ndarray:
     state = (np.concatenate((pool, pool)) ^ _HASH_B[:8]) * _HASH_B[1:]
     state ^= state >> _SHIFT
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+def _classes(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdf[i].searchsorted(u[i], side="right")`` for every row — the class
+    search ``Generator.choice(p=)`` runs, without its checks — as the count
+    of each row's (non-decreasing) cdf entries at or below each draw."""
+    return (cdf[:, None, :] <= u[:, :, None]).sum(axis=2)
 
 
 class _Words(ISeedSequence):
@@ -172,9 +185,9 @@ class SeedDerivationError(RuntimeError):
 @runtime_checkable
 class ShardProvider(Protocol):
     """Per-client training-data source the factory pulls shards from.
-    Optional batch hooks (:meth:`ClientFactory.derive`): ``page(cids)``, and
-    ``seed_entropy(cid)`` — a seed the factory derives and passes as
-    ``shard(cid, seed)``."""
+    Optional batch hooks (:meth:`ClientFactory.derive`): ``page(cids)``, or
+    ``seed_rows(cids)`` — entropy rows whose seeds the factory derives in its
+    own pass and hands over as ``page(cids, seeds)``."""
 
     def __len__(self) -> int:
         """Total number of clients in the population."""
@@ -316,6 +329,7 @@ class SubsampledShards:
         self._pool_offsets = np.concatenate(
             ([0], np.cumsum(self._pool_lens)[:-1])
         )
+        self._paged: dict[int, Dataset] = {}
 
     def __len__(self) -> int:
         return self.num_clients
@@ -323,28 +337,53 @@ class SubsampledShards:
     def shard_size(self, cid: int) -> int:
         return self._shard_size
 
-    def seed_entropy(self, cid: int) -> list[int]:
-        return [self.seed, cid, _SUBSAMPLE_SEED_TAG]
+    def seed_rows(self, cids: np.ndarray) -> np.ndarray:
+        """The ``SeedSequence([seed, cid, 0x5D])`` entropy rows of ``cids``."""
+        prefix = np.tile(_uint32_words(self.seed), (len(cids), 1))
+        return np.column_stack((prefix, cids, np.full(len(cids), _SUBSAMPLE_SEED_TAG))).astype(np.uint32)
 
-    def shard(self, cid: int, seed: "ISeedSequence | None" = None) -> Dataset:
-        if not 0 <= cid < self.num_clients:
-            raise ValueError(f"cid {cid} out of range")
-        if seed is None:
-            seed = _Words(seed_states([entropy_words(self.seed_entropy(cid))])[0])
-        rng = np.random.default_rng(seed)
+    def page(self, cids: Sequence[int], seeds: "np.ndarray | None" = None) -> None:
+        """Draw the shards of ``cids`` (their ``seeds`` words, derived here
+        if not given) and hold them until :meth:`shard` takes them.
+
+        Each client draws ``dirichlet``, ``random(s)``, ``random(s)`` from
+        its own generator (``integers`` when uniform); everything after the
+        draws runs once over the page's ``(n, ·)`` arrays — the class search
+        (:func:`_classes`), the pool gather, a row-wise sort — and each shard
+        is a row view of one gathered ``(n, s, …)`` block."""
+        cids = np.asarray(cids, dtype=np.int64)
+        bad = (cids < 0) | (cids >= self.num_clients)
+        if bad.any():
+            raise ValueError(f"cid {cids[bad][0]} out of range")
+        if seeds is None:
+            seeds = seed_states(self.seed_rows(cids))
+        n, size = len(cids), self._shard_size
         if self.alpha is None:
-            idx = rng.integers(0, len(self.dataset), size=self._shard_size)
+            idx = np.empty((n, size), dtype=np.int64)
+            for i, words in enumerate(seeds):
+                idx[i] = np.random.default_rng(_Words(words)).integers(0, len(self.dataset), size=size)
         else:
-            composition = rng.dirichlet(self._concentration)
-            # Generator.choice(num_classes, p=composition) minus its checks.
-            cdf = composition.cumsum()
-            cdf /= cdf[-1]
-            classes = cdf.searchsorted(rng.random(self._shard_size), side="right")
-            within = (rng.random(self._shard_size) * self._pool_lens[classes]).astype(
-                np.int64
-            )
+            composition = np.empty((n, len(self._concentration)))
+            u, v = np.empty((2, n, size))
+            for i, words in enumerate(seeds):
+                rng = np.random.default_rng(_Words(words))
+                composition[i] = rng.dirichlet(self._concentration)
+                rng.random(out=u[i])
+                rng.random(out=v[i])
+            cdf = composition.cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            classes = _classes(cdf, u)
+            within = (v * self._pool_lens[classes]).astype(np.int64)
             idx = self._pool_flat[self._pool_offsets[classes] + within]
-        return self.dataset.subset(np.sort(idx))
+        idx.sort(axis=1)
+        block = self.dataset.subset(idx)  # (n, size, ...) features, (n, size) labels
+        for i, cid in enumerate(cids.tolist()):
+            self._paged[cid] = block.subset(i)  # an int index: row i, a view
+
+    def shard(self, cid: int) -> Dataset:
+        if cid not in self._paged:
+            self.page([cid])
+        return self._paged.pop(cid)
 
 
 def as_shard_provider(shards: "ShardProvider | Sequence[Dataset]") -> ShardProvider:
@@ -400,7 +439,8 @@ class ClientFactory:
         self._model_bytes = 0
         self._spare_models: list[Module] = []
         self._pace_memo: dict[int, float] = {}
-        self._derived: dict[int, list[_Words]] = {}
+        self._derived: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._spawn_prefix = entropy_words(spec.seed, (0,))[:-1]  # spawn key cid goes last
         self._check_seed_pass()
 
     @property
@@ -423,19 +463,21 @@ class ClientFactory:
             value = self._pace_memo[cid] = float(pace(cid))
         return value
 
-    def client_seeds(self, cids: Sequence[int]) -> list[tuple[int, int]]:
-        """``(speed-trace seed, batch-stream seed)`` per client: the first two
-        ``integers(2**31)`` draws of ``default_rng(SeedSequence(seed,
-        spawn_key=(cid,)))``, as the eager loop's ``spawn`` gave them. Those
-        are the top 31 bits of each 32-bit half of a fresh PCG64's first
-        output (Lemire's bound never rejects at 2**31)."""
-        first = seed_states([entropy_words(self.spec.seed, (cid,)) for cid in cids])
-        raws = [int(np.random.PCG64(_Words(words)).random_raw()) for words in first]
-        return [((raw & _MASK32) >> 1, raw >> 33) for raw in raws]
+    def client_seeds(self, cids: Sequence[int]) -> np.ndarray:
+        """``(speed-trace seed, batch-stream seed)`` per client, as an
+        ``(n, 2)`` array: the first two ``integers(2**31)`` draws of
+        ``default_rng(SeedSequence(seed, spawn_key=(cid,)))``, as the eager
+        loop's ``spawn`` gave them. Those are the top 31 bits of each 32-bit
+        half of a fresh PCG64's first output (Lemire's bound never rejects
+        at 2**31)."""
+        rows = np.column_stack((np.tile(self._spawn_prefix, (len(cids), 1)), cids))
+        states = seed_states(rows.astype(np.uint32))
+        raw = np.array([np.random.PCG64(_Words(w)).random_raw() for w in states], dtype=np.uint64)
+        return (raw[:, None] >> np.uint64([1, 33]) & np.uint64(0x7FFFFFFF)).astype(np.int64)
 
     def _check_seed_pass(self) -> None:
         """Client 0's seeds and trace words must be NumPy's own."""
-        (seeds,) = self.client_seeds([0])
+        seeds = tuple(self.client_seeds([0])[0].tolist())
         reference = np.random.default_rng(np.random.SeedSequence(self.spec.seed, spawn_key=(0,)))
         numpy_seeds = (int(reference.integers(2**31)), int(reference.integers(2**31)))
         words = np.random.SeedSequence(seeds[0]).generate_state(4, np.uint64)
@@ -447,23 +489,30 @@ class ClientFactory:
 
     def derive(self, cids: Sequence[int]) -> None:
         """Derive the generator seeds of clients about to be created — one
-        seed pass per ``SeedSequence`` level for the whole batch — and let the
-        shard provider page the batch in (module docstring)."""
-        if not cids:
+        seed pass per ``SeedSequence`` level for the whole batch, over rows
+        built from the cid vector — and let the shard provider page the
+        batch in, handing it its shard seeds (module docstring)."""
+        cids = np.asarray(cids, dtype=np.int64)
+        if not cids.size:
             return
-        for cid in cids:
-            if not 0 <= cid < self.spec.num_clients:
-                raise IndexError(
-                    f"cid {cid} out of range for population of {self.spec.num_clients}"
-                )
-        shards = self.spec.shards
-        rows = [[seed] for pair in zip(*self.client_seeds(cids)) for seed in pair]
-        if hasattr(shards, "seed_entropy"):
-            rows += [entropy_words(shards.seed_entropy(cid)) for cid in cids]
-        levels = seed_states(rows).reshape(-1, len(cids), 4)
-        for i, cid in enumerate(cids):
-            self._derived[cid] = [_Words(words[i]) for words in levels]
-        if hasattr(shards, "page"):
+        bad = (cids < 0) | (cids >= self.spec.num_clients)
+        if bad.any():
+            raise IndexError(
+                f"cid {cids[bad][0]} out of range for population of {self.spec.num_clients}"
+            )
+        shards, n = self.spec.shards, len(cids)
+        rows = self.client_seeds(cids).T.reshape(-1, 1)  # trace seeds, then stream seeds
+        shard_rows = shards.seed_rows(cids) if hasattr(shards, "seed_rows") else rows[:0]
+        if shard_rows.shape[1] > 4:
+            words = np.concatenate((seed_states(rows), seed_states(shard_rows)))
+        else:  # a row of at most four words hashes like its zero-padded form: one pass
+            rows = np.hstack((rows, np.zeros((2 * n, shard_rows.shape[1] - 1), dtype=np.int64)))
+            words = seed_states(np.concatenate((rows, shard_rows)))
+        for cid, trace, stream in zip(cids.tolist(), words[:n], words[n : 2 * n]):
+            self._derived[cid] = (trace, stream)
+        if hasattr(shards, "seed_rows"):
+            shards.page(cids, words[2 * n :])
+        elif hasattr(shards, "page"):
             shards.page(cids)
 
     def create(self, cid: int) -> SimClient:
@@ -471,11 +520,11 @@ class ClientFactory:
         seeds :meth:`derive` left for it (a batch of one if it left none)."""
         if cid not in self._derived:
             self.derive([cid])
-        trace_seed, stream_seed, *shard_seed = self._derived.pop(cid)
+        trace_words, stream_words = self._derived.pop(cid)
         spec = self.spec
         trace = SpeedTrace(
             self.base_pace(cid),
-            seed=trace_seed,
+            seed=_Words(trace_words),
             dynamic=spec.dynamic,
             gamma_fast=spec.gamma_fast,
             gamma_slow=spec.gamma_slow,
@@ -483,12 +532,12 @@ class ClientFactory:
         )
         return SimClient(
             cid,
-            spec.shards.shard(cid, *shard_seed),
+            spec.shards.shard(cid),
             model_fn=self._replica,
             batch_size=spec.batch_size,
             trace=trace,
             link=spec.link_fn(cid),
-            seed=stream_seed,
+            seed=_Words(stream_words),
         )
 
     def _replica(self) -> Module:

@@ -62,7 +62,13 @@ from repro.nn import (
     stack_module,
 )
 from repro.obs import TraceRecorder
-from repro.runtime import CohortExecutor, RoundContext, SerialExecutor, resolve_executor
+from repro.runtime import (
+    CohortEngine,
+    CohortExecutor,
+    RoundContext,
+    SerialExecutor,
+    resolve_executor,
+)
 from repro.runtime.client import SimClient
 from repro.sysmodel import LinkModel, SpeedTrace
 
@@ -487,6 +493,39 @@ class TestCohortModel:
             got = cohort.member_params(i)
             for name, p in ref.named_parameters():
                 assert_same(got[name], p.data, name)
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 5])
+    def test_memoised_member_views_alias_the_stack(self, c):
+        """``member_params(i)`` and ``member_update(stacked, i)`` index
+        ``(C, …)`` views built once per arena / per stack: each equals a
+        fresh ``layout.views`` of row ``i``, and a write through it lands in
+        the stack."""
+        template = model_fn()
+        clients = [make_client(k) for k in range(c)]
+        cohort = CohortModel(template, c)
+        params, buffers = global_vectors(template)
+        engine = CohortEngine(cohort, clients, buffers)
+        engine.load_global(params)
+        arena = cohort.module.arena()
+        arena.values[...] = np.random.default_rng(c).normal(size=arena.values.shape)
+        stacked = engine.stacked_update(params)
+        for stack, views in (
+            (arena.values, cohort.member_params),
+            (stacked, lambda i: engine.member_update(stacked, i)),
+        ):
+            for i in range(c):
+                got, fresh = views(i), arena.layout.views(stack[i])
+                assert list(got) == list(fresh)
+                for name, view in got.items():
+                    assert view.shape == fresh[name].shape, name
+                    assert view.tobytes() == fresh[name].tobytes(), name
+                    view[...] = i + 0.5
+                    assert (fresh[name] == np.float32(i + 0.5)).all(), name
+            assert (stack == np.arange(c, dtype=np.float32)[:, None] + 0.5).all()
+        # A new stack gets its own views, not the previous stack's.
+        other = engine.stacked_update(params)
+        assert np.shares_memory(engine.member_update(other, 0)["conv1.weight"], other)
+        assert not np.shares_memory(engine.member_update(other, 0)["conv1.weight"], stacked)
 
     def test_masked_member_is_bitwise_frozen(self):
         """An inactive member must not move at all — including the

@@ -215,6 +215,37 @@ class TestBatchStream:
         b = BatchStream(self._ds(), 4, seed=9)
         np.testing.assert_array_equal(a.next_batch()[0], b.next_batch()[0])
 
+    def test_restore_round_trip(self):
+        a = BatchStream(self._ds(), 4, seed=3)
+        a.next_batch()
+        b = BatchStream(self._ds(), 4, seed=0)
+        b.restore_state(a.snapshot_state())
+        np.testing.assert_array_equal(a.next_batch()[0], b.next_batch()[0])
+
+    @pytest.mark.parametrize(
+        "damage,match",
+        [
+            (lambda s: {**s, "order": np.zeros_like(s["order"])}, "permutation"),
+            (lambda s: {**s, "order": s["order"] + 1}, "permutation"),
+            (lambda s: {**s, "order": -s["order"] - 1}, "permutation"),
+            (lambda s: {**s, "cursor": 10}, "cursor"),
+            (lambda s: {**s, "cursor": -1}, "cursor"),
+            (lambda s: {**s, "order": s["order"][:-1]}, "length"),
+        ],
+        ids=["zeros", "shifted", "negative", "cursor-n", "cursor-negative", "short"],
+    )
+    def test_restore_refuses_a_corrupt_position(self, damage, match):
+        """An ``order`` that is not a permutation of ``range(n)`` or a cursor
+        outside ``[0, n)`` fails at restore — not later in ``next_batch`` —
+        and leaves the stream as it was."""
+        s = BatchStream(self._ds(10), 4, seed=0)
+        before = s.snapshot_state()
+        with pytest.raises(ValueError, match=match):
+            s.restore_state(damage(BatchStream(self._ds(10), 4, seed=5).snapshot_state()))
+        after = s.snapshot_state()
+        assert after["rng"] == before["rng"] and after["cursor"] == before["cursor"]
+        np.testing.assert_array_equal(after["order"], before["order"])
+
     def test_iterator_protocol(self):
         s = BatchStream(self._ds(), 4, seed=0)
         it = iter(s)

@@ -462,6 +462,30 @@ class TestDiscoveryAndGuards:
             sim.resume(loaded)
         sim.close()
 
+    def test_client_blob_with_a_duplicated_order_is_rejected_at_restore(
+        self, tmp_path, saved_checkpoint
+    ):
+        """A client blob whose stream order repeats a sample — written with
+        a valid manifest digest — fails the resume instead of training on
+        the repeated sample."""
+        from repro.algorithms import build_strategy
+        from repro.experiments.configs import make_environment
+        from repro.persist.snapshot import decode, encode
+
+        ckpt = RunCheckpoint.load(saved_checkpoint[0])
+        cid = next(iter(ckpt.clients))
+        state = decode(ckpt.clients[cid])
+        order = state["stream"]["order"]
+        state["stream"]["order"] = np.concatenate((order[:1], order[:-1]))
+        path = str(tmp_path / "damaged.ckpt")
+        dataclasses.replace(ckpt, clients={**ckpt.clients, cid: encode(state)}).save(path)
+        sim = make_environment(
+            CFG, build_strategy("fedavg", CFG.optimizer_spec()), seed=3
+        )
+        with pytest.raises(ValueError, match="permutation"):
+            sim.resume(RunCheckpoint.load(path))
+        sim.close()
+
     @needs_fork
     def test_degraded_pool_refuses_checkpoint(self, tmp_path):
         from repro.algorithms import build_strategy

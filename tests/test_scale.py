@@ -383,7 +383,7 @@ class TestClientFactory:
         for cid in range(NUM_CLIENTS):
             rng = np.random.default_rng(children[cid])
             expected = (int(rng.integers(2**31)), int(rng.integers(2**31)))
-            assert factory.client_seeds([cid]) == [expected]
+            assert factory.client_seeds([cid]).tolist() == [list(expected)]
 
     def test_created_client_matches_eager(self, env_data):
         _, shards, test = env_data
@@ -1147,6 +1147,49 @@ class TestSubsampledShards:
             np.testing.assert_array_equal(
                 provider.shard(cid).y, reference_shard(provider, cid).y
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.one_of(st.none(), st.floats(min_value=0.05, max_value=5.0)),
+        size=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**40),
+        chunks=st.lists(
+            st.lists(st.integers(min_value=0, max_value=49), min_size=1, max_size=8),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_page_equals_per_client_reference(self, env_data, alpha, size, seed, chunks):
+        """A page — cids out of order and repeated, handed its seeds or
+        deriving them — holds exactly the shard the per-client reference
+        draws, whichever chunk paged it."""
+        train, _, _ = env_data
+        provider = SubsampledShards(train, 50, size, alpha=alpha, seed=seed)
+        seen = {}
+        for n, chunk in enumerate(chunks):
+            if n % 2:
+                provider.page(chunk)
+            else:
+                provider.page(chunk, seed_states(provider.seed_rows(np.asarray(chunk))))
+            for cid in dict.fromkeys(chunk):
+                shard = provider.shard(cid)
+                reference = reference_shard(provider, cid)
+                assert shard.x.tobytes() == reference.x.tobytes()
+                assert shard.y.tobytes() == reference.y.tobytes()
+                assert seen.setdefault(cid, shard.y.tobytes()) == shard.y.tobytes()
+        assert provider._paged == {}
+
+    def test_class_search_is_searchsorted_right(self):
+        """Ties decide: a draw equal to a cdf entry (zero-probability
+        classes, a draw of exactly 0.0) counts that entry, as
+        ``searchsorted(side="right")`` does and ``side="left"`` does not."""
+        from repro.scale.population import _classes
+
+        cdf = np.array([[0.0, 0.0, 0.5, 0.5, 1.0], [0.25, 0.5, 0.75, 0.75, 1.0]])
+        u = np.array([[0.0, 0.5, 0.25, 0.999], [0.25, 0.75, 0.0, 0.5]])
+        want = np.stack([row.searchsorted(draws, side="right") for row, draws in zip(cdf, u)])
+        np.testing.assert_array_equal(_classes(cdf, u), want)
+        np.testing.assert_array_equal(want, [[2, 4, 2, 4], [1, 4, 0, 2]])
 
     def test_validation(self, env_data):
         train, _, _ = env_data
