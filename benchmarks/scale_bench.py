@@ -19,6 +19,13 @@ Two measurements, written to ``BENCH_scale.json``:
   ``model_fn`` ran more than ``resident_clients + 2`` times (one replica
   per cache slot, the global model, one spare) however many clients it
   created.
+* **Traced** lazy construction at the A/B size and at the large size:
+  ``traced_setup_s`` is the least of five timed constructions with a
+  ``TraceRecorder(trace_path=...)`` attached (the recorder's creation
+  included), then the run's rounds go to that trace file and the report
+  records its line count. Construction enumerates no client, so the run
+  fails if ``traced_setup_s`` at the large size exceeds twice that at the
+  A/B size.
 * **Long** lazy run (``--long-rounds``, default 200 rounds of 100 out of
   20 000 clients at ``lazy:cache=64``, a checkpoint every 50 rounds):
   memory must stay flat in *rounds* too. Most of the population ends up
@@ -37,9 +44,11 @@ The workload is deliberately tiny (8×8 mono images, a 2-channel LeNet,
 pace from :func:`iteration_time_for`) — the bench measures the *population
 machinery*, not SGD throughput.
 
-Regenerate with::
+Regenerate with (the CI scale job's gates)::
 
-    PYTHONPATH=src python benchmarks/scale_bench.py --out BENCH_scale.json
+    PYTHONPATH=src python benchmarks/scale_bench.py --rounds 2 \
+        --rss-ceiling-mb 400 --long-rss-growth-mb 40 --long-load-seconds 0.1 \
+        --out BENCH_scale.json
 
 The million-client acceptance run (1 % participation)::
 
@@ -68,6 +77,7 @@ from repro.algorithms import build_strategy  # noqa: E402
 from repro.algorithms.base import OptimizerSpec  # noqa: E402
 from repro.data import make_image_dataset, train_test_split  # noqa: E402
 from repro.nn import LeNetCNN  # noqa: E402
+from repro.obs import TraceRecorder  # noqa: E402
 from repro.persist import RunCheckpoint, list_checkpoints, save_run_checkpoint  # noqa: E402
 from repro.runtime import FederatedSimulator  # noqa: E402
 from repro.runtime.export import history_to_json  # noqa: E402
@@ -87,6 +97,11 @@ LONG_CLIENTS = 20_000
 LONG_CLIENTS_PER_ROUND = 100
 LONG_RSS_MARK_ROUND = 20
 LONG_CHECKPOINT_EVERY = 50
+
+#: Timed traced constructions per traced leg; the least is reported.
+TRACED_SETUP_REPEATS = 5
+#: The traced gate: large-population traced setup over A/B traced setup.
+TRACED_SETUP_MAX_RATIO = 2.0
 
 
 def _clock() -> float:
@@ -115,6 +130,7 @@ def build_sim(
     population: str | None,
     model_fn=model_fn,
     spill_client_events: bool = False,
+    recorder=None,
 ):
     # Pool and test set come from ONE generated dataset: two generator
     # seeds give disjoint class prototypes and a chance-level accuracy.
@@ -140,7 +156,46 @@ def build_sim(
         seed=1,
         population=population,
         spill_client_events=spill_client_events,
+        recorder=recorder,
     )
+
+
+def run_traced_phase(args) -> dict:
+    """Child-process body of a traced leg, JSON report on stdout."""
+    with tempfile.TemporaryDirectory(prefix="scale-bench-trace-") as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        setups = []
+        for _ in range(TRACED_SETUP_REPEATS):
+            if setups:
+                sim.close()
+                sim.recorder.close()
+            t0 = _clock()
+            sim = build_sim(
+                args.clients, args.clients_per_round, args.population,
+                recorder=TraceRecorder(trace_path=str(path)),
+            )
+            setups.append(_clock() - t0)
+        try:
+            t1 = _clock()
+            sim.run(args.rounds)
+            run_seconds = _clock() - t1
+        finally:
+            sim.close()
+            sim.recorder.close()
+        with path.open("rb") as trace:
+            trace_lines = sum(1 for _ in trace)
+        trace_bytes = path.stat().st_size
+    return {
+        "population": args.population,
+        "clients": args.clients,
+        "clients_per_round": args.clients_per_round,
+        "rounds": args.rounds,
+        "traced_setup_s": min(setups),
+        "traced_setup_runs_s": setups,
+        "run_seconds": run_seconds,
+        "trace_lines": trace_lines,
+        "trace_bytes": trace_bytes,
+    }
 
 
 def run_phase(args) -> dict:
@@ -268,6 +323,7 @@ def spawn_phase(
     rounds: int,
     population: str | None,
     checkpoint_every: int = 0,
+    traced: bool = False,
 ) -> dict:
     """Run one measurement in a fresh process so ru_maxrss is per-phase."""
     cmd = [
@@ -279,6 +335,8 @@ def spawn_phase(
     ]
     if population:
         cmd += ["--population", population]
+    if traced:
+        cmd.append("--traced")
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(
@@ -293,6 +351,9 @@ def main() -> int:
                         help="internal: run one measured phase and print JSON")
     parser.add_argument("--population", default=None,
                         help="population spec for --phase (default eager)")
+    parser.add_argument("--traced", action="store_true",
+                        help="for --phase: time traced constructions, count "
+                             "the run's trace lines")
     parser.add_argument("--clients", type=int, default=2000,
                         help="population size for --phase")
     parser.add_argument("--clients-per-round", type=int, default=20,
@@ -326,7 +387,7 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.phase:
-        print(json.dumps(run_phase(args)))
+        print(json.dumps(run_traced_phase(args) if args.traced else run_phase(args)))
         return 0
 
     report: dict = {"workload": {
@@ -389,6 +450,35 @@ def main() -> int:
             else:
                 print(f"  RSS gate: {rss_mib:.1f} <= {args.rss_ceiling_mb:.1f} "
                       "MiB ceiling")
+
+    if args.ab_clients and args.large_clients:
+        traced = {}
+        for leg, clients, participation in (
+            ("ab", args.ab_clients, args.ab_participation),
+            ("large", args.large_clients, args.large_participation),
+        ):
+            per_round = max(1, round(clients * participation))
+            traced[leg] = spawn_phase(clients, per_round, args.rounds, "lazy", traced=True)
+        ratio = traced["large"]["traced_setup_s"] / traced["ab"]["traced_setup_s"]
+        traced["setup_ratio"] = ratio
+        traced["max_setup_ratio"] = TRACED_SETUP_MAX_RATIO
+        report["traced"] = traced
+        for leg in ("ab", "large"):
+            row = traced[leg]
+            print(
+                f"traced lazy @ {row['clients']} clients: setup "
+                f"{row['traced_setup_s']:.3f}s (least of {TRACED_SETUP_REPEATS}), "
+                f"{row['trace_lines']} trace lines ({row['trace_bytes']} B) "
+                f"after {row['rounds']} rounds"
+            )
+        if ratio > TRACED_SETUP_MAX_RATIO:
+            failures.append(
+                f"traced lazy setup at {args.large_clients} clients is {ratio:.1f}x "
+                f"that at {args.ab_clients}, over the {TRACED_SETUP_MAX_RATIO:.0f}x "
+                "bound: construction enumerates the population"
+            )
+        else:
+            print(f"  traced setup gate: {ratio:.2f}x <= {TRACED_SETUP_MAX_RATIO:.0f}x")
 
     if args.long_rounds:
         long = spawn_phase(

@@ -164,9 +164,10 @@ def run_scheme(
         from ..persist import find_latest_checkpoint
 
         ckpt_path = find_latest_checkpoint(checkpoint_dir)
-        # Build with recorder=None: the restored trace already holds the
-        # original run's start/client_meta events, and opening the trace
-        # file fresh would truncate the first half of the stream.
+        # Build with recorder=None and attach the recorder once its state
+        # is restored: the trace already holds run.start and every round
+        # before the checkpoint, so the stream continues at the checkpoint's
+        # sequence number and byte offset (construction emits nothing).
         sim = make_environment(
             cfg, strategy, seed=seed, dynamic=dynamic, executor=engine,
             population=population, spill_client_events=spill_client_events,

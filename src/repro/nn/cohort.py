@@ -215,9 +215,9 @@ def cohort_softmax_cross_entropy(
     counts = np.asarray(counts)
     ci = np.arange(c)[:, None]
     bi = np.arange(b)[None, :]
-    picked = F.log_softmax(logits, axis=2)[ci, bi, labels]  # (C, B)
+    log_probs, grad = F.log_softmax_and_softmax(logits, axis=2)
+    picked = log_probs[ci, bi, labels]  # (C, B)
     loss = (-_row_mean(picked)).astype(np.float64)
-    grad = F.softmax(logits, axis=2)
     grad[ci, bi, labels] -= 1.0
     grad /= np.maximum(counts, 1).astype(np.float32)[:, None, None]
     if counts.min() < b:

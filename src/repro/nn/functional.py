@@ -16,8 +16,7 @@ __all__ = [
     "relu_grad",
     "sigmoid",
     "tanh",
-    "softmax",
-    "log_softmax",
+    "log_softmax_and_softmax",
     "conv_output_size",
     "im2col",
     "col2im",
@@ -60,17 +59,15 @@ def tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(x)
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shift-stabilised softmax along ``axis``."""
+def log_softmax_and_softmax(
+    logits: np.ndarray, axis: int = -1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shift-stabilised ``(log_softmax, softmax)`` along ``axis`` from one
+    max/subtract/exp/sum pass over ``logits``."""
     shifted = logits - logits.max(axis=axis, keepdims=True)
     ex = np.exp(shifted)
-    return ex / ex.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shift-stabilised log-softmax along ``axis``."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    total = ex.sum(axis=axis, keepdims=True)
+    return shifted - np.log(total), ex / total
 
 
 # ----------------------------------------------------------------------

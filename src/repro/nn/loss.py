@@ -29,9 +29,8 @@ def softmax_cross_entropy(
     n = logits.shape[0]
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} incompatible with logits {logits.shape}")
-    log_probs = F.log_softmax(logits, axis=1)
+    log_probs, grad = F.log_softmax_and_softmax(logits, axis=1)
     loss = float(-log_probs[np.arange(n), labels].mean())
-    grad = F.softmax(logits, axis=1)
     grad[np.arange(n), labels] -= 1.0
     grad /= n
     return loss, grad.astype(np.float32)

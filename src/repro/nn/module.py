@@ -73,7 +73,8 @@ def _arena_of(
 ) -> np.ndarray | None:
     """The ``(*lead, size)`` vector ``arrays`` already are views of at
     ``layout``'s offsets — a whole arena, or a descendant's run inside an
-    ancestor's — else ``None``."""
+    ancestor's — else ``None``. Strides are compared only on lead axes
+    longer than 1: NumPy leaves a length-1 axis's stride arbitrary."""
     if not arrays:
         return None
     base = arrays[0].base
@@ -90,7 +91,9 @@ def _arena_of(
         if (
             a.base is not base
             or a.shape != lead + shape
-            or a.strides[: len(lead)] != base.strides[:-1]
+            or any(
+                s != t for n, s, t in zip(lead, a.strides, base.strides) if n > 1
+            )
             or _address(a) != origin + 4 * offset
         ):
             return None

@@ -9,16 +9,20 @@ Event kinds (``fields`` payload in parentheses):
 
 Run / round lifecycle — emitted by the simulator in the parent process:
 
-* ``run.client_meta`` — one per client at simulator construction
-  (``num_samples``, ``model_bytes``, ``base_pace``).
 * ``run.start`` — one per training run from the experiment runner
   (``scheme``, ``workload``, ``executor``).
-* ``round.start`` (``selected``, ``num_selected``, ``deadline``).
+* ``round.start`` (``selected``, ``num_selected``, ``deadline``,
+  ``model_bytes`` — the bytes of one model replica).
 * ``client.dropped`` — failure injection removed the client mid-round.
 * ``round.all_dropped`` — every selected client dropped; the round stalls.
 * ``client.round`` — one span per surviving client (``compute_start``,
   ``compute_finish``, ``upload_finish``, ``duration``, ``iterations_run``,
-  ``bytes_uploaded``, ``mean_loss``, ``collected``).
+  ``bytes_uploaded``, ``mean_loss``, ``collected``, ``num_samples``,
+  ``base_pace`` — the client's static fast-mode seconds per iteration).
+
+Constructing a simulator emits nothing: a client appears in the trace only
+in a round that selected it, so a trace is O(touched clients), never
+O(population).
 * ``round.end`` (``accuracy``, ``mean_loss``, ``num_collected``,
   ``num_stragglers``, ``total_bytes``, ``duration``).
 
@@ -48,7 +52,6 @@ __all__ = ["TraceEvent", "EVENT_KINDS"]
 
 #: Known event kinds (documentation + schema validation in tests).
 EVENT_KINDS = (
-    "run.client_meta",
     "run.start",
     "round.start",
     "client.dropped",

@@ -217,17 +217,10 @@ class FederatedSimulator:
         self.dropout = DropoutModel(dropout_rate, seed=seed)
         self.time = 0.0
         self.history = RunHistory(retain_client_events=not spill_client_events)
+        # Construction emits nothing: a client describes itself on its own
+        # client.round span, so a traced lazy run never enumerates the
+        # population.
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        if self.recorder.enabled:
-            for cid in range(num_clients):
-                self.recorder.emit(
-                    "run.client_meta",
-                    sim_time=0.0,
-                    client_id=cid,
-                    num_samples=self._factory.shard_size(cid),
-                    model_bytes=self._factory.model_bytes,
-                    base_pace=self._factory.base_pace(cid),
-                )
         # The executor must bind while the clients are still in their
         # initial seeded state (ParallelExecutor forks replicas from here).
         self.executor = resolve_executor(executor)
@@ -284,9 +277,8 @@ class FederatedSimulator:
 
     def set_recorder(self, recorder: Recorder | None) -> None:
         """Swap the telemetry sink. The resume path constructs the
-        simulator with ``recorder=None`` (so ``run.client_meta`` events are
-        not re-emitted into an already-written trace), restores the
-        recorder's own state, then attaches it here."""
+        simulator with ``recorder=None``, restores the recorder's own state
+        (sequence number, trace offset), then attaches it here."""
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.executor.set_recorder(self.recorder)
 
@@ -349,6 +341,7 @@ class FederatedSimulator:
                 selected=list(selected),
                 num_selected=len(selected),
                 deadline=deadline,
+                model_bytes=self.global_model.nbytes(),
             )
 
         # Failure injection: dropped clients never report back this round
@@ -449,6 +442,8 @@ class FederatedSimulator:
                         bytes_uploaded=r.bytes_uploaded,
                         mean_loss=r.mean_loss,
                         collected=r.client_id in collected_set,
+                        num_samples=r.num_samples,
+                        base_pace=self._factory.base_pace(r.client_id),
                     )
                     rec.counter("repro_client_rounds_total")
                     rec.counter("repro_iterations_total", r.iterations_run)

@@ -221,9 +221,8 @@ class LazyDirichletShards:
     ``page(cids)`` replays the partition RNG stream once and keeps only the
     batch's indices (bit-identical to ``dirichlet_partition(...)[cid]``) until
     ``shard(cid)`` takes them; a cid not paged is a batch of one. Nothing
-    O(num_clients) is stored. Shard sizes for the whole population come
-    from one extra replay pass and are cached (they feed ``run.client_meta``
-    telemetry).
+    O(num_clients) is stored. ``shard_size`` runs one extra replay pass
+    over the whole population on first use and caches every size.
     """
 
     def __init__(
@@ -436,7 +435,6 @@ class ClientFactory:
     def __init__(self, spec: PopulationSpec) -> None:
         self.spec = spec
         self._fresh_rng: list[bytes] | None = None
-        self._model_bytes = 0
         self._spare_models: list[Module] = []
         self._pace_memo: dict[int, float] = {}
         self._derived: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -558,24 +556,17 @@ class ClientFactory:
         del client.model
 
     # ------------------------------------------------------------------
-    # Population-wide metadata without materialising clients: drives the
-    # run.client_meta telemetry and the server's bootstrap pace estimates.
+    # Per-client metadata without materialising the client: a client.round
+    # span's num_samples and base_pace, the server's bootstrap pace estimate.
     # ------------------------------------------------------------------
     def shard_size(self, cid: int) -> int:
         return self.spec.shards.shard_size(cid)
 
     def _ensure_template(self) -> None:
         """One template model, built lazily — every client shares the
-        architecture. It measures the model's bytes, fixes what a fresh
-        replica's layer RNG looks like, and is the first replica handed out."""
+        architecture. It fixes what a fresh replica's layer RNG looks like,
+        and is the first replica handed out."""
         if self._fresh_rng is None:
             template = self.spec.model_fn()
             self._fresh_rng = template.rng_state()
-            self._model_bytes = template.nbytes()
             self._spare_models.append(template)
-
-    @property
-    def model_bytes(self) -> int:
-        """Bytes of one model replica."""
-        self._ensure_template()
-        return self._model_bytes

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 
 from repro.nn import Module
+from repro.nn.cohort import _row_mean
 
 
 def held_array_bytes(layer: Module) -> int:
@@ -227,6 +228,52 @@ def maxpool_reference(
     grad = np.zeros(x.shape, dtype=grad_out.dtype)
     grad[:, :, :th, :tw] = (mask * g[:, :, :, None, :, None]).reshape(n, c, th, tw)
     return out, grad
+
+
+# ----------------------------------------------------------------------
+# Reference losses: the two softmax helpers `repro.nn.functional` had
+# before one pass returned both, and the losses composed from them. The
+# shipped losses must be bytes-equal to these.
+# ----------------------------------------------------------------------
+def softmax_reference(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / ex.sum(axis=axis, keepdims=True)
+
+
+def log_softmax_reference(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def softmax_cross_entropy_reference(
+    logits: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    n = logits.shape[0]
+    log_probs = log_softmax_reference(logits, axis=1)
+    loss = float(-log_probs[np.arange(n), labels].mean())
+    grad = softmax_reference(logits, axis=1)
+    grad[np.arange(n), labels] -= 1.0
+    grad /= n
+    return loss, grad.astype(np.float32)
+
+
+def cohort_softmax_cross_entropy_reference(
+    logits: np.ndarray, labels: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    c, b, _ = logits.shape
+    ci = np.arange(c)[:, None]
+    bi = np.arange(b)[None, :]
+    picked = log_softmax_reference(logits, axis=2)[ci, bi, labels]
+    loss = (-_row_mean(picked)).astype(np.float64)
+    grad = softmax_reference(logits, axis=2)
+    grad[ci, bi, labels] -= 1.0
+    grad /= np.maximum(counts, 1).astype(np.float32)[:, None, None]
+    for i, n in enumerate(counts.tolist()):
+        if n < b:
+            loss[i] = -_row_mean(picked[i, :n]) if n else 0.0
+            grad[i, n:] = 0.0
+    return loss, grad.astype(np.float32, copy=False)
 
 
 # ----------------------------------------------------------------------

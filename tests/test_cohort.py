@@ -527,6 +527,20 @@ class TestCohortModel:
         assert np.shares_memory(engine.member_update(other, 0)["conv1.weight"], other)
         assert not np.shares_memory(engine.member_update(other, 0)["conv1.weight"], stacked)
 
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_unrelated_build_keeps_the_stack_arena(self, c):
+        """Building another module re-walks every tree; a stack's arena
+        must survive that as the same object, so member views taken before
+        still write into it (a length-1 lead axis's stride is arbitrary)."""
+        cohort = CohortModel(LeNetCNN(rng=np.random.default_rng(1)), c)
+        values = cohort.module.arena().values
+        view = cohort.member_params(0)["conv1.weight"]
+        LeNetCNN(rng=np.random.default_rng(2))
+        assert cohort.module.arena().values is values
+        view[...] = 3.5
+        assert (cohort.member_params(0)["conv1.weight"] == np.float32(3.5)).all()
+        assert np.shares_memory(view, cohort.module.arena().values)
+
     def test_masked_member_is_bitwise_frozen(self):
         """An inactive member must not move at all — including the
         weight-decay component, which is nonzero even at zero gradient."""

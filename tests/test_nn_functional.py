@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nn import cohort_softmax_cross_entropy, softmax_cross_entropy
 from repro.nn import functional as F
 
-from .helpers import col2im_reference, im2col_reference
+from .helpers import (
+    cohort_softmax_cross_entropy_reference,
+    col2im_reference,
+    im2col_reference,
+    softmax_cross_entropy_reference,
+)
 
 RNG = np.random.default_rng(3)
 
@@ -40,24 +46,57 @@ class TestActivations:
         assert F.sigmoid(np.array([0.0]))[0] == pytest.approx(0.5)
 
 
+def softmax(x):
+    return F.log_softmax_and_softmax(x)[1]
+
+
+def log_softmax(x):
+    return F.log_softmax_and_softmax(x)[0]
+
+
 class TestSoftmax:
     def test_rows_sum_to_one(self):
         x = RNG.normal(size=(5, 7))
-        np.testing.assert_allclose(F.softmax(x).sum(axis=1), 1.0, rtol=1e-6)
+        np.testing.assert_allclose(softmax(x).sum(axis=1), 1.0, rtol=1e-6)
 
     def test_shift_invariance(self):
         x = RNG.normal(size=(3, 4))
-        np.testing.assert_allclose(F.softmax(x), F.softmax(x + 100.0), rtol=1e-5)
+        np.testing.assert_allclose(softmax(x), softmax(x + 100.0), rtol=1e-5)
 
     def test_log_softmax_consistent(self):
         x = RNG.normal(size=(3, 4))
         np.testing.assert_allclose(
-            F.log_softmax(x), np.log(F.softmax(x)), rtol=1e-5, atol=1e-7
+            log_softmax(x), np.log(softmax(x)), rtol=1e-5, atol=1e-7
         )
 
     def test_extreme_logits_finite(self):
         x = np.array([[1000.0, -1000.0]])
-        assert np.all(np.isfinite(F.log_softmax(x)))
+        assert np.all(np.isfinite(log_softmax(x)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(1, 4),
+        b=st.integers(1, 6),
+        k=st.integers(2, 7),
+        scale=st.sampled_from([1.0, 30.0, 1e4]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_losses_equal_the_two_helper_composition(self, c, b, k, scale, seed, data):
+        """One softmax pass per loss is the bytes of the separate
+        ``log_softmax`` and ``softmax`` passes, ragged cohorts included."""
+        rng = np.random.default_rng(seed)
+        logits = (rng.uniform(-1.0, 1.0, size=(c, b, k)) * scale).astype(np.float32)
+        labels = rng.integers(0, k, size=(c, b))
+        counts = np.array(data.draw(st.lists(st.integers(0, b), min_size=c, max_size=c)))
+        got = cohort_softmax_cross_entropy(logits, labels, counts)
+        want = cohort_softmax_cross_entropy_reference(logits, labels, counts)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        loss, grad = softmax_cross_entropy(logits[0], labels[0])
+        ref_loss, ref_grad = softmax_cross_entropy_reference(logits[0], labels[0])
+        assert loss == ref_loss or (np.isnan(loss) and np.isnan(ref_loss))
+        assert grad.tobytes() == ref_grad.tobytes()
 
 
 class TestIm2Col:

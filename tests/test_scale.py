@@ -9,6 +9,8 @@ path, the history spill switch, and the ``--population`` spec parser.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,9 @@ from repro.data import (
     dirichlet_clients_indices,
     dirichlet_partition,
     dirichlet_shard_sizes,
+    make_image_dataset,
     make_workload_data,
+    train_test_split,
 )
 from repro.nn import Dropout, LeNetCNN, WideResNet
 from repro.obs import TraceRecorder, events_to_jsonl
@@ -414,7 +418,6 @@ class TestClientFactory:
         for cid in range(NUM_CLIENTS):
             assert factory.shard_size(cid) == len(shards[cid])
             assert factory.base_pace(cid) == PACE[cid]
-        assert factory.model_bytes == factory.create(0).model_bytes
 
     def test_model_rng_entry_only_for_models_that_draw(self, env_data):
         plain = make_factory(env_data).create(0)
@@ -838,6 +841,22 @@ def precomputed_env(env_data):
 # ----------------------------------------------------------------------
 # Lazy ↔ eager bitwise run identity (history JSON + JSONL trace)
 # ----------------------------------------------------------------------
+def assert_spans_describe_clients(events, factory, model_bytes):
+    """Each ``client.round`` span carries its client's metadata, each
+    ``round.start`` the replica size, and no event names a cid no round
+    selected."""
+    selected = set()
+    for event in events:
+        if event.kind == "round.start":
+            assert event.fields["model_bytes"] == model_bytes
+            selected.update(event.fields["selected"])
+        elif event.kind == "client.round":
+            cid = event.client_id
+            assert event.fields["num_samples"] == factory.shard_size(cid)
+            assert event.fields["base_pace"] == factory.base_pace(cid)
+    assert {e.client_id for e in events} - {None} <= selected
+
+
 def run_traced(env_data, scheme, *, executor, population, model_fn=lenet, **overrides):
     _, shards, test = env_data
     fedca_cfg = FedCAConfig(profile_every=2) if scheme.startswith("fedca") else None
@@ -869,6 +888,7 @@ def run_traced(env_data, scheme, *, executor, population, model_fn=lenet, **over
         "repro_population_rss_bytes",
     }
     assert (pager_gauges <= set(rec.gauges)) == (population is not None)
+    assert_spans_describe_clients(rec.events(), sim._factory, sim.global_model.nbytes())
     hist_json, trace_jsonl = history_to_json(hist), events_to_jsonl(rec.events())
     assert "repro_population" not in hist_json + trace_jsonl
     return hist_json, trace_jsonl
@@ -1293,6 +1313,60 @@ def test_parked_clients_are_small_flat_blobs():
     assert cache.snapshot_bytes / parked <= 450
     assert rec.gauges["repro_population_snapshot_bytes"] == cache.snapshot_bytes
     assert rec.gauges["repro_population_parked_clients"] == parked
+
+
+def tiny_lenet():
+    return LeNetCNN(
+        in_channels=1, image_size=8, num_classes=4, conv_channels=(2, 2),
+        fc_sizes=(8, 8), rng=np.random.default_rng(7),
+    )
+
+
+def test_traced_lazy_run_enumerates_no_client(tmp_path, monkeypatch):
+    """A traced lazy run touches only the clients its rounds select: the
+    factory is asked for no other client's pace or shard size, no event
+    names another client, and the trace is as long at 10**6 clients as at
+    10**3."""
+    data = make_image_dataset(num_samples=288, num_classes=4, channels=1, image_size=8, seed=5)
+    pool, test = train_test_split(data, test_fraction=32 / 288, seed=6)
+    asked: list[int] = []
+    for name in ("base_pace", "shard_size"):
+
+        def recording(self, cid, _original=getattr(ClientFactory, name)):
+            asked.append(cid)
+            assert len(asked) <= 100, "the run asked about clients it never touched"
+            return _original(self, cid)
+
+        monkeypatch.setattr(ClientFactory, name, recording)
+
+    lines = []
+    for num_clients in (10**3, 10**6):
+        asked.clear()
+        path = tmp_path / f"{num_clients}.jsonl"
+        sim = FederatedSimulator(
+            model_fn=tiny_lenet,
+            strategy=build_strategy("fedavg", OPT),
+            shards=SubsampledShards(pool, num_clients, 8, alpha=0.5, seed=9),
+            test_set=test,
+            base_iteration_times=lambda cid: iteration_time_for(cid, 0.01, seed=0),
+            batch_size=4,
+            local_iterations=2,
+            clients_per_round=4,
+            seed=1,
+            population="lazy:cache=4",
+            recorder=TraceRecorder(trace_path=str(path)),
+        )
+        with sim:
+            sim.run(2)
+        sim.recorder.close()
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        selected = {
+            cid for row in rows if row["kind"] == "round.start" for cid in row["fields"]["selected"]
+        }
+        assert len(selected) <= 8 and set(asked) <= selected
+        assert {row["client"] for row in rows} - {None} <= selected
+        lines.append(len(rows))
+    assert lines[0] == lines[1]
 
 
 def test_lazy_run_bounds_materialisation(env_data):
