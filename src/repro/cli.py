@@ -348,7 +348,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = get_workload(args.workload, args.scale)
     recorder = _make_recorder(args, resuming=args.resume)
     profiler = _make_profiler(args)
-    from .persist import CheckpointNotFoundError
+    from .persist import CheckpointFormatError, CheckpointNotFoundError
 
     try:
         try:
@@ -370,7 +370,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 resume=args.resume,
                 crash_after_round=args.crash_after_round,
             )
-        except CheckpointNotFoundError as exc:
+        except (CheckpointNotFoundError, CheckpointFormatError) as exc:
             logger.error("cannot resume: %s", exc)
             return 2
         except SinkError as exc:

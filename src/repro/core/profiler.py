@@ -55,11 +55,6 @@ class ProfiledCurves:
             raise ValueError(f"tau must be in [0, {self.num_iterations}]")
         return 0.0 if tau == 0 else float(self.model_curve[tau - 1])
 
-    def layer_p(self, name: str, tau: int) -> float:
-        if tau < 0 or tau > self.num_iterations:
-            raise ValueError(f"tau must be in [0, {self.num_iterations}]")
-        return 0.0 if tau == 0 else float(self.layer_curves[name][tau - 1])
-
     def layer_trigger_iteration(self, name: str, threshold: float) -> int | None:
         """First iteration τ at which the layer's profiled progress crossed
         ``threshold`` (Eq. 5); ``None`` if it never did."""

@@ -20,7 +20,6 @@ from .optim import SGD, ProxSGD
 from .parameter import Parameter
 from .pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from .rnn import LSTM
-from .serialize import CheckpointFormatError
 
 __all__ = [
     "Parameter", "Module", "Sequential", "Linear", "ReLU", "Tanh", "Flatten",
@@ -29,6 +28,5 @@ __all__ = [
     "GroupNorm2d", "LSTM", "SGD", "ProxSGD",
     "softmax_cross_entropy", "accuracy",
     "LeNetCNN", "LSTMClassifier", "WideResNet", "ResidualBlock", "build_model",
-    "CheckpointFormatError",
     "CohortModel", "CohortSGD", "stack_module", "cohort_softmax_cross_entropy",
 ]

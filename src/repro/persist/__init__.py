@@ -13,9 +13,10 @@ Two pillars (see DESIGN.md §10):
   ``run_scheme`` results, keyed on the full run configuration, so sweeps
   (``compare_schemes``, ``run_multiseed``) skip already-computed cells.
 
-Under both sits :mod:`repro.persist.snapshot`, the data-only codec that
-turns one client's cross-round state into one byte string — the form the
-lazy pager parks it in and a checkpoint stores it in.
+Under both sits :mod:`repro.persist.snapshot`, the data-only codec for
+all state at rest: it turns one client's cross-round state into one byte
+string — the form the lazy pager parks it in and a worker ships it in —
+and a whole checkpoint payload into one tree with those strings as leaves.
 """
 
 from .cache import CACHE_SCHEMA_VERSION, ResultCache
@@ -25,13 +26,7 @@ from .checkpoint import (
     list_checkpoints,
     save_run_checkpoint,
 )
-from .container import (
-    CHECKPOINT_VERSION,
-    pack_tree,
-    read_payload,
-    unpack_tree,
-    write_payload,
-)
+from .container import CHECKPOINT_VERSION, read_payload, write_payload
 from .errors import (
     CheckpointCorruptError,
     CheckpointFormatError,
@@ -45,8 +40,6 @@ __all__ = [
     "save_run_checkpoint",
     "find_latest_checkpoint",
     "list_checkpoints",
-    "pack_tree",
-    "unpack_tree",
     "write_payload",
     "read_payload",
     "CHECKPOINT_VERSION",

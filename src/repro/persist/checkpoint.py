@@ -12,8 +12,9 @@ evolves across rounds:
   batch-stream RNG/order/cursor, speed-trace RNG and live segments, layer
   RNG, and what the strategy and the wire layer keep on the client (FedCA
   anchor profiles, codec residuals/RNG). Each arrives as one
-  :mod:`~repro.persist.snapshot` blob and is written, read and — into a
-  lazy population — restored without being decoded,
+  :mod:`~repro.persist.snapshot` blob, is a ``bytes`` leaf of the payload
+  tree (itself one snapshot), and is written, read and — into a lazy
+  population — restored without being decoded,
 * the trace recorder's counters, sequence state and sink byte offset.
 
 Everything else the simulator touches is either reconstructed
@@ -59,6 +60,7 @@ __all__ = [
 ]
 
 _CKPT_RE = re.compile(r"^round-(\d{6})\.ckpt$")
+_CID_RE = re.compile(r"0|[1-9][0-9]*")
 
 #: Completed checkpoints kept per directory; older pairs are pruned after
 #: each successful save so long runs don't accumulate one file pair per
@@ -66,33 +68,16 @@ _CKPT_RE = re.compile(r"^round-(\d{6})\.ckpt$")
 KEEP_CHECKPOINTS = 2
 
 
-def _join_blobs(clients: dict[str, bytes]) -> dict[str, np.ndarray]:
-    """Every client blob as three archive members, however many clients:
-    their ids, each blob's end offset, and the blobs back to back."""
-    return {
-        "cids": np.array([int(cid) for cid in clients], dtype=np.int64),
-        "ends": np.cumsum([len(blob) for blob in clients.values()], dtype=np.int64),
-        "blob": np.frombuffer(b"".join(clients.values()), dtype=np.uint8),
-    }
-
-
-def _split_blobs(section: dict[str, np.ndarray]) -> dict[str, bytes]:
-    """Inverse of :func:`_join_blobs`; the slices stay encoded."""
-    cids, ends, blob = section["cids"], section["ends"], section["blob"]
-    if not (
-        (cids.dtype, ends.dtype, blob.dtype) == (np.int64, np.int64, np.uint8)
-        and cids.ndim == ends.ndim == blob.ndim == 1
-        and cids.shape == ends.shape
+def _check_client_blobs(section: Any) -> None:
+    """Check the decoded clients section as the outside input it is: a
+    dict of snapshot blobs keyed by decimal client id. The blobs stay
+    encoded."""
+    if type(section) is not dict or not all(
+        _CID_RE.fullmatch(cid) and type(blob) is bytes for cid, blob in section.items()
     ):
-        raise CheckpointCorruptError("client snapshot index is not three flat arrays")
-    bounds = [0] + ends.tolist()
-    if bounds[-1] != blob.size or any(a > b for a, b in zip(bounds, bounds[1:])):
-        raise CheckpointCorruptError("client snapshot index does not match its blobs")
-    data = memoryview(blob)
-    return {
-        str(cid): data[start:end].tobytes()
-        for cid, start, end in zip(cids.tolist(), bounds, bounds[1:])
-    }
+        raise CheckpointCorruptError(
+            "checkpoint clients section is not a map of client ids to snapshot blobs"
+        )
 
 
 @dataclass
@@ -151,8 +136,10 @@ class RunCheckpoint:
             sim_time=float(sim.time),
             est_pace={str(cid): float(p) for cid, p in sim.est_pace.items()},
             history=history_to_dict(sim.history),
-            global_state=sim.global_state,
-            global_buffers=sim.global_buffers,
+            # The codec takes plain dicts only; the model hands out
+            # OrderedDicts.
+            global_state=dict(sim.global_state),
+            global_buffers=dict(sim.global_buffers),
             clients={str(cid): blob for cid, blob in clients.items()},
             recorder=recorder_snapshot,
         )
@@ -229,7 +216,7 @@ class RunCheckpoint:
                 "history": self.history,
                 "global_state": self.global_state,
                 "global_buffers": self.global_buffers,
-                "clients": _join_blobs(self.clients),
+                "clients": self.clients,
                 "recorder": self.recorder,
             },
         )
@@ -240,7 +227,7 @@ class RunCheckpoint:
         the error contract)."""
         tree = read_payload(path)
         try:
-            return cls(
+            ckpt = cls(
                 version=int(tree["version"]),
                 fingerprint=tree["fingerprint"],
                 rounds_completed=int(tree["rounds_completed"]),
@@ -249,13 +236,15 @@ class RunCheckpoint:
                 history=tree["history"],
                 global_state=tree["global_state"],
                 global_buffers=tree["global_buffers"],
-                clients=_split_blobs(tree["clients"]),
+                clients=tree["clients"],
                 recorder=tree["recorder"],
             )
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CheckpointFormatError(
                 f"checkpoint {path} is missing required sections: {exc}"
             )
+        _check_client_blobs(ckpt.clients)
+        return ckpt
 
 
 # ----------------------------------------------------------------------

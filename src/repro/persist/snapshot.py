@@ -1,10 +1,12 @@
 """Snapshot codec: a data-only tree as one compact byte string.
 
-A client at rest — evicted from the pager, waiting in a checkpoint, in
-flight from a worker — is ``encode(client.capture_state())``: a few hundred
-bytes that nobody re-expands until that client pages back in. The encoding
-is a tagged depth-first walk over exactly the leaf types
-:func:`~repro.persist.container.pack_tree` admits, plus ``bytes``::
+Every piece of state at rest goes through it. A client — evicted from the
+pager, waiting in a checkpoint, in flight from a worker — is
+``encode(client.capture_state())``: a few hundred bytes that nobody
+re-expands until that client pages back in. A checkpoint payload is one
+tree too, with those client blobs as its ``bytes`` leaves, written part by
+part through :func:`encode_to` (see :mod:`repro.persist.container`). The
+encoding is a tagged depth-first walk over plain data::
 
     N | T | F                          None, True, False
     i <int64>   f <float64>            int that fits 64 bits, float
@@ -18,9 +20,8 @@ where a *run* is ``<u32 n> <n bytes>``. It holds data, never code: there is
 no ``pickle`` or ``marshal`` behind it, numeric and bool dtypes only (an
 object array is refused on both sides), every length is checked against the
 buffer before it is used, and trailing bytes or a non-canonical spelling are
-errors — so a damaged blob is a
-:class:`~repro.persist.errors.CheckpointCorruptError` exactly as a damaged
-archive member is.
+errors — so a damaged blob or payload is a
+:class:`~repro.persist.errors.CheckpointCorruptError`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import CheckpointCorruptError
 
-__all__ = ["encode", "decode"]
+__all__ = ["encode", "encode_to", "decode"]
 
 _U32 = struct.Struct("<I")
 _SCALARS = {b"i": struct.Struct("<q"), b"f": struct.Struct("<d")}
@@ -58,7 +59,7 @@ def encode(tree: Any) -> bytes:
     """Serialise ``tree``; raises ``TypeError`` for anything that is not
     plain data (and for non-``str`` dict keys, which would not round-trip)."""
     out: list[bytes] = []
-    _encode(tree, out.append)
+    encode_to(tree, out.append)
     return b"".join(out)
 
 
@@ -79,7 +80,10 @@ def _array_header(dtype: np.dtype, shape: tuple[int, ...]) -> bytes:
     return b"a" + bytes((len(code),)) + code.encode("ascii") + bytes((len(shape),)) + dims
 
 
-def _encode(node: Any, put: Callable[[bytes], None]) -> None:
+def encode_to(node: Any, put: Callable[[bytes], None]) -> None:
+    """Hand the encoding of ``node`` to ``put`` part by part; the parts
+    joined are ``encode(node)``. A writer streams a large tree this way
+    without ever holding all of it as one byte string."""
     kind = type(node)
     if kind is dict:
         put(b"d" + _U32.pack(len(node)))
@@ -87,7 +91,7 @@ def _encode(node: Any, put: Callable[[bytes], None]) -> None:
             if type(key) is not str:
                 raise TypeError(f"snapshot dict keys must be str, got {key!r}")
             put(_key_run(key))
-            _encode(value, put)
+            encode_to(value, put)
     elif kind is bytes:
         put(b"b" + _run(node))
     elif kind is np.ndarray:
@@ -109,9 +113,9 @@ def _encode(node: Any, put: Callable[[bytes], None]) -> None:
     elif kind is list or kind is tuple:
         put(b"l" + _U32.pack(len(node)))
         for item in node:
-            _encode(item, put)
+            encode_to(item, put)
     elif isinstance(node, np.generic):
-        _encode(node.item(), put)
+        encode_to(node.item(), put)
     else:
         raise TypeError(f"cannot snapshot object of type {kind.__name__}")
 
@@ -125,6 +129,12 @@ def decode(buf: bytes) -> Any:
         tree, end = _decode(buf, 0)
     except RecursionError:
         raise CheckpointCorruptError("snapshot nests deeper than any real one")
+    except struct.error:
+        # A count or a number ran past the end: the walk reads fixed-width
+        # fields unchecked and lets ``unpack_from`` do the bounds check.
+        raise CheckpointCorruptError(f"snapshot truncated inside its {len(buf)} bytes")
+    except UnicodeDecodeError as exc:
+        raise CheckpointCorruptError(f"snapshot text is not UTF-8: {exc}")
     if end != len(buf):
         raise CheckpointCorruptError(f"snapshot has {len(buf) - end} trailing byte(s)")
     return tree
@@ -141,41 +151,44 @@ def _take(buf: bytes, pos: int, n: int) -> int:
     return end
 
 
-def _u32(buf: bytes, pos: int) -> tuple[int, int]:
-    """``(value, next offset)`` of the u32 at ``pos``."""
-    end = _take(buf, pos, 4)
-    return _U32.unpack_from(buf, pos)[0], end
-
-
 def _read_run(buf: bytes, pos: int) -> tuple[bytes, int]:
     """``(bytes, next offset)`` of the run at ``pos``."""
-    n, start = _u32(buf, pos)
-    end = _take(buf, start, n)
+    start = pos + 4
+    end = _take(buf, start, _U32.unpack_from(buf, pos)[0])
     return buf[start:end], end
-
-
-def _text(raw: bytes) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CheckpointCorruptError(f"snapshot text is not UTF-8: {exc}")
 
 
 def _decode(buf: bytes, pos: int) -> tuple[Any, int]:
     tag = buf[pos : pos + 1]
-    pos = _take(buf, pos, 1)
+    pos += 1
+    # Leaves first: numbers, text and blobs are most of a checkpoint.
+    scalar = _SCALARS.get(tag)
+    if scalar is not None:
+        return scalar.unpack_from(buf, pos)[0], pos + 8
+    if tag in (b"b", b"s", b"I"):
+        raw, pos = _read_run(buf, pos)
+        if tag == b"b":
+            return raw, pos
+        if tag == b"s":
+            return raw.decode("utf-8"), pos
+        value = int.from_bytes(raw, "little", signed=True)
+        if _INT64_MIN <= value <= _INT64_MAX or len(raw) != _wide_len(value):
+            raise CheckpointCorruptError("snapshot int is not in canonical form")
+        return value, pos
     if tag == b"d":
-        count, pos = _u32(buf, pos)
+        count = _U32.unpack_from(buf, pos)[0]
+        pos += 4
         out: dict[str, Any] = {}
         for _ in range(count):
             raw, pos = _read_run(buf, pos)
-            key = _text(raw)
+            key = raw.decode("utf-8")
             if key in out:
                 raise CheckpointCorruptError(f"snapshot repeats dict key {key!r}")
             out[key], pos = _decode(buf, pos)
         return out, pos
     if tag == b"l":
-        count, pos = _u32(buf, pos)
+        count = _U32.unpack_from(buf, pos)[0]
+        pos += 4
         items = []
         for _ in range(count):
             item, pos = _decode(buf, pos)
@@ -185,19 +198,8 @@ def _decode(buf: bytes, pos: int) -> tuple[Any, int]:
         return _decode_array(buf, pos)
     if tag in _CONSTANTS:
         return _CONSTANTS[tag], pos
-    if tag in _SCALARS:
-        end = _take(buf, pos, 8)
-        return _SCALARS[tag].unpack_from(buf, pos)[0], end
-    if tag in (b"b", b"s", b"I"):
-        raw, pos = _read_run(buf, pos)
-        if tag == b"b":
-            return raw, pos
-        if tag == b"s":
-            return _text(raw), pos
-        value = int.from_bytes(raw, "little", signed=True)
-        if _INT64_MIN <= value <= _INT64_MAX or len(raw) != _wide_len(value):
-            raise CheckpointCorruptError("snapshot int is not in canonical form")
-        return value, pos
+    if not tag:
+        raise CheckpointCorruptError(f"snapshot truncated: no tag at offset {pos - 1}")
     raise CheckpointCorruptError(f"unknown snapshot tag {tag!r} at offset {pos - 1}")
 
 

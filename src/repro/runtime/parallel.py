@@ -153,10 +153,9 @@ def _worker_main(pairs, clients, strategy, owned_ids, transport, worker_index) -
             if msg[0] == "capture":
                 # Checkpoint support: the evolved cross-round state of the
                 # owned clients lives only in this process — snapshot it
-                # and ship it back through the transport's result path.
+                # and ship its {cid: blob} map back as the pipe reply.
                 try:
-                    snapshot = capture_clients(clients, owned_ids)
-                    _send(conn, ("ok", transport.encode_capture(snapshot)))
+                    _send(conn, ("ok", capture_clients(clients, owned_ids)))
                 except Exception:
                     _send(conn, ("err", traceback.format_exc()))
                 continue
@@ -424,7 +423,7 @@ class ParallelExecutor(Executor):
             transport.count_pipe("capture", received, mirror=False)
             if tag == "err":
                 raise RuntimeError(f"state capture failed in worker {w}:\n{payload}")
-            clients.update(transport.decode_capture(w, payload))
+            clients.update(payload)
         return clients
 
     # ------------------------------------------------------------------

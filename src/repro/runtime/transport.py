@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import atexit
 import os
-import pickle
 import secrets
 import struct
 import time
@@ -170,9 +169,9 @@ class ShmTransport:
     One instance is shared (via fork) by the parent and every worker.
     Parent lifecycle: :meth:`setup` once before the pool forks (the
     workers must inherit the arenas and the layouts), :meth:`broadcast` /
-    :meth:`decode_results` / :meth:`decode_capture` per round, and
+    :meth:`decode_results` per round, and
     :meth:`close` on pool shutdown. Workers call :meth:`worker_init` first
-    thing and then only the ``read_broadcast`` / ``encode_*`` half.
+    thing and then only the ``read_broadcast`` / ``encode_results`` half.
 
     Layout per pool:
 
@@ -187,10 +186,9 @@ class ShmTransport:
       scalars go down the pipe, and the parent aggregates straight out of
       the slots.
 
-    Checkpoint captures ride the result arenas: the worker's ``{cid:
-    blob}`` map — each client already one :mod:`~repro.persist.snapshot`
-    byte string, never a dict tree — goes into its result arena and just
-    the length comes back down the pipe.
+    Checkpoint captures do not touch the arenas: a worker's ``{cid: blob}``
+    map — each client already one :mod:`~repro.persist.snapshot` byte
+    string — is its pipe reply.
     """
 
     def __init__(self) -> None:
@@ -347,19 +345,6 @@ class ShmTransport:
                 self._buffer_layout.flatten(result.buffers, what="buffer_dict")
             )
 
-    def decode_capture(self, worker: int, payload: Any) -> Any:
-        """Recover a worker's checkpoint snapshot from its reply payload."""
-        kind, ref = payload
-        if kind == "inline":
-            return ref
-        nbytes = ref
-        arena = self._results[worker]
-        snapshot = pickle.loads(bytes(arena.buf[:nbytes]))
-        # Capture traffic depends on checkpoint cadence, so it must not
-        # mirror into the recorder counters (see count()).
-        self.count(ipc_bytes_counter("shm", "capture"), nbytes, mirror=False)
-        return snapshot
-
     def close(self) -> None:
         """Unlink the arenas. Idempotent; a no-op outside the creating
         process."""
@@ -427,13 +412,3 @@ class ShmTransport:
             payload.append(dataclasses.replace(result, update={}, buffers={}))
         del slots
         return payload
-
-    def encode_capture(self, snapshot: Any) -> Any:
-        """Stage a worker's checkpoint snapshot; returns the reply payload."""
-        assert self._worker_index is not None
-        arena = self._results[self._worker_index]
-        blob = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-        if len(blob) > arena.size:
-            return ("inline", snapshot)
-        arena.buf[: len(blob)] = blob
-        return ("shm_pickle", len(blob))

@@ -443,6 +443,25 @@ class TestTransportMatrix:
         assert stats[ipc_bytes_counter("shm", "results")] > 0
         assert 0 < pipe_bytes <= 0.01 * shm_bytes
 
+    @needs_fork
+    @needs_shm
+    def test_capture_is_the_pipe_reply(self, env_data):
+        # A worker's checkpoint capture has one route, whatever its size:
+        # the {cid: blob} map is its pipe reply, and no arena carries it.
+        executor = ParallelExecutor(workers=2)
+        with make_sim(env_data, "fedavg", executor=executor) as sim:
+            sim.run(1)
+            before = dict(executor.ipc_stats())
+            captured = executor.capture_run_state()
+            stats = executor.ipc_stats()
+        assert sorted(captured) == list(range(len(sim.clients)))
+        assert all(type(blob) is bytes for blob in captured.values())
+        moved = sum(map(len, captured.values()))
+        assert stats[ipc_bytes_counter("pipe", "capture")] > moved
+        assert {k: v for k, v in stats.items() if "capture" not in k} == {
+            k: v for k, v in before.items() if "capture" not in k
+        }
+
 
 def _no_fork(monkeypatch):
     monkeypatch.setattr("repro.runtime.parallel.fork_available", lambda: False)

@@ -26,11 +26,10 @@ from repro.persist import (
     RunCheckpoint,
     find_latest_checkpoint,
     list_checkpoints,
-    pack_tree,
     read_payload,
-    unpack_tree,
     write_payload,
 )
+from repro.persist.snapshot import decode, encode
 from repro.runtime.export import history_to_json
 from repro.runtime.parallel import fork_available
 
@@ -171,37 +170,53 @@ class TestResumeBitwiseOracle:
 
 
 class TestContainer:
-    def test_pack_unpack_roundtrip(self):
-        tree = {
-            "a": np.arange(6, dtype=np.float32).reshape(2, 3),
-            "nested": {"b": np.ones(2, dtype=np.int64), "n": None, "f": 1.5},
-            "list": [np.zeros(1), "text", 3],
-            "np_scalar": np.float64(2.5),
-        }
-        skeleton, arrays = pack_tree(tree)
-        json.dumps(skeleton)  # skeleton must be JSON-safe
-        back = unpack_tree(skeleton, arrays)
-        np.testing.assert_array_equal(back["a"], tree["a"])
-        np.testing.assert_array_equal(back["nested"]["b"], tree["nested"]["b"])
-        assert back["nested"]["n"] is None
-        assert back["list"][1:] == ["text", 3]
-        assert back["np_scalar"] == 2.5
+    def test_unsupported_type_rejected(self, tmp_path):
+        # The codec takes plain data only — an OrderedDict (what
+        # Module.state_dict() returns) included — and never blesses a
+        # payload it could not finish.
+        from collections import OrderedDict
 
-    def test_reserved_key_rejected(self):
-        with pytest.raises(ValueError, match="reserved"):
-            pack_tree({"__array__": 1})
-
-    def test_unsupported_type_rejected(self):
-        with pytest.raises(TypeError):
-            pack_tree({"x": object()})
+        for bad in ({"x": object()}, {"x": OrderedDict(w=np.eye(2))}):
+            path = str(tmp_path / "bad.ckpt")
+            with pytest.raises(TypeError):
+                write_payload(path, bad)
+            assert list_checkpoints(str(tmp_path)) == []
 
     def test_write_read_roundtrip(self, tmp_path):
         path = str(tmp_path / "t.ckpt")
-        write_payload(path, {"w": np.eye(3), "meta": {"k": [1, 2]}})
+        tree = {
+            "w": np.eye(3),
+            "meta": {"k": [1, 2]},
+            "nested": {"b": np.ones(2, dtype=np.int64), "n": None, "f": 1.5},
+            "list": [np.zeros(1, dtype=np.float32), "text", 3, (4, 5)],
+            "np_scalar": np.float64(2.5),
+            "blob": b"\x00snapshot",
+        }
+        write_payload(path, tree)
         back = read_payload(path)
         np.testing.assert_array_equal(back["w"], np.eye(3))
         assert back["meta"]["k"] == [1, 2]
+        assert back["nested"]["b"].dtype == np.int64
+        assert back["nested"]["n"] is None and back["nested"]["f"] == 1.5
+        assert back["list"][0].dtype == np.float32
+        assert back["list"][1:] == ["text", 3, [4, 5]]
+        assert back["np_scalar"] == 2.5 and type(back["np_scalar"]) is float
+        assert back["blob"] == b"\x00snapshot"
         assert os.path.exists(path + ".manifest.json")
+
+    def test_payload_is_one_snapshot_tree(self, tmp_path):
+        # The payload holds exactly the encoder's bytes: one codec for
+        # every piece of state at rest, and the manifest hashes those bytes.
+        import hashlib
+
+        path = str(tmp_path / "t.ckpt")
+        tree = {"w": np.arange(4, dtype=np.float32), "clients": {"3": b"abc"}}
+        write_payload(path, tree)
+        data = open(path, "rb").read()
+        assert data == encode(tree)
+        manifest = json.load(open(path + ".manifest.json"))
+        assert manifest["size"] == len(data)
+        assert manifest["sha256"] == hashlib.sha256(data).hexdigest()
 
     def test_dict_key_insertion_order_preserved(self, tmp_path):
         # History byte-identity depends on restored dicts iterating in the
@@ -211,33 +226,41 @@ class TestContainer:
         assert list(read_payload(path)["events"]) == ["2", "10", "1"]
 
 
+def _rebless(path, data):
+    """Write ``data`` as the payload at ``path`` under a manifest that
+    vouches for it, so only the decoder and the loader's checks stand
+    between it and a restore."""
+    import hashlib
+
+    open(path, "wb").write(data)
+    mpath = path + ".manifest.json"
+    manifest = json.load(open(mpath))
+    manifest.update(size=len(data), sha256=hashlib.sha256(data).hexdigest())
+    json.dump(manifest, open(mpath, "w"))
+
+
 class TestClientBlobSection:
-    """Per-client snapshots are three archive members however many clients
-    there are, and pass through save → load → restore still encoded."""
+    """Per-client snapshots are a plain ``{cid: blob}`` section of the
+    payload tree, cost a few bytes each beyond the blob, and pass through
+    save → load → restore still encoded."""
 
-    @staticmethod
-    def _members(path):
-        with np.load(path) as archive:
-            return sorted(archive.files)
-
-    def test_checkpoint_archive_members_do_not_scale_with_clients(self, tmp_path):
-        members = []
-        for num_clients in (2, 6):
-            cfg = dataclasses.replace(CFG, num_clients=num_clients)
-            ckdir = tmp_path / f"ck{num_clients}"
-            run_scheme(cfg, "fedca", rounds=2, stop_at_target=False, seed=3,
-                       checkpoint_dir=str(ckdir), checkpoint_every=2)
-            path = find_latest_checkpoint(str(ckdir))
-            assert len(RunCheckpoint.load(path).clients) == num_clients
-            members.append(self._members(path))
-        assert members[0] == members[1]
-        # __meta__, the global model's layers, and cids / ends / blob.
-        layers = len(RunCheckpoint.load(path).global_state)
-        assert len(members[0]) == 1 + layers + 3
+    def test_per_client_payload_overhead_is_a_small_constant(
+        self, saved_checkpoint, tmp_path
+    ):
+        path, _ = saved_checkpoint
+        ckpt = RunCheckpoint.load(path)
+        sizes = {}
+        for n in (0, 1000):
+            clients = {str(cid): bytes(400) for cid in range(n)}
+            out = str(tmp_path / f"n{n}.ckpt")
+            dataclasses.replace(ckpt, clients=clients).save(out)
+            assert RunCheckpoint.load(out).clients == clients
+            sizes[n] = os.path.getsize(out)
+        # A key run and a bytes header: 9 bytes plus the id's digits.
+        per_client = (sizes[1000] - sizes[0]) / 1000 - 400
+        assert 0 < per_client <= 16
 
     def test_blobs_pass_through_undecoded(self, saved_checkpoint):
-        from repro.persist.snapshot import decode
-
         path, _ = saved_checkpoint
         ckpt = RunCheckpoint.load(path)
         assert sorted(ckpt.clients) == ["0", "1", "2", "3"]
@@ -260,29 +283,35 @@ class TestClientBlobSection:
             assert cache.snapshot_bytes == sum(map(len, ckpt.clients.values()))
 
     @pytest.mark.parametrize(
-        "damage",
+        "damage, error",
         [
-            lambda s: s.update(ends=s["ends"][::-1].copy()),
-            lambda s: s.update(ends=s["ends"] + 1),
-            lambda s: s.update(cids=s["cids"][:-1]),
-            lambda s: s.update(blob=s["blob"][:-1]),
-            lambda s: s.update(blob=s["blob"].astype(np.int8)),
-            lambda s: s.update(ends=s["ends"].astype(np.float64)),
+            (lambda data, tree: data[:-1], CheckpointCorruptError),
+            (lambda data, tree: data + b"\x00", CheckpointCorruptError),
+            (lambda data, tree: encode(list(tree.values())), CheckpointFormatError),
+            (lambda data, tree: encode({**tree, "clients": [b"x"]}),
+             CheckpointCorruptError),
+            (lambda data, tree: encode({**tree, "clients": {"0": "text"}}),
+             CheckpointCorruptError),
+            (lambda data, tree: encode({**tree, "clients": {"a": b"x"}}),
+             CheckpointCorruptError),
+            (lambda data, tree: encode({**tree, "rounds_completed": "two"}),
+             CheckpointFormatError),
         ],
-        ids=["unordered", "past-end", "short-cids", "short-blob", "blob-dtype",
-             "ends-dtype"],
+        ids=["truncated", "trailing-byte", "top-level-list", "clients-not-dict",
+             "non-bytes-blob", "non-int-key", "non-int-round"],
     )
-    def test_inconsistent_blob_index_is_corrupt(self, damage):
-        from repro.persist.checkpoint import _join_blobs, _split_blobs
-
-        clients = {"3": b"abc", "10": b"", "4": b"defgh"}
-        section = _join_blobs(clients)
-        assert _split_blobs(section) == clients
-        assert list(_split_blobs(section)) == ["3", "10", "4"]
-        assert _split_blobs(_join_blobs({})) == {}
-        damage(section)
-        with pytest.raises(CheckpointCorruptError, match="client snapshot index"):
-            _split_blobs(section)
+    def test_malformed_payload_raises_a_typed_error(
+        self, saved_checkpoint, tmp_path, damage, error
+    ):
+        path, _ = saved_checkpoint
+        data = open(path, "rb").read()
+        bad = str(tmp_path / "bad.ckpt")
+        shutil.copy(path + ".manifest.json", bad + ".manifest.json")
+        _rebless(bad, damage(data, decode(data)))
+        with pytest.raises(error) as info:
+            RunCheckpoint.load(bad)
+        # Exactly the typed family: nothing else escapes the loader.
+        assert isinstance(info.value, CheckpointFormatError)
 
 
 class TestCorruptionDetection:
@@ -329,14 +358,14 @@ class TestCorruptionDetection:
             RunCheckpoint.load(bad)
         # A checkpoint of an earlier format (version 1 kept per-client
         # strategy state in its own section, version 2 two archive members
-        # per client) is refused by version, naming both, before the payload
-        # is even hashed.
+        # per client, version 3 was an .npz archive) is refused by version,
+        # naming both, before the payload is even hashed.
         manifest["sha256"] = "not checked"
-        for old in (1, 2):
+        for old in (1, 2, 3):
             manifest["version"] = old
             json.dump(manifest, open(bad + ".manifest.json", "w"))
             with pytest.raises(
-                CheckpointFormatError, match=rf"version {old}\b.*version 3\b"
+                CheckpointFormatError, match=rf"version {old}\b.*version 4\b"
             ):
                 RunCheckpoint.load(bad)
 
@@ -470,7 +499,6 @@ class TestDiscoveryAndGuards:
         the repeated sample."""
         from repro.algorithms import build_strategy
         from repro.experiments.configs import make_environment
-        from repro.persist.snapshot import decode, encode
 
         ckpt = RunCheckpoint.load(saved_checkpoint[0])
         cid = next(iter(ckpt.clients))
@@ -684,3 +712,34 @@ class TestCLIPersistence:
         assert trace.read_bytes() == b""
         out = capsys.readouterr()
         assert f"cannot resume the trace {trace}: it holds 0 bytes" in out.out + out.err
+
+    @pytest.mark.parametrize("damage", ["bit-flip", "old-version", "other-seed"])
+    def test_resume_from_an_unusable_checkpoint_exits_2(self, tmp_path, capsys, damage):
+        # A damaged, other-version or other-configuration checkpoint is a
+        # clean refusal naming the problem, not a traceback.
+        from repro.cli import main
+
+        ckdir = tmp_path / "ck"
+        common = [
+            "run", "--workload", "cnn", "--scheme", "fedavg", "--rounds", "3",
+            "--no-target-stop", "--log-level", "error", "--checkpoint-dir", str(ckdir),
+        ]
+        assert main([*common, "--checkpoint-every", "2"]) == 0
+        payload = ckdir / "round-000002.ckpt"
+        manifest = ckdir / "round-000002.ckpt.manifest.json"
+        if damage == "bit-flip":
+            data = bytearray(payload.read_bytes())
+            data[len(data) // 2] ^= 0x01
+            payload.write_bytes(bytes(data))
+            expected = "integrity"
+        elif damage == "old-version":
+            meta = json.loads(manifest.read_text())
+            manifest.write_text(json.dumps({**meta, "version": 3}))
+            expected = "version 3; this build reads version 4"
+        else:
+            common += ["--seed", "4"]
+            expected = "mismatched: seed"
+        assert main([*common, "--resume"]) == 2
+        out = capsys.readouterr()
+        assert "cannot resume" in out.out + out.err
+        assert expected in out.out + out.err

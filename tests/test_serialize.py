@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import CheckpointFormatError
+from repro.persist import CheckpointFormatError
 
 
 class TestLoadValidation:

@@ -78,7 +78,7 @@ def test_round_trip_edge_cases():
     np.testing.assert_array_equal(back["strided"], tree["strided"])
     assert back["strided"].flags.writeable and back["strided"].flags.c_contiguous
     assert list(back["ключ"]) == ["é", ""]
-    # What pack_tree does too: tuples come back as lists, numpy scalars native.
+    # Tuples come back as lists, numpy scalars native.
     assert back["tuple"] == [1, [2.5, b"\x00\xff"]]
     assert back["np_scalar"] == 7 and type(back["np_scalar"]) is int
     assert same_tree(back["kept"], tree["kept"])
