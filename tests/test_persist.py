@@ -170,6 +170,26 @@ class TestResumeBitwiseOracle:
 
 
 class TestContainer:
+    def test_pack_unpack_roundtrip(self):
+        # The in-memory codec alone: a mixed tree packs to bytes and
+        # unpacks to the same values and dtypes.
+        tree = {
+            "a": np.arange(6, dtype=np.float32).reshape(2, 3),
+            "nested": {"b": np.ones(2, dtype=np.int64), "n": None, "f": 1.5},
+            "list": [np.zeros(1), "text", 3],
+            "np_scalar": np.float64(2.5),
+        }
+        packed = encode(tree)
+        assert isinstance(packed, bytes)
+        back = decode(packed)
+        np.testing.assert_array_equal(back["a"], tree["a"])
+        assert back["a"].dtype == np.float32 and back["a"].shape == (2, 3)
+        np.testing.assert_array_equal(back["nested"]["b"], tree["nested"]["b"])
+        assert back["nested"]["b"].dtype == np.int64
+        assert back["nested"]["n"] is None
+        assert back["list"][1:] == ["text", 3]
+        assert back["np_scalar"] == 2.5
+
     def test_unsupported_type_rejected(self, tmp_path):
         # The codec takes plain data only — an OrderedDict (what
         # Module.state_dict() returns) included — and never blesses a
