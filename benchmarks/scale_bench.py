@@ -1,12 +1,12 @@
-"""Scale benchmark: eager vs lazy client populations (repro.scale).
+"""Scale benchmark: the client pager at every capacity (repro.scale).
 
 Two measurements, written to ``BENCH_scale.json``:
 
 * **A/B** at a moderate population (default 2000 clients, ~1 %
-  participation): the same run under ``--population eager`` and
-  ``--population lazy``, asserting the history SHA-256 digests are
-  identical (the lazy path's bitwise oracle) and recording setup time,
-  per-round time and peak RSS for both.
+  participation): the same run under ``--population eager`` (a pager
+  that never evicts) and ``--population lazy`` (one that does), asserting
+  the history SHA-256 digests are identical (eviction is invisible to the
+  run) and recording setup time, per-round time and peak RSS for both.
 * **Large** lazy-only run (default 100 000 clients, 0.1 % participation):
   reports microseconds per client creation (``us_per_creation``: time
   inside ``ClientFactory.create`` and ``derive``, less the model replicas
@@ -14,7 +14,7 @@ Two measurements, written to ``BENCH_scale.json``:
   (``us_per_eviction``: capture, encode and replica release, over
   ``cache.evictions``)
   and demonstrates flat memory — peak RSS is gated by ``--rss-ceiling-mb``
-  (CI pins a ceiling far below what an eager population of that size
+  (CI pins a ceiling far below what keeping every touched client live
   would need) — and that paging builds no models: the run fails if
   ``model_fn`` ran more than ``resident_clients + 2`` times (one replica
   per cache slot, the global model, one spare) however many clients it
@@ -219,16 +219,15 @@ def run_phase(args) -> dict:
     long_run: dict = {}
     paging_seconds = [0.0, False]
     eviction_seconds = [0.0, False]
-    if sim.population is not None:
-        # Time every creation, batched seed derivation included; the model
-        # replicas the first page-ins build are timed apart and left out.
-        # An eviction is timed whole: capture, encode, replica release.
-        model_seconds[0] = 0.0
-        factory = sim.population.factory
-        for name in ("create", "derive"):
-            setattr(factory, name, _timed(getattr(factory, name), paging_seconds))
-        cache = sim.population.cache
-        cache._evict_one = _timed(cache._evict_one, eviction_seconds)
+    # Time every creation, batched seed derivation included; the model
+    # replicas the first page-ins build are timed apart and left out.
+    # An eviction is timed whole: capture, encode, replica release.
+    model_seconds[0] = 0.0
+    factory = sim.population.factory
+    for name in ("create", "derive"):
+        setattr(factory, name, _timed(getattr(factory, name), paging_seconds))
+    cache = sim.population.cache
+    cache._evict_one = _timed(cache._evict_one, eviction_seconds)
     try:
         t1 = _clock()
         if args.checkpoint_every:
@@ -253,7 +252,6 @@ def run_phase(args) -> dict:
         digest = hashlib.sha256(
             history_to_json(history).encode()
         ).hexdigest()
-        cache = sim.population.cache if sim.population is not None else None
     finally:
         sim.close()
     if long_run:
@@ -269,17 +267,15 @@ def run_phase(args) -> dict:
         "run_seconds": run_seconds,
         "seconds_per_round": run_seconds / args.rounds,
         "peak_rss_bytes": peak_rss_bytes(),
-        "resident_clients": None if cache is None else len(cache),
-        "creations": None if cache is None else cache.creations,
+        "resident_clients": len(cache),
+        "creations": cache.creations,
         "us_per_creation": (
             (paging_seconds[0] - model_seconds[0]) / cache.creations * 1e6
-            if cache is not None and cache.creations
+            if cache.creations
             else None
         ),
         "us_per_eviction": (
-            eviction_seconds[0] / cache.evictions * 1e6
-            if cache is not None and cache.evictions
-            else None
+            eviction_seconds[0] / cache.evictions * 1e6 if cache.evictions else None
         ),
         "models_built": len(models_built),
         "usable_cores": default_workers(),
@@ -403,8 +399,8 @@ def main() -> int:
         report["ab"] = {"eager": eager, "lazy": lazy}
         if eager["history_sha256"] != lazy["history_sha256"]:
             failures.append(
-                "A/B history digests differ: lazy is not bitwise-identical "
-                f"to eager ({lazy['history_sha256']} != {eager['history_sha256']})"
+                "A/B history digests differ: the evicting pager is not "
+                f"bitwise-identical to the never-evicting one ({lazy['history_sha256']} != {eager['history_sha256']})"
             )
         print(f"A/B @ {args.ab_clients} clients, {per_round}/round:")
         for row in (eager, lazy):

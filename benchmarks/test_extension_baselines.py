@@ -82,8 +82,8 @@ def test_adaptive_batch_extension(once):
         ):
             sim = make_environment(cfg, strategy, seed=11)
             # Heavier dynamics than the preset: longer, deeper slow periods.
-            for client in sim.clients:
-                client.trace._gamma_slow = (2.0, 6.0)
+            for cid in range(len(sim.clients)):
+                sim.clients[cid].trace._gamma_slow = (2.0, 6.0)
             out[strategy.name] = sim.run(12)
         return out
 

@@ -242,11 +242,12 @@ def _add_wire(parser: argparse.ArgumentParser) -> None:
 def _add_population(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--population", default="eager", metavar="SPEC",
-        help="client materialisation: 'eager' (default) builds every client "
-             "up front; 'lazy' or 'lazy:cache=N' pages clients through a "
-             "bounded LRU of N live objects, reconstructing each from "
-             "(seed, cid) — byte-identical histories/traces, peak memory "
-             "flat in total-client count (see repro.scale)")
+        help="how many clients stay live: every run pages its clients, "
+             "building each from (seed, cid) the first time a round selects "
+             "it; 'eager' (default) keeps every client it built; 'lazy' or "
+             "'lazy:cache=N' keeps at most N (default 64) and parks the rest "
+             "as snapshot blobs — byte-identical histories/traces, peak "
+             "memory flat in total-client count (see repro.scale)")
     parser.add_argument(
         "--spill-client-events", action="store_true",
         help="drop per-client event dicts from the in-RAM history after "

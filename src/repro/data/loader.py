@@ -14,7 +14,7 @@ import numpy as np
 from ..rngstate import rng_state_bytes, set_rng_state
 from .synthetic import Dataset
 
-__all__ = ["BatchStream"]
+__all__ = ["BatchStream", "check_stream_position"]
 
 
 class BatchStream:
@@ -69,21 +69,9 @@ class BatchStream:
         }
 
     def restore_state(self, snapshot: dict) -> None:
-        """Inverse of :meth:`snapshot_state`. The position is outside input:
-        an ``order`` that is not a permutation of ``range(n)``, or a cursor
-        outside ``[0, n)``, is refused here rather than trained on."""
-        n = len(self.dataset)
-        order = np.asarray(snapshot["order"], dtype=np.int64)
-        cursor = int(snapshot["cursor"])
-        if order.shape != (n,):
-            raise ValueError(
-                f"stream snapshot order length {order.shape} does not match "
-                f"dataset size {n}"
-            )
-        if not 0 <= cursor < n:
-            raise ValueError(f"stream snapshot cursor {cursor} is outside [0, {n})")
-        if not np.array_equal(np.sort(order), np.arange(n)):
-            raise ValueError(f"stream snapshot order is not a permutation of range({n})")
+        """Inverse of :meth:`snapshot_state`; the position is checked first
+        (:func:`check_stream_position`)."""
+        order, cursor = check_stream_position(snapshot, len(self.dataset))
         set_rng_state(self._rng, snapshot["rng"])
         self._order = order
         self._cursor = cursor
@@ -91,3 +79,22 @@ class BatchStream:
     def __iter__(self):
         while True:
             yield self.next_batch()
+
+
+def check_stream_position(snapshot: dict, n: int) -> tuple[np.ndarray, int]:
+    """The ``(order, cursor)`` of a stream snapshot over an ``n``-sample
+    shard. The position is outside input: an ``order`` that is not a
+    permutation of ``range(n)``, or a cursor outside ``[0, n)``, is refused
+    here rather than trained on."""
+    order = np.asarray(snapshot["order"], dtype=np.int64)
+    cursor = int(snapshot["cursor"])
+    if order.shape != (n,):
+        raise ValueError(
+            f"stream snapshot order length {order.shape} does not match "
+            f"dataset size {n}"
+        )
+    if not 0 <= cursor < n:
+        raise ValueError(f"stream snapshot cursor {cursor} is outside [0, {n})")
+    if not np.array_equal(np.sort(order), np.arange(n)):
+        raise ValueError(f"stream snapshot order is not a permutation of range({n})")
+    return order, cursor

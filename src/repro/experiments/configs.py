@@ -253,9 +253,9 @@ def make_environment(
 
     ``executor`` selects the client-execution engine (``None``/``"serial"``,
     ``"parallel[:N]"``, or an :class:`~repro.runtime.Executor` instance);
-    ``population`` the client-materialisation policy (``"eager"`` default,
-    ``"lazy[:cache=N]"`` for the bounded-memory pager — see
-    :mod:`repro.scale`); ``spill_client_events`` drops per-client event
+    ``population`` how many clients the run's pager keeps live
+    (``"eager"`` default: every one it built; ``"lazy[:cache=N]"``: at
+    most N — see :mod:`repro.scale`); ``spill_client_events`` drops per-client event
     dicts from the in-RAM history (they still stream to the trace file);
     ``recorder`` an optional :class:`~repro.obs.Recorder` telemetry sink;
     ``profiler`` an optional :class:`~repro.obs.PhaseProfiler` for

@@ -47,10 +47,10 @@ KNOWN_COUNTERS: frozenset[str] = frozenset(
         "repro_cohort_steps_total",
         "repro_cohort_slot_steps_total",
         "repro_cohort_member_steps_total",
-        # lazy population paging (repro.scale): cache evictions and
-        # snapshot-backed rehydrations. Deterministic per engine but
-        # engine-dependent (each parallel worker pages its own cache) and
-        # not checkpointed — never compared by the resume oracle.
+        # population paging (repro.scale): cache evictions and rehydrations
+        # of blobs the pager parked (a resume's staged ones do not count).
+        # Deterministic per engine but engine-dependent (each parallel
+        # worker pages its own cache) and not checkpointed.
         "repro_population_evictions_total",
         "repro_population_rehydrations_total",
         # IPC transports (labelled: {transport=...,direction=...})
@@ -71,7 +71,7 @@ KNOWN_GAUGES: frozenset[str] = frozenset(
         "repro_round_accuracy",
         "repro_round_mean_loss",
         "repro_cohort_size",
-        # lazy population paging: live clients in the resident cache, the
+        # population paging: live clients in the resident cache, the
         # clients parked as encoded snapshots and what those weigh, and the
         # process peak RSS (an OS measurement, hence a gauge).
         "repro_resident_clients",

@@ -13,8 +13,9 @@ evolves across rounds:
   RNG, and what the strategy and the wire layer keep on the client (FedCA
   anchor profiles, codec residuals/RNG). Each arrives as one
   :mod:`~repro.persist.snapshot` blob, is a ``bytes`` leaf of the payload
-  tree (itself one snapshot), and is written, read and — into a lazy
-  population — restored without being decoded,
+  tree (itself one snapshot), and is written, read and staged into the
+  population without being re-encoded; a resume decodes each once, only to
+  check its stream position against the client's shard,
 * the trace recorder's counters, sequence state and sink byte offset.
 
 Everything else the simulator touches is either reconstructed
@@ -24,10 +25,10 @@ global state (client model weights, optimizer state), so it is *not*
 stored — see DESIGN.md §10 for the full captured/not-captured table.
 
 Restore is only legal into a **freshly constructed** simulator (same
-config, same seed) before any round has run: the parallel executor forks
-its workers lazily on the first round, so restoring into the parent
-replicas first means the workers inherit the restored state and the
-resumed run is bitwise identical to one that never stopped.
+config, same seed) before any round has run: it stages each client's blob
+in the population, and the parallel executor forks its workers lazily on
+the first round, so they inherit the staged blobs and the resumed run is
+bitwise identical to one that never stopped.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ..data.loader import check_stream_position
 from ..runtime.export import history_from_dict, history_to_dict
 from .container import CHECKPOINT_VERSION, manifest_path, read_payload, write_payload
 from .errors import (
@@ -51,6 +53,7 @@ from .snapshot import decode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.simulator import FederatedSimulator
+    from ..scale import LazyClientPopulation
 
 __all__ = [
     "RunCheckpoint",
@@ -151,7 +154,7 @@ class RunCheckpoint:
         The simulator must have run zero rounds and its executor must not
         have started worker processes yet (the parallel pool forks on the
         first round — after the fork, parent-side restores no longer reach
-        the worker replicas)."""
+        the workers' populations)."""
         if sim.history.num_rounds != 0:
             raise PersistError(
                 "checkpoints restore only into a fresh simulator; this one "
@@ -175,6 +178,7 @@ class RunCheckpoint:
                 "scheme/seed/workload the checkpoint was written from"
             )
 
+        self._check_client_positions(sim.population)
         try:
             # The loads check every layer's presence and shape before they
             # write anything; the payload is outside input.
@@ -191,16 +195,26 @@ class RunCheckpoint:
         # history_from_dict builds a default-config history; the spill
         # setting is simulator configuration, not checkpointed state.
         sim.history.retain_client_events = retain_client_events
-        population = getattr(sim, "population", None)
-        if population is not None:
-            # Lazy population: stage the blobs without decoding them or
-            # materialising the clients; each is applied when (and if) its
-            # client pages in.
-            for cid, blob in self.clients.items():
-                population.restore_client_state(int(cid), blob)
-        else:
-            for cid, blob in self.clients.items():
-                sim.clients[int(cid)].restore_state(decode(blob))
+        # Stage the blobs without materialising a client; each is applied
+        # when (and if) its client pages in.
+        for cid, blob in self.clients.items():
+            sim.population.cache.seed_snapshot(int(cid), blob)
+
+    def _check_client_positions(self, population: "LazyClientPopulation") -> None:
+        """Every blob's client id and stream position, checked before
+        anything is restored, against the shard the stream will index — so a
+        damaged blob fails the resume rather than the round that selects its
+        client. No client is built: the blobs stay encoded."""
+        for cid, blob in self.clients.items():
+            state = decode(blob)
+            try:
+                if int(cid) >= len(population):
+                    raise ValueError(f"this run has {len(population)} clients")
+                check_stream_position(state["stream"], population.factory.shard_size(int(cid)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointFormatError(
+                    f"checkpoint client {cid} cannot be restored: {exc}"
+                ) from None
 
     # ------------------------------------------------------------------
     def save(self, path: str) -> None:

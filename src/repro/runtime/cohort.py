@@ -39,6 +39,7 @@ from .round import ClientRoundResult, RoundContext
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..algorithms.base import Strategy
     from ..nn.layout import Layout
+    from ..scale import LazyClientPopulation
     from .client import SimClient
 
 __all__ = ["CohortEngine", "CohortExecutor", "StepCounts"]
@@ -247,7 +248,7 @@ class CohortExecutor(Executor):
     rows independently of its row count (DESIGN.md §12).
 
     ``cohort_size=None`` sizes the engine at :meth:`bind`:
-    :data:`DEFAULT_COHORT_SIZE`, capped by a lazy population's resident
+    :data:`DEFAULT_COHORT_SIZE`, capped by the population's resident
     capacity, because a chunk is live at once — so such an engine never
     raises ``cache=N``.
     """
@@ -274,15 +275,13 @@ class CohortExecutor(Executor):
     # ------------------------------------------------------------------
     def bind(
         self,
-        clients: Sequence["SimClient"],
+        clients: "LazyClientPopulation",
         strategy: "Strategy",
         layouts: "tuple[Layout, Layout] | None" = None,
     ) -> None:
         super().bind(clients, strategy, layouts)
         if self._sized_at_bind:
-            # A plain list is eager and holds everyone.
-            capacity = getattr(clients, "resident_capacity", None)
-            self.cohort_size = min(DEFAULT_COHORT_SIZE, capacity or DEFAULT_COHORT_SIZE)
+            self.cohort_size = min(DEFAULT_COHORT_SIZE, clients.resident_capacity)
 
     def set_recorder(self, recorder) -> None:
         self._recorder = recorder
@@ -320,9 +319,7 @@ class CohortExecutor(Executor):
         buffers: np.ndarray,
         chunk: list[tuple[int, RoundContext]],
     ) -> list[ClientRoundResult]:
-        cids = [cid for cid, _ in chunk]
-        acquire_chunk = getattr(self._clients, "acquire_chunk", None)
-        clients = acquire_chunk(cids) if acquire_chunk else [self._clients[c] for c in cids]
+        clients = self._clients.acquire_chunk([cid for cid, _ in chunk])
         # One stacked program for the chunk — or, unpadded, one per batch
         # width in it (a client whose shard is smaller than a batch draws
         # fewer rows every step).
@@ -360,7 +357,7 @@ class CohortExecutor(Executor):
     # ------------------------------------------------------------------
     def min_resident_clients(self) -> int:
         """A full chunk of M clients is live during each batched program, so
-        a lazy population must keep at least M residents (see
+        the population must keep at least M residents (see
         :meth:`Executor.min_resident_clients`); an engine sized at bind
         already fits."""
         return self.cohort_size
@@ -368,6 +365,3 @@ class CohortExecutor(Executor):
     # ------------------------------------------------------------------
     def occupancy(self) -> dict[str, float]:
         return self.counts.occupancy()
-
-    def capture_run_state(self) -> dict[int, bytes]:
-        return self._capture_local_state()

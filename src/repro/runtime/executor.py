@@ -29,7 +29,7 @@ engine. Engines change wall-clock time only, never the simulation.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,33 +39,12 @@ from .round import ClientRoundResult, RoundContext
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..algorithms.base import Strategy
     from ..nn.layout import Layout
-    from .client import SimClient
+    from ..scale import LazyClientPopulation
 
 __all__ = ["Executor", "SerialExecutor", "ClientJob", "resolve_executor"]
 
 #: One unit of round work: ``(client_id, round context)``.
 ClientJob = tuple[int, RoundContext]
-
-
-def capture_clients(
-    clients: "Sequence[SimClient]", ids: "Sequence[int] | None" = None
-) -> dict[int, bytes]:
-    """``{cid: encoded client.capture_state()}`` for the clients living in
-    this process — all of them, or only ``ids`` (a parallel worker's owned
-    slice). A client's snapshot is its whole cross-round state, and one
-    :mod:`~repro.persist.snapshot` blob is the only form it travels in."""
-    if hasattr(clients, "capture_run_state"):
-        # Lazy population: it knows which clients have diverged from their
-        # initial state (and holds the evicted ones encoded already);
-        # indexing it here would materialise all of them.
-        return clients.capture_run_state(ids)
-    # Imported at capture time: the runtime layer has no import-time
-    # dependency on the persistence subsystem.
-    from ..persist.snapshot import encode
-
-    if ids is None:
-        ids = range(len(clients))
-    return {cid: encode(clients[cid].capture_state()) for cid in ids}
 
 
 class Executor(ABC):
@@ -84,17 +63,17 @@ class Executor(ABC):
     _profiler = NULL_PROFILER
 
     #: What :meth:`bind` attached; ``None`` until then.
-    _clients: "Sequence[SimClient] | None" = None
+    _clients: "LazyClientPopulation | None" = None
     _strategy: "Strategy | None" = None
     _layouts: "tuple[Layout, Layout] | None" = None
 
     def bind(
         self,
-        clients: Sequence["SimClient"],
+        clients: "LazyClientPopulation",
         strategy: "Strategy",
         layouts: "tuple[Layout, Layout] | None" = None,
     ) -> None:
-        """Attach the simulator's client replicas and strategy, and the
+        """Attach the simulator's client population and strategy, and the
         server model's parameter and buffer :class:`~repro.nn.layout.Layout`
         tables: the layouts of the two vectors :meth:`run_round` receives
         (only the parallel engine, which ships them across processes,
@@ -152,9 +131,9 @@ class Executor(ABC):
     def min_resident_clients(self) -> int:
         """Largest number of clients the engine holds live at one moment.
 
-        A lazy population (see :mod:`repro.scale`) sizes its resident cache
-        to at least this once the engine is bound, so an engine can never
-        have an in-use client evicted from under it mid-round. The
+        The population (see :mod:`repro.scale`) sizes its resident cache to
+        at least this once the engine is bound, so an engine can never have
+        an in-use client evicted from under it mid-round. The
         reference loop touches one client at a time; the cohort engine
         overrides this with its chunk width.
         """
@@ -165,23 +144,17 @@ class Executor(ABC):
         snapshot}``, for checkpointing (see :mod:`repro.persist`).
 
         The engine owns this because the state lives wherever the client
-        rounds actually execute — in the parent for the in-process engines,
-        inside the persistent workers for
+        rounds actually execute — here, the bound population's, which knows
+        which clients have diverged from their initial state (and holds the
+        parked ones encoded); inside the persistent workers for
         :class:`~repro.runtime.parallel.ParallelExecutor`.
         Restore needs no engine hook: checkpoints are restored into a
         freshly constructed simulator *before* any round runs, so parallel
-        workers fork from the already-restored parent replicas.
+        workers fork the parent's population with the blobs staged.
         """
-        raise NotImplementedError(
-            f"executor {self.name!r} does not support checkpointing"
-        )
-
-    def _capture_local_state(self) -> dict[int, bytes]:
-        """:meth:`capture_run_state` for state that lives in this process:
-        the bound client replicas."""
         if self._clients is None:
             raise RuntimeError("executor not bound; construct it via FederatedSimulator")
-        return capture_clients(self._clients)
+        return self._clients.capture_run_state()
 
     # Context-manager sugar so ad-hoc scripts don't leak worker processes.
     def __enter__(self) -> "Executor":
@@ -212,9 +185,6 @@ class SerialExecutor(Executor):
                 self._strategy.client_round(self._clients[cid], params, buffers, ctx)
                 for cid, ctx in jobs
             ]
-
-    def capture_run_state(self) -> dict[int, bytes]:
-        return self._capture_local_state()
 
 
 def resolve_executor(spec: "Executor | str | None") -> Executor:

@@ -1,18 +1,21 @@
 """Process-parallel client execution with persistent worker pools.
 
 ``ParallelExecutor`` forks ``workers`` long-lived processes the first time a
-round runs. Each worker inherits (via ``fork``) the simulator's fully
-initialised client replicas *and* a replica of the strategy, and keeps them
-resident for the whole run — there is no per-round pickling of clients,
-models or data shards. A worker binds the default ``serial`` engine — an
-unpadded :class:`~repro.runtime.cohort.CohortExecutor` — to what it
-inherited and trains its share of each round through it, as stacked
-chunks: clients share a program only at equal batch width and a step only
-at equal row counts, so every product keeps the per-client loop's operand
-shapes and every client its bytes (DESIGN.md §12) at a fraction of the
-loop's per-call overhead — a client whose shard is smaller than a batch
+round runs. Each worker inherits (via ``fork``) the simulator's client
+population — the pager, holding no client yet or only the blobs a resume
+staged — *and* a replica of the strategy. A worker pages its own clients:
+its copy of the pager builds each one the first time the worker runs it and
+keeps it for the whole run (or up to ``cache=N`` of them) — the parent
+builds no client before the fork, and there is no per-round pickling of
+clients, models or data shards. A worker binds the default ``serial``
+engine — an unpadded :class:`~repro.runtime.cohort.CohortExecutor` — to
+what it inherited and trains its share of each round through it, as
+stacked chunks: clients share a program only at equal batch width and a
+step only at equal row counts, so every product keeps the per-client loop's
+operand shapes and every client its bytes (DESIGN.md §12) at a fraction of
+the loop's per-call overhead — a client whose shard is smaller than a batch
 trains in a program of its own width. The engine sizes itself at bind:
-:data:`~repro.runtime.cohort.DEFAULT_COHORT_SIZE`, capped by a lazy
+:data:`~repro.runtime.cohort.DEFAULT_COHORT_SIZE`, capped by the
 population's resident capacity so ``lazy:cache=N`` holds per worker; there
 is nothing to configure.
 
@@ -56,13 +59,13 @@ Fallback
 * Anything that keeps the pool from starting — no ``fork`` start method,
   no usable shared memory, ``/dev/shm`` too small for the arenas — emits
   one ``RuntimeWarning`` naming the reason and runs everything through the
-  default ``serial`` engine on the parent replicas, sized as a worker's.
+  default ``serial`` engine on the parent's population, sized as a worker's.
   No round has run yet, so the history is bitwise the serial one and the
   run stays checkpointable.
 * If a worker process dies mid-run, the pool (and its arenas) is torn down
   and the unfinished jobs of that round — and every later round — run
-  through that same engine on the parent's replicas. The run completes,
-  but because the parent replicas did not observe the rounds the dead pool
+  through that same engine on the parent's population. The run completes,
+  but because the parent's clients did not observe the rounds the dead pool
   executed, the bitwise-determinism guarantee is void from the crash
   onward (a warning says so, and checkpointing refuses). Results the dead
   round already decoded are copied out of the arenas before they go.
@@ -84,7 +87,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from .cohort import CohortExecutor, StepCounts
-from .executor import ClientJob, Executor, capture_clients
+from .executor import ClientJob, Executor
 from .round import ClientRoundResult
 from .transport import ShmTransport
 
@@ -128,9 +131,9 @@ def _worker_main(pairs, clients, strategy, owned_ids, transport, worker_index) -
     """Worker loop: resident clients, one recv/send pair per round, each
     round's jobs trained by one bound cohort engine.
 
-    Runs in the forked child. ``clients``/``strategy``/``transport`` arrive
-    by fork inheritance (never pickled); ``owned_ids`` is the slice of
-    clients a state capture snapshots.
+    Runs in the forked child. ``clients`` (the population)/``strategy``/
+    ``transport`` arrive by fork inheritance (never pickled); ``owned_ids``
+    is the slice of clients a state capture snapshots.
     ``pairs`` is every worker's ``(parent_conn, child_conn)`` — this worker
     keeps only its own child end and closes the rest, so a dead parent
     reliably turns into EOF here rather than a forever-blocked recv.
@@ -141,7 +144,7 @@ def _worker_main(pairs, clients, strategy, owned_ids, transport, worker_index) -
         if w != worker_index:
             child_conn.close()
     transport.worker_init(worker_index)
-    # The default engine, sized at bind to what a lazy population may hold.
+    # The default engine, sized at bind to what the population may hold.
     engine = CohortExecutor(pad=False)
     engine.bind(clients, strategy)
     params = buffers = None
@@ -155,7 +158,7 @@ def _worker_main(pairs, clients, strategy, owned_ids, transport, worker_index) -
                 # owned clients lives only in this process — snapshot it
                 # and ship its {cid: blob} map back as the pipe reply.
                 try:
-                    _send(conn, ("ok", capture_clients(clients, owned_ids)))
+                    _send(conn, ("ok", clients.capture_run_state(owned_ids)))
                 except Exception:
                     _send(conn, ("err", traceback.format_exc()))
                 continue
@@ -220,8 +223,8 @@ class ParallelExecutor(Executor):
 
     def _degrade(self, reason: str, message: str) -> None:
         """Warn, count ``repro_engine_fallbacks_total{reason}`` and route
-        all remaining work through the default engine on the parent
-        replicas — the one a worker runs, sized the same way."""
+        all remaining work through the default engine on the parent's
+        population — the one a worker runs, sized the same way."""
         warnings.warn(message, RuntimeWarning, stacklevel=3)
         if self._recorder is not None:
             self._recorder.counter(f'repro_engine_fallbacks_total{{reason="{reason}"}}')
@@ -234,16 +237,15 @@ class ParallelExecutor(Executor):
     # ------------------------------------------------------------------
     def _start(self) -> None:
         """Allocate the transport and fork the pool. Must happen before any
-        round has run, so the children inherit the clients in their initial
-        (seeded) state — and the transport's arenas by the same fork. If
-        the pool cannot start, warn once and degrade to serial: the parent
-        replicas are still pristine, so nothing about the run changes."""
-        # Client ids are list indices by construction, so ownership routing
-        # needs no client objects — indexing a lazy population here would
-        # materialise every client in the parent before the fork.
+        round has run, so the children inherit the population as the
+        constructor (or a resume) left it — and the transport's arenas by
+        the same fork. If the pool cannot start, warn once and degrade to
+        serial: the parent's population is still pristine, so nothing about
+        the run changes."""
+        # Ownership routing needs client ids only — indexing the population
+        # here would build every client in the parent before the fork.
         owned_per_worker = [
-            [cid for cid in range(len(self._clients)) if cid % self.workers == w]
-            for w in range(self.workers)
+            range(w, len(self._clients), self.workers) for w in range(self.workers)
         ]
         if self._layouts is None:
             raise RuntimeError(
@@ -393,7 +395,7 @@ class ParallelExecutor(Executor):
         if self._fallback is not None:
             if self._degraded_after_start:
                 # The dead pool took rounds of client-state evolution with
-                # it; the parent replicas are stale, so a checkpoint here
+                # it; the parent's clients are stale, so a checkpoint here
                 # would silently violate the resume-determinism guarantee.
                 raise RuntimeError(
                     "cannot checkpoint after a worker-crash fallback: the "
@@ -403,7 +405,7 @@ class ParallelExecutor(Executor):
             return self._fallback.capture_run_state()
         if not self._started:
             # No round has run yet — the initial state still lives here.
-            return self._capture_local_state()
+            return super().capture_run_state()
         transport = self._transport_impl
         for conn in self._conns:
             try:

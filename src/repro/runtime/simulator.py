@@ -10,6 +10,7 @@ of the last collected update.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -25,7 +26,6 @@ from .aggregation import (
     apply_update,
     collect_earliest,
 )
-from .client import SimClient
 from .executor import Executor, resolve_executor
 from .history import RoundRecord, RunHistory
 from .round import RoundContext
@@ -33,7 +33,7 @@ from .selection import select_clients
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..algorithms.base import Strategy
-    from ..scale import LazyClientPopulation, ShardProvider
+    from ..scale import ShardProvider
 
 __all__ = ["FederatedSimulator"]
 
@@ -98,15 +98,13 @@ class FederatedSimulator:
         never enter the event trace or the counters registry, so
         profiling cannot perturb determinism.
     population:
-        Client-materialisation policy: ``None``/``"eager"`` (default)
-        builds every client up front; ``"lazy"``/``"lazy:cache=N"`` pages
-        clients through a bounded LRU of at most N live objects (default
-        ``repro.scale.DEFAULT_CACHE_CLIENTS``), reconstructing each from
-        ``(seed, cid)`` and spilling evicted state through the snapshot
-        codecs. Eager is the bitwise oracle: at equal inputs a lazy run's
-        history and trace are byte-identical (see :mod:`repro.scale` and
-        DESIGN.md §15); only peak memory changes — flat in total-client
-        count instead of linear.
+        How many clients stay live in the run's one pager,
+        :class:`~repro.scale.LazyClientPopulation` (``clients`` and
+        ``population`` both), which builds client ``cid`` from ``(seed, cid)``
+        the first time a round selects it: ``None``/``"eager"`` (default)
+        keeps every one, ``"lazy"``/``"lazy:cache=N"`` at most N and parks
+        the rest as snapshot blobs. Only peak memory changes, never the
+        history or trace bytes (see :mod:`repro.scale`, DESIGN.md §15).
     spill_client_events:
         Drop each round's per-client event dicts from the in-RAM
         :class:`~repro.runtime.history.RunHistory` once the round record
@@ -180,8 +178,8 @@ class FederatedSimulator:
         gamma_fast = gamma_fast or GAMMA_FAST
         gamma_slow = gamma_slow or GAMMA_SLOW
         slowdown_range = slowdown_range or SLOWDOWN_RANGE
-        # Both population modes construct clients through one factory, so a
-        # lazily paged-in client is bit-identical to its eager counterpart.
+        # Every client is built by one factory from (seed, cid), so a client
+        # paged back in is bit-identical to one that never left.
         self._factory = ClientFactory(
             PopulationSpec(
                 shards=as_shard_provider(shards),
@@ -196,23 +194,16 @@ class FederatedSimulator:
                 slowdown_range=slowdown_range,
             )
         )
-        num_clients = self._factory.num_clients
-        mode, cache_capacity = parse_population_spec(population)
-        self.population: "LazyClientPopulation | None"
-        if mode == "lazy":
-            assert cache_capacity is not None
-            self.population = LazyClientPopulation(self._factory, cache_capacity)
-            self.clients: "Sequence[SimClient]" = self.population
-        else:
-            self.population = None
-            self._factory.derive(range(num_clients))
-            self.clients = [
-                self._factory.create(cid) for cid in range(num_clients)
-            ]
+        # One pager for every run; "eager" is one with room for everyone.
+        capacity = parse_population_spec(population)
+        self.population = LazyClientPopulation(
+            self._factory, math.inf if capacity is None else capacity
+        )
+        self.clients = self.population
         # Server-side pace estimates (seconds/iteration); bootstrapped from
         # device-class metadata via _pace_estimate, refined with each round's
         # observations. Only observed entries are stored — an O(total
-        # clients) bootstrap dict would defeat the lazy population.
+        # clients) bootstrap dict would defeat the pager.
         self.est_pace: dict[int, float] = {}
         self.dropout = DropoutModel(dropout_rate, seed=seed)
         self.time = 0.0
@@ -221,18 +212,17 @@ class FederatedSimulator:
         # client.round span, so a traced lazy run never enumerates the
         # population.
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        # The executor must bind while the clients are still in their
-        # initial seeded state (ParallelExecutor forks replicas from here).
+        # The executor binds before any client is built: parallel workers
+        # fork the pager and build their own clients.
         self.executor = resolve_executor(executor)
         arena = self.global_model.arena()
         self.executor.bind(
             self.clients, self.strategy, (arena.layout, arena.buffer_layout)
         )
-        if self.population is not None:
-            # Executors that hold several clients live at once (a cohort
-            # chunk) must never see a member evicted mid-round; one sized
-            # at bind already fits the cache.
-            self.population.reserve(self.executor.min_resident_clients())
+        # Executors that hold several clients live at once (a cohort chunk)
+        # must never see a member evicted mid-round; one sized at bind
+        # already fits the cache.
+        self.population.reserve(self.executor.min_resident_clients())
         self.executor.set_recorder(self.recorder)
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.profiler.set_executor_label(self.executor.name)
@@ -263,8 +253,8 @@ class FederatedSimulator:
         snapshot. The simulator must have been built with the same
         configuration and seed, zero rounds run, and (for parallel
         executors) the worker pool not yet forked — the workers then fork
-        from the restored replicas and the continued run is bitwise
-        identical to one that never stopped."""
+        the pager with the restored blobs staged, and the continued run is
+        bitwise identical to one that never stopped."""
         from ..persist import RunCheckpoint
 
         ckpt = (
@@ -527,8 +517,7 @@ class FederatedSimulator:
         rec.gauge("repro_sim_time_seconds", record.end_time)
         rec.gauge("repro_round_accuracy", record.accuracy)
         rec.gauge("repro_round_mean_loss", record.mean_loss)
-        if self.population is not None:
-            self.population.mirror_metrics(rec)
+        self.population.mirror_metrics(rec)
 
     # ------------------------------------------------------------------
     def run(

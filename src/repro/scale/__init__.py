@@ -1,14 +1,14 @@
-"""``repro.scale`` — lazy-population subsystem for million-client runs.
+"""``repro.scale`` — the client population, for runs of any size.
 
-Eager mode builds every client up front; memory and setup grow with the
-total population even at 1% participation. This package replaces the
-client list with a recipe (:class:`PopulationSpec` + :class:`ClientFactory`
-rebuild any client bit-identically from ``(seed, cid)``) and a bounded
-pager (:class:`LazyClientPopulation` keeps at most ``capacity`` live
-clients, spilling evicted state through the existing snapshot codecs), so
-peak memory tracks the cache size, flat in total-client count. Eager
-remains the bitwise oracle: at equal inputs, lazy runs produce
-byte-identical histories and traces. See DESIGN.md §15.
+A run's clients are a recipe (:class:`PopulationSpec` + :class:`ClientFactory`
+rebuild any client bit-identically from ``(seed, cid)``) behind one pager
+(:class:`LazyClientPopulation`), which builds a client the first time a
+round selects it. ``--population eager`` gives the pager room for everyone,
+so nothing is ever evicted; ``lazy:cache=N`` keeps at most N clients live,
+spilling evicted state through the snapshot codecs, so peak memory tracks
+the cache size, flat in total-client count. Eviction is invisible to the
+run: at equal inputs every capacity produces byte-identical histories and
+traces. See DESIGN.md §15.
 """
 
 from __future__ import annotations
@@ -41,35 +41,21 @@ __all__ = [
 ]
 
 
-def parse_population_spec(spec: str | None) -> tuple[str, int | None]:
-    """Parse a ``--population`` value into ``(mode, cache_capacity)``.
+def parse_population_spec(spec: str | None) -> int | None:
+    """Parse a ``--population`` value into the pager's resident capacity.
 
-    Accepted forms: ``None``/``"eager"`` → ``("eager", None)``; ``"lazy"``
-    → ``("lazy", DEFAULT_CACHE_CLIENTS)``; ``"lazy:cache=N"`` → ``("lazy", N)``.
+    Every run pages its clients; the spec only bounds how many stay live.
+    ``None``/``"eager"`` → ``None`` (room for everyone: nothing is ever
+    evicted); ``"lazy"`` → ``DEFAULT_CACHE_CLIENTS``; ``"lazy:cache=N"`` → ``N``.
     """
     if spec is None or spec == "eager":
-        return "eager", None
+        return None
     if spec == "lazy":
-        return "lazy", DEFAULT_CACHE_CLIENTS
-    if spec.startswith("lazy:"):
-        option = spec[len("lazy:") :]
-        if option.startswith("cache="):
-            try:
-                capacity = int(option[len("cache=") :])
-            except ValueError:
-                raise ValueError(
-                    f"invalid population spec {spec!r}: cache size must be an integer"
-                ) from None
-            if capacity < 1:
-                raise ValueError(
-                    f"invalid population spec {spec!r}: cache size must be >= 1"
-                )
-            return "lazy", capacity
+        return DEFAULT_CACHE_CLIENTS
+    mode, _, size = spec.partition(":cache=")
+    if mode != "lazy" or not size.isdecimal() or int(size) < 1:
         raise ValueError(
-            f"invalid population spec {spec!r}: unknown option {option!r} "
-            "(expected cache=N)"
+            f"invalid population spec {spec!r}: expected 'eager', 'lazy' or "
+            "'lazy:cache=N' with an integer N >= 1"
         )
-    raise ValueError(
-        f"invalid population spec {spec!r}: expected 'eager', 'lazy' or "
-        "'lazy:cache=N'"
-    )
+    return int(size)

@@ -1,9 +1,11 @@
-"""Bounded resident-client cache: the paging half of the scale subsystem.
+"""The client pager: the one population every run keeps its clients in.
 
-:class:`LazyClientPopulation` is a drop-in stand-in for the simulator's
-eager ``list[SimClient]``: executors index it by cid and call ``len()``,
-and behind that interface a :class:`ResidentClientCache` keeps at most
-``capacity`` live :class:`~repro.runtime.client.SimClient` objects.
+:class:`LazyClientPopulation` is what ``FederatedSimulator.clients`` is:
+executors index it by cid, call ``len()`` and page a chunk in at once, and
+behind that interface a :class:`ResidentClientCache` builds each client the
+first time a round selects it and keeps at most ``capacity`` of them live.
+``--population eager`` is an unbounded capacity — nothing is ever evicted —
+and ``lazy:cache=N`` bounds it at N.
 
 Eviction must not lose state, so it is capture-before-release, in two
 steps:
@@ -27,14 +29,14 @@ encodes is ~4 KB of Python objects — and most of a large population that
 has been touched at all is parked, so this is what ``cache=N`` costs in
 the long run (``snapshot_bytes``; DESIGN.md §15). The blob is never
 re-expanded while the client is away: a checkpoint writes it as it is and
-a resume seeds it back as it is (:meth:`ResidentClientCache.seed_snapshot`
+a resume stages it back as it is (:meth:`ResidentClientCache.seed_snapshot`
 — so the ``capacity`` bound holds right after a resume too).
 
 Rehydration inverts eviction: ``factory.create(cid)`` rebuilds the initial
 client bit-identically from ``(seed, cid)``, then the decoded snapshot is
 restored on top. A client that was never evicted and one that round-tripped
 through eviction are therefore indistinguishable — byte-for-byte — which is
-what keeps lazy histories identical to eager ones.
+why the capacity never changes a history or a trace.
 
 Every resident is treated as dirty: the simulator only indexes clients it
 is about to run, so an acquire implies mutation and eviction always
@@ -44,6 +46,7 @@ tracking dirtiness wrongly.
 
 from __future__ import annotations
 
+import operator
 import resource
 import sys
 from collections import OrderedDict
@@ -87,16 +90,18 @@ class ResidentClientCache:
     client that has state but is not resident — one ``bytes`` object each,
     ``snapshot_bytes`` in total; a cid in neither map is still in its
     initial (round-zero) state and needs no snapshot at all — this is what
-    keeps memory flat in total-client count.
+    keeps memory flat in total-client count. ``capacity`` may be
+    ``math.inf``: room for everyone, never an eviction.
     """
 
-    def __init__(self, factory: "ClientFactory", capacity: int) -> None:
+    def __init__(self, factory: "ClientFactory", capacity: float) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.factory = factory
         self.capacity = capacity
         self._residents: OrderedDict[int, SimClient] = OrderedDict()
         self._snapshots: dict[int, bytes] = {}
+        self._staged: set[int] = set()  # parked by a resume: no rehydration
         self.snapshot_bytes = 0
         self.evictions = 0
         self.rehydrations = 0
@@ -134,7 +139,9 @@ class ResidentClientCache:
         if blob is not None:
             self.snapshot_bytes -= len(blob)
             client.restore_state(decode(blob))
-            self.rehydrations += 1
+            if cid not in self._staged:
+                self.rehydrations += 1
+            self._staged.discard(cid)
         self._residents[cid] = client
         return client
 
@@ -173,6 +180,7 @@ class ResidentClientCache:
         if client is not None:
             self.factory.release(client)
         self._park(cid, blob)
+        self._staged.add(cid)
 
     def capture_run_state(
         self, client_ids: "Iterable[int] | None" = None
@@ -198,15 +206,16 @@ class ResidentClientCache:
 class LazyClientPopulation:
     """Sequence-of-clients facade over a :class:`ResidentClientCache`.
 
-    Supports exactly the access patterns the runtime uses — ``len()`` and
-    integer indexing. Iteration is refused on purpose: iterating would
-    materialise every client, which is the O(total clients) cost this
-    subsystem exists to avoid; any code path that tries is a bug to fix,
-    not a slowdown to tolerate.
+    Supports exactly the access patterns the runtime uses — ``len()``,
+    indexing by cid (any integer, NumPy's included) and
+    :meth:`acquire_chunk`. Iteration is refused on purpose: iterating would
+    materialise every client, which is the O(total clients) cost the pager
+    exists to avoid; any code path that tries is a bug to fix, not a
+    slowdown to tolerate.
     """
 
     def __init__(
-        self, factory: "ClientFactory", capacity: int = DEFAULT_CACHE_CLIENTS
+        self, factory: "ClientFactory", capacity: float = DEFAULT_CACHE_CLIENTS
     ) -> None:
         self.factory = factory
         self.cache = ResidentClientCache(factory, capacity)
@@ -217,8 +226,7 @@ class LazyClientPopulation:
         return self.factory.num_clients
 
     def __getitem__(self, cid: int) -> SimClient:
-        if not isinstance(cid, int):
-            raise TypeError("client populations index by integer cid only")
+        cid = operator.index(cid)  # a TypeError for anything but an integer
         if not 0 <= cid < self.factory.num_clients:
             raise IndexError(f"cid {cid} out of range")
         return self.cache.acquire(cid)
@@ -236,9 +244,9 @@ class LazyClientPopulation:
 
     # ------------------------------------------------------------------
     @property
-    def resident_capacity(self) -> int:
-        """How many clients are live at once; an engine that holds several
-        (a parallel worker's chunk) sizes itself to this."""
+    def resident_capacity(self) -> float:
+        """How many clients are live at once (``math.inf``: everyone); an
+        engine that holds several (a chunk) sizes itself to this."""
         return self.cache.capacity
 
     def reserve(self, n: int) -> None:
@@ -249,19 +257,17 @@ class LazyClientPopulation:
     ) -> dict[int, bytes]:
         return self.cache.capture_run_state(client_ids)
 
-    def restore_client_state(self, cid: int, blob: bytes) -> None:
-        self.cache.seed_snapshot(cid, blob)
-
     # ------------------------------------------------------------------
     def mirror_metrics(self, recorder: "Recorder") -> None:
         """Emit paging counters (as deltas) and residency/RSS gauges.
 
-        Counters and gauges never enter history or trace bytes, so lazy and
-        eager runs stay byte-identical on everything CI compares. Paging
-        counts are engine-dependent (each parallel worker pages its own
-        cache copy; the parent's sits idle) and are not checkpointed, so
+        Counters and gauges never enter history or trace bytes, so runs at
+        every capacity stay byte-identical on everything CI compares.
+        Paging counts are engine-dependent (each parallel worker pages its
+        own cache copy; the parent's sits idle) and are not checkpointed, so
         they reset across resume — they are operational telemetry, not part
-        of the deterministic record.
+        of the deterministic record. A blob a resume staged is not counted
+        as a rehydration when it pages in: nothing was evicted.
         """
         delta_evictions = self.cache.evictions - self._mirrored_evictions
         if delta_evictions:

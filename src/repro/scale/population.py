@@ -1,17 +1,16 @@
 """Deterministic client reconstruction from ``(seed, cid, partition spec)``.
 
-The eager simulator builds every :class:`~repro.runtime.client.SimClient`
-up front — O(total clients) memory and setup even when a round touches 50
-of them. This module holds the *recipe* half of the lazy-population scale
-subsystem (DESIGN.md §15): a :class:`PopulationSpec` bundles everything a
-client's construction depends on, and a :class:`ClientFactory` rebuilds
-any client on demand, bit-identical to the client the eager loop would
-have produced.
+No run builds its clients up front — that would be O(total clients) memory
+and setup even when a round touches 50 of them. This module holds the
+*recipe* half of the population (DESIGN.md §15): a :class:`PopulationSpec`
+bundles everything a client's construction depends on, and a
+:class:`ClientFactory` builds any client on demand, the same bytes however
+often it is rebuilt; the pager (:mod:`repro.scale.cache`) decides when.
 
 Shard access goes through a :class:`ShardProvider`:
 
-* :class:`MaterializedShards` wraps an already-built shard list (the
-  eager path, and the lazy path's bitwise-identity mode);
+* :class:`MaterializedShards` wraps an already-built shard list (what the
+  presets and tests hand the simulator);
 * :class:`LazyDirichletShards` replays the paper's Dirichlet partition
   for a batch of clients at a time (:func:`~repro.data.partition.dirichlet_clients_indices`);
 * :class:`SubsampledShards` is the cross-device partition for populations
@@ -200,7 +199,7 @@ class ShardProvider(Protocol):
 
 
 class MaterializedShards:
-    """Adapter over an already-built shard list (the eager data path)."""
+    """Adapter over an already-built shard list."""
 
     def __init__(self, shards: Sequence[Dataset]) -> None:
         self._shards = list(shards)
@@ -397,8 +396,8 @@ def as_shard_provider(shards: "ShardProvider | Sequence[Dataset]") -> ShardProvi
 class PopulationSpec:
     """Everything one client's deterministic reconstruction depends on.
 
-    ``pace`` is either the eager per-client array (bitwise-identity mode)
-    or a ``cid → seconds/iteration`` callable (the scale path, where an
+    ``pace`` is either a per-client array (the presets') or a
+    ``cid → seconds/iteration`` callable (the scale path, where an
     O(total clients) array is itself the thing being avoided — see
     :func:`~repro.sysmodel.heterogeneity.iteration_time_for`).
     """
@@ -420,8 +419,8 @@ class PopulationSpec:
 
 
 class ClientFactory:
-    """Rebuilds any :class:`~repro.runtime.client.SimClient` on demand,
-    bit-identical to the one the eager constructor loop produces.
+    """Builds any :class:`~repro.runtime.client.SimClient` on demand, in
+    the same initial bytes every time.
 
     A model replica is scratch space a cache slot owns, not client state:
     ``load_global`` overwrites every parameter and buffer and sets the mode
@@ -429,7 +428,7 @@ class ClientFactory:
     carried by ``capture_state``. So ``create`` calls ``model_fn`` only when
     no emptied slot has handed a replica back (:meth:`release`); rewound to a
     fresh replica's layer RNG, a handed-off one *is* a fresh ``model_fn()``.
-    Eager populations never release: one model per client, as before.
+    A pager with room for everyone never releases: one model per client.
     """
 
     def __init__(self, spec: PopulationSpec) -> None:
@@ -464,8 +463,8 @@ class ClientFactory:
     def client_seeds(self, cids: Sequence[int]) -> np.ndarray:
         """``(speed-trace seed, batch-stream seed)`` per client, as an
         ``(n, 2)`` array: the first two ``integers(2**31)`` draws of
-        ``default_rng(SeedSequence(seed, spawn_key=(cid,)))``, as the eager
-        loop's ``spawn`` gave them. Those are the top 31 bits of each 32-bit
+        ``default_rng(SeedSequence(seed, spawn_key=(cid,)))``, as
+        ``SeedSequence(seed).spawn(N)[cid]`` gives them. Those are the top 31 bits of each 32-bit
         half of a fresh PCG64's first output (Lemire's bound never rejects
         at 2**31)."""
         rows = np.column_stack((np.tile(self._spawn_prefix, (len(cids), 1)), cids))
@@ -556,10 +555,11 @@ class ClientFactory:
         del client.model
 
     # ------------------------------------------------------------------
-    # Per-client metadata without materialising the client: a client.round
-    # span's num_samples and base_pace, the server's bootstrap pace estimate.
+    # Per-client metadata without materialising the client.
     # ------------------------------------------------------------------
     def shard_size(self, cid: int) -> int:
+        """Client ``cid``'s sample count: what a resumed blob's stream
+        position is checked against before the client exists."""
         return self.spec.shards.shard_size(cid)
 
     def _ensure_template(self) -> None:

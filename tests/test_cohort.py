@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -100,6 +101,16 @@ def make_client(cid=0, *, n=24, model=model_fn, base_time=0.01, mbps=10.0):
         link=LinkModel(uplink_mbps=mbps, downlink_mbps=mbps),
         seed=cid,
     )
+
+
+class Population(list):
+    """Hand-built clients as the population an engine binds: room for
+    everyone, a chunk paged in by indexing."""
+
+    resident_capacity = math.inf
+
+    def acquire_chunk(self, cids):
+        return [self[cid] for cid in cids]
 
 
 def ctx(round_index=0, iterations=6, deadline=100.0, assigned=None):
@@ -785,7 +796,7 @@ class TestResolveExecutor:
 # Executor-level: ragged cohorts, tail chunks, fallbacks
 # ----------------------------------------------------------------------
 def run_executor(executor, clients, strategy, jobs):
-    executor.bind(clients, strategy)
+    executor.bind(Population(clients), strategy)
     global_state = global_vectors(model_fn())
     return executor.run_round(*global_state, jobs), global_state
 
@@ -898,7 +909,7 @@ class TestCohortExecutor:
     def test_metrics_mirrored_into_recorder(self):
         recorder = TraceRecorder()
         strategy = FedAvg(OPT)
-        clients = [make_client(i) for i in range(3)]
+        clients = Population(make_client(i) for i in range(3))
         executor = CohortExecutor(2)
         executor.bind(clients, strategy)
         executor.set_recorder(recorder)
@@ -917,7 +928,7 @@ class TestCohortExecutor:
         run; stacks are reused by width but capped at ``2M`` slots in all,
         least recently used first out."""
         executor = CohortExecutor(4)
-        executor.bind([make_client(i) for i in range(4)], FedAvg(OPT))
+        executor.bind(Population(make_client(i) for i in range(4)), FedAvg(OPT))
         state = global_vectors(model_fn())
         for n in (4, 3, 2, 1, 3):
             executor.run_round(*state, [(i, ctx(iterations=1)) for i in range(n)])
@@ -1102,7 +1113,7 @@ class TestOneRoundBody:
             return client
 
         def run(executor):
-            executor.bind([slowed_client(i) for i in range(3)], build())
+            executor.bind(Population(slowed_client(i) for i in range(3)), build())
             state = global_vectors(model_fn())
             out = []
             for r in range(2):

@@ -196,8 +196,8 @@ class TestArenaIntegrityAfterRuns:
     def test_serial(self, env_data):
         sim = self.run(env_data, "serial")
         assert_in_arena(sim.global_model)
-        for client in sim.clients:
-            assert_in_arena(client.model)
+        for cid in range(len(sim.clients)):
+            assert_in_arena(sim.clients[cid].model)
 
     def test_cohort(self, env_data):
         sim = self.run(env_data, "cohort:4")
@@ -208,8 +208,8 @@ class TestArenaIntegrityAfterRuns:
             assert_in_arena(stack.module)
             for name, p in stack.params.items():
                 assert p is dict(stack.module.named_parameters())[name]
-        for client in sim.clients:
-            assert_in_arena(client.model)
+        for cid in range(len(sim.clients)):
+            assert_in_arena(sim.clients[cid].model)
 
     def test_lazy_replica_hand_off(self, env_data):
         sim = self.run(env_data, "serial", population="lazy:cache=2")

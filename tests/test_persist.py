@@ -534,6 +534,31 @@ class TestDiscoveryAndGuards:
             sim.resume(RunCheckpoint.load(path))
         sim.close()
 
+    def test_client_blob_with_a_duplicated_order_is_rejected_at_restore_when_lazy(
+        self, tmp_path, saved_checkpoint
+    ):
+        """The same damaged blob under ``lazy:cache=2``: the resume, not the
+        round that first selects the client, refuses it — with a typed error
+        — and builds no client doing so."""
+        from repro.algorithms import build_strategy
+        from repro.experiments.configs import make_environment
+
+        ckpt = RunCheckpoint.load(saved_checkpoint[0])
+        cid = next(iter(ckpt.clients))
+        state = decode(ckpt.clients[cid])
+        order = state["stream"]["order"]
+        state["stream"]["order"] = np.concatenate((order[:1], order[:-1]))
+        path = str(tmp_path / "damaged.ckpt")
+        dataclasses.replace(ckpt, clients={**ckpt.clients, cid: encode(state)}).save(path)
+        sim = make_environment(
+            CFG, build_strategy("fedavg", CFG.optimizer_spec()), seed=3,
+            population="lazy:cache=2",
+        )
+        with sim, pytest.raises(CheckpointFormatError, match="permutation"):
+            sim.resume(RunCheckpoint.load(path))
+        assert sim.population.cache.creations == 0
+        assert sim.population.cache.parked_clients == 0
+
     @needs_fork
     def test_degraded_pool_refuses_checkpoint(self, tmp_path):
         from repro.algorithms import build_strategy

@@ -9,6 +9,7 @@ path, the history spill switch, and the ``--population`` spec parser.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -508,6 +509,22 @@ class TestLazyClientPopulation:
         with pytest.raises(TypeError):
             pop["0"]
 
+    @pytest.mark.parametrize("population", [None, "lazy:cache=2"])
+    def test_numpy_integer_cids_index_like_ints(self, env_data, population):
+        """Selection hands out NumPy integers: any ``operator.index``-able
+        cid indexes the population, under either spelling."""
+        _, shards, test = env_data
+        with FederatedSimulator(
+            model_fn=lenet, strategy=build_strategy("fedavg", OPT), shards=shards,
+            test_set=test, base_iteration_times=PACE, population=population,
+        ) as sim:
+            assert sim.clients[np.int64(1)] is sim.clients[1]
+            assert sim.clients[np.uint8(3)].client_id == 3
+            with pytest.raises(IndexError):
+                sim.clients[np.int64(NUM_CLIENTS)]
+            with pytest.raises(TypeError):
+                sim.clients[1.0]
+
     def test_iteration_refused(self, env_data):
         pop = LazyClientPopulation(make_factory(env_data), capacity=2)
         with pytest.raises(TypeError, match="materialise"):
@@ -880,14 +897,14 @@ def run_traced(env_data, scheme, *, executor, population, model_fn=lenet, **over
         hist = sim.run(4)
     finally:
         sim.close()
-    # The pager's gauges exist exactly when there is a pager, and (being
-    # gauges) are in neither byte stream the identity tests compare.
+    # Every run has a pager, so its gauges always exist, and (being gauges)
+    # are in neither byte stream the identity tests compare.
     pager_gauges = {
         "repro_population_snapshot_bytes",
         "repro_population_parked_clients",
         "repro_population_rss_bytes",
     }
-    assert (pager_gauges <= set(rec.gauges)) == (population is not None)
+    assert pager_gauges <= set(rec.gauges)
     assert_spans_describe_clients(rec.events(), sim._factory, sim.global_model.nbytes())
     hist_json, trace_jsonl = history_to_json(hist), events_to_jsonl(rec.events())
     assert "repro_population" not in hist_json + trace_jsonl
@@ -1036,6 +1053,42 @@ def check_resume_matches_uninterrupted(env_data, scheme, model_fn, executor):
         resumed.run(2)
         assert history_to_json(resumed.history) == full
 
+    # A checkpoint that carries an initial-state blob for every client that
+    # never ran — what an eager capture over a built client list wrote —
+    # resumes byte-identically into either population.
+    with build(None) as sim:
+        blank = RunCheckpoint.from_simulator(sim)
+        initial = {
+            str(cid): encode(sim._factory.create(cid).capture_state())
+            for cid in range(len(sim.clients))
+        }
+    assert blank.clients == {}
+    listed = dataclasses.replace(blank, clients=initial)
+    for population in ("lazy:cache=2", None):
+        with build(population) as resumed:
+            listed.restore_into(resumed)
+            resumed.run(4)
+            assert history_to_json(resumed.history) == full
+
+
+def test_staged_blobs_page_in_without_a_rehydration(env_data):
+    """A blob a resume staged pages in without counting as a rehydration:
+    the pager evicted nothing. Only blobs it parked itself count — at
+    ``cache=2`` all twelve clients' in the second round."""
+    from repro.persist import RunCheckpoint
+
+    for population, second_round in ((None, 0), ("lazy:cache=2", 12)):
+        with build_fedca_topk(env_data, population) as sim:
+            sim.run(1)
+            ckpt = RunCheckpoint.from_simulator(sim)
+        with build_fedca_topk(env_data, population) as resumed:
+            ckpt.restore_into(resumed)
+            cache = resumed.population.cache
+            resumed.run(1)
+            assert cache.rehydrations == 0
+            resumed.run(1)
+            assert cache.rehydrations == second_round
+
 
 def build_fedca_topk(env_data, population):
     train, _, test = env_data
@@ -1060,8 +1113,8 @@ def test_no_strategy_side_per_client_state(env_data):
         assert per_client_holdings(sim.strategy) == []
         assert per_client_holdings(sim.strategy.wire) == []
         # ...and it does exist: every client was profiled and transmitted.
-        for client in sim.clients:
-            assert list(client.capture_state()["kept"]) == ["fedca", "wire"]
+        for cid in range(len(sim.clients)):
+            assert list(sim.clients[cid].capture_state()["kept"]) == ["fedca", "wire"]
 
 
 def test_resume_keeps_the_residency_bound(env_data, tmp_path):
@@ -1251,12 +1304,12 @@ class TestIterationTimeFor:
 # ----------------------------------------------------------------------
 class TestParsePopulationSpec:
     def test_eager_forms(self):
-        assert parse_population_spec(None) == ("eager", None)
-        assert parse_population_spec("eager") == ("eager", None)
+        assert parse_population_spec(None) is None
+        assert parse_population_spec("eager") is None
 
     def test_lazy_forms(self):
-        assert parse_population_spec("lazy") == ("lazy", DEFAULT_CACHE_CLIENTS)
-        assert parse_population_spec("lazy:cache=7") == ("lazy", 7)
+        assert parse_population_spec("lazy") == DEFAULT_CACHE_CLIENTS
+        assert parse_population_spec("lazy:cache=7") == 7
 
     @pytest.mark.parametrize(
         "bad", ["lazy:cache=0", "lazy:cache=x", "lazy:weird=1", "keen", "lazy:"]

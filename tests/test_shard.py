@@ -319,7 +319,7 @@ class TestWireSpecs:
 
     def test_codecs_are_per_client_and_releasable(self, env_data):
         sim = make_sim(env_data, "fedavg", executor="serial", wire="topk:0.5")
-        layer, (a, b) = sim.strategy.wire, sim.clients[3:5]
+        layer, a, b = sim.strategy.wire, sim.clients[3], sim.clients[4]
         update = {"w": np.arange(8, dtype=np.float32)}
         layer.encode(a, update)
         layer.encode(b, {"w": -update["w"]})
