@@ -1,17 +1,22 @@
-"""Wall-clock benchmark: serial vs parallel round execution.
+"""Wall-clock benchmark: default engine vs parallel round execution.
 
 Measures the time to run ``--rounds`` communication rounds of the micro CNN
 workload at several client counts under the :class:`SerialExecutor` (the
-per-client reference loop, built as an instance — the ``serial`` spec is a
-batched engine) and the :class:`ParallelExecutor`, recording bytes moved
-per round on each IPC channel (control pipes vs shared-memory arenas) next
-to the wall-clock numbers, and the mean width of the stacked chunks the
-workers trained — verifies all histories are identical, and writes the
-measurements to ``BENCH_parallel.json`` so later PRs have a perf trajectory to compare
-against. Control-pipe traffic must stay at or below 1 % of the arena bytes
-per round; the bench exits non-zero otherwise. (``benchmarks/e2e`` owns the
-end-to-end timings; this bench keeps the gates it cannot express: history
-identity vs serial, the quant8 byte ratio and the leaked-segment check.)
+per-client reference loop, built as an instance), the default engine (the
+``serial`` spec, a batched engine) and the :class:`ParallelExecutor`, and
+reports the parallel speedup over the default engine. Next to the
+wall-clock numbers it records bytes moved per round on each IPC channel
+(control pipes, the state frames that carry each job's client blob, and the
+shared-memory arenas) and the mean width of the stacked chunks the workers
+trained — verifies every history equals the reference loop's, and writes
+the measurements to ``BENCH_parallel.json`` so later PRs have a perf
+trajectory to compare against. Gates (the bench exits non-zero otherwise):
+control-pipe traffic — every pipe direction except ``state`` — stays at or
+below 1 % of the arena bytes per round, and the ``state`` bytes equal the
+summed lengths of the blobs the jobs carried out and back. (``benchmarks/e2e``
+owns the end-to-end timings; this bench keeps the gates it cannot express:
+history identity vs the reference loop, the pipe byte gates, the quant8
+byte ratio and the leaked-segment check.)
 
 Regenerate with::
 
@@ -91,6 +96,22 @@ def run_once(cfg, executor, rounds: int, seed: int, *, scheme="fedavg",
         cfg, strategy, seed=seed, executor=executor, recorder=recorder
     )
     parallel = sim.executor.name == "parallel"
+    kept: dict[int, bytes] = {}
+    shipped = 0
+
+    def count_shipped(_record):
+        # The parent parks each job's returned blob as a new object, so the
+        # clients that ran are those whose blob changed: their old blob went
+        # out with the job and the new one came back.
+        nonlocal kept, shipped
+        now = sim.population.capture_run_state()
+        shipped += sum(
+            len(kept.get(cid, b"")) + len(blob)
+            for cid, blob in now.items()
+            if blob is not kept.get(cid)
+        )
+        kept = now
+
     try:
         if parallel:
             # Fork the pool (and pay its one-off startup) before timing:
@@ -98,7 +119,7 @@ def run_once(cfg, executor, rounds: int, seed: int, *, scheme="fedavg",
             arena = sim.global_model.arena()
             sim.executor.run_round(arena.values, arena.buffers, [])
         start = time.perf_counter()  # reprolint: allow[DET002] benchmark measures wall-clock by design
-        history = sim.run(rounds)
+        history = sim.run(rounds, progress=count_shipped if parallel else None)
         elapsed = time.perf_counter() - start  # reprolint: allow[DET002] benchmark measures wall-clock by design
         ipc = sim.executor.ipc_stats()
         if parallel:
@@ -107,6 +128,7 @@ def run_once(cfg, executor, rounds: int, seed: int, *, scheme="fedavg",
             ipc["worker_chunk_width"] = occupancy["slot_steps"] / max(
                 occupancy["steps"], 1.0
             )
+            ipc["state_bytes_shipped"] = shipped
     finally:
         sim.close()
     return elapsed, history, ipc
@@ -158,7 +180,8 @@ def telemetry_check(args) -> int:
 
 
 def channel_bytes(ipc, transport: str) -> float:
-    """Round-traffic bytes (broadcast + results) one IPC channel moved."""
+    """Round-traffic bytes (broadcast + results) one IPC channel moved —
+    on the pipes, every direction except the ``state`` frames."""
     return sum(
         ipc.get(ipc_bytes_counter(transport, direction), 0)
         for direction in ("broadcast", "results")
@@ -340,7 +363,7 @@ def main(argv=None) -> int:
     shm_ok, shm_reason = shm_available()
     pool_ok = fork_available() and shm_ok
     report = {
-        "benchmark": "serial vs parallel round execution (fedavg, micro cnn)",
+        "benchmark": "default engine vs parallel round execution (fedavg, micro cnn)",
         "rounds": args.rounds,
         "workers": workers,
         "cpu_count": os.cpu_count(),
@@ -355,52 +378,68 @@ def main(argv=None) -> int:
 
     for n in args.clients:
         cfg = bench_config(n)
-        # One recorder at a time: concurrent runs would otherwise hold the
-        # same --trace-out file open (the last run's trace is the one kept).
-        rec = make_recorder()
-        try:
-            serial_s, hist_serial, _ = run_once(
-                cfg, SerialExecutor(), args.rounds, args.seed, recorder=rec
-            )
-        finally:
-            if rec is not None:
-                rec.close()
+
+        def timed(executor):
+            # One recorder at a time: concurrent runs would otherwise hold
+            # the same --trace-out file open (the last run's trace is kept).
+            rec = make_recorder()
+            try:
+                return run_once(cfg, executor, args.rounds, args.seed, recorder=rec)
+            finally:
+                if rec is not None:
+                    rec.close()
+
+        reference_s, hist_reference, _ = timed(SerialExecutor())
+        default_s, hist_default, _ = timed("serial")
         if not pool_ok:
-            report["results"].append({"clients": n, "serial_s": round(serial_s, 4)})
-            continue
-        rec = make_recorder()
-        try:
-            parallel_s, hist_parallel, ipc = run_once(
-                cfg, f"parallel:{workers}", args.rounds, args.seed, recorder=rec
+            report["results"].append(
+                {
+                    "clients": n,
+                    "reference_s": round(reference_s, 4),
+                    "default_s": round(default_s, 4),
+                }
             )
-        finally:
-            if rec is not None:
-                rec.close()
-        identical = fingerprint(hist_serial) == fingerprint(hist_parallel)
-        speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
+            continue
+        parallel_s, hist_parallel, ipc = timed(f"parallel:{workers}")
+        identical = fingerprint(hist_reference) == fingerprint(hist_parallel)
+        speedup = default_s / parallel_s if parallel_s > 0 else float("inf")
         pipe_bytes = channel_bytes(ipc, "pipe") / args.rounds
         shm_bytes = channel_bytes(ipc, "shm") / args.rounds
+        state_bytes = ipc.get(ipc_bytes_counter("pipe", "state"), 0)
         report["results"].append(
             {
                 "clients": n,
-                "serial_s": round(serial_s, 4),
+                "reference_s": round(reference_s, 4),
+                "default_s": round(default_s, 4),
                 "parallel_s": round(parallel_s, 4),
                 "speedup": round(speedup, 3),
                 "worker_chunk_width": round(ipc["worker_chunk_width"], 2),
                 "pipe_bytes_per_round": round(pipe_bytes),
+                "state_bytes_per_round": round(state_bytes / args.rounds),
                 "shm_bytes_per_round": round(shm_bytes),
                 "broadcast_seconds": round(ipc.get(BROADCAST_SECONDS, 0.0), 4),
                 "histories_identical": identical,
             }
         )
         print(
-            f"clients={n:3d}  serial={serial_s:7.3f}s  "
-            f"parallel[{workers}]={parallel_s:7.3f}s  "
+            f"clients={n:3d}  reference={reference_s:7.3f}s  "
+            f"default={default_s:7.3f}s  parallel[{workers}]={parallel_s:7.3f}s  "
             f"speedup={speedup:5.2f}x  pipe={pipe_bytes / 1024:8.1f}KiB/round  "
+            f"state={state_bytes / args.rounds / 1024:8.1f}KiB/round  "
             f"shm={shm_bytes / 1024:8.1f}KiB/round  identical={identical}"
         )
         if not identical:
-            print("ERROR: serial and parallel histories diverged", file=sys.stderr)
+            print(
+                "ERROR: the parallel history diverged from the reference loop's",
+                file=sys.stderr,
+            )
+            return 1
+        if state_bytes != ipc["state_bytes_shipped"]:
+            print(
+                f"ERROR: the state frames moved {state_bytes:.0f} B, not the "
+                f"{ipc['state_bytes_shipped']} B of blobs the jobs carried",
+                file=sys.stderr,
+            )
             return 1
         if pipe_bytes > CONTROL_BYTES_SHARE * shm_bytes:
             print(

@@ -22,7 +22,7 @@ from parallel_bench import (
 )
 from repro.runtime import SerialExecutor
 from repro.runtime.parallel import default_workers, fork_available
-from repro.runtime.transport import shm_available
+from repro.runtime.transport import ipc_bytes_counter, shm_available
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform lacks the fork start method"
@@ -36,7 +36,8 @@ needs_shm = pytest.mark.skipif(
 @needs_shm
 def test_parallel_smoke_two_workers(once):
     """Fast CI smoke: 8 clients, 2 workers, 2 rounds — identical histories,
-    and the pipes carry control traffic only (<= 1 % of the arena bytes)."""
+    the control messages stay <= 1 % of the arena bytes, and the state
+    frames carry exactly the jobs' blobs."""
     cfg = bench_config(8)
 
     def run_pair():
@@ -55,6 +56,7 @@ def test_parallel_smoke_two_workers(once):
     )
     assert fingerprint(hist_serial) == fingerprint(hist_parallel)
     assert 0 < pipe_bytes <= CONTROL_BYTES_SHARE * shm_bytes
+    assert ipc[ipc_bytes_counter("pipe", "state")] == ipc["state_bytes_shipped"]
 
 
 @needs_fork

@@ -53,7 +53,9 @@ KNOWN_COUNTERS: frozenset[str] = frozenset(
         # worker pages its own cache) and not checkpointed.
         "repro_population_evictions_total",
         "repro_population_rehydrations_total",
-        # IPC transports (labelled: {transport=...,direction=...})
+        # IPC transports (labelled: {transport="pipe"|"shm",
+        # direction="broadcast"|"results"|"state"}; "state" is the pipe
+        # frames of client blobs that parallel jobs carry both ways)
         "repro_ipc_bytes_total",
         # parallel engine degraded to the in-process default engine
         # (labelled: {reason="pool_start"|"worker_died"})

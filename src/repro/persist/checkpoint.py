@@ -8,7 +8,8 @@ evolves across rounds:
 * the full :class:`~repro.runtime.history.RunHistory`,
 * per-client cross-round state — one
   :meth:`SimClient.capture_state <repro.runtime.client.SimClient.capture_state>`
-  snapshot per touched client, via the executor's ``capture_run_state``:
+  snapshot per touched client, read from the simulator's population — the
+  one home of that state, whichever engine runs the rounds:
   batch-stream RNG/order/cursor, speed-trace RNG and live segments, layer
   RNG, and what the strategy and the wire layer keep on the client (FedCA
   anchor profiles, codec residuals/RNG). Each arrives as one
@@ -26,9 +27,9 @@ stored — see DESIGN.md §10 for the full captured/not-captured table.
 
 Restore is only legal into a **freshly constructed** simulator (same
 config, same seed) before any round has run: it stages each client's blob
-in the population, and the parallel executor forks its workers lazily on
-the first round, so they inherit the staged blobs and the resumed run is
-bitwise identical to one that never stopped.
+in the population, where every engine reads it — a parallel job carries
+its client's blob to the worker — so the resumed run is bitwise identical
+to one that never stopped.
 """
 
 from __future__ import annotations
@@ -126,9 +127,9 @@ class RunCheckpoint:
     @classmethod
     def from_simulator(cls, sim: "FederatedSimulator") -> "RunCheckpoint":
         """Snapshot ``sim`` between rounds (call only between ``run_round``
-        invocations). Pulls per-client state from wherever it actually
-        lives — the parallel executor fetches it from its workers."""
-        clients = sim.executor.capture_run_state()
+        invocations). Per-client state comes from the population, which
+        holds it between rounds under every engine."""
+        clients = sim.population.capture_run_state()
         recorder_snapshot = None
         if hasattr(sim.recorder, "snapshot_state"):
             recorder_snapshot = sim.recorder.snapshot_state()
@@ -153,8 +154,7 @@ class RunCheckpoint:
 
         The simulator must have run zero rounds and its executor must not
         have started worker processes yet (the parallel pool forks on the
-        first round — after the fork, parent-side restores no longer reach
-        the workers' populations)."""
+        first round, so a started pool means a used simulator)."""
         if sim.history.num_rounds != 0:
             raise PersistError(
                 "checkpoints restore only into a fresh simulator; this one "

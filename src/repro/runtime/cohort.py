@@ -278,8 +278,9 @@ class CohortExecutor(Executor):
         clients: "LazyClientPopulation",
         strategy: "Strategy",
         layouts: "tuple[Layout, Layout] | None" = None,
+        jobs_per_round: int | None = None,
     ) -> None:
-        super().bind(clients, strategy, layouts)
+        super().bind(clients, strategy, layouts, jobs_per_round)
         if self._sized_at_bind:
             self.cohort_size = min(DEFAULT_COHORT_SIZE, clients.resident_capacity)
 

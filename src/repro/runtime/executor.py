@@ -12,8 +12,9 @@ selected client" — to an :class:`Executor`. A spec selects one of:
 * ``cohort[:M]``: the same engine padded, M clients per program; see
   :mod:`repro.runtime.cohort`.
 * ``parallel[:N]``: persistent worker processes, each driving the
-  ``serial`` engine over the clients it owns; see
-  :mod:`repro.runtime.parallel`.
+  ``serial`` engine over the jobs a round deals it — a job carries its
+  client's kept state, which lives in this process's population between
+  rounds; see :mod:`repro.runtime.parallel`.
 
 :class:`SerialExecutor` — ``Strategy.client_round`` for one client after
 another — is the reference every engine is held to. Tests and benches
@@ -66,21 +67,25 @@ class Executor(ABC):
     _clients: "LazyClientPopulation | None" = None
     _strategy: "Strategy | None" = None
     _layouts: "tuple[Layout, Layout] | None" = None
+    _jobs_per_round: int | None = None
 
     def bind(
         self,
         clients: "LazyClientPopulation",
         strategy: "Strategy",
         layouts: "tuple[Layout, Layout] | None" = None,
+        jobs_per_round: int | None = None,
     ) -> None:
-        """Attach the simulator's client population and strategy, and the
+        """Attach the simulator's client population and strategy, the
         server model's parameter and buffer :class:`~repro.nn.layout.Layout`
-        tables: the layouts of the two vectors :meth:`run_round` receives
-        (only the parallel engine, which ships them across processes,
-        reads them)."""
+        tables — the layouts of the two vectors :meth:`run_round` receives —
+        and the most jobs one round can hold (default: every client). Only
+        the parallel engine, which ships rounds across processes, reads the
+        last two."""
         self._clients = clients
         self._strategy = strategy
         self._layouts = layouts
+        self._jobs_per_round = jobs_per_round
 
     @abstractmethod
     def run_round(
@@ -138,23 +143,6 @@ class Executor(ABC):
         overrides this with its chunk width.
         """
         return 1
-
-    def capture_run_state(self) -> dict[int, bytes]:
-        """Snapshot the evolved per-client state, ``{cid: encoded
-        snapshot}``, for checkpointing (see :mod:`repro.persist`).
-
-        The engine owns this because the state lives wherever the client
-        rounds actually execute — here, the bound population's, which knows
-        which clients have diverged from their initial state (and holds the
-        parked ones encoded); inside the persistent workers for
-        :class:`~repro.runtime.parallel.ParallelExecutor`.
-        Restore needs no engine hook: checkpoints are restored into a
-        freshly constructed simulator *before* any round runs, so parallel
-        workers fork the parent's population with the blobs staged.
-        """
-        if self._clients is None:
-            raise RuntimeError("executor not bound; construct it via FederatedSimulator")
-        return self._clients.capture_run_state()
 
     # Context-manager sugar so ad-hoc scripts don't leak worker processes.
     def __enter__(self) -> "Executor":

@@ -2,50 +2,56 @@
 
 ``ParallelExecutor`` forks ``workers`` long-lived processes the first time a
 round runs. Each worker inherits (via ``fork``) the simulator's client
-population — the pager, holding no client yet or only the blobs a resume
-staged — *and* a replica of the strategy. A worker pages its own clients:
-its copy of the pager builds each one the first time the worker runs it and
-keeps it for the whole run (or up to ``cache=N`` of them) — the parent
-builds no client before the fork, and there is no per-round pickling of
-clients, models or data shards. A worker binds the default ``serial``
-engine — an unpadded :class:`~repro.runtime.cohort.CohortExecutor` — to
-what it inherited and trains its share of each round through it, as
-stacked chunks: clients share a program only at equal batch width and a
-step only at equal row counts, so every product keeps the per-client loop's
-operand shapes and every client its bytes (DESIGN.md §12) at a fraction of
-the loop's per-call overhead — a client whose shard is smaller than a batch
-trains in a program of its own width. The engine sizes itself at bind:
-:data:`~repro.runtime.cohort.DEFAULT_COHORT_SIZE`, capped by the
-population's resident capacity so ``lazy:cache=N`` holds per worker; there
-is nothing to configure.
+population — the pager — *and* a replica of the strategy, and owns no
+client: the parent's pager is the one home of every client's kept state
+(batch-stream and speed-trace position, layer RNG, FedCA's profiled curves,
+the wire codec's residual and RNG), one :mod:`~repro.persist.snapshot` blob
+per touched client. A parallel job is ``(cid, ctx, blob | None)`` — ``None``
+for a client still in its initial state. Each round a worker
+
+1. stages the blobs of the jobs it was dealt into its copy of the pager;
+2. trains them through the default ``serial`` engine — an unpadded
+   :class:`~repro.runtime.cohort.CohortExecutor` — which pages each client
+   in from the worker's forked :class:`~repro.scale.ClientFactory` and
+   restores its blob;
+3. captures and releases every resident;
+4. returns ``{cid: new blob}`` beside the results, which the parent parks.
+
+Between rounds a worker holds no client and no blob. The engine trains a
+worker's share as unpadded stacked chunks, so every client keeps the
+per-client loop's bytes (DESIGN.md §12); it sizes itself at bind
+(:data:`~repro.runtime.cohort.DEFAULT_COHORT_SIZE`, capped by the
+population's resident capacity), so there is nothing to configure. Jobs
+are dealt round-robin over the sorted job list — worker ``w`` gets
+``jobs[w::workers]`` — so per-worker counts differ by at most one.
 
 The per-round bulk data moves through shared memory (see
 :mod:`repro.runtime.transport`): the global model is written **once** into
 an arena all workers map read-only and zero-copy, and each worker returns
 its result arrays through its own result arena, which the parent's
 :func:`~repro.runtime.aggregation.aggregate_updates` reads in place. Pipes
-carry only small control messages (job lists, scalar stats, trace events,
-generation counters).
+carry small control messages (job lists, scalar stats, trace events,
+generation counters) and, after each, one frame of the jobs' blobs joined —
+their lengths ride the control message.
 
 Control messages are framed as explicit ``pickle`` blobs over
 ``send_bytes``/``recv_bytes`` so every pipe byte is metered exactly; the
-counters surface as ``repro_ipc_bytes_total{transport,direction}`` and
-``repro_ipc_broadcast_seconds`` (recorder counters and
-:meth:`ParallelExecutor.ipc_stats`).
+counters surface as ``repro_ipc_bytes_total{transport,direction}`` (the blob
+frames as ``direction="state"``) and ``repro_ipc_broadcast_seconds``
+(recorder counters and :meth:`ParallelExecutor.ipc_stats`).
 
 Determinism
 -----------
-Client ``cid`` is permanently owned by worker ``cid % workers`` (sticky
-routing), so every stateful per-client object — the cyclic
-:class:`~repro.data.loader.BatchStream`, the lazily extended
-:class:`~repro.sysmodel.speed.SpeedTrace`, and what FedCA and the wire
-layer keep on the client (profiled curves, codec) — evolves in exactly one
-process, in exactly the order it would have evolved serially. Results are
-reassembled in the simulator's job order (sorted client ids). The
+The parent owns every client's state and any worker may run any client: a
+client's round is a function of its blob and the broadcast alone, and a
+blob that round-trips capture → release → restore pages the client back in
+bit-identically (the pager's invariant, :mod:`repro.scale.cache`). Results
+are reassembled in the simulator's job order (sorted client ids). The
 reference loop, ``serial`` and ``parallel:N`` runs therefore produce
 **bitwise-identical**
 :class:`~repro.runtime.history.RunHistory` objects *and* telemetry traces;
-``tests/test_executor.py`` asserts both for FedAvg and FedCA.
+``tests/test_executor.py`` asserts both for FedAvg and FedCA. A checkpoint
+reads the parent's population; no message reaches a worker.
 
 Telemetry events recorded inside a worker (FedCA decision introspection,
 see :mod:`repro.obs`) ride back on the ``trace`` field of each
@@ -60,15 +66,13 @@ Fallback
   no usable shared memory, ``/dev/shm`` too small for the arenas — emits
   one ``RuntimeWarning`` naming the reason and runs everything through the
   default ``serial`` engine on the parent's population, sized as a worker's.
-  No round has run yet, so the history is bitwise the serial one and the
-  run stays checkpointable.
 * If a worker process dies mid-run, the pool (and its arenas) is torn down
-  and the unfinished jobs of that round — and every later round — run
-  through that same engine on the parent's population. The run completes,
-  but because the parent's clients did not observe the rounds the dead pool
-  executed, the bitwise-determinism guarantee is void from the crash
-  onward (a warning says so, and checkpointing refuses). Results the dead
-  round already decoded are copied out of the arenas before they go.
+  with one ``RuntimeWarning``, and the unfinished jobs of that round — and
+  every later round — run through that same engine on the parent's
+  population. The parent still holds those jobs' pre-round blobs, so the
+  rerun is bytes-equal to an uncrashed run and the run stays
+  checkpointable. Results the dead round already decoded are copied out of
+  the arenas before they go.
 
 Either fallback also bumps the recorder counter
 ``repro_engine_fallbacks_total{reason="pool_start"|"worker_died"}``;
@@ -94,7 +98,7 @@ from .transport import ShmTransport
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Recorder
 
-__all__ = ["ParallelExecutor", "WorkerCrash", "fork_available", "default_workers"]
+__all__ = ["ParallelExecutor", "fork_available", "default_workers"]
 
 
 def fork_available() -> bool:
@@ -110,10 +114,6 @@ def default_workers() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-class WorkerCrash(RuntimeError):
-    """A worker process exited without returning its round results."""
-
-
 def _send(conn, obj: Any) -> int:
     """Pickle ``obj`` down ``conn`` explicitly; returns the byte count."""
     blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
@@ -127,13 +127,22 @@ def _recv(conn) -> tuple[Any, int]:
     return pickle.loads(blob), len(blob)
 
 
-def _worker_main(pairs, clients, strategy, owned_ids, transport, worker_index) -> None:
-    """Worker loop: resident clients, one recv/send pair per round, each
-    round's jobs trained by one bound cohort engine.
+def _split_frame(frame: bytes, lengths: list[int]) -> list[bytes | None]:
+    """Cut a state frame back into its blobs; length 0 is ``None`` (a
+    client in its initial state — a snapshot blob is never empty)."""
+    blobs, at = [], 0
+    for n in lengths:
+        blobs.append(frame[at : at + n] if n else None)
+        at += n
+    return blobs
+
+
+def _worker_main(pairs, clients, strategy, transport, worker_index) -> None:
+    """Worker loop: one recv/send pair per round, each round's jobs staged
+    from their blobs, trained by one bound cohort engine and drained back.
 
     Runs in the forked child. ``clients`` (the population)/``strategy``/
-    ``transport`` arrive by fork inheritance (never pickled); ``owned_ids``
-    is the slice of clients a state capture snapshots.
+    ``transport`` arrive by fork inheritance (never pickled).
     ``pairs`` is every worker's ``(parent_conn, child_conn)`` — this worker
     keeps only its own child end and closes the rest, so a dead parent
     reliably turns into EOF here rather than a forever-blocked recv.
@@ -144,6 +153,10 @@ def _worker_main(pairs, clients, strategy, owned_ids, transport, worker_index) -
         if w != worker_index:
             child_conn.close()
     transport.worker_init(worker_index)
+    # The parent keeps every client's state: drop the blobs a resume staged
+    # in the pager before the fork, so a worker holds only what it is sent.
+    cache = clients.cache
+    cache.drain()
     # The default engine, sized at bind to what the population may hold.
     engine = CohortExecutor(pad=False)
     engine.bind(clients, strategy)
@@ -153,21 +166,21 @@ def _worker_main(pairs, clients, strategy, owned_ids, transport, worker_index) -
             msg, _ = _recv(conn)
             if msg[0] == "stop":
                 return
-            if msg[0] == "capture":
-                # Checkpoint support: the evolved cross-round state of the
-                # owned clients lives only in this process — snapshot it
-                # and ship its {cid: blob} map back as the pipe reply.
-                try:
-                    _send(conn, ("ok", clients.capture_run_state(owned_ids)))
-                except Exception:
-                    _send(conn, ("err", traceback.format_exc()))
-                continue
-            _, extra, jobs = msg
+            _, extra, jobs, lengths = msg
+            frame = conn.recv_bytes()
             try:
+                for (cid, _), blob in zip(jobs, _split_frame(frame, lengths)):
+                    if blob is not None:
+                        cache.seed_snapshot(cid, blob)
                 params, buffers = transport.read_broadcast(extra)
                 out = engine.run_round(params, buffers, jobs)
-                _send(conn, ("ok", (transport.encode_results(out), engine.counts.take())))
+                kept = cache.drain()
+                blobs = [kept[cid] for cid, _ in jobs]
+                encoded = transport.encode_results(out)
+                _send(conn, ("ok", (encoded, engine.counts.take(), [len(b) for b in blobs])))
+                conn.send_bytes(b"".join(blobs))
             except Exception:
+                cache.drain()
                 _send(conn, ("err", traceback.format_exc()))
             finally:
                 # Drop any zero-copy views into the broadcast arena before
@@ -203,7 +216,6 @@ class ParallelExecutor(Executor):
         self._conns: list = []
         self._started = False
         self._fallback: CohortExecutor | None = None
-        self._degraded_after_start = False
         self._counts = StepCounts()
 
     # ------------------------------------------------------------------
@@ -236,34 +248,31 @@ class ParallelExecutor(Executor):
 
     # ------------------------------------------------------------------
     def _start(self) -> None:
-        """Allocate the transport and fork the pool. Must happen before any
-        round has run, so the children inherit the population as the
-        constructor (or a resume) left it — and the transport's arenas by
-        the same fork. If the pool cannot start, warn once and degrade to
-        serial: the parent's population is still pristine, so nothing about
-        the run changes."""
-        # Ownership routing needs client ids only — indexing the population
-        # here would build every client in the parent before the fork.
-        owned_per_worker = [
-            range(w, len(self._clients), self.workers) for w in range(self.workers)
-        ]
+        """Allocate the transport and fork the pool: the children inherit
+        the population's client factory and the transport's arenas. If the
+        pool cannot start, warn once and degrade to serial: the parent's
+        population holds every client's state, so nothing about the run
+        changes."""
         if self._layouts is None:
             raise RuntimeError(
                 "the parallel executor needs the server model's layouts; "
                 "construct it via FederatedSimulator"
             )
+        # Round-robin dealing gives a worker at most this many jobs a round.
+        jobs = self._jobs_per_round or len(self._clients)
+        slots = -(-jobs // self.workers)
         transport = ShmTransport()
         reason = None if fork_available() else "no 'fork' start method"
         if reason is None:
             try:
-                transport.setup(*self._layouts, [len(o) for o in owned_per_worker])
+                transport.setup(*self._layouts, [slots] * self.workers)
             except Exception as exc:  # setup() has already unlinked its arenas
                 reason = f"shared-memory setup failed: {exc!r}"
         if reason is not None:
             self._degrade(
                 "pool_start",
                 f"cannot start the parallel worker pool ({reason}); "
-                "running serially on the parent replicas",
+                "running the default engine in this process",
             )
             return
         transport.set_recorder(self._recorder)
@@ -279,14 +288,7 @@ class ParallelExecutor(Executor):
         for w in range(self.workers):
             proc = ctx.Process(
                 target=_worker_main,
-                args=(
-                    pairs,
-                    self._clients,
-                    self._strategy,
-                    owned_per_worker[w],
-                    transport,
-                    w,
-                ),
+                args=(pairs, self._clients, self._strategy, transport, w),
                 daemon=True,
                 name=f"repro-worker-{w}",
             )
@@ -322,13 +324,15 @@ class ParallelExecutor(Executor):
             self._start()
         if self._fallback is not None:
             return self._fallback.run_round(params, buffers, jobs)
-        transport = self._transport_impl
-
-        per_worker: dict[int, list[ClientJob]] = {}
-        for cid, ctx in jobs:
-            per_worker.setdefault(cid % self.workers, []).append((cid, ctx))
-        if not per_worker:
+        if not jobs:
             return []
+        transport = self._transport_impl
+        cache = self._clients.cache
+        # The parent's pager is the one home of every client's kept state;
+        # each job carries its client's blob, and the blobs stay parked here
+        # until the worker's replacements arrive.
+        kept = cache.capture_run_state([cid for cid, _ in jobs])
+        dealt = [(w, jobs[w :: self.workers]) for w in range(min(self.workers, len(jobs)))]
 
         prof = self._profiler
         with prof.phase("broadcast"):
@@ -338,21 +342,27 @@ class ParallelExecutor(Executor):
             extra = transport.broadcast(params, buffers)
 
             crashed = False
-            for w, wjobs in per_worker.items():
+            for w, wjobs in dealt:
+                blobs = [kept.get(cid, b"") for cid, _ in wjobs]
+                frame = b"".join(blobs)
+                message = ("round", extra, wjobs, [len(b) for b in blobs])
                 try:
-                    sent = _send(self._conns[w], ("round", extra, wjobs))
+                    sent = _send(self._conns[w], message)
+                    self._conns[w].send_bytes(frame)
                     transport.count_pipe("broadcast", sent)
+                    transport.count_pipe("state", len(frame))
                 except (BrokenPipeError, OSError):
                     crashed = True
 
         by_cid: dict[int, ClientRoundResult] = {}
         if not crashed:
-            for w, wjobs in per_worker.items():
+            for w, wjobs in dealt:
                 try:
                     # The recv wait *is* the clients' training time from the
                     # parent's point of view.
                     with prof.phase("client.train"):
                         (tag, payload), received = _recv(self._conns[w])
+                        frame = self._conns[w].recv_bytes() if tag == "ok" else b""
                 except (EOFError, OSError):
                     crashed = True
                     break
@@ -363,7 +373,10 @@ class ParallelExecutor(Executor):
                     raise RuntimeError(
                         f"client round failed in worker {w}:\n{payload}"
                     )
-                encoded, step_counts = payload
+                encoded, step_counts, lengths = payload
+                transport.count_pipe("state", len(frame))
+                for (cid, _), blob in zip(wjobs, _split_frame(frame, lengths)):
+                    cache.seed_snapshot(cid, blob)
                 self._counts.add(*step_counts)
                 with prof.phase("collect"):
                     for result in transport.decode_results(w, encoded):
@@ -377,56 +390,17 @@ class ParallelExecutor(Executor):
             self._shutdown_pool()
             self._degrade(
                 "worker_died",
-                "a parallel worker died; finishing the run serially — "
-                "bitwise determinism vs a pure-serial run is no longer "
-                "guaranteed from this round on",
+                "a parallel worker died; finishing the run on the default "
+                "engine in this process, from the state it keeps for every "
+                "client",
             )
-            self._degraded_after_start = True
+            # This process still holds the unfinished jobs' pre-round blobs,
+            # so the rerun is the round an uncrashed pool would have run.
             remaining = [(cid, ctx) for cid, ctx in jobs if cid not in by_cid]
             for result in self._fallback.run_round(params, buffers, remaining):
                 by_cid[result.client_id] = result
 
         return [by_cid[cid] for cid, _ in jobs]
-
-    # ------------------------------------------------------------------
-    def capture_run_state(self) -> dict[int, bytes]:
-        if self._clients is None or self._strategy is None:
-            raise RuntimeError("executor not bound; construct it via FederatedSimulator")
-        if self._fallback is not None:
-            if self._degraded_after_start:
-                # The dead pool took rounds of client-state evolution with
-                # it; the parent's clients are stale, so a checkpoint here
-                # would silently violate the resume-determinism guarantee.
-                raise RuntimeError(
-                    "cannot checkpoint after a worker-crash fallback: the "
-                    "parent client replicas did not observe the rounds the "
-                    "dead pool executed"
-                )
-            return self._fallback.capture_run_state()
-        if not self._started:
-            # No round has run yet — the initial state still lives here.
-            return super().capture_run_state()
-        transport = self._transport_impl
-        for conn in self._conns:
-            try:
-                sent = _send(conn, ("capture",))
-                # Capture traffic scales with checkpoint cadence, which the
-                # resume bitwise oracle does not control for — keep it out
-                # of the recorder counters.
-                transport.count_pipe("capture", sent, mirror=False)
-            except (BrokenPipeError, OSError) as exc:
-                raise WorkerCrash("worker died during state capture") from exc
-        clients: dict[int, bytes] = {}
-        for w, conn in enumerate(self._conns):
-            try:
-                (tag, payload), received = _recv(conn)
-            except (EOFError, OSError) as exc:
-                raise WorkerCrash("worker died during state capture") from exc
-            transport.count_pipe("capture", received, mirror=False)
-            if tag == "err":
-                raise RuntimeError(f"state capture failed in worker {w}:\n{payload}")
-            clients.update(payload)
-        return clients
 
     # ------------------------------------------------------------------
     def _shutdown_pool(self) -> None:

@@ -213,11 +213,15 @@ class FederatedSimulator:
         # population.
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         # The executor binds before any client is built: parallel workers
-        # fork the pager and build their own clients.
+        # fork the pager and build the clients each round deals them.
         self.executor = resolve_executor(executor)
         arena = self.global_model.arena()
+        num_clients = len(self.clients)
         self.executor.bind(
-            self.clients, self.strategy, (arena.layout, arena.buffer_layout)
+            self.clients,
+            self.strategy,
+            (arena.layout, arena.buffer_layout),
+            min(clients_per_round or num_clients, num_clients),
         )
         # Executors that hold several clients live at once (a cohort chunk)
         # must never see a member evicted mid-round; one sized at bind
@@ -251,10 +255,10 @@ class FederatedSimulator:
         :class:`~repro.persist.RunCheckpoint`. Returns the checkpoint so
         callers can pick up ``rounds_completed`` and the recorder
         snapshot. The simulator must have been built with the same
-        configuration and seed, zero rounds run, and (for parallel
-        executors) the worker pool not yet forked — the workers then fork
-        the pager with the restored blobs staged, and the continued run is
-        bitwise identical to one that never stopped."""
+        configuration and seed and have run zero rounds; the restored blobs
+        are staged in its population — where parallel jobs pick them up
+        too — and the continued run is bitwise identical to one that never
+        stopped."""
         from ..persist import RunCheckpoint
 
         ckpt = (

@@ -8,9 +8,13 @@ between the parent and its persistent workers every round:
 2. the per-client :class:`~repro.runtime.round.ClientRoundResult` payloads
    (updates, buffers) — large, one batch per worker;
 3. control traffic (job lists, scalar stats, trace events, generation
-   counters) — small.
+   counters) — small;
+4. the kept state of each job's client, one :mod:`~repro.persist.snapshot`
+   blob each way — a few KB per job.
 
-:class:`ShmTransport` carries 1 and 2; 3 rides the worker pipes. Both
+:class:`ShmTransport` carries 1 and 2; 3 rides the worker pipes, and 4 its
+own pipe frame after each control message: the blobs joined into one
+``bytes``, their lengths in the message. Both
 bulk payloads are flat: the parameter and buffer
 :class:`~repro.nn.layout.Layout` tables are fixed at :meth:`ShmTransport.setup`
 (before the fork, so every worker holds them), and a broadcast or a result
@@ -19,9 +23,9 @@ with no per-message header or offset table. The broadcast is the server
 model's two vectors copied **once** into a ``multiprocessing.shared_memory``
 arena behind a magic/version/generation preamble — two slice copies — that
 all workers map read-only and zero-copy; each worker returns its results
-through its own arena of ``P + B``-float slots, one per client it owns, and
-the parent reads every decoded result in place — read-only views of its
-slot, valid until the next round's broadcast.
+through its own arena of ``P + B``-float slots, as many as the jobs a round
+can deal it, and the parent reads every decoded result in place — read-only
+views of its slot, valid until the next round's broadcast.
 
 Every arena reserves its pages at creation (see :class:`_Arena`), so a
 ``/dev/shm`` that cannot hold the pool fails :meth:`ShmTransport.setup`
@@ -35,7 +39,8 @@ Traffic is metered into ``stats`` under Prometheus-style names
 ``repro_ipc_bytes_total{transport=...,direction=...}`` where ``transport``
 is the channel the bytes moved through (``pipe`` for control messages,
 ``shm`` for the arenas) and ``direction`` is ``broadcast``
-(parent→worker) or ``results`` (worker→parent).
+(parent→worker), ``results`` (worker→parent) or ``state`` (the blob
+frames, both ways).
 ``repro_ipc_broadcast_seconds`` accumulates the parent's wall-clock cost
 of staging each round's broadcast. When a recorder is attached (see
 :meth:`ShmTransport.set_recorder`) the same names are mirrored as recorder
@@ -180,15 +185,11 @@ class ShmTransport:
       parent rewrites it once per round and bumps the generation counter;
       workers verify the generation from the round message before mapping
       it zero-copy and read-only.
-    * one *result arena per worker*: a ``P + B``-float slot per owned
-      client (every owned client returns at most one result per round).
+    * one *result arena per worker*: a ``P + B``-float slot per job the
+      worker can be dealt in one round (each job returns one result).
       Result ``k`` of a reply sits in slot ``k``; only the stripped
       scalars go down the pipe, and the parent aggregates straight out of
       the slots.
-
-    Checkpoint captures do not touch the arenas: a worker's ``{cid: blob}``
-    map — each client already one :mod:`~repro.persist.snapshot` byte
-    string — is its pipe reply.
     """
 
     def __init__(self) -> None:
@@ -214,20 +215,18 @@ class ShmTransport:
         timed as a sub-span under the executor's ``broadcast`` phase)."""
         self._profiler = profiler
 
-    def count(self, name: str, inc: float, *, mirror: bool = True) -> None:
-        """Accumulate into ``stats``; ``mirror=True`` also bumps the
-        recorder counter. Only *deterministic* series may mirror — the
-        resume oracle (:mod:`repro.persist`) asserts recorder counters are
-        identical between an uninterrupted run and a crash-resumed one, so
-        traffic that depends on checkpoint cadence (captures) or on wall
-        time must stay local to ``stats``."""
+    def count(self, name: str, inc: float) -> None:
+        """Accumulate into ``stats`` and bump the recorder counter. Every
+        series counted here is *deterministic* — the resume oracle
+        (:mod:`repro.persist`) asserts recorder counters are identical
+        between an uninterrupted run and a crash-resumed one."""
         self.stats[name] = self.stats.get(name, 0) + inc
-        if mirror and self._recorder is not None:
+        if self._recorder is not None:
             self._recorder.counter(name, inc)
 
-    def count_pipe(self, direction: str, nbytes: int, *, mirror: bool = True) -> None:
+    def count_pipe(self, direction: str, nbytes: int) -> None:
         """Pipe traffic is metered by the executor (it owns the pipes)."""
-        self.count(ipc_bytes_counter("pipe", direction), nbytes, mirror=mirror)
+        self.count(ipc_bytes_counter("pipe", direction), nbytes)
 
     def add_broadcast_seconds(self, seconds: float) -> None:
         """Wall-clock broadcast staging cost: cumulative in ``stats``,
@@ -254,7 +253,7 @@ class ShmTransport:
         )
 
     def _slots(self, worker: int) -> np.ndarray:
-        """Worker ``worker``'s result arena as ``(owned, P + B)`` rows."""
+        """Worker ``worker``'s result arena as ``(slots, P + B)`` rows."""
         return np.ndarray(
             (self._capacity[worker], self._slot_floats),
             dtype=np.float32,
@@ -268,13 +267,13 @@ class ShmTransport:
 
     # -- parent half ---------------------------------------------------
     def setup(
-        self, layout: Layout, buffer_layout: Layout, owned_counts: list[int]
+        self, layout: Layout, buffer_layout: Layout, slot_counts: list[int]
     ) -> None:
         """Fix the server model's parameter and buffer layouts and allocate
         (and reserve) the pool's arenas before the workers fork.
 
-        ``owned_counts[w]`` is the number of clients worker ``w`` owns —
-        the upper bound on results it can return per round. Raises
+        ``slot_counts[w]`` is the most results worker ``w`` returns in one
+        round — the most jobs a round can deal it. Raises
         whatever arena creation raises (``OSError(ENOSPC)`` when
         ``/dev/shm`` cannot hold the pool) with every segment created so
         far already unlinked.
@@ -288,7 +287,7 @@ class ShmTransport:
             _SHM_HEADER.pack_into(
                 self._broadcast.buf, 0, _SHM_MAGIC, _SHM_VERSION, 0, 0
             )
-            self._capacity = [max(1, owned) for owned in owned_counts]
+            self._capacity = [max(1, slots) for slots in slot_counts]
             for w, slots in enumerate(self._capacity):
                 self._results.append(_Arena(f"{prefix}-r{w}", max(1, slots * slot_bytes)))
         except BaseException:
@@ -402,7 +401,7 @@ class ShmTransport:
         slots = self._slots(self._worker_index)
         if len(results) > len(slots):
             raise RuntimeError(
-                f"{len(results)} results for {len(slots)} owned-client slots"
+                f"{len(results)} results for {len(slots)} result slots"
             )
         p = self._layout.size
         payload = []

@@ -7,8 +7,8 @@ existed. The other specs wrap every strategy's upload path in a
 per-client :class:`~repro.compression.codecs.UpdateCodec`:
 
 * ``quant8`` / ``quant4`` — QSGD-style stochastic quantization at 8/4
-  bits per scalar (per-client seeded RNG, so runs are deterministic and
-  engine-independent under sticky worker routing);
+  bits per scalar (per-client seeded RNG, kept on the client, so runs are
+  deterministic and engine-independent whichever worker runs a client);
 * ``topk:F`` — top-``F``-fraction sparsification with per-client,
   per-layer error-feedback residuals.
 
@@ -20,8 +20,8 @@ residuals), so the layer keeps it on that client
 (:meth:`SimClient.keep <repro.runtime.client.SimClient.keep>`) and holds
 nothing per client itself: the codec travels in the client's
 ``capture_state()``, which is all that checkpoints, lazy-population
-eviction and parallel worker capture move — error feedback is preserved
-exactly with no protocol of its own.
+eviction and the blobs parallel jobs carry move — error feedback is
+preserved exactly with no protocol of its own.
 
 Byte accounting: strategies report ``events["wire"] = {"raw_bytes",
 "wire_bytes"}`` per client round, which the simulator mirrors as the

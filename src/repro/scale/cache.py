@@ -173,9 +173,12 @@ class ResidentClientCache:
     # Checkpoint integration
     # ------------------------------------------------------------------
     def seed_snapshot(self, cid: int, blob: bytes) -> None:
-        """Install a checkpointed client snapshot — still encoded — without
-        materialising the client; it is decoded and applied when (and if)
-        the client pages in."""
+        """Park ``blob`` as client ``cid``'s kept state — still encoded —
+        without materialising the client, dropping a resident copy; it is
+        decoded and applied when (and if) the client pages in. A resume
+        stages its checkpointed blobs this way, a parallel worker the blobs
+        its jobs carry, and the parallel parent the blobs its workers
+        return."""
         client = self._residents.pop(cid, None)
         if client is not None:
             self.factory.release(client)
@@ -192,15 +195,28 @@ class ResidentClientCache:
         is the pager's own blob, passed through undecoded. Untouched clients
         are deterministic from ``(seed, cid)`` and need no entry.
         """
-        touched = set(self._residents) | set(self._snapshots)
-        if client_ids is not None:
-            touched &= set(client_ids)
+        if client_ids is None:
+            client_ids = sorted(set(self._residents) | set(self._snapshots))
         return {
             cid: encode(self._residents[cid].capture_state())
             if cid in self._residents
             else self._snapshots[cid]
-            for cid in sorted(touched)
+            for cid in client_ids
+            if cid in self._residents or cid in self._snapshots
         }
+
+    def drain(self) -> dict[int, bytes]:
+        """Hand over every client's kept state, ``{cid: blob}``, and hold
+        nothing afterwards: residents are captured and released, parked
+        blobs given up. A parallel worker ends each round this way."""
+        blobs = self.capture_run_state()
+        for client in self._residents.values():
+            self.factory.release(client)
+        self._residents.clear()
+        self._snapshots.clear()
+        self._staged.clear()
+        self.snapshot_bytes = 0
+        return blobs
 
 
 class LazyClientPopulation:
@@ -264,10 +280,12 @@ class LazyClientPopulation:
         Counters and gauges never enter history or trace bytes, so runs at
         every capacity stay byte-identical on everything CI compares.
         Paging counts are engine-dependent (each parallel worker pages its
-        own cache copy; the parent's sits idle) and are not checkpointed, so
-        they reset across resume — they are operational telemetry, not part
-        of the deterministic record. A blob a resume staged is not counted
-        as a rehydration when it pages in: nothing was evicted.
+        own cache copy; the parent's only parks the blobs they return) and
+        are not checkpointed, so they reset across resume — they are
+        operational telemetry, not part of the deterministic record. A
+        staged blob (a resume's, or one a parallel job carried or returned)
+        is not counted as a rehydration when it pages in: nothing was
+        evicted.
         """
         delta_evictions = self.cache.evictions - self._mirrored_evictions
         if delta_evictions:

@@ -1,5 +1,7 @@
-"""Execution-engine tests: serial/parallel bitwise equivalence, sticky
-worker routing, fallback paths, and executor resolution."""
+"""Execution-engine tests: serial/parallel bitwise equivalence, jobs that
+carry their client's state to any worker (round-robin dealing, migration,
+worker deaths that leave the bytes unchanged), fallback paths, and executor
+resolution."""
 
 from __future__ import annotations
 
@@ -306,16 +308,17 @@ class TestParallelLifecycle:
         loaded and its first member's round has begun — is the same
         documented degradation: one warning, one counted fallback, the
         round's unfinished jobs and the rest of the run go to the default
-        engine on the parent replicas, no checkpoint. Worker 1 dies in its
-        first round after worker 0 replied, so worker 0's three results
-        were decoded as read-only views of an arena about to be unlinked:
-        they are copied out first, and the crash round is the reference
-        loop's bytes. (Later rounds are not: the parent replicas of worker
-        0's clients never saw round 0.)"""
+        engine on the parent's population. Worker 1 dies in its first round
+        after worker 0 replied, so worker 0's three results were decoded as
+        read-only views of an arena about to be unlinked: they are copied
+        out first. The parent kept every client's blob, so the whole run —
+        not just the crash round — is the reference loop's bytes, and it
+        stays checkpointable."""
         import os
 
         from repro.algorithms import FedAvg
         from repro.obs import TraceRecorder
+        from repro.persist import RunCheckpoint
         from repro.runtime.transport import ShmTransport
 
         parent = os.getpid()
@@ -352,8 +355,8 @@ class TestParallelLifecycle:
             assert sorted(
                 record.collected_clients + record.straggler_clients
             ) == list(range(NUM_CLIENTS))
-            with pytest.raises(RuntimeError, match="worker-crash fallback"):
-                executor.capture_run_state()
+            ckpt = RunCheckpoint.from_simulator(sim)
+            assert sorted(map(int, ckpt.clients)) == list(range(NUM_CLIENTS))
             sim.run(2)
             assert fallback.occupancy()["steps"] == 3 * ITERS  # one chunk a round
         rec.close()
@@ -362,9 +365,16 @@ class TestParallelLifecycle:
             env_data, "fedavg", executor=SerialExecutor(), strategy=DiesInWorker(OPT)
         )
         ref.run(1)
-        assert history_fingerprint(sim.history)[:1] == history_fingerprint(ref.history)
         for name, value in ref.global_state.items():
             assert crash_state[name].tobytes() == value.tobytes(), name
+        ref.run(2)
+        assert history_fingerprint(sim.history) == history_fingerprint(ref.history)
+        with make_sim(
+            env_data, "fedavg", executor="parallel:2", strategy=DiesInWorker(OPT)
+        ) as resumed:
+            resumed.resume(ckpt)
+            resumed.run(2)
+        assert history_fingerprint(resumed.history) == history_fingerprint(ref.history)
 
     @needs_fork
     def test_client_exception_propagates(self, env_data):
@@ -433,34 +443,49 @@ class TestTransportMatrix:
     def test_shm_demotes_pipes_to_control_messages(self, env_data):
         executor = ParallelExecutor(workers=2)
         with make_sim(env_data, "fedavg", executor=executor) as sim:
-            sim.run(2)
+            sim.run_round()
+            first = sim.population.capture_run_state()
+            sim.run_round()
+            second = sim.population.capture_run_state()
             stats = executor.ipc_stats()
-        pipe_bytes = sum(v for k, v in stats.items() if 'transport="pipe"' in k)
+        state = ipc_bytes_counter("pipe", "state")
+        control = sum(
+            v for k, v in stats.items() if 'transport="pipe"' in k and k != state
+        )
         shm_bytes = sum(v for k, v in stats.items() if 'transport="shm"' in k)
-        # The model and the updates ride the arenas; pipes carry only job
-        # control, so they stay a rounding error next to the payload.
+        # The model and the updates ride the arenas; the control messages
+        # stay a rounding error next to the payload.
         assert stats[ipc_bytes_counter("shm", "broadcast")] > 0
         assert stats[ipc_bytes_counter("shm", "results")] > 0
-        assert 0 < pipe_bytes <= 0.01 * shm_bytes
+        assert 0 < control <= 0.01 * shm_bytes
+        # The state frames carry exactly the blobs: none out and one back per
+        # client in round 0, then round 0's out and round 1's back.
+        shipped = 2 * sum(map(len, first.values())) + sum(map(len, second.values()))
+        assert stats[state] == shipped
 
     @needs_fork
     @needs_shm
-    def test_capture_is_the_pipe_reply(self, env_data):
-        # A worker's checkpoint capture has one route, whatever its size:
-        # the {cid: blob} map is its pipe reply, and no arena carries it.
+    def test_checkpoint_capture_sends_no_message(self, env_data, monkeypatch):
+        # Every client's state is already parked in the parent, one blob
+        # each: a checkpoint reads it there and no worker hears of it.
+        import repro.runtime.parallel as parallel_module
+        from repro.persist import RunCheckpoint
+
         executor = ParallelExecutor(workers=2)
         with make_sim(env_data, "fedavg", executor=executor) as sim:
             sim.run(1)
             before = dict(executor.ipc_stats())
-            captured = executor.capture_run_state()
+            sent = []
+            monkeypatch.setattr(
+                parallel_module, "_send", lambda conn, msg: sent.append(msg)
+            )
+            captured = RunCheckpoint.from_simulator(sim).clients
+            monkeypatch.undo()
             stats = executor.ipc_stats()
-        assert sorted(captured) == list(range(len(sim.clients)))
-        assert all(type(blob) is bytes for blob in captured.values())
-        moved = sum(map(len, captured.values()))
-        assert stats[ipc_bytes_counter("pipe", "capture")] > moved
-        assert {k: v for k, v in stats.items() if "capture" not in k} == {
-            k: v for k, v in before.items() if "capture" not in k
-        }
+        assert sent == [] and stats == before
+        cache = sim.population.cache
+        assert sorted(map(int, captured)) == list(range(len(sim.clients)))
+        assert all(blob is cache._snapshots[int(cid)] for cid, blob in captured.items())
 
 
 def _no_fork(monkeypatch):
@@ -529,8 +554,10 @@ class TestShmLifecycle:
 
     @needs_fork
     @needs_shm
-    def test_worker_death_cleans_segments_and_refuses_checkpoint(self, env_data):
+    def test_worker_death_cleans_segments_and_keeps_checkpoints(self, env_data):
         from pathlib import Path
+
+        from repro.persist import RunCheckpoint
 
         executor = ParallelExecutor(workers=2)
         with make_sim(env_data, "fedavg", executor=executor) as sim:
@@ -543,12 +570,15 @@ class TestShmLifecycle:
             assert executor._fallback is not None
             # Degradation tears the arenas down with the pool.
             assert all(not (Path("/dev/shm") / n).exists() for n in names)
-            # The degraded pool still refuses to checkpoint (PR 3 invariant).
-            with pytest.raises(RuntimeError, match="worker-crash fallback"):
-                executor.capture_run_state()
-            # The run itself continues serially with a coherent history.
+            # The parent kept every client's state: the run checkpoints and
+            # continues with the history an uncrashed pool writes.
+            ckpt = RunCheckpoint.from_simulator(sim)
             sim.run_round()
-            assert sim.history.num_rounds == 3
+        ref = make_sim(env_data, "fedavg", executor=SerialExecutor()).run(3)
+        assert history_fingerprint(sim.history) == history_fingerprint(ref)
+        with make_sim(env_data, "fedavg", executor="parallel:2") as resumed:
+            resumed.resume(ckpt)
+            assert history_fingerprint(resumed.run(1)) == history_fingerprint(ref)
 
     @needs_fork
     @needs_shm
@@ -557,7 +587,7 @@ class TestShmLifecycle:
         self, env_data, tmp_path, monkeypatch, failure
     ):
         """Whatever keeps the pool from starting, the outcome is the same:
-        one RuntimeWarning, the default engine on the parent replicas with
+        one RuntimeWarning, the default engine on the parent's population with
         the reference loop's exact history and trace, a checkpointable
         simulator and a clean /dev/shm."""
         import warnings
@@ -600,6 +630,199 @@ class TestShmLifecycle:
         with make_sim(env_data, "fedca", executor="parallel:2+shards=2") as resumed:
             resumed.resume(ckpt)
             assert history_fingerprint(resumed.run(2)) == ref_hist
+
+
+def _fedca(*, dies_at_round=None, dies_as=3):
+    """The FedCA strategy ``make_sim`` builds; with ``dies_at_round`` its
+    worker process exits as client ``dies_as`` begins that round (the
+    parent, rerunning the job, never dies)."""
+    import os
+
+    strategy = build_strategy("fedca", OPT, fedca_config=FedCAConfig(profile_every=2))
+    if dies_at_round is not None:
+        parent = os.getpid()
+
+        class DiesInWorker(type(strategy)):
+            def begin(self, client, global_state, ctx, params):
+                if (
+                    ctx.round_index == dies_at_round
+                    and client.client_id == dies_as
+                    and os.getpid() != parent
+                ):
+                    os._exit(1)
+                return super().begin(client, global_state, ctx, params)
+
+        strategy.__class__ = DiesInWorker
+    return strategy
+
+
+class TestWorkerDeathIsInvisible:
+    """The parent keeps every client's blob, so a worker killed at any
+    phase costs a warning and a counter, never a byte: the history and the
+    trace file equal an uncrashed run's over the whole run, a checkpoint
+    taken after the kill resumes byte-identically, and ``/dev/shm`` is
+    clean."""
+
+    ROUNDS, KILL = 5, 2
+
+    @staticmethod
+    def traced(env_data, path, body, *, executor="parallel:2", strategy=None,
+               resume=None):
+        """Run ``body(sim, executor)`` on a traced FedCA simulator writing
+        ``path`` — or, with ``resume=(checkpoint, trace file)``, continuing
+        that trace from the checkpoint — and return the history JSON and the
+        trace-file bytes."""
+        import shutil
+
+        from repro.obs import TraceRecorder
+        from repro.runtime.export import history_to_json
+
+        executor = resolve_executor(executor)
+        rec = TraceRecorder(trace_path=str(path), defer_sink=resume is not None)
+        with make_sim(
+            env_data, "fedca", executor=executor, strategy=strategy or _fedca()
+        ) as sim:
+            if resume is not None:
+                ckpt, trace_from = resume
+                shutil.copyfile(trace_from, path)
+                rec.restore_state(ckpt.recorder)
+                rec.attach_sink(offset=ckpt.recorder["sink_offset"])
+                sim.resume(ckpt)
+            sim.set_recorder(rec)
+            body(sim, executor)
+        rec.close()
+        return history_to_json(sim.history), path.read_bytes()
+
+    @needs_fork
+    @needs_shm
+    @pytest.mark.parametrize("phase", ["between-rounds", "mid-chunk", "after-resume"])
+    def test_kill_leaves_history_trace_and_checkpoints_unchanged(
+        self, env_data, tmp_path, phase
+    ):
+        from repro.persist import RunCheckpoint
+
+        rounds, kill = self.ROUNDS, self.KILL
+        ref = self.traced(
+            env_data, tmp_path / "ref.jsonl", lambda sim, _: sim.run(rounds),
+            executor=SerialExecutor(),
+        )
+        before = _shm_segments()
+        taken = {}
+
+        def run_to_kill(sim, _):
+            sim.run(kill)
+            taken["start"] = RunCheckpoint.from_simulator(sim)
+
+        def kill_and_finish(sim, executor):
+            if sim.history.num_rounds < kill:
+                sim.run(kill)
+            if phase == "between-rounds":
+                executor._procs[0].terminate()
+                executor._procs[0].join()
+            with pytest.warns(RuntimeWarning, match="worker died"):
+                sim.run_round()
+            assert executor._fallback is not None
+            taken["after"] = RunCheckpoint.from_simulator(sim)
+            sim.run(rounds - kill - 1)
+
+        killed_path = tmp_path / "killed.jsonl"
+        dying = None if phase == "between-rounds" else _fedca(dies_at_round=kill)
+        resume = None
+        if phase == "after-resume":
+            # The resumed run's first round loses a worker.
+            start = tmp_path / "start.jsonl"
+            self.traced(env_data, start, run_to_kill)
+            resume = taken["start"], start
+        killed = self.traced(
+            env_data, killed_path, kill_and_finish, strategy=dying, resume=resume
+        )
+        assert killed == ref
+        resumed = self.traced(
+            env_data, tmp_path / "resumed.jsonl",
+            lambda sim, _: sim.run(rounds - kill - 1),
+            resume=(taken["after"], killed_path),
+        )
+        assert resumed == ref
+        assert _shm_segments() == before
+
+
+class TestJobsMigrate:
+    """A job carries its client's blob, so any worker may run any client:
+    rounds are dealt round-robin and clients move between workers."""
+
+    @needs_fork
+    @needs_shm
+    def test_partial_selection_migrates_clients_and_keeps_bytes(
+        self, monkeypatch
+    ):
+        import repro.runtime.parallel as parallel_module
+        from repro.obs import TraceRecorder, events_to_jsonl
+        from repro.runtime.wire import parse_wire_spec
+
+        train, test = make_workload_data("cnn", num_samples=720, seed=3)
+        parts = dirichlet_partition(train, 12, alpha=0.5, seed=4, min_samples=8)
+        env = [train.subset(p) for p in parts], test
+
+        dealt = []
+        real_send = parallel_module._send
+
+        def spy(conn, msg):
+            if msg[0] == "round":
+                dealt.append((executor._conns.index(conn), [cid for cid, _ in msg[2]]))
+            return real_send(conn, msg)
+
+        def run(engine):
+            strategy = _fedca()
+            strategy.set_wire(parse_wire_spec("topk:0.1"))
+            rec = TraceRecorder()
+            with make_sim(
+                env, "fedca", executor=engine, strategy=strategy, recorder=rec,
+                clients_per_round=4,
+                base_iteration_times=[0.01 + 0.002 * i for i in range(12)],
+            ) as sim:
+                hist = sim.run(6)
+            rec.close()
+            return history_fingerprint(hist), events_to_jsonl(rec.events())
+
+        reference = run("serial")
+        executor = ParallelExecutor(workers=2)
+        monkeypatch.setattr(parallel_module, "_send", spy)
+        assert run(executor) == reference
+        rounds = [dealt[i : i + 2] for i in range(0, len(dealt), 2)]
+        assert len(rounds) == 6
+        for per_worker in rounds:
+            assert [w for w, _ in per_worker] == [0, 1]
+            counts = [len(cids) for _, cids in per_worker]
+            assert max(counts) - min(counts) <= 1
+        ran_on = {}
+        for w, cids in dealt:
+            for cid in cids:
+                ran_on.setdefault(cid, set()).add(w)
+        assert any(workers == {0, 1} for workers in ran_on.values())
+
+
+class TestResultArenaSizing:
+    @needs_fork
+    @needs_shm
+    def test_result_arena_holds_one_round_not_the_population(self, env_data):
+        """20 000 clients at 100 a round on two workers: round-robin deals a
+        worker at most 50 jobs, so each result arena has 50 slots."""
+        from repro.scale import SubsampledShards
+
+        train, test = make_workload_data("cnn", num_samples=400, seed=3)
+        executor = ParallelExecutor(workers=2)
+        with make_sim(
+            env_data, "fedavg", executor=executor,
+            shards=SubsampledShards(train, 20_000, 8, seed=2),
+            base_iteration_times=lambda cid: 0.01,
+            clients_per_round=100,
+        ) as sim:
+            arena = sim.global_model.arena()
+            executor.run_round(arena.values, arena.buffers, [])
+            transport = executor._transport_impl
+            slot_bytes = 4 * (arena.layout.size + arena.buffer_layout.size)
+            assert transport._capacity == [50, 50]
+            assert [a.size for a in transport._results] == [50 * slot_bytes] * 2
 
 
 #: spec -> (engine type name, attributes the spec must have set). ``@shm``

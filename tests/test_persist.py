@@ -560,26 +560,35 @@ class TestDiscoveryAndGuards:
         assert sim.population.cache.parked_clients == 0
 
     @needs_fork
-    def test_degraded_pool_refuses_checkpoint(self, tmp_path):
+    def test_worker_death_keeps_checkpoints_resumable(self, tmp_path):
         from repro.algorithms import build_strategy
         from repro.experiments.configs import make_environment
         from repro.runtime import ParallelExecutor
 
+        def build(executor):
+            return make_environment(
+                CFG, build_strategy("fedavg", CFG.optimizer_spec()), seed=3,
+                executor=executor,
+            )
+
         executor = ParallelExecutor(workers=2)
-        sim = make_environment(
-            CFG, build_strategy("fedavg", CFG.optimizer_spec()), seed=3,
-            executor=executor,
-        )
-        sim.run_round()
-        executor._procs[0].terminate()
-        executor._procs[0].join()
-        with pytest.warns(RuntimeWarning, match="worker died"):
+        with build(executor) as sim:
             sim.run_round()
-        # The dead pool took client-state evolution with it; a checkpoint
-        # here would silently violate resume determinism.
-        with pytest.raises(RuntimeError, match="worker-crash fallback"):
-            RunCheckpoint.from_simulator(sim).save(str(tmp_path / "bad.ckpt"))
-        sim.close()
+            executor._procs[0].terminate()
+            executor._procs[0].join()
+            with pytest.warns(RuntimeWarning, match="worker died"):
+                sim.run_round()
+            # The parent holds every client's state, so the dead pool took
+            # nothing with it: the checkpoint resumes into an uncrashed run.
+            path = str(tmp_path / "after-kill.ckpt")
+            RunCheckpoint.from_simulator(sim).save(path)
+            sim.run_round()
+        with build("parallel:2") as resumed:
+            resumed.resume(path)
+            resumed.run_round()
+        ref = _run("fedavg", rounds=3, executor="serial")
+        assert history_to_json(sim.history) == history_to_json(ref.history)
+        assert history_to_json(resumed.history) == history_to_json(ref.history)
 
 
 class TestResultCache:
