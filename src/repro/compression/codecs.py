@@ -39,14 +39,6 @@ class UpdateCodec(ABC):
         """Wire bytes :meth:`encode` would charge for ``update``, computed
         from shapes alone — no encoding, no codec-state mutation."""
 
-    # -- checkpoint/resume hooks (see repro.persist) -------------------
-    def snapshot_state(self) -> dict:
-        """Cross-round codec state (residuals, RNG position); default none."""
-        return {}
-
-    def restore_state(self, snapshot: dict) -> None:
-        """Inverse of :meth:`snapshot_state` (default: no-op)."""
-
 
 class IdentityCodec(UpdateCodec):
     """Uncompressed float32 transmission (4 bytes/scalar)."""

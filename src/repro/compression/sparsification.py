@@ -26,10 +26,6 @@ class SparseTensor:
     values: np.ndarray  # float32
     shape: tuple[int, ...]
 
-    @property
-    def nbytes(self) -> int:
-        return sparse_nbytes(int(self.indices.size))
-
 
 def sparse_nbytes(k: int) -> int:
     """Wire size: 4-byte index + 4-byte value per kept scalar."""

@@ -9,7 +9,7 @@ from .eager import EagerSchedule
 from .earlystop import EarlyStopDecision, EarlyStopPolicy
 from .profiler import AnchorRecorder, ProfiledCurves, is_anchor_round
 from .progress import cosine_similarity, progress_curve, statistical_progress
-from .retransmit import deviated_layers, needs_retransmission
+from .retransmit import deviated_layers
 from .sampling import LayerSampler, sample_size
 from .utility import marginal_benefit, marginal_cost, net_benefit
 
@@ -29,6 +29,5 @@ __all__ = [
     "EarlyStopPolicy",
     "EarlyStopDecision",
     "EagerSchedule",
-    "needs_retransmission",
     "deviated_layers",
 ]

@@ -6,17 +6,7 @@ import numpy as np
 
 from .progress import cosine_similarity
 
-__all__ = ["needs_retransmission", "deviated_layers"]
-
-
-def needs_retransmission(
-    final_update: np.ndarray, transmitted_update: np.ndarray, threshold: float
-) -> bool:
-    """True if the layer's ultimate update deviates from the eagerly
-    transmitted one: ``cos(G_{R,l}, Ĝ_{R,l}) < T_r`` (Eq. 6)."""
-    if not -1 <= threshold <= 1:
-        raise ValueError("threshold must be a valid cosine bound")
-    return cosine_similarity(final_update, transmitted_update) < threshold
+__all__ = ["deviated_layers"]
 
 
 def deviated_layers(
@@ -26,7 +16,9 @@ def deviated_layers(
     *,
     sink=None,
 ) -> list[str]:
-    """All eagerly transmitted layers requiring retransmission.
+    """All eagerly transmitted layers requiring retransmission: those whose
+    ultimate update deviates from the eagerly transmitted one,
+    ``cos(G_{R,l}, Ĝ_{R,l}) < T_r`` (Eq. 6).
 
     ``transmitted_updates`` holds the values as of each layer's eager
     transmission; keys absent from it were never eagerly sent and are not

@@ -16,7 +16,6 @@ from .synthetic import Dataset
 __all__ = [
     "dirichlet_partition",
     "dirichlet_clients_indices",
-    "dirichlet_shard_sizes",
     "iid_partition",
 ]
 
@@ -139,30 +138,6 @@ def dirichlet_clients_indices(
         cid: np.sort(np.concatenate(kept)) if kept else np.array([], dtype=np.int64)
         for cid, kept in chunks.items()
     }
-
-
-def dirichlet_shard_sizes(
-    dataset: Dataset,
-    num_clients: int,
-    *,
-    alpha: float = 0.1,
-    min_samples: int = 2,
-    seed: int = 0,
-    max_retries: int = 100,
-) -> np.ndarray:
-    """All clients' shard sizes for the accepted Dirichlet draw, in one
-    O(num_samples) pass (no shard materialisation). Matches
-    ``[len(s) for s in dirichlet_partition(...)]`` exactly."""
-    sizes, _ = _dirichlet_replay(
-        dataset,
-        num_clients,
-        (),
-        alpha=alpha,
-        min_samples=min_samples,
-        seed=seed,
-        max_retries=max_retries,
-    )
-    return sizes
 
 
 def iid_partition(

@@ -270,10 +270,6 @@ def known_counters_for(ctx: FileContext) -> frozenset[str]:
     return _registry_for(ctx, "obs/metrics.py", "KNOWN_COUNTERS")
 
 
-def known_gauges_for(ctx: FileContext) -> frozenset[str]:
-    return _registry_for(ctx, "obs/metrics.py", "KNOWN_GAUGES")
-
-
 # ----------------------------------------------------------------------
 # Checker base + registry
 # ----------------------------------------------------------------------

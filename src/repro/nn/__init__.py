@@ -11,7 +11,7 @@ from .cohort import (
     stack_module,
 )
 from .conv import Conv2d
-from .layers import Dropout, Flatten, Identity, Linear, ReLU, Sequential, Tanh
+from .layers import Dropout, Flatten, Identity, Linear, ReLU, Sequential
 from .loss import accuracy, softmax_cross_entropy
 from .models import LeNetCNN, LSTMClassifier, ResidualBlock, WideResNet, build_model
 from .module import Module
@@ -22,7 +22,7 @@ from .pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from .rnn import LSTM
 
 __all__ = [
-    "Parameter", "Module", "Sequential", "Linear", "ReLU", "Tanh", "Flatten",
+    "Parameter", "Module", "Sequential", "Linear", "ReLU", "Flatten",
     "Dropout", "Identity", "Conv2d", "MaxPool2d", "AvgPool2d",
     "GlobalAvgPool2d", "BatchNorm2d",
     "GroupNorm2d", "LSTM", "SGD", "ProxSGD",

@@ -293,6 +293,3 @@ class CohortSGD:
             data -= self.lr * grad  # == lr * grad * 1.0, one pass fewer
         else:
             data -= self.lr * grad * active.astype(np.float32)[:, None]
-
-    def zero_grad(self) -> None:
-        self.model.zero_grad()

@@ -15,7 +15,6 @@ __all__ = [
     "relu",
     "relu_grad",
     "sigmoid",
-    "tanh",
     "log_softmax_and_softmax",
     "conv_output_size",
     "im2col",
@@ -52,11 +51,6 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     num = np.maximum(e, np.sign(x))
     e += 1.0
     return np.divide(num, e, out=out)
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    """Elementwise hyperbolic tangent."""
-    return np.tanh(x)
 
 
 def log_softmax_and_softmax(

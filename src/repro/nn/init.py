@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "xavier_uniform", "uniform_", "zeros", "lstm_uniform"]
+__all__ = ["kaiming_uniform", "zeros", "lstm_uniform"]
 
 
 def kaiming_uniform(
@@ -19,19 +19,6 @@ def kaiming_uniform(
 ) -> np.ndarray:
     """He/Kaiming uniform init, the torch default for conv/linear weights."""
     bound = math.sqrt(6.0 / fan_in) if fan_in > 0 else 0.0
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def xavier_uniform(
-    shape: tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Glorot/Xavier uniform init (used for tanh-style layers)."""
-    bound = math.sqrt(6.0 / (fan_in + fan_out)) if (fan_in + fan_out) > 0 else 0.0
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def uniform_(shape: tuple[int, ...], bound: float, rng: np.random.Generator) -> np.ndarray:
-    """U(−bound, bound) float32 init."""
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 

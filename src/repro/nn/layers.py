@@ -9,7 +9,7 @@ from . import init
 from .module import Module
 from .parameter import Parameter
 
-__all__ = ["Linear", "ReLU", "Tanh", "Flatten", "Dropout", "Sequential", "Identity"]
+__all__ = ["Linear", "ReLU", "Flatten", "Dropout", "Sequential", "Identity"]
 
 
 class Linear(Module):
@@ -77,23 +77,6 @@ class ReLU(Module):
             raise RuntimeError("ReLU.backward called before forward")
         mask, self._mask = self._mask, None
         return grad_out * mask
-
-
-class Tanh(Module):
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.tanh(x)
-        self._out = out if self.training else None
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("Tanh.backward called before forward")
-        out, self._out = self._out, None
-        return grad_out * (1.0 - out**2)
 
 
 class Flatten(Module):

@@ -35,27 +35,3 @@ class Parameter:
         self.data = np.ascontiguousarray(data, dtype=np.float32)
         self.grad = np.zeros_like(self.data)
         self.name = name
-
-    # ------------------------------------------------------------------
-    # Introspection helpers
-    # ------------------------------------------------------------------
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        """Number of scalar elements."""
-        return int(self.data.size)
-
-    @property
-    def nbytes(self) -> int:
-        """Transmission size in bytes (float32 ⇒ 4 bytes per scalar)."""
-        return int(self.data.nbytes)
-
-    def zero_grad(self) -> None:
-        """Reset the accumulated gradient in place (no reallocation)."""
-        self.grad[...] = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Parameter(name={self.name!r}, shape={self.data.shape})"

@@ -42,14 +42,6 @@ __all__ = ["ResultCache", "CACHE_SCHEMA_VERSION"]
 CACHE_SCHEMA_VERSION = 1
 
 
-def _jsonify(value: Any) -> Any:
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    if hasattr(value, "tolist"):  # numpy array
-        return value.tolist()
-    raise TypeError(f"cannot hash {type(value).__name__} into a cache key")
-
-
 class ResultCache:
     """Directory of content-addressed experiment results.
 
@@ -106,7 +98,7 @@ class ResultCache:
             document["wire"] = wire.strip().lower()
         if engine is not None:
             document["engine"] = engine
-        blob = json.dumps(document, sort_keys=True, default=_jsonify)
+        blob = json.dumps(document, sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def path_for(self, key: str) -> str:

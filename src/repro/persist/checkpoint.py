@@ -152,18 +152,14 @@ class RunCheckpoint:
     def restore_into(self, sim: "FederatedSimulator") -> None:
         """Load this snapshot into a freshly constructed simulator.
 
-        The simulator must have run zero rounds and its executor must not
-        have started worker processes yet (the parallel pool forks on the
-        first round, so a started pool means a used simulator)."""
+        The simulator must have run zero rounds. Its parallel pool may
+        already have forked: workers keep no client state between jobs
+        (each job carries its client's blob), and a restore writes only
+        parent-side state."""
         if sim.history.num_rounds != 0:
             raise PersistError(
                 "checkpoints restore only into a fresh simulator; this one "
                 f"already ran {sim.history.num_rounds} round(s)"
-            )
-        if getattr(sim.executor, "_started", False):
-            raise PersistError(
-                "cannot restore after the parallel worker pool has forked; "
-                "construct a new simulator and restore before the first round"
             )
         expected = self._fingerprint(sim)
         if expected != self.fingerprint:

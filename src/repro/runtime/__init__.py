@@ -12,7 +12,6 @@ from .cohort import CohortEngine, CohortExecutor
 from .executor import Executor, SerialExecutor, resolve_executor
 from .export import (
     history_from_dict,
-    history_to_csv,
     history_to_dict,
     history_to_json,
 )
@@ -49,6 +48,5 @@ __all__ = [
     "select_clients",
     "history_to_dict",
     "history_to_json",
-    "history_to_csv",
     "history_from_dict",
 ]

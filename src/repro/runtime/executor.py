@@ -144,13 +144,6 @@ class Executor(ABC):
         """
         return 1
 
-    # Context-manager sugar so ad-hoc scripts don't leak worker processes.
-    def __enter__(self) -> "Executor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 class SerialExecutor(Executor):
     """The reference engine: ``Strategy.client_round`` for one client after

@@ -1,4 +1,4 @@
-"""Run-history serialization: JSON and CSV exports for downstream analysis.
+"""Run-history serialization: JSON export for downstream analysis.
 
 The experiment harness prints paper-style rows; this module is for users
 who want the raw per-round records (to plot Fig. 7-style curves with their
@@ -7,8 +7,6 @@ own tooling, or to archive runs).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from typing import Any
 
@@ -16,20 +14,7 @@ import numpy as np
 
 from .history import RoundRecord, RunHistory
 
-__all__ = ["history_to_dict", "history_to_json", "history_to_csv", "history_from_dict"]
-
-_CSV_FIELDS = [
-    "round_index",
-    "start_time",
-    "end_time",
-    "duration",
-    "accuracy",
-    "mean_loss",
-    "mean_iterations",
-    "total_bytes",
-    "num_collected",
-    "num_stragglers",
-]
+__all__ = ["history_to_dict", "history_to_json", "history_from_dict"]
 
 
 def history_to_dict(history: RunHistory) -> dict[str, Any]:
@@ -84,40 +69,6 @@ def _scalar(v: Any) -> Any:
 
 def history_to_json(history: RunHistory, *, indent: int | None = None) -> str:
     return json.dumps(history_to_dict(history), indent=indent)
-
-
-def history_to_csv(history: RunHistory, *, include_events: bool = False) -> str:
-    """One row per round; summary columns by default.
-
-    With ``include_events=True`` a final ``client_events`` column carries
-    each round's per-client event dict as compact JSON. Event values
-    routinely contain commas (layer lists, nested dicts); the ``csv``
-    writer quotes the cell, so the column round-trips through any
-    RFC-4180 reader — see ``tests/test_export.py``.
-    """
-    fields = _CSV_FIELDS + ["client_events"] if include_events else _CSV_FIELDS
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields)
-    writer.writeheader()
-    for r in history.records:
-        row = {
-            "round_index": r.round_index,
-            "start_time": r.start_time,
-            "end_time": r.end_time,
-            "duration": r.duration,
-            "accuracy": r.accuracy,
-            "mean_loss": r.mean_loss,
-            "mean_iterations": r.mean_iterations,
-            "total_bytes": r.total_bytes,
-            "num_collected": len(r.collected_clients),
-            "num_stragglers": len(r.straggler_clients),
-        }
-        if include_events:
-            row["client_events"] = json.dumps(
-                _jsonable(r.client_events), separators=(",", ":")
-            )
-        writer.writerow(row)
-    return buf.getvalue()
 
 
 def history_from_dict(data: dict[str, Any]) -> RunHistory:

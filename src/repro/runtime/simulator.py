@@ -16,10 +16,10 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from ..data import Dataset
-from ..nn import Module, accuracy
+from ..nn import Module
 from ..obs import NULL_RECORDER, Recorder
 from ..obs.profile import NULL_PROFILER, PhaseProfiler
-from ..sysmodel import DropoutModel, LinkModel, SpeedTrace, select_deadline
+from ..sysmodel import DropoutModel, LinkModel, select_deadline
 from .aggregation import (
     aggregate_buffers,
     aggregate_updates,

@@ -16,7 +16,6 @@ from __future__ import annotations
 from .cache import DEFAULT_CACHE_CLIENTS, LazyClientPopulation, ResidentClientCache
 from .population import (
     ClientFactory,
-    LazyDirichletShards,
     MaterializedShards,
     PopulationSpec,
     SeedDerivationError,
@@ -29,7 +28,6 @@ __all__ = [
     "DEFAULT_CACHE_CLIENTS",
     "ClientFactory",
     "LazyClientPopulation",
-    "LazyDirichletShards",
     "MaterializedShards",
     "PopulationSpec",
     "ResidentClientCache",

@@ -11,8 +11,6 @@ Shard access goes through a :class:`ShardProvider`:
 
 * :class:`MaterializedShards` wraps an already-built shard list (what the
   presets and tests hand the simulator);
-* :class:`LazyDirichletShards` replays the paper's Dirichlet partition
-  for a batch of clients at a time (:func:`~repro.data.partition.dirichlet_clients_indices`);
 * :class:`SubsampledShards` is the cross-device partition for populations
   far larger than the dataset — each client holds a per-cid seeded sample
   of a fixed base pool, so a million clients store O(1) each.
@@ -55,7 +53,6 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from ..data import Dataset
-from ..data.partition import dirichlet_clients_indices, dirichlet_shard_sizes
 from ..nn import Module
 from ..runtime.client import SimClient
 from ..sysmodel import LinkModel, SpeedTrace
@@ -64,7 +61,6 @@ from ..sysmodel.speed import GAMMA_FAST, GAMMA_SLOW, SLOWDOWN_RANGE
 __all__ = [
     "ShardProvider",
     "MaterializedShards",
-    "LazyDirichletShards",
     "SubsampledShards",
     "PopulationSpec",
     "ClientFactory",
@@ -212,71 +208,6 @@ class MaterializedShards:
 
     def shard_size(self, cid: int) -> int:
         return len(self._shards[cid])
-
-
-class LazyDirichletShards:
-    """The paper's Dirichlet label-skew partition, one batch at a time.
-
-    ``page(cids)`` replays the partition RNG stream once and keeps only the
-    batch's indices (bit-identical to ``dirichlet_partition(...)[cid]``) until
-    ``shard(cid)`` takes them; a cid not paged is a batch of one. Nothing
-    O(num_clients) is stored. ``shard_size`` runs one extra replay pass
-    over the whole population on first use and caches every size.
-    """
-
-    def __init__(
-        self,
-        dataset: Dataset,
-        num_clients: int,
-        *,
-        alpha: float = 0.1,
-        min_samples: int = 2,
-        seed: int = 0,
-        max_retries: int = 100,
-    ) -> None:
-        if num_clients < 1:
-            raise ValueError("num_clients must be >= 1")
-        self.dataset = dataset
-        self.num_clients = num_clients
-        self.alpha = alpha
-        self.min_samples = min_samples
-        self.seed = seed
-        self.max_retries = max_retries
-        self._sizes: np.ndarray | None = None
-        self._paged: dict[int, np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return self.num_clients
-
-    def page(self, cids: Sequence[int]) -> None:
-        self._paged.update(
-            dirichlet_clients_indices(
-                self.dataset,
-                self.num_clients,
-                cids,
-                alpha=self.alpha,
-                min_samples=self.min_samples,
-                seed=self.seed,
-                max_retries=self.max_retries,
-            )
-        )
-
-    def shard(self, cid: int) -> Dataset:
-        if cid not in self._paged:
-            self.page([cid])
-        return self.dataset.subset(self._paged.pop(cid))
-
-    def shard_size(self, cid: int) -> int:
-        if self._sizes is None:
-            self._sizes = dirichlet_shard_sizes(
-                self.dataset,
-                self.num_clients,
-                alpha=self.alpha,
-                min_samples=self.min_samples,
-                seed=self.seed,
-                max_retries=self.max_retries,
-            )
-        return int(self._sizes[cid])
 
 
 class SubsampledShards:
@@ -442,9 +373,6 @@ class ClientFactory:
 
     @property
     def num_clients(self) -> int:
-        return self.spec.num_clients
-
-    def __len__(self) -> int:
         return self.spec.num_clients
 
     # ------------------------------------------------------------------

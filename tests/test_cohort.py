@@ -56,7 +56,6 @@ from repro.nn import (
     ProxSGD,
     ReLU,
     Sequential,
-    Tanh,
     WideResNet,
     cohort_softmax_cross_entropy,
     softmax_cross_entropy,
@@ -275,7 +274,7 @@ class TestCohortLayers:
         assert seen[2][0] is not seen[1][0] and seen[2][1] is not seen[1][1]
         assert serial._padded is None and serial._cols_buf is None
 
-    @pytest.mark.parametrize("layer_type", [ReLU, Tanh, Identity, Flatten])
+    @pytest.mark.parametrize("layer_type", [ReLU, Identity, Flatten])
     @settings(max_examples=15, deadline=None)
     @given(
         shape=st.lists(st.integers(1, 5), min_size=2, max_size=4),

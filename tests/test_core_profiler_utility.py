@@ -16,7 +16,6 @@ from repro.core import (
     is_anchor_round,
     marginal_benefit,
     marginal_cost,
-    needs_retransmission,
     net_benefit,
 )
 
@@ -298,18 +297,18 @@ class TestEagerSchedule:
 
 class TestRetransmission:
     def test_aligned_updates_pass(self):
-        final = np.array([1.0, 2.0, 3.0])
-        sent = np.array([0.9, 1.9, 3.1])
-        assert not needs_retransmission(final, sent, 0.6)
+        final = {"l": np.array([1.0, 2.0, 3.0])}
+        sent = {"l": np.array([0.9, 1.9, 3.1])}
+        assert deviated_layers(final, sent, 0.6) == []
 
     def test_deviated_updates_flagged(self):
-        final = np.array([1.0, 0.0])
-        sent = np.array([0.0, 1.0])
-        assert needs_retransmission(final, sent, 0.6)
+        final = {"l": np.array([1.0, 0.0])}
+        sent = {"l": np.array([0.0, 1.0])}
+        assert deviated_layers(final, sent, 0.6) == ["l"]
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            needs_retransmission(np.ones(2), np.ones(2), 2.0)
+            deviated_layers({"l": np.ones(2)}, {"l": np.ones(2)}, 2.0)
 
     def test_deviated_layers_filters(self):
         final = {"a": np.array([1.0, 0.0]), "b": np.array([1.0, 1.0])}

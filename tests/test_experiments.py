@@ -126,7 +126,7 @@ class TestConfigs:
             sim.evaluate()
             for name, layer in sim.global_model.named_modules():
                 held = held_array_bytes(layer)
-                param_bytes = sum(p.nbytes for p in layer._parameters.values())
+                param_bytes = sum(p.data.nbytes for p in layer._parameters.values())
                 assert held <= param_bytes, (preset, name, type(layer).__name__, held)
             assert sim.global_model.training  # evaluate() restores train mode
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 
 import numpy as np
@@ -12,7 +10,6 @@ from repro.runtime import (
     RoundRecord,
     RunHistory,
     history_from_dict,
-    history_to_csv,
     history_to_dict,
     history_to_json,
 )
@@ -76,14 +73,6 @@ class TestExport:
         assert data["num_rounds"] == 2
         assert data["records"][0]["client_events"]["0"]["eager"]["conv1.weight"] == 3
 
-    def test_csv_rows(self):
-        text = history_to_csv(sample_history())
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == 2
-        assert rows[0]["round_index"] == "0"
-        assert float(rows[0]["duration"]) == 2.5
-        assert rows[1]["num_collected"] == "2"
-
     def test_numpy_arrays_and_nesting_roundtrip(self):
         h = sample_history()
         h.records[0].client_events[0]["grad_norms"] = np.array([1.5, 2.5])
@@ -97,23 +86,9 @@ class TestExport:
         assert ev["zero_d"] == 3.0
         assert ev["nested"] == {"4": [0.5, [True]]}
 
-    def test_csv_client_events_column_escapes_commas(self):
-        h = sample_history()
-        text = history_to_csv(h, include_events=True)
-        # The JSON cell is full of commas; the reader must still see exactly
-        # the declared columns, with the events column round-tripping.
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == 2
-        events = json.loads(rows[0]["client_events"])
-        assert events["0"]["iterations_run"] == 8
-        assert events["0"]["eager"] == {"conv1.weight": 3}
-        assert json.loads(rows[1]["client_events"]) == {}
-        assert "client_events" not in history_to_csv(h).splitlines()[0]
-
     def test_empty_history(self):
         h = RunHistory()
         assert history_to_dict(h)["records"] == []
-        assert history_to_csv(h).strip().splitlines()[0].startswith("round_index")
 
     def test_real_run_exports(self):
         from repro.algorithms import OptimizerSpec, build_strategy

@@ -154,10 +154,10 @@ class TestLSTM:
     def test_parameter_shapes(self):
         m = LSTM(5, 7, num_layers=2, rng=RNG)
         params = dict(m.named_parameters())
-        assert params["weight_ih_l0"].shape == (28, 5)
-        assert params["weight_ih_l1"].shape == (28, 7)
-        assert params["weight_hh_l0"].shape == (28, 7)
-        assert params["bias_ih_l0"].shape == (28,)
+        assert params["weight_ih_l0"].data.shape == (28, 5)
+        assert params["weight_ih_l1"].data.shape == (28, 7)
+        assert params["weight_hh_l0"].data.shape == (28, 7)
+        assert params["bias_ih_l0"].data.shape == (28,)
 
     def test_invalid_input_size(self):
         m = LSTM(5, 7, rng=RNG)

@@ -456,20 +456,44 @@ class TestDiscoveryAndGuards:
         sim.close()
 
     @needs_fork
-    def test_restore_after_pool_fork_rejected(self, saved_checkpoint):
-        from repro.algorithms import build_strategy
-        from repro.experiments.configs import make_environment
+    def test_restore_after_pool_fork_matches_uninterrupted_run(self, tmp_path, monkeypatch):
+        """Workers keep no client state across jobs: each job carries its
+        client's blob, and a restore writes only parent-side state. So a
+        pool forked *before* the restore resumes to the same history and
+        trace bytes as a run that never stopped."""
+        ref_trace = tmp_path / "ref.jsonl"
+        rec_ref = TraceRecorder(trace_path=str(ref_trace))
+        ref = _run("fedca", rounds=TOTAL, executor="parallel:2", recorder=rec_ref)
+        rec_ref.close()
 
-        path, _ = saved_checkpoint
-        sim = make_environment(
-            CFG, build_strategy("fedavg", CFG.optimizer_spec()), seed=3,
-            executor="parallel:2",
+        ckdir = tmp_path / "ck"
+        res_trace = tmp_path / "res.jsonl"
+        rec_half = TraceRecorder(trace_path=str(res_trace))
+        _run(
+            "fedca", rounds=HALF, executor="parallel:2", recorder=rec_half,
+            checkpoint_dir=str(ckdir), checkpoint_every=1,
         )
-        # fork before any round
-        sim.executor._start()
-        with pytest.raises(PersistError, match="fork"):
-            sim.resume(path)
-        sim.close()
+        rec_half.close()
+
+        restore_into = RunCheckpoint.restore_into
+        forked = []
+
+        def fork_then_restore(self, sim):
+            sim.executor._start()
+            forked.append(sim.executor._started)
+            restore_into(self, sim)
+
+        monkeypatch.setattr(RunCheckpoint, "restore_into", fork_then_restore)
+        rec_res = TraceRecorder(trace_path=str(res_trace), defer_sink=True)
+        resumed = _run(
+            "fedca", rounds=TOTAL, executor="parallel:2", recorder=rec_res,
+            checkpoint_dir=str(ckdir), resume=True,
+        )
+        rec_res.close()
+
+        assert forked == [True]
+        assert history_to_json(resumed.history) == history_to_json(ref.history)
+        assert res_trace.read_bytes() == ref_trace.read_bytes()
 
     def test_config_mismatch_rejected(self, saved_checkpoint):
         from repro.algorithms import build_strategy

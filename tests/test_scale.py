@@ -22,7 +22,6 @@ from repro.core import FedCAConfig
 from repro.data import (
     dirichlet_clients_indices,
     dirichlet_partition,
-    dirichlet_shard_sizes,
     make_image_dataset,
     make_workload_data,
     train_test_split,
@@ -44,7 +43,6 @@ from repro.scale import (
     DEFAULT_CACHE_CLIENTS,
     ClientFactory,
     LazyClientPopulation,
-    LazyDirichletShards,
     MaterializedShards,
     PopulationSpec,
     SeedDerivationError,
@@ -171,14 +169,6 @@ class TestDirichletReplay:
                                              seed=4, min_samples=8)[cid]
             np.testing.assert_array_equal(lazy, full[cid])
 
-    def test_shard_sizes_match_full_partition(self, env_data):
-        train, _, _ = env_data
-        full = reference_dirichlet_partition(train, NUM_CLIENTS, alpha=0.5, seed=4,
-                                             min_samples=8)
-        sizes = dirichlet_shard_sizes(train, NUM_CLIENTS, alpha=0.5, seed=4,
-                                      min_samples=8)
-        assert [int(s) for s in sizes] == [len(p) for p in full]
-
     def test_replay_covers_retry_loop(self, env_data):
         # alpha small enough that the first draw usually violates
         # min_samples — the replay must consume rejected draws identically.
@@ -208,23 +198,6 @@ class TestDirichletReplay:
         assert sorted(batch) == [0, 3, 4]
         for cid, idx in batch.items():
             np.testing.assert_array_equal(idx, full[cid])
-        provider = LazyDirichletShards(train, NUM_CLIENTS, **kwargs)
-        provider.page(range(NUM_CLIENTS))
-        for cid in range(NUM_CLIENTS):
-            np.testing.assert_array_equal(provider.shard(cid).y, train.y[full[cid]])
-        assert provider._paged == {}  # a paged shard is handed out once
-        np.testing.assert_array_equal(provider.shard(2).x, train.x[full[2]])
-
-    def test_lazy_dirichlet_shards_provider(self, env_data):
-        train, shards, _ = env_data
-        provider = LazyDirichletShards(train, NUM_CLIENTS, alpha=0.5, seed=4,
-                                       min_samples=8)
-        assert len(provider) == NUM_CLIENTS
-        for cid in range(NUM_CLIENTS):
-            shard = provider.shard(cid)
-            np.testing.assert_array_equal(shard.x, shards[cid].x)
-            np.testing.assert_array_equal(shard.y, shards[cid].y)
-            assert provider.shard_size(cid) == len(shards[cid])
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +206,7 @@ class TestDirichletReplay:
 def reference_shard(shards, cid):
     """A provider's shard as the per-client code drew it before the batched
     seed pass — one ``default_rng(SeedSequence(...))`` and ``rng.choice(p=)``
-    for a subsampled draw, the full partition for a Dirichlet one."""
+    for a subsampled draw."""
     if isinstance(shards, SubsampledShards):
         self = shards
         rng = np.random.default_rng(
@@ -250,13 +223,6 @@ def reference_shard(shards, cid):
             )
             idx = self._pool_flat[self._pool_offsets[classes] + within]
         return self.dataset.subset(np.sort(idx))
-    if isinstance(shards, LazyDirichletShards):
-        full = reference_dirichlet_partition(
-            shards.dataset, shards.num_clients, alpha=shards.alpha,
-            min_samples=shards.min_samples, seed=shards.seed,
-            max_retries=shards.max_retries,
-        )
-        return shards.dataset.subset(full[cid])
     return shards.shard(cid)
 
 
@@ -333,15 +299,12 @@ def test_seed_pass_matches_numpy_seed_sequence(seeds):
 
 class TestClientFactory:
     @pytest.mark.parametrize(
-        "provider", ["materialized", "dirichlet", "subsampled", "subsampled-uniform"]
+        "provider", ["materialized", "subsampled", "subsampled-uniform"]
     )
     def test_batched_creation_matches_per_client_reference(self, env_data, provider):
         train, shards, _ = env_data
         provider = {
             "materialized": lambda: as_shard_provider(shards),
-            "dirichlet": lambda: LazyDirichletShards(
-                train, NUM_CLIENTS, alpha=0.5, seed=4, min_samples=8
-            ),
             "subsampled": lambda: SubsampledShards(train, 300, 16, alpha=0.5, seed=2),
             "subsampled-uniform": lambda: SubsampledShards(
                 train, 300, 16, alpha=None, seed=2
