@@ -14,6 +14,9 @@ progress), and different layers converge at different paces.
 * :func:`make_sequence_dataset` — each class has a prototype multi-channel
   sinusoid bank (random frequencies/phases per channel) standing in for a
   spoken-keyword spectrogram; samples add white noise and random time shift.
+
+Both work in place in one float64 array and cast it once to float32, with
+the bytes of the out-of-place expressions ``tests/helpers.py`` keeps.
 """
 
 from __future__ import annotations
@@ -77,6 +80,23 @@ def _smooth_field(
     return out
 
 
+def _add_rows(
+    x: np.ndarray, prototypes: np.ndarray, labels: np.ndarray, shifts: np.ndarray | None = None
+) -> None:
+    """``x += prototypes[labels]`` (each row first rolled left by its
+    ``shifts`` entry along axis 1), in blocks of rows, so the gathered
+    prototypes never take a full-size temporary. IEEE addition commutes,
+    so noise plus prototype is the bytes of prototype plus noise."""
+    step = -(-len(x) // 64)
+    for start in range(0, len(x), step):
+        rows = slice(start, start + step)
+        block = prototypes[labels[rows]]
+        if shifts is not None:
+            idx = (np.arange(x.shape[1])[None, :] + shifts[rows, None]) % x.shape[1]
+            block = np.take_along_axis(block, idx[:, :, None], axis=1)
+        x[rows] += block
+
+
 def make_image_dataset(
     *,
     num_samples: int,
@@ -97,13 +117,14 @@ def make_image_dataset(
     # creates the non-IID skew, the base pool stays balanced like CIFAR.
     labels = np.arange(num_samples) % num_classes
     rng.shuffle(labels)
-    x = prototypes[labels] + noise * rng.normal(size=(num_samples, channels, image_size, image_size))
+    x = rng.normal(size=(num_samples, channels, image_size, image_size))
+    x *= noise
+    _add_rows(x, prototypes, labels)
     # Per-sample intensity jitter makes the task slightly harder than pure
     # prototype-plus-noise and forces conv layers to learn contrast-robust
     # features.
-    jitter = 1.0 + 0.1 * rng.normal(size=(num_samples, 1, 1, 1))
-    x = (x * jitter).astype(np.float32)
-    return Dataset(x, labels.astype(np.int64), num_classes)
+    x *= 1.0 + 0.1 * rng.normal(size=(num_samples, 1, 1, 1))
+    return Dataset(x.astype(np.float32), labels.astype(np.int64), num_classes)
 
 
 def make_sequence_dataset(
@@ -134,10 +155,8 @@ def make_sequence_dataset(
     prototypes = amps * np.sin(freqs * t + phases)  # (C_cls, T, D)
     labels = np.arange(num_samples) % num_classes
     rng.shuffle(labels)
-    x = prototypes[labels]
-    if max_shift > 0:
-        shifts = rng.integers(0, max_shift + 1, size=num_samples)
-        idx = (np.arange(seq_len)[None, :] + shifts[:, None]) % seq_len
-        x = np.take_along_axis(x, idx[:, :, None], axis=1)
-    x = (x + noise * rng.normal(size=x.shape)).astype(np.float32)
-    return Dataset(x, labels.astype(np.int64), num_classes)
+    shifts = rng.integers(0, max_shift + 1, size=num_samples) if max_shift > 0 else None
+    x = rng.normal(size=(num_samples, seq_len, channels))
+    x *= noise
+    _add_rows(x, prototypes, labels, shifts)
+    return Dataset(x.astype(np.float32), labels.astype(np.int64), num_classes)

@@ -17,6 +17,8 @@ class Conv2d(Module):
     im2col copy plus one batched GEMM per pass (:mod:`repro.nn.functional`),
     the filter bank broadcast over ``N``."""
 
+    rowwise = True
+
     #: Set False on a model's first layer: nothing consumes its input
     #: gradient, so ``backward`` skips dX and returns ``None``. Parameter
     #: gradients are unaffected.

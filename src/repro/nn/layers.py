@@ -63,6 +63,8 @@ class Linear(Module):
 
 
 class ReLU(Module):
+    rowwise = True
+
     def __init__(self) -> None:
         super().__init__()
         self._mask: np.ndarray | None = None
@@ -81,6 +83,8 @@ class ReLU(Module):
 
 class Flatten(Module):
     """Collapse every axis after ``(*lead, N)``."""
+
+    rowwise = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -105,6 +109,8 @@ class Dropout(Module):
     0 for a member that sits this step out), so every client's stream
     advances exactly as it does when the client trains alone.
     """
+
+    rowwise = True
 
     #: Set on a stacked layer by ``CohortModel``, per chunk.
     members: "list[Dropout] | None" = None
@@ -145,6 +151,8 @@ class Dropout(Module):
 
 
 class Identity(Module):
+    rowwise = True
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x
 
@@ -154,6 +162,8 @@ class Identity(Module):
 
 class Sequential(Module):
     """Ordered chain of modules; backward replays the chain in reverse."""
+
+    rowwise = True
 
     def __init__(self, *modules: Module, names: list[str] | None = None) -> None:
         super().__init__()

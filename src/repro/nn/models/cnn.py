@@ -61,6 +61,9 @@ class LeNetCNN(Module):
             self.fc3,
         ]
 
+    def stages(self) -> list[Module]:
+        return self._chain
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         for module in self._chain:
             x = module(x)

@@ -43,6 +43,8 @@ class ResidualBlock(Module):
     strided 1×1 conv (registered as ``shortcut``).
     """
 
+    rowwise = True
+
     def __init__(
         self,
         in_channels: int,
@@ -121,6 +123,9 @@ class WideResNet(Module):
         for _ in range(n - 1):
             blocks.append(ResidualBlock(out_channels, out_channels, 1, dropout=dropout, norm=norm, rng=rng))
         return Sequential(*blocks)
+
+    def stages(self) -> list[Module]:
+        return self._chain
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for module in self._chain:

@@ -28,6 +28,7 @@ and copies — is one vector operation.
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from typing import Iterator, Mapping, NamedTuple
 
@@ -117,8 +118,23 @@ def _place(
     return arena, views
 
 
+def _arrays(value) -> Iterator[np.ndarray]:
+    """The ndarrays ``value`` is or holds through tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
 class Module:
     """Base layer with parameter registration and mode switching."""
+
+    #: Eval-mode output row ``i`` depends on input row ``i`` alone, so the
+    #: layer may run over a batch in row chunks with the bytes of one pass.
+    #: A container sets it for its own composition; :attr:`row_independent`
+    #: also asks every child.
+    rowwise: bool = False
 
     #: Replaced whenever any module registers a Parameter, buffer or
     #: submodule. A module cannot see registrations on its descendants, so
@@ -298,6 +314,30 @@ class Module:
     def nbytes(self) -> int:
         """Transmission size of one replica in bytes."""
         return 4 * self._walk().layout.size
+
+    @property
+    def row_independent(self) -> bool:
+        """Whether this module and every descendant declare :attr:`rowwise`."""
+        return self.rowwise and all(m.row_independent for m in self._modules.values())
+
+    def stages(self) -> list["Module"]:
+        """Modules whose successive application is :meth:`forward`."""
+        return [self]
+
+    def row_bytes(self, feature_shape: tuple[int, ...]) -> int:
+        """Bytes one training step holds per input row of ``feature_shape``:
+        twice what a training-mode forward of one row leaves cached for
+        backward, whose gradients are about that size again. Measured on a
+        copy, so this model's buffers and layer RNG are untouched."""
+        probe = copy.deepcopy(self).train()
+        probe(np.zeros(self.lead + (1,) + tuple(feature_shape), dtype=np.float32))
+        held: dict[int, int] = {}
+        for _, module in probe.named_modules():
+            buffers = {id(b) for b in module._buffers.values()}
+            for key, value in vars(module).items():  # parameters are not ndarrays
+                if key != "_walk_cache":
+                    held.update((id(a), a.nbytes) for a in _arrays(value) if id(a) not in buffers)
+        return 2 * sum(held.values())
 
     # ------------------------------------------------------------------
     # Modes and gradients

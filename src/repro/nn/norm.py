@@ -52,6 +52,8 @@ class BatchNorm2d(Module):
     untouched.
     """
 
+    rowwise = True
+
     def __init__(self, num_features: int, *, eps: float = 1e-5, momentum: float = 0.1) -> None:
         super().__init__()
         self.num_features = num_features
@@ -136,6 +138,8 @@ class GroupNorm2d(Module):
     synchronisation — the property that makes GN the standard BN substitute
     in non-IID federated settings.
     """
+
+    rowwise = True
 
     def __init__(self, num_groups: int, num_channels: int, *, eps: float = 1e-5) -> None:
         super().__init__()

@@ -19,6 +19,8 @@ class MaxPool2d(Module):
     maximal element, split evenly (:func:`repro.nn.functional.maxpool2d`).
     """
 
+    rowwise = True
+
     def __init__(self, kernel_size: int) -> None:
         super().__init__()
         if kernel_size < 1:
@@ -41,6 +43,8 @@ class MaxPool2d(Module):
 
 class AvgPool2d(Module):
     """Non-overlapping average pooling."""
+
+    rowwise = True
 
     def __init__(self, kernel_size: int) -> None:
         super().__init__()
@@ -74,6 +78,8 @@ class AvgPool2d(Module):
 
 class GlobalAvgPool2d(Module):
     """Average over all spatial positions, yielding ``(*lead, N, C)``."""
+
+    rowwise = True
 
     def __init__(self) -> None:
         super().__init__()

@@ -42,10 +42,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..scale import LazyClientPopulation
     from .client import SimClient
 
-__all__ = ["CohortEngine", "CohortExecutor", "StepCounts"]
+__all__ = ["CohortEngine", "CohortExecutor", "StepCounts", "bound_width"]
 
 #: Default cohort width: ``cohort``'s, and the cap of an engine sized at bind.
 DEFAULT_COHORT_SIZE = 32
+
+#: What one stacked step of an engine sized at bind may hold: its width times
+#: :meth:`~repro.scale.ClientFactory.step_bytes`. ``cohort:M`` is never capped.
+STACK_BYTES = 48 << 20
+
+
+def bound_width(clients: "LazyClientPopulation") -> int:
+    """The width of an engine sized at bind: :data:`DEFAULT_COHORT_SIZE`,
+    capped by the population's resident capacity (a chunk is live at once)
+    and by how many members' steps fit :data:`STACK_BYTES`."""
+    fits = max(1, STACK_BYTES // clients.factory.step_bytes())
+    return int(min(DEFAULT_COHORT_SIZE, clients.resident_capacity, fits))
 
 
 class StepCounts:
@@ -247,10 +259,10 @@ class CohortExecutor(Executor):
     bytes by construction, a padded one only where BLAS rounds a product's
     rows independently of its row count (DESIGN.md §12).
 
-    ``cohort_size=None`` sizes the engine at :meth:`bind`:
-    :data:`DEFAULT_COHORT_SIZE`, capped by the population's resident
-    capacity, because a chunk is live at once — so such an engine never
-    raises ``cache=N``.
+    ``cohort_size=None`` sizes the engine at :meth:`bind`
+    (:func:`bound_width`): :data:`DEFAULT_COHORT_SIZE`, capped by the
+    population's resident capacity, because a chunk is live at once — so
+    such an engine never raises ``cache=N`` — and by :data:`STACK_BYTES`.
     """
 
     def __init__(self, cohort_size: int | None = None, *, pad: bool = True) -> None:
@@ -282,7 +294,7 @@ class CohortExecutor(Executor):
     ) -> None:
         super().bind(clients, strategy, layouts, jobs_per_round)
         if self._sized_at_bind:
-            self.cohort_size = min(DEFAULT_COHORT_SIZE, clients.resident_capacity)
+            self.cohort_size = bound_width(clients)
 
     def set_recorder(self, recorder) -> None:
         self._recorder = recorder
@@ -354,6 +366,11 @@ class CohortExecutor(Executor):
         if rec is not None and getattr(rec, "enabled", False):
             rec.gauge("repro_cohort_size", float(self.cohort_size))
             self.counts.publish(rec)
+
+    def step_rows(self) -> int:
+        """A chunk's width, at most a round's jobs, times the batch."""
+        jobs = self._jobs_per_round or self.cohort_size
+        return min(self.cohort_size, jobs) * super().step_rows()
 
     # ------------------------------------------------------------------
     def min_resident_clients(self) -> int:

@@ -133,6 +133,11 @@ class Executor(ABC):
         ROADMAP item 1's harness re-spelling."""
         return None
 
+    def step_rows(self) -> int:
+        """Most input rows one training step of this engine holds at once:
+        what evaluation chunks by. The reference loop steps one client."""
+        return self._clients.factory.spec.batch_size
+
     def min_resident_clients(self) -> int:
         """Largest number of clients the engine holds live at one moment.
 

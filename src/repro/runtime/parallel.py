@@ -90,7 +90,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .cohort import CohortExecutor, StepCounts
+from .cohort import CohortExecutor, StepCounts, bound_width
 from .executor import ClientJob, Executor
 from .round import ClientRoundResult
 from .transport import ShmTransport
@@ -298,6 +298,12 @@ class ParallelExecutor(Executor):
             child_conn.close()
             self._conns.append(parent_conn)
         self._started = True
+
+    def step_rows(self) -> int:
+        """What the workers' concurrent stacked steps hold: a round's jobs,
+        at most the default engine's width each, times the batch."""
+        jobs = self._jobs_per_round or len(self._clients)
+        return min(self.workers * bound_width(self._clients), jobs) * super().step_rows()
 
     # ------------------------------------------------------------------
     def occupancy(self) -> dict[str, float]:

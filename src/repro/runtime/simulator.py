@@ -38,6 +38,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["FederatedSimulator"]
 
 
+def _apply(stages: Sequence[Module], x: np.ndarray) -> np.ndarray:
+    for module in stages:
+        x = module(x)
+    return x
+
+
 class FederatedSimulator:
     """Drives a complete FL training run under one strategy.
 
@@ -289,16 +295,30 @@ class FederatedSimulator:
 
     # ------------------------------------------------------------------
     def evaluate(self) -> float:
-        """Global-model top-1 accuracy on the held-out test set."""
-        self.global_model.eval()
+        """Global-model top-1 accuracy on the held-out test set, in blocks
+        of ``eval_batch`` rows. The model's row-independent prefix
+        (:attr:`~repro.nn.Module.row_independent`) runs in chunks of the
+        rows one training step holds (:meth:`Executor.step_rows`), so no
+        buffer outgrows a step and the logits keep one forward's bytes."""
+        model = self.global_model
+        model.eval()
+        stages = model.stages()
+        k = next((i for i, m in enumerate(stages) if not m.row_independent), len(stages))
+        step = self.executor.step_rows()
         correct = 0
         n = len(self.test_set)
         for start in range(0, n, self.eval_batch):
             x = self.test_set.x[start : start + self.eval_batch]
             y = self.test_set.y[start : start + self.eval_batch]
-            logits = self.global_model(x)
+            rest = stages
+            if k and len(x) > step:
+                x = np.concatenate(
+                    [_apply(stages[:k], x[i : i + step]) for i in range(0, len(x), step)]
+                )
+                rest = stages[k:]
+            logits = _apply(rest, x)
             correct += int((logits.argmax(axis=1) == y).sum())
-        self.global_model.train(True)
+        model.train(True)
         return correct / n
 
     # ------------------------------------------------------------------

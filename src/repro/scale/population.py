@@ -365,6 +365,8 @@ class ClientFactory:
     def __init__(self, spec: PopulationSpec) -> None:
         self.spec = spec
         self._fresh_rng: list[bytes] | None = None
+        self._template: Module | None = None
+        self._step_bytes: int | None = None
         self._spare_models: list[Module] = []
         self._pace_memo: dict[int, float] = {}
         self._derived: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -490,11 +492,21 @@ class ClientFactory:
         position is checked against before the client exists."""
         return self.spec.shards.shard_size(cid)
 
-    def _ensure_template(self) -> None:
+    def step_bytes(self) -> int:
+        """Bytes one client's training step holds: a batch of rows at the
+        model's :meth:`~repro.nn.Module.row_bytes`, measured once, on the
+        template at client 0's feature shape."""
+        if self._step_bytes is None:
+            shape = self.spec.shards.shard(0).x.shape[1:]
+            self._step_bytes = self.spec.batch_size * self._ensure_template().row_bytes(shape)
+        return self._step_bytes
+
+    def _ensure_template(self) -> Module:
         """One template model, built lazily — every client shares the
         architecture. It fixes what a fresh replica's layer RNG looks like,
         and is the first replica handed out."""
-        if self._fresh_rng is None:
-            template = self.spec.model_fn()
+        if self._template is None:
+            template = self._template = self.spec.model_fn()
             self._fresh_rng = template.rng_state()
             self._spare_models.append(template)
+        return self._template

@@ -403,3 +403,46 @@ def shm_segment_names(executor) -> list[str]:
     transport = executor._transport_impl
     arenas = [*transport._results, transport._broadcast]
     return [a.name for a in arenas if a is not None]
+
+
+def reference_image_dataset(
+    *, num_samples, num_classes=10, channels=3, image_size=12, noise=0.6, seed=0
+):
+    """``make_image_dataset`` as out-of-place expressions (full-size float64
+    temporaries): the bytes the in-place generator must reproduce."""
+    from repro.data.synthetic import Dataset, _smooth_field
+
+    rng = np.random.default_rng(seed)
+    prototypes = np.stack(
+        [_smooth_field(rng, channels, image_size) for _ in range(num_classes)]
+    )
+    labels = np.arange(num_samples) % num_classes
+    rng.shuffle(labels)
+    x = prototypes[labels] + noise * rng.normal(size=(num_samples, channels, image_size, image_size))
+    jitter = 1.0 + 0.1 * rng.normal(size=(num_samples, 1, 1, 1))
+    x = (x * jitter).astype(np.float32)
+    return Dataset(x, labels.astype(np.int64), num_classes)
+
+
+def reference_sequence_dataset(
+    *, num_samples, num_classes=10, seq_len=10, channels=8, noise=0.5, max_shift=0, seed=0
+):
+    """``make_sequence_dataset`` as out-of-place expressions: the reference
+    for the in-place generator's bytes."""
+    from repro.data.synthetic import Dataset
+
+    rng = np.random.default_rng(seed)
+    t = np.arange(seq_len)[None, :, None]
+    freqs = rng.uniform(0.2, 1.5, size=(num_classes, 1, channels))
+    phases = rng.uniform(0, 2 * np.pi, size=(num_classes, 1, channels))
+    amps = rng.uniform(0.5, 1.5, size=(num_classes, 1, channels))
+    prototypes = amps * np.sin(freqs * t + phases)
+    labels = np.arange(num_samples) % num_classes
+    rng.shuffle(labels)
+    x = prototypes[labels]
+    if max_shift > 0:
+        shifts = rng.integers(0, max_shift + 1, size=num_samples)
+        idx = (np.arange(seq_len)[None, :] + shifts[:, None]) % seq_len
+        x = np.take_along_axis(x, idx[:, :, None], axis=1)
+    x = (x + noise * rng.normal(size=x.shape)).astype(np.float32)
+    return Dataset(x, labels.astype(np.int64), num_classes)

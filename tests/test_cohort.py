@@ -70,6 +70,7 @@ from repro.runtime import (
     resolve_executor,
 )
 from repro.runtime.client import SimClient
+from repro.runtime.cohort import DEFAULT_COHORT_SIZE, STACK_BYTES, bound_width
 from repro.sysmodel import LinkModel, SpeedTrace
 
 from .helpers import global_vectors
@@ -952,6 +953,86 @@ class TestCohortExecutor:
 def micro_cfg(workload, num_clients=6):
     cfg = get_workload(workload, "micro")
     return dataclasses.replace(cfg, num_clients=num_clients, local_iterations=6)
+
+
+def traced_step_peak(template, width, batch, feature_shape):
+    """Traced peak bytes of one stacked training step — forward, loss,
+    backward and a weight-decayed SGD step — at ``width`` members of
+    ``batch`` rows, the stack built beforehand."""
+    import tracemalloc
+
+    model = CohortModel(template, width)
+    x = np.random.default_rng(0).normal(size=(width, batch) + feature_shape).astype(np.float32)
+    y = np.zeros((width, batch), dtype=np.int64)
+    rows = np.full(width, batch)
+    tracemalloc.start()
+    try:
+        model.zero_grad()
+        model.set_member_rows(rows)
+        _, grad = cohort_softmax_cross_entropy(model.forward(x), y, rows)
+        model.backward(grad)
+        CohortSGD(model, 0.05, weight_decay=0.01).step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWidthByMemory:
+    """An engine sized at bind is at most ``STACK_BYTES`` over one member's
+    step wide (``bound_width``): the micro workloads keep their width, the
+    paper-scale WRN stack narrows, an explicit ``cohort:M`` never does."""
+
+    @staticmethod
+    def env(preset, scale="micro", executor=None):
+        cfg = get_workload(preset, scale)
+        return make_environment(cfg, FedAvg(cfg.optimizer_spec()), executor=executor)
+
+    @pytest.mark.parametrize("preset", ["cnn", "lstm", "wrn"])
+    def test_micro_presets_keep_their_width(self, preset):
+        with self.env(preset) as sim:
+            assert sim.executor.cohort_size == DEFAULT_COHORT_SIZE
+            assert sim.executor.step_rows() == sim.population.factory.spec.batch_size * min(
+                DEFAULT_COHORT_SIZE, len(sim.clients)
+            )
+
+    def test_parallel_workers_keep_their_width(self):
+        """A ``parallel:2`` worker binds the default engine on its fork of
+        the population: the same rule, the same width (never started here)."""
+        with self.env("wrn", executor="parallel:2") as sim:
+            assert bound_width(sim.population) == DEFAULT_COHORT_SIZE
+            # Two workers' concurrent steps hold the round's ten jobs.
+            assert sim.executor.step_rows() == 2 * 5 * 8
+
+    def test_lazy_obs_population_keeps_its_width(self):
+        from .test_experiments import _lazy_lenet_sim
+
+        with _lazy_lenet_sim() as sim:
+            assert sim.executor.cohort_size == DEFAULT_COHORT_SIZE
+            assert sim.executor.step_rows() == DEFAULT_COHORT_SIZE * 8
+
+    def test_paper_wrn_narrows_and_its_step_fits(self):
+        with self.env("wrn", "paper") as sim:
+            width = sim.executor.cohort_size
+            assert 1 <= width < DEFAULT_COHORT_SIZE
+            assert width == STACK_BYTES // sim.population.factory.step_bytes()
+            peak = traced_step_peak(sim.global_model, width, 50, sim.test_set.x.shape[1:])
+        assert peak < STACK_BYTES, (width, peak)
+
+    def test_explicit_cohort_is_never_capped(self):
+        with self.env("wrn", "paper", executor="cohort:32") as sim:
+            assert sim.executor.cohort_size == 32
+        with self.env("wrn", "paper", executor="cohort:48") as sim:
+            assert sim.executor.cohort_size == 48
+
+    @pytest.mark.parametrize("preset", ["cnn", "lstm", "wrn"])
+    def test_per_row_figure_is_within_2x_of_a_traced_step(self, preset):
+        cfg = get_workload(preset)
+        with self.env(preset) as sim:
+            figure = sim.population.factory.step_bytes() / cfg.batch_size
+            traced = traced_step_peak(
+                sim.global_model, 1, cfg.batch_size, sim.test_set.x.shape[1:]
+            ) / cfg.batch_size
+        assert 0.5 <= figure / traced <= 2.0, (figure, traced)
 
 
 class TestEndToEnd:

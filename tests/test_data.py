@@ -85,6 +85,79 @@ class TestSequenceDataset:
         assert not np.allclose(a.x, b.x)
 
 
+def _same_dataset(a, b) -> bool:
+    return (
+        a.num_classes == b.num_classes
+        and a.x.dtype == b.x.dtype
+        and a.x.shape == b.x.shape
+        and a.x.tobytes() == b.x.tobytes()
+        and a.y.tobytes() == b.y.tobytes()
+    )
+
+
+#: The lazy e2e workload's pool (``benchmarks/e2e/workloads.py``).
+LAZY_POOL = dict(num_samples=2560, num_classes=4, channels=1, image_size=8, seed=5)
+
+
+class TestGeneratorsKeepTheirBytes:
+    """The in-place generators against the out-of-place expressions they
+    replaced (``tests/helpers.py``): same RNG order, same float operations,
+    so the same bytes — at every preset's micro and paper sample count and
+    for the lazy workload's pool."""
+
+    @pytest.mark.parametrize("scale", ["micro", "paper"])
+    @pytest.mark.parametrize("preset", ["cnn", "lstm", "wrn"])
+    def test_preset_pools(self, preset, scale, monkeypatch):
+        from repro.data import datasets
+        from repro.experiments.configs import get_workload
+
+        from .helpers import reference_image_dataset, reference_sequence_dataset
+
+        cfg = get_workload(preset, scale)
+        args = dict(num_samples=cfg.num_samples, num_classes=cfg.num_classes, seed=cfg.data_seed)
+        new = make_workload_data(preset, **args)
+        monkeypatch.setattr(datasets, "make_image_dataset", reference_image_dataset)
+        monkeypatch.setattr(datasets, "make_sequence_dataset", reference_sequence_dataset)
+        ref = make_workload_data(preset, **args)
+        assert all(_same_dataset(a, b) for a, b in zip(new, ref))
+
+    def test_lazy_pool(self):
+        from .helpers import reference_image_dataset
+
+        assert _same_dataset(make_image_dataset(**LAZY_POOL), reference_image_dataset(**LAZY_POOL))
+
+    @pytest.mark.parametrize("max_shift", [1, 4, 9])
+    def test_shifted_sequences(self, max_shift):
+        from .helpers import reference_sequence_dataset
+
+        args = dict(num_samples=333, seq_len=10, channels=3, max_shift=max_shift, seed=4)
+        assert _same_dataset(make_sequence_dataset(**args), reference_sequence_dataset(**args))
+
+    @pytest.mark.parametrize(
+        "make, args",
+        [
+            (make_image_dataset, dict(num_samples=1500, noise=2.5, seed=11)),
+            (make_image_dataset, dict(num_samples=2000, num_classes=20, noise=2.0, seed=13)),
+            (make_image_dataset, LAZY_POOL),
+            (make_sequence_dataset, dict(num_samples=1500, noise=0.8, seed=12)),
+            (make_sequence_dataset, dict(num_samples=1500, max_shift=3, seed=12)),
+        ],
+    )
+    def test_traced_peak_is_one_working_array_and_the_result(self, make, args):
+        """Generation peaks at one float64 working array plus the float32
+        result, within 10 % — not the several full-size float64
+        temporaries of the out-of-place expressions."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            ds = make(**args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (8 + 4) * ds.x.size, (peak, ds.x.size)
+
+
 class TestDirichletPartition:
     def _ds(self, n=400, classes=10):
         return make_image_dataset(num_samples=n, num_classes=classes, seed=2)

@@ -26,6 +26,41 @@ from repro.nn import LeNetCNN
 from .helpers import held_array_bytes
 
 
+def _preset_sim(preset):
+    cfg = get_workload(preset)
+    return make_environment(
+        cfg, __import__("repro").build_strategy("fedavg", cfg.optimizer_spec())
+    )
+
+
+def _lazy_lenet_sim():
+    """The lazy e2e workload's shape: a 1-channel 8×8 LeNet over 100 of
+    20 000 subsampled clients a round, paged through ``lazy:cache=64``."""
+    from repro.algorithms import build_strategy
+    from repro.data import make_image_dataset, train_test_split
+    from repro.runtime import FederatedSimulator
+    from repro.scale import SubsampledShards
+    from repro.sysmodel import iteration_time_for
+
+    pool = make_image_dataset(num_samples=2560, num_classes=4, channels=1, image_size=8, seed=5)
+    train, test = train_test_split(pool, test_fraction=0.2, seed=6)
+    return FederatedSimulator(
+        model_fn=lambda: LeNetCNN(
+            in_channels=1, image_size=8, num_classes=4, conv_channels=(2, 2),
+            fc_sizes=(8, 8), rng=np.random.default_rng(7),
+        ),
+        strategy=build_strategy("fedavg", OptimizerSpec(lr=0.05, weight_decay=0.0)),
+        shards=SubsampledShards(train, 20_000, 16, alpha=0.5, seed=0),
+        test_set=test,
+        base_iteration_times=lambda cid: iteration_time_for(cid, 0.01, seed=0),
+        batch_size=8,
+        local_iterations=2,
+        aggregation_fraction=0.8,
+        clients_per_round=100,
+        population="lazy:cache=64",
+    )
+
+
 class TestReport:
     def test_format_table_alignment(self):
         out = format_table(["A", "Bee"], [[1, 22], [333, 4]])
@@ -114,10 +149,11 @@ class TestConfigs:
         assert sim.local_iterations == cfg.local_iterations
 
     def test_evaluate_leaves_no_activation_pinned(self):
-        """``evaluate()`` pushes the whole test set through in one batch; a
-        layer that kept its im2col buffer / input / mask / gate cache from
-        that forward would hold the run's largest arrays until the next
-        evaluation."""
+        """``evaluate()`` pushes the test set through in blocks of
+        ``eval_batch`` rows, the row-independent prefix in chunks of one
+        training step's rows; a layer that kept its im2col buffer / input /
+        mask / gate cache from those forwards would hold arrays until the
+        next evaluation."""
         for preset in ("wrn", "lstm"):
             cfg = get_workload(preset)
             sim = make_environment(
@@ -129,6 +165,45 @@ class TestConfigs:
                 param_bytes = sum(p.data.nbytes for p in layer._parameters.values())
                 assert held <= param_bytes, (preset, name, type(layer).__name__, held)
             assert sim.global_model.training  # evaluate() restores train mode
+
+    def test_evaluate_peaks_below_the_forward_half_of_a_step(self):
+        """On the wrn preset the chunked prefix keeps ``evaluate()``'s
+        traced peak under the forward half of one training step's bytes
+        (step rows at the model's per-row figure); one 400-row forward
+        peaked at 10.9 MiB against that 7.2 MiB."""
+        import tracemalloc
+
+        cfg = get_workload("wrn")
+        sim = make_environment(
+            cfg, __import__("repro").build_strategy("fedavg", cfg.optimizer_spec())
+        )
+        sim.evaluate()
+        tracemalloc.start()
+        try:
+            sim.evaluate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row_bytes = sim.population.factory.step_bytes() // cfg.batch_size
+        assert peak <= sim.executor.step_rows() * row_bytes / 2, peak
+
+    @pytest.mark.parametrize("preset", ["cnn", "wrn", "lstm", "lazy"])
+    def test_evaluate_is_the_single_forward_accuracy(self, preset, monkeypatch):
+        """Chunking the prefix moves no logit: after two rounds, the
+        accuracy equals one eval-mode forward over the whole test set, at
+        the run's own chunk and at 7 rows."""
+        sim = _lazy_lenet_sim() if preset == "lazy" else _preset_sim(preset)
+        with sim:
+            sim.run(2)
+            test = sim.test_set
+            assert len(test) <= sim.eval_batch  # one block: one forward
+            model = sim.global_model.eval()
+            logits = model(test.x)
+            model.train(True)
+            expected = float(np.mean(logits.argmax(axis=1) == test.y))
+            assert sim.evaluate() == expected
+            monkeypatch.setattr(sim.executor, "step_rows", lambda: 7)
+            assert sim.evaluate() == expected
 
 
 class TestProbe:

@@ -489,6 +489,97 @@ class TestEvalModeRetainsNothing:
         assert m._cache is None
 
 
+def _declaring_classes(cls=Module):
+    out = set()
+    for sub in cls.__subclasses__():
+        if sub.__dict__.get("rowwise"):
+            out.add(sub)
+        out |= _declaring_classes(sub)
+    return out
+
+
+def _perturbed_batchnorm(channels):
+    bn = BatchNorm2d(channels)
+    rng = np.random.default_rng(5)
+    bn.running_mean[...] = rng.normal(size=channels)
+    bn.running_var[...] = rng.uniform(0.3, 3.0, size=channels)
+    bn.weight.data[...] = rng.normal(size=channels)
+    bn.bias.data[...] = rng.normal(size=channels)
+    return bn
+
+
+def _rowwise_cases():
+    """``(module, one row's input shape)`` for every declaring class."""
+    from repro.nn import GroupNorm2d, ResidualBlock
+
+    rng = np.random.default_rng(3)
+    return [
+        (Conv2d(3, 4, 3, padding=1, rng=rng), (3, 9, 9)),
+        (Conv2d(3, 4, 3, stride=2, padding=1, bias=False, rng=rng), (3, 9, 9)),
+        (Conv2d(2, 5, 1, stride=2, rng=rng), (2, 7, 7)),
+        (Conv2d(2, 3, 5, padding=2, rng=rng), (2, 6, 6)),
+        (Conv2d(2, 3, 2, rng=rng), (2, 5, 5)),
+        (MaxPool2d(2), (3, 6, 6)),
+        (AvgPool2d(3), (2, 7, 7)),
+        (GlobalAvgPool2d(), (4, 5, 5)),
+        (ReLU(), (3, 4, 4)),
+        (_perturbed_batchnorm(3), (3, 5, 5)),
+        (GroupNorm2d(2, 4), (4, 3, 3)),
+        (Dropout(0.5, rng=rng), (3, 4, 4)),
+        (Flatten(), (2, 3, 3)),
+        (Identity(), (3, 2)),
+        (Sequential(Conv2d(3, 4, 3, padding=1, rng=rng), _perturbed_batchnorm(4), ReLU(), MaxPool2d(2), Flatten()), (3, 8, 8)),
+        (ResidualBlock(3, 4, 2, dropout=0.3, rng=rng), (3, 8, 8)),
+        (ResidualBlock(4, 4, 1, norm="group", rng=rng), (4, 6, 6)),
+    ]
+
+
+class TestRowIndependence:
+    """A layer that declares ``rowwise`` gives, in eval mode, the bytes of
+    one forward over a batch when run over its row chunks — what lets
+    ``FederatedSimulator.evaluate`` chunk a model's prefix."""
+
+    def test_every_declaring_class_is_covered(self):
+        covered = {type(m) for m, _ in _rowwise_cases()}
+        assert _declaring_classes() <= covered
+
+    @pytest.mark.parametrize("case", range(len(_rowwise_cases())))
+    @pytest.mark.parametrize("chunk", [1, 7, 33])
+    def test_chunks_concatenate_to_the_batch(self, case, chunk):
+        module, shape = _rowwise_cases()[case]
+        assert module.row_independent
+        module.eval()
+        x = np.random.default_rng(case).normal(size=(70,) + shape).astype(np.float32)
+        whole = module(x)
+        parts = np.concatenate([module(x[i : i + chunk]) for i in range(0, len(x), chunk)])
+        assert parts.dtype == whole.dtype and parts.shape == whole.shape
+        assert parts.tobytes() == whole.tobytes()
+
+    def test_linear_lstm_and_their_containers_do_not_declare_it(self):
+        from repro.nn import LSTM, LSTMClassifier
+
+        assert not Linear.rowwise and not LSTM.rowwise
+        assert not Linear(3, 2, rng=RNG).row_independent
+        assert not LSTM(3, 4, rng=RNG).row_independent
+        assert not Sequential(ReLU(), Linear(3, 2, rng=RNG)).row_independent
+        for model in (LeNetCNN(rng=RNG), WideResNet(rng=RNG), LSTMClassifier(rng=RNG)):
+            assert not model.row_independent
+
+    def test_model_prefixes(self):
+        """The chunked prefix runs up to ``Flatten`` on LeNet and up to
+        ``GlobalAvgPool2d`` on WRN; the LSTM classifier has none."""
+        from repro.nn import LSTMClassifier
+
+        def prefix(model):
+            stages = model.stages()
+            k = next((i for i, m in enumerate(stages) if not m.row_independent), len(stages))
+            return stages[:k]
+
+        assert type(prefix(LeNetCNN(rng=RNG))[-1]) is Flatten
+        assert type(prefix(WideResNet(rng=RNG))[-1]) is GlobalAvgPool2d
+        assert prefix(LSTMClassifier(rng=RNG)) == []
+
+
 # ----------------------------------------------------------------------
 # Pooling
 # ----------------------------------------------------------------------
