@@ -58,8 +58,6 @@ _GN = "the BN-vs-GN ablation model, `WideResNet(norm=\"group\")`"
 _GN_BY = "`benchmarks/cohort_bench.py --workloads wrn-gn` (CI); `tests/test_nn_norm_rnn.py::TestGroupNorm2d`"
 _MULTI = "the multi-seed headline bench's driver"
 _MULTI_BY = "`benchmarks/test_headline_multiseed.py`; `tests/test_experiments.py::TestMultiSeed`"
-_AVG = "average pooling no model uses; " + _NEXT
-_AVG_BY = "`tests/test_nn_layers.py::TestPooling`; `tests/test_cohort.py::TestCohortLayers::test_average_pools_are_bytes_equal`"
 _PROX = "FedProx's proximal step in the reference loop"
 _PROX_BY = "`tests/test_algorithms.py::TestFedProx::test_prox_shrinks_drift`"
 _CLIENT_BY = "`tests/test_algorithms.py::TestFedAvgClientRound`; `benchmarks/e2e/layers.py` wraps `SimClient.train_step`"
@@ -78,16 +76,6 @@ KEEP: dict[str, tuple[str, str]] = {
     "repro/compression/codecs.py::IdentityCodec.packed_nbytes": (_PACKED, _PACKED_BY),
     "repro/compression/codecs.py::QuantizationCodec.packed_nbytes": (_PACKED, _PACKED_BY),
     "repro/compression/codecs.py::TopKCodec.packed_nbytes": (_PACKED, _PACKED_BY),
-    "repro/compression/sparsification.py::ResidualStore.clear": (
-        _NEXT, "`tests/test_compression.py::TestResidualStore::test_clear`"),
-    "repro/core/utility.py::net_benefit": (
-        "Eq. 4 as one function; `EarlyStopPolicy` evaluates its two terms itself. " + _NEXT,
-        "`tests/test_core_profiler_utility.py::TestMarginalCost::test_net_benefit_is_difference`"),
-    "repro/data/loader.py::BatchStream.__iter__": (
-        "iterator protocol of a stream; " + _NEXT,
-        "`tests/test_data.py::TestBatchStream::test_iterator_protocol`"),
-    "repro/data/partition.py::iid_partition": (
-        "IID baseline split; " + _NEXT, "`tests/test_data.py::TestDirichletPartition::test_iid_partition_even`"),
     "repro/experiments/configs.py::_small": (
         "the `--scale small` preset (the sweep runs micro)",
         "`tests/test_experiments.py::TestConfigs::test_all_presets_resolve`"),
@@ -114,23 +102,14 @@ KEEP: dict[str, tuple[str, str]] = {
     "repro/lint/sanitize.py::_install_np_trap.<locals>._trap": (
         "fires only on a legacy `np.random` call, which a clean tree never makes",
         "`tests/test_lint.py::TestSanitizer::test_legacy_np_random_trapped_and_restored`"),
-    "repro/nn/functional.py::relu_grad": (
-        "functional form of ReLU's backward (the layer keeps a mask); " + _NEXT,
-        "`tests/test_nn_functional.py::TestActivations::test_relu_grad_masks`"),
     "repro/nn/layers.py::Dropout._draw": (
         "Dropout's `p > 0` path; deleting it shifts WRN's `Sequential` indices and blob bytes (deferred)",
         "`tests/test_cohort.py::TestCohortLayers::test_dropout_draws_each_members_own_stream`"),
     "repro/nn/module.py::Module.load_rng_state": (
         "restores a dropout layer's RNG: only models with `p > 0` Dropout have one",
         "`tests/test_nn_layers.py` (`load_rng_state`); `tests/test_cohort.py::TestCohortExecutor::test_unbatchable_model_falls_back_serially`"),
-    "repro/nn/pooling.py::AvgPool2d.__init__": (_AVG, _AVG_BY),
-    "repro/nn/pooling.py::AvgPool2d.forward": (_AVG, _AVG_BY),
-    "repro/nn/pooling.py::AvgPool2d.backward": (_AVG, _AVG_BY),
     "repro/nn/layers.py::Sequential.__len__": (
         "container protocol", "`tests/test_nn_layers.py::TestSequential::test_iteration_order`"),
-    "repro/nn/loss.py::accuracy": (
-        "evaluation counts correct predictions per batch instead; " + _NEXT,
-        "`tests/test_nn_models_optim.py::TestLoss::test_accuracy` and three training tests"),
     "repro/nn/module.py::Module.parameters": (
         "the cached parameter list that 30+ test gradient comparisons read",
         "`tests/test_nn_layers.py::TestModule::test_parameters_list_is_cached_and_matches_named_parameters`"),

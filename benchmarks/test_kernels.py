@@ -73,13 +73,13 @@ def test_sampled_profiler_record(benchmark):
     rng = np.random.default_rng(2)
     model = LeNetCNN(rng=rng)
     sampler = LayerSampler.for_model(model, seed=0)
-    recorder = AnchorRecorder(sampler)
-    params = {n: p.data for n, p in model.named_parameters()}
-    anchor = {n: p.data.copy() for n, p in model.named_parameters()}
+    recorder = AnchorRecorder(sampler, 1)
+    params = model.arena().values
+    anchor = params.copy()
 
     def record():
         recorder.record(params, anchor)
-        recorder._snapshots.clear()
+        recorder._k = 0
 
     benchmark(record)
 
@@ -148,8 +148,8 @@ def test_page_chunk(benchmark):
 
 
 def test_member_views(benchmark):
-    """Every member's parameter and update views of a 25-wide stack — the
-    per-member dicts a cohort round hands its strategy."""
+    """Every member's parameter row and update views of a 25-wide stack —
+    what a cohort round hands its strategy and reads back."""
     from repro.nn.cohort import CohortModel
     from repro.runtime import CohortEngine
 
@@ -165,10 +165,9 @@ def test_member_views(benchmark):
 
     def views():
         stacked = engine.stacked_update(params)
-        return [
-            (engine.member_params(i), engine.member_update(stacked, i))
-            for i in range(width)
-        ]
+        rows = cohort.module.arena().values
+        return [(rows[i], engine.member_update(stacked, i)) for i in range(width)]
 
     out = benchmark(views)
-    assert len(out) == width and out[0][0].keys() == out[0][1].keys()
+    assert len(out) == width and out[0][0].shape == params.shape
+    assert out[0][1].keys() == template.arena().layout.layer_bytes.keys()

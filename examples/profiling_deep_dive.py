@@ -49,8 +49,9 @@ def main() -> None:
         model, fraction=fedca_cfg.sample_fraction, cap=fedca_cfg.sample_cap, seed=0
     )
     print("Intra-layer sampling (min(50%, 100) scalars per layer):")
-    for name, p in model.named_parameters():
-        print(f"  {name:14s} {p.size:6d} params -> {sampler.indices[name].size:3d} sampled")
+    bounds = sampler.bounds
+    for (name, p), lo, hi in zip(model.named_parameters(), bounds, bounds[1:]):
+        print(f"  {name:14s} {p.data.size:6d} params -> {hi - lo:3d} sampled")
     k = cfg.local_iterations
     print(
         f"  profiling memory for one K={k} anchor round: "
@@ -62,16 +63,16 @@ def main() -> None:
     shard = sim.clients[0].shard
     stream = BatchStream(shard, cfg.batch_size, seed=7)
     opt = cfg.optimizer_spec().build(model)
-    anchor_state = {n: p.data.copy() for n, p in model.named_parameters()}
-    params = dict(model.named_parameters())
-    recorder = AnchorRecorder(sampler)
+    params = model.arena().values  # the whole model as one (P,) vector
+    anchor_state = params.copy()
+    recorder = AnchorRecorder(sampler, k)
     for _ in range(k):
         x, y = stream.next_batch()
         _, grad = softmax_cross_entropy(model(x), y)
         model.zero_grad()
         model.backward(grad)
         opt.step()
-        recorder.record({n: p.data for n, p in params.items()}, anchor_state)
+        recorder.record(params, anchor_state)
     curves = recorder.finalize(round_index=3)
 
     print("Whole-model progress curve P_tau:")
@@ -80,7 +81,7 @@ def main() -> None:
     # 3. The decisions the curves drive. ----------------------------------
     schedule = EagerSchedule(curves, fedca_cfg.eager_threshold)
     print(f"Eager-transmission triggers (T_e = {fedca_cfg.eager_threshold}):")
-    for name in sampler.indices:
+    for name in sampler.names:
         trig = schedule.triggers.get(name)
         print(f"  {name:14s} -> " + (f"iteration {trig}" if trig else "never"))
 

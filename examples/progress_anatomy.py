@@ -59,13 +59,13 @@ def real_round() -> None:
     )
     print("Real CNN round (client 0, round 5):")
     print("  whole-model P_tau:",
-          " ".join(f"{p:.2f}" for p in probe.model_curve))
+          " ".join(f"{p:.2f}" for p in probe.full.model_curve))
     half = cfg.local_iterations // 2
-    print(f"  P at K/2 = {probe.model_curve[half - 1]:.3f} — most of the round's "
+    print(f"  P at K/2 = {probe.full.model_curve[half - 1]:.3f} — most of the round's "
           "statistical value arrives early.")
     print("  per-layer P at K/2:")
-    for name, curve in sorted(probe.layer_curves.items()):
-        print(f"    {name:22s} {curve[half - 1]:.3f}")
+    for name in sorted(probe.full.names):
+        print(f"    {name:22s} {probe.full.layer_curve(name)[half - 1]:.3f}")
 
 
 def main() -> None:

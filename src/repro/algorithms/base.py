@@ -222,18 +222,18 @@ class Strategy(ABC):
     def begin(
         self,
         client: SimClient,
-        global_state: dict[str, np.ndarray],
+        global_state: np.ndarray,
         ctx: RoundContext,
-        params: dict[str, np.ndarray],
+        params: np.ndarray,
     ) -> RoundMember:
         """Start one client's round: the scheme's :class:`RoundMember`.
 
-        ``global_state`` is the round-start global model as ``{layer:
-        view}`` of the server's parameter vector (read only); ``params`` is
-        the member's live ``{layer: array}`` view — the replica's parameters
-        under the serial driver, zero-copy rows of the stacked tensors under
-        the cohort driver — already holding the broadcast and updated in
-        place by every step.
+        ``global_state`` is the round-start global ``(P,)`` parameter
+        vector (read only); ``params`` is the member's live ``(P,)`` vector
+        — the replica's arena under the serial driver, row ``i`` of the
+        stacked arena under the cohort driver — already holding the
+        broadcast and updated in place by every step. Both are in the
+        model's :class:`~repro.nn.layout.Layout` order.
         """
 
     def client_round(
@@ -248,13 +248,7 @@ class Strategy(ABC):
         and ``(B,)`` vectors."""
         client.load_global(params, buffers)
         opt = self.optimizer.build(client.model, params)
-        arena = client.model.arena()
-        member = self.begin(
-            client,
-            arena.layout.views(params),
-            ctx,
-            arena.layout.views(arena.values),
-        )
+        member = self.begin(client, params, ctx, client.model.arena().values)
         if member.budget < 1:
             raise ValueError("iterations must be >= 1")
         for tau in range(1, member.budget + 1):
@@ -284,10 +278,10 @@ class Strategy(ABC):
         """
         engine.load_global(params)
         opt = engine.build_optimizer(self.optimizer, params)
-        global_state = engine.model.module.arena().layout.views(params)
+        rows = engine.model.module.arena().values
         members = [
-            self.begin(client, global_state, ctx, engine.member_params(i))
-            for i, (client, (_, ctx)) in enumerate(zip(engine.clients, jobs))
+            self.begin(client, params, ctx, row)
+            for client, (_, ctx), row in zip(engine.clients, jobs, rows)
         ]
         budgets = np.asarray([m.budget for m in members])
         if budgets.min() < 1:

@@ -56,8 +56,8 @@ class DeadlineStop(Strategy):
     def begin(
         self,
         client: SimClient,
-        global_state: dict[str, np.ndarray],
+        global_state: np.ndarray,
         ctx: RoundContext,
-        params: dict[str, np.ndarray],
+        params: np.ndarray,
     ) -> RoundMember:
         return _DeadlineMember(self, client, ctx, ctx.iterations)

@@ -37,8 +37,8 @@ class FedAvg(Strategy):
     def begin(
         self,
         client: SimClient,
-        global_state: dict[str, np.ndarray],
+        global_state: np.ndarray,
         ctx: RoundContext,
-        params: dict[str, np.ndarray],
+        params: np.ndarray,
     ) -> RoundMember:
         return _FedAvgMember(self, client, ctx, ctx.effective_iterations)

@@ -47,12 +47,14 @@ class ClientProfile:
     the client (:meth:`SimClient.keep`): the curves of its latest anchor
     round — ``None`` until it has run one — and its layer sampler. The
     sampler draws its indices once at construction from ``sampler_seed +
-    cid``, so a rebuilt one is identical and it is never snapshot."""
+    cid``, so a rebuilt one is identical and it is never snapshot; neither
+    are the layer ``names`` a restored matrix is read with."""
 
-    def __init__(self, config: FedCAConfig, seed: int) -> None:
+    def __init__(self, config: FedCAConfig, seed: int, names: tuple[str, ...]) -> None:
         self.curves: ProfiledCurves | None = None
         self._config = config
         self._seed = seed
+        self._names = names
         self._sampler: LayerSampler | None = None
 
     def sampler(self, model) -> LayerSampler:
@@ -67,28 +69,18 @@ class ClientProfile:
 
     def snapshot_state(self) -> dict:
         """The anchor-profiled curves (the only FedCA state that survives a
-        round); empty before the first anchor."""
+        round); empty before the first anchor. The matrix is never written
+        in place, so the snapshot shares it."""
         curves = self.curves
         if curves is None:
             return {}
-        return {
-            "round_index": curves.round_index,
-            "num_iterations": curves.num_iterations,
-            "model_curve": curves.model_curve.copy(),
-            "layer_curves": {
-                name: arr.copy() for name, arr in curves.layer_curves.items()
-            },
-        }
+        return {"round_index": curves.round_index, "curves": curves.curves}
 
     def restore_state(self, payload: dict) -> None:
         self.curves = ProfiledCurves(
-            round_index=int(payload["round_index"]),
-            num_iterations=int(payload["num_iterations"]),
-            layer_curves={
-                name: np.asarray(arr, dtype=np.float64)
-                for name, arr in payload["layer_curves"].items()
-            },
-            model_curve=np.asarray(payload["model_curve"], dtype=np.float64),
+            int(payload["round_index"]),
+            np.asarray(payload["curves"], dtype=np.float64),
+            self._names,
         )
 
 
@@ -99,7 +91,7 @@ class _AnchorMember(RoundMember):
     def __init__(self, strategy, client, profile, global_state, ctx, params) -> None:
         super().__init__(strategy, client, ctx, ctx.iterations)
         self.profile = profile
-        self.recorder = AnchorRecorder(profile.sampler(client.model))
+        self.recorder = AnchorRecorder(profile.sampler(client.model), ctx.iterations)
         self.params = params
         self.global_state = global_state
 
@@ -109,11 +101,10 @@ class _AnchorMember(RoundMember):
         return True
 
     def finish(self, update: dict[str, np.ndarray]) -> ClientRoundResult:
-        recorder = self.recorder
-        profiling_bytes = recorder.memory_bytes()
         # stats() must read the recorder before finalize clears it.
-        self.emit("fedca.anchor", recorder.stats())
-        self.profile.curves = recorder.finalize(self.ctx.round_index)
+        stats = self.recorder.stats()
+        self.emit("fedca.anchor", stats)
+        self.profile.curves = self.recorder.finalize(self.ctx.round_index)
         return self.upload_full(
             update,
             self.client.model_bytes,
@@ -123,7 +114,7 @@ class _AnchorMember(RoundMember):
                 "early_stop_iteration": None,
                 "eager": {},
                 "retransmitted": [],
-                "profiling_bytes": profiling_bytes,
+                "profiling_bytes": stats["profiling_bytes"],
             },
         )
 
@@ -158,11 +149,13 @@ class _OptimizedMember(RoundMember):
     def after_step(self, tau: int, loss: float) -> bool:
         self.tick(tau, loss, self.work)
         client, wire = self.client, self.strategy.wire
-        if self.schedule is not None:
-            for layer in self.schedule.due(tau):
+        if self.schedule is not None and (due := self.schedule.due(tau)):
+            views = client.model.arena().layout.views
+            params, global_state = views(self.params), views(self.global_state)
+            for layer in due:
                 # TryEagerTransmit: snapshot the layer's update as of now
                 # and queue it on the uplink, overlapping with compute.
-                value = (self.params[layer] - self.global_state[layer]).copy()
+                value = params[layer] - global_state[layer]
                 send_bytes = client.layer_bytes[layer]
                 self.raw_eager_bytes += send_bytes
                 if wire is not None:
@@ -290,16 +283,20 @@ class FedCA(Strategy):
         """``client``'s FedCA profile, created on its first round."""
         return client.keep(
             "fedca",
-            lambda: ClientProfile(self.config, self.sampler_seed + client.client_id),
+            lambda: ClientProfile(
+                self.config,
+                self.sampler_seed + client.client_id,
+                tuple(client.layer_bytes),
+            ),
         )
 
     # ------------------------------------------------------------------
     def begin(
         self,
         client: SimClient,
-        global_state: dict[str, np.ndarray],
+        global_state: np.ndarray,
         ctx: RoundContext,
-        params: dict[str, np.ndarray],
+        params: np.ndarray,
     ) -> RoundMember:
         """An anchor (profiling) or an optimised member; both kinds may
         share one cohort."""

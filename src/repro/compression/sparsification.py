@@ -93,9 +93,6 @@ class ResidualStore:
     def set(self, name: str, residual: np.ndarray) -> None:
         self._residuals[name] = np.asarray(residual, dtype=np.float32)
 
-    def clear(self) -> None:
-        self._residuals.clear()
-
     # -- checkpoint/resume hooks (see repro.persist) -------------------
     def snapshot_state(self) -> dict:
         """Copy of the per-layer residual memory."""

@@ -11,7 +11,7 @@ from .profiler import AnchorRecorder, ProfiledCurves, is_anchor_round
 from .progress import cosine_similarity, progress_curve, statistical_progress
 from .retransmit import deviated_layers
 from .sampling import LayerSampler, sample_size
-from .utility import marginal_benefit, marginal_cost, net_benefit
+from .utility import marginal_benefit, marginal_cost
 
 __all__ = [
     "FedCAConfig",
@@ -25,7 +25,6 @@ __all__ = [
     "is_anchor_round",
     "marginal_benefit",
     "marginal_cost",
-    "net_benefit",
     "EarlyStopPolicy",
     "EarlyStopDecision",
     "EagerSchedule",

@@ -26,11 +26,15 @@ class EagerSchedule:
         #: Optional telemetry hook ``sink(layer, trigger_iteration, tau)``,
         #: called once per layer the moment :meth:`due` hands it out.
         self.sink = sink
-        self.triggers: dict[str, int] = {}
-        for name in curves.layer_curves:
-            tau = curves.layer_trigger_iteration(name, threshold)
-            if tau is not None:
-                self.triggers[name] = tau
+        # Eq. 5 for every layer at once: a layer's trigger is its curve's
+        # first column at or above the threshold, if it has one.
+        hits = curves.curves[1:] >= threshold
+        first = hits.argmax(axis=1) + 1
+        self.triggers: dict[str, int] = {
+            name: int(tau)
+            for name, tau, fired in zip(curves.names, first, hits.any(axis=1))
+            if fired
+        }
         self._sent: set[str] = set()
 
     def due(self, tau: int) -> list[str]:

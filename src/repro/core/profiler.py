@@ -31,23 +31,30 @@ def is_anchor_round(round_index: int, profile_every: int) -> bool:
 
 @dataclass(frozen=True)
 class ProfiledCurves:
-    """Progress curves from one anchor round.
+    """Progress curves from one anchor round, as one ``(L + 1, K)`` matrix.
 
-    ``layer_curves[name][τ-1]`` is the layer's ``P_τ``; ``model_curve[τ-1]``
-    the whole-model ``P_τ``. ``num_iterations`` is the anchor round's K.
+    Row 0 is the whole-model curve and row ``l + 1`` layer ``names[l]``'s:
+    ``curves[r, τ-1]`` is that curve's ``P_τ``. K, the number of columns,
+    is the anchor round's iteration count.
     """
 
     round_index: int
-    num_iterations: int
-    layer_curves: dict[str, np.ndarray]
-    model_curve: np.ndarray
+    curves: np.ndarray
+    names: tuple[str, ...]
+    # Plain attributes, not properties: Eq. 2-4 read both several times per
+    # local iteration.
+    num_iterations: int = field(init=False)
+    model_curve: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.model_curve.shape != (self.num_iterations,):
-            raise ValueError("model curve length must equal num_iterations")
-        for name, curve in self.layer_curves.items():
-            if curve.shape != (self.num_iterations,):
-                raise ValueError(f"layer curve {name!r} length mismatch")
+        rows, shape = len(self.names) + 1, self.curves.shape
+        if len(shape) != 2 or shape[0] != rows or shape[1] < 1:
+            raise ValueError(f"curves must be ({rows}, K >= 1), got {shape}")
+        object.__setattr__(self, "num_iterations", shape[1])
+        object.__setattr__(self, "model_curve", self.curves[0])
+
+    def layer_curve(self, name: str) -> np.ndarray:
+        return self.curves[1 + self.names.index(name)]
 
     def p(self, tau: int) -> float:
         """Whole-model ``P_τ`` with the convention ``P_0 = 0``."""
@@ -55,77 +62,59 @@ class ProfiledCurves:
             raise ValueError(f"tau must be in [0, {self.num_iterations}]")
         return 0.0 if tau == 0 else float(self.model_curve[tau - 1])
 
-    def layer_trigger_iteration(self, name: str, threshold: float) -> int | None:
-        """First iteration τ at which the layer's profiled progress crossed
-        ``threshold`` (Eq. 5); ``None`` if it never did."""
-        curve = self.layer_curves[name]
-        hits = np.flatnonzero(curve >= threshold)
-        return int(hits[0]) + 1 if hits.size else None
 
-
-@dataclass
 class AnchorRecorder:
-    """Accumulates sampled snapshots during an anchor round.
+    """Accumulates sampled snapshots during an anchor round of at most
+    ``iterations`` steps.
 
     The recorder never touches full parameter buffers beyond the sampled
-    gather in :meth:`record` — peak memory is
-    ``total_sampled × K × 4`` bytes (§5.5).
+    gather in :meth:`record` — it holds one ``(iterations, S)`` float32
+    buffer, ``total_sampled × K × 4`` bytes once K steps are in (§5.5).
     """
 
-    sampler: LayerSampler
-    _snapshots: list[dict[str, np.ndarray]] = field(default_factory=list)
+    def __init__(self, sampler: LayerSampler, iterations: int) -> None:
+        self.sampler = sampler
+        self._buf = np.empty((iterations, sampler.total_sampled()), dtype=np.float32)
+        self._k = 0
 
-    def record(
-        self, params: dict[str, np.ndarray], anchor: dict[str, np.ndarray]
-    ) -> None:
+    def record(self, params: np.ndarray, anchor: np.ndarray) -> None:
         """Record the sampled accumulated update after one local iteration.
 
-        ``params`` is the current model state, ``anchor`` the round-start
-        state (both full dicts; only sampled entries are read).
+        ``params`` is the current ``(P,)`` model vector, ``anchor`` the
+        round-start one; only the sampled positions are read.
         """
-        self._snapshots.append(self.sampler.extract_delta(params, anchor))
+        idx = self.sampler.index
+        np.subtract(params[idx], anchor[idx], out=self._buf[self._k])
+        self._k += 1
 
     @property
-    def num_recorded(self) -> int:
-        return len(self._snapshots)
-
-    def memory_bytes(self) -> int:
-        """Actual bytes held by the recorded snapshots."""
-        return sum(
-            sum(v.nbytes for v in snap.values()) for snap in self._snapshots
-        )
+    def snapshots(self) -> np.ndarray:
+        """The ``(k, S)`` snapshots recorded so far, row ``τ-1`` being
+        ``G_τ`` on the sampled positions (a view of the recorder's buffer)."""
+        return self._buf[: self._k]
 
     def stats(self) -> dict[str, int]:
         """Anchor-round profiling cost summary (telemetry: the
         ``fedca.anchor`` event payload — §4.1 snapshots held, §5.5 bytes
         and sampled-parameter counts)."""
+        snaps = self.snapshots
         return {
-            "iterations": self.num_recorded,
-            "profiling_bytes": self.memory_bytes(),
+            "iterations": len(snaps),
+            "profiling_bytes": snaps.nbytes,
             "sampled_scalars": self.sampler.total_sampled(),
-            "sampled_layers": len(self.sampler.indices),
+            "sampled_layers": len(self.sampler.names),
         }
 
     def finalize(self, round_index: int) -> ProfiledCurves:
-        """Compute per-layer and whole-model curves from the snapshots."""
-        if not self._snapshots:
+        """Compute the whole-model curve (the concatenated sampled vector)
+        and one curve per layer (its contiguous column slice)."""
+        snaps = self.snapshots
+        if not len(snaps):
             raise RuntimeError("no snapshots recorded for this anchor round")
-        k = len(self._snapshots)
-        layer_names = list(self.sampler.indices.keys())
-
-        layer_curves = {
-            name: progress_curve([s[name] for s in self._snapshots])
-            for name in layer_names
-        }
-        # Whole-model curve: progress of the concatenated sampled vector.
-        model_curve = progress_curve(
-            [np.concatenate([s[n] for n in layer_names]) for s in self._snapshots]
-        )
-        curves = ProfiledCurves(
-            round_index=round_index,
-            num_iterations=k,
-            layer_curves=layer_curves,
-            model_curve=model_curve,
-        )
-        self._snapshots.clear()
-        return curves
+        bounds = self.sampler.bounds
+        curves = np.empty((len(bounds), len(snaps)), dtype=np.float64)
+        curves[0] = progress_curve(list(snaps))
+        for row, (lo, hi) in enumerate(zip(bounds, bounds[1:]), 1):
+            curves[row] = progress_curve(list(snaps[:, lo:hi]))
+        self._k = 0
+        return ProfiledCurves(round_index, curves, self.sampler.names)

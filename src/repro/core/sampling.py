@@ -18,8 +18,9 @@ __all__ = ["sample_size", "LayerSampler", "BYTES_PER_SNAPSHOT_SCALAR"]
 BYTES_PER_SNAPSHOT_SCALAR = 4
 
 
-def sample_size(layer_size: int, *, fraction: float = 0.5, cap: int = 100) -> int:
-    """Paper rule: ``min(ceil(fraction · n), cap)``, at least 1 scalar."""
+def sample_size(layer_size: int, *, fraction: float = 0.5, cap: float = 100) -> int:
+    """Paper rule: ``min(ceil(fraction · n), cap)``, at least 1 scalar
+    (``cap=math.inf`` with ``fraction=1`` samples every scalar)."""
     if layer_size < 1:
         raise ValueError("layer_size must be >= 1")
     if not 0.0 < fraction <= 1.0:
@@ -30,10 +31,14 @@ def sample_size(layer_size: int, *, fraction: float = 0.5, cap: int = 100) -> in
 
 
 class LayerSampler:
-    """Fixed per-layer flat-index subsets for one model architecture.
+    """Fixed per-layer index subsets of one architecture's flat ``(P,)``
+    parameter vector (:class:`~repro.nn.layout.Layout` order).
 
     Indices are drawn once (per client, seeded) and reused across all anchor
-    rounds, so curves from different rounds are directly comparable.
+    rounds, so curves from different rounds are directly comparable. They
+    are held as one flat position array, layer after layer, so one gather
+    reads the whole model's sample: layer ``l``'s positions are
+    ``index[bounds[l] : bounds[l + 1]]``.
     """
 
     def __init__(
@@ -41,61 +46,35 @@ class LayerSampler:
         layer_shapes: dict[str, tuple[int, ...]],
         *,
         fraction: float = 0.5,
-        cap: int = 100,
+        cap: float = 100,
         seed: int = 0,
     ) -> None:
         if not layer_shapes:
             raise ValueError("layer_shapes must not be empty")
         rng = np.random.default_rng(seed)
-        self.fraction = fraction
-        self.cap = cap
-        self.indices: dict[str, np.ndarray] = {}
-        for name, shape in layer_shapes.items():
-            n = int(np.prod(shape))
+        #: Layer names, in table order.
+        self.names = tuple(layer_shapes)
+        parts, bounds, offset = [], [0], 0
+        for shape in layer_shapes.values():
+            n = math.prod(shape)
             k = sample_size(n, fraction=fraction, cap=cap)
-            self.indices[name] = np.sort(rng.choice(n, size=k, replace=False))
+            parts.append(np.sort(rng.choice(n, size=k, replace=False)) + offset)
+            bounds.append(bounds[-1] + k)
+            offset += n
+        self.index = np.concatenate(parts)
+        self.bounds = tuple(bounds)
 
     @classmethod
-    def for_model(cls, model, *, fraction: float = 0.5, cap: int = 100, seed: int = 0):
+    def for_model(cls, model, *, fraction: float = 0.5, cap: float = 100, seed: int = 0):
         """Build a sampler from a :class:`repro.nn.Module`'s parameters."""
         shapes = {name: p.data.shape for name, p in model.named_parameters()}
         return cls(shapes, fraction=fraction, cap=cap, seed=seed)
 
     # ------------------------------------------------------------------
-    def extract(self, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Pull the sampled scalars (as float32 copies) from full buffers.
-
-        ``arrays`` maps layer name → full array (any shape matching the
-        registered layer). Missing layers are an error — a silent subset
-        would corrupt whole-model curves.
-        """
-        out: dict[str, np.ndarray] = {}
-        for name, idx in self.indices.items():
-            if name not in arrays:
-                raise KeyError(f"layer {name!r} missing from arrays")
-            flat = np.asarray(arrays[name]).ravel()
-            out[name] = flat[idx].astype(np.float32)
-        return out
-
-    def extract_delta(
-        self,
-        params: dict[str, np.ndarray],
-        anchor: dict[str, np.ndarray],
-    ) -> dict[str, np.ndarray]:
-        """Sampled accumulated update: ``params − anchor`` on sampled indices
-        only (no full-model temporary is materialised)."""
-        out: dict[str, np.ndarray] = {}
-        for name, idx in self.indices.items():
-            p = np.asarray(params[name]).ravel()
-            a = np.asarray(anchor[name]).ravel()
-            out[name] = (p[idx] - a[idx]).astype(np.float32)
-        return out
-
-    # ------------------------------------------------------------------
     def total_sampled(self) -> int:
         """Total sampled scalars across layers (paper §5.5 reports 618 / 905
         / 9974 for CNN / LSTM / WRN)."""
-        return sum(int(idx.size) for idx in self.indices.values())
+        return int(self.index.size)
 
     def snapshot_bytes(self, iterations: int) -> int:
         """Profiling memory for one anchor round of ``iterations`` snapshots."""

@@ -8,15 +8,16 @@
   scaled by β ≪ 1 before the deadline and 1 after it — cheap to keep
   computing while the majority is still working, expensive once the client
   is at risk of straggling.
-* Net benefit (Eq. 4): ``n = b − c``; the client stops at the first
-  iteration where it turns negative.
+* Net benefit (Eq. 4): ``n = b − c``, which
+  :class:`~repro.core.earlystop.EarlyStopPolicy` evaluates; the client stops
+  at the first iteration where it turns negative.
 """
 
 from __future__ import annotations
 
 from .profiler import ProfiledCurves
 
-__all__ = ["marginal_benefit", "marginal_cost", "net_benefit"]
+__all__ = ["marginal_benefit", "marginal_cost"]
 
 
 def marginal_benefit(curves: ProfiledCurves, tau: int) -> float:
@@ -49,10 +50,3 @@ def marginal_cost(elapsed: float, deadline: float, beta: float) -> float:
         raise ValueError("beta must be in (0, 1]")
     factor = beta if elapsed <= deadline else 1.0
     return factor * elapsed / deadline
-
-
-def net_benefit(
-    curves: ProfiledCurves, tau: int, elapsed: float, deadline: float, beta: float
-) -> float:
-    """Eq. 4 — ``n_{R,τ} = b_{R,τ} − c_{R,τ}``."""
-    return marginal_benefit(curves, tau) - marginal_cost(elapsed, deadline, beta)

@@ -5,7 +5,6 @@ from .loader import BatchStream
 from .partition import (
     dirichlet_clients_indices,
     dirichlet_partition,
-    iid_partition,
 )
 from .synthetic import Dataset, make_image_dataset, make_sequence_dataset
 
@@ -15,7 +14,6 @@ __all__ = [
     "make_sequence_dataset",
     "dirichlet_partition",
     "dirichlet_clients_indices",
-    "iid_partition",
     "BatchStream",
     "train_test_split",
     "make_workload_data",

@@ -76,10 +76,6 @@ class BatchStream:
         self._order = order
         self._cursor = cursor
 
-    def __iter__(self):
-        while True:
-            yield self.next_batch()
-
 
 def check_stream_position(snapshot: dict, n: int) -> tuple[np.ndarray, int]:
     """The ``(order, cursor)`` of a stream snapshot over an ``n``-sample

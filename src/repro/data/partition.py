@@ -16,7 +16,6 @@ from .synthetic import Dataset
 __all__ = [
     "dirichlet_partition",
     "dirichlet_clients_indices",
-    "iid_partition",
 ]
 
 
@@ -138,14 +137,3 @@ def dirichlet_clients_indices(
         cid: np.sort(np.concatenate(kept)) if kept else np.array([], dtype=np.int64)
         for cid, kept in chunks.items()
     }
-
-
-def iid_partition(
-    dataset: Dataset, num_clients: int, *, seed: int = 0
-) -> list[np.ndarray]:
-    """Uniform random split (baseline / testing utility)."""
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(dataset))
-    return [np.sort(chunk) for chunk in np.array_split(perm, num_clients)]

@@ -69,7 +69,7 @@ def run_fig1(
         "model": model,
         "toy_magnitudes": magnitudes,
         "toy_curve": toy_curve,
-        "real_curve": probe.model_curve,
+        "real_curve": probe.full.model_curve,
     }
 
 

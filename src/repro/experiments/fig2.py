@@ -57,7 +57,7 @@ def run_fig2(
                     batch_size=cfg.batch_size,
                     seed=seed + cid,
                 )
-                stage_curves[cid] = probe.model_curve
+                stage_curves[cid] = probe.full.model_curve
             out[model][stage] = stage_curves
     return out
 

@@ -54,10 +54,10 @@ def run_fig3(
                 batch_size=cfg.batch_size,
                 seed=seed + client,
             )
-            missing = [l for l in wanted if l not in probe.layer_curves]
+            missing = [l for l in wanted if l not in probe.full.names]
             if missing:
                 raise KeyError(f"layers {missing} not found in {model} model")
-            out[model][stage] = {l: probe.layer_curves[l] for l in wanted}
+            out[model][stage] = {l: probe.full.layer_curve(l) for l in wanted}
     return out
 
 

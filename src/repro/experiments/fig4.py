@@ -54,7 +54,7 @@ def run_fig4(
             iterations=cfg.local_iterations,
             batch_size=cfg.batch_size,
             seed=seed + client,
-        ).model_curve
+        ).full.model_curve
 
     current = 0
     for stage, start in (("early", early_start), ("late", late_start)):

@@ -59,15 +59,15 @@ def run_fig5(
                 seed=seed + client,
             )
             layer = DEFAULT_LAYERS[model]
-            if layer not in probe.layer_curves:
+            if layer not in probe.full.names:
                 for candidate in _WRN_FALLBACKS:
-                    if candidate in probe.layer_curves:
+                    if candidate in probe.full.names:
                         layer = candidate
                         break
                 else:
                     raise KeyError(f"no fallback layer found for {model}")
-            full = probe.layer_curves[layer]
-            sampled = probe.sampled_layer_curves[layer]
+            full = probe.full.layer_curve(layer)
+            sampled = probe.sampled.layer_curve(layer)
             out[model][stage] = {
                 "layer": layer,
                 "full": full,

@@ -11,12 +11,11 @@ truth for validating the sampled estimator (Fig. 5).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..algorithms import OptimizerSpec
-from ..core import LayerSampler, progress_curve
+from ..core import AnchorRecorder, LayerSampler, ProfiledCurves
 from ..data import BatchStream, Dataset
 from ..nn import softmax_cross_entropy
 
@@ -25,19 +24,18 @@ __all__ = ["ProbeResult", "probe_curves"]
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Ground-truth curves from one probed local round."""
+    """Ground-truth curves from one probed local round: ``full`` over every
+    scalar, ``sampled`` over a sampler's subset of the same trajectory."""
 
-    model_curve: np.ndarray  # (K,)
-    layer_curves: dict[str, np.ndarray]  # name -> (K,)
-    sampled_layer_curves: dict[str, np.ndarray] | None  # with intra-layer sampling
-    sampled_model_curve: np.ndarray | None
+    full: ProfiledCurves
+    sampled: ProfiledCurves | None
 
 
 def probe_curves(
     *,
     model_fn,
     shard: Dataset,
-    global_state: dict[str, np.ndarray],
+    global_state: dict,
     optimizer: OptimizerSpec,
     iterations: int,
     batch_size: int,
@@ -46,22 +44,24 @@ def probe_curves(
 ) -> ProbeResult:
     """Replay a local round and compute exact progress curves.
 
-    When ``sampler`` is given, sampled-subset curves are computed alongside
-    the full ones from the *same* trajectory, enabling an apples-to-apples
-    sampling-fidelity comparison (Fig. 5).
+    The full curves are FedCA's own profiler with a sampler that keeps
+    every scalar. When ``sampler`` is given, sampled-subset curves are
+    recorded alongside from the *same* trajectory, enabling an
+    apples-to-apples sampling-fidelity comparison (Fig. 5).
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     model = model_fn()
     model.load_state_dict(global_state)
     model.train(True)
+    values = model.arena().values
+    start = values.copy()
     opt = optimizer.build(model)
     stream = BatchStream(shard, batch_size, seed=seed)
-    params = dict(model.named_parameters())
-    start = {name: p.data.copy() for name, p in params.items()}
-
-    full_snapshots: list[dict[str, np.ndarray]] = []
-    sampled_snapshots: list[dict[str, np.ndarray]] = []
+    everything = LayerSampler.for_model(model, fraction=1.0, cap=math.inf)
+    recorders = [
+        AnchorRecorder(s, iterations) for s in (everything, sampler) if s is not None
+    ]
     for _ in range(iterations):
         x, y = stream.next_batch()
         logits = model(x)
@@ -69,36 +69,7 @@ def probe_curves(
         model.zero_grad()
         model.backward(grad)
         opt.step()
-        delta = {name: p.data - start[name] for name, p in params.items()}
-        full_snapshots.append(delta)
-        if sampler is not None:
-            sampled_snapshots.append(sampler.extract(delta))
-
-    layer_names = list(start.keys())
-    layer_curves = {
-        name: progress_curve([s[name] for s in full_snapshots])
-        for name in layer_names
-    }
-    flat = [
-        np.concatenate([s[n].ravel() for n in layer_names]) for s in full_snapshots
-    ]
-    model_curve = progress_curve(flat)
-
-    sampled_layer_curves = None
-    sampled_model_curve = None
-    if sampler is not None:
-        sampled_layer_curves = {
-            name: progress_curve([s[name] for s in sampled_snapshots])
-            for name in layer_names
-        }
-        sflat = [
-            np.concatenate([s[n] for n in layer_names]) for s in sampled_snapshots
-        ]
-        sampled_model_curve = progress_curve(sflat)
-
-    return ProbeResult(
-        model_curve=model_curve,
-        layer_curves=layer_curves,
-        sampled_layer_curves=sampled_layer_curves,
-        sampled_model_curve=sampled_model_curve,
-    )
+        for recorder in recorders:
+            recorder.record(values, start)
+    full, *sampled = (recorder.finalize(0) for recorder in recorders)
+    return ProbeResult(full=full, sampled=sampled[0] if sampled else None)

@@ -94,10 +94,10 @@ class CohortModel:
     """M stacked client replicas of one architecture.
 
     ``params[name].data[i]`` is member ``i``'s value of parameter ``name``
-    (a zero-copy view of the stacked tensor). Names and order are the
-    template model's ``named_parameters()`` — it is the same tree — so
-    per-member view dicts are drop-in replacements for serial
-    ``state_dict``s in the FedCA sampling/retransmission machinery.
+    (a zero-copy view of the stacked tensor), and row ``i`` of the arena's
+    ``(C, P)`` values is member ``i``'s whole vector. Names, order and
+    layout are the template model's — it is the same tree — so a row reads
+    like a serial replica's arena.
     """
 
     def __init__(self, template: Module, cohort_size: int) -> None:
@@ -110,7 +110,6 @@ class CohortModel:
         self._dropouts = [
             (name, m) for name, m in self.module.named_modules() if isinstance(m, Dropout)
         ]
-        self._param_views: tuple[np.ndarray | None, dict[str, np.ndarray]] = (None, {})
 
     # ------------------------------------------------------------------
     def bind_member_models(self, models: list[Module]) -> None:
@@ -135,18 +134,6 @@ class CohortModel:
         arena = self.module.arena()
         arena.values[...] = params
         arena.buffers[...] = buffers
-
-    def member_params(self, i: int) -> dict[str, np.ndarray]:
-        """Member ``i``'s parameter views (zero-copy): row ``i`` of the
-        arena's ``(C, *shape)`` views, which are built once per arena."""
-        values = self.module.arena().values
-        if self._param_views[0] is not values:
-            self._param_views = (values, self.stack_views(values))
-        return {name: view[i] for name, view in self._param_views[1].items()}
-
-    def stack_views(self, stacked: np.ndarray) -> dict[str, np.ndarray]:
-        """``{name: (C, *shape) view}`` into a ``(C, P)`` stack."""
-        return self.module.arena().layout.views(stacked)
 
     def stacked_update(self, params: np.ndarray) -> np.ndarray:
         """Accumulated updates for the whole cohort in one subtract against

@@ -13,7 +13,6 @@ from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "relu",
-    "relu_grad",
     "sigmoid",
     "log_softmax_and_softmax",
     "conv_output_size",
@@ -29,11 +28,6 @@ __all__ = [
 def relu(x: np.ndarray) -> np.ndarray:
     """Elementwise max(x, 0)."""
     return np.maximum(x, 0.0)
-
-
-def relu_grad(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """d(relu)/dx — masks the upstream gradient where the input was ≤ 0."""
-    return grad_out * (x > 0.0)
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -6,9 +6,9 @@ two — its parameters (``P`` floats) and its buffers (``B`` floats) — and
 every ``Parameter.data``, ``.grad`` and buffer is a view into the vector
 its table describes (:meth:`repro.nn.module.Module.arena`). Bulk work —
 the optimiser step, loading a broadcast, the accumulated update, the
-weighted average, the shared-memory wire — is then one vector operation,
-while the ``{name: array}`` dict of views stays the public face that
-strategies, FedCA's per-layer machinery and the codecs address.
+weighted average, the shared-memory wire, FedCA's sampled gather — is then
+one vector operation, while the ``{name: array}`` dict of views stays the
+public face that round results, aggregation and the codecs address.
 
 Layouts are interned per table (:meth:`Layout.of`), so every replica of
 one architecture shares one object and its read-only ``layer_bytes``.

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import functional as F
 
-__all__ = ["softmax_cross_entropy", "accuracy"]
+__all__ = ["softmax_cross_entropy"]
 
 
 def softmax_cross_entropy(
@@ -34,8 +34,3 @@ def softmax_cross_entropy(
     grad[np.arange(n), labels] -= 1.0
     grad /= n
     return loss, grad.astype(np.float32)
-
-
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy in [0, 1]."""
-    return float((logits.argmax(axis=1) == labels).mean())

@@ -50,8 +50,9 @@ __all__ = [
 #: compatibility loaders. (2: no per-client strategy section — scheme and
 #: codec state ride in each client's snapshot. 3: client snapshots are
 #: :mod:`~repro.persist.snapshot` blobs in three members, not two per client.
-#: 4: the payload is one snapshot tree, not an ``.npz`` archive.)
-CHECKPOINT_VERSION = 4
+#: 4: the payload is one snapshot tree, not an ``.npz`` archive. 5: a FedCA
+#: profile is one ``(L + 1, K)`` curve matrix, not a dict of curves.)
+CHECKPOINT_VERSION = 5
 
 MANIFEST_SUFFIX = ".manifest.json"
 

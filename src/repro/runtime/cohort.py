@@ -147,10 +147,6 @@ class CohortEngine:
         buffers) into every member slot."""
         self.model.load_global(params, self._buffers)
 
-    def member_params(self, i: int) -> dict[str, np.ndarray]:
-        """Member ``i``'s live parameter views (zero-copy into the stack)."""
-        return self.model.member_params(i)
-
     def build_optimizer(self, spec, params: np.ndarray) -> CohortSGD:
         """Batched optimizer from an :class:`~repro.algorithms.base.OptimizerSpec`;
         ``params`` is the proximal anchor (read only when ``spec.mu``)."""
@@ -236,7 +232,8 @@ class CohortEngine:
         engine, not the model, holds them — the model outlives the round and
         would keep the ``(C, P)`` update alive with them."""
         if self._update_views[0] is not stacked:
-            self._update_views = (stacked, self.model.stack_views(stacked))
+            views = self.model.module.arena().layout.views(stacked)
+            self._update_views = (stacked, views)
         return {name: view[i] for name, view in self._update_views[1].items()}
 
     def write_back(self) -> None:
@@ -295,6 +292,9 @@ class CohortExecutor(Executor):
         super().bind(clients, strategy, layouts, jobs_per_round)
         if self._sized_at_bind:
             self.cohort_size = bound_width(clients)
+        # A chunk is live at once: the population must never evict a member
+        # mid-round. An engine sized at bind already fits.
+        clients.reserve(self.cohort_size)
 
     def set_recorder(self, recorder) -> None:
         self._recorder = recorder
@@ -371,14 +371,6 @@ class CohortExecutor(Executor):
         """A chunk's width, at most a round's jobs, times the batch."""
         jobs = self._jobs_per_round or self.cohort_size
         return min(self.cohort_size, jobs) * super().step_rows()
-
-    # ------------------------------------------------------------------
-    def min_resident_clients(self) -> int:
-        """A full chunk of M clients is live during each batched program, so
-        the population must keep at least M residents (see
-        :meth:`Executor.min_resident_clients`); an engine sized at bind
-        already fits."""
-        return self.cohort_size
 
     # ------------------------------------------------------------------
     def occupancy(self) -> dict[str, float]:

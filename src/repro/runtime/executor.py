@@ -138,17 +138,6 @@ class Executor(ABC):
         what evaluation chunks by. The reference loop steps one client."""
         return self._clients.factory.spec.batch_size
 
-    def min_resident_clients(self) -> int:
-        """Largest number of clients the engine holds live at one moment.
-
-        The population (see :mod:`repro.scale`) sizes its resident cache to
-        at least this once the engine is bound, so an engine can never have
-        an in-use client evicted from under it mid-round. The
-        reference loop touches one client at a time; the cohort engine
-        overrides this with its chunk width.
-        """
-        return 1
-
 
 class SerialExecutor(Executor):
     """The reference engine: ``Strategy.client_round`` for one client after

@@ -229,10 +229,6 @@ class FederatedSimulator:
             (arena.layout, arena.buffer_layout),
             min(clients_per_round or num_clients, num_clients),
         )
-        # Executors that hold several clients live at once (a cohort chunk)
-        # must never see a member evicted mid-round; one sized at bind
-        # already fits the cache.
-        self.population.reserve(self.executor.min_resident_clients())
         self.executor.set_recorder(self.recorder)
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.profiler.set_executor_label(self.executor.name)

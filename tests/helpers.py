@@ -446,3 +446,73 @@ def reference_sequence_dataset(
         x = np.take_along_axis(x, idx[:, :, None], axis=1)
     x = (x + noise * rng.normal(size=x.shape)).astype(np.float32)
     return Dataset(x, labels.astype(np.int64), num_classes)
+
+
+# ----------------------------------------------------------------------
+# Reference FedCA profiler: the ``{layer: array}`` form the flat sampler,
+# the one-gather recorder and the curve matrix replaced. The shipped ones
+# must be bytes-equal to these.
+# ----------------------------------------------------------------------
+def sampler_indices_reference(
+    layer_shapes: dict, *, fraction: float = 0.5, cap: float = 100, seed: int = 0
+) -> dict[str, np.ndarray]:
+    """Per-layer sorted index draws, one ``rng.choice`` per layer in order."""
+    from repro.core import sample_size
+
+    rng = np.random.default_rng(seed)
+    out = {}
+    for name, shape in layer_shapes.items():
+        n = int(np.prod(shape))
+        k = sample_size(n, fraction=fraction, cap=cap)
+        out[name] = np.sort(rng.choice(n, size=k, replace=False))
+    return out
+
+
+def extract_delta_reference(
+    indices: dict[str, np.ndarray], params: dict, anchor: dict
+) -> dict[str, np.ndarray]:
+    """``params − anchor`` on each layer's sampled indices, per layer."""
+    out = {}
+    for name, idx in indices.items():
+        p = np.asarray(params[name]).ravel()
+        a = np.asarray(anchor[name]).ravel()
+        out[name] = (p[idx] - a[idx]).astype(np.float32)
+    return out
+
+
+def finalize_reference(
+    snapshots: list[dict[str, np.ndarray]],
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """``(model_curve, {layer: curve})``: one ``progress_curve`` per layer
+    and one over the concatenated sampled vector."""
+    from repro.core import progress_curve
+
+    names = list(snapshots[0])
+    layer_curves = {n: progress_curve([s[n] for s in snapshots]) for n in names}
+    model_curve = progress_curve(
+        [np.concatenate([s[n] for n in names]) for s in snapshots]
+    )
+    return model_curve, layer_curves
+
+
+def trigger_reference(layer_curves: dict[str, np.ndarray], threshold: float) -> dict:
+    """Eq. 5 per layer: the first τ whose curve reaches ``threshold``."""
+    out = {}
+    for name, curve in layer_curves.items():
+        hits = np.flatnonzero(curve >= threshold)
+        if hits.size:
+            out[name] = int(hits[0]) + 1
+    return out
+
+
+def profile_snapshot_reference(
+    round_index: int, model_curve: np.ndarray, layer_curves: dict
+) -> dict:
+    """What ``ClientProfile.snapshot_state`` kept before the curves were one
+    matrix: every curve copied into a dict, plus K."""
+    return {
+        "round_index": round_index,
+        "num_iterations": len(model_curve),
+        "model_curve": model_curve.copy(),
+        "layer_curves": {name: arr.copy() for name, arr in layer_curves.items()},
+    }

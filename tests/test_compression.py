@@ -147,12 +147,6 @@ class TestResidualStore:
         with pytest.raises(ValueError):
             store.add("w", np.zeros(4, np.float32))
 
-    def test_clear(self):
-        store = ResidualStore()
-        store.set("w", np.ones(2, np.float32))
-        store.clear()
-        np.testing.assert_array_equal(store.add("w", np.zeros(2)), 0.0)
-
 
 class TestCodecs:
     def _update(self):

@@ -16,21 +16,16 @@ from repro.core import (
     is_anchor_round,
     marginal_benefit,
     marginal_cost,
-    net_benefit,
 )
 
-from .helpers import progress_reference
+from .helpers import extract_delta_reference, progress_reference
 
 
 def make_curves(model_curve, layer_curves=None, round_index=0):
-    model_curve = np.asarray(model_curve, dtype=np.float64)
-    k = len(model_curve)
-    layer_curves = layer_curves or {"layer": model_curve.copy()}
+    layer_curves = layer_curves or {"layer": model_curve}
+    rows = [model_curve, *layer_curves.values()]
     return ProfiledCurves(
-        round_index=round_index,
-        num_iterations=k,
-        layer_curves={n: np.asarray(c, dtype=np.float64) for n, c in layer_curves.items()},
-        model_curve=model_curve,
+        round_index, np.asarray(rows, dtype=np.float64), tuple(layer_curves)
     )
 
 
@@ -57,65 +52,68 @@ class TestAnchorRounds:
 
 
 class TestAnchorRecorder:
+    """A ``{"w": (20,), "b": (4,)}`` model is one 24-float vector: ``w`` is
+    ``[0, 20)``, ``b`` is ``[20, 24)``."""
+
     def _sampler(self):
         return LayerSampler({"w": (20,), "b": (4,)}, seed=0)
 
     def test_records_and_finalizes_curves(self):
         sampler = self._sampler()
-        rec = AnchorRecorder(sampler)
-        anchor = {"w": np.zeros(20, dtype=np.float32), "b": np.zeros(4, dtype=np.float32)}
-        target_w = np.ones(20, dtype=np.float32)
-        target_b = np.full(4, 2.0, dtype=np.float32)
+        rec = AnchorRecorder(sampler, 5)
+        anchor = np.zeros(24, dtype=np.float32)
+        target = np.concatenate([np.ones(20), np.full(4, 2.0)]).astype(np.float32)
         for i in range(1, 6):
-            params = {"w": target_w * (i / 5), "b": target_b * (i / 5)}
-            rec.record(params, anchor)
+            rec.record(target * (i / 5), anchor)
         curves = rec.finalize(round_index=7)
         assert curves.round_index == 7
         assert curves.num_iterations == 5
         # Linear accumulation -> P_i = i/K for every layer and the model.
         np.testing.assert_allclose(curves.model_curve, [0.2, 0.4, 0.6, 0.8, 1.0], rtol=1e-5)
-        np.testing.assert_allclose(curves.layer_curves["w"], [0.2, 0.4, 0.6, 0.8, 1.0], rtol=1e-5)
+        np.testing.assert_allclose(curves.layer_curve("w"), [0.2, 0.4, 0.6, 0.8, 1.0], rtol=1e-5)
 
     def test_finalize_is_bytes_equal_to_per_snapshot_progress(self):
         """``finalize`` takes ``‖G_K‖`` once per curve; every curve must
         still hold exactly the per-snapshot Eq. 1 values."""
         sampler = self._sampler()
-        rec = AnchorRecorder(sampler)
+        rec = AnchorRecorder(sampler, 7)
         rng = np.random.default_rng(4)
-        anchor = {"w": np.zeros(20, np.float32), "b": np.zeros(4, np.float32)}
+        anchor = np.zeros(24, np.float32)
+        indices = {"w": sampler.index[:10], "b": sampler.index[10:] - 20}
         snaps = []
-        params = {k: v.copy() for k, v in anchor.items()}
+        params = anchor.copy()
         for _ in range(7):
-            params["w"] += rng.normal(size=20).astype(np.float32)  # "b" never moves
+            params[:20] += rng.normal(size=20).astype(np.float32)  # "b" never moves
             rec.record(params, anchor)
-            snaps.append(sampler.extract_delta(params, anchor))
+            views = {"w": params[:20], "b": params[20:]}
+            snaps.append(
+                extract_delta_reference(indices, views, {"w": anchor[:20], "b": anchor[20:]})
+            )
         curves = rec.finalize(0)
         for name in ("w", "b"):
             want = [progress_reference(s[name], snaps[-1][name]) for s in snaps]
-            assert curves.layer_curves[name].tobytes() == np.array(want).tobytes()
+            assert curves.layer_curve(name).tobytes() == np.array(want).tobytes()
         flat = [np.concatenate([s["w"], s["b"]]) for s in snaps]
         want = [progress_reference(f, flat[-1]) for f in flat]
         assert curves.model_curve.tobytes() == np.array(want).tobytes()
-        assert (curves.layer_curves["b"] == 1.0).all()  # zero vs zero
+        assert (curves.layer_curve("b") == 1.0).all()  # zero vs zero
 
     def test_finalize_clears_snapshots(self):
         sampler = self._sampler()
-        rec = AnchorRecorder(sampler)
-        anchor = {"w": np.zeros(20, np.float32), "b": np.zeros(4, np.float32)}
-        rec.record({"w": np.ones(20, np.float32), "b": np.ones(4, np.float32)}, anchor)
+        rec = AnchorRecorder(sampler, 2)
+        rec.record(np.ones(24, np.float32), np.zeros(24, np.float32))
         rec.finalize(0)
-        assert rec.num_recorded == 0
+        assert len(rec.snapshots) == 0
         with pytest.raises(RuntimeError):
             rec.finalize(1)
 
     def test_memory_accounting(self):
         sampler = self._sampler()
-        rec = AnchorRecorder(sampler)
-        anchor = {"w": np.zeros(20, np.float32), "b": np.zeros(4, np.float32)}
+        rec = AnchorRecorder(sampler, 5)
         for _ in range(3):
-            rec.record({"w": np.ones(20, np.float32), "b": np.ones(4, np.float32)}, anchor)
+            rec.record(np.ones(24, np.float32), np.zeros(24, np.float32))
         # 50% of 20 = 10 + 50% of 4 = 2 -> 12 scalars * 3 snapshots * 4 bytes
-        assert rec.memory_bytes() == 12 * 3 * 4
+        assert rec.stats()["profiling_bytes"] == 12 * 3 * 4
 
 
 class TestProfiledCurves:
@@ -133,17 +131,22 @@ class TestProfiledCurves:
             curves.p(-1)
 
     def test_layer_trigger_iteration(self):
-        curves = make_curves([0.5, 1.0], {"l": [0.3, 0.96, 1.0][:2]})
+        """Eq. 5's trigger, read off the matrix by ``EagerSchedule``."""
+        curves = make_curves([0.5, 1.0], {"l": [0.3, 0.96]})
+
+        def trigger(threshold):
+            return EagerSchedule(curves, threshold).triggers.get("l")
+
         # with 2 iterations curve [0.3, 0.96]: trigger at tau=2 for 0.95
-        assert curves.layer_trigger_iteration("l", 0.95) == 2
-        assert curves.layer_trigger_iteration("l", 0.2) == 1
-        assert curves.layer_trigger_iteration("l", 0.99) is None
+        assert trigger(0.95) == 2
+        assert trigger(0.2) == 1
+        assert trigger(0.99) is None
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            ProfiledCurves(0, 3, {"l": np.zeros(3)}, np.zeros(2))
-        with pytest.raises(ValueError):
-            ProfiledCurves(0, 2, {"l": np.zeros(3)}, np.zeros(2))
+        ProfiledCurves(0, np.zeros((2, 3)), ("l",))
+        for bad in (np.zeros((3, 3)), np.zeros((2, 0)), np.zeros(3), np.zeros((1, 2, 3))):
+            with pytest.raises(ValueError):
+                ProfiledCurves(0, bad, ("l",))
 
 
 # ----------------------------------------------------------------------
@@ -205,11 +208,6 @@ class TestMarginalCost:
             marginal_cost(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             marginal_cost(1.0, 1.0, 1.5)
-
-    def test_net_benefit_is_difference(self):
-        curves = make_curves([0.5, 0.75, 1.0])
-        n = net_benefit(curves, 2, elapsed=5.0, deadline=10.0, beta=0.01)
-        assert n == pytest.approx(0.25 - 0.005)
 
 
 # ----------------------------------------------------------------------

@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    AnchorRecorder,
     LayerSampler,
     cosine_similarity,
     progress_curve,
     sample_size,
     statistical_progress,
 )
+from repro.nn.layout import Layout
 
-from .helpers import progress_reference
+from .helpers import progress_reference, sampler_indices_reference
 
 
 class TestCosineSimilarity:
@@ -178,42 +180,48 @@ class TestLayerSampler:
     def _shapes(self):
         return {"a.weight": (8, 8), "a.bias": (8,), "b.weight": (300, 10)}
 
+    def _segments(self, s):
+        return {
+            name: s.index[lo:hi]
+            for name, lo, hi in zip(s.names, s.bounds, s.bounds[1:])
+        }
+
     def test_index_counts_follow_rule(self):
         s = LayerSampler(self._shapes(), seed=0)
-        assert s.indices["a.weight"].size == 32  # 50% of 64
-        assert s.indices["a.bias"].size == 4
-        assert s.indices["b.weight"].size == 100  # capped
+        assert np.diff(s.bounds).tolist() == [32, 4, 100]  # 50% of 64, 50% of 8, capped
 
     def test_indices_sorted_unique_in_range(self):
         s = LayerSampler(self._shapes(), seed=1)
-        for name, idx in s.indices.items():
+        offset = 0
+        for name, idx in self._segments(s).items():
             n = int(np.prod(self._shapes()[name]))
             assert np.all(np.diff(idx) > 0)
-            assert idx.min() >= 0 and idx.max() < n
+            assert idx.min() >= offset and idx.max() < offset + n
+            offset += n
 
     def test_deterministic_by_seed(self):
         a = LayerSampler(self._shapes(), seed=3)
         b = LayerSampler(self._shapes(), seed=3)
-        for name in a.indices:
-            np.testing.assert_array_equal(a.indices[name], b.indices[name])
+        np.testing.assert_array_equal(a.index, b.index)
+        assert a.bounds == b.bounds
 
     def test_extract_pulls_correct_scalars(self):
-        s = LayerSampler({"w": (10,)}, seed=0)
-        arr = np.arange(10, dtype=np.float32)
-        out = s.extract({"w": arr})
-        np.testing.assert_array_equal(out["w"], arr[s.indices["w"]])
-
-    def test_extract_missing_layer_raises(self):
-        s = LayerSampler({"w": (10,)}, seed=0)
-        with pytest.raises(KeyError):
-            s.extract({})
+        """One gather through the flat positions reads, layer after layer,
+        the scalars the per-layer draws name."""
+        s = LayerSampler(self._shapes(), seed=0)
+        ref = sampler_indices_reference(self._shapes(), seed=0)
+        flat = np.arange(64 + 8 + 3000, dtype=np.float32)
+        views = Layout.of(tuple(self._shapes().items())).views(flat)
+        want = np.concatenate([views[n].ravel()[idx] for n, idx in ref.items()])
+        assert flat[s.index].tobytes() == want.tobytes()
 
     def test_extract_delta(self):
         s = LayerSampler({"w": (6,)}, seed=0)
-        params = {"w": np.arange(6, dtype=np.float32) * 2}
-        anchor = {"w": np.arange(6, dtype=np.float32)}
-        out = s.extract_delta(params, anchor)
-        np.testing.assert_array_equal(out["w"], np.arange(6)[s.indices["w"]])
+        params = np.arange(6, dtype=np.float32) * 2
+        anchor = np.arange(6, dtype=np.float32)
+        rec = AnchorRecorder(s, 1)
+        rec.record(params, anchor)
+        np.testing.assert_array_equal(rec.snapshots[0], np.arange(6)[s.index])
 
     def test_total_sampled_and_bytes(self):
         s = LayerSampler(self._shapes(), seed=0)
@@ -225,7 +233,7 @@ class TestLayerSampler:
 
         model = LeNetCNN(rng=np.random.default_rng(0))
         s = LayerSampler.for_model(model, seed=0)
-        assert set(s.indices) == {n for n, _ in model.named_parameters()}
+        assert s.names == tuple(n for n, _ in model.named_parameters())
 
     def test_empty_shapes_raises(self):
         with pytest.raises(ValueError):

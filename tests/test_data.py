@@ -9,7 +9,6 @@ from repro.data import (
     BatchStream,
     Dataset,
     dirichlet_partition,
-    iid_partition,
     make_image_dataset,
     make_sequence_dataset,
     make_workload_data,
@@ -205,12 +204,6 @@ class TestDirichletPartition:
         with pytest.raises(ValueError):
             dirichlet_partition(ds, 15, min_samples=2)
 
-    def test_iid_partition_even(self):
-        ds = self._ds(n=100)
-        parts = iid_partition(ds, 4, seed=0)
-        assert sorted(p.size for p in parts) == [25, 25, 25, 25]
-        assert len(np.unique(np.concatenate(parts))) == 100
-
 
 class TestTrainTestSplit:
     def test_disjoint_and_sized(self):
@@ -318,9 +311,3 @@ class TestBatchStream:
         after = s.snapshot_state()
         assert after["rng"] == before["rng"] and after["cursor"] == before["cursor"]
         np.testing.assert_array_equal(after["order"], before["order"])
-
-    def test_iterator_protocol(self):
-        s = BatchStream(self._ds(), 4, seed=0)
-        it = iter(s)
-        x, y = next(it)
-        assert x.shape == (4, 1)

@@ -223,10 +223,10 @@ class TestProbe:
             iterations=5,
             batch_size=8,
         )
-        assert res.model_curve.shape == (5,)
-        assert res.model_curve[-1] == pytest.approx(1.0)
-        assert set(res.layer_curves) == set(state)
-        assert res.sampled_layer_curves is None
+        assert res.full.model_curve.shape == (5,)
+        assert res.full.model_curve[-1] == pytest.approx(1.0)
+        assert res.full.names == tuple(state)
+        assert res.sampled is None
 
     def test_probe_with_sampler(self):
         model_fn, shard, state = self._setup()
@@ -240,10 +240,10 @@ class TestProbe:
             batch_size=8,
             sampler=sampler,
         )
-        assert res.sampled_model_curve is not None
-        assert res.sampled_model_curve[-1] == pytest.approx(1.0)
+        assert res.sampled is not None
+        assert res.sampled.model_curve[-1] == pytest.approx(1.0)
         # Sampled curves approximate the full ones.
-        gap = np.max(np.abs(res.sampled_model_curve - res.model_curve))
+        gap = np.max(np.abs(res.sampled.model_curve - res.full.model_curve))
         assert gap < 0.5
 
     def test_probe_does_not_mutate_global_state(self):

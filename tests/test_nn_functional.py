@@ -25,11 +25,6 @@ class TestActivations:
         x = np.array([-2.0, 0.0, 3.0])
         np.testing.assert_array_equal(F.relu(x), [0.0, 0.0, 3.0])
 
-    def test_relu_grad_masks(self):
-        x = np.array([-1.0, 2.0])
-        g = np.array([5.0, 5.0])
-        np.testing.assert_array_equal(F.relu_grad(x, g), [0.0, 5.0])
-
     def test_sigmoid_range_and_symmetry(self):
         x = RNG.normal(size=100) * 10
         s = F.sigmoid(x)

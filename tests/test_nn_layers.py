@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    AvgPool2d,
     Conv2d,
     Dropout,
     Flatten,
@@ -520,7 +519,7 @@ def _rowwise_cases():
         (Conv2d(2, 3, 5, padding=2, rng=rng), (2, 6, 6)),
         (Conv2d(2, 3, 2, rng=rng), (2, 5, 5)),
         (MaxPool2d(2), (3, 6, 6)),
-        (AvgPool2d(3), (2, 7, 7)),
+        (MaxPool2d(3), (2, 7, 7)),
         (GlobalAvgPool2d(), (4, 5, 5)),
         (ReLU(), (3, 4, 4)),
         (_perturbed_batchnorm(3), (3, 5, 5)),
@@ -651,14 +650,6 @@ class TestPooling:
         m.backward(np.ones_like(m(randn(1, 1, 4, 4))))
         assert set(vars(m)) == declared
 
-    def test_avgpool_forward(self):
-        m = AvgPool2d(2)
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        np.testing.assert_allclose(m(x)[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avgpool_gradcheck(self):
-        assert_grads_close(AvgPool2d(2), randn(2, 2, 4, 4))
-
     def test_global_avgpool(self):
         m = GlobalAvgPool2d()
         x = randn(2, 3, 4, 4)
@@ -683,8 +674,6 @@ class TestPooling:
     def test_kernel_validation(self):
         with pytest.raises(ValueError):
             MaxPool2d(0)
-        with pytest.raises(ValueError):
-            AvgPool2d(-1)
 
 
 # ----------------------------------------------------------------------

@@ -31,12 +31,7 @@ from repro.obs import (
 
 def curves(n=5, values=(0.2, 0.4, 0.6, 0.8, 1.0)):
     arr = np.asarray(values, dtype=np.float64)
-    return ProfiledCurves(
-        round_index=0,
-        num_iterations=n,
-        layer_curves={"w": arr, "b": arr**2},
-        model_curve=arr,
-    )
+    return ProfiledCurves(0, np.stack([arr, arr, arr**2]), ("w", "b"))
 
 
 class TestNullRecorder:

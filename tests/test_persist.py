@@ -378,14 +378,15 @@ class TestCorruptionDetection:
             RunCheckpoint.load(bad)
         # A checkpoint of an earlier format (version 1 kept per-client
         # strategy state in its own section, version 2 two archive members
-        # per client, version 3 was an .npz archive) is refused by version,
-        # naming both, before the payload is even hashed.
+        # per client, version 3 was an .npz archive, version 4 kept a FedCA
+        # profile as a dict of curves) is refused by version, naming both,
+        # before the payload is even hashed.
         manifest["sha256"] = "not checked"
-        for old in (1, 2, 3):
+        for old in (1, 2, 3, 4):
             manifest["version"] = old
             json.dump(manifest, open(bad + ".manifest.json", "w"))
             with pytest.raises(
-                CheckpointFormatError, match=rf"version {old}\b.*version 4\b"
+                CheckpointFormatError, match=rf"version {old}\b.*version 5\b"
             ):
                 RunCheckpoint.load(bad)
 
@@ -812,8 +813,8 @@ class TestCLIPersistence:
             expected = "integrity"
         elif damage == "old-version":
             meta = json.loads(manifest.read_text())
-            manifest.write_text(json.dumps({**meta, "version": 3}))
-            expected = "version 3; this build reads version 4"
+            manifest.write_text(json.dumps({**meta, "version": 4}))
+            expected = "version 4; this build reads version 5"
         else:
             common += ["--seed", "4"]
             expected = "mismatched: seed"

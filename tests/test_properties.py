@@ -101,12 +101,7 @@ def monotone_curve(draw):
     total = sum(increments) or 1.0
     curve = np.cumsum([i / total for i in increments])
     curve[-1] = 1.0
-    return ProfiledCurves(
-        round_index=0,
-        num_iterations=k,
-        layer_curves={"l": curve.copy()},
-        model_curve=curve,
-    )
+    return ProfiledCurves(0, np.stack([curve, curve]), ("l",))
 
 
 class TestUtilityProperties:
@@ -359,6 +354,6 @@ class TestEagerScheduleProperties:
         sent = []
         for tau in range(1, curves.num_iterations + 1):
             sent.extend(sched.due(tau))
-        pending = [n for n in curves.layer_curves if n not in sched.triggers]
-        assert sorted(sent + pending) == sorted(curves.layer_curves)
+        pending = [n for n in curves.names if n not in sched.triggers]
+        assert sorted(sent + pending) == sorted(curves.names)
         assert len(set(sent)) == len(sent)

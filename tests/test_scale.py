@@ -626,14 +626,11 @@ def run_anchor(strategy, client, steps):
     does, without training: drifted parameters stand in for SGD."""
     from repro.core import AnchorRecorder
 
-    anchor = client.model.state_dict()
+    anchor = client.model.arena().values.copy()
     profile = strategy.profile(client)
-    recorder = AnchorRecorder(profile.sampler(client.model))
+    recorder = AnchorRecorder(profile.sampler(client.model), steps)
     for tau in range(1, steps + 1):
-        drifted = {
-            name: arr + 0.01 * tau * (1 + np.abs(arr)) for name, arr in anchor.items()
-        }
-        recorder.record(drifted, anchor)
+        recorder.record(anchor + 0.01 * tau * (1 + np.abs(anchor)), anchor)
     profile.curves = recorder.finalize(round_index=0)
 
 
@@ -1053,7 +1050,7 @@ def test_staged_blobs_page_in_without_a_rehydration(env_data):
             assert cache.rehydrations == second_round
 
 
-def build_fedca_topk(env_data, population):
+def build_fedca_topk(env_data, population, executor=None):
     train, _, test = env_data
     return FederatedSimulator(
         model_fn=lenet,
@@ -1065,7 +1062,19 @@ def build_fedca_topk(env_data, population):
         local_iterations=ITERS,
         seed=1,
         population=population,
+        executor=executor,
     )
+
+
+def test_fixed_width_engine_reserves_its_chunk(env_data):
+    """``cohort:8`` over ``lazy:cache=2``: the engine reserves its own chunk
+    when it binds, so the pager keeps 8 residents and a chunk of 8 trains
+    with no member evicted mid-program."""
+    with build_fedca_topk(env_data, "lazy:cache=2", "cohort:8") as sim:
+        assert sim.population.resident_capacity == 8
+        sim.run(2)
+        assert len(sim.population.cache) == 8
+        assert max(sim.executor._models) == 8
 
 
 def test_no_strategy_side_per_client_state(env_data):

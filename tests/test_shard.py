@@ -470,9 +470,7 @@ class TestWireStateLifecycle:
         snapshot = client.capture_state()
         assert set(snapshot) == {"stream", "trace", "kept"}
         assert set(snapshot["kept"]) == {"fedca", "wire"}
-        assert set(snapshot["kept"]["fedca"]) == {
-            "round_index", "num_iterations", "model_curve", "layer_curves",
-        }
+        assert set(snapshot["kept"]["fedca"]) == {"round_index", "curves"}
         assert set(snapshot["kept"]["wire"]) == {"residuals"}
         # A restored-but-untouched client carries its snapshots verbatim.
         fresh = make_sim(env_data, "fedca", executor="serial").clients[2]
