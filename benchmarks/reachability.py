@@ -49,9 +49,7 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 
 #: Unreached functions that stay, as ``"path::qualname": (reason, justified by)``.
-#: "Next deletion candidate" marks code only tests call.
 _REF = "the per-client reference loop every engine's bytes are held to"
-_NEXT = "no run needs it; next deletion candidate"
 _NULL = "no-op default `NullRecorder` inherits; call sites skip it behind `enabled`"
 _ANALYSIS = "trace-side Fig. 8 reconstruction"
 _GN = "the BN-vs-GN ablation model, `WideResNet(norm=\"group\")`"
@@ -61,8 +59,6 @@ _MULTI_BY = "`benchmarks/test_headline_multiseed.py`; `tests/test_experiments.py
 _PROX = "FedProx's proximal step in the reference loop"
 _PROX_BY = "`tests/test_algorithms.py::TestFedProx::test_prox_shrinks_drift`"
 _CLIENT_BY = "`tests/test_algorithms.py::TestFedAvgClientRound`; `benchmarks/e2e/layers.py` wraps `SimClient.train_step`"
-_PACKED = "shape-only wire-size prediction; " + _NEXT
-_PACKED_BY = "`tests/test_compression.py::TestPackedNbytes`"
 KEEP: dict[str, tuple[str, str]] = {
     "repro/algorithms/base.py::Strategy.client_round": (
         _REF, "`tests/test_executor.py::TestDefaultEngineIsTheReference`; `benchmarks/e2e/layers.py` wraps it"),
@@ -70,12 +66,6 @@ KEEP: dict[str, tuple[str, str]] = {
         "extension scheme the CLI does not register", "`benchmarks/test_extension_baselines.py`; `tests/test_extensions.py`"),
     "repro/algorithms/extensions.py::FedCAAdaptiveBatch.step_plan": (
         "extension scheme the CLI does not register", "`benchmarks/test_extension_baselines.py`; `tests/test_extensions.py`"),
-    "repro/compression/codecs.py::IdentityCodec.encode": (
-        "uncompressed codec (the wire's `raw` does not use it); " + _NEXT,
-        "`tests/test_compression.py::TestCodecs::test_identity_codec`"),
-    "repro/compression/codecs.py::IdentityCodec.packed_nbytes": (_PACKED, _PACKED_BY),
-    "repro/compression/codecs.py::QuantizationCodec.packed_nbytes": (_PACKED, _PACKED_BY),
-    "repro/compression/codecs.py::TopKCodec.packed_nbytes": (_PACKED, _PACKED_BY),
     "repro/experiments/configs.py::_small": (
         "the `--scale small` preset (the sweep runs micro)",
         "`tests/test_experiments.py::TestConfigs::test_all_presets_resolve`"),

@@ -80,7 +80,7 @@ from repro.nn import LeNetCNN  # noqa: E402
 from repro.obs import TraceRecorder  # noqa: E402
 from repro.persist import RunCheckpoint, list_checkpoints, save_run_checkpoint  # noqa: E402
 from repro.runtime import FederatedSimulator  # noqa: E402
-from repro.runtime.export import history_to_json  # noqa: E402
+from repro.runtime import history_to_json  # noqa: E402
 from repro.runtime.parallel import default_workers  # noqa: E402
 from repro.scale import SubsampledShards  # noqa: E402
 from repro.sysmodel import iteration_time_for  # noqa: E402
@@ -129,7 +129,6 @@ def build_sim(
     clients_per_round: int,
     population: str | None,
     model_fn=model_fn,
-    spill_client_events: bool = False,
     recorder=None,
 ):
     # Pool and test set come from ONE generated dataset: two generator
@@ -155,7 +154,6 @@ def build_sim(
         clients_per_round=clients_per_round,
         seed=1,
         population=population,
-        spill_client_events=spill_client_events,
         recorder=recorder,
     )
 
@@ -208,12 +206,9 @@ def run_phase(args) -> dict:
         return model_fn()
 
     t0 = _clock()
-    # The long run measures the pager, so the other per-round consumer of
-    # RAM — per-client event dicts in the history — is spilled (§15).
     sim = build_sim(
         args.clients, args.clients_per_round, args.population,
         _timed(counting_model_fn, model_seconds),
-        spill_client_events=bool(args.checkpoint_every),
     )
     setup_seconds = _clock() - t0
     long_run: dict = {}

@@ -248,12 +248,6 @@ def _add_population(parser: argparse.ArgumentParser) -> None:
              "'lazy:cache=N' keeps at most N (default 64) and parks the rest "
              "as snapshot blobs — byte-identical histories/traces, peak "
              "memory flat in total-client count (see repro.scale)")
-    parser.add_argument(
-        "--spill-client-events", action="store_true",
-        help="drop per-client event dicts from the in-RAM history after "
-             "each round (they still stream to --trace-file), bounding run "
-             "memory on long runs; the exported history JSON then has empty "
-             "client_events, so these runs bypass --cache-dir")
 
 
 def _add_persistence(parser: argparse.ArgumentParser) -> None:
@@ -362,7 +356,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 wire=args.wire,
                 executor=args.executor,
                 population=args.population,
-                spill_client_events=args.spill_client_events,
                 recorder=recorder,
                 profiler=profiler,
                 cache=_make_cache(args),
@@ -406,7 +399,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             cfg, args.schemes, rounds=args.rounds, seed=args.seed,
             wire=args.wire, executor=args.executor,
             population=args.population,
-            spill_client_events=args.spill_client_events,
             recorder=recorder, profiler=profiler, cache=_make_cache(args),
         )
         rows = []

@@ -5,7 +5,7 @@ packaged as update codecs so they can run as server-autocratic baselines
 against FedCA's client-autonomous eager transmission.
 """
 
-from .codecs import IdentityCodec, QuantizationCodec, TopKCodec, UpdateCodec
+from .codecs import QuantizationCodec, TopKCodec, UpdateCodec
 from .quantization import QuantizedTensor, dequantize, quantize, quantized_nbytes
 from .sparsification import (
     ResidualStore,
@@ -17,7 +17,6 @@ from .sparsification import (
 
 __all__ = [
     "UpdateCodec",
-    "IdentityCodec",
     "QuantizationCodec",
     "TopKCodec",
     "QuantizedTensor",

@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from ..rngstate import rng_state_bytes, set_rng_state
-from .quantization import dequantize, quantize, quantized_nbytes
+from .quantization import dequantize, quantize
 from .sparsification import (
     ResidualStore,
     SparseTensor,
@@ -22,7 +22,7 @@ from .sparsification import (
     top_k_sparsify,
 )
 
-__all__ = ["UpdateCodec", "IdentityCodec", "QuantizationCodec", "TopKCodec"]
+__all__ = ["UpdateCodec", "QuantizationCodec", "TopKCodec"]
 
 
 class UpdateCodec(ABC):
@@ -33,23 +33,6 @@ class UpdateCodec(ABC):
         self, update: dict[str, np.ndarray]
     ) -> tuple[dict[str, np.ndarray], int]:
         """Return ``(update_as_received, wire_bytes)``."""
-
-    @abstractmethod
-    def packed_nbytes(self, update: dict[str, np.ndarray]) -> int:
-        """Wire bytes :meth:`encode` would charge for ``update``, computed
-        from shapes alone — no encoding, no codec-state mutation."""
-
-
-class IdentityCodec(UpdateCodec):
-    """Uncompressed float32 transmission (4 bytes/scalar)."""
-
-    def encode(self, update):
-        """Pass the update through unchanged; count 4 bytes per scalar."""
-        nbytes = self.packed_nbytes(update)
-        return {k: np.asarray(v, dtype=np.float32) for k, v in update.items()}, nbytes
-
-    def packed_nbytes(self, update):
-        return sum(np.asarray(v).size * 4 for v in update.values())
 
 
 class QuantizationCodec(UpdateCodec):
@@ -70,12 +53,6 @@ class QuantizationCodec(UpdateCodec):
             received[name] = dequantize(q)
             nbytes += q.nbytes
         return received, nbytes
-
-    def packed_nbytes(self, update):
-        return sum(
-            quantized_nbytes(np.asarray(v).size, self.bits)
-            for v in update.values()
-        )
 
     def snapshot_state(self) -> dict:
         return {"rng": rng_state_bytes(self._rng)}
@@ -122,12 +99,6 @@ class TopKCodec(UpdateCodec):
             out[name] = sparse
             nbytes += sparse_nbytes(k)
         return out, nbytes
-
-    def packed_nbytes(self, update):
-        return sum(
-            sparse_nbytes(self._k_for(np.asarray(v).size))
-            for v in update.values()
-        )
 
     def _k_for(self, size: int) -> int:
         return max(1, int(round(self.fraction * size)))

@@ -17,15 +17,10 @@ class EagerSchedule:
     retransmission check handles the latter.
     """
 
-    def __init__(
-        self, curves: ProfiledCurves, threshold: float, *, sink=None
-    ) -> None:
+    def __init__(self, curves: ProfiledCurves, threshold: float) -> None:
         if not 0 < threshold <= 1:
             raise ValueError("threshold must be in (0, 1]")
         self.threshold = threshold
-        #: Optional telemetry hook ``sink(layer, trigger_iteration, tau)``,
-        #: called once per layer the moment :meth:`due` hands it out.
-        self.sink = sink
         # Eq. 5 for every layer at once: a layer's trigger is its curve's
         # first column at or above the threshold, if it has one.
         hits = curves.curves[1:] >= threshold
@@ -48,8 +43,5 @@ class EagerSchedule:
             for name, trig in self.triggers.items()
             if trig <= tau and name not in self._sent
         ]
-        for name in out:
-            self._sent.add(name)
-            if self.sink is not None:
-                self.sink(name, self.triggers[name], tau)
+        self._sent.update(out)
         return out

@@ -245,7 +245,6 @@ def make_environment(
     dynamic: bool = True,
     executor=None,
     population: str | None = None,
-    spill_client_events: bool = False,
     recorder=None,
     profiler=None,
 ):
@@ -255,11 +254,9 @@ def make_environment(
     ``"parallel[:N]"``, or an :class:`~repro.runtime.Executor` instance);
     ``population`` how many clients the run's pager keeps live
     (``"eager"`` default: every one it built; ``"lazy[:cache=N]"``: at
-    most N — see :mod:`repro.scale`); ``spill_client_events`` drops per-client event
-    dicts from the in-RAM history (they still stream to the trace file);
-    ``recorder`` an optional :class:`~repro.obs.Recorder` telemetry sink;
-    ``profiler`` an optional :class:`~repro.obs.PhaseProfiler` for
-    wall-clock phase breakdowns.
+    most N — see :mod:`repro.scale`); ``recorder`` an optional
+    :class:`~repro.obs.Recorder` telemetry sink; ``profiler`` an optional
+    :class:`~repro.obs.PhaseProfiler` for wall-clock phase breakdowns.
     """
     from ..runtime import FederatedSimulator
 
@@ -281,7 +278,6 @@ def make_environment(
         seed=seed,
         executor=executor,
         population=population,
-        spill_client_events=spill_client_events,
         recorder=recorder,
         profiler=profiler,
     )

@@ -34,7 +34,8 @@ def run_fig6(
 
     cid = record.collected_clients[0]
     client = sim.clients[cid]
-    events = record.client_events[cid]
+    events = record.events
+    row = events.data["cid"].tolist().index(cid)
     log = list(client.uplink.log)
     base = log[0].submit_time if log else 0.0
 
@@ -46,7 +47,8 @@ def run_fig6(
     return {
         "model": model,
         "client": cid,
-        "events": events,
+        "eager_layers": int((events.data["eager"][row] >= 0).sum()),
+        "retransmitted": int(events.retransmitted[row].sum()),
         "schedule": [
             {
                 "label": tx.label,
@@ -88,9 +90,8 @@ def format_fig6(data: dict) -> str:
         f"have finished at {data['single_upload_finish']:.3f} "
         f"(saving {data['saving']:.3f}s)"
     )
-    retrans = data["events"].get("retransmitted", [])
     lines.append(
-        f"eager layers: {len(data['events'].get('eager', {}))}, "
-        f"retransmitted: {len(retrans)}"
+        f"eager layers: {data['eager_layers']}, "
+        f"retransmitted: {data['retransmitted']}"
     )
     return "\n".join(lines)

@@ -13,6 +13,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .configs import get_workload
 from .report import cdf_points, format_series
 from .runner import run_scheme
@@ -37,12 +39,10 @@ def run_fig8(
 
     # FedAda's "stop moment" is its assigned budget whenever it is below K;
     # recorded per client per round from the iterations actually run.
-    fedada_stops = [
-        events["iterations_run"]
-        for record in fedada.history.records
-        for events in record.client_events.values()
-        if events.get("iterations_run", cfg.local_iterations) < cfg.local_iterations
-    ]
+    ran = np.concatenate(
+        [r.events.data["iterations_run"] for r in fedada.history.records]
+    )
+    fedada_stops = ran[ran < cfg.local_iterations].tolist()
 
     return {
         "model": model,

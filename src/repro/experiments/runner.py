@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING
 from ..algorithms import build_strategy
 from ..core import FedCAConfig
 from ..runtime import RunHistory, resolve_executor
-from ..runtime.export import history_from_dict, history_to_dict
+from ..runtime.history import history_from_dict, history_to_dict
 from ..runtime.wire import parse_wire_spec
 from .configs import WorkloadConfig, make_environment
 
@@ -60,7 +60,6 @@ def run_scheme(
     wire: str | None = None,
     executor=None,
     population: str | None = None,
-    spill_client_events: bool = False,
     recorder=None,
     profiler=None,
     cache: "ResultCache | None" = None,
@@ -104,13 +103,6 @@ def run_scheme(
         raise ValueError("resume=True requires checkpoint_dir")
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
-    if spill_client_events:
-        # A spilled history exports with empty client_events, so it must
-        # neither be served from nor written into the result cache — the
-        # cache key has no population/spill axis by design (the simulated
-        # run is identical; only what RAM retains differs).
-        cache = None
-
     # Resolve effective values BEFORE cache keying, so explicit defaults
     # and implied defaults land in the same cell.
     if fedca_config is None and scheme.lower().startswith("fedca"):
@@ -170,8 +162,7 @@ def run_scheme(
         # sequence number and byte offset (construction emits nothing).
         sim = make_environment(
             cfg, strategy, seed=seed, dynamic=dynamic, executor=engine,
-            population=population, spill_client_events=spill_client_events,
-            recorder=None, profiler=profiler,
+            population=population, recorder=None, profiler=profiler,
         )
         ckpt = sim.resume(ckpt_path)
         rounds_done = ckpt.rounds_completed
@@ -196,8 +187,7 @@ def run_scheme(
             )
         sim = make_environment(
             cfg, strategy, seed=seed, dynamic=dynamic, executor=engine,
-            population=population, spill_client_events=spill_client_events,
-            recorder=recorder, profiler=profiler,
+            population=population, recorder=recorder, profiler=profiler,
         )
 
     def on_round(_record) -> None:
@@ -265,7 +255,6 @@ def compare_schemes(
     wire: str | None = None,
     executor=None,
     population: str | None = None,
-    spill_client_events: bool = False,
     recorder=None,
     profiler=None,
     cache: "ResultCache | None" = None,
@@ -286,7 +275,6 @@ def compare_schemes(
             wire=wire,
             executor=executor,
             population=population,
-            spill_client_events=spill_client_events,
             recorder=recorder,
             profiler=profiler,
             cache=cache,

@@ -5,7 +5,8 @@ evolves across rounds:
 
 * the global model state and buffers (bit-exact arrays),
 * the simulated clock and server-side pace estimates,
-* the full :class:`~repro.runtime.history.RunHistory`,
+* the full :class:`~repro.runtime.history.RunHistory`: round summaries, and
+  each client-event column concatenated over the rounds as one array,
 * per-client cross-round state — one
   :meth:`SimClient.capture_state <repro.runtime.client.SimClient.capture_state>`
   snapshot per touched client, read from the simulator's population — the
@@ -42,7 +43,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..data.loader import check_stream_position
-from ..runtime.export import history_from_dict, history_to_dict
+from ..runtime.history import RunHistory
 from .container import CHECKPOINT_VERSION, manifest_path, read_payload, write_payload
 from .errors import (
     CheckpointCorruptError,
@@ -139,7 +140,7 @@ class RunCheckpoint:
             rounds_completed=sim.history.num_rounds,
             sim_time=float(sim.time),
             est_pace={str(cid): float(p) for cid, p in sim.est_pace.items()},
-            history=history_to_dict(sim.history),
+            history=sim.history.state(),
             # The codec takes plain dicts only; the model hands out
             # OrderedDicts.
             global_state=dict(sim.global_state),
@@ -184,13 +185,15 @@ class RunCheckpoint:
             raise CheckpointFormatError(
                 f"checkpoint global model does not fit this run's model: {exc}"
             ) from None
+        try:
+            history = RunHistory.from_state(self.history)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise CheckpointFormatError(
+                f"checkpoint history cannot be restored: {exc}"
+            ) from None
         sim.time = float(self.sim_time)
         sim.est_pace = {int(cid): float(p) for cid, p in self.est_pace.items()}
-        retain_client_events = sim.history.retain_client_events
-        sim.history = history_from_dict(self.history)
-        # history_from_dict builds a default-config history; the spill
-        # setting is simulator configuration, not checkpointed state.
-        sim.history.retain_client_events = retain_client_events
+        sim.history = history
         # Stage the blobs without materialising a client; each is applied
         # when (and if) its client pages in.
         for cid, blob in self.clients.items():

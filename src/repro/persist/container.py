@@ -51,8 +51,9 @@ __all__ = [
 #: codec state ride in each client's snapshot. 3: client snapshots are
 #: :mod:`~repro.persist.snapshot` blobs in three members, not two per client.
 #: 4: the payload is one snapshot tree, not an ``.npz`` archive. 5: a FedCA
-#: profile is one ``(L + 1, K)`` curve matrix, not a dict of curves.)
-CHECKPOINT_VERSION = 5
+#: profile is one ``(L + 1, K)`` curve matrix, not a dict of curves. 6: the
+#: history's client events are array columns, not a dict per client.)
+CHECKPOINT_VERSION = 6
 
 MANIFEST_SUFFIX = ".manifest.json"
 

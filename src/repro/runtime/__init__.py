@@ -10,12 +10,14 @@ from .aggregation import (
 from .client import SimClient
 from .cohort import CohortEngine, CohortExecutor
 from .executor import Executor, SerialExecutor, resolve_executor
-from .export import (
+from .history import (
+    ClientEventTable,
+    RoundRecord,
+    RunHistory,
     history_from_dict,
     history_to_dict,
     history_to_json,
 )
-from .history import RoundRecord, RunHistory
 from .parallel import ParallelExecutor
 from .round import ClientRoundResult, RoundContext
 from .transport import ShmTransport, shm_available
@@ -36,6 +38,7 @@ __all__ = [
     "shm_available",
     "RoundContext",
     "ClientRoundResult",
+    "ClientEventTable",
     "RoundRecord",
     "RunHistory",
     "aggregate_updates",

@@ -27,7 +27,7 @@ from .aggregation import (
     collect_earliest,
 )
 from .executor import Executor, resolve_executor
-from .history import RoundRecord, RunHistory
+from .history import ClientEventTable, RoundRecord, RunHistory
 from .round import RoundContext
 from .selection import select_clients
 
@@ -112,12 +112,8 @@ class FederatedSimulator:
         the rest as snapshot blobs. Only peak memory changes, never the
         history or trace bytes (see :mod:`repro.scale`, DESIGN.md §15).
     spill_client_events:
-        Drop each round's per-client event dicts from the in-RAM
-        :class:`~repro.runtime.history.RunHistory` once the round record
-        is appended. The same information still streams to the trace file
-        (``client.round`` spans and FedCA decision events), bounding run
-        memory for long runs at the cost of post-hoc helpers that read
-        ``record.client_events``.
+        Accepted and ignored: a history keeps each round's client events as
+        one compact table, so there is nothing to spill.
     """
 
     def __init__(
@@ -213,7 +209,7 @@ class FederatedSimulator:
         self.est_pace: dict[int, float] = {}
         self.dropout = DropoutModel(dropout_rate, seed=seed)
         self.time = 0.0
-        self.history = RunHistory(retain_client_events=not spill_client_events)
+        self.history = RunHistory()
         # Construction emits nothing: a client describes itself on its own
         # client.round span, so a traced lazy run never enumerates the
         # population.
@@ -222,6 +218,8 @@ class FederatedSimulator:
         # fork the pager and build the clients each round deals them.
         self.executor = resolve_executor(executor)
         arena = self.global_model.arena()
+        # Eager layers are recorded against the model's layout order.
+        self._event_layers = tuple(arena.layout.layer_bytes)
         num_clients = len(self.clients)
         self.executor.bind(
             self.clients,
@@ -381,7 +379,7 @@ class FederatedSimulator:
                 straggler_clients=tuple(selected),
                 mean_iterations=0.0,
                 total_bytes=0,
-                client_events={},
+                events=ClientEventTable.from_events(self._event_layers, {}),
             )
             self.history.append(record)
             self.time = record.end_time
@@ -495,7 +493,9 @@ class FederatedSimulator:
             ),
             mean_iterations=float(np.mean([r.iterations_run for r in results])),
             total_bytes=sum(r.bytes_uploaded for r in results),
-            client_events={r.client_id: r.events for r in results},
+            events=ClientEventTable.from_events(
+                self._event_layers, {r.client_id: r.events for r in results}
+            ),
         )
         self.history.append(record)
         self.time = round_end

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.compression import (
-    IdentityCodec,
     QuantizationCodec,
     ResidualStore,
     SparseTensor,
@@ -156,13 +155,6 @@ class TestCodecs:
             "b": rng.normal(size=(5,)).astype(np.float32),
         }
 
-    def test_identity_codec(self):
-        upd = self._update()
-        received, nbytes = IdentityCodec().encode(upd)
-        assert nbytes == (100 + 5) * 4
-        for k in upd:
-            np.testing.assert_array_equal(received[k], upd[k])
-
     def test_quantization_codec_compresses(self):
         upd = self._update()
         received, nbytes = QuantizationCodec(bits=4, seed=0).encode(upd)
@@ -251,49 +243,6 @@ class TestFedAvgOverLossyWire:
         rec = sim.run_round()
         full_bytes = sim.clients[0].model_bytes * 3
         assert rec.total_bytes < full_bytes * 0.5
-
-
-class TestPackedNbytes:
-    """``packed_nbytes`` must predict ``encode()``'s wire size without
-    encoding (and therefore without mutating codec state)."""
-
-    def _update(self):
-        rng = np.random.default_rng(11)
-        return {
-            "a": rng.normal(size=(9, 7)).astype(np.float32),
-            "b": rng.normal(size=(13,)).astype(np.float32),
-        }
-
-    @pytest.mark.parametrize(
-        "make_codec",
-        [
-            lambda: IdentityCodec(),
-            lambda: QuantizationCodec(bits=8, seed=3),
-            lambda: QuantizationCodec(bits=4, seed=3),
-            lambda: TopKCodec(fraction=0.2),
-        ],
-        ids=["identity", "quant8", "quant4", "topk"],
-    )
-    def test_matches_encode_and_leaves_state_untouched(self, make_codec):
-        upd = self._update()
-        probe, oracle = make_codec(), make_codec()
-        predicted = probe.packed_nbytes(upd)
-        # Predicting must not perturb the codec: encode afterwards gives
-        # exactly what a fresh codec's encode gives.
-        got_probe, nbytes_probe = probe.encode(upd)
-        got_oracle, nbytes_oracle = oracle.encode(upd)
-        assert predicted == nbytes_probe == nbytes_oracle
-        for k in upd:
-            np.testing.assert_array_equal(got_probe[k], got_oracle[k])
-
-    def test_topk_prediction_holds_with_residual_state(self):
-        # Size depends only on k per layer, not residual contents, so the
-        # prediction stays exact after rounds of error feedback.
-        upd = self._update()
-        codec = TopKCodec(fraction=0.2)
-        codec.encode(upd)
-        _, nbytes = codec.encode(upd)
-        assert codec.packed_nbytes(upd) == nbytes
 
 
 class TestSparseEncode:

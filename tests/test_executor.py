@@ -675,7 +675,7 @@ class TestWorkerDeathIsInvisible:
         import shutil
 
         from repro.obs import TraceRecorder
-        from repro.runtime.export import history_to_json
+        from repro.runtime import history_to_json
 
         executor = resolve_executor(executor)
         rec = TraceRecorder(trace_path=str(path), defer_sink=resume is not None)
@@ -952,7 +952,7 @@ class TestDefaultEngineIsTheReference:
 
         from repro.nn import build_model
         from repro.obs import TraceRecorder, events_to_jsonl
-        from repro.runtime.export import history_to_json
+        from repro.runtime import history_to_json
 
         workload, scheme, population, model_kwargs, sim_kwargs = REFERENCE_CASES[case]
         shards, test = model_data(workload)
@@ -1013,7 +1013,7 @@ class TestDefaultEngineIsTheReference:
         from repro.experiments.runner import run_scheme
         from repro.obs import TraceRecorder
         from repro.persist import ResultCache
-        from repro.runtime.export import history_to_json
+        from repro.runtime import history_to_json
 
         cfg = dataclasses.replace(
             get_workload("cnn", "micro"), num_samples=400, num_clients=4,

@@ -1,12 +1,18 @@
-"""Tests for run-history serialization."""
+"""Tests for run-history serialization and the client-event table."""
 
 from __future__ import annotations
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime import (
+    ClientEventTable,
     RoundRecord,
     RunHistory,
     history_from_dict,
@@ -28,7 +34,7 @@ def sample_history():
             straggler_clients=(2,),
             mean_iterations=7.5,
             total_bytes=1000,
-            client_events={
+            events=ClientEventTable.from_events(("conv1.weight",), {
                 0: {
                     "anchor": False,
                     "iterations_run": np.int64(8),
@@ -37,7 +43,7 @@ def sample_history():
                     "retransmitted": ["conv1.weight"],
                 },
                 1: {"iterations_run": 10},
-            },
+            }),
         )
     )
     h.append(
@@ -51,7 +57,7 @@ def sample_history():
             straggler_clients=(),
             mean_iterations=10.0,
             total_bytes=900,
-            client_events={},
+            events=ClientEventTable.from_events(("conv1.weight",), {}),
         )
     )
     return h
@@ -72,19 +78,6 @@ class TestExport:
         data = json.loads(text)  # raises if numpy scalars leaked through
         assert data["num_rounds"] == 2
         assert data["records"][0]["client_events"]["0"]["eager"]["conv1.weight"] == 3
-
-    def test_numpy_arrays_and_nesting_roundtrip(self):
-        h = sample_history()
-        h.records[0].client_events[0]["grad_norms"] = np.array([1.5, 2.5])
-        h.records[0].client_events[0]["zero_d"] = np.array(3.0)
-        h.records[0].client_events[0]["nested"] = {
-            np.int64(4): (np.float32(0.5), {np.bool_(True)})
-        }
-        data = json.loads(history_to_json(h))
-        ev = data["records"][0]["client_events"]["0"]
-        assert ev["grad_norms"] == [1.5, 2.5]
-        assert ev["zero_d"] == 3.0
-        assert ev["nested"] == {"4": [0.5, [True]]}
 
     def test_empty_history(self):
         h = RunHistory()
@@ -110,3 +103,151 @@ class TestExport:
         )
         hist = sim.run(3)
         json.loads(history_to_json(hist))  # FedCA events must serialise too
+
+
+# ----------------------------------------------------------------------
+# The client-event table: every shape a scheme emits comes back verbatim
+# ----------------------------------------------------------------------
+LAYERS = ("conv1.weight", "conv1.bias", "fc.weight", "fc.bias")
+_COUNT = st.integers(0, 2**40)
+_TAU = st.integers(1, 200)
+
+
+@st.composite
+def client_round_events(draw):
+    """One client's round events as FedAvg/FedProx/FedAda, DeadlineStop, a
+    FedCA anchor or an optimised FedCA member emits them, with or without
+    the wire layer's byte counts."""
+    kind = draw(st.sampled_from(["fedavg", "deadline-stop", "anchor", "optimised"]))
+    ev: dict = {}
+    if kind in ("anchor", "optimised"):
+        ev["anchor"] = kind == "anchor"
+    ev["iterations_run"] = draw(st.integers(0, 200))
+    if kind == "anchor":
+        ev.update(early_stop_iteration=None, eager={}, retransmitted=[])
+        ev["profiling_bytes"] = draw(_COUNT)
+    elif kind != "fedavg":
+        ev["early_stop_iteration"] = draw(st.none() | _TAU)
+    if kind == "optimised":
+        taus = draw(st.lists(st.none() | _TAU, min_size=len(LAYERS), max_size=len(LAYERS)))
+        sent = sorted((tau, j) for j, tau in enumerate(taus) if tau is not None)
+        again = draw(st.lists(st.booleans(), min_size=len(sent), max_size=len(sent)))
+        ev["eager"] = {LAYERS[j]: tau for tau, j in sent}
+        ev["retransmitted"] = [LAYERS[j] for (_, j), a in zip(sent, again) if a]
+    if draw(st.booleans()):
+        ev["wire"] = {"raw_bytes": draw(_COUNT), "wire_bytes": draw(_COUNT)}
+    return ev
+
+
+@st.composite
+def round_events(draw):
+    evs = draw(st.lists(client_round_events(), max_size=6))
+    cids = draw(
+        st.lists(st.integers(0, 2**31 - 1), unique=True, min_size=len(evs), max_size=len(evs))
+    )
+    return dict(zip(cids, evs))
+
+
+def _record(index, events):
+    return RoundRecord(
+        round_index=index, start_time=float(index), end_time=index + 1.0,
+        accuracy=0.5, mean_loss=1.0, collected_clients=tuple(events),
+        straggler_clients=(), mean_iterations=1.0, total_bytes=10,
+        events=ClientEventTable.from_events(LAYERS, events),
+    )
+
+
+class TestClientEventTable:
+    @given(st.lists(round_events(), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_return_the_emitted_dicts(self, rounds):
+        history = RunHistory()
+        for i, events in enumerate(rounds):
+            history.append(_record(i, events))
+            table = history.records[-1].events
+            # JSON-equal in the same key order; json.dumps also refuses
+            # any NumPy scalar that leaked through.
+            assert json.dumps(table.rows()) == json.dumps(list(events.values()))
+            assert dict(history.records[-1].client_events) == events
+        # The exported form re-imports to the same bytes, and the
+        # checkpoint form to the same tables.
+        text = history_to_json(history)
+        assert history_to_json(history_from_dict(json.loads(text))) == text
+        assert history_to_json(RunHistory.from_state(history.state())) == text
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"iterations_run": 3, "grad_norm": 1.5},
+            {"early_stop_iteration": 3, "iterations_run": 3},
+            {"early_stop_iteration": 3},
+            {"iterations_run": 3.0},
+            {"iterations_run": True},
+            {"iterations_run": -1},
+            {"iterations_run": 3, "early_stop_iteration": "3"},
+            {"anchor": 1, "iterations_run": 3, "eager": {}, "retransmitted": []},
+            {"anchor": False, "iterations_run": 3, "eager": {"fc.weight": 0},
+             "retransmitted": []},
+            {"anchor": False, "iterations_run": 3, "eager": {"fc.weight": 2},
+             "retransmitted": ["fc.bias"]},
+            {"anchor": False, "iterations_run": 3, "eager": [], "retransmitted": []},
+            {"iterations_run": 3, "wire": {"wire_bytes": 1, "raw_bytes": 2}},
+            {"iterations_run": 3, "wire": {"raw_bytes": "2", "wire_bytes": 1}},
+            "not a dict",
+        ],
+    )
+    def test_from_events_rejects_what_no_scheme_emits(self, event):
+        with pytest.raises(ValueError):
+            ClientEventTable.from_events(LAYERS, {0: event})
+        data = history_to_dict(sample_history())
+        data["records"][1]["client_events"] = {"0": event}
+        with pytest.raises(ValueError):
+            history_from_dict(data)
+
+    @pytest.mark.parametrize("cid", ["05", " 5", "+5", "x"])
+    def test_history_from_dict_rejects_a_client_id_it_would_not_export(self, cid):
+        data = history_to_dict(sample_history())
+        data["records"][1]["client_events"] = {cid: {"iterations_run": 3}}
+        with pytest.raises(ValueError):
+            history_from_dict(data)
+
+    def test_eager_layers_follow_the_given_layout(self):
+        # A layer the model lacks, or two layers sent at one iteration out
+        # of layout order, cannot come back as they went in.
+        for eager in ({"nope": 2}, {"fc.weight": 2, "conv1.bias": 2}):
+            event = {"anchor": False, "iterations_run": 3, "eager": eager, "retransmitted": []}
+            with pytest.raises(ValueError):
+                ClientEventTable.from_events(LAYERS, {0: event})
+
+    def test_client_events_retain_at_most_100_bytes_per_client_round(self):
+        """A 20-round micro LSTM FedCA history, read back from its JSON:
+        what its client events keep alive, over what the same history keeps
+        with every round's events emptied. (One dict per client held about
+        480 B per client-round here.)"""
+        from repro.experiments.configs import get_workload
+        from repro.experiments.runner import run_scheme
+
+        history = run_scheme(
+            get_workload("lstm", "micro"), "fedca", rounds=20, stop_at_target=False
+        ).history
+        text = history_to_json(history)
+        data = json.loads(text)
+        for record in data["records"]:
+            record["client_events"] = {}
+        bare = json.dumps(data)
+        client_rounds = sum(len(r.client_events) for r in history.records)
+
+        def retained(payload: str) -> int:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                kept = history_from_dict(json.loads(payload))
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        per_client_round = (retained(text) - retained(bare)) / client_rounds
+        assert client_rounds == 240
+        assert per_client_round <= 100, f"{per_client_round:.0f} B per client-round"

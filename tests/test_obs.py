@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.core import FedCAConfig
-from repro.core.eager import EagerSchedule
 from repro.core.earlystop import EarlyStopPolicy
 from repro.core.profiler import ProfiledCurves
 from repro.core.retransmit import deviated_layers
@@ -173,20 +172,6 @@ class TestEarlyStopDecision:
 
 
 class TestDecisionSinks:
-    def test_eager_schedule_sink(self):
-        calls = []
-        sched = EagerSchedule(
-            curves(), 0.75, sink=lambda layer, trig, tau: calls.append(
-                (layer, trig, tau))
-        )
-        assert sched.due(3) == []  # nothing crossed 0.75 yet ⇒ sink silent
-        assert calls == []
-        due = sched.due(5)
-        assert set(due) == {"w", "b"}
-        assert sorted(calls) == [("b", 5, 5), ("w", 4, 5)]
-        sched.due(5)  # already sent ⇒ no duplicate sink calls
-        assert len(calls) == 2
-
     def test_retransmit_sink(self):
         final = {"w": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
         sent = {"w": np.array([1.0, 0.0]), "b": np.array([0.0, -1.0])}

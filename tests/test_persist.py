@@ -30,7 +30,7 @@ from repro.persist import (
     write_payload,
 )
 from repro.persist.snapshot import decode, encode
-from repro.runtime.export import history_to_json
+from repro.runtime import history_to_json
 from repro.runtime.parallel import fork_available
 
 needs_fork = pytest.mark.skipif(
@@ -379,14 +379,15 @@ class TestCorruptionDetection:
         # A checkpoint of an earlier format (version 1 kept per-client
         # strategy state in its own section, version 2 two archive members
         # per client, version 3 was an .npz archive, version 4 kept a FedCA
-        # profile as a dict of curves) is refused by version, naming both,
-        # before the payload is even hashed.
+        # profile as a dict of curves, version 5 the history's client events
+        # as a dict per client) is refused by version, naming both, before
+        # the payload is even hashed.
         manifest["sha256"] = "not checked"
-        for old in (1, 2, 3, 4):
+        for old in (1, 2, 3, 4, 5):
             manifest["version"] = old
             json.dump(manifest, open(bad + ".manifest.json", "w"))
             with pytest.raises(
-                CheckpointFormatError, match=rf"version {old}\b.*version 5\b"
+                CheckpointFormatError, match=rf"version {old}\b.*version 6\b"
             ):
                 RunCheckpoint.load(bad)
 
@@ -813,8 +814,8 @@ class TestCLIPersistence:
             expected = "integrity"
         elif damage == "old-version":
             meta = json.loads(manifest.read_text())
-            manifest.write_text(json.dumps({**meta, "version": 4}))
-            expected = "version 4; this build reads version 5"
+            manifest.write_text(json.dumps({**meta, "version": 5}))
+            expected = "version 5; this build reads version 6"
         else:
             common += ["--seed", "4"]
             expected = "mismatched: seed"

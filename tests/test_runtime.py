@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
+    ClientEventTable,
     ClientRoundResult,
     RoundContext,
     RoundRecord,
@@ -209,7 +210,7 @@ class TestSelection:
 
 
 class TestRunHistory:
-    def _record(self, idx, end, acc, events=None):
+    def _record(self, idx, end, acc, events=None, layers=()):
         return RoundRecord(
             round_index=idx,
             start_time=0.0 if idx == 0 else float(idx),
@@ -220,7 +221,7 @@ class TestRunHistory:
             straggler_clients=(),
             mean_iterations=5.0,
             total_bytes=100,
-            client_events=events or {},
+            events=ClientEventTable.from_events(layers, events or {}),
         )
 
     def test_append_order_enforced(self):
@@ -257,18 +258,20 @@ class TestRunHistory:
     def test_early_stop_iterations_extraction(self):
         h = RunHistory()
         h.append(self._record(0, 1.0, 0.1, events={
-            0: {"early_stop_iteration": 7},
-            1: {"early_stop_iteration": None},
+            0: {"iterations_run": 7, "early_stop_iteration": 7},
+            1: {"iterations_run": 9, "early_stop_iteration": None},
         }))
         assert h.early_stop_iterations() == [7]
 
     def test_eager_iterations_effective_accounting(self):
         h = RunHistory()
-        h.append(self._record(0, 1.0, 0.1, events={
+        h.append(self._record(0, 1.0, 0.1, layers=("a", "b"), events={
             0: {
+                "anchor": False,
+                "iterations_run": 9,
+                "early_stop_iteration": None,
                 "eager": {"a": 3, "b": 5},
                 "retransmitted": ["b"],
-                "iterations_run": 9,
             },
         }))
         assert sorted(h.eager_iterations(effective=False)) == [3, 5]

@@ -4,7 +4,7 @@ Covers: the per-client Dirichlet replay vs the full-partition oracle,
 factory reconstruction bit-equality, LRU paging with capture-before-release
 eviction, evict→rehydrate round-trip exactness (hypothesis), lazy↔eager
 bitwise run identity on all three engines, checkpointing through the lazy
-path, the history spill switch, and the ``--population`` spec parser.
+path, the ignored history spill keyword, and the ``--population`` spec parser.
 """
 
 from __future__ import annotations
@@ -30,14 +30,15 @@ from repro.nn import Dropout, LeNetCNN, WideResNet
 from repro.obs import TraceRecorder, events_to_jsonl
 from repro.persist.snapshot import decode, encode
 from repro.runtime import (
+    ClientEventTable,
     FederatedSimulator,
+    RoundRecord,
     RunHistory,
     SerialExecutor,
+    history_to_json,
     resolve_executor,
     shm_available,
 )
-from repro.runtime.export import history_to_json
-from repro.runtime.history import RoundRecord
 from repro.runtime.parallel import fork_available
 from repro.scale import (
     DEFAULT_CACHE_CLIENTS,
@@ -1115,7 +1116,8 @@ def test_resume_keeps_the_residency_bound(env_data, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# History spill (unbounded client_events growth fix)
+# The history spill keyword: ignored, since a history always keeps each
+# round's client-event table.
 # ----------------------------------------------------------------------
 class TestHistorySpill:
     def _record(self, i):
@@ -1123,7 +1125,9 @@ class TestHistorySpill:
             round_index=i, start_time=0.0, end_time=1.0, accuracy=0.5,
             mean_loss=0.1, collected_clients=(0,), straggler_clients=(),
             mean_iterations=1.0, total_bytes=10,
-            client_events={0: {"early_stop_iteration": 3}},
+            events=ClientEventTable.from_events(
+                (), {0: {"iterations_run": 3, "early_stop_iteration": 3}}
+            ),
         )
 
     def test_retained_by_default(self):
@@ -1131,13 +1135,6 @@ class TestHistorySpill:
         hist.append(self._record(0))
         assert hist.records[0].client_events
         assert hist.early_stop_iterations() == [3]
-
-    def test_spill_drops_events_keeps_summaries(self):
-        hist = RunHistory(retain_client_events=False)
-        hist.append(self._record(0))
-        assert hist.records[0].client_events == {}
-        assert hist.records[0].accuracy == 0.5
-        assert hist.early_stop_iterations() == []
 
     def test_simulator_spill_flag(self, env_data):
         _, shards, test = env_data
@@ -1154,8 +1151,10 @@ class TestHistorySpill:
         )
         with sim:
             record = sim.run_round()
-        assert sim.history.records[0].client_events == {}
-        assert record.client_events  # the returned record is untouched
+        assert sim.history.records[0] is record
+        assert len(record.client_events) == len(record.collected_clients) + len(
+            record.straggler_clients
+        )
 
 
 # ----------------------------------------------------------------------

@@ -207,7 +207,7 @@ class TestShardedReduceEquivalence:
         from pathlib import Path
 
         from repro.obs import TraceRecorder, events_to_jsonl
-        from repro.runtime.export import history_to_json
+        from repro.runtime import history_to_json
         from repro.runtime.transport import SEGMENT_PREFIX
 
         def run(executor):
