@@ -143,8 +143,6 @@ KEEP: dict[str, tuple[str, str]] = {
     "repro/runtime/client.py::SimClient.load_global": (_REF, _CLIENT_BY),
     "repro/runtime/client.py::SimClient.train_step": (_REF, _CLIENT_BY),
     "repro/runtime/client.py::SimClient.local_update": (_REF, _CLIENT_BY),
-    "repro/runtime/executor.py::Executor.set_recorder": (
-        "no-op hook the reference loop inherits", "`tests/test_executor.py::TestDefaultEngineIsTheReference`"),
     "repro/runtime/executor.py::Executor.aggregate_round": (
         "caller-less stub the frozen benchmark harness wraps by name", "`benchmarks/e2e/layers.py`"),
     "repro/runtime/executor.py::SerialExecutor.run_round": (

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core import FedCAConfig, marginal_benefit, marginal_cost
 from repro.core.profiler import ProfiledCurves
-from repro.experiments import format_table, run_scheme, get_workload
+from repro.experiments import RunSpec, format_table, run_scheme, get_workload
 
 
 def _curves(values):
@@ -64,14 +64,10 @@ def test_profiling_period_tradeoff(once):
     def run_both():
         out = {}
         for pe in (3, 10):
-            res = run_scheme(
-                cfg,
-                "fedca",
-                rounds=12,
-                stop_at_target=False,
-                seed=5,
+            res = run_scheme(RunSpec(
+                cfg, "fedca", rounds=12, stop_at_target=False, seed=5,
                 fedca_config=FedCAConfig(profile_every=pe),
-            )
+            ))
             out[pe] = res
         return out
 
@@ -93,25 +89,12 @@ def test_utility_function_vs_naive_deadline_stop(once):
     """DESIGN.md §6(2): what the Eq. 2–4 utility buys over stopping blindly
     at the deadline. FedCA must not be slower than the naive rule, and it
     must preserve at least as much accuracy at the same round budget."""
-    from repro.core import FedCAConfig
-
     cfg = get_workload("cnn")
 
     def run_pair():
         out = {}
         for scheme in ("deadline-stop", "fedca"):
-            res = run_scheme(
-                cfg,
-                scheme,
-                rounds=12,
-                stop_at_target=False,
-                seed=5,
-                fedca_config=(
-                    FedCAConfig(profile_every=cfg.fedca_profile_every)
-                    if scheme == "fedca"
-                    else None
-                ),
-            )
+            res = run_scheme(RunSpec(cfg, scheme, rounds=12, stop_at_target=False, seed=5))
             out[res.scheme] = res
         return out
 

@@ -28,9 +28,11 @@ namespace, configured once here via ``--log-level``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import os
 import sys
+from dataclasses import replace
 
 from .experiments import (
     format_fig1,
@@ -59,7 +61,7 @@ from .experiments import (
     run_overhead,
     run_table1,
 )
-from .experiments.runner import compare_schemes, run_scheme
+from .experiments.runner import RunSpec, run_scheme
 from .obs import (
     LOG_LEVELS,
     SinkError,
@@ -86,13 +88,12 @@ ARTIFACTS = {
     "overhead": (run_overhead, format_overhead),
 }
 
-_MULTI_MODEL_ARTIFACTS = {"fig2", "fig3", "fig5", "table1", "fig7", "fig9"}
-_SINGLE_MODEL_ARTIFACTS = {"fig1", "fig4", "fig6", "fig8", "fig10"}
+_DEFAULT_SCALE, _DEFAULT_SEED = "micro", 0
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", default="micro", choices=["micro", "small", "paper"])
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--scale", default=_DEFAULT_SCALE, choices=["micro", "small", "paper"])
+    parser.add_argument("--seed", type=int, default=_DEFAULT_SEED)
     _add_sanitize(parser)
     _add_log_level(parser)
 
@@ -318,8 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="regenerate one paper artefact")
     p_rep.add_argument("--artifact", required=True, choices=sorted(ARTIFACTS))
-    p_rep.add_argument("--models", nargs="+", default=["cnn"],
-                       choices=["cnn", "lstm", "wrn"])
+    p_rep.add_argument("--models", nargs="+", default=None,
+                       choices=["cnn", "lstm", "wrn"],
+                       help="models to run (default: cnn; the overhead "
+                            "artefact: all three)")
     p_rep.add_argument("--rounds", type=int, default=None)
     _add_common(p_rep)
 
@@ -332,6 +335,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_spec(
+    args: argparse.Namespace, scheme: str, *, stop_at_target: bool = True
+) -> RunSpec:
+    """The run that ``run``/``compare``'s flags describe."""
+    return RunSpec(
+        get_workload(args.workload, args.scale),
+        scheme,
+        rounds=args.rounds,
+        stop_at_target=stop_at_target,
+        seed=args.seed,
+        wire=args.wire,
+        engine=args.executor,
+        population=args.population,
+    )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     """`repro run` — train one workload under one scheme."""
     if args.resume and not args.checkpoint_dir:
@@ -340,7 +359,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.checkpoint_every and not args.checkpoint_dir:
         logger.error("--checkpoint-every requires --checkpoint-dir")
         return 2
-    cfg = get_workload(args.workload, args.scale)
+    spec = _run_spec(args, args.scheme, stop_at_target=not args.no_target_stop)
+    cfg = spec.workload
     recorder = _make_recorder(args, resuming=args.resume)
     profiler = _make_profiler(args)
     from .persist import CheckpointFormatError, CheckpointNotFoundError
@@ -348,14 +368,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         try:
             result = run_scheme(
-                cfg,
-                args.scheme,
-                rounds=args.rounds,
-                stop_at_target=not args.no_target_stop,
-                seed=args.seed,
-                wire=args.wire,
-                executor=args.executor,
-                population=args.population,
+                spec,
                 recorder=recorder,
                 profiler=profiler,
                 cache=_make_cache(args),
@@ -391,16 +404,19 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """`repro compare` — several schemes under identical conditions."""
-    cfg = get_workload(args.workload, args.scale)
+    spec = _run_spec(args, args.schemes[0])
+    cfg = spec.workload
     recorder = _make_recorder(args)
     profiler = _make_profiler(args)
+    cache = _make_cache(args)
     try:
-        results = compare_schemes(
-            cfg, args.schemes, rounds=args.rounds, seed=args.seed,
-            wire=args.wire, executor=args.executor,
-            population=args.population,
-            recorder=recorder, profiler=profiler, cache=_make_cache(args),
-        )
+        results = [
+            run_scheme(
+                replace(spec, scheme=scheme),
+                recorder=recorder, profiler=profiler, cache=cache,
+            )
+            for scheme in args.schemes
+        ]
         rows = []
         for res in results:
             tta = res.history.time_to_accuracy(cfg.target_accuracy)
@@ -429,22 +445,36 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    """`repro reproduce` — regenerate one named paper artefact."""
+    """`repro reproduce` — regenerate one named paper artefact.
+
+    Every flag the artefact's runner takes is forwarded; a flag set for a
+    runner that does not take it exits 2, naming the flag. The figure
+    runners (the ones with a ``scale``) get ``--models``/``--scale``/
+    ``--seed`` at their defaults too; ``overhead`` keeps its own."""
     run_fn, fmt_fn = ARTIFACTS[args.artifact]
+    takes = inspect.signature(run_fn).parameters
+    figure = "scale" in takes
+    models = args.models or ["cnn"]
+    if "model" in takes:
+        if len(models) > 1:
+            logger.error("--models: %s draws one model, got %s", args.artifact, models)
+            return 2
+        model_param, models = "model", models[0]
+    else:
+        model_param, models = "models", tuple(models)
+    flags = (
+        ("--models", model_param, models, args.models is not None),
+        ("--scale", "scale", args.scale, args.scale != _DEFAULT_SCALE),
+        ("--seed", "seed", args.seed, args.seed != _DEFAULT_SEED),
+        ("--rounds", "rounds", args.rounds, args.rounds is not None),
+    )
     kwargs: dict = {}
-    if args.artifact in _MULTI_MODEL_ARTIFACTS:
-        kwargs["models"] = tuple(args.models)
-        kwargs["scale"] = args.scale
-        kwargs["seed"] = args.seed
-        if args.rounds and args.artifact in ("table1", "fig7", "fig9"):
-            kwargs["rounds"] = args.rounds
-    elif args.artifact in _SINGLE_MODEL_ARTIFACTS:
-        kwargs["model"] = args.models[0]
-        kwargs["scale"] = args.scale
-        kwargs["seed"] = args.seed
-        if args.rounds and args.artifact in ("fig8", "fig10"):
-            kwargs["rounds"] = args.rounds
-    # overhead takes neither models nor scale
+    for flag, param, value, given in flags:
+        if given and param not in takes:
+            logger.error("%s: the %s artefact does not take it", flag, args.artifact)
+            return 2
+        if given or (figure and flag != "--rounds"):
+            kwargs[param] = value
     logger.info("%s", fmt_fn(run_fn(**kwargs)))
     return 0
 

@@ -18,7 +18,7 @@ from .multiseed import MultiSeedSummary, format_multiseed, run_multiseed
 from .overhead import format_overhead, run_overhead
 from .probe import ProbeResult, probe_curves
 from .report import cdf_points, downsample, format_series, format_table
-from .runner import SchemeResult, compare_schemes, run_scheme
+from .runner import RunSpec, SchemeResult, run_scheme
 from .table1 import SCHEMES, format_fig7, format_table1, run_table1
 
 __all__ = [
@@ -27,8 +27,8 @@ __all__ = [
     "make_environment",
     "SCALES",
     "SchemeResult",
+    "RunSpec",
     "run_scheme",
-    "compare_schemes",
     "probe_curves",
     "ProbeResult",
     "run_fig1",

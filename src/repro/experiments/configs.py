@@ -242,7 +242,6 @@ def make_environment(
     strategy,
     *,
     seed: int = 0,
-    dynamic: bool = True,
     executor=None,
     population: str | None = None,
     recorder=None,
@@ -272,7 +271,6 @@ def make_environment(
         aggregation_fraction=cfg.aggregation_fraction,
         deadline_min_fraction=cfg.deadline_min_fraction,
         link_fn=cfg.link_fn(),
-        dynamic=dynamic,
         gamma_fast=cfg.gamma_fast,
         gamma_slow=cfg.gamma_slow,
         seed=seed,

@@ -9,10 +9,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..core import FedCAConfig
 from .configs import get_workload
 from .report import format_series, format_table
-from .runner import SchemeResult, run_scheme
+from .runner import RunSpec, SchemeResult, run_scheme
 
 __all__ = ["run_fig10", "format_fig10", "BETAS", "THRESHOLD_COMBOS"]
 
@@ -28,34 +30,18 @@ def run_fig10(
     seed: int = 0,
 ) -> dict:
     cfg = get_workload(model, scale)
-    rounds = rounds or cfg.default_rounds
+    spec = RunSpec(cfg, "fedavg", rounds=rounds, stop_at_target=False, seed=seed)
+    baseline = run_scheme(spec)
 
-    baseline = run_scheme(cfg, "fedavg", rounds=rounds, stop_at_target=False, seed=seed)
+    def fedca(**overrides) -> SchemeResult:
+        config = FedCAConfig(profile_every=cfg.fedca_profile_every, **overrides)
+        return run_scheme(replace(spec, scheme="fedca", fedca_config=config))
 
-    pe = cfg.fedca_profile_every
-    beta_runs: dict[float, SchemeResult] = {}
-    for beta in BETAS:
-        beta_runs[beta] = run_scheme(
-            cfg,
-            "fedca",
-            rounds=rounds,
-            stop_at_target=False,
-            seed=seed,
-            fedca_config=FedCAConfig(beta=beta, profile_every=pe),
-        )
-
-    threshold_runs: dict[tuple[float, float], SchemeResult] = {}
-    for te, tr in THRESHOLD_COMBOS:
-        threshold_runs[(te, tr)] = run_scheme(
-            cfg,
-            "fedca",
-            rounds=rounds,
-            stop_at_target=False,
-            seed=seed,
-            fedca_config=FedCAConfig(
-                eager_threshold=te, retransmit_threshold=tr, profile_every=pe
-            ),
-        )
+    beta_runs = {beta: fedca(beta=beta) for beta in BETAS}
+    threshold_runs = {
+        (te, tr): fedca(eager_threshold=te, retransmit_threshold=tr)
+        for te, tr in THRESHOLD_COMBOS
+    }
 
     return {
         "model": model,

@@ -13,11 +13,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .configs import get_workload
 from .report import cdf_points, format_series
-from .runner import run_scheme
+from .runner import RunSpec, run_scheme
 
 __all__ = ["run_fig8", "format_fig8"]
 
@@ -32,10 +34,9 @@ def run_fig8(
     """Returns early-stop samples for FedCA/FedAda and eager-moment samples
     with and without retransmission accounting."""
     cfg = get_workload(model, scale)
-    rounds = rounds or cfg.default_rounds
-
-    fedca = run_scheme(cfg, "fedca", rounds=rounds, stop_at_target=False, seed=seed)
-    fedada = run_scheme(cfg, "fedada", rounds=rounds, stop_at_target=False, seed=seed)
+    spec = RunSpec(cfg, "fedca", rounds=rounds, stop_at_target=False, seed=seed)
+    fedca = run_scheme(spec)
+    fedada = run_scheme(replace(spec, scheme="fedada"))
 
     # FedAda's "stop moment" is its assigned budget whenever it is below K;
     # recorded per client per round from the iterations actually run.

@@ -9,9 +9,11 @@ indispensable.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .configs import get_workload
 from .report import format_series, format_table
-from .runner import SchemeResult, compare_schemes
+from .runner import RunSpec, SchemeResult, run_scheme
 
 __all__ = ["run_fig9", "format_fig9", "ABLATION_SCHEMES"]
 
@@ -27,14 +29,11 @@ def run_fig9(
 ) -> dict[str, list[SchemeResult]]:
     out: dict[str, list[SchemeResult]] = {}
     for model in models:
-        cfg = get_workload(model, scale)
-        out[model] = compare_schemes(
-            cfg,
-            list(ABLATION_SCHEMES),
-            rounds=rounds or cfg.default_rounds,
-            stop_at_target=False,
-            seed=seed,
+        spec = RunSpec(
+            get_workload(model, scale), ABLATION_SCHEMES[0], rounds=rounds,
+            stop_at_target=False, seed=seed,
         )
+        out[model] = [run_scheme(replace(spec, scheme=s)) for s in ABLATION_SCHEMES]
     return out
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .configs import WorkloadConfig
 from .report import format_table
-from .runner import run_scheme
+from .runner import RunSpec, run_scheme
 
 __all__ = ["MultiSeedSummary", "run_multiseed", "format_multiseed"]
 
@@ -65,7 +65,7 @@ def run_multiseed(
         prts: list[float] = []
         display_name = scheme
         for seed in seeds:
-            res = run_scheme(cfg, scheme, rounds=rounds, seed=seed, cache=cache)
+            res = run_scheme(RunSpec(cfg, scheme, rounds=rounds, seed=seed), cache=cache)
             display_name = res.scheme
             tta = res.time_to_target
             ttas.append(float("nan") if tta is None else tta)

@@ -1,7 +1,9 @@
-"""Scheme-vs-scheme run orchestration for the evaluation experiments."""
+"""Run orchestration for the evaluation experiments: a :class:`RunSpec`
+describes one run and :func:`run_scheme` runs it."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 from dataclasses import dataclass
@@ -9,7 +11,7 @@ from typing import TYPE_CHECKING
 
 from ..algorithms import build_strategy
 from ..core import FedCAConfig
-from ..runtime import RunHistory, resolve_executor
+from ..runtime import Executor, RunHistory, resolve_executor
 from ..runtime.history import history_from_dict, history_to_dict
 from ..runtime.wire import parse_wire_spec
 from .configs import WorkloadConfig, make_environment
@@ -17,7 +19,76 @@ from .configs import WorkloadConfig, make_environment
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..persist import ResultCache
 
-__all__ = ["SchemeResult", "run_scheme", "compare_schemes"]
+__all__ = ["RunSpec", "SchemeResult", "run_scheme"]
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """Everything that decides one run's outcome.
+
+    ``workload`` is the preset; ``engine`` an executor spec or instance
+    (:func:`~repro.runtime.resolve_executor`); ``wire`` a wire spec
+    (:mod:`repro.runtime.wire`); ``population`` a population spec
+    (:mod:`repro.scale`). Construction resolves the effective defaults
+    once, so a run that spells them out and one that leaves them out are
+    one spec: ``rounds`` ``None`` (or 0) becomes the preset's
+    ``default_rounds``; a FedCA variant's ``fedca_config`` ``None`` becomes
+    the preset's scale-adapted ``profile_every``, and any other scheme,
+    which ignores the config, drops it. ``replace(spec, scheme=s)`` is the
+    same run under another scheme; ``replace`` keeps the resolved
+    ``rounds``, so a run on another workload needs a new spec.
+    """
+
+    workload: WorkloadConfig
+    scheme: str
+    rounds: int | None = None
+    stop_at_target: bool = True
+    seed: int = 0
+    fedca_config: FedCAConfig | None = None
+    wire: str | None = None
+    engine: "Executor | str" = "serial"
+    population: str | None = None
+
+    def __post_init__(self) -> None:
+        config = self.fedca_config
+        if not self.scheme.lower().startswith("fedca"):
+            config = None
+        elif config is None:
+            config = FedCAConfig(profile_every=self.workload.fedca_profile_every)
+        object.__setattr__(self, "fedca_config", config)
+        object.__setattr__(self, "rounds", self.rounds or self.workload.default_rounds)
+
+    @property
+    def identity(self) -> dict:
+        """The result cache's key document (without its schema version).
+
+        A lossy wire (anything but raw) joins it, and so does the engine
+        where it can move bytes: padded ``cohort:M`` zero-pads a client
+        whose shard is smaller than a batch (DESIGN.md §12). Every engine
+        labelled ``serial`` — the default batched one and the reference
+        loop it reproduces — and ``parallel`` leave it out, so they share a
+        cell. ``dynamic`` is always on; the document keeps it so that cells
+        written while it was a parameter still hit."""
+        document = {
+            "workload": dataclasses.asdict(self.workload),
+            "scheme": self.scheme.strip().lower(),
+            "rounds": int(self.rounds),
+            "stop_at_target": bool(self.stop_at_target),
+            "seed": int(self.seed),
+            "dynamic": True,
+            "fedca": (
+                None
+                if self.fedca_config is None
+                else dataclasses.asdict(self.fedca_config)
+            ),
+        }
+        wire = (self.wire or "").strip().lower()
+        if wire not in ("", "raw"):
+            document["wire"] = wire
+        engine = resolve_executor(self.engine)
+        if engine.name == "cohort":
+            document["engine"] = f"cohort:{engine.cohort_size}"
+        return document
 
 
 @dataclass(frozen=True)
@@ -49,17 +120,8 @@ class SchemeResult:
 
 
 def run_scheme(
-    cfg: WorkloadConfig,
-    scheme: str,
+    spec: RunSpec,
     *,
-    rounds: int | None = None,
-    stop_at_target: bool = True,
-    seed: int = 0,
-    dynamic: bool = True,
-    fedca_config: FedCAConfig | None = None,
-    wire: str | None = None,
-    executor=None,
-    population: str | None = None,
     recorder=None,
     profiler=None,
     cache: "ResultCache | None" = None,
@@ -68,26 +130,19 @@ def run_scheme(
     resume: bool = False,
     crash_after_round: int | None = None,
 ) -> SchemeResult:
-    """Train one workload under one scheme and return its history.
+    """Run ``spec`` and return its history.
 
-    When no explicit ``fedca_config`` is given, FedCA variants take the
-    workload's scale-adapted profiling period (see
-    :class:`~repro.experiments.configs.WorkloadConfig.fedca_profile_every`).
-    ``executor`` selects the client-execution engine (serial by default);
-    the resulting history is engine-independent. ``wire`` selects the
-    compressed wire transport (see :mod:`repro.runtime.wire`); ``None``
-    or ``"raw"`` keeps uploads byte-identical to the pre-wire runtime. ``recorder`` is an
-    optional :class:`~repro.obs.Recorder` telemetry sink; a single
-    recorder may be shared across runs (a ``run.start`` event marks each
-    scheme's stream). ``profiler`` is an optional
-    :class:`~repro.obs.PhaseProfiler`; checkpoint saves are attributed to
-    its ``checkpoint`` phase.
+    The history is engine-independent. ``recorder`` is an optional
+    :class:`~repro.obs.Recorder` telemetry sink; a single recorder may be
+    shared across runs (a ``run.start`` event marks each scheme's stream).
+    ``profiler`` is an optional :class:`~repro.obs.PhaseProfiler`;
+    checkpoint saves are attributed to its ``checkpoint`` phase.
 
     Persistence (see :mod:`repro.persist`):
 
     * ``cache`` — a :class:`~repro.persist.ResultCache`; an
-      already-computed cell for this exact configuration is returned
-      without simulating (hit/miss counters mirror into the recorder).
+      already-computed cell for this spec is returned without simulating
+      (hit/miss counters mirror into the recorder).
     * ``checkpoint_dir`` + ``checkpoint_every`` — snapshot the full run
       state into ``checkpoint_dir`` every N completed rounds.
     * ``resume`` — restore the latest complete checkpoint in
@@ -103,33 +158,10 @@ def run_scheme(
         raise ValueError("resume=True requires checkpoint_dir")
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
-    # Resolve effective values BEFORE cache keying, so explicit defaults
-    # and implied defaults land in the same cell.
-    if fedca_config is None and scheme.lower().startswith("fedca"):
-        fedca_config = FedCAConfig(profile_every=cfg.fedca_profile_every)
-    effective_rounds = rounds or cfg.default_rounds
-
-    # Resolved once, up front: padded ``cohort[:M]`` pads short batches,
-    # which can move bytes (DESIGN.md §12), so it is the one engine the
-    # cache keys on. Everything labelled ``serial`` — the default batched
-    # engine and the reference loop it reproduces — and ``parallel`` share
-    # one cell.
-    engine = resolve_executor(executor)
+    cfg = spec.workload
     cache_key = None
     if cache is not None:
-        cache_key = cache.key(
-            cfg,
-            scheme,
-            rounds=effective_rounds,
-            stop_at_target=stop_at_target,
-            seed=seed,
-            dynamic=dynamic,
-            fedca_config=fedca_config,
-            wire=wire,
-            engine=(
-                f"cohort:{engine.cohort_size}" if engine.name == "cohort" else None
-            ),
-        )
+        cache_key = cache.key(spec)
         payload = cache.get(cache_key)
         if recorder is not None and recorder.enabled:
             recorder.counter(
@@ -144,51 +176,27 @@ def run_scheme(
                 target_accuracy=payload["target_accuracy"],
             )
 
-    strategy = build_strategy(
-        scheme, cfg.optimizer_spec(), fedca_config=fedca_config
-    )
-    wire_layer = parse_wire_spec(wire)
-    if wire_layer is not None:
-        strategy.set_wire(wire_layer)
-
-    rounds_done = 0
+    ckpt_path = None
     if resume:
         from ..persist import find_latest_checkpoint
 
         ckpt_path = find_latest_checkpoint(checkpoint_dir)
-        # Build with recorder=None and attach the recorder once its state
-        # is restored: the trace already holds run.start and every round
-        # before the checkpoint, so the stream continues at the checkpoint's
-        # sequence number and byte offset (construction emits nothing).
-        sim = make_environment(
-            cfg, strategy, seed=seed, dynamic=dynamic, executor=engine,
-            population=population, recorder=None, profiler=profiler,
-        )
-        ckpt = sim.resume(ckpt_path)
-        rounds_done = ckpt.rounds_completed
-        if recorder is not None:
-            if ckpt.recorder is not None and hasattr(recorder, "restore_state"):
-                recorder.restore_state(ckpt.recorder)
-            if hasattr(recorder, "attach_sink"):
-                offset = (ckpt.recorder or {}).get("sink_offset")
-                recorder.attach_sink(offset=offset)
-            sim.set_recorder(recorder)
-    else:
-        if recorder is not None and recorder.enabled:
-            recorder.emit(
-                "run.start",
-                sim_time=0.0,
-                scheme=strategy.name,
-                workload=cfg.name,
-                scale=cfg.scale,
-                seed=seed,
-                # An instance is spelled by its label, not its address.
-                executor=executor if isinstance(executor, str) else engine.name,
-            )
-        sim = make_environment(
-            cfg, strategy, seed=seed, dynamic=dynamic, executor=engine,
-            population=population, recorder=recorder, profiler=profiler,
-        )
+    strategy = build_strategy(
+        spec.scheme, cfg.optimizer_spec(), fedca_config=spec.fedca_config
+    )
+    wire_layer = parse_wire_spec(spec.wire)
+    if wire_layer is not None:
+        strategy.set_wire(wire_layer)
+    engine = resolve_executor(spec.engine)
+    # A resumed trace already holds run.start and every round before the
+    # checkpoint, so the recorder joins only once its state is restored and
+    # the stream continues at the checkpoint's sequence number and byte
+    # offset (construction emits nothing).
+    sim = make_environment(
+        cfg, strategy, seed=spec.seed, executor=engine,
+        population=spec.population, recorder=None if resume else recorder,
+        profiler=profiler,
+    )
 
     def on_round(_record) -> None:
         done = sim.history.num_rounds
@@ -207,11 +215,33 @@ def run_scheme(
             os.kill(os.getpid(), signal.SIGKILL)
 
     try:
-        target = cfg.target_accuracy if stop_at_target else None
-        already_met = stop_at_target and any(
+        rounds_done = 0
+        if resume:
+            ckpt = sim.resume(ckpt_path)
+            rounds_done = ckpt.rounds_completed
+            if recorder is not None:
+                if ckpt.recorder is not None and hasattr(recorder, "restore_state"):
+                    recorder.restore_state(ckpt.recorder)
+                if hasattr(recorder, "attach_sink"):
+                    offset = (ckpt.recorder or {}).get("sink_offset")
+                    recorder.attach_sink(offset=offset)
+                sim.set_recorder(recorder)
+        elif recorder is not None and recorder.enabled:
+            recorder.emit(
+                "run.start",
+                sim_time=0.0,
+                scheme=strategy.name,
+                workload=cfg.name,
+                scale=cfg.scale,
+                seed=spec.seed,
+                # An instance is spelled by its label, not its address.
+                executor=spec.engine if isinstance(spec.engine, str) else engine.name,
+            )
+        target = cfg.target_accuracy if spec.stop_at_target else None
+        already_met = spec.stop_at_target and any(
             r.accuracy >= cfg.target_accuracy for r in sim.history.records
         )
-        remaining = effective_rounds - rounds_done
+        remaining = spec.rounds - rounds_done
         if remaining > 0 and not already_met:
             sim.run(
                 remaining,
@@ -230,7 +260,7 @@ def run_scheme(
         history=history,
         target_accuracy=cfg.target_accuracy,
     )
-    if cache is not None and cache_key is not None:
+    if cache_key is not None:
         cache.put(
             cache_key,
             {
@@ -241,43 +271,3 @@ def run_scheme(
             },
         )
     return result
-
-
-def compare_schemes(
-    cfg: WorkloadConfig,
-    schemes: list[str],
-    *,
-    rounds: int | None = None,
-    stop_at_target: bool = True,
-    seed: int = 0,
-    dynamic: bool = True,
-    fedca_config: FedCAConfig | None = None,
-    wire: str | None = None,
-    executor=None,
-    population: str | None = None,
-    recorder=None,
-    profiler=None,
-    cache: "ResultCache | None" = None,
-) -> list[SchemeResult]:
-    """Run several schemes under identical data/system conditions.
-
-    With ``cache``, schemes whose results are already cached are skipped
-    entirely (their cells were keyed on the same config/seed)."""
-    return [
-        run_scheme(
-            cfg,
-            scheme,
-            rounds=rounds,
-            stop_at_target=stop_at_target,
-            seed=seed,
-            dynamic=dynamic,
-            fedca_config=fedca_config,
-            wire=wire,
-            executor=executor,
-            population=population,
-            recorder=recorder,
-            profiler=profiler,
-            cache=cache,
-        )
-        for scheme in schemes
-    ]

@@ -12,9 +12,11 @@ FedCA; FedCA takes somewhat more rounds than FedAvg.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .configs import get_workload
 from .report import format_series, format_table
-from .runner import SchemeResult, compare_schemes
+from .runner import RunSpec, SchemeResult, run_scheme
 
 __all__ = ["run_table1", "format_table1", "format_fig7", "SCHEMES"]
 
@@ -32,10 +34,8 @@ def run_table1(
     """Returns ``{model: [SchemeResult per scheme]}``."""
     out: dict[str, list[SchemeResult]] = {}
     for model in models:
-        cfg = get_workload(model, scale)
-        out[model] = compare_schemes(
-            cfg, list(schemes), rounds=rounds, stop_at_target=True, seed=seed
-        )
+        spec = RunSpec(get_workload(model, scale), schemes[0], rounds=rounds, seed=seed)
+        out[model] = [run_scheme(replace(spec, scheme=s)) for s in schemes]
     return out
 
 

@@ -10,8 +10,9 @@ Two pillars (see DESIGN.md §10):
   JSONL traces **byte-identical** to a run that never stopped, under both
   serial and parallel executors (``tests/test_persist.py``).
 * :class:`ResultCache` — content-addressed storage of finished
-  ``run_scheme`` results, keyed on the full run configuration, so sweeps
-  (``compare_schemes``, ``run_multiseed``) skip already-computed cells.
+  ``run_scheme`` results, keyed on the run's
+  :class:`~repro.experiments.runner.RunSpec`, so sweeps (``repro compare``,
+  ``run_multiseed``) skip already-computed cells.
 
 Under both sits :mod:`repro.persist.snapshot`, the data-only codec for
 all state at rest: it turns one client's cross-round state into one byte

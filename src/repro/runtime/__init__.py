@@ -9,7 +9,7 @@ from .aggregation import (
 )
 from .client import SimClient
 from .cohort import CohortEngine, CohortExecutor
-from .executor import Executor, SerialExecutor, resolve_executor
+from .executor import Binding, Executor, SerialExecutor, resolve_executor
 from .history import (
     ClientEventTable,
     RoundRecord,
@@ -28,6 +28,7 @@ from .wire import WireLayer, parse_wire_spec
 __all__ = [
     "FederatedSimulator",
     "SimClient",
+    "Binding",
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",

@@ -33,12 +33,10 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..nn.cohort import CohortModel, CohortSGD, cohort_softmax_cross_entropy
-from .executor import Executor
+from .executor import Binding, Executor
 from .round import ClientRoundResult, RoundContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..algorithms.base import Strategy
-    from ..nn.layout import Layout
     from ..scale import LazyClientPopulation
     from .client import SimClient
 
@@ -89,7 +87,7 @@ class StepCounts:
     def publish(self, recorder) -> None:
         """Mirror the untaken part into the recorder's counters (never the
         event trace, so trace determinism holds)."""
-        if recorder is not None and getattr(recorder, "enabled", False):
+        if recorder.enabled:
             for name, delta in zip(self._COUNTERS, self.take()):
                 recorder.counter(name, delta)
 
@@ -268,7 +266,6 @@ class CohortExecutor(Executor):
         self._sized_at_bind = cohort_size is None
         self.cohort_size = DEFAULT_COHORT_SIZE if cohort_size is None else cohort_size
         self.pad = pad
-        self._recorder = None
         #: Stacked models by width, most recently used last — selection
         #: changes the membership every round but rarely the widths, so the
         #: (C, *shape) stacks are reused; never more than 2M slots' worth.
@@ -282,22 +279,13 @@ class CohortExecutor(Executor):
         return "cohort" if self.pad else "serial"
 
     # ------------------------------------------------------------------
-    def bind(
-        self,
-        clients: "LazyClientPopulation",
-        strategy: "Strategy",
-        layouts: "tuple[Layout, Layout] | None" = None,
-        jobs_per_round: int | None = None,
-    ) -> None:
-        super().bind(clients, strategy, layouts, jobs_per_round)
+    def bind(self, binding: Binding) -> None:
+        super().bind(binding)
         if self._sized_at_bind:
-            self.cohort_size = bound_width(clients)
+            self.cohort_size = bound_width(binding.clients)
         # A chunk is live at once: the population must never evict a member
         # mid-round. An engine sized at bind already fits.
-        clients.reserve(self.cohort_size)
-
-    def set_recorder(self, recorder) -> None:
-        self._recorder = recorder
+        binding.clients.reserve(self.cohort_size)
 
     def _model_for(self, template, width: int) -> CohortModel:
         model = self._models.pop(width, None) or CohortModel(template, width)
@@ -313,13 +301,13 @@ class CohortExecutor(Executor):
         buffers: np.ndarray,
         jobs: list[tuple[int, RoundContext]],
     ) -> list[ClientRoundResult]:
-        if self._clients is None or self._strategy is None:
+        if self._bound is None:
             raise RuntimeError(
                 "executor not bound; construct it via FederatedSimulator"
             )
         results: list[ClientRoundResult] = []
         # Consecutive chunks of at most M; the tail chunk gets the remainder.
-        with self._profiler.phase("client.train"):
+        with self._bound.profiler.phase("client.train"):
             for start in range(0, len(jobs), self.cohort_size):
                 chunk = jobs[start : start + self.cohort_size]
                 results.extend(self._run_chunk(params, buffers, chunk))
@@ -332,7 +320,7 @@ class CohortExecutor(Executor):
         buffers: np.ndarray,
         chunk: list[tuple[int, RoundContext]],
     ) -> list[ClientRoundResult]:
-        clients = self._clients.acquire_chunk([cid for cid, _ in chunk])
+        clients = self._bound.clients.acquire_chunk([cid for cid, _ in chunk])
         # One stacked program for the chunk — or, unpadded, one per batch
         # width in it (a client whose shard is smaller than a batch draws
         # fewer rows every step).
@@ -350,7 +338,7 @@ class CohortExecutor(Executor):
                 buffers,
                 pad=self.pad,
             )
-            results = self._strategy.cohort_round(
+            results = self._bound.strategy.cohort_round(
                 engine, [chunk[k] for k in slots], params
             )
             for k, result in zip(slots, results):
@@ -362,14 +350,14 @@ class CohortExecutor(Executor):
 
     def _mirror_metrics(self) -> None:
         """Publish the width gauge and the step counters."""
-        rec = self._recorder
-        if rec is not None and getattr(rec, "enabled", False):
+        rec = self._bound.recorder
+        if rec.enabled:
             rec.gauge("repro_cohort_size", float(self.cohort_size))
             self.counts.publish(rec)
 
     def step_rows(self) -> int:
         """A chunk's width, at most a round's jobs, times the batch."""
-        jobs = self._jobs_per_round or self.cohort_size
+        jobs = self._bound.jobs_per_round or self.cohort_size
         return min(self.cohort_size, jobs) * super().step_rows()
 
     # ------------------------------------------------------------------

@@ -30,22 +30,50 @@ engine. Engines change wall-clock time only, never the simulation.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..obs import NULL_RECORDER
 from ..obs.profile import NULL_PROFILER
 from .round import ClientRoundResult, RoundContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..algorithms.base import Strategy
     from ..nn.layout import Layout
+    from ..obs import Recorder
+    from ..obs.profile import PhaseProfiler
     from ..scale import LazyClientPopulation
 
-__all__ = ["Executor", "SerialExecutor", "ClientJob", "resolve_executor"]
+__all__ = ["Binding", "Executor", "SerialExecutor", "ClientJob", "resolve_executor"]
 
 #: One unit of round work: ``(client_id, round context)``.
 ClientJob = tuple[int, RoundContext]
+
+
+@dataclass
+class Binding:
+    """What an engine runs against, handed to :meth:`Executor.bind` once.
+
+    ``clients`` is the simulator's population and ``strategy`` its scheme;
+    ``layouts`` the server model's parameter and buffer
+    :class:`~repro.nn.layout.Layout` tables — the layouts of the two
+    vectors :meth:`Executor.run_round` receives — and ``jobs_per_round``
+    the most jobs one round can hold (default: every client); only the
+    parallel engine, which ships rounds across processes, reads those two.
+    ``recorder`` takes the engine's counters and gauges (never trace
+    events) and ``profiler`` its wall-clock spans. The simulator, its
+    engine, a parallel engine's fallback and its transport all hold this
+    one object, so swapping the recorder here (a resume does) reaches
+    every one of them."""
+
+    clients: "LazyClientPopulation"
+    strategy: "Strategy"
+    layouts: "tuple[Layout, Layout] | None" = None
+    jobs_per_round: int | None = None
+    recorder: "Recorder" = NULL_RECORDER
+    profiler: "PhaseProfiler" = NULL_PROFILER
 
 
 class Executor(ABC):
@@ -59,33 +87,12 @@ class Executor(ABC):
     #: Short engine name for CLI summaries and bench reports.
     name: str = "base"
 
-    #: Wall-clock phase profiler (no-op unless :meth:`set_profiler` swaps
-    #: in a live one). Class attribute so engines need no __init__ hook.
-    _profiler = NULL_PROFILER
-
     #: What :meth:`bind` attached; ``None`` until then.
-    _clients: "LazyClientPopulation | None" = None
-    _strategy: "Strategy | None" = None
-    _layouts: "tuple[Layout, Layout] | None" = None
-    _jobs_per_round: int | None = None
+    _bound: Binding | None = None
 
-    def bind(
-        self,
-        clients: "LazyClientPopulation",
-        strategy: "Strategy",
-        layouts: "tuple[Layout, Layout] | None" = None,
-        jobs_per_round: int | None = None,
-    ) -> None:
-        """Attach the simulator's client population and strategy, the
-        server model's parameter and buffer :class:`~repro.nn.layout.Layout`
-        tables — the layouts of the two vectors :meth:`run_round` receives —
-        and the most jobs one round can hold (default: every client). Only
-        the parallel engine, which ships rounds across processes, reads the
-        last two."""
-        self._clients = clients
-        self._strategy = strategy
-        self._layouts = layouts
-        self._jobs_per_round = jobs_per_round
+    def bind(self, binding: Binding) -> None:
+        """Attach the run this engine serves (see :class:`Binding`)."""
+        self._bound = binding
 
     @abstractmethod
     def run_round(
@@ -101,23 +108,6 @@ class Executor(ABC):
     def close(self) -> None:
         """Release any engine resources (processes, pipes, shared-memory
         arenas). Idempotent."""
-
-    def set_recorder(self, recorder) -> None:
-        """Attach the simulator's telemetry sink (see :mod:`repro.obs`).
-
-        Engines with observable internals (the parallel engine's IPC byte
-        counters) mirror them as recorder counters; the default engine has
-        nothing to report. Counters never enter the JSONL event trace, so
-        this hook cannot break trace determinism."""
-
-    def set_profiler(self, profiler) -> None:
-        """Attach a wall-clock :class:`~repro.obs.profile.PhaseProfiler`.
-
-        Engines time their client work (and transport sub-spans) through
-        it; the default is the shared no-op profiler. Wall-clock spans
-        never touch the event trace or the counters registry, so this hook
-        cannot break trace or resume determinism."""
-        self._profiler = profiler
 
     def ipc_stats(self) -> dict[str, float]:
         """Cumulative IPC metrics for benches; empty for in-process engines."""
@@ -136,7 +126,7 @@ class Executor(ABC):
     def step_rows(self) -> int:
         """Most input rows one training step of this engine holds at once:
         what evaluation chunks by. The reference loop steps one client."""
-        return self._clients.factory.spec.batch_size
+        return self._bound.clients.factory.spec.batch_size
 
 
 class SerialExecutor(Executor):
@@ -153,11 +143,12 @@ class SerialExecutor(Executor):
         buffers: np.ndarray,
         jobs: list[ClientJob],
     ) -> list[ClientRoundResult]:
-        if self._clients is None or self._strategy is None:
+        bound = self._bound
+        if bound is None:
             raise RuntimeError("executor not bound; construct it via FederatedSimulator")
-        with self._profiler.phase("client.train"):
+        with bound.profiler.phase("client.train"):
             return [
-                self._strategy.client_round(self._clients[cid], params, buffers, ctx)
+                bound.strategy.client_round(bound.clients[cid], params, buffers, ctx)
                 for cid, ctx in jobs
             ]
 

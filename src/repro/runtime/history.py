@@ -42,25 +42,49 @@ _SCALARS = (
     ("early_stop_iteration", "<i4"), ("profiling_bytes", "<i8"),
     ("raw_bytes", "<i8"), ("wire_bytes", "<i8"),
 )
+#: The optional column groups, each by the key that brings it: a table
+#: carries a group only when one of its rows has that key.
+_GROUPS = {
+    "anchor": ("anchor", "eager", "retransmitted"),
+    "early_stop_iteration": ("early_stop_iteration",),
+    "profiling_bytes": ("profiling_bytes",),
+    "wire": ("raw_bytes", "wire_bytes"),
+}
+_EVERY_GROUP = frozenset(_GROUPS)
 _I16, _I32 = 2**15 - 1, 2**31 - 1
 _MISSING = object()
 
 
 @functools.lru_cache(maxsize=None)
-def _dtype(width: int) -> np.dtype:
+def _dtype(width: int, groups: frozenset = _EVERY_GROUP) -> np.dtype:
     # One structured row per client, so a round's table is one array.
-    return np.dtype(
-        [*_SCALARS, ("eager", "<i2", (width,)), ("retransmitted", "u1", (-(-width // 8),))]
-    )
+    dropped = {name for group in _EVERY_GROUP - groups for name in _GROUPS[group]}
+    fields = [*_SCALARS, ("eager", "<i2", (width,)), ("retransmitted", "u1", (-(-width // 8),))]
+    return np.dtype([field for field in fields if field[0] not in dropped])
+
+
+def _blank_value(name: str) -> int:
+    """What column ``name`` holds in a row whose dict lacks its key."""
+    return {"eager": -1, "retransmitted": 0}.get(name, ABSENT)
 
 
 def _blank(rows: int, width: int) -> np.ndarray:
-    """``rows`` rows whose dicts carry no key."""
-    data = np.zeros(rows, _dtype(width))
-    for name, _ in _SCALARS:
-        data[name] = ABSENT
-    data["eager"] = -1
+    """``rows`` rows whose dicts carry no key, with every column."""
+    data = np.empty(rows, _dtype(width))
+    for name in data.dtype.names:
+        data[name] = _blank_value(name)
     return data
+
+
+def _narrow(data: np.ndarray, width: int) -> np.ndarray:
+    """``data`` (every column) cut to the groups some row of it carries."""
+    groups = frozenset(
+        group for group, names in _GROUPS.items() if (data[names[0]] != ABSENT).any()
+    )
+    out = np.empty(len(data), _dtype(width, groups))
+    for name in out.dtype.names:
+        out[name] = data[name]
+    return out
 
 
 def _count(value: Any, hi: int = 2**63 - 1, lo: int = 0) -> int:
@@ -78,7 +102,11 @@ class ClientEventTable:
     wire's ``raw_bytes`` and ``wire_bytes``, an ``(n, L)`` int16 ``eager``
     matrix of send iterations over ``layers`` (−1: not sent) and a
     bit-packed ``retransmitted`` matrix. A key a row's dict lacks is
-    ``ABSENT`` there.
+    ``ABSENT`` there. ``cid`` and ``iterations_run`` are always there; the
+    other columns come in groups — ``anchor`` with ``eager`` and
+    ``retransmitted``, ``raw_bytes`` with ``wire_bytes`` — and a table
+    carries a group only when one of its rows has its key, so a FedAvg row
+    is 8 bytes. :meth:`column` reads a column the table lacks as blank.
     """
 
     __slots__ = ("layers", "data")
@@ -124,7 +152,7 @@ class ClientEventTable:
         for (name, _), column in zip(_SCALARS, np.array(scalars, np.int64).reshape(-1, 7).T):
             data[name] = column
         data["eager"], data["retransmitted"] = eager, np.packbits(again, axis=1)
-        return cls(layers, data)
+        return cls(layers, _narrow(data, len(layers)))
 
     @staticmethod
     def _fill_eager(
@@ -145,19 +173,32 @@ class ClientEventTable:
                 raise ValueError(f"retransmitted {retrans!r} is not eager layers in eager order")
             again[index[name]], last_rank = True, rank[name]
 
+    def column(self, name: str) -> np.ndarray:
+        """Column ``name``, blank (every row lacks its key) where the table
+        does not carry it."""
+        if name in self.data.dtype.names:
+            return self.data[name]
+        field = _dtype(len(self.layers)).fields[name][0]
+        return np.full((len(self.data), *field.shape), _blank_value(name), field.base)
+
     @property
     def retransmitted(self) -> np.ndarray:
         """``(n, L)`` bool: the layer rode the tail again."""
-        packed = self.data["retransmitted"]
+        packed = self.column("retransmitted")
         return np.unpackbits(packed, axis=1, count=len(self.layers)).astype(bool)
 
     def rows(self) -> list[dict[str, Any]]:
         """Each row as the dict it was built from: the same keys in the same
         order, eager layers in (τ, layout) order, plain ints."""
-        layers, columns = self.layers, [self.data[name].tolist() for name, _ in _SCALARS]
+        layers = self.layers
+        columns = [self.column(name).tolist() for name, _ in _SCALARS]
+        # A table without the anchor group has no row that reads these.
+        eager = "eager" in self.data.dtype.names
+        sent_rows = self.data["eager"].tolist() if eager else itertools.repeat(None)
+        again_rows = self.retransmitted.tolist() if eager else itertools.repeat(None)
         out = []
         for _, anchor, its, stop, prof, raw, wire, sent, again in zip(
-            *columns, self.data["eager"].tolist(), self.retransmitted.tolist()
+            *columns, sent_rows, again_rows
         ):
             row: dict[str, Any] = {} if anchor == ABSENT else {"anchor": bool(anchor)}
             row["iterations_run"] = its
@@ -280,7 +321,7 @@ class RunHistory:
         """All early-stop trigger iterations across rounds/clients (Fig. 8a)."""
         stops = np.concatenate(
             [np.empty(0, np.int32)]
-            + [r.events.data["early_stop_iteration"] for r in self.records]
+            + [r.events.column("early_stop_iteration") for r in self.records]
         )
         return stops[stops >= 0].tolist()
 
@@ -296,6 +337,8 @@ class RunHistory:
         out: list[int] = []
         for record in self.records:
             data = record.events.data
+            if "eager" not in data.dtype.names:
+                continue
             rows, cols = np.nonzero(data["eager"] >= 0)
             tau = data["eager"][rows, cols]
             moment = np.where(
@@ -313,17 +356,19 @@ class RunHistory:
         layers = self.records[0].events.layers if self.records else ()
         if any(r.events.layers != layers for r in self.records):
             raise ValueError("a history's event tables must share one layer order")
-        data = np.concatenate([_blank(0, len(layers))] + [r.events.data for r in self.records])
         blank = _blank(1, len(layers))
+        columns = {}
+        for name in blank.dtype.names:
+            column = np.concatenate(
+                [blank[name][:0]] + [r.events.column(name) for r in self.records]
+            )
+            if (column != blank[name]).any():
+                columns[name] = column
         return {
             "records": [r.summary() for r in self.records],
             "layers": list(layers),
             "rows": np.array([len(r.events.data) for r in self.records], np.int64),
-            "columns": {
-                name: data[name]
-                for name in data.dtype.names
-                if (data[name] != blank[name]).any()
-            },
+            "columns": columns,
         }
 
     @classmethod
@@ -337,7 +382,7 @@ class RunHistory:
             data[name] = column
         history = cls()
         for summary, start, stop in zip(state["records"], bounds[:-1], bounds[1:], strict=True):
-            table = ClientEventTable(layers, data[start:stop])
+            table = ClientEventTable(layers, _narrow(data[start:stop], len(layers)))
             history.append(RoundRecord.from_summary(summary, table))
         return history
 

@@ -86,17 +86,14 @@ import os
 import pickle
 import traceback
 import warnings
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from .cohort import CohortExecutor, StepCounts, bound_width
-from .executor import ClientJob, Executor
+from .executor import Binding, ClientJob, Executor
 from .round import ClientRoundResult
 from .transport import ShmTransport
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs import Recorder
 
 __all__ = ["ParallelExecutor", "fork_available", "default_workers"]
 
@@ -159,7 +156,7 @@ def _worker_main(pairs, clients, strategy, transport, worker_index) -> None:
     cache.drain()
     # The default engine, sized at bind to what the population may hold.
     engine = CohortExecutor(pad=False)
-    engine.bind(clients, strategy)
+    engine.bind(Binding(clients, strategy))
     params = buffers = None
     try:
         while True:
@@ -211,7 +208,6 @@ class ParallelExecutor(Executor):
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers or default_workers()
         self._transport_impl: ShmTransport | None = None
-        self._recorder: "Recorder | None" = None
         self._procs: list[mp.process.BaseProcess] = []
         self._conns: list = []
         self._started = False
@@ -219,32 +215,14 @@ class ParallelExecutor(Executor):
         self._counts = StepCounts()
 
     # ------------------------------------------------------------------
-    def set_recorder(self, recorder: "Recorder | None") -> None:
-        self._recorder = recorder
-        if self._transport_impl is not None:
-            self._transport_impl.set_recorder(recorder)
-        if self._fallback is not None:
-            self._fallback.set_recorder(recorder)
-
-    def set_profiler(self, profiler) -> None:
-        self._profiler = profiler
-        if self._transport_impl is not None:
-            self._transport_impl.set_profiler(profiler)
-        if self._fallback is not None:
-            self._fallback.set_profiler(profiler)
-
     def _degrade(self, reason: str, message: str) -> None:
         """Warn, count ``repro_engine_fallbacks_total{reason}`` and route
         all remaining work through the default engine on the parent's
         population — the one a worker runs, sized the same way."""
         warnings.warn(message, RuntimeWarning, stacklevel=3)
-        if self._recorder is not None:
-            self._recorder.counter(f'repro_engine_fallbacks_total{{reason="{reason}"}}')
-        assert self._clients is not None and self._strategy is not None
+        self._bound.recorder.counter(f'repro_engine_fallbacks_total{{reason="{reason}"}}')
         self._fallback = CohortExecutor(pad=False)
-        self._fallback.bind(self._clients, self._strategy)
-        self._fallback.set_recorder(self._recorder)
-        self._fallback.set_profiler(self._profiler)
+        self._fallback.bind(self._bound)
 
     # ------------------------------------------------------------------
     def _start(self) -> None:
@@ -253,19 +231,20 @@ class ParallelExecutor(Executor):
         pool cannot start, warn once and degrade to serial: the parent's
         population holds every client's state, so nothing about the run
         changes."""
-        if self._layouts is None:
+        bound = self._bound
+        if bound.layouts is None:
             raise RuntimeError(
                 "the parallel executor needs the server model's layouts; "
                 "construct it via FederatedSimulator"
             )
         # Round-robin dealing gives a worker at most this many jobs a round.
-        jobs = self._jobs_per_round or len(self._clients)
+        jobs = bound.jobs_per_round or len(bound.clients)
         slots = -(-jobs // self.workers)
         transport = ShmTransport()
         reason = None if fork_available() else "no 'fork' start method"
         if reason is None:
             try:
-                transport.setup(*self._layouts, [slots] * self.workers)
+                transport.setup(*bound.layouts, [slots] * self.workers, bound)
             except Exception as exc:  # setup() has already unlinked its arenas
                 reason = f"shared-memory setup failed: {exc!r}"
         if reason is not None:
@@ -275,8 +254,6 @@ class ParallelExecutor(Executor):
                 "running the default engine in this process",
             )
             return
-        transport.set_recorder(self._recorder)
-        transport.set_profiler(self._profiler)
         self._transport_impl = transport
         ctx = mp.get_context("fork")
         # All pipes are created before any fork so each child can close the
@@ -288,7 +265,7 @@ class ParallelExecutor(Executor):
         for w in range(self.workers):
             proc = ctx.Process(
                 target=_worker_main,
-                args=(pairs, self._clients, self._strategy, transport, w),
+                args=(pairs, bound.clients, bound.strategy, transport, w),
                 daemon=True,
                 name=f"repro-worker-{w}",
             )
@@ -302,8 +279,8 @@ class ParallelExecutor(Executor):
     def step_rows(self) -> int:
         """What the workers' concurrent stacked steps hold: a round's jobs,
         at most the default engine's width each, times the batch."""
-        jobs = self._jobs_per_round or len(self._clients)
-        return min(self.workers * bound_width(self._clients), jobs) * super().step_rows()
+        jobs = self._bound.jobs_per_round or len(self._bound.clients)
+        return min(self.workers * bound_width(self._bound.clients), jobs) * super().step_rows()
 
     # ------------------------------------------------------------------
     def occupancy(self) -> dict[str, float]:
@@ -324,7 +301,7 @@ class ParallelExecutor(Executor):
         buffers: np.ndarray,
         jobs: list[ClientJob],
     ) -> list[ClientRoundResult]:
-        if self._clients is None or self._strategy is None:
+        if self._bound is None:
             raise RuntimeError("executor not bound; construct it via FederatedSimulator")
         if self._fallback is None and not self._started:
             self._start()
@@ -333,14 +310,14 @@ class ParallelExecutor(Executor):
         if not jobs:
             return []
         transport = self._transport_impl
-        cache = self._clients.cache
+        cache = self._bound.clients.cache
         # The parent's pager is the one home of every client's kept state;
         # each job carries its client's blob, and the blobs stay parked here
         # until the worker's replacements arrive.
         kept = cache.capture_run_state([cid for cid, _ in jobs])
         dealt = [(w, jobs[w :: self.workers]) for w in range(min(self.workers, len(jobs)))]
 
-        prof = self._profiler
+        prof = self._bound.profiler
         with prof.phase("broadcast"):
             # Stage the broadcast once: two slice copies regardless of
             # client/worker count (the transport times its own "pack"
@@ -387,7 +364,7 @@ class ParallelExecutor(Executor):
                 with prof.phase("collect"):
                     for result in transport.decode_results(w, encoded):
                         by_cid[result.client_id] = result
-            self._counts.publish(self._recorder)
+            self._counts.publish(self._bound.recorder)
 
         if crashed:
             # The surviving results view arenas about to be unlinked: copy

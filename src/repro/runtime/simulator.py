@@ -26,7 +26,7 @@ from .aggregation import (
     apply_update,
     collect_earliest,
 )
-from .executor import Executor, resolve_executor
+from .executor import Binding, Executor, resolve_executor
 from .history import ClientEventTable, RoundRecord, RunHistory
 from .round import RoundContext
 from .selection import select_clients
@@ -35,7 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..algorithms.base import Strategy
     from ..scale import ShardProvider
 
-__all__ = ["FederatedSimulator"]
+__all__ = ["FederatedSimulator", "EVAL_BATCH"]
+
+#: Test rows :meth:`FederatedSimulator.evaluate` feeds the model at once.
+EVAL_BATCH = 512
 
 
 def _apply(stages: Sequence[Module], x: np.ndarray) -> np.ndarray:
@@ -136,7 +139,6 @@ class FederatedSimulator:
         slowdown_range: tuple[float, float] | None = None,
         dropout_rate: float = 0.0,
         seed: int = 0,
-        eval_batch: int = 512,
         executor: "Executor | str | None" = None,
         recorder: Recorder | None = None,
         profiler: PhaseProfiler | None = None,
@@ -159,7 +161,6 @@ class FederatedSimulator:
         self.deadline_min_fraction = deadline_min_fraction
         self.clients_per_round = clients_per_round
         self.seed = seed
-        self.eval_batch = eval_batch
         self.test_set = test_set
 
         # The server model is the global state: its (P,) parameter and (B,)
@@ -210,10 +211,6 @@ class FederatedSimulator:
         self.dropout = DropoutModel(dropout_rate, seed=seed)
         self.time = 0.0
         self.history = RunHistory()
-        # Construction emits nothing: a client describes itself on its own
-        # client.round span, so a traced lazy run never enumerates the
-        # population.
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
         # The executor binds before any client is built: parallel workers
         # fork the pager and build the clients each round deals them.
         self.executor = resolve_executor(executor)
@@ -221,16 +218,19 @@ class FederatedSimulator:
         # Eager layers are recorded against the model's layout order.
         self._event_layers = tuple(arena.layout.layer_bytes)
         num_clients = len(self.clients)
-        self.executor.bind(
+        # Construction emits nothing: a client describes itself on its own
+        # client.round span, so a traced lazy run never enumerates the
+        # population.
+        self._binding = Binding(
             self.clients,
             self.strategy,
             (arena.layout, arena.buffer_layout),
             min(clients_per_round or num_clients, num_clients),
+            recorder if recorder is not None else NULL_RECORDER,
+            profiler if profiler is not None else NULL_PROFILER,
         )
-        self.executor.set_recorder(self.recorder)
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
+        self.executor.bind(self._binding)
         self.profiler.set_executor_label(self.executor.name)
-        self.executor.set_profiler(self.profiler)
 
     # ------------------------------------------------------------------
     @property
@@ -269,12 +269,23 @@ class FederatedSimulator:
         ckpt.restore_into(self)
         return ckpt
 
+    @property
+    def recorder(self) -> Recorder:
+        """The run's telemetry sink (see :mod:`repro.obs`)."""
+        return self._binding.recorder
+
+    @property
+    def profiler(self) -> PhaseProfiler:
+        """The run's wall-clock phase profiler."""
+        return self._binding.profiler
+
     def set_recorder(self, recorder: Recorder | None) -> None:
-        """Swap the telemetry sink. The resume path constructs the
-        simulator with ``recorder=None``, restores the recorder's own state
-        (sequence number, trace offset), then attaches it here."""
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.executor.set_recorder(self.recorder)
+        """Swap the telemetry sink — for the simulator and its engine at
+        once, as they share one :class:`~repro.runtime.executor.Binding`.
+        The resume path constructs the simulator with ``recorder=None``,
+        restores the recorder's own state (sequence number, trace offset),
+        then attaches it here."""
+        self._binding.recorder = recorder if recorder is not None else NULL_RECORDER
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -290,7 +301,7 @@ class FederatedSimulator:
     # ------------------------------------------------------------------
     def evaluate(self) -> float:
         """Global-model top-1 accuracy on the held-out test set, in blocks
-        of ``eval_batch`` rows. The model's row-independent prefix
+        of :data:`EVAL_BATCH` rows. The model's row-independent prefix
         (:attr:`~repro.nn.Module.row_independent`) runs in chunks of the
         rows one training step holds (:meth:`Executor.step_rows`), so no
         buffer outgrows a step and the logits keep one forward's bytes."""
@@ -301,9 +312,9 @@ class FederatedSimulator:
         step = self.executor.step_rows()
         correct = 0
         n = len(self.test_set)
-        for start in range(0, n, self.eval_batch):
-            x = self.test_set.x[start : start + self.eval_batch]
-            y = self.test_set.y[start : start + self.eval_batch]
+        for start in range(0, n, EVAL_BATCH):
+            x = self.test_set.x[start : start + EVAL_BATCH]
+            y = self.test_set.y[start : start + EVAL_BATCH]
             rest = stages
             if k and len(x) > step:
                 x = np.concatenate(

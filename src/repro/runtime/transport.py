@@ -42,9 +42,9 @@ is the channel the bytes moved through (``pipe`` for control messages,
 (parent→worker), ``results`` (worker→parent) or ``state`` (the blob
 frames, both ways).
 ``repro_ipc_broadcast_seconds`` accumulates the parent's wall-clock cost
-of staging each round's broadcast. When a recorder is attached (see
-:meth:`ShmTransport.set_recorder`) the same names are mirrored as recorder
-counters; counters never enter the JSONL event trace, so serial and
+of staging each round's broadcast. When :meth:`ShmTransport.setup` is given the
+parent's :class:`~repro.runtime.executor.Binding`, the same names are
+mirrored as counters into its recorder; counters never enter the JSONL event trace, so serial and
 parallel traces stay byte-identical.
 
 Cleanup invariants
@@ -74,6 +74,7 @@ from ..obs.profile import NULL_PROFILER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Recorder
+    from .executor import Binding
     from .round import ClientRoundResult
 
 __all__ = [
@@ -194,8 +195,9 @@ class ShmTransport:
 
     def __init__(self) -> None:
         self.stats: dict[str, float] = {}
-        self._recorder: "Recorder | None" = None
-        self._profiler = NULL_PROFILER
+        #: The parent's run binding: its recorder takes the counters, its
+        #: profiler the ``pack`` sub-span. None before setup and in workers.
+        self._binding: "Binding | None" = None
         self._worker_index: int | None = None
         self._layout = self._buffer_layout = Layout.of(())
         self._broadcast: _Arena | None = None
@@ -207,13 +209,9 @@ class ShmTransport:
         self._atexit_registered = False
 
     # -- accounting ----------------------------------------------------
-    def set_recorder(self, recorder: "Recorder | None") -> None:
-        self._recorder = recorder if recorder is not None and recorder.enabled else None
-
-    def set_profiler(self, profiler) -> None:
-        """Attach the parent's phase profiler (the broadcast ``pack`` is
-        timed as a sub-span under the executor's ``broadcast`` phase)."""
-        self._profiler = profiler
+    def _recorder(self) -> "Recorder | None":
+        rec = self._binding.recorder if self._binding is not None else None
+        return rec if rec is not None and rec.enabled else None
 
     def count(self, name: str, inc: float) -> None:
         """Accumulate into ``stats`` and bump the recorder counter. Every
@@ -221,8 +219,9 @@ class ShmTransport:
         (:mod:`repro.persist`) asserts recorder counters are identical
         between an uninterrupted run and a crash-resumed one."""
         self.stats[name] = self.stats.get(name, 0) + inc
-        if self._recorder is not None:
-            self._recorder.counter(name, inc)
+        rec = self._recorder()
+        if rec is not None:
+            rec.counter(name, inc)
 
     def count_pipe(self, direction: str, nbytes: int) -> None:
         """Pipe traffic is metered by the executor (it owns the pipes)."""
@@ -235,8 +234,9 @@ class ShmTransport:
         self.stats[BROADCAST_SECONDS] = (
             self.stats.get(BROADCAST_SECONDS, 0.0) + seconds
         )
-        if self._recorder is not None:
-            self._recorder.gauge(BROADCAST_SECONDS, self.stats[BROADCAST_SECONDS])
+        rec = self._recorder()
+        if rec is not None:
+            rec.gauge(BROADCAST_SECONDS, self.stats[BROADCAST_SECONDS])
 
     # -- flat views over the arenas -----------------------------------
     @property
@@ -267,10 +267,16 @@ class ShmTransport:
 
     # -- parent half ---------------------------------------------------
     def setup(
-        self, layout: Layout, buffer_layout: Layout, slot_counts: list[int]
+        self,
+        layout: Layout,
+        buffer_layout: Layout,
+        slot_counts: list[int],
+        binding: "Binding | None" = None,
     ) -> None:
         """Fix the server model's parameter and buffer layouts and allocate
-        (and reserve) the pool's arenas before the workers fork.
+        (and reserve) the pool's arenas before the workers fork. ``binding``
+        is the parent engine's (see :class:`ShmTransport`'s byte accounting);
+        without one nothing is mirrored or timed.
 
         ``slot_counts[w]`` is the most results worker ``w`` returns in one
         round — the most jobs a round can deal it. Raises
@@ -281,6 +287,7 @@ class ShmTransport:
         token = secrets.token_hex(4)
         prefix = f"{SEGMENT_PREFIX}-{os.getpid()}-{token}"
         self._layout, self._buffer_layout = layout, buffer_layout
+        self._binding = binding
         slot_bytes = 4 * self._slot_floats
         try:
             self._broadcast = _Arena(f"{prefix}-b", _ARENA_DATA_OFFSET + slot_bytes)
@@ -304,7 +311,8 @@ class ShmTransport:
         worker."""
         assert self._broadcast is not None, "setup() must run before broadcast()"
         t0 = time.perf_counter()
-        with self._profiler.phase("pack"):
+        prof = self._binding.profiler if self._binding is not None else NULL_PROFILER
+        with prof.phase("pack"):
             self._generation += 1
             payload = self._payload()
             p = self._layout.size
@@ -369,8 +377,7 @@ class ShmTransport:
     def worker_init(self, worker: int) -> None:
         """Called first thing inside the forked worker."""
         self._worker_index = worker
-        self._recorder = None  # the parent's recorder must not be touched
-        self._profiler = NULL_PROFILER  # ditto for the parent's profiler
+        self._binding = None  # the parent's recorder and profiler must not be touched
 
     def read_broadcast(self, generation: int) -> tuple[np.ndarray, np.ndarray]:
         """Recover the round's global ``(P,)`` parameter and ``(B,)`` buffer

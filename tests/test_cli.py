@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
@@ -114,3 +115,54 @@ class TestReproduceArtifacts:
         assert rc == 0
         out = capsys.readouterr().out
         assert "Fig. 1" in out and "real-round" in out
+
+
+class TestReproduceFlags:
+    """``reproduce`` forwards every flag the artefact's runner takes and
+    exits 2, naming the flag, on one it does not take."""
+
+    @staticmethod
+    def forwarded(monkeypatch, artifact, *flags):
+        seen = []
+        run_fn, _ = ARTIFACTS[artifact]
+        fake = functools.wraps(run_fn)(lambda **kwargs: seen.append(kwargs))
+        monkeypatch.setitem(ARTIFACTS, artifact, (fake, str))
+        assert main(["reproduce", "--artifact", artifact, *flags]) == 0
+        return seen[0]
+
+    @pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
+    def test_default_invocation_passes_what_it_always_did(self, monkeypatch, artifact):
+        if artifact == "overhead":
+            expected = {}
+        elif artifact in ("fig1", "fig4", "fig6", "fig8", "fig10"):
+            expected = {"model": "cnn", "scale": "micro", "seed": 0}
+        else:
+            expected = {"models": ("cnn",), "scale": "micro", "seed": 0}
+        assert self.forwarded(monkeypatch, artifact) == expected
+
+    def test_overhead_takes_models_and_seed(self, monkeypatch, capsys):
+        assert self.forwarded(monkeypatch, "overhead", "--models", "lstm", "--seed", "5") == {
+            "models": ("lstm",), "seed": 5,
+        }
+        monkeypatch.undo()
+        assert main(["reproduce", "--artifact", "overhead", "--models", "lstm", "--seed", "5"]) == 0
+        rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert "lstm" in rows and "cnn" not in rows and "wrn" not in rows
+
+    @pytest.mark.parametrize("artifact", ["fig8", "fig9", "fig10", "table1", "fig7"])
+    def test_rounds_reach_the_runners_that_take_them(self, monkeypatch, artifact):
+        assert self.forwarded(monkeypatch, artifact, "--rounds", "3")["rounds"] == 3
+
+    @pytest.mark.parametrize(
+        "artifact, flags",
+        [
+            *[(f"fig{n}", ["--rounds", "3"]) for n in range(1, 7)],
+            ("overhead", ["--rounds", "3"]),
+            ("overhead", ["--scale", "small"]),
+            ("fig1", ["--models", "cnn", "lstm"]),
+        ],
+    )
+    def test_a_flag_the_runner_does_not_take_exits_2(self, capsys, artifact, flags):
+        assert main(["reproduce", "--artifact", artifact, *flags]) == 2
+        captured = capsys.readouterr()
+        assert flags[0] in captured.out + captured.err

@@ -35,7 +35,7 @@ from repro.algorithms import (
 )
 from repro.data import Dataset
 from repro.experiments.configs import get_workload, make_environment
-from repro.experiments.runner import run_scheme
+from repro.experiments.runner import RunSpec, run_scheme
 from repro.nn import (
     SGD,
     BatchNorm2d,
@@ -62,6 +62,7 @@ from repro.nn import (
 )
 from repro.obs import TraceRecorder
 from repro.runtime import (
+    Binding,
     CohortEngine,
     CohortExecutor,
     RoundContext,
@@ -798,7 +799,7 @@ class TestResolveExecutor:
 # Executor-level: ragged cohorts, tail chunks, fallbacks
 # ----------------------------------------------------------------------
 def run_executor(executor, clients, strategy, jobs):
-    executor.bind(Population(clients), strategy)
+    executor.bind(Binding(Population(clients), strategy))
     global_state = global_vectors(model_fn())
     return executor.run_round(*global_state, jobs), global_state
 
@@ -913,8 +914,7 @@ class TestCohortExecutor:
         strategy = FedAvg(OPT)
         clients = Population(make_client(i) for i in range(3))
         executor = CohortExecutor(2)
-        executor.bind(clients, strategy)
-        executor.set_recorder(recorder)
+        executor.bind(Binding(clients, strategy, recorder=recorder))
         executor.run_round(*global_vectors(model_fn()), [(i, ctx()) for i in range(3)])
         assert recorder.gauges["repro_cohort_size"] == 2.0
         # FedAvg never masks: chunks of 2 and 1 over six steps each.
@@ -930,7 +930,7 @@ class TestCohortExecutor:
         run; stacks are reused by width but capped at ``2M`` slots in all,
         least recently used first out."""
         executor = CohortExecutor(4)
-        executor.bind(Population(make_client(i) for i in range(4)), FedAvg(OPT))
+        executor.bind(Binding(Population(make_client(i) for i in range(4)), FedAvg(OPT)))
         state = global_vectors(model_fn())
         for n in (4, 3, 2, 1, 3):
             executor.run_round(*state, [(i, ctx(iterations=1)) for i in range(n)])
@@ -1042,12 +1042,9 @@ class TestEndToEnd:
     @pytest.mark.parametrize("scheme", ["fedavg", "fedca"])
     def test_accuracy_and_timeline_match_serial(self, workload, scheme):
         cfg = micro_cfg(workload)
-        hs = run_scheme(
-            cfg, scheme, rounds=3, stop_at_target=False, seed=0, executor=SerialExecutor()
-        ).history
-        hc = run_scheme(
-            cfg, scheme, rounds=3, stop_at_target=False, seed=0, executor="cohort:4"
-        ).history
+        spec = RunSpec(cfg, scheme, rounds=3, stop_at_target=False, seed=0)
+        hs = run_scheme(dataclasses.replace(spec, engine=SerialExecutor())).history
+        hc = run_scheme(dataclasses.replace(spec, engine="cohort:4")).history
         # One history: timelines, byte counts, accuracies and mean losses.
         assert history_fingerprint(hc) == history_fingerprint(hs)
 
@@ -1060,7 +1057,7 @@ class TestEndToEnd:
         cfg = dataclasses.replace(get_workload("lstm"), num_clients=32)
         hs, hc, hu = (
             run_scheme(
-                cfg, "fedca", rounds=6, stop_at_target=False, seed=10, executor=engine
+                RunSpec(cfg, "fedca", rounds=6, stop_at_target=False, seed=10, engine=engine)
             ).history
             for engine in (SerialExecutor(), "cohort:8", CohortExecutor(8, pad=False))
         )
@@ -1121,8 +1118,8 @@ class TestEndToEnd:
             path = tmp_path / f"{name}.jsonl"
             recorder = TraceRecorder(trace_path=str(path))
             run_scheme(
-                cfg, "fedca", rounds=4, stop_at_target=False, seed=0,
-                executor=spec, recorder=recorder,
+                RunSpec(cfg, "fedca", rounds=4, stop_at_target=False, seed=0, engine=spec),
+                recorder=recorder,
             )
             recorder.close()
             paths[name] = path
@@ -1195,7 +1192,7 @@ class TestOneRoundBody:
             return client
 
         def run(executor):
-            executor.bind(Population(slowed_client(i) for i in range(3)), build())
+            executor.bind(Binding(Population(slowed_client(i) for i in range(3)), build()))
             state = global_vectors(model_fn())
             out = []
             for r in range(2):
@@ -1237,10 +1234,10 @@ class TestOneRoundBody:
 
         def run(executor):
             if isinstance(scheme, str):
-                return run_scheme(
+                return run_scheme(RunSpec(
                     cfg, scheme, rounds=3, stop_at_target=False, seed=0,
-                    wire=wire, executor=executor,
-                ).history
+                    wire=wire, engine=executor,
+                )).history
             sim = make_environment(
                 cfg, scheme(cfg.optimizer_spec(), cfg), seed=0, executor=executor
             )

@@ -1010,7 +1010,7 @@ class TestDefaultEngineIsTheReference:
         import dataclasses
 
         from repro.experiments import get_workload
-        from repro.experiments.runner import run_scheme
+        from repro.experiments.runner import RunSpec, run_scheme
         from repro.obs import TraceRecorder
         from repro.persist import ResultCache
         from repro.runtime import history_to_json
@@ -1022,10 +1022,10 @@ class TestDefaultEngineIsTheReference:
         cache = ResultCache(str(tmp_path / "cache"))
 
         def run(executor, recorder=None):
-            return run_scheme(
-                cfg, "fedavg", rounds=2, stop_at_target=False, seed=3,
-                executor=executor, cache=cache, recorder=recorder,
+            spec = RunSpec(
+                cfg, "fedavg", rounds=2, stop_at_target=False, seed=3, engine=executor
             )
+            return run_scheme(spec, cache=cache, recorder=recorder)
 
         ref = run(SerialExecutor())
         rec = TraceRecorder()

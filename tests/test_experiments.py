@@ -19,9 +19,11 @@ from repro.experiments import (
     probe_curves,
     run_overhead,
     run_scheme,
+    RunSpec,
 )
 from repro.experiments.configs import WorkloadConfig
 from repro.nn import LeNetCNN
+from repro.runtime.simulator import EVAL_BATCH
 
 from .helpers import held_array_bytes
 
@@ -150,7 +152,7 @@ class TestConfigs:
 
     def test_evaluate_leaves_no_activation_pinned(self):
         """``evaluate()`` pushes the test set through in blocks of
-        ``eval_batch`` rows, the row-independent prefix in chunks of one
+        ``EVAL_BATCH`` rows, the row-independent prefix in chunks of one
         training step's rows; a layer that kept its im2col buffer / input /
         mask / gate cache from those forwards would hold arrays until the
         next evaluation."""
@@ -196,7 +198,7 @@ class TestConfigs:
         with sim:
             sim.run(2)
             test = sim.test_set
-            assert len(test) <= sim.eval_batch  # one block: one forward
+            assert len(test) <= EVAL_BATCH  # one block: one forward
             model = sim.global_model.eval()
             logits = model(test.x)
             model.train(True)
@@ -276,7 +278,7 @@ class TestProbe:
 class TestRunner:
     def test_run_scheme_result_fields(self):
         cfg = get_workload("cnn")
-        res = run_scheme(cfg, "fedavg", rounds=2, stop_at_target=False, seed=0)
+        res = run_scheme(RunSpec(cfg, "fedavg", rounds=2, stop_at_target=False, seed=0))
         assert res.workload == "cnn"
         assert res.scheme == "FedAvg"
         assert res.history.num_rounds == 2
@@ -284,7 +286,7 @@ class TestRunner:
 
     def test_run_scheme_fedca_uses_scale_profile_period(self):
         cfg = get_workload("cnn")
-        res = run_scheme(cfg, "fedca", rounds=1, stop_at_target=False, seed=0)
+        res = run_scheme(RunSpec(cfg, "fedca", rounds=1, stop_at_target=False, seed=0))
         assert res.scheme == "FedCA"
 
 

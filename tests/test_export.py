@@ -158,6 +158,13 @@ def _record(index, events):
 
 
 class TestClientEventTable:
+    GROUPS = {
+        "anchor": {"anchor", "eager", "retransmitted"},
+        "early_stop_iteration": {"early_stop_iteration"},
+        "profiling_bytes": {"profiling_bytes"},
+        "wire": {"raw_bytes", "wire_bytes"},
+    }
+
     @given(st.lists(round_events(), min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_rows_return_the_emitted_dicts(self, rounds):
@@ -169,11 +176,20 @@ class TestClientEventTable:
             # any NumPy scalar that leaked through.
             assert json.dumps(table.rows()) == json.dumps(list(events.values()))
             assert dict(history.records[-1].client_events) == events
+            # Only the column groups some row's keys bring.
+            keys = {key for ev in events.values() for key in ev}
+            assert set(table.data.dtype.names) == {"cid", "iterations_run"}.union(
+                *(names for key, names in self.GROUPS.items() if key in keys)
+            )
         # The exported form re-imports to the same bytes, and the
         # checkpoint form to the same tables.
         text = history_to_json(history)
         assert history_to_json(history_from_dict(json.loads(text))) == text
-        assert history_to_json(RunHistory.from_state(history.state())) == text
+        restored = RunHistory.from_state(history.state())
+        assert history_to_json(restored) == text
+        assert [r.events.data.dtype for r in restored.records] == [
+            r.events.data.dtype for r in history.records
+        ]
 
     @pytest.mark.parametrize(
         "event",
@@ -219,16 +235,16 @@ class TestClientEventTable:
             with pytest.raises(ValueError):
                 ClientEventTable.from_events(LAYERS, {0: event})
 
-    def test_client_events_retain_at_most_100_bytes_per_client_round(self):
-        """A 20-round micro LSTM FedCA history, read back from its JSON:
-        what its client events keep alive, over what the same history keeps
-        with every round's events emptied. (One dict per client held about
-        480 B per client-round here.)"""
+    @staticmethod
+    def retained_per_client_round(scheme: str) -> float:
+        """A 20-round micro LSTM history of ``scheme``, read back from its
+        JSON: what its client events keep alive per client-round, over what
+        the same history keeps with every round's events emptied."""
         from repro.experiments.configs import get_workload
-        from repro.experiments.runner import run_scheme
+        from repro.experiments.runner import RunSpec, run_scheme
 
         history = run_scheme(
-            get_workload("lstm", "micro"), "fedca", rounds=20, stop_at_target=False
+            RunSpec(get_workload("lstm", "micro"), scheme, rounds=20, stop_at_target=False)
         ).history
         text = history_to_json(history)
         data = json.loads(text)
@@ -236,6 +252,7 @@ class TestClientEventTable:
             record["client_events"] = {}
         bare = json.dumps(data)
         client_rounds = sum(len(r.client_events) for r in history.records)
+        assert client_rounds == 240
 
         def retained(payload: str) -> int:
             gc.collect()
@@ -248,6 +265,16 @@ class TestClientEventTable:
             finally:
                 tracemalloc.stop()
 
-        per_client_round = (retained(text) - retained(bare)) / client_rounds
-        assert client_rounds == 240
+        return (retained(text) - retained(bare)) / client_rounds
+
+    def test_client_events_retain_at_most_100_bytes_per_client_round(self):
+        """FedCA. (One dict per client held about 480 B per client-round
+        here.)"""
+        per_client_round = self.retained_per_client_round("fedca")
         assert per_client_round <= 100, f"{per_client_round:.0f} B per client-round"
+
+    def test_fedavg_events_keep_only_their_two_columns(self):
+        """A FedAvg row carries ``cid`` and ``iterations_run``: 8 B. (With
+        every column, about 37 B per client-round here.)"""
+        per_client_round = self.retained_per_client_round("fedavg")
+        assert per_client_round <= 24, f"{per_client_round:.0f} B per client-round"

@@ -23,7 +23,7 @@ from repro.core import (
 from repro.experiments import get_workload, make_environment, probe_curves
 from repro.nn import WideResNet, build_model, softmax_cross_entropy
 from repro.persist.snapshot import decode, encode
-from repro.runtime import CohortExecutor
+from repro.runtime import Binding, CohortExecutor
 from repro.runtime.round import RoundContext
 
 from .helpers import (
@@ -138,7 +138,7 @@ def test_stack_member_records_its_width_one_bytes():
         strategy = FedCA(OPT, config=FedCAConfig(profile_every=5))
         clients = [make_client(i) for i in range(8)]
         executor = CohortExecutor(width, pad=False)
-        executor.bind(Population(clients), strategy)
+        executor.bind(Binding(Population(clients), strategy))
         params, buffers = global_vectors(model_fn())
         results = []
         for jobs in rounds:

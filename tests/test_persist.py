@@ -15,7 +15,7 @@ import pytest
 from repro.core import FedCAConfig
 from repro.experiments import get_workload
 from repro.experiments.multiseed import format_multiseed, run_multiseed
-from repro.experiments.runner import run_scheme
+from repro.experiments.runner import RunSpec, run_scheme
 from repro.obs import TraceRecorder
 from repro.persist import (
     CheckpointCorruptError,
@@ -53,16 +53,13 @@ CFG = dataclasses.replace(
 TOTAL, HALF = 6, 3
 
 
+def _spec(scheme, *, rounds, executor=None, cfg=CFG):
+    return RunSpec(cfg, scheme, rounds=rounds, stop_at_target=False, seed=3, engine=executor)
+
+
 def _run(scheme, *, rounds, executor=None, recorder=None, **kwargs):
     return run_scheme(
-        CFG,
-        scheme,
-        rounds=rounds,
-        stop_at_target=False,
-        seed=3,
-        executor=executor,
-        recorder=recorder,
-        **kwargs,
+        _spec(scheme, rounds=rounds, executor=executor), recorder=recorder, **kwargs
     )
 
 
@@ -156,14 +153,11 @@ class TestResumeBitwiseOracle:
         # run extra rounds on resume (the uninterrupted run would have
         # stopped at that round).
         ckdir = tmp_path / "ck"
-        first = run_scheme(
-            CFG, "fedavg", rounds=2, stop_at_target=False, seed=3,
-            checkpoint_dir=str(ckdir), checkpoint_every=1,
-        )
+        first = _run("fedavg", rounds=2, checkpoint_dir=str(ckdir), checkpoint_every=1)
         reached = max(r.accuracy for r in first.history.records)
         easy = dataclasses.replace(CFG, target_accuracy=reached / 2)
         resumed = run_scheme(
-            easy, "fedavg", rounds=TOTAL, stop_at_target=True, seed=3,
+            RunSpec(easy, "fedavg", rounds=TOTAL, stop_at_target=True, seed=3),
             checkpoint_dir=str(ckdir), resume=True,
         )
         assert resumed.history.num_rounds == 2
@@ -442,7 +436,7 @@ class TestDiscoveryAndGuards:
 
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(ValueError, match="checkpoint_dir"):
-            run_scheme(CFG, "fedavg", resume=True)
+            run_scheme(RunSpec(CFG, "fedavg"), resume=True)
 
     def test_restore_into_used_simulator_rejected(self, saved_checkpoint):
         from repro.algorithms import build_strategy
@@ -646,17 +640,7 @@ class TestResultCache:
     def test_single_evicted_cell_recomputes_exactly_once(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         self._grid(cache)
-        # The runner resolves the FedCA default config before keying, so
-        # the externally computed key must use the same effective value.
-        key = cache.key(
-            CFG,
-            "fedca",
-            rounds=3,
-            stop_at_target=True,
-            seed=self.SEEDS[-1],
-            dynamic=True,
-            fedca_config=FedCAConfig(profile_every=CFG.fedca_profile_every),
-        )
+        key = cache.key(RunSpec(CFG, "fedca", rounds=3, seed=self.SEEDS[-1]))
         os.remove(cache.path_for(key))
         rerun = ResultCache(cache.directory)
         self._grid(rerun)
@@ -711,8 +695,7 @@ class TestResultCache:
         cfg = dataclasses.replace(CFG, num_clients=12)
         cache = ResultCache(str(tmp_path / "cache"))
         runs = [
-            run_scheme(cfg, "fedca", rounds=3, stop_at_target=False, seed=3,
-                       cache=cache)
+            run_scheme(_spec("fedca", rounds=3, cfg=cfg), cache=cache)
             for _ in range(2)
         ]
         assert (cache.hits, cache.misses) == (1, 1)
@@ -721,24 +704,83 @@ class TestResultCache:
 
     def test_key_sensitivity(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
-        base = dict(
-            rounds=3, stop_at_target=True, seed=0, dynamic=True, fedca_config=None
-        )
-        k = cache.key(CFG, "fedavg", **base)
-        assert cache.key(CFG, "fedavg", **base) == k  # deterministic
-        assert cache.key(CFG, "fedca", **base) != k
-        assert cache.key(CFG, "fedavg", **{**base, "seed": 1}) != k
-        assert cache.key(CFG, "fedavg", **{**base, "rounds": 4}) != k
+        spec = RunSpec(CFG, "fedavg", rounds=3)
+        k = cache.key(spec)
+        assert cache.key(RunSpec(CFG, "fedavg", rounds=3)) == k  # deterministic
+        assert cache.key(dataclasses.replace(spec, scheme="fedca")) != k
+        assert cache.key(dataclasses.replace(spec, seed=1)) != k
+        assert cache.key(dataclasses.replace(spec, rounds=4)) != k
+        assert cache.key(dataclasses.replace(spec, stop_at_target=False)) != k
         other_cfg = dataclasses.replace(CFG, lr=CFG.lr * 2)
-        assert cache.key(other_cfg, "fedavg", **base) != k
+        assert cache.key(RunSpec(other_cfg, "fedavg", rounds=3)) != k
+        # Telemetry-free, byte-free choices share the cell.
+        assert cache.key(dataclasses.replace(spec, population="lazy:cache=2")) == k
+
+    def test_explicit_and_implied_defaults_share_a_cell(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        implied = RunSpec(CFG, "fedca")
+        explicit = RunSpec(
+            CFG, "fedca", rounds=CFG.default_rounds, stop_at_target=True, seed=0,
+            fedca_config=FedCAConfig(profile_every=CFG.fedca_profile_every),
+            wire="raw", engine="serial", population="eager",
+        )
+        assert cache.key(explicit) == cache.key(implied)
+        # A non-FedCA scheme ignores the FedCA config: one cell with or
+        # without it, and the same after swapping the scheme back and forth.
+        fedavg = RunSpec(CFG, "fedavg")
+        assert cache.key(dataclasses.replace(implied, scheme="fedavg")) == cache.key(fedavg)
+        assert cache.key(dataclasses.replace(fedavg, scheme="fedca")) == cache.key(implied)
+
+    def test_engines_that_keep_the_bytes_share_a_cell(self, tmp_path):
+        from repro.runtime import SerialExecutor
+
+        cache = ResultCache(str(tmp_path / "cache"))
+        spec = RunSpec(CFG, "fedavg")
+        keys = {
+            cache.key(dataclasses.replace(spec, engine=engine))
+            for engine in (SerialExecutor(), "serial", None, "parallel:2", "parallel")
+        }
+        assert keys == {cache.key(spec)}
+
+    def test_padding_engine_and_lossy_wire_get_their_own_cells(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        spec = RunSpec(CFG, "fedavg")
+        keys = [
+            cache.key(dataclasses.replace(spec, **change))
+            for change in (
+                {}, {"engine": "cohort:4"}, {"engine": "cohort:8"},
+                {"wire": "quant8"}, {"wire": "topk:0.1"},
+            )
+        ]
+        assert len(set(keys)) == len(keys)
+        # "cohort" is "cohort:32"; a wire spec is keyed case-blind.
+        assert cache.key(dataclasses.replace(spec, engine="cohort")) == cache.key(
+            dataclasses.replace(spec, engine="cohort:32")
+        )
+        assert cache.key(dataclasses.replace(spec, wire="QUANT8")) == keys[3]
+
+    def test_keys_match_cells_written_before_the_run_spec(self, tmp_path):
+        """Cells written when ``ResultCache.key`` took the run's fields one
+        by one still hit: the key document did not change."""
+        cache = ResultCache(str(tmp_path / "cache"))
+        spec = RunSpec(get_workload("cnn"), "fedavg")
+        assert cache.key(spec) == (
+            "6f70cffb0e4a7b061c2cb6fc466613453fe7b77cb17db3eb6d6b8d0281b965fe"
+        )
+        assert cache.key(dataclasses.replace(spec, scheme="fedca")) == (
+            "ad97f1c1c56e96be8c6573eaf7c22ac793f09bc4c7e162301dfd15e2d05db386"
+        )
+        assert cache.key(dataclasses.replace(spec, wire="quant8")) == (
+            "88eb8e1d0633fe6369665aceaf4d1cb82f485fafe7f7e4711a0da3ce0e2c082d"
+        )
+        assert cache.key(dataclasses.replace(spec, engine="cohort:4")) == (
+            "cb588ed553e368cd159c1efc1dde5d5076b2c2a4fd32ca0c7098862e4f5bf3e9"
+        )
 
     def test_unreadable_cell_counts_as_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         _run("fedavg", rounds=2, cache=cache)
-        key = cache.key(
-            CFG, "fedavg", rounds=2, stop_at_target=False, seed=3,
-            dynamic=True, fedca_config=None,
-        )
+        key = cache.key(_spec("fedavg", rounds=2))
         with open(cache.path_for(key), "w") as fh:
             fh.write('{"torn')
         fresh = ResultCache(cache.directory)

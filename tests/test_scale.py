@@ -920,7 +920,7 @@ def test_parallel_workers_chunk_within_the_residency_bound(env_data):
     assert lazy == run_traced(
         env_data, "fedca", executor=SerialExecutor(), population=None, **twelve
     )
-    assert executor._clients.resident_capacity == 2
+    assert executor._bound.clients.resident_capacity == 2
     # Every chunk was two wide: two slots offered per batched step.
     occupancy = executor.occupancy()
     assert occupancy["slot_steps"] == 2 * occupancy["steps"] > 0
