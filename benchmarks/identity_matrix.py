@@ -13,6 +13,9 @@ design; every simulated event after it must match. The cells:
   {eager, lazy:cache=4} × {raw, quant8, topk:0.1} (24 cells);
 * {lstm, wrn} × {fedavg, fedca} × {serial, cohort:4, parallel:2}, eager,
   raw (12 cells);
+* {lstm, wrn} × fedada × {serial, cohort:4, parallel:2}, eager, raw (6
+  cells): FedAda's server-assigned budgets make members leave a stack at
+  iterations no decision inside it takes;
 * four crash → resume cells: the run is SIGKILLed after round
   ``CRASH_AFTER`` (``--crash-after-round``, checkpoint every 2 rounds) and
   finished with ``--resume``.
@@ -82,6 +85,11 @@ def matrix() -> list[Cell]:
         Cell(workload, scheme, "raw", executor, "eager")
         for workload in ("lstm", "wrn")
         for scheme in ("fedavg", "fedca")
+        for executor in ("serial", "cohort:4", "parallel:2")
+    ]
+    cells += [
+        Cell(workload, "fedada", "raw", executor, "eager")
+        for workload in ("lstm", "wrn")
         for executor in ("serial", "cohort:4", "parallel:2")
     ]
     cells += [

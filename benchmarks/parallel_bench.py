@@ -123,7 +123,9 @@ def run_once(cfg, executor, rounds: int, seed: int, *, scheme="fedavg",
         elapsed = time.perf_counter() - start  # reprolint: allow[DET002] benchmark measures wall-clock by design
         ipc = sim.executor.ipc_stats()
         if parallel:
-            # Mean width of the stacked chunks the workers trained.
+            # Mean width the workers' stacked steps ran at: a member that
+            # stops leaves its chunk's program, so this falls below the
+            # chunk width wherever members stop early.
             occupancy = sim.executor.occupancy()
             ipc["worker_chunk_width"] = occupancy["slot_steps"] / max(
                 occupancy["steps"], 1.0

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import FedCAConfig, marginal_benefit, marginal_cost
+from repro.core import EarlyStopPolicy, FedCAConfig, marginal_benefit, marginal_cost
 from repro.core.profiler import ProfiledCurves
 from repro.experiments import RunSpec, format_table, run_scheme, get_workload
 
 
-def _curves(values):
+def _policy(values):
+    """One member's early-stop policy over a whole-model (and one-layer)
+    curve."""
     arr = np.asarray(values, dtype=np.float64)
-    return ProfiledCurves(0, len(arr), {"l": arr.copy()}, arr)
+    return EarlyStopPolicy([ProfiledCurves(0, np.stack([arr, arr]), ("l",))], FedCAConfig())
 
 
 def test_benefit_floor_rescues_flat_segments(benchmark):
@@ -30,9 +32,10 @@ def test_benefit_floor_rescues_flat_segments(benchmark):
     benefit equal to the remaining average progress."""
 
     def evaluate():
-        noisy = _curves([0.4, 0.4, 0.4, 0.7, 1.0])
-        with_floor = [marginal_benefit(noisy, t) for t in (2, 3)]
-        raw_delta = [noisy.p(t) - noisy.p(t - 1) for t in (2, 3)]
+        noisy = _policy([0.4, 0.4, 0.4, 0.7, 1.0])
+        benefit = marginal_benefit(noisy.p, noisy.num_iterations)[0]
+        with_floor = [benefit[t - 1] for t in (2, 3)]
+        raw_delta = [noisy.p[0, t] - noisy.p[0, t - 1] for t in (2, 3)]
         return with_floor, raw_delta
 
     with_floor, raw_delta = benchmark(evaluate)

@@ -73,7 +73,7 @@ def test_sampled_profiler_record(benchmark):
     rng = np.random.default_rng(2)
     model = LeNetCNN(rng=rng)
     sampler = LayerSampler.for_model(model, seed=0)
-    recorder = AnchorRecorder(sampler, 1)
+    recorder = AnchorRecorder([sampler], 1)
     params = model.arena().values
     anchor = params.copy()
 
@@ -148,25 +148,29 @@ def test_page_chunk(benchmark):
 
 
 def test_member_views(benchmark):
-    """Every member's parameter row and update views of a 25-wide stack —
-    what a cohort round hands its strategy and reads back."""
+    """Every member's parameter row and update views of a 25-wide stack
+    whose members left — what a cohort round hands its strategy and reads
+    back."""
+    from repro.algorithms import OptimizerSpec
     from repro.nn.cohort import CohortModel
     from repro.runtime import CohortEngine
 
-    class _Member:
-        model = None
-
     width = 25
     template = _lazy_lenet()
+
+    class _Member:
+        model = template
+
     cohort = CohortModel(template, width)
-    params = template.arena().values
+    params = template.arena().values.copy()
     engine = CohortEngine(cohort, [_Member()] * width, template.arena().buffers)
     engine.load_global(params)
+    rows = cohort.module.arena().values
+    opt = engine.build_optimizer(OptimizerSpec(lr=0.1), params)
+    engine.leave(np.zeros(width, dtype=bool), params, opt)
 
     def views():
-        stacked = engine.stacked_update(params)
-        rows = cohort.module.arena().values
-        return [(rows[i], engine.member_update(stacked, i)) for i in range(width)]
+        return [(rows[i], engine.member_update(i)) for i in range(width)]
 
     out = benchmark(views)
     assert len(out) == width and out[0][0].shape == params.shape

@@ -20,11 +20,12 @@ import numpy as np
 
 from repro.algorithms import build_strategy
 from repro.core import (
+    NEVER,
     AnchorRecorder,
     EagerSchedule,
+    EarlyStopPolicy,
     FedCAConfig,
     LayerSampler,
-    marginal_benefit,
     marginal_cost,
 )
 from repro.data import BatchStream
@@ -65,7 +66,7 @@ def main() -> None:
     opt = cfg.optimizer_spec().build(model)
     params = model.arena().values  # the whole model as one (P,) vector
     anchor_state = params.copy()
-    recorder = AnchorRecorder(sampler, k)
+    recorder = AnchorRecorder([sampler], k)  # one member's stack
     for _ in range(k):
         x, y = stream.next_batch()
         _, grad = softmax_cross_entropy(model(x), y)
@@ -73,24 +74,25 @@ def main() -> None:
         model.backward(grad)
         opt.step()
         recorder.record(params, anchor_state)
-    curves = recorder.finalize(round_index=3)
+    (curves,) = recorder.finalize(round_index=3)
 
     print("Whole-model progress curve P_tau:")
     print("  " + " ".join(f"{p:.2f}" for p in curves.model_curve) + "\n")
 
     # 3. The decisions the curves drive. ----------------------------------
-    schedule = EagerSchedule(curves, fedca_cfg.eager_threshold)
+    schedule = EagerSchedule([curves], fedca_cfg.eager_threshold)
     print(f"Eager-transmission triggers (T_e = {fedca_cfg.eager_threshold}):")
-    for name in sampler.names:
-        trig = schedule.triggers.get(name)
-        print(f"  {name:14s} -> " + (f"iteration {trig}" if trig else "never"))
+    for name, trig in zip(schedule.names, schedule.triggers[0].tolist()):
+        print(f"  {name:14s} -> " + (f"iteration {trig}" if trig != NEVER else "never"))
 
     deadline = k * 0.6 * 0.05  # an example compute deadline
     print(f"\nNet-benefit trace under a {deadline:.2f}s deadline "
           f"(0.05 s/iteration pace, beta = {fedca_cfg.beta}):")
+    # Eq. 2 per iteration; -inf at K, where the curve is exhausted.
+    benefit = EarlyStopPolicy([curves], fedca_cfg).benefit[0]
     for tau in range(1, k + 1):
         elapsed = tau * 0.05
-        b = marginal_benefit(curves, tau)
+        b = benefit[tau - 1]
         c = marginal_cost(elapsed, deadline, fedca_cfg.beta)
         marker = "  <- stop" if b - c < 0 else ""
         print(f"  tau={tau:2d}  b={b:7.4f}  c={c:7.4f}  n={b - c:+7.4f}{marker}")

@@ -5,9 +5,11 @@ A strategy owns two responsibilities:
 * ``prepare_round`` — server-side, before broadcast: may assign per-client
   iteration budgets (FedAda's workload adjustment). Autonomous schemes
   return ``None``.
-* ``begin`` — the client side of one round, written once per scheme as a
-  :class:`RoundMember` step machine. The two drivers on :class:`Strategy`
-  feed it: :meth:`Strategy.client_round` one member from a
+* ``begin`` — the client side of one round, written once per scheme: a
+  :class:`RoundMember` per client (its clock, uplink and result) and the
+  scheme's :class:`MemberStack` (its per-step decisions, over every member
+  of a program at once). The two drivers on :class:`Strategy` feed them:
+  :meth:`Strategy.client_round` a stack of one member from a
   :class:`~repro.runtime.client.SimClient`, :meth:`Strategy.cohort_round`
   M members from a :class:`~repro.runtime.cohort.CohortEngine`. No scheme
   overrides either driver (DESIGN.md §12).
@@ -20,7 +22,10 @@ checkpointed, evicted and captured from a worker with the client.
 
 from __future__ import annotations
 
+import itertools
+import math
 from abc import ABC, abstractmethod
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.simulator import FederatedSimulator
     from ..runtime.wire import WireLayer
 
-__all__ = ["Strategy", "OptimizerSpec", "RoundMember"]
+__all__ = ["Strategy", "OptimizerSpec", "RoundMember", "MemberStack"]
 
 
 class OptimizerSpec:
@@ -79,15 +84,14 @@ class OptimizerSpec:
 
 
 class RoundMember:
-    """One client's round as a step machine — the only place a scheme's
-    per-client logic lives.
+    """One client's round — its clock, uplink, decision events and result.
 
     A member owns the client's simulated clock (``t``), its uplink, its
     decision-event buffer and its decisions; it never touches a model or an
-    optimiser. A driver runs up to :attr:`budget` training steps, asking
-    :meth:`next_batch` before each and calling :meth:`after_step` after
-    each (``False`` ends the member's round), then hands the accumulated
-    update to :meth:`finish`.
+    optimiser. Its steps run in a :class:`MemberStack` with the other
+    members of its program, which hands the clock back (``t``,
+    ``total_loss``, ``iterations_run``) when the member leaves; the driver
+    then passes the accumulated update to :meth:`finish`.
     """
 
     def __init__(
@@ -111,32 +115,17 @@ class RoundMember:
         # parent recorder (works identically inside parallel workers).
         self.trace: list[dict] | None = [] if ctx.trace_enabled else None
 
-    def next_batch(self) -> int | None:
-        """Minibatch size of the next step (``None``: the stream's own)."""
-        return None
-
-    def after_step(self, tau: int, loss: float) -> bool:
-        """Account for local iteration ``tau``; returns whether the member
-        keeps training."""
-        self.tick(tau, loss)
-        return True
-
     def finish(self, update: dict[str, np.ndarray]) -> ClientRoundResult:
         """Upload ``update`` (``w_local − w_global``) and report the round."""
         raise NotImplementedError
 
     # -- helpers for subclasses ----------------------------------------
-    def tick(self, tau: int, loss: float, work: float = 1) -> None:
-        """Advance the clock past iteration ``tau``, which cost ``work``
-        base iterations of compute."""
-        self.total_loss += loss
-        self.t = self.client.trace.iteration_finish_time(self.t, work)
-        self.iterations_run = tau
-
-    def emit(self, kind: str, fields: dict) -> None:
-        """Buffer one decision event at the member's current clock."""
+    def emit(self, kind: str, fields: dict, at: float | None = None) -> None:
+        """Buffer one decision event at simulated time ``at`` (default: the
+        member's clock)."""
         if self.trace is not None:
-            self.trace.append({"kind": kind, "sim_time": self.t, "fields": fields})
+            sim_time = self.t if at is None else at
+            self.trace.append({"kind": kind, "sim_time": sim_time, "fields": fields})
 
     def upload_full(
         self, update: dict[str, np.ndarray], nbytes: int, events: dict
@@ -181,6 +170,127 @@ class RoundMember:
         )
 
 
+class MemberStack:
+    """The members one program steps together — a stacked chunk, or the one
+    client of the serial driver — their clocks as ``(C,)`` float64 arrays
+    in program-row order, so a step's bookkeeping is a few array passes
+    whatever the width; every element is the IEEE result of the member's
+    own scalar code. The live members are the first :attr:`width` rows;
+    :meth:`leave` closes ranks as the engine does. ``order`` is each row's
+    job index. A scheme's per-step decisions override :meth:`decide`."""
+
+    #: Per-row arrays: they move when rows close ranks, and :attr:`live`
+    #: holds a view of each one's live rows.
+    COLUMNS = ("t", "start", "loss", "budget", "work", "base", "rem", "inc", "cross")
+
+    def __init__(
+        self, strategy: "Strategy", members: list[RoundMember], global_state: np.ndarray
+    ) -> None:
+        n = self.width = len(members)
+        self.strategy, self.members, self.order = strategy, list(members), np.arange(n)
+        self.budget = np.array([m.budget for m in members])
+        if self.budget.min() < 1:
+            raise ValueError("iterations must be >= 1")
+        self.start = np.array([m.compute_start for m in members])
+        self.t, self.loss, self.work = self.start.copy(), np.zeros(n), np.ones(n)
+        self.base = np.array([m.client.trace.base_iteration_time for m in members])
+        self.rem, self.inc, self.cross = np.empty((3, n))
+        self.done = 0  # local iterations every live member has run
+        self.replan(0, n)
+        self._slice()
+
+    def _slice(self) -> None:
+        k = self.width
+        self.live = SimpleNamespace(**{name: getattr(self, name)[:k] for name in self.COLUMNS})
+        self._horizon = int(self.live.budget.min())
+        self._cross = self.live.cross.min()
+
+    def next_batch(self) -> list[int | None] | None:
+        """Each live row's minibatch size of the next step (``None``: every
+        stream's own)."""
+        return None
+
+    def step(self, tau: int, losses: np.ndarray, rows: np.ndarray) -> np.ndarray | None:
+        """Account for local iteration ``tau`` of the live members, whose
+        ``(P,)`` vectors are ``rows``: which of them keep training, or
+        ``None`` when they all do."""
+        live = self.live
+        live.loss += losses
+        self.done = tau
+        # Inside the speed segment each member last read, a step ends at
+        # ``t + rem * slowdown`` exactly as SpeedTrace.work_finish_time
+        # computes it; at a segment end (``cross``), the trace answers.
+        if tau < self._cross:
+            live.t += live.inc
+        else:
+            after = live.t + live.inc
+            crossing = (live.cross <= tau).nonzero()[0].tolist()
+            for j in crossing:
+                after[j] = self.members[j].client.trace.iteration_finish_time(
+                    float(live.t[j]), float(live.work[j])
+                )
+            live.t[...] = after
+            self._pace(crossing, after[crossing])
+        stop = self.decide(tau, rows)
+        if tau >= self._horizon:  # a budget is spent
+            spent = tau >= live.budget
+            stop = spent if stop is None else stop | spent
+        return None if stop is None or not np.count_nonzero(stop) else ~stop
+
+    def decide(self, tau: int, rows: np.ndarray) -> np.ndarray | None:
+        """The scheme's verdict after iteration ``tau`` (the clocks already
+        count it): which live rows stop, or ``None`` for none."""
+        return None
+
+    def leave(self, keep: np.ndarray, tau: int) -> None:
+        """Hand the clocks of the rows ``keep`` drops back to their members,
+        after ``tau`` iterations, and close ranks as the engine does."""
+        gone, stay = (~keep).nonzero()[0], keep.nonzero()[0]
+        for j in gone.tolist():
+            member = self.members[j]
+            member.t, member.total_loss = float(self.t[j]), float(self.loss[j])
+            member.iterations_run = tau
+        n = stay.size
+        holes, movers = gone[gone < n], stay[stay >= n]
+        if holes.size:  # swap rows as the engine does
+            for name in ("order", *self.COLUMNS):
+                column = getattr(self, name)
+                column[holes], column[movers] = column[movers], column[holes]
+            for a, b in zip(holes.tolist(), movers.tolist()):
+                self.members[a], self.members[b] = self.members[b], self.members[a]
+        self.width = n
+        if n:
+            self._slice()
+
+    def replan(self, lo: int, hi: int) -> None:
+        """Re-cost a step of rows ``lo:hi`` after their ``work`` changed."""
+        self.rem[lo:hi] = self.work[lo:hi] * self.base[lo:hi]
+        self._pace(range(lo, hi), self.t[lo:hi])
+
+    def _pace(self, rows, at: np.ndarray) -> None:
+        """The step cost of ``rows`` in the speed segments they read at
+        ``at``, and each one's ``cross``: the first iteration that no longer
+        fits in its segment, found by running the remaining steps' start
+        times ahead — the very adds the steps make — in one
+        ``np.add.accumulate`` (work of at most 1e-12 s never fits: the trace
+        decides it)."""
+        rows = list(rows)
+        if rows:
+            end, slow = np.array(
+                [self.members[j].client.trace.pace_at(float(t)) for j, t in zip(rows, at)]
+            ).T
+            rem = self.rem[rows]
+            self.inc[rows] = inc = rem * slow
+            ahead = max(1, int(self.budget[rows].max()) - self.done)  # steps left
+            starts = np.repeat(inc[:, None], ahead, 1)
+            starts[:, :1] = np.reshape(at, (-1, 1))
+            fits = (end[:, None] - np.add.accumulate(starts, axis=1)) / slow[:, None]
+            fits = (fits >= rem[:, None]) & (rem > 1e-12)[:, None]
+            first = self.done + 1 + fits.argmin(axis=1)
+            self.cross[rows] = np.where(fits.all(axis=1), math.inf, first)
+        self._cross = self.cross[: self.width].min()
+
+
 class Strategy(ABC):
     """One federated-optimisation scheme."""
 
@@ -195,6 +305,10 @@ class Strategy(ABC):
     #: ``None`` (raw) keeps every upload byte-identical to the pre-wire
     #: runtime. Class attribute so subclasses need no ``__init__`` hook.
     _wire: "WireLayer | None" = None
+
+    #: What steps a program's members together; a scheme with per-step
+    #: decisions sets its own.
+    Stack: type[MemberStack] = MemberStack
 
     @property
     def wire(self) -> "WireLayer | None":
@@ -229,11 +343,13 @@ class Strategy(ABC):
         """Start one client's round: the scheme's :class:`RoundMember`.
 
         ``global_state`` is the round-start global ``(P,)`` parameter
-        vector (read only); ``params`` is the member's live ``(P,)`` vector
-        — the replica's arena under the serial driver, row ``i`` of the
-        stacked arena under the cohort driver — already holding the
-        broadcast and updated in place by every step. Both are in the
-        model's :class:`~repro.nn.layout.Layout` order.
+        vector (read only); ``params`` is the member's ``(P,)`` vector at
+        round start — the replica's arena under the serial driver, row
+        ``i`` of the stacked arena under the cohort driver — already
+        holding the broadcast. Both are in the model's
+        :class:`~repro.nn.layout.Layout` order. A stacked row moves when
+        members leave, so the per-step work that reads it lives in the
+        scheme's :attr:`Stack`, which is handed the live rows each step.
         """
 
     def client_round(
@@ -243,19 +359,21 @@ class Strategy(ABC):
         buffers: np.ndarray,
         ctx: RoundContext,
     ) -> ClientRoundResult:
-        """Serial driver: one member fed from the client's own replica.
-        ``params``/``buffers`` are the round-start global model's ``(P,)``
-        and ``(B,)`` vectors."""
+        """Serial driver: one member, a stack of one, fed from the client's
+        own replica. ``params``/``buffers`` are the round-start global
+        model's ``(P,)`` and ``(B,)`` vectors."""
         client.load_global(params, buffers)
         opt = self.optimizer.build(client.model, params)
-        member = self.begin(client, params, ctx, client.model.arena().values)
-        if member.budget < 1:
-            raise ValueError("iterations must be >= 1")
-        for tau in range(1, member.budget + 1):
-            loss = client.train_step(opt, member.next_batch())
-            if not member.after_step(tau, loss):
-                break
-        return member.finish(client.local_update(params))
+        values = client.model.arena().values
+        member = self.begin(client, params, ctx, values)
+        stack = self.Stack(self, [member], params)
+        for tau in itertools.count(1):
+            sizes = stack.next_batch()
+            loss = client.train_step(opt, None if sizes is None else sizes[0])
+            keep = stack.step(tau, np.array([loss]), values[None])
+            if keep is not None:
+                stack.leave(keep, tau)
+                return member.finish(client.local_update(params))
 
     def cohort_round(
         self,
@@ -270,11 +388,11 @@ class Strategy(ABC):
         results come back in job order. Every *scalar* outcome (simulated
         times, uplink schedules, decisions, trace events) is the member's
         own and therefore exactly what :meth:`client_round` produces, and
-        the stacked tensor program keeps each member's bytes. A member
-        whose :meth:`RoundMember.after_step` returns ``False``, or whose
-        budget is spent, leaves through the activity mask: its parameters
-        freeze and its data stream stops drawing while the batched program
-        keeps advancing the others.
+        the stacked tensor program keeps each member's bytes. The program's
+        rows follow the stack's arrangement; a member whose stack says it
+        stops, or whose budget is spent, leaves the program at once
+        (:meth:`~repro.runtime.cohort.CohortEngine.leave`): its row is
+        written back and the program runs on without it.
         """
         engine.load_global(params)
         opt = engine.build_optimizer(self.optimizer, params)
@@ -283,22 +401,15 @@ class Strategy(ABC):
             self.begin(client, params, ctx, row)
             for client, (_, ctx), row in zip(engine.clients, jobs, rows)
         ]
-        budgets = np.asarray([m.budget for m in members])
-        if budgets.min() < 1:
-            raise ValueError("iterations must be >= 1")
-        active = np.ones(engine.size, dtype=bool)
-        for tau in range(1, int(budgets.max()) + 1):
-            mask = active & (tau <= budgets)
-            if not mask.any():
-                break
-            sizes = [m.next_batch() if on else None for m, on in zip(members, mask)]
-            losses = engine.train_step(opt, mask, sizes)
-            for i in np.flatnonzero(mask):
-                if not members[i].after_step(tau, float(losses[i])):
-                    active[i] = False
-        stacked = engine.stacked_update(params)
-        engine.write_back()
-        return [
-            member.finish(engine.member_update(stacked, i))
-            for i, member in enumerate(members)
-        ]
+        stack = self.Stack(self, members, params)
+        engine.arrange(stack.order)
+        for tau in itertools.count(1):
+            losses = engine.train_step(opt, stack.next_batch())
+            keep = stack.step(tau, losses, engine.model.module.arena().values)
+            if keep is not None:
+                stack.leave(keep, tau)
+                if not engine.leave(keep, params, opt):
+                    return [
+                        member.finish(engine.member_update(i))
+                        for i, member in enumerate(members)
+                    ]

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..runtime.client import SimClient
 from ..runtime.round import ClientRoundResult, RoundContext
-from .base import OptimizerSpec, RoundMember, Strategy
+from .base import MemberStack, OptimizerSpec, RoundMember, Strategy
 
 __all__ = ["DeadlineStop"]
 
@@ -24,13 +24,6 @@ class _DeadlineMember(RoundMember):
     """Train until K iterations or the deadline, whichever first."""
 
     stopped_early = False
-
-    def after_step(self, tau: int, loss: float) -> bool:
-        self.tick(tau, loss)
-        ctx = self.ctx
-        if tau < ctx.iterations and (self.t - self.compute_start) >= ctx.deadline:
-            self.stopped_early = True
-        return not self.stopped_early
 
     def finish(self, update: dict[str, np.ndarray]) -> ClientRoundResult:
         return self.upload_full(
@@ -45,10 +38,25 @@ class _DeadlineMember(RoundMember):
         )
 
 
+class _DeadlineStack(MemberStack):
+    """Stops each member whose elapsed compute reached ``T_R`` before K
+    (one round's members share both)."""
+
+    def decide(self, tau: int, rows: np.ndarray) -> np.ndarray | None:
+        ctx, live = self.members[0].ctx, self.live
+        if tau >= ctx.iterations:
+            return None
+        late = live.t - live.start >= ctx.deadline
+        for j in late.nonzero()[0].tolist():
+            self.members[j].stopped_early = True
+        return late
+
+
 class DeadlineStop(Strategy):
     """Stop-at-deadline ablation baseline (see module docstring)."""
 
     name = "DeadlineStop"
+    Stack = _DeadlineStack
 
     def __init__(self, optimizer: OptimizerSpec) -> None:
         self.optimizer = optimizer

@@ -23,6 +23,8 @@ aggregate stale layer updates, reproducing the ablation's accuracy loss.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..core import (
@@ -37,7 +39,7 @@ from ..core import (
 )
 from ..runtime.client import SimClient
 from ..runtime.round import ClientRoundResult, RoundContext
-from .base import OptimizerSpec, RoundMember, Strategy
+from .base import MemberStack, OptimizerSpec, RoundMember, Strategy
 
 __all__ = ["FedCA", "ClientProfile"]
 
@@ -85,26 +87,19 @@ class ClientProfile:
 
 
 class _AnchorMember(RoundMember):
-    """Anchor round: the full K iterations with no optimisations, recording
-    the sampled accumulated update after every one."""
+    """Anchor round: the full K iterations with no optimisations; its stack
+    records the sampled accumulated update after every one and leaves the
+    round's ``curves`` and profiling ``stats`` here."""
 
-    def __init__(self, strategy, client, profile, global_state, ctx, params) -> None:
+    def __init__(self, strategy, client, profile, ctx) -> None:
         super().__init__(strategy, client, ctx, ctx.iterations)
         self.profile = profile
-        self.recorder = AnchorRecorder(profile.sampler(client.model), ctx.iterations)
-        self.params = params
-        self.global_state = global_state
-
-    def after_step(self, tau: int, loss: float) -> bool:
-        self.tick(tau, loss)
-        self.recorder.record(self.params, self.global_state)
-        return True
+        self.curves: ProfiledCurves | None = None
+        self.stats: dict[str, int] = {}
 
     def finish(self, update: dict[str, np.ndarray]) -> ClientRoundResult:
-        # stats() must read the recorder before finalize clears it.
-        stats = self.recorder.stats()
-        self.emit("fedca.anchor", stats)
-        self.profile.curves = self.recorder.finalize(self.ctx.round_index)
+        self.emit("fedca.anchor", self.stats)
+        self.profile.curves = self.curves
         return self.upload_full(
             update,
             self.client.model_bytes,
@@ -114,83 +109,24 @@ class _AnchorMember(RoundMember):
                 "early_stop_iteration": None,
                 "eager": {},
                 "retransmitted": [],
-                "profiling_bytes": stats["profiling_bytes"],
+                "profiling_bytes": self.stats["profiling_bytes"],
             },
         )
 
 
 class _OptimizedMember(RoundMember):
-    """Optimised round: TryEagerTransmit and TryEarlyStop after every
-    iteration, TryRetransmit and the tail upload at round end."""
+    """Optimised round: its stack runs TryEagerTransmit and TryEarlyStop
+    after every iteration; TryRetransmit and the tail upload run here at
+    round end."""
 
-    def __init__(self, strategy, client, profile, global_state, ctx, params) -> None:
+    def __init__(self, strategy, client, profile, ctx) -> None:
         super().__init__(strategy, client, ctx, ctx.iterations)
-        cfg = strategy.config
-        curves = profile.curves
-        self.stopper = EarlyStopPolicy(curves, cfg)
-        self.schedule = (
-            EagerSchedule(curves, cfg.eager_threshold)
-            if cfg.enable_eager_transmit
-            else None
-        )
+        self.curves = profile.curves
         client.uplink.reset(self.compute_start)
-        self.params = params
-        self.global_state = global_state
-        self.work: float = 1
         self.transmitted: dict[str, np.ndarray] = {}
         self.eager_iter: dict[str, int] = {}
         self.raw_eager_bytes = 0
         self.stop_reason: str | None = None
-
-    def next_batch(self) -> int | None:
-        batch, self.work = self.strategy.step_plan(self.client, self.t)
-        return batch
-
-    def after_step(self, tau: int, loss: float) -> bool:
-        self.tick(tau, loss, self.work)
-        client, wire = self.client, self.strategy.wire
-        if self.schedule is not None and (due := self.schedule.due(tau)):
-            views = client.model.arena().layout.views
-            params, global_state = views(self.params), views(self.global_state)
-            for layer in due:
-                # TryEagerTransmit: snapshot the layer's update as of now
-                # and queue it on the uplink, overlapping with compute.
-                value = params[layer] - global_state[layer]
-                send_bytes = client.layer_bytes[layer]
-                self.raw_eager_bytes += send_bytes
-                if wire is not None:
-                    value, send_bytes = wire.encode_layer(client, layer, value)
-                self.emit(
-                    "fedca.eager",
-                    {
-                        "layer": layer,
-                        "tau": tau,
-                        "trigger": self.schedule.triggers[layer],
-                        "bytes": send_bytes,
-                    },
-                )
-                self.transmitted[layer] = value
-                client.uplink.submit(self.t, send_bytes, label=f"eager:{layer}")
-                self.eager_iter[layer] = tau
-        if tau == self.ctx.iterations:
-            return True
-        elapsed = self.t - self.compute_start
-        decision = self.stopper.decide(tau, elapsed, self.ctx.deadline)
-        self.emit(
-            "fedca.earlystop.eval",
-            {
-                "tau": decision.tau,
-                "b": decision.benefit,
-                "c": decision.cost,
-                "n": decision.net,
-                "elapsed": elapsed,
-                "stop": decision.stop,
-                "reason": decision.reason,
-            },
-        )
-        if decision.stop:
-            self.stop_reason = decision.reason
-        return not decision.stop
 
     def finish(self, update: dict[str, np.ndarray]) -> ClientRoundResult:
         cfg = self.strategy.config
@@ -263,10 +199,121 @@ class _OptimizedMember(RoundMember):
         )
 
 
+class _FedCAStack(MemberStack):
+    """A program's FedCA members stepped together: one sampled gather for
+    the anchor members' profiles, and for the optimised ones Eq. 5 off one
+    ``(n, L)`` trigger matrix and Eq. 2–4 as one pass of float64 arrays.
+    Anchor members take the first rows: a round's members share K
+    (``ctx.iterations``) and its deadline, and anchors run all of K, so
+    they keep those rows until the last step."""
+
+    COLUMNS = MemberStack.COLUMNS + ("row",)
+
+    def __init__(self, strategy, members, global_state) -> None:
+        anchor = np.array([isinstance(m, _AnchorMember) for m in members])
+        order = np.argsort(~anchor, kind="stable")
+        members = [members[j] for j in order]
+        self.anchors = a = int(anchor.sum())
+        self.row = np.arange(len(members)) - a  # a row's policy row
+        super().__init__(strategy, members, global_state)
+        self.order, self.global_state, self.plan = order, global_state, strategy.step_plan
+        self.sizes: list[int | None] = [None] * len(members)
+        ctx, self.tracing = members[0].ctx, members[0].trace is not None
+        self.last, self.deadline = ctx.iterations, ctx.deadline  # the round's
+        if a:
+            samplers = [m.profile.sampler(m.client.model) for m in members[:a]]
+            self.recorder, self.anchor_rows = AnchorRecorder(samplers, self.last), np.arange(a)
+        if a < len(members):
+            cfg, curves = strategy.config, [m.curves for m in members[a:]]
+            self.stopper = EarlyStopPolicy(curves, cfg)
+            self.schedule = (
+                EagerSchedule(curves, cfg.eager_threshold) if cfg.enable_eager_transmit else None
+            )
+            self.eager_at = set() if self.schedule is None else set(self.schedule.triggers.flat)
+            self.spans = members[0].client.model.arena().layout.spans
+
+    def next_batch(self) -> list[int | None] | None:
+        if self.plan is None:
+            return None
+        a, k = self.anchors, self.width
+        for j in range(a, k):
+            self.sizes[j], self.work[j] = self.plan(self.members[j].client, float(self.t[j]))
+        self.replan(a, k)
+        return self.sizes[:k]
+
+    def decide(self, tau: int, rows: np.ndarray) -> np.ndarray | None:
+        a, live = self.anchors, self.live
+        if a:
+            self.recorder.record(rows, self.global_state, self.anchor_rows)
+        if a == self.width:
+            return None
+        if tau in self.eager_at:
+            self._eager(tau, rows)
+        if tau >= self.last:
+            return None
+        t = live.t[a:]
+        elapsed = t - live.start[a:]
+        decision = self.stopper.decide(tau, elapsed, self.deadline, live.row[a:])
+        stop = decision.stop
+        for j in range(len(stop)) if self.tracing else ():
+            fields = decision.fields(j, float(elapsed[j]))
+            self.members[a + j].emit("fedca.earlystop.eval", fields, float(t[j]))
+        if not np.count_nonzero(stop):
+            return None
+        for j in stop.nonzero()[0].tolist():
+            self.members[a + j].stop_reason = decision.reason(j)
+        return np.concatenate([np.zeros(a, dtype=bool), stop]) if a else stop
+
+    def _eager(self, tau: int, rows: np.ndarray) -> None:
+        """TryEagerTransmit of every live optimised member's due layers: the
+        update as of now, a slice of its row, queued on its uplink to
+        overlap with compute."""
+        a, wire = self.anchors, self.strategy.wire
+        due = self.schedule.due(tau)[self.live.row[a:]]
+        for j, layer in zip(*(index.tolist() for index in due.nonzero())):
+            member, (name, lo, hi, shape) = self.members[a + j], self.spans[layer]
+            client, t = member.client, float(self.t[a + j])
+            value = (rows[a + j, lo:hi] - self.global_state[lo:hi]).reshape(shape)
+            send_bytes = client.layer_bytes[name]
+            member.raw_eager_bytes += send_bytes
+            if wire is not None:
+                value, send_bytes = wire.encode_layer(client, name, value)
+            if member.trace is not None:
+                trigger = int(self.schedule.triggers[self.row[a + j], layer])
+                member.emit(
+                    "fedca.eager",
+                    {"layer": name, "tau": tau, "trigger": trigger, "bytes": send_bytes},
+                    t,
+                )
+            member.transmitted[name] = value
+            client.uplink.submit(t, send_bytes, label=f"eager:{name}")
+            member.eager_iter[name] = tau
+
+    def leave(self, keep: np.ndarray, tau: int) -> None:
+        a = self.anchors
+        if a and not keep[:a].any():  # the anchors leave together, at K
+            stats = self.recorder.stats()
+            curves = self.recorder.finalize(self.members[0].ctx.round_index)
+            for member, member_curves in zip(self.members[:a], curves):
+                member.stats, member.curves = stats, member_curves
+            self.anchors = 0
+        super().leave(keep, tau)
+
+
 class FedCA(Strategy):
     """The paper's client-autonomy mechanism (see module docstring)."""
 
     name = "FedCA"
+
+    Stack = _FedCAStack
+
+    #: Hook for the intra-round hyperparameter-adaptation extensions (§6
+    #: future work): ``step_plan(client, t) -> (batch_size, work)`` plans the
+    #: optimised-round iteration about to start at simulated time ``t`` —
+    #: the minibatch to draw (``None``: the stream's own) and its compute
+    #: cost in base iterations. ``None``: every step draws the stream's
+    #: batch at one base iteration.
+    step_plan: "Callable[[SimClient, float], tuple[int | None, float]] | None" = None
 
     def __init__(
         self,
@@ -306,12 +353,4 @@ class FedCA(Strategy):
             or profile.curves is None
         )
         member = _AnchorMember if anchor else _OptimizedMember
-        return member(self, client, profile, global_state, ctx, params)
-
-    def step_plan(self, client: SimClient, t: float) -> tuple[int | None, float]:
-        """``(batch_size, work_fraction)`` of the optimised-round iteration
-        about to start at simulated time ``t``: the minibatch to draw
-        (``None``: the stream's own) and its compute cost in base
-        iterations. Hook for the intra-round hyperparameter-adaptation
-        extensions (§6 future work)."""
-        return None, 1
+        return member(self, client, profile, ctx)

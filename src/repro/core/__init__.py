@@ -5,7 +5,7 @@ early stopping, and eager transmission with error feedback.
 """
 
 from .config import FedCAConfig
-from .eager import EagerSchedule
+from .eager import NEVER, EagerSchedule
 from .earlystop import EarlyStopDecision, EarlyStopPolicy
 from .profiler import AnchorRecorder, ProfiledCurves, is_anchor_round
 from .progress import cosine_similarity, progress_curve, statistical_progress
@@ -28,5 +28,6 @@ __all__ = [
     "EarlyStopPolicy",
     "EarlyStopDecision",
     "EagerSchedule",
+    "NEVER",
     "deviated_layers",
 ]

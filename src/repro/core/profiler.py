@@ -10,6 +10,7 @@ transmission for the following ``profile_every − 1`` rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -41,8 +42,7 @@ class ProfiledCurves:
     round_index: int
     curves: np.ndarray
     names: tuple[str, ...]
-    # Plain attributes, not properties: Eq. 2-4 read both several times per
-    # local iteration.
+    # Plain attributes, not properties: every stack reads both.
     num_iterations: int = field(init=False)
     model_curve: np.ndarray = field(init=False)
 
@@ -56,48 +56,58 @@ class ProfiledCurves:
     def layer_curve(self, name: str) -> np.ndarray:
         return self.curves[1 + self.names.index(name)]
 
-    def p(self, tau: int) -> float:
-        """Whole-model ``P_τ`` with the convention ``P_0 = 0``."""
-        if tau < 0 or tau > self.num_iterations:
-            raise ValueError(f"tau must be in [0, {self.num_iterations}]")
-        return 0.0 if tau == 0 else float(self.model_curve[tau - 1])
-
 
 class AnchorRecorder:
-    """Accumulates sampled snapshots during an anchor round of at most
-    ``iterations`` steps.
+    """Accumulates sampled snapshots of the anchor members of one stack
+    during an anchor round of at most ``iterations`` steps, member ``i``
+    through ``samplers[i]`` (every sampler of one architecture draws the
+    same per-layer counts, so the members share one shape).
 
     The recorder never touches full parameter buffers beyond the sampled
-    gather in :meth:`record` — it holds one ``(iterations, S)`` float32
-    buffer, ``total_sampled × K × 4`` bytes once K steps are in (§5.5).
+    gather in :meth:`record` — it holds one ``(n, iterations, S)`` float32
+    buffer, ``total_sampled × K × 4`` bytes a member once K steps are in
+    (§5.5).
     """
 
-    def __init__(self, sampler: LayerSampler, iterations: int) -> None:
-        self.sampler = sampler
-        self._buf = np.empty((iterations, sampler.total_sampled()), dtype=np.float32)
+    def __init__(self, samplers: Sequence[LayerSampler], iterations: int) -> None:
+        self.sampler = samplers[0]
+        self._index = np.stack([s.index for s in samplers])
+        self._buf = np.empty(
+            (len(samplers), iterations, self._index.shape[1]), dtype=np.float32
+        )
         self._k = 0
+        self._slots = self._anchor = None
+        self._at = self._base = self._index
 
-    def record(self, params: np.ndarray, anchor: np.ndarray) -> None:
-        """Record the sampled accumulated update after one local iteration.
+    def record(self, values: np.ndarray, anchor: np.ndarray, slots=(0,)) -> None:
+        """Record every member's sampled accumulated update after one local
+        iteration, in one gather.
 
-        ``params`` is the current ``(P,)`` model vector, ``anchor`` the
-        round-start one; only the sampled positions are read.
-        """
-        idx = self.sampler.index
-        np.subtract(params[idx], anchor[idx], out=self._buf[self._k])
+        ``values`` holds the current model vectors as rows (a ``(P,)``
+        vector is one row), member ``i``'s at row ``slots[i]``; ``anchor``
+        is the round-start ``(P,)`` one, which must not change while it is
+        recorded against. Only the sampled positions are read."""
+        if slots is not self._slots:  # the flat positions, once per slots
+            self._slots = slots
+            self._at = self._index + values.shape[-1] * np.asarray(slots)[:, None]
+        if anchor is not self._anchor:
+            self._anchor, self._base = anchor, anchor[self._index]
+        np.subtract(values.reshape(-1)[self._at], self._base, out=self._buf[:, self._k])
         self._k += 1
 
     @property
     def snapshots(self) -> np.ndarray:
-        """The ``(k, S)`` snapshots recorded so far, row ``τ-1`` being
-        ``G_τ`` on the sampled positions (a view of the recorder's buffer)."""
-        return self._buf[: self._k]
+        """The ``(n, k, S)`` snapshots recorded so far, ``[i, τ-1]`` being
+        member ``i``'s ``G_τ`` on its sampled positions (a view of the
+        recorder's buffer)."""
+        return self._buf[:, : self._k]
 
     def stats(self) -> dict[str, int]:
-        """Anchor-round profiling cost summary (telemetry: the
-        ``fedca.anchor`` event payload — §4.1 snapshots held, §5.5 bytes
-        and sampled-parameter counts)."""
-        snaps = self.snapshots
+        """One member's anchor-round profiling cost summary — every member
+        of the recorder has the same (telemetry: the ``fedca.anchor`` event
+        payload — §4.1 snapshots held, §5.5 bytes and sampled-parameter
+        counts)."""
+        snaps = self.snapshots[0]
         return {
             "iterations": len(snaps),
             "profiling_bytes": snaps.nbytes,
@@ -105,16 +115,20 @@ class AnchorRecorder:
             "sampled_layers": len(self.sampler.names),
         }
 
-    def finalize(self, round_index: int) -> ProfiledCurves:
-        """Compute the whole-model curve (the concatenated sampled vector)
-        and one curve per layer (its contiguous column slice)."""
-        snaps = self.snapshots
-        if not len(snaps):
+    def finalize(self, round_index: int) -> list[ProfiledCurves]:
+        """Each member's whole-model curve (the concatenated sampled
+        vector) and one curve per layer (its contiguous column slice); each
+        member's ``(k, S)`` block is converted to float64 once."""
+        if not self._k:
             raise RuntimeError("no snapshots recorded for this anchor round")
         bounds = self.sampler.bounds
-        curves = np.empty((len(bounds), len(snaps)), dtype=np.float64)
-        curves[0] = progress_curve(list(snaps))
-        for row, (lo, hi) in enumerate(zip(bounds, bounds[1:]), 1):
-            curves[row] = progress_curve(list(snaps[:, lo:hi]))
+        out = []
+        for snaps in self.snapshots:
+            snaps = snaps.astype(np.float64)
+            curves = np.empty((len(bounds), len(snaps)), dtype=np.float64)
+            curves[0] = progress_curve(snaps)
+            for row, (lo, hi) in enumerate(zip(bounds, bounds[1:]), 1):
+                curves[row] = progress_curve(snaps[:, lo:hi])
+            out.append(ProfiledCurves(round_index, curves, self.sampler.names))
         self._k = 0
-        return ProfiledCurves(round_index, curves, self.sampler.names)
+        return out

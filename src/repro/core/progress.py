@@ -31,14 +31,14 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    na, nb = _norm(a), _norm(b)
     if na < _EPS and nb < _EPS:
         return 1.0
     if na < _EPS or nb < _EPS:
         return 0.0
-    # Clip guards float round-off pushing |cos| marginally above 1.
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+    # Clamp guards float round-off pushing |cos| marginally above 1 (the
+    # quotient goes first so a NaN propagates, as it does through np.clip).
+    return max(min(float(a.dot(b)) / (na * nb), 1.0), -1.0)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -46,38 +46,42 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _progress(g_i: np.ndarray, g_k: np.ndarray, nk: float) -> float:
-    """Eq. 1 against a ``G_K`` already flattened to float64, of norm ``nk``."""
-    g_i = np.asarray(g_i, dtype=np.float64).ravel()
-    if g_i.shape != g_k.shape:
-        raise ValueError(f"shape mismatch: {g_i.shape} vs {g_k.shape}")
-    ni = _norm(g_i)
-    if ni < _EPS and nk < _EPS:
-        return 1.0
-    if ni < _EPS or nk < _EPS:
-        return 0.0
-    # Clamp guards float round-off pushing |cos| marginally above 1 (the
-    # quotient goes first so a NaN propagates, as it does through np.clip).
-    cos = max(min(float(g_i.dot(g_k)) / (ni * nk), 1.0), -1.0)
-    return cos * (min(ni, nk) / max(ni, nk))
-
-
 def statistical_progress(g_i: np.ndarray, g_k: np.ndarray) -> float:
     """Eq. 1: cosine similarity scaled by relative magnitude gap."""
-    g_k = np.asarray(g_k, dtype=np.float64).ravel()
-    return _progress(g_i, g_k, _norm(g_k))
+    g_i, g_k = np.ravel(g_i), np.ravel(g_k)
+    if g_i.shape != g_k.shape:
+        raise ValueError(f"shape mismatch: {g_i.shape} vs {g_k.shape}")
+    return float(progress_curve([g_i, g_k])[0])
 
 
-def progress_curve(snapshots: list[np.ndarray]) -> np.ndarray:
+def progress_curve(snapshots) -> np.ndarray:
     """Progress values for a full round of accumulated-update snapshots.
 
     ``snapshots[i]`` is ``G_{i+1}`` (the accumulated update after iteration
     ``i+1``); the last snapshot is ``G_K``. Returns an array of length ``K``
-    with ``curve[-1] == 1.0`` whenever ``G_K`` is non-zero. ``G_K`` is
-    coerced and normed once, not once per snapshot.
+    with ``curve[-1] == 1.0`` whenever ``G_K`` is non-zero. The snapshots
+    are coerced to one float64 ``(K, S)`` block once; each row's two dot
+    products are the ones :func:`statistical_progress` takes (one BLAS
+    ``dot`` per row pair, batched by ``np.matmul``), and the rest of Eq. 1
+    is its scalar expression elementwise — so every element is the bytes
+    of the per-snapshot call.
     """
-    if not snapshots:
+    g = np.asarray(snapshots, dtype=np.float64)
+    if not len(g):
         raise ValueError("need at least one snapshot")
-    g_k = np.asarray(snapshots[-1], dtype=np.float64).ravel()
-    nk = _norm(g_k)
-    return np.array([_progress(g, g_k, nk) for g in snapshots], dtype=np.float64)
+    g = g.reshape(len(g), -1)
+    rows = g[:, None, :]
+    dots = np.matmul(rows, g[-1][:, None])[:, 0, 0]
+    ni = np.sqrt(np.matmul(rows, g[:, :, None])[:, 0, 0])
+    nk = ni[-1]
+    if nk < _EPS:
+        return np.where(ni < _EPS, 1.0, 0.0)
+    live = ~(ni < _EPS)  # a NaN norm is live, as in the scalar code
+    # Clamp guards float round-off pushing |cos| marginally above 1 (the
+    # quotient goes first so a NaN propagates, as it does through np.clip).
+    cos = np.divide(dots, ni * nk, out=np.zeros(len(g)), where=live)
+    cos = np.maximum(np.minimum(cos, 1.0), -1.0)
+    scale = np.divide(
+        np.minimum(ni, nk), np.maximum(ni, nk), out=np.zeros(len(g)), where=live
+    )
+    return np.where(live, cos * scale, 0.0)

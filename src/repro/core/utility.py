@@ -15,38 +15,38 @@
 
 from __future__ import annotations
 
-from .profiler import ProfiledCurves
+import numpy as np
 
 __all__ = ["marginal_benefit", "marginal_cost"]
 
 
-def marginal_benefit(curves: ProfiledCurves, tau: int) -> float:
-    """Eq. 2 — estimated statistical gain of local iteration ``tau`` (1-based),
-    read from the most recent anchor round's whole-model curve."""
-    k = curves.num_iterations
-    if not 1 <= tau <= k:
-        raise ValueError(f"tau must be in [1, {k}], got {tau}")
-    delta = curves.p(tau) - curves.p(tau - 1)
-    if tau == k:
-        # No remaining iterations: the floor term is vacuous.
-        return delta
-    floor = (1.0 - curves.p(tau)) / (k - tau)
-    return max(delta, floor)
+def marginal_benefit(p: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Eq. 2 — estimated statistical gain of every local iteration τ
+    (1-based) for each row of ``p``, one member's most recent anchor-round
+    whole-model curve ``P_0 … P_K`` (``P_0 = 0``) of K ``k``: element
+    ``[i, τ-1]`` is the IEEE result of the scalar expression; a row with
+    ``K < τ`` reads nothing meaningful there."""
+    tau = np.arange(1, p.shape[1])
+    left = k[:, None] - tau
+    delta = p[:, 1:] - p[:, :-1]
+    floor = (1.0 - p[:, 1:]) / np.maximum(left, 1)
+    # At τ = K no iterations remain: the floor term is vacuous.
+    return np.where((left > 0) & (floor > delta), floor, delta)
 
 
-def marginal_cost(elapsed: float, deadline: float, beta: float) -> float:
-    """Eq. 3 — deadline-kinked time cost.
+def marginal_cost(elapsed, deadline: float, beta: float):
+    """Eq. 3 — deadline-kinked time cost, elementwise over ``elapsed``.
 
-    ``elapsed`` is the wall-clock time the client has spent in the round so
-    far (its *instantaneous system status* — under dynamic resources this is
-    what reacts to mid-round slowdowns), ``deadline`` the server-offloaded
-    ``T_R``.
+    ``elapsed`` is the wall-clock time each client has spent in the round
+    so far (its *instantaneous system status* — under dynamic resources
+    this is what reacts to mid-round slowdowns), ``deadline`` the
+    server-offloaded ``T_R``, one per round. Each element is the scalar
+    ``factor * elapsed / deadline`` (``1.0 * e`` is ``e`` exactly).
     """
-    if elapsed < 0:
-        raise ValueError("elapsed must be non-negative")
     if deadline <= 0:
         raise ValueError("deadline must be positive")
     if not 0 < beta <= 1:
         raise ValueError("beta must be in (0, 1]")
-    factor = beta if elapsed <= deadline else 1.0
-    return factor * elapsed / deadline
+    if np.count_nonzero(np.less(elapsed, 0)):
+        raise ValueError("elapsed must be non-negative")
+    return np.where(np.less_equal(elapsed, deadline), np.multiply(beta, elapsed), elapsed) / deadline

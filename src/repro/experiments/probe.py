@@ -60,7 +60,7 @@ def probe_curves(
     stream = BatchStream(shard, batch_size, seed=seed)
     everything = LayerSampler.for_model(model, fraction=1.0, cap=math.inf)
     recorders = [
-        AnchorRecorder(s, iterations) for s in (everything, sampler) if s is not None
+        AnchorRecorder([s], iterations) for s in (everything, sampler) if s is not None
     ]
     for _ in range(iterations):
         x, y = stream.next_batch()
@@ -71,5 +71,5 @@ def probe_curves(
         opt.step()
         for recorder in recorders:
             recorder.record(values, start)
-    full, *sampled = (recorder.finalize(0) for recorder in recorders)
+    full, *sampled = (recorder.finalize(0)[0] for recorder in recorders)
     return ProbeResult(full=full, sampled=sampled[0] if sampled else None)

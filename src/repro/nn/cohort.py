@@ -34,12 +34,11 @@ Implementation notes
   (:meth:`CohortModel.set_member_rows`) and reduces a ragged member over
   its own slice.
 * Per-client early stopping (FedCA Eq. 2–4) and per-client iteration
-  budgets (FedAda) drop members out of the cohort via the *active mask*
-  passed to :meth:`CohortSGD.step` — a masked member's parameters are
-  frozen bitwise (the whole step, including weight decay, is multiplied by
-  its row of the ``(C, 1)`` mask), and the caller stops drawing its
-  batches so the member's data RNG stream stays exactly where a serial
-  run would leave it.
+  budgets (FedAda) take a member out of the stacked program: the caller
+  writes its row back, closes the live rows into a prefix and
+  narrows the stack to it (:meth:`CohortModel.narrow`), so a stopped member's
+  parameters are frozen (it is never stepped again), its data RNG stream
+  stops where a serial run leaves it, and it costs no compute.
 * The serial executor remains the oracle, and a full-width cohort member
   equals its serial twin in bytes: the leading axis only batches per-member
   BLAS calls and elementwise passes, zero rows add exact zeros, and the
@@ -98,24 +97,64 @@ class CohortModel:
     ``(C, P)`` values is member ``i``'s whole vector. Names, order and
     layout are the template model's — it is the same tree — so a row reads
     like a serial replica's arena.
+
+    The stack runs at :attr:`width` ``≤ C``: :meth:`narrow` re-points every
+    parameter, gradient, buffer and ``rows`` view at the first ``width``
+    rows of the same ``(C, …)`` arenas, so the members that left a round
+    cost no compute and no width is ever allocated twice.
     """
 
     def __init__(self, template: Module, cohort_size: int) -> None:
         if cohort_size < 1:
             raise ValueError("cohort_size must be >= 1")
-        self.cohort_size = cohort_size
+        self.cohort_size = self.width = cohort_size
         self.module = stack_module(template, cohort_size)
         self.params = dict(self.module.named_parameters())
-        self.buffers = dict(self.module.named_buffers())
+        self._full = self.module.arena()
+        self._rows = self.module.rows
+        #: Per width: the narrowed walk, lead, ``rows`` and tensor views.
+        self._narrowed: dict[int, tuple] = {}
+        self._modules = [m for _, m in self.module.named_modules()]
         self._dropouts = [
             (name, m) for name, m in self.module.named_modules() if isinstance(m, Dropout)
         ]
 
     # ------------------------------------------------------------------
+    def narrow(self, width: int, models: list[Module]) -> None:
+        """Run on the first ``width`` rows from the next step on, member
+        ``i`` being ``models[i]``'s client. The per-member GEMM shapes do
+        not change, so neither do a member's bytes (DESIGN.md §12)."""
+        views = self._narrowed.get(width)
+        if views is None:
+            full = self._full
+            values, grads = full.values[:width], full.grads[:width]
+            buffers = full.buffers[:width]
+            views = self._narrowed[width] = (
+                full._replace(values=values, grads=grads, buffers=buffers),
+                (width,),
+                self._rows[:width],
+                list(zip(full.layout.views(values).values(), full.layout.views(grads).values())),
+                list(full.buffer_layout.views(buffers).values()),
+            )
+        walk, lead, rows, params, buffers = views
+        for module in self._modules:
+            module.lead, module.rows = lead, rows
+        for p, (value, grad) in zip(self._full.parameters, params):
+            p.data, p.grad = value, grad
+        for (_, owner, local), view in zip(self._full.buffer_slots, buffers):
+            owner._set_buffer(local, view)
+        # Nothing registers into a stacked tree, so the walk is current
+        # whatever was built elsewhere since.
+        walk = walk._replace(stamp=Module._structure_token)
+        object.__setattr__(self.module, "_walk_cache", walk)
+        self.width = width
+        self.bind_member_models(models)
+
     def bind_member_models(self, models: list[Module]) -> None:
-        """Attach the members' serial replicas (per-member Dropout RNGs)."""
-        if len(models) != self.cohort_size:
-            raise ValueError("need exactly one member model per cohort slot")
+        """Attach the live members' serial replicas (per-member Dropout
+        RNGs), in row order."""
+        if len(models) != self.width:
+            raise ValueError("need exactly one member model per live row")
         if not self._dropouts:
             return
         member_layers = [dict(m.named_modules()) for m in models]
@@ -130,29 +169,30 @@ class CohortModel:
     # ------------------------------------------------------------------
     def load_global(self, params: np.ndarray, buffers: np.ndarray) -> None:
         """Broadcast the server's ``(P,)`` parameters and ``(B,)`` buffers
-        into every member row."""
+        into every live member row."""
         arena = self.module.arena()
         arena.values[...] = params
         arena.buffers[...] = buffers
 
     def stacked_update(self, params: np.ndarray) -> np.ndarray:
-        """Accumulated updates for the whole cohort in one subtract against
-        the round-start ``(P,)`` global parameters: row ``i`` of the
-        ``(C, P)`` result is member ``i``'s ``w_local − w_global``.
-        Per-member result dicts are zero-copy views into it
-        (``CohortEngine.member_update``), so nothing is unstacked."""
-        return self.module.arena().values - params
+        """Accumulated updates of every row, at any width, in one subtract
+        against the round-start ``(P,)`` global parameters: row ``j`` of
+        the ``(C, P)`` result is ``w_local − w_global`` of the member that
+        ended the round in row ``j``. Per-member result dicts are zero-copy
+        views into it (``CohortEngine.member_update``), so nothing is
+        unstacked."""
+        return self._full.values - params
 
-    def write_back(self, models: list[Module]) -> None:
-        """Copy each member's trained row into its serial replica, leaving
-        the replicas exactly as a serial round would: a round's result
-        reports the replica's buffers, and anything may inspect
-        ``client.model`` between rounds."""
+    def write_back(self, models: list[Module], slots) -> None:
+        """Copy the trained rows at ``slots`` into the members' serial
+        replicas ``models``, leaving each exactly as a serial round would: a
+        round's result reports the replica's buffers, and anything may
+        inspect ``client.model`` between rounds."""
         arena = self.module.arena()
-        for i, model in enumerate(models):
+        for slot, model in zip(slots, models):
             own = model.arena()
-            own.values[...] = arena.values[i]
-            own.buffers[...] = arena.buffers[i]
+            own.values[...] = arena.values[slot]
+            own.buffers[...] = arena.buffers[slot]
 
     # ------------------------------------------------------------------
     def zero_grad(self) -> None:
@@ -216,11 +256,10 @@ def cohort_softmax_cross_entropy(
 
 
 class CohortSGD:
-    """Batched SGD/momentum step over stacked parameters with an active
-    mask: a masked member's parameters do not move at all — the *entire*
-    effective step (including the weight-decay component, which is nonzero
-    even at zero loss gradient) is multiplied by the mask, exactly
-    reproducing a serial client that simply stopped calling ``step()``.
+    """Batched SGD/momentum step over the live rows of stacked parameters.
+    A member that left the stack (:meth:`CohortModel.narrow`) is not
+    stepped at all, exactly as a serial client that stopped calling
+    ``step()``.
 
     ``mu > 0`` adds FedProx's proximal pull ``mu * (w − anchor)`` toward
     ``anchor``, the round-start ``(P,)`` global parameter vector every
@@ -253,30 +292,23 @@ class CohortSGD:
         if mu and anchor is None:
             raise ValueError("a proximal step (mu > 0) needs the anchor state")
         self._anchor = anchor if mu else None
-        self._velocity: np.ndarray | None = (
-            np.zeros_like(model.module.arena().values) if momentum > 0.0 else None
+        #: Per-member slots, row ``i`` member ``i``'s at full width: they
+        #: move with the member when the stack closes ranks.
+        self.state: tuple[np.ndarray, ...] = (
+            (np.zeros_like(model.module.arena().values),) if momentum > 0.0 else ()
         )
 
-    def step(self, active: np.ndarray | None = None) -> None:
-        """One masked update of the whole ``(C, P)`` arena.
-
-        ``active`` is a ``(C,)`` boolean mask; ``None`` means all members
-        step. Velocity rows of inactive members are updated-but-unused:
-        within one round a member never re-activates (stops are terminal
-        and budgets are prefixes), and optimizers never outlive a round.
-        """
+    def step(self) -> None:
+        """One update of the live ``(width, P)`` rows."""
         arena = self.model.module.arena()
         data, grad = arena.values, arena.grads
         if self.weight_decay:
             grad = grad + self.weight_decay * data
         if self._anchor is not None:
             grad = grad + self.mu * (data - self._anchor)
-        if self._velocity is not None:
-            v = self._velocity
+        if self.state:
+            v = self.state[0][: len(data)]
             v *= self.momentum
             v += grad
             grad = v
-        if active is None or active.all():
-            data -= self.lr * grad  # == lr * grad * 1.0, one pass fewer
-        else:
-            data -= self.lr * grad * active.astype(np.float32)[:, None]
+        data -= self.lr * grad

@@ -29,7 +29,7 @@ __all__ = ["Layout"]
 class Layout:
     """An immutable ``(name, offset, shape)`` table over a flat vector."""
 
-    __slots__ = ("entries", "size", "layer_bytes", "_spans")
+    __slots__ = ("entries", "size", "layer_bytes", "spans")
 
     def __init__(self, spec: tuple[tuple[str, tuple[int, ...]], ...]) -> None:
         entries, spans, offset = [], [], 0
@@ -47,7 +47,8 @@ class Layout:
         self.layer_bytes: Mapping[str, int] = MappingProxyType(
             {name: 4 * (stop - start) for name, start, stop, _ in spans}
         )
-        self._spans = tuple(spans)
+        #: ``(name, start, stop, shape)`` per entry, in order.
+        self.spans = tuple(spans)
 
     @staticmethod
     def of(spec: tuple[tuple[str, tuple[int, ...]], ...]) -> "Layout":
@@ -69,7 +70,7 @@ class Layout:
         lead = flat.shape[:-1]
         return {
             name: flat[..., start:stop].reshape(lead + shape)
-            for name, start, stop, shape in self._spans
+            for name, start, stop, shape in self.spans
         }
 
     def flatten(

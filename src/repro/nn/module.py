@@ -73,16 +73,20 @@ def _arena_of(
     arrays: list[np.ndarray], layout: Layout, lead: tuple[int, ...]
 ) -> np.ndarray | None:
     """The ``(*lead, size)`` vector ``arrays`` already are views of at
-    ``layout``'s offsets — a whole arena, or a descendant's run inside an
-    ancestor's — else ``None``. Strides are compared only on lead axes
-    longer than 1: NumPy leaves a length-1 axis's stride arbitrary."""
+    ``layout``'s offsets — a whole arena, a descendant's run inside an
+    ancestor's, or the first ``lead[0]`` rows of a wider stack's (a
+    narrowed ``CohortModel``) — else ``None``. Strides are compared only on
+    lead axes longer than 1: NumPy leaves a length-1 axis's stride
+    arbitrary."""
     if not arrays:
         return None
     base = arrays[0].base
     if (
         not isinstance(base, np.ndarray)
         or base.dtype != np.float32
-        or base.shape[:-1] != lead
+        or len(base.shape) != len(lead) + 1
+        or base.shape[1:-1] != lead[1:]
+        or base.shape[:1] < lead[:1]
         or not base.flags.c_contiguous
     ):
         return None
@@ -98,6 +102,8 @@ def _arena_of(
             or _address(a) != origin + 4 * offset
         ):
             return None
+    if lead and base.shape[0] != lead[0]:
+        base = base[: lead[0]]
     if start == 0 and base.shape[-1] == layout.size:
         return base  # the whole arena: hand back the vector itself
     return base[..., start : start + layout.size]

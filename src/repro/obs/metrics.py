@@ -24,7 +24,7 @@ registered by their *base* name — the part before the ``{``.
 
 from __future__ import annotations
 
-__all__ = ["KNOWN_COUNTERS", "KNOWN_GAUGES", "metric_base_name"]
+__all__ = ["KNOWN_COUNTERS", "KNOWN_GAUGES", "MIRROR_GAUGES", "metric_base_name"]
 
 #: Monotone counters; names end ``_total``, values are deterministic.
 KNOWN_COUNTERS: frozenset[str] = frozenset(
@@ -84,6 +84,13 @@ KNOWN_GAUGES: frozenset[str] = frozenset(
         "repro_ipc_broadcast_seconds",
         "repro_phase_seconds",
     }
+)
+
+
+#: Gauges that mirror the OS or the wall clock, which identical runs read
+#: differently: a checkpoint leaves them out (the next mirror resets them).
+MIRROR_GAUGES = frozenset(
+    {"repro_population_rss_bytes", "repro_ipc_broadcast_seconds", "repro_phase_seconds"}
 )
 
 

@@ -27,6 +27,7 @@ from collections import deque
 from typing import Any, Iterable
 
 from .events import TraceEvent
+from .metrics import MIRROR_GAUGES, metric_base_name
 from .sinks import TraceWriter
 
 __all__ = ["Recorder", "NullRecorder", "TraceRecorder", "NULL_RECORDER"]
@@ -278,13 +279,17 @@ class TraceRecorder(Recorder):
         """JSON-safe snapshot of counters, gauges, sequence state and the
         flushed sink byte offset (everything a resumed recorder needs to
         continue the stream seamlessly). The ring content is *not*
-        captured — ``num_events`` still accounts for pre-resume events."""
+        captured — ``num_events`` still accounts for pre-resume events —
+        nor are the :data:`~repro.obs.metrics.MIRROR_GAUGES`, so identical
+        runs write identical checkpoints."""
         self.flush()
         snapshot: dict = {
             "seq": self._seq,
             "dropped_events": self.dropped_events,
             "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
+            "gauges": {
+                k: v for k, v in self.gauges.items() if metric_base_name(k) not in MIRROR_GAUGES
+            },
         }
         if self._writer is not None:
             snapshot["sink_offset"] = self._writer.sync()

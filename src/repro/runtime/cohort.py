@@ -4,11 +4,13 @@ tensor program (see :mod:`repro.nn.cohort` for how a model is stacked).
 Where the reference :class:`~repro.runtime.executor.SerialExecutor` runs M
 clients' rounds one after another, the cohort executor stacks the M client
 replicas along a leading tensor axis so every layer's forward/backward and
-the optimizer step advance all M clients with one BLAS call. The
+the optimizer step advance all M clients with one BLAS call, and a member
+that stops leaves the program at once (:meth:`CohortEngine.leave`). The
 *simulation* is unchanged: per-client simulated time, uplink scheduling,
-FedCA decision logic and trace events all run per-member in plain Python,
-exactly as the per-client loop computes them, and the batched tensor work
-keeps the bytes of every member whose products have the loop's operand
+FedCA decisions and trace events are the scheme's stack of members
+(``Strategy.Stack``) computing, as arrays over the live members, exactly
+what the per-client loop computes, and the batched tensor work keeps the
+bytes of every member whose products have the loop's operand
 shapes (DESIGN.md §12): all of them unpadded — the default ``serial``
 engine, and what each parallel worker drives over its share of a round
 (:mod:`repro.runtime.parallel`) — and under ``cohort[:M]`` all but a client
@@ -23,7 +25,7 @@ one stacked program per batch width in it.
 
 There is no fallback: every layer runs over a stack and every strategy
 runs batched — ``Strategy.cohort_round`` is a driver over the same
-per-client step machine the serial ``client_round`` feeds (DESIGN.md §12).
+members and stack the serial ``client_round`` feeds (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -59,10 +61,11 @@ def bound_width(clients: "LazyClientPopulation") -> int:
 
 
 class StepCounts:
-    """Cumulative batched steps, slot-steps (a step of a chunk of width
-    ``w`` offers ``w`` slots) and member-steps (slots a live member filled),
-    wherever the chunks ran: a cohort executor counts its own, a parallel
-    executor adds what its workers report."""
+    """Cumulative batched steps, slot-steps (the width each step ran at)
+    and member-steps (the live members those slots held — every one, since
+    a member that stops leaves the program), wherever the chunks ran: a
+    cohort executor counts its own, a parallel executor adds what its
+    workers report."""
 
     _COUNTERS = (
         "repro_cohort_steps_total",
@@ -92,8 +95,8 @@ class StepCounts:
                 recorder.counter(name, delta)
 
     def occupancy(self) -> dict[str, float]:
-        """Realized occupancy for benches: fraction of offered member slots
-        live across all batched steps (1.0 = no masking ever happened)."""
+        """Realized occupancy for benches: the live share of the widths the
+        batched steps ran at."""
         steps, slot_steps, member_steps = map(float, self.totals)
         return {
             "steps": steps,
@@ -106,13 +109,16 @@ class StepCounts:
 class CohortEngine:
     """One chunk's batched training facade handed to ``Strategy.cohort_round``.
 
-    Wraps the stacked :class:`~repro.nn.cohort.CohortModel` (slot ``i`` is
-    ``clients[i]``, in job order) plus the minibatch assembly that turns M
-    client shards into one ``(C, B, …)`` tensor per step. Strategies drive
-    it like a multi-client ``SimClient``: :meth:`load_global` → repeated
-    :meth:`train_step` with an active mask → :meth:`stacked_update` /
-    :meth:`write_back`. ``buffers`` is the round's ``(B,)`` global buffer
-    vector; ``pad`` is the executor's (see :class:`CohortExecutor`).
+    Wraps the stacked :class:`~repro.nn.cohort.CohortModel` plus the
+    minibatch assembly that turns the live members' shards into one
+    ``(width, B, …)`` tensor per step. Member ``i`` is ``jobs[i]``'s client;
+    row ``j`` of the program is member ``order[j]`` (``clients[j]``), and
+    the live members are always the first ``model.width`` rows. Strategies
+    drive it like a multi-client ``SimClient``: :meth:`load_global` →
+    repeated :meth:`train_step` → :meth:`leave` for the members that stop,
+    until none is left → :meth:`member_update`. ``buffers`` is the round's
+    ``(B,)`` global buffer vector; ``pad`` is the executor's (see
+    :class:`CohortExecutor`).
     """
 
     def __init__(
@@ -131,13 +137,18 @@ class CohortEngine:
         self.model = model
         self.clients = list(clients)
         self.size = len(clients)
+        self.order = np.arange(self.size)
         self._buffers = buffers
         self.pad = pad
-        model.bind_member_models([c.model for c in self.clients])
-        self._update_views: tuple[np.ndarray | None, dict[str, np.ndarray]] = (None, {})
-        #: Batched step / member-step counters (telemetry: realized occupancy).
+        model.narrow(self.size, [c.model for c in self.clients])
+        #: The round's ``(C, P)`` update; ``_row[i]`` is member ``i``'s row.
+        self._update: np.ndarray | None = None
+        self._row = np.zeros(self.size, dtype=np.intp)
+        self._update_views: dict[str, np.ndarray] | None = None
+        #: Batched steps, and the rows they ran (telemetry: every row run
+        #: is a live member's).
         self.steps = 0
-        self.member_steps = 0
+        self.slot_steps = 0
 
     # ------------------------------------------------------------------
     def load_global(self, params: np.ndarray) -> None:
@@ -161,84 +172,99 @@ class CohortEngine:
     def train_step(
         self,
         optimizer: CohortSGD,
-        active: np.ndarray,
         batch_sizes: Sequence[int | None] | None = None,
     ) -> np.ndarray:
-        """One batched SGD iteration over the active members.
+        """One batched SGD iteration over the live members.
 
-        Draws the next minibatch from each **active** member's own stream
-        (inactive members consume no data and no RNG draws, leaving their
+        Draws the next minibatch from each live member's own stream (a
+        member that left consumes no data and no RNG draws, leaving its
         cross-round stream state exactly where a serial run would) and runs
-        forward/backward/step as one stacked program. ``batch_sizes[i]``
-        overrides member ``i``'s stream batch size for this step (the
+        forward/backward/step as one stacked program. ``batch_sizes[j]``
+        overrides row ``j``'s stream batch size for this step (the
         intra-round batch-adaptation extension). Members that drew fewer
         rows than the widest are zero-padded to its width; unpadded, the
         step instead takes one forward/backward pass per distinct row
         count, the other members sitting that pass out (all-zero rows and
         loss gradient: exact zeros onto the gradients their own pass
-        accumulates). Returns per-member losses, shape ``(C,)`` — entries of
-        inactive members are 0.0 and must be ignored by the caller.
+        accumulates). Returns the live members' losses, shape ``(width,)``.
         """
-        c = self.size
+        c = self.model.width
         counts = np.zeros(c, dtype=np.int64)
-        batches: list[tuple[int, np.ndarray, np.ndarray]] = []
-        for i in range(c):
-            if not active[i]:
-                continue
-            x, y = self.clients[i].stream.next_batch(
-                None if batch_sizes is None else batch_sizes[i]
+        batches: list[tuple[np.ndarray, np.ndarray]] = []
+        for j, client in enumerate(self.clients[:c]):
+            x, y = client.stream.next_batch(
+                None if batch_sizes is None else batch_sizes[j]
             )
-            batches.append((i, x, y))
-            counts[i] = x.shape[0]
+            batches.append((x, y))
+            counts[j] = x.shape[0]
         loss = np.zeros(c, dtype=np.float64)
-        if not batches:
-            return loss
-        feat = batches[0][1].shape[1:]
+        feat = batches[0][0].shape[1:]
         # Ascending, as np.unique — which would import numpy.ma (~1 MiB).
-        widths = (
-            [int(counts.max())] if self.pad else sorted(set(counts[counts > 0].tolist()))
-        )
+        widths = [int(counts.max())] if self.pad else sorted(set(counts.tolist()))
         self.model.zero_grad()
         for width in widths:
             rows = counts if self.pad else np.where(counts == width, counts, 0)
             x_pad = np.zeros((c, width) + feat, dtype=np.float32)
             y_pad = np.zeros((c, width), dtype=np.int64)
-            for i, x, y in batches:
-                if rows[i]:
-                    x_pad[i, : rows[i]], y_pad[i, : rows[i]] = x, y
+            for j, (x, y) in enumerate(batches):
+                if rows[j]:
+                    x_pad[j, : rows[j]], y_pad[j, : rows[j]] = x, y
             self.model.set_member_rows(rows)
             logits = self.model.forward(x_pad)
             member_loss, grad = cohort_softmax_cross_entropy(logits, y_pad, rows)
             self.model.backward(grad)
             loss += member_loss
-        optimizer.step(active)
+        optimizer.step()
         self.steps += 1
-        self.member_steps += int(np.count_nonzero(active))
+        self.slot_steps += c
         return loss
 
+    def arrange(self, order: np.ndarray) -> None:
+        """Before the first step: put job ``order[j]``'s member in row
+        ``j``. Every row holds the broadcast then, so only the bindings
+        move."""
+        if (np.diff(order) > 0).all():
+            return
+        self.order = self.order[order]
+        self.clients = [self.clients[j] for j in order]
+        self.model.narrow(self.size, [c.model for c in self.clients])
+
+    def leave(self, keep: np.ndarray, params: np.ndarray, optimizer: CohortSGD) -> int:
+        """Take the members at the live rows where ``keep`` is ``False``
+        out of the program after this step: each one's replica is written
+        back at once, the last stayers swap rows (parameters, buffers,
+        optimizer slots) with the leavers before them, and the model
+        narrows to the stayers. Once the last member left, the round's
+        update is taken from every row at once (against the round-start
+        ``(P,)`` ``params``). Returns how many members are still live."""
+        gone, stay = np.flatnonzero(~keep), np.flatnonzero(keep)
+        self.model.write_back([self.clients[j].model for j in gone], gone)
+        n = stay.size
+        holes, movers = gone[gone < n], stay[stay >= n]
+        if holes.size:  # the last stayers swap rows with the leavers before them
+            arena = self.model.module.arena()
+            for rows in (arena.values, arena.buffers, *optimizer.state, self.order):
+                rows[holes], rows[movers] = rows[movers], rows[holes]
+            for a, b in zip(holes.tolist(), movers.tolist()):
+                self.clients[a], self.clients[b] = self.clients[b], self.clients[a]
+        if n:
+            self.model.narrow(n, [c.model for c in self.clients[:n]])
+        else:
+            self._update = self.model.stacked_update(params)
+            self._row[self.order] = np.arange(self.size)
+        return n
+
     # ------------------------------------------------------------------
-    def stacked_update(self, params: np.ndarray) -> np.ndarray:
-        """Whole-cohort ``(C, P)`` update in one subtract; row ``i`` is
-        member ``i``'s. Per-member result dicts are zero-copy views of its
-        rows (:meth:`member_update`), so aggregation consumes the batched
-        tensor without an unstack pass."""
-        return self.model.stacked_update(params)
-
-    def member_update(self, stacked: np.ndarray, i: int) -> dict[str, np.ndarray]:
-        """Member ``i``'s update dict as views into :meth:`stacked_update`:
-        row ``i`` of its ``(C, *shape)`` views, built once per stack. The
-        engine, not the model, holds them — the model outlives the round and
-        would keep the ``(C, P)`` update alive with them."""
-        if self._update_views[0] is not stacked:
-            views = self.model.module.arena().layout.views(stacked)
-            self._update_views = (stacked, views)
-        return {name: view[i] for name, view in self._update_views[1].items()}
-
-    def write_back(self) -> None:
-        """Copy trained member slots (parameters and buffers) back into the
-        serial model replicas so ``client.model`` is left exactly as a
-        serial round would leave it."""
-        self.model.write_back([c.model for c in self.clients])
+    def member_update(self, i: int) -> dict[str, np.ndarray]:
+        """Member ``i``'s update dict, zero-copy views of its row of the
+        ``(C, P)`` update the last leaver took (views built once per
+        engine, so aggregation consumes the batched tensor without an
+        unstack pass)."""
+        if self._update_views is None:
+            layout = self.model.module.arena().layout
+            self._update_views = layout.views(self._update)
+        row = self._row[i]
+        return {name: view[row] for name, view in self._update_views.items()}
 
 
 class CohortExecutor(Executor):
@@ -343,9 +369,7 @@ class CohortExecutor(Executor):
             )
             for k, result in zip(slots, results):
                 out[k] = result
-            self.counts.add(
-                engine.steps, engine.steps * engine.size, engine.member_steps
-            )
+            self.counts.add(engine.steps, engine.slot_steps, engine.slot_steps)
         return out
 
     def _mirror_metrics(self) -> None:

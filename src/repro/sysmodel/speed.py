@@ -11,6 +11,7 @@ integrating the rate across mode segments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +137,18 @@ class SpeedTrace:
         if not self.dynamic:
             return 1.0
         return self._segment_at(t).slowdown
+
+    def pace_at(self, t: float) -> tuple[float, float]:
+        """``(end, slowdown)`` of the segment :meth:`work_finish_time` reads
+        first from ``t`` — ``(-inf, 1.0)`` if not generated yet — so work
+        ``w`` with ``(end - t) / slowdown >= w > 1e-12`` ends at
+        ``t + w * slowdown`` without asking the trace."""
+        if not self.dynamic:
+            return math.inf, 1.0
+        if t >= self._horizon:
+            return -math.inf, 1.0
+        seg = self._segment_at(t)
+        return seg.end, seg.slowdown
 
     def iteration_finish_time(self, start: float, iterations: float = 1) -> float:
         """Wall-clock time at which ``iterations`` more local iterations

@@ -489,7 +489,6 @@ class TestCohortModel:
         xs = rng.normal(size=(steps, c) + xshape).astype(np.float32)
         ys = rng.integers(0, 10, size=(steps, c, xshape[0])).astype(np.int64)
 
-        active = np.ones(c, dtype=bool)
         counts = np.full(c, xshape[0])
         for t in range(steps):
             cohort.set_member_rows(counts)
@@ -497,7 +496,7 @@ class TestCohortModel:
             _, grad = cohort_softmax_cross_entropy(logits, ys[t], counts)
             cohort.zero_grad()
             cohort.backward(grad)
-            opt.step(active)
+            opt.step()
 
         for i, m in enumerate(members):
             ref = template_fn()
@@ -514,31 +513,43 @@ class TestCohortModel:
 
     @pytest.mark.parametrize("c", [1, 2, 3, 5])
     def test_memoised_member_views_alias_the_stack(self, c):
-        """``member_update(stacked, i)`` indexes ``(C, …)`` views built once
-        per stack: each equals a fresh ``layout.views`` of row ``i``, and a
-        write through it lands in the stack."""
+        """``member_update(i)`` indexes ``(C, …)`` views of the round's
+        update, built once per engine whatever rows the members ended in:
+        each equals a fresh ``layout.views`` of member ``i``'s update, and a
+        write through it lands in that update."""
         template = model_fn()
         clients = [make_client(k) for k in range(c)]
         cohort = CohortModel(template, c)
         params, buffers = global_vectors(template)
         engine = CohortEngine(cohort, clients, buffers)
         engine.load_global(params)
+        opt = engine.build_optimizer(OPT, params)
         arena = cohort.module.arena()
         arena.values[...] = np.random.default_rng(c).normal(size=arena.values.shape)
-        stacked = engine.stacked_update(params)
+        trained = arena.values.copy()
+        want = trained - params
+        # The odd members leave first, then the rest.
+        live = engine.leave(np.arange(c) % 2 == 0, params, opt)
+        order = engine.order[:live].tolist()
+        assert sorted(order) == list(range(0, c, 2))
+        assert order == [client.client_id for client in engine.clients[:live]]
+        assert cohort.width == live
+        assert engine.leave(np.zeros(live, dtype=bool), params, opt) == 0
+        stacked = engine._update
+        assert stacked.shape == (c, arena.values.shape[1])
         for i in range(c):
-            got, fresh = engine.member_update(stacked, i), arena.layout.views(stacked[i])
+            got, fresh = engine.member_update(i), arena.layout.views(want[i])
             assert list(got) == list(fresh)
             for name, view in got.items():
                 assert view.shape == fresh[name].shape, name
                 assert view.tobytes() == fresh[name].tobytes(), name
+                assert np.shares_memory(view, stacked), name
                 view[...] = i + 0.5
-                assert (fresh[name] == np.float32(i + 0.5)).all(), name
-        assert (stacked == np.arange(c, dtype=np.float32)[:, None] + 0.5).all()
-        # A new stack gets its own views, not the previous stack's.
-        other = engine.stacked_update(params)
-        assert np.shares_memory(engine.member_update(other, 0)["conv1.weight"], other)
-        assert not np.shares_memory(engine.member_update(other, 0)["conv1.weight"], stacked)
+        for i in range(c):
+            assert (engine.member_update(i)["conv1.weight"] == np.float32(i + 0.5)).all()
+        # Every replica got its own trained row back.
+        for i, client in enumerate(clients):
+            assert client.model.arena().values.tobytes() == trained[i].tobytes()
 
     @pytest.mark.parametrize("c", [1, 2, 3])
     def test_unrelated_build_keeps_the_stack_arena(self, c):
@@ -556,17 +567,21 @@ class TestCohortModel:
         assert np.shares_memory(row, cohort.module.arena().values)
 
     def test_masked_member_is_bitwise_frozen(self):
-        """An inactive member must not move at all — including the
-        weight-decay component, which is nonzero even at zero gradient."""
+        """A member narrowed out of the stack must not move at all —
+        including the weight-decay component, which is nonzero even at zero
+        gradient — while the live rows step."""
         c = 2
         members = clone_members(model_fn, c)
         cohort = CohortModel(members[0], c)
         cohort.load_global(*global_vectors(members[0]))
         before = {n: p.data[1].copy() for n, p in cohort.params.items()}
         opt = CohortSGD(cohort, 0.1, weight_decay=0.01, momentum=0.9)
+        cohort.narrow(1, members[:1])
         for p in cohort.params.values():
+            assert p.data.shape[0] == p.grad.shape[0] == 1
             p.grad[...] = np.random.default_rng(0).normal(size=p.grad.shape)
-        opt.step(np.array([True, False]))
+        opt.step()
+        cohort.narrow(2, members)
         moved = frozen = 0
         for name, p in cohort.params.items():
             np.testing.assert_array_equal(p.data[1], before[name])
@@ -590,14 +605,14 @@ class TestCohortModel:
         for name, p in cohort.params.items():
             mask = np.ones((c,) + (1,) * (p.data.ndim - 1), dtype=np.float32)
             expected[name] = p.data - lr * (p.grad + wd * p.data) * mask
-        CohortSGD(cohort, lr, weight_decay=wd).step(np.ones(c, dtype=bool))
+        CohortSGD(cohort, lr, weight_decay=wd).step()
         for name, p in cohort.params.items():
             assert p.data.tobytes() == expected[name].tobytes(), name
 
     def test_masked_prox_step_matches_per_member_prox_sgd(self):
         """``CohortSGD(mu > 0)`` is ``ProxSGD`` per member: the proximal pull
-        toward the broadcast state follows weight decay, and a masked member
-        does not move."""
+        toward the broadcast state follows weight decay, and a member
+        narrowed out of the stack does not move."""
         c, steps = 3, 4
         lr, wd, momentum, mu = 0.05, 1e-3, 0.9, 0.5
         members = clone_members(model_fn, c)
@@ -614,16 +629,17 @@ class TestCohortModel:
             refs.append(ref)
         rng = np.random.default_rng(13)
         # Member 2 stops after two steps (budgets are prefixes).
-        masks = [np.array([True, True, t < 2]) for t in range(steps)]
-        for mask in masks:
+        for t in range(steps):
+            if t == 2:
+                cohort.narrow(2, members[:2])
             for p in cohort.params.values():
                 p.grad[...] = rng.normal(size=p.grad.shape)
-            for i, m in enumerate(members):
-                if mask[i]:
-                    for name, p in m.named_parameters():
-                        p.grad[...] = cohort.params[name].grad[i]
-                    refs[i].step()
-            opt.step(mask)
+            for i, m in enumerate(members[: cohort.width]):
+                for name, p in m.named_parameters():
+                    p.grad[...] = cohort.params[name].grad[i]
+                refs[i].step()
+            opt.step()
+        cohort.narrow(3, members)
         moved = 0
         start = members[0].arena().layout.views(anchor)
         for i, m in enumerate(members):
@@ -689,7 +705,7 @@ class TestCohortModel:
         counts = np.array([b, 2, b])
         members, refs = clone_members(wrn_fn, c), clone_members(wrn_fn, c)
         cohort = CohortModel(members[0], c)
-        assert type(cohort.module.bn) is BatchNorm2d and cohort.buffers
+        assert type(cohort.module.bn) is BatchNorm2d and cohort.module.arena().buffers.size
         for (name, buf), (_, q) in zip(
             cohort.module.named_buffers(), members[0].named_buffers()
         ):
@@ -711,7 +727,7 @@ class TestCohortModel:
                 cohort.zero_grad()
                 cohort.backward(grad)
                 opt.step()
-        cohort.write_back(members)
+        cohort.write_back(members, range(c))
         for i, (ref, n) in enumerate(zip(refs, counts)):
             train_serial(
                 ref,
@@ -947,6 +963,149 @@ class TestCohortExecutor:
         assert executor.occupancy() == {
             "steps": 6.0, "slot_steps": 30.0, "member_steps": 30.0, "occupancy": 1.0,
         }
+
+
+# ----------------------------------------------------------------------
+# Compaction: members leave a stack mid-program with their width-1 bytes
+# ----------------------------------------------------------------------
+def _lstm():
+    return LSTMClassifier(rng=np.random.default_rng(3))
+
+
+def _wrn_bn():
+    return WideResNet(rng=np.random.default_rng(3))
+
+
+def _dropout_mlp():
+    rng = np.random.default_rng(5)
+    return Sequential(
+        Flatten(), Linear(96, 16, rng=rng), ReLU(),
+        Dropout(0.4, rng=np.random.default_rng(9)), Linear(16, 10, rng=rng),
+        names=["flat", "fc1", "relu", "drop", "fc2"],
+    )
+
+
+#: family -> (model, one sample's feature shape, classes)
+FAMILIES = {
+    "lstm": (_lstm, (12, 8), 10),
+    "wrn-bn": (_wrn_bn, (3, 12, 12), 20),
+    "dropout": (_dropout_mlp, (12, 8), 10),
+}
+
+
+def family_client(cid, family, *, slowed=False, base_time=0.01):
+    model, feat, classes = FAMILIES[family]
+    rng = np.random.default_rng(100 + cid)
+    x = rng.normal(size=(24,) + feat).astype(np.float32)
+    y = (np.arange(24) % classes).astype(np.int64)
+    trace = (
+        SpeedTrace(base_time, seed=cid, **SLOWED)
+        if slowed
+        else SpeedTrace(base_time, seed=cid, dynamic=False)
+    )
+    return SimClient(
+        cid, Dataset(x, y, classes), model_fn=model, batch_size=8, trace=trace,
+        link=LinkModel(uplink_mbps=10.0, downlink_mbps=10.0), seed=cid,
+    )
+
+
+def assert_same_result(got, want):
+    """Two ``ClientRoundResult``s, field by field, tensors in bytes."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name in ("update", "buffers"):
+            assert list(a) == list(b), field.name
+            for name in b:
+                assert_same(a[name], b[name], f"{field.name}.{name}")
+        else:
+            assert a == b, field.name
+
+
+def assert_same_client(got, want):
+    """Replica parameters and buffers, stream, speed trace and layer RNG."""
+    import pickle
+
+    mine, theirs = got.model.arena(), want.model.arena()
+    assert mine.values.tobytes() == theirs.values.tobytes()
+    assert mine.buffers.tobytes() == theirs.buffers.tobytes()
+    assert pickle.dumps(got.capture_state()) == pickle.dumps(want.capture_state())
+
+
+#: Every client always slowed 3x (FedCA+AB then shrinks its batches).
+SLOWED = dict(gamma_fast=(2.0, 1e-6), gamma_slow=(2.0, 1e9), slowdown_range=(3.0, 3.0))
+
+
+class TestCompaction:
+    """A member that leaves a stack mid-program — here at a drawn
+    server-assigned budget, as FedAda's members do — has its row written
+    back at once and the rest close ranks; every member's result, replica,
+    stream and layer RNG equal its run alone (width 1) in bytes, and the
+    step counters count the widths actually run."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_members_leave_with_their_width_one_bytes(self, family, data):
+        c = data.draw(st.integers(1, 4), label="width")
+        budgets = data.draw(st.lists(st.integers(1, 5), min_size=c, max_size=c), label="budgets")
+        momentum = data.draw(st.sampled_from([0.0, 0.9]), label="momentum")
+        strategy = FedAvg(OptimizerSpec(lr=0.05, weight_decay=1e-3, momentum=momentum))
+        jobs = [(i, ctx(iterations=5, assigned=b)) for i, b in enumerate(budgets)]
+        template = FAMILIES[family][0]()
+        state = global_vectors(template)
+
+        def run(width):
+            clients = Population(family_client(i, family) for i in range(c))
+            executor = CohortExecutor(width, pad=False)
+            executor.bind(Binding(clients, strategy))
+            return executor.run_round(*state, jobs), clients, executor
+
+        stacked, clients, executor = run(c)
+        alone, refs, _ = run(1)
+        for got, want in zip(stacked, alone, strict=True):
+            assert got.iterations_run == budgets[got.client_id]
+            assert_same_result(got, want)
+        for got, want in zip(clients, refs):
+            assert_same_client(got, want)
+        widths = [sum(b >= tau for b in budgets) for tau in range(1, max(budgets) + 1)]
+        assert executor.occupancy() == {
+            "steps": float(len(widths)),
+            "slot_steps": float(sum(widths)),
+            "member_steps": float(sum(widths)),
+            "occupancy": 1.0,
+        }
+
+    def test_adaptive_batch_members_stop_with_their_width_one_bytes(self):
+        """FedCA+AB on slowed clients: ragged batches every step, and in
+        the optimised round members stop early at their own iterations."""
+        from repro.core import FedCAConfig
+
+        cfg = FedCAConfig(profile_every=2)
+        state = global_vectors(FAMILIES["lstm"][0]())
+        runs = []
+        for width in (4, 1):
+            strategy = FedCAAdaptiveBatch(OPT, config=cfg)
+            clients = Population(
+                family_client(i, "lstm", slowed=True, base_time=0.01 * (1 + i))
+                for i in range(4)
+            )
+            executor = CohortExecutor(width, pad=False)
+            executor.bind(Binding(clients, strategy))
+            results = [
+                executor.run_round(
+                    *state, [(i, ctx(round_index=r, deadline=0.2)) for i in range(4)]
+                )
+                for r in range(2)
+            ]
+            runs.append((results, clients))
+        (stacked, clients), (alone, refs) = runs
+        stops = [r.iterations_run for r in stacked[1]]
+        assert min(stops) < 6 and len(set(stops)) > 1, stops
+        for round_got, round_want in zip(stacked, alone):
+            for got, want in zip(round_got, round_want, strict=True):
+                assert_same_result(got, want)
+        for got, want in zip(clients, refs):
+            assert_same_client(got, want)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,29 @@ from repro.core import (
     marginal_cost,
 )
 
+from repro.core.eager import NEVER
+
 from .helpers import extract_delta_reference, progress_reference
+
+
+def benefit(curves, tau):
+    """Eq. 2 of one member's curves, through a stack's ``P_0 … P_K`` rows."""
+    policy = EarlyStopPolicy([curves], FedCAConfig())
+    return marginal_benefit(policy.p, policy.num_iterations)[0, tau - 1]
+
+
+def triggers(sched, member=0):
+    """One member's Eq. 5 triggers as ``{layer: tau}``."""
+    return {
+        name: int(tau)
+        for name, tau in zip(sched.names, sched.triggers[member])
+        if tau != NEVER
+    }
+
+
+def due(sched, tau, member=0):
+    """The layers one member is due to send at ``tau``, in send order."""
+    return [name for name, d in zip(sched.names, sched.due(tau)[member]) if d]
 
 
 def make_curves(model_curve, layer_curves=None, round_index=0):
@@ -60,12 +82,12 @@ class TestAnchorRecorder:
 
     def test_records_and_finalizes_curves(self):
         sampler = self._sampler()
-        rec = AnchorRecorder(sampler, 5)
+        rec = AnchorRecorder([sampler], 5)
         anchor = np.zeros(24, dtype=np.float32)
         target = np.concatenate([np.ones(20), np.full(4, 2.0)]).astype(np.float32)
         for i in range(1, 6):
             rec.record(target * (i / 5), anchor)
-        curves = rec.finalize(round_index=7)
+        (curves,) = rec.finalize(round_index=7)
         assert curves.round_index == 7
         assert curves.num_iterations == 5
         # Linear accumulation -> P_i = i/K for every layer and the model.
@@ -76,7 +98,7 @@ class TestAnchorRecorder:
         """``finalize`` takes ``‖G_K‖`` once per curve; every curve must
         still hold exactly the per-snapshot Eq. 1 values."""
         sampler = self._sampler()
-        rec = AnchorRecorder(sampler, 7)
+        rec = AnchorRecorder([sampler], 7)
         rng = np.random.default_rng(4)
         anchor = np.zeros(24, np.float32)
         indices = {"w": sampler.index[:10], "b": sampler.index[10:] - 20}
@@ -89,7 +111,7 @@ class TestAnchorRecorder:
             snaps.append(
                 extract_delta_reference(indices, views, {"w": anchor[:20], "b": anchor[20:]})
             )
-        curves = rec.finalize(0)
+        (curves,) = rec.finalize(0)
         for name in ("w", "b"):
             want = [progress_reference(s[name], snaps[-1][name]) for s in snaps]
             assert curves.layer_curve(name).tobytes() == np.array(want).tobytes()
@@ -100,16 +122,16 @@ class TestAnchorRecorder:
 
     def test_finalize_clears_snapshots(self):
         sampler = self._sampler()
-        rec = AnchorRecorder(sampler, 2)
+        rec = AnchorRecorder([sampler], 2)
         rec.record(np.ones(24, np.float32), np.zeros(24, np.float32))
         rec.finalize(0)
-        assert len(rec.snapshots) == 0
+        assert rec.snapshots.shape[:2] == (1, 0)
         with pytest.raises(RuntimeError):
             rec.finalize(1)
 
     def test_memory_accounting(self):
         sampler = self._sampler()
-        rec = AnchorRecorder(sampler, 5)
+        rec = AnchorRecorder([sampler], 5)
         for _ in range(3):
             rec.record(np.ones(24, np.float32), np.zeros(24, np.float32))
         # 50% of 20 = 10 + 50% of 4 = 2 -> 12 scalars * 3 snapshots * 4 bytes
@@ -118,24 +140,22 @@ class TestAnchorRecorder:
 
 class TestProfiledCurves:
     def test_p_zero_convention(self):
-        curves = make_curves([0.5, 1.0])
-        assert curves.p(0) == 0.0
-        assert curves.p(1) == 0.5
-        assert curves.p(2) == 1.0
+        policy = EarlyStopPolicy([make_curves([0.5, 1.0])], FedCAConfig())
+        assert policy.p.tolist() == [[0.0, 0.5, 1.0]]
 
     def test_p_out_of_range(self):
-        curves = make_curves([0.5, 1.0])
-        with pytest.raises(ValueError):
-            curves.p(3)
-        with pytest.raises(ValueError):
-            curves.p(-1)
+        policy = EarlyStopPolicy([make_curves([0.5, 1.0])], FedCAConfig())
+        # One benefit per iteration 1..K, and only those; at K the curve
+        # is exhausted.
+        assert policy.benefit.shape == (1, 2)
+        assert policy.benefit[0].tolist() == [benefit(make_curves([0.5, 1.0]), 1), -np.inf]
 
     def test_layer_trigger_iteration(self):
         """Eq. 5's trigger, read off the matrix by ``EagerSchedule``."""
         curves = make_curves([0.5, 1.0], {"l": [0.3, 0.96]})
 
         def trigger(threshold):
-            return EagerSchedule(curves, threshold).triggers.get("l")
+            return triggers(EagerSchedule([curves], threshold)).get("l")
 
         # with 2 iterations curve [0.3, 0.96]: trigger at tau=2 for 0.95
         assert trigger(0.95) == 2
@@ -156,33 +176,45 @@ class TestMarginalBenefit:
     def test_concave_curve_uses_delta(self):
         curves = make_curves([0.6, 0.8, 0.9, 1.0])
         # tau=2: delta = 0.2, floor = (1-0.8)/2 = 0.1 -> 0.2
-        assert marginal_benefit(curves, 2) == pytest.approx(0.2)
+        assert benefit(curves, 2) == pytest.approx(0.2)
 
     def test_flat_segment_uses_floor(self):
         curves = make_curves([0.6, 0.6, 0.9, 1.0])
         # tau=2: delta = 0, floor = (1-0.6)/2 = 0.2
-        assert marginal_benefit(curves, 2) == pytest.approx(0.2)
+        assert benefit(curves, 2) == pytest.approx(0.2)
 
     def test_last_iteration_no_floor(self):
         curves = make_curves([0.5, 0.9, 1.0])
-        assert marginal_benefit(curves, 3) == pytest.approx(0.1)
+        assert benefit(curves, 3) == pytest.approx(0.1)
 
     def test_first_iteration_uses_p0(self):
         curves = make_curves([0.7, 1.0])
-        assert marginal_benefit(curves, 1) == pytest.approx(0.7)
+        assert benefit(curves, 1) == pytest.approx(0.7)
 
     def test_tau_bounds(self):
         curves = make_curves([0.5, 1.0])
-        with pytest.raises(ValueError):
-            marginal_benefit(curves, 0)
-        with pytest.raises(ValueError):
-            marginal_benefit(curves, 3)
+        policy = EarlyStopPolicy([curves], FedCAConfig())
+        assert marginal_benefit(policy.p, policy.num_iterations).shape == (1, 2)
+
+    def test_rows_of_different_k(self):
+        """Each row is its own curve: a shorter one's τ = K has no floor,
+        and its columns past K are never read."""
+        short, long = make_curves([0.5, 0.9]), make_curves([0.5, 0.6, 0.9, 1.0])
+        policy = EarlyStopPolicy([short, long], FedCAConfig())
+        assert policy.benefit[0].tolist() == [benefit(short, 1), -np.inf, -np.inf, -np.inf]
+        assert policy.benefit[1].tolist() == [benefit(long, t) for t in (1, 2, 3)] + [-np.inf]
+        assert benefit(short, 2) == pytest.approx(0.4)
+        decision = policy.decide(3, np.array([1.0, 1.0]), 10.0)
+        assert decision.stop.tolist() == [True, False]
+        assert [decision.reason(i) for i in range(2)] == [
+            "curve_exhausted", "net_benefit_positive",
+        ]
 
     def test_non_monotone_dip_floored(self):
         # A noisy dip (P decreases) would give negative delta; the floor
         # keeps the benefit positive while P < 1.
         curves = make_curves([0.8, 0.7, 1.0])
-        b = marginal_benefit(curves, 2)
+        b = benefit(curves, 2)
         assert b == pytest.approx((1 - 0.7) / 1)
 
 
@@ -217,38 +249,38 @@ class TestEarlyStopPolicy:
     def test_stops_when_benefit_below_cost(self):
         # Benefit at tau=3 is tiny; post-deadline cost is huge.
         curves = make_curves([0.9, 0.98, 0.99, 1.0])
-        policy = EarlyStopPolicy(curves, FedCAConfig())
-        assert policy.decide(3, elapsed=20.0, deadline=10.0).stop
+        policy = EarlyStopPolicy([curves], FedCAConfig())
+        assert policy.decide(3, elapsed=np.array([20.0]), deadline=10.0).stop
 
     def test_keeps_going_pre_deadline_with_benefit(self):
         curves = make_curves([0.3, 0.6, 0.9, 1.0])
-        policy = EarlyStopPolicy(curves, FedCAConfig())
-        assert not policy.decide(2, elapsed=1.0, deadline=10.0).stop
+        policy = EarlyStopPolicy([curves], FedCAConfig())
+        assert not policy.decide(2, elapsed=np.array([1.0]), deadline=10.0).stop
 
     def test_disabled_never_stops(self):
         curves = make_curves([0.99, 0.995, 1.0])
         cfg = FedCAConfig(enable_early_stop=False, enable_eager_transmit=False,
                           enable_retransmit=False)
-        policy = EarlyStopPolicy(curves, cfg)
-        assert not policy.decide(2, elapsed=100.0, deadline=1.0).stop
+        policy = EarlyStopPolicy([curves], cfg)
+        assert not policy.decide(2, elapsed=np.array([100.0]), deadline=1.0).stop
 
     def test_min_iterations_respected(self):
         curves = make_curves([0.99, 0.995, 0.999, 1.0])
         cfg = FedCAConfig(min_local_iterations=3)
-        policy = EarlyStopPolicy(curves, cfg)
-        assert not policy.decide(2, elapsed=100.0, deadline=1.0).stop
-        assert policy.decide(3, elapsed=100.0, deadline=1.0).stop
+        policy = EarlyStopPolicy([curves], cfg)
+        assert not policy.decide(2, elapsed=np.array([100.0]), deadline=1.0).stop
+        assert policy.decide(3, elapsed=np.array([100.0]), deadline=1.0).stop
 
     def test_beyond_profiled_k_stops(self):
         curves = make_curves([0.5, 1.0])
-        policy = EarlyStopPolicy(curves, FedCAConfig())
-        assert policy.decide(2, elapsed=0.1, deadline=10.0).stop
+        policy = EarlyStopPolicy([curves], FedCAConfig())
+        assert policy.decide(2, elapsed=np.array([0.1]), deadline=10.0).stop
 
     def test_tau_validation(self):
         curves = make_curves([0.5, 1.0])
-        policy = EarlyStopPolicy(curves, FedCAConfig())
+        policy = EarlyStopPolicy([curves], FedCAConfig())
         with pytest.raises(ValueError):
-            policy.decide(0, 1.0, 1.0)
+            policy.decide(0, np.ones(1), 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -260,35 +292,35 @@ class TestEagerSchedule:
             [0.5, 0.8, 1.0],
             {"fast": [0.96, 0.99, 1.0], "slow": [0.2, 0.5, 1.0]},
         )
-        sched = EagerSchedule(curves, 0.95)
-        assert sched.triggers == {"fast": 1, "slow": 3}
+        sched = EagerSchedule([curves], 0.95)
+        assert triggers(sched) == {"fast": 1, "slow": 3}
 
     def test_due_returns_each_layer_once(self):
         curves = make_curves([1.0], {"a": [1.0], "b": [1.0]})
-        sched = EagerSchedule(curves, 0.95)
-        assert set(sched.due(1)) == {"a", "b"}
-        assert sched.due(1) == []
+        sched = EagerSchedule([curves], 0.95)
+        assert due(sched, 1) == ["a", "b"]
+        assert due(sched, 1) == []
 
     def test_due_catches_up_after_skipped_iterations(self):
         curves = make_curves(
             [0.5, 0.8, 1.0], {"early": [0.96, 0.99, 1.0], "later": [0.2, 0.97, 1.0]}
         )
-        sched = EagerSchedule(curves, 0.95)
+        sched = EagerSchedule([curves], 0.95)
         # Caller first asks at tau=2: both layers due.
-        assert set(sched.due(2)) == {"early", "later"}
+        assert due(sched, 2) == ["early", "later"]
 
     def test_never_converged_layer_absent(self):
         curves = make_curves([0.5, 0.9], {"l": [0.5, 0.9]})
-        sched = EagerSchedule(curves, 0.95)
-        assert "l" not in sched.triggers
+        sched = EagerSchedule([curves], 0.95)
+        assert "l" not in triggers(sched)
 
     def test_threshold_validation(self):
         curves = make_curves([1.0])
         with pytest.raises(ValueError):
-            EagerSchedule(curves, 0.0)
+            EagerSchedule([curves], 0.0)
 
     def test_due_validation(self):
-        sched = EagerSchedule(make_curves([1.0]), 0.95)
+        sched = EagerSchedule([make_curves([1.0])], 0.95)
         with pytest.raises(ValueError):
             sched.due(0)
 

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     AnchorRecorder,
@@ -118,6 +120,28 @@ class TestProgressCurve:
         per_call = np.array([statistical_progress(g, snaps[-1]) for g in snaps])
         assert per_call.tobytes() == want.tobytes()
 
+    @given(
+        k=st.integers(1, 40),
+        s=st.integers(1, 700),
+        lo=st.integers(0, 9),
+        zero=st.sampled_from([None, "first", "last"]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_dots_are_the_per_snapshot_bytes(self, k, s, lo, zero, seed):
+        """``progress_curve`` batches each row's two dot products through
+        ``np.matmul`` over a float64 block — here a column slice of a wider
+        float32 buffer, as ``AnchorRecorder.finalize`` hands it over — and
+        every element is the per-snapshot reference in bytes."""
+        buf = np.random.default_rng(seed).normal(size=(k, s + 9)).astype(np.float32)
+        if zero == "first":
+            buf[0] = 0.0
+        elif zero == "last":
+            buf[-1] = 0.0
+        block = buf.astype(np.float64)[:, lo : lo + s]
+        want = np.array([progress_reference(g, block[-1]) for g in buf[:, lo : lo + s]])
+        assert progress_curve(block).tobytes() == want.tobytes()
+
     def test_nan_propagates_like_clip(self):
         snaps = [np.array([1.0, np.nan]), np.array([1.0, 2.0])]
         assert np.isnan(progress_curve(snaps)[0])
@@ -219,9 +243,9 @@ class TestLayerSampler:
         s = LayerSampler({"w": (6,)}, seed=0)
         params = np.arange(6, dtype=np.float32) * 2
         anchor = np.arange(6, dtype=np.float32)
-        rec = AnchorRecorder(s, 1)
+        rec = AnchorRecorder([s], 1)
         rec.record(params, anchor)
-        np.testing.assert_array_equal(rec.snapshots[0], np.arange(6)[s.index])
+        np.testing.assert_array_equal(rec.snapshots[0, 0], np.arange(6)[s.index])
 
     def test_total_sampled_and_bytes(self):
         s = LayerSampler(self._shapes(), seed=0)

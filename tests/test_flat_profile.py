@@ -20,6 +20,7 @@ from repro.core import (
     LayerSampler,
     progress_curve,
 )
+from repro.core.eager import NEVER
 from repro.experiments import get_workload, make_environment, probe_curves
 from repro.nn import WideResNet, build_model, softmax_cross_entropy
 from repro.persist.snapshot import decode, encode
@@ -83,7 +84,7 @@ def test_curves_triggers_and_stats_are_the_reference_bytes(name, seed, k):
     anchor = model.arena().values.copy()
     params = anchor.copy()
     _, frozen, shape = layout.entries[-1]
-    recorder = AnchorRecorder(sampler, k)
+    recorder = AnchorRecorder([sampler], k)
     snaps = []
     for _ in range(k):
         step = rng.normal(scale=1e-2, size=params.shape).astype(np.float32)
@@ -94,7 +95,7 @@ def test_curves_triggers_and_stats_are_the_reference_bytes(name, seed, k):
             extract_delta_reference(indices, layout.views(params), layout.views(anchor))
         )
     stats = recorder.stats()
-    curves = recorder.finalize(3)
+    (curves,) = recorder.finalize(3)
     model_curve, layer_curves = finalize_reference(snaps)
 
     assert stats == {
@@ -108,8 +109,9 @@ def test_curves_triggers_and_stats_are_the_reference_bytes(name, seed, k):
     for layer, curve in layer_curves.items():
         assert curves.layer_curve(layer).tobytes() == curve.tobytes(), layer
     for threshold in (0.3, 0.9, 0.95, 1.0):
-        got = EagerSchedule(curves, threshold).triggers
-        assert list(got.items()) == list(trigger_reference(layer_curves, threshold).items())
+        sched = EagerSchedule([curves], threshold)
+        got = [(n, int(t)) for n, t in zip(sched.names, sched.triggers[0]) if t != NEVER]
+        assert got == list(trigger_reference(layer_curves, threshold).items())
 
     profile = ClientProfile(FedCAConfig(), seed, curves.names)
     profile.curves = curves

@@ -149,26 +149,33 @@ class TestEarlyStopDecision:
     CFG = FedCAConfig(min_local_iterations=2, beta=0.5)
 
     def policy(self, config=None):
-        return EarlyStopPolicy(curves(), config or self.CFG)
+        return EarlyStopPolicy([curves()], config or self.CFG)
 
     def test_reasons_cover_short_circuits(self):
         pol = self.policy()
-        assert pol.decide(1, 0.0, 10.0).reason == "min_iterations"
-        assert pol.decide(5, 0.0, 10.0).reason == "curve_exhausted"
-        assert pol.decide(5, 0.0, 10.0).stop is True
+        assert pol.decide(1, np.zeros(1), 10.0).reason(0) == "min_iterations"
+        assert pol.decide(5, np.zeros(1), 10.0).reason(0) == "curve_exhausted"
+        assert pol.decide(5, np.zeros(1), 10.0).stop.tolist() == [True]
         off = self.policy(FedCAConfig(enable_early_stop=False))
-        assert off.decide(3, 100.0, 1.0).reason == "disabled"
+        assert off.decide(3, np.full(1, 100.0), 1.0).reason(0) == "disabled"
         with pytest.raises(ValueError):
-            pol.decide(0, 0.0, 10.0)
+            pol.decide(0, np.zeros(1), 10.0)
 
     def test_net_benefit_terms_exposed(self):
         pol = self.policy()
-        keep = pol.decide(2, 0.1, 100.0)
-        assert keep.reason == "net_benefit_positive" and not keep.stop
-        assert keep.net == pytest.approx(keep.benefit - keep.cost)
-        stop = pol.decide(2, 99.0, 100.0)  # elapsed ≈ deadline → huge cost
-        assert stop.reason == "net_benefit_negative" and stop.stop
-        assert stop.net < 0
+        keep = pol.decide(2, np.array([0.1]), 100.0)
+        assert keep.reason(0) == "net_benefit_positive" and not keep.stop[0]
+        assert keep.net[0] == pytest.approx(keep.benefit[0] - keep.cost[0])
+        stop = pol.decide(2, np.array([99.0]), 100.0)  # elapsed ≈ deadline
+        assert stop.reason(0) == "net_benefit_negative" and stop.stop[0]
+        assert stop.net[0] < 0
+        fields = stop.fields(0, 99.0)
+        assert fields == {
+            "tau": 2, "b": float(stop.benefit[0]), "c": float(stop.cost[0]),
+            "n": float(stop.net[0]), "elapsed": 99.0, "stop": True,
+            "reason": "net_benefit_negative",
+        }
+        assert type(fields["stop"]) is bool and type(fields["b"]) is float
 
 
 class TestDecisionSinks:

@@ -835,6 +835,26 @@ class TestCLIPersistence:
         out = capsys.readouterr()
         assert f"cannot resume the trace {trace}: it holds 0 bytes" in out.out + out.err
 
+    def test_identical_runs_write_identical_checkpoints(self, tmp_path):
+        # Gauges that mirror the OS or the wall clock (process RSS, phase
+        # and broadcast seconds) stay out of a checkpoint, so two identical
+        # runs write the same payload and manifest bytes.
+        from repro.cli import main
+
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for ckdir in dirs:
+            assert main([
+                "run", "--workload", "cnn", "--scheme", "fedca", "--rounds", "4",
+                "--no-target-stop", "--log-level", "error", "--profile",
+                "--metrics-file", str(ckdir.with_suffix(".prom")),
+                "--checkpoint-dir", str(ckdir), "--checkpoint-every", "2",
+            ]) == 0
+        names = sorted(p.name for p in dirs[0].iterdir())
+        assert names == sorted(p.name for p in dirs[1].iterdir())
+        assert len(names) == 4  # two rounds' payload and manifest
+        for name in names:
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
     @pytest.mark.parametrize("damage", ["bit-flip", "old-version", "other-seed"])
     def test_resume_from_an_unusable_checkpoint_exits_2(self, tmp_path, capsys, damage):
         # A damaged, other-version or other-configuration checkpoint is a

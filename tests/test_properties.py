@@ -105,16 +105,23 @@ def monotone_curve(draw):
 
 
 class TestUtilityProperties:
+    @staticmethod
+    def benefit(curves, tau):
+        from repro.core import EarlyStopPolicy, FedCAConfig
+
+        policy = EarlyStopPolicy([curves], FedCAConfig())
+        return marginal_benefit(policy.p, policy.num_iterations)[0, tau - 1]
+
     @given(monotone_curve(), st.data())
     def test_benefit_nonnegative_for_monotone_curves(self, curves, data):
         tau = data.draw(st.integers(min_value=1, max_value=curves.num_iterations))
-        assert marginal_benefit(curves, tau) >= -1e-12
+        assert self.benefit(curves, tau) >= -1e-12
 
     @given(monotone_curve(), st.data())
     def test_benefit_at_least_uniform_floor(self, curves, data):
         tau = data.draw(st.integers(min_value=1, max_value=curves.num_iterations - 1))
-        floor = (1.0 - curves.p(tau)) / (curves.num_iterations - tau)
-        assert marginal_benefit(curves, tau) >= floor - 1e-12
+        floor = (1.0 - curves.model_curve[tau - 1]) / (curves.num_iterations - tau)
+        assert self.benefit(curves, tau) >= floor - 1e-12
 
     @given(
         st.floats(min_value=0.0, max_value=1e4),
@@ -336,11 +343,10 @@ class TestEagerScheduleProperties:
 
         lo = data.draw(st.floats(min_value=0.05, max_value=0.5))
         hi = data.draw(st.floats(min_value=0.55, max_value=1.0))
-        sched_lo = EagerSchedule(curves, lo)
-        sched_hi = EagerSchedule(curves, hi)
-        for name, tau_hi in sched_hi.triggers.items():
-            assert name in sched_lo.triggers
-            assert sched_lo.triggers[name] <= tau_hi
+        sched_lo = EagerSchedule([curves], lo)
+        sched_hi = EagerSchedule([curves], hi)
+        # A never-firing layer's trigger is NEVER, above every iteration.
+        assert (sched_lo.triggers <= sched_hi.triggers).all()
 
     @given(monotone_curve())
     @settings(max_examples=30, deadline=None)
@@ -350,10 +356,12 @@ class TestEagerScheduleProperties:
         layer exactly once."""
         from repro.core import EagerSchedule
 
-        sched = EagerSchedule(curves, 0.9)
+        from repro.core.eager import NEVER
+
+        sched = EagerSchedule([curves], 0.9)
         sent = []
         for tau in range(1, curves.num_iterations + 1):
-            sent.extend(sched.due(tau))
-        pending = [n for n in curves.names if n not in sched.triggers]
+            sent.extend(n for n, d in zip(sched.names, sched.due(tau)[0]) if d)
+        pending = [n for n, t in zip(sched.names, sched.triggers[0]) if t == NEVER]
         assert sorted(sent + pending) == sorted(curves.names)
         assert len(set(sent)) == len(sent)
