@@ -566,6 +566,22 @@ class TestCohortModel:
         assert (member_params(cohort, 0)["conv1.weight"] == np.float32(3.5)).all()
         assert np.shares_memory(row, cohort.module.arena().values)
 
+    def test_unrelated_build_keeps_a_narrowed_stack_on_its_prefix(self):
+        """A walk rebuilt while the stack is narrowed (any registration
+        anywhere bumps the structure token) adopts the first ``width`` rows
+        of the same arena instead of copying them out."""
+        members = clone_members(model_fn, 3)
+        cohort = CohortModel(members[0], 3)
+        full = cohort.module.arena().values
+        cohort.narrow(2, members[:2])
+        LeNetCNN(rng=np.random.default_rng(2))  # bumps the token
+        values = cohort.module.arena().values
+        assert values.shape == (2, full.shape[1]) and np.shares_memory(values, full)
+        assert values.__array_interface__["data"][0] == full.__array_interface__["data"][0]
+        values[1] = 7.0
+        assert (member_params(cohort, 1)["conv1.weight"] == np.float32(7.0)).all()
+        assert (full[1] == np.float32(7.0)).all()
+
     def test_masked_member_is_bitwise_frozen(self):
         """A member narrowed out of the stack must not move at all —
         including the weight-decay component, which is nonzero even at zero
