@@ -127,7 +127,7 @@ def run_once(cfg, executor, rounds: int, seed: int, *, scheme="fedavg",
             # stops leaves its chunk's program, so this falls below the
             # chunk width wherever members stop early.
             occupancy = sim.executor.occupancy()
-            ipc["worker_chunk_width"] = occupancy["slot_steps"] / max(
+            ipc["worker_chunk_width"] = occupancy["member_steps"] / max(
                 occupancy["steps"], 1.0
             )
             ipc["state_bytes_shipped"] = shipped

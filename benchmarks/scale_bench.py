@@ -9,10 +9,12 @@ Two measurements, written to ``BENCH_scale.json``:
   run) and recording setup time, per-round time and peak RSS for both.
 * **Large** lazy-only run (default 100 000 clients, 0.1 % participation):
   reports microseconds per client creation (``us_per_creation``: time
-  inside ``ClientFactory.create`` and ``derive``, less the model replicas
+  inside ``ClientFactory.create``, ``derive`` and ``page``, less the model replicas
   the first page-ins build, over ``cache.creations``) and per eviction
   (``us_per_eviction``: capture, encode and replica release, over
-  ``cache.evictions``)
+  ``cache.evictions``) and per pace drawn (``us_per_pace``: time inside
+  the pace callable, which the simulator asks once per selection with
+  every cid it has not drawn, over the cids it was asked for)
   and demonstrates flat memory — peak RSS is gated by ``--rss-ceiling-mb``
   (CI pins a ceiling far below what keeping every touched client live
   would need) — and that paging builds no models: the run fails if
@@ -50,11 +52,12 @@ Regenerate with (the CI scale job's gates)::
         --rss-ceiling-mb 400 --long-rss-growth-mb 40 --long-load-seconds 0.1 \
         --out BENCH_scale.json
 
-The million-client acceptance run (1 % participation)::
+The million-client acceptance run (1 % participation; CI's scale job runs
+it as its own step)::
 
     PYTHONPATH=src python benchmarks/scale_bench.py --ab-clients 0 \
         --large-clients 1000000 --large-participation 0.01 \
-        --rounds 1 --rss-ceiling-mb 1024
+        --rounds 1 --long-rounds 0 --rss-ceiling-mb 1024
 """
 
 from __future__ import annotations
@@ -124,12 +127,17 @@ def model_fn():
     )
 
 
+def pace(cids):
+    return iteration_time_for(cids, 0.01, seed=0)
+
+
 def build_sim(
     num_clients: int,
     clients_per_round: int,
     population: str | None,
     model_fn=model_fn,
     recorder=None,
+    pace=pace,
 ):
     # Pool and test set come from ONE generated dataset: two generator
     # seeds give disjoint class prototypes and a chance-level accuracy.
@@ -147,7 +155,7 @@ def build_sim(
         ),
         shards=SubsampledShards(pool, num_clients, SHARD_SIZE, alpha=0.5, seed=9),
         test_set=test,
-        base_iteration_times=lambda cid: iteration_time_for(cid, 0.01, seed=0),
+        base_iteration_times=pace,
         batch_size=8,
         local_iterations=4,
         aggregation_fraction=0.8,
@@ -205,10 +213,16 @@ def run_phase(args) -> dict:
         models_built.append(1)
         return model_fn()
 
+    pace_seconds, paces_drawn = [0.0, False], [0]
+
+    def counting_pace(cids):
+        paces_drawn[0] += np.size(cids)
+        return pace(cids)
+
     t0 = _clock()
     sim = build_sim(
         args.clients, args.clients_per_round, args.population,
-        _timed(counting_model_fn, model_seconds),
+        _timed(counting_model_fn, model_seconds), pace=_timed(counting_pace, pace_seconds),
     )
     setup_seconds = _clock() - t0
     long_run: dict = {}
@@ -219,7 +233,7 @@ def run_phase(args) -> dict:
     # An eviction is timed whole: capture, encode, replica release.
     model_seconds[0] = 0.0
     factory = sim.population.factory
-    for name in ("create", "derive"):
+    for name in ("create", "derive", "page"):
         setattr(factory, name, _timed(getattr(factory, name), paging_seconds))
     cache = sim.population.cache
     cache._evict_one = _timed(cache._evict_one, eviction_seconds)
@@ -272,6 +286,7 @@ def run_phase(args) -> dict:
         "us_per_eviction": (
             eviction_seconds[0] / cache.evictions * 1e6 if cache.evictions else None
         ),
+        "us_per_pace": pace_seconds[0] / paces_drawn[0] * 1e6 if paces_drawn[0] else None,
         "models_built": len(models_built),
         "usable_cores": default_workers(),
         "final_accuracy": history.final_accuracy,
@@ -422,6 +437,7 @@ def main() -> int:
             f"{large['creations']} creations "
             f"({large['us_per_creation']:.0f} us each without model builds), "
             f"{large['us_per_eviction']:.0f} us per eviction, "
+            f"{large['us_per_pace']:.0f} us per pace, "
             f"{large['models_built']} models built, "
             f"peak RSS {rss_mib:.1f} MiB"
         )
@@ -484,7 +500,9 @@ def main() -> int:
         print(
             f"long lazy:cache=64 @ {LONG_CLIENTS} clients, "
             f"{LONG_CLIENTS_PER_ROUND}/round, {args.long_rounds} rounds: "
-            f"{long['seconds_per_round']:.3f}s/round, peak RSS "
+            f"{long['seconds_per_round']:.3f}s/round, "
+            f"{long['us_per_creation']:.0f} / {long['us_per_eviction']:.0f} / "
+            f"{long['us_per_pace']:.0f} us per creation / eviction / pace, peak RSS "
             f"{long['peak_rss_bytes_at_mark'] / 2**20:.1f} MiB after round "
             f"{LONG_RSS_MARK_ROUND} -> {long['peak_rss_bytes_after_run'] / 2**20:.1f} MiB "
             f"after round {args.long_rounds} (+{growth_mib:.1f}); "

@@ -114,7 +114,7 @@ def _lazy_lenet():
 
 def test_page_chunk(benchmark):
     """Page one 25-client chunk of a 20 000-client subsampled population in:
-    one ``derive`` (seed passes and the shard page) and 25 ``create``s, the
+    one ``derive`` (seed passes), one shard ``page`` and 25 ``create``s, the
     replicas handed back as an evicting pager does."""
     from repro.data import make_image_dataset
     from repro.scale import ClientFactory, PopulationSpec, SubsampledShards
@@ -137,6 +137,7 @@ def test_page_chunk(benchmark):
 
     def page():
         factory.derive(cids)
+        factory.page(cids)
         clients = [factory.create(cid) for cid in cids]
         for client in clients:
             factory.release(client)

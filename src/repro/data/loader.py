@@ -20,6 +20,8 @@ __all__ = ["BatchStream", "check_stream_position"]
 class BatchStream:
     """Cyclic shuffled minibatch stream over one client's shard."""
 
+    SNAPSHOT_KEYS = ("rng", "order", "cursor")  #: :meth:`snapshot_state`'s, in order
+
     def __init__(
         self, dataset: Dataset, batch_size: int, *, seed: int | np.random.SeedSequence = 0
     ) -> None:
@@ -56,17 +58,19 @@ class BatchStream:
         return self.dataset.x[idx], self.dataset.y[idx]
 
     # ------------------------------------------------------------------
+    def snapshot_values(self) -> tuple:
+        """:meth:`snapshot_state`'s values in :data:`SNAPSHOT_KEYS` order,
+        the order not copied (:func:`repro.scale.cache.capture_blob`)."""
+        return rng_state_bytes(self._rng), self._order, int(self._cursor)
+
     def snapshot_state(self) -> dict:
-        """Capture the stream position: shuffle order, cursor, RNG state.
+        """Capture the stream position: RNG state, shuffle order, cursor.
 
         Restoring this into a stream over the same dataset makes
         :meth:`next_batch` produce exactly the batches an uninterrupted
         stream would (used by :mod:`repro.persist` checkpoint/resume)."""
-        return {
-            "rng": rng_state_bytes(self._rng),
-            "order": self._order.copy(),
-            "cursor": int(self._cursor),
-        }
+        rng, order, cursor = self.snapshot_values()
+        return dict(zip(self.SNAPSHOT_KEYS, (rng, order.copy(), cursor)))
 
     def restore_state(self, snapshot: dict) -> None:
         """Inverse of :meth:`snapshot_state`; the position is checked first

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CheckpointCorruptError
 
-__all__ = ["encode", "encode_to", "decode"]
+__all__ = ["encode", "encode_to", "record_head", "decode"]
 
 _U32 = struct.Struct("<I")
 _SCALARS = {b"i": struct.Struct("<q"), b"f": struct.Struct("<d")}
@@ -118,6 +118,13 @@ def encode_to(node: Any, put: Callable[[bytes], None]) -> None:
         encode_to(node.item(), put)
     else:
         raise TypeError(f"cannot snapshot object of type {kind.__name__}")
+
+
+@functools.lru_cache(maxsize=256)
+def record_head(*keys: str) -> tuple[bytes, ...]:
+    """The run :func:`encode_to` puts before each value of a dict with these
+    ``keys`` (the header joins the first's): a record written with no dict."""
+    return (b"d" + _U32.pack(len(keys)) + _key_run(keys[0]), *map(_key_run, keys[1:]))
 
 
 def decode(buf: bytes) -> Any:

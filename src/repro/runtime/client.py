@@ -97,19 +97,26 @@ class SimClient:
         The replica's parameters and buffers, the optimiser and the uplink
         queue are rebuilt from the broadcast state at every round start, so
         the cross-round mutable state is the cyclic batch stream, the speed
-        trace and two entries that exist only when non-empty, so every other
-        snapshot keeps its bytes: the replica's layer RNG (a model whose
-        layers draw — dropout) and ``"kept"``, the snapshots of what owners
-        :meth:`keep` here (not-yet-adopted ones are carried verbatim). Used
-        by :mod:`repro.persist` checkpoint/resume and the lazy pager.
+        trace and the :meth:`extra_state` entries. Used by
+        :mod:`repro.persist` checkpoint/resume and the lazy pager — as one
+        blob, written without this tree (:func:`repro.scale.cache.capture_blob`).
         """
         state = {
             "stream": self.stream.snapshot_state(),
             "trace": self.trace.snapshot_state(),
         }
+        state.update(self.extra_state())
+        return state
+
+    def extra_state(self) -> list[tuple[str, Any]]:
+        """:meth:`capture_state`'s entries past the stream and the trace,
+        present only when non-empty: the replica's layer RNG (dropout) and
+        ``"kept"``, the snapshots of what owners :meth:`keep` here
+        (not-yet-adopted ones carried verbatim)."""
         model_rng = self.model.rng_state()
-        if model_rng:
-            state["model_rng"] = model_rng
+        extra: list[tuple[str, Any]] = [("model_rng", model_rng)] if model_rng else []
+        if not (self._kept or self._pending):
+            return extra
         kept = dict(self._pending)
         for key, obj in self._kept.items():
             snapshot = obj.snapshot_state()
@@ -118,8 +125,8 @@ class SimClient:
         if kept:
             # Key order is canonical, not adoption order: a resumed run's
             # snapshots serialise like the uninterrupted run's.
-            state["kept"] = dict(sorted(kept.items()))
-        return state
+            extra.append(("kept", dict(sorted(kept.items()))))
+        return extra
 
     def restore_state(self, snapshot: dict) -> None:
         """Inverse of :meth:`capture_state`."""

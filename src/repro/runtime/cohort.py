@@ -61,11 +61,11 @@ def bound_width(clients: "LazyClientPopulation") -> int:
 
 
 class StepCounts:
-    """Cumulative batched steps, slot-steps (the width each step ran at)
-    and member-steps (the live members those slots held — every one, since
-    a member that stops leaves the program), wherever the chunks ran: a
-    cohort executor counts its own, a parallel executor adds what its
-    workers report."""
+    """Cumulative batched steps, slot-steps (each step's program width: the
+    members its program started with) and member-steps (the members still
+    live at that step — a member that stops leaves the program), wherever
+    the chunks ran: a cohort executor counts its own, a parallel executor
+    adds what its workers report."""
 
     _COUNTERS = (
         "repro_cohort_steps_total",
@@ -95,8 +95,8 @@ class StepCounts:
                 recorder.counter(name, delta)
 
     def occupancy(self) -> dict[str, float]:
-        """Realized occupancy for benches: the live share of the widths the
-        batched steps ran at."""
+        """Realized occupancy for benches: the live share of each program's
+        width, ``member_steps / slot_steps``."""
         steps, slot_steps, member_steps = map(float, self.totals)
         return {
             "steps": steps,
@@ -148,7 +148,7 @@ class CohortEngine:
         #: Batched steps, and the rows they ran (telemetry: every row run
         #: is a live member's).
         self.steps = 0
-        self.slot_steps = 0
+        self.member_steps = 0
 
     # ------------------------------------------------------------------
     def load_global(self, params: np.ndarray) -> None:
@@ -216,7 +216,7 @@ class CohortEngine:
             loss += member_loss
         optimizer.step()
         self.steps += 1
-        self.slot_steps += c
+        self.member_steps += c
         return loss
 
     def arrange(self, order: np.ndarray) -> None:
@@ -332,6 +332,7 @@ class CohortExecutor(Executor):
                 "executor not bound; construct it via FederatedSimulator"
             )
         results: list[ClientRoundResult] = []
+        self._bound.clients.prefetch([cid for cid, _ in jobs])
         # Consecutive chunks of at most M; the tail chunk gets the remainder.
         with self._bound.profiler.phase("client.train"):
             for start in range(0, len(jobs), self.cohort_size):
@@ -369,7 +370,7 @@ class CohortExecutor(Executor):
             )
             for k, result in zip(slots, results):
                 out[k] = result
-            self.counts.add(engine.steps, engine.slot_steps, engine.slot_steps)
+            self.counts.add(engine.steps, engine.steps * engine.size, engine.member_steps)
         return out
 
     def _mirror_metrics(self) -> None:

@@ -63,7 +63,7 @@ class FederatedSimulator:
         Held-out global evaluation data.
     base_iteration_times:
         Per-client fast-mode seconds per local iteration (static
-        heterogeneity).
+        heterogeneity): a sequence, or a cid-array callable (``PopulationSpec``).
     local_iterations:
         Default K, the per-round local iteration count (paper: 125).
     aggregation_fraction:
@@ -126,7 +126,7 @@ class FederatedSimulator:
         strategy: "Strategy",
         shards: "Sequence[Dataset] | ShardProvider",
         test_set: Dataset,
-        base_iteration_times: "Sequence[float] | Callable[[int], float]",
+        base_iteration_times: "Sequence[float] | Callable[[np.ndarray], np.ndarray | float]",
         batch_size: int = 16,
         local_iterations: int = 25,
         aggregation_fraction: float = 0.9,
@@ -168,7 +168,7 @@ class FederatedSimulator:
         # round's aggregate is written into, in place.
         self.global_model = model_fn()
 
-        link_fn = link_fn or (lambda _cid: LinkModel())
+        link_fn = link_fn or (lambda _cid, link=LinkModel(): link)  # frozen: shared
         from ..scale import (
             ClientFactory,
             LazyClientPopulation,
@@ -342,9 +342,9 @@ class FederatedSimulator:
             # FedBalancer-style compute deadline from current pace estimates,
             # drawn inside the search that consumes them so a profile of it
             # sees their cost (a never-observed client's pace is a fresh
-            # seeded draw).
+            # seeded draw, the whole selection's in one batch).
             deadline = select_deadline(
-                (self.local_iterations * self.pace_estimate(cid) for cid in selected),
+                self._compute_estimates(selected),
                 min_fraction=self.deadline_min_fraction,
             )
             budgets = self.strategy.prepare_round(
@@ -516,6 +516,12 @@ class FederatedSimulator:
             # Publish cumulative phase gauges once the round's spans closed.
             prof.mirror(rec)
         return record
+
+    def _compute_estimates(self, cids: Sequence[int]):
+        """``K`` × each of ``cids``' pace estimate, lazily: every base pace
+        is drawn in one batch when the first is asked for."""
+        for cid, pace in zip(cids, self._factory.paces(cids).tolist()):
+            yield self.local_iterations * self.est_pace.get(cid, pace)
 
     # ------------------------------------------------------------------
     def pace_estimate(self, cid: int) -> float:

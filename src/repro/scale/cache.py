@@ -10,7 +10,8 @@ and ``lazy:cache=N`` bounds it at N.
 Eviction must not lose state, so it is capture-before-release, in two
 steps:
 
-1. ``encode(client.capture_state())`` — batch-stream + speed-trace RNG
+1. ``encode(client.capture_state())`` — written straight from the
+   client's fields by :func:`capture_blob` — batch-stream + speed-trace RNG
    state, the replica's layer RNG when the model has dropout, and what a
    strategy or the wire layer keeps on the client (FedCA profiled curves,
    compression codec residuals/RNG), as one
@@ -52,8 +53,11 @@ import sys
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from ..persist.snapshot import decode, encode
+from ..persist.snapshot import decode, encode, encode_to, record_head
+from ..data import BatchStream
+from ..rngstate import RNG_STATE_BYTES
 from ..runtime.client import SimClient
+from ..sysmodel import SpeedTrace
 
 if TYPE_CHECKING:
     from ..obs.recorder import Recorder
@@ -63,6 +67,7 @@ __all__ = [
     "DEFAULT_CACHE_CLIENTS",
     "ResidentClientCache",
     "LazyClientPopulation",
+    "capture_blob",
 ]
 
 #: Default resident-set bound. Sized for ~10× a typical selected cohort so
@@ -81,6 +86,36 @@ def _process_rss_bytes() -> int:
     if sys.platform == "darwin":
         return int(peak)
     return int(peak) * 1024
+
+
+_CLIENT = record_head("stream", "trace")
+_STREAM = record_head(*BatchStream.SNAPSHOT_KEYS)
+_TRACE = record_head(*SpeedTrace.SNAPSHOT_KEYS)
+_RNG = encode(bytes(RNG_STATE_BYTES))[:-RNG_STATE_BYTES]  # a generator state's tag and length
+
+
+def capture_blob(client: SimClient) -> bytes:
+    """``encode(client.capture_state())`` written straight from the fields, no
+    tree: the one capture path of an eviction, a checkpoint and a drain."""
+    rng, order, cursor = client.stream.snapshot_values()
+    trace_rng, segments, horizon, next_fast = client.trace.snapshot_values()
+    extra = client.extra_state()
+    keys = record_head("stream", "trace", *(key for key, _ in extra)) if extra else _CLIENT
+    parts = [keys[0], _STREAM[0], _RNG, rng, _STREAM[1]]
+    put = parts.append
+    encode_to(order, put)
+    put(_STREAM[2])
+    encode_to(cursor, put)
+    parts += (keys[1], _TRACE[0], _RNG, trace_rng, _TRACE[1])
+    encode_to(segments, put)
+    put(_TRACE[2])
+    encode_to(horizon, put)
+    put(_TRACE[3])
+    encode_to(next_fast, put)
+    for key, (_, value) in zip(keys[2:], extra):
+        put(key)
+        encode_to(value, put)
+    return b"".join(parts)
 
 
 class ResidentClientCache:
@@ -148,8 +183,9 @@ class ResidentClientCache:
     def acquire_chunk(self, cids: Sequence[int]) -> list[SimClient]:
         """Page a whole chunk in: touch its residents first — so the misses'
         evictions, least recent first, never reach a member while the cache
-        holds the chunk — derive the misses' seeds in one pass, then
-        :meth:`acquire` each."""
+        holds the chunk — derive the misses' seeds in one pass (those
+        :meth:`LazyClientPopulation.prefetch` has not), page their shards
+        in as one batch, then :meth:`acquire` each."""
         misses = []
         for cid in cids:
             if cid in self._residents:
@@ -157,11 +193,12 @@ class ResidentClientCache:
             else:
                 misses.append(cid)
         self.factory.derive(misses)
+        self.factory.page(misses)
         return [self.acquire(cid) for cid in cids]
 
     def _evict_one(self) -> None:
         cid, client = self._residents.popitem(last=False)
-        self._park(cid, encode(client.capture_state()))
+        self._park(cid, capture_blob(client))
         self.factory.release(client)
         self.evictions += 1
 
@@ -198,7 +235,7 @@ class ResidentClientCache:
         if client_ids is None:
             client_ids = sorted(set(self._residents) | set(self._snapshots))
         return {
-            cid: encode(self._residents[cid].capture_state())
+            cid: capture_blob(self._residents[cid])
             if cid in self._residents
             else self._snapshots[cid]
             for cid in client_ids
@@ -246,6 +283,12 @@ class LazyClientPopulation:
         if not 0 <= cid < self.factory.num_clients:
             raise IndexError(f"cid {cid} out of range")
         return self.cache.acquire(cid)
+
+    def prefetch(self, cids: Sequence[int]) -> None:
+        """Derive the seeds of every one of ``cids`` not resident now in one
+        batch, ahead of the chunks that page them in; a resident evicted
+        before its chunk derives there."""
+        self.factory.derive([cid for cid in cids if cid not in self.cache._residents])
 
     def acquire_chunk(self, cids: Sequence[int]) -> list[SimClient]:
         """The clients of one engine chunk, paged in together

@@ -17,7 +17,7 @@ Shard access goes through a :class:`ShardProvider`:
 
 Seed derivation
 ---------------
-Every per-client generator is ``Generator(PCG64(s))`` for a ``SeedSequence``:
+Every per-client generator is ``default_rng(SeedSequence(s))``:
 
 =================  ============================================================
 stream             ``SeedSequence``
@@ -26,36 +26,34 @@ client seeds       ``(seed, spawn_key=(cid,))`` = ``SeedSequence(seed).spawn(N)[
 speed trace        ``(t)``, ``t`` the client seeds' first ``integers(2**31)``
 batch stream       ``(b)``, ``b`` their second
 subsampled shard   ``([seed, cid, 0x5D])`` (:class:`SubsampledShards`)
+pace               ``([seed, cid, 0x9A])`` (:func:`~repro.sysmodel.iteration_time_for`)
 =================  ============================================================
 
-(The pace draw, ``[seed, cid, 0x9A]``, is the ``pace`` callable's own.)
-:meth:`ClientFactory.derive` derives a batch's seeds in two vectorised
-uint32 passes that reproduce ``SeedSequence``'s mixing (:func:`seed_states`)
-over entropy rows built as arrays from the cid vector: the spawn-key rows,
-then the rest — entropy of at most four words hashes exactly like its
-zero-padded four-word form, so those rows share one pass. It hands a
-:class:`SubsampledShards` its rows' words, and the provider pages the
-whole batch in as arrays (:meth:`SubsampledShards.page`). Generators are
-built from the words through NumPy's public ``ISeedSequence`` interface
-(~3 µs against ~15 µs for ``default_rng(int)``); ``create(cid)`` is the
-batch of one. A factory checks its first row against NumPy when built and
-raises :class:`SeedDerivationError` if a NumPy release changed the mixing.
-DESIGN.md §15 has the per-client page-cycle budget.
+Each is ``Generator(PCG64(words))`` from one vectorised pass over a batch
+(:mod:`repro.rngstate`): a selection's paces share one
+(:meth:`ClientFactory.paces`); a chunk's new clients share one for their
+spawn-key rows, whose first outputs are the client seeds, and one for the
+trace, stream and shard rows (:meth:`ClientFactory.derive`; a row of at
+most four words hashes like its zero-padded form). The provider pages the
+shards in as arrays (:meth:`SubsampledShards.page`). A factory checks every
+hand-rolled form against NumPy's own when built and raises
+:class:`SeedDerivationError` on a mismatch. DESIGN.md §15 has the
+per-client page-cycle budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, zip_longest
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from ..data import Dataset
 from ..nn import Module
+from ..rngstate import cid_rows, entropy_words, first_outputs, generator, seed_states
 from ..runtime.client import SimClient
 from ..sysmodel import LinkModel, SpeedTrace
+from ..sysmodel.heterogeneity import lognormal
 from ..sysmodel.speed import GAMMA_FAST, GAMMA_SLOW, SLOWDOWN_RANGE
 
 __all__ = [
@@ -71,87 +69,10 @@ __all__ = [
 #: Domain-separation tag for :class:`SubsampledShards` per-cid draws.
 _SUBSAMPLE_SEED_TAG = 0x5D
 
-#: Bound on :meth:`ClientFactory.base_pace`'s memo of a callable pace — a
-#: round's selection is asked twice (deadline estimate, then ``create``).
+#: Bound on :meth:`ClientFactory.paces`'s memo beyond one call's cids.
 _PACE_MEMO_MAX = 1024
-
-# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx). The k-th
-# hashmix call xors with _HASH_A[k] and multiplies by _HASH_A[k + 1] whatever
-# the data, so the constant chains are precomputed (for up to 64-word rows).
-_MASK32 = 0xFFFFFFFF
-
-
-def _chain(init: int, mult: int, n: int) -> np.ndarray:
-    chain = accumulate(range(n), lambda h, _: h * mult & _MASK32, initial=init)
-    return np.array(list(chain), dtype=np.uint32)[:, None]
-
-
-_HASH_A = _chain(0x43B0D7E5, 0x931E8875, 256)
-_HASH_B = _chain(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-_OTHERS = [np.array([d for d in range(4) if d != s]) for s in range(4)]
-
-
-def _hashmix(value: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Hashmix calls ``k … k+n-1``, one per row of the ``(n, m)`` result."""
-    value = (value ^ _HASH_A[k : k + n]) * _HASH_A[k + 1 : k + 1 + n]
-    return value ^ (value >> _SHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = _MIX_L * x - _MIX_R * y
-    return r ^ (r >> _SHIFT)
-
-
-def _uint32_words(values: "int | Sequence[int]") -> list[int]:
-    values = [values] if isinstance(values, (int, np.integer)) else values
-    if min(values, default=0) < 0:
-        raise ValueError("seed entropy must be non-negative")
-    return [v >> s & _MASK32 for v in map(int, values) for s in range(0, v.bit_length() or 1, 32)]
-
-
-def entropy_words(entropy: "int | Sequence[int]", spawn_key: Sequence[int] = ()) -> list[int]:
-    """The uint32 words ``SeedSequence(entropy, spawn_key=...)`` hashes."""
-    run = _uint32_words(entropy)
-    if not spawn_key:
-        return run
-    return run + [0] * (4 - len(run)) + _uint32_words(spawn_key)  # NumPy pads to 4 here
-
-
-def seed_states(rows: "np.ndarray | Sequence[Sequence[int]]") -> np.ndarray:
-    """``SeedSequence``'s ``generate_state(4, np.uint64)`` for every row of
-    :func:`entropy_words`, as one ``(len(rows), 4)`` array. A ``(n, w)``
-    uint32 array is one vectorised pass; so is a list of rows that all have
-    at most four words or the same length (a row of fewer than four hashes
-    like its zero-padded form) — else one pass per length."""
-    if isinstance(rows, np.ndarray):
-        width, entropy = rows.shape[1], rows.T.astype(np.uint32)
-    else:
-        width = max(map(len, rows), default=0)
-        if width > 4 and min(map(len, rows)) != width:
-            out = np.empty((len(rows), 4), dtype=np.uint64)
-            for length in sorted({max(4, len(row)) for row in rows}):
-                index = [i for i, row in enumerate(rows) if max(4, len(row)) == length]
-                out[index] = seed_states([rows[i] for i in index])
-            return out
-        entropy = np.array(list(zip_longest(*rows, fillvalue=0)), dtype=np.uint32)
-        entropy = entropy.reshape(width, len(rows))
-    if width > 64:
-        raise ValueError("seed entropy longer than 64 words")
-    if width < 4:
-        entropy = np.concatenate((entropy, np.zeros((4 - width, entropy.shape[1]), np.uint32)))
-    pool = _hashmix(entropy[:4], 0, 4)
-    k = 4
-    for src in range(4):
-        dst = _OTHERS[src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], k, 3))
-        k += 3
-    for word in entropy[4:]:
-        pool = _mix(pool, _hashmix(word, k, 4))
-        k += 4
-    state = (np.concatenate((pool, pool)) ^ _HASH_B[:8]) * _HASH_B[1:]
-    state ^= state >> _SHIFT
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+#: Below this concentration ``Generator.dirichlet`` breaks sticks instead.
+_DIRICHLET_BY_GAMMA = 0.1
 
 
 def _classes(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -161,16 +82,11 @@ def _classes(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cdf[:, None, :] <= u[:, :, None]).sum(axis=2)
 
 
-class _Words(ISeedSequence):
-    """A seed whose PCG64 state words are already derived."""
-
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("derived seed words only seed PCG64")
-        return self.words
+def _gamma_compositions(gammas: np.ndarray) -> np.ndarray:
+    """Rows of ``standard_gamma(α)`` draws made, in place, the ``dirichlet``
+    draws they are (α ≥ 0.1): times ``1 / (sequential sum)``."""
+    gammas *= 1.0 / gammas.cumsum(axis=1)[:, -1:]
+    return gammas
 
 
 class SeedDerivationError(RuntimeError):
@@ -266,20 +182,17 @@ class SubsampledShards:
     def shard_size(self, cid: int) -> int:
         return self._shard_size
 
-    def seed_rows(self, cids: np.ndarray) -> np.ndarray:
+    def seed_rows(self, cids: np.ndarray) -> "np.ndarray | list[list[int]]":
         """The ``SeedSequence([seed, cid, 0x5D])`` entropy rows of ``cids``."""
-        prefix = np.tile(_uint32_words(self.seed), (len(cids), 1))
-        return np.column_stack((prefix, cids, np.full(len(cids), _SUBSAMPLE_SEED_TAG))).astype(np.uint32)
+        return cid_rows(entropy_words(self.seed), cids, (_SUBSAMPLE_SEED_TAG,))
 
     def page(self, cids: Sequence[int], seeds: "np.ndarray | None" = None) -> None:
         """Draw the shards of ``cids`` (their ``seeds`` words, derived here
         if not given) and hold them until :meth:`shard` takes them.
 
-        Each client draws ``dirichlet``, ``random(s)``, ``random(s)`` from
-        its own generator (``integers`` when uniform); everything after the
-        draws runs once over the page's ``(n, ·)`` arrays — the class search
-        (:func:`_classes`), the pool gather, a row-wise sort — and each shard
-        is a row view of one gathered ``(n, s, …)`` block."""
+        Each client draws ``dirichlet`` (as gammas), ``random(2s)`` from its
+        own generator (``integers`` when uniform); the rest runs once over
+        the page's arrays, and each shard is a row view of one block."""
         cids = np.asarray(cids, dtype=np.int64)
         bad = (cids < 0) | (cids >= self.num_clients)
         if bad.any():
@@ -290,19 +203,24 @@ class SubsampledShards:
         if self.alpha is None:
             idx = np.empty((n, size), dtype=np.int64)
             for i, words in enumerate(seeds):
-                idx[i] = np.random.default_rng(_Words(words)).integers(0, len(self.dataset), size=size)
+                idx[i] = generator(words).integers(0, len(self.dataset), size=size)
         else:
-            composition = np.empty((n, len(self._concentration)))
-            u, v = np.empty((2, n, size))
+            by_gamma, k = self.alpha >= _DIRICHLET_BY_GAMMA, len(self._concentration)
+            composition = np.empty((n, k))
+            uv = np.empty((n, 2, size))
             for i, words in enumerate(seeds):
-                rng = np.random.default_rng(_Words(words))
-                composition[i] = rng.dirichlet(self._concentration)
-                rng.random(out=u[i])
-                rng.random(out=v[i])
+                rng = generator(words)
+                composition[i] = (
+                    rng.standard_gamma(self.alpha, k) if by_gamma
+                    else rng.dirichlet(self._concentration)
+                )
+                rng.random(out=uv[i])
+            if by_gamma:
+                _gamma_compositions(composition)
             cdf = composition.cumsum(axis=1)
             cdf /= cdf[:, -1:]
-            classes = _classes(cdf, u)
-            within = (v * self._pool_lens[classes]).astype(np.int64)
+            classes = _classes(cdf, uv[:, 0])
+            within = (uv[:, 1] * self._pool_lens[classes]).astype(np.int64)
             idx = self._pool_flat[self._pool_offsets[classes] + within]
         idx.sort(axis=1)
         block = self.dataset.subset(idx)  # (n, size, ...) features, (n, size) labels
@@ -327,16 +245,16 @@ def as_shard_provider(shards: "ShardProvider | Sequence[Dataset]") -> ShardProvi
 class PopulationSpec:
     """Everything one client's deterministic reconstruction depends on.
 
-    ``pace`` is either a per-client array (the presets') or a
-    ``cid → seconds/iteration`` callable (the scale path, where an
-    O(total clients) array is itself the thing being avoided — see
-    :func:`~repro.sysmodel.heterogeneity.iteration_time_for`).
+    ``pace`` is either a per-client array (the presets') or a callable from
+    a cid array to seconds/iteration (a scalar answers for all) — the scale
+    path, where an O(total clients) array is itself the thing being avoided
+    (:func:`~repro.sysmodel.heterogeneity.iteration_time_for`).
     """
 
     shards: ShardProvider
     model_fn: Callable[[], Module]
     batch_size: int
-    pace: "Sequence[float] | Callable[[int], float]"
+    pace: "Sequence[float] | Callable[[np.ndarray], np.ndarray | float]"
     link_fn: Callable[[int], LinkModel]
     seed: int = 0
     dynamic: bool = True
@@ -368,8 +286,9 @@ class ClientFactory:
         self._template: Module | None = None
         self._step_bytes: int | None = None
         self._spare_models: list[Module] = []
+        self._pace_table = None if callable(spec.pace) else np.asarray(spec.pace, dtype=np.float64)
         self._pace_memo: dict[int, float] = {}
-        self._derived: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._derived: dict[int, list] = {}  # cid -> trace, stream, shard words
         self._spawn_prefix = entropy_words(spec.seed, (0,))[:-1]  # spawn key cid goes last
         self._check_seed_pass()
 
@@ -378,48 +297,63 @@ class ClientFactory:
         return self.spec.num_clients
 
     # ------------------------------------------------------------------
+    def paces(self, cids: Sequence[int]) -> np.ndarray:
+        """Static fast-mode seconds per iteration of ``cids``: a callable pace
+        is asked once for every cid not memoised, and the memo keeps at least
+        the latest call's cids, so a selection's paces are drawn once."""
+        cids = np.asarray(cids, dtype=np.int64)
+        if self._pace_table is not None:
+            return self._pace_table[cids]
+        memo, wanted = self._pace_memo, cids.tolist()
+        missing = [cid for cid in dict.fromkeys(wanted) if cid not in memo]
+        if missing:
+            drawn = np.broadcast_to(self.spec.pace(np.array(missing)), len(missing))
+            if len(memo) + len(missing) > _PACE_MEMO_MAX:  # keep only this call's
+                memo = self._pace_memo = {cid: memo[cid] for cid in wanted if cid in memo}
+            memo.update(zip(missing, drawn.astype(np.float64).tolist()))
+        return np.array([memo[cid] for cid in wanted])
+
     def base_pace(self, cid: int) -> float:
         """Client ``cid``'s static fast-mode seconds per iteration."""
-        pace = self.spec.pace
-        if not callable(pace):
-            return float(pace[cid])
         value = self._pace_memo.get(cid)
-        if value is None:
-            if len(self._pace_memo) >= _PACE_MEMO_MAX:
-                self._pace_memo.clear()
-            value = self._pace_memo[cid] = float(pace(cid))
-        return value
+        return float(self.paces([cid])[0]) if value is None else value
 
     def client_seeds(self, cids: Sequence[int]) -> np.ndarray:
         """``(speed-trace seed, batch-stream seed)`` per client, as an
         ``(n, 2)`` array: the first two ``integers(2**31)`` draws of
         ``default_rng(SeedSequence(seed, spawn_key=(cid,)))``, as
-        ``SeedSequence(seed).spawn(N)[cid]`` gives them. Those are the top 31 bits of each 32-bit
-        half of a fresh PCG64's first output (Lemire's bound never rejects
-        at 2**31)."""
-        rows = np.column_stack((np.tile(self._spawn_prefix, (len(cids), 1)), cids))
-        states = seed_states(rows.astype(np.uint32))
-        raw = np.array([np.random.PCG64(_Words(w)).random_raw() for w in states], dtype=np.uint64)
+        ``SeedSequence(seed).spawn(N)[cid]`` gives them. Those are the top
+        31 bits of each 32-bit half of a fresh PCG64's first output
+        (Lemire's bound never rejects at 2**31)."""
+        states = seed_states(cid_rows(self._spawn_prefix, np.asarray(cids, dtype=np.int64)))
+        raw = np.array(first_outputs(states), dtype=np.uint64)
         return (raw[:, None] >> np.uint64([1, 33]) & np.uint64(0x7FFFFFFF)).astype(np.int64)
 
     def _check_seed_pass(self) -> None:
-        """Client 0's seeds and trace words must be NumPy's own."""
+        """Every hand-rolled form must be NumPy's own: client 0's seeds and
+        trace words, and a composition and a pace drawn from those words."""
         seeds = tuple(self.client_seeds([0])[0].tolist())
         reference = np.random.default_rng(np.random.SeedSequence(self.spec.seed, spawn_key=(0,)))
-        numpy_seeds = (int(reference.integers(2**31)), int(reference.integers(2**31)))
-        words = np.random.SeedSequence(seeds[0]).generate_state(4, np.uint64)
-        if seeds != numpy_seeds or (seed_states([[seeds[0]]])[0] != words).any():
+        words, sequence = seed_states([[seeds[0]]])[0], np.random.SeedSequence(seeds[0])
+        built, numpy = generator(words), np.random.default_rng(sequence)
+        gammas = _gamma_compositions(built.standard_gamma(0.5, (1, 10)))[0]
+        if not (
+            seeds == (int(reference.integers(2**31)), int(reference.integers(2**31)))
+            and (words == sequence.generate_state(4, np.uint64)).all()
+            and (gammas == numpy.dirichlet(np.full(10, 0.5))).all()
+            and lognormal(built, 0.6) == numpy.lognormal(0.0, 0.6)
+        ):
             raise SeedDerivationError(
                 f"numpy {np.__version__} derives SeedSequence streams differently "
-                "from repro.scale.population.seed_states; update it before running"
+                "from repro.rngstate / repro.scale.population; update them before running"
             )
 
     def derive(self, cids: Sequence[int]) -> None:
-        """Derive the generator seeds of clients about to be created — one
-        seed pass per ``SeedSequence`` level for the whole batch, over rows
-        built from the cid vector — and let the shard provider page the
-        batch in, handing it its shard seeds (module docstring)."""
-        cids = np.asarray(cids, dtype=np.int64)
+        """Derive the generator seeds of clients about to be created (those
+        not derived yet) — one seed pass per ``SeedSequence`` level for the
+        whole batch — and draw the paces no selection has (a worker's
+        chunk). :meth:`page` pages their shards in."""
+        cids = np.asarray([cid for cid in cids if cid not in self._derived], dtype=np.int64)
         if not cids.size:
             return
         bad = (cids < 0) | (cids >= self.spec.num_clients)
@@ -427,19 +361,27 @@ class ClientFactory:
             raise IndexError(
                 f"cid {cids[bad][0]} out of range for population of {self.spec.num_clients}"
             )
+        self.paces(cids)
         shards, n = self.spec.shards, len(cids)
         rows = self.client_seeds(cids).T.reshape(-1, 1)  # trace seeds, then stream seeds
         shard_rows = shards.seed_rows(cids) if hasattr(shards, "seed_rows") else rows[:0]
-        if shard_rows.shape[1] > 4:
-            words = np.concatenate((seed_states(rows), seed_states(shard_rows)))
-        else:  # a row of at most four words hashes like its zero-padded form: one pass
+        if isinstance(shard_rows, np.ndarray) and shard_rows.shape[1] <= 4:
+            # a row of at most four words hashes like its zero-padded form: one pass
             rows = np.hstack((rows, np.zeros((2 * n, shard_rows.shape[1] - 1), dtype=np.int64)))
             words = seed_states(np.concatenate((rows, shard_rows)))
-        for cid, trace, stream in zip(cids.tolist(), words[:n], words[n : 2 * n]):
-            self._derived[cid] = (trace, stream)
-        if hasattr(shards, "seed_rows"):
-            shards.page(cids, words[2 * n :])
-        elif hasattr(shards, "page"):
+        else:
+            words = np.concatenate((seed_states(rows), seed_states(shard_rows)))
+        shard_words = words[2 * n :] if hasattr(shards, "seed_rows") else [None] * n
+        for cid, *seeds in zip(cids.tolist(), words[:n], words[n : 2 * n], shard_words):
+            self._derived[cid] = seeds
+
+    def page(self, cids: Sequence[int]) -> None:
+        """Let the shard provider page derived ``cids`` in as one batch,
+        handing it the shard seeds :meth:`derive` left (module docstring)."""
+        shards = self.spec.shards
+        if len(cids) and hasattr(shards, "seed_rows"):
+            shards.page(cids, np.array([self._derived[cid][2] for cid in cids]))
+        elif len(cids) and hasattr(shards, "page"):
             shards.page(cids)
 
     def create(self, cid: int) -> SimClient:
@@ -447,11 +389,12 @@ class ClientFactory:
         seeds :meth:`derive` left for it (a batch of one if it left none)."""
         if cid not in self._derived:
             self.derive([cid])
-        trace_words, stream_words = self._derived.pop(cid)
+            self.page([cid])
+        trace_words, stream_words, _ = self._derived.pop(cid)
         spec = self.spec
         trace = SpeedTrace(
             self.base_pace(cid),
-            seed=_Words(trace_words),
+            seed=generator(trace_words),
             dynamic=spec.dynamic,
             gamma_fast=spec.gamma_fast,
             gamma_slow=spec.gamma_slow,
@@ -464,7 +407,7 @@ class ClientFactory:
             batch_size=spec.batch_size,
             trace=trace,
             link=spec.link_fn(cid),
-            seed=_Words(stream_words),
+            seed=generator(stream_words),
         )
 
     def _replica(self) -> Module:

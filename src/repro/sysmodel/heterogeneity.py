@@ -10,7 +10,11 @@ property the experiments need — a stable population of persistent stragglers.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from ..rngstate import cid_rows, entropy_words, generator, seed_states
 
 __all__ = [
     "sample_speed_ratios",
@@ -71,13 +75,13 @@ def base_iteration_times(
 
 
 def iteration_time_for(
-    cid: int,
+    cid: "int | np.ndarray",
     fastest_iteration_time: float,
     *,
     sigma: float = 0.6,
     max_ratio: float = 10.0,
     seed: int = 0,
-) -> float:
+) -> "float | np.ndarray":
     """Per-client lazy analogue of :func:`base_iteration_times`.
 
     :func:`base_iteration_times` normalises by the *population minimum*, so
@@ -90,6 +94,9 @@ def iteration_time_for(
     exact values differ from the eager helper's, so the two must not be
     mixed within one run (the simulator derives every client of a run from
     a single pace source).
+
+    Client ``cid`` draws ``default_rng(SeedSequence([seed, cid, 0x9A]))
+    .lognormal(0, sigma)``; a cid array (a selection) takes one seed pass.
     """
     if fastest_iteration_time <= 0:
         raise ValueError("fastest_iteration_time must be positive")
@@ -97,10 +104,17 @@ def iteration_time_for(
         raise ValueError("sigma must be non-negative")
     if max_ratio < 1:
         raise ValueError("max_ratio must be >= 1")
-    if cid < 0:
+    cids = np.asarray(cid, dtype=np.int64)
+    if (cids < 0).any():
         raise ValueError("cid must be non-negative")
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, cid, _PACE_SEED_TAG])
-    )
-    ratio = float(rng.lognormal(mean=0.0, sigma=sigma))
-    return fastest_iteration_time * min(max(ratio, 1.0), max_ratio)
+    rows = cid_rows(entropy_words(seed), cids.reshape(-1), (_PACE_SEED_TAG,))
+    paces = [
+        fastest_iteration_time * min(max(lognormal(generator(words), sigma), 1.0), max_ratio)
+        for words in seed_states(rows)
+    ]
+    return paces[0] if cids.ndim == 0 else np.array(paces).reshape(cids.shape)
+
+
+def lognormal(rng: np.random.Generator, sigma: float) -> float:
+    """``float(rng.lognormal(0.0, sigma))`` without its argument checks."""
+    return math.exp(sigma * rng.standard_normal())

@@ -27,7 +27,7 @@ GAMMA_SLOW: tuple[float, float] = (2.0, 6.0)
 SLOWDOWN_RANGE: tuple[float, float] = (1.0, 5.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Segment:
     start: float
     end: float
@@ -50,6 +50,8 @@ class SpeedTrace:
         When ``False`` the client never slows down (used for the
         homogeneous-resource ablations).
     """
+
+    SNAPSHOT_KEYS = ("rng", "segments", "horizon", "next_fast")  #: :meth:`snapshot_state`'s
 
     def __init__(
         self,
@@ -186,6 +188,13 @@ class SpeedTrace:
         return t
 
     # ------------------------------------------------------------------
+    def snapshot_values(self) -> tuple:
+        """:meth:`snapshot_state`'s values in :data:`SNAPSHOT_KEYS` order
+        (:func:`repro.scale.cache.capture_blob`)."""
+        segments = np.array([v for s in self._segments for v in (s.start, s.end, s.slowdown)])
+        segments = segments.astype(np.float64).reshape(-1, 3)
+        return rng_state_bytes(self._rng), segments, float(self._horizon), bool(self._next_fast)
+
     def snapshot_state(self) -> dict:
         """Capture every mutable field: the mode segments generated and not
         yet forgotten, the generation horizon/phase, and the exact RNG
@@ -197,16 +206,7 @@ class SpeedTrace:
         bitwise-identity guarantee (property-tested in
         ``tests/test_sysmodel.py``).
         """
-        segments = np.array(
-            [[s.start, s.end, s.slowdown] for s in self._segments],
-            dtype=np.float64,
-        ).reshape(-1, 3)
-        return {
-            "rng": rng_state_bytes(self._rng),
-            "segments": segments,
-            "horizon": float(self._horizon),
-            "next_fast": bool(self._next_fast),
-        }
+        return dict(zip(self.SNAPSHOT_KEYS, self.snapshot_values()))
 
     def restore_state(self, snapshot: dict) -> None:
         """Inverse of :meth:`snapshot_state` (static config is untouched)."""

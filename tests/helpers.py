@@ -516,3 +516,41 @@ def profile_snapshot_reference(
         "model_curve": model_curve.copy(),
         "layer_curves": {name: arr.copy() for name, arr in layer_curves.items()},
     }
+
+
+# ----------------------------------------------------------------------
+# The per-client NumPy forms the population's batched paths replaced
+# ----------------------------------------------------------------------
+def client_seeds_reference(seed: int, cid: int) -> tuple[int, int]:
+    """Client ``cid``'s (speed-trace, batch-stream) seeds as one
+    ``default_rng`` of its spawned ``SeedSequence`` drew them."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cid,)))
+    return int(rng.integers(2**31)), int(rng.integers(2**31))
+
+
+def pace_reference(cid, fastest, *, sigma=0.6, max_ratio=10.0, seed=0) -> float:
+    """``iteration_time_for`` as it drew one client at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, cid, 0x9A]))
+    return fastest * min(max(float(rng.lognormal(mean=0.0, sigma=sigma)), 1.0), max_ratio)
+
+
+def reference_shard(shards, cid):
+    """A provider's shard as the per-client code drew it before the batched
+    seed pass — one ``default_rng(SeedSequence(...))``, ``dirichlet`` and
+    ``rng.choice(p=)`` for a subsampled draw."""
+    from repro.scale import SubsampledShards
+    from repro.scale.population import _SUBSAMPLE_SEED_TAG
+
+    if not isinstance(shards, SubsampledShards):
+        return shards.shard(cid)
+    self = shards
+    rng = np.random.default_rng(np.random.SeedSequence([self.seed, cid, _SUBSAMPLE_SEED_TAG]))
+    if self.alpha is None:
+        idx = rng.integers(0, len(self.dataset), size=self._shard_size)
+    else:
+        num_classes = self.dataset.num_classes
+        composition = rng.dirichlet(np.full(num_classes, self.alpha))
+        classes = rng.choice(num_classes, size=self._shard_size, p=composition)
+        within = (rng.random(self._shard_size) * self._pool_lens[classes]).astype(np.int64)
+        idx = self._pool_flat[self._pool_offsets[classes] + within]
+    return self.dataset.subset(np.sort(idx))

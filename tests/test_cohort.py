@@ -112,6 +112,9 @@ class Population(list):
     def reserve(self, n):
         pass
 
+    def prefetch(self, cids):
+        pass
+
     def acquire_chunk(self, cids):
         return [self[cid] for cid in cids]
 
@@ -1083,12 +1086,13 @@ class TestCompaction:
             assert_same_result(got, want)
         for got, want in zip(clients, refs):
             assert_same_client(got, want)
+        # Every step offers the program's c slots; its live members fill them.
         widths = [sum(b >= tau for b in budgets) for tau in range(1, max(budgets) + 1)]
         assert executor.occupancy() == {
             "steps": float(len(widths)),
-            "slot_steps": float(sum(widths)),
+            "slot_steps": float(len(widths) * c),
             "member_steps": float(sum(widths)),
-            "occupancy": 1.0,
+            "occupancy": sum(widths) / (len(widths) * c),
         }
 
     def test_adaptive_batch_members_stop_with_their_width_one_bytes(self):

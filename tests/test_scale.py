@@ -51,16 +51,19 @@ from repro.scale import (
     as_shard_provider,
     parse_population_spec,
 )
-from repro.scale.population import (
-    _SUBSAMPLE_SEED_TAG,
-    _Words,
-    entropy_words,
-    seed_states,
-)
+from repro.rngstate import _Words, entropy_words, rng_state_bytes, seed_states
+from repro.scale.cache import capture_blob
 from repro.runtime.client import SimClient
 from repro.sysmodel import LinkModel, SpeedTrace, iteration_time_for
 
-from .helpers import held_array_bytes, per_client_holdings, same_tree
+from .helpers import (
+    client_seeds_reference,
+    held_array_bytes,
+    pace_reference,
+    per_client_holdings,
+    reference_shard,
+    same_tree,
+)
 
 OPT = OptimizerSpec(lr=0.05, weight_decay=0.01)
 NUM_CLIENTS = 5
@@ -204,29 +207,6 @@ class TestDirichletReplay:
 # ----------------------------------------------------------------------
 # Factory reconstruction vs the eager constructor loop
 # ----------------------------------------------------------------------
-def reference_shard(shards, cid):
-    """A provider's shard as the per-client code drew it before the batched
-    seed pass — one ``default_rng(SeedSequence(...))`` and ``rng.choice(p=)``
-    for a subsampled draw."""
-    if isinstance(shards, SubsampledShards):
-        self = shards
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, cid, _SUBSAMPLE_SEED_TAG])
-        )
-        if self.alpha is None:
-            idx = rng.integers(0, len(self.dataset), size=self._shard_size)
-        else:
-            num_classes = self.dataset.num_classes
-            composition = rng.dirichlet(np.full(num_classes, self.alpha))
-            classes = rng.choice(num_classes, size=self._shard_size, p=composition)
-            within = (rng.random(self._shard_size) * self._pool_lens[classes]).astype(
-                np.int64
-            )
-            idx = self._pool_flat[self._pool_offsets[classes] + within]
-        return self.dataset.subset(np.sort(idx))
-    return shards.shard(cid)
-
-
 def reference_create(factory, cid):
     """``ClientFactory.create`` as one client at a time built it: a
     ``SeedSequence`` and a ``default_rng`` per stream."""
@@ -298,6 +278,80 @@ def test_seed_pass_matches_numpy_seed_sequence(seeds):
     )
 
 
+_WIDE = st.integers(min_value=0, max_value=2**40)  # entropy of one or two words
+
+
+class TestBatchedPathsMatchNumPy:
+    """Every per-client path now drawn from one seed pass equals the public
+    NumPy form it replaced (``tests/helpers.py``), for seeds and cids that
+    span several entropy words."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=_WIDE, cids=st.lists(_WIDE, min_size=1, max_size=6))
+    def test_client_seeds(self, env_data, seed, cids):
+        factory = make_factory(env_data, seed=seed)
+        assert factory.client_seeds(cids).tolist() == [
+            list(client_seeds_reference(seed, cid)) for cid in cids
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=_WIDE,
+        cids=st.lists(_WIDE, min_size=1, max_size=6),
+        sigma=st.floats(min_value=0.0, max_value=2.0),
+        max_ratio=st.floats(min_value=1.0, max_value=20.0),
+    )
+    def test_pace(self, seed, cids, sigma, max_ratio):
+        kwargs = dict(sigma=sigma, max_ratio=max_ratio, seed=seed)
+        want = [pace_reference(cid, 0.01, **kwargs) for cid in cids]
+        assert iteration_time_for(np.array(cids), 0.01, **kwargs).tolist() == want
+        assert iteration_time_for(cids[0], 0.01, **kwargs) == want[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=_WIDE,
+        cids=st.lists(_WIDE, min_size=1, max_size=5, unique=True),
+        alpha=st.one_of(st.none(), st.floats(min_value=0.05, max_value=5.0)),
+    )
+    def test_shard_composition(self, env_data, seed, cids, alpha):
+        provider = SubsampledShards(env_data[0], 2**40 + 1, 16, alpha=alpha, seed=seed)
+        provider.page(cids)
+        for cid in cids:
+            shard, want = provider.shard(cid), reference_shard(provider, cid)
+            assert shard.x.tobytes() == want.x.tobytes()
+            assert shard.y.tobytes() == want.y.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=_WIDE, cids=st.lists(_WIDE, min_size=1, max_size=4, unique=True))
+    def test_created_stream_trace_and_pace(self, env_data, seed, cids):
+        """A created client's stream permutation and generator, trace
+        generator and pace are the ones its reference seeds give."""
+        factory = ClientFactory(
+            PopulationSpec(
+                shards=SubsampledShards(env_data[0], 2**40 + 1, 16, seed=seed),
+                model_fn=lenet,
+                batch_size=8,
+                pace=lambda c: iteration_time_for(c, 0.01, seed=seed),
+                link_fn=lambda _cid: LinkModel(),
+                seed=seed,
+            )
+        )
+        factory.derive(cids)
+        factory.page(cids)
+        for cid in cids:
+            client = factory.create(cid)
+            trace_seed, stream_seed = client_seeds_reference(seed, cid)
+            stream = np.random.default_rng(stream_seed)
+            assert client.stream.snapshot_state()["order"].tolist() == (
+                stream.permutation(16).tolist()
+            )
+            assert client.stream.snapshot_state()["rng"] == rng_state_bytes(stream)
+            trace = client.trace.snapshot_state()["rng"]
+            assert trace == rng_state_bytes(np.random.default_rng(trace_seed))
+            assert client.trace.base_iteration_time == pace_reference(cid, 0.01, seed=seed)
+            factory.release(client)
+
+
 class TestClientFactory:
     @pytest.mark.parametrize(
         "provider", ["materialized", "subsampled", "subsampled-uniform"]
@@ -323,6 +377,7 @@ class TestClientFactory:
         )
         cids = [4, 0, 2, 1] if len(provider) == NUM_CLIENTS else [299, 0, 7, 150]
         factory.derive(cids[:3])
+        factory.page(cids[:3])
         built = [factory.create(cid) for cid in cids]  # the last, a batch of one
         assert factory._derived == {}
         for cid, client in zip(cids, built):
@@ -409,16 +464,45 @@ class TestClientFactory:
 
         calls = []
 
-        def pace(cid):
-            calls.append(cid)
-            return iteration_time_for(cid, 0.01, seed=3)
+        def pace(cids):
+            calls.append(np.asarray(cids).tolist())
+            return iteration_time_for(cids, 0.01, seed=3)
 
         factory = make_factory(env_data, pace=pace)
-        assert factory.base_pace(4) == pace(4) == factory.base_pace(4)
-        assert calls == [4, 4]  # the factory asked once for two reads
+        assert factory.base_pace(4) == iteration_time_for(4, 0.01, seed=3) == factory.base_pace(4)
+        assert calls == [[4]]  # the factory asked once for two reads
         for cid in range(3 * _PACE_MEMO_MAX):
             assert factory.base_pace(cid) == iteration_time_for(cid, 0.01, seed=3)
             assert len(factory._pace_memo) <= _PACE_MEMO_MAX
+
+    def test_each_selected_pace_is_drawn_once(self, env_data, monkeypatch):
+        """A selection larger than the pace memo still draws each client's
+        pace once: the deadline search draws the batch, and ``create`` and
+        the round's telemetry read it back."""
+        import repro.scale.population as population
+        from repro.runtime.selection import select_clients
+
+        monkeypatch.setattr(population, "_PACE_MEMO_MAX", 4)
+        asked = []
+
+        def pace(cids):
+            asked.append(np.asarray(cids).tolist())
+            return iteration_time_for(cids, 0.01, seed=2)
+
+        sim = FederatedSimulator(
+            model_fn=lenet, strategy=build_strategy("fedavg", OPT),
+            shards=SubsampledShards(env_data[0], 300, 16, seed=2), test_set=env_data[2],
+            base_iteration_times=pace, batch_size=8, local_iterations=2, clients_per_round=12,
+            seed=2, population="lazy:cache=4", recorder=TraceRecorder(),
+        )
+        for round_index in range(3):
+            asked.clear()
+            sim.run_round()
+            drawn = [cid for call in asked for cid in call]
+            assert len(asked) == 1 and sorted(drawn) == sorted(set(drawn))
+            assert set(drawn) <= set(select_clients(300, 12, round_index=round_index, seed=2))
+            assert round_index or len(drawn) == 12
+        sim.close()
 
     @pytest.mark.parametrize("norm", ["batch", "group"])
     def test_handed_off_replica_equals_fresh_after_load_global(self, env_data, norm):
@@ -672,6 +756,7 @@ def test_evict_rehydrate_round_trip_property(
     if anchor_steps:
         run_anchor(strategy, client, anchor_steps)
     before = client.capture_state()
+    assert capture_blob(client) == encode(before)
     assert len(before["model_rng"]) == 1  # WRN's dropouts share one generator
     owners = ["fedca"] * bool(anchor_steps) + ["wire"] * bool(encodes)
     assert list(before.get("kept", {})) == owners
