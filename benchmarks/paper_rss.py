@@ -1,16 +1,18 @@
-"""Peak RSS of the ``--scale paper`` WRN environment and one round on it.
+"""Peak RSS of a ``--scale paper`` environment and one round on it.
 
 A fresh child process — glibc's allocator pinned as the e2e harness pins it
 (``benchmarks/e2e/run.py``: the heap is never trimmed, so every transient
-stays in the peak) and one BLAS thread — builds the paper-scale WRN FedAvg
-environment (128 clients, batch 50) and runs one round of ``--iterations``
-local steps on the default engine. At the default of one iteration every
-chunk is one stacked step, so the child's ``ru_maxrss`` is the environment
-plus the largest step. ``--reference`` runs the per-client loop
-(``SerialExecutor``) instead; ``--iterations 125`` is the paper's round.
-Prints one JSON line and exits 1 if the peak exceeds ``--ceiling-mib``::
+stays in the peak) and one BLAS thread — builds the paper-scale FedAvg
+environment of ``--workload`` (WRN by default; 128 clients, batch 50) and
+runs one round of ``--iterations`` local steps on the default engine. At the
+default of one iteration every chunk is one stacked step, so the child's
+``ru_maxrss`` is the environment plus the largest step. ``--reference`` runs
+the per-client loop (``SerialExecutor``) instead; ``--iterations 125`` is
+the paper's round. Prints one JSON line and exits 1 if the peak exceeds
+``--ceiling-mib``::
 
-    PYTHONPATH=src python benchmarks/paper_rss.py --ceiling-mib 150
+    PYTHONPATH=src python benchmarks/paper_rss.py --ceiling-mib 200
+    PYTHONPATH=src python benchmarks/paper_rss.py --workload lstm --ceiling-mib 400
     PYTHONPATH=src python benchmarks/paper_rss.py --iterations 125 --reference
 """
 
@@ -36,8 +38,8 @@ from repro.algorithms import build_strategy
 from repro.experiments import get_workload, make_environment
 from repro.runtime import SerialExecutor
 
-iterations, reference = int(sys.argv[1]), sys.argv[2] == "1"
-cfg = dataclasses.replace(get_workload("wrn", "paper"), local_iterations=iterations)
+workload, iterations, reference = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1"
+cfg = dataclasses.replace(get_workload(workload, "paper"), local_iterations=iterations)
 sim = make_environment(
     cfg,
     build_strategy("fedavg", cfg.optimizer_spec()),
@@ -48,6 +50,7 @@ start = time.perf_counter()
 record = sim.run_round()
 seconds = time.perf_counter() - start
 print(json.dumps({
+    "workload": workload,
     "engine": "reference" if reference else "default",
     "width": getattr(sim.executor, "cohort_size", 1),
     "iterations": iterations,
@@ -60,12 +63,14 @@ print(json.dumps({
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=("wrn", "cnn", "lstm"), default="wrn")
     parser.add_argument("--iterations", type=int, default=1)
     parser.add_argument("--reference", action="store_true")
     parser.add_argument("--ceiling-mib", type=float, default=None)
     args = parser.parse_args(argv)
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, str(args.iterations), str(int(args.reference))],
+        [sys.executable, "-c", CHILD, args.workload, str(args.iterations),
+         str(int(args.reference))],
         env={**os.environ, **PINS},
         check=True,
         capture_output=True,

@@ -59,9 +59,6 @@ _MULTI_BY = "`benchmarks/test_headline_multiseed.py`; `tests/test_experiments.py
 _PROX = "FedProx's proximal step in the reference loop"
 _PROX_BY = "`tests/test_algorithms.py::TestFedProx::test_prox_shrinks_drift`"
 _CLIENT_BY = "`tests/test_algorithms.py::TestFedAvgClientRound`; `benchmarks/e2e/layers.py` wraps `SimClient.train_step`"
-#: A snapshot as a tree: runs write the blob straight from the fields
-#: (``repro.scale.cache.capture_blob``), whose bytes tests pin to this form.
-_TREE = "the snapshot as a data tree, the form each blob's bytes are pinned to"
 KEEP: dict[str, tuple[str, str]] = {
     "repro/algorithms/base.py::Strategy.client_round": (
         _REF, "`tests/test_executor.py::TestDefaultEngineIsTheReference`; `benchmarks/e2e/layers.py` wraps it"),
@@ -69,8 +66,6 @@ KEEP: dict[str, tuple[str, str]] = {
         "extension scheme the CLI does not register", "`benchmarks/test_extension_baselines.py`; `tests/test_extensions.py`"),
     "repro/algorithms/extensions.py::FedCAAdaptiveBatch.step_plan": (
         "extension scheme the CLI does not register", "`benchmarks/test_extension_baselines.py`; `tests/test_extensions.py`"),
-    "repro/data/loader.py::BatchStream.snapshot_state": (
-        _TREE, "`tests/test_data.py`; `tests/test_scale.py::test_evict_rehydrate_round_trip_property`"),
     "repro/experiments/configs.py::_small": (
         "the `--scale small` preset (the sweep runs micro)",
         "`tests/test_experiments.py::TestConfigs::test_all_presets_resolve`"),
@@ -153,8 +148,6 @@ KEEP: dict[str, tuple[str, str]] = {
     "repro/runtime/client.py::SimClient.load_global": (_REF, _CLIENT_BY),
     "repro/runtime/client.py::SimClient.train_step": (_REF, _CLIENT_BY),
     "repro/runtime/client.py::SimClient.local_update": (_REF, _CLIENT_BY),
-    "repro/runtime/client.py::SimClient.capture_state": (
-        _TREE, "`tests/test_scale.py::test_evict_rehydrate_round_trip_property`; `tests/test_shard.py`"),
     "repro/runtime/executor.py::Executor.aggregate_round": (
         "caller-less stub the frozen benchmark harness wraps by name", "`benchmarks/e2e/layers.py`"),
     "repro/runtime/executor.py::SerialExecutor.run_round": (
@@ -184,8 +177,6 @@ KEEP: dict[str, tuple[str, str]] = {
     "repro/scale/population.py::SubsampledShards.shard_size": (
         "the resume blob check's bound for a subsampled population (no sweep run resumes one)",
         "`tests/test_scale.py`; `benchmarks/scale_bench.py`"),
-    "repro/sysmodel/speed.py::SpeedTrace.snapshot_state": (
-        _TREE, "`tests/test_sysmodel.py`; `tests/test_scale.py::test_evict_rehydrate_round_trip_property`"),
     "repro/sysmodel/speed.py::SpeedTrace.slowdown_at": (
         "`FedCAAdaptiveBatch.step_plan`'s speed read (see above)", "`tests/test_sysmodel.py`; `tests/test_extensions.py`"),
 }

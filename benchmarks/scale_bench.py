@@ -422,8 +422,6 @@ def main() -> int:
             )
         print(f"  histories identical: "
               f"{eager['history_sha256'] == lazy['history_sha256']}")
-        print("  lazy/eager s/round (reported, not gated): "
-              f"{lazy['seconds_per_round'] / eager['seconds_per_round']:.2f}x")
 
     if args.large_clients:
         per_round = max(1, round(args.large_clients * args.large_participation))

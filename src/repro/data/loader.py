@@ -20,7 +20,7 @@ __all__ = ["BatchStream", "check_stream_position"]
 class BatchStream:
     """Cyclic shuffled minibatch stream over one client's shard."""
 
-    SNAPSHOT_KEYS = ("rng", "order", "cursor")  #: :meth:`snapshot_state`'s, in order
+    SNAPSHOT_KEYS = ("rng", "order", "cursor")  #: :meth:`snapshot_values`' names
 
     def __init__(
         self, dataset: Dataset, batch_size: int, *, seed: int | np.random.SeedSequence = 0
@@ -59,35 +59,25 @@ class BatchStream:
 
     # ------------------------------------------------------------------
     def snapshot_values(self) -> tuple:
-        """:meth:`snapshot_state`'s values in :data:`SNAPSHOT_KEYS` order,
-        the order not copied (:func:`repro.scale.cache.capture_blob`)."""
+        """The position — RNG state, shuffle order (not copied), cursor — from
+        which a restored stream draws the batches an uninterrupted one would
+        (:func:`repro.scale.cache.capture_blob`)."""
         return rng_state_bytes(self._rng), self._order, int(self._cursor)
 
-    def snapshot_state(self) -> dict:
-        """Capture the stream position: RNG state, shuffle order, cursor.
-
-        Restoring this into a stream over the same dataset makes
-        :meth:`next_batch` produce exactly the batches an uninterrupted
-        stream would (used by :mod:`repro.persist` checkpoint/resume)."""
-        rng, order, cursor = self.snapshot_values()
-        return dict(zip(self.SNAPSHOT_KEYS, (rng, order.copy(), cursor)))
-
-    def restore_state(self, snapshot: dict) -> None:
-        """Inverse of :meth:`snapshot_state`; the position is checked first
+    def restore_values(self, rng: bytes, order, cursor) -> None:
+        """Inverse of :meth:`snapshot_values`; the position is checked first
         (:func:`check_stream_position`)."""
-        order, cursor = check_stream_position(snapshot, len(self.dataset))
-        set_rng_state(self._rng, snapshot["rng"])
-        self._order = order
-        self._cursor = cursor
+        self._order, self._cursor = check_stream_position(order, cursor, len(self.dataset))
+        set_rng_state(self._rng, rng)
 
 
-def check_stream_position(snapshot: dict, n: int) -> tuple[np.ndarray, int]:
-    """The ``(order, cursor)`` of a stream snapshot over an ``n``-sample
+def check_stream_position(order, cursor, n: int) -> tuple[np.ndarray, int]:
+    """The ``(order, cursor)`` of a stream position over an ``n``-sample
     shard. The position is outside input: an ``order`` that is not a
     permutation of ``range(n)``, or a cursor outside ``[0, n)``, is refused
     here rather than trained on."""
-    order = np.asarray(snapshot["order"], dtype=np.int64)
-    cursor = int(snapshot["cursor"])
+    order = np.asarray(order, dtype=np.int64)
+    cursor = int(cursor)
     if order.shape != (n,):
         raise ValueError(
             f"stream snapshot order length {order.shape} does not match "

@@ -174,14 +174,13 @@ class CohortModel:
         arena.values[...] = params
         arena.buffers[...] = buffers
 
-    def stacked_update(self, params: np.ndarray) -> np.ndarray:
-        """Accumulated updates of every row, at any width, in one subtract
-        against the round-start ``(P,)`` global parameters: row ``j`` of
-        the ``(C, P)`` result is ``w_local − w_global`` of the member that
-        ended the round in row ``j``. Per-member result dicts are zero-copy
-        views into it (``CohortEngine.member_update``), so nothing is
-        unstacked."""
-        return self._full.values - params
+    def stacked_update(self, params: np.ndarray, width: int) -> np.ndarray:
+        """Accumulated updates of the program's first ``width`` rows in one
+        subtract against the round-start ``(P,)`` global parameters: row
+        ``j`` is ``w_local − w_global`` of the member that ended the round in
+        row ``j``. Per-member result dicts are zero-copy views into it
+        (``CohortEngine.member_update``), so nothing is unstacked."""
+        return self._full.values[:width] - params
 
     def write_back(self, models: list[Module], slots) -> None:
         """Copy the trained rows at ``slots`` into the members' serial

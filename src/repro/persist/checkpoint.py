@@ -8,7 +8,7 @@ evolves across rounds:
 * the full :class:`~repro.runtime.history.RunHistory`: round summaries, and
   each client-event column concatenated over the rounds as one array,
 * per-client cross-round state — one
-  :meth:`SimClient.capture_state <repro.runtime.client.SimClient.capture_state>`
+  :func:`~repro.scale.cache.capture_blob`
   snapshot per touched client, read from the simulator's population — the
   one home of that state, whichever engine runs the rounds:
   batch-stream RNG/order/cursor, speed-trace RNG and live segments, layer
@@ -209,7 +209,8 @@ class RunCheckpoint:
             try:
                 if int(cid) >= len(population):
                     raise ValueError(f"this run has {len(population)} clients")
-                check_stream_position(state["stream"], population.factory.shard_size(int(cid)))
+                stream, size = state["stream"], population.factory.shard_size(int(cid))
+                check_stream_position(stream["order"], stream["cursor"], size)
             except (KeyError, TypeError, ValueError) as exc:
                 raise CheckpointFormatError(
                     f"checkpoint client {cid} cannot be restored: {exc}"

@@ -2,7 +2,7 @@
 
 Every piece of state at rest goes through it. A client — evicted from the
 pager, waiting in a checkpoint, in flight from a worker — is
-``encode(client.capture_state())``: a few hundred bytes that nobody
+``repro.scale.cache.capture_blob(client)``: a few hundred bytes that nobody
 re-expands until that client pages back in. A checkpoint payload is one
 tree too, with those client blobs as its ``bytes`` leaves, written part by
 part through :func:`encode_to` (see :mod:`repro.persist.container`). The
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CheckpointCorruptError
 
-__all__ = ["encode", "encode_to", "record_head", "decode"]
+__all__ = ["encode", "encode_to", "record_head", "decode", "decode_node"]
 
 _U32 = struct.Struct("<I")
 _SCALARS = {b"i": struct.Struct("<q"), b"f": struct.Struct("<d")}
@@ -132,8 +132,16 @@ def decode(buf: bytes) -> Any:
     with their dtype and shape; anything that is not exactly one well-formed
     tree in its one canonical spelling raises :class:`CheckpointCorruptError`."""
     buf = bytes(buf)
+    tree, end = decode_node(buf, 0)
+    if end != len(buf):
+        raise CheckpointCorruptError(f"snapshot has {len(buf) - end} trailing byte(s)")
+    return tree
+
+
+def decode_node(buf: bytes, pos: int) -> tuple[Any, int]:
+    """The node encoded at ``pos`` and the offset after it, :func:`decode`'s checks made."""
     try:
-        tree, end = _decode(buf, 0)
+        return _decode(buf, pos)
     except RecursionError:
         raise CheckpointCorruptError("snapshot nests deeper than any real one")
     except struct.error:
@@ -142,9 +150,6 @@ def decode(buf: bytes) -> Any:
         raise CheckpointCorruptError(f"snapshot truncated inside its {len(buf)} bytes")
     except UnicodeDecodeError as exc:
         raise CheckpointCorruptError(f"snapshot text is not UTF-8: {exc}")
-    if end != len(buf):
-        raise CheckpointCorruptError(f"snapshot has {len(buf) - end} trailing byte(s)")
-    return tree
 
 
 def _take(buf: bytes, pos: int, n: int) -> int:

@@ -81,8 +81,8 @@ class SimClient:
         """The object owner ``key`` (a strategy, the wire layer) keeps about
         this client across rounds: built by ``factory()`` on first use,
         starting from the snapshot for ``key`` if the client was restored
-        with one. It speaks ``snapshot_state()`` / ``restore_state()`` like
-        the stream and the trace, and travels in :meth:`capture_state`."""
+        with one. It speaks ``snapshot_state()`` / ``restore_state()`` and
+        travels in the client's blob (:func:`repro.scale.cache.capture_blob`)."""
         obj = self._kept.get(key)
         if obj is None:
             obj = self._kept[key] = factory()
@@ -91,28 +91,11 @@ class SimClient:
                 obj.restore_state(pending)
         return obj
 
-    def capture_state(self) -> dict:
-        """Everything about this client that persists *across* rounds.
-
-        The replica's parameters and buffers, the optimiser and the uplink
-        queue are rebuilt from the broadcast state at every round start, so
-        the cross-round mutable state is the cyclic batch stream, the speed
-        trace and the :meth:`extra_state` entries. Used by
-        :mod:`repro.persist` checkpoint/resume and the lazy pager — as one
-        blob, written without this tree (:func:`repro.scale.cache.capture_blob`).
-        """
-        state = {
-            "stream": self.stream.snapshot_state(),
-            "trace": self.trace.snapshot_state(),
-        }
-        state.update(self.extra_state())
-        return state
-
     def extra_state(self) -> list[tuple[str, Any]]:
-        """:meth:`capture_state`'s entries past the stream and the trace,
-        present only when non-empty: the replica's layer RNG (dropout) and
-        ``"kept"``, the snapshots of what owners :meth:`keep` here
-        (not-yet-adopted ones carried verbatim)."""
+        """What persists across rounds past the stream and the trace (the
+        rest is rebuilt from the broadcast), present only when non-empty: the
+        replica's layer RNG (dropout) and ``"kept"``, the snapshots of what
+        owners :meth:`keep` here (not-yet-adopted ones carried verbatim)."""
         model_rng = self.model.rng_state()
         extra: list[tuple[str, Any]] = [("model_rng", model_rng)] if model_rng else []
         if not (self._kept or self._pending):
@@ -128,14 +111,12 @@ class SimClient:
             extra.append(("kept", dict(sorted(kept.items()))))
         return extra
 
-    def restore_state(self, snapshot: dict) -> None:
-        """Inverse of :meth:`capture_state`."""
-        self.stream.restore_state(snapshot["stream"])
-        self.trace.restore_state(snapshot["trace"])
-        if "model_rng" in snapshot:
-            self.model.load_rng_state(snapshot["model_rng"])
+    def restore_extra(self, extra: Mapping[str, Any]) -> None:
+        """Inverse of :meth:`extra_state`, given its entries by key."""
+        if "model_rng" in extra:
+            self.model.load_rng_state(extra["model_rng"])
         self._kept = {}
-        self._pending = dict(snapshot.get("kept", {}))
+        self._pending = dict(extra.get("kept", {}))
 
     def local_update(self, params: np.ndarray) -> dict[str, np.ndarray]:
         """Accumulated update ``w_local − w_global`` per layer against the

@@ -17,11 +17,12 @@ engine, and what each parallel worker drives over its share of a round
 whose shard is smaller than a batch, which is zero-padded into its chunk's
 program rather than given one of its own.
 
-Chunking: jobs are split into consecutive chunks of at most
-``cohort_size``; when M does not divide the number of selected clients the
-**tail chunk trains the remainder** (selected=5 at M=4 → chunks of 4 and
-1), so no client is ever dropped. Unpadded, a chunk is further split into
-one stacked program per batch width in it.
+Chunking (:func:`chunk_widths`): unpadded, n jobs are ⌈n/M⌉ consecutive
+chunks whose widths differ by at most one (100 at M = 64 → 50 + 50), each
+split into one stacked program per batch width in it. Padded, a member's
+bytes depend on who shares its chunk, so chunks are runs of M and the
+**tail chunk trains the remainder** (5 at M = 4 → 4 + 1). Every program
+narrows the one stack an engine keeps, as wide as its widest chunk.
 
 There is no fallback: every layer runs over a stack and every strategy
 runs batched — ``Strategy.cohort_round`` is a driver over the same
@@ -30,6 +31,7 @@ members and stack the serial ``client_round`` feeds (DESIGN.md §12).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -42,9 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..scale import LazyClientPopulation
     from .client import SimClient
 
-__all__ = ["CohortEngine", "CohortExecutor", "StepCounts", "bound_width"]
+__all__ = ["CohortEngine", "CohortExecutor", "StepCounts", "bound_width", "chunk_widths"]
 
-#: Default cohort width: ``cohort``'s, and the cap of an engine sized at bind.
+#: ``cohort``'s width when the spec names none.
 DEFAULT_COHORT_SIZE = 32
 
 #: What one stacked step of an engine sized at bind may hold: its width times
@@ -53,11 +55,22 @@ STACK_BYTES = 48 << 20
 
 
 def bound_width(clients: "LazyClientPopulation") -> int:
-    """The width of an engine sized at bind: :data:`DEFAULT_COHORT_SIZE`,
-    capped by the population's resident capacity (a chunk is live at once)
-    and by how many members' steps fit :data:`STACK_BYTES`."""
+    """The width of an engine sized at bind: the population's resident
+    capacity (a chunk is live at once), capped by how many members' steps
+    fit :data:`STACK_BYTES`."""
     fits = max(1, STACK_BYTES // clients.factory.step_bytes())
-    return int(min(DEFAULT_COHORT_SIZE, clients.resident_capacity, fits))
+    return int(min(clients.resident_capacity, fits))
+
+
+def chunk_widths(n: int, width: int, pad: bool = False) -> list[int]:
+    """A round of ``n`` jobs as consecutive chunk widths, widest first:
+    runs of ``width`` padded, else as few as ``width`` allows, differing by
+    at most one."""
+    if pad:
+        return [min(width, n - start) for start in range(0, n, width)]
+    k = -(-n // width)
+    q, r = divmod(n, k) if k else (0, 0)
+    return [q + 1] * r + [q] * (k - r)
 
 
 class StepCounts:
@@ -113,7 +126,8 @@ class CohortEngine:
     minibatch assembly that turns the live members' shards into one
     ``(width, B, …)`` tensor per step. Member ``i`` is ``jobs[i]``'s client;
     row ``j`` of the program is member ``order[j]`` (``clients[j]``), and
-    the live members are always the first ``model.width`` rows. Strategies
+    the live members are always the first ``model.width`` rows — a prefix
+    of the model's slots, which may outnumber the members. Strategies
     drive it like a multi-client ``SimClient``: :meth:`load_global` →
     repeated :meth:`train_step` → :meth:`leave` for the members that stop,
     until none is left → :meth:`member_update`. ``buffers`` is the round's
@@ -129,7 +143,7 @@ class CohortEngine:
         *,
         pad: bool = True,
     ) -> None:
-        if len(clients) != model.cohort_size:
+        if len(clients) > model.cohort_size:
             raise ValueError(
                 f"cohort model has {model.cohort_size} slots, got "
                 f"{len(clients)} clients"
@@ -250,7 +264,7 @@ class CohortEngine:
         if n:
             self.model.narrow(n, [c.model for c in self.clients[:n]])
         else:
-            self._update = self.model.stacked_update(params)
+            self._update = self.model.stacked_update(params, self.size)
             self._row[self.order] = np.arange(self.size)
         return n
 
@@ -268,7 +282,7 @@ class CohortEngine:
 
 
 class CohortExecutor(Executor):
-    """Single-process engine that batches chunks of M clients per round.
+    """Single-process engine that batches chunks of up to M clients per round.
 
     ``pad`` decides what shares a stacked program. Unpadded (the default
     ``serial`` engine, and what a ``parallel`` worker runs), members share
@@ -281,21 +295,20 @@ class CohortExecutor(Executor):
     rows independently of its row count (DESIGN.md §12).
 
     ``cohort_size=None`` sizes the engine at :meth:`bind`
-    (:func:`bound_width`): :data:`DEFAULT_COHORT_SIZE`, capped by the
-    population's resident capacity, because a chunk is live at once — so
-    such an engine never raises ``cache=N`` — and by :data:`STACK_BYTES`.
+    (:func:`bound_width`): the population's resident capacity, because a
+    chunk is live at once — so such an engine never raises ``cache=N`` —
+    capped by :data:`STACK_BYTES`.
     """
 
     def __init__(self, cohort_size: int | None = None, *, pad: bool = True) -> None:
         if cohort_size is not None and cohort_size < 1:
             raise ValueError(f"cohort size must be >= 1, got {cohort_size}")
         self._sized_at_bind = cohort_size is None
-        self.cohort_size = DEFAULT_COHORT_SIZE if cohort_size is None else cohort_size
+        self.cohort_size = cohort_size or 0
         self.pad = pad
-        #: Stacked models by width, most recently used last — selection
-        #: changes the membership every round but rarely the widths, so the
-        #: (C, *shape) stacks are reused; never more than 2M slots' worth.
-        self._models: dict[int, CohortModel] = {}
+        #: The one stack, as wide as the widest chunk run so far: every
+        #: program narrows it, so no width is ever allocated twice.
+        self._model: CohortModel | None = None
         self.counts = StepCounts()
 
     @property
@@ -313,13 +326,6 @@ class CohortExecutor(Executor):
         # mid-round. An engine sized at bind already fits.
         binding.clients.reserve(self.cohort_size)
 
-    def _model_for(self, template, width: int) -> CohortModel:
-        model = self._models.pop(width, None) or CohortModel(template, width)
-        self._models[width] = model
-        while sum(self._models) > 2 * self.cohort_size:
-            del self._models[next(iter(self._models))]
-        return model
-
     # ------------------------------------------------------------------
     def run_round(
         self,
@@ -333,11 +339,10 @@ class CohortExecutor(Executor):
             )
         results: list[ClientRoundResult] = []
         self._bound.clients.prefetch([cid for cid, _ in jobs])
-        # Consecutive chunks of at most M; the tail chunk gets the remainder.
         with self._bound.profiler.phase("client.train"):
-            for start in range(0, len(jobs), self.cohort_size):
-                chunk = jobs[start : start + self.cohort_size]
-                results.extend(self._run_chunk(params, buffers, chunk))
+            widths = chunk_widths(len(jobs), self.cohort_size, self.pad)
+            for start, width in zip(accumulate(widths, initial=0), widths):
+                results.extend(self._run_chunk(params, buffers, jobs[start : start + width]))
         self._mirror_metrics()
         return results
 
@@ -348,6 +353,8 @@ class CohortExecutor(Executor):
         chunk: list[tuple[int, RoundContext]],
     ) -> list[ClientRoundResult]:
         clients = self._bound.clients.acquire_chunk([cid for cid, _ in chunk])
+        if self._model is None or self._model.cohort_size < len(chunk):
+            self._model = CohortModel(clients[0].model, len(chunk))
         # One stacked program for the chunk — or, unpadded, one per batch
         # width in it (a client whose shard is smaller than a batch draws
         # fewer rows every step).
@@ -358,12 +365,8 @@ class CohortExecutor(Executor):
             ).append(k)
         out: list[ClientRoundResult | None] = [None] * len(chunk)
         for slots in programs.values():
-            members = [clients[k] for k in slots]
             engine = CohortEngine(
-                self._model_for(members[0].model, len(members)),
-                members,
-                buffers,
-                pad=self.pad,
+                self._model, [clients[k] for k in slots], buffers, pad=self.pad
             )
             results = self._bound.strategy.cohort_round(
                 engine, [chunk[k] for k in slots], params
@@ -381,9 +384,9 @@ class CohortExecutor(Executor):
             self.counts.publish(rec)
 
     def step_rows(self) -> int:
-        """A chunk's width, at most a round's jobs, times the batch."""
+        """The widest chunk a round runs, times the batch."""
         jobs = self._bound.jobs_per_round or self.cohort_size
-        return min(self.cohort_size, jobs) * super().step_rows()
+        return chunk_widths(jobs, self.cohort_size, self.pad)[0] * super().step_rows()
 
     # ------------------------------------------------------------------
     def occupancy(self) -> dict[str, float]:

@@ -19,10 +19,9 @@ for a client still in its initial state. Each round a worker
 
 Between rounds a worker holds no client and no blob. The engine trains a
 worker's share as unpadded stacked chunks, so every client keeps the
-per-client loop's bytes (DESIGN.md §12); it sizes itself at bind
-(:data:`~repro.runtime.cohort.DEFAULT_COHORT_SIZE`, capped by the
-population's resident capacity), so there is nothing to configure. Jobs
-are dealt round-robin over the sorted job list — worker ``w`` gets
+per-client loop's bytes (DESIGN.md §12); it sizes itself at bind (the
+population's resident capacity, capped by ``STACK_BYTES``) and cuts the
+share into as few near-equal chunks as that allows. Jobs are dealt round-robin over the sorted job list — worker ``w`` gets
 ``jobs[w::workers]`` — so per-worker counts differ by at most one.
 
 The per-round bulk data moves through shared memory (see
@@ -90,7 +89,7 @@ from typing import Any
 
 import numpy as np
 
-from .cohort import CohortExecutor, StepCounts, bound_width
+from .cohort import CohortExecutor, StepCounts, bound_width, chunk_widths
 from .executor import Binding, ClientJob, Executor
 from .round import ClientRoundResult
 from .transport import ShmTransport
@@ -277,10 +276,12 @@ class ParallelExecutor(Executor):
         self._started = True
 
     def step_rows(self) -> int:
-        """What the workers' concurrent stacked steps hold: a round's jobs,
-        at most the default engine's width each, times the batch."""
+        """What the workers' concurrent stacked steps hold: each worker's
+        widest chunk of its dealt share, times the batch."""
         jobs = self._bound.jobs_per_round or len(self._bound.clients)
-        return min(self.workers * bound_width(self._bound.clients), jobs) * super().step_rows()
+        width = bound_width(self._bound.clients)
+        shares = (len(range(w, jobs, self.workers)) for w in range(min(self.workers, jobs)))
+        return sum(chunk_widths(n, width)[0] for n in shares) * super().step_rows()
 
     # ------------------------------------------------------------------
     def occupancy(self) -> dict[str, float]:

@@ -18,8 +18,8 @@ FedCA's eager-upload timeline — are driven by the **wire** byte counts,
 not the raw ones. A codec is state *about one client* (RNG position,
 residuals), so the layer keeps it on that client
 (:meth:`SimClient.keep <repro.runtime.client.SimClient.keep>`) and holds
-nothing per client itself: the codec travels in the client's
-``capture_state()``, which is all that checkpoints, lazy-population
+nothing per client itself: the codec travels in the client's blob
+(``capture_blob``), which is all that checkpoints, lazy-population
 eviction and the blobs parallel jobs carry move — error feedback is
 preserved exactly with no protocol of its own.
 

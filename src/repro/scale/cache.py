@@ -10,8 +10,8 @@ and ``lazy:cache=N`` bounds it at N.
 Eviction must not lose state, so it is capture-before-release, in two
 steps:
 
-1. ``encode(client.capture_state())`` — written straight from the
-   client's fields by :func:`capture_blob` — batch-stream + speed-trace RNG
+1. :func:`capture_blob` — written straight from the client's fields,
+   no dict tree built — batch-stream + speed-trace RNG
    state, the replica's layer RNG when the model has dropout, and what a
    strategy or the wire layer keeps on the client (FedCA profiled curves,
    compression codec residuals/RNG), as one
@@ -34,8 +34,8 @@ a resume stages it back as it is (:meth:`ResidentClientCache.seed_snapshot`
 — so the ``capacity`` bound holds right after a resume too).
 
 Rehydration inverts eviction: ``factory.create(cid)`` rebuilds the initial
-client bit-identically from ``(seed, cid)``, then the decoded snapshot is
-restored on top. A client that was never evicted and one that round-tripped
+client bit-identically from ``(seed, cid)``, then :func:`restore_blob`
+applies the blob on top. A client that was never evicted and one that round-tripped
 through eviction are therefore indistinguishable — byte-for-byte — which is
 why the capacity never changes a history or a trace.
 
@@ -53,7 +53,10 @@ import sys
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from ..persist.snapshot import decode, encode, encode_to, record_head
+import numpy as np
+
+from ..persist.errors import CheckpointCorruptError
+from ..persist.snapshot import decode_node, encode, encode_to, record_head
 from ..data import BatchStream
 from ..rngstate import RNG_STATE_BYTES
 from ..runtime.client import SimClient
@@ -68,6 +71,7 @@ __all__ = [
     "ResidentClientCache",
     "LazyClientPopulation",
     "capture_blob",
+    "restore_blob",
 ]
 
 #: Default resident-set bound. Sized for ~10× a typical selected cohort so
@@ -95,8 +99,9 @@ _RNG = encode(bytes(RNG_STATE_BYTES))[:-RNG_STATE_BYTES]  # a generator state's 
 
 
 def capture_blob(client: SimClient) -> bytes:
-    """``encode(client.capture_state())`` written straight from the fields, no
-    tree: the one capture path of an eviction, a checkpoint and a drain."""
+    """The client's cross-round state as one snapshot blob, written from the
+    fields, no tree: the one capture path of an eviction, a checkpoint and a
+    drain."""
     rng, order, cursor = client.stream.snapshot_values()
     trace_rng, segments, horizon, next_fast = client.trace.snapshot_values()
     extra = client.extra_state()
@@ -118,10 +123,39 @@ def capture_blob(client: SimClient) -> bytes:
     return b"".join(parts)
 
 
+# What capture_blob puts before each value past the key count; optional keys.
+_FIELDS = (_CLIENT[0][5:] + _STREAM[0], *_STREAM[1:], _CLIENT[1] + _TRACE[0], *_TRACE[1:])
+_EXTRA = tuple(zip(("model_rng", "kept"), record_head("", "model_rng", "kept")[1:]))
+
+
+def restore_blob(client: SimClient, blob: bytes) -> None:
+    """Inverse of :func:`capture_blob`, each value decoded where it put it
+    (no tree) and checked where it is applied, as checkpoint input: a key
+    out of its order or count is a :class:`CheckpointCorruptError`."""
+    count = int.from_bytes(blob[1:5], "little") if blob[:1] == b"d" and len(blob) > 4 else 0
+    values, pos = [], 5
+    for literal in _FIELDS if count >= 2 else ():
+        if not blob.startswith(literal, pos):
+            break
+        value, pos = decode_node(blob, pos + len(literal))
+        values.append(value)
+    extra: dict = {}
+    for key, literal in _EXTRA:
+        if len(extra) < count - 2 and blob.startswith(literal, pos):
+            extra[key], pos = decode_node(blob, pos + len(literal))
+    if len(values) < len(_FIELDS) or len(extra) != count - 2 or pos != len(blob):
+        raise CheckpointCorruptError(f"client snapshot leaves its record layout at offset {pos}")
+    rng, order, cursor, trace_rng, segments, horizon, next_fast = values
+    client.stream.restore_values(rng, order, cursor)
+    segments = np.asarray(segments, dtype=np.float64).reshape(-1, 3)
+    client.trace.restore_values(trace_rng, segments, horizon, next_fast)
+    client.restore_extra(extra)
+
+
 class ResidentClientCache:
     """LRU cache of live clients keyed by cid, with snapshot spill.
 
-    ``_snapshots[cid]`` holds the encoded ``capture_state()`` of every
+    ``_snapshots[cid]`` holds the :func:`capture_blob` of every
     client that has state but is not resident — one ``bytes`` object each,
     ``snapshot_bytes`` in total; a cid in neither map is still in its
     initial (round-zero) state and needs no snapshot at all — this is what
@@ -173,7 +207,7 @@ class ResidentClientCache:
         blob = self._snapshots.pop(cid, None)
         if blob is not None:
             self.snapshot_bytes -= len(blob)
-            client.restore_state(decode(blob))
+            restore_blob(client, blob)
             if cid not in self._staged:
                 self.rehydrations += 1
             self._staged.discard(cid)

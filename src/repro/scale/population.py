@@ -274,7 +274,7 @@ class ClientFactory:
     A model replica is scratch space a cache slot owns, not client state:
     ``load_global`` overwrites every parameter and buffer and sets the mode
     before the first step, and the one thing it leaves — the layer RNG — is
-    carried by ``capture_state``. So ``create`` calls ``model_fn`` only when
+    carried in the client's blob. So ``create`` calls ``model_fn`` only when
     no emptied slot has handed a replica back (:meth:`release`); rewound to a
     fresh replica's layer RNG, a handed-off one *is* a fresh ``model_fn()``.
     A pager with room for everyone never releases: one model per client.

@@ -51,7 +51,7 @@ class SpeedTrace:
         homogeneous-resource ablations).
     """
 
-    SNAPSHOT_KEYS = ("rng", "segments", "horizon", "next_fast")  #: :meth:`snapshot_state`'s
+    SNAPSHOT_KEYS = ("rng", "segments", "horizon", "next_fast")  #: :meth:`snapshot_values`' names
 
     def __init__(
         self,
@@ -189,31 +189,17 @@ class SpeedTrace:
 
     # ------------------------------------------------------------------
     def snapshot_values(self) -> tuple:
-        """:meth:`snapshot_state`'s values in :data:`SNAPSHOT_KEYS` order
-        (:func:`repro.scale.cache.capture_blob`)."""
+        """Every mutable field in :data:`SNAPSHOT_KEYS` order — RNG position,
+        the ``(k, 3)`` segments not yet forgotten, horizon/phase — from which
+        a restored trace generates what an uninterrupted one would
+        (:func:`repro.scale.cache.capture_blob`; ``tests/test_sysmodel.py``)."""
         segments = np.array([v for s in self._segments for v in (s.start, s.end, s.slowdown)])
         segments = segments.astype(np.float64).reshape(-1, 3)
         return rng_state_bytes(self._rng), segments, float(self._horizon), bool(self._next_fast)
 
-    def snapshot_state(self) -> dict:
-        """Capture every mutable field: the mode segments generated and not
-        yet forgotten, the generation horizon/phase, and the exact RNG
-        stream position.
-
-        A trace restored from this snapshot continues generating the same
-        segment sequence an uninterrupted trace would — the checkpoint/
-        resume subsystem (:mod:`repro.persist`) relies on this for its
-        bitwise-identity guarantee (property-tested in
-        ``tests/test_sysmodel.py``).
-        """
-        return dict(zip(self.SNAPSHOT_KEYS, self.snapshot_values()))
-
-    def restore_state(self, snapshot: dict) -> None:
-        """Inverse of :meth:`snapshot_state` (static config is untouched)."""
-        set_rng_state(self._rng, snapshot["rng"])
-        segments = np.asarray(snapshot["segments"], dtype=np.float64).reshape(-1, 3)
-        self._segments = [
-            _Segment(float(s), float(e), float(d)) for s, e, d in segments
-        ]
-        self._horizon = float(snapshot["horizon"])
-        self._next_fast = bool(snapshot["next_fast"])
+    def restore_values(self, rng: bytes, segments: np.ndarray, horizon, next_fast) -> None:
+        """Inverse of :meth:`snapshot_values` (static config is untouched)."""
+        set_rng_state(self._rng, rng)
+        self._segments = [_Segment(s, e, d) for s, e, d in segments.tolist()]
+        self._horizon = float(horizon)
+        self._next_fast = bool(next_fast)

@@ -554,3 +554,48 @@ def reference_shard(shards, cid):
         within = (rng.random(self._shard_size) * self._pool_lens[classes]).astype(np.int64)
         idx = self._pool_flat[self._pool_offsets[classes] + within]
     return self.dataset.subset(np.sort(idx))
+
+
+# ----------------------------------------------------------------------
+# Snapshot trees: the dict forms of the state a client's blob carries
+# (runs read and write the blob directly, ``repro.scale.cache``)
+# ----------------------------------------------------------------------
+def stream_state(stream) -> dict:
+    """A batch stream's position as a dict: RNG state, a copy of the shuffle
+    order, cursor."""
+    rng, order, cursor = stream.snapshot_values()
+    return dict(zip(stream.SNAPSHOT_KEYS, (rng, order.copy(), cursor)))
+
+
+def trace_state(trace) -> dict:
+    """A speed trace's mutable fields as a dict."""
+    return dict(zip(trace.SNAPSHOT_KEYS, trace.snapshot_values()))
+
+
+def capture_state(client) -> dict:
+    """A client's cross-round state as the tree its blob encodes:
+    ``encode(capture_state(c)) == capture_blob(c)``."""
+    state = {"stream": stream_state(client.stream), "trace": trace_state(client.trace)}
+    state.update(client.extra_state())
+    return state
+
+
+def restore_stream(stream, snapshot: dict) -> None:
+    """Inverse of :func:`stream_state`, the position checked first."""
+    stream.restore_values(snapshot["rng"], snapshot["order"], snapshot["cursor"])
+
+
+def restore_trace(trace, snapshot: dict) -> None:
+    """Inverse of :func:`trace_state`; the segments may come as any
+    float sequence of triples (a decoded list included)."""
+    segments = np.asarray(snapshot["segments"], dtype=np.float64).reshape(-1, 3)
+    trace.restore_values(snapshot["rng"], segments, snapshot["horizon"], snapshot["next_fast"])
+
+
+def restore_state(client, snapshot: dict) -> None:
+    """The tree form of ``repro.scale.cache.restore_blob``: a client's
+    state from ``decode(capture_blob(client))``, key by key, with the same
+    checks on the values."""
+    restore_stream(client.stream, snapshot["stream"])
+    restore_trace(client.trace, snapshot["trace"])
+    client.restore_extra(snapshot)

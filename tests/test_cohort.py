@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import types
 import warnings
 
 import numpy as np
@@ -70,7 +71,8 @@ from repro.runtime import (
     resolve_executor,
 )
 from repro.runtime.client import SimClient
-from repro.runtime.cohort import DEFAULT_COHORT_SIZE, STACK_BYTES, bound_width
+from repro.runtime.cohort import DEFAULT_COHORT_SIZE, STACK_BYTES, bound_width, chunk_widths
+from repro.scale.cache import capture_blob
 from repro.sysmodel import LinkModel, SpeedTrace
 
 from .helpers import global_vectors
@@ -117,6 +119,22 @@ class Population(list):
 
     def acquire_chunk(self, cids):
         return [self[cid] for cid in cids]
+
+
+class PagedPopulation(Population):
+    """A population whose resident capacity bounds an engine sized at bind
+    (every member step is one byte, so :data:`STACK_BYTES` never does),
+    recording the chunks paged in."""
+
+    def __init__(self, clients, capacity):
+        super().__init__(clients)
+        self.resident_capacity = capacity
+        self.factory = types.SimpleNamespace(step_bytes=lambda: 1)
+        self.chunks = []
+
+    def acquire_chunk(self, cids):
+        self.chunks.append(list(cids))
+        return super().acquire_chunk(cids)
 
 
 def ctx(round_index=0, iterations=6, deadline=100.0, assigned=None):
@@ -960,16 +978,65 @@ class TestCohortExecutor:
         # Metrics never enter the event ring — trace determinism is immune.
         assert recorder.num_events == 0
 
-    def test_stack_cache_never_outgrows_two_full_stacks(self):
+    def test_one_stack_grows_to_the_widest_chunk(self):
         """Selection and dropouts vary a round's chunk widths over a long
-        run; stacks are reused by width but capped at ``2M`` slots in all,
-        least recently used first out."""
-        executor = CohortExecutor(4)
+        run; the engine keeps one stack, rebuilt only when a chunk is wider
+        than any before, and every narrower program narrows it."""
+        executor = CohortExecutor(4, pad=False)
         executor.bind(Binding(Population(make_client(i) for i in range(4)), FedAvg(OPT)))
         state = global_vectors(model_fn())
-        for n in (4, 3, 2, 1, 3):
+        stacks = []
+        for n in (2, 1, 3, 2, 4, 1, 3):
             executor.run_round(*state, [(i, ctx(iterations=1)) for i in range(n)])
-        assert list(executor._models) == [2, 1, 3]
+            stacks.append(executor._model)
+        assert [m.cohort_size for m in stacks] == [2, 2, 3, 3, 4, 4, 4]
+        assert len({id(m) for m in stacks}) == 3
+
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_balanced_chunks_keep_width_one_bytes(self, data):
+        """The default engine sized at a drawn capacity cuts n jobs over
+        mixed shard sizes (some smaller than a batch: a program of their
+        own inside the chunk) into ⌈n/W⌉ consecutive chunks whose widths
+        differ by at most one and never exceed the capacity, drives every
+        program on one stack as wide as the widest chunk, and leaves every
+        member's result and client its width-1 bytes."""
+        n = data.draw(st.integers(1, 12), label="jobs")
+        capacity = data.draw(st.integers(1, 12), label="capacity")
+        sizes = data.draw(
+            st.lists(st.sampled_from([3, 5, 24]), min_size=n, max_size=n), label="shards"
+        )
+        jobs = [(i, ctx(iterations=2)) for i in range(n)]
+        state = global_vectors(model_fn())
+
+        def run(executor, population):
+            strategy, stacks = FedAvg(OPT), []
+            real = strategy.cohort_round
+
+            def cohort_round(engine, chunk, params):
+                stacks.append(engine.model)
+                return real(engine, chunk, params)
+
+            strategy.cohort_round = cohort_round
+            executor.bind(Binding(population, strategy))
+            return executor.run_round(*state, jobs), stacks
+
+        population = PagedPopulation([make_client(i, n=sizes[i]) for i in range(n)], capacity)
+        executor = CohortExecutor(pad=False)
+        got, stacks = run(executor, population)
+        widths = [len(chunk) for chunk in population.chunks]
+        assert executor.cohort_size == capacity
+        assert len(widths) == -(-n // capacity)
+        assert max(widths) - min(widths) <= 1 and max(widths) <= capacity
+        assert [cid for chunk in population.chunks for cid in chunk] == list(range(n))
+        assert {id(m) for m in stacks} == {id(executor._model)}
+        assert executor._model.cohort_size == max(widths)
+        alone = Population(make_client(i, n=sizes[i]) for i in range(n))
+        want, _ = run(CohortExecutor(1, pad=False), alone)
+        for g, w in zip(got, want, strict=True):
+            assert_same_result(g, w)
+        for g, w in zip(population, alone, strict=True):
+            assert_same_client(g, w)
 
     def test_occupancy_divides_by_the_realised_width(self):
         """Five clients under ``cohort:32`` are one chunk of five: FedAvg
@@ -1047,7 +1114,7 @@ def assert_same_client(got, want):
     mine, theirs = got.model.arena(), want.model.arena()
     assert mine.values.tobytes() == theirs.values.tobytes()
     assert mine.buffers.tobytes() == theirs.buffers.tobytes()
-    assert pickle.dumps(got.capture_state()) == pickle.dumps(want.capture_state())
+    assert capture_blob(got) == capture_blob(want)
 
 
 #: Every client always slowed 3x (FedCA+AB then shrinks its batches).
@@ -1170,26 +1237,37 @@ class TestWidthByMemory:
 
     @pytest.mark.parametrize("preset", ["cnn", "lstm", "wrn"])
     def test_micro_presets_keep_their_width(self, preset):
+        """An eager population has room for everyone, so the width is what
+        fits :data:`STACK_BYTES` — wider than ``cohort``'s 32 on every micro
+        preset — and a round's jobs are one chunk, the step evaluation
+        chunks by."""
         with self.env(preset) as sim:
-            assert sim.executor.cohort_size == DEFAULT_COHORT_SIZE
-            assert sim.executor.step_rows() == sim.population.factory.spec.batch_size * min(
-                DEFAULT_COHORT_SIZE, len(sim.clients)
-            )
+            width = STACK_BYTES // sim.population.factory.step_bytes()
+            assert sim.executor.cohort_size == width > DEFAULT_COHORT_SIZE
+            jobs = len(sim.clients)  # every client trains each round
+            assert sim.clients_per_round is None and jobs <= width
+            assert sim.executor.step_rows() == sim.population.factory.spec.batch_size * jobs
 
     def test_parallel_workers_keep_their_width(self):
         """A ``parallel:2`` worker binds the default engine on its fork of
         the population: the same rule, the same width (never started here)."""
         with self.env("wrn", executor="parallel:2") as sim:
-            assert bound_width(sim.population) == DEFAULT_COHORT_SIZE
-            # Two workers' concurrent steps hold the round's ten jobs.
+            width = STACK_BYTES // sim.population.factory.step_bytes()
+            assert bound_width(sim.population) == width
+            # Two workers' five jobs each are one chunk apiece.
+            assert width >= 5
             assert sim.executor.step_rows() == 2 * 5 * 8
 
     def test_lazy_obs_population_keeps_its_width(self):
+        """``lazy:cache=64`` binds the width at the capacity (the stack
+        would fit hundreds), and 100 jobs a round are two chunks of 50."""
         from .test_experiments import _lazy_lenet_sim
 
         with _lazy_lenet_sim() as sim:
-            assert sim.executor.cohort_size == DEFAULT_COHORT_SIZE
-            assert sim.executor.step_rows() == DEFAULT_COHORT_SIZE * 8
+            assert STACK_BYTES // sim.population.factory.step_bytes() > 64
+            assert sim.executor.cohort_size == 64
+            assert chunk_widths(100, sim.executor.cohort_size, sim.executor.pad) == [50, 50]
+            assert sim.executor.step_rows() == 50 * 8
 
     def test_paper_wrn_narrows_and_its_step_fits(self):
         with self.env("wrn", "paper") as sim:

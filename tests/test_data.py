@@ -15,6 +15,8 @@ from repro.data import (
     train_test_split,
 )
 
+from .helpers import restore_stream, stream_state
+
 
 class TestDataset:
     def test_length_and_subset(self):
@@ -285,7 +287,7 @@ class TestBatchStream:
         a = BatchStream(self._ds(), 4, seed=3)
         a.next_batch()
         b = BatchStream(self._ds(), 4, seed=0)
-        b.restore_state(a.snapshot_state())
+        restore_stream(b, stream_state(a))
         np.testing.assert_array_equal(a.next_batch()[0], b.next_batch()[0])
 
     @pytest.mark.parametrize(
@@ -305,9 +307,9 @@ class TestBatchStream:
         outside ``[0, n)`` fails at restore — not later in ``next_batch`` —
         and leaves the stream as it was."""
         s = BatchStream(self._ds(10), 4, seed=0)
-        before = s.snapshot_state()
+        before = stream_state(s)
         with pytest.raises(ValueError, match=match):
-            s.restore_state(damage(BatchStream(self._ds(10), 4, seed=5).snapshot_state()))
-        after = s.snapshot_state()
+            restore_stream(s, damage(stream_state(BatchStream(self._ds(10), 4, seed=5))))
+        after = stream_state(s)
         assert after["rng"] == before["rng"] and after["cursor"] == before["cursor"]
         np.testing.assert_array_equal(after["order"], before["order"])

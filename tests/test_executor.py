@@ -21,7 +21,7 @@ from repro.runtime import (
     resolve_executor,
     shm_available,
 )
-from repro.runtime.cohort import DEFAULT_COHORT_SIZE
+from repro.runtime.cohort import DEFAULT_COHORT_SIZE, STACK_BYTES
 from repro.runtime.parallel import fork_available
 from repro.runtime.transport import ipc_bytes_counter
 
@@ -351,7 +351,7 @@ class TestParallelLifecycle:
             crash_state = {k: v.copy() for k, v in sim.global_state.items()}
             fallback = executor._fallback
             assert type(fallback) is CohortExecutor and not fallback.pad
-            assert fallback.cohort_size == DEFAULT_COHORT_SIZE
+            assert fallback.cohort_size == STACK_BYTES // sim.population.factory.step_bytes()
             assert sorted(
                 record.collected_clients + record.straggler_clients
             ) == list(range(NUM_CLIENTS))
@@ -993,13 +993,17 @@ class TestDefaultEngineIsTheReference:
     @pytest.mark.parametrize("cache", [None, 1, 3, 64])
     def test_lazy_cache_bounds_the_width(self, env_data, cache):
         """``lazy:cache=N`` keeps capacity N: the engine sizes itself to
-        ``min(32, N)`` at bind, and no program it runs is wider."""
+        ``min(N, STACK_BYTES // step bytes)`` at bind, cuts the round's five
+        jobs into ⌈5/W⌉ near-equal chunks, and its one stack is as wide as
+        the widest of them."""
         population = None if cache is None else f"lazy:cache={cache}"
         with make_sim(env_data, "fedavg", executor=None, population=population) as sim:
             sim.run(2)
-        width = min(DEFAULT_COHORT_SIZE, cache or DEFAULT_COHORT_SIZE)
+        fits = STACK_BYTES // sim.population.factory.step_bytes()
+        width = min(fits, cache or fits)
         assert sim.executor.cohort_size == width
-        assert max(sim.executor._models) <= width
+        widest = {1: 1, 3: 3}.get(cache, NUM_CLIENTS)  # 5 jobs: 1×5, 3+2, one chunk
+        assert sim.executor._model.cohort_size == widest
         if cache is not None:
             assert sim.population.resident_capacity == cache
             assert len(sim.population.cache) <= cache

@@ -24,6 +24,7 @@ from repro.core.eager import NEVER
 from repro.experiments import get_workload, make_environment, probe_curves
 from repro.nn import WideResNet, build_model, softmax_cross_entropy
 from repro.persist.snapshot import decode, encode
+from repro.scale.cache import capture_blob
 from repro.runtime import Binding, CohortExecutor
 from repro.runtime.round import RoundContext
 
@@ -206,5 +207,5 @@ def test_wrn_fedca_blob_is_smaller_than_the_dict_profile():
     cfg = get_workload("wrn", "micro")
     sim = make_environment(cfg, build_strategy("fedca", cfg.optimizer_spec()), seed=0)
     sim.run(6)
-    sizes = [len(encode(sim.clients[c].capture_state())) for c in range(cfg.num_clients)]
+    sizes = [len(capture_blob(sim.clients[c])) for c in range(cfg.num_clients)]
     assert statistics.median(sizes) < 8688

@@ -201,13 +201,11 @@ class TestArenaIntegrityAfterRuns:
 
     def test_cohort(self, env_data):
         sim = self.run(env_data, "cohort:4")
-        stacks = list(sim.executor._models.values())
-        assert stacks
-        for stack in stacks:
-            assert stack.module.lead == (stack.cohort_size,)
-            assert_in_arena(stack.module)
-            for name, p in stack.params.items():
-                assert p is dict(stack.module.named_parameters())[name]
+        stack = sim.executor._model
+        assert stack.module.lead == (stack.width,)
+        assert_in_arena(stack.module)
+        for name, p in stack.params.items():
+            assert p is dict(stack.module.named_parameters())[name]
         for cid in range(len(sim.clients)):
             assert_in_arena(sim.clients[cid].model)
 

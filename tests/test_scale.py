@@ -52,17 +52,21 @@ from repro.scale import (
     parse_population_spec,
 )
 from repro.rngstate import _Words, entropy_words, rng_state_bytes, seed_states
-from repro.scale.cache import capture_blob
+from repro.scale.cache import capture_blob, restore_blob
 from repro.runtime.client import SimClient
 from repro.sysmodel import LinkModel, SpeedTrace, iteration_time_for
 
 from .helpers import (
+    capture_state,
+    restore_state,
     client_seeds_reference,
     held_array_bytes,
     pace_reference,
     per_client_holdings,
     reference_shard,
     same_tree,
+    stream_state,
+    trace_state,
 )
 
 OPT = OptimizerSpec(lr=0.05, weight_decay=0.01)
@@ -237,7 +241,7 @@ def reference_create(factory, cid):
 def assert_same_client(built, reference):
     np.testing.assert_array_equal(built.shard.x, reference.shard.x)
     np.testing.assert_array_equal(built.shard.y, reference.shard.y)
-    assert encode(built.capture_state()) == encode(reference.capture_state())
+    assert capture_blob(built) == capture_blob(reference)
 
 
 _entropy_word = st.one_of(
@@ -342,11 +346,11 @@ class TestBatchedPathsMatchNumPy:
             client = factory.create(cid)
             trace_seed, stream_seed = client_seeds_reference(seed, cid)
             stream = np.random.default_rng(stream_seed)
-            assert client.stream.snapshot_state()["order"].tolist() == (
+            assert stream_state(client.stream)["order"].tolist() == (
                 stream.permutation(16).tolist()
             )
-            assert client.stream.snapshot_state()["rng"] == rng_state_bytes(stream)
-            trace = client.trace.snapshot_state()["rng"]
+            assert stream_state(client.stream)["rng"] == rng_state_bytes(stream)
+            trace = trace_state(client.trace)["rng"]
             assert trace == rng_state_bytes(np.random.default_rng(trace_seed))
             assert client.trace.base_iteration_time == pace_reference(cid, 0.01, seed=seed)
             factory.release(client)
@@ -428,7 +432,7 @@ class TestClientFactory:
             assert built.client_id == eager.client_id
             assert built.num_samples == eager.num_samples
             assert built.model_bytes == eager.model_bytes
-            assert_state_equal(built.capture_state(), eager.capture_state())
+            assert_state_equal(decode(capture_blob(built)), decode(capture_blob(eager)))
         sim.close()
 
     def test_metadata_without_materialisation(self, env_data):
@@ -441,18 +445,18 @@ class TestClientFactory:
 
     def test_model_rng_entry_only_for_models_that_draw(self, env_data):
         plain = make_factory(env_data).create(0)
-        assert set(plain.capture_state()) == {"stream", "trace"}
+        assert set(decode(capture_blob(plain))) == {"stream", "trace"}
         no_drop = make_factory(env_data, model_fn=lambda: micro_wrn(dropout=0.0))
-        assert set(no_drop.create(0).capture_state()) == {"stream", "trace"}
+        assert set(decode(capture_blob(no_drop.create(0)))) == {"stream", "trace"}
 
         client = make_factory(env_data, model_fn=micro_wrn).create(0)
-        snapshot = client.capture_state()
+        snapshot = decode(capture_blob(client))
         draw_masks(client, 3)
         assert client.model.rng_state() != snapshot["model_rng"]
         # A checkpoint written before the entry existed still restores.
-        client.restore_state({k: v for k, v in snapshot.items() if k != "model_rng"})
+        restore_blob(client, encode({k: v for k, v in snapshot.items() if k != "model_rng"}))
         assert client.model.rng_state() != snapshot["model_rng"]
-        client.restore_state(snapshot)
+        restore_blob(client, encode(snapshot))
         assert client.model.rng_state() == snapshot["model_rng"]
 
     def test_create_out_of_range(self, env_data):
@@ -533,7 +537,7 @@ class TestClientFactory:
         assert fresh.model is not used
         assert_state_equal(recycled.model.state_dict(), fresh.model.state_dict())
         assert_state_equal(recycled.model.buffer_dict(), fresh.model.buffer_dict())
-        assert_state_equal(recycled.capture_state(), fresh.capture_state())
+        assert_state_equal(decode(capture_blob(recycled)), decode(capture_blob(fresh)))
         for name, layer in recycled.model.named_modules():
             assert layer.training, name
             assert held_array_bytes(layer) == 0, name  # no activation cached
@@ -626,10 +630,10 @@ class TestLazyClientPopulation:
         client = pop[0]
         client.stream.next_batch()
         client.trace.iteration_finish_time(0.0, 5)
-        before = client.capture_state()
+        before = decode(capture_blob(client))
         pop.cache.acquire(1)  # evicts 0
         assert sorted(pop.cache._residents) == [1]
-        after = pop[0].capture_state()
+        after = decode(capture_blob(pop[0]))
         assert_state_equal(after, before)
 
     def test_rehydrated_equals_never_evicted(self, env_data):
@@ -643,7 +647,7 @@ class TestLazyClientPopulation:
             c0.stream.next_batch()
         assert tight.cache.rehydrations >= 1
         assert roomy.cache.rehydrations == 0
-        assert_state_equal(tight[0].capture_state(), roomy[0].capture_state())
+        assert_state_equal(decode(capture_blob(tight[0])), decode(capture_blob(roomy[0])))
 
     def test_strategy_state_round_trips_through_eviction(self, env_data):
         # Wire codecs carry evolving state (quant8: RNG position; top-k:
@@ -657,7 +661,7 @@ class TestLazyClientPopulation:
             strategy.set_wire(parse_wire_spec(spec))
             pop = LazyClientPopulation(make_factory(env_data), capacity=1)
             strategy.wire.encode(pop[0], update)
-            before = pop[0].capture_state()["kept"]["wire"]
+            before = decode(capture_blob(pop[0]))["kept"]["wire"]
 
             pop.cache.acquire(1)  # evicts 0; its codec leaves with it
             assert sorted(pop.cache._residents) == [1]
@@ -667,7 +671,7 @@ class TestLazyClientPopulation:
             assert per_client_holdings(strategy) == []
             assert per_client_holdings(strategy.wire) == []
             client = pop.cache.acquire(0)  # rehydrates client and codec
-            assert_state_equal(client.capture_state()["kept"]["wire"], before)
+            assert_state_equal(decode(capture_blob(client))["kept"]["wire"], before)
             # ...and the rehydrated codec continues where the evicted one
             # stopped, exactly like one that never left.
             twin = LazyClientPopulation(make_factory(env_data), capacity=2)
@@ -687,7 +691,7 @@ class TestLazyClientPopulation:
         # The evicted client's entry is the pager's blob itself, undecoded,
         # the resident's a live capture; a slice returns only what it names.
         assert state[0] is pop.cache._snapshots[0]
-        assert_state_equal(decode(state[1]), pop[1].capture_state())
+        assert_state_equal(decode(state[1]), decode(capture_blob(pop[1])))
         assert sorted(pop.capture_run_state([1, 3])) == [1]
 
 
@@ -755,8 +759,8 @@ def test_evict_rehydrate_round_trip_property(
         strategy.wire.encode(client, {"w": update["w"] * (i + 1)})
     if anchor_steps:
         run_anchor(strategy, client, anchor_steps)
-    before = client.capture_state()
-    assert capture_blob(client) == encode(before)
+    before = decode(capture_blob(client))
+    assert capture_blob(client) == encode(capture_state(client))
     assert len(before["model_rng"]) == 1  # WRN's dropouts share one generator
     owners = ["fedca"] * bool(anchor_steps) + ["wire"] * bool(encodes)
     assert list(before.get("kept", {})) == owners
@@ -773,15 +777,96 @@ def test_evict_rehydrate_round_trip_property(
     # Rehydrated but not yet touched by any owner: pending snapshots are
     # carried; once the owners adopt them, the live objects say the same.
     client = pop[cid]
-    assert_state_equal(client.capture_state(), before)
+    assert_state_equal(decode(capture_blob(client)), before)
     strategy.profile(client)  # an empty profile adds no entry
     if encodes:
         strategy.wire.codec_for(client)
-    assert_state_equal(client.capture_state(), before)
-    # restore_state(s) → capture_state() is the identity with no owner around.
+    assert_state_equal(decode(capture_blob(client)), before)
+    # restore → capture is the identity with no owner around.
     other = make_factory(precomputed_env, model_fn=micro_wrn).create(cid)
-    other.restore_state(before)
-    assert_state_equal(other.capture_state(), before)
+    restore_blob(other, capture_blob(client))
+    assert_state_equal(decode(capture_blob(other)), before)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cid=st.integers(min_value=0, max_value=NUM_CLIENTS - 1),
+    batches=st.integers(min_value=0, max_value=7),
+    trace_iters=st.integers(min_value=0, max_value=9),
+    masks=st.integers(min_value=0, max_value=3),
+    encodes=st.integers(min_value=0, max_value=2),
+    anchor_steps=st.sampled_from([0, 3]),
+    damage=st.one_of(
+        st.none(),
+        st.sampled_from(["trailing", "cursor", "order", "short", "rng"]),
+        st.tuples(st.just("cut"), st.integers(min_value=0)),
+        st.tuples(st.just("flip"), st.integers(min_value=0), st.integers(1, 255)),
+    ),
+)
+def test_restore_blob_is_the_tree_path(
+    precomputed_env, cid, batches, trace_iters, masks, encodes, anchor_steps, damage
+):
+    """``restore_blob`` leaves a drawn client state exactly where the tree
+    form — ``restore_state(client, decode(blob))`` — does, and refuses a
+    damaged blob the same way: whatever the tree refuses it refuses, as a
+    ``CheckpointCorruptError`` wherever ``decode`` raised one and with the
+    tree's own error where a checked value is wrong (a stream position, a
+    generator state); a damaged blob both accept restores the same client.
+    It may refuse more (a blob out of capture_blob's layout the tree would
+    half-read)."""
+    from repro.persist import CheckpointCorruptError
+
+    strategy = fedca_with_wire()
+    client = make_factory(precomputed_env, model_fn=micro_wrn).create(cid)
+    for _ in range(batches):
+        client.stream.next_batch()
+    if trace_iters:
+        client.trace.iteration_finish_time(0.0, trace_iters)
+    draw_masks(client, masks)
+    for i in range(encodes):
+        strategy.wire.encode(client, {"w": np.full(16, i + 1.0, dtype=np.float32)})
+    if anchor_steps:
+        run_anchor(strategy, client, anchor_steps)
+    blob = capture_blob(client)
+    state, n = decode(blob), len(client.shard)
+    if damage == "trailing":
+        blob += b"\x00"
+    elif damage == "cursor":
+        state["stream"]["cursor"] = n
+    elif damage == "order":
+        state["stream"]["order"][0] = state["stream"]["order"][-1]
+    elif damage == "short":
+        state["stream"]["order"] = state["stream"]["order"][:-1]
+    elif damage == "rng":
+        state["trace"]["rng"] = state["trace"]["rng"][:-1]
+    elif damage is not None and damage[0] == "cut":
+        blob = blob[: damage[1] % len(blob)]
+    elif damage is not None:
+        at = damage[1] % len(blob)
+        blob = blob[:at] + bytes((blob[at] ^ damage[2],)) + blob[at + 1 :]
+    if damage in ("cursor", "order", "short", "rng"):
+        blob = encode(state)
+
+    def outcome(restore):
+        target = make_factory(precomputed_env, model_fn=micro_wrn).create(cid)
+        try:
+            restore(target)
+            return capture_blob(target)
+        except Exception as exc:  # the outcome compared is the refusal
+            return exc
+
+    tree = outcome(lambda c: restore_state(c, decode(blob)))
+    direct = outcome(lambda c: restore_blob(c, blob))
+    if damage is None:
+        assert direct == tree == blob
+    elif isinstance(tree, bytes):
+        assert direct == tree or isinstance(direct, CheckpointCorruptError)
+    elif isinstance(tree, CheckpointCorruptError):
+        assert isinstance(direct, CheckpointCorruptError), direct
+    elif isinstance(damage, str):  # a wrong value, read the same by both
+        assert (type(direct), str(direct)) == (type(tree), str(tree))
+    else:
+        assert isinstance(direct, ValueError), direct
 
 
 def _mutate_fedavg_raw(strategy, client):
@@ -831,8 +916,8 @@ def test_parked_client_equals_never_evicted(env_data, model_fn, wire, mutate, en
     assert roomy.cache.evictions == 0
     parked, live = tight[2], roomy[2]
     assert tight.cache.rehydrations == 1
-    assert set(live.capture_state()) == entries
-    assert_state_equal(parked.capture_state(), live.capture_state())
+    assert set(decode(capture_blob(live))) == entries
+    assert_state_equal(decode(capture_blob(parked)), decode(capture_blob(live)))
     for _ in range(3):
         for got, want in zip(parked.stream.next_batch(), live.stream.next_batch()):
             np.testing.assert_array_equal(got, want)
@@ -841,7 +926,7 @@ def test_parked_client_equals_never_evicted(env_data, model_fn, wire, mutate, en
         t = live.trace.iteration_finish_time(t, 50)
         assert parked.trace.iteration_finish_time(t - 1.0, 50) == \
             live.trace.iteration_finish_time(t - 1.0, 50)
-    assert_state_equal(parked.capture_state(), live.capture_state())
+    assert_state_equal(decode(capture_blob(parked)), decode(capture_blob(live)))
 
 
 # ----------------------------------------------------------------------
@@ -858,9 +943,9 @@ def client_blob(env_data):
     draw_masks(client, 2)
     strategy.wire.encode(client, {"w": np.linspace(-1, 1, 16, dtype=np.float32)})
     run_anchor(strategy, client, 3)
-    state = client.capture_state()
-    assert set(state) == {"stream", "trace", "model_rng", "kept"}
-    return encode(state)
+    blob = capture_blob(client)
+    assert set(decode(blob)) == {"stream", "trace", "model_rng", "kept"}
+    return blob
 
 
 def test_every_proper_prefix_of_a_blob_is_corrupt(client_blob):
@@ -1106,7 +1191,7 @@ def check_resume_matches_uninterrupted(env_data, scheme, model_fn, executor):
     with build(None) as sim:
         blank = RunCheckpoint.from_simulator(sim)
         initial = {
-            str(cid): encode(sim._factory.create(cid).capture_state())
+            str(cid): capture_blob(sim._factory.create(cid))
             for cid in range(len(sim.clients))
         }
     assert blank.clients == {}
@@ -1161,7 +1246,7 @@ def test_fixed_width_engine_reserves_its_chunk(env_data):
         assert sim.population.resident_capacity == 8
         sim.run(2)
         assert len(sim.population.cache) == 8
-        assert max(sim.executor._models) == 8
+        assert sim.executor._model.cohort_size == 8
 
 
 def test_no_strategy_side_per_client_state(env_data):
@@ -1173,7 +1258,7 @@ def test_no_strategy_side_per_client_state(env_data):
         assert per_client_holdings(sim.strategy.wire) == []
         # ...and it does exist: every client was profiled and transmitted.
         for cid in range(len(sim.clients)):
-            assert list(sim.clients[cid].capture_state()["kept"]) == ["fedca", "wire"]
+            assert list(decode(capture_blob(sim.clients[cid]))["kept"]) == ["fedca", "wire"]
 
 
 def test_resume_keeps_the_residency_bound(env_data, tmp_path):

@@ -13,7 +13,7 @@ Invariants:
   the wire feature. Lossy wires (quant8/quant4/topk:F) stay within a
   pinned accuracy tolerance and always shrink the uplink byte count.
 * Wire codec state (error-feedback residuals, RNG positions) is kept on
-  the client and rides its ``capture_state()``, so checkpoint resume and
+  the client and rides its blob (``capture_blob``), so checkpoint resume and
   lazy-population evict/rehydrate reproduce uninterrupted runs exactly.
 """
 
@@ -40,6 +40,8 @@ from repro.runtime import (
 )
 from repro.runtime.round import ClientRoundResult
 from repro.runtime.parallel import fork_available
+from repro.persist.snapshot import decode, encode
+from repro.scale.cache import capture_blob, restore_blob
 
 from .helpers import per_client_holdings, shm_segment_names
 
@@ -324,16 +326,16 @@ class TestWireSpecs:
         layer.encode(a, update)
         layer.encode(b, {"w": -update["w"]})
         assert layer.codec_for(a) is not layer.codec_for(b)
-        residual_a = a.capture_state()["kept"]["wire"]["residuals"]["w"]
-        residual_b = b.capture_state()["kept"]["wire"]["residuals"]["w"]
+        residual_a = decode(capture_blob(a))["kept"]["wire"]["residuals"]["w"]
+        residual_b = decode(capture_blob(b))["kept"]["wire"]["residuals"]["w"]
         np.testing.assert_array_equal(residual_a, -residual_b)
         assert residual_a.any()
         # The codec leaves in the client's snapshot and comes back on a
         # fresh client; the layer itself holds nothing to release.
-        snapshot = a.capture_state()
+        snapshot = decode(capture_blob(a))
         fresh = make_sim(env_data, "fedavg", executor="serial").clients[3]
-        assert "kept" not in fresh.capture_state()
-        fresh.restore_state(snapshot)
+        assert "kept" not in decode(capture_blob(fresh))
+        restore_blob(fresh, capture_blob(a))
         got, got_bytes = layer.encode(fresh, update)
         want, want_bytes = layer.encode(a, update)
         np.testing.assert_array_equal(got["w"], want["w"])
@@ -457,24 +459,24 @@ class TestWireStateLifecycle:
         update = {"w": np.ones(4, dtype=np.float32)}
         plain = make_sim(env_data, "fedavg", executor="serial")
         plain.run(1)
-        assert set(plain.clients[0].capture_state()) == {"stream", "trace"}
+        assert set(decode(capture_blob(plain.clients[0]))) == {"stream", "trace"}
 
         sim = make_sim(env_data, "fedca", executor="serial", wire="topk:0.5")
         client, fedca = sim.clients[2], sim.strategy
         assert fedca.profile(client).curves is None
         # An un-profiled FedCA client has an empty profile: no entry.
-        assert set(client.capture_state()) == {"stream", "trace"}
+        assert set(decode(capture_blob(client))) == {"stream", "trace"}
         fedca.wire.encode(client, update)
-        assert set(client.capture_state()["kept"]) == {"wire"}
+        assert set(decode(capture_blob(client))["kept"]) == {"wire"}
         sim.run(1)  # the anchor round profiles every client
-        snapshot = client.capture_state()
+        snapshot = decode(capture_blob(client))
         assert set(snapshot) == {"stream", "trace", "kept"}
         assert set(snapshot["kept"]) == {"fedca", "wire"}
         assert set(snapshot["kept"]["fedca"]) == {"round_index", "curves"}
         assert set(snapshot["kept"]["wire"]) == {"residuals"}
         # A restored-but-untouched client carries its snapshots verbatim.
         fresh = make_sim(env_data, "fedca", executor="serial").clients[2]
-        fresh.restore_state(snapshot)
-        carried = fresh.capture_state()["kept"]
+        restore_blob(fresh, capture_blob(client))
+        carried = decode(capture_blob(fresh))["kept"]
         assert list(carried) == ["fedca", "wire"]
-        assert all(carried[key] is snapshot["kept"][key] for key in carried)
+        assert encode(carried) == encode(snapshot["kept"])

@@ -16,6 +16,8 @@ from repro.sysmodel import (
     select_deadline,
 )
 
+from .helpers import restore_trace, trace_state
+
 
 class TestSpeedTrace:
     def test_static_trace_is_linear(self):
@@ -107,9 +109,9 @@ class TestSpeedTraceSnapshot:
         # seed — every matching observation must come from the snapshot.
         ref.slowdown_at(warm_time)
         live.slowdown_at(warm_time)
-        snapshot = live.snapshot_state()
+        snapshot = trace_state(live)
         restored = SpeedTrace(0.1, seed=seed + 1)
-        restored.restore_state(snapshot)
+        restore_trace(restored, snapshot)
         for t in probes:
             assert restored.slowdown_at(t) == ref.slowdown_at(t)
         assert restored.iteration_finish_time(
@@ -119,7 +121,7 @@ class TestSpeedTraceSnapshot:
     def test_snapshot_is_isolated_from_live_trace(self):
         tr = SpeedTrace(0.1, seed=3)
         tr.slowdown_at(50.0)
-        snapshot = tr.snapshot_state()
+        snapshot = trace_state(tr)
         horizon = snapshot["horizon"]
         tr.slowdown_at(500.0)  # keep evolving the live trace
         assert snapshot["horizon"] == horizon  # snapshot unaffected
@@ -132,11 +134,11 @@ class TestSpeedTraceSnapshot:
 
         tr = SpeedTrace(0.1, seed=4)
         tr.slowdown_at(100.0)
-        snap = tr.snapshot_state()
+        snap = trace_state(tr)
         assert len(snap["rng"]) == 37
         back = decode(encode(snap))
         restored = SpeedTrace(0.1, seed=99)
-        restored.restore_state(back)
+        restore_trace(restored, back)
         assert restored.iteration_finish_time(0.0, 30) == tr.iteration_finish_time(0.0, 30)
         assert restored.slowdown_at(400.0) == tr.slowdown_at(400.0)
 
@@ -178,7 +180,7 @@ class TestSpeedTraceForgetting:
                 from repro.persist.snapshot import decode, encode
 
                 restored = SpeedTrace(0.1, seed=seed + 1)
-                restored.restore_state(decode(encode(live.snapshot_state())))
+                restore_trace(restored, decode(encode(trace_state(live))))
                 live = restored
 
     def test_the_past_is_gone_and_says_so(self):
@@ -189,7 +191,7 @@ class TestSpeedTraceForgetting:
         tr.forget_before(1500.0)
         assert len(tr._segments) < grown // 2
         assert tr._segments[0].start <= 1500.0 < tr._segments[0].end
-        assert len(tr.snapshot_state()["segments"]) == len(tr._segments)
+        assert len(trace_state(tr)["segments"]) == len(tr._segments)
         with pytest.raises(ValueError, match="forget_before"):
             tr.slowdown_at(tr._segments[0].start - 1.0)
         with pytest.raises(ValueError, match="forget_before"):
@@ -209,9 +211,9 @@ class TestSpeedTraceForgetting:
 
     def test_static_trace_has_nothing_to_forget(self):
         tr = SpeedTrace(0.5, seed=0, dynamic=False)
-        before = tr.snapshot_state()
+        before = trace_state(tr)
         tr.forget_before(1e6)
-        assert tr.snapshot_state()["rng"] == before["rng"]
+        assert trace_state(tr)["rng"] == before["rng"]
         assert tr.iteration_finish_time(0.0, 10) == pytest.approx(5.0)
 
 
