@@ -12,8 +12,6 @@ The entry points:
   population × wire cells and four crash → resume cells);
 * every ``repro reproduce`` artefact at micro scale, ``compare``, and
   ``overhead`` with and without ``--paper-arch``;
-* ``python -m repro.lint`` over the repository and over a planted corpus
-  that trips every checker (a clean tree renders no finding);
 * sanitized, profiled, cached, evicting and ``parallel:2`` topk runs;
 * ``benchmarks/e2e/run.py --smoke``.
 
@@ -77,19 +75,16 @@ KEEP: dict[str, tuple[str, str]] = {
     "repro/experiments/multiseed.py::MultiSeedSummary.mean_round_time": (_MULTI, _MULTI_BY),
     "repro/experiments/multiseed.py::run_multiseed": (_MULTI, _MULTI_BY),
     "repro/experiments/multiseed.py::format_multiseed": (_MULTI, _MULTI_BY),
-    "repro/lint/sanitize.py::is_active": (
+    "repro/sanitize.py::is_active": (
         "sanitizer toggle for tests (a CLI run keeps it on for the process)",
         "`tests/test_lint.py::TestSanitizer::test_enable_disable_idempotent`"),
-    "repro/lint/sanitize.py::disable": (
+    "repro/sanitize.py::disable": (
         "sanitizer toggle for tests (a CLI run keeps it on for the process)",
         "`tests/test_lint.py::TestSanitizer`"),
-    "repro/lint/sanitize.py::fork_violations": (
+    "repro/sanitize.py::fork_violations": (
         "reads what the fork trap recorded; a clean run records nothing",
         "`tests/test_lint.py::TestSanitizer::test_fork_with_rogue_thread_recorded`"),
-    "repro/lint/sanitize.py::assert_fork_safe": (
-        "reads what the fork trap recorded; a clean run records nothing",
-        "`tests/test_lint.py::TestSanitizer::test_fork_with_rogue_thread_recorded`"),
-    "repro/lint/sanitize.py::_install_np_trap.<locals>._trap": (
+    "repro/sanitize.py::_install_np_trap.<locals>._trap": (
         "fires only on a legacy `np.random` call, which a clean tree never makes",
         "`tests/test_lint.py::TestSanitizer::test_legacy_np_random_trapped_and_restored`"),
     "repro/nn/layers.py::Dropout._draw": (
@@ -218,42 +213,6 @@ if _dir:
     sys.setprofile(_hook)
 '''
 
-#: One violation per checker; linting it renders every finding (text and JSON).
-PLANTED = {
-    "src/repro/planted.py": """
-        import random
-        import threading
-        import time
-
-        import numpy as np
-        from multiprocessing.shared_memory import SharedMemory
-
-        _lock = threading.Lock()
-        x = np.random.rand(3)
-
-
-        def now():
-            return time.time()
-
-
-        def order(items):
-            random.shuffle(items)
-            return [i for i in set(items)]
-
-
-        def record(rec, t):
-            rec.counter("repro_nope_total")
-            rec.gauge("repro_rounds_total", 3)
-            rec.emit("totally.bogus", sim_time=t)
-
-
-        def make(n):
-            return SharedMemory(create=True, size=n)
-    """,
-    "src/repro/broken.py": "def broken(:\n",
-}
-
-
 class Run(NamedTuple):
     name: str
     argv: list[str]
@@ -274,11 +233,6 @@ def runs(tmp: Path, jobs: int) -> tuple[Run, list[list[Run]]]:
     from repro.algorithms.registry import STRATEGY_NAMES
     from repro.cli import ARTIFACTS
 
-    planted = tmp / "planted"
-    for rel, source in PLANTED.items():
-        path = planted / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source), encoding="utf-8")
     small = ["--workload", "cnn", "--scheme", "fedca", "--rounds", "3",
              "--no-target-stop", "--seed", "3"]
     cache = str(tmp / "cache")
@@ -289,10 +243,6 @@ def runs(tmp: Path, jobs: int) -> tuple[Run, list[list[Run]]]:
                             "--schemes", *STRATEGY_NAMES)),
         Run("overhead", _cli("overhead")),
         Run("overhead-paper-arch", _cli("overhead", "--paper-arch")),
-        Run("lint", [sys.executable, "-m", "repro.lint"]),  # src, tests, benchmarks
-        Run("lint-planted", [sys.executable, "-m", "repro.lint", str(planted)], ok=(1,)),
-        Run("lint-planted-json", [sys.executable, "-m", "repro.lint", "--format", "json",
-                                  str(planted)], ok=(1,)),
         Run("sanitized", _cli("run", *small, "--sanitize", "--executor", "parallel:2",
                               "--trace-file", str(tmp / "sanitized.jsonl"))),
         Run("profiled", _cli("run", *small, "--profile", "--profile-file",

@@ -23,6 +23,10 @@ phase breakdown after the run. Telemetry outputs are finalised in a
 ``finally`` block, so traces, metrics dumps and profile reports survive
 mid-run exceptions. All output goes through the ``repro.*`` logging
 namespace, configured once here via ``--log-level``.
+
+Exit codes: 0 success; 2 a bad argument or a checkpoint that cannot be
+resumed; 3 a ``--sanitize`` run that recorded a live thread at a fork or
+left a shared-memory segment it created unlinked (:mod:`repro.sanitize`).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import os
 import sys
 from dataclasses import replace
 
+from . import sanitize
 from .experiments import (
     format_fig1,
     format_fig2,
@@ -101,11 +106,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_sanitize(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sanitize", action="store_true",
-        help="enable the runtime determinism sanitizer (repro.lint.sanitize): "
+        help="enable the runtime determinism sanitizer (repro.sanitize): "
              "trap legacy np.random global-state calls, record unexpected "
              "live threads at fork, track shm create/unlink pairing, and "
              "validate metric registry discipline; passive — a sanitized "
-             "run's history and trace are byte-identical "
+             "run's history and trace are byte-identical — but a run that "
+             "recorded a fork or shm violation exits 3 "
              "(also enabled by REPRO_SANITIZE=1)")
 
 
@@ -490,11 +496,10 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     configure_logging(getattr(args, "log_level", "info"))
-    if getattr(args, "sanitize", False) or os.environ.get(
+    sanitizing = getattr(args, "sanitize", False) or os.environ.get(
         "REPRO_SANITIZE", ""
-    ).lower() in ("1", "true", "yes", "on"):
-        from .lint import sanitize
-
+    ).lower() in ("1", "true", "yes", "on")
+    if sanitizing:
         sanitize.enable()
         logger.info("runtime determinism sanitizer enabled")
     handlers = {
@@ -503,7 +508,8 @@ def main(argv: list[str] | None = None) -> int:
         "reproduce": cmd_reproduce,
         "overhead": cmd_overhead,
     }
-    return handlers[args.command](args)
+    status = handlers[args.command](args)
+    return status or (sanitize.report() if sanitizing else 0)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

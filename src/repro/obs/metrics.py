@@ -13,9 +13,9 @@ resume oracle (:mod:`repro.persist`) relies on:
   because wall time is not deterministic and would break the resume
   oracle's counter comparison.
 
-Enforced statically by ``repro.lint`` (MET001/MET002: literal names at
+Enforced statically by ``tools/reprolint`` (MET001/MET002: literal names at
 ``.counter()``/``.gauge()`` call sites must be registered here) and at
-runtime by the sanitizer (:mod:`repro.lint.sanitize`, which validates
+runtime by the sanitizer (:mod:`repro.sanitize`, which validates
 every registry write when ``--sanitize``/``REPRO_SANITIZE=1`` is on).
 
 Labelled series (``repro_ipc_bytes_total{transport="shm",...}``) are

@@ -439,13 +439,13 @@ class FederatedSimulator:
         with prof.phase("evaluate"):
             acc = self.evaluate()
         collected_ids = tuple(r.client_id for r in collected)
+        collected_set = set(collected_ids)
         if tracing:
             with prof.phase("telemetry"):
                 # Results arrive in job order (sorted client ids) regardless
                 # of the executor, so merging here keeps the trace
                 # deterministic — the telemetry mirror of PR 1's
                 # bitwise-identical-history guarantee.
-                collected_set = set(collected_ids)
                 for r in results:
                     rec.merge_client_trace(round_index, r.client_id, r.trace)
                     rec.span(
@@ -499,7 +499,7 @@ class FederatedSimulator:
             mean_loss=float(np.mean([r.mean_loss for r in collected])),
             collected_clients=collected_ids,
             straggler_clients=tuple(
-                [r.client_id for r in results if r.client_id not in collected_ids]
+                [r.client_id for r in results if r.client_id not in collected_set]
                 + sorted(dropped)
             ),
             mean_iterations=float(np.mean([r.iterations_run for r in results])),

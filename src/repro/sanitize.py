@@ -1,10 +1,10 @@
 """Runtime determinism sanitizer (``--sanitize`` / ``REPRO_SANITIZE=1``).
 
-The dynamic half of ``repro.lint``: where the static pass proves what
-the *source* can do, the sanitizer watches what the *process* actually
-does.  Four traps, all passive — a sanitized run's history and JSONL
-trace are byte-identical to an unsanitized one (asserted in
-``tests/test_lint.py``):
+The dynamic half of the repository's invariant checks: where the static
+pass (``tools/reprolint``) proves what the *source* can do, the
+sanitizer watches what the *process* actually does.  Four traps, all
+passive — a sanitized run's history and JSONL trace are byte-identical
+to an unsanitized one (asserted in ``tests/test_lint.py``):
 
 1. **Legacy RNG trap** — every global-state ``np.random.<fn>`` call
    (``seed``/``rand``/``shuffle``/...) raises :class:`SanitizeError`.
@@ -12,18 +12,23 @@ trace are byte-identical to an unsanitized one (asserted in
 2. **Fork hygiene** — an ``os.register_at_fork`` *before* hook records a
    violation whenever a non-allowlisted thread is alive at fork time
    (the trace-writer-flusher × fork-pool hazard, FORK001's dynamic
-   twin).  Violations are collected, printed to stderr, and reported at
-   exit; :func:`fork_violations` exposes them to tests.  The hook never
-   raises — CPython swallows at-fork exceptions as unraisable, so
-   recording is the reliable channel.
+   twin).  Violations are collected and printed to stderr;
+   :func:`fork_violations` exposes them.  The hook never raises —
+   CPython swallows at-fork exceptions as unraisable, so recording is
+   the reliable channel.
 3. **Shm pairing** — ``SharedMemory(create=True)`` segments are tracked
-   until their ``unlink()``; whatever this process created and never
-   unlinked is reported at exit (:func:`leaked_segments`).
+   until their ``unlink()``; :func:`leaked_segments` lists what this
+   process created and has not unlinked.
 4. **Metrics discipline** — every :class:`TraceRecorder` registry write
    is validated against :mod:`repro.obs.metrics`: counters must be
    registered, end ``_total`` and never decrease; gauges must be
    registered and never use the ``_total`` suffix (MET001/MET002 at
    runtime, covering dynamically built names the AST pass cannot see).
+
+The RNG and metrics traps raise where the violation happens. The fork
+and shm traps only record, so a sanitized CLI run ends with
+:func:`report`: it prints what they recorded, and the run exits
+:data:`VIOLATION_EXIT` (3) if there was anything.
 
 ``enable()``/``disable()`` are idempotent and restore every patch, so
 tests can toggle the sanitizer around a single run.
@@ -31,7 +36,6 @@ tests can toggle the sanitizer around a single run.
 
 from __future__ import annotations
 
-import atexit
 import os
 import sys
 import threading
@@ -40,13 +44,18 @@ from typing import Any, Callable
 
 __all__ = [
     "SanitizeError",
+    "VIOLATION_EXIT",
     "enable",
     "disable",
     "is_active",
     "fork_violations",
     "leaked_segments",
-    "assert_fork_safe",
+    "report",
 ]
+
+#: Exit status of a sanitized CLI run that recorded a fork-time thread
+#: violation or left a segment it created unlinked.
+VIOLATION_EXIT = 3
 
 
 class SanitizeError(AssertionError):
@@ -93,8 +102,6 @@ _ALLOWED_THREAD_PREFIXES = ("repro-trace-flusher",)
 @dataclass
 class _State:
     active: bool = False
-    strict: bool = True
-    enable_pid: int = 0
     #: segment name → creating pid, cleared on unlink
     shm_created: dict[str, int] = field(default_factory=dict)
     #: thread-name lists recorded by the at-fork hook
@@ -102,7 +109,6 @@ class _State:
     #: restores: list of (apply,) undo callables
     undo: list[Callable[[], None]] = field(default_factory=list)
     atfork_registered: bool = False
-    atexit_registered: bool = False
 
 
 _STATE = _State()
@@ -126,12 +132,23 @@ def leaked_segments() -> list[str]:
     )
 
 
-def assert_fork_safe() -> None:
-    """Raise :class:`SanitizeError` if any fork-time violation was seen."""
-    if _STATE.fork_violations:
-        raise SanitizeError(
-            f"unexpected live threads at fork time: {_STATE.fork_violations}"
+def report() -> int:
+    """Print this process's leaked segments and fork-time violations to
+    stderr; :data:`VIOLATION_EXIT` if there were any, else 0."""
+    leaks = leaked_segments()
+    if leaks:
+        print(
+            f"REPRO-SANITIZE: {len(leaks)} leaked shared-memory segment(s) "
+            f"(created but never unlinked): {leaks} (SHM001)",
+            file=sys.stderr,
         )
+    if _STATE.fork_violations:
+        print(
+            f"REPRO-SANITIZE: {len(_STATE.fork_violations)} fork(s) happened "
+            f"with unexpected live threads: {_STATE.fork_violations} (FORK001)",
+            file=sys.stderr,
+        )
+    return VIOLATION_EXIT if leaks or _STATE.fork_violations else 0
 
 
 # ----------------------------------------------------------------------
@@ -223,8 +240,8 @@ def _install_shm_tracker() -> None:
 # 4. Metrics discipline
 # ----------------------------------------------------------------------
 def _install_metrics_guard() -> None:
-    from ..obs.metrics import KNOWN_COUNTERS, KNOWN_GAUGES, metric_base_name
-    from ..obs.recorder import TraceRecorder
+    from .obs.metrics import KNOWN_COUNTERS, KNOWN_GAUGES, metric_base_name
+    from .obs.recorder import TraceRecorder
 
     orig_counter = TraceRecorder.counter
     orig_gauge = TraceRecorder.gauge
@@ -275,46 +292,19 @@ def _install_metrics_guard() -> None:
 # ----------------------------------------------------------------------
 # Lifecycle
 # ----------------------------------------------------------------------
-def _report_at_exit() -> None:  # pragma: no cover - exercised in subprocess
-    if not _STATE.active or os.getpid() != _STATE.enable_pid:
-        return
-    leaks = leaked_segments()
-    if leaks:
-        print(
-            f"REPRO-SANITIZE: {len(leaks)} leaked shared-memory segment(s) "
-            f"(created but never unlinked): {leaks} (SHM001)",
-            file=sys.stderr,
-        )
-    if _STATE.fork_violations:
-        print(
-            f"REPRO-SANITIZE: {len(_STATE.fork_violations)} fork(s) happened "
-            f"with unexpected live threads: {_STATE.fork_violations} (FORK001)",
-            file=sys.stderr,
-        )
-
-
-def enable(*, strict: bool = True) -> None:
-    """Install every sanitizer trap (idempotent).
-
-    ``strict`` currently governs nothing beyond future growth — the RNG
-    trap and metrics guard always raise, the fork hook always records
-    (raising inside an at-fork hook is swallowed by the interpreter).
-    """
+def enable() -> None:
+    """Install every sanitizer trap (idempotent)."""
     if _STATE.active:
         return
-    _reset_records()
+    _STATE.shm_created.clear()
+    _STATE.fork_violations.clear()
     _STATE.active = True
-    _STATE.strict = strict
-    _STATE.enable_pid = os.getpid()
     _install_np_trap()
     _install_shm_tracker()
     _install_metrics_guard()
     if not _STATE.atfork_registered:
         os.register_at_fork(before=_before_fork)
         _STATE.atfork_registered = True
-    if not _STATE.atexit_registered:
-        atexit.register(_report_at_exit)
-        _STATE.atexit_registered = True
 
 
 def disable() -> None:
@@ -328,8 +318,3 @@ def disable() -> None:
     while _STATE.undo:
         _STATE.undo.pop()()
     _STATE.active = False
-
-
-def _reset_records() -> None:
-    _STATE.shm_created.clear()
-    _STATE.fork_violations.clear()

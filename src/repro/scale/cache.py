@@ -195,7 +195,9 @@ class ResidentClientCache:
         return len(self._snapshots)
 
     def acquire(self, cid: int) -> SimClient:
-        """Return the live client for ``cid``, paging it in if needed."""
+        """Return the live client for ``cid``, paging it in if needed. A
+        parked blob that :func:`restore_blob` refuses stays parked, as it
+        was, and every acquire of ``cid`` raises the same error."""
         client = self._residents.get(cid)
         if client is not None:
             self._residents.move_to_end(cid)
@@ -204,10 +206,15 @@ class ResidentClientCache:
             self._evict_one()
         client = self.factory.create(cid)
         self.creations += 1
-        blob = self._snapshots.pop(cid, None)
+        blob = self._snapshots.get(cid)
         if blob is not None:
+            try:
+                restore_blob(client, blob)
+            except BaseException:
+                self.factory.release(client)
+                raise
+            del self._snapshots[cid]
             self.snapshot_bytes -= len(blob)
-            restore_blob(client, blob)
             if cid not in self._staged:
                 self.rehydrations += 1
             self._staged.discard(cid)

@@ -1,5 +1,6 @@
-"""Tests for repro.lint: the AST checkers, the pragma/engine machinery,
-the CLI front end, the runtime sanitizer, and the repo self-scan.
+"""Tests for the static linter (``tools/reprolint``: the AST checkers, the
+pragma/engine machinery, the CLI front end and the repo self-scan) and
+for the runtime sanitizer (:mod:`repro.sanitize`).
 
 Checker fixtures are tiny source trees written under ``tmp_path``; a file
 is "repro source" iff its path contains ``src/repro``, so fixtures can
@@ -20,14 +21,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.lint import (
-    Severity,
-    all_checkers,
-    checker_codes,
-    lint_paths,
-    sanitize,
-)
-from repro.lint.pragmas import extract_pragmas
+from repro import sanitize
+from tools.reprolint.cli import CHECKERS, KNOWN_CODES, lint_paths
+from tools.reprolint.findings import Severity
+from tools.reprolint.pragmas import extract_pragmas
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -39,9 +36,9 @@ def _write_tree(root: Path, files: dict[str, str]) -> None:
         path.write_text(textwrap.dedent(source), encoding="utf-8")
 
 
-def _lint(tmp_path: Path, files: dict[str, str], **kwargs):
+def _lint(tmp_path: Path, files: dict[str, str]):
     _write_tree(tmp_path, files)
-    return lint_paths([tmp_path], base=tmp_path, **kwargs)
+    return lint_paths([tmp_path], base=tmp_path)
 
 
 def _codes(result) -> list[str]:
@@ -464,6 +461,32 @@ class TestSHM001:
         """})
         assert _codes(result) == []
 
+    def test_unlink_pairs_with_the_created_segment(self, tmp_path):
+        # An arena whose destroy() closes but no longer unlinks its own
+        # segment, in a module that unlinks a probe segment elsewhere.
+        arena = """
+            import atexit
+            from multiprocessing import shared_memory
+
+            def available():
+                probe = shared_memory.SharedMemory(create=True, size=64)
+                probe.close()
+                probe.unlink()
+
+            class Arena:
+                def __init__(self, size):
+                    self.shm = shared_memory.SharedMemory(create=True, size=size)
+                    atexit.register(self.destroy)
+
+                def destroy(self):
+                    self.shm.close()
+        """
+        result = _lint(tmp_path / "leaky", {"src/repro/mod.py": arena})
+        assert _codes(result) == ["SHM001"]
+        assert "an unlink() on self.shm" in result.findings[0].message
+        paired = arena + "        self.shm.unlink()\n"
+        assert _codes(_lint(tmp_path / "paired", {"src/repro/mod.py": paired})) == []
+
     def test_attach_without_create_not_checked(self, tmp_path):
         result = _lint(tmp_path, {"src/repro/mod.py": """
             from multiprocessing.shared_memory import SharedMemory
@@ -488,31 +511,6 @@ class TestEngine:
         """})
         assert _codes(result) == ["LNT003"]
 
-    def test_select_filters_checkers(self, tmp_path):
-        files = {"src/repro/mod.py": """
-            import time
-            import numpy as np
-            t = time.time()
-            x = np.random.rand(3)
-        """}
-        result = _lint(tmp_path, files, select=frozenset({"DET002"}))
-        assert _codes(result) == ["DET002"]
-
-    def test_ignore_filters_checkers(self, tmp_path):
-        files = {"src/repro/mod.py": """
-            import time
-            import numpy as np
-            t = time.time()
-            x = np.random.rand(3)
-        """}
-        result = _lint(tmp_path, files, ignore=frozenset({"DET002"}))
-        assert _codes(result) == ["DET001"]
-
-    def test_unknown_code_raises(self, tmp_path):
-        (tmp_path / "x.py").write_text("pass\n")
-        with pytest.raises(ValueError, match="unknown checker"):
-            lint_paths([tmp_path], select=frozenset({"NOPE999"}))
-
     def test_severity_floor(self, tmp_path):
         result = _lint(tmp_path, {"src/repro/mod.py": """
             import numpy as np
@@ -522,11 +520,13 @@ class TestEngine:
         assert len(result.worst_at_or_above(Severity.INFO)) == 1
 
     def test_all_required_checkers_registered(self):
-        assert {
+        assert [cls.code for cls in CHECKERS] == [
             "DET001", "DET002", "DET003", "MET001", "MET002",
             "FORK001", "SHM001", "EVT001",
-        } <= set(all_checkers())
-        assert {"LNT001", "LNT002", "LNT003"} <= checker_codes()
+        ]
+        assert KNOWN_CODES == {cls.code for cls in CHECKERS} | {
+            "LNT001", "LNT002", "LNT003"
+        }
 
 
 # ----------------------------------------------------------------------
@@ -534,7 +534,7 @@ class TestEngine:
 # ----------------------------------------------------------------------
 class TestSelfScan:
     def test_repo_is_finding_free_at_default_severity(self):
-        paths = [REPO / "src", REPO / "tests", REPO / "benchmarks"]
+        paths = [REPO / "src", REPO / "tests", REPO / "benchmarks", REPO / "tools"]
         result = lint_paths([p for p in paths if p.is_dir()], base=REPO)
         reported = result.worst_at_or_above(Severity.WARNING)
         assert reported == [], "\n".join(f.render() for f in reported)
@@ -549,18 +549,12 @@ class TestSelfScan:
 class TestLintCLI:
     def _run(self, *argv, cwd=None):
         return subprocess.run(
-            [sys.executable, "-m", "repro.lint", *argv],
+            [sys.executable, "-m", "tools.reprolint", *argv],
             cwd=cwd or REPO,
             env=_env(),
             capture_output=True,
             text=True,
         )
-
-    def test_list_checkers(self):
-        proc = self._run("--list-checkers")
-        assert proc.returncode == 0
-        for code in ("DET001", "DET002", "SHM001", "LNT002"):
-            assert code in proc.stdout
 
     def test_exit_one_on_findings(self, tmp_path):
         _write_tree(tmp_path, {"src/repro/mod.py": """
@@ -570,7 +564,7 @@ class TestLintCLI:
         proc = self._run(str(tmp_path))
         assert proc.returncode == 1
         assert "DET001" in proc.stdout
-        assert "repro-lint:" in proc.stdout
+        assert "reprolint:" in proc.stdout
 
     def test_exit_zero_on_clean_tree(self, tmp_path):
         _write_tree(tmp_path, {"src/repro/mod.py": "x = 1\n"})
@@ -638,9 +632,11 @@ class TestSanitizer:
             peer = shared_memory.SharedMemory(name=shm.name)
             peer.close()
             assert sanitize.leaked_segments() == [shm.name]
+            assert sanitize.report() == sanitize.VIOLATION_EXIT
             shm.close()
             shm.unlink()
             assert sanitize.leaked_segments() == []
+            assert sanitize.report() == 0
         finally:
             sanitize.disable()
 
@@ -695,8 +691,7 @@ class TestSanitizer:
             done.set()
             rogue.join(timeout=5)
             assert ("rogue-fixture-thread",) in sanitize.fork_violations()
-            with pytest.raises(sanitize.SanitizeError):
-                sanitize.assert_fork_safe()
+            assert sanitize.report() == sanitize.VIOLATION_EXIT
         finally:
             sanitize.disable()
 
@@ -718,7 +713,7 @@ class TestSanitizer:
             done.set()
             okay.join(timeout=5)
             assert sanitize.fork_violations() == []
-            sanitize.assert_fork_safe()
+            assert sanitize.report() == 0
         finally:
             sanitize.disable()
 
@@ -774,3 +769,54 @@ class TestSanitizedByteIdentity:
         )
         assert proc.returncode == 0, proc.stderr
         assert "sanitizer enabled" in proc.stdout + proc.stderr
+
+
+class TestSanitizedExitStatus:
+    """What the fork and shm traps record fails a sanitized CLI run."""
+
+    def _run(self, code: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(code)],
+            cwd=REPO,
+            env=_env(),
+            capture_output=True,
+            text=True,
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork-only check")
+    def test_rogue_thread_at_fork_fails_the_run(self):
+        proc = self._run("""
+            import sys
+            import threading
+
+            from repro import cli
+
+            stop = threading.Event()
+            threading.Thread(
+                target=stop.wait, name="rogue-fixture-thread", daemon=True
+            ).start()
+            sys.exit(cli.main([
+                "run", "--workload", "cnn", "--scheme", "fedavg",
+                "--rounds", "1", "--no-target-stop", "--executor", "parallel:2",
+                "--sanitize", "--log-level", "warning",
+            ]))
+        """)
+        assert proc.returncode == sanitize.VIOLATION_EXIT, proc.stderr
+        assert "rogue-fixture-thread" in proc.stderr
+
+    def test_leaked_segment_fails_the_run(self):
+        proc = self._run("""
+            import sys
+            from multiprocessing import shared_memory
+
+            from repro import cli, sanitize
+
+            sanitize.enable()
+            shm = shared_memory.SharedMemory(create=True, size=64)
+            status = cli.main(["overhead", "--iterations", "1", "--sanitize"])
+            shm.close()
+            shm.unlink()
+            sys.exit(status)
+        """)
+        assert proc.returncode == sanitize.VIOLATION_EXIT, proc.stderr
+        assert "leaked shared-memory segment" in proc.stderr

@@ -980,6 +980,70 @@ def test_every_single_byte_corruption_is_caught_or_differs(client_blob):
     assert raised > 100  # tags, lengths, keys, dtype codes: the structure
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    path=st.sampled_from(["parked", "staged", "job"]),
+    damage=st.one_of(
+        st.tuples(st.just("cut"), st.integers(min_value=0)),
+        st.tuples(st.just("flip"), st.integers(min_value=0), st.integers(1, 255)),
+        st.just(("trailing",)),
+    ),
+)
+def test_a_refused_blob_stays_parked(precomputed_env, path, damage):
+    """A damaged blob — parked by an eviction, staged by a resume, or carried
+    by a parallel job — that the restore refuses is never lost: every acquire
+    of its client raises the same error, and the blob stays parked byte for
+    byte. Only the first acquire may change the cache, by evicting a resident
+    to make room in a full one (whose state is parked intact); ``snapshot_bytes``
+    and the resident set are unchanged otherwise. A damaged blob the restore
+    accepts is applied once, like any other."""
+    from repro.persist import CheckpointCorruptError
+
+    cache = LazyClientPopulation(make_factory(precomputed_env), capacity=2).cache
+    client = cache.acquire(0)
+    client.stream.next_batch()
+    client.trace.iteration_finish_time(0.0, 3)
+    blob = capture_blob(client)
+    if damage[0] == "cut":
+        blob = blob[: damage[1] % len(blob)]
+    elif damage[0] == "flip":
+        at = damage[1] % len(blob)
+        blob = blob[:at] + bytes((blob[at] ^ damage[2],)) + blob[at + 1 :]
+    else:
+        blob += b"\x00"
+    if path == "parked":
+        cache.acquire(1)
+        cache.acquire(2)  # evicts client 0: its blob is parked, the cache full
+        cache._park(0, blob)
+    elif path == "staged":
+        cache.seed_snapshot(0, blob)  # what a resume does with each blob
+    else:
+        cache.drain()  # a worker holds only what its jobs carry
+        cache.seed_snapshot(0, blob)
+    before = sorted(cache._residents), cache.snapshot_bytes
+
+    def acquire():
+        try:
+            cache.acquire_chunk([0]) if path == "job" else cache.acquire(0)
+        except ValueError as exc:
+            return exc
+        return None
+
+    first = acquire()
+    if first is None:  # a flip the restore accepts: applied, not parked
+        assert damage[0] == "flip" and 0 in cache._residents
+        return
+    if damage[0] != "flip":
+        assert isinstance(first, CheckpointCorruptError)
+    after = sorted(cache._residents), cache.snapshot_bytes
+    if path != "parked":
+        assert after == before
+    second = acquire()
+    assert (type(second), str(second)) == (type(first), str(first))
+    assert cache.capture_run_state([0]) == {0: blob}
+    assert (sorted(cache._residents), cache.snapshot_bytes) == after
+
+
 @pytest.fixture(scope="module")
 def precomputed_env(env_data):
     # hypothesis forbids function-scoped fixtures; reuse the module data.

@@ -85,6 +85,46 @@ class TestRecordCoherence:
         assert rec.total_bytes <= full * 0.3
 
 
+class CountingId(np.int64):
+    """A client id that counts the equality tests made against it."""
+
+    comparisons = 0
+
+    def __eq__(self, other):
+        CountingId.comparisons += 1
+        return int(self) == other
+
+    def __hash__(self):
+        return hash(int(self))
+
+
+def test_round_record_is_linear_in_the_results():
+    """Building a round's record tests each result's id against the collected
+    ones through a set: at most a couple of equality tests per result, where
+    a scan of the collected tuple makes one per collected client for each."""
+    n = 40
+    train, test = make_workload_data("cnn", num_samples=800, seed=9)
+    parts = dirichlet_partition(train, n, alpha=5.0, seed=10, min_samples=4)
+    sim = build(
+        ([train.subset(p) for p in parts], test), build_strategy("fedavg", OPT),
+        base_iteration_times=list(np.linspace(0.01, 0.03, n)), local_iterations=1,
+    )
+    run_round = sim.executor.run_round
+
+    def counted(params, buffers, jobs):
+        results = run_round(params, buffers, jobs)
+        for r in results:
+            r.client_id = CountingId(r.client_id)
+        CountingId.comparisons = 0
+        return results
+
+    sim.executor.run_round = counted
+    rec = sim.run_round()
+    assert len(rec.collected_clients) + len(rec.straggler_clients) == n
+    assert len(rec.straggler_clients) >= n // 10
+    assert CountingId.comparisons <= 2 * n
+
+
 class TestTimeAccountingAcrossSchemes:
     def test_fedca_round_never_slower_than_fedavg_same_env(self, env_data):
         """With identical static heterogeneity (no dynamics), FedCA's round

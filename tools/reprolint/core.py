@@ -1,10 +1,10 @@
-"""Core engine for ``repro.lint``: file contexts, checker registry, runner.
+"""Core of ``reprolint``: what a checker sees and the checker base class.
 
 The linter parses each file once into a :class:`FileContext` (AST +
 import-alias map + module constants + pragma table) and hands it to
-every registered :class:`Checker` whose scope matches.  Checkers are
-pure functions over the context — they never import or execute the code
-under analysis.
+each of the eight checkers (``cli.CHECKERS``) whose scope
+matches.  Checkers are pure functions over the context — they never
+import or execute the code under analysis.
 
 Repo-layout awareness
 ---------------------
@@ -14,7 +14,7 @@ scanned tree itself (``obs/events.py`` → ``EVENT_KINDS``,
 locates those files relative to the ``src/repro`` root of the file being
 linted and parses them *statically*; when the scanned tree has no such
 files (checker fixture snippets in tests), it falls back to the
-installed :mod:`repro.obs` registries.  Fixtures can therefore ship
+importable :mod:`repro.obs` registries.  Fixtures can therefore ship
 their own ``obs/events.py``/``obs/metrics.py`` to prove the allowlists
 are honoured.
 """
@@ -24,26 +24,12 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from .findings import Finding, Severity
 from .pragmas import Pragma, extract_pragmas
 
-__all__ = [
-    "Checker",
-    "FileContext",
-    "LintResult",
-    "register",
-    "all_checkers",
-    "checker_codes",
-    "lint_file",
-    "lint_paths",
-    "iter_python_files",
-    "dotted_name",
-]
-
-#: Directories never descended into during discovery.
-_SKIP_DIRS = {"__pycache__", ".git", ".hg", ".mypy_cache", ".ruff_cache", ".venv"}
+__all__ = ["Checker", "FileContext", "dotted_name"]
 
 
 # ----------------------------------------------------------------------
@@ -271,14 +257,14 @@ def known_counters_for(ctx: FileContext) -> frozenset[str]:
 
 
 # ----------------------------------------------------------------------
-# Checker base + registry
+# Checker base
 # ----------------------------------------------------------------------
 class Checker:
     """One invariant, one code.  Subclasses implement :meth:`check`."""
 
     #: unique id, e.g. ``DET001`` (three letters + three digits)
     code: str = "XXX000"
-    #: one-line rule statement for ``--list-checkers``
+    #: one-line rule statement
     name: str = ""
     #: default severity of this checker's findings
     severity: Severity = Severity.ERROR
@@ -294,190 +280,13 @@ class Checker:
         node: ast.AST | None,
         message: str,
         *,
-        line: int | None = None,
-        col: int | None = None,
         severity: Severity | None = None,
     ) -> Finding:
         return Finding(
             path=ctx.rel,
-            line=line if line is not None else getattr(node, "lineno", 1),
-            col=col if col is not None else getattr(node, "col_offset", 0),
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
             code=self.code,
             severity=severity if severity is not None else self.severity,
             message=message,
         )
-
-
-_REGISTRY: dict[str, type[Checker]] = {}
-_BUILTINS_LOADED = False
-
-
-def register(cls: type[Checker]) -> type[Checker]:
-    """Class decorator adding a checker to the global registry."""
-    if cls.code in _REGISTRY and _REGISTRY[cls.code] is not cls:
-        raise ValueError(f"duplicate checker code {cls.code!r}")
-    _REGISTRY[cls.code] = cls
-    return cls
-
-
-def _load_builtins() -> None:
-    global _BUILTINS_LOADED
-    if not _BUILTINS_LOADED:
-        from . import determinism, lifecycle, metrics  # noqa: F401
-
-        _BUILTINS_LOADED = True
-
-
-def all_checkers() -> dict[str, type[Checker]]:
-    """Registered checkers by code (loads the built-in modules once)."""
-    _load_builtins()
-    return dict(sorted(_REGISTRY.items()))
-
-
-def checker_codes() -> frozenset[str]:
-    """Every suppressible code: checkers plus the LNT meta-codes."""
-    return frozenset(all_checkers()) | {"LNT001", "LNT002", "LNT003"}
-
-
-# ----------------------------------------------------------------------
-# Running
-# ----------------------------------------------------------------------
-@dataclass
-class LintResult:
-    """Aggregate outcome of one lint run."""
-
-    findings: list[Finding] = field(default_factory=list)
-    files_scanned: int = 0
-    suppressed: int = 0
-
-    def count(self, severity: Severity) -> int:
-        return sum(1 for f in self.findings if f.severity == severity)
-
-    def worst_at_or_above(self, floor: Severity) -> list[Finding]:
-        return [f for f in self.findings if f.severity >= floor]
-
-
-def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
-    """Every ``.py`` file under ``paths`` (deterministic order)."""
-    seen: set[Path] = set()
-    for path in paths:
-        if path.is_file():
-            candidates = [path] if path.suffix == ".py" else []
-        elif path.is_dir():
-            candidates = sorted(
-                p
-                for p in path.rglob("*.py")
-                if not (_SKIP_DIRS & set(p.parts))
-            )
-        else:
-            raise FileNotFoundError(f"no such file or directory: {path}")
-        for cand in candidates:
-            resolved = cand.resolve()
-            if resolved not in seen:
-                seen.add(resolved)
-                yield cand
-
-
-def _rel_display(path: Path, base: Path | None) -> str:
-    try:
-        return path.resolve().relative_to((base or Path.cwd()).resolve()).as_posix()
-    except ValueError:
-        return path.as_posix()
-
-
-def lint_file(
-    path: Path,
-    *,
-    checkers: Iterable[Checker] | None = None,
-    base: Path | None = None,
-    report_unused_pragmas: bool = True,
-) -> tuple[list[Finding], int]:
-    """Lint one file; returns ``(findings, suppressed_count)``."""
-    active = list(checkers) if checkers is not None else [
-        cls() for cls in all_checkers().values()
-    ]
-    rel = _rel_display(path, base)
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        return (
-            [Finding(rel, 1, 0, "LNT002", Severity.ERROR, f"unreadable: {exc}")],
-            0,
-        )
-    ctx, findings = FileContext.build(path, rel, source, checker_codes())
-    suppressed = 0
-    if ctx is not None:
-        for checker in active:
-            if checker.repro_src_only and not ctx.in_repro_src:
-                continue
-            for finding in checker.check(ctx):
-                pragma = ctx.pragmas.get(finding.line)
-                if pragma is not None and pragma.suppresses(finding.code):
-                    suppressed += 1
-                else:
-                    findings.append(finding)
-        if report_unused_pragmas:
-            for pragma in ctx.pragmas.values():
-                unused = sorted(pragma.codes - pragma.used)
-                if unused:
-                    findings.append(
-                        Finding(
-                            rel,
-                            pragma.line,
-                            0,
-                            "LNT003",
-                            Severity.WARNING,
-                            f"pragma suppresses nothing here: {unused}",
-                        )
-                    )
-    findings.sort(key=Finding.sort_key)
-    return findings, suppressed
-
-
-def lint_paths(
-    paths: Iterable[Path],
-    *,
-    select: frozenset[str] | None = None,
-    ignore: frozenset[str] | None = None,
-    base: Path | None = None,
-    progress: Callable[[Path], None] | None = None,
-) -> LintResult:
-    """Lint every Python file under ``paths``.
-
-    ``select``/``ignore`` filter by checker code.  Unused-pragma
-    reporting (LNT003) only runs on unfiltered scans — a pragma for a
-    deselected checker is not "unused".
-    """
-    available = all_checkers()
-    unknown = (set(select or ()) | set(ignore or ())) - checker_codes()
-    if unknown:
-        raise ValueError(f"unknown checker code(s): {sorted(unknown)}")
-    chosen = [
-        cls()
-        for code, cls in available.items()
-        if (select is None or code in select)
-        and (ignore is None or code not in ignore)
-    ]
-    filtered = select is not None or ignore is not None
-    result = LintResult()
-    for path in iter_python_files(paths):
-        if progress is not None:
-            progress(path)
-        findings, suppressed = lint_file(
-            path,
-            checkers=chosen,
-            base=base,
-            report_unused_pragmas=not filtered,
-        )
-        if filtered:
-            findings = [
-                f
-                for f in findings
-                if (select is None or f.code in select or f.code.startswith("LNT"))
-                and (ignore is None or f.code not in ignore)
-            ]
-        result.findings.extend(findings)
-        result.suppressed += suppressed
-        result.files_scanned += 1
-    result.findings.sort(key=Finding.sort_key)
-    return result

@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .core import Checker, FileContext, register
+from .core import Checker, FileContext
 from .findings import Finding, Severity
 
 #: Legacy global-state functions of ``numpy.random`` (the module-level
@@ -126,17 +126,10 @@ _WALL_CLOCK = frozenset(
 _DET002_ALLOWLIST = ("repro/obs/profile.py", "repro/runtime/transport.py")
 
 
-@register
 class GlobalRandomChecker(Checker):
     """DET001 — all randomness must flow through a seeded Generator."""
 
     code = "DET001"
-    name = (
-        "no global-state RNG: np.random.<fn> / random.<fn> are banned in "
-        "src/repro; use a seeded np.random.Generator"
-    )
-    severity = Severity.ERROR
-    repro_src_only = True
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -193,16 +186,10 @@ class GlobalRandomChecker(Checker):
         return isinstance(node, ast.Name) and ctx.imports.get(node.id) == "random"
 
 
-@register
 class WallClockChecker(Checker):
     """DET002 — wall-clock reads only in the measurement allowlist."""
 
     code = "DET002"
-    name = (
-        "wall-clock calls (time.time/perf_counter/monotonic/datetime.now) "
-        "allowed only in obs/profile.py and runtime/transport.py"
-    )
-    severity = Severity.ERROR
     repro_src_only = False  # benchmarks and tests are scanned too
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -250,17 +237,10 @@ _ORDER_INSENSITIVE_CONSUMERS = frozenset(
 )
 
 
-@register
 class SetIterationChecker(Checker):
     """DET003 — no raw iteration over unordered sets."""
 
     code = "DET003"
-    name = (
-        "iteration over an unordered set in src/repro must go through "
-        "sorted(...) to keep aggregation/serialization order deterministic"
-    )
-    severity = Severity.ERROR
-    repro_src_only = True
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for scope in self._scopes(ctx.tree):

@@ -1,4 +1,4 @@
-"""Finding and severity types for ``repro.lint``.
+"""Finding and severity types for ``reprolint``.
 
 A finding is one rule violation anchored to a source location.  The text
 rendering is fixed-format — ``path:line:col: SEVERITY CODE message`` —

@@ -6,8 +6,9 @@ lock held by one — that exists when the pool forks is silently copied
 into every child in whatever state it happened to be in (the
 trace-writer-flusher × fork-pool hazard).  Shared-memory arenas
 (PR 4) are kernel objects that outlive the process unless explicitly
-unlinked, so every ``SharedMemory(create=True)`` site must live in a
-module that also closes, unlinks, and registers exit-time cleanup.
+unlinked, so every ``SharedMemory(create=True)`` must be bound to a name
+the module calls ``unlink()`` on, in a module that also closes and
+registers exit-time cleanup.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .core import Checker, FileContext, dotted_name, register
-from .findings import Finding, Severity
+from .core import Checker, FileContext, dotted_name
+from .findings import Finding
 
 #: threading primitives whose creation is governed by FORK001.
 _THREADING_PRIMITIVES = frozenset(
@@ -39,17 +40,10 @@ _THREADING_PRIMITIVES = frozenset(
 _THREAD_ALLOWLIST = ("repro/obs/sinks.py",)
 
 
-@register
 class ForkDisciplineChecker(Checker):
     """FORK001 — no threads/locks reachable before the pool forks."""
 
     code = "FORK001"
-    name = (
-        "no threading.Thread/Lock creation at import time, and thread "
-        "starts only in fork-audited modules (obs/sinks.py)"
-    )
-    severity = Severity.ERROR
-    repro_src_only = True
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         posix = ctx.path.as_posix()
@@ -88,55 +82,52 @@ class ForkDisciplineChecker(Checker):
         return None
 
 
-@register
 class ShmPairingChecker(Checker):
-    """SHM001 — shm segments are closed, unlinked and cleaned at exit."""
+    """SHM001 — each created segment is unlinked through the name it is
+    bound to, in a module that also closes and cleans up at exit."""
 
     code = "SHM001"
-    name = (
-        "every SharedMemory(create=True) needs paired close()/unlink() "
-        "and an atexit/finalizer registration in the same module"
-    )
-    severity = Severity.ERROR
-    repro_src_only = True
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        create_sites: list[ast.Call] = []
-        has_close = has_unlink = has_exit_hook = False
+        sites: list[ast.Call] = []
+        #: id() of each assigned value → the dotted name it is bound to
+        bound: dict[int, str | None] = {}
+        unlinked: set[str] = set()
+        has_close = has_exit_hook = False
         for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                bound[id(node.value)] = dotted_name(node.targets[0])
             if not isinstance(node, ast.Call):
                 continue
             if isinstance(node.func, ast.Attribute):
                 if node.func.attr == "close":
                     has_close = True
                 elif node.func.attr == "unlink":
-                    has_unlink = True
+                    unlinked.add(dotted_name(node.func.value) or "")
             canonical = ctx.canonical(node.func)
             if canonical in ("atexit.register", "weakref.finalize"):
                 has_exit_hook = True
             if self._is_shm_create(node):
-                create_sites.append(node)
-        if not create_sites:
-            return
-        missing = [
-            requirement
-            for present, requirement in (
-                (has_close, "a close() call"),
-                (has_unlink, "an unlink() call"),
-                (has_exit_hook, "an atexit.register/weakref.finalize hook"),
-            )
-            if not present
-        ]
-        if not missing:
-            return
-        for site in create_sites:
-            yield self.finding(
-                ctx,
-                site,
-                "SharedMemory(create=True) without "
-                + " or ".join(missing)
-                + " in this module — segments leak past process death",
-            )
+                sites.append(node)
+        for site in sites:
+            target = bound.get(id(site))
+            missing = [
+                requirement
+                for present, requirement in (
+                    (has_close, "a close() call"),
+                    (target in unlinked, f"an unlink() on {target or 'the name it is bound to'}"),
+                    (has_exit_hook, "an atexit.register/weakref.finalize hook"),
+                )
+                if not present
+            ]
+            if missing:
+                yield self.finding(
+                    ctx,
+                    site,
+                    "SharedMemory(create=True) without "
+                    + " or ".join(missing)
+                    + " in this module — segments leak past process death",
+                )
 
     @staticmethod
     def _is_shm_create(node: ast.Call) -> bool:

@@ -18,14 +18,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .core import (
-    Checker,
-    FileContext,
-    event_kinds_for,
-    known_counters_for,
-    register,
-)
-from .findings import Finding, Severity
+from .core import Checker, FileContext, event_kinds_for, known_counters_for
+from .findings import Finding
 
 
 def _base(name: str) -> str:
@@ -46,17 +40,10 @@ def _literal_metric_args(
             yield name, call.args[0]
 
 
-@register
 class CounterRegistryChecker(Checker):
     """MET001 — counters end ``_total`` and are pre-registered."""
 
     code = "MET001"
-    name = (
-        "counter names must end _total and be declared in "
-        "obs/metrics.py KNOWN_COUNTERS"
-    )
-    severity = Severity.ERROR
-    repro_src_only = True
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         known = known_counters_for(ctx)
@@ -81,17 +68,10 @@ class CounterRegistryChecker(Checker):
                     )
 
 
-@register
 class WallClockMirrorChecker(Checker):
     """MET002 — wall-clock mirrors are gauges, never counters."""
 
     code = "MET002"
-    name = (
-        "wall-clock series (_seconds) must be gauges and _total series "
-        "must be counters (the resume-oracle rule)"
-    )
-    severity = Severity.ERROR
-    repro_src_only = True
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -116,17 +96,10 @@ class WallClockMirrorChecker(Checker):
                     )
 
 
-@register
 class EventKindChecker(Checker):
     """EVT001 — every emitted event kind is declared in obs/events.py."""
 
     code = "EVT001"
-    name = (
-        "recorder.emit/span kinds and worker-side {'kind': ...} event "
-        "dicts must use a name declared in obs/events.py EVENT_KINDS"
-    )
-    severity = Severity.ERROR
-    repro_src_only = True
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         kinds = event_kinds_for(ctx)

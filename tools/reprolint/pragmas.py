@@ -1,4 +1,4 @@
-"""Per-line pragma suppression for ``repro.lint``.
+"""Per-line pragma suppression for ``reprolint``.
 
 Syntax (one comment per physical line, applies to findings anchored to
 that line)::
