@@ -40,16 +40,36 @@ def test_local_iteration(benchmark, name, factory, shape):
     benchmark(_train_step, model, x, y, opt)
 
 
+#: (members, batch, C, H, W) as the default engine stacks them.
+STACKED_CONVS = [
+    ("lenet_conv2", (12, 8, 6, 6, 6), 3, 1, 1),
+    ("wrn_12x12", (10, 8, 4, 12, 12), 3, 1, 1),
+    ("wrn_stride2", (10, 8, 4, 12, 12), 3, 2, 1),
+    ("lazy_lenet_conv2", (32, 8, 2, 4, 4), 3, 1, 1),
+]
+
+
 @pytest.mark.parametrize(
     "name,x_shape,k,stride,pad",
-    [
-        # (members, batch, C, H, W) as the default engine stacks them.
-        ("lenet_conv2", (12, 8, 6, 6, 6), 3, 1, 1),
-        ("wrn_12x12", (10, 8, 4, 12, 12), 3, 1, 1),
-        ("wrn_stride2", (10, 8, 4, 12, 12), 3, 2, 1),
-        ("lazy_lenet_conv2", (32, 8, 2, 4, 4), 3, 1, 1),
+    STACKED_CONVS
+    + [
+        ("lazy_lenet_conv1", (50, 8, 1, 8, 8), 3, 1, 1),
+        ("wrn_shortcut_1x1_stride2", (10, 8, 4, 12, 12), 1, 2, 0),
     ],
 )
+def test_im2col_stacked(benchmark, name, x_shape, k, stride, pad):
+    """The stacked conv's unfold: one rows/cols buffer pair kept across
+    calls, as ``Conv2d`` keeps them across steps."""
+    from repro.nn import functional as F
+
+    x = np.random.default_rng(3).normal(size=x_shape).astype(np.float32)
+    rows = F.unfold_rows(x_shape, k, k, stride, pad)
+    cols = F.im2col(x, k, k, stride, pad, rows=rows)
+    out = benchmark(F.im2col, x, k, k, stride, pad, out=cols, rows=rows)
+    assert out is cols and out.flags.c_contiguous
+
+
+@pytest.mark.parametrize("name,x_shape,k,stride,pad", STACKED_CONVS)
 def test_col2im_stacked(benchmark, name, x_shape, k, stride, pad):
     from repro.nn import functional as F
 

@@ -13,8 +13,8 @@ __all__ = ["Conv2d"]
 
 
 class Conv2d(Module):
-    """Convolution over ``(*lead, N, C, H, W)`` inputs: one strided-view
-    im2col copy plus one batched GEMM per pass (:mod:`repro.nn.functional`),
+    """Convolution over ``(*lead, N, C, H, W)`` inputs: one two-copy row
+    unfold plus one batched GEMM per pass (:mod:`repro.nn.functional`),
     the filter bank broadcast over ``N``."""
 
     rowwise = True
@@ -51,7 +51,7 @@ class Conv2d(Module):
         self.bias = Parameter(init.zeros((out_channels,))) if bias else None
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
-        self._padded: np.ndarray | None = None
+        self._rows_buf: np.ndarray | None = None
         self._cols_buf: np.ndarray | None = None
 
     def _w_mat(self) -> np.ndarray:
@@ -65,15 +65,13 @@ class Conv2d(Module):
         # A stack's columns run to megabytes; allocated per step, glibc
         # trims them off the heap after every backward and faults them in
         # again on the next forward (a quarter of the CNN cohort step). One
-        # stack serves a whole run, so it keeps its padded and column
-        # buffers across steps; a replica per client does not.
-        h, w = x.shape[-2:]
-        shape = x.shape[:-2] + (h + 2 * p, w + 2 * p)
-        if self._padded is None or self._padded.shape != shape:
-            self._padded = np.zeros(shape, dtype=x.dtype)
+        # stack serves a whole run, so it keeps its rows and column buffers
+        # across steps (laid out for the last forward's input shape); a
+        # replica per client does not.
+        if self._rows_buf is None or self._x_shape != x.shape:
+            self._rows_buf = F.unfold_rows(x.shape, k, k, self.stride, p, x.dtype)
             self._cols_buf = None
-        self._padded[..., p : p + h, p : p + w] = x
-        self._cols_buf = F.im2col(self._padded, k, k, self.stride, 0, out=self._cols_buf)
+        self._cols_buf = F.im2col(x, k, k, self.stride, p, self._cols_buf, self._rows_buf)
         return self._cols_buf
 
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ for a single large GEMM, the standard CPU strategy for small convnets).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "relu",
@@ -17,6 +18,7 @@ __all__ = [
     "log_softmax_and_softmax",
     "conv_output_size",
     "im2col",
+    "unfold_rows",
     "col2im",
     "maxpool2d",
     "maxpool2d_backward",
@@ -75,33 +77,62 @@ def conv_output_size(
     return out_h, out_w
 
 
+@functools.lru_cache(maxsize=128)
+def _unfold_plan(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> tuple:
+    """Per geometry: the rows buffer's tail ``(kw, P = min(stride, kh), Q, out_w)``,
+    ``out_h``, and the ``(rows index, input index)`` pairs that fill
+    ``rows[..., c, b, r, q, j] = padded[..., c, stride·q + r, b + stride·j]``."""
+    out_h, out_w = conv_output_size(h, w, kh, kw, stride, pad)
+    phases, n_q = min(stride, kh), out_h + (kh - 1) // stride
+
+    def span(offset: int, size: int, n: int) -> tuple[slice, slice]:
+        # The i < n whose padded coordinate offset + stride·i is inside ``size``.
+        lo = max(0, -((offset - pad) // stride))
+        hi = min(n, (size - 1 + pad - offset) // stride + 1)
+        start = offset + stride * lo - pad
+        return slice(lo, hi), slice(start, start + stride * (hi - lo - 1) + 1, stride)
+
+    fills = []
+    for b in range(kw):
+        for r in range(phases):
+            (xs, ws), (qs, hs) = span(b, w, out_w), span(r, h, n_q)
+            if xs.start < xs.stop and qs.start < qs.stop:
+                fills.append(((..., b, r, qs, xs), (..., hs, ws)))
+    return (kw, phases, n_q, out_w), out_h, tuple(fills)
+
+
+def unfold_rows(
+    x_shape: tuple[int, ...], kh: int, kw: int, stride: int, pad: int, dtype=np.float32
+) -> np.ndarray:
+    """A zeroed :func:`im2col` rows buffer for inputs of exactly ``x_shape``."""
+    return np.zeros(x_shape[:-2] + _unfold_plan(*x_shape[-2:], kh, kw, stride, pad)[0], dtype)
+
+
 def im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int, pad: int, out: np.ndarray | None = None
+    x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
+    out: np.ndarray | None = None, rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unfold ``(*lead, C, H, W)`` into columns ``(*lead, C*kh*kw, out_h*out_w)``.
 
-    One strided window view ``(*lead, C, kh, kw, out_h, out_w)`` over the
-    zero-padded input, copied once into a C-contiguous array: ``out`` if
-    given, else a fresh one (never a view of ``x``, so layers may hold it
-    across the caller's next step).
+    A row unfold (DESIGN.md §17): ``kw × P`` strided copies of the unpadded
+    ``x`` fill the interior of a zero-bordered ``rows`` buffer, then ``kh``
+    copies move whole contiguous ``out_h·out_w`` blocks into the columns.
+    ``rows`` (an :func:`unfold_rows` buffer, fresh if ``None``) keeps its
+    border across calls on inputs of one shape. The result is ``out`` if
+    given, else a fresh array: never a view of ``x``, so layers may hold it.
     """
-    lead = x.shape[:-3]
-    c, h, w = x.shape[-3:]
-    out_h, out_w = conv_output_size(h, w, kh, kw, stride, pad)
-    if pad > 0:
-        padded = np.zeros(lead + (c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        padded[..., pad:-pad, pad:-pad] = x
-        x = padded
-    sc, sh, sw = x.strides[-3:]
-    windows = as_strided(
-        x,
-        shape=lead + (c, kh, kw, out_h, out_w),
-        strides=x.strides[:-3] + (sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
-    )
+    lead_c = x.shape[:-2]
+    tail, out_h, fills = _unfold_plan(*x.shape[-2:], kh, kw, stride, pad)
+    if rows is None:
+        rows = np.zeros(lead_c + tail, dtype=x.dtype)
+    for dst, src in fills:
+        rows[dst] = x[src]
     if out is None:
-        out = np.empty(lead + (c * kh * kw, out_h * out_w), dtype=x.dtype)
-    out.reshape(windows.shape)[...] = windows
+        out = np.empty(x.shape[:-3] + (x.shape[-3] * kh * kw, out_h * tail[-1]), dtype=x.dtype)
+    cols = out.reshape(lead_c + (kh, kw, out_h, tail[-1]))
+    for a in range(kh):
+        q0 = a // stride
+        cols[..., a, :, :, :] = rows[..., a % stride, q0 : q0 + out_h, :]
     return out
 
 

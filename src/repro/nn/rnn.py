@@ -89,27 +89,19 @@ class LSTM(Module):
         self.hidden_size = hidden_size
         self.num_layers = num_layers
         h = hidden_size
-        for layer, names in enumerate(self.layer_param_names()):
+        #: Each layer's ``(w_ih, w_hh, b_ih, b_hh)``, built once.
+        self._layers: list[tuple[Parameter, ...]] = []
+        for layer in range(num_layers):
             in_dim = input_size if layer == 0 else h
             shapes = ((4 * h, in_dim), (4 * h, h), (4 * h,), (4 * h,))
-            for name, shape in zip(names, shapes):
-                self.register_parameter(name, Parameter(init.lstm_uniform(shape, h, rng)))
+            quad = tuple(Parameter(init.lstm_uniform(shape, h, rng)) for shape in shapes)
+            for kind, param in zip(("weight_ih", "weight_hh", "bias_ih", "bias_hh"), quad):
+                self.register_parameter(f"{kind}_l{layer}", param)
+            self._layers.append(quad)
         self._cache: list[tuple] | None = None
 
-    def layer_param_names(self) -> list[tuple[str, ...]]:
-        """Each layer's ``(w_ih, w_hh, b_ih, b_hh)`` parameter names."""
-        return [
-            tuple(f"{kind}_l{layer}" for kind in ("weight_ih", "weight_hh", "bias_ih", "bias_hh"))
-            for layer in range(self.num_layers)
-        ]
-
-    def _layers(self) -> list[tuple[Parameter, ...]]:
-        return [
-            tuple(self._parameters[n] for n in quad) for quad in self.layer_param_names()
-        ]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out, ctxs = lstm_stack_forward(x, self._layers())
+        out, ctxs = lstm_stack_forward(x, self._layers)
         # The stacked gate cache holds O(T * layers) activations — by far
         # the largest retained state; keep it only when backward will run.
         self._cache = ctxs if self.training else None
@@ -119,4 +111,4 @@ class LSTM(Module):
         if self._cache is None:
             raise RuntimeError("LSTM.backward called before a training-mode forward")
         ctxs, self._cache = self._cache, None
-        return lstm_stack_backward(grad_h_last, ctxs, self._layers(), self.compute_dx)
+        return lstm_stack_backward(grad_h_last, ctxs, self._layers, self.compute_dx)

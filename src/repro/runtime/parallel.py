@@ -89,6 +89,7 @@ from typing import Any
 
 import numpy as np
 
+from ..persist.errors import CheckpointFormatError
 from .cohort import CohortExecutor, StepCounts, bound_width, chunk_widths
 from .executor import Binding, ClientJob, Executor
 from .round import ClientRoundResult
@@ -175,9 +176,11 @@ def _worker_main(pairs, clients, strategy, transport, worker_index) -> None:
                 encoded = transport.encode_results(out)
                 _send(conn, ("ok", (encoded, engine.counts.take(), [len(b) for b in blobs])))
                 conn.send_bytes(b"".join(blobs))
-            except Exception:
+            except Exception as exc:
                 cache.drain()
-                _send(conn, ("err", traceback.format_exc()))
+                # A refused blob stays typed, as the default engine raises it.
+                typed = isinstance(exc, CheckpointFormatError)
+                _send(conn, ("err", exc if typed else traceback.format_exc()))
             finally:
                 # Drop any zero-copy views into the broadcast arena before
                 # the next round overwrites it (and before process exit
@@ -339,6 +342,7 @@ class ParallelExecutor(Executor):
                     crashed = True
 
         by_cid: dict[int, ClientRoundResult] = {}
+        failed: tuple[int, Any] | None = None
         if not crashed:
             for w, wjobs in dealt:
                 try:
@@ -351,12 +355,11 @@ class ParallelExecutor(Executor):
                     crashed = True
                     break
                 transport.count_pipe("results", received)
-                if tag == "err":
-                    # Deterministic strategy/client exception: it would have
-                    # happened serially too, so propagate instead of degrading.
-                    raise RuntimeError(
-                        f"client round failed in worker {w}:\n{payload}"
-                    )
+                if tag == "err" or failed is not None:
+                    # Deterministic strategy/client exception: it would have happened serially
+                    # too. Raise it rather than degrade, once every reply is read (pool in step).
+                    failed = failed or (w, payload)
+                    continue
                 encoded, step_counts, lengths = payload
                 transport.count_pipe("state", len(frame))
                 for (cid, _), blob in zip(wjobs, _split_frame(frame, lengths)):
@@ -366,6 +369,11 @@ class ParallelExecutor(Executor):
                     for result in transport.decode_results(w, encoded):
                         by_cid[result.client_id] = result
             self._counts.publish(self._bound.recorder)
+        if failed is not None and not crashed:
+            w, payload = failed
+            if isinstance(payload, CheckpointFormatError):
+                raise type(payload)(f"in parallel worker {w}: {payload}") from payload
+            raise RuntimeError(f"client round failed in worker {w}:\n{payload}")
 
         if crashed:
             # The surviving results view arenas about to be unlinked: copy

@@ -50,6 +50,7 @@ from repro.nn import (
     Identity,
     LeNetCNN,
     Linear,
+    LSTM,
     LSTMClassifier,
     MaxPool2d,
     Module,
@@ -281,7 +282,7 @@ class TestCohortLayers:
         assert_stack_matches_members(serial, x, seed)
 
     def test_conv_reuses_its_column_buffers_across_steps(self):
-        """A stacked conv keeps its padded and column buffers between
+        """A stacked conv keeps its rows and column buffers between
         steps: a second batch, and then a different batch width, must not
         see anything of the previous one. A replica keeps none."""
         rng = np.random.default_rng(11)
@@ -291,7 +292,7 @@ class TestCohortLayers:
         for batch in (4, 4, 2):
             x = rng.normal(size=(1, batch, 2, 5, 5)).astype(np.float32)
             out = layer.forward(x)
-            seen.append((layer._padded, layer._cols_buf))
+            seen.append((layer._rows_buf, layer._cols_buf))
             g = rng.normal(size=out.shape).astype(np.float32)
             dx = layer.backward(g)
             layer.zero_grad()
@@ -302,7 +303,7 @@ class TestCohortLayers:
             assert dx[0].tobytes() == np.ascontiguousarray(ref_dx).tobytes()
         assert seen[0][0] is seen[1][0] and seen[0][1] is seen[1][1]
         assert seen[2][0] is not seen[1][0] and seen[2][1] is not seen[1][1]
-        assert serial._padded is None and serial._cols_buf is None
+        assert serial._rows_buf is None and serial._cols_buf is None
 
     @pytest.mark.parametrize("layer_type", [ReLU, Identity, Flatten])
     @settings(max_examples=15, deadline=None)
@@ -586,6 +587,47 @@ class TestCohortModel:
         row[...] = 3.5
         assert (member_params(cohort, 0)["conv1.weight"] == np.float32(3.5)).all()
         assert np.shares_memory(row, cohort.module.arena().values)
+
+    @pytest.mark.parametrize(
+        "template_fn",
+        [model_fn, lambda: WideResNet(norm="group", rng=np.random.default_rng(3))],
+        ids=["cnn", "wrn"],
+    )
+    def test_narrowed_member_forward_is_its_full_width_bytes(self, template_fn):
+        """A narrowed stack runs a narrower input, so each conv lays out
+        fresh rows and column buffers for it (their zero border belongs to
+        one input shape): a member's forward bytes do not depend on the
+        width it runs at, going down or back up."""
+        c, xshape = 3, (4, 3, 12, 12)
+        members = clone_members(template_fn, c)
+        cohort = CohortModel(members[0], c)
+        cohort.load_global(*global_vectors(members[0]))
+        rng = np.random.default_rng(5)
+        for p in cohort.params.values():  # members that differ row by row
+            p.data += rng.normal(scale=0.1, size=p.data.shape).astype(np.float32)
+        x = rng.normal(size=(c,) + xshape).astype(np.float32)
+        cohort.set_member_rows(np.full(c, xshape[0]))
+        full = cohort.forward(x)
+        cohort.narrow(2, members[:2])
+        narrowed = cohort.forward(x[:2])
+        for i in range(2):
+            assert_same(narrowed[i], full[i], f"member {i}")
+        cohort.narrow(c, members)
+        assert cohort.forward(x).tobytes() == full.tobytes()
+
+    def test_stacked_lstm_layers_hold_its_own_parameters(self):
+        """``LSTM`` builds its per-layer parameter tuples once; a stack's
+        deepcopy must hold its own ``Parameter`` objects there (the ones its
+        walk re-points into the ``(C, …)`` arenas), never the template's."""
+        template = LSTM(5, 4, num_layers=2, rng=np.random.default_rng(1))
+        stacked = stack_module(template, 3)
+        for module in (template, stacked):
+            flat = [p for quad in module._layers for p in quad]
+            assert len(flat) == len(module._parameters) == 8
+            assert all(a is b for a, b in zip(flat, module._parameters.values()))
+        owned = {id(p) for p in template.parameters()}
+        assert not any(id(p) in owned for quad in stacked._layers for p in quad)
+        assert all(p.data.shape[0] == 3 for quad in stacked._layers for p in quad)
 
     def test_unrelated_build_keeps_a_narrowed_stack_on_its_prefix(self):
         """A walk rebuilt while the stack is narrowed (any registration

@@ -394,6 +394,31 @@ class TestParallelLifecycle:
             with pytest.raises(RuntimeError, match="client round failed"):
                 executor.run_round(arena.values, arena.buffers, [(missing, ctx)])
 
+    @needs_fork
+    def test_refused_blob_raises_typed_and_stays_parked(self, env_data):
+        # A damaged parked blob is refused in the worker that restores it.
+        # The parent raises the default engine's type (the CLI's "cannot
+        # resume", exit 2), keeps the blob byte for byte, and its pool stays
+        # in step: the next round, with the blob mended, runs in the workers.
+        from repro.persist import CheckpointCorruptError
+
+        executor = ParallelExecutor(workers=2)
+        with make_sim(
+            env_data, "fedavg", executor=executor, population="lazy:cache=2"
+        ) as sim:
+            sim.run(1)
+            parked = sim.population.cache._snapshots
+            cid = min(parked)
+            intact = parked[cid]
+            parked[cid] = damaged = intact[:-1]
+            with pytest.raises(CheckpointCorruptError, match="parallel worker"):
+                sim.run(1)
+            assert parked[cid] == damaged
+            assert executor._fallback is None
+            parked[cid] = intact
+            sim.run(1)
+            assert executor._fallback is None and executor.occupancy()["steps"] > 0
+
 
 class TestFallbackWithoutFork:
     def test_bind_degrades_when_fork_missing(self, env_data, monkeypatch):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import cohort_softmax_cross_entropy, softmax_cross_entropy
@@ -210,6 +210,45 @@ class TestIm2Col:
         assert back.tobytes() == ref.tobytes()
         strides = [s for s, d in zip(back.strides, back.shape) if d > 1]
         assert strides == sorted(strides, reverse=True), back.strides
+
+    @given(
+        c=st.integers(1, 3),
+        n=st.integers(1, 3),
+        ch=st.integers(1, 3),
+        kh=st.integers(1, 5),
+        kw=st.integers(1, 5),
+        stride=st.integers(1, 3),
+        pad=st.integers(0, 2),
+        out_h=st.integers(1, 4),
+        out_w=st.integers(1, 4),
+        rem_h=st.integers(0, 2),
+        rem_w=st.integers(0, 2),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_reused_rows_and_cols_buffers_give_reference_bytes(
+        self, c, n, ch, kh, kw, stride, pad, out_h, out_w, rem_h, rem_w, seed
+    ):
+        """A stacked conv passes one ``rows``/``cols`` pair to every call:
+        the unfold writes only the rows buffer's interior, so its zero
+        border must survive each call for the next input's padding. The
+        input size is derived from the drawn output size (1×1 included)."""
+        h = (out_h - 1) * stride + kh - 2 * pad + rem_h % stride
+        w = (out_w - 1) * stride + kw - 2 * pad + rem_w % stride
+        assume(h >= 1 and w >= 1)
+        assert F.conv_output_size(h, w, kh, kw, stride, pad) == (out_h, out_w)
+        shape = (c, n, ch, h, w)
+        rows = F.unfold_rows(shape, kh, kw, stride, pad)
+        cols = None
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            x = rng.normal(size=shape).astype(np.float32)
+            got = F.im2col(x, kh, kw, stride, pad, out=cols, rows=rows)
+            assert cols is None or got is cols
+            ref = im2col_reference(x.reshape((c * n, ch, h, w)), kh, kw, stride, pad)
+            assert got.shape == (c, n) + ref.shape[1:]
+            assert got.tobytes() == ref.tobytes()
+            cols = got
 
     def test_non_square_kernel(self):
         x = RNG.normal(size=(2, 2, 5, 7)).astype(np.float32)

@@ -56,11 +56,11 @@ class TestSigmoid:
 
 # ----------------------------------------------------------------------
 def _weights_of(m: LSTM) -> list[tuple[np.ndarray, ...]]:
-    return [tuple(p.data for p in quad) for quad in m._layers()]
+    return [tuple(p.data for p in quad) for quad in m._layers]
 
 
 def _grads_of(m: LSTM) -> list[tuple[np.ndarray, ...]]:
-    return [tuple(p.grad for p in quad) for quad in m._layers()]
+    return [tuple(p.grad for p in quad) for quad in m._layers]
 
 
 class TestKernelAgainstPerTimestepReference:
