@@ -81,6 +81,31 @@ def test_col2im_stacked(benchmark, name, x_shape, k, stride, pad):
     assert out.shape == x_shape and out.flags.c_contiguous
 
 
+@pytest.mark.parametrize(
+    "name,x_shape",
+    [
+        ("cnn_pool1", (12, 8, 6, 12, 12)),
+        ("cnn_pool2", (12, 8, 16, 6, 6)),
+        ("lazy_pool1", (50, 8, 2, 8, 8)),
+        ("lazy_pool2", (50, 8, 2, 4, 4)),
+    ],
+)
+def test_maxpool_stacked(benchmark, name, x_shape):
+    """A stacked LeNet pool's forward plus backward (2×2, batch-innermost)."""
+    from repro.nn import functional as F
+
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=x_shape).astype(np.float32)
+    g = rng.normal(size=x_shape[:-2] + (x_shape[-2] // 2, x_shape[-1] // 2)).astype(np.float32)
+
+    def step():
+        out, ctx = F.maxpool2d(x, 2)
+        return out, F.maxpool2d_backward(g, ctx, x_shape, 2)
+
+    out, grad = benchmark(step)
+    assert out.shape == g.shape and grad.shape == x_shape and grad.flags.c_contiguous
+
+
 def test_statistical_progress_metric(benchmark):
     rng = np.random.default_rng(1)
     g_i = rng.normal(size=10_000)

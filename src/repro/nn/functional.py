@@ -9,6 +9,7 @@ for a single large GEMM, the standard CPU strategy for small convnets).
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -170,48 +171,52 @@ def col2im(
 # ----------------------------------------------------------------------
 def maxpool2d(
     x: np.ndarray, k: int, *, need_grad: bool = True
-) -> tuple[np.ndarray, tuple[list[np.ndarray], np.ndarray] | None]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
     """``k×k`` max pooling of ``(..., H, W)``, floor-truncating ragged edges.
 
-    Works on the ``k²`` strided slices ``x[..., i::k, j::k]`` rather than
-    reducing a doubly strided axis pair. Returns ``(out, ctx)``; ``ctx``
-    (``None`` unless ``need_grad``) holds the per-slice masks of positions
-    equal to the window max and the per-window tie counts. The counts are
-    float32, so a float32 gradient is split by one float32 division — the
-    same bits as dividing in float64 and rounding back (DESIGN.md §17).
+    Batch-innermost (DESIGN.md §17): ``x`` is read as ``(H, W, M)``, ``M``
+    every leading axis, and one copy gathers its ``k²`` window phases
+    ``x[..., i::k, j::k]`` into a contiguous ``(k², oh, ow, M)`` buffer, so
+    every later op walks ``M``-long runs. ``np.maximum`` folds the phases in
+    row-major order and the result is copied back C-ordered. ``ctx``
+    (``None`` unless ``need_grad``) holds the ``phases == max`` masks and the
+    per-window tie counts as float32, so a float32 gradient is split by one
+    float32 division.
     """
     h, w = x.shape[-2:]
-    xt = x[..., : (h // k) * k, : (w // k) * k]
-    slices = [xt[..., i::k, j::k] for i in range(k) for j in range(k)]
-    out = slices[0].copy()
-    for s in slices[1:]:
-        np.maximum(out, s, out=out)
+    oh, ow = h // k, w // k
+    m = math.prod(x.shape[:-2])
+    xt = x.reshape((m, h, w)).transpose(1, 2, 0)[: k * oh, : k * ow]
+    windows = xt.reshape((oh, k, ow, k, m)).transpose(1, 3, 0, 2, 4)
+    phases = windows.copy().reshape((k * k, oh, ow, m))
+    top = functools.reduce(np.maximum, phases)
+    out = np.ascontiguousarray(top.transpose(2, 0, 1)).reshape(x.shape[:-2] + (oh, ow))
     if not need_grad:
         return out, None
-    masks = [s == out for s in slices]
-    ties = masks[0].astype(np.float32)
-    for m in masks[1:]:
-        ties += m
-    return out, (masks, ties)
+    masks = phases == top
+    ties = np.add.reduce(masks.view(np.uint8), axis=0, dtype=np.min_scalar_type(k * k))
+    return out, (masks, ties.astype(np.float32))
 
 
 def maxpool2d_backward(
     grad_out: np.ndarray,
-    ctx: tuple[list[np.ndarray], np.ndarray],
+    ctx: tuple[np.ndarray, np.ndarray],
     x_shape: tuple[int, ...],
     k: int,
 ) -> np.ndarray:
     """Input gradient of :func:`maxpool2d`: the upstream gradient split
-    evenly among tied maxima, so the pooled gradient sum is conserved."""
+    evenly among tied maxima, so the pooled gradient sum is conserved. The
+    masked products are written in the forward's ``(H, W, M)`` layout and
+    copied out C-ordered in one transposing copy."""
     masks, ties = ctx
     h, w = x_shape[-2:]
-    g = grad_out / ties
-    grad = np.zeros(x_shape, dtype=grad_out.dtype)
-    sub = grad[..., : (h // k) * k, : (w // k) * k]
-    for idx, mask in enumerate(masks):
-        i, j = divmod(idx, k)
-        sub[..., i::k, j::k] = mask * g
-    return grad
+    _, oh, ow, m = masks.shape
+    g = grad_out.reshape((m, oh, ow)).transpose(1, 2, 0) / ties
+    make = np.empty if h == k * oh and w == k * ow else np.zeros
+    grad = make((h, w, m), dtype=grad_out.dtype)
+    win = grad[: k * oh, : k * ow].reshape((oh, k, ow, k, m)).transpose(1, 3, 0, 2, 4)
+    np.multiply(masks.reshape((k, k, oh, ow, m)), g, out=win)
+    return np.ascontiguousarray(grad.transpose(2, 0, 1)).reshape(x_shape)
 
 
 # ----------------------------------------------------------------------

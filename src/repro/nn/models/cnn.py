@@ -19,7 +19,14 @@ __all__ = ["LeNetCNN"]
 
 
 class LeNetCNN(Module):
-    """conv1 → pool → conv2 → pool → fc1 → fc2 → fc3 with ReLU throughout."""
+    """conv1 → pool → ReLU → conv2 → pool → ReLU → fc1 → fc2 → fc3.
+
+    Each conv block pools before its ReLU: max pooling and ReLU commute
+    bytes-for-bytes, forward and backward (DESIGN.md §17), and the ReLU
+    then runs on a quarter of the elements. The modules are registered in
+    the conventional conv → ReLU → pool order, so parameter names and the
+    arena layout do not depend on the order ``stages()`` runs them in.
+    """
 
     def __init__(
         self,
@@ -53,8 +60,8 @@ class LeNetCNN(Module):
         self.relu4 = ReLU()
         self.fc3 = Linear(f2, num_classes, rng=rng)
         self._chain = [
-            self.conv1, self.relu1, self.pool1,
-            self.conv2, self.relu2, self.pool2,
+            self.conv1, self.pool1, self.relu1,
+            self.conv2, self.pool2, self.relu2,
             self.flatten,
             self.fc1, self.relu3,
             self.fc2, self.relu4,

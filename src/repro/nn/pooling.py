@@ -16,7 +16,9 @@ class MaxPool2d(Module):
 
     Inputs whose spatial dims are not multiples of the kernel are truncated,
     matching torch's floor-mode behaviour. Ties propagate gradient to every
-    maximal element, split evenly (:func:`repro.nn.functional.maxpool2d`).
+    maximal element, split evenly. One batch-innermost kernel serves every
+    rank, ``k`` and mode (:func:`repro.nn.functional.maxpool2d`); ``_mask``
+    holds its ``(masks, ties)`` context between forward and backward.
     """
 
     rowwise = True
@@ -26,7 +28,7 @@ class MaxPool2d(Module):
         if kernel_size < 1:
             raise ValueError("kernel_size must be >= 1")
         self.kernel_size = kernel_size
-        self._mask: tuple[list[np.ndarray], np.ndarray] | None = None
+        self._mask: tuple[np.ndarray, np.ndarray] | None = None
         self._x_shape: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:

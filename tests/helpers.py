@@ -216,17 +216,47 @@ def col2im_reference(
 def maxpool_reference(
     x: np.ndarray, k: int, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(out, grad_in)`` of non-overlapping max pooling through a 6-D
-    window view: ``windows.max(axis=(3, 5))``, equality mask, tie counts by
-    ``mask.sum``, gradient split ``g / ties`` broadcast through the mask."""
-    n, c, h, w = x.shape
+    """``(out, grad_in)`` of non-overlapping max pooling of ``(..., h, w)``
+    through a window view: ``windows.max`` over each window's two axes,
+    equality mask, tie counts by ``mask.sum``, gradient split ``g / ties``
+    broadcast through the mask."""
+    lead, (h, w) = x.shape[:-2], x.shape[-2:]
     th, tw = (h // k) * k, (w // k) * k
-    windows = x[:, :, :th, :tw].reshape(n, c, th // k, k, tw // k, k)
-    out = windows.max(axis=(3, 5))
-    mask = windows == out[:, :, :, None, :, None]
-    g = grad_out / mask.sum(axis=(3, 5))
+    windows = x[..., :th, :tw].reshape(lead + (th // k, k, tw // k, k))
+    out = windows.max(axis=(-3, -1))
+    mask = windows == out[..., :, None, :, None]
+    g = grad_out / mask.sum(axis=(-3, -1))
     grad = np.zeros(x.shape, dtype=grad_out.dtype)
-    grad[:, :, :th, :tw] = (mask * g[:, :, :, None, :, None]).reshape(n, c, th, tw)
+    grad[..., :th, :tw] = (mask * g[..., :, None, :, None]).reshape(lead + (th, tw))
+    return out, grad
+
+
+def maxpool_per_slice(
+    x: np.ndarray, k: int, grad_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(out, grad_in)`` of the row-major per-slice max pool the shipped
+    batch-innermost kernel replaced: ``np.maximum`` folded over the ``k²``
+    strided slices ``x[..., i::k, j::k]`` in row-major order, per-slice
+    equality masks, float32 tie counts, and ``mask * (g / ties)`` written
+    back per slice. Unlike the window view's two-axis reduce, it fixes which
+    of ``±0.0`` a window's max is, so it is the reference for signed zeros
+    and NaN."""
+    h, w = x.shape[-2:]
+    xt = x[..., : (h // k) * k, : (w // k) * k]
+    slices = [xt[..., i::k, j::k] for i in range(k) for j in range(k)]
+    out = slices[0].copy()
+    for s in slices[1:]:
+        np.maximum(out, s, out=out)
+    masks = [s == out for s in slices]
+    ties = masks[0].astype(np.float32)
+    for m in masks[1:]:
+        ties += m
+    g = grad_out / ties
+    grad = np.zeros(x.shape, dtype=grad_out.dtype)
+    sub = grad[..., : (h // k) * k, : (w // k) * k]
+    for idx, mask in enumerate(masks):
+        i, j = divmod(idx, k)
+        sub[..., i::k, j::k] = mask * g
     return out, grad
 
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.nn import BatchNorm2d, LeNetCNN, WideResNet
 from repro.rngstate import rng_state_bytes
 
-from .helpers import assert_grads_close, maxpool_reference
+from .helpers import assert_grads_close, maxpool_per_slice, maxpool_reference
 
 RNG = np.random.default_rng(0)
 
@@ -578,6 +578,24 @@ class TestRowIndependence:
         assert type(prefix(WideResNet(rng=RNG))[-1]) is GlobalAvgPool2d
         assert prefix(LSTMClassifier(rng=RNG)) == []
 
+    def test_lenet_pools_before_its_relu(self):
+        """Both conv blocks run conv → pool → ReLU (the ReLU then sees a
+        quarter of the elements); the modules keep their registration
+        order, so parameter names and the arena layout do not move."""
+        model = LeNetCNN(rng=RNG)
+        assert [type(m) for m in model.stages()] == [
+            Conv2d, MaxPool2d, ReLU,
+            Conv2d, MaxPool2d, ReLU,
+            Flatten, Linear, ReLU, Linear, ReLU, Linear,
+        ]
+        assert [n for n, _ in model.named_modules()][1:7] == [
+            "conv1", "relu1", "pool1", "conv2", "relu2", "pool2",
+        ]
+        assert [n for n, _ in model.named_parameters()] == [
+            f"{layer}.{p}" for layer in ("conv1", "conv2", "fc1", "fc2", "fc3")
+            for p in ("weight", "bias")
+        ]
+
 
 # ----------------------------------------------------------------------
 # Pooling
@@ -609,6 +627,7 @@ class TestPooling:
         assert out.shape == (1, 1, 2, 2)
 
     @given(
+        extra=st.lists(st.integers(1, 3), max_size=2),
         n=st.integers(1, 3),
         c=st.integers(1, 3),
         h=st.integers(1, 9),
@@ -619,18 +638,20 @@ class TestPooling:
     )
     @settings(max_examples=80, deadline=None)
     def test_maxpool_bytes_equal_to_window_view_reference(
-        self, n, c, h, w, k, levels, seed
+        self, extra, n, c, h, w, k, levels, seed
     ):
-        """Max and integer tie counts are exact, so the k² strided-slice
-        kernel is bytes-equal to the 6-D window-view formulation it
-        replaced — ties and truncated (non-multiple) inputs included."""
+        """Max and integer tie counts are exact, so the batch-innermost
+        kernel is bytes-equal to the window-view formulation — ties,
+        truncated (non-multiple) inputs and stacked ``(C, N, c, h, w)``
+        leads included."""
         if h < k or w < k:
             return
         rng = np.random.default_rng(seed)
+        shape = tuple(extra) + (n, c, h, w)
         if levels:
-            x = rng.integers(0, levels, size=(n, c, h, w)).astype(np.float32)
+            x = rng.integers(0, levels, size=shape).astype(np.float32)
         else:
-            x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+            x = rng.normal(size=shape).astype(np.float32)
         m = MaxPool2d(k)
         out = m(x)
         g = rng.normal(size=out.shape).astype(np.float32)
@@ -640,8 +661,84 @@ class TestPooling:
         assert out.tobytes() == ref_out.tobytes()
         assert grad.shape == x.shape and grad.dtype == ref_grad.dtype
         assert grad.tobytes() == ref_grad.tobytes()
+        assert out.flags.c_contiguous and grad.flags.c_contiguous
         assert not np.shares_memory(out, x)
         assert m._mask is None  # consumed by backward
+
+    @given(
+        extra=st.lists(st.integers(1, 3), max_size=2),
+        n=st.integers(1, 3),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        k=st.integers(1, 3),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_maxpool_signed_zeros_and_nan_match_the_per_slice_kernel(
+        self, extra, n, h, w, k, seed
+    ):
+        """Planted ``±0.0``, ``NaN`` and ``±0`` upstream gradients: the
+        kernel picks a tied zero's sign, propagates NaN and signs a masked
+        zero exactly as the row-major per-slice fold it replaced, over
+        stacked leads and ragged edges, in train and eval mode."""
+        if h < k or w < k:
+            return
+        rng = np.random.default_rng(seed)
+        values = np.array([0.0, -0.0, 1.0, -1.0, np.nan], dtype=np.float32)
+        x = rng.choice(values, size=tuple(extra) + (n, 2, h, w), p=[0.3, 0.3, 0.15, 0.15, 0.1])
+        m = MaxPool2d(k)
+        out = m(x)
+        g = rng.choice(np.array([0.0, -0.0, 0.5, -2.0], dtype=np.float32), size=out.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grad = m.backward(g)
+            ref_out, ref_grad = maxpool_per_slice(x, k, g)
+        assert out.tobytes() == ref_out.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert m.eval()(x).tobytes() == ref_out.tobytes()
+
+    @given(
+        extra=st.lists(st.integers(1, 3), max_size=1),
+        n=st.integers(1, 3),
+        h=st.integers(1, 7),
+        w=st.integers(1, 7),
+        k=st.integers(1, 3),
+        kind=st.sampled_from(["ties", "zeros", "negative", "normal"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_maxpool_then_relu_is_relu_then_maxpool_bytes(
+        self, extra, n, h, w, k, kind, seed
+    ):
+        """``MaxPool2d(k)`` then ``ReLU()`` is bytes-equal to ``ReLU()`` then
+        ``MaxPool2d(k)``, forward and backward: ``np.maximum`` returns its
+        second operand on ties, ReLU maps every ``x ≤ 0`` (``-0.0`` too) to
+        ``+0.0``, a window whose max is above 0 has the same tie set either
+        way, and every element of one whose max is not gets a zero signed
+        like its upstream gradient. This is what lets LeNet pool first."""
+        if h < k or w < k:
+            return
+        rng = np.random.default_rng(seed)
+        shape = tuple(extra) + (n, 2, h, w)
+        if kind == "ties":
+            x = rng.integers(-1, 2, size=shape).astype(np.float32)
+        elif kind == "zeros":
+            x = rng.choice(np.array([0.0, -0.0, -1.0, 1.0], dtype=np.float32), size=shape)
+        elif kind == "negative":
+            x = -np.abs(rng.normal(size=shape)).astype(np.float32)
+            x[rng.random(shape) < 0.3] = -0.0
+        else:
+            x = rng.normal(size=shape).astype(np.float32)
+        pool_a, relu_a = MaxPool2d(k), ReLU()
+        relu_b, pool_b = ReLU(), MaxPool2d(k)
+        out_a = relu_a(pool_a(x))
+        out_b = pool_b(relu_b(x))
+        g = rng.normal(size=out_a.shape).astype(np.float32)
+        g[rng.random(g.shape) < 0.3] = 0.0
+        g[rng.random(g.shape) < 0.3] = -0.0
+        grad_a = pool_a.backward(relu_a.backward(g))
+        grad_b = relu_b.backward(pool_b.backward(g))
+        assert out_a.tobytes() == out_b.tobytes()
+        assert grad_a.tobytes() == grad_b.tobytes()
 
     def test_maxpool_declares_its_state(self):
         assert vars(MaxPool2d(2)).keys() >= {"_mask", "_x_shape"}
